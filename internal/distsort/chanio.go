@@ -98,6 +98,19 @@ func (r *chanReader[T]) ReadBatch(dst []T) (int, error) {
 	return n, nil
 }
 
+// discard drops whatever is left of the feed, returning nil once the
+// partition loop has closed it.
+func (r *chanReader[T]) discard() error {
+	for {
+		if err := r.next(); err != nil {
+			if err == io.EOF {
+				return nil
+			}
+			return err
+		}
+	}
+}
+
 // chanWriter adapts a shard's output channel to the stream protocol,
 // buffering elements into owned batches so the drain can consume them
 // without copying.

@@ -257,8 +257,17 @@ func runShard[T any](i int, feed <-chan []T, out chan<- []T, fs vfs.FS, scfg ext
 		sp.Drop()
 		return
 	}
+	// A resumed shard whose manifest was already committed adopts its runs
+	// without reading a record, but the partition loop still routes the
+	// shard's share of the input to it: unread, the feed fills and blocks
+	// the loop, and with it every other shard. Generation otherwise ends
+	// at the feed's EOF, so this returns at once.
+	err = in.discard()
 	w := &chanWriter[T]{ch: out, done: fail.done, buf: make([]T, 0, feedBatch)}
-	st, err := rset.Merge(w)
+	var st extsort.Stats
+	if err == nil {
+		st, err = rset.Merge(w)
+	}
 	res.stats = st
 	if err == nil {
 		err = w.flushClose()

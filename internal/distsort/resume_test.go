@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/extsort"
 	"repro/internal/gen"
@@ -183,5 +184,74 @@ func TestShardedDurableCleanRun(t *testing.T) {
 	}
 	if len(names) != 0 {
 		t.Fatalf("durable sort left files behind: %v", names)
+	}
+}
+
+// TestShardedResumeCommittedShard resumes over a file system on which one
+// shard's manifest is already committed while the others never started.
+// That shard adopts its runs without reading its feed, yet the partition
+// loop still routes it a share several times feedDepth×feedBatch: unless
+// the shard discards the feed, the loop blocks on it and the sort hangs.
+func TestShardedResumeCommittedShard(t *testing.T) {
+	const shards, memory = 4, 192
+	const n = shards * 3 * feedDepth * feedBatch
+	vals := recordDataset(gen.Random, n)
+	cfg := durableShardedCfg(shards, memory)
+
+	var ref stream.SliceWriter[record.Record]
+	if _, err := Sort[record.Record](stream.NewSliceReader(vals), &ref, vfs.NewMemFS(), cfg, recOps()); err != nil {
+		t.Fatalf("baseline: %v", err)
+	}
+
+	// Route the input the way Sort will and run shard 0's durable
+	// generation alone: a committed manifest and its runs, nothing merged.
+	sample, _, err := readPrefix[record.Record](stream.NewSliceReader(vals), memory, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := newRouter(sample, shards, recOps(), cfg.Extsort.Parallelism)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var share []record.Record
+	for _, v := range vals {
+		if rt.route(v) == 0 {
+			share = append(share, v)
+		}
+	}
+	if len(share) <= (feedDepth+2)*feedBatch {
+		t.Fatalf("shard 0 receives %d records, too few to fill its feed", len(share))
+	}
+	fs := vfs.NewMemFS()
+	if _, err := extsort.GenerateRuns(stream.NewSliceReader(share), fs, shardConfig(cfg, shards, 0), recOps()); err != nil {
+		t.Fatalf("shard 0 generation: %v", err)
+	}
+
+	rcfg := cfg
+	rcfg.Extsort.Resume = true
+	var res stream.SliceWriter[record.Record]
+	var st extsort.Stats
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		st, err = Sort[record.Record](stream.NewSliceReader(vals), &res, fs, rcfg, recOps())
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("resume: %v", err)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("resume deadlocked: the partition loop is blocked on the committed shard's unread feed")
+	}
+	if st.RunsRecovered == 0 {
+		t.Fatal("resume regenerated shard 0; expected its committed runs to be adopted")
+	}
+	if !slices.Equal(res.Vals, ref.Vals) {
+		t.Fatal("resumed output differs from uninterrupted sort")
+	}
+	if names, _ := fs.Names(); len(names) != 0 {
+		t.Fatalf("leftover files after resume: %v", names)
 	}
 }

@@ -649,8 +649,14 @@ func Resume[T any](src stream.Reader[T], fs vfs.FS, cfg Config, ops Ops[T]) (*Ru
 		// Generation had finished and every run survived: adopt the whole
 		// set without reading the input at all. A crash after commit can
 		// still leave half-written merge scratch behind, so sweep spill
-		// files the manifest does not reference before adopting.
+		// files the manifest does not reference before adopting — carry
+		// snapshots included: nothing restarts from a committed manifest,
+		// and a crash between the commit and generateDurable's carry
+		// removals would otherwise leave them behind for good.
 		ref := referencedNames(st.Runs)
+		for _, mr := range st.Runs {
+			delete(ref, mr.CarryName)
+		}
 		names, err := rset.store.Names()
 		if err != nil {
 			return rset.abortSetup(err)

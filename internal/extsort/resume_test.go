@@ -303,6 +303,57 @@ func partialState(t *testing.T, recs []record.Record, failAt int64, sc storage.C
 	return fs, cfg
 }
 
+// diesBeforeCarryRemoval is the file system of a process killed right after
+// its manifest commit: generateDurable's only remaining file operations are
+// the carry-snapshot removals, and none of them lands.
+type diesBeforeCarryRemoval struct{ vfs.FS }
+
+func (f diesBeforeCarryRemoval) Remove(name string) error {
+	if strings.HasSuffix(name, "-carry") {
+		return crashfs.ErrCrashed
+	}
+	return f.FS.Remove(name)
+}
+
+// TestResumeCommittedSweepsCarries crashes exactly between the manifest
+// commit and the carry removals. Resume adopts the committed runs without
+// restarting any generator, so it must sweep the orphaned snapshots itself:
+// a committed manifest still names them, and nothing later would.
+func TestResumeCommittedSweepsCarries(t *testing.T) {
+	recs := testRecords(3000, 5)
+	cfg := durableCfg(128)
+	want, _ := durableBaseline(t, recs, cfg, RecordOps())
+
+	base := vfs.NewMemFS()
+	if _, err := GenerateRuns[record.Record](stream.NewSliceReader(recs), diesBeforeCarryRemoval{base}, cfg, RecordOps()); err != nil {
+		t.Fatalf("GenerateRuns: %v", err)
+	}
+	names, err := base.Names()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(names, func(n string) bool { return strings.HasSuffix(n, "-carry") }) {
+		t.Fatalf("the killed pass left no carry snapshot behind: %v", names)
+	}
+
+	rcfg := cfg
+	rcfg.Resume = true
+	rset, err := GenerateRuns[record.Record](stream.NewSliceReader(recs), base, rcfg, RecordOps())
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	got, st := mergeToSlice(t, rset)
+	if st.RunsRecovered != st.Runs || st.Runs == 0 {
+		t.Fatalf("recovered %d of %d runs, want the whole committed set", st.RunsRecovered, st.Runs)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatal("resumed output differs from uninterrupted sort")
+	}
+	if names, _ := base.Names(); len(names) != 0 {
+		t.Fatalf("leftover files after resume and merge: %v", names)
+	}
+}
+
 // TestResumeTornManifestTail truncates the manifest mid-record — the shape
 // a torn append leaves — and verifies resume still works from the shorter
 // intact prefix.

@@ -10,149 +10,199 @@
 // is the pair (run, element).
 package heap
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Item is an element tagged with the run it belongs to, plus an optional
 // cached normalized-key prefix (codec.Prefix of the element's key bytes).
 // Keyed run generators fill Key so sift comparisons resolve on an integer
 // compare and call the comparator only on prefix ties; unkeyed callers
 // leave it zero, where every compare ties and falls through to the
-// comparator exactly as before.
+// comparator. Key must order consistently with the comparator (a
+// coarsening of it, as codec.Prefix is) and Run must not be negative.
 type Item[T any] struct {
 	Rec T
 	Run int
 	Key uint64
 }
 
-// arity is the branching factor of the heaps. With a caller-supplied
-// comparator the dominant sift cost is the indirect comparison call, and
-// binary heaps driven by bottom-up sifting perform the fewest comparisons
-// per pop (≈log2 n, versus (d−1)·logd n for a d-ary layout), which
-// measures faster end to end than wider nodes despite the deeper walk.
-const arity = 2
-
-// side is a d-ary heap laid out over a shared backing array. A mirrored
-// side stores its logical index i at physical position len(arr)-1-i, which
-// is how the TopHeap and BottomHeap of 2WRS share one allocation and trade
-// capacity 1:1 (§4.1, Figures 4.3-4.5). The mapping is kept branchless as
-// physical = base + stride·logical (forward: base 0, stride +1; mirrored:
-// base len-1, stride −1), because these accessors are the hottest
-// instructions of the whole sorter.
+// side is a binary heap laid out over a (possibly shared) backing array.
+// Logical indices are 1-based — root 1, children of j at 2j and 2j+1 — and
+// index j lives at physical position org + (j XOR mask): mask 0 counts up
+// from org (forward), mask -1 counts down from org-1 (mirrored, since
+// j XOR -1 = -j-1), which is how the TopHeap and BottomHeap of 2WRS share
+// one allocation and trade capacity 1:1 (§4.1, Figures 4.3-4.5).
+//
+// Priority encoding. An item's priority is the unsigned 128-bit pair
+// (Run, Key): lower pair first, the comparator only when both words are
+// equal. A max-heap side stores ^Key (flip is all ones there, zero on a
+// min-heap side) and restores it in peek and pop, so both directions
+// compare the same way and one two-word subtraction (bits.Sub64 chained
+// through its borrow) decides a pair: the borrow is "strictly before", a
+// zero difference is "consult the comparator". Run tags must not be
+// negative.
+//
+// Tie rules. The left child wins a tie between siblings and a sift-up
+// stops at a parent it ties with — the decisions of the textbook loops —
+// so the pop sequence, and with it every run file, does not depend on how
+// the compare is computed.
+//
+// Layout. Items of the record types are 32 bytes, so a sibling pair
+// (2j, 2j+1) is 64 bytes. A forward side has org 0, leaving physical slot
+// 0 as a pad, and a mirrored side sits in an array of odd length, so on
+// both every sibling pair starts at an even physical index and shares one
+// 64-byte line of a line-aligned array instead of always straddling two.
 type side[T any] struct {
-	arr    []Item[T]
-	less   func(a, b T) bool
-	n      int
-	base   int  // physical index of logical slot 0
-	stride int  // +1 forward, -1 mirrored
-	desc   bool // max-heap by element (BottomHeap); min-heap otherwise
+	arr  []Item[T]
+	less func(a, b T) bool
+	n    int
+	org  int    // 0 forward, len(arr)+1 mirrored
+	mask int    // 0 forward, -1 mirrored
+	flip uint64 // XORed into Key on the way in and out: ^0 on a max-heap side
+	look int    // keeps pop's lookahead loads alive; never read
 }
 
-// beforeItem reports whether a has strictly higher priority than b: lower
-// run first, then the cached key prefix in the side's direction, then the
-// element order for prefix ties. Prefix order is a coarsening of the
-// comparator's (codec.Prefix), so the integer compare never contradicts
-// less and the decision sequence is identical to the comparator-only one.
-// It is a free function over hoisted locals so the hot sift loops inline
-// it.
-func beforeItem[T any](a, b Item[T], less func(a, b T) bool, desc bool) bool {
-	if a.Run != b.Run {
-		return a.Run < b.Run
-	}
-	if a.Key != b.Key {
-		if desc {
-			return a.Key > b.Key
-		}
-		return a.Key < b.Key
-	}
+// lookFrom is the logical index from which pop reads one word of each of
+// the two grandchild lines before it resolves the current level. A
+// branch-free descent issues no speculative loads down a predicted path,
+// so outside the cache every level would wait out a whole miss; the touch
+// overlaps the next level's miss with this level's compare. Measured on
+// the replacement-selection step of bench_test.go (ns per step, keyed,
+// 4 MB L2): M = 2^14 119 with the touch, 124 without; 2^16 167 and 178;
+// 2^20 463 and 689, against 614 for the branching loop this replaced.
+// Below 2^12 items a heap is 128 KB and the touch buys nothing.
+const lookFrom = 1 << 12
+
+func forward[T any](arr []Item[T], desc bool, less func(a, b T) bool) side[T] {
+	s := side[T]{arr: arr, less: less}
 	if desc {
-		return less(b.Rec, a.Rec)
+		s.flip = ^uint64(0)
 	}
-	return less(a.Rec, b.Rec)
+	return s
 }
 
-// before reports whether a has strictly higher priority than b.
-func (s *side[T]) before(a, b Item[T]) bool {
-	return beforeItem(a, b, s.less, s.desc)
+func mirrored[T any](arr []Item[T], less func(a, b T) bool) side[T] {
+	return side[T]{arr: arr, less: less, org: len(arr) + 1, mask: -1}
 }
 
-func (s *side[T]) at(i int) Item[T]      { return s.arr[s.base+s.stride*i] }
-func (s *side[T]) set(i int, it Item[T]) { s.arr[s.base+s.stride*i] = it }
-func (s *side[T]) len() int              { return s.n }
-func (s *side[T]) peek() Item[T]         { return s.at(0) }
+// arenaLen is the array length that holds capacity items behind the
+// forward pad slot, rounded up to odd so a mirrored side's sibling pairs
+// line up too.
+func arenaLen(capacity int) int { return (capacity + 1) | 1 }
 
-// push inserts by walking a hole up from the new leaf: ancestors move down
-// one slot each until the item's position is found, writing each slot once
-// (no swaps). State is hoisted into locals so the loop compiles to direct
-// loads and stores.
+// tie orders two items whose (Run, Key) pairs are equal: by the comparator,
+// in the side's direction.
+func (s *side[T]) tie(a, b *Item[T]) bool {
+	if s.flip != 0 {
+		a, b = b, a
+	}
+	return s.less(a.Rec, b.Rec)
+}
+
+// sub subtracts b's priority pair from a's. borrow is 1 when a is strictly
+// before b on the pair alone; tied reports equal pairs, which only the
+// comparator can order. A free function so the sift loops inline it.
+func sub[T any](a, b *Item[T]) (borrow uint64, tied bool) {
+	lo, borrow := bits.Sub64(a.Key, b.Key, 0)
+	hi, borrow := bits.Sub64(uint64(a.Run), uint64(b.Run), borrow)
+	return borrow, lo|hi == 0
+}
+
+func (s *side[T]) at(j int) *Item[T] { return &s.arr[s.org+(j^s.mask)] }
+func (s *side[T]) len() int          { return s.n }
+
+func (s *side[T]) peek() Item[T] {
+	it := *s.at(1)
+	it.Key ^= s.flip
+	return it
+}
+
+// push inserts by walking a hole up from the new leaf.
 func (s *side[T]) push(it Item[T]) {
-	arr, base, stride, less, desc := s.arr, s.base, s.stride, s.less, s.desc
-	i := s.n
+	if it.Run < 0 {
+		panic("heap: negative run tag")
+	}
+	it.Key ^= s.flip
 	s.n++
-	for i > 0 {
-		parent := (i - 1) / arity
-		p := arr[base+stride*parent]
-		if !beforeItem(it, p, less, desc) {
+	s.up(s.n, &it)
+}
+
+// up walks a hole from logical slot j toward the root: ancestors move down
+// one slot each until the item's position is found, writing each slot once
+// (no swaps), and the walk stops at the first parent the item is not
+// strictly before.
+func (s *side[T]) up(j int, it *Item[T]) {
+	arr, org, mask := s.arr, s.org, s.mask
+	for j > 1 {
+		p := &arr[org+((j>>1)^mask)]
+		if borrow, tied := sub(it, p); borrow == 0 && !(tied && s.tie(it, p)) {
 			break
 		}
-		arr[base+stride*i] = p
-		i = parent
+		arr[org+(j^mask)] = *p
+		j >>= 1
 	}
-	arr[base+stride*i] = it
+	arr[org+(j^mask)] = *it
 }
 
 // pop removes the root using bottom-up sifting (Wegener): the hole left at
 // the root walks down the best-child path to a leaf — one comparison per
-// level instead of two, each level reading both children exactly once and
-// writing once — and the former last leaf is then sifted up from there,
-// which on replacement-selection workloads almost always terminates
-// immediately because a leaf is low-priority. Vacated slots are not zeroed;
-// they are invisible to both sides and overwritten by later pushes.
+// level — and the former last leaf is then sifted up from there, which on
+// replacement-selection workloads almost always terminates immediately
+// because a leaf is low-priority. Vacated slots are not zeroed; they are
+// invisible to both sides and overwritten by later pushes.
+//
+// The descent runs on x = j XOR mask, the hole's offset from org, because
+// in that space the children of x are 2x and 2x+1 on either side (the left
+// child is the lower of the two forward, the upper mirrored): the winner
+// is 2x+1 minus the borrow of lower−upper, one subtract-with-borrow after
+// the compare and no branch on its outcome.
 func (s *side[T]) pop() Item[T] {
-	arr, base, stride, less, desc := s.arr, s.base, s.stride, s.less, s.desc
+	arr, org, mask := s.arr, s.org, s.mask
 	n := s.n - 1
 	s.n = n
-	top := arr[base]
+	top := arr[org+(1^mask)]
+	top.Key ^= s.flip
 	if n == 0 {
 		return top
 	}
-	it := arr[base+stride*n] // former last leaf, to be re-placed
-	i := 0
-	for {
-		l := arity*i + 1
-		if l >= n {
-			break
+	it := arr[org+((n+1)^mask)] // former last leaf, to be re-placed
+	j, x, look := 1, 1^mask, 0
+	for ; 2*j+1 <= n; j = x ^ mask {
+		if j >= lookFrom && 4*j+3 <= n {
+			look += arr[org+4*x].Run + arr[org+4*x+2].Run
 		}
-		hi := l + arity
-		if hi > n {
-			hi = n
-		}
-		best, bi := l, arr[base+stride*l]
-		for c := l + 1; c < hi; c++ {
-			ci := arr[base+stride*c]
-			if beforeItem(ci, bi, less, desc) {
-				best, bi = c, ci
+		borrow, tied := sub(&arr[org+2*x], &arr[org+2*x+1])
+		c, _ := bits.Sub64(uint64(2*x+1), 0, borrow)
+		if tied {
+			// The comparator decides, and the left child wins its ties:
+			// t is "right strictly first". The left child is the lower
+			// slot forward, so lower wins on !t; mirrored it is the
+			// upper one, so lower wins on t.
+			t := 0
+			if s.tie(&arr[org+2*x+1+mask], &arr[org+2*x-mask]) {
+				t = 1
 			}
+			c = uint64(2*x + 1 - (t ^ (1 + mask)))
 		}
-		arr[base+stride*i] = bi
-		i = best
+		arr[org+x] = arr[org+int(c)]
+		x = int(c)
 	}
-	for i > 0 {
-		parent := (i - 1) / arity
-		p := arr[base+stride*parent]
-		if !beforeItem(it, p, less, desc) {
-			break
-		}
-		arr[base+stride*i] = p
-		i = parent
+	if 2*j <= n { // a last level with a left child only
+		arr[org+x] = arr[org+(2*j^mask)]
+		x = 2*j ^ mask
 	}
-	arr[base+stride*i] = it
+	s.look = look
+	s.up(x^mask, &it)
 	return top
 }
 
 // valid reports whether the heap property holds everywhere; used by tests.
 func (s *side[T]) valid() bool {
-	for i := 1; i < s.n; i++ {
-		if s.before(s.at(i), s.at((i-1)/arity)) {
+	for j := 2; j <= s.n; j++ {
+		c, p := s.at(j), s.at(j>>1)
+		if borrow, tied := sub(c, p); borrow != 0 || tied && s.tie(c, p) {
 			return false
 		}
 	}
@@ -174,17 +224,17 @@ func New[T any](capacity int, desc bool, less func(a, b T) bool) *Heap[T] {
 	if less == nil {
 		panic("heap: nil comparator")
 	}
-	return &Heap[T]{s: side[T]{arr: make([]Item[T], capacity), stride: 1, desc: desc, less: less}}
+	return &Heap[T]{s: forward(make([]Item[T], 1+capacity), desc, less)}
 }
 
 // Len returns the number of items currently stored.
 func (h *Heap[T]) Len() int { return h.s.len() }
 
 // Cap returns the fixed capacity.
-func (h *Heap[T]) Cap() int { return len(h.s.arr) }
+func (h *Heap[T]) Cap() int { return len(h.s.arr) - 1 }
 
 // Full reports whether the heap is at capacity.
-func (h *Heap[T]) Full() bool { return h.s.n == len(h.s.arr) }
+func (h *Heap[T]) Full() bool { return h.s.n == h.Cap() }
 
 // Push adds an item. It panics if the heap is full: run generation
 // algorithms are responsible for popping before pushing, and overflowing
@@ -226,11 +276,12 @@ func (h *Heap[T]) Reset() {
 func (h *Heap[T]) Valid() bool { return h.s.valid() }
 
 // DoubleHeap is the 2WRS memory arena: a max-heap (BottomHeap) growing from
-// index 0 upward and a min-heap (TopHeap) growing from the last index
-// downward, sharing one fixed array so that either can grow at the expense
-// of the other (§4.1).
+// the front of the array upward and a min-heap (TopHeap) growing from the
+// last index downward, sharing one fixed array so that either can grow at
+// the expense of the other (§4.1).
 type DoubleHeap[T any] struct {
-	arr    []Item[T]
+	arr    []Item[T] // arenaLen(capacity) slots: the pad, the items, at most one idle slot
+	cap    int       // logical capacity: what Cap and Full report
 	bottom side[T]
 	top    side[T]
 }
@@ -244,11 +295,12 @@ func NewDouble[T any](capacity int, less func(a, b T) bool) *DoubleHeap[T] {
 	if less == nil {
 		panic("heap: nil comparator")
 	}
-	arr := make([]Item[T], capacity)
+	arr := make([]Item[T], arenaLen(capacity))
 	return &DoubleHeap[T]{
 		arr:    arr,
-		bottom: side[T]{arr: arr, stride: 1, desc: true, less: less},
-		top:    side[T]{arr: arr, base: capacity - 1, stride: -1, less: less},
+		cap:    capacity,
+		bottom: forward(arr, true, less),
+		top:    mirrored(arr, less),
 	}
 }
 
@@ -256,10 +308,10 @@ func NewDouble[T any](capacity int, less func(a, b T) bool) *DoubleHeap[T] {
 func (d *DoubleHeap[T]) Len() int { return d.bottom.n + d.top.n }
 
 // Cap returns the shared capacity.
-func (d *DoubleHeap[T]) Cap() int { return len(d.arr) }
+func (d *DoubleHeap[T]) Cap() int { return d.cap }
 
 // Full reports whether the combined heaps are at capacity.
-func (d *DoubleHeap[T]) Full() bool { return d.Len() == len(d.arr) }
+func (d *DoubleHeap[T]) Full() bool { return d.Len() == d.cap }
 
 // LenTop and LenBottom return the sizes of the individual heaps.
 func (d *DoubleHeap[T]) LenTop() int    { return d.top.n }
@@ -316,7 +368,7 @@ func (d *DoubleHeap[T]) PeekBottom() Item[T] {
 // Valid reports whether both heap properties hold and the two sides do not
 // overlap; it exists for tests.
 func (d *DoubleHeap[T]) Valid() bool {
-	return d.Len() <= len(d.arr) && d.bottom.valid() && d.top.valid()
+	return d.Len() <= d.cap && d.bottom.valid() && d.top.valid()
 }
 
 // Reset empties both heaps.
