@@ -8,7 +8,8 @@ import (
 
 func TestInputBufferPassThrough(t *testing.T) {
 	src := record.NewSliceReader(record.FromKeys(3, 1, 2))
-	b, err := newInputBuffer(src, 0, 64, record.Key, false, record.Less)
+	b := newInputBuffer(src, 0, 64, record.Key, false, record.Less)
+	err := b.fill()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,8 @@ func TestInputBufferPassThrough(t *testing.T) {
 
 func TestInputBufferFIFOOrder(t *testing.T) {
 	src := record.NewSliceReader(record.FromKeys(10, 20, 30, 40, 50))
-	b, err := newInputBuffer(src, 3, 64, record.Key, false, record.Less)
+	b := newInputBuffer(src, 3, 64, record.Key, false, record.Less)
+	err := b.fill()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +73,8 @@ func TestInputBufferFIFOOrder(t *testing.T) {
 
 func TestInputBufferMedianTracking(t *testing.T) {
 	src := record.NewSliceReader(record.FromKeys(5, 1, 9, 3, 7))
-	b, err := newInputBuffer(src, 3, 64, record.Key, true, record.Less)
+	b := newInputBuffer(src, 3, 64, record.Key, true, record.Less)
+	err := b.fill()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +94,8 @@ func TestInputBufferMedianTracking(t *testing.T) {
 
 func TestInputBufferShorterThanCapacity(t *testing.T) {
 	src := record.NewSliceReader(record.FromKeys(1, 2))
-	b, err := newInputBuffer(src, 10, 64, record.Key, false, record.Less)
+	b := newInputBuffer(src, 10, 64, record.Key, false, record.Less)
+	err := b.fill()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +116,8 @@ func TestInputBufferShorterThanCapacity(t *testing.T) {
 }
 
 func TestInputBufferEmptySource(t *testing.T) {
-	b, err := newInputBuffer(record.NewSliceReader(nil), 4, 64, record.Key, true, record.Less)
+	b := newInputBuffer(record.NewSliceReader(nil), 4, 64, record.Key, true, record.Less)
+	err := b.fill()
 	if err != nil {
 		t.Fatal(err)
 	}

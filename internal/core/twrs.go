@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -64,6 +65,7 @@ type generator[T any] struct {
 	in        *inputBuffer[T]
 	dh        *heap.DoubleHeap[T]
 	rng       *rand.Rand
+	draws     uint64 // coin flips taken from rng: a restore replays that many
 	victimCap int
 
 	currentRun int
@@ -130,6 +132,18 @@ type Stepper[T any] struct {
 // onto the real line for the numeric heuristics; pass nil for
 // comparator-only element types.
 func NewStepper[T any](src stream.Reader[T], em *runio.Emitter[T], cfg Config, key func(T) float64) (*Stepper[T], error) {
+	s, err := newStepper(src, em, cfg, key)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.g.in.fill(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// newStepper builds the stepper with every buffer still empty.
+func newStepper[T any](src stream.Reader[T], em *runio.Emitter[T], cfg Config, key func(T) float64) (*Stepper[T], error) {
 	inputCap, victimCap, arena, err := cfg.sizes()
 	if err != nil {
 		return nil, err
@@ -142,10 +156,7 @@ func NewStepper[T any](src stream.Reader[T], em *runio.Emitter[T], cfg Config, k
 	}
 	less := em.Less
 	trackMedian := cfg.Input == InMedian || (cfg.Input == InMean && key == nil)
-	in, err := newInputBuffer(src, inputCap, cfg.Memory, key, trackMedian, less)
-	if err != nil {
-		return nil, err
-	}
+	in := newInputBuffer(src, inputCap, cfg.Memory, key, trackMedian, less)
 	g := &generator[T]{
 		cfg:       cfg,
 		less:      less,
@@ -162,9 +173,6 @@ func NewStepper[T any](src stream.Reader[T], em *runio.Emitter[T], cfg Config, k
 	}
 	return &Stepper[T]{g: g}, nil
 }
-
-// Records returns the number of input elements consumed so far.
-func (s *Stepper[T]) Records() int64 { return s.g.res.Records }
 
 // Result returns the statistics accumulated so far, including every run
 // emitted by NextRun.
@@ -259,6 +267,62 @@ func (s *Stepper[T]) Carry() []T {
 	return append(out, g.in.drain()...)
 }
 
+// Checkpoint lists, without disturbing the stepper, every record it holds
+// at a run boundary in the order Restore takes them back — BottomHeap and
+// TopHeap in heap index order (ties pop by position, so position is
+// state), the input FIFO oldest first, the fetch read-ahead — and returns
+// those four counts followed by the scalars that survive a boundary: a flag
+// word (rangeSet, lastInputTop, lastOutputTop), minSeen, maxSeen and the
+// FIFO's running sum as float64 bits, and the number of coin flips drawn.
+// endRun has just reset everything else (DESIGN.md §14). It is only
+// meaningful right after NextRun returned a run.
+func (s *Stepper[T]) Checkpoint(put func(T)) []uint64 {
+	g := s.g
+	g.dh.Export(put)
+	fifo, ahead := g.in.export(put)
+	var flags uint64
+	for i, f := range []bool{g.rangeSet, g.lastInputTop, g.lastOutputTop} {
+		if f {
+			flags |= 1 << i
+		}
+	}
+	return []uint64{
+		uint64(g.dh.LenBottom()), uint64(g.dh.LenTop()), uint64(fifo), uint64(ahead), flags,
+		math.Float64bits(g.minSeen), math.Float64bits(g.maxSeen), math.Float64bits(g.in.sum), g.draws,
+	}
+}
+
+// Restore rebuilds the Stepper whose Checkpoint listed recs and returned
+// state, over src positioned just past the read-ahead and under the same
+// configuration: it goes on to emit exactly the runs the original would
+// have. Counts that do not add up to recs, or records not in heap order
+// where they were listed, are an error, never a different run sequence.
+func Restore[T any](src stream.Reader[T], em *runio.Emitter[T], cfg Config, key func(T) float64, recs []T, state []uint64) (*Stepper[T], error) {
+	s, err := newStepper(src, em, cfg, key)
+	if err != nil {
+		return nil, err
+	}
+	n := uint64(len(recs))
+	if len(state) != 9 || state[0] > n || state[1] > n-state[0] || state[2] > n-state[0]-state[1] || state[3] != n-state[0]-state[1]-state[2] {
+		return nil, fmt.Errorf("core: checkpoint state %v does not describe %d records", state, n)
+	}
+	g := s.g
+	top, fifo, ahead := state[0]+state[1], state[0]+state[1]+state[2], n
+	if err := g.dh.Import(recs[:state[0]], recs[state[0]:top], 0, g.pfx); err != nil {
+		return nil, err
+	}
+	if !g.in.restore(recs[top:fifo], recs[fifo:ahead], math.Float64frombits(state[7])) {
+		return nil, fmt.Errorf("core: checkpoint input buffer of %d+%d records exceeds its capacity", state[2], state[3])
+	}
+	g.rangeSet, g.lastInputTop, g.lastOutputTop = state[4]&1 != 0, state[4]&2 != 0, state[4]&4 != 0
+	g.minSeen, g.maxSeen = math.Float64frombits(state[5]), math.Float64frombits(state[6])
+	for ; g.draws < state[8]; g.draws++ { // reseeded above: skip the flips already taken
+		g.rng.Intn(2)
+	}
+	s.filled = true
+	return s, nil
+}
+
 // Generate runs two-way replacement selection over src, writing runs
 // through em and ordering elements with em.Less. key, when non-nil,
 // projects elements onto the real line for the numeric heuristics; pass
@@ -293,7 +357,7 @@ func (g *generator[T]) chooseOutputSide() (fromTop, ok bool) {
 	// Both possible: apply the output heuristic (§4.2).
 	switch g.cfg.Output {
 	case OutRandom:
-		return g.rng.Intn(2) == 0, true
+		return g.coin(), true
 	case OutAlternate:
 		g.lastOutputTop = !g.lastOutputTop
 		return g.lastOutputTop, true
@@ -308,7 +372,7 @@ func (g *generator[T]) chooseOutputSide() (fromTop, ok bool) {
 		// Distance needs a numeric projection; without one the heuristic
 		// degrades to Random.
 		if g.key == nil || !g.firstOutSet {
-			return g.rng.Intn(2) == 0, true
+			return g.coin(), true
 		}
 		dTop := math.Abs(g.key(g.dh.PeekTop().Rec) - g.firstOut)
 		dBot := math.Abs(g.key(g.dh.PeekBottom().Rec) - g.firstOut)
@@ -316,6 +380,13 @@ func (g *generator[T]) chooseOutputSide() (fromTop, ok bool) {
 	default:
 		return true, true
 	}
+}
+
+// coin flips the seeded coin the Random heuristics share, counting the
+// flip so a checkpoint can say where in the sequence the generator stands.
+func (g *generator[T]) coin() bool {
+	g.draws++
+	return g.rng.Intn(2) == 0
 }
 
 // route releases a popped record: to the victim buffer during the initial
@@ -441,7 +512,7 @@ func (g *generator[T]) insertInput(rec T) {
 func (g *generator[T]) chooseInsertSide(rec T) bool {
 	switch g.cfg.Input {
 	case InRandom:
-		return g.rng.Intn(2) == 0
+		return g.coin()
 	case InAlternate:
 		g.lastInputTop = !g.lastInputTop
 		return g.lastInputTop

@@ -267,12 +267,14 @@ type Config struct {
 	// ("<Prefix>.manifest", written directly on fs beside the spill files)
 	// records each run boundary as it completes, so a crashed or killed
 	// sort can resume from the last boundary instead of restarting (see
-	// internal/manifest and DESIGN.md §14). Manifest mode checkpoints the
-	// generator at every boundary — the run sequence becomes a
-	// deterministic function of (input, config) — and spills the carried
-	// generator state beside the runs; the adaptive auto policy cannot be
-	// checkpointed and is rejected. On error the spill files and manifest
-	// are left in place for Resume, not discarded.
+	// internal/manifest and DESIGN.md §14). The runs are the plain sort's,
+	// byte for byte: the generator is not disturbed, each boundary only
+	// checkpoints it in place — the records it holds written, in position,
+	// to a snapshot file beside the runs, its few state words into the
+	// manifest record — so a resume can restore it exactly. The adaptive
+	// auto policy keeps state outside its generators and is rejected. On
+	// error the spill files and manifest are left in place for Resume, not
+	// discarded.
 	Manifest bool
 	// Resume makes GenerateRuns first attempt to resume from the manifest
 	// a previous Manifest-mode pass left behind, falling back to a fresh
@@ -423,8 +425,8 @@ type RunSet[T any] struct {
 	stats    Stats    // run-generation half; Merge fills the merge half
 	o        *sortObs // nil when observability is off
 
-	// Manifest-mode state: the base file system the manifest lives on and
-	// the manifest's file name. Both are zero for non-durable sorts.
+	// fs is the base file system; a durable sort's manifest lives on it
+	// under manifestName, which is empty for non-durable sorts.
 	fs           vfs.FS
 	manifestName string
 }
@@ -444,15 +446,27 @@ func GenerateRuns[T any](src stream.Reader[T], fs vfs.FS, cfg Config, ops Ops[T]
 		// adoptable state: run a fresh manifest-writing pass.
 		cfg.Resume, cfg.Manifest = false, true
 	}
-	if cfg.Manifest {
-		return generateManifest(src, fs, cfg, ops, nil)
+	rset, err := newRunSet(fs, cfg, ops)
+	if err != nil {
+		return nil, err
 	}
+	return rset.generate(src, nil, nil, entry)
+}
+
+// newRunSet validates the configuration and builds the RunSet shell —
+// storage, observability, emitter — every entry point starts from:
+// GenerateRuns, Resume and OpenRunSet, so all three lay spill files out
+// identically.
+func newRunSet[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
 	cfg = cfg.withDefaults()
 	if err := ops.validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Memory <= 0 {
 		return nil, fmt.Errorf("extsort: memory must be positive, got %d", cfg.Memory)
+	}
+	if cfg.Manifest && cfg.Policy == policy.Auto {
+		return nil, fmt.Errorf("extsort: the auto policy's adaptive probe state cannot be checkpointed; durable (Manifest/Resume) sorts need a fixed policy or a legacy Algorithm")
 	}
 	store, err := storage.New(fs, cfg.Storage)
 	if err != nil {
@@ -474,125 +488,208 @@ func GenerateRuns[T any](src stream.Reader[T], fs vfs.FS, cfg Config, ops Ops[T]
 	// With headroom for concurrency, spill pages flow to storage through
 	// background writer goroutines so heap work overlaps file I/O.
 	em.Async = cfg.Parallelism > 1
-
 	clock := cfg.Clock
 	if clock == nil {
 		clock = func() time.Duration { return 0 }
 	}
-
-	rset := &RunSet[T]{store: store, em: em, cfg: cfg, ops: ops, clock: clock, o: o}
+	rset := &RunSet[T]{store: store, em: em, cfg: cfg, ops: ops, clock: clock, o: o, fs: fs}
+	if cfg.Manifest {
+		rset.manifestName = manifest.Name(cfg.Prefix)
+	}
 	rset.stats.Storage = store.String()
+	return rset, nil
+}
+
+// abortSetup unwinds a newRunSet whose sort never started.
+func (r *RunSet[T]) abortSetup(err error) (*RunSet[T], error) {
+	r.o.reporter().Stop()
+	return nil, err
+}
+
+// generate runs phase one on a RunSet shell. Plain, durable and resumed
+// passes share it: the generator runs straight through the input either
+// way, and a durable sort (Config.Manifest) only adds a hook at every run
+// boundary that snapshots the generator where it stands and appends a
+// manifest record, then commits the manifest at the end. recovered and
+// from continue an earlier pass: the boundaries Resume adopted and the
+// generator's checkpoint at the last of them. On error a plain sort
+// discards its files; a durable one leaves spill files and manifest on
+// disk for Resume.
+func (r *RunSet[T]) generate(src stream.Reader[T], recovered []manifest.Run, from *policy.Checkpoint[T], entry time.Time) (*RunSet[T], error) {
+	cfg, ops, em, o := r.cfg, r.ops, r.em, r.o
+	durable := r.manifestName != ""
+	em.Checksums = durable
 
 	// Arm the keyed hot path if a key codec is available and survives the
 	// sampled order check against the comparator.
 	src, keyed, err := applyKeyCodec(src, em, ops)
 	if err != nil {
-		o.reporter().Stop()
-		return nil, err
+		return r.abortSetup(err)
 	}
-	rset.stats.Keyed = keyed
+	r.stats.Keyed = keyed
+
+	var man *manifest.Writer
+	if durable {
+		// Rewriting to the recovered prefix drops boundaries past it and a
+		// torn tail; with nothing recovered it is a fresh manifest.
+		man, err = manifest.Rewrite(r.fs, r.manifestName, durableHeader(cfg, ops, em, keyed), recovered)
+		if err != nil {
+			return r.abortSetup(err)
+		}
+	}
 
 	polName := cfg.Algorithm.String()
 	if cfg.Policy != policy.None {
 		polName = cfg.Policy.String()
 	}
-	gsp := o.tracer().Start("generate", obs.Str("policy", polName), obs.Bool("keyed", keyed))
-	src = meterSource(o, src)
+	gsp := o.tracer().Start("generate",
+		obs.Str("policy", polName), obs.Bool("keyed", keyed), obs.Bool("durable", durable))
 	fail := func(err error) (*RunSet[T], error) {
 		gsp.End(obs.Str("error", err.Error()))
-		rset.Discard()
+		if !durable {
+			r.Discard()
+			return nil, err
+		}
+		// The spill files and manifest are exactly the state Resume needs,
+		// so nothing is discarded. But an abandoned run writer's background
+		// flusher must still be joined, or it would keep appending to the
+		// surviving files while a later Resume reads them.
+		man.Close()
+		o.reporter().Stop()
+		em.AbortOpen()
 		return nil, err
 	}
-	simStart, wallStart := clock(), time.Now()
 
-	if cfg.Policy != policy.None {
-		// Policy-selected run generation: the engine drives one of the four
-		// fixed generators, or the adaptive auto policy that may switch
-		// generators at run boundaries. Per-run spans and switch events are
-		// recorded by the engine under gsp.
-		pres, err := policy.Generate(cfg.Policy, src, em,
-			policy.Config{Memory: cfg.Memory, TWRS: cfg.TWRS, Span: gsp}, ops.Key)
-		if err != nil {
+	var (
+		emitted   int64 // records in the runs so far, recovered ones included
+		snapshots []string
+	)
+	if n := len(recovered); n > 0 {
+		pos := recovered[n-1].InputPos
+		rsp := o.tracer().Start("resume", obs.Int("runs_recovered", int64(n)), obs.Int("input_pos", pos))
+		if err := skipInput(src, pos); err != nil {
+			rsp.End(obs.Str("error", err.Error()))
 			return fail(err)
 		}
-		rset.runs, rset.stats.Records = pres.Runs, pres.Records
-		rset.policies = make([]string, len(pres.Policies))
-		for i, k := range pres.Policies {
-			rset.policies[i] = k.String()
-		}
-		for _, run := range pres.Runs {
-			if !run.Concatenable {
-				rset.stats.OverlapRuns++
+		rsp.End()
+		for _, mr := range recovered {
+			r.runs = append(r.runs, toRunioRun(mr))
+			r.policies = append(r.policies, mr.Policy)
+			emitted += mr.Records
+			if mr.CarryName != "" {
+				snapshots = append(snapshots, mr.CarryName)
 			}
 		}
-		rset.stats.Policy = cfg.Policy.String()
-		rset.stats.PolicySwitches = pres.Switches
-	} else {
-		// The legacy Algorithm selection drives the same steppers the
-		// policy engine uses, one NextRun (= one run, one span) at a time.
-		type stepper interface {
-			NextRun() (runio.Run, bool, error)
-			Records() int64
+		em.Namer.SetSeq(recovered[n-1].NamerSeq)
+		r.stats.RunsRecovered = n
+		o.observeRecovered(n)
+	}
+	var commit func(policy.Generator[T], runio.Run) error
+	if durable {
+		commit = func(gen policy.Generator[T], run runio.Run) error {
+			emitted += run.Records
+			name, err := r.commitBoundary(man, gsp, gen, run, polName, emitted)
+			if name != "" {
+				snapshots = append(snapshots, name)
+			}
+			return err
 		}
-		var (
-			gen stepper
-			tw  *core.Stepper[T]
-		)
+	}
+
+	// The legacy Algorithm selection names generators the policy engine
+	// has too (TestPolicyMatchesAlgorithm pins them byte-identical), bar
+	// load-sort-store, which holds nothing between runs: any boundary
+	// restores it fresh.
+	kind := cfg.Policy
+	if kind == policy.None {
 		switch cfg.Algorithm {
-		case RS:
-			gen, err = rs.NewStepper(src, em, cfg.Memory)
-		case LoadSortStore:
-			gen, err = rs.NewLSSStepper(src, em, cfg.Memory)
 		case TwoWayRS:
-			tw, err = core.NewStepper(src, em, cfg.TWRS, ops.Key)
-			gen = tw
+			kind = policy.TwoWayRS
+		case RS:
+			kind = policy.RS
+		case LoadSortStore:
 		default:
-			gsp.Drop()
-			o.reporter().Stop()
-			return nil, fmt.Errorf("extsort: unknown algorithm %v", cfg.Algorithm)
+			return fail(fmt.Errorf("extsort: unknown algorithm %v", cfg.Algorithm))
 		}
-		if err != nil {
+	}
+	in := meterSource(o, src)
+	pcfg := policy.Config{Memory: cfg.Memory, TWRS: cfg.TWRS, Span: gsp}
+	simStart, wallStart := r.clock(), time.Now()
+	var runs []runio.Run
+	if kind == policy.Auto {
+		// The adaptive engine may switch generators at run boundaries; it
+		// records per-run spans and switch events under gsp. It is never
+		// durable (newRunSet refuses the combination).
+		var pres policy.Result
+		pres, err = policy.Generate(kind, in, em, pcfg, ops.Key)
+		runs = pres.Runs
+		for _, k := range pres.Policies {
+			r.policies = append(r.policies, k.String())
+		}
+		r.stats.PolicySwitches = pres.Switches
+	} else {
+		var gen policy.Generator[T]
+		if kind == policy.None {
+			gen, err = rs.NewLSSStepper(in, em, cfg.Memory)
+		} else if gen, err = policy.NewGenerator(kind, in, em, pcfg, ops.Key, from); err != nil && from != nil {
+			// The snapshot passed its checksum yet is no state of this
+			// generator: as corrupt as data that fails one.
+			err = fmt.Errorf("%w: %v", manifest.ErrChecksum, err)
+		}
+		if err == nil {
+			runs, err = policy.Drive(gen, polName, gsp, commit)
+		}
+		for range runs {
+			r.policies = append(r.policies, polName)
+		}
+	}
+	if err != nil {
+		return fail(err)
+	}
+	r.runs = append(r.runs, runs...)
+	if durable {
+		// Commit before deleting the snapshots: a crash between the two
+		// leaves a committed manifest whose runs are all complete, which
+		// recovers fully; the stale snapshots are swept on the next resume.
+		if err := man.Commit(emitted); err != nil {
 			return fail(err)
 		}
-		for {
-			sp := gsp.Start("run", obs.Str("policy", polName))
-			run, ok, err := gen.NextRun()
-			if err != nil {
-				sp.Drop()
-				return fail(err)
-			}
-			if !ok {
-				sp.Drop()
-				break
-			}
-			sp.End(obs.Int("records", run.Records), obs.Bool("concatenable", run.Concatenable))
-			rset.runs = append(rset.runs, run)
+		if err := man.Close(); err != nil {
+			return fail(err)
 		}
-		rset.stats.Records = gen.Records()
-		if tw != nil {
-			rset.stats.OverlapRuns = tw.Result().OverlapRuns
+		for _, name := range snapshots {
+			r.store.Remove(name)
 		}
-		rset.stats.Policy = cfg.Algorithm.String()
-		rset.policies = make([]string, len(rset.runs))
-		for i := range rset.policies {
-			rset.policies[i] = rset.stats.Policy
+		em.Checksums = false // the merge phase does not update the manifest
+	}
+
+	r.stats.Policy = polName
+	r.stats.RunGenSim = r.clock() - simStart
+	r.finishGenerate("generate", time.Since(wallStart), entry)
+	gsp.End(obs.Int("runs", int64(r.stats.Runs)), obs.Int("records", r.stats.Records))
+	return r, nil
+}
+
+// finishGenerate fills in the statistics every way of arriving at a run set
+// shares — a generation pass, or the adoption of a committed manifest — and
+// reports the runs to the metrics. The runs hold every record consumed.
+func (r *RunSet[T]) finishGenerate(phase string, wall time.Duration, entry time.Time) {
+	for _, run := range r.runs {
+		r.stats.Records += run.Records
+		if !run.Concatenable {
+			r.stats.OverlapRuns++
 		}
+		r.o.observeRun(run.Records)
 	}
-	rset.stats.Runs = len(rset.runs)
-	if rset.stats.Runs > 0 {
-		rset.stats.AvgRunLength = float64(rset.stats.Records) / float64(rset.stats.Runs)
+	r.stats.Runs = len(r.runs)
+	if r.stats.Runs > 0 {
+		r.stats.AvgRunLength = float64(r.stats.Records) / float64(r.stats.Runs)
 	}
-	rset.stats.RunGenWall = time.Since(wallStart)
-	rset.stats.RunGenSim = clock() - simStart
-	rset.stats.IO = store.Stats()
-	rset.stats.Elapsed = time.Since(entry)
-	rset.stats.Phases = []PhaseStat{{Name: "generate", Wall: rset.stats.RunGenWall}}
-	gsp.End(obs.Int("runs", int64(rset.stats.Runs)), obs.Int("records", rset.stats.Records))
-	for _, run := range rset.runs {
-		o.observeRun(run.Records)
-	}
-	o.finishGenerate(rset.stats, rset.stats.IO)
-	return rset, nil
+	r.stats.RunGenWall = wall
+	r.stats.IO = r.store.Stats()
+	r.stats.Elapsed = time.Since(entry)
+	r.stats.Phases = []PhaseStat{{Name: phase, Wall: wall}}
+	r.o.finishGenerate(r.stats, r.stats.IO)
 }
 
 // Runs returns the run manifests of the set; callers must not mutate them.

@@ -29,6 +29,8 @@ type sortObs struct {
 	runs      *obs.Counter
 	runLen    *obs.Histogram
 	recovered *obs.Counter
+	ckptBytes *obs.Counter
+	ckptTime  *obs.Histogram
 	switches  *obs.Counter
 	phaseGen  *obs.Histogram
 	phaseMrg  *obs.Histogram
@@ -61,6 +63,8 @@ func newSortObs(cfg Config) *sortObs {
 	o.runs = m.Counter(obs.MRuns, "Sorted runs emitted by generation.")
 	o.runLen = m.Histogram(obs.MRunLength, "Run length distribution in records.", obs.RunLengthBuckets)
 	o.recovered = m.Counter(obs.MRunsRecovered, "Runs recovered from a durable manifest by a resumed sort.")
+	o.ckptBytes = m.Counter(obs.MCheckpointBytes, "Snapshot bytes written at durable run boundaries.")
+	o.ckptTime = m.Histogram(obs.MCheckpointSeconds, "Per-boundary checkpoint wall seconds.", obs.PhaseSecondsBuckets)
 	o.switches = m.Counter(obs.MPolicySwitches, "Mid-stream generator switches by the auto policy.")
 	o.phaseGen = m.Histogram(obs.MPhaseSeconds, "Per-phase wall seconds.", obs.PhaseSecondsBuckets,
 		obs.Label{Name: "phase", Value: "generate"})
@@ -126,6 +130,16 @@ func (o *sortObs) observeRecovered(n int) {
 		return
 	}
 	o.recovered.Add(int64(n))
+}
+
+// observeCheckpoint records one durable run boundary: the snapshot bytes
+// written and the wall time the whole checkpoint took.
+func (o *sortObs) observeCheckpoint(bytes int64, d time.Duration) {
+	if o == nil {
+		return
+	}
+	o.ckptBytes.Add(bytes)
+	o.ckptTime.Observe(d.Seconds())
 }
 
 // observeMergePhase records the merge phase's wall time.

@@ -3,7 +3,6 @@ package extsort
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"time"
@@ -11,13 +10,10 @@ import (
 	"repro/internal/manifest"
 	"repro/internal/obs"
 	"repro/internal/policy"
-	"repro/internal/rs"
 	"repro/internal/runio"
 	"repro/internal/storage"
 	"repro/internal/stream"
 	"repro/internal/vfs"
-
-	"repro/internal/core"
 )
 
 // This file implements durable (resumable) run generation: Config.Manifest
@@ -25,67 +21,18 @@ import (
 // files, and Resume/OpenRunSet reconstruct a RunSet from that state after a
 // crash or across processes (DESIGN.md §14).
 //
-// The key property durable mode buys is determinism: the generator is
-// restarted at every run boundary from an explicit carried-state snapshot,
-// so the run sequence is a pure function of (input, configuration). A sort
-// resumed at boundary j therefore produces byte-identical runs — and a
-// byte-identical merged output — to one that never crashed.
+// Durable mode does not change how runs are generated: the generator runs
+// straight through the input exactly as in a plain sort (RunSet.generate),
+// and every run boundary is a checkpoint taken in place — the records the
+// generator holds, listed in positional order into a snapshot file, plus a
+// few state words in the manifest record. An uninterrupted durable sort
+// therefore writes the plain sort's run files byte for byte, and a sort
+// resumed at boundary j restores the generator exactly as it stood there,
+// so it writes the uninterrupted sort's.
 
-// neverLess is the comparator for carry snapshot files: carried generator
-// state is an arbitrary permutation, so order validation is disabled.
+// neverLess is the comparator for snapshot files: generator state is listed
+// by position, not in sorted order, so order validation is disabled.
 func neverLess[T any](a, b T) bool { return false }
-
-// recovered is the state Resume reconstructs from a manifest: the intact
-// prefix of runs plus everything needed to restart generation at the
-// boundary after them.
-type recovered[T any] struct {
-	runs     []runio.Run
-	policies []string
-	manRuns  []manifest.Run // manifest records backing runs, re-seeded on rewrite
-	carried  []T            // generator state carried across the resume boundary
-	inputPos int64          // input records consumed up to the boundary
-	namerSeq int            // spill Namer position at the boundary
-}
-
-// countReader counts every record drained from the wrapped source; the
-// count at a run boundary is the durable input position.
-type countReader[T any] struct {
-	src stream.Reader[T]
-	br  stream.BatchReader[T]
-	n   int64
-}
-
-func (c *countReader[T]) Read() (T, error) {
-	v, err := c.src.Read()
-	if err == nil {
-		c.n++
-	}
-	return v, err
-}
-
-func (c *countReader[T]) ReadBatch(dst []T) (int, error) {
-	n, err := c.br.ReadBatch(dst)
-	c.n += int64(n)
-	return n, err
-}
-
-// sizedCountReader additionally forwards the source's Remaining.
-type sizedCountReader[T any] struct {
-	*countReader[T]
-	sized stream.Sized
-}
-
-func (c *sizedCountReader[T]) Remaining() int { return c.sized.Remaining() }
-
-// countSource wraps src in a counting reader and returns it with a pointer
-// to the live count.
-func countSource[T any](src stream.Reader[T]) (stream.Reader[T], *int64) {
-	c := &countReader[T]{src: src, br: stream.AsBatchReader(src)}
-	if s, ok := src.(stream.Sized); ok {
-		return &sizedCountReader[T]{countReader: c, sized: s}, &c.n
-	}
-	return c, &c.n
-}
 
 // skipInput drains exactly n records from src, which re-serves input a
 // previous pass already consumed. Running out early means the source is not
@@ -113,17 +60,6 @@ func skipInput[T any](src stream.Reader[T], n int64) error {
 		if err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// validateDurable rejects configurations durable mode cannot checkpoint.
-func validateDurable(cfg Config) error {
-	if cfg.Policy == policy.Auto {
-		return fmt.Errorf("extsort: the auto policy's adaptive probe state cannot be checkpointed; durable (Manifest/Resume) sorts need a fixed policy or a legacy Algorithm")
-	}
-	if cfg.Memory <= 0 {
-		return fmt.Errorf("extsort: memory must be positive, got %d", cfg.Memory)
 	}
 	return nil
 }
@@ -186,277 +122,72 @@ func checkHeader[T any](h manifest.Header, cfg Config, ops Ops[T], em *runio.Emi
 	return nil
 }
 
-// durableSetup builds the RunSet shell — storage, observability, emitter —
-// shared by fresh durable generation, Resume and OpenRunSet. It mirrors
-// GenerateRuns' setup exactly so the spill layout is identical.
-func durableSetup[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
-	store, err := storage.New(fs, cfg.Storage)
-	if err != nil {
-		return nil, err
-	}
-	o := newSortObs(cfg)
-	store = storage.Traced(store, o.tracer())
-	em := runio.NewEmitterOn(store, cfg.Prefix, ops.Codec, ops.Less)
-	em.PageSize = cfg.PageSize
-	em.PagesPerFile = cfg.PagesPerFile
-	if em.PagesPerFile == 0 && cfg.Clock == nil {
-		em.PagesPerFile = backwardPages(cfg.Memory, ops.elementBytes(), cfg.PageSize)
-	}
-	em.Async = cfg.Parallelism > 1
-	clock := cfg.Clock
-	if clock == nil {
-		clock = func() time.Duration { return 0 }
-	}
-	rset := &RunSet[T]{
-		store: store, em: em, cfg: cfg, ops: ops, clock: clock, o: o,
-		fs: fs, manifestName: manifest.Name(cfg.Prefix),
-	}
-	rset.stats.Storage = store.String()
-	return rset, nil
-}
-
-// abortSetup unwinds a durableSetup whose sort never started.
-func (r *RunSet[T]) abortSetup(err error) (*RunSet[T], error) {
-	r.o.reporter().Stop()
-	return nil, err
-}
-
-// newBoundaryGenerator constructs a fresh run generator positioned at run
-// boundary runIdx. Durable mode restarts the generator at every boundary so
-// its entire state is the explicit carried snapshot; the alternating
-// policy's direction is recovered from the run index parity.
-func newBoundaryGenerator[T any](cfg Config, runIdx int, src stream.Reader[T], em *runio.Emitter[T], key func(T) float64) (policy.Generator[T], error) {
-	if cfg.Policy != policy.None {
-		return policy.NewFixed(cfg.Policy, runIdx%2 == 1, src, em,
-			policy.Config{Memory: cfg.Memory, TWRS: cfg.TWRS}, key)
-	}
-	switch cfg.Algorithm {
-	case RS:
-		return rs.NewStepper(src, em, cfg.Memory)
-	case LoadSortStore:
-		return rs.NewLSSStepper(src, em, cfg.Memory)
-	case TwoWayRS:
-		return core.NewStepper(src, em, cfg.TWRS, key)
-	}
-	return nil, fmt.Errorf("extsort: unknown algorithm %v", cfg.Algorithm)
-}
-
-// generateManifest is the durable counterpart of GenerateRuns' generation
-// loop: it checkpoints the generator at every run boundary, appends a
-// manifest record per boundary, and commits the manifest when the input is
-// exhausted. With rec set it continues a recovered pass instead of starting
-// fresh. On error the spill files and manifest stay on disk for Resume.
-func generateManifest[T any](src stream.Reader[T], fs vfs.FS, cfg Config, ops Ops[T], rec *recovered[T]) (*RunSet[T], error) {
-	entry := time.Now()
-	cfg = cfg.withDefaults()
-	if err := ops.validate(); err != nil {
-		return nil, err
-	}
-	if err := validateDurable(cfg); err != nil {
-		return nil, err
-	}
-	rset, err := durableSetup(fs, cfg, ops)
-	if err != nil {
-		return nil, err
-	}
-	return rset.generateDurable(src, rec, entry)
-}
-
-// generateDurable runs the checkpointed generation loop on a prepared
-// RunSet shell.
-func (r *RunSet[T]) generateDurable(src stream.Reader[T], rec *recovered[T], entry time.Time) (*RunSet[T], error) {
-	cfg, ops, em, o := r.cfg, r.ops, r.em, r.o
-	em.Checksums = true
-
-	src, keyed, err := applyKeyCodec(src, em, ops)
-	if err != nil {
-		return r.abortSetup(err)
-	}
-	r.stats.Keyed = keyed
-
-	var man *manifest.Writer
-	hdr := durableHeader(cfg, ops, em, keyed)
-	if rec == nil {
-		man, err = manifest.Create(r.fs, r.manifestName, hdr)
-	} else {
-		man, err = manifest.Rewrite(r.fs, r.manifestName, hdr, rec.manRuns)
-	}
-	if err != nil {
-		return r.abortSetup(err)
-	}
-
-	polName := cfg.Algorithm.String()
-	if cfg.Policy != policy.None {
-		polName = cfg.Policy.String()
-	}
-	gsp := o.tracer().Start("generate",
-		obs.Str("policy", polName), obs.Bool("keyed", keyed), obs.Bool("durable", true))
-	fail := func(err error) (*RunSet[T], error) {
-		gsp.End(obs.Str("error", err.Error()))
-		man.Close()
-		o.reporter().Stop()
-		// Unlike the non-durable path there is no Discard here: the spill
-		// files and manifest are exactly the state Resume needs. But an
-		// abandoned run writer's background flusher must still be joined,
-		// or it would keep appending to the surviving files while a later
-		// Resume reads them.
-		em.AbortOpen()
-		return nil, err
-	}
-
-	counted, pos := countSource(src)
-	var (
-		carried []T
-		carries []string
-		runIdx  int
-	)
-	if rec != nil {
-		rsp := o.tracer().Start("resume",
-			obs.Int("runs_recovered", int64(len(rec.runs))), obs.Int("input_pos", rec.inputPos))
-		if err := skipInput(counted, rec.inputPos); err != nil {
-			rsp.End(obs.Str("error", err.Error()))
-			return fail(err)
-		}
-		rsp.End()
-		r.runs = append(r.runs, rec.runs...)
-		r.policies = append(r.policies, rec.policies...)
-		for _, mr := range rec.manRuns {
-			if mr.CarryName != "" {
-				carries = append(carries, mr.CarryName)
-			}
-		}
-		for _, run := range rec.runs {
-			if !run.Concatenable {
-				r.stats.OverlapRuns++
-			}
-		}
-		carried = rec.carried
-		runIdx = len(rec.runs)
-		em.Namer.SetSeq(rec.namerSeq)
-		r.stats.RunsRecovered = len(rec.runs)
-		o.observeRecovered(len(rec.runs))
-	}
-
-	gen := meterSource(o, counted)
-	simStart, wallStart := r.clock(), time.Now()
-	for {
-		var cur stream.Reader[T] = gen
-		if len(carried) > 0 {
-			cur = &pushback[T]{buf: carried, rest: gen}
-		}
-		g, err := newBoundaryGenerator(cfg, runIdx, cur, em, ops.Key)
-		if err != nil {
-			return fail(err)
-		}
-		sp := gsp.Start("run", obs.Str("policy", polName))
-		run, ok, err := g.NextRun()
-		if err != nil {
-			sp.Drop()
-			return fail(err)
-		}
-		if !ok {
-			sp.Drop()
-			break
-		}
-		sp.End(obs.Int("records", run.Records), obs.Bool("concatenable", run.Concatenable))
-		carried = g.Carry()
-		mr, err := r.commitBoundary(man, run, carried, polName, *pos)
-		if err != nil {
-			return fail(err)
-		}
-		if mr.CarryName != "" {
-			carries = append(carries, mr.CarryName)
-		}
-		r.runs = append(r.runs, run)
-		r.policies = append(r.policies, polName)
-		if !run.Concatenable {
-			r.stats.OverlapRuns++
-		}
-		runIdx++
-	}
-	// Commit before deleting carry snapshots: a crash between the two
-	// leaves a committed manifest whose runs are all complete, which
-	// recovers fully; the stale carries are swept on the next resume.
-	if err := man.Commit(*pos); err != nil {
-		return fail(err)
-	}
-	if err := man.Close(); err != nil {
-		return fail(err)
-	}
-	for _, name := range carries {
-		r.store.Remove(name)
-	}
-	em.Checksums = false // the merge phase does not update the manifest
-
-	r.stats.Records = *pos
-	r.stats.Policy = polName
-	r.stats.Runs = len(r.runs)
-	if r.stats.Runs > 0 {
-		r.stats.AvgRunLength = float64(r.stats.Records) / float64(r.stats.Runs)
-	}
-	r.stats.RunGenWall = time.Since(wallStart)
-	r.stats.RunGenSim = r.clock() - simStart
-	r.stats.IO = r.store.Stats()
-	r.stats.Elapsed = time.Since(entry)
-	r.stats.Phases = []PhaseStat{{Name: "generate", Wall: r.stats.RunGenWall}}
-	gsp.End(obs.Int("runs", int64(r.stats.Runs)), obs.Int("records", r.stats.Records))
-	for _, run := range r.runs {
-		o.observeRun(run.Records)
-	}
-	o.finishGenerate(r.stats, r.stats.IO)
-	return r, nil
-}
-
-// commitBoundary makes one run boundary durable: it snapshots the carried
-// generator state to a spill file, then appends the manifest record tying
-// together the run's file shape, the content checksums, the carry snapshot
-// and the input position. Once AppendRun returns, a crash anywhere later
-// resumes at (or after) this boundary.
-func (r *RunSet[T]) commitBoundary(man *manifest.Writer, run runio.Run, carried []T, polName string, inputPos int64) (manifest.Run, error) {
+// commitBoundary makes one run boundary durable, with the generator at rest
+// after run and emitted records in the runs so far: it writes the records
+// gen holds to a snapshot file in the order Checkpoint lists them, then
+// appends the manifest record tying together the run's file shape and
+// content checksums, the snapshot with its order-sensitive checksum and
+// state words, and the input position. Once AppendRun returns, a crash
+// anywhere later resumes at (or after) this boundary. It returns the
+// snapshot's name, empty when gen held nothing.
+func (r *RunSet[T]) commitBoundary(man *manifest.Writer, gsp *obs.Span, gen policy.Generator[T], run runio.Run, polName string, emitted int64) (string, error) {
+	start, written := time.Now(), r.store.Stats().RawBytesWritten
+	sp := gsp.Start("checkpoint")
 	mr := manifest.Run{
 		Records:      run.Records,
 		Concatenable: run.Concatenable,
 		Policy:       polName,
-		InputPos:     inputPos,
 	}
 	for _, seg := range run.Segments {
 		ms := manifest.Segment{Name: seg.Name, Records: seg.Records, Backward: seg.Backward, Files: seg.Files}
 		if seg.Records > 0 {
-			sum, ok := r.em.Sum(seg.Name)
+			sum, ok := r.em.TakeSum(seg.Name)
 			if !ok {
-				return mr, fmt.Errorf("extsort: internal: no content checksum recorded for segment %s", seg.Name)
+				sp.Drop()
+				return "", fmt.Errorf("extsort: internal: no content checksum recorded for segment %s", seg.Name)
 			}
 			ms.Sum = sum
 		}
 		mr.Segments = append(mr.Segments, ms)
 	}
-	if len(carried) > 0 {
-		name := r.em.Namer.Next("carry")
-		w, err := runio.NewWriter(r.em.Store, name, r.em.WriteBuf, r.ops.Codec, neverLess[T])
-		if err != nil {
-			return mr, err
+	// The snapshot file exists only if the generator holds anything; a
+	// write error is kept and the rest of the listing dropped.
+	var (
+		w   *runio.Writer[T]
+		err error
+	)
+	mr.State = gen.Checkpoint(func(v T) {
+		if w == nil && err == nil {
+			mr.CarryName = r.em.Namer.Next("carry")
+			if w, err = runio.NewWriter(r.em.Store, mr.CarryName, r.em.WriteBuf, r.ops.Codec, neverLess[T]); err == nil {
+				w.SumStream()
+			}
 		}
-		var sum uint64
-		w.Track(func(_ int64, s uint64) { sum = s })
-		if err := w.WriteBatch(carried); err != nil {
-			w.Close()
-			return mr, err
+		if err == nil {
+			err = w.Write(v)
 		}
-		if err := w.Close(); err != nil {
-			return mr, err
+	})
+	if w != nil {
+		if cerr := w.Close(); err == nil {
+			err = cerr
 		}
-		mr.CarryName, mr.CarryRecords, mr.CarrySum = name, int64(len(carried)), sum
+		mr.CarryRecords, mr.CarrySum = w.Count(), w.Sum()
 	}
-	mr.NamerSeq = r.em.Namer.Seq()
-	if err := man.AppendRun(mr); err != nil {
-		return mr, err
+	if err == nil {
+		// Every record consumed is either in a run by now or held.
+		mr.InputPos, mr.NamerSeq = emitted+mr.CarryRecords, r.em.Namer.Seq()
+		err = man.AppendRun(mr)
 	}
-	return mr, nil
+	written = r.store.Stats().RawBytesWritten - written
+	sp.End(obs.Int("records", mr.CarryRecords), obs.Int("bytes", written))
+	r.o.observeCheckpoint(written, time.Since(start))
+	return mr.CarryName, err
 }
 
-// sumStream drains rc, recomputing the order-insensitive content checksum
-// by re-encoding every element; with collect it also returns the elements.
-func sumStream[T any](rc runio.ReadCloser[T], ops Ops[T], collect bool) (elems []T, n int64, sum uint64, err error) {
+// sumStream drains rc, recomputing a checksum by re-encoding every element
+// and folding it in with fold — runio.ContentSum for run segments,
+// runio.StreamSum for snapshots; with collect it also returns the elements.
+func sumStream[T any](rc runio.ReadCloser[T], ops Ops[T], fold func(uint64, []byte) uint64, collect bool) (elems []T, n int64, sum uint64, err error) {
 	defer rc.Close()
 	br := stream.AsBatchReader[T](rc)
 	buf := make([]T, 512)
@@ -465,7 +196,7 @@ func sumStream[T any](rc runio.ReadCloser[T], ops Ops[T], collect bool) (elems [
 		k, rerr := br.ReadBatch(buf)
 		for _, v := range buf[:k] {
 			scratch = ops.Codec.Append(scratch[:0], v)
-			sum += uint64(crc32.ChecksumIEEE(scratch))
+			sum = fold(sum, scratch)
 		}
 		if collect {
 			elems = append(elems, buf[:k]...)
@@ -495,7 +226,7 @@ func validateRunFiles[T any](store storage.Backend, mr manifest.Run, ops Ops[T])
 		if err != nil {
 			return err
 		}
-		_, n, sum, err := sumStream(rc, ops, false)
+		_, n, sum, err := sumStream(rc, ops, runio.ContentSum, false)
 		if err != nil {
 			return err
 		}
@@ -507,21 +238,28 @@ func validateRunFiles[T any](store storage.Backend, mr manifest.Run, ops Ops[T])
 	return nil
 }
 
-// readCarry loads and validates a boundary's carried-state snapshot.
-func readCarry[T any](store storage.Backend, mr manifest.Run, ops Ops[T]) ([]T, error) {
+// readSnapshot loads a boundary's generator checkpoint: the state words
+// from the manifest record and, when the generator held anything, the
+// snapshot file, validated in order against its committed checksum.
+func readSnapshot[T any](store storage.Backend, mr manifest.Run, ops Ops[T]) (*policy.Checkpoint[T], error) {
+	from := &policy.Checkpoint[T]{State: mr.State}
+	if mr.CarryName == "" {
+		return from, nil
+	}
 	rc, err := runio.NewReader[T](store, mr.CarryName, 0, ops.Codec)
 	if err != nil {
 		return nil, err
 	}
-	elems, n, sum, err := sumStream[T](rc, ops, true)
+	elems, n, sum, err := sumStream[T](rc, ops, runio.StreamSum, true)
 	if err != nil {
 		return nil, err
 	}
 	if n != mr.CarryRecords || sum != mr.CarrySum {
-		return nil, fmt.Errorf("%w: carry %s: manifest committed %d records (sum %016x), file holds %d (sum %016x)",
+		return nil, fmt.Errorf("%w: snapshot %s: manifest committed %d records (sum %08x), file holds %d (sum %08x)",
 			manifest.ErrChecksum, mr.CarryName, mr.CarryRecords, mr.CarrySum, n, sum)
 	}
-	return elems, nil
+	from.Recs = elems
+	return from, nil
 }
 
 // toRunioRun reconstructs the in-memory run descriptor from its manifest
@@ -538,7 +276,7 @@ func toRunioRun(mr manifest.Run) runio.Run {
 
 // referencedNames returns every physical file name the given manifest runs
 // reference: forward segment files, each file of a backward chain, and
-// carry snapshots.
+// generator snapshots.
 func referencedNames(runs []manifest.Run) map[string]bool {
 	ref := make(map[string]bool)
 	for _, mr := range runs {
@@ -564,36 +302,56 @@ func referencedNames(runs []manifest.Run) map[string]bool {
 // adoptCommitted fills a RunSet shell from a fully validated committed
 // manifest, recovering every run without touching the input.
 func (r *RunSet[T]) adoptCommitted(st *manifest.State, entry time.Time) *RunSet[T] {
-	o := r.o
-	sp := o.tracer().Start("resume",
+	sp := r.o.tracer().Start("resume",
 		obs.Int("runs_recovered", int64(len(st.Runs))), obs.Bool("committed", true))
 	for _, mr := range st.Runs {
-		run := toRunioRun(mr)
-		r.runs = append(r.runs, run)
+		r.runs = append(r.runs, toRunioRun(mr))
 		r.policies = append(r.policies, mr.Policy)
-		if !run.Concatenable {
-			r.stats.OverlapRuns++
-		}
-		o.observeRun(run.Records)
-	}
-	r.stats.Records = st.Commit.Records
-	r.stats.Runs = len(r.runs)
-	if r.stats.Runs > 0 {
-		r.stats.AvgRunLength = float64(r.stats.Records) / float64(r.stats.Runs)
 	}
 	r.stats.RunsRecovered = len(r.runs)
 	if len(st.Runs) > 0 {
 		r.stats.Policy = st.Runs[0].Policy
 	}
 	r.stats.Keyed = st.Header.KeyCodec != ""
-	r.stats.RunGenWall = time.Since(entry)
-	r.stats.IO = r.store.Stats()
-	r.stats.Elapsed = time.Since(entry)
-	r.stats.Phases = []PhaseStat{{Name: "resume", Wall: r.stats.RunGenWall}}
 	sp.End()
-	o.observeRecovered(len(r.runs))
-	o.finishGenerate(r.stats, r.stats.IO)
+	r.o.observeRecovered(len(r.runs))
+	r.finishGenerate("resume", time.Since(entry), entry)
 	return r
+}
+
+// openDurable is the common opening of Resume and OpenRunSet: the RunSet
+// shell of a durable sort plus the loaded manifest, its header checked
+// against the invocation.
+func openDurable[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], *manifest.State, error) {
+	cfg.Manifest = true
+	rset, err := newRunSet(fs, cfg, ops)
+	if err != nil {
+		return nil, nil, err
+	}
+	st, err := manifest.Load(fs, rset.manifestName)
+	if err == nil {
+		err = checkHeader(st.Header, rset.cfg, ops, rset.em)
+	}
+	if err != nil {
+		rset.abortSetup(err)
+		return nil, nil, err
+	}
+	return rset, st, nil
+}
+
+// sweepUnreferenced removes every spill file of the sort that the given
+// manifest runs do not reference.
+func (r *RunSet[T]) sweepUnreferenced(ref map[string]bool) error {
+	names, err := r.store.Names()
+	if err != nil {
+		return err
+	}
+	for _, name := range names {
+		if isSpillName(r.cfg.Prefix, name) && !ref[name] {
+			r.store.Remove(name)
+		}
+	}
+	return nil
 }
 
 // Resume reconstructs a durable sort from the manifest a previous
@@ -604,32 +362,19 @@ func (r *RunSet[T]) adoptCommitted(st *manifest.State, entry time.Time) *RunSet[
 //
 // Recovery is prefix-shaped: the longest leading sequence of runs whose
 // files are all present and match their committed checksums — and whose
-// boundary carry snapshot validates — is adopted; everything after it is
-// regenerated deterministically (identical bytes, see the file comment). A
-// missing file only shortens the prefix (e.g. a memory-tier spill lost with
-// the process); present-but-mismatched data is manifest.ErrChecksum, a
-// configuration change is manifest.MismatchError (errors.Is
-// manifest.ErrMismatch), and no manifest at all is manifest.ErrNoManifest —
-// wrong output is never produced.
+// boundary snapshot validates — is adopted; the generator is restored from
+// that snapshot exactly as it stood, so everything after the boundary is
+// regenerated with identical bytes (see the file comment). A missing file
+// only shortens the prefix (e.g. a memory-tier spill lost with the
+// process); present-but-mismatched data — a snapshot with two records
+// swapped included — is manifest.ErrChecksum, a configuration change is
+// manifest.MismatchError (errors.Is manifest.ErrMismatch), and no manifest
+// at all is manifest.ErrNoManifest — wrong output is never produced.
 func Resume[T any](src stream.Reader[T], fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
 	entry := time.Now()
-	cfg = cfg.withDefaults()
-	if err := ops.validate(); err != nil {
-		return nil, err
-	}
-	if err := validateDurable(cfg); err != nil {
-		return nil, err
-	}
-	st, err := manifest.Load(fs, manifest.Name(cfg.Prefix))
+	rset, st, err := openDurable(fs, cfg, ops)
 	if err != nil {
 		return nil, err
-	}
-	rset, err := durableSetup(fs, cfg, ops)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkHeader(st.Header, cfg, ops, rset.em); err != nil {
-		return rset.abortSetup(err)
 	}
 
 	// The longest contiguous prefix of runs whose files validate.
@@ -649,76 +394,41 @@ func Resume[T any](src stream.Reader[T], fs vfs.FS, cfg Config, ops Ops[T]) (*Ru
 		// Generation had finished and every run survived: adopt the whole
 		// set without reading the input at all. A crash after commit can
 		// still leave half-written merge scratch behind, so sweep spill
-		// files the manifest does not reference before adopting — carry
+		// files the manifest does not reference before adopting —
 		// snapshots included: nothing restarts from a committed manifest,
-		// and a crash between the commit and generateDurable's carry
-		// removals would otherwise leave them behind for good.
+		// and a crash between the commit and generate's snapshot removals
+		// would otherwise leave them behind for good.
 		ref := referencedNames(st.Runs)
 		for _, mr := range st.Runs {
 			delete(ref, mr.CarryName)
 		}
-		names, err := rset.store.Names()
-		if err != nil {
+		if err := rset.sweepUnreferenced(ref); err != nil {
 			return rset.abortSetup(err)
-		}
-		for _, name := range names {
-			if isSpillName(cfg.Prefix, name) && !ref[name] {
-				rset.store.Remove(name)
-			}
 		}
 		return rset.adoptCommitted(st, entry), nil
 	}
 
-	// Walk back to a boundary whose carried-state snapshot is available: a
-	// boundary that carried nothing needs no snapshot; a missing snapshot
-	// (like a missing run file) just shortens the prefix further.
+	// Walk back to a boundary whose snapshot is available: a missing
+	// snapshot (like a missing run file) just shortens the prefix further,
+	// down to boundary 0, which starts fresh.
+	var from *policy.Checkpoint[T]
 	j := valid
-	var carried []T
-	for j > 0 {
-		mr := st.Runs[j-1]
-		if mr.CarryName == "" {
-			break
-		}
-		elems, err := readCarry(rset.store, mr, rset.ops)
+	for ; j > 0; j-- {
+		from, err = readSnapshot(rset.store, st.Runs[j-1], rset.ops)
 		if err == nil {
-			carried = elems
 			break
 		}
-		if errors.Is(err, os.ErrNotExist) {
-			j--
-			carried = nil
-			continue
+		if !errors.Is(err, os.ErrNotExist) {
+			return rset.abortSetup(err)
 		}
-		return rset.abortSetup(err)
 	}
-
-	rec := &recovered[T]{
-		manRuns: st.Runs[:j],
-		carried: carried,
-	}
-	for _, mr := range rec.manRuns {
-		rec.runs = append(rec.runs, toRunioRun(mr))
-		rec.policies = append(rec.policies, mr.Policy)
-	}
-	if j > 0 {
-		rec.inputPos = st.Runs[j-1].InputPos
-		rec.namerSeq = st.Runs[j-1].NamerSeq
-	}
-
 	// Sweep spill files the recovered prefix does not reference: runs past
-	// the boundary, stale carries, and half-written files of the crashed
+	// the boundary, stale snapshots, and half-written files of the crashed
 	// pass. They will be regenerated under the same names.
-	ref := referencedNames(rec.manRuns)
-	names, err := rset.store.Names()
-	if err != nil {
+	if err := rset.sweepUnreferenced(referencedNames(st.Runs[:j])); err != nil {
 		return rset.abortSetup(err)
 	}
-	for _, name := range names {
-		if isSpillName(cfg.Prefix, name) && !ref[name] {
-			rset.store.Remove(name)
-		}
-	}
-	return rset.generateDurable(src, rec, entry)
+	return rset.generate(src, st.Runs[:j], from, entry)
 }
 
 // OpenRunSet adopts the run set of a completed (committed) Manifest-mode
@@ -729,26 +439,12 @@ func Resume[T any](src stream.Reader[T], fs vfs.FS, cfg Config, ops Ops[T]) (*Ru
 // with missing or mismatched files is an error rather than a partial set.
 func OpenRunSet[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
 	entry := time.Now()
-	cfg = cfg.withDefaults()
-	if err := ops.validate(); err != nil {
-		return nil, err
-	}
-	if err := validateDurable(cfg); err != nil {
-		return nil, err
-	}
-	st, err := manifest.Load(fs, manifest.Name(cfg.Prefix))
+	rset, st, err := openDurable(fs, cfg, ops)
 	if err != nil {
 		return nil, err
 	}
 	if !st.Committed {
-		return nil, fmt.Errorf("%w: %s", manifest.ErrNotCommitted, manifest.Name(cfg.Prefix))
-	}
-	rset, err := durableSetup(fs, cfg, ops)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkHeader(st.Header, cfg, ops, rset.em); err != nil {
-		return rset.abortSetup(err)
+		return rset.abortSetup(fmt.Errorf("%w: %s", manifest.ErrNotCommitted, rset.manifestName))
 	}
 	for _, mr := range st.Runs {
 		if err := validateRunFiles(rset.store, mr, rset.ops); err != nil {

@@ -1,8 +1,10 @@
 package extsort
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc64"
 	"io"
 	"math/rand"
 	"os"
@@ -11,11 +13,13 @@ import (
 	"testing"
 
 	"repro/internal/codec"
+	"repro/internal/core"
 	"repro/internal/manifest"
 	"repro/internal/manifest/crashfs"
 	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/record"
+	"repro/internal/runio"
 	"repro/internal/storage"
 	"repro/internal/stream"
 	"repro/internal/vfs"
@@ -89,10 +93,56 @@ func mergeToSlice[T any](t *testing.T, rset *RunSet[T]) ([]T, Stats) {
 	return out.Vals, stats
 }
 
+// writeFile replaces a file on fs with data.
+func writeFile(t *testing.T, fs vfs.FS, name string, data []byte) {
+	t.Helper()
+	f, err := fs.Create(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(data, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// runFileSums fingerprints the runs as they lie on fs: one "run role crc64"
+// line per physical file, in run and segment order. The role is the file
+// name without the sort prefix and namer slot, so a durable pass — whose
+// snapshots take slots of their own — lines up with a plain one. A backend
+// with a memory tier keeps some files off fs; such a set has no fingerprint
+// (nil).
+func runFileSums(t *testing.T, fs vfs.FS, cfg Config, runs []runio.Run) []string {
+	t.Helper()
+	if cfg.Storage.MemoryBudgetBytes > 0 {
+		return nil
+	}
+	tab := crc64.MakeTable(crc64.ECMA)
+	var out []string
+	for i, run := range runs {
+		for _, seg := range run.Segments {
+			names := []string{seg.Name}
+			if seg.Backward {
+				names = names[:0]
+				for k := 0; k < seg.Files; k++ {
+					names = append(names, fmt.Sprintf("%s.%d", seg.Name, k))
+				}
+			}
+			for _, name := range names {
+				role := name[strings.LastIndexByte(name, '-')+1:]
+				out = append(out, fmt.Sprintf("run %d %s %016x", i, role, crc64.Checksum(readFile(t, fs, name), tab)))
+			}
+		}
+	}
+	return out
+}
+
 // durableBaseline runs an uninterrupted Manifest-mode sort and returns the
-// sorted output plus the committed manifest state (captured before Merge
-// removes the manifest).
-func durableBaseline[T any](t *testing.T, vals []T, cfg Config, ops Ops[T]) ([]T, *manifest.State) {
+// sorted output, the committed manifest state (captured before Merge
+// removes the manifest) and the fingerprints of its run files.
+func durableBaseline[T any](t *testing.T, vals []T, cfg Config, ops Ops[T]) ([]T, *manifest.State, []string) {
 	t.Helper()
 	fs := vfs.NewMemFS()
 	rset, err := GenerateRuns[T](stream.NewSliceReader(vals), fs, cfg, ops)
@@ -106,21 +156,88 @@ func durableBaseline[T any](t *testing.T, vals []T, cfg Config, ops Ops[T]) ([]T
 	if !st.Committed {
 		t.Fatal("baseline manifest not committed")
 	}
+	files := runFileSums(t, fs, cfg, rset.Runs())
 	want, _ := mergeToSlice(t, rset)
 	if _, err := fs.Open(manifest.Name(rset.cfg.Prefix)); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("manifest survived a successful merge: %v", err)
 	}
-	return want, st
+	return want, st, files
+}
+
+// tieRecords builds an input of at most 16 distinct keys with distinct
+// payloads: nearly every heap comparison is a tie, so a resumed sort
+// reproduces the uninterrupted one's bytes only if the heaps come back in
+// the exact layout they had.
+func tieRecords(n int, seed int64) []record.Record {
+	rng := rand.New(rand.NewSource(seed))
+	recs := make([]record.Record, n)
+	for i := range recs {
+		recs[i] = record.Record{Key: int64(rng.Intn(16)), Aux: uint64(i)}
+	}
+	return recs
+}
+
+// bufferedTWRS is a 2WRS configuration whose input and victim buffers are
+// real at test-sized memory (a fifth of it, where the recommended 2% rounds
+// to nothing), so resumes exercise the restored FIFO, its running sum and
+// the rebuilt sliding median.
+func bufferedTWRS(in core.InputHeuristic, out core.OutputHeuristic) core.Config {
+	return core.Config{Setup: core.BothBuffers, BufferFrac: 0.2, Input: in, Output: out, Seed: 3}
 }
 
 // TestResumeAtEveryRunBoundary kills generation at every run boundary of a
-// durable sort and resumes: the output must be byte-identical to the
-// uninterrupted sort, and exactly the boundaries committed before the kill
-// must be recovered rather than regenerated.
+// durable sort and resumes: the run files and the output must be
+// byte-identical to the uninterrupted sort's, and exactly the boundaries
+// committed before the kill must be recovered rather than regenerated. The
+// named cases widen the default one (2WRS, recommended heuristics) to the
+// state a checkpoint has to carry: heap layout under ties, the coin-flip
+// position of the random heuristics, the FIFO's float sum and median, a
+// key-less element type, and the other generators.
 func TestResumeAtEveryRunBoundary(t *testing.T) {
-	recs := testRecords(1500, 1)
-	cfg := durableCfg(64)
-	want, st := durableBaseline(t, recs, cfg, RecordOps())
+	resumeAtEveryBoundary(t, testRecords(1500, 1), durableCfg(64), RecordOps())
+
+	with := func(mut func(*Config)) Config {
+		cfg := durableCfg(64)
+		mut(&cfg)
+		return cfg
+	}
+	t.Run("ties", func(t *testing.T) {
+		resumeAtEveryBoundary(t, tieRecords(1500, 2), durableCfg(64), RecordOps())
+	})
+	t.Run("mean_sum", func(t *testing.T) {
+		resumeAtEveryBoundary(t, testRecords(1500, 3),
+			with(func(c *Config) { c.TWRS = bufferedTWRS(core.InMean, core.OutRandom) }), RecordOps())
+	})
+	t.Run("random_heuristics", func(t *testing.T) {
+		resumeAtEveryBoundary(t, tieRecords(1500, 4),
+			with(func(c *Config) { c.TWRS = bufferedTWRS(core.InRandom, core.OutRandom) }), RecordOps())
+	})
+	t.Run("median_comparator_only", func(t *testing.T) {
+		resumeAtEveryBoundary(t, testStrings(900, 5),
+			with(func(c *Config) { c.TWRS = bufferedTWRS(core.InMedian, core.OutRandom) }), stringOps())
+	})
+	t.Run("min_distance", func(t *testing.T) {
+		resumeAtEveryBoundary(t, tieRecords(1500, 9),
+			with(func(c *Config) { c.TWRS = bufferedTWRS(core.InMean, core.OutMinDistance) }), RecordOps())
+	})
+	t.Run("min_distance_comparator_only", func(t *testing.T) {
+		resumeAtEveryBoundary(t, testStrings(900, 10),
+			with(func(c *Config) { c.TWRS = bufferedTWRS(core.InMean, core.OutMinDistance) }), stringOps())
+	})
+	t.Run("rs_ties", func(t *testing.T) {
+		resumeAtEveryBoundary(t, tieRecords(1500, 6), with(func(c *Config) { c.Policy = policy.RS }), RecordOps())
+	})
+	t.Run("alternating_ties", func(t *testing.T) {
+		resumeAtEveryBoundary(t, tieRecords(1500, 7), with(func(c *Config) { c.Policy = policy.Alternating }), RecordOps())
+	})
+	t.Run("legacy_lss", func(t *testing.T) {
+		resumeAtEveryBoundary(t, testRecords(1500, 8),
+			with(func(c *Config) { c.Policy, c.Algorithm = policy.None, LoadSortStore }), RecordOps())
+	})
+}
+
+func resumeAtEveryBoundary[T comparable](t *testing.T, recs []T, cfg Config, ops Ops[T]) {
+	want, st, wantFiles := durableBaseline(t, recs, cfg, ops)
 	if len(st.Runs) < 3 {
 		t.Fatalf("baseline produced only %d runs; matrix needs more", len(st.Runs))
 	}
@@ -144,7 +261,7 @@ func TestResumeAtEveryRunBoundary(t *testing.T) {
 				wantRecovered = len(st.Runs)
 			}
 			fs := vfs.NewMemFS()
-			_, err := GenerateRuns[record.Record](&killedReader[record.Record]{vals: recs, failAt: failAt}, fs, cfg, RecordOps())
+			_, err := GenerateRuns[T](&killedReader[T]{vals: recs, failAt: failAt}, fs, cfg, ops)
 			if killFires {
 				if !errors.Is(err, errSrcKilled) {
 					t.Fatalf("kill at %d: err = %v, want errSrcKilled", failAt, err)
@@ -157,7 +274,7 @@ func TestResumeAtEveryRunBoundary(t *testing.T) {
 			rcfg := cfg
 			rcfg.Resume = true
 			rcfg.Metrics = reg
-			rset, err := GenerateRuns[record.Record](stream.NewSliceReader(recs), fs, rcfg, RecordOps())
+			rset, err := GenerateRuns[T](stream.NewSliceReader(recs), fs, rcfg, ops)
 			if err != nil {
 				t.Fatalf("resume: %v", err)
 			}
@@ -170,6 +287,9 @@ func TestResumeAtEveryRunBoundary(t *testing.T) {
 			}
 			if stats.Runs != len(st.Runs) {
 				t.Errorf("resumed run count = %d, want %d (boundaries must be deterministic)", stats.Runs, len(st.Runs))
+			}
+			if files := runFileSums(t, fs, cfg, rset.Runs()); !slices.Equal(files, wantFiles) {
+				t.Errorf("resumed run files differ from the uninterrupted sort's:\n got %v\nwant %v", files, wantFiles)
 			}
 			got, _ := mergeToSlice(t, rset)
 			if !slices.Equal(got, want) {
@@ -193,41 +313,69 @@ func TestResumeCrashMatrix(t *testing.T) {
 		{"block_flate", storage.Config{Compression: "flate"}},
 		{"tiered", storage.Config{MemoryBudgetBytes: 1 << 14}},
 	}
-	type runner func(t *testing.T, sc storage.Config)
+	type runner func(t *testing.T, cfg Config, span int64)
 	modes := []struct {
 		name string
 		run  runner
 	}{
-		{"record16_keyed", func(t *testing.T, sc storage.Config) {
-			crashMatrixCase(t, testRecords(1200, 7), sc, RecordOps())
+		{"record16_keyed", func(t *testing.T, cfg Config, span int64) {
+			crashMatrixCase(t, testRecords(1200, 7), cfg, RecordOps(), span)
 		}},
-		{"record16_comparator", func(t *testing.T, sc storage.Config) {
+		{"record16_comparator", func(t *testing.T, cfg Config, span int64) {
 			ops := RecordOps()
 			ops.KeyCodec = nil
-			crashMatrixCase(t, testRecords(1200, 7), sc, ops)
+			crashMatrixCase(t, testRecords(1200, 7), cfg, ops, span)
 		}},
-		{"string_keyed", func(t *testing.T, sc storage.Config) {
+		{"string_keyed", func(t *testing.T, cfg Config, span int64) {
 			ops := stringOps()
 			ops.KeyCodec = codec.KeyString{}
-			crashMatrixCase(t, testStrings(700, 7), sc, ops)
+			crashMatrixCase(t, testStrings(700, 7), cfg, ops, span)
 		}},
-		{"string_comparator", func(t *testing.T, sc storage.Config) {
-			crashMatrixCase(t, testStrings(700, 7), sc, stringOps())
+		{"string_comparator", func(t *testing.T, cfg Config, span int64) {
+			crashMatrixCase(t, testStrings(700, 7), cfg, stringOps(), span)
+		}},
+		// The state a checkpoint has to carry beyond the records: heap
+		// layout under ties with the coin-flip position of the random
+		// heuristics, and the FIFO's sliding median for a key-less type.
+		{"record16_ties_random", func(t *testing.T, cfg Config, span int64) {
+			cfg.TWRS = bufferedTWRS(core.InRandom, core.OutRandom)
+			crashMatrixCase(t, tieRecords(1200, 7), cfg, RecordOps(), span)
+		}},
+		{"string_median", func(t *testing.T, cfg Config, span int64) {
+			cfg.TWRS = bufferedTWRS(core.InMedian, core.OutRandom)
+			crashMatrixCase(t, testStrings(700, 8), cfg, stringOps(), span)
 		}},
 	}
 	for _, be := range backends {
 		for _, mode := range modes {
 			t.Run(be.name+"/"+mode.name, func(t *testing.T) {
-				mode.run(t, be.sc)
+				cfg := durableCfg(48)
+				cfg.Storage = be.sc
+				mode.run(t, cfg, crashSpans[be.name+"/"+mode.name])
 			})
 		}
 	}
 }
 
-func crashMatrixCase[T comparable](t *testing.T, vals []T, sc storage.Config, ops Ops[T]) {
-	cfg := durableCfg(48)
-	cfg.Storage = sc
-	want, _ := durableBaseline(t, vals, cfg, ops)
+// crashSpans is what an uninterrupted pass of each crash-matrix cell wrote
+// when the matrix was introduced. It only names the subtests: a kill point
+// is drawn as an offset into this span, which labels the subtest, and is
+// then scaled to the live write total, so the labels stay put when a
+// manifest record grows a field while the kills still cover the whole live
+// stream, its tail — the manifest commit and the snapshot removals —
+// included. Cells added since have no entry and are labelled by the live
+// offset.
+var crashSpans = map[string]int64{
+	"raw/record16_keyed": 39412, "raw/record16_comparator": 39380,
+	"raw/string_keyed": 25403, "raw/string_comparator": 25373,
+	"block_flate/record16_keyed": 16207, "block_flate/record16_comparator": 16175,
+	"block_flate/string_keyed": 9593, "block_flate/string_comparator": 9563,
+	"tiered/record16_keyed": 39252, "tiered/record16_comparator": 39220,
+	"tiered/string_keyed": 23993, "tiered/string_comparator": 23963,
+}
+
+func crashMatrixCase[T comparable](t *testing.T, vals []T, cfg Config, ops Ops[T], span int64) {
+	want, _, wantFiles := durableBaseline(t, vals, cfg, ops)
 
 	// Measure how many bytes an uninterrupted pass writes to the backing
 	// FS, to spread kill points over the real write stream.
@@ -239,12 +387,16 @@ func crashMatrixCase[T comparable](t *testing.T, vals []T, sc storage.Config, op
 	if total <= 0 {
 		t.Fatalf("probe wrote %d bytes", total)
 	}
+	if span == 0 {
+		span = total
+	}
 
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 5; i++ {
-		kill := 1 + rng.Int63n(total)
+		label := rng.Int63n(span)
+		kill := 1 + label*total/span // in [1, total]
 		torn := i%2 == 0
-		t.Run(fmt.Sprintf("kill_%d_torn_%v", kill, torn), func(t *testing.T) {
+		t.Run(fmt.Sprintf("kill_%d_torn_%v", 1+label, torn), func(t *testing.T) {
 			base := vfs.NewMemFS()
 			cfs := crashfs.New(base, crashfs.Options{FailAfterBytes: kill, FailAfterOps: -1, Torn: torn})
 			_, genErr := GenerateRuns[T](stream.NewSliceReader(vals), cfs, cfg, ops)
@@ -272,6 +424,9 @@ func crashMatrixCase[T comparable](t *testing.T, vals []T, sc storage.Config, op
 			stats := rset.Stats()
 			if got := reg.Counter(obs.MRunsRecovered, "").Value(); got != int64(stats.RunsRecovered) {
 				t.Errorf("%s = %d, Stats.RunsRecovered = %d", obs.MRunsRecovered, got, stats.RunsRecovered)
+			}
+			if files := runFileSums(t, base, cfg, rset.Runs()); !slices.Equal(files, wantFiles) {
+				t.Errorf("resumed run files differ from the uninterrupted sort's")
 			}
 			got, _ := mergeToSlice(t, rset)
 			if !slices.Equal(got, want) {
@@ -322,7 +477,7 @@ func (f diesBeforeCarryRemoval) Remove(name string) error {
 func TestResumeCommittedSweepsCarries(t *testing.T) {
 	recs := testRecords(3000, 5)
 	cfg := durableCfg(128)
-	want, _ := durableBaseline(t, recs, cfg, RecordOps())
+	want, _, _ := durableBaseline(t, recs, cfg, RecordOps())
 
 	base := vfs.NewMemFS()
 	if _, err := GenerateRuns[record.Record](stream.NewSliceReader(recs), diesBeforeCarryRemoval{base}, cfg, RecordOps()); err != nil {
@@ -386,7 +541,7 @@ func TestResumeTornManifestTail(t *testing.T) {
 	}
 	g.Close()
 
-	want, _ := durableBaseline(t, recs, cfg, RecordOps())
+	want, _, _ := durableBaseline(t, recs, cfg, RecordOps())
 	rset, err := Resume[record.Record](stream.NewSliceReader(recs), vfs.FS(fs), cfg, RecordOps())
 	if err != nil {
 		t.Fatalf("resume over torn manifest: %v", err)
@@ -431,28 +586,86 @@ func TestResumeCorruptRunData(t *testing.T) {
 // flipByte inverts one byte in the middle of a file.
 func flipByte(t *testing.T, fs vfs.FS, name string) {
 	t.Helper()
-	f, err := fs.Open(name)
-	if err != nil {
-		t.Fatalf("open %s: %v", name, err)
+	data := readFile(t, fs, name)
+	if len(data) == 0 {
+		t.Fatalf("%s is empty", name)
 	}
-	size, err := f.Size()
-	if err != nil || size == 0 {
-		t.Fatalf("size of %s: %d, %v", name, size, err)
+	data[len(data)/2] ^= 0xff
+	writeFile(t, fs, name, data)
+}
+
+// TestResumeDamagedSnapshot damages the last boundary's generator snapshot
+// three ways. Swapping two records leaves the element multiset — and the
+// order-insensitive sum run segments carry — unchanged, yet position is
+// state, so the snapshot's stream checksum must refuse it. A swap that
+// breaks the heap order, with the manifest re-signed to match, passes every
+// checksum and must be refused by the restore itself. Both surface as
+// manifest.ErrChecksum, never as a different run sequence. A snapshot that
+// is simply gone only moves the resume one boundary back.
+func TestResumeDamagedSnapshot(t *testing.T) {
+	recs := testRecords(1200, 12)
+	want, _, _ := durableBaseline(t, recs, durableCfg(64), RecordOps())
+	const recSize = 16 // codec.Record16
+	swap := func(data []byte, i, j int) {
+		var tmp [recSize]byte
+		copy(tmp[:], data[i*recSize:])
+		copy(data[i*recSize:(i+1)*recSize], data[j*recSize:(j+1)*recSize])
+		copy(data[j*recSize:(j+1)*recSize], tmp[:])
 	}
-	data := make([]byte, size)
-	if _, err := io.ReadFull(io.NewSectionReader(f, 0, size), data); err != nil {
-		t.Fatal(err)
+	resume := func(fs vfs.FS, cfg Config) (*RunSet[record.Record], error) {
+		return Resume[record.Record](stream.NewSliceReader(recs), fs, cfg, RecordOps())
 	}
-	f.Close()
-	data[size/2] ^= 0xff
-	g, err := fs.Create(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.WriteAt(data, 0); err != nil {
-		t.Fatal(err)
-	}
-	g.Close()
+
+	t.Run("swapped", func(t *testing.T) {
+		fs, cfg := partialState(t, recs, 900, storage.Config{})
+		st, _ := manifest.Load(fs, manifest.Name("sort"))
+		last := st.Runs[len(st.Runs)-1]
+		data := readFile(t, fs, last.CarryName)
+		if bytes.Equal(data[:recSize], data[recSize:2*recSize]) {
+			t.Fatal("first two snapshot records are identical; the swap would be a no-op")
+		}
+		swap(data, 0, 1)
+		writeFile(t, fs, last.CarryName, data)
+		if _, err := resume(fs, cfg); !errors.Is(err, manifest.ErrChecksum) {
+			t.Fatalf("resume over a permuted snapshot: %v, want manifest.ErrChecksum", err)
+		}
+	})
+	t.Run("re-signed", func(t *testing.T) {
+		fs, cfg := partialState(t, recs, 900, storage.Config{})
+		st, _ := manifest.Load(fs, manifest.Name("sort"))
+		last := &st.Runs[len(st.Runs)-1]
+		data := readFile(t, fs, last.CarryName)
+		// The BottomHeap leads the snapshot, its maximum first: trading the
+		// root for the last leaf puts a smaller record above its children.
+		swap(data, 0, int(last.State[0])-1)
+		writeFile(t, fs, last.CarryName, data)
+		last.CarrySum = runio.StreamSum(0, data)
+		w, err := manifest.Rewrite(fs, manifest.Name("sort"), st.Header, st.Runs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Close()
+		if _, err := resume(fs, cfg); !errors.Is(err, manifest.ErrChecksum) {
+			t.Fatalf("resume over an out-of-order snapshot: %v, want manifest.ErrChecksum", err)
+		}
+	})
+	t.Run("missing", func(t *testing.T) {
+		fs, cfg := partialState(t, recs, 900, storage.Config{})
+		st, _ := manifest.Load(fs, manifest.Name("sort"))
+		if err := fs.Remove(st.Runs[len(st.Runs)-1].CarryName); err != nil {
+			t.Fatal(err)
+		}
+		rset, err := resume(fs, cfg)
+		if err != nil {
+			t.Fatalf("resume without the last snapshot: %v", err)
+		}
+		if got := rset.Stats().RunsRecovered; got != len(st.Runs)-1 {
+			t.Errorf("recovered %d runs, want %d: a missing snapshot costs exactly one boundary", got, len(st.Runs)-1)
+		}
+		if got, _ := mergeToSlice(t, rset); !slices.Equal(got, want) {
+			t.Fatal("output differs after resuming one boundary back")
+		}
+	})
 }
 
 // TestResumeConfigMismatch resumes a durable sort under a changed codec,
@@ -560,7 +773,7 @@ func assertDiscardClean[T any](t *testing.T, rset *RunSet[T], fs vfs.FS) {
 func TestPersistAndOpenRunSet(t *testing.T) {
 	recs := testRecords(1500, 9)
 	cfg := durableCfg(64)
-	want, st := durableBaseline(t, recs, cfg, RecordOps())
+	want, st, _ := durableBaseline(t, recs, cfg, RecordOps())
 
 	fs := vfs.NewMemFS()
 	rset, err := GenerateRuns[record.Record](stream.NewSliceReader(recs), fs, cfg, RecordOps())

@@ -30,7 +30,11 @@ import (
 )
 
 // Version is the manifest format version this package reads and writes.
-const Version = 1
+// Version 2 changed what a run record means, not its shape: checksums are
+// CRC-32C and the carry file is a positional snapshot restored through
+// Run.State. A version 1 manifest is the scratch state of an interrupted
+// sort, not an archive: it is refused like any unknown version (ErrCorrupt).
+const Version = 2
 
 // Suffix is appended to a sort's file prefix to name its manifest.
 const Suffix = ".manifest"
@@ -119,15 +123,16 @@ type Segment struct {
 	// Files is the chain length for backward segments.
 	Files int `json:"files,omitempty"`
 	// Sum is the order-insensitive content checksum: the 64-bit sum of
-	// CRC32(encoded element) over the segment's elements. It is computable
-	// online by both ascending and descending writers and re-computable by
-	// an ascending validation read, so one definition covers every layout.
+	// CRC-32C(encoded element) over the segment's elements. It is
+	// computable online by both ascending and descending writers and
+	// re-computable by an ascending validation read, so one definition
+	// covers every layout.
 	Sum uint64 `json:"sum"`
 }
 
-// Run is one durable run boundary: the run's file shape, the carried
-// generator state snapshot, and the input position — everything resume
-// needs to reconstruct the exact generation state at this boundary.
+// Run is one durable run boundary: the run's file shape, the snapshot of
+// the generator as it stood there, and the input position — everything
+// resume needs to reconstruct the exact generation state at this boundary.
 type Run struct {
 	// Seq is the 1-based run index; records must arrive in sequence.
 	Seq int `json:"seq"`
@@ -139,14 +144,21 @@ type Run struct {
 	Policy string `json:"policy"`
 	// Segments lists the run's physical pieces in ascending order.
 	Segments []Segment `json:"segments"`
-	// CarryName is the spill file holding the elements the generator
-	// carried across this boundary (heap contents plus read-ahead); empty
-	// when nothing was carried.
+	// CarryName is the spill file holding the snapshot: every element the
+	// generator held at this boundary, in the positional order its
+	// Checkpoint lists them (heaps in index order, FIFO, read-ahead); empty
+	// when it held nothing.
 	CarryName string `json:"carry,omitempty"`
-	// CarryRecords is the carried element count.
+	// CarryRecords is the snapshot's element count.
 	CarryRecords int64 `json:"carry_records,omitempty"`
-	// CarrySum is the carry file's content checksum (see Segment.Sum).
+	// CarrySum is the snapshot's order-sensitive checksum: the CRC-32C of
+	// its encoded element stream. Position is state, so a permuted
+	// snapshot must not validate.
 	CarrySum uint64 `json:"carry_sum,omitempty"`
+	// State is the generator's Checkpoint state words: how the snapshot
+	// divides into heaps and buffers, plus the scalars that survive a
+	// boundary. The generator named by Policy defines the layout.
+	State []uint64 `json:"state,omitempty"`
 	// InputPos is the number of input elements consumed up to and
 	// including this boundary (emitted plus carried).
 	InputPos int64 `json:"input_pos"`

@@ -33,6 +33,7 @@ func testRun(seq int) Run {
 		CarryName:    fmt.Sprintf("sort-%04d-carry", seq),
 		CarryRecords: 9,
 		CarrySum:     uint64(seq) * 3,
+		State:        []uint64{uint64(seq), 1<<63 + 5}, // past float64's integers: words must survive JSON exactly
 		InputPos:     int64(109 * seq),
 		NamerSeq:     3 * seq,
 	}
@@ -239,16 +240,20 @@ func TestManifestErrors(t *testing.T) {
 	if _, err := Decode(nil); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("empty: %v, want ErrCorrupt", err)
 	}
-	// A valid file from a future version must be refused, not misread.
-	future := writeManifest(t, 1, true)
-	bumped := bytes.Replace(future, []byte(`"v":1`), []byte(`"v":9`), 1)
-	line := bumped[:bytes.IndexByte(bumped, '\n')]
-	payload := line[crcHexLen+1:]
-	fixed := append([]byte(fmt.Sprintf("%08x ", crc32.ChecksumIEEE(payload))), payload...)
-	fixed = append(fixed, '\n')
-	fixed = append(fixed, bumped[bytes.IndexByte(bumped, '\n')+1:]...)
-	if _, err := Decode(fixed); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("future version: %v, want ErrCorrupt", err)
+	// A valid file from another version — a future one, or the version 1
+	// whose carry files and checksums mean something else — must be
+	// refused, not misread.
+	current := writeManifest(t, 1, true)
+	for _, v := range []int{1, 9} {
+		bumped := bytes.Replace(current, []byte(fmt.Sprintf(`"v":%d`, Version)), []byte(fmt.Sprintf(`"v":%d`, v)), 1)
+		line := bumped[:bytes.IndexByte(bumped, '\n')]
+		payload := line[crcHexLen+1:]
+		fixed := append([]byte(fmt.Sprintf("%08x ", crc32.ChecksumIEEE(payload))), payload...)
+		fixed = append(fixed, '\n')
+		fixed = append(fixed, bumped[bytes.IndexByte(bumped, '\n')+1:]...)
+		if _, err := Decode(fixed); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("version %d: %v, want ErrCorrupt", v, err)
+		}
 	}
 }
 

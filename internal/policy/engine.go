@@ -13,12 +13,25 @@ import (
 
 // Generator is the common per-run interface every concrete run generator
 // offers the policy layer: NextRun writes exactly one run through the
-// configured emitter (ok=false at exhaustion), and Carry surrenders every
-// element still buffered — heaps, FIFOs, read-ahead — so a successor
-// generator can take over at a run boundary without losing data.
+// configured emitter (ok=false at exhaustion). Between runs its buffered
+// state — heaps, FIFOs, read-ahead — can leave two ways. Carry is the
+// destructive hand-off: it surrenders every element, order and run tags
+// dropped, so a different generator can take over (Auto's switches).
+// Checkpoint is the boundary snapshot: it lists the same elements in
+// positional order, disturbing nothing, and returns the state words that
+// also survive a boundary, so a Restore constructor can rebuild this exact
+// generator later (durable sorts).
 type Generator[T any] interface {
 	NextRun() (run runio.Run, ok bool, err error)
 	Carry() []T
+	Checkpoint(put func(T)) (state []uint64)
+}
+
+// Checkpoint is what Generator.Checkpoint produced at one run boundary:
+// the elements it listed, in order, and the state words it returned.
+type Checkpoint[T any] struct {
+	Recs  []T
+	State []uint64
 }
 
 // Config parameterises policy-driven run generation.
@@ -102,16 +115,27 @@ func newGenerator[T any](kind Kind, down bool, src stream.Reader[T], em *runio.E
 	}
 }
 
-// NewFixed constructs the concrete generator for one of the four fixed
-// policy kinds, exposed for drivers that step run boundaries themselves —
-// the resumable (manifest) generation path restarts a fresh generator at
-// every boundary so the run sequence is a deterministic function of the
-// input and the configuration. down selects the Alternating policy's next
-// run direction (a restarted alternating generator alternates by run
-// parity); the other kinds ignore it. Auto is not constructible here: its
-// adaptive state (rolling window, visited set) cannot be checkpointed.
-func NewFixed[T any](kind Kind, down bool, src stream.Reader[T], em *runio.Emitter[T], cfg Config, key func(T) float64) (Generator[T], error) {
-	return newGenerator(kind, down, src, em, cfg, key)
+// NewGenerator constructs the generator of a fixed policy kind for a driver
+// that steps it itself through Drive — internal/extsort, whose durable mode
+// hooks the run boundaries. from nil is a fresh generator. Otherwise it is
+// the one that took that checkpoint, over src positioned just past the
+// input that one had consumed; a checkpoint no generator of the kind could
+// have taken (counts that do not add up, records out of heap order) is an
+// error, never a different run sequence. Quick holds nothing between runs,
+// so its restore is a fresh one. Auto is not constructible here: its probe
+// state is in no generator's checkpoint.
+func NewGenerator[T any](kind Kind, src stream.Reader[T], em *runio.Emitter[T], cfg Config, key func(T) float64, from *Checkpoint[T]) (Generator[T], error) {
+	if from != nil {
+		switch kind {
+		case TwoWayRS:
+			return core.Restore(src, em, cfg.twrs(), key, from.Recs, from.State)
+		case RS:
+			return rs.RestoreStepper(src, em, cfg.Memory, from.Recs, from.State)
+		case Alternating:
+			return rs.RestoreAltStepper(src, em, cfg.Memory, from.Recs, from.State)
+		}
+	}
+	return newGenerator(kind, false, src, em, cfg, key)
 }
 
 // Generate runs the given policy over src, writing runs through em. key
@@ -138,18 +162,35 @@ func generateFixed[T any](kind Kind, src stream.Reader[T], em *runio.Emitter[T],
 	if err != nil {
 		return Result{}, err
 	}
-	var res Result
+	runs, err := Drive(gen, kind.String(), cfg.Span, nil)
+	res := Result{Runs: runs, Records: ob.count, Policies: make([]Kind, len(runs))}
+	for i := range res.Policies {
+		res.Policies[i] = kind
+	}
+	return res, err
+}
+
+// Drive steps gen to exhaustion and returns the runs it emitted, recording
+// one "run" span per run under span (nil: none). boundary, when set, is
+// called after every run with the generator at rest — the one moment
+// Checkpoint is meaningful; an error from it aborts the pass. This is the
+// one run-generation loop of every fixed generator.
+func Drive[T any](gen Generator[T], name string, span *obs.Span, boundary func(Generator[T], runio.Run) error) ([]runio.Run, error) {
+	var runs []runio.Run
 	for {
-		sp := cfg.Span.Start("run", obs.Str("policy", kind.String()))
+		sp := span.Start("run", obs.Str("policy", name))
 		run, ok, err := gen.NextRun()
-		res.Records = ob.count
 		if err != nil || !ok {
 			sp.Drop()
-			return res, err
+			return runs, err
 		}
 		sp.End(obs.Int("records", run.Records), obs.Bool("concatenable", run.Concatenable))
-		res.Runs = append(res.Runs, run)
-		res.Policies = append(res.Policies, kind)
+		runs = append(runs, run)
+		if boundary != nil {
+			if err := boundary(gen, run); err != nil {
+				return runs, err
+			}
+		}
 	}
 }
 

@@ -200,6 +200,30 @@ func (s *AltStepper[T]) flip() {
 	}
 }
 
+// Checkpoint lists the records held at a run boundary — the heap of the
+// next run's direction (flip has emptied the other), then the read-ahead —
+// and returns their counts plus that direction; see Stepper.Checkpoint.
+func (s *AltStepper[T]) Checkpoint(put func(T)) []uint64 {
+	state := checkpointHeld(s.active(), s.in, put)
+	if s.down {
+		return append(state, 1)
+	}
+	return append(state, 0)
+}
+
+// RestoreAltStepper rebuilds the AltStepper whose Checkpoint listed recs
+// and returned state; see RestoreStepper.
+func RestoreAltStepper[T any](src stream.Reader[T], em *runio.Emitter[T], memory int, recs []T, state []uint64) (*AltStepper[T], error) {
+	s, err := NewAltStepper(src, em, memory, len(state) == 3 && state[2] != 0)
+	if err == nil {
+		err = restoreHeld(s.active(), s.in, s.pfx, recs, state, 3)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
 // Carry removes and returns every buffered element — both heaps plus the
 // fetch buffer's read-ahead — leaving the stepper empty.
 func (s *AltStepper[T]) Carry() []T {

@@ -19,7 +19,8 @@
 // Every generator is exposed two ways: a one-shot Generate* function that
 // drains the source, and a Stepper that emits one run per NextRun call and
 // can surrender its buffered state through Carry — the contract the adaptive
-// policy engine uses to switch generators at run boundaries mid-stream.
+// policy engine uses to switch generators at run boundaries mid-stream —
+// or list it in place through Checkpoint, for durable sorts to snapshot.
 package rs
 
 import (
@@ -183,6 +184,54 @@ func (s *Stepper[T]) Carry() []T {
 	return append(out, s.in.Drain()...)
 }
 
+// Checkpoint lists, without disturbing the stepper, the records it holds at
+// a run boundary — the heap in index order (heap.Export), then the fetch
+// read-ahead — and returns their two counts. Unlike Carry it is only
+// meaningful right after NextRun returned a run, when every heap item
+// carries the same run tag.
+func (s *Stepper[T]) Checkpoint(put func(T)) []uint64 { return checkpointHeld(s.h, s.in, put) }
+
+// RestoreStepper rebuilds the Stepper whose Checkpoint listed recs and
+// returned state, over src positioned just past the read-ahead: it goes on
+// to emit exactly the runs the original would have.
+func RestoreStepper[T any](src stream.Reader[T], em *runio.Emitter[T], memory int, recs []T, state []uint64) (*Stepper[T], error) {
+	s, err := NewStepper(src, em, memory)
+	if err == nil {
+		err = restoreHeld(s.h, s.in, s.pfx, recs, state, 2)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// checkpointHeld lists a heap and the read-ahead of its input.
+func checkpointHeld[T any](h *heap.Heap[T], in *stream.Fetcher[T], put func(T)) []uint64 {
+	h.Export(put)
+	ahead := in.Pending()
+	for _, v := range ahead {
+		put(v)
+	}
+	return []uint64{uint64(h.Len()), uint64(len(ahead))}
+}
+
+// restoreHeld puts a checkpointHeld listing back, rejecting state that is
+// not `words` long, counts that do not add up to recs and records that are
+// not in heap order.
+func restoreHeld[T any](h *heap.Heap[T], in *stream.Fetcher[T], pfx func(T) uint64, recs []T, state []uint64, words int) error {
+	n := uint64(len(recs))
+	if len(state) != words || state[0] > n || state[1] != n-state[0] {
+		return fmt.Errorf("rs: checkpoint state %v does not describe %d records", state, n)
+	}
+	if err := h.Import(recs[:state[0]], 0, pfx); err != nil {
+		return err
+	}
+	if !in.Preload(recs[state[0]:]) {
+		return fmt.Errorf("rs: checkpoint read-ahead of %d records exceeds the fetch batch", state[1])
+	}
+	return nil
+}
+
 // Generate runs replacement selection over src with a heap of `memory`
 // elements, writing runs through em and ordering by em.Less.
 func Generate[T any](src stream.Reader[T], em *runio.Emitter[T], memory int) (Result, error) {
@@ -269,6 +318,10 @@ func (s *LSSStepper[T]) NextRun() (runio.Run, bool, error) {
 
 // Carry returns nothing: an LSSStepper buffers no records between runs.
 func (s *LSSStepper[T]) Carry() []T { return nil }
+
+// Checkpoint lists nothing, for the same reason: a fresh LSSStepper over
+// the rest of the input is the restored one.
+func (s *LSSStepper[T]) Checkpoint(func(T)) []uint64 { return nil }
 
 // GenerateLSS drains src through an LSSStepper (see LSSStepper for the
 // algorithm).

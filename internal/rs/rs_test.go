@@ -1,6 +1,7 @@
 package rs
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/codec"
@@ -201,3 +202,48 @@ func TestAllDatasetsValid(t *testing.T) {
 		}
 	}
 }
+
+// TestRestoreRejectsForeignCheckpoints feeds the Restore constructors a
+// genuine checkpoint (accepted) and then listings no stepper could have
+// produced: counts that do not add up to the records, a missing direction
+// word, a heap section out of heap order. Each must be an error — a
+// restored generator never quietly starts from a different state.
+func TestRestoreRejectsForeignCheckpoints(t *testing.T) {
+	recs := gen.Generate(gen.Config{Kind: gen.Random, N: 2000, Seed: 4})
+	em := func() *runio.Emitter[record.Record] { return runio.RecordEmitter(vfs.NewMemFS(), "rs") }
+	s, err := NewStepper(record.NewSliceReader(recs), em(), 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := s.NextRun(); err != nil || !ok {
+		t.Fatalf("first run: ok=%v err=%v", ok, err)
+	}
+	var held []record.Record
+	state := s.Checkpoint(func(r record.Record) { held = append(held, r) })
+	if state[0] != 100 || int(state[0]+state[1]) != len(held) {
+		t.Fatalf("checkpoint state %v over %d records: want a full heap of 100 plus the read-ahead", state, len(held))
+	}
+	rest := func() *record.SliceReader { return record.NewSliceReader(nil) }
+	if _, err := RestoreStepper(rest(), em(), 100, held, state); err != nil {
+		t.Fatalf("genuine checkpoint refused: %v", err)
+	}
+	if _, err := RestoreAltStepper(rest(), em(), 100, held, append(state[:2:2], 0)); err != nil {
+		t.Fatalf("a min-heap listing is an up-run checkpoint of the alternating stepper too: %v", err)
+	}
+	reversed := slices.Clone(held)
+	slices.Reverse(reversed[:state[0]])
+	for name, err := range map[string]error{
+		"short count":   second(RestoreStepper(rest(), em(), 100, held, []uint64{state[0] - 1, state[1]})),
+		"one word":      second(RestoreStepper(rest(), em(), 100, held, state[:1])),
+		"over capacity": second(RestoreStepper(rest(), em(), 50, held, state)),
+		"no direction":  second(RestoreAltStepper(rest(), em(), 100, held, state)),
+		"out of order":  second(RestoreStepper(rest(), em(), 100, reversed, state)),
+		"wrong heap":    second(RestoreAltStepper(rest(), em(), 100, held, append(state[:2:2], 1))),
+	} {
+		if err == nil {
+			t.Errorf("%s: restore succeeded", name)
+		}
+	}
+}
+
+func second[A any](_ A, err error) error { return err }

@@ -144,10 +144,10 @@ func (w *BackwardWriter[T]) Write(r T) error {
 	// next chain file) until the whole element is placed.
 	pending := w.c.Append(w.scratch[:0], r)
 	if w.track != nil {
-		// The content checksum sums per-element CRC32s, so it is the same
+		// The content checksum sums per-element CRCs, so it is the same
 		// value an ascending re-read computes despite the descending write
-		// order (see contentSum).
-		w.sum = contentSum(w.sum, pending)
+		// order (see ContentSum).
+		w.sum = ContentSum(w.sum, pending)
 	}
 	w.scratch = pending[:0]
 	for len(pending) > 0 {

@@ -44,9 +44,9 @@ type Emitter[T any] struct {
 	KeyCodec codec.KeyCodec[T]
 	// Checksums, when set, makes every writer the emitter creates track the
 	// order-insensitive content checksum of its stream (Writer.Track) and
-	// records it under the stream's name for Sum. Resumable sorts use the
-	// sums to commit run content in the manifest; off (the default) no
-	// per-element CRC is ever computed.
+	// holds it under the stream's name until TakeSum collects it. Resumable
+	// sorts commit the sums of each run in the manifest at its boundary;
+	// off (the default) no per-element CRC is ever computed.
 	Checksums bool
 
 	mu   sync.Mutex
@@ -168,12 +168,15 @@ func (e *Emitter[T]) noteSum(name string, sum uint64) {
 	e.sums[name] = sum
 }
 
-// Sum returns the content checksum recorded for the named stream, if the
-// emitter ran with Checksums on and the stream's writer closed cleanly.
-func (e *Emitter[T]) Sum(name string) (uint64, bool) {
+// TakeSum removes and returns the content checksum recorded for the named
+// stream, if the emitter ran with Checksums on and the stream's writer
+// closed cleanly. Taking is what keeps the table the size of one run
+// rather than of the whole sort.
+func (e *Emitter[T]) TakeSum(name string) (uint64, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	sum, ok := e.sums[name]
+	delete(e.sums, name)
 	return sum, ok
 }
 

@@ -93,6 +93,7 @@ type Writer[T any] struct {
 	closed bool
 	async  *asyncFlusher
 	track  func(records int64, sum uint64)
+	order  bool // sum is the running StreamSum of the pages, not a ContentSum
 	sum    uint64
 	// onFinish, when set, runs once when the writer stops being live —
 	// at the top of Close or abort. The Emitter uses it to drop the
@@ -100,14 +101,26 @@ type Writer[T any] struct {
 	onFinish func()
 }
 
-// contentSum folds one encoded element into an order-insensitive content
-// checksum: the 64-bit sum of per-element CRC32s. Because addition
+// castagnoli selects CRC-32C, which the hardware computes: an element is a
+// dozen-odd bytes, where the byte-table IEEE polynomial cost more than
+// encoding it.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// ContentSum folds one encoded element into an order-insensitive content
+// checksum: the 64-bit sum of per-element CRC-32Cs. Because addition
 // commutes, the ascending forward writer, the descending backward writer
 // and an ascending validation re-read all compute the same value for the
 // same element multiset — which is what lets one checksum definition cover
 // every run layout (see internal/manifest).
-func contentSum(sum uint64, encoded []byte) uint64 {
-	return sum + uint64(crc32.ChecksumIEEE(encoded))
+func ContentSum(sum uint64, encoded []byte) uint64 {
+	return sum + uint64(crc32.Checksum(encoded, castagnoli))
+}
+
+// StreamSum folds the next encoded bytes into an order-sensitive checksum:
+// the running CRC-32C of the whole encoded stream, however it is cut into
+// calls. Generator snapshots use it, where an element's position is state.
+func StreamSum(sum uint64, encoded []byte) uint64 {
+	return uint64(crc32.Update(uint32(sum), castagnoli, encoded))
 }
 
 // NewWriter creates the named spill stream on st and returns a Writer with
@@ -134,11 +147,20 @@ func (w *Writer[T]) Async() *Writer[T] {
 }
 
 // Track arranges for fn to receive the element count and the
-// order-insensitive content checksum (the 64-bit sum of per-element
-// CRC32s over the encoded bytes) when the writer closes successfully. It
-// must be installed before the first Write; the per-element CRC cost is
-// paid only when a tracker is installed.
+// order-insensitive content checksum (ContentSum over the encoded
+// elements) when the writer closes successfully. It must be installed
+// before the first Write; the per-element CRC cost is paid only when a
+// tracker is installed.
 func (w *Writer[T]) Track(fn func(records int64, sum uint64)) { w.track = fn }
+
+// SumStream makes the writer keep the order-sensitive StreamSum of
+// everything it encodes, for Sum to report. It must be called before the
+// first Write.
+func (w *Writer[T]) SumStream() { w.order = true }
+
+// Sum returns the StreamSum of the pages flushed so far — of the whole
+// stream once the writer is closed.
+func (w *Writer[T]) Sum() uint64 { return w.sum }
 
 // Write appends r to the run. Elements must arrive in non-decreasing order.
 func (w *Writer[T]) Write(r T) error {
@@ -152,7 +174,7 @@ func (w *Writer[T]) Write(r T) error {
 	prev := len(w.buf)
 	w.buf = w.c.Append(w.buf, r)
 	if w.track != nil {
-		w.sum = contentSum(w.sum, w.buf[prev:])
+		w.sum = ContentSum(w.sum, w.buf[prev:])
 	}
 	w.count++
 	if len(w.buf) >= w.target {
@@ -177,7 +199,7 @@ func (w *Writer[T]) WriteBatch(src []T) error {
 		prev := len(w.buf)
 		w.buf = w.c.Append(w.buf, r)
 		if w.track != nil {
-			w.sum = contentSum(w.sum, w.buf[prev:])
+			w.sum = ContentSum(w.sum, w.buf[prev:])
 		}
 		w.count++
 		if len(w.buf) >= w.target {
@@ -192,6 +214,9 @@ func (w *Writer[T]) WriteBatch(src []T) error {
 func (w *Writer[T]) flush() error {
 	if len(w.buf) == 0 {
 		return nil
+	}
+	if w.order {
+		w.sum = StreamSum(w.sum, w.buf)
 	}
 	if w.async != nil {
 		next, err := w.async.submit(w.buf)

@@ -294,11 +294,13 @@ type Config struct {
 	// recorded in a CRC-guarded manifest file alongside the spill files,
 	// so a sort killed mid-generation can be picked up with Sorter.Resume
 	// (or the -resume CLI flag) instead of starting over. Durable sorts
-	// restart the run generator at every run boundary, making the run
-	// sequence a pure function of input and configuration; the resumed
-	// output is byte-identical to an uninterrupted sort. Requires a
-	// deterministic policy — Validate rejects the adaptive "auto" policy,
-	// whose probing decisions are not replayable. See DESIGN.md §14.
+	// generate exactly the runs a plain sort would: each run boundary
+	// only checkpoints the generator in place (a snapshot of the records
+	// it holds, plus a few state words), from which a resume restores it
+	// exactly, so the resumed output is byte-identical to an
+	// uninterrupted sort. Requires a fixed policy — Validate rejects the
+	// adaptive "auto" policy, whose probe state is not part of any
+	// checkpoint. See DESIGN.md §14.
 	Manifest bool
 	// Resume makes every sort under this configuration first look for a
 	// durable manifest left by an interrupted earlier sort and continue

@@ -290,7 +290,7 @@ func WithSpillMemory(budgetBytes int64) Option {
 // recorded in a CRC-guarded manifest next to the spill files, and a sort
 // that died mid-generation — process kill, cancelled context, failed source
 // — can be finished by Sorter.Resume without regenerating the runs that
-// already reached storage. See Config.Manifest for the determinism
+// already reached storage. See Config.Manifest for the policy
 // requirements and DESIGN.md §14 for the recovery rules. With no TempDir
 // the Sorter keeps one in-process file system for all its sorts (rather
 // than one per Sort call) so Resume can see what a failed Sort left behind;
