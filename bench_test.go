@@ -120,11 +120,11 @@ func BenchmarkFig6_7_ReverseSweep(b *testing.B)     { benchSweep(b, exp.Fig67) }
 
 // --- Run generation micro-benches (the engines behind every experiment) ---
 
-func benchRunGen(b *testing.B, alg Algorithm, kind DatasetKind) {
+func benchRunGen(b *testing.B, policy string, kind DatasetKind) {
 	b.Helper()
 	recs := Dataset(kind, 100_000, 1)
 	cfg := DefaultConfig(2_000)
-	cfg.Algorithm = alg
+	cfg.Policy = policy
 	b.SetBytes(int64(len(recs) * record.Size))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -134,8 +134,8 @@ func benchRunGen(b *testing.B, alg Algorithm, kind DatasetKind) {
 	}
 }
 
-// BenchmarkSortSlice1M is the headline throughput benchmark cmd/bench
-// tracks in BENCH_<n>.json: one million records sorted in the paper-style
+// BenchmarkSortSlice1M is the headline throughput benchmark the historical
+// BENCH_<n>.json reports track: one million records sorted in the paper-style
 // external configuration (memory 8192 records — the input is ~122 memory
 // loads — with a multi-pass merge).
 func BenchmarkSortSlice1M(b *testing.B) {
@@ -150,11 +150,11 @@ func BenchmarkSortSlice1M(b *testing.B) {
 	}
 }
 
-func BenchmarkSortRS_Random(b *testing.B)    { benchRunGen(b, RS, DatasetRandom) }
-func BenchmarkSort2WRS_Random(b *testing.B)  { benchRunGen(b, TwoWayRS, DatasetRandom) }
-func BenchmarkSort2WRS_Mixed(b *testing.B)   { benchRunGen(b, TwoWayRS, DatasetMixedBalanced) }
-func BenchmarkSort2WRS_Reverse(b *testing.B) { benchRunGen(b, TwoWayRS, DatasetReverseSorted) }
-func BenchmarkSortLSS_Random(b *testing.B)   { benchRunGen(b, LoadSortStore, DatasetRandom) }
+func BenchmarkSortRS_Random(b *testing.B)    { benchRunGen(b, "rs", DatasetRandom) }
+func BenchmarkSort2WRS_Random(b *testing.B)  { benchRunGen(b, "2wrs", DatasetRandom) }
+func BenchmarkSort2WRS_Mixed(b *testing.B)   { benchRunGen(b, "2wrs", DatasetMixedBalanced) }
+func BenchmarkSort2WRS_Reverse(b *testing.B) { benchRunGen(b, "2wrs", DatasetReverseSorted) }
+func BenchmarkSortLSS_Random(b *testing.B)   { benchRunGen(b, "lss", DatasetRandom) }
 
 // --- Ablations (DESIGN.md §4) ---
 

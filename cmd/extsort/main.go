@@ -1,8 +1,8 @@
 // Command extsort sorts and queries binary record files externally with a
-// bounded memory budget, using 2WRS (default), classic replacement
-// selection or Load-Sort-Store — or, via -policy, one of the named run
-// generation policies including the adaptive "auto", which probes the
-// input and switches generators at run boundaries mid-stream.
+// bounded memory budget. -policy names the run generator: 2wrs (the
+// default), rs, alternating (or alt), quick (or lss: the paper's
+// Load-Sort-Store) or the adaptive "auto", which probes the input and
+// switches generators at run boundaries mid-stream.
 //
 // Subcommands:
 //
@@ -28,11 +28,11 @@
 // -resume (same flags, same -tmp) instead of restarted — the resumed
 // output is byte-identical to the uninterrupted one:
 //
-//	extsort sort -alg 2wrs -manifest -tmp ./spill -in in.rec -out out.rec
+//	extsort sort -policy 2wrs -manifest -tmp ./spill -in in.rec -out out.rec
 //	# ... kill -9 mid-sort ...
-//	extsort sort -alg 2wrs -resume   -tmp ./spill -in in.rec -out out.rec
+//	extsort sort -policy 2wrs -resume   -tmp ./spill -in in.rec -out out.rec
 //
-// Durable mode requires a deterministic -policy/-alg (not auto); a resume
+// Durable mode requires a deterministic -policy (not auto); a resume
 // under changed flags fails with a configuration-mismatch error rather
 // than mixing incompatible state.
 //
@@ -57,8 +57,6 @@ import (
 
 	"repro"
 	"repro/internal/core"
-	"repro/internal/extsort"
-	"repro/internal/policy"
 	"repro/internal/record"
 	"repro/internal/storage"
 )
@@ -89,7 +87,6 @@ func main() {
 
 // sortFlags declares the flags shared by every subcommand that sorts.
 type sortFlags struct {
-	alg      *string
 	policy   *string
 	memory   *int
 	fanIn    *int
@@ -114,9 +111,8 @@ type sortFlags struct {
 
 func newSortFlags(fs *flag.FlagSet) *sortFlags {
 	return &sortFlags{
-		alg: fs.String("alg", "2wrs", "run generation algorithm: 2wrs, rs, lss (ignored when -policy is set)"),
-		policy: fs.String("policy", "", "run generation policy: "+strings.Join(policy.Names(), ", ")+
-			"; overrides -alg, and 'auto' adapts to the input, switching generators at run boundaries (default: use -alg)"),
+		policy: fs.String("policy", "2wrs", "run generation policy: "+strings.Join(repro.Policies(), ", ")+
+			" (alt and lss are accepted for alternating and quick); 'auto' adapts to the input, switching generators at run boundaries"),
 		memory:  fs.Int("memory", 100_000, "memory budget in records"),
 		fanIn:   fs.Int("fanin", 10, "merge fan-in"),
 		tempDir: fs.String("tmp", "", "directory for temporary runs (default: system temp)"),
@@ -129,7 +125,7 @@ func newSortFlags(fs *flag.FlagSet) *sortFlags {
 			"; any value but raw adds per-block CRC32 checksums, flate/gzip also compress"),
 		spillMem: fs.Int64("spillmem", 0, "keep spilled runs in memory under this byte budget, overflowing to -tmp (0: always on disk)"),
 		manifest: fs.Bool("manifest", false, "record every completed run in a durable manifest in -tmp, so a killed "+
-			"command can be finished with -resume instead of starting over (requires a deterministic -policy/-alg, not auto)"),
+			"command can be finished with -resume instead of starting over (requires a deterministic -policy, not auto)"),
 		resume: fs.Bool("resume", false, "resume the durable sort a previous -manifest run left in -tmp: completed runs "+
 			"are validated and reused, the input re-read from the start; implies -manifest and requires -tmp"),
 		shards: fs.Int("shards", 0, "split the sort into this many range-partitioned shards that sort concurrently "+
@@ -216,10 +212,6 @@ func (f *sortFlags) observe(cfg *repro.Config) (func(), error) {
 // config resolves the flag values into a repro.Config, allocating (and
 // returning a cleanup for) a temp dir when none was given.
 func (f *sortFlags) config() (repro.Config, func(), error) {
-	alg, err := extsort.ParseAlgorithm(*f.alg)
-	if err != nil {
-		return repro.Config{}, nil, err
-	}
 	bufSetup, err := core.ParseBufferSetup(*f.setup)
 	if err != nil {
 		return repro.Config{}, nil, err
@@ -232,13 +224,6 @@ func (f *sortFlags) config() (repro.Config, func(), error) {
 	if err != nil {
 		return repro.Config{}, nil, err
 	}
-	if *f.policy != "" {
-		// Reject typos here with the full list of valid policies, matching
-		// Config.Validate, instead of silently sorting with a default.
-		if _, err := policy.Parse(*f.policy); err != nil {
-			return repro.Config{}, nil, err
-		}
-	}
 	if _, err := storage.ParseCompression(*f.compress); err != nil {
 		return repro.Config{}, nil, err
 	}
@@ -247,7 +232,6 @@ func (f *sortFlags) config() (repro.Config, func(), error) {
 			"temporary directory, so there is no durable state to pick up")
 	}
 	cfg := repro.Config{
-		Algorithm:      alg,
 		Policy:         *f.policy,
 		MemoryRecords:  *f.memory,
 		FanIn:          *f.fanIn,
@@ -316,12 +300,8 @@ func (o *outFile) close() error {
 	return o.f.Close()
 }
 
-func printSortStats(alg string, memory int, stats repro.Stats) {
-	name := stats.Policy
-	if name == "" {
-		name = alg
-	}
-	fmt.Printf("policy:           %v\n", name)
+func printSortStats(memory int, stats repro.Stats) {
+	fmt.Printf("policy:           %v\n", stats.Policy)
 	if stats.PolicySwitches > 0 {
 		fmt.Printf("policy switches:  %d (mid-stream, at run boundaries)\n", stats.PolicySwitches)
 	}
@@ -368,7 +348,7 @@ func printIOStats(stats repro.Stats) {
 func fatalSortErr(err error) {
 	if errors.Is(err, repro.ErrManifestMismatch) {
 		log.Fatalf("%v\n\nThe durable manifest in -tmp was written by a sort with a different configuration\n"+
-			"(codec, -compress, -memory, -policy/-alg or heuristics). Rerun with the original flags\n"+
+			"(codec, -compress, -memory, -policy or heuristics). Rerun with the original flags\n"+
 			"to resume it, or delete the *.manifest file (and its spill files) to start over.", err)
 	}
 	log.Fatal(err)
@@ -398,7 +378,7 @@ func runSort(args []string) {
 	if err != nil {
 		fatalSortErr(err)
 	}
-	printSortStats(*sf.alg, *sf.memory, stats)
+	printSortStats(*sf.memory, stats)
 	fmt.Printf("run generation:   %v\n", stats.RunGenWall.Round(1e6))
 	fmt.Printf("merge phase:      %v\n", stats.MergeWall.Round(1e6))
 	fmt.Printf("total:            %v\n", stats.TotalWall().Round(1e6))
@@ -467,7 +447,7 @@ func runUnaryOp(name string, args []string) {
 	fmt.Printf("consumed:         %d records\n", st.In)
 	fmt.Printf("emitted:          %d records\n", st.Out)
 	if st.Sorted {
-		printSortStats(*sf.alg, *sf.memory, st.Sort)
+		printSortStats(*sf.memory, st.Sort)
 	} else {
 		fmt.Printf("selection:        bounded heap, no external sort (0 runs spilled)\n")
 	}
@@ -527,7 +507,7 @@ func runSelect(args []string) {
 			*eps, *k, int64(*k)+st.RankErrorBound, st.Corrupted)
 		fmt.Printf("selection:        in-memory soft heap (0 runs spilled)\n")
 	case st.Sorted:
-		printSortStats(*sf.alg, *sf.memory, st.Sort)
+		printSortStats(*sf.memory, st.Sort)
 	default:
 		fmt.Printf("selection:        in-memory dualheap (%d root exchanges, 0 runs spilled)\n", st.Swaps)
 	}
@@ -584,7 +564,7 @@ func runQuantiles(args []string) {
 		fmt.Printf("p%-5s          key=%d aux=%d\n", strings.TrimRight(strings.TrimRight(fmt.Sprintf("%.2f", q*100), "0"), "."), recs[i].Key, recs[i].Aux)
 	}
 	if st.Sorted {
-		printSortStats(*sf.alg, *sf.memory, st.Sort)
+		printSortStats(*sf.memory, st.Sort)
 	} else {
 		fmt.Printf("selection:        in-memory multiselect (%d root exchanges, 0 runs spilled)\n", st.Swaps)
 	}

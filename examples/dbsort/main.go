@@ -64,9 +64,9 @@ func main() {
 		memory, 100*float64(memory)/float64(tableRows))
 
 	var out countingWriter
-	for _, alg := range []repro.Algorithm{repro.RS, repro.TwoWayRS} {
+	for _, alg := range []string{"rs", "2wrs"} {
 		cfg := repro.DefaultConfig(memory)
-		cfg.Algorithm = alg
+		cfg.Policy = alg
 		out.n, out.last, out.sorted = 0, 0, true
 		stats, err := repro.Sort(&scanInAOrder{rows: rows}, &out, cfg)
 		if err != nil {

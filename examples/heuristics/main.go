@@ -51,7 +51,7 @@ func main() {
 	for _, k := range kinds {
 		recs := repro.Dataset(k, n, 1)
 		cfg := repro.DefaultConfig(memory)
-		cfg.Algorithm = repro.RS
+		cfg.Policy = "rs"
 		_, stats, err := repro.SortSlice(recs, cfg)
 		if err != nil {
 			log.Fatal(err)

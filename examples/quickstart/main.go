@@ -47,7 +47,7 @@ func main() {
 	fmt.Printf("merge phase:        %v\n", stats.MergeWall.Round(1e6))
 
 	// Compare with classic replacement selection on the same input.
-	cfg.Algorithm = repro.RS
+	cfg.Policy = "rs"
 	rsStats, err := repro.SortFile(in, filepath.Join(dir, "sorted-rs.rec"), cfg)
 	if err != nil {
 		log.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/iosim"
 	"repro/internal/merge"
+	"repro/internal/policy"
 	"repro/internal/record"
 	"repro/internal/runio"
 	"repro/internal/vfs"
@@ -38,13 +39,13 @@ func (p TimePoint) Speedup() float64 {
 	return float64(p.RSTotal) / float64(p.TWTotal)
 }
 
-// timedSort sorts a generated dataset with the given algorithm on a fresh
-// simulated disk and returns (run generation time, total time).
-func timedSort(kind gen.Kind, n, memory, sections int, alg extsort.Algorithm) (runT, totalT time.Duration, err error) {
+// timedSort sorts a generated dataset with the given run generator on a
+// fresh simulated disk and returns (run generation time, total time).
+func timedSort(kind gen.Kind, n, memory, sections int, pol policy.Kind) (runT, totalT time.Duration, err error) {
 	disk := iosim.NewDisk(iosim.Defaults2010())
 	fs := iosim.NewFS(vfs.NewMemFS(), disk)
 	cfg := extsort.Recommended(memory)
-	cfg.Algorithm = alg
+	cfg.Policy = pol
 	cfg.Clock = disk.Elapsed
 	// The simulated disk models the paper's single sequential device;
 	// Parallelism=1 keeps the measured schedule on the paper's sequential
@@ -72,11 +73,11 @@ func timeSweep(kind gen.Kind, points []struct {
 }) ([]TimePoint, error) {
 	var out []TimePoint
 	for _, pt := range points {
-		rsRun, rsTot, err := timedSort(kind, pt.n, pt.memory, pt.sections, extsort.RS)
+		rsRun, rsTot, err := timedSort(kind, pt.n, pt.memory, pt.sections, policy.RS)
 		if err != nil {
 			return nil, err
 		}
-		twRun, twTot, err := timedSort(kind, pt.n, pt.memory, pt.sections, extsort.TwoWayRS)
+		twRun, twTot, err := timedSort(kind, pt.n, pt.memory, pt.sections, policy.TwoWayRS)
 		if err != nil {
 			return nil, err
 		}

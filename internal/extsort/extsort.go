@@ -22,48 +22,11 @@ import (
 	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/record"
-	"repro/internal/rs"
 	"repro/internal/runio"
 	"repro/internal/storage"
 	"repro/internal/stream"
 	"repro/internal/vfs"
 )
-
-// Algorithm selects the run-generation strategy.
-type Algorithm int
-
-// The run generation algorithms this library implements.
-const (
-	// TwoWayRS is two-way replacement selection, the paper's contribution.
-	TwoWayRS Algorithm = iota
-	// RS is classic replacement selection (Goetz 1963).
-	RS
-	// LoadSortStore fills memory, sorts and stores (§2.1.1).
-	LoadSortStore
-)
-
-var algNames = map[Algorithm]string{
-	TwoWayRS:      "2wrs",
-	RS:            "rs",
-	LoadSortStore: "lss",
-}
-
-func (a Algorithm) String() string {
-	if n, ok := algNames[a]; ok {
-		return n
-	}
-	return fmt.Sprintf("Algorithm(%d)", int(a))
-}
-
-// ParseAlgorithm resolves a CLI name.
-func ParseAlgorithm(s string) (Algorithm, error) {
-	for a, n := range algNames {
-		if strings.EqualFold(s, n) {
-			return a, nil
-		}
-	}
-	return 0, fmt.Errorf("extsort: unknown algorithm %q (want 2wrs, rs or lss)", s)
-}
 
 // Ops bundles the element-type-specific hooks a sort needs.
 type Ops[T any] struct {
@@ -218,14 +181,10 @@ func applyKeyCodec[T any](src stream.Reader[T], em *runio.Emitter[T], ops Ops[T]
 
 // Config parameterises a complete external sort.
 type Config struct {
-	// Algorithm is the run generation strategy when no Policy is selected.
-	Algorithm Algorithm
-	// Policy, when not policy.None, selects run generation through the
-	// policy engine (internal/policy) instead of Algorithm: one of the
-	// fixed generators (2wrs, rs, alternating, quick) or the adaptive
-	// policy.Auto, which probes the input and may switch generators at run
-	// boundaries mid-stream. The zero value preserves the legacy
-	// Algorithm-driven behaviour exactly.
+	// Policy selects the run generator (internal/policy): one of the fixed
+	// ones (2wrs, rs, alternating, quick) or the adaptive policy.Auto, which
+	// probes the input and may switch generators at run boundaries
+	// mid-stream. The zero value is 2wrs, the paper's algorithm.
 	Policy policy.Kind
 	// Memory is the memory budget in records, used by both phases: the run
 	// generation data structures, and (converted to bytes) the merge
@@ -237,8 +196,6 @@ type Config struct {
 	// favour of Config.Memory. Zero value means the recommended §5.3
 	// configuration.
 	TWRS core.Config
-	// Engine selects the k-way merge implementation.
-	Engine merge.Engine
 	// PageSize and PagesPerFile configure run storage (0: defaults).
 	PageSize     int
 	PagesPerFile int
@@ -304,10 +261,10 @@ type Config struct {
 // 2WRS (§5.3 parameters) with fan-in 10.
 func Recommended(memory int) Config {
 	return Config{
-		Algorithm: TwoWayRS,
-		Memory:    memory,
-		FanIn:     10,
-		TWRS:      core.Recommended(memory),
+		Policy: policy.TwoWayRS,
+		Memory: memory,
+		FanIn:  10,
+		TWRS:   core.Recommended(memory),
 	}
 }
 
@@ -347,9 +304,8 @@ type Stats struct {
 	Runs         int
 	AvgRunLength float64
 	// Policy names the run-generation policy that ran ("2wrs", "rs",
-	// "alternating", "quick", "auto"; legacy Algorithm-driven sorts report
-	// the algorithm's name). PolicySwitches counts the mid-stream generator
-	// changes the auto policy made (0 for every fixed policy).
+	// "alternating", "quick", "auto"). PolicySwitches counts the mid-stream
+	// generator changes the auto policy made (0 for every fixed policy).
 	Policy         string
 	PolicySwitches int
 	// RunsRecovered is the number of runs a resumed sort recovered intact
@@ -465,8 +421,11 @@ func newRunSet[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
 	if cfg.Memory <= 0 {
 		return nil, fmt.Errorf("extsort: memory must be positive, got %d", cfg.Memory)
 	}
+	if err := cfg.Policy.Validate(); err != nil {
+		return nil, err
+	}
 	if cfg.Manifest && cfg.Policy == policy.Auto {
-		return nil, fmt.Errorf("extsort: the auto policy's adaptive probe state cannot be checkpointed; durable (Manifest/Resume) sorts need a fixed policy or a legacy Algorithm")
+		return nil, fmt.Errorf("extsort: the auto policy's adaptive probe state cannot be checkpointed; durable (Manifest/Resume) sorts need a fixed policy")
 	}
 	store, err := storage.New(fs, cfg.Storage)
 	if err != nil {
@@ -538,10 +497,7 @@ func (r *RunSet[T]) generate(src stream.Reader[T], recovered []manifest.Run, fro
 		}
 	}
 
-	polName := cfg.Algorithm.String()
-	if cfg.Policy != policy.None {
-		polName = cfg.Policy.String()
-	}
+	polName := cfg.Policy.String()
 	gsp := o.tracer().Start("generate",
 		obs.Str("policy", polName), obs.Bool("keyed", keyed), obs.Bool("durable", durable))
 	fail := func(err error) (*RunSet[T], error) {
@@ -596,32 +552,16 @@ func (r *RunSet[T]) generate(src stream.Reader[T], recovered []manifest.Run, fro
 		}
 	}
 
-	// The legacy Algorithm selection names generators the policy engine
-	// has too (TestPolicyMatchesAlgorithm pins them byte-identical), bar
-	// load-sort-store, which holds nothing between runs: any boundary
-	// restores it fresh.
-	kind := cfg.Policy
-	if kind == policy.None {
-		switch cfg.Algorithm {
-		case TwoWayRS:
-			kind = policy.TwoWayRS
-		case RS:
-			kind = policy.RS
-		case LoadSortStore:
-		default:
-			return fail(fmt.Errorf("extsort: unknown algorithm %v", cfg.Algorithm))
-		}
-	}
 	in := meterSource(o, src)
 	pcfg := policy.Config{Memory: cfg.Memory, TWRS: cfg.TWRS, Span: gsp}
 	simStart, wallStart := r.clock(), time.Now()
 	var runs []runio.Run
-	if kind == policy.Auto {
+	if cfg.Policy == policy.Auto {
 		// The adaptive engine may switch generators at run boundaries; it
 		// records per-run spans and switch events under gsp. It is never
 		// durable (newRunSet refuses the combination).
 		var pres policy.Result
-		pres, err = policy.Generate(kind, in, em, pcfg, ops.Key)
+		pres, err = policy.Generate(cfg.Policy, in, em, pcfg, ops.Key)
 		runs = pres.Runs
 		for _, k := range pres.Policies {
 			r.policies = append(r.policies, k.String())
@@ -629,9 +569,7 @@ func (r *RunSet[T]) generate(src stream.Reader[T], recovered []manifest.Run, fro
 		r.stats.PolicySwitches = pres.Switches
 	} else {
 		var gen policy.Generator[T]
-		if kind == policy.None {
-			gen, err = rs.NewLSSStepper(in, em, cfg.Memory)
-		} else if gen, err = policy.NewGenerator(kind, in, em, pcfg, ops.Key, from); err != nil && from != nil {
+		if gen, err = policy.NewGenerator(cfg.Policy, in, em, pcfg, ops.Key, from); err != nil && from != nil {
 			// The snapshot passed its checksum yet is no state of this
 			// generator: as corrupt as data that fails one.
 			err = fmt.Errorf("%w: %v", manifest.ErrChecksum, err)
@@ -696,10 +634,10 @@ func (r *RunSet[T]) finishGenerate(phase string, wall time.Duration, entry time.
 func (r *RunSet[T]) Runs() []runio.Run { return r.runs }
 
 // RunPolicies returns, parallel to Runs, the name of the run-generation
-// policy that produced each run. Under a fixed policy (or the legacy
-// Algorithm selection) every entry is the same; under the auto policy the
-// sequence records where the engine switched generators mid-stream.
-// Callers must not mutate the returned slice.
+// policy that produced each run. Under a fixed policy every entry is the
+// same; under the auto policy the sequence records where the engine
+// switched generators mid-stream. Callers must not mutate the returned
+// slice.
 func (r *RunSet[T]) RunPolicies() []string { return r.policies }
 
 // Stats returns the statistics accumulated so far: the run-generation half
@@ -726,7 +664,6 @@ func (r *RunSet[T]) mergeConfig() merge.Config {
 	mc := merge.Config{
 		FanIn:       r.cfg.FanIn,
 		MemoryBytes: r.cfg.Memory * r.ops.elementBytes(),
-		Engine:      r.cfg.Engine,
 		Workers:     r.cfg.Parallelism,
 		Cancel:      r.cfg.Cancel,
 	}

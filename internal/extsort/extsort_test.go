@@ -1,6 +1,7 @@
 package extsort
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -8,6 +9,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/iosim"
 	"repro/internal/merge"
+	"repro/internal/policy"
 	"repro/internal/record"
 	"repro/internal/vfs"
 )
@@ -31,9 +33,9 @@ func TestSortAllAlgorithmsAllDatasets(t *testing.T) {
 	const n, m = 5000, 200
 	for _, kind := range gen.Kinds {
 		recs := gen.Generate(gen.Config{Kind: kind, N: n, Seed: 3, Noise: 100})
-		for _, alg := range []Algorithm{TwoWayRS, RS, LoadSortStore} {
+		for _, alg := range policy.Kinds {
 			cfg := Recommended(m)
-			cfg.Algorithm = alg
+			cfg.Policy = alg
 			stats := sortAndCheck(t, recs, cfg)
 			if stats.Records != n {
 				t.Fatalf("%v/%v: records = %d, want %d", kind, alg, stats.Records, n)
@@ -56,11 +58,42 @@ func TestSortSmallFanIn(t *testing.T) {
 	}
 }
 
+// TestSortHeapEngine holds the sort's merge phase to the reference engine:
+// one HeapMerger over every generated run reads back what RunSet.Merge
+// writes — the same records in the same key order; equal keys may land in
+// either order, the multi-pass merge tree being no single k-way merge.
 func TestSortHeapEngine(t *testing.T) {
 	recs := gen.Generate(gen.Config{Kind: gen.Random, N: 5000, Seed: 2})
-	cfg := Recommended(100)
-	cfg.Engine = merge.EngineHeap
-	sortAndCheck(t, recs, cfg)
+	rset, err := GenerateRuns(record.NewSliceReader(recs), vfs.NewMemFS(), Recommended(100), RecordOps())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs := make([]merge.Source[record.Record], len(rset.Runs()))
+	for i, run := range rset.Runs() {
+		if srcs[i], err = rset.em.Open(run, 4096); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hm, err := merge.NewHeapMerger(srcs, record.Less)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := record.ReadAll(hm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hm.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var out record.SliceWriter
+	if _, err := rset.Merge(&out); err != nil {
+		t.Fatal(err)
+	}
+	if !record.IsSorted(want) || !record.IsSorted(out.Recs) ||
+		!record.NewMultiset(want).Equal(record.NewMultiset(recs)) ||
+		!record.NewMultiset(out.Recs).Equal(record.NewMultiset(recs)) {
+		t.Fatalf("heap engine read %d records, Merge wrote %d: both must be the sorted input", len(want), len(out.Recs))
+	}
 }
 
 func TestSortEmptyInput(t *testing.T) {
@@ -81,8 +114,9 @@ func TestSortRejectsBadConfig(t *testing.T) {
 	if _, _, err := SortSlice[record.Record](nil, Config{Memory: 0}, RecordOps()); err == nil {
 		t.Fatal("memory 0 should fail")
 	}
-	if _, _, err := SortSlice[record.Record](nil, Config{Memory: 100, Algorithm: Algorithm(42)}, RecordOps()); err == nil {
-		t.Fatal("unknown algorithm should fail")
+	_, _, err := SortSlice[record.Record](nil, Config{Memory: 100, Policy: policy.Kind(42)}, RecordOps())
+	if err == nil || !strings.Contains(err.Error(), strings.Join(policy.Names(), ", ")) {
+		t.Fatalf("unknown policy: err = %v, want one listing the valid names", err)
 	}
 }
 
@@ -132,27 +166,11 @@ func TestStatsTotals(t *testing.T) {
 	}
 }
 
-func TestParseAlgorithm(t *testing.T) {
-	for _, a := range []Algorithm{TwoWayRS, RS, LoadSortStore} {
-		got, err := ParseAlgorithm(a.String())
-		if err != nil || got != a {
-			t.Fatalf("ParseAlgorithm(%q) = (%v, %v)", a.String(), got, err)
-		}
-	}
-	if _, err := ParseAlgorithm("quicksort"); err == nil {
-		t.Fatal("expected error for unknown algorithm")
-	}
-	if Algorithm(9).String() == "" {
-		t.Fatal("unknown algorithm should still print")
-	}
-}
-
 func TestCustomTWRSConfigRespected(t *testing.T) {
 	recs := gen.Generate(gen.Config{Kind: gen.MixedBalanced, N: 10000, Seed: 6, Noise: 50})
 	cfg := Config{
-		Algorithm: TwoWayRS,
-		Memory:    300,
-		FanIn:     10,
+		Memory: 300,
+		FanIn:  10,
 		TWRS: core.Config{
 			Setup:      core.BothBuffers,
 			BufferFrac: 0.2,
@@ -173,7 +191,7 @@ func TestRSvsTwoWayOnReverse(t *testing.T) {
 	// reverse-sorted input (Theorem 3 vs 4 consequences).
 	recs := gen.Generate(gen.Config{Kind: gen.ReverseSorted, N: 20000, Seed: 7})
 	rsCfg := Recommended(200)
-	rsCfg.Algorithm = RS
+	rsCfg.Policy = policy.RS
 	rsStats := sortAndCheck(t, recs, rsCfg)
 	twCfg := Recommended(200)
 	twStats := sortAndCheck(t, recs, twCfg)

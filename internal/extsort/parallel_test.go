@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/policy"
 	"repro/internal/record"
 	"repro/internal/rs"
 	"repro/internal/runio"
@@ -53,19 +54,19 @@ func fsFingerprint(t *testing.T, fs vfs.FS) map[string][]byte {
 func TestRunFilesByteIdenticalAsync(t *testing.T) {
 	recs := gen.Generate(gen.Config{Kind: gen.MixedBalanced, N: 20000, Seed: 7, Noise: 100})
 
-	generate := func(async bool, alg Algorithm) map[string][]byte {
+	generate := func(async bool, alg policy.Kind) map[string][]byte {
 		fs := vfs.NewMemFS()
 		em := runio.RecordEmitter(fs, "fix")
 		em.Async = async
 		em.PagesPerFile = 64
 		var err error
 		switch alg {
-		case TwoWayRS:
+		case policy.TwoWayRS:
 			_, err = core.Generate[record.Record](record.NewSliceReader(recs), em, core.Config{
 				Memory: 500, Setup: core.BothBuffers, BufferFrac: 0.02,
 				Input: core.InMean, Output: core.OutRandom, Seed: 11,
 			}, record.Key)
-		case RS:
+		case policy.RS:
 			_, err = rs.Generate[record.Record](record.NewSliceReader(recs), em, 500)
 		}
 		if err != nil {
@@ -74,7 +75,7 @@ func TestRunFilesByteIdenticalAsync(t *testing.T) {
 		return fsFingerprint(t, fs)
 	}
 
-	for _, alg := range []Algorithm{TwoWayRS, RS} {
+	for _, alg := range []policy.Kind{policy.TwoWayRS, policy.RS} {
 		sync := generate(false, alg)
 		async := generate(true, alg)
 		if len(sync) == 0 {

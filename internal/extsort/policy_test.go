@@ -9,57 +9,15 @@ import (
 	"repro/internal/vfs"
 )
 
-// TestPolicyMatchesAlgorithm pins the policy engine's fixed 2wrs and rs
-// paths to the legacy Algorithm paths: same runs, same records, same
-// sorted output — the engine adds selection, not behaviour.
-func TestPolicyMatchesAlgorithm(t *testing.T) {
-	const n, m = 30000, 500
-	recs := gen.Generate(gen.Config{Kind: gen.Random, N: n, Seed: 21, Noise: 1000})
-	pairs := []struct {
-		alg Algorithm
-		pol policy.Kind
-	}{
-		{TwoWayRS, policy.TwoWayRS},
-		{RS, policy.RS},
-	}
-	for _, p := range pairs {
-		legacy, lst, err := SortSlice(recs, Config{Algorithm: p.alg, Memory: m}, RecordOps())
-		if err != nil {
-			t.Fatal(err)
-		}
-		pol, pst, err := SortSlice(recs, Config{Policy: p.pol, Memory: m}, RecordOps())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lst.Runs != pst.Runs || lst.Records != pst.Records {
-			t.Fatalf("%v: legacy %d runs/%d records, policy %d/%d", p.alg, lst.Runs, lst.Records, pst.Runs, pst.Records)
-		}
-		if len(legacy) != len(pol) {
-			t.Fatalf("%v: output lengths differ", p.alg)
-		}
-		for i := range legacy {
-			if legacy[i] != pol[i] {
-				t.Fatalf("%v: outputs diverge at %d: %v vs %v", p.alg, i, legacy[i], pol[i])
-			}
-		}
-		if pst.Policy != p.pol.String() {
-			t.Fatalf("policy sort reported Policy=%q, want %q", pst.Policy, p.pol)
-		}
-		if lst.Policy != p.alg.String() {
-			t.Fatalf("legacy sort reported Policy=%q, want %q", lst.Policy, p.alg)
-		}
-	}
-}
-
 // TestRunSetRecordsPolicies checks that every run in a RunSet is attributed
-// to the generator that produced it, for fixed and legacy selections alike.
+// to the generator that produced it.
 func TestRunSetRecordsPolicies(t *testing.T) {
 	const n, m = 20000, 500
 	recs := gen.Generate(gen.Config{Kind: gen.Random, N: n, Seed: 22, Noise: 1000})
 	for _, cfg := range []Config{
 		{Policy: policy.Alternating, Memory: m},
 		{Policy: policy.Quick, Memory: m},
-		{Algorithm: LoadSortStore, Memory: m},
+		{Memory: m}, // the zero Kind: 2wrs
 	} {
 		rset, err := GenerateRuns(record.NewSliceReader(recs), vfs.NewMemFS(), cfg, RecordOps())
 		if err != nil {
@@ -70,9 +28,6 @@ func TestRunSetRecordsPolicies(t *testing.T) {
 			t.Fatalf("%d runs but %d policy entries", len(rset.Runs()), len(pols))
 		}
 		want := cfg.Policy.String()
-		if cfg.Policy == policy.None {
-			want = cfg.Algorithm.String()
-		}
 		for i, p := range pols {
 			if p != want {
 				t.Fatalf("run %d attributed to %q, want %q", i, p, want)

@@ -77,10 +77,6 @@ func compressionName(cfg Config) string {
 // deterministic run sequence. Two invocations with equal fingerprints (and
 // equal inputs) generate identical runs; anything else must not resume.
 func generationFingerprint[T any](cfg Config, ops Ops[T], em *runio.Emitter[T]) string {
-	pol := cfg.Algorithm.String()
-	if cfg.Policy != policy.None {
-		pol = cfg.Policy.String()
-	}
 	page, pages := em.PageSize, em.PagesPerFile
 	if page == 0 {
 		page = runio.DefaultPageSize
@@ -89,7 +85,7 @@ func generationFingerprint[T any](cfg Config, ops Ops[T], em *runio.Emitter[T]) 
 		pages = runio.DefaultPagesPerFile
 	}
 	return fmt.Sprintf("policy=%s memory=%d elem=%d page=%d pages_per_file=%d twrs=%+v",
-		pol, cfg.Memory, ops.elementBytes(), page, pages, cfg.TWRS)
+		cfg.Policy, cfg.Memory, ops.elementBytes(), page, pages, cfg.TWRS)
 }
 
 // durableHeader builds the manifest identity record for this invocation.

@@ -232,7 +232,7 @@ func TestResumeAtEveryRunBoundary(t *testing.T) {
 	})
 	t.Run("legacy_lss", func(t *testing.T) {
 		resumeAtEveryBoundary(t, testRecords(1500, 8),
-			with(func(c *Config) { c.Policy, c.Algorithm = policy.None, LoadSortStore }), RecordOps())
+			with(func(c *Config) { c.Policy, _ = policy.Parse("lss") }), RecordOps())
 	})
 }
 

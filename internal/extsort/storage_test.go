@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/policy"
 	"repro/internal/record"
 	"repro/internal/storage"
 	"repro/internal/vfs"
@@ -92,7 +93,7 @@ func TestCorruptSpillSurfacesChecksumError(t *testing.T) {
 			cfg := Recommended(300)
 			// Classic RS keeps every run in a single forward file, so any
 			// spill file is a plain block stream we can poke a byte into.
-			cfg.Algorithm = RS
+			cfg.Policy = policy.RS
 			cfg.Storage.Compression = comp
 			recs := dupHeavy(20000)
 			rset, err := GenerateRuns(record.NewSliceReader(recs), fs, cfg, RecordOps())

@@ -11,17 +11,6 @@ import (
 	"repro/internal/stream"
 )
 
-// Engine selects the k-way merge implementation.
-type Engine int
-
-// Available merge engines.
-const (
-	// EngineLoserTree is the default production engine.
-	EngineLoserTree Engine = iota
-	// EngineHeap is the ablation baseline.
-	EngineHeap
-)
-
 // Config parameterises the merge phase.
 type Config struct {
 	// FanIn is the number of inputs merged simultaneously (thesis optimum:
@@ -30,8 +19,6 @@ type Config struct {
 	// MemoryBytes is the buffer memory available to the merge phase; it is
 	// divided evenly among the FanIn input readers and one output writer.
 	MemoryBytes int
-	// Engine selects the k-way implementation.
-	Engine Engine
 	// Workers bounds how many independent intermediate merges run
 	// concurrently. ≤1 reproduces the sequential smallest-first schedule
 	// exactly; above 1 each intermediate pass is planned up front and its
@@ -109,24 +96,18 @@ type Stats struct {
 	Inputs int
 }
 
-// newEngine builds the configured merge engine over the inputs. When the
-// emitter carries a KeyCodec the default engine merges on normalized keys —
-// a prefix tree when the whole key fits the cached uint64, offset-value
-// coding otherwise (keyed.go) — with output byte-identical to the
-// comparator tree's. EngineHeap stays comparator-driven: it exists as an
-// ablation baseline and measuring it through keys would defeat the point.
-func newEngine[T any](em *runio.Emitter[T], cfg Config, srcs []Source[T]) (Source[T], error) {
-	switch {
-	case cfg.Engine == EngineHeap:
-		return NewHeapMerger(srcs, em.Less)
-	case em.KeyCodec != nil:
-		if fs := em.KeyCodec.FixedKeySize(); fs >= 1 && fs <= 8 {
-			return newPrefixTree(srcs, codec.PrefixFunc(em.KeyCodec))
-		}
-		return newOVCTree(srcs, em.KeyCodec)
-	default:
+// newEngine builds the merge engine over the inputs. When the emitter
+// carries a KeyCodec it merges on normalized keys — a prefix tree when the
+// whole key fits the cached uint64, offset-value coding otherwise
+// (keyed.go) — with output byte-identical to the comparator loser tree's.
+func newEngine[T any](em *runio.Emitter[T], srcs []Source[T]) (Source[T], error) {
+	if em.KeyCodec == nil {
 		return NewLoserTree(srcs, em.Less)
 	}
+	if fs := em.KeyCodec.FixedKeySize(); fs >= 1 && fs <= 8 {
+		return newPrefixTree(srcs, codec.PrefixFunc(em.KeyCodec))
+	}
+	return newOVCTree(srcs, em.KeyCodec)
 }
 
 // openInputs opens each run with the per-stream buffer budget.
@@ -352,7 +333,7 @@ func mergeGroupRaw[T any](em *runio.Emitter[T], group []runio.Run, name string, 
 	if err != nil {
 		return runio.Run{}, err
 	}
-	eng, err := newEngine(em, cfg, srcs)
+	eng, err := newEngine(em, srcs)
 	if err != nil {
 		return runio.Run{}, err
 	}

@@ -3,6 +3,7 @@ package merge
 import (
 	"io"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -290,16 +291,41 @@ func TestMergeRejectsBadFanIn(t *testing.T) {
 	}
 }
 
+// TestMergeHeapEngine holds the production merge to the reference engine:
+// a HeapMerger over the same spilled runs reads back exactly what Merge
+// writes.
 func TestMergeHeapEngine(t *testing.T) {
 	fs := vfs.NewMemFS()
 	em := runio.RecordEmitter(fs, "m")
 	runs, all := makeRuns(t, fs, em, 7, 40, 4)
-	var out record.SliceWriter
-	if _, err := Merge(em, runs, &out, Config{FanIn: 3, MemoryBytes: 8192, Engine: EngineHeap}); err != nil {
+	srcs := make([]Source[record.Record], len(runs))
+	for i, run := range runs {
+		rc, err := em.Open(run, 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs[i] = rc
+	}
+	hm, err := NewHeapMerger(srcs, record.Less)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !record.IsSorted(out.Recs) || len(out.Recs) != len(all) {
+	want, err := record.ReadAll(hm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hm.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !record.IsSorted(want) || len(want) != len(all) {
 		t.Fatal("heap engine merge wrong")
+	}
+	var out record.SliceWriter
+	if _, err := Merge(em, runs, &out, Config{FanIn: 3, MemoryBytes: 8192}); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(out.Recs, want) {
+		t.Fatal("Merge disagrees with the heap engine")
 	}
 }
 
@@ -333,55 +359,6 @@ func TestPolyphaseCountsTable21(t *testing.T) {
 
 func TestPolyphaseCountsNeedsEmptyTape(t *testing.T) {
 	if _, err := PolyphaseCounts([]int{1, 2, 3}); err == nil {
-		t.Fatal("expected error without an empty tape")
-	}
-}
-
-func TestPolyphaseRecordLevel(t *testing.T) {
-	fs := vfs.NewMemFS()
-	em := runio.RecordEmitter(fs, "p")
-	// Fibonacci-ish distribution over 3 tapes: {2, 1, 0}.
-	runsA, allA := makeRuns(t, fs, em, 2, 30, 5)
-	runsB, allB := makeRuns(t, fs, em, 1, 30, 6)
-	tapes := []*Tape{{Runs: runsA}, {Runs: runsB}, {}}
-	var out record.SliceWriter
-	if err := Polyphase(em, tapes, &out, 4096, Config{FanIn: 10, MemoryBytes: 1 << 14}); err != nil {
-		t.Fatal(err)
-	}
-	all := append(append([]record.Record(nil), allA...), allB...)
-	if !record.IsSorted(out.Recs) || len(out.Recs) != len(all) {
-		t.Fatalf("polyphase output wrong: %d records", len(out.Recs))
-	}
-	if !record.NewMultiset(out.Recs).Equal(record.NewMultiset(all)) {
-		t.Fatal("polyphase lost records")
-	}
-}
-
-func TestPolyphaseDegenerateDistribution(t *testing.T) {
-	// {2,2,0} is not Fibonacci-shaped and would ping-pong in a naive
-	// implementation; the fallback must still converge.
-	fs := vfs.NewMemFS()
-	em := runio.RecordEmitter(fs, "p")
-	runsA, allA := makeRuns(t, fs, em, 2, 20, 7)
-	runsB, allB := makeRuns(t, fs, em, 2, 20, 8)
-	tapes := []*Tape{{Runs: runsA}, {Runs: runsB}, {}}
-	var out record.SliceWriter
-	if err := Polyphase(em, tapes, &out, 4096, Config{FanIn: 10, MemoryBytes: 1 << 14}); err != nil {
-		t.Fatal(err)
-	}
-	all := append(append([]record.Record(nil), allA...), allB...)
-	if !record.IsSorted(out.Recs) || len(out.Recs) != len(all) {
-		t.Fatal("degenerate polyphase output wrong")
-	}
-}
-
-func TestPolyphaseNeedsEmptyTape(t *testing.T) {
-	fs := vfs.NewMemFS()
-	em := runio.RecordEmitter(fs, "p")
-	runs, _ := makeRuns(t, fs, em, 2, 10, 9)
-	tapes := []*Tape{{Runs: runs[:1]}, {Runs: runs[1:]}}
-	var out record.SliceWriter
-	if err := Polyphase(em, tapes, &out, 4096, Config{FanIn: 10, MemoryBytes: 1 << 14}); err == nil {
 		t.Fatal("expected error without an empty tape")
 	}
 }

@@ -1,26 +1,12 @@
 package merge
 
-import (
-	"fmt"
-
-	"repro/internal/runio"
-	"repro/internal/stream"
-)
+import "fmt"
 
 // Polyphase merge (§2.1.2, Gilstad 1960): k+1 tapes, one initially empty.
 // Each step performs k-way merges of one run from every non-empty tape into
 // the output tape until some input tape empties; that tape becomes the next
-// output. The process ends when a single run remains.
-//
-// Tapes are modelled as ordered lists of runs on the emitter's spill
-// backend, which is exactly how magnetic tape stored them: sequentially,
-// one run after another.
-
-// Tape is an ordered list of runs.
-type Tape struct {
-	// Runs lists the tape's runs head to tail, in merge order.
-	Runs []runio.Run
-}
+// output. The process ends when a single run remains. Only the run counts
+// are simulated here — Table 2.1 — no records move.
 
 // PolyphaseStep describes the tape state after one polyphase step, matching
 // the rows of Table 2.1.
@@ -86,102 +72,6 @@ func PolyphaseCounts(initial []int) ([]PolyphaseStep, error) {
 		}
 		counts[out] += s
 		steps = append(steps, PolyphaseStep{RunsPerTape: append([]int(nil), counts...)})
-		out = next
-	}
-}
-
-// Polyphase performs a record-level polyphase merge of the given tapes into
-// a single run written to dst. One tape must start empty. bufBytes is the
-// per-stream buffer budget.
-func Polyphase[T any](em *runio.Emitter[T], tapes []*Tape, dst stream.Writer[T], bufBytes int, cfg Config) error {
-	out := -1
-	for i, tp := range tapes {
-		if len(tp.Runs) == 0 {
-			out = i
-			break
-		}
-	}
-	if out == -1 {
-		return fmt.Errorf("merge: polyphase needs an empty output tape")
-	}
-	for {
-		total := 0
-		var lastRun runio.Run
-		for _, tp := range tapes {
-			total += len(tp.Runs)
-			if len(tp.Runs) > 0 {
-				lastRun = tp.Runs[0]
-			}
-		}
-		if total == 0 {
-			return nil
-		}
-		if total == 1 {
-			// Stream the final run to the destination.
-			rc, err := em.Open(lastRun, bufBytes)
-			if err != nil {
-				return err
-			}
-			if _, err := stream.Copy[T](dst, rc); err != nil {
-				rc.Close()
-				return err
-			}
-			if err := rc.Close(); err != nil {
-				return err
-			}
-			return lastRun.Remove(em.Store)
-		}
-		// One step: merge one run from every participating tape until one
-		// of them empties. Tapes already empty at step start do not
-		// participate and cannot become the next output tape.
-		participating := make([]bool, len(tapes))
-		anyInput := false
-		for i, tp := range tapes {
-			if i != out && len(tp.Runs) > 0 {
-				participating[i] = true
-				anyInput = true
-			}
-		}
-		if !anyInput {
-			return fmt.Errorf("merge: polyphase stuck (all runs on the output tape)")
-		}
-		next := -1
-		for next == -1 {
-			var group []runio.Run
-			solo := -1
-			for i, tp := range tapes {
-				if !participating[i] || len(tp.Runs) == 0 {
-					continue
-				}
-				group = append(group, tp.Runs[0])
-				tp.Runs = tp.Runs[1:]
-				solo = i
-			}
-			if len(group) == 1 && len(tapes[solo].Runs) > 0 {
-				// Degenerate distribution (not Fibonacci-shaped): a lone
-				// input tape would ping-pong runs forever. Take a second
-				// run from it so every operation reduces the run count.
-				group = append(group, tapes[solo].Runs[0])
-				tapes[solo].Runs = tapes[solo].Runs[1:]
-			}
-			var merged runio.Run
-			var err error
-			if len(group) == 1 {
-				merged = group[0]
-			} else {
-				merged, err = mergeGroup(em, group, em.Namer.Next("merge"), bufBytes, cfg)
-				if err != nil {
-					return err
-				}
-			}
-			tapes[out].Runs = append(tapes[out].Runs, merged)
-			for i, tp := range tapes {
-				if participating[i] && len(tp.Runs) == 0 {
-					next = i
-					break
-				}
-			}
-		}
 		out = next
 	}
 }

@@ -151,7 +151,7 @@ func Generate[T any](kind Kind, src stream.Reader[T], em *runio.Emitter[T], cfg 
 	case Auto:
 		return generateAuto(src, em, cfg, key)
 	default:
-		return Result{}, fmt.Errorf("policy: unknown policy %v (valid policies: %v)", kind, Names())
+		return Result{}, errUnknown(kind.String())
 	}
 }
 

@@ -23,14 +23,12 @@ import (
 type Kind int
 
 const (
-	// None selects no policy: the driver falls back to its legacy
-	// Algorithm field. It is the zero value, so hand-built configurations
-	// keep their historical meaning.
-	None Kind = iota
 	// TwoWayRS is the paper's two-way replacement selection: a double
 	// heap releasing an ascending and a descending stream per run. The
-	// generalist — no input shape degenerates it to memory-sized runs.
-	TwoWayRS
+	// generalist — no input shape degenerates it to memory-sized runs. It
+	// is the zero value: a configuration that names no policy runs the
+	// paper's algorithm.
+	TwoWayRS Kind = iota
 	// RS is classic replacement selection: one min-heap, ascending runs,
 	// expected length 2M on random input, a single run on ascending input,
 	// exactly M on descending input.
@@ -41,15 +39,16 @@ const (
 	// it.
 	Alternating
 	// Quick generates memory-sized quicksort batches: the cheapest
-	// generator per element, with run length pinned to exactly M.
+	// generator per element, with run length pinned to exactly M. It is
+	// the paper's Load-Sort-Store baseline (§2.1.1), which fills memory,
+	// sorts it "with any internal sort" and stores it.
 	Quick
 	// Auto probes the input and delegates to one of the four fixed
 	// policies, re-deciding at run boundaries as the stream evolves.
 	Auto
 )
 
-// kindNames maps each selectable policy to its CLI/config name. None is
-// deliberately absent: it is not a policy, it is the absence of one.
+// kindNames maps each policy to its CLI/config name.
 var kindNames = map[Kind]string{
 	TwoWayRS:    "2wrs",
 	RS:          "rs",
@@ -66,9 +65,6 @@ func (k Kind) String() string {
 	if n, ok := kindNames[k]; ok {
 		return n
 	}
-	if k == None {
-		return "none"
-	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
@@ -82,17 +78,37 @@ func Names() []string {
 	return out
 }
 
-// Parse resolves a policy name as accepted by configs and CLIs ("alt" is
-// an accepted abbreviation of "alternating"). Unknown names are rejected
-// with an error listing every valid policy — never silently defaulted.
+// Parse resolves a policy name as accepted by configs and CLIs. Besides
+// the names Names lists it accepts "alt" for "alternating", "lss" for
+// "quick" (Load-Sort-Store is that generator) and the empty name for the
+// zero Kind, 2wrs. Unknown names are rejected with an error listing every
+// valid policy — never silently defaulted: the Kind returned with the
+// error is not a valid one.
 func Parse(s string) (Kind, error) {
-	if strings.EqualFold(s, "alt") {
+	switch strings.ToLower(s) {
+	case "":
+		return TwoWayRS, nil
+	case "alt":
 		return Alternating, nil
+	case "lss":
+		return Quick, nil
 	}
 	for k, n := range kindNames {
 		if strings.EqualFold(s, n) {
 			return k, nil
 		}
 	}
-	return None, fmt.Errorf("policy: unknown policy %q (valid policies: %s)", s, strings.Join(Names(), ", "))
+	return -1, errUnknown(s)
+}
+
+// Validate rejects a Kind that is none of Kinds, with Parse's error.
+func (k Kind) Validate() error {
+	if _, ok := kindNames[k]; !ok {
+		return errUnknown(k.String())
+	}
+	return nil
+}
+
+func errUnknown(name string) error {
+	return fmt.Errorf("policy: unknown policy %q (valid policies: %s)", name, strings.Join(Names(), ", "))
 }

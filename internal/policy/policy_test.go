@@ -237,16 +237,19 @@ func TestParseAndNames(t *testing.T) {
 			t.Fatalf("Parse(%q) = (%v, %v)", k.String(), got, err)
 		}
 	}
-	if k, err := Parse("alt"); err != nil || k != Alternating {
-		t.Fatalf("Parse(alt) = (%v, %v)", k, err)
+	for name, want := range map[string]Kind{"alt": Alternating, "lss": Quick, "LSS": Quick, "": TwoWayRS} {
+		if k, err := Parse(name); err != nil || k != want {
+			t.Fatalf("Parse(%q) = (%v, %v), want %v", name, k, err, want)
+		}
 	}
-	if _, err := Parse("bogus"); err == nil {
-		t.Fatal("Parse accepted an unknown policy")
+	if k, err := Parse("bogus"); err == nil || k.Validate() == nil {
+		t.Fatalf("Parse accepted an unknown policy: (%v, %v)", k, err)
 	}
 	if len(Names()) != len(Kinds) {
 		t.Fatalf("Names() = %v", Names())
 	}
-	if None.String() != "none" {
-		t.Fatalf("None.String() = %q", None.String())
+	var zero Kind
+	if zero != TwoWayRS || zero.String() != "2wrs" {
+		t.Fatalf("the zero Kind is %v, want 2wrs", zero)
 	}
 }

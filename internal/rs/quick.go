@@ -9,19 +9,16 @@ import (
 	"repro/internal/stream"
 )
 
-// QuickStepper generates memory-sized quicksort batches: fill the memory
-// budget, sort it with the standard library's pattern-defeating quicksort,
-// store it as one run. Run lengths are exactly the memory budget — half of
+// QuickStepper is the Load-Sort-Store baseline (§2.1.1) one run at a time,
+// as memory-sized quicksort batches: fill the memory budget, sort it with
+// the standard library's pattern-defeating quicksort, store it as one run
+// (the thesis sorts with "any internal sort"). Run lengths are exactly the memory budget — half of
 // what replacement selection achieves on random input — but no heap is
 // touched: each element costs an amortised O(log M) comparison inside a
 // cache-friendly array sort instead of a pointer-free but branch-heavy
 // heap walk, which makes it the cheapest generator per element. The
 // adaptive policy drops to it when run lengths have degenerated to the
 // memory size anyway, where the heap buys nothing.
-//
-// It differs from the Load-Sort-Store baseline (GenerateLSS) only in the
-// internal sort: LSS keeps the thesis' heapsort for faithful reproduction;
-// Quick sorts with slices.SortFunc.
 type QuickStepper[T any] struct {
 	em     *runio.Emitter[T]
 	br     stream.BatchReader[T]

@@ -1,10 +1,10 @@
-// Package rs implements the heap-based run-generation baselines the paper
-// compares against — replacement selection (Goetz 1963, Algorithm 1 of the
-// thesis) and Load-Sort-Store — together with two generators the policy
-// layer (internal/policy) adds on top of them: alternating up/down runs
-// (Bender et al., "Run Generation Revisited") and memory-sized quicksort
-// batches. All generators are generic over the element type: the comparator
-// comes from the Emitter they write runs through.
+// Package rs implements the run-generation baselines the paper compares
+// against — replacement selection (Goetz 1963, Algorithm 1 of the thesis)
+// and Load-Sort-Store, as memory-sized quicksort batches — together with
+// the generator the policy layer (internal/policy) adds beside them:
+// alternating up/down runs (Bender et al., "Run Generation Revisited"). All
+// generators are generic over the element type: the comparator comes from
+// the Emitter they write runs through.
 //
 // Replacement selection keeps a min-heap of `memory` records. Each step pops
 // the smallest current-run record to the output run and replaces it with the
@@ -16,16 +16,16 @@
 // `memory` records — the weakness 2WRS (and the alternating generator)
 // removes.
 //
-// Every generator is exposed two ways: a one-shot Generate* function that
-// drains the source, and a Stepper that emits one run per NextRun call and
-// can surrender its buffered state through Carry — the contract the adaptive
+// Every generator is a Stepper that emits one run per NextRun call and can
+// surrender its buffered state through Carry — the contract the adaptive
 // policy engine uses to switch generators at run boundaries mid-stream —
 // or list it in place through Checkpoint, for durable sorts to snapshot.
+// Generate drains the source through the replacement-selection Stepper in
+// one call.
 package rs
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/heap"
 	"repro/internal/runio"
@@ -236,97 +236,6 @@ func restoreHeld[T any](h *heap.Heap[T], in *stream.Fetcher[T], pfx func(T) uint
 // elements, writing runs through em and ordering by em.Less.
 func Generate[T any](src stream.Reader[T], em *runio.Emitter[T], memory int) (Result, error) {
 	s, err := NewStepper(src, em, memory)
-	if err != nil {
-		return Result{}, err
-	}
-	var res Result
-	for {
-		run, ok, err := s.NextRun()
-		res.Records = s.Records()
-		if err != nil || !ok {
-			return res, err
-		}
-		res.Runs = append(res.Runs, run)
-	}
-}
-
-// LSSStepper is the Load-Sort-Store baseline (§2.1.1) one run at a time:
-// each NextRun fills memory, sorts it with any internal sort and stores it
-// as a run. Every run has exactly `memory` records except possibly the
-// last.
-type LSSStepper[T any] struct {
-	em      *runio.Emitter[T]
-	br      stream.BatchReader[T]
-	buf     []T
-	eof     bool
-	records int64
-}
-
-// NewLSSStepper returns an LSSStepper loading `memory`-element batches
-// from src and writing sorted runs through em.
-func NewLSSStepper[T any](src stream.Reader[T], em *runio.Emitter[T], memory int) (*LSSStepper[T], error) {
-	if memory <= 0 {
-		return nil, fmt.Errorf("rs: memory must be positive, got %d", memory)
-	}
-	return &LSSStepper[T]{em: em, br: stream.AsBatchReader(src), buf: make([]T, memory)}, nil
-}
-
-// Records returns the number of input elements consumed so far.
-func (s *LSSStepper[T]) Records() int64 { return s.records }
-
-// NextRun writes the next load-sort-store run and returns its manifest;
-// ok is false once the input is exhausted.
-func (s *LSSStepper[T]) NextRun() (runio.Run, bool, error) {
-	if s.eof {
-		return runio.Run{}, false, nil
-	}
-	memory := len(s.buf)
-	// Fill the load buffer with whole batches.
-	fill := 0
-	for fill < memory && !s.eof {
-		n, err := s.br.ReadBatch(s.buf[fill:memory])
-		if err == io.EOF {
-			s.eof = true
-			break
-		}
-		if err != nil {
-			return runio.Run{}, false, err
-		}
-		fill += n
-	}
-	buf := s.buf[:fill]
-	if len(buf) == 0 {
-		return runio.Run{}, false, nil
-	}
-	if len(buf) < memory {
-		s.eof = true
-	}
-	s.records += int64(len(buf))
-	heap.Sort(buf, s.em.Less)
-	name, w, err := s.em.Forward("lss")
-	if err != nil {
-		return runio.Run{}, false, err
-	}
-	if err := stream.WriteAll[T](w, buf); err != nil {
-		return runio.Run{}, false, err
-	}
-	if err := w.Close(); err != nil {
-		return runio.Run{}, false, err
-	}
-	return runio.SingleRun(name, int64(len(buf))), true, nil
-}
-
-// Carry returns nothing: an LSSStepper buffers no records between runs.
-func (s *LSSStepper[T]) Carry() []T { return nil }
-
-// Checkpoint lists nothing, for the same reason: a fresh LSSStepper over
-// the rest of the input is the restored one.
-func (s *LSSStepper[T]) Checkpoint(func(T)) []uint64 { return nil }
-
-// GenerateLSS drains src through an LSSStepper (see LSSStepper for the
-// algorithm).
-func GenerateLSS[T any](src stream.Reader[T], em *runio.Emitter[T], memory int) (Result, error) {
-	s, err := NewLSSStepper(src, em, memory)
 	if err != nil {
 		return Result{}, err
 	}

@@ -22,6 +22,25 @@ func generate(t *testing.T, recs []record.Record, memory int) (Result, vfs.FS) {
 	return res, fs
 }
 
+// generateLSS drains recs through the Load-Sort-Store generator, the
+// QuickStepper.
+func generateLSS(recs []record.Record, memory int) (Result, vfs.FS, error) {
+	fs := vfs.NewMemFS()
+	s, err := NewQuickStepper(record.NewSliceReader(recs), runio.RecordEmitter(fs, "lss"), memory)
+	if err != nil {
+		return Result{}, fs, err
+	}
+	var res Result
+	for {
+		run, ok, err := s.NextRun()
+		if err != nil || !ok {
+			return res, fs, err
+		}
+		res.Runs = append(res.Runs, run)
+		res.Records += run.Records
+	}
+}
+
 func verify(t *testing.T, fs vfs.FS, runs []runio.Run, input []record.Record) {
 	t.Helper()
 	union := make(record.Multiset)
@@ -137,7 +156,7 @@ func TestInvalidMemory(t *testing.T) {
 	if _, err := Generate(record.NewSliceReader(nil), runio.RecordEmitter(fs, "rs"), 0); err == nil {
 		t.Fatal("memory 0 should be rejected")
 	}
-	if _, err := GenerateLSS(record.NewSliceReader(nil), runio.RecordEmitter(fs, "lss"), -1); err == nil {
+	if _, _, err := generateLSS(nil, -1); err == nil {
 		t.Fatal("negative memory should be rejected")
 	}
 }
@@ -145,8 +164,7 @@ func TestInvalidMemory(t *testing.T) {
 func TestLSSRunsExactlyMemorySized(t *testing.T) {
 	const n, m = 1050, 100
 	recs := gen.Generate(gen.Config{Kind: gen.Random, N: n, Seed: 3})
-	fs := vfs.NewMemFS()
-	res, err := GenerateLSS(record.NewSliceReader(recs), runio.RecordEmitter(fs, "lss"), m)
+	res, fs, err := generateLSS(recs, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,8 +184,7 @@ func TestLSSRunsExactlyMemorySized(t *testing.T) {
 
 func TestLSSExactMultiple(t *testing.T) {
 	recs := gen.Generate(gen.Config{Kind: gen.Random, N: 300, Seed: 3})
-	fs := vfs.NewMemFS()
-	res, err := GenerateLSS(record.NewSliceReader(recs), runio.RecordEmitter(fs, "lss"), 100)
+	res, fs, err := generateLSS(recs, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,8 +199,7 @@ func TestRSBeatsLSSOnRandom(t *testing.T) {
 	const n, m = 20000, 200
 	recs := gen.Generate(gen.Config{Kind: gen.Random, N: n, Seed: 8})
 	rsRes, _ := generate(t, recs, m)
-	fs := vfs.NewMemFS()
-	lssRes, err := GenerateLSS(record.NewSliceReader(recs), runio.RecordEmitter(fs, "lss"), m)
+	lssRes, _, err := generateLSS(recs, m)
 	if err != nil {
 		t.Fatal(err)
 	}

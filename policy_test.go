@@ -4,6 +4,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/record"
 )
 
 // TestValidateRejectsUnknownPolicy pins the no-silent-default contract: a
@@ -39,8 +41,41 @@ func TestPoliciesListsAll(t *testing.T) {
 	}
 }
 
+// TestPolicyNames: the policy name is the one generator selector, and every
+// spelling policy.Parse accepts — the five names Policies lists, the two
+// aliases, and the empty name of a hand-built config — selects the same
+// generator through the generic constructor and through the classic
+// wrappers. Auto, whose probe state no checkpoint holds, stays refused for
+// durable sorts.
+func TestPolicyNames(t *testing.T) {
+	want := map[string]string{"alt": "alternating", "lss": "quick", "": "2wrs"}
+	for _, name := range Policies() {
+		want[name] = name
+	}
+	recs := Dataset(DatasetRandom, 4000, 3)
+	for name, policy := range want {
+		s, err := New(func(a, b Record) bool { return a.Key < b.Key }, WithPolicy(name), WithMemoryRecords(500))
+		if err != nil {
+			t.Fatalf("New(WithPolicy(%q)): %v", name, err)
+		}
+		out, stats, err := s.SortSlice(context.Background(), recs)
+		if err != nil || len(out) != len(recs) || stats.Policy != policy {
+			t.Fatalf("New(WithPolicy(%q)): err=%v, %d records, Stats.Policy=%q, want %q", name, err, len(out), stats.Policy, policy)
+		}
+		var dst record.SliceWriter
+		stats, err = Sort(record.NewSliceReader(recs), &dst, Config{Policy: name, MemoryRecords: 500})
+		if err != nil || !record.IsSorted(dst.Recs) || len(dst.Recs) != len(recs) || stats.Policy != policy {
+			t.Fatalf("Sort(Config{Policy: %q}): err=%v, %d records, Stats.Policy=%q, want %q", name, err, len(dst.Recs), stats.Policy, policy)
+		}
+	}
+	_, err := New(func(a, b int64) bool { return a < b }, WithPolicy("auto"), WithManifest())
+	if err == nil || !strings.Contains(err.Error(), "deterministic policy") {
+		t.Fatalf("auto under WithManifest: err = %v, want it refused", err)
+	}
+}
+
 // TestNewDefaultsToAuto: the generic constructor adapts by default, while
-// WithAlgorithm and WithConfig opt back into the fixed legacy generators.
+// WithPolicy pins a generator and WithConfig brings the config's own.
 func TestNewDefaultsToAuto(t *testing.T) {
 	less := func(a, b int64) bool { return a < b }
 	s, err := New(less)
@@ -50,19 +85,19 @@ func TestNewDefaultsToAuto(t *testing.T) {
 	if got := s.Config().Policy; got != "auto" {
 		t.Fatalf("default policy = %q, want auto", got)
 	}
-	s, err = New(less, WithAlgorithm(RS))
+	s, err = New(less, WithPolicy("rs"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Config().Policy; got != "" {
-		t.Fatalf("WithAlgorithm left policy %q, want empty (legacy algorithm)", got)
+	if got := s.Config().Policy; got != "rs" {
+		t.Fatalf("WithPolicy left policy %q, want rs", got)
 	}
 	s, err = New(less, WithConfig(DefaultConfig(1000)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Config().Policy; got != "" {
-		t.Fatalf("WithConfig left policy %q, want the config's own (empty)", got)
+	if got := s.Config().Policy; got != "2wrs" {
+		t.Fatalf("WithConfig left policy %q, want the config's own (2wrs)", got)
 	}
 }
 

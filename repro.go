@@ -3,10 +3,10 @@
 // algorithm of Martínez Palau, Domínguez-Sal and Larriba-Pey (VLDB 2010),
 // together with every substrate the paper builds on: classic replacement
 // selection and Load-Sort-Store baselines, a loser-tree k-way merge phase
-// with configurable fan-in, polyphase merge, the Appendix A backward file
-// format for decreasing streams, the paper's six benchmark datasets, the
-// snowplow differential-equation model of RS, and the factorial-ANOVA
-// machinery used for the paper's statistical analysis.
+// with configurable fan-in, the Appendix A backward file format for
+// decreasing streams, the paper's six benchmark datasets, the snowplow
+// differential-equation model of RS, and the factorial-ANOVA machinery used
+// for the paper's statistical analysis.
 //
 // # The generic API
 //
@@ -30,15 +30,16 @@
 //
 // # Run-generation policies
 //
-// Run generation itself is pluggable (WithPolicy): the paper's 2WRS,
+// Run generation itself is pluggable, and the policy name is the one way
+// to pick a generator (WithPolicy, Config.Policy): the paper's 2WRS,
 // classic replacement selection, alternating up/down runs and quicksort
-// batches sit behind one policy boundary, and the default "auto" policy
-// probes the input's order statistics — inversion ratio, monotone run
-// structure — to pick the generator the data favours, switching at run
-// boundaries if the regime changes mid-stream. Stats.Policy and
-// Stats.PolicySwitches report what ran; Policies lists the valid names,
-// and Config.Validate rejects unknown ones outright. See DESIGN.md §9 for
-// the cost model.
+// batches (the paper's Load-Sort-Store, also spelled "lss") sit behind one
+// policy boundary, and New's default "auto" policy probes the input's order
+// statistics — inversion ratio, monotone run structure — to pick the
+// generator the data favours, switching at run boundaries if the regime
+// changes mid-stream. Stats.Policy and Stats.PolicySwitches report what
+// ran; Policies lists the valid names, and Config.Validate rejects unknown
+// ones outright. See DESIGN.md §9 for the cost model.
 //
 // # The operator layer
 //
@@ -92,9 +93,11 @@
 // # The classic record API
 //
 // The original fixed-record API remains as thin wrappers over
-// Sorter[Record]:
+// Sorter[Record], configured by the same Config (DefaultConfig selects
+// 2WRS with the paper's recommended parameters):
 //
 //	cfg := repro.DefaultConfig(1 << 20) // one million records of memory
+//	cfg.Policy = "rs"                   // or any other name in Policies()
 //	stats, err := repro.Sort(src, dst, cfg)
 //
 // See examples/ for runnable programs and DESIGN.md for the system map.
@@ -163,19 +166,6 @@ var (
 	ErrRunChecksum = manifest.ErrChecksum
 )
 
-// Algorithm selects the run-generation strategy.
-type Algorithm = extsort.Algorithm
-
-// Run generation algorithms.
-const (
-	// TwoWayRS is two-way replacement selection, the paper's contribution.
-	TwoWayRS = extsort.TwoWayRS
-	// RS is classic replacement selection.
-	RS = extsort.RS
-	// LoadSortStore is the fill-sort-store baseline.
-	LoadSortStore = extsort.LoadSortStore
-)
-
 // InputHeuristic decides which heap stores a record when both could.
 type InputHeuristic = core.InputHeuristic
 
@@ -214,18 +204,15 @@ const (
 // Config controls a sort. The zero value is not valid; start from
 // DefaultConfig or build a Sorter through New with options.
 type Config struct {
-	// Algorithm is the run-generation strategy (default TwoWayRS). It is
-	// consulted only while Policy is empty.
-	Algorithm Algorithm
-	// Policy, when non-empty, selects run generation through the adaptive
-	// policy engine instead of Algorithm. Valid names are listed by
-	// Policies(): "2wrs", "rs", "alternating" (alias "alt"), "quick" and
-	// "auto" — the adaptive policy that probes the input's order structure
-	// and may switch generators at run boundaries mid-stream. Unknown
-	// names are rejected by Validate, never silently defaulted. The
-	// generic constructor New defaults to "auto"; the classic wrappers and
-	// hand-built configs default to the empty string, preserving their
-	// historical Algorithm-driven behaviour.
+	// Policy names the run generator. Valid names are listed by
+	// Policies(): "2wrs" (the paper's two-way replacement selection), "rs",
+	// "alternating" (also spelled "alt"), "quick" (the paper's
+	// Load-Sort-Store, also spelled "lss") and "auto" — the adaptive policy
+	// that probes the input's order structure and may switch generators at
+	// run boundaries mid-stream. Unknown names are rejected by Validate,
+	// never silently defaulted. The generic constructor New defaults to
+	// "auto"; DefaultConfig says "2wrs", which is also what the empty name
+	// of a hand-built config means.
 	Policy string
 	// MemoryRecords is the memory budget in records for both phases.
 	MemoryRecords int
@@ -317,7 +304,7 @@ type Config struct {
 // given memory budget in records.
 func DefaultConfig(memoryRecords int) Config {
 	return Config{
-		Algorithm:      TwoWayRS,
+		Policy:         "2wrs",
 		MemoryRecords:  memoryRecords,
 		FanIn:          10,
 		Setup:          BothBuffers,
@@ -330,15 +317,9 @@ func DefaultConfig(memoryRecords int) Config {
 // Validate reports a descriptive error for configurations that cannot
 // sort correctly or would silently misbehave.
 func (c Config) Validate() error {
-	switch c.Algorithm {
-	case TwoWayRS, RS, LoadSortStore:
-	default:
-		return fmt.Errorf("repro: unknown algorithm %v", c.Algorithm)
-	}
-	if c.Policy != "" {
-		if _, err := policy.Parse(c.Policy); err != nil {
-			return fmt.Errorf("repro: unknown policy %q (valid policies: %s)", c.Policy, strings.Join(Policies(), ", "))
-		}
+	kind, err := policy.Parse(c.Policy)
+	if err != nil {
+		return fmt.Errorf("repro: unknown policy %q (valid policies: %s)", c.Policy, strings.Join(Policies(), ", "))
 	}
 	if c.MemoryRecords < 3 {
 		return fmt.Errorf("repro: memory budget of %d records is too small (need ≥ 3)", c.MemoryRecords)
@@ -376,11 +357,9 @@ func (c Config) Validate() error {
 	if c.Storage.MemoryBudgetBytes < 0 {
 		return fmt.Errorf("repro: storage memory budget must be non-negative, got %d", c.Storage.MemoryBudgetBytes)
 	}
-	if c.Manifest || c.Resume {
-		if kind, err := policy.Parse(c.Policy); err == nil && kind == policy.Auto {
-			return fmt.Errorf("repro: durable manifests require a deterministic policy; %q probes the input and is not replayable (pick one of: %s)",
-				c.Policy, strings.Join(deterministicPolicies(), ", "))
-		}
+	if (c.Manifest || c.Resume) && kind == policy.Auto {
+		return fmt.Errorf("repro: durable manifests require a deterministic policy; %q probes the input and is not replayable (pick one of: %s)",
+			c.Policy, strings.Join(deterministicPolicies(), ", "))
 	}
 	return nil
 }
@@ -388,9 +367,9 @@ func (c Config) Validate() error {
 // deterministicPolicies lists the policy names valid under Config.Manifest.
 func deterministicPolicies() []string {
 	var out []string
-	for _, name := range Policies() {
-		if kind, err := policy.Parse(name); err == nil && kind != policy.Auto {
-			out = append(out, name)
+	for _, kind := range policy.Kinds {
+		if kind != policy.Auto {
+			out = append(out, kind.String())
 		}
 	}
 	return out
@@ -405,16 +384,11 @@ func Compressions() []string { return storage.Compressions() }
 func Policies() []string { return policy.Names() }
 
 // toInternal converts the public Config to the internal driver config.
+// Validate has vetted the policy name; had it been skipped, the Kind Parse
+// returns beside its error is one the driver refuses.
 func (c Config) toInternal() extsort.Config {
-	kind := policy.None
-	if c.Policy != "" {
-		// Validate has already vetted the name; an unparsable one can only
-		// reach here through a caller that skipped validation, and then the
-		// zero Kind falls back to the Algorithm field.
-		kind, _ = policy.Parse(c.Policy)
-	}
+	kind, _ := policy.Parse(c.Policy)
 	return extsort.Config{
-		Algorithm:   c.Algorithm,
 		Policy:      kind,
 		Memory:      c.MemoryRecords,
 		FanIn:       c.FanIn,

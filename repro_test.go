@@ -27,9 +27,9 @@ func TestSortSliceDefault(t *testing.T) {
 
 func TestSortAllAlgorithms(t *testing.T) {
 	recs := Dataset(DatasetMixedBalanced, 5000, 2)
-	for _, alg := range []Algorithm{TwoWayRS, RS, LoadSortStore} {
+	for _, alg := range Policies() {
 		cfg := DefaultConfig(200)
-		cfg.Algorithm = alg
+		cfg.Policy = alg
 		out, _, err := SortSlice(recs, cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
@@ -111,7 +111,7 @@ func TestDatasetReaderStreams(t *testing.T) {
 
 func TestDefaultConfigIsRecommended(t *testing.T) {
 	cfg := DefaultConfig(1000)
-	if cfg.Algorithm != TwoWayRS || cfg.FanIn != 10 || cfg.Setup != BothBuffers ||
+	if cfg.Policy != "2wrs" || cfg.FanIn != 10 || cfg.Setup != BothBuffers ||
 		cfg.BufferFraction != 0.02 || cfg.Input != InputMean || cfg.Output != OutputRandom {
 		t.Fatalf("DefaultConfig = %+v, not the paper's §5.3 recommendation", cfg)
 	}

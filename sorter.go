@@ -169,20 +169,12 @@ func WithConfig(cfg Config) Option {
 	return func(s *sorterConfig) error { s.cfg = cfg; return nil }
 }
 
-// WithAlgorithm pins the run-generation strategy to one fixed legacy
-// algorithm (TwoWayRS, RS or LoadSortStore), clearing any policy so the
-// chosen algorithm really runs. Most callers are better served by
-// WithPolicy, which also offers the alternating generator and the adaptive
-// "auto" policy (New's default).
-func WithAlgorithm(a Algorithm) Option {
-	return func(s *sorterConfig) error { s.cfg.Algorithm, s.cfg.Policy = a, ""; return nil }
-}
-
-// WithPolicy selects the run-generation policy by name: "2wrs", "rs",
-// "alternating" (alias "alt"), "quick", or "auto" (the default for New),
-// which probes the input's order structure and switches generators at run
-// boundaries when the regime changes mid-stream. Unknown names fail at
-// New with an error listing the valid policies (see Policies).
+// WithPolicy selects the run generator by name: "2wrs", "rs",
+// "alternating" (also "alt"), "quick" (also "lss"), or "auto" (the default
+// for New), which probes the input's order structure and switches
+// generators at run boundaries when the regime changes mid-stream. Unknown
+// names fail at New with an error listing the valid policies (see
+// Policies).
 func WithPolicy(name string) Option {
 	return func(s *sorterConfig) error { s.cfg.Policy = name; return nil }
 }
@@ -227,13 +219,7 @@ func WithTempDir(dir string) Option {
 // uses GOMAXPROCS. The on-disk run format and the sorted output are
 // identical at every setting.
 func WithParallelism(n int) Option {
-	return func(s *sorterConfig) error {
-		if n < 0 {
-			return fmt.Errorf("repro: parallelism must be non-negative, got %d", n)
-		}
-		s.cfg.Parallelism = n
-		return nil
-	}
+	return func(s *sorterConfig) error { s.cfg.Parallelism = n; return nil }
 }
 
 // WithShards splits the sort into n range-partitioned shards that sort
@@ -241,13 +227,7 @@ func WithParallelism(n int) Option {
 // merge (see Config.Shards for the full semantics and the byte-identity
 // caveat). 0 and 1 keep the ordinary single-stream sort.
 func WithShards(n int) Option {
-	return func(s *sorterConfig) error {
-		if n < 0 {
-			return fmt.Errorf("repro: shards must be non-negative, got %d", n)
-		}
-		s.cfg.Shards = n
-		return nil
-	}
+	return func(s *sorterConfig) error { s.cfg.Shards = n; return nil }
 }
 
 // WithSeed seeds the randomised heuristics, making a sort deterministic.
@@ -277,13 +257,7 @@ func WithCompression(name string) Option {
 // bytes, overflowing to the temp directory (or the in-process file system)
 // mid-write once the tier fills. Stats.IO reports residency and overflows.
 func WithSpillMemory(budgetBytes int64) Option {
-	return func(s *sorterConfig) error {
-		if budgetBytes < 0 {
-			return fmt.Errorf("repro: spill memory budget must be non-negative, got %d", budgetBytes)
-		}
-		s.cfg.Storage.MemoryBudgetBytes = budgetBytes
-		return nil
-	}
+	return func(s *sorterConfig) error { s.cfg.Storage.MemoryBudgetBytes = budgetBytes; return nil }
 }
 
 // WithManifest makes the sorter's sorts durable: every completed run is
@@ -456,8 +430,8 @@ type Sorter[T any] struct {
 // memory budget, run-generation policy, heuristics, codec and numeric key
 // projection; the defaults are a budget of 2^20 elements and the adaptive
 // "auto" policy, which picks (and mid-stream, re-picks) the run generator
-// matching the input's order structure. WithConfig and WithAlgorithm
-// instead select the paper's fixed legacy behaviour. New validates the
+// matching the input's order structure; WithPolicy pins one generator, and
+// a WithConfig configuration carries its own Policy. New validates the
 // resulting configuration and reports descriptive errors for nonsense
 // values.
 func New[T any](less func(a, b T) bool, opts ...Option) (*Sorter[T], error) {

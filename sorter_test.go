@@ -17,7 +17,7 @@ import (
 // (in-memory) file system and exercises both phases.
 const testMemory = 256
 
-var testAlgorithms = []Algorithm{TwoWayRS, RS, LoadSortStore}
+var testAlgorithms = []string{"2wrs", "rs", "lss"}
 
 // checkSortedPermutation verifies out is sorted by less and is a
 // permutation of in.
@@ -53,7 +53,7 @@ func TestSorterInt64AllAlgorithms(t *testing.T) {
 	}
 	less := func(a, b int64) bool { return a < b }
 	for _, alg := range testAlgorithms {
-		s, err := New(less, WithAlgorithm(alg), WithMemoryRecords(testMemory), WithSeed(1))
+		s, err := New(less, WithPolicy(alg), WithMemoryRecords(testMemory), WithSeed(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func TestSorterStringAllAlgorithms(t *testing.T) {
 	}
 	less := func(a, b string) bool { return a < b }
 	for _, alg := range testAlgorithms {
-		s, err := New(less, WithAlgorithm(alg), WithMemoryRecords(testMemory), WithSeed(2))
+		s, err := New(less, WithPolicy(alg), WithMemoryRecords(testMemory), WithSeed(2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func TestSorterStructAllAlgorithms(t *testing.T) {
 	}
 	for _, alg := range testAlgorithms {
 		s, err := New(pairLess,
-			WithAlgorithm(alg),
+			WithPolicy(alg),
 			WithMemoryRecords(testMemory),
 			WithCodec[pair](pairCodec{}),
 			WithSeed(3))
@@ -292,7 +292,9 @@ func TestConfigValidateTable(t *testing.T) {
 		{"fraction negative", func(c *Config) { c.BufferFraction = -0.1 }, "fraction"},
 		{"fraction too large", func(c *Config) { c.BufferFraction = 0.6 }, "fraction"},
 		{"fraction at bound ok", func(c *Config) { c.BufferFraction = 0.5 }, ""},
-		{"unknown algorithm", func(c *Config) { c.Algorithm = Algorithm(42) }, "algorithm"},
+		{"unknown policy", func(c *Config) { c.Policy = "quicksort" }, strings.Join(Policies(), ", ")},
+		{"policy alias ok", func(c *Config) { c.Policy = "lss" }, ""},
+		{"empty policy ok", func(c *Config) { c.Policy = "" }, ""},
 		{"unknown setup", func(c *Config) { c.Setup = BufferSetup(9) }, "setup"},
 		{"unknown input heuristic", func(c *Config) { c.Input = InputHeuristic(99) }, "input heuristic"},
 		{"unknown output heuristic", func(c *Config) { c.Output = OutputHeuristic(99) }, "output heuristic"},
@@ -343,7 +345,7 @@ func TestLegacyHandBuiltConfigStillSorts(t *testing.T) {
 	// Seed-era behavior: a hand-built config with zero FanIn/BufferFraction
 	// relied on downstream defaulting. The wrappers must keep accepting it.
 	recs := Dataset(DatasetRandom, 3000, 1)
-	out, _, err := SortSlice(recs, Config{Algorithm: RS, MemoryRecords: 1000})
+	out, _, err := SortSlice(recs, Config{Policy: "rs", MemoryRecords: 1000})
 	if err != nil || len(out) != len(recs) {
 		t.Fatalf("seed-era hand-built config: err=%v len=%d", err, len(out))
 	}
