@@ -32,9 +32,10 @@
 //	# ... kill -9 mid-sort ...
 //	extsort sort -policy 2wrs -resume   -tmp ./spill -in in.rec -out out.rec
 //
-// Durable mode requires a deterministic -policy (not auto); a resume
-// under changed flags fails with a configuration-mismatch error rather
-// than mixing incompatible state.
+// Every -policy can be durable, auto included: a resumed auto sort makes
+// the decisions of the uninterrupted one. A resume under changed flags
+// fails with a configuration-mismatch error rather than mixing
+// incompatible state.
 //
 // Invoking extsort with flags directly (no subcommand) behaves like
 // "extsort sort", preserving the historical CLI. Every subcommand prints
@@ -125,7 +126,7 @@ func newSortFlags(fs *flag.FlagSet) *sortFlags {
 			"; any value but raw adds per-block CRC32 checksums, flate/gzip also compress"),
 		spillMem: fs.Int64("spillmem", 0, "keep spilled runs in memory under this byte budget, overflowing to -tmp (0: always on disk)"),
 		manifest: fs.Bool("manifest", false, "record every completed run in a durable manifest in -tmp, so a killed "+
-			"command can be finished with -resume instead of starting over (requires a deterministic -policy, not auto)"),
+			"command can be finished with -resume instead of starting over (works under every -policy)"),
 		resume: fs.Bool("resume", false, "resume the durable sort a previous -manifest run left in -tmp: completed runs "+
 			"are validated and reused, the input re-read from the start; implies -manifest and requires -tmp"),
 		shards: fs.Int("shards", 0, "split the sort into this many range-partitioned shards that sort concurrently "+

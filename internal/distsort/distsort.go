@@ -106,7 +106,9 @@ func Sort[T any](src stream.Reader[T], dst stream.Writer[T], fs vfs.FS, cfg Conf
 	if min := 2 * shards; limit < min {
 		limit = min
 	}
-	sample, fits, err := readPrefix(src, limit, cfg.Extsort.Cancel)
+	// One element past the limit tells a stream that fits from one that does
+	// not; src continues after the sample either way.
+	sample, fits, err := stream.ReadPrefix(src, make([]T, 0, feedBatch), limit+1, cfg.Extsort.Cancel)
 	if err != nil {
 		return extsort.Stats{}, err
 	}

@@ -2,14 +2,12 @@ package distsort
 
 import (
 	"bytes"
-	"io"
 	"runtime"
 	"sort"
 
 	"repro/internal/codec"
 	"repro/internal/extsort"
 	sel "repro/internal/select"
-	"repro/internal/stream"
 )
 
 // keySampleLen caps the elements checked when validating an inferred key
@@ -174,33 +172,4 @@ func (r *router[T]) tie(j int) int {
 		r.rr[j] = 0
 	}
 	return s
-}
-
-// readPrefix buffers up to limit elements from the head of src. fits
-// reports that the stream was exhausted within the limit; otherwise the
-// returned slice holds limit+1 elements and src continues after them.
-func readPrefix[T any](src stream.Reader[T], limit int, cancel func() error) ([]T, bool, error) {
-	br := stream.AsBatchReader(src)
-	buf := make([]T, 0, feedBatch)
-	tmp := make([]T, feedBatch)
-	for len(buf) <= limit {
-		if cancel != nil {
-			if err := cancel(); err != nil {
-				return nil, false, err
-			}
-		}
-		want := limit + 1 - len(buf)
-		if want > len(tmp) {
-			want = len(tmp)
-		}
-		n, err := br.ReadBatch(tmp[:want])
-		buf = append(buf, tmp[:n]...)
-		if err == io.EOF {
-			return buf, true, nil
-		}
-		if err != nil {
-			return nil, false, err
-		}
-	}
-	return buf, false, nil
 }

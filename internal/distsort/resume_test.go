@@ -18,9 +18,9 @@ import (
 	"repro/internal/vfs"
 )
 
-// durableShardedCfg is the durable template every crash test uses: a
-// deterministic policy (required by manifests) and an explicit shard
-// count (required by durable sharded sorts).
+// durableShardedCfg is the durable template every crash test uses: the
+// paper's policy and an explicit shard count (required by durable sharded
+// sorts).
 func durableShardedCfg(shards, memory int) Config {
 	return Config{
 		Shards:  shards,
@@ -118,10 +118,19 @@ func TestShardedResumeCrashMatrix(t *testing.T) {
 // TestShardedResumeMidShard pins the headline recovery property
 // deterministically: crash late enough that some shards committed runs,
 // then check Resume reuses them instead of regenerating from scratch.
+// Under the adaptive policy too: every shard's engine resumes where it
+// stood, on its own share of the input.
 func TestShardedResumeMidShard(t *testing.T) {
+	for _, kind := range []policy.Kind{policy.TwoWayRS, policy.Auto} {
+		t.Run(kind.String(), func(t *testing.T) { resumeMidShard(t, kind) })
+	}
+}
+
+func resumeMidShard(t *testing.T, kind policy.Kind) {
 	const shards, memory, n = 4, 192, 4800
 	vals := recordDataset(gen.MixedBalanced, n)
 	cfg := durableShardedCfg(shards, memory)
+	cfg.Extsort.Policy = kind
 
 	base := vfs.NewMemFS()
 	var ref stream.SliceWriter[record.Record]
@@ -210,7 +219,7 @@ func TestShardedResumeCommittedShard(t *testing.T) {
 
 	// Route the input the way Sort will and run shard 0's durable
 	// generation alone: a committed manifest and its runs, nothing merged.
-	sample, _, err := readPrefix[record.Record](stream.NewSliceReader(vals), memory, nil)
+	sample, _, err := stream.ReadPrefix[record.Record](stream.NewSliceReader(vals), nil, memory+1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,17 +16,18 @@ import (
 )
 
 // TestDurableMatchesPlain is the oracle for "a checkpoint does not disturb
-// the generator": for every fixed policy, under each name policy.Parse
-// accepts for one (the alg_ cells spell the paper's three), on each of the
-// paper's six input shapes, keyed and comparator-only, an uninterrupted
-// durable pass must write the plain pass's run files byte for byte — the
+// the generator": for every policy, the adaptive auto included, under each
+// name policy.Parse accepts for one (the alg_ cells spell the paper's
+// three), on each of the paper's six input shapes, keyed and
+// comparator-only, an uninterrupted durable pass must write the plain
+// pass's run files byte for byte — the
 // i-th run of one equals the i-th run of the other, file by file. It also
 // checks the two things the boundary hook owes the emitter and the file
 // system: every segment checksum was taken, and no snapshot outlives the
 // commit.
 func TestDurableMatchesPlain(t *testing.T) {
 	const n, m = 6000, 150
-	for _, name := range []string{"2wrs", "rs", "alternating", "quick", "alg_rs", "alg_lss", "alg_2wrs"} {
+	for _, name := range []string{"2wrs", "rs", "alternating", "quick", "auto", "alg_rs", "alg_lss", "alg_2wrs"} {
 		pol, err := policy.Parse(strings.TrimPrefix(name, "alg_"))
 		if err != nil {
 			t.Fatal(err)

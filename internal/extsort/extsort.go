@@ -8,7 +8,6 @@ package extsort
 import (
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -71,18 +70,9 @@ func (o Ops[T]) validate() error {
 // stream wastes space — and, on the in-memory FS, real zeroed allocation —
 // per run. Streams that outgrow one file simply chain to the next, so this
 // is pure tuning: the format is unchanged.
-func backwardPages(memory, elemBytes, pageSize int) int {
-	if pageSize <= 0 {
-		pageSize = runio.DefaultPageSize
-	}
-	pages := (2*memory*elemBytes+pageSize-1)/pageSize + 2
-	if pages < 4 {
-		pages = 4
-	}
-	if pages > runio.DefaultPagesPerFile {
-		pages = runio.DefaultPagesPerFile
-	}
-	return pages
+func backwardPages(memory, elemBytes int) int {
+	pages := (2*memory*elemBytes+runio.DefaultPageSize-1)/runio.DefaultPageSize + 2
+	return min(max(pages, 4), runio.DefaultPagesPerFile)
 }
 
 // elementBytes resolves the per-element size estimate.
@@ -111,41 +101,6 @@ func RecordOps() Ops[record.Record] {
 // within the first few distinct values.
 const keySampleLen = 64
 
-// pushback re-serves the elements a sampled validation consumed before
-// handing the rest of the stream through. It forwards Sized so pre-sizing
-// consumers still see the full count.
-type pushback[T any] struct {
-	buf  []T
-	pos  int
-	rest stream.Reader[T]
-}
-
-func (p *pushback[T]) Read() (T, error) {
-	if p.pos < len(p.buf) {
-		v := p.buf[p.pos]
-		p.pos++
-		return v, nil
-	}
-	return p.rest.Read()
-}
-
-func (p *pushback[T]) ReadBatch(dst []T) (int, error) {
-	if p.pos < len(p.buf) {
-		n := copy(dst, p.buf[p.pos:])
-		p.pos += n
-		return n, nil
-	}
-	return stream.AsBatchReader(p.rest).ReadBatch(dst)
-}
-
-func (p *pushback[T]) Remaining() int {
-	n := len(p.buf) - p.pos
-	if s, ok := p.rest.(stream.Sized); ok {
-		n += s.Remaining()
-	}
-	return n
-}
-
 // applyKeyCodec decides whether this sort runs keyed: it samples the head
 // of src, checks the codec's byte order against the comparator on every
 // sampled pair, and either arms the emitter (consistent), fails the sort
@@ -156,19 +111,11 @@ func applyKeyCodec[T any](src stream.Reader[T], em *runio.Emitter[T], ops Ops[T]
 	if ops.KeyCodec == nil {
 		return src, false, nil
 	}
-	sample := make([]T, 0, keySampleLen)
-	br := stream.AsBatchReader(src)
-	for len(sample) < keySampleLen {
-		n, err := br.ReadBatch(sample[len(sample):keySampleLen])
-		if err != nil && err != io.EOF {
-			return nil, false, err
-		}
-		sample = sample[:len(sample)+n]
-		if err == io.EOF || n == 0 {
-			break
-		}
+	sample, _, err := stream.ReadPrefix(src, make([]T, 0, keySampleLen), keySampleLen, nil)
+	if err != nil {
+		return nil, false, err
 	}
-	out := &pushback[T]{buf: sample, rest: src}
+	out := stream.Prepend(sample, src)
 	if !codec.KeyOrderConsistent(ops.KeyCodec, ops.Less, sample) {
 		if ops.KeyedExplicit {
 			return nil, false, fmt.Errorf("extsort: KeyCodec disagrees with Less on sampled input: normalized key order must match the comparator")
@@ -182,9 +129,9 @@ func applyKeyCodec[T any](src stream.Reader[T], em *runio.Emitter[T], ops Ops[T]
 // Config parameterises a complete external sort.
 type Config struct {
 	// Policy selects the run generator (internal/policy): one of the fixed
-	// ones (2wrs, rs, alternating, quick) or the adaptive policy.Auto, which
-	// probes the input and may switch generators at run boundaries
-	// mid-stream. The zero value is 2wrs, the paper's algorithm.
+	// ones (2wrs, rs, alternating, quick) or the adaptive auto, which probes
+	// the input and may switch generators at run boundaries mid-stream. The
+	// zero value is 2wrs, the paper's algorithm.
 	Policy policy.Kind
 	// Memory is the memory budget in records, used by both phases: the run
 	// generation data structures, and (converted to bytes) the merge
@@ -196,9 +143,6 @@ type Config struct {
 	// favour of Config.Memory. Zero value means the recommended §5.3
 	// configuration.
 	TWRS core.Config
-	// PageSize and PagesPerFile configure run storage (0: defaults).
-	PageSize     int
-	PagesPerFile int
 	// Prefix names the temporary files of this sort (default "sort").
 	Prefix string
 	// Clock, when set, samples a simulated clock (e.g. iosim.Disk.Elapsed)
@@ -424,9 +368,6 @@ func newRunSet[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
 	if err := cfg.Policy.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Manifest && cfg.Policy == policy.Auto {
-		return nil, fmt.Errorf("extsort: the auto policy's adaptive probe state cannot be checkpointed; durable (Manifest/Resume) sorts need a fixed policy")
-	}
 	store, err := storage.New(fs, cfg.Storage)
 	if err != nil {
 		return nil, err
@@ -436,13 +377,11 @@ func newRunSet[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
 	// inside a file pays no tracing cost.
 	store = storage.Traced(store, o.tracer())
 	em := runio.NewEmitterOn(store, cfg.Prefix, ops.Codec, ops.Less)
-	em.PageSize = cfg.PageSize
-	em.PagesPerFile = cfg.PagesPerFile
-	if em.PagesPerFile == 0 && cfg.Clock == nil {
+	if cfg.Clock == nil {
 		// Right-size backward chain files on real machines. Simulated runs
 		// (Clock set) keep the thesis' historical k=1000-page layout, which
 		// the disk model's seek accounting assumes.
-		em.PagesPerFile = backwardPages(cfg.Memory, ops.elementBytes(), cfg.PageSize)
+		em.PagesPerFile = backwardPages(cfg.Memory, ops.elementBytes())
 	}
 	// With headroom for concurrency, spill pages flow to storage through
 	// background writer goroutines so heap work overlaps file I/O.
@@ -497,9 +436,8 @@ func (r *RunSet[T]) generate(src stream.Reader[T], recovered []manifest.Run, fro
 		}
 	}
 
-	polName := cfg.Policy.String()
 	gsp := o.tracer().Start("generate",
-		obs.Str("policy", polName), obs.Bool("keyed", keyed), obs.Bool("durable", durable))
+		obs.Str("policy", cfg.Policy.String()), obs.Bool("keyed", keyed), obs.Bool("durable", durable))
 	fail := func(err error) (*RunSet[T], error) {
 		gsp.End(obs.Str("error", err.Error()))
 		if !durable {
@@ -520,10 +458,11 @@ func (r *RunSet[T]) generate(src stream.Reader[T], recovered []manifest.Run, fro
 		emitted   int64 // records in the runs so far, recovered ones included
 		snapshots []string
 	)
+	pcfg := policy.Config{Memory: cfg.Memory, TWRS: cfg.TWRS, Span: gsp}
 	if n := len(recovered); n > 0 {
 		pos := recovered[n-1].InputPos
 		rsp := o.tracer().Start("resume", obs.Int("runs_recovered", int64(n)), obs.Int("input_pos", pos))
-		if err := skipInput(src, pos); err != nil {
+		if from.Tail, err = skipInput(src, pos, pcfg.Window()); err != nil {
 			rsp.End(obs.Str("error", err.Error()))
 			return fail(err)
 		}
@@ -540,11 +479,11 @@ func (r *RunSet[T]) generate(src stream.Reader[T], recovered []manifest.Run, fro
 		r.stats.RunsRecovered = n
 		o.observeRecovered(n)
 	}
-	var commit func(policy.Generator[T], runio.Run) error
+	var commit func(policy.Driven[T], runio.Run) error
 	if durable {
-		commit = func(gen policy.Generator[T], run runio.Run) error {
+		commit = func(gen policy.Driven[T], run runio.Run) error {
 			emitted += run.Records
-			name, err := r.commitBoundary(man, gsp, gen, run, polName, emitted)
+			name, err := r.commitBoundary(man, gsp, gen, run, emitted)
 			if name != "" {
 				snapshots = append(snapshots, name)
 			}
@@ -552,39 +491,28 @@ func (r *RunSet[T]) generate(src stream.Reader[T], recovered []manifest.Run, fro
 		}
 	}
 
-	in := meterSource(o, src)
-	pcfg := policy.Config{Memory: cfg.Memory, TWRS: cfg.TWRS, Span: gsp}
+	// Every policy takes the same two steps: build (or restore) its
+	// generator over the metered input, then drive it to exhaustion. The
+	// prefix a resume skipped above is not metered.
 	simStart, wallStart := r.clock(), time.Now()
-	var runs []runio.Run
-	if cfg.Policy == policy.Auto {
-		// The adaptive engine may switch generators at run boundaries; it
-		// records per-run spans and switch events under gsp. It is never
-		// durable (newRunSet refuses the combination).
-		var pres policy.Result
-		pres, err = policy.Generate(cfg.Policy, in, em, pcfg, ops.Key)
-		runs = pres.Runs
-		for _, k := range pres.Policies {
-			r.policies = append(r.policies, k.String())
-		}
-		r.stats.PolicySwitches = pres.Switches
-	} else {
-		var gen policy.Generator[T]
-		if gen, err = policy.NewGenerator(cfg.Policy, in, em, pcfg, ops.Key, from); err != nil && from != nil {
-			// The snapshot passed its checksum yet is no state of this
-			// generator: as corrupt as data that fails one.
-			err = fmt.Errorf("%w: %v", manifest.ErrChecksum, err)
-		}
-		if err == nil {
-			runs, err = policy.Drive(gen, polName, gsp, commit)
-		}
-		for range runs {
-			r.policies = append(r.policies, polName)
-		}
+	gen, err := policy.NewGenerator(cfg.Policy, meterSource(o, src), em, pcfg, ops.Key, from)
+	if err != nil && from != nil {
+		// The snapshot passed its checksum yet is no state of this
+		// generator: as corrupt as data that fails one.
+		err = fmt.Errorf("%w: %v", manifest.ErrChecksum, err)
+	}
+	var pres policy.Result
+	if err == nil {
+		pres, err = policy.Drive(gen, gsp, commit)
 	}
 	if err != nil {
 		return fail(err)
 	}
-	r.runs = append(r.runs, runs...)
+	r.runs = append(r.runs, pres.Runs...)
+	for _, k := range pres.Policies {
+		r.policies = append(r.policies, k.String())
+	}
+	r.stats.PolicySwitches = pres.Switches
 	if durable {
 		// Commit before deleting the snapshots: a crash between the two
 		// leaves a committed manifest whose runs are all complete, which
@@ -601,7 +529,7 @@ func (r *RunSet[T]) generate(src stream.Reader[T], recovered []manifest.Run, fro
 		em.Checksums = false // the merge phase does not update the manifest
 	}
 
-	r.stats.Policy = polName
+	r.stats.Policy = cfg.Policy.String()
 	r.stats.RunGenSim = r.clock() - simStart
 	r.finishGenerate("generate", time.Since(wallStart), entry)
 	gsp.End(obs.Int("runs", int64(r.stats.Runs)), obs.Int("records", r.stats.Records))

@@ -34,34 +34,21 @@ import (
 // by position, not in sorted order, so order validation is disabled.
 func neverLess[T any](a, b T) bool { return false }
 
-// skipInput drains exactly n records from src, which re-serves input a
-// previous pass already consumed. Running out early means the source is not
-// the same input the manifest was written against.
-func skipInput[T any](src stream.Reader[T], n int64) error {
-	if n <= 0 {
-		return nil
+// skipInput fast-forwards src, which re-serves input a previous pass already
+// consumed, to record n and returns the last keep records before it (all n,
+// if fewer) for the restored generator's Checkpoint.Tail. Running out early
+// means the source is not the same input the manifest was written against.
+func skipInput[T any](src stream.Reader[T], n int64, keep int) ([]T, error) {
+	keep = int(min(n, int64(keep)))
+	done, err := stream.Discard(src, n-int64(keep), nil)
+	var tail []T
+	if err == nil {
+		tail, _, err = stream.ReadPrefix(src, make([]T, 0, keep), keep, nil)
 	}
-	br := stream.AsBatchReader(src)
-	buf := make([]T, 1024)
-	var done int64
-	for done < n {
-		want := int64(len(buf))
-		if rem := n - done; rem < want {
-			want = rem
-		}
-		k, err := br.ReadBatch(buf[:want])
-		done += int64(k)
-		if done >= n {
-			return nil
-		}
-		if err == io.EOF || (err == nil && k == 0) {
-			return fmt.Errorf("extsort: resume: input ended after %d records but the manifest recorded position %d; the source must re-serve the original input from the start", done, n)
-		}
-		if err != nil {
-			return err
-		}
+	if done += int64(len(tail)); err == nil && done < n {
+		err = fmt.Errorf("extsort: resume: input ended after %d records but the manifest recorded position %d; the source must re-serve the original input from the start", done, n)
 	}
-	return nil
+	return tail, err
 }
 
 // compressionName returns the canonical spill framing name for the header.
@@ -126,13 +113,13 @@ func checkHeader[T any](h manifest.Header, cfg Config, ops Ops[T], em *runio.Emi
 // state words, and the input position. Once AppendRun returns, a crash
 // anywhere later resumes at (or after) this boundary. It returns the
 // snapshot's name, empty when gen held nothing.
-func (r *RunSet[T]) commitBoundary(man *manifest.Writer, gsp *obs.Span, gen policy.Generator[T], run runio.Run, polName string, emitted int64) (string, error) {
+func (r *RunSet[T]) commitBoundary(man *manifest.Writer, gsp *obs.Span, gen policy.Driven[T], run runio.Run, emitted int64) (string, error) {
 	start, written := time.Now(), r.store.Stats().RawBytesWritten
 	sp := gsp.Start("checkpoint")
 	mr := manifest.Run{
 		Records:      run.Records,
 		Concatenable: run.Concatenable,
-		Policy:       polName,
+		Policy:       gen.Kind().String(),
 	}
 	for _, seg := range run.Segments {
 		ms := manifest.Segment{Name: seg.Name, Records: seg.Records, Backward: seg.Backward, Files: seg.Files}
@@ -155,7 +142,7 @@ func (r *RunSet[T]) commitBoundary(man *manifest.Writer, gsp *obs.Span, gen poli
 	mr.State = gen.Checkpoint(func(v T) {
 		if w == nil && err == nil {
 			mr.CarryName = r.em.Namer.Next("carry")
-			if w, err = runio.NewWriter(r.em.Store, mr.CarryName, r.em.WriteBuf, r.ops.Codec, neverLess[T]); err == nil {
+			if w, err = runio.NewWriter(r.em.Store, mr.CarryName, 0, r.ops.Codec, neverLess[T]); err == nil {
 				w.SumStream()
 			}
 		}
@@ -305,8 +292,9 @@ func (r *RunSet[T]) adoptCommitted(st *manifest.State, entry time.Time) *RunSet[
 		r.policies = append(r.policies, mr.Policy)
 	}
 	r.stats.RunsRecovered = len(r.runs)
-	if len(st.Runs) > 0 {
-		r.stats.Policy = st.Runs[0].Policy
+	r.stats.Policy = r.cfg.Policy.String()
+	if n := len(st.Runs); n > 0 {
+		r.stats.PolicySwitches = policy.SwitchesAt(r.cfg.Policy, st.Runs[n-1].State)
 	}
 	r.stats.Keyed = st.Header.KeyCodec != ""
 	sp.End()

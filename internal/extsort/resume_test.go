@@ -2,6 +2,7 @@ package extsort
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/crc64"
@@ -234,13 +235,55 @@ func TestResumeAtEveryRunBoundary(t *testing.T) {
 		resumeAtEveryBoundary(t, testRecords(1500, 8),
 			with(func(c *Config) { c.Policy, _ = policy.Parse("lss") }), RecordOps())
 	})
+	t.Run("auto_switching", func(t *testing.T) {
+		ref := resumeAtEveryBoundary(t, switchingRecords(), with(func(c *Config) { c.Policy = policy.Auto }), RecordOps())
+		if ref.PolicySwitches < 2 {
+			t.Fatalf("auto switched %d times; the input must take it through two switches", ref.PolicySwitches)
+		}
+	})
 }
 
-func resumeAtEveryBoundary[T comparable](t *testing.T, recs []T, cfg Config, ops Ops[T]) {
+// switchingRecords is an input on which the auto policy, at a memory of 64,
+// changes generators twice — rs to quick on a noisy descent that pins rs to
+// memory-sized runs, then, wanting the abandoned rs back on a second
+// ascent, onto 2wrs under the oscillation lock — with run boundaries before,
+// between (the successor not yet built, or still reading its predecessor's
+// carry) and after.
+func switchingRecords() []record.Record {
+	rng := rand.New(rand.NewSource(1))
+	var recs []record.Record
+	for _, seg := range []struct {
+		n   int
+		key func(i int) int64
+	}{
+		{400, func(i int) int64 { return int64(i) }},
+		{1000, func(int) int64 { return rng.Int63n(1 << 20) }},
+		{1000, func(i int) int64 { return int64(10000-i) + rng.Int63n(40) }},
+		{500, func(i int) int64 { return int64(i) }},
+		{400, func(int) int64 { return rng.Int63n(1 << 20) }},
+	} {
+		for i := 0; i < seg.n; i++ {
+			recs = append(recs, record.Record{Key: seg.key(i), Aux: uint64(len(recs))})
+		}
+	}
+	return recs
+}
+
+// resumeAtEveryBoundary returns the statistics of the uninterrupted plain
+// pass every resume is also held to: its policy per run and switch count.
+func resumeAtEveryBoundary[T comparable](t *testing.T, recs []T, cfg Config, ops Ops[T]) Stats {
 	want, st, wantFiles := durableBaseline(t, recs, cfg, ops)
 	if len(st.Runs) < 3 {
 		t.Fatalf("baseline produced only %d runs; matrix needs more", len(st.Runs))
 	}
+	plain := cfg
+	plain.Manifest = false
+	pset, err := GenerateRuns[T](stream.NewSliceReader(recs), vfs.NewMemFS(), plain, ops)
+	if err != nil {
+		t.Fatalf("plain pass: %v", err)
+	}
+	ref, wantPolicies := pset.Stats(), pset.RunPolicies()
+	pset.Discard()
 	for j := 0; j <= len(st.Runs); j++ {
 		j := j
 		t.Run(fmt.Sprintf("boundary_%d", j), func(t *testing.T) {
@@ -259,6 +302,12 @@ func resumeAtEveryBoundary[T comparable](t *testing.T, recs []T, cfg Config, ops
 			wantRecovered := j
 			if !killFires {
 				wantRecovered = len(st.Runs)
+			}
+			// A run made of carried records alone (auto's quick right after a
+			// switch) reads no input, so its boundary too commits before the
+			// kill fires.
+			for wantRecovered < len(st.Runs) && st.Runs[wantRecovered].InputPos < failAt {
+				wantRecovered++
 			}
 			fs := vfs.NewMemFS()
 			_, err := GenerateRuns[T](&killedReader[T]{vals: recs, failAt: failAt}, fs, cfg, ops)
@@ -288,6 +337,21 @@ func resumeAtEveryBoundary[T comparable](t *testing.T, recs []T, cfg Config, ops
 			if stats.Runs != len(st.Runs) {
 				t.Errorf("resumed run count = %d, want %d (boundaries must be deterministic)", stats.Runs, len(st.Runs))
 			}
+			if stats.Policy != ref.Policy || stats.PolicySwitches != ref.PolicySwitches || !slices.Equal(rset.RunPolicies(), wantPolicies) {
+				t.Errorf("resumed sort ran %s with %d switches, runs by %v; the uninterrupted one %s with %d, by %v",
+					stats.Policy, stats.PolicySwitches, rset.RunPolicies(), ref.Policy, ref.PolicySwitches, wantPolicies)
+			}
+			// The prefix a resume skips is not input of this pass.
+			wantIn := int64(0)
+			if wantRecovered < len(st.Runs) {
+				wantIn = int64(len(recs))
+				if wantRecovered > 0 {
+					wantIn -= st.Runs[wantRecovered-1].InputPos
+				}
+			}
+			if got := reg.Counter(obs.MRecordsIn, "").Value(); got != wantIn {
+				t.Errorf("%s = %d, want %d", obs.MRecordsIn, got, wantIn)
+			}
 			if files := runFileSums(t, fs, cfg, rset.Runs()); !slices.Equal(files, wantFiles) {
 				t.Errorf("resumed run files differ from the uninterrupted sort's:\n got %v\nwant %v", files, wantFiles)
 			}
@@ -297,6 +361,7 @@ func resumeAtEveryBoundary[T comparable](t *testing.T, recs []T, cfg Config, ops
 			}
 		})
 	}
+	return ref
 }
 
 // TestResumeCrashMatrix sweeps seeded crash points — including torn writes
@@ -595,11 +660,12 @@ func flipByte(t *testing.T, fs vfs.FS, name string) {
 }
 
 // TestResumeDamagedSnapshot damages the last boundary's generator snapshot
-// three ways. Swapping two records leaves the element multiset — and the
+// four ways. Swapping two records leaves the element multiset — and the
 // order-insensitive sum run segments carry — unchanged, yet position is
 // state, so the snapshot's stream checksum must refuse it. A swap that
 // breaks the heap order, with the manifest re-signed to match, passes every
-// checksum and must be refused by the restore itself. Both surface as
+// checksum and must be refused by the restore itself, as must a state word
+// of the auto policy's engine that is out of range. All three surface as
 // manifest.ErrChecksum, never as a different run sequence. A snapshot that
 // is simply gone only moves the resume one boundary back.
 func TestResumeDamagedSnapshot(t *testing.T) {
@@ -647,6 +713,28 @@ func TestResumeDamagedSnapshot(t *testing.T) {
 		w.Close()
 		if _, err := resume(fs, cfg); !errors.Is(err, manifest.ErrChecksum) {
 			t.Fatalf("resume over an out-of-order snapshot: %v, want manifest.ErrChecksum", err)
+		}
+	})
+	t.Run("auto_engine_word", func(t *testing.T) {
+		// The adaptive engine's words close the state; the one naming the
+		// current stepper's policy, re-signed to a policy no stepper has,
+		// passes the manifest's checksum and must be refused by the restore.
+		cfg, fs := durableCfg(64), vfs.NewMemFS()
+		cfg.Policy = policy.Auto
+		_, err := GenerateRuns[record.Record](&killedReader[record.Record]{vals: recs, failAt: 900}, fs, cfg, RecordOps())
+		if !errors.Is(err, errSrcKilled) {
+			t.Fatalf("partial pass: err = %v, want errSrcKilled", err)
+		}
+		st, _ := manifest.Load(fs, manifest.Name("sort"))
+		last := &st.Runs[len(st.Runs)-1]
+		last.State[len(last.State)-9] = uint64(policy.Auto)
+		w, err := manifest.Rewrite(fs, manifest.Name("sort"), st.Header, st.Runs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Close()
+		if _, err := resume(fs, cfg); !errors.Is(err, manifest.ErrChecksum) {
+			t.Fatalf("resume over a garbled engine word: %v, want manifest.ErrChecksum", err)
 		}
 	})
 	t.Run("missing", func(t *testing.T) {
@@ -701,14 +789,28 @@ func TestResumeConfigMismatch(t *testing.T) {
 	})
 }
 
-// TestDurableRejectsUnstableConfigs pins the configs a durable sort must
-// refuse up front: the adaptive auto policy (whose boundaries are not a
-// pure function of input+config) and in-memory sorts with no run files.
+// TestDurableRejectsUnstableConfigs used to pin the one policy a durable
+// sort refused up front, the adaptive auto, whose probe and switch history
+// lived outside every checkpoint. They are in the generator's now, so the
+// pin is the other way round: no policy is refused — each sorts durably and
+// leaves nothing behind.
 func TestDurableRejectsUnstableConfigs(t *testing.T) {
-	recs := testRecords(100, 6)
-	cfg := Config{Policy: policy.Auto, Memory: 64, Manifest: true}
-	if _, err := GenerateRuns[record.Record](stream.NewSliceReader(recs), vfs.NewMemFS(), cfg, RecordOps()); err == nil {
-		t.Error("durable sort accepted the auto policy")
+	recs := testRecords(1000, 6)
+	want := slices.Clone(recs)
+	slices.SortStableFunc(want, func(a, b record.Record) int { return cmp.Compare(a.Key, b.Key) })
+	for _, kind := range policy.Kinds {
+		fs := vfs.NewMemFS()
+		rset, err := GenerateRuns[record.Record](stream.NewSliceReader(recs), fs, Config{Policy: kind, Memory: 64, Manifest: true}, RecordOps())
+		if err != nil {
+			t.Fatalf("durable sort refused the %v policy: %v", kind, err)
+		}
+		got, stats := mergeToSlice(t, rset)
+		if stats.Policy != kind.String() || !slices.EqualFunc(got, want, func(a, b record.Record) bool { return a.Key == b.Key }) {
+			t.Errorf("durable %v sort: policy %q, output sorted = %v", kind, stats.Policy, record.IsSorted(got))
+		}
+		if names, _ := fs.Names(); len(names) != 0 {
+			t.Errorf("durable %v sort left %v behind", kind, names)
+		}
 	}
 }
 

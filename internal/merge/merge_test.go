@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/record"
@@ -432,15 +433,15 @@ func TestMergeParallelWorkers(t *testing.T) {
 }
 
 // cancelNow is a Cancel hook that trips after a fixed number of polls.
+// Parallel merge workers poll it concurrently, as Config.Cancel allows.
 type cancelNow struct {
-	polls int
-	after int
+	polls atomic.Int64
+	after int64
 	err   error
 }
 
 func (c *cancelNow) hook() error {
-	c.polls++
-	if c.polls > c.after {
+	if c.polls.Add(1) > c.after {
 		return c.err
 	}
 	return nil

@@ -23,8 +23,6 @@ type Emitter[T any] struct {
 	Codec codec.Codec[T]
 	// Less orders elements; writers use it to validate run order.
 	Less func(a, b T) bool
-	// WriteBuf is the writer buffer size in bytes (0: DefaultPageSize).
-	WriteBuf int
 	// PageSize and PagesPerFile configure the backward file format
 	// (0: defaults).
 	PageSize int
@@ -90,7 +88,7 @@ func (e *Emitter[T]) PrefixFunc() func(T) uint64 {
 // file names (e.g. "rs", "s1").
 func (e *Emitter[T]) Forward(role string) (string, *Writer[T], error) {
 	name := e.Namer.Next(role)
-	w, err := e.NewWriter(name, e.WriteBuf)
+	w, err := e.NewWriter(name, 0) // one DefaultPageSize buffer
 	return name, w, err
 }
 

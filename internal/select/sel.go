@@ -31,7 +31,6 @@ package sel
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/heap"
 	"repro/internal/stream"
@@ -131,32 +130,4 @@ func improves[T any](v, root T, less func(a, b T) bool, dir Dir) bool {
 		return less(v, root)
 	}
 	return less(root, v)
-}
-
-// ReadAll drains src into memory, polling cancel between batches. It exists
-// for the selection paths that need the whole input resident (Partition,
-// Multiselect, SoftHeap selection); sizeHint pre-allocates when the caller
-// knows the input size.
-func ReadAll[T any](src stream.Reader[T], sizeHint int, cancel func() error) ([]T, error) {
-	br := stream.AsBatchReader(src)
-	if sizeHint < 0 {
-		sizeHint = 0
-	}
-	out := make([]T, 0, sizeHint)
-	buf := make([]T, stream.DefaultBatchLen)
-	for {
-		if cancel != nil {
-			if err := cancel(); err != nil {
-				return out, err
-			}
-		}
-		n, err := br.ReadBatch(buf)
-		out = append(out, buf[:n]...)
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-	}
 }

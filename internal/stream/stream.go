@@ -14,6 +14,7 @@ package stream
 import (
 	"errors"
 	"io"
+	"math"
 )
 
 // ErrClosed is returned by stream operations after Close.
@@ -74,6 +75,7 @@ func (s *SliceReader[T]) Reset() { s.pos = 0 }
 
 // SliceWriter collects written elements in memory.
 type SliceWriter[T any] struct {
+	// Vals holds every element written so far, in write order.
 	Vals []T
 }
 
@@ -102,28 +104,11 @@ func ReadAll[T any](r Reader[T]) ([]T, error) {
 // public API's context wrappers guarantee.
 func ReadAllCancel[T any](r Reader[T], cancel func() error) ([]T, error) {
 	var out []T
-	if s, ok := r.(Sized); ok {
-		if n := s.Remaining(); n > 0 {
-			out = make([]T, 0, n)
-		}
+	if s, ok := r.(Sized); ok && s.Remaining() > 0 {
+		out = make([]T, 0, s.Remaining())
 	}
-	br := AsBatchReader(r)
-	buf := make([]T, DefaultBatchLen)
-	for {
-		if cancel != nil {
-			if err := cancel(); err != nil {
-				return out, err
-			}
-		}
-		n, err := br.ReadBatch(buf)
-		out = append(out, buf[:n]...)
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-	}
+	out, _, err := ReadPrefix(r, out, math.MaxInt, cancel)
+	return out, err
 }
 
 // WriteAll writes every element of vals to w, stopping at the first error.
@@ -144,29 +129,37 @@ func Copy[T any](w Writer[T], r Reader[T]) (int64, error) {
 // streams — the 1024-op cadence DESIGN.md documents. The merge phase and the
 // operator layer use it to honour context cancellation mid-stream.
 func CopyCancel[T any](w Writer[T], r Reader[T], cancel func() error) (int64, error) {
+	return CopyN(w, r, math.MaxInt64, cancel)
+}
+
+// CopyN is CopyCancel stopping after n elements: it streams at most n from r
+// to w and returns the number copied, fewer than n with a nil error when r
+// ended first. It is the one capped batch loop: Discard is CopyN to nowhere.
+func CopyN[T any](w Writer[T], r Reader[T], n int64, cancel func() error) (int64, error) {
 	br, bw := AsBatchReader(r), AsBatchWriter(w)
-	buf := make([]T, DefaultBatchLen)
-	var n int64
-	for {
+	buf := make([]T, max(0, min(n, DefaultBatchLen)))
+	var done int64
+	for done < n {
 		if cancel != nil {
 			if err := cancel(); err != nil {
-				return n, err
+				return done, err
 			}
 		}
-		k, err := br.ReadBatch(buf)
+		k, err := br.ReadBatch(buf[:min(n-done, int64(len(buf)))])
 		if k > 0 {
 			if werr := bw.WriteBatch(buf[:k]); werr != nil {
-				return n, werr
+				return done, werr
 			}
-			n += int64(k)
+			done += int64(k)
 		}
-		if err == io.EOF {
-			return n, nil
+		if err == io.EOF || (err == nil && k == 0) {
+			break
 		}
 		if err != nil {
-			return n, err
+			return done, err
 		}
 	}
+	return done, nil
 }
 
 // Func adapts a function to the Reader interface.

@@ -3,7 +3,6 @@ package repro
 import (
 	"context"
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/extsort"
@@ -68,12 +67,7 @@ func (s *Sorter[T]) openSorted(ctx context.Context, src Source[T], prefix string
 	icfg := s.cfg.toInternal()
 	icfg.Cancel = ctx.Err
 	icfg.Prefix = prefix
-	rset, err := extsort.GenerateRuns[T](
-		&ctxReader[T]{ctx: ctx, src: src},
-		fs,
-		icfg,
-		extsort.Ops[T]{Less: s.less, Codec: s.codec, Key: s.key, ElementBytes: s.elementBytes},
-	)
+	rset, err := extsort.GenerateRuns[T](&ctxReader[T]{ctx: ctx, src: src}, fs, icfg, s.ops())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -229,7 +223,7 @@ func (s *Sorter[T]) TopK(ctx context.Context, src Source[T], k int, dst Sink[T])
 		return stats, err
 	}
 	t.phase("select")
-	out, err := copyN[T](&ctxWriter[T]{ctx: ctx, dst: dst}, st, int64(k), ctx.Err)
+	out, err := stream.CopyN[T](&ctxWriter[T]{ctx: ctx, dst: dst}, st, int64(k), ctx.Err)
 	cerr := st.Close() // abandoning the stream here is what skips the tail
 	stats := OpStats{Sort: opSortStats(rset, st.Stats()), In: rset.Stats().Records, Out: out, Sorted: true}
 	if err == nil {
@@ -238,40 +232,6 @@ func (s *Sorter[T]) TopK(ctx context.Context, src Source[T], k int, dst Sink[T])
 	err = ctxErr(ctx, err)
 	t.finish(&stats.Elapsed, &stats.Phases, err)
 	return stats, err
-}
-
-// copyN streams at most n elements from src to dst, polling cancel between
-// batches. dst keeps its batch protocol when it has one (the ctxWriter
-// does), so the capped copy rides the same fast path as CopyCancel.
-func copyN[T any](dst stream.Writer[T], src stream.BatchReader[T], n int64, cancel func() error) (int64, error) {
-	bw := stream.AsBatchWriter[T](dst)
-	buf := make([]T, stream.DefaultBatchLen)
-	var copied int64
-	for copied < n {
-		if cancel != nil {
-			if err := cancel(); err != nil {
-				return copied, err
-			}
-		}
-		want := int64(len(buf))
-		if rem := n - copied; rem < want {
-			want = rem
-		}
-		k, err := src.ReadBatch(buf[:want])
-		if k > 0 {
-			if werr := bw.WriteBatch(buf[:k]); werr != nil {
-				return copied, werr
-			}
-			copied += int64(k)
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return copied, err
-		}
-	}
-	return copied, nil
 }
 
 // JoinStats describes one merge-join execution.

@@ -64,9 +64,18 @@ func sortedRecs(in []Record) []Record {
 	return s
 }
 
+// recSorter orders records by totalRecLess, which refines the natural Key
+// order the key codec New would infer for Record, so it brings the key codec
+// of its own comparator: Key, then Aux. The operators run keyed under it.
 func recSorter(t *testing.T, opts ...Option) *Sorter[Record] {
 	t.Helper()
-	base := []Option{WithMemoryRecords(256), WithCodec(RecordCodec()), WithKey(record.Key), WithSeed(9)}
+	kc, err := CompositeKeyCodec[Record](16, true,
+		func(buf []byte, r Record) []byte { return AppendKeyInt64(buf, r.Key) },
+		func(buf []byte, r Record) []byte { return AppendKeyUint64(buf, r.Aux) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := []Option{WithMemoryRecords(256), WithCodec(RecordCodec()), WithKey(record.Key), WithSeed(9), WithKeyCodec(kc)}
 	s, err := New(totalRecLess, append(base, opts...)...)
 	if err != nil {
 		t.Fatal(err)
@@ -242,6 +251,38 @@ func TestTopKExternalFallback(t *testing.T) {
 	}
 	if st.Out != int64(k) {
 		t.Fatalf("emitted %d, want %d", st.Out, k)
+	}
+
+	// The operator layer hands the driver the bundle Sort does: an int64
+	// sorter's spilling operators run keyed, WithoutKeys turns that off, a
+	// key codec that contradicts the comparator is refused, and the output
+	// does not depend on which.
+	ints := make([]int64, n)
+	for i, r := range in {
+		ints[i] = r.Key*7 + int64(r.Aux)
+	}
+	less := func(a, b int64) bool { return a < b }
+	var outs [2]sliceSink[int64]
+	for i, opts := range [][]Option{{}, {WithoutKeys()}} {
+		s, err := New(less, append(opts, WithMemoryRecords(256))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := s.TopK(context.Background(), newSliceSource(ints), k, &outs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if keyed := len(opts) == 0; !st.Sorted || st.Sort.Keyed != keyed {
+			t.Fatalf("int64 top-k with options %d: Sorted=%v Keyed=%v, want the external path with Keyed=%v", i, st.Sorted, st.Sort.Keyed, keyed)
+		}
+	}
+	requireEqual(t, "keyed vs comparator top-k", outs[0].vals, outs[1].vals)
+	desc, err := New(func(a, b int64) bool { return a > b }, WithKeyCodec(Int64KeyCodec()), WithMemoryRecords(256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := desc.Distinct(context.Background(), newSliceSource(ints), &sliceSink[int64]{}); err == nil {
+		t.Fatal("Distinct accepted an explicit key codec that disagrees with the comparator")
 	}
 }
 

@@ -45,8 +45,8 @@ func TestPoliciesListsAll(t *testing.T) {
 // spelling policy.Parse accepts — the five names Policies lists, the two
 // aliases, and the empty name of a hand-built config — selects the same
 // generator through the generic constructor and through the classic
-// wrappers. Auto, whose probe state no checkpoint holds, stays refused for
-// durable sorts.
+// wrappers. Every one of them is also a valid name for a durable sort, auto
+// — whose probe state the checkpoints hold now — included.
 func TestPolicyNames(t *testing.T) {
 	want := map[string]string{"alt": "alternating", "lss": "quick", "": "2wrs"}
 	for _, name := range Policies() {
@@ -68,9 +68,10 @@ func TestPolicyNames(t *testing.T) {
 			t.Fatalf("Sort(Config{Policy: %q}): err=%v, %d records, Stats.Policy=%q, want %q", name, err, len(dst.Recs), stats.Policy, policy)
 		}
 	}
-	_, err := New(func(a, b int64) bool { return a < b }, WithPolicy("auto"), WithManifest())
-	if err == nil || !strings.Contains(err.Error(), "deterministic policy") {
-		t.Fatalf("auto under WithManifest: err = %v, want it refused", err)
+	for name := range want {
+		if _, err := New(func(a, b int64) bool { return a < b }, WithPolicy(name), WithManifest()); err != nil {
+			t.Fatalf("%q under WithManifest: %v, want it accepted", name, err)
+		}
 	}
 }
 

@@ -285,9 +285,8 @@ type Config struct {
 	// only checkpoints the generator in place (a snapshot of the records
 	// it holds, plus a few state words), from which a resume restores it
 	// exactly, so the resumed output is byte-identical to an
-	// uninterrupted sort. Requires a fixed policy — Validate rejects the
-	// adaptive "auto" policy, whose probe state is not part of any
-	// checkpoint. See DESIGN.md §14.
+	// uninterrupted sort — under every policy, the adaptive "auto" (whose
+	// decisions a resume repeats) included. See DESIGN.md §14.
 	Manifest bool
 	// Resume makes every sort under this configuration first look for a
 	// durable manifest left by an interrupted earlier sort and continue
@@ -317,8 +316,7 @@ func DefaultConfig(memoryRecords int) Config {
 // Validate reports a descriptive error for configurations that cannot
 // sort correctly or would silently misbehave.
 func (c Config) Validate() error {
-	kind, err := policy.Parse(c.Policy)
-	if err != nil {
+	if _, err := policy.Parse(c.Policy); err != nil {
 		return fmt.Errorf("repro: unknown policy %q (valid policies: %s)", c.Policy, strings.Join(Policies(), ", "))
 	}
 	if c.MemoryRecords < 3 {
@@ -357,22 +355,7 @@ func (c Config) Validate() error {
 	if c.Storage.MemoryBudgetBytes < 0 {
 		return fmt.Errorf("repro: storage memory budget must be non-negative, got %d", c.Storage.MemoryBudgetBytes)
 	}
-	if (c.Manifest || c.Resume) && kind == policy.Auto {
-		return fmt.Errorf("repro: durable manifests require a deterministic policy; %q probes the input and is not replayable (pick one of: %s)",
-			c.Policy, strings.Join(deterministicPolicies(), ", "))
-	}
 	return nil
-}
-
-// deterministicPolicies lists the policy names valid under Config.Manifest.
-func deterministicPolicies() []string {
-	var out []string
-	for _, kind := range policy.Kinds {
-		if kind != policy.Auto {
-			out = append(out, kind.String())
-		}
-	}
-	return out
 }
 
 // Compressions lists the valid spill compression names accepted by

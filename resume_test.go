@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -173,20 +174,17 @@ func TestSorterResumeMismatch(t *testing.T) {
 }
 
 // TestManifestConfigValidation pins the config-level rules for durable
-// sorts: Resume demands WithManifest, and the adaptive auto policy — whose
-// run boundaries are not replayable — is rejected outright.
+// sorts: Resume demands WithManifest, and that is the only rule — the
+// default constructor plus WithManifest, which means the adaptive auto
+// policy, builds a sorter that sorts durably and resumes.
 func TestManifestConfigValidation(t *testing.T) {
-	s, err := New(func(a, b Record) bool { return a.Key < b.Key }, WithMemoryRecords(256))
+	less := func(a, b Record) bool { return a.Key < b.Key }
+	s, err := New(less, WithMemoryRecords(256))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Resume(context.Background(), &dyingSource{}, &sliceSink[Record]{}); err == nil {
 		t.Error("Resume on a non-durable Sorter succeeded")
-	}
-	_, err = New(func(a, b Record) bool { return a.Key < b.Key },
-		WithMemoryRecords(256), WithManifest()) // default policy is auto
-	if err == nil {
-		t.Error("New accepted WithManifest under the auto policy")
 	}
 	cfg := DefaultConfig(256)
 	cfg.Manifest = true
@@ -194,8 +192,35 @@ func TestManifestConfigValidation(t *testing.T) {
 		t.Errorf("Manifest with the legacy algorithm path: %v", err)
 	}
 	cfg.Policy = "auto"
-	if err := cfg.Validate(); err == nil {
-		t.Error("Validate accepted Manifest with the auto policy")
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("Validate refused Manifest with the auto policy: %v", err)
+	}
+
+	s, err = New(less, WithMemoryRecords(256), WithManifest()) // no policy named: auto
+	if err != nil {
+		t.Fatalf("New refused WithManifest under the default policy: %v", err)
+	}
+	recs := shuffledRecords(4000, 7)
+	plain, err := New(less, WithMemoryRecords(256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := plain.SortSlice(context.Background(), recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out sliceSink[Record]
+	if _, err := s.Sort(context.Background(), &dyingSource{recs: recs, dieAt: 3000}, &out); !errors.Is(err, errSourceDied) {
+		t.Fatalf("interrupted Sort: %v, want errSourceDied", err)
+	}
+	out.vals = nil
+	stats, err := s.Resume(context.Background(), &dyingSource{recs: recs, dieAt: len(recs) + 1}, &out)
+	if err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	if stats.Policy != "auto" || stats.RunsRecovered == 0 || !slices.Equal(out.vals, want) {
+		t.Errorf("resumed %s sort recovered %d runs; output equals the plain auto sort's: %v",
+			stats.Policy, stats.RunsRecovered, slices.Equal(out.vals, want))
 	}
 }
 

@@ -3,7 +3,6 @@ package repro
 import (
 	"context"
 	"fmt"
-	"io"
 	"math"
 	"runtime"
 	"time"
@@ -67,93 +66,21 @@ func (s *Sorter[T]) parallelism() int {
 // bufferWithin reads src into memory as long as the element count stays
 // within limit. It returns the buffered prefix and whether the stream was
 // exhausted within the limit; when it was not, the buffer holds exactly
-// limit+1 elements and the source is positioned after them, ready for a
-// chained replay into the spill path.
+// limit+1 elements and the source is positioned after them, ready for
+// stream.Prepend to replay both into the spill path — how a selection that
+// overflowed the memory budget hands on everything it has read.
 func bufferWithin[T any](ctx context.Context, src Source[T], limit int) ([]T, bool, error) {
-	r := &ctxReader[T]{ctx: ctx, src: src}
-	buf := make([]T, 0, min(limit+1, 1<<16))
-	scratch := make([]T, stream.DefaultBatchLen)
-	for {
-		want := limit + 1 - len(buf)
-		if want <= 0 {
-			return buf, false, nil
-		}
-		if want > len(scratch) {
-			want = len(scratch)
-		}
-		n, err := r.ReadBatch(scratch[:want])
-		buf = append(buf, scratch[:n]...)
-		if err == io.EOF {
-			return buf, true, nil
-		}
-		if err != nil {
-			return buf, false, err
-		}
-	}
+	return stream.ReadPrefix[T](&ctxReader[T]{ctx: ctx, src: src}, make([]T, 0, min(limit+1, 1<<16)), limit+1, nil)
 }
 
-// chainReader replays a buffered prefix, then continues with the live tail
-// of the source it was buffered from — how a selection that overflowed the
-// memory budget hands everything it has read to the spill path without
-// losing elements.
-type chainReader[T any] struct {
-	buf []T
-	i   int
-	src Source[T]
-	br  stream.BatchReader[T]
-}
-
-func (c *chainReader[T]) Read() (T, error) {
-	if c.i < len(c.buf) {
-		v := c.buf[c.i]
-		c.i++
-		return v, nil
+// skipN discards n elements of the merged order, polling cancel between
+// batches.
+func skipN[T any](st *merge.Stream[T], n int64, cancel func() error) error {
+	skipped, err := stream.Discard[T](st, n, cancel)
+	if err == nil && skipped < n {
+		err = fmt.Errorf("repro: merged stream ended %d elements early", n-skipped)
 	}
-	return c.src.Read()
-}
-
-// ReadBatch drains the buffered prefix batch-at-a-time before delegating
-// to the source's batch protocol.
-func (c *chainReader[T]) ReadBatch(dst []T) (int, error) {
-	if c.i < len(c.buf) {
-		n := copy(dst, c.buf[c.i:])
-		c.i += n
-		return n, nil
-	}
-	if c.br == nil {
-		if br, ok := c.src.(stream.BatchReader[T]); ok {
-			c.br = br
-		} else {
-			c.br = stream.AsBatchReader[T](streamReader[T]{c.src})
-		}
-	}
-	return c.br.ReadBatch(dst)
-}
-
-// skipN discards n elements from src, polling cancel between batches.
-func skipN[T any](src stream.BatchReader[T], n int64, cancel func() error) error {
-	buf := make([]T, stream.DefaultBatchLen)
-	var skipped int64
-	for skipped < n {
-		if cancel != nil {
-			if err := cancel(); err != nil {
-				return err
-			}
-		}
-		want := int64(len(buf))
-		if rem := n - skipped; rem < want {
-			want = rem
-		}
-		k, err := src.ReadBatch(buf[:want])
-		skipped += int64(k)
-		if err == io.EOF {
-			return fmt.Errorf("repro: merged stream ended %d elements early", n-skipped)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return err
 }
 
 // Select returns the element of rank k — the k-th smallest under the
@@ -199,7 +126,7 @@ func (s *Sorter[T]) Select(ctx context.Context, src Source[T], k int) (T, Select
 		return buf[0], stats, nil
 	}
 	t.phase("generate")
-	st, rset, err := s.openSorted(ctx, &chainReader[T]{buf: buf, src: src}, "select")
+	st, rset, err := s.openSorted(ctx, stream.Prepend[T](buf, src), "select")
 	if err != nil {
 		stats := SelectStats{}
 		err = ctxErr(ctx, err)
@@ -297,7 +224,7 @@ func (s *Sorter[T]) Quantiles(ctx context.Context, src Source[T], qs []float64) 
 		return out, stats, nil
 	}
 	t.phase("generate")
-	st, rset, err := s.openSorted(ctx, &chainReader[T]{buf: buf, src: src}, "quantiles")
+	st, rset, err := s.openSorted(ctx, stream.Prepend[T](buf, src), "quantiles")
 	if err != nil {
 		stats := SelectStats{}
 		err = ctxErr(ctx, err)
@@ -389,7 +316,7 @@ func (s *Sorter[T]) BottomK(ctx context.Context, src Source[T], k int, dst Sink[
 	}
 	out, serr := int64(0), skipN[T](st, skip, ctx.Err)
 	if serr == nil {
-		out, serr = copyN[T](&ctxWriter[T]{ctx: ctx, dst: dst}, st, int64(k), ctx.Err)
+		out, serr = stream.CopyN[T](&ctxWriter[T]{ctx: ctx, dst: dst}, st, int64(k), ctx.Err)
 	}
 	cerr := st.Close()
 	stats := OpStats{Sort: opSortStats(rset, st.Stats()), In: n, Out: out, Sorted: true}
@@ -426,7 +353,7 @@ func (s *Sorter[T]) ApproxSelect(ctx context.Context, src Source[T], k int, eps 
 	}
 	t := startOp(s.cfg.Trace, "approx_select", obs.Int("k", int64(k)))
 	t.phase("read")
-	vals, err := sel.ReadAll[T](&ctxReader[T]{ctx: ctx, src: src}, -1, ctx.Err)
+	vals, err := stream.ReadAllCancel[T](&ctxReader[T]{ctx: ctx, src: src}, ctx.Err)
 	if err != nil {
 		stats := SelectStats{In: int64(len(vals))}
 		err = ctxErr(ctx, err)

@@ -264,8 +264,8 @@ func WithSpillMemory(budgetBytes int64) Option {
 // recorded in a CRC-guarded manifest next to the spill files, and a sort
 // that died mid-generation — process kill, cancelled context, failed source
 // — can be finished by Sorter.Resume without regenerating the runs that
-// already reached storage. See Config.Manifest for the policy
-// requirements and DESIGN.md §14 for the recovery rules. With no TempDir
+// already reached storage. It works under every policy, the default auto
+// included; see DESIGN.md §14 for the recovery rules. With no TempDir
 // the Sorter keeps one in-process file system for all its sorts (rather
 // than one per Sort call) so Resume can see what a failed Sort left behind;
 // with a TempDir, resumability extends across process restarts.
@@ -540,11 +540,7 @@ func (r *ctxReader[T]) ReadBatch(dst []T) (int, error) {
 		return 0, err
 	}
 	if r.br == nil {
-		if br, ok := r.src.(stream.BatchReader[T]); ok {
-			r.br = br
-		} else {
-			r.br = stream.AsBatchReader[T](streamReader[T]{r.src})
-		}
+		r.br = stream.AsBatchReader[T](r.src)
 	}
 	return r.br.ReadBatch(dst)
 }
@@ -556,12 +552,6 @@ func (r *ctxReader[T]) Remaining() int {
 	}
 	return -1
 }
-
-// streamReader adapts the public Source to the internal stream.Reader
-// interface for the batch adapters.
-type streamReader[T any] struct{ src Source[T] }
-
-func (s streamReader[T]) Read() (T, error) { return s.src.Read() }
 
 // ctxWriter checks the context at batch boundaries (WriteBatch) or every
 // ctxBatch writes (legacy Write).
@@ -590,20 +580,10 @@ func (w *ctxWriter[T]) WriteBatch(src []T) error {
 		return err
 	}
 	if w.bw == nil {
-		if bw, ok := w.dst.(stream.BatchWriter[T]); ok {
-			w.bw = bw
-		} else {
-			w.bw = stream.AsBatchWriter[T](streamWriter[T]{w.dst})
-		}
+		w.bw = stream.AsBatchWriter[T](w.dst)
 	}
 	return w.bw.WriteBatch(src)
 }
-
-// streamWriter adapts the public Sink to the internal stream.Writer
-// interface for the batch adapters.
-type streamWriter[T any] struct{ dst Sink[T] }
-
-func (s streamWriter[T]) Write(v T) error { return s.dst.Write(v) }
 
 // filesystem resolves the configured run storage.
 func (c Config) filesystem() (vfs.FS, error) {
@@ -643,6 +623,20 @@ func (s *Sorter[T]) Resume(ctx context.Context, src Source[T], dst Sink[T]) (Sta
 	return s.sort(ctx, src, dst, true)
 }
 
+// ops is the element-type bundle every entry point hands the driver — Sort
+// and Resume as much as the operator layer — so all of them run keyed, or
+// refuse a mismatched explicit key codec, alike.
+func (s *Sorter[T]) ops() extsort.Ops[T] {
+	return extsort.Ops[T]{
+		Less:          s.less,
+		Codec:         s.codec,
+		Key:           s.key,
+		KeyCodec:      s.keyCodec,
+		KeyedExplicit: s.keyedExplicit,
+		ElementBytes:  s.elementBytes,
+	}
+}
+
 func (s *Sorter[T]) sort(ctx context.Context, src Source[T], dst Sink[T], resume bool) (Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -660,14 +654,7 @@ func (s *Sorter[T]) sort(ctx context.Context, src Source[T], dst Sink[T], resume
 	if resume {
 		icfg.Resume = true
 	}
-	ops := extsort.Ops[T]{
-		Less:          s.less,
-		Codec:         s.codec,
-		Key:           s.key,
-		KeyCodec:      s.keyCodec,
-		KeyedExplicit: s.keyedExplicit,
-		ElementBytes:  s.elementBytes,
-	}
+	ops := s.ops()
 	reader := &ctxReader[T]{ctx: ctx, src: src}
 	writer := &ctxWriter[T]{ctx: ctx, dst: dst}
 	var stats Stats
