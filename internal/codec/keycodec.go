@@ -40,11 +40,14 @@ import (
 // type T. The contract: for every pair of elements a, b and the comparator
 // less the codec is registered against,
 //
-//	bytes.Compare(AppendKey(nil, a), AppendKey(nil, b)) < 0  ⟺  less(a, b)
+//	bytes.Compare(AppendKey(nil, a), AppendKey(nil, b)) < 0  ⟹  less(a, b)
 //
-// (so equal key bytes imply a tie under less). Any keyed comparison is then
-// pointwise equal to the comparator, which is what guarantees byte-identical
-// sorted output between the keyed and comparator paths.
+// and less never orders a pair against its key bytes. Equal key bytes imply
+// a tie under less only for a total key (TotalKey); for any other, every
+// keyed comparison — heap sift, batch sort, merge match, shard routing —
+// asks less on a key tie. Any keyed comparison is then pointwise equal to
+// the comparator, which is what guarantees byte-identical sorted output
+// between the keyed and comparator paths.
 type KeyCodec[T any] interface {
 	// AppendKey appends v's normalized key bytes onto buf and returns the
 	// extended slice.
@@ -52,12 +55,14 @@ type KeyCodec[T any] interface {
 	// FixedKeySize returns the constant key length in bytes for fixed-width
 	// keys and 0 for variable-width ones. A fixed size of 1..8 means the
 	// whole key fits the cached uint64 prefix: prefix equality is then key
-	// equality and the hot paths never fall back to the comparator.
+	// equality, and the hot paths of a total key never fall back to the
+	// comparator.
 	FixedKeySize() int
 	// TotalKey reports whether the key bytes determine the element entirely
 	// (key equality implies the elements are interchangeable byte-for-byte
 	// in storage). Order-insensitive rearrangement of ties — e.g. radix
-	// sorting a run batch — is only output-identical for total keys.
+	// sorting a run batch, or merging without the comparator — is only
+	// output-identical for total keys.
 	TotalKey() bool
 }
 

@@ -10,10 +10,6 @@ import (
 	sel "repro/internal/select"
 )
 
-// keySampleLen caps the elements checked when validating an inferred key
-// codec against the comparator, mirroring the extsort driver.
-const keySampleLen = 64
-
 // router assigns every element to exactly one shard. Shard i owns the key
 // range (bounds[i-1], bounds[i]]: elements strictly between two distinct
 // splitter values have a unique shard, and elements equal to a splitter
@@ -39,9 +35,11 @@ type router[T any] struct {
 
 	// Keyed fast path: when the key codec is trusted, routing compares
 	// 8-byte key prefixes (plus full key bytes for var-width keys)
-	// instead of calling the comparator.
+	// instead of calling the comparator — which, unless the key is total,
+	// still decides between an element and a splitter whose keys tie.
 	keyed   bool
 	fixed8  bool
+	total   bool
 	prefix  func(T) uint64
 	appendK func([]byte, T) []byte
 	bKeys   [][]byte
@@ -87,29 +85,24 @@ func newRouter[T any](sample []T, shards int, ops extsort.Ops[T], parallelism in
 	}
 	r.gap = append(r.gap, shards-1)
 	r.rr = make([]int, len(r.bounds))
-	r.initKeyed(ops, scratch)
+	if err := r.initKeyed(ops, sample); err != nil {
+		return nil, err
+	}
 	return r, nil
 }
 
-// initKeyed enables prefix-compare routing when the ops carry a key codec
-// that is either explicitly trusted or validated against the comparator on
-// a slice of the sample — the same contract the extsort driver applies.
-func (r *router[T]) initKeyed(ops extsort.Ops[T], sample []T) {
+// initKeyed enables prefix-compare routing when the sort over this input
+// runs keyed — the extsort driver's own validation (Ops.Keyed), applied to
+// the same leading elements of the input.
+func (r *router[T]) initKeyed(ops extsort.Ops[T], sample []T) error {
+	keyed, err := ops.Keyed(sample)
+	if !keyed {
+		return err
+	}
 	kc := ops.KeyCodec
-	if kc == nil {
-		return
-	}
-	if !ops.KeyedExplicit {
-		head := sample
-		if len(head) > keySampleLen {
-			head = head[:keySampleLen]
-		}
-		if !codec.KeyOrderConsistent(kc, ops.Less, head) {
-			return
-		}
-	}
 	r.keyed = true
 	r.fixed8 = kc.FixedKeySize() == 8
+	r.total = kc.TotalKey()
 	r.prefix = codec.PrefixFunc(kc)
 	r.appendK = kc.AppendKey
 	r.bKeys = make([][]byte, len(r.bounds))
@@ -119,6 +112,7 @@ func (r *router[T]) initKeyed(ops extsort.Ops[T], sample []T) {
 		r.bKeys[i] = k
 		r.bPre[i] = codec.Prefix(k)
 	}
+	return nil
 }
 
 // route returns the shard for one element, advancing the tie cursor when
@@ -136,8 +130,10 @@ func (r *router[T]) route(e T) int {
 }
 
 // routeKeyed is route over normalized key bytes: an 8-byte prefix decides
-// fixed-size keys outright and var-width keys fall back to a memcmp only
-// on prefix ties.
+// fixed-size keys and var-width keys fall back to a memcmp only on prefix
+// ties. Equal keys are equal elements under a total codec; under any other
+// the comparator decides — the tie rule of the heaps and the merge — so a
+// comparator that refines key ties still sees disjoint shard ranges.
 func (r *router[T]) routeKeyed(e T) int {
 	p := r.prefix(e)
 	var k []byte
@@ -145,17 +141,24 @@ func (r *router[T]) routeKeyed(e T) int {
 		k = r.appendK(r.kbuf[:0], e)
 		r.kbuf = k
 	}
+	// cmpKey orders e's key against splitter value i's.
+	cmpKey := func(i int) int {
+		switch {
+		case p < r.bPre[i]:
+			return -1
+		case p > r.bPre[i]:
+			return 1
+		case r.fixed8:
+			return 0
+		}
+		return bytes.Compare(k, r.bKeys[i])
+	}
 	m := len(r.bounds)
 	j := sort.Search(m, func(i int) bool {
-		if p != r.bPre[i] {
-			return p < r.bPre[i]
-		}
-		if r.fixed8 {
-			return false
-		}
-		return bytes.Compare(k, r.bKeys[i]) < 0
+		c := cmpKey(i)
+		return c < 0 || (c == 0 && !r.total && r.less(e, r.bounds[i]))
 	})
-	if j > 0 && p == r.bPre[j-1] && (r.fixed8 || bytes.Equal(k, r.bKeys[j-1])) {
+	if j > 0 && cmpKey(j-1) == 0 && (r.total || !r.less(r.bounds[j-1], e)) {
 		return r.tie(j - 1)
 	}
 	return r.gap[j]

@@ -101,12 +101,31 @@ func RecordOps() Ops[record.Record] {
 // within the first few distinct values.
 const keySampleLen = 64
 
-// applyKeyCodec decides whether this sort runs keyed: it samples the head
-// of src, checks the codec's byte order against the comparator on every
-// sampled pair, and either arms the emitter (consistent), fails the sort
-// (explicit codec, inconsistent) or falls back to the comparator silently
-// (inferred codec, inconsistent — e.g. a descending comparator over the
-// natural int64 codec). The returned reader re-serves the sample.
+// Keyed decides whether a sort whose input starts with sample runs keyed —
+// the one validation the sort driver and the shard router both apply. It
+// checks the codec's byte order against the comparator on every pair of
+// the first keySampleLen elements and reports keyed (consistent), fails
+// the sort (explicit codec, inconsistent) or falls back to the comparator
+// silently (inferred codec, inconsistent — e.g. a descending comparator
+// over the natural int64 codec). Without a KeyCodec nothing runs keyed.
+func (o Ops[T]) Keyed(sample []T) (bool, error) {
+	if o.KeyCodec == nil {
+		return false, nil
+	}
+	if len(sample) > keySampleLen {
+		sample = sample[:keySampleLen]
+	}
+	if !codec.KeyOrderConsistent(o.KeyCodec, o.Less, sample) {
+		if o.KeyedExplicit {
+			return false, fmt.Errorf("extsort: KeyCodec disagrees with Less on sampled input: normalized key order must match the comparator")
+		}
+		return false, nil
+	}
+	return true, nil
+}
+
+// applyKeyCodec samples the head of src, arms the emitter when the sort
+// runs keyed (Ops.Keyed) and returns a reader that re-serves the sample.
 func applyKeyCodec[T any](src stream.Reader[T], em *runio.Emitter[T], ops Ops[T]) (stream.Reader[T], bool, error) {
 	if ops.KeyCodec == nil {
 		return src, false, nil
@@ -115,15 +134,14 @@ func applyKeyCodec[T any](src stream.Reader[T], em *runio.Emitter[T], ops Ops[T]
 	if err != nil {
 		return nil, false, err
 	}
-	out := stream.Prepend(sample, src)
-	if !codec.KeyOrderConsistent(ops.KeyCodec, ops.Less, sample) {
-		if ops.KeyedExplicit {
-			return nil, false, fmt.Errorf("extsort: KeyCodec disagrees with Less on sampled input: normalized key order must match the comparator")
-		}
-		return out, false, nil
+	keyed, err := ops.Keyed(sample)
+	if err != nil {
+		return nil, false, err
 	}
-	em.KeyCodec = ops.KeyCodec
-	return out, true, nil
+	if keyed {
+		em.KeyCodec = ops.KeyCodec
+	}
+	return stream.Prepend(sample, src), keyed, nil
 }
 
 // Config parameterises a complete external sort.

@@ -1,8 +1,10 @@
 package merge
 
 import (
+	"errors"
 	"io"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -27,10 +29,69 @@ func genSrcOf[T any](vals []T) *genSource[T] {
 	return &genSource[T]{SliceReader: stream.NewSliceReader(vals)}
 }
 
-// buildRecordSources produces k sorted record runs with heavy key
-// duplication and distinguishable Aux payloads, so sequence equality
-// between engines checks tie placement, not just key order.
-func buildRecordSources(seed int64, k int) func() []Source[record.Record] {
+// failingSource serves vals and then fails with err instead of ending.
+type failingSource[T any] struct {
+	vals []T
+	err  error
+}
+
+func (s *failingSource[T]) Read() (T, error) {
+	if len(s.vals) == 0 {
+		var zero T
+		return zero, s.err
+	}
+	v := s.vals[0]
+	s.vals = s.vals[1:]
+	return v, nil
+}
+
+func (s *failingSource[T]) Close() error { return nil }
+
+// recordKeyVar is KeyRecord16 declared variable-width: the same key bytes,
+// taken through the offset-value-coding tie rule instead of the cached word.
+type recordKeyVar struct{ codec.KeyRecord16 }
+
+func (recordKeyVar) FixedKeySize() int { return 0 }
+
+// recordShapes is every way the one tree is built over records: unkeyed,
+// keyed on the cached word, and keyed through offset-value coding.
+var recordShapes = []struct {
+	name string
+	kc   codec.KeyCodec[record.Record]
+}{
+	{"comparator", nil},
+	{"prefix", codec.KeyRecord16{}},
+	{"ovc", recordKeyVar{}},
+}
+
+// keyThenAux refines record.Less on key ties: a total order over records
+// with distinct Aux, which KeyRecord16's bytes only coarsen.
+func keyThenAux(a, b record.Record) bool {
+	if a.Key != b.Key {
+		return a.Key < b.Key
+	}
+	return a.Aux < b.Aux
+}
+
+// recordCases are the source sets the keyed shapes are held to: heavy key
+// duplication with distinguishable Aux payloads under the plain comparator
+// (sequence equality between shapes then checks tie placement, not just key
+// order), the same under the tie-refining comparator (one correct output),
+// and a set where every key ties.
+var recordCases = []struct {
+	name string
+	keys int64
+	less func(a, b record.Record) bool
+}{
+	{"dup-heavy", 64, record.Less},
+	{"dup-heavy, refining comparator", 64, keyThenAux},
+	{"all ties", 1, record.Less},
+	{"all ties, refining comparator", 1, keyThenAux},
+}
+
+// buildRecordSources produces k runs sorted by less over keys distinct key
+// values, Aux a serial number shuffled within each run.
+func buildRecordSources(seed int64, k int, keys int64, less func(a, b record.Record) bool) func() []Source[record.Record] {
 	return func() []Source[record.Record] {
 		rng := rand.New(rand.NewSource(seed))
 		srcs := make([]Source[record.Record], k)
@@ -40,9 +101,10 @@ func buildRecordSources(seed int64, k int) func() []Source[record.Record] {
 			recs := make([]record.Record, n)
 			for j := range recs {
 				serial++
-				recs[j] = record.Record{Key: rng.Int63n(64), Aux: serial}
+				recs[j] = record.Record{Key: rng.Int63n(keys), Aux: serial}
 			}
-			sort.SliceStable(recs, func(a, b int) bool { return recs[a].Key < recs[b].Key })
+			rng.Shuffle(n, func(a, b int) { recs[a], recs[b] = recs[b], recs[a] })
+			sort.SliceStable(recs, func(a, b int) bool { return less(recs[a], recs[b]) })
 			srcs[i] = genSrcOf(recs)
 		}
 		return srcs
@@ -64,49 +126,121 @@ func drainAll[T any](t *testing.T, s Source[T]) []T {
 	}
 }
 
-// TestPrefixTreeMatchesLoserTree pins the fixed-width keyed engine against
-// the comparator loser tree on duplicate-heavy record runs: the output
-// sequences must be identical element-for-element (Aux included), i.e. the
-// engines make pointwise-equal winner decisions.
-func TestPrefixTreeMatchesLoserTree(t *testing.T) {
-	for trial := int64(0); trial < 20; trial++ {
-		k := 1 + int(trial%9)
-		build := buildRecordSources(trial, k)
+// treeOutput merges the sources through the tree newTree builds for kc and
+// returns the output with the drained tree (for its counters).
+func treeOutput[T any](t *testing.T, srcs []Source[T], less func(a, b T) bool, kc codec.KeyCodec[T]) ([]T, *LoserTree[T]) {
+	t.Helper()
+	lt, err := newTree(srcs, less, kc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := drainAll[T](t, lt)
+	if err := lt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out, lt
+}
 
-		lt, err := NewLoserTree(build(), record.Less)
-		if err != nil {
-			t.Fatal(err)
+// referenceOutput merges the sources through the reference HeapMerger and
+// checks it against sort.SliceStable of everything the sources hold: the
+// heap's output must be sorted under less and a permutation of the input.
+func referenceOutput[T comparable](t *testing.T, build func() []Source[T], less func(a, b T) bool) []T {
+	t.Helper()
+	hm, err := NewHeapMerger(build(), less)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := drainAll[T](t, hm)
+	hm.Close()
+	var all []T
+	for _, s := range build() {
+		all = append(all, drainAll(t, s)...)
+	}
+	sort.SliceStable(all, func(i, j int) bool { return less(all[i], all[j]) })
+	if len(got) != len(all) {
+		t.Fatalf("heap merger emitted %d elements of %d", len(got), len(all))
+	}
+	count := make(map[T]int, len(all))
+	for i := range all {
+		if less(got[i], all[i]) || less(all[i], got[i]) {
+			t.Fatalf("heap merger element %d = %v, sort.SliceStable has %v", i, got[i], all[i])
 		}
-		want := drainAll(t, lt)
-		lt.Close()
+		count[got[i]]++
+		count[all[i]]--
+	}
+	for v, c := range count {
+		if c != 0 {
+			t.Fatalf("heap merger output is not a permutation of the input: %v off by %d", v, c)
+		}
+	}
+	return got
+}
 
-		pt, err := newPrefixTree(build(), codec.PrefixFunc[record.Record](codec.KeyRecord16{}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := drainAll(t, pt)
-		pt.Close()
-
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: length %d, want %d", trial, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: element %d = %+v, want %+v (tie placement differs)",
-					trial, i, got[i], want[i])
-			}
+// sameOrder fails unless got and want agree position by position under
+// less — the order is the same, whatever happened to ties.
+func sameOrder[T any](t *testing.T, what string, got, want []T, less func(a, b T) bool) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if less(got[i], want[i]) || less(want[i], got[i]) {
+			t.Fatalf("%s: element %d = %v, want %v", what, i, got[i], want[i])
 		}
 	}
 }
 
-// TestOVCTreeMatchesLoserTree pins the offset-value-coded engine against
-// the comparator loser tree on variable-length string runs built to stress
-// both OVC paths: long shared prefixes (fast-path re-tags) and duplicate
-// keys across sources (equal-code ties).
+// sameElements fails unless got is want, element for element: the two
+// engines made pointwise-equal winner decisions, ties included.
+func sameElements[T comparable](t *testing.T, what string, got, want []T) {
+	t.Helper()
+	if !slices.Equal(got, want) {
+		i := 0
+		for i < len(got) && i < len(want) && got[i] == want[i] {
+			i++
+		}
+		t.Fatalf("%s: lengths %d and %d, first difference at element %d (tie placement differs)",
+			what, len(got), len(want), i)
+	}
+}
+
+// checkRecordShape holds one keyed shape of the tree to the unkeyed tree
+// (element for element, Aux included) and to the reference HeapMerger (same
+// order under less) over every recordCases row at fan-in 1..9.
+func checkRecordShape(t *testing.T, kc codec.KeyCodec[record.Record]) {
+	for _, tc := range recordCases {
+		for trial := int64(0); trial < 20; trial++ {
+			build := buildRecordSources(trial, 1+int(trial%9), tc.keys, tc.less)
+			ref := referenceOutput(t, build, tc.less)
+			want, _ := treeOutput(t, build(), tc.less, nil)
+			sameOrder(t, tc.name+": unkeyed tree vs heap merger", want, ref, tc.less)
+			got, _ := treeOutput(t, build(), tc.less, kc)
+			sameElements(t, tc.name+": keyed tree vs unkeyed tree", got, want)
+		}
+	}
+}
+
+// TestPrefixTreeMatchesLoserTree pins the tree keyed on the cached word
+// against the unkeyed tree on duplicate-heavy record runs: the output
+// sequences must be identical element-for-element (Aux included), i.e. the
+// two make pointwise-equal winner decisions — under the plain comparator,
+// where key ties are element ties, and under one that refines them.
+func TestPrefixTreeMatchesLoserTree(t *testing.T) {
+	checkRecordShape(t, codec.KeyRecord16{})
+}
+
+// TestOVCTreeMatchesLoserTree pins the offset-value-coded tie rule against
+// the unkeyed tree: on the record cases (a non-total key, so equal full
+// keys end in the comparator) and on variable-length string runs built to
+// stress both OVC paths — long shared prefixes (fast-path re-tags) and
+// duplicate keys across sources (equal-code ties).
 func TestOVCTreeMatchesLoserTree(t *testing.T) {
+	checkRecordShape(t, recordKeyVar{})
+
 	words := []string{"", "a", "aa", "aaaaaaaaaaaaaaaab", "aaaaaaaaaaaaaaaac",
 		"prefix/shared/deep/x", "prefix/shared/deep/y", "prefix/shared/z",
 		"zz", "\x00", "\x00\x01"}
+	less := func(a, b string) bool { return a < b }
 	var totalFast int64
 	for trial := int64(0); trial < 20; trial++ {
 		k := 1 + int(trial%7)
@@ -128,30 +262,12 @@ func TestOVCTreeMatchesLoserTree(t *testing.T) {
 			}
 			return srcs
 		}
-
-		less := func(a, b string) bool { return a < b }
-		lt, err := NewLoserTree(build(), less)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := drainAll(t, lt)
-		lt.Close()
-
-		ot, err := newOVCTree[string](build(), codec.KeyString{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := drainAll(t, ot)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: length %d, want %d", trial, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: element %d = %q, want %q", trial, i, got[i], want[i])
-			}
-		}
-		totalFast += ot.fastPath
-		ot.Close()
+		want := referenceOutput(t, build, less)
+		got, ot := treeOutput[string](t, build(), less, codec.KeyString{})
+		sameElements(t, "ovc tree vs heap merger", got, want)
+		got, _ = treeOutput(t, build(), less, nil)
+		sameElements(t, "unkeyed tree vs heap merger", got, want)
+		totalFast += ot.ovc.fastPath
 	}
 	// A single-source trial has no matches at all, but across twenty trials
 	// of duplicate-heavy shared-prefix runs the fast path must fire.
@@ -160,9 +276,9 @@ func TestOVCTreeMatchesLoserTree(t *testing.T) {
 	}
 }
 
-// TestOVCTreeLongKeysVsFixedEngine runs the OVC engine on a keyspace where
-// the decisive byte sits far past the 8-byte prefix — the regime the
-// fixed-width prefix engine cannot handle and OVC exists for.
+// TestOVCTreeLongKeysVsFixedEngine runs the OVC rule on a keyspace where
+// the decisive byte sits far past the 8-byte prefix — the regime the cached
+// word cannot decide and OVC exists for.
 func TestOVCTreeLongKeysVsFixedEngine(t *testing.T) {
 	const shared = "this-shared-prefix-is-much-longer-than-eight-bytes/"
 	build := func() []Source[string] {
@@ -179,68 +295,90 @@ func TestOVCTreeLongKeysVsFixedEngine(t *testing.T) {
 		return srcs
 	}
 	less := func(a, b string) bool { return a < b }
-	lt, _ := NewLoserTree(build(), less)
-	want := drainAll(t, lt)
-	lt.Close()
-
-	ot, err := newOVCTree[string](build(), codec.KeyString{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := drainAll(t, ot)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("element %d = %q, want %q", i, got[i], want[i])
-		}
-	}
+	want := referenceOutput(t, build, less)
+	got, ot := treeOutput[string](t, build(), less, codec.KeyString{})
+	sameElements(t, "ovc tree vs heap merger", got, want)
 	// Every key shares a 51-byte prefix; with offset-value coding the vast
 	// majority of matches must resolve without touching the key bytes.
-	if ot.fastPath < ot.fullCmp {
+	if ot.ovc.fastPath < ot.ovc.fullCmp {
 		t.Fatalf("fast path %d < full compares %d on a shared-prefix keyspace",
-			ot.fastPath, ot.fullCmp)
+			ot.ovc.fastPath, ot.ovc.fullCmp)
 	}
-	ot.Close()
 }
 
-// TestKeyedEnginesEmptyAndSingle covers the degenerate shapes for both
-// keyed engines: no sources, all-empty sources, and a lone element.
+// TestKeyedEnginesEmptyAndSingle covers the degenerate inputs for every
+// shape of the tree: no sources, all-empty sources around a lone element,
+// and a source that fails mid-batch.
 func TestKeyedEnginesEmptyAndSingle(t *testing.T) {
-	pfx := codec.PrefixFunc[record.Record](codec.KeyRecord16{})
-	pt, err := newPrefixTree[record.Record](nil, pfx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pt.Read(); err != io.EOF {
-		t.Fatalf("empty prefix tree Read = %v, want io.EOF", err)
-	}
-	pt.Close()
+	for _, sh := range recordShapes {
+		lt, err := newTree(nil, record.Less, sh.kc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := lt.Read(); err != io.EOF {
+			t.Fatalf("%s: empty tree Read = %v, want io.EOF", sh.name, err)
+		}
+		if n, err := lt.ReadBatch(make([]record.Record, 4)); n != 0 || err != io.EOF {
+			t.Fatalf("%s: empty tree ReadBatch = %d, %v, want io.EOF", sh.name, n, err)
+		}
+		lt.Close()
 
-	pt2, _ := newPrefixTree([]Source[record.Record]{
-		genSrcOf([]record.Record(nil)),
-		genSrcOf([]record.Record{{Key: 5, Aux: 1}}),
-		genSrcOf([]record.Record(nil)),
-	}, pfx)
-	got := drainAll[record.Record](t, pt2)
-	if len(got) != 1 || got[0].Key != 5 {
-		t.Fatalf("got %v, want the single record", got)
-	}
-	pt2.Close()
+		got, _ := treeOutput(t, []Source[record.Record]{
+			genSrcOf([]record.Record(nil)),
+			genSrcOf([]record.Record{{Key: 5, Aux: 1}}),
+			genSrcOf([]record.Record(nil)),
+		}, record.Less, sh.kc)
+		if len(got) != 1 || got[0].Key != 5 {
+			t.Fatalf("%s: got %v, want the single record", sh.name, got)
+		}
 
-	ot, err := newOVCTree[string](nil, codec.KeyString{})
-	if err != nil {
-		t.Fatal(err)
+		// A source error in the middle of a batch: the elements merged so
+		// far come back first, the error on the next call — and a Read at a
+		// time sees exactly the same sequence.
+		boom := errors.New("source failed")
+		failing := func() []Source[record.Record] {
+			return []Source[record.Record]{
+				&failingSource[record.Record]{vals: record.FromKeys(1, 3, 5), err: boom},
+				genSrcOf(record.FromKeys(2, 4, 6, 8)),
+			}
+		}
+		lt, err = newTree(failing(), record.Less, sh.kc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]record.Record, 8)
+		n, err := lt.ReadBatch(buf)
+		if n != 5 || err != nil {
+			t.Fatalf("%s: first ReadBatch = %d, %v, want the 5 elements before the failure", sh.name, n, err)
+		}
+		for i, r := range buf[:n] {
+			if r.Key != int64(i+1) {
+				t.Fatalf("%s: partial batch %v, want keys 1..5", sh.name, buf[:n])
+			}
+		}
+		if n, err := lt.ReadBatch(buf); n != 0 || err != boom {
+			t.Fatalf("%s: second ReadBatch = %d, %v, want the source error", sh.name, n, err)
+		}
+		lt.Close()
+
+		lt, _ = newTree(failing(), record.Less, sh.kc)
+		for want := int64(1); want <= 5; want++ {
+			if r, err := lt.Read(); err != nil || r.Key != want {
+				t.Fatalf("%s: Read = %+v, %v, want key %d", sh.name, r, err, want)
+			}
+		}
+		if _, err := lt.Read(); err != boom {
+			t.Fatalf("%s: Read past the failure = %v, want the source error", sh.name, err)
+		}
+		lt.Close()
 	}
-	if n, err := ot.ReadBatch(make([]string, 4)); n != 0 || err != io.EOF {
-		t.Fatalf("empty OVC tree ReadBatch = %d, %v, want io.EOF", n, err)
-	}
-	ot.Close()
 }
 
 // BenchmarkKeyedVsComparatorMerge is the CI microbenchmark guard: the same
-// merge through the comparator loser tree, the prefix engine and the OVC
-// engine. Each keyed iteration also asserts element-for-element equality
-// with the comparator output, so a single -benchtime 1x -short run doubles
-// as a correctness gate.
+// merge through the unkeyed tree, the cached-word key and the OVC rule.
+// Each iteration also asserts element-for-element equality with the
+// unkeyed output, so a single -benchtime 1x -short run doubles as a
+// correctness gate.
 func BenchmarkKeyedVsComparatorMerge(b *testing.B) {
 	const k, n = 10, 2000
 	build := func() []Source[record.Record] {
@@ -293,34 +431,17 @@ func BenchmarkKeyedVsComparatorMerge(b *testing.B) {
 	want := drainB(b, lt, nil)
 	lt.Close()
 
-	b.Run("comparator", func(b *testing.B) {
-		b.SetBytes(int64(k * n * record.Size))
-		for i := 0; i < b.N; i++ {
-			lt, _ := NewLoserTree(build(), record.Less)
-			drainB(b, lt, want)
-			lt.Close()
-		}
-	})
-	b.Run("prefix", func(b *testing.B) {
-		b.SetBytes(int64(k * n * record.Size))
-		for i := 0; i < b.N; i++ {
-			pt, err := newPrefixTree(build(), codec.PrefixFunc[record.Record](codec.KeyRecord16{}))
-			if err != nil {
-				b.Fatal(err)
+	for _, sh := range recordShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			b.SetBytes(int64(k * n * record.Size))
+			for i := 0; i < b.N; i++ {
+				lt, err := newTree(build(), record.Less, sh.kc)
+				if err != nil {
+					b.Fatal(err)
+				}
+				drainB(b, lt, want)
+				lt.Close()
 			}
-			drainB(b, pt, want)
-			pt.Close()
-		}
-	})
-	b.Run("ovc", func(b *testing.B) {
-		b.SetBytes(int64(k * n * record.Size))
-		for i := 0; i < b.N; i++ {
-			ot, err := newOVCTree[record.Record](build(), codec.KeyRecord16{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			drainB(b, ot, want)
-			ot.Close()
-		}
-	})
+		})
+	}
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/codec"
 	"repro/internal/obs"
 	"repro/internal/runio"
 	"repro/internal/stream"
@@ -96,18 +95,13 @@ type Stats struct {
 	Inputs int
 }
 
-// newEngine builds the merge engine over the inputs. When the emitter
-// carries a KeyCodec it merges on normalized keys — a prefix tree when the
-// whole key fits the cached uint64, offset-value coding otherwise
-// (keyed.go) — with output byte-identical to the comparator loser tree's.
+// newEngine builds the loser tree over the inputs. The emitter's KeyCodec —
+// set only once the driver has validated it against Less — is all that
+// shapes it: the cached key word and the tie rule follow from the codec's
+// FixedKeySize and TotalKey (tree.go), and without one every match is the
+// comparator's. The merged order is the comparator's either way.
 func newEngine[T any](em *runio.Emitter[T], srcs []Source[T]) (Source[T], error) {
-	if em.KeyCodec == nil {
-		return NewLoserTree(srcs, em.Less)
-	}
-	if fs := em.KeyCodec.FixedKeySize(); fs >= 1 && fs <= 8 {
-		return newPrefixTree(srcs, codec.PrefixFunc(em.KeyCodec))
-	}
-	return newOVCTree(srcs, em.KeyCodec)
+	return newTree(srcs, em.Less, em.KeyCodec)
 }
 
 // openInputs opens each run with the per-stream buffer budget.

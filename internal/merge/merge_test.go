@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/record"
 	"repro/internal/runio"
 	"repro/internal/stream"
@@ -93,30 +94,27 @@ func TestMergersRandomizedAgainstSort(t *testing.T) {
 			return srcs
 		}
 
-		lt, err := NewLoserTree(build(), record.Less)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotLT := drain(t, lt)
-		lt.Close()
-
 		hm, err := NewHeapMerger(build(), record.Less)
 		if err != nil {
 			t.Fatal(err)
 		}
 		gotHM := drain(t, hm)
 		hm.Close()
-
-		sort.Slice(all, func(a, b int) bool { return all[a] < all[b] })
-		if len(gotLT) != len(all) || len(gotHM) != len(all) {
-			t.Fatalf("trial %d: lengths lt=%d hm=%d want=%d", trial, len(gotLT), len(gotHM), len(all))
+		want := slices.Clone(all) // build refills all
+		slices.Sort(want)
+		if !slices.Equal(gotHM, want) {
+			t.Fatalf("trial %d: heap merger disagrees with slices.Sort", trial)
 		}
-		for i := range all {
-			if gotLT[i] != all[i] {
-				t.Fatalf("trial %d: loser tree wrong at %d", trial, i)
+
+		for _, sh := range recordShapes {
+			lt, err := newTree(build(), record.Less, sh.kc)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if gotHM[i] != all[i] {
-				t.Fatalf("trial %d: heap merger wrong at %d", trial, i)
+			gotLT := drain(t, lt)
+			lt.Close()
+			if !slices.Equal(gotLT, want) {
+				t.Fatalf("trial %d: %s loser tree disagrees with slices.Sort", trial, sh.name)
 			}
 		}
 	}
@@ -147,23 +145,30 @@ func TestMergersEmptyAndSingle(t *testing.T) {
 }
 
 func TestMergersDuplicateKeys(t *testing.T) {
-	srcs := []Source[record.Record]{srcOf(1, 1, 1), srcOf(1, 1), srcOf(1)}
-	lt, _ := NewLoserTree(srcs, record.Less)
-	got := drain(t, lt)
-	if len(got) != 6 {
-		t.Fatalf("got %d records, want 6", len(got))
+	for _, sh := range recordShapes {
+		srcs := []Source[record.Record]{srcOf(1, 1, 1), srcOf(1, 1), srcOf(1)}
+		lt, _ := newTree(srcs, record.Less, sh.kc)
+		got := drain(t, lt)
+		if len(got) != 6 {
+			t.Fatalf("%s: got %d records, want 6", sh.name, len(got))
+		}
+		lt.Close()
 	}
-	lt.Close()
 }
 
 func TestReadAfterClose(t *testing.T) {
-	lt, _ := NewLoserTree([]Source[record.Record]{srcOf(1)}, record.Less)
-	lt.Close()
-	if _, err := lt.Read(); err != record.ErrClosed {
-		t.Fatalf("read after close = %v, want ErrClosed", err)
-	}
-	if err := lt.Close(); err != record.ErrClosed {
-		t.Fatalf("double close = %v, want ErrClosed", err)
+	for _, sh := range recordShapes {
+		lt, _ := newTree([]Source[record.Record]{srcOf(1)}, record.Less, sh.kc)
+		lt.Close()
+		if _, err := lt.Read(); err != record.ErrClosed {
+			t.Fatalf("%s: read after close = %v, want ErrClosed", sh.name, err)
+		}
+		if n, err := lt.ReadBatch(make([]record.Record, 2)); n != 0 || err != record.ErrClosed {
+			t.Fatalf("%s: batch read after close = %d, %v, want ErrClosed", sh.name, n, err)
+		}
+		if err := lt.Close(); err != record.ErrClosed {
+			t.Fatalf("%s: double close = %v, want ErrClosed", sh.name, err)
+		}
 	}
 	hm, _ := NewHeapMerger([]Source[record.Record]{srcOf(1)}, record.Less)
 	hm.Close()
@@ -294,10 +299,17 @@ func TestMergeRejectsBadFanIn(t *testing.T) {
 
 // TestMergeHeapEngine holds the production merge to the reference engine:
 // a HeapMerger over the same spilled runs reads back exactly what Merge
-// writes.
+// writes, whichever shape of the tree the emitter's key codec selects.
 func TestMergeHeapEngine(t *testing.T) {
+	for _, sh := range recordShapes {
+		testMergeHeapEngine(t, sh.kc)
+	}
+}
+
+func testMergeHeapEngine(t *testing.T, kc codec.KeyCodec[record.Record]) {
 	fs := vfs.NewMemFS()
 	em := runio.RecordEmitter(fs, "m")
+	em.KeyCodec = kc
 	runs, all := makeRuns(t, fs, em, 7, 40, 4)
 	srcs := make([]Source[record.Record], len(runs))
 	for i, run := range runs {

@@ -1,0 +1,443 @@
+// Package merge implements the merge phase of external mergesort
+// (§2.1.2 of the thesis): a k-way merge built on one loser tree — which
+// matches on cached normalized-key words when the emitter carries a key
+// codec and on the comparator alone when it does not — a multi-pass driver
+// with configurable fan-in, and polyphase merge over a tape abstraction
+// (Table 2.1). Everything is generic over the element type, ordered by a
+// caller-supplied comparator.
+package merge
+
+import (
+	"io"
+
+	"repro/internal/codec"
+	"repro/internal/stream"
+)
+
+// Source is a sorted element stream being merged.
+type Source[T any] interface {
+	stream.Reader[T]
+	Close() error
+}
+
+// leafBatch is the element count of the per-input refill buffers the loser
+// tree and the reference HeapMerger keep: each leaf advance is an array
+// index, and the underlying run-reader stack is entered once per leafBatch
+// elements.
+const leafBatch = 256
+
+// leaves holds the per-source refill buffers.
+type leaves[T any] struct {
+	srcs []Source[T]
+	brs  []stream.BatchReader[T]
+	bufs [][]T
+	pos  []int
+	cnt  []int
+}
+
+func newLeaves[T any](srcs []Source[T]) *leaves[T] {
+	k := len(srcs)
+	l := &leaves[T]{
+		srcs: srcs,
+		brs:  make([]stream.BatchReader[T], k),
+		bufs: make([][]T, k),
+		pos:  make([]int, k),
+		cnt:  make([]int, k),
+	}
+	for i, s := range srcs {
+		l.brs[i] = stream.AsBatchReader[T](s)
+		l.bufs[i] = make([]T, leafBatch)
+	}
+	return l
+}
+
+// next pulls the next element of source i from its batch buffer, refilling
+// from the source once per leafBatch elements. ok is false at end of the
+// source's stream.
+func (l *leaves[T]) next(i int) (v T, ok bool, err error) {
+	if l.pos[i] < l.cnt[i] {
+		v = l.bufs[i][l.pos[i]]
+		l.pos[i]++
+		return v, true, nil
+	}
+	n, err := l.brs[i].ReadBatch(l.bufs[i])
+	if err == io.EOF || (err == nil && n == 0) {
+		var zero T
+		return zero, false, nil
+	}
+	if err != nil {
+		var zero T
+		return zero, false, err
+	}
+	l.pos[i], l.cnt[i] = 1, n
+	return l.bufs[i][0], true, nil
+}
+
+// closeAll closes every source, returning the first error.
+func (l *leaves[T]) closeAll() error {
+	var first error
+	for _, s := range l.srcs {
+		if err := s.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// LoserTree is the merge engine: a tournament tree over k sorted sources
+// that performs ⌈log2 k⌉ matches per element (the winner replays only its
+// own path), where a heap of sources costs up to twice that —
+// BenchmarkAblationMergeEngine quantifies the difference. Leaves are
+// refilled from per-input batch buffers, so source dispatch is paid once
+// per leafBatch elements.
+//
+// There is one tree for every key shape, laid out like the heap kernel's
+// Item (DESIGN.md §12): per source a head element and a cached uint64 key,
+// and a tie rule consulted only when two keys are equal.
+//
+//   - The key is codec.Prefix of the head's normalized key when the codec's
+//     whole key fits 8 bytes, and stays zero otherwise — unkeyed, or a
+//     variable-width or longer key — so that every match ties and falls
+//     through to the rule. An exhausted source holds ^0 and therefore
+//     orders last without a liveness check anywhere off the tie path.
+//   - The tie rule is nothing when the key is total (equal key bytes are
+//     identical elements), the comparator for every other ≤8-byte codec and
+//     for the unkeyed tree, and offset-value coding (ovc.go) for longer
+//     keys, which itself ends in the comparator when two full keys are
+//     equal and the codec is not total.
+//
+// A key orders consistently with the comparator (it coarsens it) and only
+// a total key stands in for it on ties, so the merged order is the
+// comparator's for every shape — also under a comparator that refines key
+// ties, as Key-then-Aux does over a Record's Key codec.
+type LoserTree[T any] struct {
+	lv *leaves[T]
+	// cur[i] is the head element of source i, key[i] its cached key and
+	// done[i] marks exhaustion.
+	cur  []T
+	key  []uint64
+	done []bool
+	// pfx computes the cached key; nil leaves every live key zero.
+	pfx func(T) uint64
+	// cmp is the comparator the tie rule ends in; nil when the key is total.
+	cmp func(a, b T) bool
+	// ovc, when set, is the tie rule for keys longer than the cached word.
+	ovc *ovcState[T]
+	// tree[j] holds the loser of the match at internal node j; tree[0]
+	// holds the overall winner.
+	tree    []int
+	k       int
+	closed  bool
+	pendErr error // error deferred by ReadBatch after a partial batch
+}
+
+// NewLoserTree builds the unkeyed tree over the given sources, priming each
+// one: every match is decided by less.
+func NewLoserTree[T any](srcs []Source[T], less func(a, b T) bool) (*LoserTree[T], error) {
+	return newTree(srcs, less, nil)
+}
+
+// newTree builds the tree over the sources, priming each one. kc, when not
+// nil, is a key codec consistent with less; the key slot and the tie rule
+// follow from what it reports about itself.
+func newTree[T any](srcs []Source[T], less func(a, b T) bool, kc codec.KeyCodec[T]) (*LoserTree[T], error) {
+	k := len(srcs)
+	t := &LoserTree[T]{
+		lv:   newLeaves(srcs),
+		cur:  make([]T, k),
+		key:  make([]uint64, k),
+		done: make([]bool, k),
+		cmp:  less,
+		tree: make([]int, k),
+		k:    k,
+	}
+	if kc != nil {
+		if kc.TotalKey() {
+			t.cmp = nil
+		}
+		if fs := kc.FixedKeySize(); fs >= 1 && fs <= 8 {
+			t.pfx = codec.PrefixFunc(kc)
+		} else {
+			t.ovc = newOVCState(kc, k)
+		}
+	}
+	for i := range srcs {
+		if err := t.advance(i); err != nil {
+			t.Close()
+			return nil, err
+		}
+	}
+	t.build()
+	return t, nil
+}
+
+// advance pulls the next element from source i's leaf buffer and loads its
+// key: the cached word, and under offset-value coding the full key bytes
+// and a fresh code.
+func (t *LoserTree[T]) advance(i int) error {
+	rec, ok, err := t.lv.next(i)
+	if err != nil {
+		return err
+	}
+	if !ok {
+		t.done[i] = true
+		t.key[i] = ^uint64(0)
+		return nil
+	}
+	t.cur[i] = rec
+	if t.ovc != nil {
+		t.ovc.load(i, rec)
+	} else if t.pfx != nil {
+		t.key[i] = t.pfx(rec)
+	}
+	return nil
+}
+
+// tie is the tie rule: whether source a's head orders strictly before
+// source b's when their cached keys are equal. Exhaustion is resolved here
+// and only here, and only behind the sentinel — an exhausted source's ^0
+// can tie with another exhausted source or with a live maximal key — and
+// exhausted sources order last. Between live heads the comparator decides,
+// unless the key is total (cmp is nil: equal keys are identical elements)
+// or longer than the cached word, where offset-value codes do. The codes'
+// one-compare fast path is spelled out here and not behind ovc.go's door
+// because a second call per match costs that rule ~4% on short keys.
+func (t *LoserTree[T]) tie(a, b int) bool {
+	if t.key[a] == ^uint64(0) && (t.done[a] || t.done[b]) {
+		return !t.done[a]
+	}
+	o := t.ovc
+	if o == nil {
+		return t.cmp != nil && t.cmp(t.cur[a], t.cur[b])
+	}
+	if o.ref[a] == 0 || o.ref[a] != o.ref[b] {
+		// References differ (or are invalid): one full key compare, which
+		// also realigns the loser's code to the winner for the matches below.
+		o.fullCmp++
+		return t.ovcSettle(a, b, 0)
+	}
+	ca, cb := o.code[a], o.code[b]
+	if ca != cb {
+		// Both codes are relative to the same reference r with r ≤ both
+		// keys, so the code order is the key order. The loser's code is also
+		// its code relative to the winner's key (the winner agrees with r
+		// through the loser's decisive byte), so re-tagging the loser against
+		// the winner costs nothing.
+		o.fastPath++
+		if ca < cb {
+			o.ref[b] = o.id[a]
+			return true
+		}
+		o.ref[a] = o.id[b]
+		return false
+	}
+	// Equal codes: both keys depart from the reference at the same offset
+	// with the same byte. Scan on from the next byte — or, if that byte is
+	// the terminator, from the end of both keys; the scan's result is
+	// exactly the loser's new code relative to the winner.
+	return t.ovcSettle(a, b, ovcCap-int(ca>>9)+1)
+}
+
+// beats reports whether source a's head orders strictly before source b's.
+func (t *LoserTree[T]) beats(a, b int) bool {
+	return t.key[a] < t.key[b] || (t.key[a] == t.key[b] && t.tie(a, b))
+}
+
+// build runs the initial tournament, filling tree with losers and tree[0]
+// with the winner.
+func (t *LoserTree[T]) build() {
+	if t.k == 0 {
+		return
+	}
+	// Play the tournament bottom-up: winner[j] for internal node j over
+	// leaves k..2k-1 (leaf j represents source j-k).
+	winner := make([]int, 2*t.k)
+	for j := t.k; j < 2*t.k; j++ {
+		winner[j] = j - t.k
+	}
+	for j := t.k - 1; j >= 1; j-- {
+		a, b := winner[2*j], winner[2*j+1]
+		if t.beats(a, b) {
+			winner[j] = a
+			t.tree[j] = b
+		} else {
+			winner[j] = b
+			t.tree[j] = a
+		}
+	}
+	t.tree[0] = winner[1]
+}
+
+// Read returns the next element in global sorted order, or io.EOF once all
+// sources are exhausted: ReadBatch over one element.
+func (t *LoserTree[T]) Read() (T, error) {
+	var one [1]T
+	_, err := t.ReadBatch(one[:])
+	return one[0], err
+}
+
+// ReadBatch fills dst with the next elements in global sorted order per the
+// stream.BatchReader contract, replaying the winner path once per element
+// but paying the interface dispatch to the caller only once per batch. A
+// source error after a partial batch is held back: the batch is returned
+// first and the error by the next call.
+func (t *LoserTree[T]) ReadBatch(dst []T) (int, error) {
+	if t.closed {
+		return 0, stream.ErrClosed
+	}
+	if t.pendErr != nil {
+		err := t.pendErr
+		t.pendErr = nil
+		return 0, err
+	}
+	if t.k == 0 {
+		return 0, io.EOF
+	}
+	n := 0
+	for n < len(dst) {
+		w := t.tree[0]
+		if t.done[w] {
+			if n > 0 {
+				return n, nil
+			}
+			return 0, io.EOF
+		}
+		dst[n] = t.cur[w]
+		n++
+		if err := t.advance(w); err != nil {
+			t.pendErr = err
+			return n, nil
+		}
+		// Replay the winner's path to the root: at each internal node the new
+		// contender either stays winner or swaps with the stored loser. The
+		// match is beats(c, w) written out — an integer compare that falls
+		// through to the tie rule only on equal keys — because behind a
+		// method call it costs the prefix shape ~10%.
+		for j := (w + t.k) / 2; j >= 1; j /= 2 {
+			c := t.tree[j]
+			if kc, kw := t.key[c], t.key[w]; kc < kw || (kc == kw && t.tie(c, w)) {
+				t.tree[j], w = w, c
+			}
+		}
+		t.tree[0] = w
+	}
+	return n, nil
+}
+
+// Close closes every source, returning the first error encountered.
+func (t *LoserTree[T]) Close() error {
+	if t.closed {
+		return stream.ErrClosed
+	}
+	t.closed = true
+	return t.lv.closeAll()
+}
+
+// HeapMerger is the naive alternative: a binary heap of sources, costing up
+// to 2·log2 k comparisons per record. It exists as the ablation baseline
+// for the loser tree.
+type HeapMerger[T any] struct {
+	lv      *leaves[T]
+	cmp     func(a, b T) bool
+	heap    []int // source indices ordered by head element
+	cur     []T
+	closed  bool
+	pendErr error // error deferred by ReadBatch after a partial batch
+}
+
+// NewHeapMerger builds a heap-based merger over the sources.
+func NewHeapMerger[T any](srcs []Source[T], less func(a, b T) bool) (*HeapMerger[T], error) {
+	m := &HeapMerger[T]{lv: newLeaves(srcs), cmp: less, cur: make([]T, len(srcs))}
+	for i := range srcs {
+		rec, ok, err := m.lv.next(i)
+		if err != nil {
+			m.Close()
+			return nil, err
+		}
+		if !ok {
+			continue
+		}
+		m.cur[i] = rec
+		m.heap = append(m.heap, i)
+		m.up(len(m.heap) - 1)
+	}
+	return m, nil
+}
+
+func (m *HeapMerger[T]) less(i, j int) bool { return m.cmp(m.cur[m.heap[i]], m.cur[m.heap[j]]) }
+
+func (m *HeapMerger[T]) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !m.less(i, p) {
+			return
+		}
+		m.heap[i], m.heap[p] = m.heap[p], m.heap[i]
+		i = p
+	}
+}
+
+func (m *HeapMerger[T]) down(i int) {
+	for {
+		l, r := 2*i+1, 2*i+2
+		best := i
+		if l < len(m.heap) && m.less(l, best) {
+			best = l
+		}
+		if r < len(m.heap) && m.less(r, best) {
+			best = r
+		}
+		if best == i {
+			return
+		}
+		m.heap[i], m.heap[best] = m.heap[best], m.heap[i]
+		i = best
+	}
+}
+
+// Read returns the next element in global sorted order.
+func (m *HeapMerger[T]) Read() (T, error) {
+	var zero T
+	if m.closed {
+		return zero, stream.ErrClosed
+	}
+	if len(m.heap) == 0 {
+		return zero, io.EOF
+	}
+	src := m.heap[0]
+	rec := m.cur[src]
+	next, ok, err := m.lv.next(src)
+	if err != nil {
+		return zero, err
+	}
+	if !ok {
+		last := len(m.heap) - 1
+		m.heap[0] = m.heap[last]
+		m.heap = m.heap[:last]
+		if len(m.heap) > 0 {
+			m.down(0)
+		}
+	} else {
+		m.cur[src] = next
+		m.down(0)
+	}
+	return rec, nil
+}
+
+// ReadBatch fills dst with the next elements in global sorted order per the
+// stream.BatchReader contract.
+func (m *HeapMerger[T]) ReadBatch(dst []T) (int, error) {
+	if m.closed {
+		return 0, stream.ErrClosed
+	}
+	return stream.ReadBatchElems[T](m, &m.pendErr, dst)
+}
+
+// Close closes every source.
+func (m *HeapMerger[T]) Close() error {
+	if m.closed {
+		return stream.ErrClosed
+	}
+	m.closed = true
+	return m.lv.closeAll()
+}

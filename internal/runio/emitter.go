@@ -36,9 +36,10 @@ type Emitter[T any] struct {
 	// KeyCodec, when set, supplies memcmp-ordered normalized key bytes
 	// consistent with Less (see codec.KeyCodec). Run generators then cache
 	// key prefixes in their heaps and sort batches on the normalized bytes,
-	// and the merge engines compare keys instead of calling Less; the
-	// sorted output is byte-identical either way. The driver sets it only
-	// after the codec passes the sampled order check.
+	// and the merge matches on keys, calling Less only on the key ties of a
+	// codec that is not total; the sorted output is byte-identical either
+	// way. The driver sets it only after the codec passes the sampled order
+	// check.
 	KeyCodec codec.KeyCodec[T]
 	// Checksums, when set, makes every writer the emitter creates track the
 	// order-insensitive content checksum of its stream (Writer.Track) and

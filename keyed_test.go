@@ -12,16 +12,17 @@ import (
 	"repro/internal/record"
 )
 
-// sortKeys sorts the dataset twice — keyed (inferred codec) and with
-// WithoutKeys — under the given policy and asserts the outputs are
-// element-for-element identical, Aux included. Byte-identical output at
-// every setting is the keyed path's core guarantee.
-func sortBothWays(t *testing.T, data []record.Record, policy string) {
+// sortBothWays sorts the dataset twice — keyed (inferred codec) and with
+// WithoutKeys — under the given comparator, policy and options, asserts the
+// outputs are element-for-element identical, Aux included, and returns
+// them. Byte-identical output at every setting is the keyed path's core
+// guarantee. wantKeyed is whether the inferred codec must engage.
+func sortBothWays(t *testing.T, less func(a, b record.Record) bool, data []record.Record, policy string, wantKeyed bool, opts ...Option) []record.Record {
 	t.Helper()
 	cfg := DefaultConfig(1 << 10)
-	run := func(opts ...Option) ([]record.Record, Stats) {
-		opts = append([]Option{WithConfig(cfg), WithPolicy(policy)}, opts...)
-		s, err := New(record.Less, opts...)
+	run := func(more ...Option) ([]record.Record, Stats) {
+		all := append([]Option{WithConfig(cfg), WithPolicy(policy)}, opts...)
+		s, err := New(less, append(all, more...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -33,7 +34,7 @@ func sortBothWays(t *testing.T, data []record.Record, policy string) {
 	}
 	keyed, kst := run()
 	comp, cst := run(WithoutKeys())
-	if !kst.Keyed {
+	if wantKeyed && !kst.Keyed {
 		t.Fatalf("policy %s: inferred record codec did not engage (Stats.Keyed=false)", policy)
 	}
 	if cst.Keyed {
@@ -48,12 +49,42 @@ func sortBothWays(t *testing.T, data []record.Record, policy string) {
 				policy, i, keyed[i], comp[i])
 		}
 	}
+	return keyed
+}
+
+// refiningRecords is the input that separates a key tie from an element
+// tie: the first 64 keys are distinct, so the inferred Key codec passes the
+// sampled order check against totalRecLess (Key, then Aux), and the rest
+// share 5 keys, so nearly every merge match is a key tie only the
+// comparator can order. Aux is the input position, except that every third
+// record is one exact value in the middle of its key — enough copies that
+// several shard splitters collapse onto it, whose round-robin tie band must
+// not take the key's other records. Equal records are identical, so the
+// sorted output is unique.
+func refiningRecords(n int) []record.Record {
+	rng := rand.New(rand.NewSource(17))
+	data := make([]record.Record, n)
+	for i := range data {
+		switch {
+		case i < 64:
+			data[i] = record.Record{Key: int64(1000 + i), Aux: uint64(i)}
+		case i%3 == 0:
+			data[i] = record.Record{Key: 2, Aux: uint64(n / 2)}
+		default:
+			data[i] = record.Record{Key: rng.Int63n(5), Aux: uint64(i)}
+		}
+	}
+	return data
 }
 
 // TestKeyedMatchesComparatorEverywhere sweeps the six paper distributions
 // across every run-generation policy: the keyed and comparator paths must
 // produce identical output at a budget small enough to force real spills
-// and multi-source merges (and, under quick, the radix batch sort).
+// and multi-source merges (and, under quick, the radix batch sort). The
+// refining rows hold a comparator that orders within key ties — the Key
+// codec coarsens it, and ties must go back to it in the heaps, the quick
+// batches, the merge (an intermediate pass at memory 256, a lone final one
+// at 4096) and the shard router alike.
 func TestKeyedMatchesComparatorEverywhere(t *testing.T) {
 	dists := map[string]DatasetKind{
 		"sorted": DatasetSorted, "reverse": DatasetReverseSorted,
@@ -70,9 +101,31 @@ func TestKeyedMatchesComparatorEverywhere(t *testing.T) {
 		}
 		for _, policy := range Policies() {
 			t.Run(fmt.Sprintf("%s/%s", name, policy), func(t *testing.T) {
-				sortBothWays(t, data, policy)
-				sortBothWays(t, dup, policy)
+				sortBothWays(t, record.Less, data, policy, true)
+				sortBothWays(t, record.Less, dup, policy, true)
 			})
+		}
+	}
+
+	refining := refiningRecords(20_000)
+	want := append([]record.Record(nil), refining...)
+	sort.Slice(want, func(i, j int) bool { return totalRecLess(want[i], want[j]) })
+	for _, policy := range Policies() {
+		for _, memory := range []int{256, 4096} {
+			for _, shards := range []int{1, 2, 8} {
+				t.Run(fmt.Sprintf("refining/%s/memory=%d/shards=%d", policy, memory, shards), func(t *testing.T) {
+					// A shard validates the codec on its own first elements,
+					// which are not the input's: only the unsharded sort is
+					// certain to run keyed.
+					got := sortBothWays(t, totalRecLess, refining, policy, shards == 1,
+						WithMemoryRecords(memory), WithShards(shards))
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("element %d = %+v, want %+v: not the comparator's order", i, got[i], want[i])
+						}
+					}
+				})
+			}
 		}
 	}
 }

@@ -64,9 +64,11 @@ func sortedRecs(in []Record) []Record {
 	return s
 }
 
-// recSorter orders records by totalRecLess, which refines the natural Key
-// order the key codec New would infer for Record, so it brings the key codec
-// of its own comparator: Key, then Aux. The operators run keyed under it.
+// recSorter orders records by totalRecLess and brings that comparator's own
+// key codec: Key, then Aux, 16 bytes and total, so the operators run on a
+// key longer than the cached word. (The Key-only codec New would infer for
+// Record serves too — totalRecLess refines it, and key ties go back to the
+// comparator; TestDistinctMatchesReferenceAllDistributions has that cell.)
 func recSorter(t *testing.T, opts ...Option) *Sorter[Record] {
 	t.Helper()
 	kc, err := CompositeKeyCodec[Record](16, true,
@@ -144,6 +146,32 @@ func TestDistinctMatchesReferenceAllDistributions(t *testing.T) {
 			requireEqual(t, "strings", sout.vals, uniq)
 		})
 	}
+
+	// The codec New infers for Record keys on Key alone, which totalRecLess
+	// refines: duplicates still have to meet in the merged stream, so every
+	// key tie must reach the comparator.
+	t.Run("inferred key codec", func(t *testing.T) {
+		in := refiningRecords(n)
+		var want []Record
+		for i, v := range sortedRecs(in) {
+			if i == 0 || v != want[len(want)-1] {
+				want = append(want, v)
+			}
+		}
+		s, err := New(totalRecLess, WithMemoryRecords(256), WithSeed(9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out sliceSink[Record]
+		st, err := s.Distinct(context.Background(), newSliceSource(in), &out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireEqual(t, "records", out.vals, want)
+		if !st.Sort.Keyed || st.Sort.Runs < 2 || st.Out != int64(len(want)) {
+			t.Fatalf("stats %+v: want a keyed external sorted distinct", st)
+		}
+	})
 }
 
 func TestGroupByMatchesReferenceAllDistributions(t *testing.T) {

@@ -71,17 +71,24 @@ func Float64Codec() Codec[float64] { return codec.Float64{} }
 // the merge compares normalized keys — via prefix integers or offset-value
 // coding — instead of calling the comparator per match. The contract:
 //
-//	bytes.Compare(AppendKey(nil, a), AppendKey(nil, b)) < 0  ⟺  less(a, b)
+//	bytes.Compare(AppendKey(nil, a), AppendKey(nil, b)) < 0  ⟹  less(a, b)
 //
-// so equal key bytes imply a tie under the comparator. Every keyed decision
-// is then pointwise equal to the comparator's and the sorted output is
-// byte-identical between the keyed and comparator paths.
+// and less never orders two elements against their key bytes. Equal key
+// bytes imply a tie under the comparator when TotalKey reports true, and
+// only then is the comparator never called; under any other codec it
+// decides between elements whose keys are equal — in the heaps, the quick
+// batches, the merge and the shard router alike — so a comparator may
+// refine the key's order (a Record's Key, then its Aux) and the output is
+// still the comparator's. Every keyed decision is pointwise equal to the
+// comparator's and the sorted output is byte-identical between the keyed
+// and comparator paths.
 //
 // AppendKey appends v's key bytes onto buf and returns the extended slice.
 // FixedKeySize returns the constant key length for fixed-width keys and 0
 // for variable-width ones. TotalKey reports whether the key bytes determine
-// the element entirely (required before ties may be rearranged, as radix
-// sorting does). See DESIGN.md §12 for the encodings and fallback rules.
+// the element entirely (required before key ties may be left to chance, as
+// radix sorting and a comparator-free merge do). See DESIGN.md §12 for the
+// encodings and fallback rules.
 type KeyCodec[T any] interface {
 	AppendKey(buf []byte, v T) []byte
 	FixedKeySize() int
@@ -306,6 +313,11 @@ func WithKey[T any](key func(T) float64) Option {
 // codec that disagrees with the comparator on a sampled prefix of the
 // input fails the sort with an error — an inferred one falls back to the
 // comparator silently (e.g. a descending comparator over int64 elements).
+// The sampled check is stricter than the contract — on the sample, less
+// must hold exactly where the key bytes order strictly — so a comparator
+// that refines key ties passes it when the sampled keys are distinct;
+// past the sample, key ties under a codec that is not total go to the
+// comparator.
 func WithKeyCodec[T any](kc KeyCodec[T]) Option {
 	return func(s *sorterConfig) error {
 		if kc == nil {
