@@ -1,7 +1,7 @@
-// Benchmarks that regenerate every table and figure of the paper at the
-// harness' tiny scale (see internal/exp for the full-scale entry points and
-// EXPERIMENTS.md for recorded results), plus ablation benches for the
-// design decisions called out in DESIGN.md §4.
+// End-to-end sort benchmarks per policy and dataset, plus the ablation
+// benches for the design decisions called out in DESIGN.md §7. The paper's
+// tables and figures are not benchmarks: cmd/paper regenerates them and
+// EXPERIMENTS.md records them.
 package repro
 
 import (
@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/core"
-	"repro/internal/exp"
 	"repro/internal/gen"
 	"repro/internal/heap"
 	"repro/internal/iosim"
@@ -19,106 +18,7 @@ import (
 	"repro/internal/vfs"
 )
 
-// --- Paper tables and figures ---
-
-func BenchmarkTable2_1_Polyphase(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.Table21Polyphase(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig3_8_ModelDensity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.Fig38Model(3, 10); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig5_2_RunsByDataset(b *testing.B) {
-	p := exp.Tiny()
-	p.Seeds = 1
-	for i := 0; i < b.N; i++ {
-		f, err := exp.RunFactorial(p, []gen.Kind{gen.Random}, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(f.RunsByKind()[gen.Random]) == 0 {
-			b.Fatal("no observations")
-		}
-	}
-}
-
-func BenchmarkTable5_2_ANOVARandom(b *testing.B) {
-	p := exp.Tiny()
-	p.Seeds = 2
-	f, err := exp.RunFactorial(p, []gen.Kind{gen.Random}, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := f.Fit(gen.Random, exp.MainEffects(), nil, -1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig5_4_BufferSweep(b *testing.B) {
-	p := exp.Tiny()
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.Fig54BufferSweep(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable5_13_RunLength(b *testing.B) {
-	p := exp.Tiny()
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.Table513(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig6_1_FanIn(b *testing.B) {
-	p := exp.Tiny()
-	p.FanInRuns = 10
-	p.FanInRunRecords = 4_000
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.Fig61FanIn(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchSweep shrinks a Chapter 6 sweep to a single representative point per
-// iteration.
-func benchSweep(b *testing.B, fig func(exp.Params) ([]exp.TimePoint, error)) {
-	b.Helper()
-	p := exp.Tiny()
-	p.TimeMemory = 2_000
-	p.TimeInput = 100_000
-	for i := 0; i < b.N; i++ {
-		pts, err := fig(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(pts) == 0 {
-			b.Fatal("no points")
-		}
-	}
-}
-
-func BenchmarkFig6_3_RandomSweep(b *testing.B)      { benchSweep(b, exp.Fig63) }
-func BenchmarkFig6_5_MixedSweep(b *testing.B)       { benchSweep(b, exp.Fig65) }
-func BenchmarkFig6_6_AlternatingSweep(b *testing.B) { benchSweep(b, exp.Fig66) }
-func BenchmarkFig6_7_ReverseSweep(b *testing.B)     { benchSweep(b, exp.Fig67) }
-
-// --- Run generation micro-benches (the engines behind every experiment) ---
+// --- Sorts per policy and dataset ---
 
 func benchRunGen(b *testing.B, policy string, kind DatasetKind) {
 	b.Helper()
@@ -156,7 +56,7 @@ func BenchmarkSort2WRS_Mixed(b *testing.B)   { benchRunGen(b, "2wrs", DatasetMix
 func BenchmarkSort2WRS_Reverse(b *testing.B) { benchRunGen(b, "2wrs", DatasetReverseSorted) }
 func BenchmarkSortLSS_Random(b *testing.B)   { benchRunGen(b, "lss", DatasetRandom) }
 
-// --- Ablations (DESIGN.md §4) ---
+// --- Ablations (DESIGN.md §7) ---
 
 // BenchmarkAblationDoubleHeapLayout compares the paper's single-array
 // DoubleHeap against two independently allocated heaps of half capacity.

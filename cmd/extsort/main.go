@@ -111,16 +111,19 @@ type sortFlags struct {
 }
 
 func newSortFlags(fs *flag.FlagSet) *sortFlags {
+	// The defaults are the paper's recommended configuration, read from
+	// where the library writes it down.
+	def := repro.DefaultConfig(100_000)
 	return &sortFlags{
-		policy: fs.String("policy", "2wrs", "run generation policy: "+strings.Join(repro.Policies(), ", ")+
+		policy: fs.String("policy", def.Policy, "run generation policy: "+strings.Join(repro.Policies(), ", ")+
 			" (alt and lss are accepted for alternating and quick); 'auto' adapts to the input, switching generators at run boundaries"),
-		memory:  fs.Int("memory", 100_000, "memory budget in records"),
-		fanIn:   fs.Int("fanin", 10, "merge fan-in"),
+		memory:  fs.Int("memory", def.MemoryRecords, "memory budget in records"),
+		fanIn:   fs.Int("fanin", def.FanIn, "merge fan-in"),
 		tempDir: fs.String("tmp", "", "directory for temporary runs (default: system temp)"),
-		setup:   fs.String("buffers", "both", "2WRS buffer setup: input, both, victim"),
-		frac:    fs.Float64("buffrac", 0.02, "fraction of memory for 2WRS buffers"),
-		inH:     fs.String("inheur", "mean", "2WRS input heuristic"),
-		outH:    fs.String("outheur", "random", "2WRS output heuristic"),
+		setup:   fs.String("buffers", def.Setup.String(), "2WRS buffer setup: input, both, victim"),
+		frac:    fs.Float64("buffrac", def.BufferFraction, "fraction of memory for 2WRS buffers"),
+		inH:     fs.String("inheur", def.Input.String(), "2WRS input heuristic"),
+		outH:    fs.String("outheur", def.Output.String(), "2WRS output heuristic"),
 		seed:    fs.Int64("seed", 1, "seed for randomised heuristics"),
 		compress: fs.String("compress", "raw", "spill framing: "+strings.Join(storage.Compressions(), ", ")+
 			"; any value but raw adds per-block CRC32 checksums, flate/gzip also compress"),
@@ -259,13 +262,84 @@ func (f *sortFlags) config() (repro.Config, func(), error) {
 	return cfg, cleanup, nil
 }
 
-// sorter builds the record sorter every subcommand drives: classic key
-// order, classic codec.
-func sorter(cfg repro.Config) (*repro.Sorter[repro.Record], error) {
-	return repro.New(record.Less,
-		repro.WithConfig(cfg),
-		repro.WithCodec(repro.RecordCodec()),
-		repro.WithKey(record.Key))
+// parse parses a subcommand's flags and exits with its usage when one of
+// the required path flags was left empty.
+func parse(fs *flag.FlagSet, args []string, required ...*string) {
+	fs.Parse(args)
+	for _, path := range required {
+		if *path == "" {
+			fs.Usage()
+			os.Exit(2)
+		}
+	}
+}
+
+// job is what a subcommand works with once its flags are parsed: the
+// record sorter (classic key order, codec and key projection inferred),
+// its opened inputs and, when it writes a record file, its output.
+type job struct {
+	s   *repro.Sorter[repro.Record]
+	in  []*record.ByteReader
+	out *outFile
+}
+
+// start is the prologue every subcommand shares: resolve the flags into a
+// configuration, wire the observability flags into it, build the sorter,
+// open the inputs and create the output (outPath "" for none). Any failure
+// is fatal. The returned finish closes the inputs, writes the trace and
+// metrics files, stops the metrics endpoint and removes a temp dir this
+// command allocated; defer it.
+func (f *sortFlags) start(outPath string, inPaths ...string) (*job, func()) {
+	cfg, cleanup, err := f.config()
+	if err != nil {
+		log.Fatal(err)
+	}
+	finishObs, err := f.observe(&cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	j := &job{}
+	if j.s, err = repro.New(record.Less, repro.WithConfig(cfg)); err != nil {
+		log.Fatal(err)
+	}
+	var closers []func()
+	for _, path := range inPaths {
+		src, closeIn, err := openIn(path)
+		if err != nil {
+			log.Fatal(err)
+		}
+		j.in = append(j.in, src)
+		closers = append(closers, closeIn)
+	}
+	if outPath != "" {
+		if j.out, err = createOut(outPath); err != nil {
+			log.Fatal(err)
+		}
+	}
+	return j, func() {
+		for _, closeIn := range closers {
+			closeIn()
+		}
+		finishObs()
+		cleanup()
+	}
+}
+
+// commit ends the subcommand's work: a failed operation is fatal (its
+// output file is closed unflushed), a successful one has its output
+// flushed and closed.
+func (j *job) commit(err error) {
+	if err != nil {
+		if j.out != nil {
+			j.out.f.Close()
+		}
+		fatalSortErr(err)
+	}
+	if j.out != nil {
+		if err := j.out.close(); err != nil {
+			log.Fatal(err)
+		}
+	}
 }
 
 // openIn opens a binary record file as a streaming source.
@@ -360,25 +434,12 @@ func runSort(args []string) {
 	sf := newSortFlags(fs)
 	inPath := fs.String("in", "", "input record file (required)")
 	outPath := fs.String("out", "", "output record file (required)")
-	fs.Parse(args)
-	if *inPath == "" || *outPath == "" {
-		fs.Usage()
-		os.Exit(2)
-	}
-	cfg, cleanup, err := sf.config()
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer cleanup()
-	finish, err := sf.observe(&cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
+	parse(fs, args, inPath, outPath)
+	j, finish := sf.start(*outPath, *inPath)
 	defer finish()
-	stats, err := repro.SortFile(*inPath, *outPath, cfg)
-	if err != nil {
-		fatalSortErr(err)
-	}
+
+	stats, err := j.s.Sort(context.Background(), j.in[0], j.out.r)
+	j.commit(err)
 	printSortStats(*sf.memory, stats)
 	fmt.Printf("run generation:   %v\n", stats.RunGenWall.Round(1e6))
 	fmt.Printf("merge phase:      %v\n", stats.MergeWall.Round(1e6))
@@ -399,51 +460,21 @@ func runUnaryOp(name string, args []string) {
 	case "bottomk":
 		k = fs.Int("k", 100, "number of largest records to keep")
 	}
-	fs.Parse(args)
-	if *inPath == "" || *outPath == "" {
-		fs.Usage()
-		os.Exit(2)
-	}
-	cfg, cleanup, err := sf.config()
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer cleanup()
-	finish, err := sf.observe(&cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
+	parse(fs, args, inPath, outPath)
+	j, finish := sf.start(*outPath, *inPath)
 	defer finish()
-	s, err := sorter(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	src, closeIn, err := openIn(*inPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer closeIn()
-	out, err := createOut(*outPath)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	var st repro.OpStats
+	var err error
 	switch name {
 	case "distinct":
-		st, err = s.Distinct(context.Background(), src, out.r)
+		st, err = j.s.Distinct(context.Background(), j.in[0], j.out.r)
 	case "topk":
-		st, err = s.TopK(context.Background(), src, *k, out.r)
+		st, err = j.s.TopK(context.Background(), j.in[0], *k, j.out.r)
 	case "bottomk":
-		st, err = s.BottomK(context.Background(), src, *k, out.r)
+		st, err = j.s.BottomK(context.Background(), j.in[0], *k, j.out.r)
 	}
-	if err != nil {
-		out.f.Close()
-		fatalSortErr(err)
-	}
-	if err := out.close(); err != nil {
-		log.Fatal(err)
-	}
+	j.commit(err)
 	fmt.Printf("operator:         %s\n", name)
 	fmt.Printf("consumed:         %d records\n", st.In)
 	fmt.Printf("emitted:          %d records\n", st.Out)
@@ -464,41 +495,19 @@ func runSelect(args []string) {
 	k := fs.Int("k", 1, "rank to select, 1-based (1 = minimum)")
 	approx := fs.Bool("approx", false, "use the approximate soft-heap selection")
 	eps := fs.Float64("eps", 0.01, "corruption budget for -approx: the returned rank is within [k, k+eps*n]")
-	fs.Parse(args)
-	if *inPath == "" {
-		fs.Usage()
-		os.Exit(2)
-	}
-	cfg, cleanup, err := sf.config()
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer cleanup()
-	finish, err := sf.observe(&cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
+	parse(fs, args, inPath)
+	j, finish := sf.start("", *inPath)
 	defer finish()
-	s, err := sorter(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	src, closeIn, err := openIn(*inPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer closeIn()
 
 	var rec repro.Record
 	var st repro.SelectStats
+	var err error
 	if *approx {
-		rec, st, err = s.ApproxSelect(context.Background(), src, *k, *eps)
+		rec, st, err = j.s.ApproxSelect(context.Background(), j.in[0], *k, *eps)
 	} else {
-		rec, st, err = s.Select(context.Background(), src, *k)
+		rec, st, err = j.s.Select(context.Background(), j.in[0], *k)
 	}
-	if err != nil {
-		log.Fatal(err)
-	}
+	j.commit(err)
 	fmt.Printf("operator:         select\n")
 	fmt.Printf("rank:             %d of %d records\n", *k, st.In)
 	fmt.Printf("selected:         key=%d aux=%d\n", rec.Key, rec.Aux)
@@ -522,11 +531,7 @@ func runQuantiles(args []string) {
 	sf := newSortFlags(fs)
 	inPath := fs.String("in", "", "input record file (required)")
 	qArg := fs.String("q", "0.5,0.9,0.99", "comma-separated quantiles in [0,1]")
-	fs.Parse(args)
-	if *inPath == "" {
-		fs.Usage()
-		os.Exit(2)
-	}
+	parse(fs, args, inPath)
 	var qs []float64
 	for _, part := range strings.Split(*qArg, ",") {
 		q, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
@@ -535,30 +540,11 @@ func runQuantiles(args []string) {
 		}
 		qs = append(qs, q)
 	}
-	cfg, cleanup, err := sf.config()
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer cleanup()
-	finish, err := sf.observe(&cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
+	j, finish := sf.start("", *inPath)
 	defer finish()
-	s, err := sorter(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	src, closeIn, err := openIn(*inPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer closeIn()
 
-	recs, st, err := s.Quantiles(context.Background(), src, qs)
-	if err != nil {
-		log.Fatal(err)
-	}
+	recs, st, err := j.s.Quantiles(context.Background(), j.in[0], qs)
+	j.commit(err)
 	fmt.Printf("operator:         quantiles\n")
 	fmt.Printf("consumed:         %d records\n", st.In)
 	for i, q := range qs {
@@ -578,43 +564,9 @@ func runJoin(args []string) {
 	rightPath := fs.String("right", "", "right input record file (required)")
 	outPath := fs.String("out", "", "output record file (required); each matching pair "+
 		"(l, r) on key emits {Key, l.Aux + r.Aux}")
-	fs.Parse(args)
-	if *leftPath == "" || *rightPath == "" || *outPath == "" {
-		fs.Usage()
-		os.Exit(2)
-	}
-	cfg, cleanup, err := sf.config()
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer cleanup()
-	finish, err := sf.observe(&cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
+	parse(fs, args, leftPath, rightPath, outPath)
+	j, finish := sf.start(*outPath, *leftPath, *rightPath)
 	defer finish()
-	ls, err := sorter(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rs, err := sorter(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	lsrc, closeL, err := openIn(*leftPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer closeL()
-	rsrc, closeR, err := openIn(*rightPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer closeR()
-	out, err := createOut(*outPath)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	cmp := func(l, r repro.Record) int {
 		switch {
@@ -628,14 +580,10 @@ func runJoin(args []string) {
 	join := func(l, r repro.Record) repro.Record {
 		return repro.Record{Key: l.Key, Aux: l.Aux + r.Aux}
 	}
-	st, err := repro.MergeJoin(context.Background(), ls, lsrc, rs, rsrc, cmp, join, out.r)
-	if err != nil {
-		out.f.Close()
-		log.Fatal(err)
-	}
-	if err := out.close(); err != nil {
-		log.Fatal(err)
-	}
+	// Both sides sort under the one configuration; MergeJoin namespaces
+	// their temporary files apart.
+	st, err := repro.MergeJoin(context.Background(), j.s, j.in[0], j.s, j.in[1], cmp, join, j.out.r)
+	j.commit(err)
 	fmt.Printf("operator:         join\n")
 	fmt.Printf("left consumed:    %d records (%d runs)\n", st.LeftIn, st.Left.Runs)
 	fmt.Printf("right consumed:   %d records (%d runs)\n", st.RightIn, st.Right.Runs)

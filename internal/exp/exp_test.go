@@ -1,16 +1,82 @@
 package exp
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
+	"os"
 	"strings"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/policy"
 	"repro/internal/stats"
 )
 
+// tiny is the session every test shares, so each experiment is computed once
+// whether a shape test or the render loop asks first.
+var tiny = &Session{Params: Tiny()}
+
+func TestArtefactList(t *testing.T) {
+	seen := map[string]bool{}
+	for _, a := range Artefacts {
+		if seen[a.ID] {
+			t.Errorf("artefact id %q is listed twice", a.ID)
+		}
+		seen[a.ID] = true
+		if _, err := Select(a.Group, []string{a.ID}); err != nil {
+			t.Errorf("Select(%q, %q): %v", a.Group, a.ID, err)
+		}
+	}
+	if all, err := Select("all", nil); err != nil || len(all) != len(Artefacts) {
+		t.Errorf("Select(all) = %d artefacts, err %v; want all %d", len(all), err, len(Artefacts))
+	}
+	if _, err := Select("bench", nil); err == nil || !strings.Contains(err.Error(), strings.Join(Groups, ", ")) {
+		t.Errorf("unknown group: err = %v, want the valid groups listed", err)
+	}
+	// An id outside the group is unknown there, and the error lists the
+	// ids that are valid.
+	_, err := Select("runlen", []string{"tab5.13", "fig6.4"})
+	if err == nil || !strings.Contains(err.Error(), `"fig6.4"`) || !strings.Contains(err.Error(), "tab5.13, fig5.4") {
+		t.Errorf("unknown id: err = %v, want fig6.4 rejected and the runlen ids listed", err)
+	}
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(readme), List()) {
+		t.Errorf("README.md does not carry the output of `paper list`:\n%s", List())
+	}
+}
+
+// TestArtefactsRenderAtTiny is the one loop over the artefact list: every
+// entry renders at Tiny(), and the section it renders is the one recorded in
+// EXPERIMENTS.md. Under -short the anova and time groups (the factorial and
+// the simulated-disk sweeps) are left to CI's `paper all -scale tiny` diff.
+func TestArtefactsRenderAtTiny(t *testing.T) {
+	recorded, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range Artefacts {
+		if testing.Short() && (a.Group == "anova" || a.Group == "time") {
+			continue
+		}
+		section, err := a.Section(tiny)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if section == fmt.Sprintf("## %s\n\n```\n```\n\n", a.Title) {
+			t.Errorf("%s rendered an empty body", a.ID)
+		}
+		if !strings.Contains(string(recorded), section) {
+			t.Errorf("%s: EXPERIMENTS.md is stale; regenerate it with `go run ./cmd/paper all -scale tiny > EXPERIMENTS.md`. Now:\n%s", a.ID, section)
+		}
+	}
+}
+
 func TestTable513Shape(t *testing.T) {
-	rows, err := Table513(Tiny())
+	rows, err := shared(tiny, "tab5.13", Table513)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +105,7 @@ func TestTable513Shape(t *testing.T) {
 	// Alternating: RS ≈ 2.0; 2WRS one run per monotone section, i.e.
 	// ratio = section length / memory = 5 (Theorem 6; the thesis' Table
 	// 5.13 prints the run count 50 in this cell, its §5.2.3 text gives the
-	// 5× memory average length — see EXPERIMENTS.md).
+	// 5× memory average length — see tab5.13 in EXPERIMENTS.md).
 	alt := byKind[gen.Alternating]
 	if alt.Ratio[0] < 1.5 || alt.Ratio[0] > 2.6 {
 		t.Errorf("alternating RS ratio = %.2f, want ≈2", alt.Ratio[0])
@@ -74,7 +140,7 @@ func TestTable513Shape(t *testing.T) {
 }
 
 func TestFig54LinearDegradation(t *testing.T) {
-	pts, err := Fig54BufferSweep(Tiny())
+	pts, err := shared(tiny, "fig5.4", Fig54BufferSweep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,15 +158,39 @@ func TestFactorialAndANOVAModels(t *testing.T) {
 	if testing.Short() {
 		t.Skip("factorial sweep is slow")
 	}
-	p := Tiny()
-	f, err := RunFactorial(p, []gen.Kind{gen.Sorted, gen.ReverseSorted, gen.Random, gen.MixedBalanced}, nil)
+	f, err := tiny.factorial(gen.Kinds...)
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	// The run counts of the full 3×4×6×5 cross × 2 seeds are those of the
+	// thesis-layout emitter (k = 1000-page chain files) this experiment used
+	// through PR 16: the chain-file length moves no run boundary.
+	pinned := map[gen.Kind]string{
+		gen.Sorted:          "8675b0007dd04865",
+		gen.ReverseSorted:   "8675b0007dd04865",
+		gen.Alternating:     "664d6057c17b47dd",
+		gen.Random:          "8277288f09c049bc",
+		gen.MixedBalanced:   "958d601a30a36824",
+		gen.MixedImbalanced: "9029a4d040e3cec3",
+	}
+	for kind, ds := range f {
+		ys := runCounts(ds)
+		if len(ys) != 720 {
+			t.Errorf("%v: %d observations, want 360 configurations x 2 seeds", kind, len(ys))
+		}
+		h := fnv.New64a()
+		for _, y := range ys {
+			fmt.Fprintf(h, "%d,", int(y))
+		}
+		if got := fmt.Sprintf("%016x", h.Sum64()); got != pinned[kind] {
+			t.Errorf("%v: run-count vector hashes to %s, want %s", kind, got, pinned[kind])
+		}
+	}
+
 	// §5.2.1/5.2.2: sorted and reverse generate 1 run in every config.
 	for _, kind := range []gen.Kind{gen.Sorted, gen.ReverseSorted} {
-		for _, y := range f.RunsByKind()[kind] {
+		for _, y := range runCounts(f[kind]) {
 			if y != 1 {
 				t.Fatalf("%v: a configuration generated %v runs, want 1", kind, y)
 			}
@@ -111,8 +201,8 @@ func TestFactorialAndANOVAModels(t *testing.T) {
 	// size) as the dominant factor. At this tiny scale (buffers of 0-40
 	// records) the heuristics contribute more relative noise than at the
 	// paper's scale, so the thresholds here are loose; EXPERIMENTS.md
-	// records the small-scale values.
-	fit, _, err := f.Fit(gen.Random, MainEffects(), nil, -1)
+	// records the values at this scale (tab5.2).
+	fit, _, err := tiny.fit(gen.Random, MainEffects, nil, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +222,7 @@ func TestFactorialAndANOVAModels(t *testing.T) {
 	}
 
 	// Table 5.3: the β-only model still captures the dominant effect.
-	fit53, _, err := f.Fit(gen.Random, SizeOnly(), nil, -1)
+	fit53, _, err := tiny.fit(gen.Random, SizeOnly, nil, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +232,7 @@ func TestFactorialAndANOVAModels(t *testing.T) {
 
 	// §5.2.5: on mixed input, victim-less configurations behave much
 	// worse (Fig 5.5): compare group means over α.
-	ds := f.Datasets[gen.MixedBalanced]
+	ds := f[gen.MixedBalanced]
 	means := ds.MeansBy(0)
 	if len(means) != 3 {
 		t.Fatalf("expected 3 buffer setups, got %d", len(means))
@@ -154,11 +244,11 @@ func TestFactorialAndANOVAModels(t *testing.T) {
 
 	// Tables 5.4-5.6: the mixed model fits acceptably once victim-less
 	// configs are dropped, and WLS improves the CV.
-	mls, _, err := f.Fit(gen.MixedBalanced, FirstOrderNoAlpha(), DropVictimless, -1)
+	mls, _, err := tiny.fit(gen.MixedBalanced, FirstOrderNoAlpha, DropVictimless, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wls, dsW, err := f.Fit(gen.MixedBalanced, FirstOrderNoAlpha(), DropVictimless, 1)
+	wls, dsW, err := tiny.fit(gen.MixedBalanced, FirstOrderNoAlpha, DropVictimless, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,11 +271,68 @@ func TestFactorialAndANOVAModels(t *testing.T) {
 	}
 }
 
+// TestParallelExperiments drives the code that spreads independent
+// experiments over goroutines at a scale small enough for -short, so the
+// race job sees it: results land in index order, the lowest failing index
+// reports, a session generates a dataset once, and a sweep equals its sorts
+// run one by one.
+func TestParallelExperiments(t *testing.T) {
+	got := make([]int, 50)
+	err := parallel(len(got), func(i int) error {
+		got[i] = i + 1
+		if i == 7 || i == 31 {
+			return fmt.Errorf("index %d", i)
+		}
+		return nil
+	})
+	if err == nil || err.Error() != "index 7" {
+		t.Errorf("parallel error = %v, want that of the lowest failing index", err)
+	}
+	for i, v := range got {
+		if v != i+1 {
+			t.Fatalf("parallel skipped index %d", i)
+		}
+	}
+
+	s := &Session{Params: Params{Memory: 50, Input: 1000, Seeds: 1}}
+	first, err := s.factorial(gen.Sorted, gen.Random)
+	if err != nil {
+		t.Fatal(err)
+	}
+	random := first[gen.Random]
+	again, err := s.factorial(gen.Random, gen.ReverseSorted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again[gen.Random] != random || len(again) != 3 || len(again[gen.ReverseSorted].Obs) != 360 {
+		t.Errorf("second call: random regenerated = %v, %d datasets, want the first kept and 3", again[gen.Random] != random, len(again))
+	}
+
+	pts, err := timeSweep(gen.MixedBalanced, []sweepPoint{{1, 3000, 300, 50}, {2, 6000, 300, 50}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range []int{3000, 6000} {
+		rsRun, rsTot, err := timedSort(gen.MixedBalanced, n, 300, 50, policy.RS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twRun, twTot, err := timedSort(gen.MixedBalanced, n, 300, 50, policy.TwoWayRS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := TimePoint{X: float64(i + 1), RSRun: rsRun, RSTotal: rsTot, TWRun: twRun, TWTotal: twTot}
+		if pts[i] != want {
+			t.Errorf("sweep point %d = %+v, sorts run one by one give %+v", i, pts[i], want)
+		}
+	}
+}
+
 func TestFig61FanInUShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping benchmark-scale experiment in -short mode")
 	}
-	pts, err := Fig61FanIn(Tiny())
+	pts, err := shared(tiny, "fig6.1", Fig61FanIn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,17 +387,49 @@ func TestTable21Experiment(t *testing.T) {
 	}
 }
 
+func TestPolyphaseCountsTable21(t *testing.T) {
+	// Table 2.1 of the thesis, verbatim.
+	steps, err := PolyphaseCounts([]int{8, 10, 3, 0, 8, 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]int{
+		{8, 10, 3, 0, 8, 11},
+		{5, 7, 0, 3, 5, 8},
+		{2, 4, 3, 0, 2, 5},
+		{0, 2, 1, 2, 0, 3},
+		{1, 1, 0, 1, 0, 2},
+		{0, 0, 1, 0, 0, 1},
+		{1, 0, 0, 0, 0, 0},
+	}
+	if len(steps) != len(want) {
+		t.Fatalf("got %d steps, want %d", len(steps), len(want))
+	}
+	for i, w := range want {
+		for j, c := range w {
+			if steps[i].RunsPerTape[j] != c {
+				t.Fatalf("step %d tape %d = %d, want %d (full: %v)",
+					i, j, steps[i].RunsPerTape[j], c, steps[i].RunsPerTape)
+			}
+		}
+	}
+}
+
+func TestPolyphaseCountsNeedsEmptyTape(t *testing.T) {
+	if _, err := PolyphaseCounts([]int{1, 2, 3}); err == nil {
+		t.Fatal("expected error without an empty tape")
+	}
+}
+
 func TestTimeSweepsShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("time sweeps are slow")
 	}
-	p := Tiny()
-
 	// Fig 6.3: random input — the algorithms stay comparable. At tiny run
 	// sizes 2WRS pays a small page-granularity premium (its four streams
 	// each need whole-page reads), so the acceptance band sits slightly
 	// below 1; the thesis reports near-equality at its scale.
-	pts, err := Fig63(p)
+	pts, err := shared(tiny, "fig6.3", Fig63)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +442,7 @@ func TestTimeSweepsShapes(t *testing.T) {
 
 	// Fig 6.5: mixed input — 2WRS clearly faster (thesis: ≈3×), and
 	// increasingly so as the input grows relative to memory.
-	pts, err = Fig65(p)
+	pts, err = shared(tiny, "fig6.5", Fig65)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +460,7 @@ func TestTimeSweepsShapes(t *testing.T) {
 	}
 
 	// Fig 6.7: reverse sorted — 2WRS clearly faster (thesis: ≈2.5×).
-	pts, err = Fig67(p)
+	pts, err = shared(tiny, "fig6.7", Fig67)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +472,7 @@ func TestTimeSweepsShapes(t *testing.T) {
 
 	// Fig 6.6: alternating — large speedup for few sections (thesis: up to
 	// ≈3), approaching parity as sections multiply.
-	pts, err = Fig66(p)
+	pts, err = shared(tiny, "fig6.6", Fig66)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,13 +28,6 @@ var BufferFracLevels = []float64{0.0002, 0.002, 0.02, 0.2}
 // FactorNames are the greek letters the thesis uses.
 var FactorNames = []string{"α", "β", "γ", "δ"}
 
-// Factorial holds the full experiment outcome: one ANOVA dataset per input
-// distribution, with factors (α, β, γ, δ).
-type Factorial struct {
-	Params   Params
-	Datasets map[gen.Kind]*anova.Dataset
-}
-
 // factorDefs returns the four factor definitions in thesis order.
 func factorDefs() []anova.Factor {
 	return []anova.Factor{
@@ -45,138 +38,77 @@ func factorDefs() []anova.Factor {
 	}
 }
 
-// RunFactorial executes the full factorial experiment. progress, when non
-// nil, receives a line per dataset.
-func RunFactorial(p Params, kinds []gen.Kind, progress func(string)) (*Factorial, error) {
-	if len(kinds) == 0 {
-		kinds = gen.Kinds
-	}
-	f := &Factorial{Params: p, Datasets: map[gen.Kind]*anova.Dataset{}}
-	for _, kind := range kinds {
-		ds := &anova.Dataset{Factors: factorDefs()}
-		for ai, setup := range core.BufferSetups {
-			for bi, frac := range BufferFracLevels {
-				for gi, in := range core.InputHeuristics {
-					for di, out := range core.OutputHeuristics {
-						for seed := 0; seed < p.Seeds; seed++ {
-							runs, err := countRuns(kind, p, core.Config{
-								Memory:     p.Memory,
-								Setup:      setup,
-								BufferFrac: frac,
-								Input:      in,
-								Output:     out,
-								Seed:       int64(seed + 1),
-							}, int64(seed+1))
-							if err != nil {
-								return nil, fmt.Errorf("factorial %v α%d β%d γ%d δ%d: %w",
-									kind, ai, bi, gi, di, err)
-							}
-							ds.Add([]int{ai, bi, gi, di}, float64(runs))
+// factorialDataset executes the full α×β×γ×δ cross, Params.Seeds times
+// over, on one input distribution.
+func factorialDataset(kind gen.Kind, p Params) (*anova.Dataset, error) {
+	ds := &anova.Dataset{Factors: factorDefs()}
+	for ai, setup := range core.BufferSetups {
+		for bi, frac := range BufferFracLevels {
+			for gi, in := range core.InputHeuristics {
+				for di, out := range core.OutputHeuristics {
+					for seed := 0; seed < p.Seeds; seed++ {
+						runs, err := countRuns(kind, p, core.Config{
+							Memory:     p.Memory,
+							Setup:      setup,
+							BufferFrac: frac,
+							Input:      in,
+							Output:     out,
+							Seed:       int64(seed + 1),
+						}, int64(seed+1))
+						if err != nil {
+							return nil, fmt.Errorf("factorial %v α%d β%d γ%d δ%d: %w",
+								kind, ai, bi, gi, di, err)
 						}
+						ds.Add([]int{ai, bi, gi, di}, float64(runs))
 					}
 				}
 			}
 		}
-		f.Datasets[kind] = ds
-		if progress != nil {
-			progress(fmt.Sprintf("factorial: %v done (%d observations)", kind, len(ds.Obs)))
-		}
 	}
-	return f, nil
+	return ds, nil
+}
+
+// runEmitter returns a fresh in-memory emitter for the run-length
+// experiments, which only count runs and their lengths and never read a run
+// back. Run boundaries do not depend on the backward chain-file length, so
+// the files are sized to about one memory-load of records instead of the
+// thesis' k = 1000 pages: MemFS materialises a backward file at full size,
+// and at the default every descending stream of every run zero-fills ~4 MB
+// (46 s of system time across the 144,000 runs of the tiny factorial).
+func runEmitter(memory int) *runio.Emitter[record.Record] {
+	em := runio.RecordEmitter(vfs.NewMemFS(), "r")
+	pages := 2*memory*record.Size/runio.DefaultPageSize + 2
+	em.PagesPerFile = min(max(pages, 4), runio.DefaultPagesPerFile)
+	return em
 }
 
 // countRuns executes one 2WRS configuration and returns the number of runs.
 func countRuns(kind gen.Kind, p Params, cfg core.Config, seed int64) (int, error) {
-	fs := vfs.NewMemFS()
-	em := runio.RecordEmitter(fs, "f")
 	src := gen.New(gen.Config{Kind: kind, N: p.Input, Seed: seed, Noise: 1000, Sections: p.Sections()})
-	res, err := core.Generate(src, em, cfg, record.Key)
+	res, err := core.Generate(src, runEmitter(p.Memory), cfg, record.Key)
 	if err != nil {
 		return 0, err
 	}
 	return len(res.Runs), nil
 }
 
-// Subset extracts the observations of one dataset that satisfy keep,
-// preserving the factor definitions (used by §5.2.5, which drops the
-// victim-less configurations before modelling).
-func (f *Factorial) Subset(kind gen.Kind, keep func(levels []int) bool) (*anova.Dataset, error) {
-	src, ok := f.Datasets[kind]
-	if !ok {
-		return nil, fmt.Errorf("exp: dataset %v not in factorial run", kind)
-	}
-	out := &anova.Dataset{Factors: src.Factors}
-	for _, o := range src.Obs {
-		if keep(o.Levels) {
-			out.Obs = append(out.Obs, o)
-		}
-	}
-	return out, nil
-}
-
-// Fit fits an ANOVA model over one dataset. keep, when non-nil, filters
-// configurations first; wlsFactor ≥ 0 applies the thesis' 1/σ² weighting by
-// that factor's levels.
-func (f *Factorial) Fit(kind gen.Kind, terms [][]int, keep func([]int) bool, wlsFactor int) (*anova.Fit, *anova.Dataset, error) {
-	ds, err := f.Subset(kind, orTrue(keep))
-	if err != nil {
-		return nil, nil, err
-	}
-	if wlsFactor >= 0 {
-		if err := ds.SetWeightsByFactor(wlsFactor); err != nil {
-			return nil, nil, err
-		}
-	}
-	fit, err := anova.FitModel(ds, terms)
-	if err != nil {
-		return nil, nil, err
-	}
-	return fit, ds, nil
-}
-
-func orTrue(keep func([]int) bool) func([]int) bool {
-	if keep == nil {
-		return func([]int) bool { return true }
-	}
-	return keep
-}
-
-// RunsByKind returns the raw number-of-runs samples per dataset (Fig 5.2).
-func (f *Factorial) RunsByKind() map[gen.Kind][]float64 {
-	out := map[gen.Kind][]float64{}
-	for kind, ds := range f.Datasets {
-		ys := make([]float64, len(ds.Obs))
-		for i, o := range ds.Obs {
-			ys[i] = o.Y
-		}
-		out[kind] = ys
-	}
-	return out
-}
-
-// MainEffects is the µ + α + β + γ + δ model of Table 5.2.
-func MainEffects() [][]int { return [][]int{{0}, {1}, {2}, {3}} }
-
-// SizeOnly is the µ + β model of Table 5.3.
-func SizeOnly() [][]int { return [][]int{{1}} }
-
-// FirstOrderNoAlpha is the Table 5.5 model: β, γ, δ and their pairwise
-// interactions.
-func FirstOrderNoAlpha() [][]int {
-	return [][]int{{1}, {2}, {3}, {1, 2}, {1, 3}, {2, 3}}
-}
-
-// AllFirstOrder is the Table 5.4 model: all four main effects and all six
-// pairwise interactions.
-func AllFirstOrder() [][]int {
-	return [][]int{{0}, {1}, {2}, {3}, {0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}}
-}
-
-// ImbalancedModel is the Table 5.10/5.11 model: main effects plus the α/γ/δ
-// interactions of first and second order.
-func ImbalancedModel() [][]int {
-	return [][]int{{0}, {1}, {2}, {3}, {0, 2}, {0, 3}, {2, 3}, {0, 2, 3}}
-}
+// The ANOVA models of §5.2, each a list of terms over the factor indices
+// (α = 0, β = 1, γ = 2, δ = 3).
+var (
+	// MainEffects is the µ + α + β + γ + δ model of Table 5.2.
+	MainEffects = [][]int{{0}, {1}, {2}, {3}}
+	// SizeOnly is the µ + β model of Table 5.3.
+	SizeOnly = [][]int{{1}}
+	// AllFirstOrder is the Table 5.4 model: all four main effects and all
+	// six pairwise interactions.
+	AllFirstOrder = [][]int{{0}, {1}, {2}, {3}, {0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}}
+	// FirstOrderNoAlpha is the Table 5.5 model: β, γ, δ and their pairwise
+	// interactions.
+	FirstOrderNoAlpha = [][]int{{1}, {2}, {3}, {1, 2}, {1, 3}, {2, 3}}
+	// ImbalancedModel is the Table 5.10/5.11 model: main effects plus the
+	// α/γ/δ interactions of first and second order.
+	ImbalancedModel = [][]int{{0}, {1}, {2}, {3}, {0, 2}, {0, 3}, {2, 3}, {0, 2, 3}}
+)
 
 // DropVictimless filters out configurations without a victim buffer
 // (α level 0, input-buffer-only), as §5.2.5 does before modelling.

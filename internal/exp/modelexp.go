@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/heap"
-	"repro/internal/merge"
 	"repro/internal/model"
-	"repro/internal/record"
 )
 
 // Fig38 reproduces the §3.6 model figures: the memory density distribution
@@ -70,32 +67,3 @@ func RenderModel(r *ModelResult) string {
 	sb.WriteString(RenderTable(headers, rows))
 	return sb.String()
 }
-
-// Table21Polyphase reproduces the polyphase run-count table.
-func Table21Polyphase() ([]merge.PolyphaseStep, error) {
-	return merge.PolyphaseCounts([]int{8, 10, 3, 0, 8, 11})
-}
-
-// RenderPolyphase formats the Table 2.1 steps.
-func RenderPolyphase(steps []merge.PolyphaseStep) string {
-	if len(steps) == 0 {
-		return ""
-	}
-	headers := []string{"Step"}
-	for i := range steps[0].RunsPerTape {
-		headers = append(headers, fmt.Sprintf("Tape %d", i+1))
-	}
-	var rows [][]string
-	for i, s := range steps {
-		row := []string{fmt.Sprintf("%d", i)}
-		for _, c := range s.RunsPerTape {
-			row = append(row, fmt.Sprintf("%d", c))
-		}
-		rows = append(rows, row)
-	}
-	return RenderTable(headers, rows)
-}
-
-// sortRecords sorts a record slice ascending by key using the library's own
-// heapsort substrate.
-func sortRecords(recs []record.Record) { heap.Sort(recs, record.Less) }

@@ -1,6 +1,7 @@
-// Package exp is the experiment harness: one entry point per table and
-// figure of the paper's evaluation (Chapters 5 and 6, plus the §3.6 model
-// figures and the Table 2.1 polyphase example), at configurable scale.
+// Package exp is the experiment harness: every table and figure of the
+// paper's evaluation (Chapters 5 and 6, plus the §3.6 model figures and the
+// Table 2.1 polyphase example) is one entry of Artefacts, run at
+// configurable scale by cmd/paper and recorded in EXPERIMENTS.md.
 //
 // The thesis runs with 100K records of memory over 25M-record inputs on a
 // 2010 SATA drive; the harness defaults to a proportional small scale that
@@ -35,7 +36,8 @@ type Params struct {
 	FanInMergeMemory int
 }
 
-// Tiny is the scale used by unit benches and smoke tests (sub-second).
+// Tiny is the scale of the package's tests and of EXPERIMENTS.md (the whole
+// list renders in about fifteen seconds).
 func Tiny() Params {
 	return Params{
 		Memory:           200,
@@ -49,8 +51,8 @@ func Tiny() Params {
 	}
 }
 
-// Small is the default reporting scale for EXPERIMENTS.md: 1/100 of the
-// paper in memory, preserving the paper's memory:input ratios.
+// Small is cmd/paper's default scale: 1/100 of the paper in memory,
+// preserving the paper's memory:input ratios.
 func Small() Params {
 	return Params{
 		Memory:           1_000,

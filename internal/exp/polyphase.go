@@ -1,4 +1,4 @@
-package merge
+package exp
 
 import "fmt"
 
@@ -29,7 +29,7 @@ func PolyphaseCounts(initial []int) ([]PolyphaseStep, error) {
 		}
 	}
 	if out == -1 {
-		return nil, fmt.Errorf("merge: polyphase needs an empty output tape, got %v", initial)
+		return nil, fmt.Errorf("exp: polyphase needs an empty output tape, got %v", initial)
 	}
 	steps := []PolyphaseStep{{RunsPerTape: append([]int(nil), counts...)}}
 	for {
@@ -56,7 +56,7 @@ func PolyphaseCounts(initial []int) ([]PolyphaseStep, error) {
 		}
 		if s == 0 {
 			// Only the output tape holds runs; rotate it into an input.
-			return steps, fmt.Errorf("merge: polyphase stuck with counts %v", counts)
+			return steps, fmt.Errorf("exp: polyphase stuck with counts %v", counts)
 		}
 		// Every tape that was non-empty loses s runs; the first one that
 		// thereby empties becomes the next output tape.
@@ -74,4 +74,29 @@ func PolyphaseCounts(initial []int) ([]PolyphaseStep, error) {
 		steps = append(steps, PolyphaseStep{RunsPerTape: append([]int(nil), counts...)})
 		out = next
 	}
+}
+
+// Table21Polyphase reproduces the polyphase run-count table.
+func Table21Polyphase() ([]PolyphaseStep, error) {
+	return PolyphaseCounts([]int{8, 10, 3, 0, 8, 11})
+}
+
+// RenderPolyphase formats the Table 2.1 steps.
+func RenderPolyphase(steps []PolyphaseStep) string {
+	if len(steps) == 0 {
+		return ""
+	}
+	headers := []string{"Step"}
+	for i := range steps[0].RunsPerTape {
+		headers = append(headers, fmt.Sprintf("Tape %d", i+1))
+	}
+	var rows [][]string
+	for i, s := range steps {
+		row := []string{fmt.Sprintf("%d", i)}
+		for _, c := range s.RunsPerTape {
+			row = append(row, fmt.Sprintf("%d", c))
+		}
+		rows = append(rows, row)
+	}
+	return RenderTable(headers, rows)
 }

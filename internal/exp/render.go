@@ -9,7 +9,7 @@ import (
 )
 
 // RenderTable lays out rows under headers with aligned columns, the plain
-// text form used by the CLI tools and EXPERIMENTS.md.
+// text form cmd/paper prints and EXPERIMENTS.md records.
 func RenderTable(headers []string, rows [][]string) string {
 	widths := make([]int, len(headers))
 	for i, h := range headers {

@@ -1,14 +1,10 @@
 package exp
 
 import (
-	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/record"
 	"repro/internal/rs"
-	"repro/internal/runio"
-	"repro/internal/storage"
-	"repro/internal/vfs"
 )
 
 // Table 5.13 of the thesis (Table 1 of the VLDB paper): average run length
@@ -46,8 +42,7 @@ func Table513(p Params) ([]RunLengthRow, error) {
 		row := RunLengthRow{Kind: kind}
 		gcfg := gen.Config{Kind: kind, N: p.Input, Seed: 1, Noise: 1000, Sections: p.Sections()}
 		// Column 0: classic RS.
-		fs := vfs.NewMemFS()
-		res, err := rs.Generate(gen.New(gcfg), runio.RecordEmitter(fs, "rs"), p.Memory)
+		res, err := rs.Generate(gen.New(gcfg), runEmitter(p.Memory), p.Memory)
 		if err != nil {
 			return nil, err
 		}
@@ -55,8 +50,7 @@ func Table513(p Params) ([]RunLengthRow, error) {
 		row.Runs[0] = len(res.Runs)
 		// Columns 1-3: the three 2WRS configurations.
 		for i, cfg := range table513Configs(p.Memory) {
-			fs := vfs.NewMemFS()
-			tw, err := core.Generate(gen.New(gcfg), runio.RecordEmitter(fs, "tw"), cfg, record.Key)
+			tw, err := core.Generate(gen.New(gcfg), runEmitter(p.Memory), cfg, record.Key)
 			if err != nil {
 				return nil, err
 			}
@@ -94,9 +88,8 @@ type BufferSweepPoint struct {
 func Fig54BufferSweep(p Params) ([]BufferSweepPoint, error) {
 	var pts []BufferSweepPoint
 	for _, frac := range []float64{0.0002, 0.002, 0.02, 0.05, 0.1, 0.2} {
-		fs := vfs.NewMemFS()
 		src := gen.New(gen.Config{Kind: gen.Random, N: p.Input, Seed: 1, Noise: 1000})
-		res, err := core.Generate(src, runio.RecordEmitter(fs, "b"), core.Config{
+		res, err := core.Generate(src, runEmitter(p.Memory), core.Config{
 			Memory: p.Memory, Setup: core.BothBuffers, BufferFrac: frac,
 			Input: core.InMean, Output: core.OutRandom, Seed: 1,
 		}, record.Key)
@@ -109,27 +102,4 @@ func Fig54BufferSweep(p Params) ([]BufferSweepPoint, error) {
 		})
 	}
 	return pts, nil
-}
-
-// verifySorted double-checks that a generated run set really partitions a
-// dataset into sorted streams; used by the harness self-test.
-func verifySorted(fs vfs.FS, runs []runio.Run) (bool, error) {
-	st := storage.NewRaw(fs)
-	for _, run := range runs {
-		for _, in := range run.Inputs() {
-			rc, err := runio.OpenRun(st, in, 1<<16, codec.Record16{}, record.Less)
-			if err != nil {
-				return false, err
-			}
-			recs, err := record.ReadAll(rc)
-			rc.Close()
-			if err != nil {
-				return false, err
-			}
-			if !record.IsSorted(recs) {
-				return false, nil
-			}
-		}
-	}
-	return true, nil
 }

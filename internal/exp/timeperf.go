@@ -1,8 +1,10 @@
 package exp
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"repro/internal/extsort"
@@ -66,64 +68,53 @@ type discardWriter struct{}
 
 func (discardWriter) Write(record.Record) error { return nil }
 
-// timeSweep runs both algorithms over a sweep of (x, n, memory, sections).
-func timeSweep(kind gen.Kind, points []struct {
+// sweepPoint is one x position of a sweep: the dataset size, the memory and
+// the alternating section count to sort with.
+type sweepPoint struct {
 	x                   float64
 	n, memory, sections int
-}) ([]TimePoint, error) {
-	var out []TimePoint
-	for _, pt := range points {
-		rsRun, rsTot, err := timedSort(kind, pt.n, pt.memory, pt.sections, policy.RS)
-		if err != nil {
-			return nil, err
-		}
-		twRun, twTot, err := timedSort(kind, pt.n, pt.memory, pt.sections, policy.TwoWayRS)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, TimePoint{X: pt.x, RSRun: rsRun, RSTotal: rsTot, TWRun: twRun, TWTotal: twTot})
+}
+
+// timeSweep runs both algorithms over a sweep. Every sort has its own
+// simulated disk and shares nothing with the others, so they run side by
+// side.
+func timeSweep(kind gen.Kind, points []sweepPoint) ([]TimePoint, error) {
+	out := make([]TimePoint, len(points))
+	for i, pt := range points {
+		out[i].X = pt.x
 	}
-	return out, nil
+	err := parallel(2*len(points), func(i int) (err error) {
+		pt, res := points[i/2], &out[i/2]
+		if i%2 == 0 {
+			res.RSRun, res.RSTotal, err = timedSort(kind, pt.n, pt.memory, pt.sections, policy.RS)
+		} else {
+			res.TWRun, res.TWTotal, err = timedSort(kind, pt.n, pt.memory, pt.sections, policy.TwoWayRS)
+		}
+		return err
+	})
+	return out, err
 }
 
 // memorySweepPoints builds the Fig 6.2/6.4 sweep: input fixed, memory from
 // base/10 to base*10 geometrically (the thesis sweeps 1k..1M for 1 GB).
-func memorySweepPoints(p Params) []struct {
-	x                   float64
-	n, memory, sections int
-} {
-	var pts []struct {
-		x                   float64
-		n, memory, sections int
-	}
+func memorySweepPoints(p Params) []sweepPoint {
+	var pts []sweepPoint
 	for _, m := range []int{p.TimeMemory / 10, p.TimeMemory / 3, p.TimeMemory, p.TimeMemory * 3, p.TimeMemory * 10} {
 		if m < 10 {
 			continue
 		}
-		pts = append(pts, struct {
-			x                   float64
-			n, memory, sections int
-		}{float64(m), p.TimeInput, m, 50})
+		pts = append(pts, sweepPoint{float64(m), p.TimeInput, m, 50})
 	}
 	return pts
 }
 
 // inputSweepPoints builds the Fig 6.3/6.5/6.7 sweep: memory fixed, input
 // from 10% to 100% of TimeInput (the thesis sweeps 100 MB..1 GB).
-func inputSweepPoints(p Params) []struct {
-	x                   float64
-	n, memory, sections int
-} {
-	var pts []struct {
-		x                   float64
-		n, memory, sections int
-	}
+func inputSweepPoints(p Params) []sweepPoint {
+	var pts []sweepPoint
 	for _, frac := range []float64{0.1, 0.25, 0.5, 1.0} {
 		n := int(float64(p.TimeInput) * frac)
-		pts = append(pts, struct {
-			x                   float64
-			n, memory, sections int
-		}{float64(n), n, p.TimeMemory, 50})
+		pts = append(pts, sweepPoint{float64(n), n, p.TimeMemory, 50})
 	}
 	return pts
 }
@@ -146,15 +137,9 @@ func Fig67(p Params) ([]TimePoint, error) { return timeSweep(gen.ReverseSorted, 
 // Fig66 reproduces "alternating input, time vs number of sorted sections":
 // large speedups for few sections, converging as sections grow.
 func Fig66(p Params) ([]TimePoint, error) {
-	var pts []struct {
-		x                   float64
-		n, memory, sections int
-	}
+	var pts []sweepPoint
 	for _, s := range []int{2, 10, 25, 50, 100, 200, 500} {
-		pts = append(pts, struct {
-			x                   float64
-			n, memory, sections int
-		}{float64(s), p.TimeInput, p.TimeMemory, s})
+		pts = append(pts, sweepPoint{float64(s), p.TimeInput, p.TimeMemory, s})
 	}
 	return timeSweep(gen.Alternating, pts)
 }
@@ -187,26 +172,25 @@ type FanInPoint struct {
 // fresh simulated disk. Small fan-ins pay extra passes; large fan-ins pay a
 // seek for nearly every buffer refill.
 func Fig61FanIn(p Params) ([]FanInPoint, error) {
-	var out []FanInPoint
-	for _, fanIn := range []int{2, 3, 4, 6, 8, 10, 12, 14, 16, 18} {
+	fanIns := []int{2, 3, 4, 6, 8, 10, 12, 14, 16, 18}
+	out := make([]FanInPoint, len(fanIns))
+	err := parallel(len(fanIns), func(i int) error {
 		disk := iosim.NewDisk(iosim.Defaults2010())
 		fs := iosim.NewFS(vfs.NewMemFS(), disk)
 		em := runio.RecordEmitter(fs, "fan")
-		runs, err := makeSortedRuns(fs, em, p.FanInRuns, p.FanInRunRecords)
+		runs, err := makeSortedRuns(em, p.FanInRuns, p.FanInRunRecords)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		disk.Reset() // charge only the merge, not the setup
 		_, err = merge.Merge(em, runs, discardWriter{}, merge.Config{
-			FanIn:       fanIn,
+			FanIn:       fanIns[i],
 			MemoryBytes: p.FanInMergeMemory,
 		})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, FanInPoint{FanIn: fanIn, SimTime: disk.Elapsed()})
-	}
-	return out, nil
+		out[i] = FanInPoint{FanIn: fanIns[i], SimTime: disk.Elapsed()}
+		return err
+	})
+	return out, err
 }
 
 // BestFanIn returns the fan-in with the smallest simulated merge time.
@@ -222,7 +206,7 @@ func BestFanIn(pts []FanInPoint) int {
 
 // makeSortedRuns writes n runs of `length` uniformly distributed sorted
 // records each.
-func makeSortedRuns(fs vfs.FS, em *runio.Emitter[record.Record], n, length int) ([]runio.Run, error) {
+func makeSortedRuns(em *runio.Emitter[record.Record], n, length int) ([]runio.Run, error) {
 	var runs []runio.Run
 	for i := 0; i < n; i++ {
 		g := gen.New(gen.Config{Kind: gen.Random, N: length, Seed: int64(i + 1)})
@@ -232,7 +216,7 @@ func makeSortedRuns(fs vfs.FS, em *runio.Emitter[record.Record], n, length int) 
 		}
 		// Sort in memory: these runs model the output of a previous run
 		// generation phase.
-		sortRecords(recs)
+		slices.SortFunc(recs, func(a, b record.Record) int { return cmp.Compare(a.Key, b.Key) })
 		name, w, err := em.Forward("run")
 		if err != nil {
 			return nil, err

@@ -155,7 +155,7 @@ type Config struct {
 	// generation data structures, and (converted to bytes) the merge
 	// buffers.
 	Memory int
-	// FanIn is the merge fan-in (thesis optimum: 10).
+	// FanIn is the merge fan-in; zero means DefaultFanIn.
 	FanIn int
 	// TWRS carries the 2WRS-specific knobs; its Memory field is ignored in
 	// favour of Config.Memory. Zero value means the recommended §5.3
@@ -190,10 +190,11 @@ type Config struct {
 	// byte for byte: the generator is not disturbed, each boundary only
 	// checkpoints it in place — the records it holds written, in position,
 	// to a snapshot file beside the runs, its few state words into the
-	// manifest record — so a resume can restore it exactly. The adaptive
-	// auto policy keeps state outside its generators and is rejected. On
-	// error the spill files and manifest are left in place for Resume, not
-	// discarded.
+	// manifest record — so a resume can restore it exactly. That holds
+	// under every policy: the adaptive auto is a generator like the fixed
+	// four, its engine state rides in the checkpoint, and a resumed auto
+	// sort repeats the decisions of the uninterrupted one. On error the
+	// spill files and manifest are left in place for Resume, not discarded.
 	Manifest bool
 	// Resume makes GenerateRuns first attempt to resume from the manifest
 	// a previous Manifest-mode pass left behind, falling back to a fresh
@@ -219,20 +220,26 @@ type Config struct {
 	Progress *obs.Progress
 }
 
+// DefaultFanIn is the merge fan-in the thesis finds optimal (Fig 6.1). With
+// core.Recommended's §5.3 parameters it is the one place the paper's
+// recommended configuration is written down; every default, public
+// (repro.DefaultConfig, cmd/extsort's flags) or internal, reads the two.
+const DefaultFanIn = 10
+
 // Recommended returns the paper's recommended end-to-end configuration:
-// 2WRS (§5.3 parameters) with fan-in 10.
+// 2WRS (§5.3 parameters) with the optimal fan-in.
 func Recommended(memory int) Config {
 	return Config{
 		Policy: policy.TwoWayRS,
 		Memory: memory,
-		FanIn:  10,
+		FanIn:  DefaultFanIn,
 		TWRS:   core.Recommended(memory),
 	}
 }
 
 func (c Config) withDefaults() Config {
 	if c.FanIn == 0 {
-		c.FanIn = 10
+		c.FanIn = DefaultFanIn
 	}
 	if c.Prefix == "" {
 		c.Prefix = "sort"
@@ -397,8 +404,11 @@ func newRunSet[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
 	em := runio.NewEmitterOn(store, cfg.Prefix, ops.Codec, ops.Less)
 	if cfg.Clock == nil {
 		// Right-size backward chain files on real machines. Simulated runs
-		// (Clock set) keep the thesis' historical k=1000-page layout, which
-		// the disk model's seek accounting assumes.
+		// (Clock set) keep the thesis' k=1000-page layout: it is part of
+		// what Chapter 6 measures. With right-sized files under the
+		// simulated clock the 2WRS totals of Figs 6.4/6.5/6.7 move by
+		// 2.8-5x (reverse input, 400k records: 292 ms -> 1.457 s simulated)
+		// and internal/exp's TestTimeSweepsShapes fails, so this fork stays.
 		em.PagesPerFile = backwardPages(cfg.Memory, ops.elementBytes())
 	}
 	// With headroom for concurrency, spill pages flow to storage through

@@ -342,40 +342,6 @@ func testMergeHeapEngine(t *testing.T, kc codec.KeyCodec[record.Record]) {
 	}
 }
 
-func TestPolyphaseCountsTable21(t *testing.T) {
-	// Table 2.1 of the thesis, verbatim.
-	steps, err := PolyphaseCounts([]int{8, 10, 3, 0, 8, 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]int{
-		{8, 10, 3, 0, 8, 11},
-		{5, 7, 0, 3, 5, 8},
-		{2, 4, 3, 0, 2, 5},
-		{0, 2, 1, 2, 0, 3},
-		{1, 1, 0, 1, 0, 2},
-		{0, 0, 1, 0, 0, 1},
-		{1, 0, 0, 0, 0, 0},
-	}
-	if len(steps) != len(want) {
-		t.Fatalf("got %d steps, want %d", len(steps), len(want))
-	}
-	for i, w := range want {
-		for j, c := range w {
-			if steps[i].RunsPerTape[j] != c {
-				t.Fatalf("step %d tape %d = %d, want %d (full: %v)",
-					i, j, steps[i].RunsPerTape[j], c, steps[i].RunsPerTape)
-			}
-		}
-	}
-}
-
-func TestPolyphaseCountsNeedsEmptyTape(t *testing.T) {
-	if _, err := PolyphaseCounts([]int{1, 2, 3}); err == nil {
-		t.Fatal("expected error without an empty tape")
-	}
-}
-
 func BenchmarkAblationMergeEngine(b *testing.B) {
 	const k, n = 10, 1000
 	build := func() []Source[record.Record] {

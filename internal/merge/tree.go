@@ -1,10 +1,9 @@
 // Package merge implements the merge phase of external mergesort
 // (§2.1.2 of the thesis): a k-way merge built on one loser tree — which
 // matches on cached normalized-key words when the emitter carries a key
-// codec and on the comparator alone when it does not — a multi-pass driver
-// with configurable fan-in, and polyphase merge over a tape abstraction
-// (Table 2.1). Everything is generic over the element type, ordered by a
-// caller-supplied comparator.
+// codec and on the comparator alone when it does not — and a multi-pass
+// driver with configurable fan-in. Everything is generic over the element
+// type, ordered by a caller-supplied comparator.
 package merge
 
 import (

@@ -201,8 +201,11 @@ const (
 	VictimBufferOnly = core.VictimBufferOnly
 )
 
-// Config controls a sort. The zero value is not valid; start from
-// DefaultConfig or build a Sorter through New with options.
+// Config controls a sort. The zero value is not valid — it has no memory
+// budget; start from DefaultConfig or build a Sorter through New with
+// options. New (and so Sort, SortSlice and SortFile) reads a zero FanIn or
+// BufferFraction as the paper's default; Validate itself takes the values
+// as they stand.
 type Config struct {
 	// Policy names the run generator. Valid names are listed by
 	// Policies(): "2wrs" (the paper's two-way replacement selection), "rs",
@@ -216,7 +219,8 @@ type Config struct {
 	Policy string
 	// MemoryRecords is the memory budget in records for both phases.
 	MemoryRecords int
-	// FanIn is the merge fan-in (the paper's optimum is 10).
+	// FanIn is the merge fan-in. Zero means the paper's optimum, which is
+	// what DefaultConfig sets (10).
 	FanIn int
 	// Setup selects which auxiliary 2WRS buffers exist. Setup,
 	// BufferFraction, Input and Output tune 2WRS and are ignored by the
@@ -224,7 +228,7 @@ type Config struct {
 	// configuration (§5.3): both buffers, 2%, Mean input, Random output.
 	Setup BufferSetup
 	// BufferFraction is the fraction of memory dedicated to the auxiliary
-	// 2WRS buffers, in (0, 0.5].
+	// 2WRS buffers, in (0, 0.5]. Zero means the recommended 2%.
 	BufferFraction float64
 	// Input is the 2WRS insertion heuristic (§4.2).
 	Input InputHeuristic
@@ -302,14 +306,15 @@ type Config struct {
 // DefaultConfig returns the paper's recommended configuration with the
 // given memory budget in records.
 func DefaultConfig(memoryRecords int) Config {
+	twrs := core.Recommended(memoryRecords)
 	return Config{
 		Policy:         "2wrs",
 		MemoryRecords:  memoryRecords,
-		FanIn:          10,
-		Setup:          BothBuffers,
-		BufferFraction: 0.02,
-		Input:          InputMean,
-		Output:         OutputRandom,
+		FanIn:          extsort.DefaultFanIn,
+		Setup:          twrs.Setup,
+		BufferFraction: twrs.BufferFrac,
+		Input:          twrs.Input,
+		Output:         twrs.Output,
 	}
 }
 
@@ -393,34 +398,12 @@ func (c Config) toInternal() extsort.Config {
 	}
 }
 
-// withLegacyDefaults fills zero-valued knobs that the pre-generic driver
-// used to default internally, so hand-built legacy configs keep working
-// through the classic wrappers: an unset FanIn becomes the paper's optimum
-// and an unset BufferFraction the recommended 2%.
-func (c Config) withLegacyDefaults() Config {
-	if c.FanIn == 0 {
-		c.FanIn = 10
-	}
-	if c.BufferFraction == 0 {
-		c.BufferFraction = 0.02
-	}
-	return c
-}
-
-// recordSorter builds the Sorter[Record] behind the classic API.
-func recordSorter(cfg Config) (*Sorter[Record], error) {
-	return New(record.Less,
-		WithConfig(cfg.withLegacyDefaults()),
-		WithCodec(RecordCodec()),
-		WithKey(record.Key))
-}
-
 // Sort reads every record from src, sorts them externally within the
 // configured memory budget, and writes the ascending result to dst. It is
 // a thin wrapper over Sorter[Record]; use New for other element types or
 // for context cancellation.
 func Sort(src Reader, dst Writer, cfg Config) (Stats, error) {
-	s, err := recordSorter(cfg)
+	s, err := New(record.Less, WithConfig(cfg))
 	if err != nil {
 		return Stats{}, err
 	}
@@ -430,64 +413,72 @@ func Sort(src Reader, dst Writer, cfg Config) (Stats, error) {
 // SortSlice sorts a slice through the external-sort machinery and returns a
 // new sorted slice. It is a convenience for small inputs and examples.
 func SortSlice(recs []Record, cfg Config) ([]Record, Stats, error) {
-	s, err := recordSorter(cfg)
+	s, err := New(record.Less, WithConfig(cfg))
 	if err != nil {
 		return nil, Stats{}, err
 	}
 	return s.SortSlice(context.Background(), recs)
 }
 
-// SortFile sorts a binary record file (16-byte little-endian records as
-// written by WriteFile or cmd/gendata) into a new file.
-func SortFile(inPath, outPath string, cfg Config) (Stats, error) {
-	in, err := os.Open(inPath)
+// fileBuffer is the buffer size of the record-file helpers below.
+const fileBuffer = 1 << 20
+
+// readRecordFile opens a binary record file and hands use a buffered reader
+// over it.
+func readRecordFile(path string, use func(Reader) error) error {
+	f, err := os.Open(path)
 	if err != nil {
-		return Stats{}, err
+		return err
 	}
-	defer in.Close()
-	out, err := os.Create(outPath)
-	if err != nil {
-		return Stats{}, err
-	}
-	w := bufio.NewWriterSize(out, 1<<20)
-	stats, err := Sort(record.NewByteReader(bufio.NewReaderSize(in, 1<<20)), record.NewByteWriter(w), cfg)
-	if err != nil {
-		out.Close()
-		return stats, err
-	}
-	if err := w.Flush(); err != nil {
-		out.Close()
-		return stats, err
-	}
-	return stats, out.Close()
+	defer f.Close()
+	return use(record.NewByteReader(bufio.NewReaderSize(f, fileBuffer)))
 }
 
-// WriteFile writes records to a binary record file readable by SortFile.
-func WriteFile(path string, recs []Record) error {
+// writeRecordFile creates a binary record file, hands fill a buffered
+// writer over it, and flushes and closes it once fill has succeeded.
+func writeRecordFile(path string, fill func(Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	w := bufio.NewWriterSize(f, 1<<20)
-	if err := record.WriteAll(record.NewByteWriter(w), recs); err != nil {
-		f.Close()
-		return err
+	w := bufio.NewWriterSize(f, fileBuffer)
+	err = fill(record.NewByteWriter(w))
+	if err == nil {
+		err = w.Flush()
 	}
-	if err := w.Flush(); err != nil {
+	if err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
 }
 
+// SortFile sorts a binary record file (16-byte little-endian records as
+// written by WriteFile or cmd/gendata) into a new file.
+func SortFile(inPath, outPath string, cfg Config) (Stats, error) {
+	var stats Stats
+	err := readRecordFile(inPath, func(src Reader) error {
+		return writeRecordFile(outPath, func(dst Writer) (err error) {
+			stats, err = Sort(src, dst, cfg)
+			return err
+		})
+	})
+	return stats, err
+}
+
+// WriteFile writes records to a binary record file readable by SortFile.
+func WriteFile(path string, recs []Record) error {
+	return writeRecordFile(path, func(w Writer) error { return record.WriteAll(w, recs) })
+}
+
 // ReadFile reads a whole binary record file into memory.
 func ReadFile(path string) ([]Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return record.ReadAll(record.NewByteReader(bufio.NewReaderSize(f, 1<<20)))
+	var recs []Record
+	err := readRecordFile(path, func(r Reader) (err error) {
+		recs, err = record.ReadAll(r)
+		return err
+	})
+	return recs, err
 }
 
 // DatasetKind identifies one of the paper's six input distributions.

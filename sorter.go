@@ -450,7 +450,8 @@ func New[T any](less func(a, b T) bool, opts ...Option) (*Sorter[T], error) {
 	if less == nil {
 		return nil, fmt.Errorf("repro: New requires a comparator")
 	}
-	sc := sorterConfig{cfg: DefaultConfig(1 << 20)}
+	defaults := DefaultConfig(1 << 20)
+	sc := sorterConfig{cfg: defaults}
 	sc.cfg.Policy = "auto"
 	for _, opt := range opts {
 		if opt == nil {
@@ -459,6 +460,14 @@ func New[T any](less func(a, b T) bool, opts ...Option) (*Sorter[T], error) {
 		if err := opt(&sc); err != nil {
 			return nil, err
 		}
+	}
+	// A zero FanIn or BufferFraction — a hand-built Config that never set
+	// them — means the paper's default here, as it does one layer down.
+	if sc.cfg.FanIn == 0 {
+		sc.cfg.FanIn = defaults.FanIn
+	}
+	if sc.cfg.BufferFraction == 0 {
+		sc.cfg.BufferFraction = defaults.BufferFraction
 	}
 	if err := sc.cfg.Validate(); err != nil {
 		return nil, err

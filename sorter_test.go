@@ -343,11 +343,56 @@ func TestLegacySortRejectsBadConfig(t *testing.T) {
 
 func TestLegacyHandBuiltConfigStillSorts(t *testing.T) {
 	// Seed-era behavior: a hand-built config with zero FanIn/BufferFraction
-	// relied on downstream defaulting. The wrappers must keep accepting it.
+	// relied on downstream defaulting. Every entry point resolves it the
+	// same way — New is the one place — so all of them sort it alike.
 	recs := Dataset(DatasetRandom, 3000, 1)
-	out, _, err := SortSlice(recs, Config{Policy: "rs", MemoryRecords: 1000})
-	if err != nil || len(out) != len(recs) {
-		t.Fatalf("seed-era hand-built config: err=%v len=%d", err, len(out))
+	cfg := Config{Policy: "rs", MemoryRecords: 1000}
+	recLess := func(a, b Record) bool { return a.Key < b.Key }
+	paths := []struct {
+		name string
+		sort func() ([]Record, Stats, error)
+	}{
+		{"SortSlice", func() ([]Record, Stats, error) { return SortSlice(recs, cfg) }},
+		{"Sort", func() ([]Record, Stats, error) {
+			var out sliceSink[Record]
+			st, err := Sort(DatasetReader(DatasetRandom, 3000, 1), &out, cfg)
+			return out.vals, st, err
+		}},
+		{"New+WithConfig", func() ([]Record, Stats, error) {
+			s, err := New(recLess, WithConfig(cfg))
+			if err != nil {
+				return nil, Stats{}, err
+			}
+			if got, want := s.Config().FanIn, DefaultConfig(1000).FanIn; got != want {
+				t.Errorf("zero FanIn resolved to %d, want the default %d", got, want)
+			}
+			if got, want := s.Config().BufferFraction, DefaultConfig(1000).BufferFraction; got != want {
+				t.Errorf("zero BufferFraction resolved to %v, want the default %v", got, want)
+			}
+			return s.SortSlice(context.Background(), recs)
+		}},
+	}
+	var first []Record
+	var firstStats Stats
+	for i, p := range paths {
+		out, st, err := p.sort()
+		if err != nil || len(out) != len(recs) {
+			t.Fatalf("%s: seed-era hand-built config: err=%v len=%d", p.name, err, len(out))
+		}
+		checkSortedPermutation(t, recs, out, recLess)
+		if i == 0 {
+			first, firstStats = out, st
+			continue
+		}
+		for j := range out {
+			if out[j] != first[j] {
+				t.Fatalf("%s: record %d = %v, %s gave %v", p.name, j, out[j], paths[0].name, first[j])
+			}
+		}
+		if st.Runs != firstStats.Runs || st.MergePasses != firstStats.MergePasses || st.Policy != firstStats.Policy {
+			t.Errorf("%s: runs/passes/policy = %d/%d/%s, %s gave %d/%d/%s", p.name,
+				st.Runs, st.MergePasses, st.Policy, paths[0].name, firstStats.Runs, firstStats.MergePasses, firstStats.Policy)
+		}
 	}
 }
 
