@@ -409,6 +409,7 @@ func addIO(dst *extsort.IOStats, s extsort.IOStats) {
 	dst.DiskFiles += s.DiskFiles
 	dst.MemBytes += s.MemBytes
 	dst.DiskBytes += s.DiskBytes
+	dst.Overflows += s.Overflows
 }
 
 // maxOf returns the largest count, or zero for an empty slice.

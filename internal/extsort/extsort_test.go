@@ -89,10 +89,10 @@ func TestSortHeapEngine(t *testing.T) {
 	if _, err := rset.Merge(&out); err != nil {
 		t.Fatal(err)
 	}
-	if !record.IsSorted(want) || !record.IsSorted(out.Recs) ||
+	if !record.IsSorted(want) || !record.IsSorted(out.Vals) ||
 		!record.NewMultiset(want).Equal(record.NewMultiset(recs)) ||
-		!record.NewMultiset(out.Recs).Equal(record.NewMultiset(recs)) {
-		t.Fatalf("heap engine read %d records, Merge wrote %d: both must be the sorted input", len(want), len(out.Recs))
+		!record.NewMultiset(out.Vals).Equal(record.NewMultiset(recs)) {
+		t.Fatalf("heap engine read %d records, Merge wrote %d: both must be the sorted input", len(want), len(out.Vals))
 	}
 }
 
@@ -144,7 +144,7 @@ func TestSortWithSimulatedDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !record.IsSorted(out.Recs) {
+	if !record.IsSorted(out.Vals) {
 		t.Fatal("output not sorted")
 	}
 	if stats.RunGenSim <= 0 || stats.MergeSim <= 0 {
@@ -266,8 +266,8 @@ func TestGenerateRunsBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !record.IsSorted(out.Recs) || st.MergeInputs != st.Runs {
-		t.Fatalf("Merge stats %+v over %d records", st, len(out.Recs))
+	if !record.IsSorted(out.Vals) || st.MergeInputs != st.Runs {
+		t.Fatalf("Merge stats %+v over %d records", st, len(out.Vals))
 	}
 	if names, _ := fs.Names(); len(names) != 0 {
 		t.Fatalf("files left after Merge: %v", names)
@@ -303,12 +303,12 @@ func TestSortEqualsGenerateRunsPlusMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(direct) != len(out.Recs) {
-		t.Fatalf("composed sort has %d records, direct %d", len(out.Recs), len(direct))
+	if len(direct) != len(out.Vals) {
+		t.Fatalf("composed sort has %d records, direct %d", len(out.Vals), len(direct))
 	}
 	for i := range direct {
-		if direct[i] != out.Recs[i] {
-			t.Fatalf("record %d differs: %v vs %v", i, direct[i], out.Recs[i])
+		if direct[i] != out.Vals[i] {
+			t.Fatalf("record %d differs: %v vs %v", i, direct[i], out.Vals[i])
 		}
 	}
 	if dstats.Runs != cstats.Runs || dstats.MergeOps != cstats.MergeOps || dstats.MergePasses != cstats.MergePasses {

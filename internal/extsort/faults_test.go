@@ -77,7 +77,7 @@ func TestSortSucceedsWithExactBudget(t *testing.T) {
 	if _, err := Sort(record.NewSliceReader(recs), &out2, exact, Recommended(200), RecordOps()); err != nil {
 		t.Fatalf("sort with exact write budget %d failed: %v", used, err)
 	}
-	if !record.IsSorted(out2.Recs) || len(out2.Recs) != len(recs) {
+	if !record.IsSorted(out2.Vals) || len(out2.Vals) != len(recs) {
 		t.Fatal("output wrong under exact budget")
 	}
 }

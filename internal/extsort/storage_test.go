@@ -49,12 +49,12 @@ func TestSortAcrossStorageBackends(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(out.Recs) != len(want) {
-					t.Fatalf("got %d records, want %d", len(out.Recs), len(want))
+				if len(out.Vals) != len(want) {
+					t.Fatalf("got %d records, want %d", len(out.Vals), len(want))
 				}
 				for i := range want {
-					if out.Recs[i] != want[i] {
-						t.Fatalf("record %d = %v, want %v", i, out.Recs[i], want[i])
+					if out.Vals[i] != want[i] {
+						t.Fatalf("record %d = %v, want %v", i, out.Vals[i], want[i])
 					}
 				}
 				if stats.IO.VerifyFailures != 0 {

@@ -285,39 +285,6 @@ func TestDoubleHeapReset(t *testing.T) {
 	}
 }
 
-func TestHeapsortMatchesStdlib(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		n := rng.Intn(200)
-		recs := make([]record.Record, n)
-		for i := range recs {
-			recs[i] = record.Record{Key: rng.Int63n(50) - 25, Aux: uint64(i)}
-		}
-		want := record.NewMultiset(recs)
-		Sort(recs, record.Less)
-		if !record.IsSorted(recs) {
-			t.Fatalf("trial %d: heapsort output not sorted", trial)
-		}
-		if !record.NewMultiset(recs).Equal(want) {
-			t.Fatalf("trial %d: heapsort lost records", trial)
-		}
-	}
-}
-
-func TestHeapsortEdgeCases(t *testing.T) {
-	Sort[record.Record](nil, record.Less) // must not panic
-	one := record.FromKeys(42)
-	Sort(one, record.Less)
-	if one[0].Key != 42 {
-		t.Fatal("single-element sort broke")
-	}
-	dup := record.FromKeys(3, 3, 3, 3)
-	Sort(dup, record.Less)
-	if !record.IsSorted(dup) {
-		t.Fatal("all-equal sort broke")
-	}
-}
-
 func BenchmarkHeapPushPop(b *testing.B) {
 	h := New(1024, false, record.Less)
 	rng := rand.New(rand.NewSource(1))

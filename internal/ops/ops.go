@@ -35,19 +35,23 @@ import (
 const cancelOps = 1024
 
 // elemRead adapts a batch-native operator to the element-at-a-time Read
-// method through a lazily built buffer. Mixing Read and ReadBatch calls on
-// one operator is not supported: elements buffered for Read are invisible
-// to ReadBatch.
+// method through a lazily built stream.Fetcher. Mixing Read and ReadBatch
+// calls on one operator is not supported: elements buffered for Read are
+// invisible to ReadBatch.
 type elemRead[T any] struct {
-	er   *stream.ElementReader[T]
-	self stream.BatchReader[T]
+	f    *stream.Fetcher[T]
+	self stream.Reader[T] // the operator, which also reads in batches
 }
 
 func (e *elemRead[T]) Read() (T, error) {
-	if e.er == nil {
-		e.er = stream.NewElementReader(e.self, 0)
+	if e.f == nil {
+		e.f = stream.NewFetcher(e.self, 0)
 	}
-	return e.er.Read()
+	v, ok, err := e.f.Next()
+	if !ok && err == nil {
+		err = io.EOF
+	}
+	return v, err
 }
 
 // Distinct filters a sorted stream down to one element per equivalence

@@ -21,7 +21,9 @@ const Size = 16
 // carried along unchanged (it is not a tie-breaker, matching the paper's
 // unstable heap-based algorithms).
 type Record struct {
+	// Key is the sort key.
 	Key int64
+	// Aux is the payload: carried along, never compared.
 	Aux uint64
 }
 

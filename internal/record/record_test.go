@@ -128,15 +128,11 @@ func TestSliceReaderWriter(t *testing.T) {
 	if err != nil || n != 3 {
 		t.Fatalf("Copy = (%d, %v), want (3, nil)", n, err)
 	}
-	if len(w.Recs) != 3 || w.Recs[2].Key != 7 {
-		t.Fatalf("copied records wrong: %v", w.Recs)
+	if len(w.Vals) != 3 || w.Vals[2].Key != 7 {
+		t.Fatalf("copied records wrong: %v", w.Vals)
 	}
 	if _, err := r.Read(); err != io.EOF {
 		t.Fatalf("read past end = %v, want io.EOF", err)
-	}
-	r.Reset()
-	if r.Remaining() != 3 {
-		t.Fatal("Reset did not rewind")
 	}
 }
 
@@ -146,7 +142,7 @@ func TestReadAllWriteAll(t *testing.T) {
 	if err := WriteAll(&w, recs); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadAll(NewSliceReader(w.Recs))
+	got, err := ReadAll(NewSliceReader(w.Vals))
 	if err != nil {
 		t.Fatal(err)
 	}

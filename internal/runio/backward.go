@@ -2,9 +2,7 @@ package runio
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
 
 	"repro/internal/codec"
 	"repro/internal/storage"
@@ -269,149 +267,6 @@ func (w *BackwardWriter[T]) Close() error {
 	}
 	if w.track != nil {
 		w.track(w.count, w.sum)
-	}
-	return nil
-}
-
-// BackwardReader reads a backward-format chain in ascending order: files in
-// reverse creation order, each scanned forward from its header's start
-// position. Elements that span file boundaries are reassembled across the
-// transition.
-type BackwardReader[T any] struct {
-	st       storage.Backend
-	base     string
-	c        codec.Codec[T]
-	bufBytes int
-
-	nextFile int // next chain index to open, counting down; -1 when done
-	cur      storage.PageReader
-	buf      []byte
-	have     int
-	pos      int
-	closed   bool
-	pendErr  error // error deferred by ReadBatch after a partial batch
-}
-
-// NewBackwardReader opens a chain of `files` backward files under base.
-// bufBytes of 0 means DefaultPageSize.
-func NewBackwardReader[T any](st storage.Backend, base string, files, bufBytes int, c codec.Codec[T]) (*BackwardReader[T], error) {
-	return &BackwardReader[T]{
-		st:       st,
-		base:     base,
-		c:        c,
-		bufBytes: bufSize(bufBytes, c.FixedSize()),
-		nextFile: files - 1,
-	}, nil
-}
-
-// openNext opens the next file in reverse creation order. It returns io.EOF
-// when the chain is exhausted.
-func (r *BackwardReader[T]) openNext() error {
-	if r.nextFile < 0 {
-		return io.EOF
-	}
-	pr, err := r.st.OpenPaged(backwardFileName(r.base, r.nextFile))
-	if err != nil {
-		return err
-	}
-	hdrBuf := make([]byte, headerSize)
-	if err := pr.ReadHeader(hdrBuf); err != nil {
-		pr.Close()
-		return err
-	}
-	hdr, err := decodeHeader(hdrBuf)
-	if err != nil {
-		pr.Close()
-		return err
-	}
-	if hdr.index != uint32(r.nextFile) {
-		pr.Close()
-		return fmt.Errorf("runio: backward file %s has index %d, want %d",
-			backwardFileName(r.base, r.nextFile), hdr.index, r.nextFile)
-	}
-	if err := pr.Seek(int(hdr.startPage), int(hdr.startPos), int(hdr.pageSize), int(hdr.pages)); err != nil {
-		pr.Close()
-		return err
-	}
-	r.cur = pr
-	if r.buf == nil {
-		r.buf = make([]byte, r.bufBytes)
-	}
-	r.nextFile--
-	return nil
-}
-
-// Read returns the next element in ascending order or io.EOF.
-func (r *BackwardReader[T]) Read() (T, error) {
-	var zero T
-	if r.closed {
-		return zero, stream.ErrClosed
-	}
-	for {
-		if r.pos < r.have {
-			v, n, err := r.c.Decode(r.buf[r.pos:r.have])
-			if err == nil {
-				r.pos += n
-				return v, nil
-			}
-			if !errors.Is(err, codec.ErrShort) {
-				return zero, err
-			}
-		}
-		// Compact the partial element and pull more bytes from the current
-		// file, crossing to the next chain file when it is drained so that
-		// file-spanning elements reassemble seamlessly.
-		rem := r.have - r.pos
-		if rem > 0 {
-			copy(r.buf, r.buf[r.pos:r.have])
-		}
-		r.pos, r.have = 0, rem
-		if r.buf != nil && rem == len(r.buf) {
-			r.buf = append(r.buf, make([]byte, len(r.buf))...)
-		}
-		if r.cur != nil {
-			n, err := r.cur.Read(r.buf[r.have:])
-			if err != nil && err != io.EOF {
-				return zero, err
-			}
-			if n > 0 {
-				r.have += n
-				continue
-			}
-			// Drained (or a short file in a corrupt chain): fall through to
-			// the next file.
-		}
-		if r.cur != nil {
-			if err := r.cur.Close(); err != nil {
-				return zero, err
-			}
-			r.cur = nil
-		}
-		if err := r.openNext(); err != nil {
-			// io.EOF with a partial element pending means a truncated chain;
-			// surface as a clean EOF, matching the forward reader.
-			return zero, err
-		}
-	}
-}
-
-// ReadBatch fills dst per the stream.BatchReader contract, deferring an
-// error met after a partial batch to the following call.
-func (r *BackwardReader[T]) ReadBatch(dst []T) (int, error) {
-	if r.closed {
-		return 0, stream.ErrClosed
-	}
-	return stream.ReadBatchElems[T](r, &r.pendErr, dst)
-}
-
-// Close releases the currently open file, if any.
-func (r *BackwardReader[T]) Close() error {
-	if r.closed {
-		return stream.ErrClosed
-	}
-	r.closed = true
-	if r.cur != nil {
-		return r.cur.Close()
 	}
 	return nil
 }

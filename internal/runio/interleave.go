@@ -10,7 +10,7 @@ import (
 // 2WRS run whose ranges overlap) into one sorted stream. With so few
 // sources a linear minimum scan beats tournament structures.
 type interleaveReader[T any] struct {
-	srcs    []ReadCloser[T]
+	srcs    []*Reader[T]
 	less    func(a, b T) bool
 	heads   []T
 	alive   []bool
@@ -21,7 +21,7 @@ type interleaveReader[T any] struct {
 
 // newInterleaveReader primes each source. It takes ownership of the
 // sources and closes them all on Close or on a priming error.
-func newInterleaveReader[T any](srcs []ReadCloser[T], less func(a, b T) bool) (ReadCloser[T], error) {
+func newInterleaveReader[T any](srcs []*Reader[T], less func(a, b T) bool) (ReadCloser[T], error) {
 	ir := &interleaveReader[T]{
 		srcs:  srcs,
 		less:  less,

@@ -2,11 +2,9 @@ package runio
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/codec"
 	"repro/internal/storage"
-	"repro/internal/stream"
 )
 
 // Segment is one physical piece of a logical run: either a forward file or a
@@ -23,13 +21,31 @@ type Segment struct {
 	Files int
 }
 
-// OpenSegment returns an ascending reader over the segment with the given
-// buffer size in bytes, decoding elements with c.
-func OpenSegment[T any](st storage.Backend, s Segment, bufBytes int, c codec.Codec[T]) (ReadCloser[T], error) {
-	if s.Backward {
-		return NewBackwardReader(st, s.Name, s.Files, bufBytes, c)
+// appendFiles appends the segment's files to dst in ascending read order:
+// the forward file, or the chain files in reverse creation order.
+func (s Segment) appendFiles(dst []spillFile) []spillFile {
+	if !s.Backward {
+		return append(dst, spillFile{name: s.Name})
 	}
-	return NewReader(st, s.Name, bufBytes, c)
+	for i := s.Files - 1; i >= 0; i-- {
+		dst = append(dst, spillFile{name: backwardFileName(s.Name, i), paged: true, index: i, joins: i < s.Files-1})
+	}
+	return dst
+}
+
+// OpenSegment returns an ascending reader over the segment with the given
+// buffer size in bytes, decoding elements with c. A forward segment's file
+// is opened here, so a missing one fails this call; a chain's files are
+// opened as the read reaches them, and a missing or corrupt one fails that
+// read.
+func OpenSegment[T any](st storage.Backend, s Segment, bufBytes int, c codec.Codec[T]) (*Reader[T], error) {
+	r := newReader(st, s.appendFiles(nil), bufBytes, c)
+	if !s.Backward {
+		if err := r.openNext(); err != nil {
+			return nil, err
+		}
+	}
+	return r, nil
 }
 
 // Remove deletes the segment's files.
@@ -46,6 +62,7 @@ func (s Segment) Remove(st storage.Backend) error {
 // read ascending). Run is pure metadata; OpenRun attaches the codec and
 // comparator needed to read it.
 type Run struct {
+	// Segments lists the run's pieces in ascending read order.
 	Segments []Segment
 	// Records is the total element count across segments.
 	Records int64
@@ -81,31 +98,31 @@ func SingleRun(name string, records int64) Run {
 }
 
 // OpenRun returns an ascending reader over the whole run within the given
-// buffer budget in bytes. Concatenable runs read their segments back to
-// back (one open segment at a time, so the whole budget buffers it); runs
-// with overlapping stream ranges open every segment at once — splitting the
-// budget — and interleave-merge them on the fly, so a run is always a
-// single sorted merge input either way. Because overlaps are narrow, the
-// interleaved read pattern still drains mostly one file at a time and stays
-// nearly sequential on disk.
+// buffer budget in bytes. A concatenable run is one Reader over the files of
+// all its non-empty segments (one open file at a time, so the whole budget
+// buffers it); a run with overlapping stream ranges opens a Reader per
+// segment — splitting the budget — and interleave-merges them on the fly, so
+// a run is always a single sorted merge input either way. Because overlaps
+// are narrow, the interleaved read pattern still drains mostly one file at a
+// time and stays nearly sequential on disk.
 func OpenRun[T any](st storage.Backend, r Run, bufBytes int, c codec.Codec[T], less func(a, b T) bool) (ReadCloser[T], error) {
-	if r.Concatenable {
-		return &runReader[T]{st: st, c: c, segments: r.Segments, bufBytes: bufBytes}, nil
-	}
-	var open []ReadCloser[T]
 	nonEmpty := 0
 	for _, s := range r.Segments {
 		if s.Records > 0 {
 			nonEmpty++
 		}
 	}
-	if nonEmpty == 0 {
-		return &runReader[T]{st: st, c: c, bufBytes: bufBytes}, nil
+	if r.Concatenable || nonEmpty == 0 {
+		var files []spillFile
+		for _, s := range r.Segments {
+			if s.Records > 0 {
+				files = s.appendFiles(files)
+			}
+		}
+		return newReader(st, files, bufBytes, c), nil
 	}
-	per := bufBytes / nonEmpty
-	if per < DefaultPageSize {
-		per = DefaultPageSize
-	}
+	per := max(bufBytes/nonEmpty, DefaultPageSize)
+	open := make([]*Reader[T], 0, nonEmpty)
 	for _, s := range r.Segments {
 		if s.Records == 0 {
 			continue
@@ -131,128 +148,6 @@ func (r Run) Remove(st storage.Backend) error {
 		if err := s.Remove(st); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// runReader concatenates ascending reads of a run's segments, skipping
-// empty ones and opening at most one segment at a time.
-type runReader[T any] struct {
-	st       storage.Backend
-	c        codec.Codec[T]
-	segments []Segment
-	bufBytes int
-	cur      ReadCloser[T]
-	curBatch stream.BatchReader[T]
-	closed   bool
-	pendErr  error // error deferred by ReadBatch after a partial batch
-}
-
-// openNextSegment advances to the next non-empty segment; it returns io.EOF
-// when the run is exhausted.
-func (r *runReader[T]) openNextSegment() error {
-	for len(r.segments) > 0 && r.segments[0].Records == 0 {
-		r.segments = r.segments[1:]
-	}
-	if len(r.segments) == 0 {
-		return io.EOF
-	}
-	seg := r.segments[0]
-	r.segments = r.segments[1:]
-	cur, err := OpenSegment(r.st, seg, r.bufBytes, r.c)
-	if err != nil {
-		return err
-	}
-	r.cur = cur
-	r.curBatch = stream.AsBatchReader[T](cur)
-	return nil
-}
-
-func (r *runReader[T]) closeCurrent() error {
-	err := r.cur.Close()
-	r.cur, r.curBatch = nil, nil
-	return err
-}
-
-// Read implements stream.Reader.
-func (r *runReader[T]) Read() (T, error) {
-	var zero T
-	if r.closed {
-		return zero, stream.ErrClosed
-	}
-	for {
-		if r.cur != nil {
-			rec, err := r.cur.Read()
-			if err == nil {
-				return rec, nil
-			}
-			if err != io.EOF {
-				return zero, err
-			}
-			if err := r.closeCurrent(); err != nil {
-				return zero, err
-			}
-		}
-		if err := r.openNextSegment(); err != nil {
-			return zero, err
-		}
-	}
-}
-
-// ReadBatch fills dst per the stream.BatchReader contract, delegating to
-// the open segment's batch reader and crossing segment boundaries within
-// one call.
-func (r *runReader[T]) ReadBatch(dst []T) (int, error) {
-	if r.closed {
-		return 0, stream.ErrClosed
-	}
-	if r.pendErr != nil {
-		err := r.pendErr
-		r.pendErr = nil
-		return 0, err
-	}
-	filled := 0
-	for filled < len(dst) {
-		if r.cur == nil {
-			if err := r.openNextSegment(); err != nil {
-				if filled > 0 {
-					r.pendErr = err
-					return filled, nil
-				}
-				return 0, err
-			}
-		}
-		n, err := r.curBatch.ReadBatch(dst[filled:])
-		filled += n
-		if err == io.EOF {
-			if cerr := r.closeCurrent(); cerr != nil {
-				if filled > 0 {
-					r.pendErr = cerr
-					return filled, nil
-				}
-				return 0, cerr
-			}
-			continue
-		}
-		if err != nil {
-			if filled > 0 {
-				r.pendErr = err
-				return filled, nil
-			}
-			return 0, err
-		}
-	}
-	return filled, nil
-}
-
-// Close releases the currently open segment, if any.
-func (r *runReader[T]) Close() error {
-	if r.closed {
-		return stream.ErrClosed
-	}
-	r.closed = true
-	if r.cur != nil {
-		return r.cur.Close()
 	}
 	return nil
 }

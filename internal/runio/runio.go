@@ -1,6 +1,6 @@
 // Package runio stores sorted runs on a vfs.FS.
 //
-// All readers and writers are generic over the element type T: a
+// The reader and the writers are generic over the element type T: a
 // codec.Codec[T] turns elements into bytes and back, and a caller-supplied
 // comparator validates that runs really are written in run order. Fixed
 // width codecs reproduce the library's historical on-disk layout exactly;
@@ -23,9 +23,22 @@
 //     reverse creation order and scan forward from the header's start
 //     position.
 //
-// A Run is an ordered list of segments (forward or backward); opening a run
-// concatenates ascending reads of its segments, which is how the four 2WRS
-// output streams become one logical sorted run: rev(4) + 3 + rev(2) + 1.
+// Writing is per layout: Writer for forward files, BackwardWriter for chains.
+// Reading is not. Reader decodes a list of spill files in ascending read
+// order through one buffer, opening each file as the one before it drains:
+// once a chain file's header is checked and its payload positioned, both
+// layouts are byte streams and are read alike. A partial element at the end
+// of a chain file is completed from the next one (variable-width encodings
+// span them); at the end of a segment it is a truncated tail and is dropped.
+// NewReader, NewBackwardReader, OpenSegment and OpenRun differ only in the
+// file list they build.
+//
+// A Run is an ordered list of segments (forward or backward). A concatenable
+// run is read by one Reader over the files of all its segments, which is how
+// the four 2WRS output streams become one logical sorted run:
+// rev(4) + 3 + rev(2) + 1. A run whose stream ranges overlap gets a Reader
+// per segment under the interleaveReader's minimum scan. Read-ahead and
+// pooled buffers (ROADMAP item 2b) have one place to go: Reader.refill.
 //
 // Both layouts reach the file system through a storage.Backend: the raw
 // backend reproduces the historical bytes exactly, while the block backend
@@ -38,7 +51,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 
 	"repro/internal/codec"
 	"repro/internal/storage"
@@ -183,29 +195,12 @@ func (w *Writer[T]) Write(r T) error {
 	return nil
 }
 
-// WriteBatch appends every element of src in order. It is equivalent to
-// calling Write per element — including the page-flush boundaries, so the
-// on-disk bytes are identical — with the order validation and encode loop
-// kept free of per-element interface dispatch.
+// WriteBatch appends every element of src in order; the page-flush
+// boundaries, and so the on-disk bytes, are those of element writes.
 func (w *Writer[T]) WriteBatch(src []T) error {
-	if w.closed {
-		return stream.ErrClosed
-	}
 	for _, r := range src {
-		if w.count > 0 && w.less(r, w.last) {
-			return fmt.Errorf("%w: forward run got %v after %v", ErrOutOfOrder, r, w.last)
-		}
-		w.last = r
-		prev := len(w.buf)
-		w.buf = w.c.Append(w.buf, r)
-		if w.track != nil {
-			w.sum = ContentSum(w.sum, w.buf[prev:])
-		}
-		w.count++
-		if len(w.buf) >= w.target {
-			if err := w.flush(); err != nil {
-				return err
-			}
+		if err := w.Write(r); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -283,128 +278,4 @@ func (w *Writer[T]) abort() {
 		w.async.close()
 	}
 	w.w.Close()
-}
-
-// Reader reads a forward run sequentially through a buffer of the given
-// size.
-type Reader[T any] struct {
-	src    storage.BlockReader
-	c      codec.Codec[T]
-	buf    []byte
-	have   int // valid bytes in buf
-	pos    int // consumed bytes in buf
-	eof    bool
-	closed bool
-}
-
-// NewReader opens the named forward run on st with a read buffer of bufBytes
-// (0 means DefaultPageSize), decoding elements with c.
-func NewReader[T any](st storage.Backend, name string, bufBytes int, c codec.Codec[T]) (*Reader[T], error) {
-	src, err := st.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	return &Reader[T]{src: src, c: c, buf: make([]byte, bufSize(bufBytes, c.FixedSize()))}, nil
-}
-
-// Read returns the next element or io.EOF.
-func (r *Reader[T]) Read() (T, error) {
-	var zero T
-	if r.closed {
-		return zero, stream.ErrClosed
-	}
-	for {
-		if r.pos < r.have {
-			v, n, err := r.c.Decode(r.buf[r.pos:r.have])
-			if err == nil {
-				r.pos += n
-				return v, nil
-			}
-			if !errors.Is(err, codec.ErrShort) {
-				return zero, err
-			}
-		}
-		if r.eof {
-			// A trailing partial element means corruption upstream; surface
-			// as a clean EOF, matching the historical fixed-width behavior.
-			return zero, io.EOF
-		}
-		if err := r.refill(); err != nil {
-			return zero, err
-		}
-	}
-}
-
-// ReadBatch decodes up to len(dst) elements per the stream.BatchReader
-// contract. An error hit after some elements were decoded is left in place
-// — the reader's state is unchanged by the failure — so the next call
-// rediscovers and returns it with n == 0.
-func (r *Reader[T]) ReadBatch(dst []T) (int, error) {
-	if r.closed {
-		return 0, stream.ErrClosed
-	}
-	filled := 0
-	for {
-		for filled < len(dst) && r.pos < r.have {
-			v, n, err := r.c.Decode(r.buf[r.pos:r.have])
-			if err != nil {
-				if errors.Is(err, codec.ErrShort) {
-					break
-				}
-				if filled > 0 {
-					return filled, nil
-				}
-				return 0, err
-			}
-			r.pos += n
-			dst[filled] = v
-			filled++
-		}
-		if filled == len(dst) {
-			return filled, nil
-		}
-		if r.eof {
-			if filled > 0 {
-				return filled, nil
-			}
-			return 0, io.EOF
-		}
-		if err := r.refill(); err != nil {
-			if filled > 0 {
-				return filled, nil
-			}
-			return 0, err
-		}
-	}
-}
-
-// refill compacts any partial element to the front of the buffer and reads
-// more bytes behind it, growing the buffer when a single element exceeds
-// it. It sets r.eof once the file is exhausted.
-func (r *Reader[T]) refill() error {
-	rem := r.have - r.pos
-	if rem > 0 {
-		copy(r.buf, r.buf[r.pos:r.have])
-	}
-	r.pos, r.have = 0, rem
-	if rem == len(r.buf) {
-		r.buf = append(r.buf, make([]byte, len(r.buf))...)
-	}
-	n, err := r.src.Read(r.buf[r.have:])
-	if err == io.EOF {
-		r.eof = true
-	} else if err != nil {
-		return err
-	}
-	r.have += n
-	return nil
-}
-
-// Close releases the underlying stream.
-func (r *Reader[T]) Close() error {
-	if r.closed {
-		return stream.ErrClosed
-	}
-	r.closed = true
-	return r.src.Close()
 }

@@ -4,12 +4,14 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"repro/internal/codec"
 	"repro/internal/record"
 	"repro/internal/storage"
+	"repro/internal/stream"
 	"repro/internal/vfs"
 )
 
@@ -430,11 +432,164 @@ func TestReaderClosedSemantics(t *testing.T) {
 	}
 }
 
-// TestBatchReadMatchesElementRead drives the new ReadBatch paths — forward
-// reader, backward chain, multi-segment run and interleave — with awkward
-// batch sizes and requires exactly the element-at-a-time results.
+// drained is what reading a stream to its first error gave.
+type drained[T any] struct {
+	elems         []T
+	err, closeErr error
+}
+
+// drain opens a stream, reads it to its first error — element by element,
+// or through ReadBatch when batch > 0, holding it to the batch contract —
+// and closes it.
+func drain[T any](t *testing.T, open func() (ReadCloser[T], error), batch int) drained[T] {
+	t.Helper()
+	r, err := open()
+	if err != nil {
+		return drained[T]{err: err}
+	}
+	var elems []T
+	buf := make([]T, max(batch, 1))
+	for {
+		n := 0
+		if batch == 0 {
+			if buf[0], err = r.Read(); err == nil {
+				n = 1
+			}
+		} else if n, err = r.(stream.BatchReader[T]).ReadBatch(buf); (n > 0) == (err != nil) {
+			t.Fatalf("batch=%d: ReadBatch returned %d, %v", batch, n, err)
+		}
+		elems = append(elems, buf[:n]...)
+		if err != nil {
+			return drained[T]{elems, err, r.Close()}
+		}
+	}
+}
+
+// checkBatchMatchesElement requires ReadBatch, at awkward batch lengths, to
+// deliver exactly what element reads do: the same elements, then the same
+// error on the call after the last of them.
+func checkBatchMatchesElement[T comparable](t *testing.T, open func() (ReadCloser[T], error)) drained[T] {
+	t.Helper()
+	want := drain(t, open, 0)
+	for _, batch := range []int{1, 7, 256, 2048} {
+		got := drain(t, open, batch)
+		if !slices.Equal(got.elems, want.elems) || got.err != want.err || got.closeErr != want.closeErr {
+			t.Fatalf("batch=%d: %d elements, then %v (close: %v); element reads gave %d, then %v (close: %v)",
+				batch, len(got.elems), got.err, got.closeErr, len(want.elems), want.err, want.closeErr)
+		}
+	}
+	return want
+}
+
+// stringRun writes a run shaped like a 2WRS one — backward chain, forward
+// file, backward chain, forward file, key ranges disjoint in that order —
+// of n variable-width elements per segment on 64-byte pages, so elements
+// span pages and chain files. It returns the run and its ascending contents.
+func stringRun(t *testing.T, fs vfs.FS, n int) (Run, []string) {
+	t.Helper()
+	st := storage.NewRaw(fs)
+	rng := rand.New(rand.NewSource(5))
+	run := Run{Concatenable: true}
+	var all []string
+	for i, name := range []string{"s4", "s3", "s2", "s1"} {
+		vals := randomStrings(n, rng)
+		for j := range vals {
+			vals[j] = string(rune('a'+i)) + vals[j]
+		}
+		sort.Strings(vals)
+		all = append(all, vals...)
+		seg := Segment{Name: name, Records: int64(n), Backward: i%2 == 0}
+		var err error
+		if seg.Backward {
+			var w *BackwardWriter[string]
+			if w, err = NewBackwardWriter(st, name, 64, 3, codec.String{}, lessStr); err == nil {
+				slices.Reverse(vals)
+				if err = w.WriteBatch(vals); err == nil {
+					err = w.Close()
+				}
+				if seg.Files = w.Files(); seg.Files < 2 {
+					t.Fatalf("segment %s is a %d-file chain, want several", name, seg.Files)
+				}
+			}
+		} else {
+			var w *Writer[string]
+			if w, err = NewWriter(st, name, 64, codec.String{}, lessStr); err == nil {
+				if err = w.WriteBatch(vals); err == nil {
+					err = w.Close()
+				}
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		run.Segments = append(run.Segments, seg)
+		run.Records += seg.Records
+	}
+	return run, all
+}
+
+var errInjected = errors.New("injected fault")
+
+// faultBackend fails the n-th call of one kind — "open", "read" or "close"
+// — made on it or on the files it opened.
+type faultBackend struct {
+	storage.Backend
+	op      string
+	n, seen int
+}
+
+func (b *faultBackend) hit(op string) error {
+	if op == b.op {
+		if b.seen++; b.seen == b.n {
+			return errInjected
+		}
+	}
+	return nil
+}
+
+func (b *faultBackend) Open(name string) (storage.BlockReader, error) {
+	if err := b.hit("open"); err != nil {
+		return nil, err
+	}
+	r, err := b.Backend.Open(name)
+	return faultFile{r, nil, b}, err
+}
+
+func (b *faultBackend) OpenPaged(name string) (storage.PageReader, error) {
+	if err := b.hit("open"); err != nil {
+		return nil, err
+	}
+	r, err := b.Backend.OpenPaged(name)
+	return faultFile{r, r, b}, err
+}
+
+type faultFile struct {
+	storage.BlockReader
+	storage.PageReader
+	b *faultBackend
+}
+
+func (f faultFile) Read(p []byte) (int, error) {
+	if err := f.b.hit("read"); err != nil {
+		return 0, err
+	}
+	return f.BlockReader.Read(p)
+}
+
+func (f faultFile) Close() error {
+	err := f.b.hit("close")
+	if cerr := f.BlockReader.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// TestBatchReadMatchesElementRead drives every reader — forward file,
+// backward chain, whole runs concatenated and interleaved — through Read and
+// through ReadBatch with awkward batch sizes and requires the same result.
 func TestBatchReadMatchesElementRead(t *testing.T) {
 	fs := vfs.NewMemFS()
+	st := storage.NewRaw(fs)
 	// Forward run.
 	fwdKeys := make([]int64, 1000)
 	for i := range fwdKeys {
@@ -442,7 +597,7 @@ func TestBatchReadMatchesElementRead(t *testing.T) {
 	}
 	writeForward(t, fs, "bf", fwdKeys)
 	// Backward chain spanning several files.
-	wb, err := NewBackwardWriter(storage.NewRaw(fs), "bb", 64, 3, codec.Record16{}, record.Less)
+	wb, err := NewBackwardWriter(st, "bb", 64, 3, codec.Record16{}, record.Less)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,8 +609,7 @@ func TestBatchReadMatchesElementRead(t *testing.T) {
 	if err := wb.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	run := Run{
+	recRun := Run{
 		Segments: []Segment{
 			{Name: "bb", Records: 500, Backward: true, Files: wb.Files()},
 			{Name: "bf", Records: 1000},
@@ -464,50 +618,97 @@ func TestBatchReadMatchesElementRead(t *testing.T) {
 		// Ranges overlap (backward is 1..500, forward 0..2997), so opening
 		// non-concatenable exercises the interleave reader as well.
 	}
+	for _, concat := range []bool{true, false} {
+		recRun.Concatenable = concat
+		got := checkBatchMatchesElement(t, func() (ReadCloser[record.Record], error) {
+			return OpenRun(st, recRun, 256, codec.Record16{}, record.Less)
+		})
+		if len(got.elems) != 1500 || got.err != io.EOF || got.closeErr != nil {
+			t.Fatalf("concat=%v: %d records, then %v (close: %v)", concat, len(got.elems), got.err, got.closeErr)
+		}
+	}
 
+	// A whole variable-width run through a 7-byte buffer: elements span the
+	// buffer, pages and chain files; concatenated it is one reader over
+	// every file, interleaved it is one reader per segment.
+	run, all := stringRun(t, fs, 150)
 	for _, concat := range []bool{true, false} {
 		run.Concatenable = concat
-		// Element-at-a-time reference.
-		r1, err := OpenRun(storage.NewRaw(fs), run, 256, codec.Record16{}, record.Less)
-		if err != nil {
+		got := checkBatchMatchesElement(t, func() (ReadCloser[string], error) {
+			return OpenRun(st, run, 7, codec.String{}, lessStr)
+		})
+		if !slices.Equal(got.elems, all) || got.err != io.EOF || got.closeErr != nil {
+			t.Fatalf("concat=%v: %d strings, then %v (close: %v); want the run's %d", concat, len(got.elems), got.err, got.closeErr, len(all))
+		}
+	}
+
+	// Storage failing at every point of a small run: whatever decoded before
+	// the n-th open, read or close comes out, then the fault, alike through
+	// both protocols.
+	smallFS := vfs.NewMemFS()
+	small, smallAll := stringRun(t, smallFS, 12)
+	for _, concat := range []bool{true, false} {
+		small.Concatenable = concat
+		for _, op := range []string{"open", "read", "close"} {
+			for n, fired := 1, true; fired; n++ {
+				var fb *faultBackend
+				got := checkBatchMatchesElement(t, func() (ReadCloser[string], error) {
+					fb = &faultBackend{Backend: storage.NewRaw(smallFS), op: op, n: n}
+					return OpenRun(fb, small, 7, codec.String{}, lessStr)
+				})
+				fired = fb.seen >= n
+				if fired != (got.err == errInjected || got.closeErr == errInjected) ||
+					!fired && got.err != io.EOF || len(got.elems) > len(smallAll) || !slices.Equal(got.elems, smallAll[:len(got.elems)]) {
+					t.Fatalf("concat=%v, %s %d: %d strings, then %v (close: %v)", concat, op, n, len(got.elems), got.err, got.closeErr)
+				}
+			}
+		}
+	}
+
+	// A forward segment cut mid-element reads as a clean end of that segment:
+	// the partial tail is dropped and the next segment decodes from its start.
+	var enc []byte
+	for _, v := range []string{"bx1", "bx2", "bx3-cut-inside-this-one"} {
+		enc = codec.String{}.Append(enc, v)
+	}
+	f, err := fs.Create("cut")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(enc[:len(enc)-3], 0); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	cut := Run{Segments: []Segment{{Name: "cut", Records: 3}, run.Segments[2], run.Segments[3]}, Concatenable: true}
+	got := checkBatchMatchesElement(t, func() (ReadCloser[string], error) {
+		return OpenRun(st, cut, 7, codec.String{}, lessStr)
+	})
+	if want := append([]string{"bx1", "bx2"}, all[300:]...); !slices.Equal(got.elems, want) || got.err != io.EOF {
+		t.Fatalf("truncated segment: %d strings, then %v; want %d", len(got.elems), got.err, len(want))
+	}
+
+	// One buffer per run: read segment by segment, each of the four pays a
+	// reader and a buffer; read as a run, they are paid once.
+	run.Concatenable = true
+	buf := make([]string, 256)
+	readAll := func(r ReadCloser[string], err error) {
+		for err == nil {
+			_, err = r.(stream.BatchReader[string]).ReadBatch(buf)
+		}
+		if err != io.EOF || r.Close() != nil {
 			t.Fatal(err)
 		}
-		want := readAllClosing(t, r1)
-
-		for _, batch := range []int{1, 7, 256, 2048} {
-			r2, err := OpenRun(storage.NewRaw(fs), run, 256, codec.Record16{}, record.Less)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got []record.Record
-			buf := make([]record.Record, batch)
-			for {
-				n, rerr := r2.(interface {
-					ReadBatch([]record.Record) (int, error)
-				}).ReadBatch(buf)
-				got = append(got, buf[:n]...)
-				if rerr == io.EOF {
-					break
-				}
-				if rerr != nil {
-					t.Fatal(rerr)
-				}
-				if n == 0 {
-					t.Fatal("ReadBatch returned 0, nil for non-empty dst")
-				}
-			}
-			if err := r2.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("concat=%v batch=%d: got %d records, want %d", concat, batch, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("concat=%v batch=%d: record %d = %+v, want %+v", concat, batch, i, got[i], want[i])
-				}
-			}
+	}
+	bySegment := testing.AllocsPerRun(5, func() {
+		for _, s := range run.Segments {
+			readAll(OpenSegment(st, s, 4096, codec.String{}))
 		}
+	})
+	whole := testing.AllocsPerRun(5, func() {
+		readAll(OpenRun(st, run, 4096, codec.String{}, lessStr))
+	})
+	if whole > bySegment-6 {
+		t.Fatalf("reading the run costs %v allocations, its four segments one by one %v: want three readers and three buffers fewer", whole, bySegment)
 	}
 }
 

@@ -53,25 +53,7 @@ type readerBatcher[T any] struct {
 }
 
 func (b *readerBatcher[T]) ReadBatch(dst []T) (int, error) {
-	if b.err != nil {
-		err := b.err
-		b.err = nil
-		return 0, err
-	}
-	n := 0
-	for n < len(dst) {
-		v, err := b.r.Read()
-		if err != nil {
-			if n > 0 {
-				b.err = err
-				return n, nil
-			}
-			return 0, err
-		}
-		dst[n] = v
-		n++
-	}
-	return n, nil
+	return ReadBatchElems(b.r, &b.err, dst)
 }
 
 // ReadBatchElems implements the ReadBatch contract over an element reader
@@ -121,40 +103,6 @@ func (b writerBatcher[T]) WriteBatch(src []T) error {
 		}
 	}
 	return nil
-}
-
-// ElementReader adapts a batch reader back to the element-at-a-time Reader
-// interface through an internal buffer, for callers that still consume one
-// element per call.
-type ElementReader[T any] struct {
-	br  BatchReader[T]
-	buf []T
-	pos int
-	n   int
-}
-
-// NewElementReader returns a Reader over br buffering batchLen elements at
-// a time (0 means DefaultBatchLen).
-func NewElementReader[T any](br BatchReader[T], batchLen int) *ElementReader[T] {
-	if batchLen <= 0 {
-		batchLen = DefaultBatchLen
-	}
-	return &ElementReader[T]{br: br, buf: make([]T, batchLen)}
-}
-
-// Read returns the next element or the batch reader's error.
-func (r *ElementReader[T]) Read() (T, error) {
-	if r.pos >= r.n {
-		n, err := r.br.ReadBatch(r.buf)
-		if err != nil {
-			var zero T
-			return zero, err
-		}
-		r.pos, r.n = 0, n
-	}
-	v := r.buf[r.pos]
-	r.pos++
-	return v, nil
 }
 
 // ElementWriter adapts a batch writer back to the element-at-a-time Writer

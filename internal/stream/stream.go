@@ -70,9 +70,6 @@ func (s *SliceReader[T]) ReadBatch(dst []T) (int, error) {
 // Remaining reports how many elements have not been read yet.
 func (s *SliceReader[T]) Remaining() int { return len(s.vals) - s.pos }
 
-// Reset rewinds the reader to the beginning of the slice.
-func (s *SliceReader[T]) Reset() { s.pos = 0 }
-
 // SliceWriter collects written elements in memory.
 type SliceWriter[T any] struct {
 	// Vals holds every element written so far, in write order.

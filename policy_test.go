@@ -64,8 +64,8 @@ func TestPolicyNames(t *testing.T) {
 		}
 		var dst record.SliceWriter
 		stats, err = Sort(record.NewSliceReader(recs), &dst, Config{Policy: name, MemoryRecords: 500})
-		if err != nil || !record.IsSorted(dst.Recs) || len(dst.Recs) != len(recs) || stats.Policy != policy {
-			t.Fatalf("Sort(Config{Policy: %q}): err=%v, %d records, Stats.Policy=%q, want %q", name, err, len(dst.Recs), stats.Policy, policy)
+		if err != nil || !record.IsSorted(dst.Vals) || len(dst.Vals) != len(recs) || stats.Policy != policy {
+			t.Fatalf("Sort(Config{Policy: %q}): err=%v, %d records, Stats.Policy=%q, want %q", name, err, len(dst.Vals), stats.Policy, policy)
 		}
 	}
 	for name := range want {
