@@ -7,7 +7,9 @@
 //   - fixed-width codecs (FixedSize > 0): every element encodes to the same
 //     number of bytes, so files are seekable in element units and pages hold
 //     a whole number of elements. Record16 is the library's historical
-//     16-byte record layout.
+//     16-byte record layout. The built-in ones are also Bulk: they move a
+//     page of elements per call, which is how the run writers and readers
+//     use them.
 //
 //   - variable-width codecs (FixedSize == 0): each element is stored as a
 //     uvarint length prefix followed by its payload. Bytes and String use it
@@ -46,6 +48,48 @@ type Codec[T any] interface {
 	FixedSize() int
 }
 
+// Bulk is the optional block-granular face of a fixed-width codec, found by
+// type assertion: the same bytes as repeated Append and Decode, a slice of
+// elements per call instead of one interface call, one temporary and one
+// length check per element.
+type Bulk[T any] interface {
+	// AppendAll encodes every element of vs onto buf, in order, and returns
+	// the extended slice.
+	AppendAll(buf []byte, vs []T) []byte
+	// DecodeAll decodes whole elements from the front of buf into dst until
+	// either runs out and returns how many it decoded. A partial element at
+	// the end of buf is left alone.
+	DecodeAll(dst []T, buf []byte) int
+}
+
+// grow extends buf by n bytes and returns the extended slice with the
+// offset the new bytes start at.
+func grow(buf []byte, n int) ([]byte, int) {
+	at := len(buf)
+	if cap(buf)-at < n {
+		buf = append(buf, make([]byte, n)...)
+	}
+	return buf[:at+n], at
+}
+
+// appendWords is AppendAll for the 8-byte word codecs.
+func appendWords[T any](buf []byte, vs []T, word func(T) uint64) []byte {
+	buf, at := grow(buf, 8*len(vs))
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(buf[at+8*i:], word(v))
+	}
+	return buf
+}
+
+// decodeWords is DecodeAll for the 8-byte word codecs.
+func decodeWords[T any](dst []T, buf []byte, elem func(uint64) T) int {
+	n := min(len(dst), len(buf)/8)
+	for i := range dst[:n] {
+		dst[i] = elem(binary.LittleEndian.Uint64(buf[8*i:]))
+	}
+	return n
+}
+
 // Record16 is the library's historical fixed 16-byte little-endian layout
 // for record.Record: 8-byte key then 8-byte aux.
 type Record16 struct{}
@@ -68,6 +112,24 @@ func (Record16) Decode(buf []byte) (record.Record, int, error) {
 // FixedSize implements Codec.
 func (Record16) FixedSize() int { return record.Size }
 
+// AppendAll implements Bulk.
+func (Record16) AppendAll(buf []byte, rs []record.Record) []byte {
+	buf, at := grow(buf, record.Size*len(rs))
+	for i, r := range rs {
+		record.Encode(buf[at+record.Size*i:], r)
+	}
+	return buf
+}
+
+// DecodeAll implements Bulk.
+func (Record16) DecodeAll(dst []record.Record, buf []byte) int {
+	n := min(len(dst), len(buf)/record.Size)
+	for i := range dst[:n] {
+		dst[i] = record.Decode(buf[record.Size*i:])
+	}
+	return n
+}
+
 // Int64 stores int64 elements as fixed 8-byte little-endian words.
 type Int64 struct{}
 
@@ -86,6 +148,16 @@ func (Int64) Decode(buf []byte) (int64, int, error) {
 
 // FixedSize implements Codec.
 func (Int64) FixedSize() int { return 8 }
+
+// AppendAll implements Bulk.
+func (Int64) AppendAll(buf []byte, vs []int64) []byte {
+	return appendWords(buf, vs, func(v int64) uint64 { return uint64(v) })
+}
+
+// DecodeAll implements Bulk.
+func (Int64) DecodeAll(dst []int64, buf []byte) int {
+	return decodeWords(dst, buf, func(w uint64) int64 { return int64(w) })
+}
 
 // Uint64 stores uint64 elements as fixed 8-byte little-endian words.
 type Uint64 struct{}
@@ -106,6 +178,16 @@ func (Uint64) Decode(buf []byte) (uint64, int, error) {
 // FixedSize implements Codec.
 func (Uint64) FixedSize() int { return 8 }
 
+// AppendAll implements Bulk.
+func (Uint64) AppendAll(buf []byte, vs []uint64) []byte {
+	return appendWords(buf, vs, func(v uint64) uint64 { return v })
+}
+
+// DecodeAll implements Bulk.
+func (Uint64) DecodeAll(dst []uint64, buf []byte) int {
+	return decodeWords(dst, buf, func(w uint64) uint64 { return w })
+}
+
 // Float64 stores float64 elements as fixed 8-byte IEEE 754 words.
 type Float64 struct{}
 
@@ -124,6 +206,16 @@ func (Float64) Decode(buf []byte) (float64, int, error) {
 
 // FixedSize implements Codec.
 func (Float64) FixedSize() int { return 8 }
+
+// AppendAll implements Bulk.
+func (Float64) AppendAll(buf []byte, vs []float64) []byte {
+	return appendWords(buf, vs, math.Float64bits)
+}
+
+// DecodeAll implements Bulk.
+func (Float64) DecodeAll(dst []float64, buf []byte) int {
+	return decodeWords(dst, buf, math.Float64frombits)
+}
 
 // decodeVar reads a uvarint length prefix and returns the payload view.
 func decodeVar(buf []byte) (payload []byte, n int, err error) {

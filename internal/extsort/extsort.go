@@ -167,11 +167,12 @@ type Config struct {
 	// around each phase so Stats can report simulated I/O time.
 	Clock func() time.Duration
 	// Parallelism bounds the sort's concurrency (default GOMAXPROCS):
-	// above 1, run spilling moves to background writer goroutines behind
-	// double-buffered channels and independent intermediate merges execute
-	// on a worker pool of this size. 1 reproduces the fully sequential
-	// behaviour — and the paper's sequential cost model — exactly; the
-	// on-disk run format and the sorted output are identical either way.
+	// above 1, run generation and every merge worker create, write and
+	// close their spill files through a write-behind goroutine and
+	// independent intermediate merges execute on a worker pool of this
+	// size. 1 reproduces the fully sequential behaviour — and the paper's
+	// sequential cost model — exactly; the on-disk run format and the
+	// sorted output are identical either way.
 	// A simulated clock (Clock != nil) always forces 1: overlap against a
 	// single simulated device would double-count time.
 	Parallelism int
@@ -411,9 +412,13 @@ func newRunSet[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
 		// and internal/exp's TestTimeSweepsShapes fails, so this fork stays.
 		em.PagesPerFile = backwardPages(cfg.Memory, ops.elementBytes())
 	}
-	// With headroom for concurrency, spill pages flow to storage through
-	// background writer goroutines so heap work overlaps file I/O.
+	// With headroom for concurrency, spill files are created, written and
+	// closed by a write-behind goroutine so heap work overlaps file I/O.
 	em.Async = cfg.Parallelism > 1
+	// The byte form of the memory budget: what the spill path's block pool
+	// keeps between files, what run generation sizes its blocks from and
+	// what the merge divides among its buffers.
+	storage.PoolOf(store).Reserve(cfg.Memory * ops.elementBytes())
 	clock := cfg.Clock
 	if clock == nil {
 		clock = func() time.Duration { return 0 }
@@ -473,9 +478,9 @@ func (r *RunSet[T]) generate(src stream.Reader[T], recovered []manifest.Run, fro
 			return nil, err
 		}
 		// The spill files and manifest are exactly the state Resume needs,
-		// so nothing is discarded. But an abandoned run writer's background
-		// flusher must still be joined, or it would keep appending to the
-		// surviving files while a later Resume reads them.
+		// so nothing is discarded. But the write-behind must still be
+		// joined, abandoned run writers included, or it would keep
+		// appending to the surviving files while a later Resume reads them.
 		man.Close()
 		o.reporter().Stop()
 		em.AbortOpen()
@@ -532,6 +537,12 @@ func (r *RunSet[T]) generate(src stream.Reader[T], recovered []manifest.Run, fro
 	var pres policy.Result
 	if err == nil {
 		pres, err = policy.Drive(gen, gsp, commit)
+	}
+	if err == nil {
+		// The end of generation: every run is whole before it is counted,
+		// committed or merged, and a write that failed behind the
+		// generator's back fails the pass here.
+		err = em.Barrier()
 	}
 	if err != nil {
 		return fail(err)
@@ -726,9 +737,9 @@ func isSpillName(prefix, name string) bool {
 // file of this sort, on any tier.
 func (r *RunSet[T]) Discard() error {
 	r.o.reporter().Stop()
-	// A failed generation can abandon its current run writer with a
-	// background flusher still appending; join those goroutines before
-	// removing the files they write to.
+	// A failed generation can abandon its current run writer with the
+	// write-behind still appending; join it before removing the files it
+	// writes to.
 	r.em.AbortOpen()
 	var first error
 	if r.manifestName != "" && r.fs != nil {

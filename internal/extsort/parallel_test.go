@@ -5,12 +5,14 @@ import (
 	"io"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/policy"
 	"repro/internal/record"
 	"repro/internal/rs"
 	"repro/internal/runio"
+	"repro/internal/storage"
 	"repro/internal/vfs"
 )
 
@@ -48,18 +50,24 @@ func fsFingerprint(t *testing.T, fs vfs.FS) map[string][]byte {
 }
 
 // TestRunFilesByteIdenticalAsync is the on-disk-format fixture: for a fixed
-// seed, run generation through a synchronous emitter and through an
-// asynchronous one (what Parallelism > 1 enables) must produce exactly the
-// same files with exactly the same bytes, for both 2WRS and RS.
+// seed, run generation through a synchronous emitter and through one whose
+// files go through a write-behind (what Parallelism > 1 enables) must
+// produce exactly the same files with exactly the same bytes — block frames
+// included, on the framed backend — for 2WRS, RS and quick. A budget is
+// declared on the pool so the generators' blocks are larger than a page.
 func TestRunFilesByteIdenticalAsync(t *testing.T) {
 	recs := gen.Generate(gen.Config{Kind: gen.MixedBalanced, N: 20000, Seed: 7, Noise: 100})
 
-	generate := func(async bool, alg policy.Kind) map[string][]byte {
+	generate := func(async bool, alg policy.Kind, comp string) map[string][]byte {
 		fs := vfs.NewMemFS()
-		em := runio.RecordEmitter(fs, "fix")
+		st, err := storage.New(fs, storage.Config{Compression: comp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		storage.PoolOf(st).Reserve(64 << 10)
+		em := runio.NewEmitterOn[record.Record](st, "fix", codec.Record16{}, record.Less)
 		em.Async = async
 		em.PagesPerFile = 64
-		var err error
 		switch alg {
 		case policy.TwoWayRS:
 			_, err = core.Generate[record.Record](record.NewSliceReader(recs), em, core.Config{
@@ -68,6 +76,11 @@ func TestRunFilesByteIdenticalAsync(t *testing.T) {
 			}, record.Key)
 		case policy.RS:
 			_, err = rs.Generate[record.Record](record.NewSliceReader(recs), em, 500)
+		case policy.Quick:
+			_, err = policy.Generate[record.Record](alg, record.NewSliceReader(recs), em, policy.Config{Memory: 1500}, record.Key)
+		}
+		if err == nil {
+			err = em.Barrier()
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -75,22 +88,24 @@ func TestRunFilesByteIdenticalAsync(t *testing.T) {
 		return fsFingerprint(t, fs)
 	}
 
-	for _, alg := range []policy.Kind{policy.TwoWayRS, policy.RS} {
-		sync := generate(false, alg)
-		async := generate(true, alg)
-		if len(sync) == 0 {
-			t.Fatalf("%v: no run files produced", alg)
-		}
-		if len(sync) != len(async) {
-			t.Fatalf("%v: file sets differ: %d sync vs %d async", alg, len(sync), len(async))
-		}
-		for name, want := range sync {
-			got, ok := async[name]
-			if !ok {
-				t.Fatalf("%v: file %s missing from async run", alg, name)
+	for _, comp := range []string{"raw", "none"} {
+		for _, alg := range []policy.Kind{policy.TwoWayRS, policy.RS, policy.Quick} {
+			sync := generate(false, alg, comp)
+			async := generate(true, alg, comp)
+			if len(sync) == 0 {
+				t.Fatalf("%s/%v: no run files produced", comp, alg)
 			}
-			if !bytes.Equal(want, got) {
-				t.Fatalf("%v: file %s differs between sync and async spill", alg, name)
+			if len(sync) != len(async) {
+				t.Fatalf("%s/%v: file sets differ: %d sync vs %d async", comp, alg, len(sync), len(async))
+			}
+			for name, want := range sync {
+				got, ok := async[name]
+				if !ok {
+					t.Fatalf("%s/%v: file %s missing from async run", comp, alg, name)
+				}
+				if !bytes.Equal(want, got) {
+					t.Fatalf("%s/%v: file %s differs between sync and async spill", comp, alg, name)
+				}
 			}
 		}
 	}

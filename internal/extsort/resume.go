@@ -114,6 +114,11 @@ func checkHeader[T any](h manifest.Header, cfg Config, ops Ops[T], em *runio.Emi
 // anywhere later resumes at (or after) this boundary. It returns the
 // snapshot's name, empty when gen held nothing.
 func (r *RunSet[T]) commitBoundary(man *manifest.Writer, gsp *obs.Span, gen policy.Driven[T], run runio.Run, emitted int64) (string, error) {
+	// The boundary is a barrier: what the manifest is about to call
+	// committed must be whole on the store first.
+	if err := r.em.Barrier(); err != nil {
+		return "", err
+	}
 	start, written := time.Now(), r.store.Stats().RawBytesWritten
 	sp := gsp.Start("checkpoint")
 	mr := manifest.Run{

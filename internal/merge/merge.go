@@ -16,7 +16,8 @@ type Config struct {
 	// 10, §6.1.1).
 	FanIn int
 	// MemoryBytes is the buffer memory available to the merge phase; it is
-	// divided evenly among the FanIn input readers and one output writer.
+	// divided evenly among the blocks the concurrent merge operations hold:
+	// each one's input readers and its output writer (see bufBytes).
 	MemoryBytes int
 	// Workers bounds how many independent intermediate merges run
 	// concurrently. ≤1 reproduces the sequential smallest-first schedule
@@ -58,19 +59,19 @@ func (c *Config) resolveMetrics() {
 	c.mMoved = c.Metrics.Counter(obs.MMergeRecordsMoved, "Records moved through intermediate merge runs.")
 }
 
-// bufBytes returns the per-stream buffer budget for a merge of the given
-// width: an equal share of the merge memory across the inputs plus the
-// output, floored at one file system page — no real device transfers less
-// than a page per request.
-func (c Config) bufBytes(width int) int {
-	if width < 1 {
-		width = 1
+// bufBytes returns the per-block buffer budget for a merge of the given
+// width: an equal share of the merge memory across every block the
+// operation holds at once — one per input, the one its writer is filling
+// and, when the writer has a write-behind (writeBehind), the one in flight
+// to storage — floored at one file system page: no real device transfers
+// less than a page per request. The final merge has no writer of its own,
+// and its spare share is what the output batch costs.
+func (c Config) bufBytes(width int, writeBehind bool) int {
+	blocks := max(width, 1) + 1
+	if writeBehind {
+		blocks++
 	}
-	b := c.MemoryBytes / (width + 1)
-	if b < runio.DefaultPageSize {
-		b = runio.DefaultPageSize
-	}
-	return b
+	return max(c.MemoryBytes/blocks, runio.DefaultPageSize)
 }
 
 func (c Config) cancelled() error {
@@ -195,7 +196,7 @@ func reduceSequential[T any](em *runio.Emitter[T], queue []depthRun, cfg Config,
 			}
 		}
 		queue = queue[width:]
-		out, err := mergeGroup(em, group, em.Namer.Next("merge"), cfg.bufBytes(width), cfg)
+		out, err := mergeGroup(em, nil, group, em.Namer.Next("merge"), cfg.bufBytes(width, false), cfg)
 		if err != nil {
 			return queue, err
 		}
@@ -215,7 +216,6 @@ func reduceSequential[T any](em *runio.Emitter[T], queue []depthRun, cfg Config,
 func reduceParallel[T any](em *runio.Emitter[T], queue []depthRun, cfg Config, stats *Stats) ([]depthRun, error) {
 	type group struct {
 		runs  []runio.Run
-		width int
 		depth int
 		name  string
 	}
@@ -241,7 +241,7 @@ func reduceParallel[T any](em *runio.Emitter[T], queue []depthRun, cfg Config, s
 			if width < 2 {
 				break
 			}
-			g := group{width: width, name: em.Namer.Next("merge")}
+			g := group{name: em.Namer.Next("merge")}
 			for _, dr := range queue[i : i+width] {
 				g.runs = append(g.runs, dr.run)
 				if dr.depth > g.depth {
@@ -256,40 +256,52 @@ func reduceParallel[T any](em *runio.Emitter[T], queue []depthRun, cfg Config, s
 
 		// The configured merge memory is a budget for the whole phase:
 		// divide it across the merges that actually run concurrently so
-		// Workers×MemoryBytes is never allocated.
-		concurrent := cfg.Workers
-		if len(groups) < concurrent {
-			concurrent = len(groups)
-		}
-		if concurrent < 1 {
-			concurrent = 1
-		}
+		// Workers×MemoryBytes is never allocated. Every merge of the pass
+		// gets the blocks of a full-width one, the narrow first one too:
+		// a framed block is read whole, so no pass may write larger blocks
+		// than the next one's readers are given.
+		workers := max(min(cfg.Workers, len(groups)), 1)
 		share := cfg
-		share.MemoryBytes = cfg.MemoryBytes / concurrent
+		share.MemoryBytes = cfg.MemoryBytes / workers
+		bufBytes := share.bufBytes(cfg.FanIn, em.Async)
 
+		// Each worker takes the next unclaimed group until none is left or
+		// one has failed, and owns one write-behind for the pass.
 		outs := make([]depthRun, len(groups))
-		sem := make(chan struct{}, cfg.Workers)
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		var firstErr error
-		for gi := range groups {
+		var (
+			wg       sync.WaitGroup
+			mu       sync.Mutex
+			next     int
+			firstErr error
+		)
+		claim := func() (int, bool) {
+			mu.Lock()
+			defer mu.Unlock()
+			if firstErr != nil || next == len(groups) {
+				return 0, false
+			}
+			next++
+			return next - 1, true
+		}
+		for w := 0; w < workers; w++ {
 			wg.Add(1)
-			go func(gi int) {
+			go func() {
 				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				g := groups[gi]
-				out, err := mergeGroup(em, g.runs, g.name, share.bufBytes(g.width), cfg)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
+				q := em.NewWriteBehind()
+				for gi, ok := claim(); ok; gi, ok = claim() {
+					g := groups[gi]
+					out, err := mergeGroup(em, q, g.runs, g.name, bufBytes, cfg)
+					if err != nil {
+						mu.Lock()
+						if firstErr == nil {
+							firstErr = err
+						}
+						mu.Unlock()
+						return
 					}
-					mu.Unlock()
-					return
+					outs[gi] = depthRun{run: out, depth: g.depth + 1}
 				}
-				outs[gi] = depthRun{run: out, depth: g.depth + 1}
-			}(gi)
+			}()
 		}
 		wg.Wait()
 		if firstErr != nil {
@@ -306,10 +318,12 @@ func reduceParallel[T any](em *runio.Emitter[T], queue []depthRun, cfg Config, s
 
 // mergeGroup merges one group of runs into a fresh intermediate run under
 // the given pre-allocated name and deletes the consumed inputs, recording
-// one "merge_op" span and the per-operation metrics.
-func mergeGroup[T any](em *runio.Emitter[T], group []runio.Run, name string, bufBytes int, cfg Config) (runio.Run, error) {
+// one "merge_op" span and the per-operation metrics. q is the calling
+// goroutine's write queue; the output is complete on the store when
+// mergeGroup returns, error or not.
+func mergeGroup[T any](em *runio.Emitter[T], q *runio.WriteBehind, group []runio.Run, name string, bufBytes int, cfg Config) (runio.Run, error) {
 	sp := cfg.Span.Start("merge_op", obs.Int("width", int64(len(group))))
-	out, err := mergeGroupRaw(em, group, name, bufBytes, cfg)
+	out, err := mergeGroupRaw(em, q, group, name, bufBytes, cfg)
 	if err != nil {
 		sp.End(obs.Str("error", err.Error()))
 		return out, err
@@ -322,7 +336,7 @@ func mergeGroup[T any](em *runio.Emitter[T], group []runio.Run, name string, buf
 }
 
 // mergeGroupRaw is mergeGroup without the instrumentation.
-func mergeGroupRaw[T any](em *runio.Emitter[T], group []runio.Run, name string, bufBytes int, cfg Config) (runio.Run, error) {
+func mergeGroupRaw[T any](em *runio.Emitter[T], q *runio.WriteBehind, group []runio.Run, name string, bufBytes int, cfg Config) (runio.Run, error) {
 	srcs, err := openInputs(em, group, bufBytes)
 	if err != nil {
 		return runio.Run{}, err
@@ -331,21 +345,25 @@ func mergeGroupRaw[T any](em *runio.Emitter[T], group []runio.Run, name string, 
 	if err != nil {
 		return runio.Run{}, err
 	}
-	w, err := em.NewWriter(name, bufBytes)
+	w, err := em.NewWriter(q, name, bufBytes)
 	if err != nil {
 		eng.Close()
 		return runio.Run{}, err
 	}
-	if _, err := stream.CopyCancel[T](w, eng, cfg.Cancel); err != nil {
-		eng.Close()
-		w.Close()
-		return runio.Run{}, err
+	_, err = stream.CopyCancel[T](w, eng, cfg.Cancel)
+	if cerr := eng.Close(); err == nil {
+		err = cerr
 	}
-	if err := eng.Close(); err != nil {
-		w.Close()
-		return runio.Run{}, err
+	if cerr := w.Close(); err == nil {
+		err = cerr
 	}
-	if err := w.Close(); err != nil {
+	// The barrier: the output must be whole before it counts as a run and
+	// before the inputs it replaces go, and nothing may still be writing to
+	// it when a failed merge's files are swept.
+	if jerr := q.Join(); err == nil {
+		err = jerr
+	}
+	if err != nil {
 		return runio.Run{}, err
 	}
 	for _, r := range group {

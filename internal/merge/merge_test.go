@@ -1,6 +1,7 @@
 package merge
 
 import (
+	"errors"
 	"io"
 	"math/rand"
 	"slices"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/record"
 	"repro/internal/runio"
+	"repro/internal/storage"
 	"repro/internal/stream"
 	"repro/internal/vfs"
 )
@@ -542,4 +544,79 @@ func TestStreamEmptyAndCancel(t *testing.T) {
 		t.Fatalf("second batch = %v, want the cancel error", err)
 	}
 	st.Close()
+}
+
+// failingStore fails the n-th Create made on it and counts the ones that
+// come after.
+type failingStore struct {
+	storage.Backend
+	n       int64
+	creates atomic.Int64
+}
+
+var errCreate = errors.New("injected create failure")
+
+func (s *failingStore) Create(name string) (storage.BlockWriter, error) {
+	if s.creates.Add(1) == s.n {
+		return nil, errCreate
+	}
+	return s.Backend.Create(name)
+}
+
+// TestMergeStopsPassOnFailure holds the worker pool to stopping a pass at
+// its first failed merge: each merge creates one output file, so with the
+// first create of a 30-merge pass failing, at most the merges the other
+// workers had already started may still create theirs.
+func TestMergeStopsPassOnFailure(t *testing.T) {
+	const workers = 2
+	fs := vfs.NewMemFS()
+	em := runio.RecordEmitter(fs, "m")
+	runs, _ := makeRuns(t, fs, em, 60, 20, 5)
+	st := &failingStore{Backend: em.Store, n: 1}
+	em.Store = st
+	var out record.SliceWriter
+	_, err := Merge(em, runs, &out, Config{FanIn: 2, MemoryBytes: 1 << 14, Workers: workers})
+	if !errors.Is(err, errCreate) {
+		t.Fatalf("error = %v, want the injected create failure", err)
+	}
+	if after := st.creates.Load() - st.n; after >= workers {
+		t.Fatalf("%d merges started after the pass had failed, want fewer than the %d workers", after, workers)
+	}
+}
+
+// TestMergeHoldsToMemoryBudget checks the merge's division of its memory
+// against the blocks it really holds: with a write-behind per worker — two
+// blocks per writer, one filling and one in flight — the spill path's pool
+// never has more out than MemoryBytes plus the frame headroom of each block.
+func TestMergeHoldsToMemoryBudget(t *testing.T) {
+	const (
+		fanIn, workers = 4, 2
+		memory         = 64 << 10
+		slack          = workers * (fanIn + 2) * storage.FrameHeadroom
+	)
+	for _, comp := range []string{"raw", "none"} {
+		fs := vfs.NewMemFS()
+		st, err := storage.New(fs, storage.Config{Compression: comp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		em := runio.NewEmitterOn[record.Record](st, "m", codec.Record16{}, record.Less)
+		runs, all := makeRuns(t, fs, em, 50, 2000, 6)
+		written := storage.PoolOf(st).Peak()
+		em.Async = true
+		var out record.SliceWriter
+		if _, err := Merge(em, runs, &out, Config{FanIn: fanIn, MemoryBytes: memory, Workers: workers}); err != nil {
+			t.Fatal(err)
+		}
+		if !record.IsSorted(out.Vals) || len(out.Vals) != len(all) {
+			t.Fatalf("%s: merge output wrong", comp)
+		}
+		peak := storage.PoolOf(st).Peak()
+		if peak <= written {
+			t.Fatalf("%s: the merge took no block from the pool (peak %d after the runs were written, %d after the merge)", comp, written, peak)
+		}
+		if peak > memory+slack {
+			t.Fatalf("%s: %d bytes of blocks out of the pool at once, over the budget of %d + %d", comp, peak, memory, slack)
+		}
+	}
 }

@@ -68,6 +68,11 @@ func NewStream[T any](em *runio.Emitter[T], inputs []runio.Run, cfg Config) (*St
 	if len(inputs) == 0 {
 		return st, nil
 	}
+	// The runs must be whole before they are opened for reading.
+	if err := em.Barrier(); err != nil {
+		return nil, err
+	}
+	storage.PoolOf(em.Store).Reserve(cfg.MemoryBytes)
 
 	queue := make([]depthRun, 0, len(inputs))
 	for _, r := range inputs {
@@ -91,7 +96,7 @@ func NewStream[T any](em *runio.Emitter[T], inputs []runio.Run, cfg Config) (*St
 			depth = dr.depth
 		}
 	}
-	srcs, err := openInputs(em, st.finals, cfg.bufBytes(len(st.finals)))
+	srcs, err := openInputs(em, st.finals, cfg.bufBytes(len(st.finals), false))
 	if err != nil {
 		return nil, err
 	}

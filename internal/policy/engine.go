@@ -156,13 +156,18 @@ func NewGenerator[T any](kind Kind, src stream.Reader[T], em *runio.Emitter[T], 
 }
 
 // Generate runs the given policy over src from start to end, writing runs
-// through em: NewGenerator, then Drive.
+// through em: NewGenerator, then Drive, then the emitter's Barrier, so the
+// runs are whole on the store when it returns.
 func Generate[T any](kind Kind, src stream.Reader[T], em *runio.Emitter[T], cfg Config, key func(T) float64) (Result, error) {
 	gen, err := NewGenerator(kind, src, em, cfg, key, nil)
 	if err != nil {
 		return Result{}, err
 	}
-	return Drive(gen, cfg.Span, nil)
+	res, err := Drive(gen, cfg.Span, nil)
+	if berr := em.Barrier(); err == nil {
+		err = berr
+	}
+	return res, err
 }
 
 // Drive is the one run-generation loop: it steps gen to exhaustion and

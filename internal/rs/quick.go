@@ -79,6 +79,13 @@ func (s *QuickStepper[T]) NextRun() (runio.Run, bool, error) {
 	if fill == 0 {
 		return runio.Run{}, false, nil
 	}
+	// The run's file is asked for before the batch is sorted: behind a
+	// write-behind its creation then overlaps the sort, which costs about
+	// as much.
+	name, w, err := s.em.Forward("quick")
+	if err != nil {
+		return runio.Run{}, false, err
+	}
 	buf := s.buf[:fill]
 	less := s.em.Less
 	if s.pfx != nil {
@@ -130,10 +137,6 @@ func (s *QuickStepper[T]) NextRun() (runio.Run, bool, error) {
 				return 0
 			}
 		})
-	}
-	name, w, err := s.em.Forward("quick")
-	if err != nil {
-		return runio.Run{}, false, err
 	}
 	if err := stream.WriteAll[T](w, buf); err != nil {
 		return runio.Run{}, false, err

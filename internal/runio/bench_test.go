@@ -1,0 +1,152 @@
+package runio
+
+import (
+	"bytes"
+	"io"
+	"slices"
+	"testing"
+
+	"repro/internal/codec"
+	"repro/internal/record"
+	"repro/internal/storage"
+	"repro/internal/stream"
+	"repro/internal/vfs"
+)
+
+// captureBackend keeps the payload bytes of the one forward file written
+// to it, in a buffer allocated once.
+type captureBackend struct {
+	storage.Backend
+	got []byte
+}
+
+func (c *captureBackend) Create(string) (storage.BlockWriter, error) {
+	c.got = c.got[:0]
+	return c, nil
+}
+func (c *captureBackend) Append(p []byte) error { c.got = append(c.got, p...); return nil }
+func (c *captureBackend) Close() error          { return nil }
+
+const benchRecords = 1 << 18
+
+func benchInput() []record.Record {
+	recs := make([]record.Record, benchRecords)
+	for i := range recs {
+		recs[i] = record.Record{Key: int64(i / 3), Aux: uint64(i) * 0x9e3779b97f4a7c15}
+	}
+	return recs
+}
+
+// BenchmarkWriterBatch times a forward run written through WriteBatch (the
+// bulk encode kernel, a page per call) beside the same run written element
+// by element, and holds every iteration to the bytes of the element path.
+func BenchmarkWriterBatch(b *testing.B) {
+	recs := benchInput()
+	st := &captureBackend{got: make([]byte, 0, benchRecords*record.Size)}
+	write := func(batch bool) {
+		w, err := NewWriter[record.Record](st, "run", 0, codec.Record16{}, record.Less)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if batch {
+			for rest := recs; len(rest) > 0 && err == nil; {
+				n := min(len(rest), stream.DefaultBatchLen)
+				err, rest = w.WriteBatch(rest[:n]), rest[n:]
+			}
+		} else {
+			for i := 0; i < len(recs) && err == nil; i++ {
+				err = w.Write(recs[i])
+			}
+		}
+		if err == nil {
+			err = w.Close()
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	write(false)
+	want := bytes.Clone(st.got)
+	for _, mode := range []struct {
+		name  string
+		batch bool
+	}{{"batch", true}, {"element", false}} {
+		b.Run(mode.name, func(b *testing.B) {
+			b.SetBytes(int64(len(want)))
+			for i := 0; i < b.N; i++ {
+				write(mode.batch)
+				b.StopTimer()
+				if !bytes.Equal(st.got, want) {
+					b.Fatalf("%s writes stored %d bytes that differ from the element path's %d", mode.name, len(st.got), len(want))
+				}
+				b.StartTimer()
+			}
+		})
+	}
+}
+
+// BenchmarkReaderBatch times a forward run read back through ReadBatch (the
+// bulk decode kernel, a buffer per call) beside element reads, and holds
+// every iteration to the elements of the element path.
+func BenchmarkReaderBatch(b *testing.B) {
+	recs := benchInput()
+	st := storage.NewRaw(vfs.NewMemFS())
+	w, err := NewWriter[record.Record](st, "run", 0, codec.Record16{}, record.Less)
+	if err == nil {
+		if err = w.WriteBatch(recs); err == nil {
+			err = w.Close()
+		}
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	got := make([]record.Record, 0, len(recs)+stream.DefaultBatchLen)
+	read := func(batch bool) {
+		r, err := NewReader[record.Record](st, "run", 64<<10, codec.Record16{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		got = got[:0]
+		for err == nil {
+			if batch {
+				var n int
+				n, err = r.ReadBatch(got[len(got) : len(got)+stream.DefaultBatchLen])
+				if got = got[:len(got)+n]; len(got) > len(recs) {
+					b.Fatalf("read %d elements of a run of %d", len(got), len(recs))
+				}
+			} else {
+				var v record.Record
+				if v, err = r.Read(); err == nil {
+					got = append(got, v)
+				}
+			}
+		}
+		if err != io.EOF {
+			b.Fatal(err)
+		}
+		if err := r.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	read(false)
+	want := slices.Clone(got)
+	if !slices.Equal(want, recs) {
+		b.Fatal("element reads do not return what was written")
+	}
+	for _, mode := range []struct {
+		name  string
+		batch bool
+	}{{"batch", true}, {"element", false}} {
+		b.Run(mode.name, func(b *testing.B) {
+			b.SetBytes(int64(len(recs) * record.Size))
+			for i := 0; i < b.N; i++ {
+				read(mode.batch)
+				b.StopTimer()
+				if !slices.Equal(got, want) {
+					b.Fatalf("%s reads returned %d elements that differ from the element path's %d", mode.name, len(got), len(want))
+				}
+				b.StartTimer()
+			}
+		})
+	}
+}

@@ -28,10 +28,13 @@ type Emitter[T any] struct {
 	PageSize int
 	// PagesPerFile is the backward chain file length in pages (0: default).
 	PagesPerFile int
-	// Async moves forward-writer page flushes onto a background goroutine
-	// (double-buffered), overlapping run-generation and merge CPU work with
-	// file I/O. The driver enables it when Parallelism > 1; the bytes
-	// written are identical either way.
+	// Async gives every goroutine that writes forward files through the
+	// emitter a write-behind (see WriteBehind): files are created, written
+	// and closed on a background goroutine, overlapping run-generation and
+	// merge CPU work with file I/O, and are complete only after Barrier (the
+	// generation pass) or the queue's own Join (a merge worker). The driver
+	// enables it when Parallelism > 1; the bytes written are identical
+	// either way.
 	Async bool
 	// KeyCodec, when set, supplies memcmp-ordered normalized key bytes
 	// consistent with Less (see codec.KeyCodec). Run generators then cache
@@ -47,6 +50,10 @@ type Emitter[T any] struct {
 	// sorts commit the sums of each run in the manifest at its boundary;
 	// off (the default) no per-element CRC is ever computed.
 	Checksums bool
+
+	// gen is the write-behind of the goroutine that calls Forward — the
+	// run-generation pass — started by its first writer when Async is set.
+	gen *WriteBehind
 
 	mu   sync.Mutex
 	sums map[string]uint64
@@ -85,25 +92,48 @@ func (e *Emitter[T]) PrefixFunc() func(T) uint64 {
 	return codec.PrefixFunc(e.KeyCodec)
 }
 
+// forwardBlockBytes sizes the blocks run generation hands to storage: an
+// eighth of the memory budget declared on the store's pool, in whole pages,
+// between one page — what it is without a budget — and 64 KiB, past which
+// a larger write buys nothing. They sit outside the record budget the
+// generator fills: one block per open forward stream, and under Async one
+// more in flight.
+func forwardBlockBytes(budget int) int {
+	pages := min(budget/8, 64<<10) / DefaultPageSize
+	return max(pages, 1) * DefaultPageSize
+}
+
 // Forward creates a fresh forward run file; role distinguishes streams in
-// file names (e.g. "rs", "s1").
+// file names (e.g. "rs", "s1"). It is for the one goroutine that generates
+// runs: under Async its writers share that goroutine's write-behind, and
+// their files are complete after Barrier.
 func (e *Emitter[T]) Forward(role string) (string, *Writer[T], error) {
+	if e.Async && e.gen == nil {
+		e.gen = e.NewWriteBehind()
+	}
 	name := e.Namer.Next(role)
-	w, err := e.NewWriter(name, 0) // one DefaultPageSize buffer
+	w, err := e.NewWriter(e.gen, name, forwardBlockBytes(storage.PoolOf(e.Store).Budget()))
 	return name, w, err
 }
 
+// NewWriteBehind returns a write queue for one goroutine that writes forward
+// files through the emitter: a write-behind when Async is set, and
+// otherwise nil, the synchronous queue.
+func (e *Emitter[T]) NewWriteBehind() *WriteBehind {
+	if !e.Async {
+		return nil
+	}
+	return newWriteBehind(storage.PoolOf(e.Store))
+}
+
 // NewWriter creates a forward writer on the named file with an explicit
-// buffer size, honouring the emitter's Async setting. Unlike Forward it
-// does not touch the Namer, so concurrent merge workers can use it with
-// pre-allocated names.
-func (e *Emitter[T]) NewWriter(name string, bufBytes int) (*Writer[T], error) {
-	w, err := NewWriter(e.Store, name, bufBytes, e.Codec, e.Less)
+// buffer size, its file operations on the calling goroutine's queue q.
+// Unlike Forward it does not touch the Namer, so concurrent merge workers
+// can use it with pre-allocated names.
+func (e *Emitter[T]) NewWriter(q *WriteBehind, name string, bufBytes int) (*Writer[T], error) {
+	w, err := newWriter(q, e.Store, name, bufBytes, e.Codec, e.Less)
 	if err != nil {
 		return nil, err
-	}
-	if e.Async {
-		w.Async()
 	}
 	if e.Checksums {
 		w.Track(func(_ int64, sum uint64) { e.noteSum(name, sum) })
@@ -112,6 +142,13 @@ func (e *Emitter[T]) NewWriter(name string, bufBytes int) (*Writer[T], error) {
 	e.trackOpen(w)
 	return w, nil
 }
+
+// Barrier waits until every file written through Forward is complete on the
+// store — created, written and closed — and returns the first error the
+// generation pass's write-behind has met. Run generation calls it before
+// its runs are read and at every durable commit boundary; without Async
+// there is nothing to wait for.
+func (e *Emitter[T]) Barrier() error { return e.gen.Join() }
 
 func (e *Emitter[T]) trackOpen(w aborter) {
 	e.mu.Lock()
@@ -129,11 +166,12 @@ func (e *Emitter[T]) untrackOpen(w aborter) {
 }
 
 // AbortOpen force-closes every forward writer the emitter created that is
-// still open: buffered pages are dropped, background flusher goroutines
-// are joined, and the underlying files closed. Failure paths call it
-// before sweeping (or abandoning) spill files, so no flusher is still
+// still open — buffered pages are dropped, the underlying files closed —
+// and joins the generation pass's write-behind. Failure paths call it
+// before sweeping (or abandoning) spill files, so nothing is still
 // appending to a file being removed — the race a run generator invites
-// when a source error makes it abandon its current writer mid-run.
+// when a source error makes it abandon its current writer mid-run. (A merge
+// worker joins its own queue before its merge returns.)
 func (e *Emitter[T]) AbortOpen() {
 	e.mu.Lock()
 	ws := make([]aborter, 0, len(e.open))
@@ -145,6 +183,7 @@ func (e *Emitter[T]) AbortOpen() {
 	for _, w := range ws {
 		w.abort()
 	}
+	e.gen.Join()
 }
 
 // Backward creates a fresh backward (decreasing) stream.

@@ -57,20 +57,37 @@ func (f spillFile) open(st storage.Backend) (storage.BlockReader, error) {
 // buffer: a forward run, a backward chain, or every segment of a
 // concatenable run, depending on the file list it was built over. Files
 // are opened one at a time, each when the one before it is drained.
+//
+// The bytes being decoded are either a block on loan from the open file —
+// a backend that verifies whole blocks in a window of its own lends each
+// out rather than copy it (storage.BlockLender) — or the reader's own
+// pooled buffer, which it takes when it first has to read into one: the
+// backend does not lend, or an element straddles what two reads returned
+// and has to be joined.
 type Reader[T any] struct {
 	st     storage.Backend
+	pool   *storage.Pool
 	c      codec.Codec[T]
+	bulk   codec.Bulk[T]       // c's bulk kernels, when it is fixed-width and has them
+	fixed  int                 // c.FixedSize()
 	files  []spillFile         // not yet opened, in read order
 	src    storage.BlockReader // the open file; nil between files
-	buf    []byte
-	have   int   // valid bytes in buf
-	pos    int   // consumed bytes in buf
-	err    error // met after the last element decoded; the next call returns it
+	lend   storage.BlockLender // src again, when it lends its blocks
+	size   int                 // bytes per read: the buffer budget
+	own    []byte              // the reader's buffer, from the pool, once it needs one
+	buf    []byte              // the bytes being decoded: a prefix of own, or a block on loan
+	pos    int                 // consumed bytes of buf
+	err    error               // met after the last element decoded; the next call returns it
 	closed bool
 }
 
 func newReader[T any](st storage.Backend, files []spillFile, bufBytes int, c codec.Codec[T]) *Reader[T] {
-	return &Reader[T]{st: st, c: c, files: files, buf: make([]byte, bufSize(bufBytes, c.FixedSize()))}
+	r := &Reader[T]{st: st, pool: storage.PoolOf(st), c: c, fixed: c.FixedSize(), files: files}
+	r.size = bufSize(bufBytes, r.fixed)
+	if r.fixed > 0 {
+		r.bulk, _ = c.(codec.Bulk[T])
+	}
+	return r
 }
 
 // NewReader opens the named forward run on st with a read buffer of bufBytes
@@ -87,15 +104,46 @@ func NewBackwardReader[T any](st storage.Backend, base string, files, bufBytes i
 	return OpenSegment(st, Segment{Name: base, Backward: true, Files: files}, bufBytes, c)
 }
 
-// Read returns the next element or io.EOF.
+// decode returns the next element through the codec's element method. With
+// no whole element buffered it refills instead — or fails to, leaving the
+// reason in r.err — and reports false.
+func (r *Reader[T]) decode() (v T, ok bool) {
+	if r.pos < len(r.buf) {
+		v, k, err := r.c.Decode(r.buf[r.pos:])
+		if err == nil {
+			r.pos += k
+			return v, true
+		}
+		if !errors.Is(err, codec.ErrShort) {
+			r.err = err
+			return v, false
+		}
+	}
+	r.err = r.refill()
+	return v, false
+}
+
+// Read returns the next element or io.EOF. It is ReadBatch for one element,
+// kept on the element path: a destination passed to the codec's bulk
+// kernels, an interface call, would have to live on the heap.
 func (r *Reader[T]) Read() (T, error) {
-	var one [1]T
-	_, err := r.ReadBatch(one[:])
-	return one[0], err
+	var zero T
+	if r.closed {
+		return zero, stream.ErrClosed
+	}
+	for r.err == nil {
+		if v, ok := r.decode(); ok {
+			return v, nil
+		}
+	}
+	err := r.err
+	r.err = nil
+	return zero, err
 }
 
 // ReadBatch decodes up to len(dst) elements per the stream.BatchReader
-// contract: an error met after some elements were decoded waits for the
+// contract — a buffer's worth per call of the codec's bulk kernel, where it
+// has one — and an error met after some elements were decoded waits for the
 // next call. A trailing partial element means corruption upstream and
 // reads as a clean end of its segment, matching the historical fixed-width
 // behaviour.
@@ -105,20 +153,17 @@ func (r *Reader[T]) ReadBatch(dst []T) (int, error) {
 	}
 	n := 0
 	for n < len(dst) && r.err == nil {
-		if r.pos < r.have {
-			v, k, err := r.c.Decode(r.buf[r.pos:r.have])
-			if err == nil {
+		if r.bulk == nil {
+			if v, ok := r.decode(); ok {
 				dst[n] = v
 				n++
-				r.pos += k
-				continue
 			}
-			if !errors.Is(err, codec.ErrShort) {
-				r.err = err
-				continue
-			}
+		} else if k := r.bulk.DecodeAll(dst[n:], r.buf[r.pos:]); k > 0 {
+			n += k
+			r.pos += k * r.fixed
+		} else {
+			r.err = r.refill()
 		}
-		r.err = r.refill()
 	}
 	if n > 0 || len(dst) == 0 {
 		return n, nil
@@ -128,32 +173,54 @@ func (r *Reader[T]) ReadBatch(dst []T) (int, error) {
 	return 0, err
 }
 
-// refill moves any partial element to the front of the buffer and reads
-// more bytes behind it — growing the buffer when one element outgrows it,
-// moving to the next file when the open one is drained — and returns io.EOF
-// once the last file is. It is the only place the reader touches storage.
+// refill replaces the drained buffer with the stream's next bytes — moving
+// to the next file when the open one is drained — and returns io.EOF once
+// the last file is. With nothing left over and a file that lends its
+// blocks, the next block is decoded where it lies. Otherwise the partial
+// element left over moves to the front of the reader's own buffer and more
+// bytes are read behind it, into a larger buffer when one element outgrows
+// it. It is the only place the reader touches storage.
 func (r *Reader[T]) refill() error {
-	r.have = copy(r.buf, r.buf[r.pos:r.have])
-	r.pos = 0
+	rest := r.buf[r.pos:]
+	r.buf, r.pos = rest, 0
 	for {
 		if r.src == nil {
 			if err := r.openNext(); err != nil {
 				return err
 			}
+			rest = r.buf
 		}
-		if r.have == len(r.buf) {
-			r.buf = append(r.buf, make([]byte, len(r.buf))...)
-		}
-		n, err := r.src.Read(r.buf[r.have:])
-		if err != nil && err != io.EOF {
-			return err
-		}
-		if n > 0 {
-			r.have += n
-			return nil
+		if len(rest) == 0 && r.lend != nil {
+			block, err := r.lend.NextBlock(r.size)
+			if err == nil {
+				r.buf = block
+				return nil
+			}
+			if err != io.EOF {
+				return err
+			}
+		} else {
+			if len(rest) >= len(r.own) {
+				grown := r.pool.Get(max(r.size, 2*len(rest)))
+				copy(grown, rest)
+				r.pool.Put(r.own)
+				r.own = grown
+			} else {
+				copy(r.own, rest)
+			}
+			rest = r.own[:len(rest)]
+			r.buf = rest
+			n, err := r.src.Read(r.own[len(rest):])
+			if err != nil && err != io.EOF {
+				return err
+			}
+			if n > 0 {
+				r.buf = r.own[:len(rest)+n]
+				return nil
+			}
 		}
 		src := r.src
-		r.src = nil
+		r.src, r.lend = nil, nil
 		if err := src.Close(); err != nil {
 			return err
 		}
@@ -172,18 +239,21 @@ func (r *Reader[T]) openNext() error {
 		return err
 	}
 	r.files, r.src = r.files[1:], src
+	r.lend, _ = src.(storage.BlockLender)
 	if !f.joins {
-		r.have = 0
+		r.buf, r.pos = nil, 0
 	}
 	return nil
 }
 
-// Close releases the open file, if any.
+// Close releases the open file, if any, and the reader's buffer.
 func (r *Reader[T]) Close() error {
 	if r.closed {
 		return stream.ErrClosed
 	}
 	r.closed = true
+	r.pool.Put(r.own)
+	r.own, r.buf = nil, nil
 	if r.src != nil {
 		return r.src.Close()
 	}

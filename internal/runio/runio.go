@@ -37,14 +37,26 @@
 // run is read by one Reader over the files of all its segments, which is how
 // the four 2WRS output streams become one logical sorted run:
 // rev(4) + 3 + rev(2) + 1. A run whose stream ranges overlap gets a Reader
-// per segment under the interleaveReader's minimum scan. Read-ahead and
-// pooled buffers (ROADMAP item 2b) have one place to go: Reader.refill.
+// per segment under the interleaveReader's minimum scan.
 //
 // Both layouts reach the file system through a storage.Backend: the raw
 // backend reproduces the historical bytes exactly, while the block backend
 // adds per-block CRC32 checksums and optional compression, and a tiered
 // backend keeps runs in memory under a byte budget. runio deals in pages
 // and chain files; how those become bytes at rest is the backend's concern.
+//
+// The forward path moves blocks, not records. WriteBatch and ReadBatch
+// encode and decode a page of elements per call through the codec's bulk
+// kernels (codec.Bulk; other codecs keep the element loop inside the same
+// page loop). A writer's blocks and a reader's buffer come from the
+// backend's pool (storage.PoolOf) and return to it when the file closes, so
+// they are reused across runs, merge operations and passes; a writer's block
+// carries storage.FrameHeadroom spare bytes so a framing backend stores it
+// with one write, and a backend that holds verified blocks lends them to
+// the reader instead of copying (Reader.refill, the one place reads touch
+// storage). Under Emitter.Async every goroutine that writes has one
+// WriteBehind which creates, appends to and closes its files in the
+// background; the files are complete after its Join.
 package runio
 
 import (
@@ -89,21 +101,28 @@ func bufSize(bufBytes, fixed int) int {
 	return bufBytes
 }
 
-// Writer writes an ascending forward run through a page-sized buffer: each
-// full buffer becomes one block of the storage backend's stream (a plain
-// byte range on the raw backend, a checksummed — optionally compressed —
-// frame on the block backend). Flushing is synchronous by default; Async
-// moves it to a background goroutine so encoding overlaps file I/O.
+// Writer writes an ascending forward run block by block: encoded elements
+// fill a pooled block, and each full one becomes one block of the storage
+// backend's stream (a plain byte range on the raw backend, a checksummed —
+// optionally compressed — frame on the block backend). Creating the file,
+// appending its blocks and closing it go through a WriteBehind: the
+// synchronous nil one by default, the writing goroutine's own when the
+// writer comes from an Emitter with Async set, where Close returns with
+// the last block queued and the file is complete only after the queue's
+// next Join. The bytes stored are the same either way.
 type Writer[T any] struct {
-	w      storage.BlockWriter
+	f      outFile
+	q      *WriteBehind
+	pool   *storage.Pool
 	c      codec.Codec[T]
+	bulk   codec.Bulk[T] // c's bulk kernels, when it is fixed-width and has them
+	fixed  int           // c.FixedSize()
 	less   func(a, b T) bool
-	buf    []byte
-	target int
+	buf    []byte // the block being filled: FrameHeadroom spare bytes, then the page
+	target int    // page bytes at which the block is flushed
 	count  int64
 	last   T
 	closed bool
-	async  *asyncFlusher
 	track  func(records int64, sum uint64)
 	order  bool // sum is the running StreamSum of the pages, not a ContentSum
 	sum    uint64
@@ -112,6 +131,10 @@ type Writer[T any] struct {
 	// writer from its open-writer tracking.
 	onFinish func()
 }
+
+// headroom is where a block's page starts: the bytes before it are the
+// storage backend's, for its frame.
+const headroom = storage.FrameHeadroom
 
 // castagnoli selects CRC-32C, which the hardware computes: an element is a
 // dozen-odd bytes, where the byte-table IEEE polynomial cost more than
@@ -139,23 +162,22 @@ func StreamSum(sum uint64, encoded []byte) uint64 {
 // the given buffer size in bytes (0 means DefaultPageSize), encoding
 // elements with c and validating write order with less.
 func NewWriter[T any](st storage.Backend, name string, bufBytes int, c codec.Codec[T], less func(a, b T) bool) (*Writer[T], error) {
-	target := bufSize(bufBytes, c.FixedSize())
-	w, err := st.Create(name)
-	if err != nil {
-		return nil, err
-	}
-	return &Writer[T]{w: w, c: c, less: less, buf: make([]byte, 0, target), target: target}, nil
+	return newWriter(nil, st, name, bufBytes, c, less)
 }
 
-// Async moves page flushing onto a background goroutine behind a
-// double-buffered channel, so the caller's encode/heap work overlaps file
-// I/O. It must be called before the first Write and returns the writer for
-// chaining. The byte layout produced is identical to the synchronous path.
-func (w *Writer[T]) Async() *Writer[T] {
-	if w.async == nil && !w.closed {
-		w.async = newAsyncFlusher(w.w, cap(w.buf))
+// newWriter is NewWriter on the queue q. On the synchronous queue a failed
+// create fails the call; on a write-behind it is the queue's error.
+func newWriter[T any](q *WriteBehind, st storage.Backend, name string, bufBytes int, c codec.Codec[T], less func(a, b T) bool) (*Writer[T], error) {
+	w := &Writer[T]{f: outFile{st: st, name: name}, q: q, pool: storage.PoolOf(st), c: c, fixed: c.FixedSize(), less: less}
+	w.target = bufSize(bufBytes, w.fixed)
+	if w.fixed > 0 {
+		w.bulk, _ = c.(codec.Bulk[T])
 	}
-	return w
+	if err := q.do(&w.f, opCreate, nil); err != nil {
+		return nil, err
+	}
+	w.buf = w.pool.Get(headroom + w.target)[:headroom]
+	return w, nil
 }
 
 // Track arranges for fn to receive the element count and the
@@ -174,13 +196,20 @@ func (w *Writer[T]) SumStream() { w.order = true }
 // stream once the writer is closed.
 func (w *Writer[T]) Sum() uint64 { return w.sum }
 
+// outOfOrder reports r arriving after prev, which orders above it.
+func outOfOrder[T any](r, prev T) error {
+	return fmt.Errorf("%w: forward run got %v after %v", ErrOutOfOrder, r, prev)
+}
+
 // Write appends r to the run. Elements must arrive in non-decreasing order.
+// It is WriteBatch for one element, kept apart so that the element does not
+// have to live in a slice.
 func (w *Writer[T]) Write(r T) error {
 	if w.closed {
 		return stream.ErrClosed
 	}
 	if w.count > 0 && w.less(r, w.last) {
-		return fmt.Errorf("%w: forward run got %v after %v", ErrOutOfOrder, r, w.last)
+		return outOfOrder(r, w.last)
 	}
 	w.last = r
 	prev := len(w.buf)
@@ -189,93 +218,127 @@ func (w *Writer[T]) Write(r T) error {
 		w.sum = ContentSum(w.sum, w.buf[prev:])
 	}
 	w.count++
-	if len(w.buf) >= w.target {
+	if len(w.buf)-headroom >= w.target {
 		return w.flush()
 	}
 	return nil
 }
 
-// WriteBatch appends every element of src in order; the page-flush
-// boundaries, and so the on-disk bytes, are those of element writes.
+// WriteBatch appends every element of src in order, a page at a time:
+// each turn of its loop takes the elements that still fit the page — with a
+// fixed-width codec that is known up front, with a variable-width one it is
+// one element — validates their order, encodes them (in one call where the
+// codec has bulk kernels), folds each into the content checksum when one is
+// tracked, and flushes the page when it is full. The page-flush boundaries,
+// and so the bytes stored, are those of element writes.
 func (w *Writer[T]) WriteBatch(src []T) error {
-	for _, r := range src {
-		if err := w.Write(r); err != nil {
-			return err
+	if w.closed {
+		return stream.ErrClosed
+	}
+	for len(src) > 0 {
+		n := 1
+		if w.fixed > 0 {
+			n = min(len(src), max((w.target-(len(w.buf)-headroom))/w.fixed, 1))
+		}
+		page := src[:n]
+		if w.count > 0 && w.less(page[0], w.last) {
+			return outOfOrder(page[0], w.last)
+		}
+		for i := 1; i < n; i++ {
+			if w.less(page[i], page[i-1]) {
+				return outOfOrder(page[i], page[i-1])
+			}
+		}
+		at := len(w.buf)
+		if w.bulk != nil {
+			w.buf = w.bulk.AppendAll(w.buf, page)
+		} else {
+			for _, r := range page {
+				w.buf = w.c.Append(w.buf, r)
+			}
+		}
+		if w.track != nil {
+			size := (len(w.buf) - at) / n
+			for ; at < len(w.buf); at += size {
+				w.sum = ContentSum(w.sum, w.buf[at:at+size])
+			}
+		}
+		w.last = page[n-1]
+		w.count += int64(n)
+		src = src[n:]
+		if len(w.buf)-headroom >= w.target {
+			if err := w.flush(); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
+// flush hands the block being filled to the file's queue and starts a new
+// one: the same block again when the append has already happened, a fresh
+// one from the pool when the queue now owns the old.
 func (w *Writer[T]) flush() error {
-	if len(w.buf) == 0 {
+	if len(w.buf) == headroom {
 		return nil
 	}
 	if w.order {
-		w.sum = StreamSum(w.sum, w.buf)
+		w.sum = StreamSum(w.sum, w.buf[headroom:])
 	}
-	if w.async != nil {
-		next, err := w.async.submit(w.buf)
-		if err != nil {
-			return err
-		}
-		w.buf = next
-		return nil
-	}
-	if err := w.w.Append(w.buf); err != nil {
+	if err := w.q.do(&w.f, opAppend, w.buf); err != nil {
 		return err
 	}
-	w.buf = w.buf[:0]
+	if w.q != nil {
+		w.buf = w.pool.Get(headroom + w.target)
+	}
+	w.buf = w.buf[:headroom]
 	return nil
 }
 
 // Count returns the number of elements written so far.
 func (w *Writer[T]) Count() int64 { return w.count }
 
-// Close flushes buffered elements, waits for any asynchronous writes to
-// drain, and closes the underlying file.
+// Close flushes buffered elements and closes the underlying file — now, on
+// the synchronous queue, and by the next Join of a write-behind, whose
+// error so far it returns.
 func (w *Writer[T]) Close() error {
 	if w.closed {
 		return stream.ErrClosed
 	}
-	w.closed = true
-	if w.onFinish != nil {
-		w.onFinish()
-	}
 	err := w.flush()
-	if w.async != nil {
-		if aerr := w.async.close(); err == nil {
-			err = aerr
-		}
+	if cerr := w.finish(); err == nil {
+		err = cerr
 	}
-	if err != nil {
-		w.w.Close()
-		return err
-	}
-	if err := w.w.Close(); err != nil {
-		return err
-	}
-	if w.track != nil {
+	if err == nil && w.track != nil {
 		w.track(w.count, w.sum)
 	}
-	return nil
+	return err
 }
 
-// abort force-closes a writer an error path abandoned: buffered data is
-// dropped, the background flusher (if any) is drained and joined, and the
-// underlying file is closed. Errors are ignored — the caller is about to
-// remove or invalidate the file anyway. The join is the point: after abort
-// no goroutine of this writer touches the file, so a Discard sweep cannot
-// race an in-flight page append.
-func (w *Writer[T]) abort() {
-	if w.closed {
-		return
-	}
+// finish retires the writer: its block goes back to the pool and the file
+// is closed, behind whatever is still queued for it. It returns the close's
+// error, or on a write-behind the queue's error so far.
+func (w *Writer[T]) finish() error {
 	w.closed = true
 	if w.onFinish != nil {
 		w.onFinish()
 	}
-	if w.async != nil {
-		w.async.close()
+	w.pool.Put(w.buf)
+	w.buf = nil
+	if w.q == nil {
+		return w.f.exec(opClose, nil)
 	}
-	w.w.Close()
+	// Queued even when the queue has failed: the handle must close.
+	w.q.enqueue(&w.f, opClose, nil)
+	return w.q.failure()
+}
+
+// abort closes a writer an error path abandoned, without flushing: the
+// caller is about to remove or invalidate the file anyway, and joins the
+// writer's queue before it does, so nothing is still appending to a file
+// being removed.
+func (w *Writer[T]) abort() {
+	if !w.closed {
+		w.finish()
+	}
 }

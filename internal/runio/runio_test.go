@@ -2,6 +2,7 @@ package runio
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"slices"
@@ -787,35 +788,181 @@ func TestWriteBatchRejectsOutOfOrder(t *testing.T) {
 	w.Close()
 }
 
-// TestAsyncWriterRoundTrip exercises the double-buffered background
-// flusher directly: many small flushes, then a read-back.
+// TestAsyncWriterRoundTrip exercises the write-behind directly: several
+// files through one queue with many small blocks each, every Close
+// returning before its file is complete, then a read-back after the Join.
 func TestAsyncWriterRoundTrip(t *testing.T) {
 	fs := vfs.NewMemFS()
-	w, err := NewWriter(storage.NewRaw(fs), "as", 64, codec.Record16{}, record.Less)
+	em := RecordEmitter(fs, "as")
+	em.Async = true
+	q := em.NewWriteBehind()
+	const files, n = 3, 5000
+	for f := 0; f < files; f++ {
+		w, err := em.NewWriter(q, fmt.Sprintf("as%d", f), 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if err := w.Write(record.Record{Key: int64(i), Aux: uint64(f)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if w.Count() != n {
+			t.Fatalf("file %d: count %d, want %d", f, w.Count(), n)
+		}
+	}
+	if err := q.Join(); err != nil {
+		t.Fatal(err)
+	}
+	for f := 0; f < files; f++ {
+		r, err := NewReader(em.Store, fmt.Sprintf("as%d", f), 0, codec.Record16{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := readAllClosing(t, r)
+		if len(got) != n {
+			t.Fatalf("file %d: got %d records, want %d", f, len(got), n)
+		}
+		for i, rec := range got {
+			if rec.Key != int64(i) || rec.Aux != uint64(f) {
+				t.Fatalf("file %d record %d = %+v", f, i, rec)
+			}
+		}
+	}
+}
+
+// TestElementPathDoesNotAllocate pins the cost of the one-element calls
+// beside the bulk kernels: Read's result and Write's argument never pass
+// through the codec's bulk interface — where they would have to be slices,
+// and escape to the heap once per element — so neither allocates.
+func TestElementPathDoesNotAllocate(t *testing.T) {
+	st := storage.NewRaw(vfs.NewMemFS())
+	w, err := NewWriter[record.Record](st, "run", 0, codec.Record16{}, record.Less)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Async()
-	const n = 5000
-	for i := 0; i < n; i++ {
-		if err := w.Write(record.Record{Key: int64(i), Aux: uint64(i)}); err != nil {
+	key := int64(0)
+	if n := testing.AllocsPerRun(5000, func() {
+		key++
+		if err := w.Write(record.Record{Key: key}); err != nil {
 			t.Fatal(err)
 		}
+	}); n != 0 {
+		t.Fatalf("Write allocates %v times per element", n)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(storage.NewRaw(fs), "as", 0, codec.Record16{})
+	r, err := NewReader[record.Record](st, "run", 0, codec.Record16{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := readAllClosing(t, r)
-	if len(got) != n {
-		t.Fatalf("got %d records, want %d", len(got), n)
+	defer r.Close()
+	if n := testing.AllocsPerRun(5000, func() {
+		if _, err := r.Read(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Read allocates %v times per element", n)
 	}
-	for i, rec := range got {
-		if rec.Key != int64(i) {
-			t.Fatalf("record %d = %d", i, rec.Key)
+}
+
+// failingWrites fails the n-th call of one kind — "create", "append" or
+// "close" — made through it for writing, and counts the handles left open.
+type failingWrites struct {
+	storage.Backend
+	op      string
+	n, seen int
+	open    int
+}
+
+func (b *failingWrites) hit(op string) error {
+	if op == b.op {
+		if b.seen++; b.seen == b.n {
+			return errInjected
+		}
+	}
+	return nil
+}
+
+func (b *failingWrites) Create(name string) (storage.BlockWriter, error) {
+	if err := b.hit("create"); err != nil {
+		return nil, err
+	}
+	w, err := b.Backend.Create(name)
+	if err == nil {
+		b.open++
+	}
+	return failingWriter{w, b}, err
+}
+
+type failingWriter struct {
+	storage.BlockWriter
+	b *failingWrites
+}
+
+func (w failingWriter) Append(p []byte) error {
+	if err := w.b.hit("append"); err != nil {
+		return err
+	}
+	return w.BlockWriter.Append(p)
+}
+
+func (w failingWriter) Close() error {
+	w.b.open--
+	err := w.b.hit("close")
+	if cerr := w.BlockWriter.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// TestWriteBehindSurfacesFirstError fails each kind of queued operation at
+// each position of a three-file sequence: a writer call returns the
+// injected error at the latest by the file after the failing one, Join
+// always does, every handle that was opened is closed, and nothing is left
+// running (the race detector and the goroutine count in internal/extsort
+// watch that end to end).
+func TestWriteBehindSurfacesFirstError(t *testing.T) {
+	for _, op := range []string{"create", "append", "close"} {
+		for n := 1; n <= 3; n++ {
+			st := &failingWrites{Backend: storage.NewRaw(vfs.NewMemFS()), op: op, n: n}
+			em := NewEmitterOn[record.Record](st, "wb", codec.Record16{}, record.Less)
+			em.Async = true
+			q := em.NewWriteBehind()
+			var first error
+			note := func(err error) {
+				if first == nil {
+					first = err
+				}
+			}
+			for f := 0; f < 3 && first == nil; f++ {
+				w, err := em.NewWriter(q, fmt.Sprintf("f%d", f), 64)
+				if err != nil {
+					note(err)
+					break
+				}
+				for i := 0; i < 16 && err == nil; i++ { // four blocks of four
+					err = w.Write(record.Record{Key: int64(i)})
+				}
+				note(err)
+				note(w.Close())
+			}
+			if err := q.Join(); !errors.Is(err, errInjected) {
+				t.Fatalf("%s %d: Join returned %v, want the injected error", op, n, err)
+			}
+			if first != nil && !errors.Is(first, errInjected) {
+				t.Fatalf("%s %d: a writer returned %v, want the injected error", op, n, first)
+			}
+			if st.open != 0 {
+				t.Fatalf("%s %d: %d file handles left open", op, n, st.open)
+			}
+			if err := q.Join(); !errors.Is(err, errInjected) {
+				t.Fatalf("%s %d: a second Join returned %v", op, n, err)
+			}
 		}
 	}
 }

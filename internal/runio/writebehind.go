@@ -1,0 +1,163 @@
+package runio
+
+import (
+	"sync"
+
+	"repro/internal/storage"
+)
+
+// outFile is one forward spill file as its writer's queue sees it: created,
+// appended to and closed by whoever executes the operations, in order.
+type outFile struct {
+	st   storage.Backend
+	name string
+	w    storage.BlockWriter // nil before create and after a failed one
+}
+
+// The operations of a forward writer on its file.
+const (
+	opCreate = iota
+	opAppend // block: FrameHeadroom spare bytes, then the payload
+	opClose
+)
+
+// exec performs one operation. A file whose create failed (or was skipped)
+// ignores the rest.
+func (f *outFile) exec(op int, block []byte) (err error) {
+	switch {
+	case op == opCreate:
+		f.w, err = f.st.Create(f.name)
+	case f.w == nil:
+	case op == opAppend:
+		err = storage.AppendBlock(f.w, block)
+	case op == opClose:
+		err = f.w.Close()
+		f.w = nil
+	}
+	return err
+}
+
+// WriteBehind is the write side of one goroutine that writes spill files —
+// the run-generation pass, or one merge worker. The forward writers of
+// that goroutine queue their creates, block appends and closes on it, and
+// one background goroutine executes them in order, so creating a file,
+// writing its blocks and closing it overlap the owner's sorting, encoding
+// and merging, across files as well as within one: a writer's Close returns
+// once its last block is queued, and the next run starts filling while the
+// last one drains.
+//
+// The owner must Join before anything depends on the files being complete:
+// before a run is opened for reading or removed, at a durable commit
+// boundary, before a failed sort's files are swept. The first error of a
+// queued operation makes every later one a no-op (closes excepted, so no
+// handle leaks) and is what every later call on the queue returns, Join
+// included: it surfaces at the next flush of any writer on the queue, and
+// no later than the next Join.
+//
+// A nil *WriteBehind is the synchronous queue: every operation executes on
+// the spot and returns its own error. It is what a writer outside any
+// pipeline, and every writer of a sort at Parallelism 1, uses.
+//
+// Only the owner calls its methods; the queue goroutine exists from the
+// first queued operation to the next Join.
+type WriteBehind struct {
+	pool *storage.Pool
+
+	// ops is nil while no goroutine runs. The capacity lets a run's last
+	// block, its close, the next run's create and (2WRS) a second stream's
+	// create queue behind the block being written without stalling the
+	// owner; blocks themselves are bounded by inFlight, not by it.
+	ops  chan queuedOp
+	done chan struct{}
+	// inFlight holds one token per block queued or being written: with the
+	// one its writer is filling, that is the double buffer — a second full
+	// block waits here for the first to reach the file.
+	inFlight chan struct{}
+
+	mu  sync.Mutex
+	err error
+}
+
+type queuedOp struct {
+	f     *outFile
+	op    int
+	block []byte
+}
+
+// opQueueLen is the capacity of WriteBehind.ops; see there.
+const opQueueLen = 4
+
+func newWriteBehind(pool *storage.Pool) *WriteBehind {
+	return &WriteBehind{pool: pool, inFlight: make(chan struct{}, 1)}
+}
+
+// failure returns the first error of a queued operation, if any.
+func (q *WriteBehind) failure() error {
+	if q == nil {
+		return nil
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.err
+}
+
+// do performs the operation now (nil queue) and returns its error, or
+// queues it and returns the queue's first error so far. A queued block
+// belongs to the queue, which returns it to the pool once written; in
+// either case an error leaves it with the caller.
+func (q *WriteBehind) do(f *outFile, op int, block []byte) error {
+	if q == nil {
+		return f.exec(op, block)
+	}
+	if err := q.failure(); err != nil {
+		return err
+	}
+	q.enqueue(f, op, block)
+	return nil
+}
+
+// enqueue queues the operation whatever the queue's state, starting the
+// goroutine if none runs.
+func (q *WriteBehind) enqueue(f *outFile, op int, block []byte) {
+	if q.ops == nil {
+		q.ops, q.done = make(chan queuedOp, opQueueLen), make(chan struct{})
+		go q.run(q.ops, q.done)
+	}
+	if op == opAppend {
+		q.inFlight <- struct{}{}
+	}
+	q.ops <- queuedOp{f, op, block}
+}
+
+func (q *WriteBehind) run(ops <-chan queuedOp, done chan<- struct{}) {
+	defer close(done)
+	for o := range ops {
+		if q.failure() == nil || o.op == opClose {
+			if err := o.f.exec(o.op, o.block); err != nil {
+				q.mu.Lock()
+				if q.err == nil {
+					q.err = err
+				}
+				q.mu.Unlock()
+			}
+		}
+		if o.op == opAppend {
+			q.pool.Put(o.block)
+			<-q.inFlight
+		}
+	}
+}
+
+// Join waits until every queued operation has executed, stops the queue's
+// goroutine and returns the first error any operation has met.
+func (q *WriteBehind) Join() error {
+	if q == nil {
+		return nil
+	}
+	if q.ops != nil {
+		close(q.ops)
+		<-q.done
+		q.ops = nil
+	}
+	return q.failure()
+}

@@ -25,6 +25,10 @@ const blockMagic = 0x42535732
 //	crc32   uint32  IEEE CRC of the *uncompressed* payload
 const frameSize = 20
 
+// framePad is where a frame starts in FrameHeadroom spare bytes: it takes
+// the last frameSize of them, directly in front of the payload.
+const framePad = FrameHeadroom - frameSize
+
 // Per-block payload codec ids. A compressing backend falls back to
 // codecStored per block when compression would not shrink the payload, so
 // compLen never exceeds rawLen and incompressible data costs only the frame.
@@ -77,66 +81,97 @@ func decodeFrame(src []byte) (frame, error) {
 	return f, nil
 }
 
-// compressor turns payloads into (codec, bytes) pairs, reusing one flate or
-// gzip encoder across the blocks of a single writer.
+// compressor turns payloads into stored blocks — frame and payload in one
+// contiguous buffer, so a block is one write — reusing one flate or gzip
+// encoder and its buffers across the blocks of a single writer.
 type compressor struct {
-	comp Compression
-	buf  bytes.Buffer
-	fw   *flate.Writer
-	gw   *gzip.Writer
+	comp  Compression
+	pool  *Pool
+	buf   bytes.Buffer // frameSize spare bytes, then the compressed payload
+	plain []byte       // FrameHeadroom spare bytes, then a payload that came without them
+	fw    *flate.Writer
+	gw    *gzip.Writer
 }
 
-// compress encodes p per the backend's compression, falling back to a
-// stored block when compression would not shrink it. The returned slice is
-// only valid until the next call.
+// compress encodes p per the backend's compression behind frameSize spare
+// bytes. It returns codecStored and nil when p is to be stored as it is:
+// no compression configured, or it would not shrink the payload. The
+// returned slice is only valid until the next call.
 func (c *compressor) compress(p []byte) (byte, []byte, error) {
 	if c.comp == None {
-		return codecStored, p, nil
+		return codecStored, nil, nil
 	}
 	c.buf.Reset()
+	var spare [frameSize]byte
+	c.buf.Write(spare[:])
+	var (
+		codec byte
+		zw    io.WriteCloser
+		err   error
+	)
 	switch c.comp {
 	case Flate:
 		if c.fw == nil {
-			fw, err := flate.NewWriter(&c.buf, flate.BestSpeed)
-			if err != nil {
-				return 0, nil, err
-			}
-			c.fw = fw
+			c.fw, err = flate.NewWriter(&c.buf, flate.BestSpeed)
 		} else {
 			c.fw.Reset(&c.buf)
 		}
-		if _, err := c.fw.Write(p); err != nil {
-			return 0, nil, err
-		}
-		if err := c.fw.Close(); err != nil {
-			return 0, nil, err
-		}
-		if c.buf.Len() >= len(p) {
-			return codecStored, p, nil
-		}
-		return codecFlate, c.buf.Bytes(), nil
+		codec, zw = codecFlate, c.fw
 	case Gzip:
 		if c.gw == nil {
-			gw, err := gzip.NewWriterLevel(&c.buf, gzip.BestSpeed)
-			if err != nil {
-				return 0, nil, err
-			}
-			c.gw = gw
+			c.gw, err = gzip.NewWriterLevel(&c.buf, gzip.BestSpeed)
 		} else {
 			c.gw.Reset(&c.buf)
 		}
-		if _, err := c.gw.Write(p); err != nil {
-			return 0, nil, err
-		}
-		if err := c.gw.Close(); err != nil {
-			return 0, nil, err
-		}
-		if c.buf.Len() >= len(p) {
-			return codecStored, p, nil
-		}
-		return codecGzip, c.buf.Bytes(), nil
+		codec, zw = codecGzip, c.gw
+	default:
+		err = fmt.Errorf("storage: compressor for %q", c.comp)
 	}
-	return 0, nil, fmt.Errorf("storage: compressor for %q", c.comp)
+	if err != nil {
+		return 0, nil, err
+	}
+	if _, err := zw.Write(p); err != nil {
+		return 0, nil, err
+	}
+	if err := zw.Close(); err != nil {
+		return 0, nil, err
+	}
+	if c.buf.Len()-frameSize >= len(p) {
+		return codecStored, nil, nil
+	}
+	return codec, c.buf.Bytes(), nil
+}
+
+// framed returns what to store for the payload p: its frame and the stored
+// payload behind it, contiguous. block, when non-nil, is p with frameSize
+// spare bytes in front of it (the end of an InPlaceAppender's headroom), and
+// a payload stored as it is gets its frame stamped there; without it the
+// payload is copied behind a frame in the compressor's own block. The
+// result is only valid until the next call.
+func (c *compressor) framed(p, block []byte) ([]byte, error) {
+	codec, out, err := c.compress(p)
+	if err != nil {
+		return nil, err
+	}
+	if out == nil {
+		if block == nil {
+			if cap(c.plain) < FrameHeadroom+len(p) {
+				c.pool.Put(c.plain)
+				c.plain = c.pool.Get(FrameHeadroom + len(p))
+			}
+			block = c.plain[framePad : FrameHeadroom+len(p)]
+			copy(block[frameSize:], p)
+		}
+		out = block
+	}
+	encodeFrame(out, frame{codec: codec, rawLen: len(p), compLen: len(out) - frameSize, crc: crc32.ChecksumIEEE(p)})
+	return out, nil
+}
+
+// release returns the compressor's block to the pool when its writer closes.
+func (c *compressor) release() {
+	c.pool.Put(c.plain)
+	c.plain = nil
 }
 
 // decompressor inflates block payloads, reusing decoders and the output
@@ -188,11 +223,12 @@ func (d *decompressor) decompress(f frame, comp []byte) ([]byte, error) {
 // block, optionally compressed. Forward streams are frame concatenations;
 // paged files give every page a fixed-size slot so the tail-first write
 // pattern of the backward format keeps working with variable compressed
-// sizes.
+// sizes. A block is one write — frame and payload together — and one read.
 type blockBackend struct {
 	fs   vfs.FS
 	comp Compression
 	c    *counters
+	pool *Pool
 	desc string
 }
 
@@ -204,12 +240,14 @@ func (b *blockBackend) Remove(name string) error { return b.fs.Remove(name) }
 
 func (b *blockBackend) Names() ([]string, error) { return b.fs.Names() }
 
+func (b *blockBackend) blockPool() *Pool { return b.pool }
+
 func (b *blockBackend) Create(name string) (BlockWriter, error) {
 	f, err := b.fs.Create(name)
 	if err != nil {
 		return nil, err
 	}
-	return &blockWriter{f: f, c: b.c, z: compressor{comp: b.comp}}, nil
+	return &blockWriter{f: f, c: b.c, z: compressor{comp: b.comp, pool: b.pool}}, nil
 }
 
 func (b *blockBackend) Open(name string) (BlockReader, error) {
@@ -217,7 +255,7 @@ func (b *blockBackend) Open(name string) (BlockReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &blockReader{f: f, c: b.c}, nil
+	return &blockReader{blockSource: blockSource{f: f, c: b.c, pool: b.pool}}, nil
 }
 
 func (b *blockBackend) CreatePaged(name string, pageSize, pages int) (PageWriter, error) {
@@ -225,7 +263,7 @@ func (b *blockBackend) CreatePaged(name string, pageSize, pages int) (PageWriter
 	if err != nil {
 		return nil, err
 	}
-	return &blockPageWriter{f: f, c: b.c, z: compressor{comp: b.comp}, slot: int64(frameSize + pageSize)}, nil
+	return &blockPageWriter{f: f, c: b.c, z: compressor{comp: b.comp, pool: b.pool}, slot: int64(frameSize + pageSize)}, nil
 }
 
 func (b *blockBackend) OpenPaged(name string) (PageReader, error) {
@@ -233,66 +271,136 @@ func (b *blockBackend) OpenPaged(name string) (PageReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &blockPageReader{f: f, c: b.c}, nil
+	return &blockPageReader{blockSource: blockSource{f: f, c: b.c, pool: b.pool}}, nil
 }
 
-// writeBlock frames, checksums and writes one payload at off, returning the
-// stored length.
-func writeBlock(f vfs.File, z *compressor, c *counters, p []byte, off int64) (int, error) {
-	codec, comp, err := z.compress(p)
+// writeBlock frames and checksums the payload p and writes frame and
+// payload at off in one call, returning the stored length. block is p with
+// its frame's room in front, or nil (see compressor.framed).
+func writeBlock(f vfs.File, z *compressor, c *counters, p, block []byte, off int64) (int, error) {
+	out, err := z.framed(p, block)
 	if err != nil {
 		return 0, err
 	}
-	var hdr [frameSize]byte
-	encodeFrame(hdr[:], frame{codec: codec, rawLen: len(p), compLen: len(comp), crc: crc32.ChecksumIEEE(p)})
-	if _, err := f.WriteAt(hdr[:], off); err != nil {
+	if _, err := f.WriteAt(out, off); err != nil {
 		return 0, err
 	}
-	if _, err := f.WriteAt(comp, off+frameSize); err != nil {
-		return 0, err
-	}
-	stored := frameSize + len(comp)
-	c.wrote(int64(len(p)), int64(stored))
-	return stored, nil
+	c.wrote(int64(len(p)), int64(len(out)))
+	return len(out), nil
 }
 
-// readBlock reads, verifies and inflates the block at off. It returns
-// (nil, 0, io.EOF) at a clean end of file.
-func readBlock(f vfs.File, z *decompressor, c *counters, compBuf *[]byte, off int64) (payload []byte, stored int, err error) {
-	var hdr [frameSize]byte
-	n, err := f.ReadAt(hdr[:], off)
-	if n == 0 && err == io.EOF {
-		return nil, 0, io.EOF
+// blockSource reads the blocks of one file front to back through a sliding
+// window: a pooled buffer holding the file's next bytes, refilled by one
+// ReadAt when the next block is not wholly in it. A window the size of a
+// block plus its frame therefore costs one read per block, a larger one
+// less, and nothing is read twice. Verified payloads are served in place,
+// out of the window (or out of the decompressor's buffer).
+type blockSource struct {
+	f    vfs.File
+	c    *counters
+	pool *Pool
+	z    decompressor
+	win  []byte // win[lo:hi] holds the file's bytes from offset pos on
+	lo   int
+	hi   int
+	pos  int64
+	eof  bool // a read came back short: the file ends at win[hi]
+	// stored is the size of the last block met, frame included. Reads end
+	// on a multiple of it, so in a file of equal blocks none straddles two
+	// reads and nothing in the window ever has to move.
+	stored int
+}
+
+// seek moves the window's front to file offset off, keeping what it holds
+// of the file from there on.
+func (s *blockSource) seek(off int64) {
+	if d := off - s.pos; d >= 0 && d <= int64(s.hi-s.lo) {
+		s.lo += int(d)
+	} else {
+		s.lo, s.hi, s.eof = 0, 0, false
+	}
+	s.pos = off
+}
+
+// fill makes the window hold n bytes from its front, if the file has them,
+// and returns how many it holds. A window that has to be allocated or
+// replaced is made for size bytes (n if that is more). What the window
+// holds starts framePad bytes in, so that behind a frame there the payload
+// starts on a cache line.
+func (s *blockSource) fill(n, size int) (int, error) {
+	have := s.hi - s.lo
+	if have >= n || s.eof {
+		return have, nil
+	}
+	if len(s.win) < framePad+n {
+		win := s.pool.Get(framePad + max(n, size))
+		copy(win[framePad:], s.win[s.lo:s.hi])
+		s.pool.Put(s.win)
+		s.win = win
+	} else if s.lo > framePad {
+		copy(s.win[framePad:], s.win[s.lo:s.hi])
+	}
+	s.lo, s.hi = framePad, framePad+have
+	room := len(s.win) - framePad
+	if s.stored > 0 && room-room%s.stored >= n {
+		room -= room % s.stored
+	}
+	got, err := s.f.ReadAt(s.win[s.hi:framePad+room], s.pos+int64(have))
+	s.hi += got
+	if err == io.EOF {
+		s.eof, err = true, nil
+	}
+	return s.hi - s.lo, err
+}
+
+// next reads, verifies and inflates the block at the window's front and
+// moves past it. sizeHint is the payload size the caller expects — what a
+// window is sized for before the first frame says. It returns io.EOF at a
+// clean end of file. The payload is valid until the next call.
+func (s *blockSource) next(sizeHint int) ([]byte, error) {
+	corrupt := func(err error) ([]byte, error) {
+		s.c.verifyFailures.Add(1)
+		return nil, err
+	}
+	n, err := s.fill(frameSize, frameSize+sizeHint)
+	if err != nil {
+		return nil, err
+	}
+	if n == 0 {
+		return nil, io.EOF
 	}
 	if n < frameSize {
-		c.verifyFailures.Add(1)
-		return nil, 0, fmt.Errorf("%w: truncated frame (%d of %d bytes)", ErrCorrupt, n, frameSize)
+		return corrupt(fmt.Errorf("%w: truncated frame (%d of %d bytes)", ErrCorrupt, n, frameSize))
 	}
-	fr, err := decodeFrame(hdr[:])
+	fr, err := decodeFrame(s.win[s.lo:])
 	if err != nil {
-		c.verifyFailures.Add(1)
-		return nil, 0, err
+		return corrupt(err)
 	}
-	if cap(*compBuf) < fr.compLen {
-		*compBuf = make([]byte, fr.compLen)
+	stored := frameSize + fr.compLen
+	s.stored = stored
+	if n, err = s.fill(stored, frameSize+max(sizeHint, fr.compLen)); err != nil {
+		return nil, err
 	}
-	comp := (*compBuf)[:fr.compLen]
-	if n, err := f.ReadAt(comp, off+frameSize); n < fr.compLen {
-		c.verifyFailures.Add(1)
-		return nil, 0, fmt.Errorf("%w: truncated payload (%d of %d bytes, read error %v)", ErrCorrupt, n, fr.compLen, err)
+	if n < stored {
+		return corrupt(fmt.Errorf("%w: truncated payload (%d of %d bytes)", ErrCorrupt, n-frameSize, fr.compLen))
 	}
-	raw, err := z.decompress(fr, comp)
+	raw, err := s.z.decompress(fr, s.win[s.lo+frameSize:s.lo+stored])
 	if err != nil {
-		c.verifyFailures.Add(1)
-		return nil, 0, err
+		return corrupt(err)
 	}
 	if got := crc32.ChecksumIEEE(raw); got != fr.crc {
-		c.verifyFailures.Add(1)
-		return nil, 0, fmt.Errorf("%w: crc %#x, frame says %#x", ErrChecksum, got, fr.crc)
+		return corrupt(fmt.Errorf("%w: crc %#x, frame says %#x", ErrChecksum, got, fr.crc))
 	}
-	stored = frameSize + fr.compLen
-	c.read(int64(fr.rawLen), int64(stored))
-	return raw, stored, nil
+	s.seek(s.pos + int64(stored))
+	s.c.read(int64(fr.rawLen), int64(stored))
+	return raw, nil
+}
+
+// Close returns the window to the pool and closes the file.
+func (s *blockSource) Close() error {
+	s.pool.Put(s.win)
+	s.win = nil
+	return s.f.Close()
 }
 
 // blockWriter appends framed blocks back to back.
@@ -303,53 +411,56 @@ type blockWriter struct {
 	off int64
 }
 
-func (w *blockWriter) Append(p []byte) error {
-	stored, err := writeBlock(w.f, &w.z, w.c, p, w.off)
-	if err != nil {
-		return err
-	}
-	w.off += int64(stored)
-	return nil
+func (w *blockWriter) Append(p []byte) error { return w.append(p, nil) }
+
+// AppendInPlace implements InPlaceAppender.
+func (w *blockWriter) AppendInPlace(block []byte) error {
+	return w.append(block[FrameHeadroom:], block[framePad:])
 }
 
-func (w *blockWriter) Close() error { return w.f.Close() }
+func (w *blockWriter) append(p, block []byte) error {
+	stored, err := writeBlock(w.f, &w.z, w.c, p, block, w.off)
+	w.off += int64(stored)
+	return err
+}
+
+func (w *blockWriter) Close() error {
+	w.z.release()
+	return w.f.Close()
+}
 
 // blockReader walks a frame concatenation, serving verified payloads.
 type blockReader struct {
-	f       vfs.File
-	c       *counters
-	z       decompressor
-	compBuf []byte
-	payload []byte
-	pos     int
-	off     int64
-	eof     bool
+	blockSource
+	payload []byte // the rest of the block Read is copying out
+}
+
+// NextBlock implements BlockLender.
+func (r *blockReader) NextBlock(sizeHint int) ([]byte, error) {
+	if rest := r.payload; len(rest) > 0 {
+		r.payload = nil
+		return rest, nil
+	}
+	for {
+		raw, err := r.next(sizeHint)
+		if err != nil || len(raw) > 0 {
+			return raw, err
+		}
+	}
 }
 
 func (r *blockReader) Read(p []byte) (int, error) {
-	for r.pos >= len(r.payload) {
-		if r.eof {
-			return 0, io.EOF
-		}
-		raw, stored, err := readBlock(r.f, &r.z, r.c, &r.compBuf, r.off)
-		if err == io.EOF {
-			r.eof = true
-			continue
-		}
+	if len(r.payload) == 0 {
+		raw, err := r.NextBlock(len(p))
 		if err != nil {
 			return 0, err
 		}
-		// The payload buffer is owned by the decompressor (or compBuf for
-		// stored blocks) and stays valid until the next readBlock.
-		r.payload, r.pos = raw, 0
-		r.off += int64(stored)
+		r.payload = raw
 	}
-	n := copy(p, r.payload[r.pos:])
-	r.pos += n
+	n := copy(p, r.payload)
+	r.payload = r.payload[n:]
 	return n, nil
 }
-
-func (r *blockReader) Close() error { return r.f.Close() }
 
 // blockPageWriter gives page i the fixed slot [i*(frameSize+pageSize), …):
 // offsets stay computable for the tail-first write pattern while each slot
@@ -363,15 +474,14 @@ type blockPageWriter struct {
 }
 
 func (w *blockPageWriter) WritePage(idx int, page []byte) error {
-	_, err := writeBlock(w.f, &w.z, w.c, page, int64(idx)*w.slot)
+	_, err := writeBlock(w.f, &w.z, w.c, page, nil, int64(idx)*w.slot)
 	return err
 }
 
 func (w *blockPageWriter) WriteTail(idx int, payload []byte) (int, error) {
 	// Framed slots store exactly the payload: an ascending read starts at
 	// its first byte, so the start position is always 0.
-	_, err := writeBlock(w.f, &w.z, w.c, payload, int64(idx)*w.slot)
-	return 0, err
+	return 0, w.WritePage(idx, payload)
 }
 
 func (w *blockPageWriter) WriteHeader(hdr []byte) error {
@@ -382,18 +492,17 @@ func (w *blockPageWriter) WriteHeader(hdr []byte) error {
 	return nil
 }
 
-func (w *blockPageWriter) Close() error { return w.f.Close() }
+func (w *blockPageWriter) Close() error {
+	w.z.release()
+	return w.f.Close()
+}
 
 // blockPageReader streams slot payloads from the start page to the last.
 type blockPageReader struct {
-	f       vfs.File
-	c       *counters
-	z       decompressor
-	compBuf []byte
+	blockSource
 	payload []byte
-	pos     int
 	slot    int64
-	next    int
+	page    int // the next slot to read
 	last    int
 	skip    int
 	seeked  bool
@@ -413,7 +522,7 @@ func (r *blockPageReader) ReadHeader(p []byte) error {
 
 func (r *blockPageReader) Seek(startPage, startPos, pageSize, pages int) error {
 	r.slot = int64(frameSize + pageSize)
-	r.next = startPage
+	r.page = startPage
 	r.last = pages - 1
 	r.skip = startPos
 	r.seeked = true
@@ -424,26 +533,22 @@ func (r *blockPageReader) Read(p []byte) (int, error) {
 	if !r.seeked {
 		return 0, fmt.Errorf("storage: paged read before Seek")
 	}
-	for r.pos >= len(r.payload) {
-		if r.next > r.last {
+	for len(r.payload) == 0 {
+		if r.page > r.last {
 			return 0, io.EOF
 		}
-		raw, _, err := readBlock(r.f, &r.z, r.c, &r.compBuf, int64(r.next)*r.slot)
-		if err == io.EOF {
-			// Short physical file: tolerate like the raw layout and end the
-			// chain file here.
-			return 0, io.EOF
-		}
+		r.seek(int64(r.page) * r.slot)
+		raw, err := r.next(int(r.slot) - frameSize)
 		if err != nil {
+			// io.EOF is a short physical file: tolerate it like the raw
+			// layout and end the chain file here.
 			return 0, err
 		}
-		r.next++
-		r.payload, r.pos = raw, r.skip
+		r.page++
+		r.payload = raw[min(r.skip, len(raw)):]
 		r.skip = 0
 	}
-	n := copy(p, r.payload[r.pos:])
-	r.pos += n
+	n := copy(p, r.payload)
+	r.payload = r.payload[n:]
 	return n, nil
 }
-
-func (r *blockPageReader) Close() error { return r.f.Close() }

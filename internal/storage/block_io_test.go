@@ -1,0 +1,267 @@
+package storage
+
+import (
+	"bytes"
+	"errors"
+	"hash/crc32"
+	"io"
+	"testing"
+
+	"repro/internal/vfs"
+)
+
+// countingFS counts the positional reads and writes that reach its files.
+type countingFS struct {
+	vfs.FS
+	reads, writes int
+}
+
+type countingFile struct {
+	vfs.File
+	fs *countingFS
+}
+
+func (c *countingFS) Create(name string) (vfs.File, error) {
+	f, err := c.FS.Create(name)
+	return countingFile{f, c}, err
+}
+
+func (c *countingFS) Open(name string) (vfs.File, error) {
+	f, err := c.FS.Open(name)
+	return countingFile{f, c}, err
+}
+
+func (f countingFile) ReadAt(p []byte, off int64) (int, error) {
+	f.fs.reads++
+	return f.File.ReadAt(p, off)
+}
+
+func (f countingFile) WriteAt(p []byte, off int64) (int, error) {
+	f.fs.writes++
+	return f.File.WriteAt(p, off)
+}
+
+// block returns payload behind FrameHeadroom spare bytes, as AppendBlock
+// takes it.
+func block(payload []byte) []byte {
+	return append(make([]byte, FrameHeadroom, FrameHeadroom+len(payload)), payload...)
+}
+
+// TestBlockIsOneWriteAndOneRead holds the framed backends to one file-system
+// call per block each way — in place and through plain Append, lent and
+// copied out — and the two write paths to the same bytes.
+func TestBlockIsOneWriteAndOneRead(t *testing.T) {
+	const blocks, size = 9, 4096
+	for _, comp := range compressions {
+		var files [2][]byte
+		for i, inPlace := range []bool{false, true} {
+			fs := &countingFS{FS: vfs.NewMemFS()}
+			b := mustBackend(t, fs, Config{Compression: string(comp)})
+			w, err := b.Create("f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []byte
+			for k := 0; k < blocks; k++ {
+				p := randPayload(size, int64(k))
+				if k%2 == 0 {
+					p = dupPayload(size)
+				}
+				want = append(want, p...)
+				if inPlace {
+					err = AppendBlock(w, block(p))
+				} else {
+					err = w.Append(p)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if fs.writes != blocks {
+				t.Fatalf("%s in place %v: %d writes for %d blocks", comp, inPlace, fs.writes, blocks)
+			}
+			f, _ := fs.FS.Open("f")
+			n, _ := f.Size()
+			files[i] = make([]byte, n)
+			f.ReadAt(files[i], 0)
+			f.Close()
+
+			for _, lend := range []bool{false, true} {
+				fs.reads = 0
+				r, err := b.Open("f")
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got []byte
+				if lend {
+					for {
+						p, err := r.(BlockLender).NextBlock(size)
+						if err == io.EOF {
+							break
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						got = append(got, p...)
+					}
+				} else if got, err = io.ReadAll(r); err != nil {
+					t.Fatal(err)
+				}
+				if err := r.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s in place %v, lent %v: read back %d bytes, want %d", comp, inPlace, lend, len(got), len(want))
+				}
+				// One read per block, at most one more to size the window
+				// when the first block outgrows the caller's hint, and one
+				// to find the end.
+				if fs.reads > blocks+2 {
+					t.Fatalf("%s in place %v, lent %v: %d reads for %d blocks", comp, inPlace, lend, fs.reads, blocks)
+				}
+			}
+		}
+		if !bytes.Equal(files[0], files[1]) {
+			t.Fatalf("%s: a block appended in place is stored differently from one appended plainly", comp)
+		}
+	}
+}
+
+// TestReadsFilesOfTheOldWriter writes a forward file the way the backend
+// used to — frame and payload in two writes each, blocks of several sizes —
+// and reads it back through windows smaller than, equal to and larger than
+// the blocks, lent and copied, mixed.
+func TestReadsFilesOfTheOldWriter(t *testing.T) {
+	fs := vfs.NewMemFS()
+	f, err := fs.Create("old")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	var off int64
+	for k, size := range []int{4096, 4096, 100, 9000, 4096, 1} {
+		p := randPayload(size, int64(k))
+		want = append(want, p...)
+		var hdr [frameSize]byte
+		encodeFrame(hdr[:], frame{codec: codecStored, rawLen: size, compLen: size, crc: crc32.ChecksumIEEE(p)})
+		f.WriteAt(hdr[:], off)
+		f.WriteAt(p, off+frameSize)
+		off += int64(frameSize + size)
+	}
+	f.Close()
+	b := mustBackend(t, fs, Config{Compression: string(None)})
+	for _, hint := range []int{0, 64, 4096, 1 << 16} {
+		r, err := b.Open("old")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []byte
+		small := make([]byte, 1000)
+		for turn := 0; ; turn++ {
+			var p []byte
+			if turn%2 == 0 {
+				p, err = r.(BlockLender).NextBlock(hint)
+			} else {
+				var n int
+				n, err = r.Read(small)
+				p = small[:n]
+			}
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, p...)
+		}
+		r.Close()
+		if !bytes.Equal(got, want) {
+			t.Fatalf("hint %d: read back %d bytes, want %d", hint, len(got), len(want))
+		}
+	}
+	if n := b.Stats().VerifyFailures; n != 0 {
+		t.Fatalf("%d verify failures on a clean file", n)
+	}
+}
+
+// TestTruncatedBlockIsCorrupt cuts a framed file inside its last frame and
+// inside its last payload: both read as ErrCorrupt after the whole blocks
+// before the cut, and count as verify failures.
+func TestTruncatedBlockIsCorrupt(t *testing.T) {
+	for _, cut := range []int{5, frameSize + 100} {
+		fs := vfs.NewMemFS()
+		b := mustBackend(t, fs, Config{Compression: string(None)})
+		w, _ := b.Create("f")
+		w.Append(randPayload(512, 1))
+		w.Append(randPayload(512, 2))
+		w.Close()
+		whole, _ := fs.Open("f")
+		data := make([]byte, frameSize+512+cut)
+		whole.ReadAt(data, 0)
+		whole.Close()
+		short, _ := fs.Create("f")
+		short.WriteAt(data, 0)
+		short.Close()
+
+		r, _ := b.Open("f")
+		got, err := io.ReadAll(r)
+		r.Close()
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("cut %d: error = %v, want ErrCorrupt", cut, err)
+		}
+		if !bytes.Equal(got, randPayload(512, 1)) {
+			t.Fatalf("cut %d: %d bytes before the error, want the first block", cut, len(got))
+		}
+		if b.Stats().VerifyFailures != 1 {
+			t.Fatalf("cut %d: verify failures = %d, want 1", cut, b.Stats().VerifyFailures)
+		}
+	}
+}
+
+// TestPoolReusesAndBounds checks the pool's three promises: a returned
+// block goes out again to the next request of its size, the idle blocks it
+// keeps fit the budget with the oldest dropped first, and Peak is the most
+// that was ever out.
+func TestPoolReusesAndBounds(t *testing.T) {
+	var nilPool *Pool
+	nilPool.Put(nilPool.Get(10)) // a nil pool allocates and drops
+	if nilPool.Peak() != 0 || nilPool.Budget() != 0 {
+		t.Fatal("nil pool keeps accounts")
+	}
+
+	p := &Pool{}
+	a := p.Get(100)
+	p.Put(a)
+	if b := p.Get(100); &b[0] == &a[0] {
+		t.Fatal("a pool without a budget kept a block")
+	}
+	p = &Pool{}
+	p.Reserve(250)
+	p.Reserve(100) // the largest budget declared stands
+	if p.Budget() != 250 {
+		t.Fatalf("budget = %d, want 250", p.Budget())
+	}
+	a, b, c := p.Get(100), p.Get(100), p.Get(120)
+	if p.Peak() != 320 {
+		t.Fatalf("peak = %d, want 320", p.Peak())
+	}
+	p.Put(a)
+	p.Put(c)
+	if got := p.Get(100); &got[0] != &a[0] {
+		t.Fatal("a returned block of the right size was not reused")
+	}
+	if got := p.Get(110); &got[0] == &c[0] {
+		t.Fatal("a block of another size was handed out")
+	}
+	p.Put(a) // idle: c, a
+	p.Put(b) // 320 idle bytes are over the budget: c, the oldest, goes
+	if p.idle != 200 || len(p.free) != 2 || &p.free[0][0] != &a[0] {
+		t.Fatalf("idle = %d in %d blocks, want a and b kept", p.idle, len(p.free))
+	}
+	if PoolOf(NewRaw(vfs.NewMemFS())) == nil {
+		t.Fatal("a backend of this package carries no pool")
+	}
+}

@@ -30,13 +30,19 @@ func (t *tracedBackend) Create(name string) (BlockWriter, error) {
 	return &tracedBlockWriter{w: w, sp: sp}, nil
 }
 
+func (t *tracedBackend) blockPool() *Pool { return PoolOf(t.Backend) }
+
 func (t *tracedBackend) Open(name string) (BlockReader, error) {
 	r, err := t.Backend.Open(name)
 	if err != nil {
 		return nil, err
 	}
 	sp := t.tr.StartOn("spill", "spill_read", obs.Str("file", name))
-	return &tracedBlockReader{r: r, sp: sp}, nil
+	tr := &tracedBlockReader{r: r, sp: sp}
+	if l, ok := r.(BlockLender); ok {
+		return tracedBlockLender{tr, l}, nil
+	}
+	return tr, nil
 }
 
 func (t *tracedBackend) CreatePaged(name string, pageSize, pages int) (PageWriter, error) {
@@ -69,6 +75,12 @@ func (w *tracedBlockWriter) Append(p []byte) error {
 	return w.w.Append(p)
 }
 
+// AppendInPlace implements InPlaceAppender for whatever is underneath.
+func (w *tracedBlockWriter) AppendInPlace(block []byte) error {
+	w.bytes += int64(len(block) - FrameHeadroom)
+	return AppendBlock(w.w, block)
+}
+
 func (w *tracedBlockWriter) Close() error {
 	err := w.w.Close()
 	w.sp.End(obs.Int("bytes", w.bytes))
@@ -92,6 +104,18 @@ func (r *tracedBlockReader) Close() error {
 	err := r.r.Close()
 	r.sp.End(obs.Int("bytes", r.bytes))
 	return err
+}
+
+// tracedBlockLender is a tracedBlockReader over a reader that lends blocks.
+type tracedBlockLender struct {
+	*tracedBlockReader
+	l BlockLender
+}
+
+func (r tracedBlockLender) NextBlock(sizeHint int) ([]byte, error) {
+	p, err := r.l.NextBlock(sizeHint)
+	r.bytes += int64(len(p))
+	return p, err
 }
 
 // tracedPageWriter counts page and tail payload bytes into its file span.

@@ -14,8 +14,11 @@ import (
 type rawBackend struct {
 	fs   vfs.FS
 	c    *counters
+	pool *Pool
 	desc string
 }
+
+func (b *rawBackend) blockPool() *Pool { return b.pool }
 
 func (b *rawBackend) String() string { return b.desc }
 

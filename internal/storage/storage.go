@@ -19,7 +19,10 @@
 // the iosim disk model pin. The block backend wraps each page in a
 // self-describing frame — magic, per-block codec, payload lengths and a
 // CRC32 of the uncompressed payload — and optionally compresses payloads
-// with the standard library's flate or gzip. Corruption of a spilled block
+// with the standard library's flate or gzip. A block is one file-system
+// write, frame and payload together, and one read; callers that leave
+// FrameHeadroom bytes in front of a payload (AppendBlock) and take blocks
+// on loan (BlockLender) move it without a copy on either side. Corruption of a spilled block
 // then surfaces as ErrChecksum (or ErrCorrupt for a damaged frame) when the
 // merge reads it back, never as silently wrong output.
 //
@@ -148,8 +151,8 @@ func (s IOStats) CompressionRatio() float64 {
 	return float64(s.RawBytesWritten) / float64(s.StoredBytesWritten)
 }
 
-// counters is the shared, goroutine-safe accumulator behind IOStats: async
-// spill flushers and parallel merge workers hit it concurrently.
+// counters is the shared, goroutine-safe accumulator behind IOStats:
+// write-behind goroutines and parallel merge workers hit it concurrently.
 type counters struct {
 	blocksW, blocksR    atomic.Int64
 	rawW, storedW       atomic.Int64
@@ -198,6 +201,44 @@ type BlockWriter interface {
 	Close() error
 }
 
+// FrameHeadroom is the room an InPlaceAppender is given in front of a
+// payload: a cache line, of which a framing backend uses the end for its
+// frame, so that a payload at the start of an aligned block stays aligned
+// for the encoder that fills it and the checksum that reads it.
+const FrameHeadroom = 64
+
+// InPlaceAppender is the optional zero-copy face of a BlockWriter, found by
+// type assertion. AppendBlock is how callers use it.
+type InPlaceAppender interface {
+	// AppendInPlace stores block[FrameHeadroom:] as the stream's next
+	// block. The FrameHeadroom bytes in front of it are the writer's to
+	// scribble on: the frame goes at their end. It must not retain block
+	// after returning.
+	AppendInPlace(block []byte) error
+}
+
+// AppendBlock stores block[FrameHeadroom:] as w's next block — in place
+// when w frames blocks, so frame and payload reach the file system in one
+// write, and by Append when it has no frame to put in the headroom.
+func AppendBlock(w BlockWriter, block []byte) error {
+	if ip, ok := w.(InPlaceAppender); ok {
+		return ip.AppendInPlace(block)
+	}
+	return w.Append(block[FrameHeadroom:])
+}
+
+// BlockLender is the optional zero-copy face of a BlockReader, found by
+// type assertion: a reader that holds each verified block in a buffer of
+// its own lends it out instead of copying it into the caller's. Read and
+// NextBlock may be mixed; both move the same position.
+type BlockLender interface {
+	// NextBlock returns the rest of the current block, or the whole of the
+	// next one, valid until the next call on the reader, and io.EOF at the
+	// end of the stream. sizeHint is the block size the caller expects,
+	// which is what the reader's first file read is sized for.
+	NextBlock(sizeHint int) ([]byte, error)
+}
+
 // BlockReader streams the logical payload bytes of a forward spill stream
 // back in write order. Read follows io.Reader semantics and never returns
 // (0, nil) for a non-empty p.
@@ -241,7 +282,7 @@ type PageReader interface {
 }
 
 // Backend stores spill files. Implementations are safe for concurrent use
-// across distinct files (parallel merge workers and async flushers); a
+// across distinct files (parallel merge workers and write-behinds); a
 // single file is written by one goroutine, closed, then read.
 type Backend interface {
 	// Create opens a forward spill stream for sequential block appends.
@@ -274,21 +315,21 @@ func New(fs vfs.FS, cfg Config) (Backend, error) {
 	if cfg.MemoryBudgetBytes < 0 {
 		return nil, fmt.Errorf("storage: memory budget must be non-negative, got %d", cfg.MemoryBudgetBytes)
 	}
-	c := &counters{}
+	c, pool := &counters{}, &Pool{}
 	desc := ""
 	if cfg.MemoryBudgetBytes > 0 {
 		fs = newTieredFS(fs, cfg.MemoryBudgetBytes, c)
 		desc = fmt.Sprintf("+tiered(%d)", cfg.MemoryBudgetBytes)
 	}
 	if comp == Raw {
-		return &rawBackend{fs: fs, c: c, desc: "raw" + desc}, nil
+		return &rawBackend{fs: fs, c: c, pool: pool, desc: "raw" + desc}, nil
 	}
-	return &blockBackend{fs: fs, comp: comp, c: c, desc: fmt.Sprintf("block(%s)%s", comp, desc)}, nil
+	return &blockBackend{fs: fs, comp: comp, c: c, pool: pool, desc: fmt.Sprintf("block(%s)%s", comp, desc)}, nil
 }
 
 // NewRaw returns the accounting-only pass-through backend over fs: the
 // historical on-disk layout, byte for byte. It is what every call site that
 // predates the storage layer uses.
 func NewRaw(fs vfs.FS) Backend {
-	return &rawBackend{fs: fs, c: &counters{}, desc: "raw"}
+	return &rawBackend{fs: fs, c: &counters{}, pool: &Pool{}, desc: "raw"}
 }
