@@ -60,20 +60,51 @@ func checkBulk[T comparable](t *testing.T, c Codec[T], vals []T, cut int) {
 	}
 }
 
-// bulkCase runs checkBulk for every fixed-width codec over elements cut
-// from data, 16 bytes each.
+// checkBulkPrefix holds PrefixAllFunc — a built-in Prefixer's KeyPrefixAll
+// where it has one, the element loop where it does not — to the words of
+// repeated KeyPrefix, themselves Prefix of the key bytes: a codec's bulk key
+// face changes speed only.
+func checkBulkPrefix[T any](t *testing.T, kc KeyCodec[T], vals []T) {
+	t.Helper()
+	p, ok := kc.(Prefixer[T])
+	if !ok {
+		t.Fatalf("%T is built in and offers no KeyPrefix", kc)
+	}
+	const untouched = 0xdeadbeef
+	dst := make([]uint64, len(vals)+1)
+	dst[len(vals)] = untouched
+	PrefixAllFunc(kc)(dst, vals)
+	for i, v := range vals {
+		if want := p.KeyPrefix(v); dst[i] != want || want != Prefix(kc.AppendKey(nil, v)) {
+			t.Fatalf("%T: element %d: bulk key %#x, KeyPrefix %#x, Prefix of the key bytes %#x",
+				kc, i, dst[i], want, Prefix(kc.AppendKey(nil, v)))
+		}
+	}
+	if dst[len(vals)] != untouched {
+		t.Fatalf("%T: the bulk key face wrote past the %d elements it was given", kc, len(vals))
+	}
+}
+
+// bulkCase runs checkBulk for every fixed-width codec, and checkBulkPrefix
+// for every built-in key codec, over elements cut from data, 16 bytes each.
 func bulkCase(t *testing.T, data []byte, cut int) {
 	var (
 		recs   []record.Record
 		ints   []int64
 		uints  []uint64
 		floats []float64
+		keys   []float64 // NaNs included: a key is bits, not a comparison
+		strs   []string
+		blobs  [][]byte
 	)
 	for ; len(data) >= 16; data = data[16:] {
 		k, a := binary.LittleEndian.Uint64(data), binary.LittleEndian.Uint64(data[8:])
 		recs = append(recs, record.Record{Key: int64(k), Aux: a})
 		ints = append(ints, int64(k))
 		uints = append(uints, a)
+		keys = append(keys, math.Float64frombits(k))
+		strs = append(strs, string(data[:a%17]))
+		blobs = append(blobs, data[:k%17])
 		// NaN never equals itself; its bits are covered by Uint64.
 		if f := math.Float64frombits(k); f == f {
 			floats = append(floats, f)
@@ -83,6 +114,13 @@ func bulkCase(t *testing.T, data []byte, cut int) {
 	checkBulk[int64](t, Int64{}, ints, cut)
 	checkBulk[uint64](t, Uint64{}, uints, cut)
 	checkBulk[float64](t, Float64{}, floats, cut)
+
+	checkBulkPrefix[record.Record](t, KeyRecord16{}, recs)
+	checkBulkPrefix[int64](t, KeyInt64{}, ints)
+	checkBulkPrefix[uint64](t, KeyUint64{}, uints)
+	checkBulkPrefix[float64](t, KeyFloat64{}, keys)
+	checkBulkPrefix[string](t, KeyString{}, strs)
+	checkBulkPrefix[[]byte](t, KeyBytes{}, blobs)
 }
 
 func TestBulkMatchesElementCodec(t *testing.T) {

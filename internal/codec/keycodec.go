@@ -303,6 +303,55 @@ func PrefixFunc[T any](kc KeyCodec[T]) func(T) uint64 {
 	}
 }
 
+// BulkPrefixer is the optional batch face of a Prefixer, found by type
+// assertion like Bulk: KeyPrefixAll stores KeyPrefix(src[i]) in dst[i] for
+// every element of src — the same words as repeated KeyPrefix, one call per
+// batch. dst is at least as long as src. The merge computes a leaf batch's
+// keys through it when the leaf refills.
+type BulkPrefixer[T any] interface {
+	KeyPrefixAll(dst []uint64, src []T)
+}
+
+// KeyPrefixAll implements BulkPrefixer.
+func (k KeyInt64) KeyPrefixAll(dst []uint64, src []int64) {
+	for i, v := range src {
+		dst[i] = k.KeyPrefix(v)
+	}
+}
+
+// KeyPrefixAll implements BulkPrefixer.
+func (KeyUint64) KeyPrefixAll(dst []uint64, src []uint64) { copy(dst, src) }
+
+// KeyPrefixAll implements BulkPrefixer.
+func (k KeyFloat64) KeyPrefixAll(dst []uint64, src []float64) {
+	for i, v := range src {
+		dst[i] = k.KeyPrefix(v)
+	}
+}
+
+// KeyPrefixAll implements BulkPrefixer.
+func (k KeyRecord16) KeyPrefixAll(dst []uint64, src []record.Record) {
+	for i, r := range src {
+		dst[i] = k.KeyPrefix(r)
+	}
+}
+
+// PrefixAllFunc returns a function storing Prefix of each element's key
+// bytes: the codec's KeyPrefixAll when it implements BulkPrefixer, otherwise
+// a loop over PrefixFunc — with that function's one-closure-per-goroutine
+// rule.
+func PrefixAllFunc[T any](kc KeyCodec[T]) func(dst []uint64, src []T) {
+	if p, ok := kc.(BulkPrefixer[T]); ok {
+		return p.KeyPrefixAll
+	}
+	pfx := PrefixFunc(kc)
+	return func(dst []uint64, src []T) {
+		for i, v := range src {
+			dst[i] = pfx(v)
+		}
+	}
+}
+
 // KeyOrderConsistent checks kc's contract against less over every ordered
 // pair of the sample: bytes.Compare(K(a), K(b)) < 0 must hold exactly when
 // less(a, b). The check is a safety net, not a proof — it catches reversed

@@ -2,6 +2,7 @@ package merge
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"slices"
@@ -374,74 +375,132 @@ func TestKeyedEnginesEmptyAndSingle(t *testing.T) {
 	}
 }
 
-// BenchmarkKeyedVsComparatorMerge is the CI microbenchmark guard: the same
-// merge through the unkeyed tree, the cached-word key and the OVC rule.
-// Each iteration also asserts element-for-element equality with the
-// unkeyed output, so a single -benchtime 1x -short run doubles as a
-// correctness gate.
-func BenchmarkKeyedVsComparatorMerge(b *testing.B) {
-	const k, n = 10, 2000
-	build := func() []Source[record.Record] {
-		rng := rand.New(rand.NewSource(3))
-		srcs := make([]Source[record.Record], k)
-		serial := uint64(0)
-		for i := 0; i < k; i++ {
-			recs := make([]record.Record, n)
-			for j := range recs {
-				serial++
-				recs[j] = record.Record{Key: rng.Int63n(1 << 30), Aux: serial}
-			}
-			sort.SliceStable(recs, func(a, bb int) bool { return recs[a].Key < recs[bb].Key })
-			srcs[i] = genSrcOf(recs)
-		}
-		return srcs
-	}
-	drainB := func(b *testing.B, s Source[record.Record], want []record.Record) []record.Record {
-		out := make([]record.Record, 0, k*n)
-		buf := make([]record.Record, 512)
-		br := stream.AsBatchReader[record.Record](s)
-		for {
-			m, err := br.ReadBatch(buf)
-			out = append(out, buf[:m]...)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		if want != nil {
-			if len(out) != len(want) {
-				b.Fatalf("length %d, want %d", len(out), len(want))
-			}
-			for i := range want {
-				if out[i] != want[i] {
-					b.Fatalf("keyed merge diverged from comparator at element %d: %+v vs %+v",
-						i, out[i], want[i])
-				}
-			}
-		}
-		return out
-	}
+// benchFanIns are the merge widths the microbenchmarks time: the benchmark
+// suite's spill_merge fan-in and the thesis optimum.
+var benchFanIns = []int{4, 10}
 
-	lt, err := NewLoserTree(build(), record.Less)
+// benchTotal is how many elements one microbenchmark merge moves.
+const benchTotal = 1 << 20
+
+// benchRuns deals benchTotal elements into k runs sorted by less.
+func benchRuns[T any](k int, elem func(rng *rand.Rand, serial uint64) T, less func(a, b T) bool) [][]T {
+	rng := rand.New(rand.NewSource(3))
+	runs := make([][]T, k)
+	serial := uint64(0)
+	for i := range runs {
+		run := make([]T, benchTotal/k)
+		for j := range run {
+			serial++
+			run[j] = elem(rng, serial)
+		}
+		sort.SliceStable(run, func(a, b int) bool { return less(run[a], run[b]) })
+		runs[i] = run
+	}
+	return runs
+}
+
+func benchRecordRuns(k int) [][]record.Record {
+	return benchRuns(k, func(rng *rand.Rand, serial uint64) record.Record {
+		return record.Record{Key: rng.Int63n(1 << 30), Aux: serial}
+	}, record.Less)
+}
+
+func benchInt64Runs(k int) [][]int64 {
+	return benchRuns(k, func(rng *rand.Rand, _ uint64) int64 { return rng.Int63n(1 << 30) }, lessInt64)
+}
+
+func lessInt64(a, b int64) bool { return a < b }
+
+// engineOpener builds a merge engine over sources.
+type engineOpener[T any] func([]Source[T]) (Source[T], error)
+
+func treeOpener[T any](less func(a, b T) bool, kc codec.KeyCodec[T]) engineOpener[T] {
+	return func(srcs []Source[T]) (Source[T], error) { return newTree(srcs, less, kc) }
+}
+
+// mergeInto merges the runs through the engine open builds, a batch at a
+// time, into out, and returns how many elements arrived.
+func mergeInto[T any](tb testing.TB, runs [][]T, open engineOpener[T], out []T) int {
+	srcs := make([]Source[T], len(runs))
+	for i, run := range runs {
+		srcs[i] = genSrcOf(run)
+	}
+	eng, err := open(srcs)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	want := drainB(b, lt, nil)
-	lt.Close()
+	defer eng.Close()
+	br := stream.AsBatchReader[T](eng)
+	n := 0
+	for n < len(out) {
+		m, err := br.ReadBatch(out[n:min(n+stream.DefaultBatchLen, len(out))])
+		n += m
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return n
+}
 
-	for _, sh := range recordShapes {
-		b.Run(sh.name, func(b *testing.B) {
-			b.SetBytes(int64(k * n * record.Size))
-			for i := 0; i < b.N; i++ {
-				lt, err := newTree(build(), record.Less, sh.kc)
-				if err != nil {
-					b.Fatal(err)
-				}
-				drainB(b, lt, want)
-				lt.Close()
-			}
+// benchMerge times the merge of the runs — built and sorted by the caller,
+// outside the timed region — through the engine open builds and reports
+// ns/rec. Every iteration holds the output to want element for element, off
+// the clock, so a -benchtime 1x run doubles as a correctness gate.
+func benchMerge[T comparable](b *testing.B, runs [][]T, want []T, open engineOpener[T]) {
+	out := make([]T, len(want))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := mergeInto(b, runs, open, out)
+		b.StopTimer()
+		if !slices.Equal(out[:n], want) {
+			b.Fatalf("merge diverged from the reference output (%d elements of %d)", n, len(want))
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(want)), "ns/rec")
+}
+
+// BenchmarkKeyedVsComparatorMerge is the CI microbenchmark guard: the same
+// merge of 2^20 records through the unkeyed tree, the cached-word key and
+// the OVC rule, and of 2^20 int64s under their total key, at fan-in 4 and
+// 10. The reference output is the unkeyed tree's, tie placement included.
+func BenchmarkKeyedVsComparatorMerge(b *testing.B) {
+	for _, k := range benchFanIns {
+		recs := benchRecordRuns(k)
+		want := make([]record.Record, benchTotal)
+		want = want[:mergeInto(b, recs, treeOpener(record.Less, nil), want)]
+		for _, sh := range recordShapes {
+			b.Run(fmt.Sprintf("fanin=%d/%s", k, sh.name), func(b *testing.B) {
+				benchMerge(b, recs, want, treeOpener(record.Less, sh.kc))
+			})
+		}
+		ints := benchInt64Runs(k)
+		wantInts := slices.Concat(ints...)
+		slices.Sort(wantInts)
+		b.Run(fmt.Sprintf("fanin=%d/total-int64", k), func(b *testing.B) {
+			benchMerge(b, ints, wantInts, treeOpener[int64](lessInt64, codec.KeyInt64{}))
+		})
+	}
+}
+
+// BenchmarkAblationMergeEngine holds the loser tree beside the reference
+// heap merger, both deciding by the comparator alone, over int64s — equal
+// keys are equal elements, so both are held to the sorted input.
+func BenchmarkAblationMergeEngine(b *testing.B) {
+	for _, k := range benchFanIns {
+		ints := benchInt64Runs(k)
+		want := slices.Concat(ints...)
+		slices.Sort(want)
+		b.Run(fmt.Sprintf("fanin=%d/losertree", k), func(b *testing.B) {
+			benchMerge(b, ints, want, treeOpener(lessInt64, nil))
+		})
+		b.Run(fmt.Sprintf("fanin=%d/heap", k), func(b *testing.B) {
+			benchMerge(b, ints, want, func(srcs []Source[int64]) (Source[int64], error) {
+				return NewHeapMerger(srcs, lessInt64)
+			})
 		})
 	}
 }

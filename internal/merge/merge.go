@@ -2,6 +2,7 @@ package merge
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -101,8 +102,13 @@ type Stats struct {
 // shapes it: the cached key word and the tie rule follow from the codec's
 // FixedKeySize and TotalKey (tree.go), and without one every match is the
 // comparator's. The merged order is the comparator's either way.
-func newEngine[T any](em *runio.Emitter[T], srcs []Source[T]) (Source[T], error) {
-	return newTree(srcs, em.Less, em.KeyCodec)
+//
+// The tree's leaves live in the arena of the goroutine that merges: NewStream
+// makes one per merge worker, each of which builds its engines — one per
+// merge operation — one after the other, and the final merge takes over the
+// first once the workers are done.
+func newEngine[T any](em *runio.Emitter[T], a *leafArena[T], srcs []Source[T]) (Source[T], error) {
+	return newTreeIn(a, srcs, em.Less, em.KeyCodec)
 }
 
 // openInputs opens each run with the per-stream buffer budget.
@@ -172,9 +178,9 @@ func Merge[T any](em *runio.Emitter[T], inputs []runio.Run, dst stream.Writer[T]
 }
 
 // reduceSequential is the historical schedule: one merge at a time,
-// smallest runs first, the queue re-sorted after every operation so
+// smallest runs first, every output entering the sorted queue so that
 // intermediate outputs compete on size with the remaining originals.
-func reduceSequential[T any](em *runio.Emitter[T], queue []depthRun, cfg Config, stats *Stats) ([]depthRun, error) {
+func reduceSequential[T any](em *runio.Emitter[T], a *leafArena[T], queue []depthRun, cfg Config, stats *Stats) ([]depthRun, error) {
 	sortBySize(queue)
 	// Width of the first internal merge so all later ones are full.
 	firstWidth := (len(queue)-1)%(cfg.FanIn-1) + 1
@@ -196,14 +202,16 @@ func reduceSequential[T any](em *runio.Emitter[T], queue []depthRun, cfg Config,
 			}
 		}
 		queue = queue[width:]
-		out, err := mergeGroup(em, nil, group, em.Namer.Next("merge"), cfg.bufBytes(width, false), cfg)
+		out, err := mergeGroup(em, a, nil, group, em.Namer.Next("merge"), cfg.bufBytes(width, false), cfg)
 		if err != nil {
 			return queue, err
 		}
 		stats.Merges++
 		stats.RecordsMoved += out.Records
-		queue = append(queue, depthRun{run: out, depth: depth + 1})
-		sortBySize(queue)
+		// The queue is sorted; the output goes after the runs of its own size,
+		// where re-sorting the queue stably would leave it.
+		at := sort.Search(len(queue), func(i int) bool { return queue[i].run.Records > out.Records })
+		queue = slices.Insert(queue, at, depthRun{run: out, depth: depth + 1})
 	}
 	return queue, nil
 }
@@ -212,8 +220,8 @@ func reduceSequential[T any](em *runio.Emitter[T], queue []depthRun, cfg Config,
 // pass groups the currently smallest runs exactly like the sequential
 // schedule would, pre-allocates the output file names, and executes the
 // groups — which touch disjoint runs — concurrently on a pool of at most
-// cfg.Workers goroutines.
-func reduceParallel[T any](em *runio.Emitter[T], queue []depthRun, cfg Config, stats *Stats) ([]depthRun, error) {
+// cfg.Workers goroutines, worker w with its leaves in arenas[w].
+func reduceParallel[T any](em *runio.Emitter[T], arenas []leafArena[T], queue []depthRun, cfg Config, stats *Stats) ([]depthRun, error) {
 	type group struct {
 		runs  []runio.Run
 		depth int
@@ -285,12 +293,12 @@ func reduceParallel[T any](em *runio.Emitter[T], queue []depthRun, cfg Config, s
 		}
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
-			go func() {
+			go func(a *leafArena[T]) {
 				defer wg.Done()
 				q := em.NewWriteBehind()
 				for gi, ok := claim(); ok; gi, ok = claim() {
 					g := groups[gi]
-					out, err := mergeGroup(em, q, g.runs, g.name, bufBytes, cfg)
+					out, err := mergeGroup(em, a, q, g.runs, g.name, bufBytes, cfg)
 					if err != nil {
 						mu.Lock()
 						if firstErr == nil {
@@ -301,7 +309,7 @@ func reduceParallel[T any](em *runio.Emitter[T], queue []depthRun, cfg Config, s
 					}
 					outs[gi] = depthRun{run: out, depth: g.depth + 1}
 				}
-			}()
+			}(&arenas[w])
 		}
 		wg.Wait()
 		if firstErr != nil {
@@ -318,12 +326,12 @@ func reduceParallel[T any](em *runio.Emitter[T], queue []depthRun, cfg Config, s
 
 // mergeGroup merges one group of runs into a fresh intermediate run under
 // the given pre-allocated name and deletes the consumed inputs, recording
-// one "merge_op" span and the per-operation metrics. q is the calling
-// goroutine's write queue; the output is complete on the store when
-// mergeGroup returns, error or not.
-func mergeGroup[T any](em *runio.Emitter[T], q *runio.WriteBehind, group []runio.Run, name string, bufBytes int, cfg Config) (runio.Run, error) {
+// one "merge_op" span and the per-operation metrics. a and q are the calling
+// goroutine's leaf arena and write queue; the output is complete on the
+// store when mergeGroup returns, error or not.
+func mergeGroup[T any](em *runio.Emitter[T], a *leafArena[T], q *runio.WriteBehind, group []runio.Run, name string, bufBytes int, cfg Config) (runio.Run, error) {
 	sp := cfg.Span.Start("merge_op", obs.Int("width", int64(len(group))))
-	out, err := mergeGroupRaw(em, q, group, name, bufBytes, cfg)
+	out, err := mergeGroupRaw(em, a, q, group, name, bufBytes, cfg)
 	if err != nil {
 		sp.End(obs.Str("error", err.Error()))
 		return out, err
@@ -336,12 +344,12 @@ func mergeGroup[T any](em *runio.Emitter[T], q *runio.WriteBehind, group []runio
 }
 
 // mergeGroupRaw is mergeGroup without the instrumentation.
-func mergeGroupRaw[T any](em *runio.Emitter[T], q *runio.WriteBehind, group []runio.Run, name string, bufBytes int, cfg Config) (runio.Run, error) {
+func mergeGroupRaw[T any](em *runio.Emitter[T], a *leafArena[T], q *runio.WriteBehind, group []runio.Run, name string, bufBytes int, cfg Config) (runio.Run, error) {
 	srcs, err := openInputs(em, group, bufBytes)
 	if err != nil {
 		return runio.Run{}, err
 	}
-	eng, err := newEngine(em, srcs)
+	eng, err := newEngine(em, a, srcs)
 	if err != nil {
 		return runio.Run{}, err
 	}

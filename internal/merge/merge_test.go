@@ -344,45 +344,6 @@ func testMergeHeapEngine(t *testing.T, kc codec.KeyCodec[record.Record]) {
 	}
 }
 
-func BenchmarkAblationMergeEngine(b *testing.B) {
-	const k, n = 10, 1000
-	build := func() []Source[record.Record] {
-		rng := rand.New(rand.NewSource(1))
-		srcs := make([]Source[record.Record], k)
-		for i := 0; i < k; i++ {
-			keys := make([]int64, n)
-			for j := range keys {
-				keys[j] = rng.Int63n(1 << 30)
-			}
-			sort.Slice(keys, func(a, bb int) bool { return keys[a] < keys[bb] })
-			srcs[i] = srcOf(keys...)
-		}
-		return srcs
-	}
-	b.Run("losertree", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			lt, _ := NewLoserTree(build(), record.Less)
-			for {
-				if _, err := lt.Read(); err == io.EOF {
-					break
-				}
-			}
-			lt.Close()
-		}
-	})
-	b.Run("heap", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			hm, _ := NewHeapMerger(build(), record.Less)
-			for {
-				if _, err := hm.Read(); err == io.EOF {
-					break
-				}
-			}
-			hm.Close()
-		}
-	})
-}
-
 func TestMergeParallelWorkers(t *testing.T) {
 	for _, workers := range []int{2, 4, 8} {
 		fs := vfs.NewMemFS()

@@ -116,7 +116,7 @@ func (t *LoserTree[T]) ovcSettle(a, b int, from int) bool {
 		off = from + codec.FirstDiff(ka[from:], kb[from:])
 	}
 	va, vb := ovcByteAt(ka, off), ovcByteAt(kb, off)
-	if va < vb || (va == vb && t.cmp != nil && t.cmp(t.cur[a], t.cur[b])) {
+	if va < vb || (va == vb && t.cmp != nil && t.cmp(t.head(a), t.head(b))) {
 		o.tag(b, o.id[a], off, vb)
 		return true
 	}

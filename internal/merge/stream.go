@@ -80,10 +80,11 @@ func NewStream[T any](em *runio.Emitter[T], inputs []runio.Run, cfg Config) (*St
 	}
 
 	var err error
+	arenas := make([]leafArena[T], max(cfg.Workers, 1))
 	if cfg.Workers > 1 {
-		queue, err = reduceParallel(em, queue, cfg, &st.stats)
+		queue, err = reduceParallel(em, arenas, queue, cfg, &st.stats)
 	} else {
-		queue, err = reduceSequential(em, queue, cfg, &st.stats)
+		queue, err = reduceSequential(em, &arenas[0], queue, cfg, &st.stats)
 	}
 	if err != nil {
 		return nil, err
@@ -104,7 +105,7 @@ func NewStream[T any](em *runio.Emitter[T], inputs []runio.Run, cfg Config) (*St
 		st.eng = srcs[0]
 		st.stats.Passes = depth
 	} else {
-		st.eng, err = newEngine(em, srcs)
+		st.eng, err = newEngine(em, &arenas[0], srcs)
 		if err != nil {
 			return nil, err
 		}

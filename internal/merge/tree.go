@@ -8,6 +8,7 @@ package merge
 
 import (
 	"io"
+	"math/bits"
 
 	"repro/internal/codec"
 	"repro/internal/stream"
@@ -25,52 +26,73 @@ type Source[T any] interface {
 // elements.
 const leafBatch = 256
 
-// leaves holds the per-source refill buffers.
+// leafArena is the decoded-leaf memory of one merging goroutine: leafBatch
+// elements per source and, for a tree keyed on the cached word, their keys.
+// It outlives the engines built in it — a merge worker builds one engine
+// per merge operation, one after the other, over the same arena — and its
+// zero value is ready to use.
+type leafArena[T any] struct {
+	buf  []T
+	keys []uint64
+}
+
+// batches returns the arena slab cut to k leaf batches, first replacing it
+// with a wider one when it is narrower.
+func batches[E any](slab *[]E, k int) []E {
+	if len(*slab) < k*leafBatch {
+		*slab = make([]E, k*leafBatch)
+	}
+	return (*slab)[:k*leafBatch]
+}
+
+// leaves holds the decoded batches of k sources in one slab: source i's
+// batch lies in buf[i*leafBatch:(i+1)*leafBatch], its head — the element it
+// offers to the merge — is buf[pos[i]], read in place, and end[i] is one
+// past its last decoded element. A source is exhausted, and has no head,
+// when pos[i] == end[i] after a refill.
 type leaves[T any] struct {
 	srcs []Source[T]
 	brs  []stream.BatchReader[T]
-	bufs [][]T
+	buf  []T
 	pos  []int
-	cnt  []int
+	end  []int
 }
 
-func newLeaves[T any](srcs []Source[T]) *leaves[T] {
+// newLeaves lays the sources' batches out in the arena. Every source starts
+// drained: its first refill primes it.
+func newLeaves[T any](a *leafArena[T], srcs []Source[T]) leaves[T] {
 	k := len(srcs)
-	l := &leaves[T]{
+	l := leaves[T]{
 		srcs: srcs,
 		brs:  make([]stream.BatchReader[T], k),
-		bufs: make([][]T, k),
+		buf:  batches(&a.buf, k),
 		pos:  make([]int, k),
-		cnt:  make([]int, k),
+		end:  make([]int, k),
 	}
 	for i, s := range srcs {
 		l.brs[i] = stream.AsBatchReader[T](s)
-		l.bufs[i] = make([]T, leafBatch)
+		l.pos[i], l.end[i] = i*leafBatch, i*leafBatch
 	}
 	return l
 }
 
-// next pulls the next element of source i from its batch buffer, refilling
-// from the source once per leafBatch elements. ok is false at end of the
-// source's stream.
-func (l *leaves[T]) next(i int) (v T, ok bool, err error) {
-	if l.pos[i] < l.cnt[i] {
-		v = l.bufs[i][l.pos[i]]
-		l.pos[i]++
-		return v, true, nil
+// refill reads source i's next batch and puts its head on the batch's first
+// element. It returns the batch — empty at the end of the source's stream.
+func (l *leaves[T]) refill(i int) ([]T, error) {
+	batch := l.buf[i*leafBatch : (i+1)*leafBatch]
+	n, err := l.brs[i].ReadBatch(batch)
+	if err != nil && err != io.EOF {
+		return nil, err
 	}
-	n, err := l.brs[i].ReadBatch(l.bufs[i])
-	if err == io.EOF || (err == nil && n == 0) {
-		var zero T
-		return zero, false, nil
-	}
-	if err != nil {
-		var zero T
-		return zero, false, err
-	}
-	l.pos[i], l.cnt[i] = 1, n
-	return l.bufs[i][0], true, nil
+	l.pos[i], l.end[i] = i*leafBatch, i*leafBatch+n
+	return batch[:n], nil
 }
+
+// done reports whether source i is exhausted.
+func (l *leaves[T]) done(i int) bool { return l.pos[i] == l.end[i] }
+
+// head is source i's head element, read where its leaf batch was decoded.
+func (l *leaves[T]) head(i int) T { return l.buf[l.pos[i]] }
 
 // closeAll closes every source, returning the first error.
 func (l *leaves[T]) closeAll() error {
@@ -87,16 +109,19 @@ func (l *leaves[T]) closeAll() error {
 // that performs ⌈log2 k⌉ matches per element (the winner replays only its
 // own path), where a heap of sources costs up to twice that —
 // BenchmarkAblationMergeEngine quantifies the difference. Leaves are
-// refilled from per-input batch buffers, so source dispatch is paid once
-// per leafBatch elements.
+// refilled a batch at a time, so source dispatch — and, under a cached-word
+// codec, the key computation — is paid once per leafBatch elements, and
+// what the per-element loop touches is arrays.
 //
 // There is one tree for every key shape, laid out like the heap kernel's
-// Item (DESIGN.md §12): per source a head element and a cached uint64 key,
-// and a tie rule consulted only when two keys are equal.
+// Item (DESIGN.md §12): per source a head element, read in place in its
+// decoded leaf batch, and a cached uint64 key, and a tie rule consulted only
+// when two keys are equal.
 //
 //   - The key is codec.Prefix of the head's normalized key when the codec's
-//     whole key fits 8 bytes, and stays zero otherwise — unkeyed, or a
-//     variable-width or longer key — so that every match ties and falls
+//     whole key fits 8 bytes — loaded, on an advance, from the key array the
+//     refill filled beside the batch — and stays zero otherwise — unkeyed,
+//     or a variable-width or longer key — so that every match ties and falls
 //     through to the rule. An exhausted source holds ^0 and therefore
 //     orders last without a liveness check anywhere off the tie path.
 //   - The tie rule is nothing when the key is total (equal key bytes are
@@ -110,14 +135,15 @@ func (l *leaves[T]) closeAll() error {
 // comparator's for every shape — also under a comparator that refines key
 // ties, as Key-then-Aux does over a Record's Key codec.
 type LoserTree[T any] struct {
-	lv *leaves[T]
-	// cur[i] is the head element of source i, key[i] its cached key and
-	// done[i] marks exhaustion.
-	cur  []T
-	key  []uint64
-	done []bool
-	// pfx computes the cached key; nil leaves every live key zero.
-	pfx func(T) uint64
+	leaves[T]
+	// key[i] is the cached key of source i's head.
+	key []uint64
+	// keys, under a cached-word codec, holds the key of every decoded leaf
+	// element at the element's index in buf — computed a batch at a time by
+	// pfx when the leaf refills, so an advance loads its key — and is nil
+	// otherwise, which leaves every live key zero.
+	keys []uint64
+	pfx  func(dst []uint64, src []T)
 	// cmp is the comparator the tie rule ends in; nil when the key is total.
 	cmp func(a, b T) bool
 	// ovc, when set, is the tie rule for keys longer than the cached word.
@@ -136,32 +162,36 @@ func NewLoserTree[T any](srcs []Source[T], less func(a, b T) bool) (*LoserTree[T
 	return newTree(srcs, less, nil)
 }
 
-// newTree builds the tree over the sources, priming each one. kc, when not
-// nil, is a key codec consistent with less; the key slot and the tie rule
-// follow from what it reports about itself.
+// newTree is newTreeIn over leaf memory of the tree's own.
 func newTree[T any](srcs []Source[T], less func(a, b T) bool, kc codec.KeyCodec[T]) (*LoserTree[T], error) {
+	return newTreeIn(new(leafArena[T]), srcs, less, kc)
+}
+
+// newTreeIn builds the tree over the sources with its leaves in the arena,
+// priming each source. kc, when not nil, is a key codec consistent with
+// less; the key slot and the tie rule follow from what it reports about
+// itself.
+func newTreeIn[T any](a *leafArena[T], srcs []Source[T], less func(a, b T) bool, kc codec.KeyCodec[T]) (*LoserTree[T], error) {
 	k := len(srcs)
 	t := &LoserTree[T]{
-		lv:   newLeaves(srcs),
-		cur:  make([]T, k),
-		key:  make([]uint64, k),
-		done: make([]bool, k),
-		cmp:  less,
-		tree: make([]int, k),
-		k:    k,
+		leaves: newLeaves(a, srcs),
+		key:    make([]uint64, k),
+		cmp:    less,
+		tree:   make([]int, k),
+		k:      k,
 	}
 	if kc != nil {
 		if kc.TotalKey() {
 			t.cmp = nil
 		}
 		if fs := kc.FixedKeySize(); fs >= 1 && fs <= 8 {
-			t.pfx = codec.PrefixFunc(kc)
+			t.keys, t.pfx = batches(&a.keys, k), codec.PrefixAllFunc(kc)
 		} else {
 			t.ovc = newOVCState(kc, k)
 		}
 	}
 	for i := range srcs {
-		if err := t.advance(i); err != nil {
+		if err := t.refill(i); err != nil {
 			t.Close()
 			return nil, err
 		}
@@ -170,24 +200,24 @@ func newTree[T any](srcs []Source[T], less func(a, b T) bool, kc codec.KeyCodec[
 	return t, nil
 }
 
-// advance pulls the next element from source i's leaf buffer and loads its
-// key: the cached word, and under offset-value coding the full key bytes
-// and a fresh code.
-func (t *LoserTree[T]) advance(i int) error {
-	rec, ok, err := t.lv.next(i)
+// refill is the slow path of an advance, once per leafBatch elements: it
+// reads source i's next batch, computes the cached key of every element of
+// it in one pass, and loads the new head's key. A source at its end gets the
+// sentinel.
+func (t *LoserTree[T]) refill(i int) error {
+	batch, err := t.leaves.refill(i)
 	if err != nil {
 		return err
 	}
-	if !ok {
-		t.done[i] = true
+	h := t.pos[i]
+	switch {
+	case len(batch) == 0:
 		t.key[i] = ^uint64(0)
-		return nil
-	}
-	t.cur[i] = rec
-	if t.ovc != nil {
-		t.ovc.load(i, rec)
-	} else if t.pfx != nil {
-		t.key[i] = t.pfx(rec)
+	case t.keys != nil:
+		t.pfx(t.keys[h:h+len(batch)], batch)
+		t.key[i] = t.keys[h]
+	case t.ovc != nil:
+		t.ovc.load(i, batch[0])
 	}
 	return nil
 }
@@ -202,12 +232,12 @@ func (t *LoserTree[T]) advance(i int) error {
 // one-compare fast path is spelled out here and not behind ovc.go's door
 // because a second call per match costs that rule ~4% on short keys.
 func (t *LoserTree[T]) tie(a, b int) bool {
-	if t.key[a] == ^uint64(0) && (t.done[a] || t.done[b]) {
-		return !t.done[a]
+	if t.key[a] == ^uint64(0) && (t.done(a) || t.done(b)) {
+		return !t.done(a)
 	}
 	o := t.ovc
 	if o == nil {
-		return t.cmp != nil && t.cmp(t.cur[a], t.cur[b])
+		return t.cmp != nil && t.cmp(t.head(a), t.head(b))
 	}
 	if o.ref[a] == 0 || o.ref[a] != o.ref[b] {
 		// References differ (or are invalid): one full key compare, which
@@ -292,34 +322,61 @@ func (t *LoserTree[T]) ReadBatch(dst []T) (int, error) {
 	if t.k == 0 {
 		return 0, io.EOF
 	}
+	key, tree, pos, end, buf, keys := t.key, t.tree, t.pos, t.end, t.buf, t.keys
+	w := tree[0]
 	n := 0
 	for n < len(dst) {
-		w := t.tree[0]
-		if t.done[w] {
-			if n > 0 {
-				return n, nil
+		h := pos[w]
+		if h == end[w] { // the winner is exhausted, so every source is
+			if n == 0 {
+				return 0, io.EOF
 			}
-			return 0, io.EOF
+			break
 		}
-		dst[n] = t.cur[w]
+		dst[n] = buf[h]
 		n++
-		if err := t.advance(w); err != nil {
-			t.pendErr = err
-			return n, nil
-		}
-		// Replay the winner's path to the root: at each internal node the new
-		// contender either stays winner or swaps with the stored loser. The
-		// match is beats(c, w) written out — an integer compare that falls
-		// through to the tie rule only on equal keys — because behind a
-		// method call it costs the prefix shape ~10%.
-		for j := (w + t.k) / 2; j >= 1; j /= 2 {
-			c := t.tree[j]
-			if kc, kw := t.key[c], t.key[w]; kc < kw || (kc == kw && t.tie(c, w)) {
-				t.tree[j], w = w, c
+		// Advance the winner: its next leaf element becomes its head, and the
+		// head's key is a load — the batch's keys were computed by the refill.
+		h++
+		pos[w] = h
+		if h == end[w] {
+			if err := t.refill(w); err != nil {
+				t.pendErr = err
+				break
 			}
+		} else if keys != nil {
+			key[w] = keys[h]
+		} else if t.ovc != nil {
+			t.ovc.load(w, buf[h])
 		}
-		t.tree[0] = w
+		// Replay the winner's path to the root: at each internal node the
+		// contender either stays winner or swaps with the stored loser. Equal
+		// keys branch to the tie rule. Which of two unequal keys is smaller is
+		// a coin toss on random input, so that swap is a select, not a branch:
+		// m — the borrow of kc - kw, all ones when the stored loser wins —
+		// picks winner, loser and winning key by masking. Written as an if it
+		// stays a branch (the compiler makes no conditional move of a value
+		// that indexes later loads) and costs the prefix shape 14 → 20 ns a
+		// record at fan-in 4 (BenchmarkKeyedVsComparatorMerge).
+		kw := key[w]
+		for j := (w + t.k) >> 1; j >= 1; j >>= 1 {
+			c := tree[j]
+			kc := key[c]
+			if kc == kw {
+				if t.tie(c, w) {
+					tree[j], w = w, c
+				}
+				continue
+			}
+			_, lt := bits.Sub64(kc, kw, 0)
+			m := -lt
+			x := (c ^ w) & int(m)
+			tree[j] = c ^ x
+			w ^= x
+			kw ^= (kc ^ kw) & m
+		}
 	}
+	tree[0] = w
 	return n, nil
 }
 
@@ -329,41 +386,39 @@ func (t *LoserTree[T]) Close() error {
 		return stream.ErrClosed
 	}
 	t.closed = true
-	return t.lv.closeAll()
+	return t.closeAll()
 }
 
 // HeapMerger is the naive alternative: a binary heap of sources, costing up
 // to 2·log2 k comparisons per record. It exists as the ablation baseline
 // for the loser tree.
 type HeapMerger[T any] struct {
-	lv      *leaves[T]
+	leaves[T]
 	cmp     func(a, b T) bool
 	heap    []int // source indices ordered by head element
-	cur     []T
 	closed  bool
 	pendErr error // error deferred by ReadBatch after a partial batch
 }
 
 // NewHeapMerger builds a heap-based merger over the sources.
 func NewHeapMerger[T any](srcs []Source[T], less func(a, b T) bool) (*HeapMerger[T], error) {
-	m := &HeapMerger[T]{lv: newLeaves(srcs), cmp: less, cur: make([]T, len(srcs))}
+	m := &HeapMerger[T]{leaves: newLeaves(new(leafArena[T]), srcs), cmp: less}
 	for i := range srcs {
-		rec, ok, err := m.lv.next(i)
+		batch, err := m.refill(i)
 		if err != nil {
 			m.Close()
 			return nil, err
 		}
-		if !ok {
+		if len(batch) == 0 {
 			continue
 		}
-		m.cur[i] = rec
 		m.heap = append(m.heap, i)
 		m.up(len(m.heap) - 1)
 	}
 	return m, nil
 }
 
-func (m *HeapMerger[T]) less(i, j int) bool { return m.cmp(m.cur[m.heap[i]], m.cur[m.heap[j]]) }
+func (m *HeapMerger[T]) less(i, j int) bool { return m.cmp(m.head(m.heap[i]), m.head(m.heap[j])) }
 
 func (m *HeapMerger[T]) up(i int) {
 	for i > 0 {
@@ -404,20 +459,17 @@ func (m *HeapMerger[T]) Read() (T, error) {
 		return zero, io.EOF
 	}
 	src := m.heap[0]
-	rec := m.cur[src]
-	next, ok, err := m.lv.next(src)
-	if err != nil {
+	rec := m.head(src)
+	if m.pos[src]+1 < m.end[src] {
+		m.pos[src]++
+	} else if batch, err := m.refill(src); err != nil {
 		return zero, err
-	}
-	if !ok {
+	} else if len(batch) == 0 {
 		last := len(m.heap) - 1
 		m.heap[0] = m.heap[last]
 		m.heap = m.heap[:last]
-		if len(m.heap) > 0 {
-			m.down(0)
-		}
-	} else {
-		m.cur[src] = next
+	}
+	if len(m.heap) > 0 {
 		m.down(0)
 	}
 	return rec, nil
@@ -438,5 +490,5 @@ func (m *HeapMerger[T]) Close() error {
 		return stream.ErrClosed
 	}
 	m.closed = true
-	return m.lv.closeAll()
+	return m.closeAll()
 }
