@@ -62,6 +62,8 @@ var inputNames = map[InputHeuristic]string{
 	InTopOnly:   "toponly",
 }
 
+// String returns the heuristic's CLI name, the one ParseInputHeuristic
+// resolves.
 func (h InputHeuristic) String() string {
 	if n, ok := inputNames[h]; ok {
 		return n
@@ -102,6 +104,8 @@ var outputNames = map[OutputHeuristic]string{
 	OutMinDistance: "mindistance",
 }
 
+// String returns the heuristic's CLI name, the one ParseOutputHeuristic
+// resolves.
 func (h OutputHeuristic) String() string {
 	if n, ok := outputNames[h]; ok {
 		return n
@@ -139,6 +143,7 @@ var setupNames = map[BufferSetup]string{
 	VictimBufferOnly: "victim",
 }
 
+// String returns the setup's CLI name, the one ParseBufferSetup resolves.
 func (s BufferSetup) String() string {
 	if n, ok := setupNames[s]; ok {
 		return n
@@ -168,8 +173,9 @@ type Config struct {
 	// buffers (thesis levels: 0.0002, 0.002, 0.02, 0.2). When both buffers
 	// are enabled the budget is split evenly between them.
 	BufferFrac float64
-	// Input and Output are the heuristics.
-	Input  InputHeuristic
+	// Input decides which heap stores a record both could take.
+	Input InputHeuristic
+	// Output decides which heap releases the next record when both can.
 	Output OutputHeuristic
 	// Seed drives the Random heuristics and MinDistance's first pick.
 	Seed int64

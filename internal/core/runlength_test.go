@@ -73,7 +73,7 @@ func TestOverlapRunsMergeCleanly(t *testing.T) {
 	}
 	inputs := 0
 	for _, run := range res.Runs {
-		ins := run.Inputs()
+		ins := streams(run)
 		if !run.Concatenable && len(ins) < 2 && run.Records > 1 {
 			// A single-segment run is always concatenable, so a
 			// non-concatenable one must expose several inputs.

@@ -35,19 +35,27 @@ func (r Result) AvgRunLength() float64 {
 	return float64(r.Records) / float64(len(r.Runs))
 }
 
-// streamRange tracks the first and last element written to a stream, used
-// to decide run concatenability at run end.
-type streamRange[T any] struct {
-	set         bool
+// outStream is one of the four output streams of a run (Figure 4.1): what
+// it is called in file names, its direction, its writer — opened by the
+// stream's first record, so a stream the run never feeds has no file — and
+// the first and last element written to it, which decide at run end
+// whether the run is concatenable.
+type outStream[T any] struct {
+	role        string
+	descending  bool
+	w           runio.StreamWriter[T]
 	first, last T
 }
 
-func (r *streamRange[T]) note(v T) {
-	if !r.set {
-		r.first, r.set = v, true
-	}
-	r.last = v
-}
+// The generator's streams in ascending concatenation order: a run reads
+// rev(4) + 3 + rev(2) + 1. The TopHeap releases into stream 1 and the
+// BottomHeap into stream 4; the victim buffer flushes into 3 and 2.
+const (
+	stream4 = iota
+	stream3
+	stream2
+	stream1
+)
 
 // generator holds the full state of one 2WRS execution.
 type generator[T any] struct {
@@ -70,13 +78,7 @@ type generator[T any] struct {
 
 	currentRun int
 
-	// Stream writers, created lazily per run.
-	s1                             *runio.Writer[T]
-	s3                             *runio.Writer[T]
-	s2                             *runio.BackwardWriter[T]
-	s4                             *runio.BackwardWriter[T]
-	s1Name, s2Name, s3Name, s4Name string
-	s1R, s2R, s3R, s4R             streamRange[T]
+	streams [4]outStream[T] // indexed by stream4 … stream1
 
 	// Output frontiers of the current run: t is the last element written to
 	// stream 1 (ascending) and b the last written to stream 4 (descending).
@@ -167,6 +169,7 @@ func newStepper[T any](src stream.Reader[T], em *runio.Emitter[T], cfg Config, k
 		dh:        heap.NewDouble(arena, less),
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		victimCap: victimCap,
+		streams:   [4]outStream[T]{{role: "s4", descending: true}, {role: "s3"}, {role: "s2", descending: true}, {role: "s1"}},
 	}
 	if victimCap > 0 {
 		g.victim = make([]T, 0, victimCap)
@@ -400,17 +403,20 @@ func (g *generator[T]) route(v T, fromTop bool) error {
 		}
 	}
 	g.countOut(fromTop)
+	// A released record advances its heap's output frontier whether it is
+	// written now or staged below: a staged record is an output of its heap,
+	// so later input records must not slip past it into the same heap.
+	out := stream4
+	if fromTop {
+		out = stream1
+		g.t, g.tSet = v, true
+	} else {
+		g.b, g.bSet = v, true
+	}
 	// Initial victim phase: the first victimCap outputs of the run collect
 	// in the victim buffer so the valid range can be chosen from a larger
-	// sample than just the two heap tops (§4.3). They still advance their
-	// heap's output frontier: a staged record is an output of its heap, so
-	// later input records must not slip past it into the same heap.
+	// sample than just the two heap tops (§4.3).
 	if g.victimCap > 0 && !g.victimActive {
-		if fromTop {
-			g.t, g.tSet = v, true
-		} else {
-			g.b, g.bSet = v, true
-		}
 		g.victim = append(g.victim, v)
 		if len(g.victim) == g.victimCap {
 			g.sortVictim()
@@ -422,10 +428,7 @@ func (g *generator[T]) route(v T, fromTop bool) error {
 		}
 		return nil
 	}
-	if fromTop {
-		return g.writeS1(v)
-	}
-	return g.writeS4(v)
+	return g.write(out, v)
 }
 
 func (g *generator[T]) countOut(fromTop bool) {
@@ -621,12 +624,12 @@ func (g *generator[T]) largestGapIndex() int {
 // between them and empties the buffer (§4.3).
 func (g *generator[T]) flushVictimParts(cut int) error {
 	for _, r := range g.victim[:cut] {
-		if err := g.writeS3(r); err != nil {
+		if err := g.write(stream3, r); err != nil {
 			return err
 		}
 	}
 	for i := len(g.victim) - 1; i >= cut; i-- {
-		if err := g.writeS2(g.victim[i]); err != nil {
+		if err := g.write(stream2, g.victim[i]); err != nil {
 			return err
 		}
 	}
@@ -642,32 +645,41 @@ func (g *generator[T]) flushVictimParts(cut int) error {
 	return nil
 }
 
+// write appends v to stream i, opening the stream if v is its first record.
+func (g *generator[T]) write(i int, v T) error {
+	s := &g.streams[i]
+	if s.w == nil {
+		w, err := g.em.Stream(s.role, s.descending)
+		if err != nil {
+			return err
+		}
+		s.w, s.first = w, v
+	}
+	s.last = v
+	return s.w.Write(v)
+}
+
 // concatenable reports whether the four stream ranges are pairwise disjoint
 // in concatenation order (4, 3, 2, 1), i.e. whether reading the streams back
 // to back yields one sorted run.
 func (g *generator[T]) concatenable() bool {
-	// Per-stream (min, max) in concatenation order. Descending streams were
-	// written largest-first, so their first element is the max.
-	type mm struct {
-		set      bool
-		min, max T
-	}
-	chain := []mm{
-		{g.s4R.set, g.s4R.last, g.s4R.first},
-		{g.s3R.set, g.s3R.first, g.s3R.last},
-		{g.s2R.set, g.s2R.last, g.s2R.first},
-		{g.s1R.set, g.s1R.first, g.s1R.last},
-	}
 	prevSet := false
 	var prevMax T
-	for _, c := range chain {
-		if !c.set {
+	for i := range g.streams {
+		s := &g.streams[i]
+		if s.w == nil {
 			continue
 		}
-		if prevSet && g.less(c.min, prevMax) {
+		// A descending stream was written largest-first, so its first
+		// element is its maximum.
+		lo, hi := s.first, s.last
+		if s.descending {
+			lo, hi = hi, lo
+		}
+		if prevSet && g.less(lo, prevMax) {
 			return false
 		}
-		prevMax, prevSet = c.max, true
+		prevMax, prevSet = hi, true
 	}
 	return true
 }
@@ -688,7 +700,7 @@ func (g *generator[T]) endRun() error {
 			// record: appending everything to stream 3 keeps it ascending
 			// and inside the gap.
 			for _, r := range g.victim {
-				if err := g.writeS3(r); err != nil {
+				if err := g.write(stream3, r); err != nil {
 					return err
 				}
 			}
@@ -697,46 +709,28 @@ func (g *generator[T]) endRun() error {
 		g.res.VictimFlushes++
 	}
 
-	var segs []runio.Segment
-	var total int64
-	if g.s4 != nil {
-		if err := g.s4.Close(); err != nil {
-			return err
+	var run runio.Run
+	for i := range g.streams {
+		if w := g.streams[i].w; w != nil {
+			if err := w.Close(); err != nil {
+				return err
+			}
+			seg := w.Segment()
+			run.Segments = append(run.Segments, seg)
+			run.Records += seg.Records
 		}
-		segs = append(segs, runio.Segment{Name: g.s4Name, Records: g.s4.Count(), Backward: true, Files: g.s4.Files()})
-		total += g.s4.Count()
 	}
-	if g.s3 != nil {
-		if err := g.s3.Close(); err != nil {
-			return err
-		}
-		segs = append(segs, runio.Segment{Name: g.s3Name, Records: g.s3.Count()})
-		total += g.s3.Count()
-	}
-	if g.s2 != nil {
-		if err := g.s2.Close(); err != nil {
-			return err
-		}
-		segs = append(segs, runio.Segment{Name: g.s2Name, Records: g.s2.Count(), Backward: true, Files: g.s2.Files()})
-		total += g.s2.Count()
-	}
-	if g.s1 != nil {
-		if err := g.s1.Close(); err != nil {
-			return err
-		}
-		segs = append(segs, runio.Segment{Name: g.s1Name, Records: g.s1.Count()})
-		total += g.s1.Count()
-	}
-	if total > 0 {
-		concat := g.concatenable()
-		if !concat {
+	if run.Records > 0 {
+		run.Concatenable = g.concatenable()
+		if !run.Concatenable {
 			g.res.OverlapRuns++
 		}
-		g.res.Runs = append(g.res.Runs, runio.Run{Segments: segs, Records: total, Concatenable: concat})
+		g.res.Runs = append(g.res.Runs, run)
 	}
 
-	g.s1, g.s2, g.s3, g.s4 = nil, nil, nil, nil
-	g.s1R, g.s2R, g.s3R, g.s4R = streamRange[T]{}, streamRange[T]{}, streamRange[T]{}, streamRange[T]{}
+	for i := range g.streams {
+		g.streams[i].w = nil
+	}
 	g.currentRun++
 	g.tSet, g.bSet = false, false
 	g.victimActive = false
@@ -760,68 +754,4 @@ func (g *generator[T]) rebalanceHeaps() {
 	for g.dh.LenBottom() > g.dh.LenTop()+1 {
 		g.dh.PushTop(g.dh.PopBottom())
 	}
-}
-
-// Stream write helpers.
-
-func (g *generator[T]) writeS1(v T) error {
-	if g.s1 == nil {
-		name, w, err := g.em.Forward("s1")
-		if err != nil {
-			return err
-		}
-		g.s1Name, g.s1 = name, w
-	}
-	if err := g.s1.Write(v); err != nil {
-		return err
-	}
-	g.t, g.tSet = v, true
-	g.s1R.note(v)
-	return nil
-}
-
-func (g *generator[T]) writeS4(v T) error {
-	if g.s4 == nil {
-		name, w, err := g.em.Backward("s4")
-		if err != nil {
-			return err
-		}
-		g.s4Name, g.s4 = name, w
-	}
-	if err := g.s4.Write(v); err != nil {
-		return err
-	}
-	g.b, g.bSet = v, true
-	g.s4R.note(v)
-	return nil
-}
-
-func (g *generator[T]) writeS3(v T) error {
-	if g.s3 == nil {
-		name, w, err := g.em.Forward("s3")
-		if err != nil {
-			return err
-		}
-		g.s3Name, g.s3 = name, w
-	}
-	if err := g.s3.Write(v); err != nil {
-		return err
-	}
-	g.s3R.note(v)
-	return nil
-}
-
-func (g *generator[T]) writeS2(v T) error {
-	if g.s2 == nil {
-		name, w, err := g.em.Backward("s2")
-		if err != nil {
-			return err
-		}
-		g.s2Name, g.s2 = name, w
-	}
-	if err := g.s2.Write(v); err != nil {
-		return err
-	}
-	g.s2R.note(v)
-	return nil
 }

@@ -60,7 +60,7 @@ func verifyRuns(t *testing.T, fs vfs.FS, runs []runio.Run, input []record.Record
 			union[rec]++
 		}
 		// Each individual stream must also be sorted on its own.
-		for j, in := range run.Inputs() {
+		for j, in := range streams(run) {
 			rc, err := runio.OpenRun(storage.NewRaw(fs), in, 1024, codec.Record16{}, record.Less)
 			if err != nil {
 				t.Fatalf("run %d input %d: %v", i, j, err)
@@ -82,6 +82,16 @@ func verifyRuns(t *testing.T, fs vfs.FS, runs []runio.Run, input []record.Record
 	if !union.Equal(record.NewMultiset(input)) {
 		t.Fatal("runs are not a permutation of the input")
 	}
+}
+
+// streams returns the run's non-empty segments, each as a run of its own.
+func streams(run runio.Run) (ins []runio.Run) {
+	for _, s := range run.Segments {
+		if s.Records > 0 {
+			ins = append(ins, runio.SingleRun(s))
+		}
+	}
+	return ins
 }
 
 func cfgFor(memory int, setup BufferSetup, frac float64, in InputHeuristic, out OutputHeuristic) Config {
@@ -484,6 +494,9 @@ func TestCheckpointRestoreExactState(t *testing.T) {
 				break
 			}
 			held, state := list(s)
+			if len(state) != 9 {
+				t.Fatalf("%s boundary %d: checkpoint state %v, want 9 words", name, boundary, state)
+			}
 			fsB := vfs.NewMemFS()
 			r, err := Restore[record.Record](record.NewSliceReader(recs[src.pos:]), runio.RecordEmitter(fsB, "b"), cfg, key, held, state)
 			if err != nil {

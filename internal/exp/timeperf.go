@@ -217,7 +217,7 @@ func makeSortedRuns(em *runio.Emitter[record.Record], n, length int) ([]runio.Ru
 		// Sort in memory: these runs model the output of a previous run
 		// generation phase.
 		slices.SortFunc(recs, func(a, b record.Record) int { return cmp.Compare(a.Key, b.Key) })
-		name, w, err := em.Forward("run")
+		w, err := em.Stream("run", false)
 		if err != nil {
 			return nil, err
 		}
@@ -227,7 +227,7 @@ func makeSortedRuns(em *runio.Emitter[record.Record], n, length int) ([]runio.Ru
 		if err := w.Close(); err != nil {
 			return nil, err
 		}
-		runs = append(runs, runio.SingleRun(name, int64(length)))
+		runs = append(runs, runio.SingleRun(w.Segment()))
 	}
 	return runs, nil
 }

@@ -749,7 +749,7 @@ func (r *RunSet[T]) Discard() error {
 		r.manifestName = ""
 	}
 	for _, run := range r.runs {
-		if err := run.Remove(r.store); err != nil && first == nil && !errors.Is(err, os.ErrNotExist) {
+		if err := run.Remove(r.store); first == nil {
 			first = err
 		}
 	}

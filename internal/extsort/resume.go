@@ -209,8 +209,7 @@ func validateRunFiles[T any](store storage.Backend, mr manifest.Run, ops Ops[T])
 		if ms.Records == 0 {
 			continue
 		}
-		seg := runio.Segment{Name: ms.Name, Records: ms.Records, Backward: ms.Backward, Files: ms.Files}
-		rc, err := runio.OpenSegment[T](store, seg, 0, ops.Codec)
+		rc, err := runio.OpenSegment[T](store, toSegment(ms), 0, ops.Codec)
 		if err != nil {
 			return err
 		}
@@ -250,21 +249,23 @@ func readSnapshot[T any](store storage.Backend, mr manifest.Run, ops Ops[T]) (*p
 	return from, nil
 }
 
+// toSegment reconstructs a segment's description from its manifest record.
+func toSegment(ms manifest.Segment) runio.Segment {
+	return runio.Segment{Name: ms.Name, Records: ms.Records, Backward: ms.Backward, Files: ms.Files}
+}
+
 // toRunioRun reconstructs the in-memory run descriptor from its manifest
 // record.
 func toRunioRun(mr manifest.Run) runio.Run {
 	run := runio.Run{Records: mr.Records, Concatenable: mr.Concatenable}
 	for _, ms := range mr.Segments {
-		run.Segments = append(run.Segments, runio.Segment{
-			Name: ms.Name, Records: ms.Records, Backward: ms.Backward, Files: ms.Files,
-		})
+		run.Segments = append(run.Segments, toSegment(ms))
 	}
 	return run
 }
 
 // referencedNames returns every physical file name the given manifest runs
-// reference: forward segment files, each file of a backward chain, and
-// generator snapshots.
+// reference: the files of every non-empty segment, and generator snapshots.
 func referencedNames(runs []manifest.Run) map[string]bool {
 	ref := make(map[string]bool)
 	for _, mr := range runs {
@@ -272,13 +273,7 @@ func referencedNames(runs []manifest.Run) map[string]bool {
 			if ms.Records == 0 {
 				continue
 			}
-			if ms.Backward {
-				for i := 0; i < ms.Files; i++ {
-					ref[fmt.Sprintf("%s.%d", ms.Name, i)] = true
-				}
-			} else {
-				ref[ms.Name] = true
-			}
+			toSegment(ms).EachFile(func(name string, _ int) { ref[name] = true })
 		}
 		if mr.CarryName != "" {
 			ref[mr.CarryName] = true

@@ -124,17 +124,10 @@ func runFileSums(t *testing.T, fs vfs.FS, cfg Config, runs []runio.Run) []string
 	var out []string
 	for i, run := range runs {
 		for _, seg := range run.Segments {
-			names := []string{seg.Name}
-			if seg.Backward {
-				names = names[:0]
-				for k := 0; k < seg.Files; k++ {
-					names = append(names, fmt.Sprintf("%s.%d", seg.Name, k))
-				}
-			}
-			for _, name := range names {
+			seg.EachFile(func(name string, _ int) {
 				role := name[strings.LastIndexByte(name, '-')+1:]
 				out = append(out, fmt.Sprintf("run %d %s %016x", i, role, crc64.Checksum(readFile(t, fs, name), tab)))
-			}
+			})
 		}
 	}
 	return out

@@ -304,7 +304,7 @@ func TestSequentialScheduleUnchanged(t *testing.T) {
 	runs := make([]runio.Run, n)
 	for i := range runs {
 		size := int64(1 + rng.Intn(3)*rng.Intn(40)) // a third of them one record, many equal
-		name, w, err := em.Forward("run")
+		w, err := em.Stream("run", false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,7 +316,7 @@ func TestSequentialScheduleUnchanged(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		runs[i] = runio.SingleRun(name, size)
+		runs[i] = runio.SingleRun(w.Segment())
 	}
 
 	// The reference: the rule as it was, over (name, size) pairs.

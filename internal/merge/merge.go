@@ -379,5 +379,5 @@ func mergeGroupRaw[T any](em *runio.Emitter[T], a *leafArena[T], q *runio.WriteB
 			return runio.Run{}, err
 		}
 	}
-	return runio.SingleRun(name, w.Count()), nil
+	return runio.SingleRun(w.Segment()), nil
 }

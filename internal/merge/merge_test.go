@@ -191,7 +191,7 @@ func makeRuns(t *testing.T, fs vfs.FS, em *runio.Emitter[record.Record], n, leng
 			keys[j] = rng.Int63n(1 << 30)
 		}
 		sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-		name, w, err := em.Forward("run")
+		w, err := em.Stream("run", false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +205,7 @@ func makeRuns(t *testing.T, fs vfs.FS, em *runio.Emitter[record.Record], n, leng
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		runs = append(runs, runio.SingleRun(name, int64(length)))
+		runs = append(runs, runio.SingleRun(w.Segment()))
 	}
 	return runs, all
 }

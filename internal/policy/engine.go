@@ -19,8 +19,9 @@ import (
 // boundary snapshot: it lists the same elements in positional order,
 // disturbing nothing, and returns the state words that also survive a
 // boundary, so NewGenerator can rebuild this exact generator later (durable
-// sorts). Five types implement it: the four steppers of internal/core and
-// internal/rs, and the adaptive engine that wraps whichever of them is
+// sorts). Four types implement it: 2WRS's stepper in internal/core, the
+// heap stepper of internal/rs in its two modes (rs and alternating) and its
+// quicksort stepper, and the adaptive engine that wraps whichever of them is
 // current.
 type Generator[T any] interface {
 	NextRun() (run runio.Run, ok bool, err error)
@@ -117,14 +118,10 @@ func newStepper[T any](kind Kind, down bool, src stream.Reader[T], em *runio.Emi
 		return core.Restore(src, em, cfg.twrs(), key, from.Recs, from.State)
 	case kind == TwoWayRS:
 		return core.NewStepper(src, em, cfg.twrs(), key)
-	case kind == RS && from != nil:
-		return rs.RestoreStepper(src, em, cfg.Memory, from.Recs, from.State)
-	case kind == RS:
-		return rs.NewStepper(src, em, cfg.Memory)
-	case kind == Alternating && from != nil:
-		return rs.RestoreAltStepper(src, em, cfg.Memory, from.Recs, from.State)
-	case kind == Alternating:
-		return rs.NewAltStepper(src, em, cfg.Memory, down)
+	case (kind == RS || kind == Alternating) && from != nil:
+		return rs.RestoreStepper(src, em, cfg.Memory, kind == Alternating, from.Recs, from.State)
+	case kind == RS || kind == Alternating:
+		return rs.NewStepper(src, em, cfg.Memory, kind == Alternating, down)
 	case kind == Quick:
 		return rs.NewQuickStepper(src, em, cfg.Memory)
 	default:

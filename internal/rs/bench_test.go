@@ -1,0 +1,56 @@
+package rs
+
+import (
+	"testing"
+
+	"repro/internal/codec"
+	"repro/internal/gen"
+	"repro/internal/record"
+	"repro/internal/runio"
+	"repro/internal/storage"
+)
+
+// discardStore accepts every write and keeps nothing: a run written onto it
+// costs the generator's CPU and the writers' encoding, and no I/O.
+type discardStore struct{ storage.Backend }
+
+type discardFile struct{}
+
+func (discardStore) Create(string) (storage.BlockWriter, error) { return discardFile{}, nil }
+func (discardStore) CreatePaged(string, int, int) (storage.PageWriter, error) {
+	return discardFile{}, nil
+}
+
+func (discardFile) Append([]byte) error                { return nil }
+func (discardFile) WritePage(int, []byte) error        { return nil }
+func (discardFile) WriteTail(int, []byte) (int, error) { return 0, nil }
+func (discardFile) WriteHeader([]byte) error           { return nil }
+func (discardFile) Close() error                       { return nil }
+
+// BenchmarkStepperRun times the one run loop per input record in its two
+// modes — up-runs only (rs), and alternating, where every other run pops a
+// max-heap and writes a backward chain — over random input at the memory
+// the paper_structured workload uses, keyed as real record sorts are.
+func BenchmarkStepperRun(b *testing.B) {
+	const memory, n = 1 << 14, 1 << 18
+	recs := gen.Generate(gen.Config{Kind: gen.Random, N: n, Seed: 1})
+	for _, mode := range []struct {
+		name        string
+		alternating bool
+	}{{"up", false}, {"alternating", true}} {
+		b.Run(mode.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				em := runio.NewEmitterOn[record.Record](discardStore{}, "b", codec.Record16{}, record.Less)
+				em.KeyCodec = codec.KeyRecord16{}
+				s, err := NewStepper(record.NewSliceReader(recs), em, memory, mode.alternating, false)
+				for ok := err == nil; ok; {
+					_, ok, err = s.NextRun()
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/rec")
+		})
+	}
+}

@@ -82,7 +82,7 @@ func (s *QuickStepper[T]) NextRun() (runio.Run, bool, error) {
 	// The run's file is asked for before the batch is sorted: behind a
 	// write-behind its creation then overlaps the sort, which costs about
 	// as much.
-	name, w, err := s.em.Forward("quick")
+	w, err := s.em.Stream("quick", false)
 	if err != nil {
 		return runio.Run{}, false, err
 	}
@@ -144,7 +144,7 @@ func (s *QuickStepper[T]) NextRun() (runio.Run, bool, error) {
 	if err := w.Close(); err != nil {
 		return runio.Run{}, false, err
 	}
-	return runio.SingleRun(name, int64(fill)), true, nil
+	return runio.SingleRun(w.Segment()), true, nil
 }
 
 // sortPairs orders keyed pairs with the standard comparison sort: the

@@ -16,12 +16,14 @@
 // `memory` records — the weakness 2WRS (and the alternating generator)
 // removes.
 //
-// Every generator is a Stepper that emits one run per NextRun call and can
-// surrender its buffered state through Carry — the contract the adaptive
-// policy engine uses to switch generators at run boundaries mid-stream —
-// or list it in place through Checkpoint, for durable sorts to snapshot.
-// Generate drains the source through the replacement-selection Stepper in
-// one call.
+// Two types generate runs here. Stepper is replacement selection through a
+// heap in either direction: classic RS is the Stepper that never changes
+// direction, the alternating generator the one that flips at every run
+// boundary. QuickStepper is Load-Sort-Store. Both emit one run per NextRun
+// call and can surrender their buffered state through Carry — the contract
+// the adaptive policy engine uses to switch generators at run boundaries
+// mid-stream — or list it in place through Checkpoint, for durable sorts to
+// snapshot. Generate drains the source through classic RS in one call.
 package rs
 
 import (
@@ -62,88 +64,147 @@ func (r Result) AvgRunLength() float64 {
 	return float64(r.Records) / float64(len(r.Runs))
 }
 
-// Stepper runs classic replacement selection one run at a time: each
-// NextRun call writes exactly one run through the emitter. Between calls
-// the heap holds the records already tagged for the next run, so a caller
-// may stop after any run and either continue later or hand the buffered
-// state to a different generator via Carry.
+// Stepper runs replacement selection through a run-tagged heap one run at a
+// time, in either direction: each NextRun call writes exactly one run through
+// the emitter. An up-run is classic replacement selection — pop the smallest
+// current-run record, admit a replacement that is not smaller than the
+// record just written — and a down-run is the same recurrence mirrored
+// through a max-heap, stored in the Appendix A backward format, so the merge
+// phase reads every run strictly forward in ascending order either way.
+//
+// Direction is a value, and when it changes is the stepper's only mode. The
+// classic generator ("rs") never flips it. The alternating one ("alt") flips
+// it at every run boundary, the strategy of Bender, McCauley, McGregor,
+// Singh and Vu ("Run Generation Revisited"): a descending trend is what
+// classic RS fragments into memory-sized runs, and a down-run absorbs it
+// whole, so whichever way the input drifts every other run travels with it.
+// A flip re-heaps the records already tagged for the next run under the
+// opposite order; the second heap shares its lifetime with the stepper, so
+// alternating costs one extra arena over classic RS (DESIGN.md §9's cost
+// model).
+//
+// Between calls the heap holds the records already tagged for the next run,
+// so a caller may stop after any run and either continue later or hand the
+// buffered state to a different generator via Carry.
 type Stepper[T any] struct {
 	em *runio.Emitter[T]
 	in *stream.Fetcher[T]
-	h  *heap.Heap[T]
+	up *heap.Heap[T] // min-heap, feeds ascending runs
+	dn *heap.Heap[T] // max-heap, feeds descending runs; nil unless alternating
 	// pfx caches normalized-key prefixes into heap items when the emitter
-	// carries a KeyCodec; nil on the comparator-only path.
-	pfx        func(T) uint64
-	currentRun int
-	records    int64
+	// carries a KeyCodec; nil on the comparator-only path, where every cached
+	// key is zero.
+	pfx         func(T) uint64
+	alternating bool // flip direction at every run boundary
+	down        bool // direction of the run the next NextRun emits
+	currentRun  int
+	records     int64
 }
 
-// NewStepper returns a Stepper generating replacement-selection runs over
-// src with a heap of `memory` elements, writing through em and ordering by
-// em.Less.
-func NewStepper[T any](src stream.Reader[T], em *runio.Emitter[T], memory int) (*Stepper[T], error) {
+// NewStepper returns a Stepper over src with a heap of `memory` elements,
+// writing through em and ordering by em.Less. alternating selects the
+// generator that flips direction at each run boundary, and down the
+// direction of its first run: a caller that knows the input leads with a
+// descending trend starts with a down-run so the trend lands in run one.
+// Without alternating every run is an up-run.
+func NewStepper[T any](src stream.Reader[T], em *runio.Emitter[T], memory int, alternating, down bool) (*Stepper[T], error) {
 	if memory <= 0 {
 		return nil, fmt.Errorf("rs: memory must be positive, got %d", memory)
 	}
-	return &Stepper[T]{
+	s := &Stepper[T]{
 		em: em,
 		// All input flows through a batched fetch buffer: one ReadBatch per
 		// fetchLen elements instead of an interface call per record.
-		in:  stream.NewFetcher(src, fetchLen(memory)),
-		h:   heap.New(memory, false, em.Less),
-		pfx: em.PrefixFunc(),
-	}, nil
+		in:          stream.NewFetcher(src, fetchLen(memory)),
+		up:          heap.New(memory, false, em.Less),
+		pfx:         em.PrefixFunc(),
+		alternating: alternating,
+		down:        alternating && down,
+	}
+	if alternating {
+		s.dn = heap.New(memory, true, em.Less)
+	}
+	return s, nil
 }
 
 // Records returns the number of input elements consumed so far.
 func (s *Stepper[T]) Records() int64 { return s.records }
 
-// fill tops the heap up from the input (heap.fill in Algorithm 1). After
-// the initial fill it is a no-op until Carry empties the heap.
+// active returns the heap of the current direction.
+func (s *Stepper[T]) active() *heap.Heap[T] {
+	if s.down {
+		return s.dn
+	}
+	return s.up
+}
+
+// item tags an input record for the current run, with its cached key
+// prefix where there is one.
+func (s *Stepper[T]) item(rec T) (it heap.Item[T]) {
+	it.Rec, it.Run = rec, s.currentRun
+	if s.pfx != nil {
+		it.Key = s.pfx(rec)
+	}
+	return it
+}
+
+// fill tops the active heap up from the input (heap.fill in Algorithm 1).
+// After the initial fill it is a no-op until Carry empties the heap.
 func (s *Stepper[T]) fill() error {
-	for !s.h.Full() {
+	for h := s.active(); !h.Full(); {
 		rec, ok, err := s.in.Next()
-		if err != nil {
+		if err != nil || !ok {
 			return err
 		}
-		if !ok {
-			return nil
-		}
-		it := heap.Item[T]{Rec: rec, Run: s.currentRun}
-		if s.pfx != nil {
-			it.Key = s.pfx(rec)
-		}
-		s.h.Push(it)
 		s.records++
+		h.Push(s.item(rec))
 	}
 	return nil
 }
 
-// NextRun writes the next run and returns its manifest; ok is false once
-// the input and the heap are both exhausted.
+// before reports whether a orders strictly before b. The decision rides the
+// cached prefixes: the integer compare decides strictly ordered pairs and
+// only prefix ties — all pairs, on the comparator-only path — consult the
+// comparator: the same decision either way.
+func (s *Stepper[T]) before(a, b heap.Item[T]) bool {
+	if a.Key != b.Key {
+		return a.Key < b.Key
+	}
+	return s.em.Less(a.Rec, b.Rec)
+}
+
+// NextRun writes the next run — ascending or descending per the stepper's
+// direction — and returns its manifest; ok is false once the input and the
+// heap are both exhausted.
 func (s *Stepper[T]) NextRun() (runio.Run, bool, error) {
 	if err := s.fill(); err != nil {
 		return runio.Run{}, false, err
 	}
-	if s.h.Len() == 0 {
+	h := s.active()
+	if h.Len() == 0 {
 		return runio.Run{}, false, nil
 	}
 	// The heap orders by (run, element), so every record of the current run
 	// pops before the first record of the next: a run ends exactly when the
 	// top's tag advances (§3.3).
-	s.currentRun = s.h.Peek().Run
-	less := s.em.Less
-	name, w, err := s.em.Forward("rs")
+	s.currentRun = h.Peek().Run
+	role := "rs"
+	if s.alternating {
+		role = "alt"
+	}
+	w, err := s.em.Stream(role, s.down)
 	if err != nil {
 		return runio.Run{}, false, err
 	}
-	for s.h.Len() > 0 && s.h.Peek().Run == s.currentRun {
-		it := s.h.Pop()
-		if err := w.Write(it.Rec); err != nil {
+	for h.Len() > 0 && h.Peek().Run == s.currentRun {
+		out := h.Pop()
+		if err := w.Write(out.Rec); err != nil {
 			return runio.Run{}, false, err
 		}
 		// Read the next input record and insert it tagged with the run it
-		// can still join.
+		// can still join: the current one, unless it falls on the wrong side
+		// of the record just written — below it in an up-run, above it in a
+		// down-run.
 		rec, ok, err := s.in.Next()
 		if err != nil {
 			return runio.Run{}, false, err
@@ -152,24 +213,25 @@ func (s *Stepper[T]) NextRun() (runio.Run, bool, error) {
 			continue
 		}
 		s.records++
-		nit := heap.Item[T]{Rec: rec, Run: s.currentRun}
-		if s.pfx != nil {
-			// The replacement decision rides the cached prefixes too: the
-			// integer compare decides strictly ordered pairs and only prefix
-			// ties consult the comparator — the same decision either way.
-			nit.Key = s.pfx(rec)
-			if nit.Key < it.Key || (nit.Key == it.Key && less(rec, it.Rec)) {
-				nit.Run = s.currentRun + 1
-			}
-		} else if less(rec, it.Rec) {
-			nit.Run = s.currentRun + 1
+		in := s.item(rec)
+		if s.down && s.before(out, in) || !s.down && s.before(in, out) {
+			in.Run++
 		}
-		s.h.Push(nit)
+		h.Push(in)
 	}
 	if err := w.Close(); err != nil {
 		return runio.Run{}, false, err
 	}
-	return runio.SingleRun(name, w.Count()), true, nil
+	if s.alternating {
+		// Flip: at a run boundary every remaining item carries the next
+		// run's tag, so moving them under the opposite order is a straight
+		// drain-and-push.
+		s.down = !s.down
+		for to := s.active(); h.Len() > 0; {
+			to.Push(h.Pop())
+		}
+	}
+	return runio.SingleRun(w.Segment()), true, nil
 }
 
 // Carry removes and returns every element the Stepper has buffered — the
@@ -177,65 +239,70 @@ func (s *Stepper[T]) NextRun() (runio.Run, bool, error) {
 // run tags are dropped: a successor generator re-derives run membership
 // itself.
 func (s *Stepper[T]) Carry() []T {
-	out := make([]T, 0, s.h.Len())
-	for s.h.Len() > 0 {
-		out = append(out, s.h.Pop().Rec)
+	out := make([]T, 0, s.active().Len())
+	for _, h := range []*heap.Heap[T]{s.up, s.dn} {
+		for h != nil && h.Len() > 0 {
+			out = append(out, h.Pop().Rec)
+		}
 	}
 	return append(out, s.in.Drain()...)
 }
 
 // Checkpoint lists, without disturbing the stepper, the records it holds at
-// a run boundary — the heap in index order (heap.Export), then the fetch
-// read-ahead — and returns their two counts. Unlike Carry it is only
-// meaningful right after NextRun returned a run, when every heap item
-// carries the same run tag.
-func (s *Stepper[T]) Checkpoint(put func(T)) []uint64 { return checkpointHeld(s.h, s.in, put) }
-
-// RestoreStepper rebuilds the Stepper whose Checkpoint listed recs and
-// returned state, over src positioned just past the read-ahead: it goes on
-// to emit exactly the runs the original would have.
-func RestoreStepper[T any](src stream.Reader[T], em *runio.Emitter[T], memory int, recs []T, state []uint64) (*Stepper[T], error) {
-	s, err := NewStepper(src, em, memory)
-	if err == nil {
-		err = restoreHeld(s.h, s.in, s.pfx, recs, state, 2)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// checkpointHeld lists a heap and the read-ahead of its input.
-func checkpointHeld[T any](h *heap.Heap[T], in *stream.Fetcher[T], put func(T)) []uint64 {
+// a run boundary — the heap of the next run's direction in index order
+// (heap.Export; a flip has emptied the other), then the fetch read-ahead —
+// and returns their two counts, followed when alternating by that direction
+// (1 = down). Unlike Carry it is only meaningful right after NextRun
+// returned a run, when every heap item carries the same run tag.
+func (s *Stepper[T]) Checkpoint(put func(T)) []uint64 {
+	h := s.active()
 	h.Export(put)
-	ahead := in.Pending()
+	ahead := s.in.Pending()
 	for _, v := range ahead {
 		put(v)
 	}
-	return []uint64{uint64(h.Len()), uint64(len(ahead))}
+	state := []uint64{uint64(h.Len()), uint64(len(ahead))}
+	if s.alternating {
+		var down uint64
+		if s.down {
+			down = 1
+		}
+		state = append(state, down)
+	}
+	return state
 }
 
-// restoreHeld puts a checkpointHeld listing back, rejecting state that is
-// not `words` long, counts that do not add up to recs and records that are
-// not in heap order.
-func restoreHeld[T any](h *heap.Heap[T], in *stream.Fetcher[T], pfx func(T) uint64, recs []T, state []uint64, words int) error {
-	n := uint64(len(recs))
+// RestoreStepper rebuilds the Stepper of the same mode whose Checkpoint
+// listed recs and returned state, over src positioned just past the
+// read-ahead: it goes on to emit exactly the runs the original would have.
+// State of the other mode's length, counts that do not add up to recs and
+// records that are not in the order of the heap they are listed for are an
+// error, never a different run sequence.
+func RestoreStepper[T any](src stream.Reader[T], em *runio.Emitter[T], memory int, alternating bool, recs []T, state []uint64) (*Stepper[T], error) {
+	words, n := 2, uint64(len(recs))
+	if alternating {
+		words = 3
+	}
 	if len(state) != words || state[0] > n || state[1] != n-state[0] {
-		return fmt.Errorf("rs: checkpoint state %v does not describe %d records", state, n)
+		return nil, fmt.Errorf("rs: checkpoint state %v does not describe %d records", state, n)
 	}
-	if err := h.Import(recs[:state[0]], 0, pfx); err != nil {
-		return err
+	s, err := NewStepper(src, em, memory, alternating, alternating && state[2] != 0)
+	if err != nil {
+		return nil, err
 	}
-	if !in.Preload(recs[state[0]:]) {
-		return fmt.Errorf("rs: checkpoint read-ahead of %d records exceeds the fetch batch", state[1])
+	if err := s.active().Import(recs[:state[0]], 0, s.pfx); err != nil {
+		return nil, err
 	}
-	return nil
+	if !s.in.Preload(recs[state[0]:]) {
+		return nil, fmt.Errorf("rs: checkpoint read-ahead of %d records exceeds the fetch batch", state[1])
+	}
+	return s, nil
 }
 
 // Generate runs replacement selection over src with a heap of `memory`
 // elements, writing runs through em and ordering by em.Less.
 func Generate[T any](src stream.Reader[T], em *runio.Emitter[T], memory int) (Result, error) {
-	s, err := NewStepper(src, em, memory)
+	s, err := NewStepper(src, em, memory, false, false)
 	if err != nil {
 		return Result{}, err
 	}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/storage"
-	"repro/internal/stream"
 )
 
 // backwardMagic identifies a backward-format file (Appendix A).
@@ -65,27 +64,18 @@ func backwardFileName(base string, i int) string { return fmt.Sprintf("%s.%d", b
 // — the historical in-place layout, or checksummed and compressed
 // fixed-size slots — is the backend's business (see internal/storage).
 type BackwardWriter[T any] struct {
+	streamBase[T]
 	st           storage.Backend
-	base         string
-	c            codec.Codec[T]
-	less         func(a, b T) bool
 	pageSize     int
 	pagesPerFile int
 
-	cur         storage.PageWriter
-	curIndex    int
+	cur         storage.PageWriter // the chain file being filled; nil between files
 	page        []byte
 	posInPage   int
 	pageIdx     int
 	fileRecords uint64
 
 	scratch []byte
-	count   int64
-	files   int
-	last    T
-	closed  bool
-	track   func(records int64, sum uint64)
-	sum     uint64
 }
 
 // NewBackwardWriter returns a writer for a descending stream stored under
@@ -109,39 +99,27 @@ func NewBackwardWriter[T any](st storage.Backend, base string, pageSize, pagesPe
 	if pagesPerFile < 2 {
 		return nil, fmt.Errorf("runio: pagesPerFile %d must be at least 2 (header + data)", pagesPerFile)
 	}
-	return &BackwardWriter[T]{
-		st:           st,
-		base:         base,
-		c:            c,
-		less:         less,
-		pageSize:     pageSize,
-		pagesPerFile: pagesPerFile,
-		page:         make([]byte, pageSize),
-		posInPage:    pageSize,
-	}, nil
+	w := &BackwardWriter[T]{st: st, pageSize: pageSize, pagesPerFile: pagesPerFile, page: make([]byte, pageSize), posInPage: pageSize}
+	w.streamBase = streamBase[T]{seg: Segment{Name: base, Backward: true}, c: c, less: less, layout: w}
+	return w, nil
 }
 
 // Write appends r, which must not exceed the previous element.
 func (w *BackwardWriter[T]) Write(r T) error {
-	if w.closed {
-		return stream.ErrClosed
+	if err := w.admit(r); err != nil {
+		return err
 	}
-	if w.count > 0 && w.less(w.last, r) {
-		return fmt.Errorf("%w: backward run got %v after %v", ErrOutOfOrder, r, w.last)
-	}
-	w.last = r
 	if w.cur == nil {
 		if err := w.openNextFile(); err != nil {
 			return err
 		}
 	}
-	w.count++
 	w.fileRecords++
 	// Lay the encoding down back-to-front: its tail bytes go just below the
 	// current position, continuing into lower pages (and, on rollover, the
 	// next chain file) until the whole element is placed.
 	pending := w.c.Append(w.scratch[:0], r)
-	if w.track != nil {
+	if w.summed {
 		// The content checksum sums per-element CRCs, so it is the same
 		// value an ascending re-read computes despite the descending write
 		// order (see ContentSum).
@@ -182,13 +160,12 @@ func (w *BackwardWriter[T]) WriteBatch(src []T) error {
 }
 
 func (w *BackwardWriter[T]) openNextFile() error {
-	pw, err := w.st.CreatePaged(backwardFileName(w.base, w.files), w.pageSize, w.pagesPerFile)
+	pw, err := w.st.CreatePaged(backwardFileName(w.seg.Name, w.seg.Files), w.pageSize, w.pagesPerFile)
 	if err != nil {
 		return err
 	}
 	w.cur = pw
-	w.curIndex = w.files
-	w.files++
+	w.seg.Files++
 	w.pageIdx = w.pagesPerFile - 1
 	w.posInPage = w.pageSize
 	w.fileRecords = 0
@@ -196,22 +173,29 @@ func (w *BackwardWriter[T]) openNextFile() error {
 }
 
 // flushPage hands the full page buffer to the backend at the current page
-// position and, when the file has no data pages left, finalizes it.
+// position and, when the file has no data pages left, finishes it: the next
+// write opens the following chain file.
 func (w *BackwardWriter[T]) flushPage() error {
 	if err := w.cur.WritePage(w.pageIdx, w.page); err != nil {
 		return err
 	}
 	w.posInPage = w.pageSize
 	w.pageIdx--
-	if w.pageIdx == 0 {
-		return w.finalizeFile()
+	if w.pageIdx > 0 {
+		return nil
 	}
-	return nil
+	if err := w.flush(); err != nil {
+		return err
+	}
+	return w.release()
 }
 
-// finalizeFile stamps the header and closes the current file. The next
-// write opens the following chain file.
-func (w *BackwardWriter[T]) finalizeFile() error {
+// flush completes the current chain file, if one is open: the partial page
+// still in the buffer, then the header.
+func (w *BackwardWriter[T]) flush() error {
+	if w.cur == nil {
+		return nil
+	}
 	startPage := w.pageIdx + 1
 	startPos := 0
 	if w.posInPage != w.pageSize {
@@ -228,55 +212,25 @@ func (w *BackwardWriter[T]) finalizeFile() error {
 	}
 	hdr := make([]byte, headerSize)
 	header{
-		index:     uint32(w.curIndex),
+		index:     uint32(w.seg.Files - 1),
 		pages:     uint32(w.pagesPerFile),
 		pageSize:  uint32(w.pageSize),
 		startPage: uint32(startPage),
 		startPos:  uint32(startPos),
 		records:   w.fileRecords,
 	}.encode(hdr)
-	if err := w.cur.WriteHeader(hdr); err != nil {
-		return err
+	return w.cur.WriteHeader(hdr)
+}
+
+// release closes the current chain file, complete or not.
+func (w *BackwardWriter[T]) release() error {
+	if w.cur == nil {
+		return nil
 	}
 	err := w.cur.Close()
 	w.cur = nil
 	return err
 }
 
-// Count returns the number of elements written so far.
-func (w *BackwardWriter[T]) Count() int64 { return w.count }
-
 // Files returns the number of chain files created so far.
-func (w *BackwardWriter[T]) Files() int { return w.files }
-
-// Track arranges for fn to receive the element count and the
-// order-insensitive content checksum when the chain closes successfully;
-// see Writer.Track.
-func (w *BackwardWriter[T]) Track(fn func(records int64, sum uint64)) { w.track = fn }
-
-// Close flushes the partially filled file, if any, and finalizes the chain.
-func (w *BackwardWriter[T]) Close() error {
-	if w.closed {
-		return stream.ErrClosed
-	}
-	w.closed = true
-	if w.cur != nil {
-		if err := w.finalizeFile(); err != nil {
-			return err
-		}
-	}
-	if w.track != nil {
-		w.track(w.count, w.sum)
-	}
-	return nil
-}
-
-// RemoveBackward deletes the files of a backward chain.
-func RemoveBackward(st storage.Backend, base string, files int) error {
-	for i := 0; i < files; i++ {
-		if err := st.Remove(backwardFileName(base, i)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (w *BackwardWriter[T]) Files() int { return w.seg.Files }

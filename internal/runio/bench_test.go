@@ -13,19 +13,25 @@ import (
 	"repro/internal/vfs"
 )
 
-// captureBackend keeps the payload bytes of the one forward file written
-// to it, in a buffer allocated once.
+// captureBackend keeps the bytes of the one run written to it — the blocks
+// of a forward file, or the pages, tails and headers of a chain in the order
+// they are stored — in a buffer allocated once.
 type captureBackend struct {
 	storage.Backend
 	got []byte
 }
 
-func (c *captureBackend) Create(string) (storage.BlockWriter, error) {
-	c.got = c.got[:0]
+func (c *captureBackend) Create(string) (storage.BlockWriter, error) { return c, nil }
+func (c *captureBackend) CreatePaged(string, int, int) (storage.PageWriter, error) {
 	return c, nil
 }
-func (c *captureBackend) Append(p []byte) error { c.got = append(c.got, p...); return nil }
-func (c *captureBackend) Close() error          { return nil }
+func (c *captureBackend) Append(p []byte) error           { c.got = append(c.got, p...); return nil }
+func (c *captureBackend) WritePage(_ int, p []byte) error { return c.Append(p) }
+func (c *captureBackend) WriteHeader(p []byte) error      { return c.Append(p) }
+func (c *captureBackend) WriteTail(_ int, p []byte) (int, error) {
+	return 0, c.Append(p)
+}
+func (c *captureBackend) Close() error { return nil }
 
 const benchRecords = 1 << 18
 
@@ -39,23 +45,37 @@ func benchInput() []record.Record {
 
 // BenchmarkWriterBatch times a forward run written through WriteBatch (the
 // bulk encode kernel, a page per call) beside the same run written element
-// by element, and holds every iteration to the bytes of the element path.
+// by element, and beside the same records written descending through the
+// backward chain's WriteBatch, which is still an element loop — the baseline
+// a block treatment of that path starts from. Every iteration is held to
+// the bytes of its layout's element path.
 func BenchmarkWriterBatch(b *testing.B) {
 	recs := benchInput()
-	st := &captureBackend{got: make([]byte, 0, benchRecords*record.Size)}
-	write := func(batch bool) {
-		w, err := NewWriter[record.Record](st, "run", 0, codec.Record16{}, record.Less)
+	descending := slices.Clone(recs)
+	slices.Reverse(descending)
+	st := &captureBackend{got: make([]byte, 0, benchRecords*record.Size+benchRecords)}
+	write := func(chain, batch bool) {
+		var w StreamWriter[record.Record]
+		var err error
+		src := recs
+		if chain {
+			src = descending
+			w, err = NewBackwardWriter[record.Record](st, "run", 0, 0, codec.Record16{}, record.Less)
+		} else {
+			w, err = NewWriter[record.Record](st, "run", 0, codec.Record16{}, record.Less)
+		}
 		if err != nil {
 			b.Fatal(err)
 		}
+		st.got = st.got[:0]
 		if batch {
-			for rest := recs; len(rest) > 0 && err == nil; {
+			for rest := src; len(rest) > 0 && err == nil; {
 				n := min(len(rest), stream.DefaultBatchLen)
 				err, rest = w.WriteBatch(rest[:n]), rest[n:]
 			}
 		} else {
-			for i := 0; i < len(recs) && err == nil; i++ {
-				err = w.Write(recs[i])
+			for i := 0; i < len(src) && err == nil; i++ {
+				err = w.Write(src[i])
 			}
 		}
 		if err == nil {
@@ -65,16 +85,16 @@ func BenchmarkWriterBatch(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	write(false)
-	want := bytes.Clone(st.got)
 	for _, mode := range []struct {
-		name  string
-		batch bool
-	}{{"batch", true}, {"element", false}} {
+		name         string
+		chain, batch bool
+	}{{"batch", false, true}, {"element", false, false}, {"chain", true, true}} {
+		write(mode.chain, false)
+		want := bytes.Clone(st.got)
 		b.Run(mode.name, func(b *testing.B) {
 			b.SetBytes(int64(len(want)))
 			for i := 0; i < b.N; i++ {
-				write(mode.batch)
+				write(mode.chain, mode.batch)
 				b.StopTimer()
 				if !bytes.Equal(st.got, want) {
 					b.Fatalf("%s writes stored %d bytes that differ from the element path's %d", mode.name, len(st.got), len(want))

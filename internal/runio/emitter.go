@@ -44,25 +44,24 @@ type Emitter[T any] struct {
 	// way. The driver sets it only after the codec passes the sampled order
 	// check.
 	KeyCodec codec.KeyCodec[T]
-	// Checksums, when set, makes every writer the emitter creates track the
-	// order-insensitive content checksum of its stream (Writer.Track) and
+	// Checksums, when set, makes every writer the emitter creates keep the
+	// order-insensitive content checksum of its stream (ContentSum) and
 	// holds it under the stream's name until TakeSum collects it. Resumable
 	// sorts commit the sums of each run in the manifest at its boundary;
 	// off (the default) no per-element CRC is ever computed.
 	Checksums bool
 
-	// gen is the write-behind of the goroutine that calls Forward — the
-	// run-generation pass — started by its first writer when Async is set.
+	// gen is the write-behind of the goroutine that calls Stream — the
+	// run-generation pass — started by its first forward writer when Async
+	// is set.
 	gen *WriteBehind
 
 	mu   sync.Mutex
 	sums map[string]uint64
-	open map[aborter]struct{}
+	// open lists every stream the emitter opened that has not closed yet,
+	// whatever its layout: what AbortOpen force-closes on a failure path.
+	open map[*streamBase[T]]struct{}
 }
-
-// aborter is the live-writer handle the emitter tracks: anything that can
-// be force-closed on a failure path.
-type aborter interface{ abort() }
 
 // NewEmitter returns an Emitter with default sizes writing through the raw
 // (historical, pass-through) backend on fs.
@@ -103,17 +102,30 @@ func forwardBlockBytes(budget int) int {
 	return max(pages, 1) * DefaultPageSize
 }
 
-// Forward creates a fresh forward run file; role distinguishes streams in
-// file names (e.g. "rs", "s1"). It is for the one goroutine that generates
-// runs: under Async its writers share that goroutine's write-behind, and
-// their files are complete after Barrier.
-func (e *Emitter[T]) Forward(role string) (string, *Writer[T], error) {
+// Stream opens a fresh output stream of the run being generated: an
+// ascending one stored as a forward file, or a descending one stored as an
+// Appendix A backward chain, so the merge reads both forward. role
+// distinguishes streams in file names (e.g. "rs", "s1"). It is for the one
+// goroutine that generates runs: under Async its forward writers share that
+// goroutine's write-behind, and their files are complete after Barrier.
+func (e *Emitter[T]) Stream(role string, descending bool) (StreamWriter[T], error) {
+	name := e.Namer.Next(role)
+	if descending {
+		w, err := NewBackwardWriter(e.Store, name, e.PageSize, e.PagesPerFile, e.Codec, e.Less)
+		if err != nil {
+			return nil, err
+		}
+		e.adopt(&w.streamBase)
+		return w, nil
+	}
 	if e.Async && e.gen == nil {
 		e.gen = e.NewWriteBehind()
 	}
-	name := e.Namer.Next(role)
 	w, err := e.NewWriter(e.gen, name, forwardBlockBytes(storage.PoolOf(e.Store).Budget()))
-	return name, w, err
+	if err != nil {
+		return nil, err
+	}
+	return w, nil
 }
 
 // NewWriteBehind returns a write queue for one goroutine that writes forward
@@ -128,72 +140,60 @@ func (e *Emitter[T]) NewWriteBehind() *WriteBehind {
 
 // NewWriter creates a forward writer on the named file with an explicit
 // buffer size, its file operations on the calling goroutine's queue q.
-// Unlike Forward it does not touch the Namer, so concurrent merge workers
+// Unlike Stream it does not touch the Namer, so concurrent merge workers
 // can use it with pre-allocated names.
 func (e *Emitter[T]) NewWriter(q *WriteBehind, name string, bufBytes int) (*Writer[T], error) {
 	w, err := newWriter(q, e.Store, name, bufBytes, e.Codec, e.Less)
 	if err != nil {
 		return nil, err
 	}
-	if e.Checksums {
-		w.Track(func(_ int64, sum uint64) { e.noteSum(name, sum) })
-	}
-	w.onFinish = func() { e.untrackOpen(w) }
-	e.trackOpen(w)
+	e.adopt(&w.streamBase)
 	return w, nil
 }
 
-// Barrier waits until every file written through Forward is complete on the
-// store — created, written and closed — and returns the first error the
-// generation pass's write-behind has met. Run generation calls it before
+// adopt makes the emitter the owner of a stream it opened: the stream's
+// content sum is collected when Checksums is on, and it is listed as live
+// until it closes, so that a failure path can abort it.
+func (e *Emitter[T]) adopt(s *streamBase[T]) {
+	s.em, s.summed = e, e.Checksums
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.open == nil {
+		e.open = make(map[*streamBase[T]]struct{})
+	}
+	e.open[s] = struct{}{}
+}
+
+// forget drops a stream that is no longer live.
+func (e *Emitter[T]) forget(s *streamBase[T]) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	delete(e.open, s)
+}
+
+// Barrier waits until every forward file written through Stream is complete
+// on the store — created, written and closed — and returns the first error
+// the generation pass's write-behind has met. Run generation calls it before
 // its runs are read and at every durable commit boundary; without Async
 // there is nothing to wait for.
 func (e *Emitter[T]) Barrier() error { return e.gen.Join() }
 
-func (e *Emitter[T]) trackOpen(w aborter) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.open == nil {
-		e.open = make(map[aborter]struct{})
-	}
-	e.open[w] = struct{}{}
-}
-
-func (e *Emitter[T]) untrackOpen(w aborter) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	delete(e.open, w)
-}
-
-// AbortOpen force-closes every forward writer the emitter created that is
-// still open — buffered pages are dropped, the underlying files closed —
-// and joins the generation pass's write-behind. Failure paths call it
-// before sweeping (or abandoning) spill files, so nothing is still
-// appending to a file being removed — the race a run generator invites
-// when a source error makes it abandon its current writer mid-run. (A merge
-// worker joins its own queue before its merge returns.)
+// AbortOpen force-closes every stream the emitter opened that is still live
+// — buffered pages are dropped, the underlying files closed — and joins the
+// generation pass's write-behind. Failure paths call it before sweeping (or
+// abandoning) spill files, so no handle outlives the sort and nothing is
+// still appending to a file being removed — the race a run generator invites
+// when a source error makes it abandon its writers mid-run. (A merge worker
+// joins its own queue before its merge returns.)
 func (e *Emitter[T]) AbortOpen() {
 	e.mu.Lock()
-	ws := make([]aborter, 0, len(e.open))
-	for w := range e.open {
-		ws = append(ws, w)
-	}
+	live := e.open
 	e.open = nil
 	e.mu.Unlock()
-	for _, w := range ws {
-		w.abort()
+	for s := range live {
+		s.abort()
 	}
 	e.gen.Join()
-}
-
-// Backward creates a fresh backward (decreasing) stream.
-func (e *Emitter[T]) Backward(role string) (string, *BackwardWriter[T], error) {
-	name := e.Namer.Next(role)
-	w, err := NewBackwardWriter(e.Store, name, e.PageSize, e.PagesPerFile, e.Codec, e.Less)
-	if err == nil && e.Checksums {
-		w.Track(func(_ int64, sum uint64) { e.noteSum(name, sum) })
-	}
-	return name, w, err
 }
 
 // noteSum records a closed stream's content checksum under its name.

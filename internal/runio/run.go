@@ -1,7 +1,9 @@
 package runio
 
 import (
+	"errors"
 	"fmt"
+	"os"
 
 	"repro/internal/codec"
 	"repro/internal/storage"
@@ -21,15 +23,25 @@ type Segment struct {
 	Files int
 }
 
-// appendFiles appends the segment's files to dst in ascending read order:
-// the forward file, or the chain files in reverse creation order.
-func (s Segment) appendFiles(dst []spillFile) []spillFile {
+// EachFile calls visit for each physical file of the segment in ascending
+// read order: the forward file, or the chain files — "base.N", N the index
+// in creation order — from the last created to the first. Everything that
+// opens, removes or accounts for a segment's files enumerates them here.
+func (s Segment) EachFile(visit func(name string, index int)) {
 	if !s.Backward {
-		return append(dst, spillFile{name: s.Name})
+		visit(s.Name, 0)
+		return
 	}
 	for i := s.Files - 1; i >= 0; i-- {
-		dst = append(dst, spillFile{name: backwardFileName(s.Name, i), paged: true, index: i, joins: i < s.Files-1})
+		visit(backwardFileName(s.Name, i), i)
 	}
+}
+
+// appendFiles appends the segment's files to dst as the reader meets them.
+func (s Segment) appendFiles(dst []spillFile) []spillFile {
+	s.EachFile(func(name string, i int) {
+		dst = append(dst, spillFile{name: name, paged: s.Backward, index: i, joins: s.Backward && i < s.Files-1})
+	})
 	return dst
 }
 
@@ -48,12 +60,16 @@ func OpenSegment[T any](st storage.Backend, s Segment, bufBytes int, c codec.Cod
 	return r, nil
 }
 
-// Remove deletes the segment's files.
-func (s Segment) Remove(st storage.Backend) error {
-	if s.Backward {
-		return RemoveBackward(st, s.Name, s.Files)
-	}
-	return st.Remove(s.Name)
+// Remove deletes every file of the segment, carrying on past a file that
+// fails to go — or is already gone — and returns the first error that is
+// not os.ErrNotExist.
+func (s Segment) Remove(st storage.Backend) (first error) {
+	s.EachFile(func(name string, _ int) {
+		if err := st.Remove(name); err != nil && first == nil && !errors.Is(err, os.ErrNotExist) {
+			first = err
+		}
+	})
+	return first
 }
 
 // Run is a logical sorted run: the ascending concatenation of its segments.
@@ -74,27 +90,9 @@ type Run struct {
 	Concatenable bool
 }
 
-// Inputs returns the individually sorted streams of the run: the whole run
-// when concatenable, otherwise one entry per non-empty segment. It exists
-// for diagnostics and tests; the merge phase itself always treats a run as
-// a single input (OpenRun interleaves overlapping segments on the fly).
-func (r Run) Inputs() []Run {
-	if r.Concatenable {
-		return []Run{r}
-	}
-	var ins []Run
-	for _, s := range r.Segments {
-		if s.Records == 0 {
-			continue
-		}
-		ins = append(ins, Run{Segments: []Segment{s}, Records: s.Records, Concatenable: true})
-	}
-	return ins
-}
-
-// SingleRun describes a run stored as one forward file.
-func SingleRun(name string, records int64) Run {
-	return Run{Segments: []Segment{{Name: name, Records: records}}, Records: records, Concatenable: true}
+// SingleRun describes a run stored as one segment.
+func SingleRun(seg Segment) Run {
+	return Run{Segments: []Segment{seg}, Records: seg.Records, Concatenable: true}
 }
 
 // OpenRun returns an ascending reader over the whole run within the given
@@ -139,17 +137,18 @@ func OpenRun[T any](st storage.Backend, r Run, bufBytes int, c codec.Codec[T], l
 	return newInterleaveReader(open, less)
 }
 
-// Remove deletes all files of the run.
+// Remove deletes all files of the run; see Segment.Remove.
 func (r Run) Remove(st storage.Backend) error {
+	var first error
 	for _, s := range r.Segments {
 		if s.Records == 0 {
 			continue
 		}
-		if err := s.Remove(st); err != nil {
-			return err
+		if err := s.Remove(st); first == nil {
+			first = err
 		}
 	}
-	return nil
+	return first
 }
 
 // Namer hands out unique file names for runs and streams within one sort.

@@ -23,8 +23,22 @@
 //     reverse creation order and scan forward from the header's start
 //     position.
 //
-// Writing is per layout: Writer for forward files, BackwardWriter for chains.
-// Reading is not. Reader decodes a list of spill files in ascending read
+// Writing is one contract over two fill loops. A run generator opens each
+// output stream with Emitter.Stream(role, descending) and holds a
+// StreamWriter — Write, WriteBatch, Close, and Segment, the finished
+// stream's own description — without knowing the layout behind it. Writer
+// (forward files) and BackwardWriter (chains) are the two layouts; what
+// they share is written once, in the streamBase both embed: the run-order
+// check in the stream's direction, the element count and chain-file count
+// of the segment being built, the content checksum kept for an emitter
+// with Checksums on, Close, and the abort by which Emitter.AbortOpen closes
+// every stream still live on a failure path. What they do not share stays
+// apart, because it has no logic in common: one fills a pooled block front
+// to back and hands it to a write-behind, the other lays each encoding down
+// tail-first across one-page buffers and chain files. Segment.EachFile is
+// the one place that knows which files a segment consists of.
+//
+// Reading is one type. Reader decodes a list of spill files in ascending read
 // order through one buffer, opening each file as the one before it drains:
 // once a chain file's header is checked and its payload positioned, both
 // layouts are byte streams and are read alike. A partial element at the end
@@ -61,7 +75,6 @@ package runio
 
 import (
 	"errors"
-	"fmt"
 	"hash/crc32"
 
 	"repro/internal/codec"
@@ -111,25 +124,15 @@ func bufSize(bufBytes, fixed int) int {
 // the last block queued and the file is complete only after the queue's
 // next Join. The bytes stored are the same either way.
 type Writer[T any] struct {
+	streamBase[T]
 	f      outFile
 	q      *WriteBehind
 	pool   *storage.Pool
-	c      codec.Codec[T]
 	bulk   codec.Bulk[T] // c's bulk kernels, when it is fixed-width and has them
 	fixed  int           // c.FixedSize()
-	less   func(a, b T) bool
-	buf    []byte // the block being filled: FrameHeadroom spare bytes, then the page
-	target int    // page bytes at which the block is flushed
-	count  int64
-	last   T
-	closed bool
-	track  func(records int64, sum uint64)
-	order  bool // sum is the running StreamSum of the pages, not a ContentSum
-	sum    uint64
-	// onFinish, when set, runs once when the writer stops being live —
-	// at the top of Close or abort. The Emitter uses it to drop the
-	// writer from its open-writer tracking.
-	onFinish func()
+	buf    []byte        // the block being filled: FrameHeadroom spare bytes, then the page
+	target int           // page bytes at which the block is flushed
+	order  bool          // sum is the running StreamSum of the pages, not a ContentSum
 }
 
 // headroom is where a block's page starts: the bytes before it are the
@@ -168,7 +171,8 @@ func NewWriter[T any](st storage.Backend, name string, bufBytes int, c codec.Cod
 // newWriter is NewWriter on the queue q. On the synchronous queue a failed
 // create fails the call; on a write-behind it is the queue's error.
 func newWriter[T any](q *WriteBehind, st storage.Backend, name string, bufBytes int, c codec.Codec[T], less func(a, b T) bool) (*Writer[T], error) {
-	w := &Writer[T]{f: outFile{st: st, name: name}, q: q, pool: storage.PoolOf(st), c: c, fixed: c.FixedSize(), less: less}
+	w := &Writer[T]{f: outFile{st: st, name: name}, q: q, pool: storage.PoolOf(st), fixed: c.FixedSize()}
+	w.streamBase = streamBase[T]{seg: Segment{Name: name}, c: c, less: less, layout: w}
 	w.target = bufSize(bufBytes, w.fixed)
 	if w.fixed > 0 {
 		w.bulk, _ = c.(codec.Bulk[T])
@@ -180,13 +184,6 @@ func newWriter[T any](q *WriteBehind, st storage.Backend, name string, bufBytes 
 	return w, nil
 }
 
-// Track arranges for fn to receive the element count and the
-// order-insensitive content checksum (ContentSum over the encoded
-// elements) when the writer closes successfully. It must be installed
-// before the first Write; the per-element CRC cost is paid only when a
-// tracker is installed.
-func (w *Writer[T]) Track(fn func(records int64, sum uint64)) { w.track = fn }
-
 // SumStream makes the writer keep the order-sensitive StreamSum of
 // everything it encodes, for Sum to report. It must be called before the
 // first Write.
@@ -196,28 +193,18 @@ func (w *Writer[T]) SumStream() { w.order = true }
 // stream once the writer is closed.
 func (w *Writer[T]) Sum() uint64 { return w.sum }
 
-// outOfOrder reports r arriving after prev, which orders above it.
-func outOfOrder[T any](r, prev T) error {
-	return fmt.Errorf("%w: forward run got %v after %v", ErrOutOfOrder, r, prev)
-}
-
 // Write appends r to the run. Elements must arrive in non-decreasing order.
 // It is WriteBatch for one element, kept apart so that the element does not
 // have to live in a slice.
 func (w *Writer[T]) Write(r T) error {
-	if w.closed {
-		return stream.ErrClosed
+	if err := w.admit(r); err != nil {
+		return err
 	}
-	if w.count > 0 && w.less(r, w.last) {
-		return outOfOrder(r, w.last)
-	}
-	w.last = r
 	prev := len(w.buf)
 	w.buf = w.c.Append(w.buf, r)
-	if w.track != nil {
+	if w.summed {
 		w.sum = ContentSum(w.sum, w.buf[prev:])
 	}
-	w.count++
 	if len(w.buf)-headroom >= w.target {
 		return w.flush()
 	}
@@ -229,7 +216,7 @@ func (w *Writer[T]) Write(r T) error {
 // fixed-width codec that is known up front, with a variable-width one it is
 // one element — validates their order, encodes them (in one call where the
 // codec has bulk kernels), folds each into the content checksum when one is
-// tracked, and flushes the page when it is full. The page-flush boundaries,
+// kept, and flushes the page when it is full. The page-flush boundaries,
 // and so the bytes stored, are those of element writes.
 func (w *Writer[T]) WriteBatch(src []T) error {
 	if w.closed {
@@ -241,12 +228,15 @@ func (w *Writer[T]) WriteBatch(src []T) error {
 			n = min(len(src), max((w.target-(len(w.buf)-headroom))/w.fixed, 1))
 		}
 		page := src[:n]
-		if w.count > 0 && w.less(page[0], w.last) {
-			return outOfOrder(page[0], w.last)
+		// A forward file only ever ascends, so the page's order check is
+		// the comparator itself: admit's direction test, repeated per
+		// element, is measurable on the merge's output path.
+		if w.seg.Records > 0 && w.less(page[0], w.last) {
+			return w.outOfOrder(page[0], w.last)
 		}
 		for i := 1; i < n; i++ {
 			if w.less(page[i], page[i-1]) {
-				return outOfOrder(page[i], page[i-1])
+				return w.outOfOrder(page[i], page[i-1])
 			}
 		}
 		at := len(w.buf)
@@ -257,14 +247,14 @@ func (w *Writer[T]) WriteBatch(src []T) error {
 				w.buf = w.c.Append(w.buf, r)
 			}
 		}
-		if w.track != nil {
+		if w.summed {
 			size := (len(w.buf) - at) / n
 			for ; at < len(w.buf); at += size {
 				w.sum = ContentSum(w.sum, w.buf[at:at+size])
 			}
 		}
 		w.last = page[n-1]
-		w.count += int64(n)
+		w.seg.Records += int64(n)
 		src = src[n:]
 		if len(w.buf)-headroom >= w.target {
 			if err := w.flush(); err != nil {
@@ -295,34 +285,10 @@ func (w *Writer[T]) flush() error {
 	return nil
 }
 
-// Count returns the number of elements written so far.
-func (w *Writer[T]) Count() int64 { return w.count }
-
-// Close flushes buffered elements and closes the underlying file — now, on
-// the synchronous queue, and by the next Join of a write-behind, whose
-// error so far it returns.
-func (w *Writer[T]) Close() error {
-	if w.closed {
-		return stream.ErrClosed
-	}
-	err := w.flush()
-	if cerr := w.finish(); err == nil {
-		err = cerr
-	}
-	if err == nil && w.track != nil {
-		w.track(w.count, w.sum)
-	}
-	return err
-}
-
-// finish retires the writer: its block goes back to the pool and the file
-// is closed, behind whatever is still queued for it. It returns the close's
-// error, or on a write-behind the queue's error so far.
-func (w *Writer[T]) finish() error {
-	w.closed = true
-	if w.onFinish != nil {
-		w.onFinish()
-	}
+// release returns the writer's block to the pool and closes the file,
+// behind whatever is still queued for it. It returns the close's error, or
+// on a write-behind the queue's error so far.
+func (w *Writer[T]) release() error {
 	w.pool.Put(w.buf)
 	w.buf = nil
 	if w.q == nil {
@@ -331,14 +297,4 @@ func (w *Writer[T]) finish() error {
 	// Queued even when the queue has failed: the handle must close.
 	w.q.enqueue(&w.f, opClose, nil)
 	return w.q.failure()
-}
-
-// abort closes a writer an error path abandoned, without flushing: the
-// caller is about to remove or invalidate the file anyway, and joins the
-// writer's queue before it does, so nothing is still appending to a file
-// being removed.
-func (w *Writer[T]) abort() {
-	if !w.closed {
-		w.finish()
-	}
 }

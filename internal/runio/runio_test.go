@@ -314,7 +314,7 @@ func TestRemoveBackward(t *testing.T) {
 		w.Write(record.Record{Key: int64(i)})
 	}
 	w.Close()
-	if err := RemoveBackward(storage.NewRaw(fs), "b", w.Files()); err != nil {
+	if err := w.Segment().Remove(storage.NewRaw(fs)); err != nil {
 		t.Fatal(err)
 	}
 	names, _ := fs.Names()
@@ -405,7 +405,7 @@ func TestRunRemove(t *testing.T) {
 }
 
 func TestSingleRun(t *testing.T) {
-	run := SingleRun("x", 42)
+	run := SingleRun(Segment{Name: "x", Records: 42})
 	if run.Records != 42 || len(run.Segments) != 1 || run.Segments[0].Name != "x" {
 		t.Fatalf("SingleRun wrong: %+v", run)
 	}
@@ -871,7 +871,8 @@ func TestElementPathDoesNotAllocate(t *testing.T) {
 }
 
 // failingWrites fails the n-th call of one kind — "create", "append" or
-// "close" — made through it for writing, and counts the handles left open.
+// "close" on a forward file, "tail" or "header" on a chain file — made
+// through it for writing, and counts the handles left open.
 type failingWrites struct {
 	storage.Backend
 	op      string
@@ -918,6 +919,116 @@ func (w failingWriter) Close() error {
 		err = cerr
 	}
 	return err
+}
+
+func (b *failingWrites) CreatePaged(name string, pageSize, pages int) (storage.PageWriter, error) {
+	w, err := b.Backend.CreatePaged(name, pageSize, pages)
+	if err == nil {
+		b.open++
+	}
+	return failingPages{w, b}, err
+}
+
+type failingPages struct {
+	storage.PageWriter
+	b *failingWrites
+}
+
+func (w failingPages) WriteTail(idx int, payload []byte) (int, error) {
+	if err := w.b.hit("tail"); err != nil {
+		return 0, err
+	}
+	return w.PageWriter.WriteTail(idx, payload)
+}
+
+func (w failingPages) WriteHeader(hdr []byte) error {
+	if err := w.b.hit("header"); err != nil {
+		return err
+	}
+	return w.PageWriter.WriteHeader(hdr)
+}
+
+func (w failingPages) Close() error {
+	w.b.open--
+	return w.PageWriter.Close()
+}
+
+// TestChainWriterClosesFileItCouldNotFinish fails the two writes that
+// complete a chain file — the partial tail page and the header — once when
+// Close makes them and once when a full file rolls over mid-stream and the
+// generator then abandons the writer to AbortOpen: either way the chain
+// file's handle is closed, and the stream is no longer live.
+func TestChainWriterClosesFileItCouldNotFinish(t *testing.T) {
+	for _, tc := range []struct {
+		op      string
+		records int // 4 to a page, 2 data pages to a file
+		abandon bool
+	}{
+		{op: "tail", records: 5},
+		{op: "header", records: 5},
+		{op: "header", records: 8, abandon: true},
+	} {
+		st := &failingWrites{Backend: storage.NewRaw(vfs.NewMemFS()), op: tc.op, n: 1}
+		em := NewEmitterOn[record.Record](st, "cw", codec.Record16{}, record.Less)
+		em.PageSize, em.PagesPerFile = 64, 3
+		w, err := em.Stream("s4", true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := tc.records; i > 0 && err == nil; i-- {
+			err = w.Write(record.Record{Key: int64(i)})
+		}
+		if tc.abandon {
+			if !errors.Is(err, errInjected) || st.open != 1 {
+				t.Fatalf("%+v: the rollover returned %v with %d handles open, want the injected error and the file still held", tc, err, st.open)
+			}
+			em.AbortOpen()
+		} else if err = w.Close(); !errors.Is(err, errInjected) {
+			t.Fatalf("%+v: Close returned %v, want the injected error", tc, err)
+		}
+		if st.open != 0 || len(em.open) != 0 {
+			t.Fatalf("%+v: %d handles open and %d streams live afterwards", tc, st.open, len(em.open))
+		}
+	}
+}
+
+// removeFails is a backend on which one file cannot be removed.
+type removeFails struct {
+	storage.Backend
+	name string
+}
+
+func (b removeFails) Remove(name string) error {
+	if name == b.name {
+		return errInjected
+	}
+	return b.Backend.Remove(name)
+}
+
+// TestRemoveCarriesOnPastAFailure removes a run whose first file (in read
+// order) cannot be removed and whose last is already gone: every other
+// file goes, and the failure — not the missing file — is the error.
+func TestRemoveCarriesOnPastAFailure(t *testing.T) {
+	fs := vfs.NewMemFS()
+	st := storage.NewRaw(fs)
+	w, _ := NewBackwardWriter(st, "b", 64, 3, codec.Record16{}, record.Less)
+	for i := 30; i > 0; i-- {
+		w.Write(record.Record{Key: int64(i)})
+	}
+	if err := w.Close(); err != nil || w.Files() != 4 {
+		t.Fatalf("chain of %d files, err %v; want 4", w.Files(), err)
+	}
+	writeForward(t, fs, "f", []int64{1})
+	run := Run{Segments: []Segment{w.Segment(), {Name: "f", Records: 1}, {Name: "gone", Records: 1}}}
+	if err := run.Remove(removeFails{st, "b.3"}); !errors.Is(err, errInjected) {
+		t.Fatalf("Remove returned %v, want the injected failure", err)
+	}
+	if names, _ := fs.Names(); !slices.Equal(names, []string{"b.3"}) {
+		t.Fatalf("files left: %v, want only the one that could not go", names)
+	}
+	if err := run.Remove(st); err != nil {
+		t.Fatalf("removing what is left, most of it already gone: %v", err)
+	}
 }
 
 // TestWriteBehindSurfacesFirstError fails each kind of queued operation at
