@@ -12,6 +12,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/heap"
 	"repro/internal/iosim"
+	"repro/internal/policy"
 	"repro/internal/record"
 	"repro/internal/runio"
 	"repro/internal/storage"
@@ -108,10 +109,11 @@ func BenchmarkAblationVictimBuffer(b *testing.B) {
 		var runs int
 		for i := 0; i < b.N; i++ {
 			fs := vfs.NewMemFS()
-			res, err := core.Generate(record.NewSliceReader(recs), runio.RecordEmitter(fs, "v"), core.Config{
-				Memory: 1_000, Setup: setup, BufferFrac: 0.02,
-				Input: core.InMean, Output: core.OutRandom, Seed: 1,
-			}, record.Key)
+			res, err := policy.Generate(policy.TwoWayRS, record.NewSliceReader(recs), runio.RecordEmitter(fs, "v"),
+				policy.Config{Memory: 1_000, TWRS: core.Config{
+					Setup: setup, BufferFrac: 0.02,
+					Input: core.InMean, Output: core.OutRandom, Seed: 1,
+				}}, record.Key)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -17,8 +17,8 @@
 //	extsort quantiles -q 0.5,0.9,0.99 -in input.rec
 //	extsort join      -left a.rec -right b.rec -out joined.rec
 //
-// -compress selects the spill framing (raw, none, flate, gzip): any value
-// but raw checksums every spilled block, and flate/gzip compress it, so the
+// -compress selects the spill framing (raw, none, flate): any value but
+// raw checksums every spilled block, and flate also compresses it, so the
 // sort reports raw-versus-stored spill bytes and fails loudly — never
 // silently wrong — on corrupted spill data. -spillmem keeps runs in memory
 // under the given byte budget, overflowing to the temp directory.
@@ -126,7 +126,7 @@ func newSortFlags(fs *flag.FlagSet) *sortFlags {
 		outH:    fs.String("outheur", def.Output.String(), "2WRS output heuristic"),
 		seed:    fs.Int64("seed", 1, "seed for randomised heuristics"),
 		compress: fs.String("compress", "raw", "spill framing: "+strings.Join(storage.Compressions(), ", ")+
-			"; any value but raw adds per-block CRC32 checksums, flate/gzip also compress"),
+			"; any value but raw adds per-block CRC32 checksums, flate also compresses"),
 		spillMem: fs.Int64("spillmem", 0, "keep spilled runs in memory under this byte budget, overflowing to -tmp (0: always on disk)"),
 		manifest: fs.Bool("manifest", false, "record every completed run in a durable manifest in -tmp, so a killed "+
 			"command can be finished with -resume instead of starting over (works under every -policy)"),
@@ -441,9 +441,10 @@ func runSort(args []string) {
 	stats, err := j.s.Sort(context.Background(), j.in[0], j.out.r)
 	j.commit(err)
 	printSortStats(*sf.memory, stats)
-	fmt.Printf("run generation:   %v\n", stats.RunGenWall.Round(1e6))
-	fmt.Printf("merge phase:      %v\n", stats.MergeWall.Round(1e6))
-	fmt.Printf("total:            %v\n", stats.TotalWall().Round(1e6))
+	for _, ph := range stats.Phases {
+		fmt.Printf("%-17s %v\n", ph.Name+":", ph.Wall.Round(1e6))
+	}
+	fmt.Printf("total:            %v\n", stats.Elapsed.Round(1e6))
 }
 
 // runUnaryOp drives distinct, topk and bottomk, which share the

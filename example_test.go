@@ -227,7 +227,7 @@ type sliceSink[T any] struct{ vals []T }
 func (s *sliceSink[T]) Write(v T) error { s.vals = append(s.vals, v); return nil }
 
 // Compressing the spill stream: any named compression frames every spilled
-// block with a CRC32 checksum, and flate/gzip shrink what actually reaches
+// block with a CRC32 checksum, and flate shrinks what actually reaches
 // storage. Stats.IO reports raw versus stored bytes — on this dup-heavy
 // input the stored side is a fraction of the raw side.
 func ExampleWithCompression() {
@@ -256,7 +256,7 @@ func ExampleWithCompression() {
 	// verify failures: 0
 }
 
-// The full storage configuration: checksummed gzip framing plus an
+// The full storage configuration: checksummed flate framing plus an
 // in-memory spill tier. Runs live in memory until the 64 KiB budget fills,
 // then the growing file migrates to the temp directory mid-write;
 // Stats.IO.Overflows counts those migrations.
@@ -274,7 +274,7 @@ func ExampleWithStorage() {
 		repro.WithMemoryRecords(1024),
 		repro.WithTempDir(dir),
 		repro.WithStorage(repro.Storage{
-			Compression:       "gzip",
+			Compression:       "flate",
 			MemoryBudgetBytes: 64 << 10,
 		}))
 	if err != nil {
@@ -288,7 +288,7 @@ func ExampleWithStorage() {
 	fmt.Println("overflowed to disk:", stats.IO.Overflows > 0)
 	fmt.Println("blocks checksummed:", stats.IO.BlocksWritten > 0)
 	// Output:
-	// backend: block(gzip)+tiered(65536)
+	// backend: block(flate)+tiered(65536)
 	// overflowed to disk: true
 	// blocks checksummed: true
 }

@@ -74,7 +74,7 @@ func main() {
 		}
 		fmt.Printf("%-5v runs=%-6d avg run=%.2fx memory  merge passes=%d  total=%v  output sorted=%v\n",
 			alg, stats.Runs, stats.AvgRunLength/float64(memory),
-			stats.MergePasses, stats.TotalWall().Round(1e6), out.sorted)
+			stats.MergePasses, stats.Elapsed.Round(1e6), out.sorted)
 	}
 	fmt.Println("\n2WRS turns the anticorrelated scan into a single run: the merge phase")
 	fmt.Println("becomes a plain copy, which is where the paper's 2.5x speedup comes from.")

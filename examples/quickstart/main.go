@@ -43,8 +43,9 @@ func main() {
 	fmt.Printf("avg run length:     %.1f records (%.2fx memory)\n",
 		stats.AvgRunLength, stats.AvgRunLength/float64(memory))
 	fmt.Printf("merge passes:       %d\n", stats.MergePasses)
-	fmt.Printf("run generation:     %v\n", stats.RunGenWall.Round(1e6))
-	fmt.Printf("merge phase:        %v\n", stats.MergeWall.Round(1e6))
+	for _, ph := range stats.Phases { // "generate", then "merge"
+		fmt.Printf("%-19s %v\n", ph.Name+" phase:", ph.Wall.Round(1e6))
+	}
 
 	// Compare with classic replacement selection on the same input.
 	cfg.Policy = "rs"

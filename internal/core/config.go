@@ -193,6 +193,19 @@ func Recommended(memory int) Config {
 	}
 }
 
+// For returns c as the configuration of a generator with the given memory
+// budget: the zero Config means Recommended, and Memory is always the
+// budget's. The rule is written here, beside Recommended, because both the
+// sort driver's resolver (extsort.Config.Resolved) and the policy layer
+// below it apply it.
+func (c Config) For(memory int) Config {
+	if c == (Config{}) {
+		return Recommended(memory)
+	}
+	c.Memory = memory
+	return c
+}
+
 // sizes returns the derived component sizes: input FIFO, victim buffer and
 // heap arena capacities, all in records.
 func (c Config) sizes() (inputBuf, victimBuf, heapArena int, err error) {

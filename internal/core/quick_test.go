@@ -32,7 +32,7 @@ func TestQuickArbitraryInputsProduceValidRuns(t *testing.T) {
 		em := runio.RecordEmitter(fs, "q")
 		em.PageSize = 64
 		em.PagesPerFile = 4
-		res, err := Generate(record.NewSliceReader(recs), em, cfg, record.Key)
+		res, err := generate(record.NewSliceReader(recs), em, cfg, record.Key)
 		if err != nil {
 			t.Logf("generate failed: %v", err)
 			return false

@@ -326,24 +326,6 @@ func Restore[T any](src stream.Reader[T], em *runio.Emitter[T], cfg Config, key 
 	return s, nil
 }
 
-// Generate runs two-way replacement selection over src, writing runs
-// through em and ordering elements with em.Less. key, when non-nil,
-// projects elements onto the real line for the numeric heuristics; pass
-// nil for comparator-only element types. It is a Stepper driven to
-// exhaustion.
-func Generate[T any](src stream.Reader[T], em *runio.Emitter[T], cfg Config, key func(T) float64) (Result, error) {
-	s, err := NewStepper(src, em, cfg, key)
-	if err != nil {
-		return Result{}, err
-	}
-	for {
-		_, ok, err := s.NextRun()
-		if err != nil || !ok {
-			return s.Result(), err
-		}
-	}
-}
-
 // chooseOutputSide picks the heap to release the next record from. ok is
 // false when neither heap has a current-run record on top.
 func (g *generator[T]) chooseOutputSide() (fromTop, ok bool) {

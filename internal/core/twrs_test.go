@@ -12,8 +12,43 @@ import (
 	"repro/internal/rs"
 	"repro/internal/runio"
 	"repro/internal/storage"
+	"repro/internal/stream"
 	"repro/internal/vfs"
 )
+
+// generate steps a 2WRS stepper over src to exhaustion.
+func generate(src stream.Reader[record.Record], em *runio.Emitter[record.Record], cfg Config, key func(record.Record) float64) (Result, error) {
+	s, err := NewStepper(src, em, cfg, key)
+	if err != nil {
+		return Result{}, err
+	}
+	for {
+		if _, ok, err := s.NextRun(); err != nil || !ok {
+			return s.Result(), err
+		}
+	}
+}
+
+// rsRuns is the baseline: the runs classic replacement selection generates
+// from recs with a heap of memory records.
+func rsRuns(t *testing.T, recs []record.Record, memory int) []runio.Run {
+	t.Helper()
+	s, err := rs.NewStepper(record.NewSliceReader(recs), runio.RecordEmitter(vfs.NewMemFS(), "rs"), memory, false, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs []runio.Run
+	for {
+		run, ok, err := s.NextRun()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return runs
+		}
+		runs = append(runs, run)
+	}
+}
 
 // runTWRS executes 2WRS over recs and returns the result plus the fs holding
 // the runs.
@@ -23,7 +58,7 @@ func runTWRS(t *testing.T, recs []record.Record, cfg Config) (Result, vfs.FS) {
 	em := runio.RecordEmitter(fs, "t")
 	em.PageSize = 64
 	em.PagesPerFile = 8
-	res, err := Generate(record.NewSliceReader(recs), em, cfg, record.Key)
+	res, err := generate(record.NewSliceReader(recs), em, cfg, record.Key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,13 +161,8 @@ func TestTheorem3And4RSvs2WRSOnReverse(t *testing.T) {
 	const n, m = 2000, 100
 	recs := gen.Generate(gen.Config{Kind: gen.ReverseSorted, N: n})
 
-	fs := vfs.NewMemFS()
-	rsRes, err := rs.Generate(record.NewSliceReader(recs), runio.RecordEmitter(fs, "rs"), m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := n / m; len(rsRes.Runs) != want {
-		t.Fatalf("RS produced %d runs on reverse input, want %d", len(rsRes.Runs), want)
+	if got, want := len(rsRuns(t, recs, m)), n/m; got != want {
+		t.Fatalf("RS produced %d runs on reverse input, want %d", got, want)
 	}
 
 	res, _ := runTWRS(t, recs, cfgFor(m, InputBufferOnly, 0, InMean, OutRandom))
@@ -153,13 +183,8 @@ func TestTheorem6AlternatingRunsOfSectionLength(t *testing.T) {
 		t.Fatalf("2WRS produced %d runs on alternating input, want ≤ %d", len(res.Runs), sections)
 	}
 	// And it must beat RS by a wide margin (RS ≈ n/(2m) runs here).
-	fs2 := vfs.NewMemFS()
-	rsRes, err := rs.Generate(record.NewSliceReader(recs), runio.RecordEmitter(fs2, "rs"), 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Runs)*2 > len(rsRes.Runs) {
-		t.Fatalf("2WRS runs (%d) not clearly fewer than RS runs (%d)", len(res.Runs), len(rsRes.Runs))
+	if rsRes := rsRuns(t, recs, 200); len(res.Runs)*2 > len(rsRes) {
+		t.Fatalf("2WRS runs (%d) not clearly fewer than RS runs (%d)", len(res.Runs), len(rsRes))
 	}
 }
 
@@ -168,19 +193,15 @@ func TestTheorem7TopOnlyEqualsRS(t *testing.T) {
 	// RS: same number of runs with the same lengths on any input.
 	for _, kind := range gen.Kinds {
 		recs := gen.Generate(gen.Config{Kind: kind, N: 3000, Seed: 3, Noise: 500})
-		fs := vfs.NewMemFS()
-		rsRes, err := rs.Generate(record.NewSliceReader(recs), runio.RecordEmitter(fs, "rs"), 128)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rsRes := rsRuns(t, recs, 128)
 		res, _ := runTWRS(t, recs, cfgFor(128, InputBufferOnly, 0, InTopOnly, OutRandom))
-		if len(res.Runs) != len(rsRes.Runs) {
-			t.Fatalf("%v: TopOnly 2WRS made %d runs, RS made %d", kind, len(res.Runs), len(rsRes.Runs))
+		if len(res.Runs) != len(rsRes) {
+			t.Fatalf("%v: TopOnly 2WRS made %d runs, RS made %d", kind, len(res.Runs), len(rsRes))
 		}
 		for i := range res.Runs {
-			if res.Runs[i].Records != rsRes.Runs[i].Records {
+			if res.Runs[i].Records != rsRes[i].Records {
 				t.Fatalf("%v run %d: 2WRS length %d, RS length %d",
-					kind, i, res.Runs[i].Records, rsRes.Runs[i].Records)
+					kind, i, res.Runs[i].Records, rsRes[i].Records)
 			}
 		}
 	}
@@ -209,11 +230,9 @@ func TestMixedBalancedLongRuns(t *testing.T) {
 		t.Fatalf("mixed balanced produced %d runs, want very few", len(res.Runs))
 	}
 	// RS gets ≈ n/(2m) = 20 runs on the same input.
-	fs2 := vfs.NewMemFS()
-	rsRes, _ := rs.Generate(record.NewSliceReader(recs), runio.RecordEmitter(fs2, "rs"), m)
-	if len(rsRes.Runs) < 3*len(res.Runs) {
+	if rsRes := rsRuns(t, recs, m); len(rsRes) < 3*len(res.Runs) {
 		t.Fatalf("2WRS (%d runs) should beat RS (%d runs) by ≥3× on mixed input",
-			len(res.Runs), len(rsRes.Runs))
+			len(res.Runs), len(rsRes))
 	}
 }
 
@@ -400,7 +419,7 @@ func TestParseHeuristics(t *testing.T) {
 }
 
 func TestInvalidMemoryRejected(t *testing.T) {
-	_, err := Generate(record.NewSliceReader(nil), runio.RecordEmitter(vfs.NewMemFS(), "t"),
+	_, err := generate(record.NewSliceReader(nil), runio.RecordEmitter(vfs.NewMemFS(), "t"),
 		Config{Memory: 0}, record.Key)
 	if err == nil {
 		t.Fatal("memory 0 should be rejected")

@@ -22,7 +22,6 @@ package distsort
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"time"
 
 	"repro/internal/extsort"
@@ -83,15 +82,15 @@ type shardResult struct {
 // comparator order with ties possibly permuted.
 func Sort[T any](src stream.Reader[T], dst stream.Writer[T], fs vfs.FS, cfg Config, ops extsort.Ops[T]) (extsort.Stats, error) {
 	entry := time.Now()
+	// Resolved once, so the shard count, the router and every shard's carved
+	// configuration read the same prefix and parallelism.
+	cfg.Extsort = cfg.Extsort.Resolved()
 	shards := cfg.Shards
 	if shards <= 0 {
 		if cfg.Extsort.Manifest || cfg.Extsort.Resume {
 			return extsort.Stats{}, fmt.Errorf("distsort: durable sorts need an explicit shard count, got %d", cfg.Shards)
 		}
 		shards = cfg.Extsort.Parallelism
-	}
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
 	}
 	if cfg.Extsort.Memory <= 0 {
 		return extsort.Stats{}, fmt.Errorf("distsort: memory must be positive, got %d", cfg.Extsort.Memory)
@@ -183,8 +182,6 @@ func shardedSort[T any](entry time.Time, sample []T, src stream.Reader[T], dst s
 		Keyed:        results[0].stats.Keyed,
 		Policy:       results[0].stats.Policy,
 		Storage:      results[0].stats.Storage,
-		RunGenWall:   partWall,
-		MergeWall:    drainWall,
 	}
 	for _, r := range results {
 		s := r.stats
@@ -218,30 +215,17 @@ func shardedSort[T any](entry time.Time, sample []T, src stream.Reader[T], dst s
 	return st, nil
 }
 
-// shardConfig carves shard i's extsort configuration out of the template:
-// an even share of the memory budget, a namespaced spill prefix (which in
-// durable mode also namespaces the shard's manifest), and a share of the
-// merge parallelism. The progress reporter stays with the driver — S
-// concurrent sorts reporting phases would interleave meaninglessly.
+// shardConfig carves shard i's extsort configuration out of the resolved
+// template (Sort resolves it): an even share of the memory budget, a
+// namespaced spill prefix (which in durable mode also namespaces the
+// shard's manifest), and a share of the merge parallelism. The progress
+// reporter stays with the driver — S concurrent sorts reporting phases
+// would interleave meaninglessly.
 func shardConfig(cfg Config, shards, i int) extsort.Config {
 	scfg := cfg.Extsort
-	scfg.Memory = cfg.Extsort.Memory / shards
-	if scfg.Memory < 1 {
-		scfg.Memory = 1
-	}
-	base := scfg.Prefix
-	if base == "" {
-		base = "sort"
-	}
-	scfg.Prefix = fmt.Sprintf("%s-s%02d", base, i)
-	par := scfg.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	scfg.Parallelism = par / shards
-	if scfg.Parallelism < 1 {
-		scfg.Parallelism = 1
-	}
+	scfg.Memory = max(scfg.Memory/shards, 1)
+	scfg.Prefix = fmt.Sprintf("%s-s%02d", scfg.Prefix, i)
+	scfg.Parallelism = max(scfg.Parallelism/shards, 1)
 	scfg.Progress = nil
 	return scfg
 }

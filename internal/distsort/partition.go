@@ -2,7 +2,6 @@ package distsort
 
 import (
 	"bytes"
-	"runtime"
 	"sort"
 
 	"repro/internal/codec"
@@ -51,9 +50,6 @@ type router[T any] struct {
 // builds the routing table. The sample is copied before Multiselect
 // permutes it, because the caller replays it in original input order.
 func newRouter[T any](sample []T, shards int, ops extsort.Ops[T], parallelism int) (*router[T], error) {
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
 	scratch := make([]T, len(sample))
 	copy(scratch, sample)
 	qs := make([]float64, shards-1)

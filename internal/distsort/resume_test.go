@@ -211,6 +211,7 @@ func TestShardedResumeCommittedShard(t *testing.T) {
 	const n = shards * 3 * feedDepth * feedBatch
 	vals := recordDataset(gen.Random, n)
 	cfg := durableShardedCfg(shards, memory)
+	cfg.Extsort = cfg.Extsort.Resolved() // as Sort does, for newRouter and shardConfig below
 
 	var ref stream.SliceWriter[record.Record]
 	if _, err := Sort[record.Record](stream.NewSliceReader(vals), &ref, vfs.NewMemFS(), cfg, recOps()); err != nil {

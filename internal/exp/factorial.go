@@ -6,6 +6,7 @@ import (
 	"repro/internal/anova"
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/policy"
 	"repro/internal/record"
 	"repro/internal/runio"
 	"repro/internal/vfs"
@@ -82,14 +83,21 @@ func runEmitter(memory int) *runio.Emitter[record.Record] {
 	return em
 }
 
+// generate runs one generator — classic RS, or 2WRS under twrs — over the
+// dataset gcfg describes with p.Memory records of memory.
+func generate(kind policy.Kind, gcfg gen.Config, p Params, twrs core.Config) (policy.Result, error) {
+	return policy.Generate(kind, gen.New(gcfg), runEmitter(p.Memory), policy.Config{Memory: p.Memory, TWRS: twrs}, record.Key)
+}
+
+// ratio is a pass's average run length relative to memory.
+func ratio(res policy.Result, p Params) float64 {
+	return float64(res.Records) / float64(len(res.Runs)) / float64(p.Memory)
+}
+
 // countRuns executes one 2WRS configuration and returns the number of runs.
 func countRuns(kind gen.Kind, p Params, cfg core.Config, seed int64) (int, error) {
-	src := gen.New(gen.Config{Kind: kind, N: p.Input, Seed: seed, Noise: 1000, Sections: p.Sections()})
-	res, err := core.Generate(src, runEmitter(p.Memory), cfg, record.Key)
-	if err != nil {
-		return 0, err
-	}
-	return len(res.Runs), nil
+	res, err := generate(policy.TwoWayRS, gen.Config{Kind: kind, N: p.Input, Seed: seed, Noise: 1000, Sections: p.Sections()}, p, cfg)
+	return len(res.Runs), err
 }
 
 // The ANOVA models of §5.2, each a list of terms over the factor indices

@@ -3,8 +3,7 @@ package exp
 import (
 	"repro/internal/core"
 	"repro/internal/gen"
-	"repro/internal/record"
-	"repro/internal/rs"
+	"repro/internal/policy"
 )
 
 // Table 5.13 of the thesis (Table 1 of the VLDB paper): average run length
@@ -42,19 +41,19 @@ func Table513(p Params) ([]RunLengthRow, error) {
 		row := RunLengthRow{Kind: kind}
 		gcfg := gen.Config{Kind: kind, N: p.Input, Seed: 1, Noise: 1000, Sections: p.Sections()}
 		// Column 0: classic RS.
-		res, err := rs.Generate(gen.New(gcfg), runEmitter(p.Memory), p.Memory)
+		res, err := generate(policy.RS, gcfg, p, core.Config{})
 		if err != nil {
 			return nil, err
 		}
-		row.Ratio[0] = res.AvgRunLength() / float64(p.Memory)
+		row.Ratio[0] = ratio(res, p)
 		row.Runs[0] = len(res.Runs)
 		// Columns 1-3: the three 2WRS configurations.
 		for i, cfg := range table513Configs(p.Memory) {
-			tw, err := core.Generate(gen.New(gcfg), runEmitter(p.Memory), cfg, record.Key)
+			tw, err := generate(policy.TwoWayRS, gcfg, p, cfg)
 			if err != nil {
 				return nil, err
 			}
-			row.Ratio[i+1] = tw.AvgRunLength() / float64(p.Memory)
+			row.Ratio[i+1] = ratio(tw, p)
 			row.Runs[i+1] = len(tw.Runs)
 		}
 		rows = append(rows, row)
@@ -88,18 +87,14 @@ type BufferSweepPoint struct {
 func Fig54BufferSweep(p Params) ([]BufferSweepPoint, error) {
 	var pts []BufferSweepPoint
 	for _, frac := range []float64{0.0002, 0.002, 0.02, 0.05, 0.1, 0.2} {
-		src := gen.New(gen.Config{Kind: gen.Random, N: p.Input, Seed: 1, Noise: 1000})
-		res, err := core.Generate(src, runEmitter(p.Memory), core.Config{
+		res, err := generate(policy.TwoWayRS, gen.Config{Kind: gen.Random, N: p.Input, Seed: 1, Noise: 1000}, p, core.Config{
 			Memory: p.Memory, Setup: core.BothBuffers, BufferFrac: frac,
 			Input: core.InMean, Output: core.OutRandom, Seed: 1,
-		}, record.Key)
+		})
 		if err != nil {
 			return nil, err
 		}
-		pts = append(pts, BufferSweepPoint{
-			FracPercent: frac * 100,
-			Ratio:       res.AvgRunLength() / float64(p.Memory),
-		})
+		pts = append(pts, BufferSweepPoint{FracPercent: frac * 100, Ratio: ratio(res, p)})
 	}
 	return pts, nil
 }

@@ -238,12 +238,20 @@ func Recommended(memory int) Config {
 	}
 }
 
-func (c Config) withDefaults() Config {
+// Resolved returns c with every unset field replaced by its default. It is
+// the one place those defaults are written — the driver applies it to every
+// sort, and the layers around it (the sharded sort's template and shard
+// count, the public API's fan-in and in-memory selection parallelism) call
+// it instead of repeating a rule. Resolving twice changes nothing.
+func (c Config) Resolved() Config {
 	if c.FanIn == 0 {
 		c.FanIn = DefaultFanIn
 	}
 	if c.Prefix == "" {
 		c.Prefix = "sort"
+	}
+	if c.Parallelism <= 0 {
+		c.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	if c.Clock != nil {
 		// A simulated clock models the paper's single sequential device;
@@ -251,18 +259,7 @@ func (c Config) withDefaults() Config {
 		// clocked sort is always sequential regardless of Parallelism.
 		c.Parallelism = 1
 	}
-	if c.Parallelism == 0 {
-		c.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if c.Parallelism < 1 {
-		c.Parallelism = 1
-	}
-	twrs := c.TWRS
-	if twrs == (core.Config{}) {
-		twrs = core.Recommended(c.Memory)
-	}
-	twrs.Memory = c.Memory
-	c.TWRS = twrs
+	c.TWRS = c.TWRS.For(c.Memory)
 	return c
 }
 
@@ -298,9 +295,6 @@ type Stats struct {
 	MergeInputs int
 	MergePasses int
 	MergeOps    int
-	// RunGenWall and MergeWall are wall-clock phase durations.
-	RunGenWall time.Duration
-	MergeWall  time.Duration
 	// RunGenSim and MergeSim are simulated-clock phase durations when
 	// Config.Clock was provided (e.g. backed by iosim.Disk).
 	RunGenSim time.Duration
@@ -317,16 +311,14 @@ type Stats struct {
 	// always at least the sum of Phases.
 	Elapsed time.Duration
 	// Phases breaks Elapsed into named per-phase wall durations in
-	// execution order (e.g. "generate" then "merge").
+	// execution order (e.g. "generate" then "merge"): the one statement of
+	// each phase's wall time.
 	Phases []PhaseStat
 }
 
 // IOStats is the spill backend's I/O accounting, re-exported from
 // internal/storage so Stats can carry it.
 type IOStats = storage.IOStats
-
-// TotalWall returns the end-to-end wall-clock duration.
-func (s Stats) TotalWall() time.Duration { return s.RunGenWall + s.MergeWall }
 
 // TotalSim returns the end-to-end simulated duration.
 func (s Stats) TotalSim() time.Duration { return s.RunGenSim + s.MergeSim }
@@ -384,7 +376,7 @@ func GenerateRuns[T any](src stream.Reader[T], fs vfs.FS, cfg Config, ops Ops[T]
 // GenerateRuns, Resume and OpenRunSet, so all three lay spill files out
 // identically.
 func newRunSet[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.Resolved()
 	if err := ops.validate(); err != nil {
 		return nil, err
 	}
@@ -590,11 +582,10 @@ func (r *RunSet[T]) finishGenerate(phase string, wall time.Duration, entry time.
 	if r.stats.Runs > 0 {
 		r.stats.AvgRunLength = float64(r.stats.Records) / float64(r.stats.Runs)
 	}
-	r.stats.RunGenWall = wall
 	r.stats.IO = r.store.Stats()
 	r.stats.Elapsed = time.Since(entry)
 	r.stats.Phases = []PhaseStat{{Name: phase, Wall: wall}}
-	r.o.finishGenerate(r.stats, r.stats.IO)
+	r.o.finishGenerate(r.stats, wall)
 }
 
 // Runs returns the run manifests of the set; callers must not mutate them.
@@ -621,45 +612,56 @@ func (r *RunSet[T]) Stats() Stats {
 // accounting or file residency directly (tests, benchmarks).
 func (r *RunSet[T]) Store() storage.Backend { return r.store }
 
-// mergeConfig assembles the merge-phase configuration from the sort's.
-// With observability on it opens the "merge" phase span, points the
-// progress reporter at the merge, and installs an idempotent OnClose hook
-// that ends the span, records the phase time and syncs the I/O metrics
-// when the merge stream closes (Merge and OpenMerged error paths invoke
-// it too, so the hook always runs exactly once).
-func (r *RunSet[T]) mergeConfig() merge.Config {
+// mergeConfig assembles the merge-phase configuration from the sort's, and
+// returns beside it the hook that ends the phase's observability: the
+// "merge" span, the phase-time histogram, the I/O metric sync and the
+// progress reporter. The hook is idempotent; Merge and OpenMerged call it
+// on the paths where no stream ever existed.
+//
+// The stream's OnClose is where the run files are consumed — Close deletes
+// whatever is left of them, drained (Merge) or abandoned early (a TopK or
+// Select that has what it came for) — so that is where a durable sort's
+// manifest goes too: it no longer describes anything recoverable, and left
+// behind it would only make a later Resume re-validate, fail and regenerate
+// from scratch. A merge that fails before its stream exists keeps the
+// manifest, with whatever runs survive, for Resume.
+func (r *RunSet[T]) mergeConfig() (merge.Config, func()) {
 	mc := merge.Config{
 		FanIn:       r.cfg.FanIn,
 		MemoryBytes: r.cfg.Memory * r.ops.elementBytes(),
 		Workers:     r.cfg.Parallelism,
 		Cancel:      r.cfg.Cancel,
 	}
-	if r.o != nil {
-		sp := r.o.tracer().Start("merge", obs.Int("inputs", int64(len(r.runs))))
-		r.o.reporter().SetPhase("merge", r.stats.Records)
+	end := func() {}
+	if o := r.o; o != nil {
+		sp := o.tracer().Start("merge", obs.Int("inputs", int64(len(r.runs))))
+		o.reporter().SetPhase("merge", r.stats.Records)
 		start := time.Now()
 		var once sync.Once
-		o := r.o
-		store := r.store
 		mc.Span = sp
 		mc.Metrics = r.cfg.Metrics
 		mc.Progress = o.reporter()
-		mc.OnClose = func() {
+		end = func() {
 			once.Do(func() {
 				sp.End()
 				o.observeMergePhase(time.Since(start))
-				o.syncIO(store.Stats())
+				o.syncIO(r.store.Stats())
 				o.reporter().Stop()
 			})
 		}
 	}
-	return mc
+	mc.OnClose = func() {
+		r.removeManifest()
+		end()
+	}
+	return mc, end
 }
 
 // OpenMerged runs the intermediate merge passes and returns the final merge
 // as a pull stream in globally sorted order. The returned Stream owns the
-// remaining run files and must be Closed, fully drained or not; the merge
-// half of the RunSet's Stats stays zero — the Stream reports its own.
+// remaining run files — and the manifest of a durable sort — and must be
+// Closed, fully drained or not; the merge half of the RunSet's Stats stays
+// zero — the Stream reports its own.
 //
 // Note that simulated-clock accounting (Config.Clock) covers only the
 // intermediate passes here, since the final merge's I/O happens at the
@@ -667,10 +669,10 @@ func (r *RunSet[T]) mergeConfig() merge.Config {
 func (r *RunSet[T]) OpenMerged() (*merge.Stream[T], error) {
 	// Every run — concatenable or not — is one merge input: runio.OpenRun
 	// interleaves overlapping streams on the fly.
-	mc := r.mergeConfig()
+	mc, end := r.mergeConfig()
 	st, err := merge.NewStream(r.em, r.runs, mc)
-	if err != nil && mc.OnClose != nil {
-		mc.OnClose()
+	if err != nil {
+		end()
 	}
 	return st, err
 }
@@ -679,29 +681,21 @@ func (r *RunSet[T]) OpenMerged() (*merge.Stream[T], error) {
 // full two-phase statistics.
 func (r *RunSet[T]) Merge(dst stream.Writer[T]) (Stats, error) {
 	simStart, wallStart := r.clock(), time.Now()
-	mc := r.mergeConfig()
+	mc, end := r.mergeConfig()
 	ms, err := merge.Merge(r.em, r.runs, dst, mc)
-	if mc.OnClose != nil {
-		// Idempotent: a successful merge already ran it at stream close;
-		// this covers the paths where no stream ever existed.
-		mc.OnClose()
-	}
+	end()
 	if err != nil {
 		r.stats.IO = r.store.Stats()
 		return r.stats, err
 	}
-	// The merge consumed the run files, so the manifest no longer
-	// describes anything recoverable; a leftover manifest would only make
-	// a later Resume re-validate, fail and regenerate from scratch.
-	r.removeManifest()
+	wall := time.Since(wallStart)
 	r.stats.MergeInputs = ms.Inputs
 	r.stats.MergePasses = ms.Passes
 	r.stats.MergeOps = ms.Merges
-	r.stats.MergeWall = time.Since(wallStart)
 	r.stats.MergeSim = r.clock() - simStart
 	r.stats.IO = r.store.Stats()
-	r.stats.Elapsed += r.stats.MergeWall
-	r.stats.Phases = append(r.stats.Phases, PhaseStat{Name: "merge", Wall: r.stats.MergeWall})
+	r.stats.Elapsed += wall
+	r.stats.Phases = append(r.stats.Phases, PhaseStat{Name: "merge", Wall: wall})
 	return r.stats, nil
 }
 

@@ -159,9 +159,8 @@ func TestSortWithSimulatedDisk(t *testing.T) {
 }
 
 func TestStatsTotals(t *testing.T) {
-	s := Stats{RunGenWall: time.Second, MergeWall: 2 * time.Second,
-		RunGenSim: 3 * time.Second, MergeSim: 4 * time.Second}
-	if s.TotalWall() != 3*time.Second || s.TotalSim() != 7*time.Second {
+	s := Stats{RunGenSim: 3 * time.Second, MergeSim: 4 * time.Second}
+	if s.TotalSim() != 7*time.Second {
 		t.Fatalf("totals wrong: %+v", s)
 	}
 }

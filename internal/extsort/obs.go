@@ -105,13 +105,13 @@ func (o *sortObs) reporter() *obs.Reporter {
 
 // finishGenerate records the switch counter, the generation phase time
 // and an I/O sync after the run-generation loop completes.
-func (o *sortObs) finishGenerate(st Stats, io storage.IOStats) {
+func (o *sortObs) finishGenerate(st Stats, wall time.Duration) {
 	if o == nil {
 		return
 	}
 	o.switches.Add(int64(st.PolicySwitches))
-	o.phaseGen.Observe(st.RunGenWall.Seconds())
-	o.syncIO(io)
+	o.phaseGen.Observe(wall.Seconds())
+	o.syncIO(st.IO)
 }
 
 // observeRun records one emitted run.

@@ -10,7 +10,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/policy"
 	"repro/internal/record"
-	"repro/internal/rs"
 	"repro/internal/runio"
 	"repro/internal/storage"
 	"repro/internal/vfs"
@@ -68,21 +67,14 @@ func TestRunFilesByteIdenticalAsync(t *testing.T) {
 		em := runio.NewEmitterOn[record.Record](st, "fix", codec.Record16{}, record.Less)
 		em.Async = async
 		em.PagesPerFile = 64
-		switch alg {
-		case policy.TwoWayRS:
-			_, err = core.Generate[record.Record](record.NewSliceReader(recs), em, core.Config{
-				Memory: 500, Setup: core.BothBuffers, BufferFrac: 0.02,
-				Input: core.InMean, Output: core.OutRandom, Seed: 11,
-			}, record.Key)
-		case policy.RS:
-			_, err = rs.Generate[record.Record](record.NewSliceReader(recs), em, 500)
-		case policy.Quick:
-			_, err = policy.Generate[record.Record](alg, record.NewSliceReader(recs), em, policy.Config{Memory: 1500}, record.Key)
+		pcfg := policy.Config{Memory: 500, TWRS: core.Config{
+			Setup: core.BothBuffers, BufferFrac: 0.02,
+			Input: core.InMean, Output: core.OutRandom, Seed: 11,
+		}}
+		if alg == policy.Quick {
+			pcfg.Memory = 1500
 		}
-		if err == nil {
-			err = em.Barrier()
-		}
-		if err != nil {
+		if _, err = policy.Generate[record.Record](alg, record.NewSliceReader(recs), em, pcfg, record.Key); err != nil {
 			t.Fatal(err)
 		}
 		return fsFingerprint(t, fs)

@@ -780,6 +780,34 @@ func TestResumeConfigMismatch(t *testing.T) {
 			t.Fatalf("generation mismatch: %v", err)
 		}
 	})
+	// A spill directory left by a durable sort from before the gzip framing
+	// was retired: its manifest names a compression no configuration can
+	// select any more, so every resume is a compression mismatch. (Last:
+	// it rewrites the manifest the subtests above share.)
+	t.Run("retired gzip", func(t *testing.T) {
+		name := manifest.Name("sort")
+		st, err := manifest.Load(fs, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Header.Compression = "gzip"
+		w, err := manifest.Rewrite(fs, name, st.Header, st.Runs)
+		if err == nil {
+			err = w.Close()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, comp := range storage.Compressions() {
+			now := cfg
+			now.Storage.Compression = comp
+			_, err := Resume[record.Record](stream.NewSliceReader(recs), fs, now, RecordOps())
+			var mm *manifest.MismatchError
+			if !errors.As(err, &mm) || mm.Field != "compression" || mm.Want != "gzip" {
+				t.Fatalf("resume under %q over a gzip manifest: %v", comp, err)
+			}
+		}
+	})
 }
 
 // TestDurableRejectsUnstableConfigs used to pin the one policy a durable

@@ -104,7 +104,7 @@ type Header struct {
 	// ran comparator-only. Informational: see the type comment.
 	KeyCodec string `json:"key_codec,omitempty"`
 	// Compression is the spill storage framing name ("raw", "none",
-	// "flate", "gzip").
+	// "flate").
 	Compression string `json:"compression"`
 	// Generation fingerprints every knob that shapes the deterministic
 	// run sequence: policy, memory budget, page layout, 2WRS parameters.

@@ -84,15 +84,6 @@ type Config struct {
 // ascending tooth of a descending staircase for a sorted stream.
 func (c Config) Window() int { return min(max(c.Memory, 256), 8192) }
 
-func (c Config) twrs() core.Config {
-	t := c.TWRS
-	if t == (core.Config{}) {
-		t = core.Recommended(c.Memory)
-	}
-	t.Memory = c.Memory
-	return t
-}
-
 // Result summarises a policy-driven run-generation pass.
 type Result struct {
 	// Runs lists the generated runs in creation order.
@@ -115,9 +106,9 @@ type Result struct {
 func newStepper[T any](kind Kind, down bool, src stream.Reader[T], em *runio.Emitter[T], cfg Config, key func(T) float64, from *Checkpoint[T]) (Generator[T], error) {
 	switch {
 	case kind == TwoWayRS && from != nil:
-		return core.Restore(src, em, cfg.twrs(), key, from.Recs, from.State)
+		return core.Restore(src, em, cfg.TWRS.For(cfg.Memory), key, from.Recs, from.State)
 	case kind == TwoWayRS:
-		return core.NewStepper(src, em, cfg.twrs(), key)
+		return core.NewStepper(src, em, cfg.TWRS.For(cfg.Memory), key)
 	case (kind == RS || kind == Alternating) && from != nil:
 		return rs.RestoreStepper(src, em, cfg.Memory, kind == Alternating, from.Recs, from.State)
 	case kind == RS || kind == Alternating:

@@ -23,7 +23,7 @@
 // call and can surrender their buffered state through Carry — the contract
 // the adaptive policy engine uses to switch generators at run boundaries
 // mid-stream — or list it in place through Checkpoint, for durable sorts to
-// snapshot. Generate drains the source through classic RS in one call.
+// snapshot. The policy layer (policy.Drive) is the loop that steps them.
 package rs
 
 import (
@@ -46,22 +46,6 @@ func fetchLen(memory int) int {
 		n = stream.DefaultBatchLen
 	}
 	return n
-}
-
-// Result summarises a run-generation pass.
-type Result struct {
-	// Runs lists the generated runs in creation order.
-	Runs []runio.Run
-	// Records is the total number of input records consumed.
-	Records int64
-}
-
-// AvgRunLength returns the mean run length in records, 0 for no runs.
-func (r Result) AvgRunLength() float64 {
-	if len(r.Runs) == 0 {
-		return 0
-	}
-	return float64(r.Records) / float64(len(r.Runs))
 }
 
 // Stepper runs replacement selection through a run-tagged heap one run at a
@@ -98,7 +82,6 @@ type Stepper[T any] struct {
 	alternating bool // flip direction at every run boundary
 	down        bool // direction of the run the next NextRun emits
 	currentRun  int
-	records     int64
 }
 
 // NewStepper returns a Stepper over src with a heap of `memory` elements,
@@ -127,9 +110,6 @@ func NewStepper[T any](src stream.Reader[T], em *runio.Emitter[T], memory int, a
 	return s, nil
 }
 
-// Records returns the number of input elements consumed so far.
-func (s *Stepper[T]) Records() int64 { return s.records }
-
 // active returns the heap of the current direction.
 func (s *Stepper[T]) active() *heap.Heap[T] {
 	if s.down {
@@ -156,7 +136,6 @@ func (s *Stepper[T]) fill() error {
 		if err != nil || !ok {
 			return err
 		}
-		s.records++
 		h.Push(s.item(rec))
 	}
 	return nil
@@ -212,7 +191,6 @@ func (s *Stepper[T]) NextRun() (runio.Run, bool, error) {
 		if !ok {
 			continue
 		}
-		s.records++
 		in := s.item(rec)
 		if s.down && s.before(out, in) || !s.down && s.before(in, out) {
 			in.Run++
@@ -297,22 +275,4 @@ func RestoreStepper[T any](src stream.Reader[T], em *runio.Emitter[T], memory in
 		return nil, fmt.Errorf("rs: checkpoint read-ahead of %d records exceeds the fetch batch", state[1])
 	}
 	return s, nil
-}
-
-// Generate runs replacement selection over src with a heap of `memory`
-// elements, writing runs through em and ordering by em.Less.
-func Generate[T any](src stream.Reader[T], em *runio.Emitter[T], memory int) (Result, error) {
-	s, err := NewStepper(src, em, memory, false, false)
-	if err != nil {
-		return Result{}, err
-	}
-	var res Result
-	for {
-		run, ok, err := s.NextRun()
-		res.Records = s.Records()
-		if err != nil || !ok {
-			return res, err
-		}
-		res.Runs = append(res.Runs, run)
-	}
 }

@@ -12,10 +12,41 @@ import (
 	"repro/internal/vfs"
 )
 
-func generate(t *testing.T, recs []record.Record, memory int) (Result, vfs.FS) {
+// result is what the tests keep of one generation pass.
+type result struct {
+	Runs    []runio.Run
+	Records int64
+}
+
+// AvgRunLength returns the mean run length in records, 0 for no runs.
+func (r result) AvgRunLength() float64 {
+	if len(r.Runs) == 0 {
+		return 0
+	}
+	return float64(r.Records) / float64(len(r.Runs))
+}
+
+// drain steps a generator to exhaustion.
+func drain(nextRun func() (runio.Run, bool, error)) (res result, err error) {
+	for {
+		run, ok, err := nextRun()
+		if err != nil || !ok {
+			return res, err
+		}
+		res.Runs = append(res.Runs, run)
+		res.Records += run.Records
+	}
+}
+
+// generate drains recs through classic replacement selection.
+func generate(t *testing.T, recs []record.Record, memory int) (result, vfs.FS) {
 	t.Helper()
 	fs := vfs.NewMemFS()
-	res, err := Generate(record.NewSliceReader(recs), runio.RecordEmitter(fs, "rs"), memory)
+	s, err := NewStepper(record.NewSliceReader(recs), runio.RecordEmitter(fs, "rs"), memory, false, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := drain(s.NextRun)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,21 +55,14 @@ func generate(t *testing.T, recs []record.Record, memory int) (Result, vfs.FS) {
 
 // generateLSS drains recs through the Load-Sort-Store generator, the
 // QuickStepper.
-func generateLSS(recs []record.Record, memory int) (Result, vfs.FS, error) {
+func generateLSS(recs []record.Record, memory int) (result, vfs.FS, error) {
 	fs := vfs.NewMemFS()
 	s, err := NewQuickStepper(record.NewSliceReader(recs), runio.RecordEmitter(fs, "lss"), memory)
 	if err != nil {
-		return Result{}, fs, err
+		return result{}, fs, err
 	}
-	var res Result
-	for {
-		run, ok, err := s.NextRun()
-		if err != nil || !ok {
-			return res, fs, err
-		}
-		res.Runs = append(res.Runs, run)
-		res.Records += run.Records
-	}
+	res, err := drain(s.NextRun)
+	return res, fs, err
 }
 
 func verify(t *testing.T, fs vfs.FS, runs []runio.Run, input []record.Record) {
@@ -153,7 +177,7 @@ func TestEmptyInputNoRuns(t *testing.T) {
 
 func TestInvalidMemory(t *testing.T) {
 	fs := vfs.NewMemFS()
-	if _, err := Generate(record.NewSliceReader(nil), runio.RecordEmitter(fs, "rs"), 0); err == nil {
+	if _, err := NewStepper(record.NewSliceReader(nil), runio.RecordEmitter(fs, "rs"), 0, false, false); err == nil {
 		t.Fatal("memory 0 should be rejected")
 	}
 	if _, _, err := generateLSS(nil, -1); err == nil {

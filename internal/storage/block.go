@@ -3,7 +3,6 @@ package storage
 import (
 	"bytes"
 	"compress/flate"
-	"compress/gzip"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -18,7 +17,7 @@ const blockMagic = 0x42535732
 // frameSize is the fixed length of a block frame header:
 //
 //	magic   uint32  frame marker
-//	codec   uint8   payload codec of this block (stored, flate, gzip)
+//	codec   uint8   payload codec of this block (stored, flate)
 //	_       [3]byte reserved, zero
 //	rawLen  uint32  payload length before compression
 //	compLen uint32  payload length as stored (== rawLen for stored blocks)
@@ -35,7 +34,6 @@ const framePad = FrameHeadroom - frameSize
 const (
 	codecStored = 0
 	codecFlate  = 1
-	codecGzip   = 2
 )
 
 // maxBlockLen bounds the payload lengths a frame may claim, so a corrupt
@@ -69,7 +67,7 @@ func decodeFrame(src []byte) (frame, error) {
 		compLen: int(binary.LittleEndian.Uint32(src[12:16])),
 		crc:     binary.LittleEndian.Uint32(src[16:20]),
 	}
-	if f.codec > codecGzip {
+	if f.codec > codecFlate {
 		return frame{}, fmt.Errorf("%w: unknown payload codec %d", ErrCorrupt, f.codec)
 	}
 	if f.rawLen < 0 || f.rawLen > maxBlockLen || f.compLen < 0 || f.compLen > f.rawLen {
@@ -82,7 +80,7 @@ func decodeFrame(src []byte) (frame, error) {
 }
 
 // compressor turns payloads into stored blocks — frame and payload in one
-// contiguous buffer, so a block is one write — reusing one flate or gzip
+// contiguous buffer, so a block is one write — reusing one flate
 // encoder and its buffers across the blocks of a single writer.
 type compressor struct {
 	comp  Compression
@@ -90,7 +88,6 @@ type compressor struct {
 	buf   bytes.Buffer // frameSize spare bytes, then the compressed payload
 	plain []byte       // FrameHeadroom spare bytes, then a payload that came without them
 	fw    *flate.Writer
-	gw    *gzip.Writer
 }
 
 // compress encodes p per the backend's compression behind frameSize spare
@@ -104,42 +101,24 @@ func (c *compressor) compress(p []byte) (byte, []byte, error) {
 	c.buf.Reset()
 	var spare [frameSize]byte
 	c.buf.Write(spare[:])
-	var (
-		codec byte
-		zw    io.WriteCloser
-		err   error
-	)
-	switch c.comp {
-	case Flate:
-		if c.fw == nil {
-			c.fw, err = flate.NewWriter(&c.buf, flate.BestSpeed)
-		} else {
-			c.fw.Reset(&c.buf)
+	if c.fw == nil {
+		var err error
+		if c.fw, err = flate.NewWriter(&c.buf, flate.BestSpeed); err != nil {
+			return 0, nil, err
 		}
-		codec, zw = codecFlate, c.fw
-	case Gzip:
-		if c.gw == nil {
-			c.gw, err = gzip.NewWriterLevel(&c.buf, gzip.BestSpeed)
-		} else {
-			c.gw.Reset(&c.buf)
-		}
-		codec, zw = codecGzip, c.gw
-	default:
-		err = fmt.Errorf("storage: compressor for %q", c.comp)
+	} else {
+		c.fw.Reset(&c.buf)
 	}
-	if err != nil {
+	if _, err := c.fw.Write(p); err != nil {
 		return 0, nil, err
 	}
-	if _, err := zw.Write(p); err != nil {
-		return 0, nil, err
-	}
-	if err := zw.Close(); err != nil {
+	if err := c.fw.Close(); err != nil {
 		return 0, nil, err
 	}
 	if c.buf.Len()-frameSize >= len(p) {
 		return codecStored, nil, nil
 	}
-	return codec, c.buf.Bytes(), nil
+	return codecFlate, c.buf.Bytes(), nil
 }
 
 // framed returns what to store for the payload p: its frame and the stored
@@ -174,11 +153,10 @@ func (c *compressor) release() {
 	c.plain = nil
 }
 
-// decompressor inflates block payloads, reusing decoders and the output
+// decompressor inflates block payloads, reusing the decoder and the output
 // buffer across the blocks of a single reader.
 type decompressor struct {
 	fr  io.ReadCloser
-	gr  *gzip.Reader
 	out []byte
 }
 
@@ -191,29 +169,12 @@ func (d *decompressor) decompress(f frame, comp []byte) ([]byte, error) {
 		d.out = make([]byte, f.rawLen)
 	}
 	d.out = d.out[:f.rawLen]
-	var src io.Reader
-	switch f.codec {
-	case codecFlate:
-		if d.fr == nil {
-			d.fr = flate.NewReader(bytes.NewReader(comp)).(io.ReadCloser)
-		} else if err := d.fr.(flate.Resetter).Reset(bytes.NewReader(comp), nil); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		src = d.fr
-	case codecGzip:
-		br := bytes.NewReader(comp)
-		if d.gr == nil {
-			gr, err := gzip.NewReader(br)
-			if err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-			}
-			d.gr = gr
-		} else if err := d.gr.Reset(br); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		src = d.gr
+	if d.fr == nil {
+		d.fr = flate.NewReader(bytes.NewReader(comp)).(io.ReadCloser)
+	} else if err := d.fr.(flate.Resetter).Reset(bytes.NewReader(comp), nil); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	if _, err := io.ReadFull(src, d.out); err != nil {
+	if _, err := io.ReadFull(d.fr, d.out); err != nil {
 		return nil, fmt.Errorf("%w: payload inflates short: %v", ErrCorrupt, err)
 	}
 	return d.out, nil

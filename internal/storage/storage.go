@@ -19,7 +19,7 @@
 // the iosim disk model pin. The block backend wraps each page in a
 // self-describing frame — magic, per-block codec, payload lengths and a
 // CRC32 of the uncompressed payload — and optionally compresses payloads
-// with the standard library's flate or gzip. A block is one file-system
+// with the standard library's flate. A block is one file-system
 // write, frame and payload together, and one read; callers that leave
 // FrameHeadroom bytes in front of a payload (AppendBlock) and take blocks
 // on loan (BlockLender) move it without a copy on either side. Corruption of a spilled block
@@ -58,15 +58,11 @@ const (
 	// Flate compresses block payloads with DEFLATE (stdlib compress/flate,
 	// BestSpeed — spill bandwidth matters more than ratio).
 	Flate Compression = "flate"
-	// Gzip compresses block payloads with gzip (stdlib compress/gzip); it
-	// costs a little more per block than Flate for a self-describing
-	// payload format.
-	Gzip Compression = "gzip"
 )
 
 // Compressions lists the valid Compression names in presentation order.
 func Compressions() []string {
-	return []string{string(Raw), string(None), string(Flate), string(Gzip)}
+	return []string{string(Raw), string(None), string(Flate)}
 }
 
 // ParseCompression resolves a compression name. The empty string means Raw,
@@ -79,8 +75,6 @@ func ParseCompression(s string) (Compression, error) {
 		return None, nil
 	case "flate", "deflate":
 		return Flate, nil
-	case "gzip", "gz":
-		return Gzip, nil
 	}
 	return "", fmt.Errorf("storage: unknown compression %q (want %s)", s, strings.Join(Compressions(), ", "))
 }
@@ -88,8 +82,8 @@ func ParseCompression(s string) (Compression, error) {
 // Config selects a spill backend.
 type Config struct {
 	// Compression selects the spill framing: "" or "raw" for the historical
-	// unframed layout, or "none", "flate", "gzip" for checksummed block
-	// framing with the named payload codec.
+	// unframed layout, or "none", "flate" for checksummed block framing
+	// with the named payload codec.
 	Compression string
 	// MemoryBudgetBytes, when positive, keeps spill files in an in-memory
 	// tier of at most this many bytes; a file whose growth pushes the tier

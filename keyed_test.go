@@ -313,8 +313,8 @@ func TestKeyedPhaseTimingsPopulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !stats.Keyed || stats.RunGenWall <= 0 || stats.MergeWall <= 0 {
-		t.Fatalf("stats = keyed=%v rungen=%v merge=%v, want keyed with live phase clocks",
-			stats.Keyed, stats.RunGenWall, stats.MergeWall)
+	live := len(stats.Phases) == 2 && stats.Phases[0].Wall > 0 && stats.Phases[1].Wall > 0
+	if !stats.Keyed || !live {
+		t.Fatalf("stats = keyed=%v phases=%v, want keyed with live generate and merge clocks", stats.Keyed, stats.Phases)
 	}
 }

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"io"
 	"time"
 
@@ -10,8 +11,8 @@ import (
 
 // This file is the public observability surface: the tracer, metrics
 // registry and progress reporter that Config (or the WithTracer /
-// WithMetrics / WithProgress options) attach to a sort, plus the helper
-// that times public operator calls into Elapsed/Phases statistics. The
+// WithMetrics / WithProgress options) attach to a sort, plus the skeleton
+// every public call runs in (op): context, root span, phases, errors. The
 // machinery lives in internal/obs; see DESIGN.md §"Observability" for the
 // span taxonomy, the metric names and the overhead budget.
 
@@ -90,49 +91,64 @@ func WithProgress(w io.Writer, interval time.Duration) Option {
 	}
 }
 
-// opTimer measures one public operator call: its end-to-end wall time,
-// the named phases it passes through, and the operator's root trace span.
-// The zero-cost discipline matches the rest of the layer — with no tracer
-// attached the span calls are nil no-ops and only two time.Now samples
-// per phase remain.
-type opTimer struct {
+// op is the skeleton every public entry point runs in — Sort and Resume, the
+// operators, the selections and MergeJoin alike. It owns what they all need
+// and none of them writes out: the defaulted context, the call's root trace
+// span, the phase timer, the mapping of a failure under a dead context to
+// ctx.Err(), and the Elapsed/Phases pair of the call's statistics. An entry
+// point opens it with startOp, defers finish on its named results, and
+// between the two only names the phases its body passes through. The
+// zero-cost discipline matches the rest of the layer: with no tracer
+// attached the span calls are nil no-ops and two time.Now samples per phase
+// remain.
+type op struct {
+	ctx     context.Context
 	sp      *Span
 	start   time.Time
-	name    string
+	name    string // the open phase; "" before the first
 	phaseAt time.Time
 	phases  []PhaseStat
 }
 
-// startOp opens the operator's root span and starts the clock.
-func startOp(tr *Tracer, op string, attrs ...obs.Attr) *opTimer {
-	return &opTimer{sp: tr.Start(op, attrs...), start: time.Now()}
-}
-
-// phase closes the currently open phase, if any, and opens a named one.
-func (t *opTimer) phase(name string) {
-	now := time.Now()
-	if t.name != "" {
-		t.phases = append(t.phases, PhaseStat{Name: t.name, Wall: now.Sub(t.phaseAt)})
+// startOp defaults the context, opens the call's root span on tr (a nil
+// tracer records none) and starts the clock.
+func startOp(ctx context.Context, tr *Tracer, name string, attrs ...obs.Attr) *op {
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	t.name, t.phaseAt = name, now
+	return &op{ctx: ctx, sp: tr.Start(name, attrs...), start: time.Now()}
 }
 
-// finish closes the open phase, stores the elapsed time and phase
-// breakdown through the given pointers, and ends the root span —
-// annotated with the error when the operation failed.
-func (t *opTimer) finish(elapsed *time.Duration, phases *[]PhaseStat, err error) {
-	t.phase("")
-	*elapsed = time.Since(t.start)
-	*phases = t.phases
-	if err != nil {
-		t.sp.End(obs.Str("error", err.Error()))
+// phase closes the open phase, if any, and opens the named one. Naming the
+// phase that is already open continues it, so the two sides of a join
+// share one "generate".
+func (o *op) phase(name string) {
+	if name == o.name {
 		return
 	}
-	t.sp.End()
+	now := time.Now()
+	if o.name != "" {
+		o.phases = append(o.phases, PhaseStat{Name: o.name, Wall: now.Sub(o.phaseAt)})
+	}
+	o.name, o.phaseAt = name, now
 }
 
-// swapsCounter resolves the dualheap swap counter on the sorter's
-// registry (nil when no registry is attached).
-func (s *Sorter[T]) swapsCounter() *obs.Counter {
-	return s.cfg.Metrics.Counter(obs.MHeapSwaps, "Dualheap root exchanges during in-memory selection.")
+// finish ends the call: a failure under a cancelled or expired context
+// becomes the context's own error, whatever transport error it surfaced as;
+// the open phase closes; the elapsed time and the phase breakdown are stored
+// through the given pointers (nil for Sort, whose Stats the driver timed);
+// and the root span ends, annotated with the error when there is one.
+func (o *op) finish(elapsed *time.Duration, phases *[]PhaseStat, err *error) {
+	if *err != nil && o.ctx.Err() != nil {
+		*err = o.ctx.Err()
+	}
+	o.phase("")
+	if elapsed != nil {
+		*elapsed, *phases = time.Since(o.start), o.phases
+	}
+	if *err != nil {
+		o.sp.End(obs.Str("error", (*err).Error()))
+		return
+	}
+	o.sp.End()
 }

@@ -5,10 +5,9 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/extsort"
 	"repro/internal/merge"
-	"repro/internal/obs"
 	"repro/internal/ops"
+	sel "repro/internal/select"
 	"repro/internal/stream"
 )
 
@@ -46,56 +45,49 @@ type OpStats struct {
 // eq derives the equivalence relation of the sorter's comparator: two
 // elements are equal when neither orders before the other.
 func (s *Sorter[T]) eq() func(a, b T) bool {
-	less := s.less
+	less := s.ops.Less
 	return func(a, b T) bool { return !less(a, b) && !less(b, a) }
 }
 
-// openSorted runs the sort's first phase over the context-wrapped source and
-// opens the merged order as a pull stream. The caller owns both returns:
-// Close the stream (which deletes the remaining run files) exactly once.
-// prefix namespaces this operator's temporary files so concurrent phases —
-// e.g. the two sides of a MergeJoin sharing a TempDir — cannot collide.
-func (s *Sorter[T]) openSorted(ctx context.Context, src Source[T], prefix string) (*merge.Stream[T], *extsort.RunSet[T], error) {
-	fs := s.fs
-	if fs == nil {
-		var err error
-		fs, err = s.cfg.filesystem()
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	icfg := s.cfg.toInternal()
-	icfg.Cancel = ctx.Err
-	icfg.Prefix = prefix
-	rset, err := extsort.GenerateRuns[T](&ctxReader[T]{ctx: ctx, src: src}, fs, icfg, s.ops())
+// streamed is the streaming caller of generate, the body every operator and
+// spilled selection shares: run generation (the "generate" phase), then the
+// merged order opened as a pull stream and handed — with n, the number of
+// elements in it — to drain under the named phase, then the stream closed
+// whatever drain did. Closing is what deletes the remaining run files and a
+// durable sorter's manifest, so an operator that abandons the stream early
+// leaves as little behind as one that drains it. It returns the two-phase
+// statistics of the underlying sort: the run-generation half from the run
+// set, the merge half from the stream.
+func (s *Sorter[T]) streamed(o *op, src Source[T], prefix, phase string, drain func(st *merge.Stream[T], n int64) error) (Stats, error) {
+	o.phase("generate")
+	rset, _, err := s.generate(o, src, nil, prefix, false)
 	if err != nil {
-		return nil, nil, err
+		return Stats{}, err
 	}
 	st, err := rset.OpenMerged()
 	if err != nil {
 		rset.Discard()
-		return nil, nil, err
+		return Stats{}, err
 	}
-	return st, rset, nil
+	o.phase(phase)
+	err = drain(st, rset.Stats().Records)
+	if cerr := st.Close(); err == nil {
+		err = cerr
+	}
+	stats, ms := rset.Stats(), st.Stats()
+	stats.MergeInputs, stats.MergePasses, stats.MergeOps = ms.Inputs, ms.Passes, ms.Merges
+	return stats, err
 }
 
-// opSortStats assembles the two-phase sort statistics of an operator run:
-// the run-generation half from the RunSet, the merge half from the Stream.
-func opSortStats[T any](rset *extsort.RunSet[T], ms merge.Stats) Stats {
-	st := rset.Stats()
-	st.MergeInputs = ms.Inputs
-	st.MergePasses = ms.Passes
-	st.MergeOps = ms.Merges
-	return st
-}
-
-// ctxErr prefers the context's cancellation cause over the transport error
-// it surfaced as, matching Sort's error mapping.
-func ctxErr(ctx context.Context, err error) error {
-	if err != nil && ctx.Err() != nil {
-		return ctx.Err()
-	}
-	return err
+// piped is the body of the operators that transform the whole merged order:
+// it streams the sorted input through the given transformer into dst.
+func (s *Sorter[T]) piped(o *op, src Source[T], name string, dst Sink[T], through func(stream.BatchReader[T]) stream.Reader[T]) (stats OpStats, err error) {
+	stats.Sort, err = s.streamed(o, src, name, name, func(st *merge.Stream[T], n int64) (err error) {
+		stats.In, stats.Sorted = n, true
+		stats.Out, err = stream.CopyCancel[T](&ctxWriter[T]{ctx: o.ctx, dst: dst}, through(st), o.ctx.Err)
+		return err
+	})
+	return stats, err
 }
 
 // Distinct sorts src and writes one element per equivalence class of the
@@ -103,30 +95,12 @@ func ctxErr(ctx context.Context, err error) error {
 // equivalent of SELECT DISTINCT. Equal elements are represented by the
 // first of them in merged order. The context is honoured at batch
 // boundaries throughout, exactly as in Sort.
-func (s *Sorter[T]) Distinct(ctx context.Context, src Source[T], dst Sink[T]) (OpStats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	t := startOp(s.cfg.Trace, "distinct")
-	t.phase("generate")
-	st, rset, err := s.openSorted(ctx, src, "distinct")
-	if err != nil {
-		stats := OpStats{}
-		err = ctxErr(ctx, err)
-		t.finish(&stats.Elapsed, &stats.Phases, err)
-		return stats, err
-	}
-	t.phase("distinct")
-	d := ops.NewDistinct[T](st, s.eq())
-	out, err := stream.CopyCancel[T](&ctxWriter[T]{ctx: ctx, dst: dst}, d, ctx.Err)
-	cerr := st.Close()
-	stats := OpStats{Sort: opSortStats(rset, st.Stats()), In: rset.Stats().Records, Out: out, Sorted: true}
-	if err == nil {
-		err = cerr
-	}
-	err = ctxErr(ctx, err)
-	t.finish(&stats.Elapsed, &stats.Phases, err)
-	return stats, err
+func (s *Sorter[T]) Distinct(ctx context.Context, src Source[T], dst Sink[T]) (stats OpStats, err error) {
+	o := startOp(ctx, s.cfg.Trace, "distinct")
+	defer o.finish(&stats.Elapsed, &stats.Phases, &err)
+	return s.piped(o, src, "distinct", dst, func(in stream.BatchReader[T]) stream.Reader[T] {
+		return ops.NewDistinct[T](in, s.eq())
+	})
 }
 
 // GroupBy sorts src, folds each run of same-group elements into a single
@@ -136,41 +110,23 @@ func (s *Sorter[T]) Distinct(ctx context.Context, src Source[T], dst Sink[T]) (O
 // (same-group elements must be adjacent once sorted); nil means the
 // comparator's equivalence classes. reduce folds one member into the
 // accumulator, which the group's first element seeds.
-func (s *Sorter[T]) GroupBy(ctx context.Context, src Source[T], sameGroup func(a, b T) bool, reduce func(acc, v T) T, dst Sink[T]) (OpStats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+func (s *Sorter[T]) GroupBy(ctx context.Context, src Source[T], sameGroup func(a, b T) bool, reduce func(acc, v T) T, dst Sink[T]) (stats OpStats, err error) {
 	if reduce == nil {
 		return OpStats{}, fmt.Errorf("repro: GroupBy requires a reduce function")
 	}
 	if sameGroup == nil {
 		sameGroup = s.eq()
 	}
-	t := startOp(s.cfg.Trace, "groupby")
-	t.phase("generate")
-	st, rset, err := s.openSorted(ctx, src, "groupby")
-	if err != nil {
-		stats := OpStats{}
-		err = ctxErr(ctx, err)
-		t.finish(&stats.Elapsed, &stats.Phases, err)
-		return stats, err
+	o := startOp(ctx, s.cfg.Trace, "groupby")
+	defer o.finish(&stats.Elapsed, &stats.Phases, &err)
+	var g *ops.GroupBy[T]
+	stats, err = s.piped(o, src, "groupby", dst, func(in stream.BatchReader[T]) stream.Reader[T] {
+		g = ops.NewGroupBy[T](in, sameGroup, reduce)
+		return g
+	})
+	if g != nil {
+		stats.Groups = g.Groups()
 	}
-	t.phase("groupby")
-	g := ops.NewGroupBy[T](st, sameGroup, reduce)
-	out, err := stream.CopyCancel[T](&ctxWriter[T]{ctx: ctx, dst: dst}, g, ctx.Err)
-	cerr := st.Close()
-	stats := OpStats{
-		Sort:   opSortStats(rset, st.Stats()),
-		In:     rset.Stats().Records,
-		Out:    out,
-		Groups: g.Groups(),
-		Sorted: true,
-	}
-	if err == nil {
-		err = cerr
-	}
-	err = ctxErr(ctx, err)
-	t.finish(&stats.Elapsed, &stats.Phases, err)
 	return stats, err
 }
 
@@ -185,53 +141,7 @@ func (s *Sorter[T]) GroupBy(ctx context.Context, src Source[T], sameGroup func(a
 // merged order is streamed and abandoned after k elements, so the final
 // pass reads only what it emits.
 func (s *Sorter[T]) TopK(ctx context.Context, src Source[T], k int, dst Sink[T]) (OpStats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if k < 0 {
-		return OpStats{}, fmt.Errorf("repro: TopK requires k ≥ 0, got %d", k)
-	}
-	if k == 0 {
-		return OpStats{}, nil
-	}
-	t := startOp(s.cfg.Trace, "topk", obs.Int("k", int64(k)))
-	if k <= s.cfg.MemoryRecords {
-		t.phase("select")
-		vals, read, err := ops.TopK[T](&ctxReader[T]{ctx: ctx, src: src}, k, s.less, ctx.Err)
-		if err != nil {
-			stats := OpStats{In: read}
-			err = ctxErr(ctx, err)
-			t.finish(&stats.Elapsed, &stats.Phases, err)
-			return stats, err
-		}
-		w := &ctxWriter[T]{ctx: ctx, dst: dst}
-		err = stream.WriteAll[T](w, vals)
-		stats := OpStats{In: read}
-		if err == nil {
-			stats.Out = int64(len(vals))
-		}
-		err = ctxErr(ctx, err)
-		t.finish(&stats.Elapsed, &stats.Phases, err)
-		return stats, err
-	}
-	t.phase("generate")
-	st, rset, err := s.openSorted(ctx, src, "topk")
-	if err != nil {
-		stats := OpStats{}
-		err = ctxErr(ctx, err)
-		t.finish(&stats.Elapsed, &stats.Phases, err)
-		return stats, err
-	}
-	t.phase("select")
-	out, err := stream.CopyN[T](&ctxWriter[T]{ctx: ctx, dst: dst}, st, int64(k), ctx.Err)
-	cerr := st.Close() // abandoning the stream here is what skips the tail
-	stats := OpStats{Sort: opSortStats(rset, st.Stats()), In: rset.Stats().Records, Out: out, Sorted: true}
-	if err == nil {
-		err = cerr
-	}
-	err = ctxErr(ctx, err)
-	t.finish(&stats.Elapsed, &stats.Phases, err)
-	return stats, err
+	return s.kOf(ctx, src, k, sel.Smallest, "topk", "TopK", dst)
 }
 
 // JoinStats describes one merge-join execution.
@@ -263,10 +173,7 @@ type JoinStats struct {
 // The two sides may share a TempDir: their temporary files are namespaced
 // apart. The context is honoured at batch boundaries in both sorts and in
 // the join itself.
-func MergeJoin[L, R, O any](ctx context.Context, left *Sorter[L], lsrc Source[L], right *Sorter[R], rsrc Source[R], cmp func(L, R) int, join func(L, R) O, dst Sink[O]) (JoinStats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+func MergeJoin[L, R, O any](ctx context.Context, left *Sorter[L], lsrc Source[L], right *Sorter[R], rsrc Source[R], cmp func(L, R) int, join func(L, R) O, dst Sink[O]) (stats JoinStats, err error) {
 	if left == nil || right == nil {
 		return JoinStats{}, fmt.Errorf("repro: MergeJoin requires both sorters")
 	}
@@ -275,41 +182,18 @@ func MergeJoin[L, R, O any](ctx context.Context, left *Sorter[L], lsrc Source[L]
 	}
 	// The root join span goes to the left sorter's tracer; each side's
 	// sort spans go to that side's own tracer as usual.
-	t := startOp(left.cfg.Trace, "merge_join")
-	t.phase("generate")
-	lst, lrset, err := left.openSorted(ctx, lsrc, "joinl")
-	if err != nil {
-		stats := JoinStats{}
-		err = ctxErr(ctx, err)
-		t.finish(&stats.Elapsed, &stats.Phases, err)
-		return stats, err
-	}
-	rst, rrset, err := right.openSorted(ctx, rsrc, "joinr")
-	if err != nil {
-		lst.Close()
-		stats := JoinStats{Left: opSortStats(lrset, lst.Stats())}
-		err = ctxErr(ctx, err)
-		t.finish(&stats.Elapsed, &stats.Phases, err)
-		return stats, err
-	}
-	t.phase("join")
-	js, err := ops.MergeJoin[L, R, O](lst, rst, cmp, join, &ctxWriter[O]{ctx: ctx, dst: dst}, ctx.Err)
-	lcerr, rcerr := lst.Close(), rst.Close()
-	stats := JoinStats{
-		Left:     opSortStats(lrset, lst.Stats()),
-		Right:    opSortStats(rrset, rst.Stats()),
-		LeftIn:   js.LeftIn,
-		RightIn:  js.RightIn,
-		Out:      js.Out,
-		MaxGroup: js.MaxGroup,
-	}
-	if err == nil {
-		err = lcerr
-	}
-	if err == nil {
-		err = rcerr
-	}
-	err = ctxErr(ctx, err)
-	t.finish(&stats.Elapsed, &stats.Phases, err)
+	o := startOp(ctx, left.cfg.Trace, "merge_join")
+	defer o.finish(&stats.Elapsed, &stats.Phases, &err)
+	// The right side generates while the left stream is already open, so
+	// the left side's "drain" phase is still "generate"; "join" starts once
+	// both merged orders are.
+	stats.Left, err = left.streamed(o, lsrc, "joinl", "generate", func(lst *merge.Stream[L], _ int64) (err error) {
+		stats.Right, err = right.streamed(o, rsrc, "joinr", "join", func(rst *merge.Stream[R], _ int64) error {
+			js, err := ops.MergeJoin[L, R, O](lst, rst, cmp, join, &ctxWriter[O]{ctx: o.ctx, dst: dst}, o.ctx.Err)
+			stats.LeftIn, stats.RightIn, stats.Out, stats.MaxGroup = js.LeftIn, js.RightIn, js.Out, js.MaxGroup
+			return err
+		})
+		return err
+	})
 	return stats, err
 }

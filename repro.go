@@ -81,14 +81,22 @@
 //
 // How runs reach temporary storage is pluggable too (WithStorage,
 // WithCompression, WithSpillMemory). The default is the paper's raw
-// layout; any named compression ("none", "flate", "gzip") frames every
-// spilled block with a CRC32 checksum — corrupted spill data then fails
-// the merge with a checksum error instead of producing silently wrong
-// output — and the compressed modes shrink the bytes that actually move.
+// layout; a named compression ("none", "flate") frames every spilled
+// block with a CRC32 checksum — corrupted spill data then fails the merge
+// with a checksum error instead of producing silently wrong output — and
+// "flate" also shrinks the bytes that actually move.
 // A byte budget keeps runs in an in-memory tier that overflows to the
 // temp directory mid-write when it fills. Stats.IO accounts for every
 // spilled byte, raw versus stored, along with block counts, overflow
 // migrations and verification failures. See DESIGN.md §10.
+//
+// # Timing
+//
+// Every call reports its wall time the same way: Elapsed, end to end, and
+// Phases, the named phases it passed through in execution order ("generate"
+// then "merge" for a sort; "read", "generate", "select" for a spilled
+// selection), whose sum never exceeds Elapsed — on Stats, OpStats,
+// SelectStats and JoinStats alike. There is no second statement of either.
 //
 // # The classic record API
 //
@@ -100,7 +108,9 @@
 //	cfg.Policy = "rs"                   // or any other name in Policies()
 //	stats, err := repro.Sort(src, dst, cfg)
 //
-// See examples/ for runnable programs and DESIGN.md for the system map.
+// See examples/ for three runnable programs (quickstart, strings, dbsort),
+// example_test.go for a runnable example of every operator, selection and
+// option, and DESIGN.md for the system map.
 package repro
 
 import (
@@ -130,8 +140,8 @@ type Reader = record.Reader
 type Writer = record.Writer
 
 // Stats reports what a sort did: run counts, average run length, merge
-// passes, per-phase timings, and the spill backend's I/O accounting
-// (Stats.IO, an IOStats).
+// passes, its wall time (Elapsed, and Phases by name), and the spill
+// backend's I/O accounting (Stats.IO, an IOStats).
 type Stats = extsort.Stats
 
 // IOStats is the spill backend's byte-level I/O accounting, carried in
@@ -259,10 +269,10 @@ type Config struct {
 	// resume only the unfinished shards. See DESIGN.md §15.
 	Shards int
 	// Storage selects the spill backend. The zero value stores runs in the
-	// historical raw layout. Setting Compression to "none", "flate" or
-	// "gzip" frames every spilled page in a self-describing block with a
-	// CRC32 checksum (compressed for the latter two), so corrupted spill
-	// data surfaces as a checksum error instead of silently wrong output.
+	// historical raw layout. Setting Compression to "none" or "flate"
+	// frames every spilled page in a self-describing block with a CRC32
+	// checksum (compressed for the latter), so corrupted spill data
+	// surfaces as a checksum error instead of silently wrong output.
 	// A positive MemoryBudgetBytes keeps runs in an in-memory tier of at
 	// most that many bytes, overflowing to TempDir (or the in-process FS)
 	// when the budget is exceeded. Stats.IO reports what the backend did.

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -251,4 +252,64 @@ func ExampleSorter_Resume() {
 	// sort failed: true
 	// recovered runs: true
 	// sorted: true
+}
+
+// TestDurableOperatorsLeaveNothingBehind: after a successful operator or
+// spilled selection on a WithManifest sorter the spill store holds no file
+// of that operation — no run file, no snapshot and no manifest — exactly as
+// after Sort, on a temp dir and on the sorter's in-process file system
+// alike, and also when the call abandons the merged stream before its tail
+// (TopK and Select do).
+func TestDurableOperatorsLeaveNothingBehind(t *testing.T) {
+	const memory = 128
+	recs := shuffledRecords(3000, 4)
+	less := func(a, b Record) bool { return a.Key < b.Key }
+	ctx := context.Background()
+	src := func() Source[Record] { return &dyingSource{recs: recs, dieAt: len(recs) + 1} }
+	ops := []struct {
+		name string
+		run  func(s *Sorter[Record]) error
+	}{
+		{"Sort", func(s *Sorter[Record]) error { _, err := s.Sort(ctx, src(), &sliceSink[Record]{}); return err }},
+		{"Distinct", func(s *Sorter[Record]) error { _, err := s.Distinct(ctx, src(), &sliceSink[Record]{}); return err }},
+		{"GroupBy", func(s *Sorter[Record]) error {
+			_, err := s.GroupBy(ctx, src(), nil, func(acc, _ Record) Record { return acc }, &sliceSink[Record]{})
+			return err
+		}},
+		{"TopK", func(s *Sorter[Record]) error {
+			_, err := s.TopK(ctx, src(), memory+1, &sliceSink[Record]{})
+			return err
+		}},
+		{"BottomK", func(s *Sorter[Record]) error {
+			_, err := s.BottomK(ctx, src(), memory+1, &sliceSink[Record]{})
+			return err
+		}},
+		{"Select", func(s *Sorter[Record]) error { _, _, err := s.Select(ctx, src(), 10); return err }},
+		{"Quantiles", func(s *Sorter[Record]) error { _, _, err := s.Quantiles(ctx, src(), []float64{0.1, 0.5}); return err }},
+		{"MergeJoin", func(s *Sorter[Record]) error {
+			_, err := MergeJoin(ctx, s, src(), s, src(),
+				func(l, r Record) int { return cmp.Compare(l.Key, r.Key) }, func(l, _ Record) Record { return l }, &sliceSink[Record]{})
+			return err
+		}},
+	}
+	for _, store := range []string{"temp dir", "in-process"} {
+		for _, op := range ops {
+			t.Run(store+"/"+op.name, func(t *testing.T) {
+				opts := []Option{WithMemoryRecords(memory), WithManifest()}
+				if store == "temp dir" {
+					opts = append(opts, WithTempDir(t.TempDir()))
+				}
+				s, err := New(less, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := op.run(s); err != nil {
+					t.Fatal(err)
+				}
+				if names, err := s.fs.Names(); err != nil || len(names) != 0 {
+					t.Errorf("left in the spill store: %v (%v)", names, err)
+				}
+			})
+		}
+	}
 }

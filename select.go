@@ -4,9 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
+	"repro/internal/extsort"
 	"repro/internal/merge"
 	"repro/internal/obs"
 	sel "repro/internal/select"
@@ -54,33 +54,102 @@ type SelectStats struct {
 	Phases []PhaseStat
 }
 
-// parallelism resolves the configured concurrency bound for the in-memory
-// selection algorithms: Config.Parallelism, with 0 meaning GOMAXPROCS.
-func (s *Sorter[T]) parallelism() int {
-	if s.cfg.Parallelism == 0 {
-		return runtime.GOMAXPROCS(0)
+// rankRange is a span of the sorted order by 1-based rank, both ends
+// included.
+type rankRange struct{ lo, hi int64 }
+
+// rankQuery is the one rank query behind TopK, BottomK, Select and
+// Quantiles — "the k smallest" and "the k-th smallest" are one selection
+// problem (Kaplan et al., Sepesi) — and the one place that decides between
+// its two halves. memory tries to answer without sorting: it returns a nil
+// source when it did, and otherwise the whole input again (whatever it read
+// re-served in front of the rest) for the spilled half. That half generates
+// runs and takes one forward walk over the merged order: ranges names, for
+// an input of n elements, the ascending disjoint rank ranges wanted; the
+// walk skips to each, copies it into w — a pick is a range of one — and
+// abandons the merge after the last, so the tail past it is never read.
+// The result is an OpStats less its timing, which is the skeleton's.
+func (s *Sorter[T]) rankQuery(o *op, name string, w stream.Writer[T],
+	memory func(r *OpStats) (Source[T], error), ranges func(n int64) ([]rankRange, error)) (r OpStats, err error) {
+	rest, err := memory(&r)
+	if rest == nil || err != nil {
+		return r, err
 	}
-	return s.cfg.Parallelism
+	r.Sort, err = s.streamed(o, rest, name, "select", func(st *merge.Stream[T], n int64) error {
+		r.In, r.Sorted = n, true
+		want, err := ranges(n)
+		if err != nil {
+			return err
+		}
+		var at int64 // rank of the last element read
+		for _, rg := range want {
+			skipped, err := stream.Discard[T](st, rg.lo-1-at, o.ctx.Err)
+			if err != nil {
+				return err
+			}
+			copied, err := stream.CopyN[T](w, st, rg.hi-rg.lo+1, o.ctx.Err)
+			r.Out += copied
+			if err != nil {
+				return err
+			}
+			if at += skipped + copied; at < rg.hi {
+				return fmt.Errorf("repro: merged stream ended %d elements early", rg.hi-at)
+			}
+		}
+		return nil
+	})
+	return r, err
 }
 
-// bufferWithin reads src into memory as long as the element count stays
-// within limit. It returns the buffered prefix and whether the stream was
-// exhausted within the limit; when it was not, the buffer holds exactly
-// limit+1 elements and the source is positioned after them, ready for
-// stream.Prepend to replay both into the spill path — how a selection that
-// overflowed the memory budget hands on everything it has read.
-func bufferWithin[T any](ctx context.Context, src Source[T], limit int) ([]T, bool, error) {
-	return stream.ReadPrefix[T](&ctxReader[T]{ctx: ctx, src: src}, make([]T, 0, min(limit+1, 1<<16)), limit+1, nil)
-}
-
-// skipN discards n elements of the merged order, polling cancel between
-// batches.
-func skipN[T any](st *merge.Stream[T], n int64, cancel func() error) error {
-	skipped, err := stream.Discard[T](st, n, cancel)
-	if err == nil && skipped < n {
-		err = fmt.Errorf("repro: merged stream ended %d elements early", n-skipped)
-	}
-	return err
+// pick is Select and Quantiles: the elements at the ranks that ranks names
+// for an input of n elements (ascending and distinct), in that order. Its
+// memory half reads src as long as the element count stays within the
+// memory budget and, when the stream ends inside it, places every rank with
+// one multiselect pass — a dualheap partition (Sepesi) at the middle
+// remaining rank, recursively. When it does not, the buffer holds one
+// element more than the budget and the source is positioned after them;
+// stream.Prepend replays both into the spilled half — how a selection that
+// overflowed hands on everything it has read.
+func (s *Sorter[T]) pick(o *op, name string, src Source[T], ranks func(n int64) ([]int, error)) ([]T, SelectStats, error) {
+	var picked stream.SliceWriter[T]
+	var swaps int64
+	r, err := s.rankQuery(o, name, &picked,
+		func(r *OpStats) (Source[T], error) {
+			o.phase("read")
+			limit := s.cfg.MemoryRecords + 1
+			buf, fits, err := stream.ReadPrefix[T](&ctxReader[T]{ctx: o.ctx, src: src}, make([]T, 0, min(limit, 1<<16)), limit, nil)
+			r.In = int64(len(buf))
+			if err != nil {
+				return nil, err
+			}
+			if !fits {
+				return stream.Prepend[T](buf, src), nil
+			}
+			o.phase("partition")
+			want, err := ranks(r.In)
+			if err == nil {
+				// Config.Parallelism bounds the heap builds, 0 meaning GOMAXPROCS.
+				par := extsort.Config{Parallelism: s.cfg.Parallelism}.Resolved().Parallelism
+				swaps, err = sel.Multiselect(buf, want, s.ops.Less, par)
+			}
+			if err != nil {
+				return nil, err
+			}
+			s.cfg.Metrics.Counter(obs.MHeapSwaps, "Dualheap root exchanges during in-memory selection.").Add(swaps)
+			for _, rank := range want {
+				picked.Vals = append(picked.Vals, buf[rank-1])
+			}
+			return nil, nil
+		},
+		func(n int64) ([]rankRange, error) {
+			want, err := ranks(n)
+			one := make([]rankRange, len(want))
+			for i, rank := range want {
+				one[i] = rankRange{int64(rank), int64(rank)}
+			}
+			return one, err
+		})
+	return picked.Vals, SelectStats{Sort: r.Sort, In: r.In, Sorted: r.Sorted, Swaps: swaps}, err
 }
 
 // Select returns the element of rank k — the k-th smallest under the
@@ -93,80 +162,22 @@ func skipN[T any](st *merge.Stream[T], n int64, cancel func() error) error {
 // happens and nothing spills. A larger input falls back to run generation,
 // and the answer is read from the merged order at position k, abandoning
 // the merge there — the tail past rank k is never read.
-func (s *Sorter[T]) Select(ctx context.Context, src Source[T], k int) (T, SelectStats, error) {
-	var zero T
-	if ctx == nil {
-		ctx = context.Background()
-	}
+func (s *Sorter[T]) Select(ctx context.Context, src Source[T], k int) (v T, stats SelectStats, err error) {
 	if k < 1 {
-		return zero, SelectStats{}, fmt.Errorf("repro: Select requires rank k ≥ 1, got %d", k)
+		return v, SelectStats{}, fmt.Errorf("repro: Select requires rank k ≥ 1, got %d", k)
 	}
-	t := startOp(s.cfg.Trace, "select", obs.Int("k", int64(k)))
-	t.phase("read")
-	buf, fits, err := bufferWithin(ctx, src, s.cfg.MemoryRecords)
-	if err != nil {
-		stats := SelectStats{In: int64(len(buf))}
-		err = ctxErr(ctx, err)
-		t.finish(&stats.Elapsed, &stats.Phases, err)
-		return zero, stats, err
-	}
-	if fits {
-		n := len(buf)
-		if k > n {
-			stats := SelectStats{In: int64(n)}
-			err := fmt.Errorf("repro: Select rank %d exceeds input size %d", k, n)
-			t.finish(&stats.Elapsed, &stats.Phases, err)
-			return zero, stats, err
+	o := startOp(ctx, s.cfg.Trace, "select", obs.Int("k", int64(k)))
+	defer o.finish(&stats.Elapsed, &stats.Phases, &err)
+	picked, stats, err := s.pick(o, "select", src, func(n int64) ([]int, error) {
+		if int64(k) > n {
+			return nil, fmt.Errorf("repro: Select rank %d exceeds input size %d", k, n)
 		}
-		t.phase("partition")
-		swaps := sel.Partition(buf, k, s.less, s.parallelism())
-		s.swapsCounter().Add(swaps)
-		stats := SelectStats{In: int64(n), Swaps: swaps}
-		t.finish(&stats.Elapsed, &stats.Phases, nil)
-		return buf[0], stats, nil
-	}
-	t.phase("generate")
-	st, rset, err := s.openSorted(ctx, stream.Prepend[T](buf, src), "select")
+		return []int{k}, nil
+	})
 	if err != nil {
-		stats := SelectStats{}
-		err = ctxErr(ctx, err)
-		t.finish(&stats.Elapsed, &stats.Phases, err)
-		return zero, stats, err
+		return v, stats, err
 	}
-	stats := SelectStats{Sort: opSortStats(rset, st.Stats()), In: rset.Stats().Records, Sorted: true}
-	if int64(k) > stats.In {
-		st.Close()
-		err := fmt.Errorf("repro: Select rank %d exceeds input size %d", k, stats.In)
-		t.finish(&stats.Elapsed, &stats.Phases, err)
-		return zero, stats, err
-	}
-	t.phase("select")
-	v, err := selectAt(st, int64(k), ctx.Err)
-	cerr := st.Close() // abandoning the merge here skips the tail past rank k
-	stats.Sort = opSortStats(rset, st.Stats())
-	if err == nil {
-		err = cerr
-	}
-	err = ctxErr(ctx, err)
-	t.finish(&stats.Elapsed, &stats.Phases, err)
-	if err != nil {
-		return zero, stats, err
-	}
-	return v, stats, nil
-}
-
-// selectAt reads forward to rank k (1-based) in the merged order and
-// returns the element there.
-func selectAt[T any](st *merge.Stream[T], k int64, cancel func() error) (T, error) {
-	var zero T
-	if err := skipN[T](st, k-1, cancel); err != nil {
-		return zero, err
-	}
-	v, err := st.Read()
-	if err != nil {
-		return zero, err
-	}
-	return v, nil
+	return picked[0], stats, nil
 }
 
 // Quantiles returns the elements at the given quantiles of src under the
@@ -177,10 +188,7 @@ func selectAt[T any](st *merge.Stream[T], k int64, cancel func() error) (T, erro
 // the middle remaining rank, so all quantiles cost far less than a sort.
 // A larger input falls back to run generation, and the values are picked
 // out of the merged order in one forward walk that stops at the last rank.
-func (s *Sorter[T]) Quantiles(ctx context.Context, src Source[T], qs []float64) ([]T, SelectStats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+func (s *Sorter[T]) Quantiles(ctx context.Context, src Source[T], qs []float64) (out []T, stats SelectStats, err error) {
 	if len(qs) == 0 {
 		return nil, SelectStats{}, fmt.Errorf("repro: Quantiles requires at least one quantile")
 	}
@@ -189,75 +197,20 @@ func (s *Sorter[T]) Quantiles(ctx context.Context, src Source[T], qs []float64) 
 			return nil, SelectStats{}, fmt.Errorf("repro: quantile %v outside [0, 1]", q)
 		}
 	}
-	t := startOp(s.cfg.Trace, "quantiles", obs.Int("quantiles", int64(len(qs))))
-	t.phase("read")
-	buf, fits, err := bufferWithin(ctx, src, s.cfg.MemoryRecords)
-	if err != nil {
-		stats := SelectStats{In: int64(len(buf))}
-		err = ctxErr(ctx, err)
-		t.finish(&stats.Elapsed, &stats.Phases, err)
-		return nil, stats, err
-	}
-	if fits {
-		n := len(buf)
+	o := startOp(ctx, s.cfg.Trace, "quantiles", obs.Int("quantiles", int64(len(qs))))
+	defer o.finish(&stats.Elapsed, &stats.Phases, &err)
+	var at []int // at[i] is where qs[i]'s rank sits among the distinct ranks picked
+	picked, stats, err := s.pick(o, "quantiles", src, func(n int64) (ranks []int, err error) {
 		if n == 0 {
-			stats := SelectStats{}
-			err := fmt.Errorf("repro: Quantiles of an empty input")
-			t.finish(&stats.Elapsed, &stats.Phases, err)
-			return nil, stats, err
+			return nil, fmt.Errorf("repro: Quantiles of an empty input")
 		}
-		t.phase("partition")
-		ranks, at := sel.QuantileRanks(qs, int64(n))
-		swaps, err := sel.Multiselect(buf, ranks, s.less, s.parallelism())
-		if err != nil {
-			stats := SelectStats{In: int64(n)}
-			t.finish(&stats.Elapsed, &stats.Phases, err)
-			return nil, stats, err
-		}
-		s.swapsCounter().Add(swaps)
-		out := make([]T, len(qs))
-		for i := range qs {
-			out[i] = buf[ranks[at[i]]-1]
-		}
-		stats := SelectStats{In: int64(n), Swaps: swaps}
-		t.finish(&stats.Elapsed, &stats.Phases, nil)
-		return out, stats, nil
-	}
-	t.phase("generate")
-	st, rset, err := s.openSorted(ctx, stream.Prepend[T](buf, src), "quantiles")
+		ranks, at = sel.QuantileRanks(qs, n)
+		return ranks, nil
+	})
 	if err != nil {
-		stats := SelectStats{}
-		err = ctxErr(ctx, err)
-		t.finish(&stats.Elapsed, &stats.Phases, err)
 		return nil, stats, err
 	}
-	stats := SelectStats{Sort: opSortStats(rset, st.Stats()), In: rset.Stats().Records, Sorted: true}
-	t.phase("select")
-	ranks, at := sel.QuantileRanks(qs, stats.In)
-	picked := make([]T, len(ranks))
-	var pos int64
-	perr := func() error {
-		for i, r := range ranks {
-			v, err := selectAt(st, int64(r)-pos, ctx.Err)
-			if err != nil {
-				return err
-			}
-			picked[i] = v
-			pos = int64(r)
-		}
-		return nil
-	}()
-	cerr := st.Close() // the tail past the last rank is never read
-	stats.Sort = opSortStats(rset, st.Stats())
-	if perr == nil {
-		perr = cerr
-	}
-	perr = ctxErr(ctx, perr)
-	t.finish(&stats.Elapsed, &stats.Phases, perr)
-	if perr != nil {
-		return nil, stats, perr
-	}
-	out := make([]T, len(qs))
+	out = make([]T, len(qs))
 	for i := range qs {
 		out[i] = picked[at[i]]
 	}
@@ -271,61 +224,47 @@ func (s *Sorter[T]) Quantiles(ctx context.Context, src Source[T], qs []float64) 
 // goes through run generation and the merged order is fast-forwarded to
 // its last k elements, so the merge still skips everything it can.
 func (s *Sorter[T]) BottomK(ctx context.Context, src Source[T], k int, dst Sink[T]) (OpStats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+	return s.kOf(ctx, src, k, sel.Largest, "bottomk", "BottomK", dst)
+}
+
+// kOf is TopK and BottomK: the k elements at one end of the order (dir),
+// ascending, under the given span name and method name. With k within the
+// memory budget a bounded heap of k elements selects them from the stream
+// on sight (sel.Stream) — the input itself may be any size — and nothing
+// spills; otherwise the k ranks at that end are walked off the merged order.
+func (s *Sorter[T]) kOf(ctx context.Context, src Source[T], k int, dir sel.Dir, name, method string, dst Sink[T]) (stats OpStats, err error) {
 	if k < 0 {
-		return OpStats{}, fmt.Errorf("repro: BottomK requires k ≥ 0, got %d", k)
+		return OpStats{}, fmt.Errorf("repro: %s requires k ≥ 0, got %d", method, k)
 	}
 	if k == 0 {
 		return OpStats{}, nil
 	}
-	t := startOp(s.cfg.Trace, "bottomk", obs.Int("k", int64(k)))
-	if k <= s.cfg.MemoryRecords {
-		t.phase("select")
-		vals, read, err := sel.Stream[T](&ctxReader[T]{ctx: ctx, src: src}, k, sel.Largest, s.less, ctx.Err)
-		if err != nil {
-			stats := OpStats{In: read}
-			err = ctxErr(ctx, err)
-			t.finish(&stats.Elapsed, &stats.Phases, err)
-			return stats, err
-		}
-		w := &ctxWriter[T]{ctx: ctx, dst: dst}
-		err = stream.WriteAll[T](w, vals)
-		stats := OpStats{In: read}
-		if err == nil {
-			stats.Out = int64(len(vals))
-		}
-		err = ctxErr(ctx, err)
-		t.finish(&stats.Elapsed, &stats.Phases, err)
-		return stats, err
-	}
-	t.phase("generate")
-	st, rset, err := s.openSorted(ctx, src, "bottomk")
-	if err != nil {
-		stats := OpStats{}
-		err = ctxErr(ctx, err)
-		t.finish(&stats.Elapsed, &stats.Phases, err)
-		return stats, err
-	}
-	t.phase("select")
-	n := rset.Stats().Records
-	skip := n - int64(k)
-	if skip < 0 {
-		skip = 0
-	}
-	out, serr := int64(0), skipN[T](st, skip, ctx.Err)
-	if serr == nil {
-		out, serr = stream.CopyN[T](&ctxWriter[T]{ctx: ctx, dst: dst}, st, int64(k), ctx.Err)
-	}
-	cerr := st.Close()
-	stats := OpStats{Sort: opSortStats(rset, st.Stats()), In: n, Out: out, Sorted: true}
-	if serr == nil {
-		serr = cerr
-	}
-	serr = ctxErr(ctx, serr)
-	t.finish(&stats.Elapsed, &stats.Phases, serr)
-	return stats, serr
+	o := startOp(ctx, s.cfg.Trace, name, obs.Int("k", int64(k)))
+	defer o.finish(&stats.Elapsed, &stats.Phases, &err)
+	w := &ctxWriter[T]{ctx: o.ctx, dst: dst}
+	return s.rankQuery(o, name, w,
+		func(r *OpStats) (Source[T], error) {
+			if k > s.cfg.MemoryRecords {
+				return src, nil
+			}
+			o.phase("select")
+			vals, read, err := sel.Stream[T](&ctxReader[T]{ctx: o.ctx, src: src}, k, dir, s.ops.Less, o.ctx.Err)
+			r.In = read
+			if err == nil {
+				err = stream.WriteAll[T](w, vals)
+			}
+			if err == nil {
+				r.Out = int64(len(vals))
+			}
+			return nil, err
+		},
+		func(n int64) ([]rankRange, error) {
+			last := min(int64(k), n)
+			if dir == sel.Largest {
+				return []rankRange{{n - last + 1, n}}, nil
+			}
+			return []rankRange{{1, last}}, nil
+		})
 }
 
 // ApproxSelect returns an element whose rank is within [k, k+⌈ε·n⌉] — an
@@ -339,49 +278,41 @@ func (s *Sorter[T]) BottomK(ctx context.Context, src Source[T], k int, dst Sink[
 // memory budget — the soft heap is a comparison-saving device, not a
 // spilling one — and the returned stats carry both the guaranteed
 // RankErrorBound and the observed Corrupted count.
-func (s *Sorter[T]) ApproxSelect(ctx context.Context, src Source[T], k int, eps float64) (T, SelectStats, error) {
-	var zero T
-	if ctx == nil {
-		ctx = context.Background()
-	}
+func (s *Sorter[T]) ApproxSelect(ctx context.Context, src Source[T], k int, eps float64) (best T, stats SelectStats, err error) {
 	if k < 1 {
-		return zero, SelectStats{}, fmt.Errorf("repro: ApproxSelect requires rank k ≥ 1, got %d", k)
+		return best, SelectStats{}, fmt.Errorf("repro: ApproxSelect requires rank k ≥ 1, got %d", k)
 	}
-	h, err := sel.NewSoftHeap[T](eps, s.less)
+	h, err := sel.NewSoftHeap[T](eps, s.ops.Less)
 	if err != nil {
-		return zero, SelectStats{}, err
+		return best, SelectStats{}, err
 	}
-	t := startOp(s.cfg.Trace, "approx_select", obs.Int("k", int64(k)))
-	t.phase("read")
-	vals, err := stream.ReadAllCancel[T](&ctxReader[T]{ctx: ctx, src: src}, ctx.Err)
-	if err != nil {
-		stats := SelectStats{In: int64(len(vals))}
-		err = ctxErr(ctx, err)
-		t.finish(&stats.Elapsed, &stats.Phases, err)
-		return zero, stats, err
-	}
+	o := startOp(ctx, s.cfg.Trace, "approx_select", obs.Int("k", int64(k)))
+	defer o.finish(&stats.Elapsed, &stats.Phases, &err)
+	o.phase("read")
+	vals, err := stream.ReadAllCancel[T](&ctxReader[T]{ctx: o.ctx, src: src}, o.ctx.Err)
 	n := int64(len(vals))
-	stats := SelectStats{In: n, RankErrorBound: int64(math.Ceil(eps * float64(n)))}
-	if int64(k) > n {
-		err := fmt.Errorf("repro: ApproxSelect rank %d exceeds input size %d", k, n)
-		t.finish(&stats.Elapsed, &stats.Phases, err)
-		return zero, stats, err
+	stats.In = n
+	if err != nil {
+		return best, stats, err
 	}
-	t.phase("select")
+	stats.RankErrorBound = int64(math.Ceil(eps * float64(n)))
+	if int64(k) > n {
+		return best, stats, fmt.Errorf("repro: ApproxSelect rank %d exceeds input size %d", k, n)
+	}
+	o.phase("select")
 	for _, v := range vals {
 		h.Insert(v)
 	}
 	// The largest of k extractions: each extraction removes a current soft
 	// minimum, so everything smaller than the running maximum is either
 	// already extracted or corrupted.
-	best, _ := h.ExtractMin()
+	best, _ = h.ExtractMin()
 	for i := 1; i < k; i++ {
 		v, _ := h.ExtractMin()
-		if s.less(best, v) {
+		if s.ops.Less(best, v) {
 			best = v
 		}
 	}
 	stats.Corrupted = h.Corrupted()
-	t.finish(&stats.Elapsed, &stats.Phases, nil)
 	return best, stats, nil
 }

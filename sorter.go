@@ -251,9 +251,9 @@ func WithStorage(st Storage) Option {
 }
 
 // WithCompression selects the spill compression by name: "raw" (the
-// default: the historical unframed layout), or "none", "flate", "gzip" —
-// which frame every spilled page in a CRC32-checksummed block, compressed
-// for the latter two. Any framed mode turns corrupted spill data into a
+// default: the historical unframed layout), or "none" or "flate" — which
+// frame every spilled page in a CRC32-checksummed block, compressed for
+// the latter. Either framed mode turns corrupted spill data into a
 // checksum error at merge time instead of silently wrong output. Unknown
 // names fail at New with an error listing the valid ones (Compressions).
 func WithCompression(name string) Option {
@@ -353,74 +353,54 @@ func WithElementBytes(n int) Option {
 	}
 }
 
-// defaultCodecFor infers a built-in codec for well-known element types.
-func defaultCodecFor[T any]() (Codec[T], error) {
+// builtin is what New infers for an element type it knows when no option
+// says otherwise: the spill codec; the key codec under the type's natural
+// (ascending) order; and, for Record and the numeric types, the projection
+// onto the real line the paper's numeric heuristics want. The fields are
+// untyped for the same reason sorterConfig's are; resolve asserts them to T.
+// An inferred key codec is validated against the actual comparator on a
+// sample of the input at sort time and dropped silently on disagreement, so
+// inferring one for, say, a descending int64 sort is safe.
+type builtin struct{ codec, keyCodec, key any }
+
+// builtinFor is the one table of the element types New knows; the zero
+// builtin means T is opaque: it needs WithCodec and sorts comparator-only.
+func builtinFor[T any]() builtin {
 	var zero T
-	var c any
 	switch any(zero).(type) {
 	case Record:
-		c = codec.Record16{}
+		return builtin{codec.Record16{}, codec.KeyRecord16{}, record.Key}
 	case string:
-		c = codec.String{}
+		return builtin{codec.String{}, codec.KeyString{}, nil}
 	case []byte:
-		c = codec.Bytes{}
+		return builtin{codec.Bytes{}, codec.KeyBytes{}, nil}
 	case int64:
-		c = codec.Int64{}
+		return builtin{codec.Int64{}, codec.KeyInt64{}, func(v int64) float64 { return float64(v) }}
 	case uint64:
-		c = codec.Uint64{}
+		return builtin{codec.Uint64{}, codec.KeyUint64{}, func(v uint64) float64 { return float64(v) }}
 	case float64:
-		c = codec.Float64{}
-	default:
-		return nil, fmt.Errorf("repro: no built-in codec for element type %T; pass WithCodec", zero)
+		return builtin{codec.Float64{}, codec.KeyFloat64{}, func(v float64) float64 { return v }}
 	}
-	return c.(Codec[T]), nil
+	return builtin{}
 }
 
-// defaultKeyCodecFor infers a built-in key codec for well-known element
-// types under their natural comparator; nil means the type is opaque and
-// sorts comparator-only. Inferred codecs are validated against the actual
-// comparator on a sample of the input at sort time and dropped silently on
-// disagreement, so inferring for, say, a descending int64 sort is safe.
-func defaultKeyCodecFor[T any]() codec.KeyCodec[T] {
-	var zero T
-	var kc any
-	switch any(zero).(type) {
-	case Record:
-		kc = codec.KeyRecord16{}
-	case string:
-		kc = codec.KeyString{}
-	case []byte:
-		kc = codec.KeyBytes{}
-	case int64:
-		kc = codec.KeyInt64{}
-	case uint64:
-		kc = codec.KeyUint64{}
-	case float64:
-		kc = codec.KeyFloat64{}
-	default:
-		return nil
+// resolve types one of the hooks the options stash untyped: the value the
+// option gave, else the built-in default, asserted to the hook type V for
+// element type T. Neither present is the nil V; an option of the wrong type
+// is the error naming the option and what it must do for T.
+func resolve[V, T any](given, inferred any, option, verb string) (v V, err error) {
+	if given == nil {
+		given = inferred
 	}
-	return kc.(codec.KeyCodec[T])
-}
-
-// defaultKeyFor infers a numeric projection for well-known element types;
-// nil (with no error) means the type is comparator-only.
-func defaultKeyFor[T any]() func(T) float64 {
-	var zero T
-	var k any
-	switch any(zero).(type) {
-	case Record:
-		k = record.Key
-	case int64:
-		k = func(v int64) float64 { return float64(v) }
-	case uint64:
-		k = func(v uint64) float64 { return float64(v) }
-	case float64:
-		k = func(v float64) float64 { return v }
-	default:
-		return nil
+	if given == nil {
+		return v, nil
 	}
-	return k.(func(T) float64)
+	v, ok := given.(V)
+	if !ok {
+		var zero T
+		err = fmt.Errorf("repro: %s got %T, which does not %s element type %T", option, given, verb, zero)
+	}
+	return v, err
 }
 
 // Sorter is a reusable, configured external sorter for elements of type T.
@@ -428,14 +408,12 @@ func defaultKeyFor[T any]() func(T) float64 {
 // sorts (concurrent Sort calls each get their own temporary namespace only
 // when TempDir is unset; with a shared TempDir, run them sequentially).
 type Sorter[T any] struct {
-	less          func(a, b T) bool
-	cfg           Config
-	codec         Codec[T]
-	key           func(T) float64
-	keyCodec      codec.KeyCodec[T]
-	keyedExplicit bool
-	elementBytes  int
-	fs            vfs.FS // stable spill FS for durable sorters; nil otherwise
+	cfg Config
+	// ops is the element-type bundle every entry point hands the driver —
+	// Sort and Resume as much as the operator layer — so all of them run
+	// keyed, or refuse a mismatched explicit key codec, alike.
+	ops extsort.Ops[T]
+	fs  vfs.FS // stable spill FS for durable sorters; nil otherwise
 }
 
 // New builds a Sorter ordering elements with less. Options supply the
@@ -463,62 +441,34 @@ func New[T any](less func(a, b T) bool, opts ...Option) (*Sorter[T], error) {
 	}
 	// A zero FanIn or BufferFraction — a hand-built Config that never set
 	// them — means the paper's default here, as it does one layer down.
-	if sc.cfg.FanIn == 0 {
-		sc.cfg.FanIn = defaults.FanIn
-	}
+	sc.cfg.FanIn = extsort.Config{FanIn: sc.cfg.FanIn}.Resolved().FanIn
 	if sc.cfg.BufferFraction == 0 {
 		sc.cfg.BufferFraction = defaults.BufferFraction
 	}
 	if err := sc.cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Sorter[T]{less: less, cfg: sc.cfg, elementBytes: sc.elementBytes}
-	if sc.codec != nil {
-		c, ok := sc.codec.(Codec[T])
-		if !ok {
-			var zero T
-			return nil, fmt.Errorf("repro: WithCodec got %T, which does not encode element type %T", sc.codec, zero)
-		}
-		s.codec = c
-	} else {
-		c, err := defaultCodecFor[T]()
-		if err != nil {
-			return nil, err
-		}
-		s.codec = c
+	s := &Sorter[T]{cfg: sc.cfg}
+	s.ops = extsort.Ops[T]{Less: less, ElementBytes: sc.elementBytes, KeyedExplicit: sc.keyCodec != nil}
+	def := builtinFor[T]()
+	var err error
+	if s.ops.Codec, err = resolve[codec.Codec[T], T](sc.codec, def.codec, "WithCodec", "encode"); err == nil && s.ops.Codec == nil {
+		var zero T
+		err = fmt.Errorf("repro: no built-in codec for element type %T; pass WithCodec", zero)
 	}
-	if sc.key != nil {
-		k, ok := sc.key.(func(T) float64)
-		if !ok {
-			var zero T
-			return nil, fmt.Errorf("repro: WithKey got %T, which does not project element type %T", sc.key, zero)
-		}
-		s.key = k
-	} else {
-		s.key = defaultKeyFor[T]()
+	if err == nil {
+		s.ops.Key, err = resolve[func(T) float64, T](sc.key, def.key, "WithKey", "project")
 	}
-	switch {
-	case sc.noKeys:
-		// Comparator-only by request.
-	case sc.keyCodec != nil:
-		kc, ok := sc.keyCodec.(KeyCodec[T])
-		if !ok {
-			var zero T
-			return nil, fmt.Errorf("repro: WithKeyCodec got %T, which does not key element type %T", sc.keyCodec, zero)
-		}
-		s.keyCodec = kc
-		s.keyedExplicit = true
-	default:
-		s.keyCodec = defaultKeyCodecFor[T]()
+	if err == nil && !sc.noKeys {
+		s.ops.KeyCodec, err = resolve[codec.KeyCodec[T], T](sc.keyCodec, def.keyCodec, "WithKeyCodec", "key")
 	}
-	if s.cfg.Manifest || s.cfg.Resume {
+	if err == nil && (s.cfg.Manifest || s.cfg.Resume) {
 		// Durable sorts need a file system that outlives one Sort call, or
 		// there would be nothing for Resume to pick up.
-		fs, err := s.cfg.filesystem()
-		if err != nil {
-			return nil, err
-		}
-		s.fs = fs
+		s.fs, err = s.cfg.filesystem()
+	}
+	if err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -644,50 +594,55 @@ func (s *Sorter[T]) Resume(ctx context.Context, src Source[T], dst Sink[T]) (Sta
 	return s.sort(ctx, src, dst, true)
 }
 
-// ops is the element-type bundle every entry point hands the driver — Sort
-// and Resume as much as the operator layer — so all of them run keyed, or
-// refuse a mismatched explicit key codec, alike.
-func (s *Sorter[T]) ops() extsort.Ops[T] {
-	return extsort.Ops[T]{
-		Less:          s.less,
-		Codec:         s.codec,
-		Key:           s.key,
-		KeyCodec:      s.keyCodec,
-		KeyedExplicit: s.keyedExplicit,
-		ElementBytes:  s.elementBytes,
-	}
-}
-
-func (s *Sorter[T]) sort(ctx context.Context, src Source[T], dst Sink[T], resume bool) (Stats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// generate is the one way into the sorter: every entry point — Sort and
+// Resume, which materialise the result, and the operators and selections,
+// which stream it — resolves the spill file system, converts the
+// configuration and wraps the source in the call's context here, and
+// reaches run generation through it. prefix namespaces the call's temporary
+// files, so concurrent phases — the two sides of a MergeJoin sharing a
+// TempDir — cannot collide. The caller owns the returned run set: Merge it,
+// or OpenMerged and Close the stream; either consumes the run files and,
+// with them, a durable sort's manifest.
+//
+// A sharded sort (Shards > 1, dst given) is the exception the signature
+// shows: it partitions, sorts and concatenates into dst in one pass and
+// returns its statistics with no run set.
+func (s *Sorter[T]) generate(o *op, src Source[T], dst Sink[T], prefix string, resume bool) (*extsort.RunSet[T], Stats, error) {
 	fs := s.fs
 	if fs == nil {
 		var err error
-		fs, err = s.cfg.filesystem()
-		if err != nil {
-			return Stats{}, err
+		if fs, err = s.cfg.filesystem(); err != nil {
+			return nil, Stats{}, err
 		}
 	}
 	icfg := s.cfg.toInternal()
-	icfg.Cancel = ctx.Err
-	if resume {
-		icfg.Resume = true
+	icfg.Cancel = o.ctx.Err
+	icfg.Prefix = prefix
+	icfg.Resume = icfg.Resume || resume
+	reader := &ctxReader[T]{ctx: o.ctx, src: src}
+	if dst != nil && s.cfg.Shards > 1 {
+		stats, err := distsort.Sort[T](reader, &ctxWriter[T]{ctx: o.ctx, dst: dst}, fs,
+			distsort.Config{Shards: s.cfg.Shards, Extsort: icfg}, s.ops)
+		return nil, stats, err
 	}
-	ops := s.ops()
-	reader := &ctxReader[T]{ctx: ctx, src: src}
-	writer := &ctxWriter[T]{ctx: ctx, dst: dst}
-	var stats Stats
-	var err error
-	if s.cfg.Shards > 1 {
-		stats, err = distsort.Sort[T](reader, writer, fs,
-			distsort.Config{Shards: s.cfg.Shards, Extsort: icfg}, ops)
-	} else {
-		stats, err = extsort.Sort[T](reader, writer, fs, icfg, ops)
+	rset, err := extsort.GenerateRuns[T](reader, fs, icfg, s.ops)
+	return rset, Stats{}, err
+}
+
+// sort is the materialising caller of generate: the run set merged into
+// dst. A merge that fails discards the run set, so no spill file outlives
+// the error — except under WithManifest, where whatever a failed pass left
+// on the store is the state Resume continues from.
+func (s *Sorter[T]) sort(ctx context.Context, src Source[T], dst Sink[T], resume bool) (stats Stats, err error) {
+	o := startOp(ctx, nil, "") // no root span: the driver traces and times a sort itself
+	defer o.finish(nil, nil, &err)
+	rset, stats, err := s.generate(o, src, dst, "", resume)
+	if rset == nil {
+		return stats, err
 	}
-	if err != nil && ctx.Err() != nil {
-		return stats, ctx.Err()
+	stats, err = rset.Merge(&ctxWriter[T]{ctx: o.ctx, dst: dst})
+	if err != nil && !s.cfg.Manifest && !s.cfg.Resume {
+		rset.Discard()
 	}
 	return stats, err
 }

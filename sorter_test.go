@@ -548,6 +548,8 @@ func TestSorterStorageOptions(t *testing.T) {
 		in[i] = fmt.Sprintf("key-%05d", (i*7919)%6000)
 	}
 	var want []string
+	// "gzip" was a fourth framing until PR 22: New refuses the name like any
+	// unknown one, with the list of valid ones.
 	for _, comp := range []string{"raw", "none", "flate", "gzip"} {
 		t.Run(comp, func(t *testing.T) {
 			dir := t.TempDir()
@@ -556,6 +558,12 @@ func TestSorterStorageOptions(t *testing.T) {
 				WithTempDir(dir),
 				WithCompression(comp),
 				WithSpillMemory(8<<10))
+			if comp == "gzip" {
+				if err == nil || !strings.Contains(err.Error(), strings.Join(Compressions(), ", ")) {
+					t.Fatalf("WithCompression(gzip): %v, want an error listing the valid names", err)
+				}
+				return
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
