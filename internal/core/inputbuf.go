@@ -28,19 +28,6 @@ type inputBuffer[T any] struct {
 	eof  bool
 }
 
-// fetchLen sizes the batched fetch buffer relative to the memory budget,
-// so the read-ahead stays a small fraction of the configured memory.
-func fetchLen(memory int) int {
-	n := memory / 8
-	if n < 64 {
-		n = 64
-	}
-	if n > stream.DefaultBatchLen {
-		n = stream.DefaultBatchLen
-	}
-	return n
-}
-
 // newInputBuffer returns an empty FIFO of the given capacity over src,
 // read through a batched fetch buffer sized against the memory budget; the
 // caller pre-fills it with fill or restore. key, when non-nil, enables the
@@ -48,7 +35,7 @@ func fetchLen(memory int) int {
 // the Median heuristic and by the comparator-only Mean fallback), ordered
 // by less.
 func newInputBuffer[T any](src stream.Reader[T], capacity, memory int, key func(T) float64, trackMedian bool, less func(a, b T) bool) *inputBuffer[T] {
-	b := &inputBuffer[T]{src: stream.NewFetcher(src, fetchLen(memory)), key: key}
+	b := &inputBuffer[T]{src: stream.NewFetcher(src, stream.FetchLen(memory)), key: key}
 	if capacity > 0 {
 		b.ring = make([]T, capacity)
 		if trackMedian {

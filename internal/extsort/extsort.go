@@ -168,10 +168,10 @@ type Config struct {
 	Clock func() time.Duration
 	// Parallelism bounds the sort's concurrency (default GOMAXPROCS):
 	// above 1, run generation and every merge worker create, write and
-	// close their spill files through a write-behind goroutine and
-	// independent intermediate merges execute on a worker pool of this
-	// size. 1 reproduces the fully sequential behaviour — and the paper's
-	// sequential cost model — exactly; the on-disk run format and the
+	// close their spill files through a write-behind goroutine and up to
+	// this many operations of the merge plan execute at once. 1 reproduces
+	// the fully sequential behaviour — and the paper's sequential cost
+	// model — exactly; the on-disk run format, the merge tree and the
 	// sorted output are identical either way.
 	// A simulated clock (Clock != nil) always forces 1: overlap against a
 	// single simulated device would double-count time.

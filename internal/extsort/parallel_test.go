@@ -104,8 +104,9 @@ func TestRunFilesByteIdenticalAsync(t *testing.T) {
 }
 
 // TestSortParallelismEquivalence runs the same sort at Parallelism 1 and 4
-// (and the default) and requires identical sorted output and identical
-// run-generation statistics — concurrency must change only the schedule.
+// (and the default) and requires identical sorted output, identical
+// run-generation statistics and an identical merge — the same operations,
+// tree depth and bytes written: concurrency must change only the schedule.
 func TestSortParallelismEquivalence(t *testing.T) {
 	recs := gen.Generate(gen.Config{Kind: gen.Random, N: 30000, Seed: 9})
 
@@ -135,6 +136,10 @@ func TestSortParallelismEquivalence(t *testing.T) {
 		}
 		if stats.Runs != baseStats.Runs || stats.Records != baseStats.Records {
 			t.Fatalf("parallelism %d: run generation stats diverged: %+v vs %+v", par, stats, baseStats)
+		}
+		if stats.MergeOps != baseStats.MergeOps || stats.MergePasses != baseStats.MergePasses || stats.IO.RawBytesWritten != baseStats.IO.RawBytesWritten {
+			t.Fatalf("parallelism %d: %d merge operations, %d passes, %d raw bytes written; parallelism 1 made %d, %d, %d", par,
+				stats.MergeOps, stats.MergePasses, stats.IO.RawBytesWritten, baseStats.MergeOps, baseStats.MergePasses, baseStats.IO.RawBytesWritten)
 		}
 	}
 }

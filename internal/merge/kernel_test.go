@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -15,6 +17,7 @@ import (
 	"repro/internal/record"
 	"repro/internal/runio"
 	"repro/internal/storage"
+	"repro/internal/stream"
 	"repro/internal/vfs"
 )
 
@@ -256,11 +259,11 @@ func TestTreeReadBatchDoesNotAllocate(t *testing.T) {
 }
 
 // TestMergeReusesLeafState holds a merge's allocation to not growing by a
-// set of leaves per merge operation: what 40 operations allocate over what
-// 10 do is, per further operation, less than the operation's decoded leaves
-// and their keys take — the merging goroutine's arena holds those once, and
-// what is left is the copy loop's batch and the per-file reader and writer
-// state. Runs are a record each so that nothing else scales, and the files
+// set of leaves, or by a copy batch, per merge operation: what 40 operations
+// allocate over what 10 do is, per further operation, less than the
+// operation's decoded leaves and their keys take, and less than the batch
+// its copy loop moves — the merging goroutine's arena holds those once, and
+// what is left is the per-file reader and writer state. Runs are a record each so that nothing else scales, and the files
 // are real ones: the in-memory file system allocates what it stores.
 func TestMergeReusesLeafState(t *testing.T) {
 	const fanIn = 8
@@ -285,9 +288,10 @@ func TestMergeReusesLeafState(t *testing.T) {
 	}
 	few, many := allocated(10), allocated(40)
 	leafSet := uint64(fanIn * leafBatch * (unsafe.Sizeof(record.Record{}) + 8))
-	if perOp := (many - few) / 30; many > few && perOp >= leafSet {
-		t.Fatalf("each further merge operation allocates %d bytes (10 operations %d, 40 operations %d): its %d bytes of leaves are not reused",
-			perOp, few, many, leafSet)
+	copyBatch := uint64(stream.DefaultBatchLen * unsafe.Sizeof(record.Record{}))
+	if perOp := (many - few) / 30; many > few && perOp >= min(leafSet, copyBatch) {
+		t.Fatalf("each further merge operation allocates %d bytes (10 operations %d, 40 operations %d): its %d bytes of leaves or the %d of its copy batch are not reused",
+			perOp, few, many, leafSet, copyBatch)
 	}
 }
 
@@ -371,28 +375,48 @@ func TestSequentialScheduleUnchanged(t *testing.T) {
 
 // scheduleFS records, while log is set, what each merge operation opened —
 // its inputs, in group order — and the output it then created, as one step
-// in TestSequentialScheduleUnchanged's spelling.
+// in TestSequentialScheduleUnchanged's spelling. An operation opens and
+// creates on the goroutine of the worker that executes it (the emitter is
+// not Async), so the opens are kept per goroutine and concurrent operations
+// do not mix; steps is in creation order.
 type scheduleFS struct {
 	vfs.FS
 	log    bool
-	opened []string
+	mu     sync.Mutex
+	opened map[string][]string
 	steps  []string
+}
+
+// goroutineID is the calling goroutine's number, from its stack header
+// ("goroutine 12 [running]:").
+func goroutineID() string {
+	var buf [64]byte
+	return strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))[1]
 }
 
 func (fs *scheduleFS) Open(name string) (vfs.File, error) {
 	if fs.log {
-		fs.opened = append(fs.opened, name)
+		fs.mu.Lock()
+		if fs.opened == nil {
+			fs.opened = map[string][]string{}
+		}
+		fs.opened[goroutineID()] = append(fs.opened[goroutineID()], name)
+		fs.mu.Unlock()
 	}
 	return fs.FS.Open(name)
 }
 
 func (fs *scheduleFS) Create(name string) (vfs.File, error) {
 	if fs.log {
-		step := fmt.Sprintf("%s width %d:", name, len(fs.opened))
-		for _, in := range fs.opened {
+		fs.mu.Lock()
+		id := goroutineID()
+		step := fmt.Sprintf("%s width %d:", name, len(fs.opened[id]))
+		for _, in := range fs.opened[id] {
 			step += " " + in
 		}
-		fs.steps, fs.opened = append(fs.steps, step), nil
+		fs.steps = append(fs.steps, step)
+		delete(fs.opened, id)
+		fs.mu.Unlock()
 	}
 	return fs.FS.Create(name)
 }

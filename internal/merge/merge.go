@@ -1,7 +1,6 @@
 package merge
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 	"sync"
@@ -20,10 +19,11 @@ type Config struct {
 	// divided evenly among the blocks the concurrent merge operations hold:
 	// each one's input readers and its output writer (see bufBytes).
 	MemoryBytes int
-	// Workers bounds how many independent intermediate merges run
-	// concurrently. ≤1 reproduces the sequential smallest-first schedule
-	// exactly; above 1 each intermediate pass is planned up front and its
-	// merge operations execute on a worker pool.
+	// Workers bounds how many intermediate merges run at once. It decides
+	// when an operation of the merge plan runs, never which runs it merges:
+	// ≤1 executes the plan in order on the caller's goroutine; above 1,
+	// operations whose inputs are complete overlap, each worker writing
+	// through its own write-behind when the emitter is Async.
 	Workers int
 	// Cancel, when set, is polled between batches of every merge operation;
 	// a non-nil return aborts the merge with that error. The driver wires
@@ -60,26 +60,26 @@ func (c *Config) resolveMetrics() {
 	c.mMoved = c.Metrics.Counter(obs.MMergeRecordsMoved, "Records moved through intermediate merge runs.")
 }
 
-// bufBytes returns the per-block buffer budget for a merge of the given
-// width: an equal share of the merge memory across every block the
-// operation holds at once — one per input, the one its writer is filling
-// and, when the writer has a write-behind (writeBehind), the one in flight
-// to storage — floored at one file system page: no real device transfers
-// less than a page per request. The final merge has no writer of its own,
-// and its spare share is what the output batch costs.
-func (c Config) bufBytes(width int, writeBehind bool) int {
-	blocks := max(width, 1) + 1
+// bufBytes returns the per-block buffer budget of a merge of the given width
+// when workers of them run at once. MemoryBytes is a budget for the whole
+// phase: the workers share it, and each one's part is split evenly across
+// the blocks its operation holds at once — one per input, the one its writer
+// is filling and, when the writer has a write-behind (writeBehind), the one
+// in flight to storage — floored at one file system page: no real device
+// transfers less than a page per request. Concurrent operations all get the
+// blocks of a full-width one, the narrow first one too: a framed block is
+// read whole, so no operation may write larger blocks than the readers of
+// the one that consumes its output are given. The final merge has no writer
+// of its own, and its spare share is what the output batch costs.
+func (c Config) bufBytes(workers, width int, writeBehind bool) int {
+	if workers > 1 {
+		width = c.FanIn
+	}
+	blocks := width + 1
 	if writeBehind {
 		blocks++
 	}
-	return max(c.MemoryBytes/blocks, runio.DefaultPageSize)
-}
-
-func (c Config) cancelled() error {
-	if c.Cancel == nil {
-		return nil
-	}
-	return c.Cancel()
+	return max(c.MemoryBytes/workers/blocks, runio.DefaultPageSize)
 }
 
 // Stats reports what the merge phase did.
@@ -97,22 +97,10 @@ type Stats struct {
 	Inputs int
 }
 
-// newEngine builds the loser tree over the inputs. The emitter's KeyCodec —
-// set only once the driver has validated it against Less — is all that
-// shapes it: the cached key word and the tie rule follow from the codec's
-// FixedKeySize and TotalKey (tree.go), and without one every match is the
-// comparator's. The merged order is the comparator's either way.
-//
-// The tree's leaves live in the arena of the goroutine that merges: NewStream
-// makes one per merge worker, each of which builds its engines — one per
-// merge operation — one after the other, and the final merge takes over the
-// first once the workers are done.
-func newEngine[T any](em *runio.Emitter[T], a *leafArena[T], srcs []Source[T]) (Source[T], error) {
-	return newTreeIn(a, srcs, em.Less, em.KeyCodec)
-}
-
-// openInputs opens each run with the per-stream buffer budget.
-func openInputs[T any](em *runio.Emitter[T], runs []runio.Run, bufBytes int) ([]Source[T], error) {
+// openMerged opens the runs, each with the per-stream buffer budget, as one
+// sorted source: the run itself when there is one, else a loser tree with
+// its leaves in the arena, shaped by the emitter's KeyCodec (tree.go).
+func openMerged[T any](em *runio.Emitter[T], a *leafArena[T], runs []runio.Run, bufBytes int) (Source[T], error) {
 	srcs := make([]Source[T], 0, len(runs))
 	for _, r := range runs {
 		rc, err := em.Open(r, bufBytes)
@@ -124,38 +112,88 @@ func openInputs[T any](em *runio.Emitter[T], runs []runio.Run, bufBytes int) ([]
 		}
 		srcs = append(srcs, rc)
 	}
-	return srcs, nil
+	if len(srcs) == 1 {
+		return srcs[0], nil
+	}
+	return newTreeIn(a, srcs, em.Less, em.KeyCodec)
 }
 
-// depthRun pairs a run with the depth of the merge tree that produced it.
-type depthRun struct {
-	run   runio.Run
-	depth int
+// op is one intermediate merge of a plan. A plan numbers its runs: 0..n-1
+// are the inputs in the caller's order, n+i is the output of ops[i].
+type op struct {
+	inputs  []int // the runs merged, in merge order
+	records int64 // the output's record count: the sum of its inputs'
+	depth   int   // merge operations on the longest path into the output
 }
 
-func sortBySize(queue []depthRun) {
-	sort.SliceStable(queue, func(i, j int) bool { return queue[i].run.Records < queue[j].run.Records })
+// plan is the whole merge tree, written down before the first byte moves:
+// the intermediate operations in the order one worker executes them —
+// every operation after the ones that produce its inputs — the runs the
+// final merge reads, and the statistics of executing all of it.
+type plan struct {
+	ops    []op
+	finals []int
+	stats  Stats
 }
 
-// errBadFanIn reports a fan-in below the minimum merge width.
-func errBadFanIn(fanIn int) error {
-	return fmt.Errorf("merge: fan-in must be at least 2, got %d", fanIn)
+// planMerge schedules repeated fanIn-way merges smallest-first — the optimal
+// merge pattern (Knuth vol. 3 §5.4.9): merging the smallest runs first
+// minimises the total volume moved through intermediate files, which matters
+// for 2WRS because its victim streams are tiny compared to the heap streams.
+// The first operation takes ((n-2) mod (fanIn-1)) + 2 runs — the textbook's
+// ((n-1) mod (fanIn-1)) + 1, a full fanIn where that is 1 — so that every
+// later one is full-width, ties keep the caller's order, and every output
+// competes on size with the runs that remain, entering the queue after the
+// runs of its own size. A merge's output has exactly its inputs' records, so
+// the plan is a function of the run sizes and the fan-in alone: it does no
+// I/O and is the same at every Workers setting.
+func planMerge(sizes []int64, fanIn int) plan {
+	type node struct {
+		id, depth int
+		records   int64
+	}
+	n := len(sizes)
+	queue := make([]node, n)
+	for i, s := range sizes {
+		queue[i] = node{id: i, records: s}
+	}
+	sort.SliceStable(queue, func(i, j int) bool { return queue[i].records < queue[j].records })
+	p := plan{stats: Stats{Inputs: n}}
+	for width := (n-2)%(fanIn-1) + 2; len(queue) > fanIn; width = fanIn {
+		out := node{id: n + len(p.ops), depth: 1}
+		inputs := make([]int, width)
+		for i, in := range queue[:width] {
+			inputs[i] = in.id
+			out.records += in.records
+			out.depth = max(out.depth, in.depth+1)
+		}
+		p.ops = append(p.ops, op{inputs: inputs, records: out.records, depth: out.depth})
+		p.stats.RecordsMoved += out.records
+		// The queue is sorted; the output goes after the runs of its own size,
+		// where re-sorting the queue stably would leave it.
+		queue = queue[width:]
+		at := sort.Search(len(queue), func(i int) bool { return queue[i].records > out.records })
+		queue = slices.Insert(queue, at, out)
+	}
+	for _, f := range queue {
+		p.finals = append(p.finals, f.id)
+		p.stats.Passes = max(p.stats.Passes, f.depth)
+	}
+	p.stats.Merges = len(p.ops)
+	if len(p.finals) > 1 {
+		p.stats.Merges++
+		p.stats.Passes++
+	}
+	return p
 }
 
-// Merge combines the given sorted inputs into dst using repeated FanIn-way
-// merges scheduled smallest-first — the optimal merge pattern (Knuth vol. 3
-// §5.4.9): merging the smallest runs first minimises the total volume moved
-// through intermediate files, which matters for 2WRS because its victim
-// streams are tiny compared to the heap streams. The first merge takes
-// ((n-1) mod (FanIn-1)) + 1 runs so that every later merge is full-width.
-// Intermediate runs are deleted as soon as they are consumed; the final
-// merge streams directly to dst.
+// Merge combines the given sorted inputs into dst by the plan of planMerge:
+// repeated FanIn-way merges, smallest runs first. Intermediate runs are
+// deleted as soon as they are consumed; the final merge streams directly to
+// dst.
 //
-// With Workers > 1 the intermediate merges of each pass are independent —
-// they touch disjoint input runs and write distinct output files — and run
-// concurrently on a bounded worker pool. The result stream is identical;
-// only the wall-clock schedule (and, slightly, the grouping of runs into
-// merge operations) changes.
+// The merge tree, the files written and Stats are the same at every Workers
+// setting, which decides only when an operation runs (see Config.Workers).
 //
 // Each input is one sorted stream when opened: a 2WRS run with overlapping
 // stream ranges interleaves its segments on the fly (runio.OpenRun), so
@@ -177,192 +215,126 @@ func Merge[T any](em *runio.Emitter[T], inputs []runio.Run, dst stream.Writer[T]
 	return st.Stats(), st.Close()
 }
 
-// reduceSequential is the historical schedule: one merge at a time,
-// smallest runs first, every output entering the sorted queue so that
-// intermediate outputs compete on size with the remaining originals.
-func reduceSequential[T any](em *runio.Emitter[T], a *leafArena[T], queue []depthRun, cfg Config, stats *Stats) ([]depthRun, error) {
-	sortBySize(queue)
-	// Width of the first internal merge so all later ones are full.
-	firstWidth := (len(queue)-1)%(cfg.FanIn-1) + 1
-	for len(queue) > cfg.FanIn {
-		if err := cfg.cancelled(); err != nil {
-			return queue, err
-		}
-		width := cfg.FanIn
-		if firstWidth > 1 {
-			width = firstWidth
-		}
-		firstWidth = 0
-		group := make([]runio.Run, 0, width)
-		depth := 0
-		for _, dr := range queue[:width] {
-			group = append(group, dr.run)
-			if dr.depth > depth {
-				depth = dr.depth
-			}
-		}
-		queue = queue[width:]
-		out, err := mergeGroup(em, a, nil, group, em.Namer.Next("merge"), cfg.bufBytes(width, false), cfg)
-		if err != nil {
-			return queue, err
-		}
-		stats.Merges++
-		stats.RecordsMoved += out.Records
-		// The queue is sorted; the output goes after the runs of its own size,
-		// where re-sorting the queue stably would leave it.
-		at := sort.Search(len(queue), func(i int) bool { return queue[i].run.Records > out.Records })
-		queue = slices.Insert(queue, at, depthRun{run: out, depth: depth + 1})
+// execute runs the plan's operations on one worker per arena and leaves the
+// outputs in runs, which holds the plan's inputs and a slot per operation
+// under the plan's numbering. A worker owns its arena and its write queue,
+// and takes the earliest unclaimed operation whose inputs are complete: one
+// worker is the plan in order, on the caller's goroutine with the
+// synchronous queue; several overlap whatever is ready, with no barrier
+// between the levels of the tree. execute returns the first failure or
+// cancellation: nothing is claimed after it, so no operation that depends
+// on a failed one ever starts.
+func execute[T any](em *runio.Emitter[T], p plan, runs []runio.Run, arenas []leafArena[T], cfg Config) error {
+	n := len(runs) - len(p.ops)
+	// Names are taken in plan order, whichever worker gets to use them.
+	names := make([]string, len(p.ops))
+	for i := range names {
+		names[i] = em.Namer.Next("merge")
 	}
-	return queue, nil
-}
-
-// reduceParallel reduces the queue to ≤ FanIn runs in planned passes. Each
-// pass groups the currently smallest runs exactly like the sequential
-// schedule would, pre-allocates the output file names, and executes the
-// groups — which touch disjoint runs — concurrently on a pool of at most
-// cfg.Workers goroutines, worker w with its leaves in arenas[w].
-func reduceParallel[T any](em *runio.Emitter[T], arenas []leafArena[T], queue []depthRun, cfg Config, stats *Stats) ([]depthRun, error) {
-	type group struct {
-		runs  []runio.Run
-		depth int
-		name  string
+	const unclaimed, running, complete = 0, 1, 2
+	var (
+		mu       sync.Mutex // guards what follows, and the outputs in runs
+		changed  = sync.NewCond(&mu)
+		state    = make([]uint8, len(p.ops))
+		next     int // the earliest unclaimed operation
+		firstErr error
+	)
+	ready := func(i int) bool {
+		for _, in := range p.ops[i].inputs {
+			if in >= n && state[in-n] != complete {
+				return false
+			}
+		}
+		return true
 	}
-	firstWidth := (len(queue)-1)%(cfg.FanIn-1) + 1
-	for len(queue) > cfg.FanIn {
-		if err := cfg.cancelled(); err != nil {
-			return queue, err
-		}
-		sortBySize(queue)
-		// Plan this pass from the current queue only: every group is
-		// independent of the pass's own outputs.
-		var groups []group
-		total, i := len(queue), 0
-		for total > cfg.FanIn && i < len(queue) {
-			width := cfg.FanIn
-			if firstWidth > 1 {
-				width = firstWidth
+	work := func(a *leafArena[T], q *runio.WriteBehind) {
+		mu.Lock()
+		defer mu.Unlock()
+		for firstErr == nil && next < len(p.ops) {
+			i := next
+			for i < len(p.ops) && (state[i] != unclaimed || !ready(i)) {
+				i++
 			}
-			firstWidth = 0
-			if width > len(queue)-i {
-				width = len(queue) - i
+			if i == len(p.ops) {
+				// An operation is running — the earliest unclaimed one reads
+				// only earlier outputs — and its end wakes the wait.
+				changed.Wait()
+				continue
 			}
-			if width < 2 {
-				break
+			state[i] = running
+			for next < len(p.ops) && state[next] != unclaimed {
+				next++
 			}
-			g := group{name: em.Namer.Next("merge")}
-			for _, dr := range queue[i : i+width] {
-				g.runs = append(g.runs, dr.run)
-				if dr.depth > g.depth {
-					g.depth = dr.depth
-				}
+			group := make([]runio.Run, len(p.ops[i].inputs))
+			for j, in := range p.ops[i].inputs {
+				group[j] = runs[in]
 			}
-			groups = append(groups, g)
-			i += width
-			total -= width - 1
-		}
-		rest := append([]depthRun(nil), queue[i:]...)
-
-		// The configured merge memory is a budget for the whole phase:
-		// divide it across the merges that actually run concurrently so
-		// Workers×MemoryBytes is never allocated. Every merge of the pass
-		// gets the blocks of a full-width one, the narrow first one too:
-		// a framed block is read whole, so no pass may write larger blocks
-		// than the next one's readers are given.
-		workers := max(min(cfg.Workers, len(groups)), 1)
-		share := cfg
-		share.MemoryBytes = cfg.MemoryBytes / workers
-		bufBytes := share.bufBytes(cfg.FanIn, em.Async)
-
-		// Each worker takes the next unclaimed group until none is left or
-		// one has failed, and owns one write-behind for the pass.
-		outs := make([]depthRun, len(groups))
-		var (
-			wg       sync.WaitGroup
-			mu       sync.Mutex
-			next     int
-			firstErr error
-		)
-		claim := func() (int, bool) {
+			mu.Unlock()
+			out, err := mergeOp(em, a, q, group, names[i], p.ops[i].depth, cfg.bufBytes(len(arenas), len(group), q != nil), cfg)
 			mu.Lock()
-			defer mu.Unlock()
-			if firstErr != nil || next == len(groups) {
-				return 0, false
+			if err == nil {
+				runs[n+i], state[i] = out, complete
+			} else if firstErr == nil {
+				firstErr = err
 			}
-			next++
-			return next - 1, true
+			changed.Broadcast()
 		}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(a *leafArena[T]) {
-				defer wg.Done()
-				q := em.NewWriteBehind()
-				for gi, ok := claim(); ok; gi, ok = claim() {
-					g := groups[gi]
-					out, err := mergeGroup(em, a, q, g.runs, g.name, bufBytes, cfg)
-					if err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-						return
-					}
-					outs[gi] = depthRun{run: out, depth: g.depth + 1}
-				}
-			}(&arenas[w])
-		}
-		wg.Wait()
-		if firstErr != nil {
-			return rest, firstErr
-		}
-		for _, o := range outs {
-			stats.Merges++
-			stats.RecordsMoved += o.run.Records
-		}
-		queue = append(rest, outs...)
 	}
-	return queue, nil
+	if len(arenas) == 1 {
+		work(&arenas[0], nil)
+		return firstErr
+	}
+	var wg sync.WaitGroup
+	for i := range arenas {
+		wg.Add(1)
+		go func(a *leafArena[T]) {
+			defer wg.Done()
+			work(a, em.NewWriteBehind())
+		}(&arenas[i])
+	}
+	wg.Wait()
+	return firstErr
 }
 
-// mergeGroup merges one group of runs into a fresh intermediate run under
-// the given pre-allocated name and deletes the consumed inputs, recording
-// one "merge_op" span and the per-operation metrics. a and q are the calling
-// goroutine's leaf arena and write queue; the output is complete on the
-// store when mergeGroup returns, error or not.
-func mergeGroup[T any](em *runio.Emitter[T], a *leafArena[T], q *runio.WriteBehind, group []runio.Run, name string, bufBytes int, cfg Config) (runio.Run, error) {
-	sp := cfg.Span.Start("merge_op", obs.Int("width", int64(len(group))))
-	out, err := mergeGroupRaw(em, a, q, group, name, bufBytes, cfg)
-	if err != nil {
-		sp.End(obs.Str("error", err.Error()))
-		return out, err
+// mergeOp performs one operation: it merges the group into a fresh run under
+// the given pre-allocated name and deletes the consumed inputs, recording one
+// "merge_op" span and the per-operation metrics. a and q are the calling
+// worker's; the output is complete on the store, and q joined, when mergeOp
+// returns, error or not.
+func mergeOp[T any](em *runio.Emitter[T], a *leafArena[T], q *runio.WriteBehind, group []runio.Run, name string, depth, bufBytes int, cfg Config) (out runio.Run, err error) {
+	if cfg.Cancel != nil {
+		if err := cfg.Cancel(); err != nil {
+			return runio.Run{}, err
+		}
 	}
-	sp.End(obs.Int("records", out.Records))
-	cfg.mOps.Add(1)
-	cfg.mFanIn.Observe(float64(len(group)))
-	cfg.mMoved.Add(out.Records)
-	return out, nil
-}
-
-// mergeGroupRaw is mergeGroup without the instrumentation.
-func mergeGroupRaw[T any](em *runio.Emitter[T], a *leafArena[T], q *runio.WriteBehind, group []runio.Run, name string, bufBytes int, cfg Config) (runio.Run, error) {
-	srcs, err := openInputs(em, group, bufBytes)
+	sp := cfg.Span.Start("merge_op", obs.Int("width", int64(len(group))), obs.Int("depth", int64(depth)))
+	defer func() {
+		if err != nil {
+			sp.End(obs.Str("error", err.Error()))
+			return
+		}
+		sp.End(obs.Int("records", out.Records))
+		cfg.mOps.Add(1)
+		cfg.mFanIn.Observe(float64(len(group)))
+		cfg.mMoved.Add(out.Records)
+	}()
+	eng, err := openMerged(em, a, group, bufBytes)
 	if err != nil {
 		return runio.Run{}, err
 	}
-	eng, err := newEngine(em, a, srcs)
-	if err != nil {
-		return runio.Run{}, err
-	}
-	w, err := em.NewWriter(q, name, bufBytes)
+	wr, err := em.NewWriter(q, name, bufBytes)
 	if err != nil {
 		eng.Close()
 		return runio.Run{}, err
 	}
-	_, err = stream.CopyCancel[T](w, eng, cfg.Cancel)
+	if a.batch == nil {
+		a.batch = make([]T, stream.DefaultBatchLen)
+	}
+	_, err = stream.CopyBuffer[T](wr, eng, a.batch, cfg.Cancel)
 	if cerr := eng.Close(); err == nil {
 		err = cerr
 	}
-	if cerr := w.Close(); err == nil {
+	if cerr := wr.Close(); err == nil {
 		err = cerr
 	}
 	// The barrier: the output must be whole before it counts as a run and
@@ -379,5 +351,5 @@ func mergeGroupRaw[T any](em *runio.Emitter[T], a *leafArena[T], q *runio.WriteB
 			return runio.Run{}, err
 		}
 	}
-	return runio.SingleRun(w.Segment()), nil
+	return runio.SingleRun(wr.Segment()), nil
 }

@@ -345,10 +345,13 @@ func testMergeHeapEngine(t *testing.T, kc codec.KeyCodec[record.Record]) {
 }
 
 func TestMergeParallelWorkers(t *testing.T) {
-	for _, workers := range []int{2, 4, 8} {
+	var one Stats
+	var oneRaw int64
+	for _, workers := range []int{1, 2, 4, 8} {
 		fs := vfs.NewMemFS()
 		em := runio.RecordEmitter(fs, "m")
-		runs, all := makeRuns(t, fs, em, 37, 40, int64(workers))
+		runs, all := makeRuns(t, fs, em, 37, 40, 8)
+		written := em.Store.Stats().RawBytesWritten
 		var out record.SliceWriter
 		stats, err := Merge(em, runs, &out, Config{FanIn: 3, MemoryBytes: 1 << 14, Workers: workers})
 		if err != nil {
@@ -360,11 +363,19 @@ func TestMergeParallelWorkers(t *testing.T) {
 		if !record.NewMultiset(out.Vals).Equal(record.NewMultiset(all)) {
 			t.Fatalf("workers %d: parallel merge lost records", workers)
 		}
-		// 37 runs at fan-in 3 still takes 18 merge operations regardless of
-		// the schedule: every merge removes width-1 runs, the first is
-		// width-aligned, and the final 3-way streams to the destination.
+		// 37 runs at fan-in 3 take 18 merge operations: every merge removes
+		// width-1 runs, the first is width-aligned, and the final 3-way
+		// streams to the destination.
 		if stats.Merges != 18 {
 			t.Fatalf("workers %d: merges = %d, want 18", workers, stats.Merges)
+		}
+		// The plan, and so the merge half of the statistics and the bytes
+		// written, is the same whatever executes it.
+		raw := em.Store.Stats().RawBytesWritten - written
+		if workers == 1 {
+			one, oneRaw = stats, raw
+		} else if stats != one || raw != oneRaw {
+			t.Fatalf("workers %d: %+v and %d raw bytes written, one worker %+v and %d", workers, stats, raw, one, oneRaw)
 		}
 		names, _ := fs.Names()
 		if len(names) != 0 {

@@ -1,6 +1,7 @@
 package merge
 
 import (
+	"fmt"
 	"io"
 
 	"repro/internal/obs"
@@ -46,71 +47,54 @@ type Stream[T any] struct {
 // often).
 const cancelBatch = 1024
 
-// NewStream performs the intermediate merge passes — reducing the inputs to
-// at most FanIn runs, exactly as Merge would, including the smallest-first
-// schedule and the Workers pool — and returns the final merge as a Stream
-// for the caller to drain. Merge is equivalent to NewStream followed by a
-// copy into dst and Close.
+// NewStream plans the merge (planMerge), executes the plan's intermediate
+// operations — reducing the inputs to at most FanIn runs, on up to Workers
+// workers — and returns the final merge as a Stream for the caller to drain.
+// Merge is equivalent to NewStream followed by a copy into dst and Close.
 //
 // The returned Stream owns the remaining run files: they are deleted on
-// Close whether or not the stream was fully drained. On error the reduced
-// queue's files are left to the caller's file system cleanup, matching
-// Merge's behaviour.
+// Close whether or not the stream was fully drained. On error the files of
+// the runs not yet consumed are left to the caller's file system cleanup,
+// matching Merge's behaviour.
 func NewStream[T any](em *runio.Emitter[T], inputs []runio.Run, cfg Config) (*Stream[T], error) {
 	if cfg.FanIn < 2 {
-		return nil, errBadFanIn(cfg.FanIn)
+		return nil, fmt.Errorf("merge: fan-in must be at least 2, got %d", cfg.FanIn)
 	}
 	cfg.resolveMetrics()
-	st := &Stream[T]{store: em.Store, cancel: cfg.Cancel, stats: Stats{Inputs: len(inputs)}}
-	st.onClose = cfg.OnClose
-	st.outc = cfg.Metrics.Counter(obs.MRecordsOut, "Records delivered by the final merge.")
-	st.rep = cfg.Progress
+	sizes := make([]int64, len(inputs))
+	for i, r := range inputs {
+		sizes[i] = r.Records
+	}
+	p := planMerge(sizes, cfg.FanIn)
+	st := &Stream[T]{
+		store: em.Store, cancel: cfg.Cancel, stats: p.stats, rep: cfg.Progress, onClose: cfg.OnClose,
+		outc: cfg.Metrics.Counter(obs.MRecordsOut, "Records delivered by the final merge."),
+	}
 	if len(inputs) == 0 {
 		return st, nil
 	}
+	cfg.Span.Annotate(obs.Int("ops", int64(p.stats.Merges)), obs.Int("passes", int64(p.stats.Passes)), obs.Int("moved", p.stats.RecordsMoved))
 	// The runs must be whole before they are opened for reading.
 	if err := em.Barrier(); err != nil {
 		return nil, err
 	}
 	storage.PoolOf(em.Store).Reserve(cfg.MemoryBytes)
 
-	queue := make([]depthRun, 0, len(inputs))
-	for _, r := range inputs {
-		queue = append(queue, depthRun{run: r})
+	runs := make([]runio.Run, len(inputs)+len(p.ops))
+	copy(runs, inputs)
+	arenas := make([]leafArena[T], max(1, min(cfg.Workers, len(p.ops))))
+	if err := execute(em, p, runs, arenas, cfg); err != nil {
+		return nil, err
 	}
-
+	for _, id := range p.finals {
+		st.finals = append(st.finals, runs[id])
+	}
 	var err error
-	arenas := make([]leafArena[T], max(cfg.Workers, 1))
-	if cfg.Workers > 1 {
-		queue, err = reduceParallel(em, arenas, queue, cfg, &st.stats)
-	} else {
-		queue, err = reduceSequential(em, &arenas[0], queue, cfg, &st.stats)
-	}
+	st.eng, err = openMerged(em, &arenas[0], st.finals, cfg.bufBytes(1, len(st.finals), false))
 	if err != nil {
 		return nil, err
 	}
-
-	depth := 0
-	for _, dr := range queue {
-		st.finals = append(st.finals, dr.run)
-		if dr.depth > depth {
-			depth = dr.depth
-		}
-	}
-	srcs, err := openInputs(em, st.finals, cfg.bufBytes(len(st.finals), false))
-	if err != nil {
-		return nil, err
-	}
-	if len(st.finals) == 1 {
-		st.eng = srcs[0]
-		st.stats.Passes = depth
-	} else {
-		st.eng, err = newEngine(em, &arenas[0], srcs)
-		if err != nil {
-			return nil, err
-		}
-		st.stats.Merges++
-		st.stats.Passes = depth + 1
+	if len(st.finals) > 1 {
 		cfg.mOps.Add(1)
 		cfg.mFanIn.Observe(float64(len(st.finals)))
 	}
@@ -119,9 +103,9 @@ func NewStream[T any](em *runio.Emitter[T], inputs []runio.Run, cfg Config) (*St
 	return st, nil
 }
 
-// Stats reports the merge statistics accumulated so far: the intermediate
-// passes are complete by the time NewStream returns, so only the final
-// merge's contribution (already counted) streams lazily.
+// Stats reports the merge statistics, read off the plan: the intermediate
+// operations are complete by the time NewStream returns, and the final merge
+// they count streams lazily.
 func (s *Stream[T]) Stats() Stats { return s.stats }
 
 // Read returns the next element of the merged order, polling the

@@ -26,14 +26,16 @@ type Source[T any] interface {
 // elements.
 const leafBatch = 256
 
-// leafArena is the decoded-leaf memory of one merging goroutine: leafBatch
-// elements per source and, for a tree keyed on the cached word, their keys.
-// It outlives the engines built in it — a merge worker builds one engine
-// per merge operation, one after the other, over the same arena — and its
-// zero value is ready to use.
+// leafArena is the memory one merging goroutine reuses from operation to
+// operation: leafBatch decoded elements per source, for a tree keyed on the
+// cached word their keys, and the batch its copy loop moves the output
+// through. It outlives the engines built in it — a merge worker builds one
+// per merge operation, one after the other, and the final merge takes over
+// the first worker's — and its zero value is ready to use.
 type leafArena[T any] struct {
-	buf  []T
-	keys []uint64
+	buf   []T
+	keys  []uint64
+	batch []T
 }
 
 // batches returns the arena slab cut to k leaf batches, first replacing it

@@ -1,6 +1,6 @@
 // Package ops implements streaming relational operators over sorted element
-// streams: duplicate elimination (Distinct), grouped aggregation (GroupBy),
-// bounded top-k selection (TopK) and sort-merge join (MergeJoin).
+// streams: duplicate elimination (Distinct), grouped aggregation (GroupBy)
+// and sort-merge join (MergeJoin).
 //
 // Distinct and GroupBy are stream transformers: they wrap a sorted
 // stream.BatchReader and are themselves batch readers, so a whole operator
@@ -8,30 +8,21 @@
 // ~1024 elements. They rely only on equal elements being adjacent, which is
 // exactly what the merge phase's output order guarantees.
 //
-// TopK is a consumer, not a transformer: it selects the k smallest elements
-// of an *unsorted* stream through a bounded max-heap (the selection-from-
-// heaps idea of the dualheap/soft-heap selection line of work), touching
-// O(k) memory and never spilling — the external sort machinery is bypassed
-// entirely when k fits the memory budget.
-//
 // MergeJoin consumes two streams sorted consistently with a cross-type
 // comparator and emits one joined element per matching pair (inner join,
 // many-to-many); only the current right-side key group is buffered.
 package ops
 
 import (
-	"fmt"
 	"io"
 
-	sel "repro/internal/select"
 	"repro/internal/stream"
 )
 
 // cancelOps is how many element operations pass between cancellation-hook
-// polls in the element-loop operators (MergeJoin; TopK inherits the same
-// cadence from sel.Stream), matching the 1024-op cadence of the public
-// API's context wrappers. The batch operators poll per batch, which is at
-// least as often.
+// polls in the element-loop operators (MergeJoin), matching the 1024-op
+// cadence of the public API's context wrappers. The batch operators poll per
+// batch, which is at least as often.
 const cancelOps = 1024
 
 // elemRead adapts a batch-native operator to the element-at-a-time Read
@@ -191,25 +182,6 @@ func (g *GroupBy[T]) ReadBatch(dst []T) (int, error) {
 		}
 	}
 	return filled, nil
-}
-
-// TopK consumes src — in any order — and returns its k smallest elements
-// under less, ascending. Selection runs through a bounded max-heap of the k
-// smallest elements seen so far: once the heap is full, each new element is
-// compared against the current threshold (the heap root) and discarded
-// outright unless it improves the set. Memory is O(k) and nothing spills.
-// cancel (nil means never) is polled every cancelOps consumed elements;
-// read reports how many elements were consumed even when an error cut the
-// stream short.
-//
-// TopK is the Smallest direction of internal/select's
-// direction-parameterized threshold-heap core (sel.Stream); BottomK is the
-// same loop with the heap inverted.
-func TopK[T any](src stream.Reader[T], k int, less func(a, b T) bool, cancel func() error) (vals []T, read int64, err error) {
-	if k < 0 {
-		return nil, 0, fmt.Errorf("ops: top-k requires k ≥ 0, got %d", k)
-	}
-	return sel.Stream(src, k, sel.Smallest, less, cancel)
 }
 
 // JoinStats reports what a merge join consumed and produced.

@@ -168,59 +168,6 @@ func TestGroupByTinyDst(t *testing.T) {
 	}
 }
 
-func TestTopKSelectsSmallest(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	in := make([]int64, 20000)
-	for i := range in {
-		in[i] = rng.Int63n(1 << 50)
-	}
-	for _, k := range []int{0, 1, 7, 100, 20000, 30000} {
-		got, read, err := TopK[int64](stream.NewSliceReader(in), k, lessInt, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if k > 0 && read != int64(len(in)) {
-			t.Fatalf("k=%d: read %d, want %d", k, read, len(in))
-		}
-		want := sortedCopy(in)
-		if k < len(want) {
-			want = want[:k]
-		}
-		if len(got) != len(want) {
-			t.Fatalf("k=%d: %d results, want %d", k, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("k=%d: got[%d]=%d, want %d", k, i, got[i], want[i])
-			}
-		}
-	}
-	if _, _, err := TopK[int64](stream.NewSliceReader(in), -1, lessInt, nil); err == nil {
-		t.Fatal("negative k should be rejected")
-	}
-}
-
-func TestTopKCancellation(t *testing.T) {
-	sentinel := errors.New("stop")
-	n := 0
-	endless := stream.Func[int64](func() (int64, error) { n++; return int64(n), nil })
-	fired := 0
-	cancel := func() error {
-		// Let the first poll pass so selection genuinely starts, then fire.
-		fired++
-		if fired > 1 {
-			return sentinel
-		}
-		return nil
-	}
-	if _, _, err := TopK[int64](endless, 10, lessInt, cancel); !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v, want sentinel", err)
-	}
-	if n > 2*cancelOps {
-		t.Fatalf("read %d elements after cancellation", n)
-	}
-}
-
 func cmpIntPair(l, r int64) int {
 	switch {
 	case l/1000 < r/1000:

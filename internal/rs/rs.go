@@ -34,20 +34,6 @@ import (
 	"repro/internal/stream"
 )
 
-// fetchLen sizes the batched input fetch buffer for a generator with the
-// given memory budget: large enough to amortise dispatch, small next to the
-// budget itself.
-func fetchLen(memory int) int {
-	n := memory / 8
-	if n < 64 {
-		n = 64
-	}
-	if n > stream.DefaultBatchLen {
-		n = stream.DefaultBatchLen
-	}
-	return n
-}
-
 // Stepper runs replacement selection through a run-tagged heap one run at a
 // time, in either direction: each NextRun call writes exactly one run through
 // the emitter. An up-run is classic replacement selection — pop the smallest
@@ -97,8 +83,8 @@ func NewStepper[T any](src stream.Reader[T], em *runio.Emitter[T], memory int, a
 	s := &Stepper[T]{
 		em: em,
 		// All input flows through a batched fetch buffer: one ReadBatch per
-		// fetchLen elements instead of an interface call per record.
-		in:          stream.NewFetcher(src, fetchLen(memory)),
+		// FetchLen elements instead of an interface call per record.
+		in:          stream.NewFetcher(src, stream.FetchLen(memory)),
 		up:          heap.New(memory, false, em.Less),
 		pfx:         em.PrefixFunc(),
 		alternating: alternating,

@@ -86,7 +86,7 @@ type Run struct {
 	// disjoint in segment order, so reading them back to back yields one
 	// sorted sequence. 2WRS guarantees each stream is sorted but the four
 	// ranges can overlap slightly when an insertion heuristic misjudges
-	// the division point; such runs must be merged as separate inputs.
+	// the division point; OpenRun interleaves the segments of such a run.
 	Concatenable bool
 }
 

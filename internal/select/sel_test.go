@@ -1,6 +1,7 @@
 package sel
 
 import (
+	"errors"
 	"math/rand"
 	"sort"
 	"testing"
@@ -223,6 +224,29 @@ func TestStreamValidatesK(t *testing.T) {
 	vals, read, err := Stream[int](stream.NewSliceReader([]int{1, 2}), 0, Largest, func(a, b int) bool { return a < b }, nil)
 	if err != nil || vals != nil || read != 0 {
 		t.Fatalf("k=0: vals=%v read=%d err=%v", vals, read, err)
+	}
+}
+
+// TestStreamCancellation: the hook is polled every cancelOps consumed
+// elements, so an endless source is abandoned within one interval of it
+// firing.
+func TestStreamCancellation(t *testing.T) {
+	sentinel := errors.New("stop")
+	n := 0
+	endless := stream.Func[int](func() (int, error) { n++; return n, nil })
+	fired := 0
+	cancel := func() error {
+		// Let the first poll pass so selection genuinely starts, then fire.
+		if fired++; fired > 1 {
+			return sentinel
+		}
+		return nil
+	}
+	if _, _, err := Stream[int](endless, 10, Smallest, func(a, b int) bool { return a < b }, cancel); !errors.Is(err, sentinel) {
+		t.Fatalf("err = %v, want sentinel", err)
+	}
+	if n > 2*cancelOps {
+		t.Fatalf("read %d elements after cancellation", n)
 	}
 }
 

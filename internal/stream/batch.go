@@ -166,6 +166,13 @@ func NewFetcher[T any](r Reader[T], batchLen int) *Fetcher[T] {
 	return &Fetcher[T]{br: AsBatchReader(r), buf: make([]T, batchLen)}
 }
 
+// FetchLen sizes a run generator's Fetcher against its memory budget (in
+// elements): large enough to amortise dispatch, a small fraction of the
+// budget itself.
+func FetchLen(memory int) int {
+	return min(max(memory/8, 64), DefaultBatchLen)
+}
+
 // Next returns the next element; ok is false once the source is exhausted
 // or failed (err carries the failure, nil for a plain end of stream).
 func (f *Fetcher[T]) Next() (T, bool, error) {

@@ -133,8 +133,18 @@ func CopyCancel[T any](w Writer[T], r Reader[T], cancel func() error) (int64, er
 // to w and returns the number copied, fewer than n with a nil error when r
 // ended first. It is the one capped batch loop: Discard is CopyN to nowhere.
 func CopyN[T any](w Writer[T], r Reader[T], n int64, cancel func() error) (int64, error) {
+	return copyN(w, r, n, make([]T, max(0, min(n, DefaultBatchLen))), cancel)
+}
+
+// CopyBuffer is CopyCancel moving its batches through buf instead of a
+// buffer of its own, for a caller that copies stream after stream (a merge
+// worker, once per merge operation).
+func CopyBuffer[T any](w Writer[T], r Reader[T], buf []T, cancel func() error) (int64, error) {
+	return copyN(w, r, math.MaxInt64, buf, cancel)
+}
+
+func copyN[T any](w Writer[T], r Reader[T], n int64, buf []T, cancel func() error) (int64, error) {
 	br, bw := AsBatchReader(r), AsBatchWriter(w)
-	buf := make([]T, max(0, min(n, DefaultBatchLen)))
 	var done int64
 	for done < n {
 		if cancel != nil {

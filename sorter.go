@@ -220,11 +220,11 @@ func WithTempDir(dir string) Option {
 }
 
 // WithParallelism bounds the sort's concurrency: above 1, run spilling
-// overlaps file I/O on background writer goroutines and independent
-// intermediate merges run on a worker pool of this size. 1 forces the
-// fully sequential behaviour (the paper's cost model); 0, the default,
-// uses GOMAXPROCS. The on-disk run format and the sorted output are
-// identical at every setting.
+// overlaps file I/O on background writer goroutines and up to this many
+// operations of the merge plan whose inputs are complete run at once. 1
+// forces the fully sequential behaviour (the paper's cost model); 0, the
+// default, uses GOMAXPROCS. The on-disk run format, the merge tree and the
+// sorted output are identical at every setting.
 func WithParallelism(n int) Option {
 	return func(s *sorterConfig) error { s.cfg.Parallelism = n; return nil }
 }
