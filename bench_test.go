@@ -16,6 +16,7 @@ import (
 	"repro/internal/record"
 	"repro/internal/runio"
 	"repro/internal/storage"
+	"repro/internal/stream"
 	"repro/internal/vfs"
 )
 
@@ -146,7 +147,7 @@ func BenchmarkAblationBackwardFormat(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			r, _ := runio.NewBackwardReader(storage.NewRaw(fs), "b", files, 1<<16, codec.Record16{})
-			if _, err := record.ReadAll(r); err != nil {
+			if _, err := stream.ReadAllCancel[record.Record](r, nil); err != nil {
 				b.Fatal(err)
 			}
 			r.Close()

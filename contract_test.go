@@ -4,10 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
+	"io/fs"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -305,5 +311,73 @@ func TestRankQueriesMatchSortThenIndex(t *testing.T) {
 			}
 			requireEmptyDir(t, dir)
 		}
+	}
+}
+
+// TestOneReadProtocolBelowTheBoundary keeps the element-at-a-time read
+// protocol from growing back. Read() (T, error) is the shape of a caller's
+// source, adapted once by stream.AsBatchReader where it enters the library;
+// under internal/ the only non-test types that declare it are the sources a
+// caller holds — a slice, a closure, a byte stream of records, the synthetic
+// generator — and everything else reads batches. The reference HeapMerger,
+// which nothing but tests and benchmarks ever merged through, is declared
+// beside them and nowhere else.
+func TestOneReadProtocolBelowTheBoundary(t *testing.T) {
+	var readers, heapMergers []string
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		file, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		isTest := strings.HasSuffix(path, "_test.go")
+		for _, decl := range file.Decls {
+			switch d := decl.(type) {
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					if ts, ok := spec.(*ast.TypeSpec); ok && ts.Name.Name == "HeapMerger" && !isTest {
+						heapMergers = append(heapMergers, path)
+					}
+				}
+			case *ast.FuncDecl:
+				ft := d.Type
+				if isTest || d.Recv == nil || d.Name.Name != "Read" || len(ft.Params.List) != 0 || ft.Results == nil || len(ft.Results.List) != 2 {
+					continue
+				}
+				if id, ok := ft.Results.List[1].Type.(*ast.Ident); !ok || id.Name != "error" {
+					continue
+				}
+				// The receiver's type name, through a pointer and type parameters.
+				recv := d.Recv.List[0].Type
+				for {
+					switch r := recv.(type) {
+					case *ast.StarExpr:
+						recv = r.X
+						continue
+					case *ast.IndexExpr:
+						recv = r.X
+						continue
+					case *ast.IndexListExpr:
+						recv = r.X
+						continue
+					}
+					break
+				}
+				readers = append(readers, file.Name.Name+"."+recv.(*ast.Ident).Name)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(readers)
+	if want := []string{"gen.Generator", "record.ByteReader", "stream.Func", "stream.SliceReader"}; !slices.Equal(readers, want) {
+		t.Errorf("non-test types under internal/ declaring Read() (T, error): %v, want exactly the caller-shaped sources %v — read batches (stream.BatchReader) below the boundary", readers, want)
+	}
+	if len(heapMergers) != 0 {
+		t.Errorf("HeapMerger is declared outside _test.go files, in %v: it is the tests' reference merger, not an engine", heapMergers)
 	}
 }

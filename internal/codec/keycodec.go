@@ -245,6 +245,16 @@ func Prefix(key []byte) uint64 {
 	return p << (8 * (8 - uint(len(key))))
 }
 
+// PrefixIsKey reports whether Prefix of kc's key bytes is the whole key: a
+// fixed-width key of at most 8 bytes, under which equal prefixes are equal
+// keys and nothing has to look at the key bytes themselves. Everything that
+// chooses between "the cached word decides" and "the word, then the bytes"
+// asks here: the merge tree, the quick stepper's radix sort, the shard router.
+func PrefixIsKey[T any](kc KeyCodec[T]) bool {
+	fs := kc.FixedKeySize()
+	return fs >= 1 && fs <= 8
+}
+
 // Prefixer is an optional KeyCodec extension: KeyPrefix returns
 // Prefix(AppendKey(nil, v)) without materializing the key bytes. The
 // built-in fixed-width codecs implement it — their key is one integer

@@ -34,7 +34,7 @@ type inputBuffer[T any] struct {
 // running mean. trackMedian enables the sliding-median structure (needed by
 // the Median heuristic and by the comparator-only Mean fallback), ordered
 // by less.
-func newInputBuffer[T any](src stream.Reader[T], capacity, memory int, key func(T) float64, trackMedian bool, less func(a, b T) bool) *inputBuffer[T] {
+func newInputBuffer[T any](src stream.BatchReader[T], capacity, memory int, key func(T) float64, trackMedian bool, less func(a, b T) bool) *inputBuffer[T] {
 	b := &inputBuffer[T]{src: stream.NewFetcher(src, stream.FetchLen(memory)), key: key}
 	if capacity > 0 {
 		b.ring = make([]T, capacity)

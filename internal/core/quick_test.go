@@ -4,10 +4,8 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/codec"
 	"repro/internal/record"
 	"repro/internal/runio"
-	"repro/internal/storage"
 	"repro/internal/vfs"
 )
 
@@ -39,13 +37,7 @@ func TestQuickArbitraryInputsProduceValidRuns(t *testing.T) {
 		}
 		union := make(record.Multiset)
 		for _, run := range res.Runs {
-			rc, err := runio.OpenRun(storage.NewRaw(fs), run, 512, codec.Record16{}, record.Less)
-			if err != nil {
-				t.Logf("open failed: %v", err)
-				return false
-			}
-			got, err := record.ReadAll(rc)
-			rc.Close()
+			got, err := readRun(fs, run, 512)
 			if err != nil {
 				t.Logf("read failed: %v", err)
 				return false

@@ -20,8 +20,9 @@ type Result struct {
 	Records int64
 	// OverlapRuns counts runs whose four stream ranges were not pairwise
 	// disjoint (see runio.Run.Concatenable). It is 0 whenever the insertion
-	// heuristic partitions the heaps cleanly, which is the normal case on
-	// the paper's datasets with the recommended configuration.
+	// heuristic partitions the heaps cleanly, and far from rare when it does
+	// not: under the recommended configuration a third to a half of the runs
+	// of an alternating input overlap, and about one in twenty of a random one.
 	OverlapRuns int64
 	// VictimFlushes counts victim-buffer flushes (initial and active).
 	VictimFlushes int64
@@ -133,7 +134,7 @@ type Stepper[T any] struct {
 // ordering elements with em.Less. key, when non-nil, projects elements
 // onto the real line for the numeric heuristics; pass nil for
 // comparator-only element types.
-func NewStepper[T any](src stream.Reader[T], em *runio.Emitter[T], cfg Config, key func(T) float64) (*Stepper[T], error) {
+func NewStepper[T any](src stream.BatchReader[T], em *runio.Emitter[T], cfg Config, key func(T) float64) (*Stepper[T], error) {
 	s, err := newStepper(src, em, cfg, key)
 	if err != nil {
 		return nil, err
@@ -145,7 +146,7 @@ func NewStepper[T any](src stream.Reader[T], em *runio.Emitter[T], cfg Config, k
 }
 
 // newStepper builds the stepper with every buffer still empty.
-func newStepper[T any](src stream.Reader[T], em *runio.Emitter[T], cfg Config, key func(T) float64) (*Stepper[T], error) {
+func newStepper[T any](src stream.BatchReader[T], em *runio.Emitter[T], cfg Config, key func(T) float64) (*Stepper[T], error) {
 	inputCap, victimCap, arena, err := cfg.sizes()
 	if err != nil {
 		return nil, err
@@ -300,7 +301,7 @@ func (s *Stepper[T]) Checkpoint(put func(T)) []uint64 {
 // configuration: it goes on to emit exactly the runs the original would
 // have. Counts that do not add up to recs, or records not in heap order
 // where they were listed, are an error, never a different run sequence.
-func Restore[T any](src stream.Reader[T], em *runio.Emitter[T], cfg Config, key func(T) float64, recs []T, state []uint64) (*Stepper[T], error) {
+func Restore[T any](src stream.BatchReader[T], em *runio.Emitter[T], cfg Config, key func(T) float64, recs []T, state []uint64) (*Stepper[T], error) {
 	s, err := newStepper(src, em, cfg, key)
 	if err != nil {
 		return nil, err

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/gen"
+	"repro/internal/merge"
 	"repro/internal/record"
 	"repro/internal/rs"
 	"repro/internal/runio"
@@ -17,7 +18,7 @@ import (
 )
 
 // generate steps a 2WRS stepper over src to exhaustion.
-func generate(src stream.Reader[record.Record], em *runio.Emitter[record.Record], cfg Config, key func(record.Record) float64) (Result, error) {
+func generate(src stream.BatchReader[record.Record], em *runio.Emitter[record.Record], cfg Config, key func(record.Record) float64) (Result, error) {
 	s, err := NewStepper(src, em, cfg, key)
 	if err != nil {
 		return Result{}, err
@@ -65,23 +66,38 @@ func runTWRS(t *testing.T, recs []record.Record, cfg Config) (Result, vfs.FS) {
 	return res, fs
 }
 
+// readRun reads a run back in ascending order: a concatenable run is one
+// piece, and one whose stream ranges overlap is a piece per segment, merged
+// by the loser tree as the merge phase would.
+func readRun(fs vfs.FS, run runio.Run, bufBytes int) ([]record.Record, error) {
+	pieces, err := runio.OpenRun(storage.NewRaw(fs), run, bufBytes, codec.Record16{})
+	if err != nil {
+		return nil, err
+	}
+	srcs := make([]merge.Source[record.Record], len(pieces))
+	for i, p := range pieces {
+		srcs[i] = p
+	}
+	lt, err := merge.NewLoserTree(srcs, record.Less)
+	if err != nil {
+		return nil, err
+	}
+	defer lt.Close()
+	return stream.ReadAllCancel[record.Record](lt, nil)
+}
+
 // verifyRuns checks every run reads back globally sorted (concatenable runs
-// by concatenation, overlapping runs through the interleave reader) and
-// that the union of all runs is exactly the input multiset.
+// by concatenation, overlapping runs as a piece per segment under the merge's
+// tree) and that the union of all runs is exactly the input multiset.
 func verifyRuns(t *testing.T, fs vfs.FS, runs []runio.Run, input []record.Record) {
 	t.Helper()
 	union := make(record.Multiset)
 	var total int64
 	for i, run := range runs {
-		r, err := runio.OpenRun(storage.NewRaw(fs), run, 4096, codec.Record16{}, record.Less)
+		recs, err := readRun(fs, run, 4096)
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
-		recs, err := record.ReadAll(r)
-		if err != nil {
-			t.Fatalf("run %d: %v", i, err)
-		}
-		r.Close()
 		if int64(len(recs)) != run.Records {
 			t.Fatalf("run %d: manifest says %d records, read %d", i, run.Records, len(recs))
 		}
@@ -96,12 +112,7 @@ func verifyRuns(t *testing.T, fs vfs.FS, runs []runio.Run, input []record.Record
 		}
 		// Each individual stream must also be sorted on its own.
 		for j, in := range streams(run) {
-			rc, err := runio.OpenRun(storage.NewRaw(fs), in, 1024, codec.Record16{}, record.Less)
-			if err != nil {
-				t.Fatalf("run %d input %d: %v", i, j, err)
-			}
-			srecs, err := record.ReadAll(rc)
-			rc.Close()
+			srecs, err := readRun(fs, in, 1024)
 			if err != nil {
 				t.Fatalf("run %d input %d: %v", i, j, err)
 			}
@@ -442,14 +453,6 @@ func (r *countingReader) ReadBatch(dst []record.Record) (int, error) {
 	return n, nil
 }
 
-func (r *countingReader) Read() (record.Record, error) {
-	var one [1]record.Record
-	if n, err := r.ReadBatch(one[:]); n == 0 {
-		return record.Record{}, err
-	}
-	return one[0], nil
-}
-
 // TestCheckpointRestoreExactState checkpoints a stepper at every run
 // boundary, restores a second one from the listing over the rest of the
 // input, and requires the restored stepper to stand exactly where the first
@@ -487,12 +490,7 @@ func TestCheckpointRestoreExactState(t *testing.T) {
 			return held, state
 		}
 		readRun := func(fs vfs.FS, run runio.Run) []record.Record {
-			rc, err := runio.OpenRun(storage.NewRaw(fs), run, 4096, codec.Record16{}, record.Less)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer rc.Close()
-			out, err := record.ReadAll(rc)
+			out, err := readRun(fs, run, 4096)
 			if err != nil {
 				t.Fatal(err)
 			}

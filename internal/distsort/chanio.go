@@ -43,7 +43,7 @@ func (f *failure) get() error {
 	}
 }
 
-// chanReader adapts a shard's feed channel to the stream protocol. The
+// chanReader adapts a shard's feed channel to the batch read protocol. The
 // batches it receives are owned by the reader (the partition loop never
 // reuses a sent slice).
 type chanReader[T any] struct {
@@ -71,19 +71,6 @@ func (r *chanReader[T]) next() error {
 			return errAborted
 		}
 	}
-}
-
-// Read yields one element.
-func (r *chanReader[T]) Read() (T, error) {
-	if r.pos >= len(r.cur) {
-		if err := r.next(); err != nil {
-			var zero T
-			return zero, err
-		}
-	}
-	v := r.cur[r.pos]
-	r.pos++
-	return v, nil
 }
 
 // ReadBatch yields as much of the current batch as fits in dst.

@@ -71,7 +71,12 @@ type shardResult struct {
 	ok    bool
 }
 
-// Sort range-partitions src into shards, sorts them concurrently and
+// Sort is SortBatch over a caller's source, adapted once here.
+func Sort[T any](src stream.Reader[T], dst stream.Writer[T], fs vfs.FS, cfg Config, ops extsort.Ops[T]) (extsort.Stats, error) {
+	return SortBatch(stream.AsBatchReader(src), dst, fs, cfg, ops)
+}
+
+// SortBatch range-partitions src into shards, sorts them concurrently and
 // concatenates the shard outputs into dst in splitter order. The returned
 // stats aggregate all shards; Shards and ShardRecords describe the
 // partitioning itself.
@@ -80,7 +85,7 @@ type shardResult struct {
 // total keys), the output is byte-identical to a single unsharded extsort
 // run over the same input; otherwise it is the same multiset in the same
 // comparator order with ties possibly permuted.
-func Sort[T any](src stream.Reader[T], dst stream.Writer[T], fs vfs.FS, cfg Config, ops extsort.Ops[T]) (extsort.Stats, error) {
+func SortBatch[T any](src stream.BatchReader[T], dst stream.Writer[T], fs vfs.FS, cfg Config, ops extsort.Ops[T]) (extsort.Stats, error) {
 	entry := time.Now()
 	// Resolved once, so the shard count, the router and every shard's carved
 	// configuration read the same prefix and parallelism.
@@ -96,7 +101,7 @@ func Sort[T any](src stream.Reader[T], dst stream.Writer[T], fs vfs.FS, cfg Conf
 		return extsort.Stats{}, fmt.Errorf("distsort: memory must be positive, got %d", cfg.Extsort.Memory)
 	}
 	if shards == 1 {
-		return extsort.Sort(src, dst, fs, cfg.Extsort, ops)
+		return extsort.SortBatch(src, dst, fs, cfg.Extsort, ops)
 	}
 	limit := cfg.SampleLimit
 	if limit <= 0 {
@@ -116,7 +121,7 @@ func Sort[T any](src stream.Reader[T], dst stream.Writer[T], fs vfs.FS, cfg Conf
 		// cheaper than S tiny ones and trivially identical to the
 		// unsharded output. Deterministic, so a resumed sort re-takes
 		// the same branch.
-		return extsort.Sort(stream.NewSliceReader(sample), dst, fs, cfg.Extsort, ops)
+		return extsort.SortBatch(stream.NewSliceReader(sample), dst, fs, cfg.Extsort, ops)
 	}
 	rt, err := newRouter(sample, shards, ops, cfg.Extsort.Parallelism)
 	if err != nil {
@@ -127,7 +132,7 @@ func Sort[T any](src stream.Reader[T], dst stream.Writer[T], fs vfs.FS, cfg Conf
 
 // shardedSort runs the partition loop, the S concurrent shard sorts and
 // the in-order concatenation drain, and aggregates the statistics.
-func shardedSort[T any](entry time.Time, sample []T, src stream.Reader[T], dst stream.Writer[T], fs vfs.FS, cfg Config, ops extsort.Ops[T], shards int, rt *router[T]) (extsort.Stats, error) {
+func shardedSort[T any](entry time.Time, sample []T, src stream.BatchReader[T], dst stream.Writer[T], fs vfs.FS, cfg Config, ops extsort.Ops[T], shards int, rt *router[T]) (extsort.Stats, error) {
 	tr := cfg.Extsort.Trace
 	cancel := cfg.Extsort.Cancel
 	fail := newFailure()
@@ -236,7 +241,7 @@ func runShard[T any](i int, feed <-chan []T, out chan<- []T, fs vfs.FS, scfg ext
 	tr := scfg.Trace
 	sp := tr.StartOn("shard_sort", fmt.Sprintf("shard %02d", i), obs.Int("shard", int64(i)))
 	in := &chanReader[T]{ch: feed, done: fail.done}
-	rset, err := extsort.GenerateRuns(in, fs, scfg, ops)
+	rset, err := extsort.GenerateRunsBatch(in, fs, scfg, ops)
 	if err != nil {
 		close(out)
 		fail.fail(fmt.Errorf("distsort: shard %d: %w", i, err))
@@ -276,7 +281,7 @@ func runShard[T any](i int, feed <-chan []T, out chan<- []T, fs vfs.FS, scfg ext
 
 // partition replays the sampled prefix in its original input order, then
 // the rest of src, routing every element to exactly one shard feed.
-func partition[T any](sample []T, src stream.Reader[T], feeds []chan []T, rt *router[T], fail *failure, cancel func() error) ([]int64, error) {
+func partition[T any](sample []T, src stream.BatchReader[T], feeds []chan []T, rt *router[T], fail *failure, cancel func() error) ([]int64, error) {
 	counts := make([]int64, len(feeds))
 	pend := make([][]T, len(feeds))
 	for i := range pend {
@@ -323,13 +328,12 @@ func partition[T any](sample []T, src stream.Reader[T], feeds []chan []T, rt *ro
 			return counts, err
 		}
 	}
-	br := stream.AsBatchReader(src)
 	batch := make([]T, feedBatch)
 	for {
 		if err := poll(); err != nil {
 			return counts, err
 		}
-		n, err := br.ReadBatch(batch)
+		n, err := src.ReadBatch(batch)
 		if n > 0 {
 			if rerr := route(batch[:n]); rerr != nil {
 				return counts, rerr

@@ -54,7 +54,7 @@ func FuzzShardPartition(f *testing.F) {
 		if err != nil {
 			t.Fatalf("keyed router: %v", err)
 		}
-		if !keyRt.keyed || !keyRt.fixed8 {
+		if !keyRt.keyed || !keyRt.whole {
 			t.Fatal("explicit KeyInt64 codec did not enable the fixed-8 fast path")
 		}
 
@@ -76,7 +76,7 @@ func FuzzShardPartition(f *testing.F) {
 		if err != nil {
 			t.Fatalf("string keyed router: %v", err)
 		}
-		if !strKey.keyed || strKey.fixed8 {
+		if !strKey.keyed || strKey.whole {
 			t.Fatal("explicit KeyString codec did not enable the var-width fast path")
 		}
 
@@ -129,5 +129,45 @@ func checkRouting[T any](t *testing.T, elems []T, shards int, cmpRt, keyRt *rout
 			t.Fatalf("shard ranges overlap: shard %d min < shard %d max", i, prev)
 		}
 		prev = i
+	}
+}
+
+// TestRouterShortFixedKeyIsWholeKey: a fixed key shorter than the cached word
+// is as much "the whole key" as an 8-byte one (codec.PrefixIsKey, the rule the
+// merge tree and the quick stepper apply too). A 4-byte Composite key routes
+// every element where the comparator router does, and materialises no key
+// bytes to do it: the one AppendKey per element is the prefix's own —
+// Composite has no KeyPrefix — where spelling the rule as "FixedKeySize() == 8"
+// paid a second one and a bytes.Compare per probe.
+func TestRouterShortFixedKeyIsWholeKey(t *testing.T) {
+	appends := 0
+	kc := codec.Composite[uint64]{
+		Fields: []func([]byte, uint64) []byte{func(buf []byte, v uint64) []byte {
+			appends++
+			return binary.BigEndian.AppendUint32(buf, uint32(v))
+		}},
+		Fixed: 4, Total: true,
+	}
+	less := func(a, b uint64) bool { return a < b }
+	vals := make([]uint64, 5000) // all below 2^32: the low four bytes are the element
+	for i := range vals {
+		vals[i] = uint64(uint32(i*2654435761) >> 12) // duplicates, over a 20-bit range
+	}
+	const shards = 7
+	cmpRt, err := newRouter(vals, shards, extsort.Ops[uint64]{Less: less, Codec: codec.Uint64{}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyRt, err := newRouter(vals, shards, extsort.Ops[uint64]{Less: less, Codec: codec.Uint64{}, KeyCodec: kc, KeyedExplicit: true}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !keyRt.keyed || !keyRt.whole {
+		t.Fatalf("4-byte fixed key: keyed=%v whole=%v, want the whole-key fast path", keyRt.keyed, keyRt.whole)
+	}
+	appends = 0
+	checkRouting(t, vals, shards, cmpRt, keyRt, less)
+	if appends != len(vals) {
+		t.Fatalf("routing %d elements called AppendKey %d times, want one each (the prefix)", len(vals), appends)
 	}
 }

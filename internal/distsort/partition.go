@@ -33,11 +33,12 @@ type router[T any] struct {
 	rr     []int
 
 	// Keyed fast path: when the key codec is trusted, routing compares
-	// 8-byte key prefixes (plus full key bytes for var-width keys)
-	// instead of calling the comparator — which, unless the key is total,
-	// still decides between an element and a splitter whose keys tie.
+	// cached key prefixes (plus full key bytes unless the prefix is the
+	// whole key) instead of calling the comparator — which, unless the key
+	// is total, still decides between an element and a splitter whose keys
+	// tie.
 	keyed   bool
-	fixed8  bool
+	whole   bool // the prefix is the whole key (codec.PrefixIsKey)
 	total   bool
 	prefix  func(T) uint64
 	appendK func([]byte, T) []byte
@@ -97,7 +98,7 @@ func (r *router[T]) initKeyed(ops extsort.Ops[T], sample []T) error {
 	}
 	kc := ops.KeyCodec
 	r.keyed = true
-	r.fixed8 = kc.FixedKeySize() == 8
+	r.whole = codec.PrefixIsKey(kc)
 	r.total = kc.TotalKey()
 	r.prefix = codec.PrefixFunc(kc)
 	r.appendK = kc.AppendKey
@@ -125,15 +126,16 @@ func (r *router[T]) route(e T) int {
 	return r.gap[j]
 }
 
-// routeKeyed is route over normalized key bytes: an 8-byte prefix decides
-// fixed-size keys and var-width keys fall back to a memcmp only on prefix
-// ties. Equal keys are equal elements under a total codec; under any other
-// the comparator decides — the tie rule of the heaps and the merge — so a
-// comparator that refines key ties still sees disjoint shard ranges.
+// routeKeyed is route over normalized key bytes: the cached prefix decides
+// when it is the whole key (codec.PrefixIsKey), and longer or var-width keys
+// fall back to a memcmp only on prefix ties. Equal keys are equal elements
+// under a total codec; under any other the comparator decides — the tie rule
+// of the heaps and the merge — so a comparator that refines key ties still
+// sees disjoint shard ranges.
 func (r *router[T]) routeKeyed(e T) int {
 	p := r.prefix(e)
 	var k []byte
-	if !r.fixed8 {
+	if !r.whole {
 		k = r.appendK(r.kbuf[:0], e)
 		r.kbuf = k
 	}
@@ -144,7 +146,7 @@ func (r *router[T]) routeKeyed(e T) int {
 			return -1
 		case p > r.bPre[i]:
 			return 1
-		case r.fixed8:
+		case r.whole:
 			return 0
 		}
 		return bytes.Compare(k, r.bKeys[i])

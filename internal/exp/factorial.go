@@ -9,6 +9,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/record"
 	"repro/internal/runio"
+	"repro/internal/stream"
 	"repro/internal/vfs"
 )
 
@@ -86,7 +87,7 @@ func runEmitter(memory int) *runio.Emitter[record.Record] {
 // generate runs one generator — classic RS, or 2WRS under twrs — over the
 // dataset gcfg describes with p.Memory records of memory.
 func generate(kind policy.Kind, gcfg gen.Config, p Params, twrs core.Config) (policy.Result, error) {
-	return policy.Generate(kind, gen.New(gcfg), runEmitter(p.Memory), policy.Config{Memory: p.Memory, TWRS: twrs}, record.Key)
+	return policy.Generate(kind, stream.AsBatchReader[record.Record](gen.New(gcfg)), runEmitter(p.Memory), policy.Config{Memory: p.Memory, TWRS: twrs}, record.Key)
 }
 
 // ratio is a pass's average run length relative to memory.

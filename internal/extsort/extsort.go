@@ -126,7 +126,7 @@ func (o Ops[T]) Keyed(sample []T) (bool, error) {
 
 // applyKeyCodec samples the head of src, arms the emitter when the sort
 // runs keyed (Ops.Keyed) and returns a reader that re-serves the sample.
-func applyKeyCodec[T any](src stream.Reader[T], em *runio.Emitter[T], ops Ops[T]) (stream.Reader[T], bool, error) {
+func applyKeyCodec[T any](src stream.BatchReader[T], em *runio.Emitter[T], ops Ops[T]) (stream.BatchReader[T], bool, error) {
 	if ops.KeyCodec == nil {
 		return src, false, nil
 	}
@@ -289,7 +289,9 @@ type Stats struct {
 	// accepted by the sampled order check); false means every comparison
 	// went through the comparator.
 	Keyed bool
-	// OverlapRuns counts 2WRS runs whose streams had to merge separately.
+	// OverlapRuns counts 2WRS runs whose stream ranges overlapped, so that
+	// their streams merge separately: such a run is still one input of the
+	// merge plan, and opens as one leaf per stream of the merge that reads it.
 	OverlapRuns int64
 	// MergeInputs, MergePasses and MergeOps describe the merge phase.
 	MergeInputs int
@@ -349,10 +351,18 @@ type RunSet[T any] struct {
 	manifestName string
 }
 
-// GenerateRuns runs phase one only: it consumes src and writes sorted runs
-// to temporary files on fs, returning the RunSet to merge, stream or
-// discard. Configuration defaulting and validation match Sort exactly.
+// GenerateRuns is GenerateRunsBatch over a caller's source, which crosses
+// into the batch protocol here (stream.AsBatchReader) and nowhere below.
 func GenerateRuns[T any](src stream.Reader[T], fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
+	return GenerateRunsBatch(stream.AsBatchReader(src), fs, cfg, ops)
+}
+
+// GenerateRunsBatch runs phase one only: it consumes src and writes sorted
+// runs to temporary files on fs, returning the RunSet to merge, stream or
+// discard. Configuration defaulting and validation match Sort exactly. It is
+// the door the library's own batch sources come through — the public API's
+// context-checked reader, a shard's feed.
+func GenerateRunsBatch[T any](src stream.BatchReader[T], fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
 	entry := time.Now()
 	if cfg.Resume {
 		rset, err := Resume(src, fs, cfg, ops)
@@ -438,7 +448,7 @@ func (r *RunSet[T]) abortSetup(err error) (*RunSet[T], error) {
 // generator's checkpoint at the last of them. On error a plain sort
 // discards its files; a durable one leaves spill files and manifest on
 // disk for Resume.
-func (r *RunSet[T]) generate(src stream.Reader[T], recovered []manifest.Run, from *policy.Checkpoint[T], entry time.Time) (*RunSet[T], error) {
+func (r *RunSet[T]) generate(src stream.BatchReader[T], recovered []manifest.Run, from *policy.Checkpoint[T], entry time.Time) (*RunSet[T], error) {
 	cfg, ops, em, o := r.cfg, r.ops, r.em, r.o
 	durable := r.manifestName != ""
 	em.Checksums = durable
@@ -667,8 +677,8 @@ func (r *RunSet[T]) mergeConfig() (merge.Config, func()) {
 // intermediate passes here, since the final merge's I/O happens at the
 // caller's pace; Merge accounts for the whole phase.
 func (r *RunSet[T]) OpenMerged() (*merge.Stream[T], error) {
-	// Every run — concatenable or not — is one merge input: runio.OpenRun
-	// interleaves overlapping streams on the fly.
+	// Every run — concatenable or not — is one merge input: one with
+	// overlapping streams opens as several leaves of the operation reading it.
 	mc, end := r.mergeConfig()
 	st, err := merge.NewStream(r.em, r.runs, mc)
 	if err != nil {
@@ -776,14 +786,19 @@ func (r *RunSet[T]) removeManifest() {
 	r.manifestName = ""
 }
 
-// Sort reads all elements from src, sorts them externally using temporary
+// Sort is SortBatch over a caller's source, adapted once here.
+func Sort[T any](src stream.Reader[T], dst stream.Writer[T], fs vfs.FS, cfg Config, ops Ops[T]) (Stats, error) {
+	return SortBatch(stream.AsBatchReader(src), dst, fs, cfg, ops)
+}
+
+// SortBatch reads all elements from src, sorts them externally using temporary
 // files on fs, and writes the sorted stream to dst. Ordering, storage and
-// heuristics come from ops. It is GenerateRuns followed by RunSet.Merge; a
+// heuristics come from ops. It is GenerateRunsBatch followed by RunSet.Merge; a
 // failed merge discards the run set, so no spill files outlive the error —
 // except in Manifest mode, where the spill files and manifest are the
 // sort's resumable state and survive the failure.
-func Sort[T any](src stream.Reader[T], dst stream.Writer[T], fs vfs.FS, cfg Config, ops Ops[T]) (Stats, error) {
-	rset, err := GenerateRuns(src, fs, cfg, ops)
+func SortBatch[T any](src stream.BatchReader[T], dst stream.Writer[T], fs vfs.FS, cfg Config, ops Ops[T]) (Stats, error) {
+	rset, err := GenerateRunsBatch(src, fs, cfg, ops)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -798,6 +813,6 @@ func Sort[T any](src stream.Reader[T], dst stream.Writer[T], fs vfs.FS, cfg Conf
 // returns a new sorted slice; a convenience for tests and examples.
 func SortSlice[T any](vals []T, cfg Config, ops Ops[T]) ([]T, Stats, error) {
 	out := stream.SliceWriter[T]{Vals: make([]T, 0, len(vals))}
-	stats, err := Sort[T](stream.NewSliceReader(vals), &out, vfs.NewMemFS(), cfg, ops)
+	stats, err := SortBatch[T](stream.NewSliceReader(vals), &out, vfs.NewMemFS(), cfg, ops)
 	return out.Vals, stats, err
 }

@@ -178,22 +178,12 @@ func (o *sortObs) syncIO(st storage.IOStats) {
 }
 
 // meterReader counts records flowing out of a source into the input
-// counter and the progress reporter, at batch granularity on the batch
-// path.
+// counter and the progress reporter, a batch at a time, and forwards the
+// source's Remaining hint.
 type meterReader[T any] struct {
-	src stream.Reader[T]
 	br  stream.BatchReader[T]
 	c   *obs.Counter
 	rep *obs.Reporter
-}
-
-func (m *meterReader[T]) Read() (T, error) {
-	v, err := m.src.Read()
-	if err == nil {
-		m.c.Add(1)
-		m.rep.Add(1)
-	}
-	return v, err
 }
 
 func (m *meterReader[T]) ReadBatch(dst []T) (int, error) {
@@ -205,32 +195,19 @@ func (m *meterReader[T]) ReadBatch(dst []T) (int, error) {
 	return n, err
 }
 
-// sizedMeterReader additionally forwards the source's Remaining.
-type sizedMeterReader[T any] struct {
-	meterReader[T]
-	sized stream.Sized
-}
-
-func (m *sizedMeterReader[T]) Remaining() int { return m.sized.Remaining() }
+// Remaining forwards Sized; -1 when the source does not know.
+func (m *meterReader[T]) Remaining() int { return stream.RemainingOf(m.br) }
 
 // meterSource wraps src with a meterReader when the bundle has anything
 // to feed; otherwise returns src unchanged. It also moves the progress
 // reporter into the "generate" phase, sized from the source when known.
-func meterSource[T any](o *sortObs, src stream.Reader[T]) stream.Reader[T] {
+func meterSource[T any](o *sortObs, src stream.BatchReader[T]) stream.BatchReader[T] {
 	if o == nil {
 		return src
 	}
-	total := int64(-1)
-	if s, ok := src.(stream.Sized); ok {
-		total = int64(s.Remaining())
-	}
-	o.rep.SetPhase("generate", total)
+	o.rep.SetPhase("generate", int64(stream.RemainingOf(src)))
 	if o.recordsIn == nil && o.rep == nil {
 		return src
 	}
-	m := meterReader[T]{src: src, br: stream.AsBatchReader(src), c: o.recordsIn, rep: o.rep}
-	if s, ok := src.(stream.Sized); ok {
-		return &sizedMeterReader[T]{meterReader: m, sized: s}
-	}
-	return &m
+	return &meterReader[T]{br: src, c: o.recordsIn, rep: o.rep}
 }

@@ -38,7 +38,7 @@ func neverLess[T any](a, b T) bool { return false }
 // consumed, to record n and returns the last keep records before it (all n,
 // if fewer) for the restored generator's Checkpoint.Tail. Running out early
 // means the source is not the same input the manifest was written against.
-func skipInput[T any](src stream.Reader[T], n int64, keep int) ([]T, error) {
+func skipInput[T any](src stream.BatchReader[T], n int64, keep int) ([]T, error) {
 	keep = int(min(n, int64(keep)))
 	done, err := stream.Discard(src, n-int64(keep), nil)
 	var tail []T
@@ -175,13 +175,12 @@ func (r *RunSet[T]) commitBoundary(man *manifest.Writer, gsp *obs.Span, gen poli
 // sumStream drains rc, recomputing a checksum by re-encoding every element
 // and folding it in with fold — runio.ContentSum for run segments,
 // runio.StreamSum for snapshots; with collect it also returns the elements.
-func sumStream[T any](rc runio.ReadCloser[T], ops Ops[T], fold func(uint64, []byte) uint64, collect bool) (elems []T, n int64, sum uint64, err error) {
+func sumStream[T any](rc *runio.Reader[T], ops Ops[T], fold func(uint64, []byte) uint64, collect bool) (elems []T, n int64, sum uint64, err error) {
 	defer rc.Close()
-	br := stream.AsBatchReader[T](rc)
 	buf := make([]T, 512)
 	var scratch []byte
 	for {
-		k, rerr := br.ReadBatch(buf)
+		k, rerr := rc.ReadBatch(buf)
 		for _, v := range buf[:k] {
 			scratch = ops.Codec.Append(scratch[:0], v)
 			sum = fold(sum, scratch)
@@ -354,7 +353,7 @@ func (r *RunSet[T]) sweepUnreferenced(ref map[string]bool) error {
 // swapped included — is manifest.ErrChecksum, a configuration change is
 // manifest.MismatchError (errors.Is manifest.ErrMismatch), and no manifest
 // at all is manifest.ErrNoManifest — wrong output is never produced.
-func Resume[T any](src stream.Reader[T], fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
+func Resume[T any](src stream.BatchReader[T], fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
 	entry := time.Now()
 	rset, st, err := openDurable(fs, cfg, ops)
 	if err != nil {

@@ -45,12 +45,6 @@ func (s *raggedSource[T]) ReadBatch(dst []T) (int, error) {
 	return n, nil
 }
 
-func (s *raggedSource[T]) Read() (T, error) {
-	var one [1]T
-	_, err := s.ReadBatch(one[:])
-	return one[0], err
-}
-
 func (s *raggedSource[T]) Close() error {
 	s.closes++
 	return nil
@@ -61,7 +55,7 @@ var errRagged = errors.New("ragged source failed")
 // checkRagged holds the tree newTree builds for kc to want — the merged
 // order of the runs, tie placement included — when every source hands its
 // run over in ragged batches and the tree is drained once through ReadBatch
-// with ragged dst lengths (an empty dst among them) and once through Read.
+// with ragged dst lengths (an empty dst among them) and once an element a call.
 // failing, when it names a run, makes that source end in an error: the tree
 // must deliver want up to and including that run's last element, then the
 // error and nothing with it. Either way every source is closed once.
@@ -143,6 +137,8 @@ func checkRagged[T comparable](t *testing.T, what string, runs [][]T, want []T, 
 // its key, so keys repeat heavily, and Aux its position, so records are
 // distinct. The record shapes run under record.Less and under the
 // tie-refining keyThenAux; the total-key shape runs over the keys as int64s.
+// Every record shape is also merged from disk, the runs as the overlapping
+// segments of one spilled run (checkSegments).
 func raggedCase(t *testing.T, data []byte) {
 	if len(data) < 3 {
 		return
@@ -173,6 +169,7 @@ func raggedCase(t *testing.T, data []byte) {
 		sameOrder(t, c.name+": unkeyed tree vs heap merger", want, ref, c.less)
 		for _, sh := range recordShapes {
 			checkRagged(t, c.name+", "+sh.name, recs, want, c.less, sh.kc, maxBatch, failing)
+			checkSegments(t, c.name+", "+sh.name, recs, want, c.less, sh.kc, maxBatch, failing)
 		}
 	}
 	ints := make([][]int64, k)
@@ -198,7 +195,9 @@ func raggedSeeds() [][]byte {
 		{8, 9, 7, 0x0f, 0x1f, 0x2f, 0x3f, 0x4f, 0x5f, 0x6f, 0x7f, 0x8f},
 	}
 	rng := rand.New(rand.NewSource(20))
-	for _, head := range [][]byte{{1, 2, 255}, {3, 4, 255}, {3, 2, 99}, {8, 9, 255}, {8, 5, 17}, {2, 0, 255}} {
+	// The last two heads are for the segments on disk: a backward chain that
+	// cannot be opened (the tree fails priming it) and a forward file cut short.
+	for _, head := range [][]byte{{1, 2, 255}, {3, 4, 255}, {3, 2, 99}, {8, 9, 255}, {8, 5, 17}, {2, 0, 255}, {3, 2, 6}, {5, 3, 1}} {
 		body := make([]byte, 600+rng.Intn(2400))
 		rng.Read(body)
 		seeds = append(seeds, append(head, body...))
@@ -263,11 +262,15 @@ func TestTreeReadBatchDoesNotAllocate(t *testing.T) {
 // allocate over what 10 do is, per further operation, less than the
 // operation's decoded leaves and their keys take, and less than the batch
 // its copy loop moves — the merging goroutine's arena holds those once, and
-// what is left is the per-file reader and writer state. Runs are a record each so that nothing else scales, and the files
-// are real ones: the in-memory file system allocates what it stores.
+// what is left is the per-file reader and writer state. Runs are a record a
+// segment so that nothing else scales, and the files are real ones: the
+// in-memory file system allocates what it stores. The second row merges
+// four-segment overlap runs, four leaves a run: the arena grows once to the
+// widest operation's leaves and is reused like any other, so what a further
+// operation allocates — four times the files now — stays below its leaves.
 func TestMergeReusesLeafState(t *testing.T) {
 	const fanIn = 8
-	allocated := func(ops int) uint64 {
+	allocated := func(ops, pieces int) uint64 {
 		st, err := storage.New(vfs.NewOSFS(t.TempDir()), storage.Config{Compression: "none"})
 		if err != nil {
 			t.Fatal(err)
@@ -275,23 +278,34 @@ func TestMergeReusesLeafState(t *testing.T) {
 		em := runio.NewEmitterOn[record.Record](st, "m", codec.Record16{}, record.Less)
 		em.KeyCodec = codec.KeyRecord16{}
 		// ops-1 intermediate merges and the final one.
-		runs, _ := makeRuns(t, nil, em, ops*(fanIn-1)+1, 1, 7)
+		var runs []runio.Run
+		if pieces == 1 {
+			runs, _ = makeRuns(t, nil, em, ops*(fanIn-1)+1, 1, 7)
+		} else {
+			runs, _ = makeOverlapRuns(t, em, ops*(fanIn-1)+1, 1, 7)
+		}
 		var out record.SliceWriter
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		stats, err := Merge(em, runs, &out, Config{FanIn: fanIn, MemoryBytes: 1 << 16})
 		runtime.ReadMemStats(&after)
-		if err != nil || stats.Merges != ops {
-			t.Fatalf("merge of %d runs: %d operations, %v; want %d", len(runs), stats.Merges, err, ops)
+		if err != nil || stats.Merges != ops || len(out.Vals) != pieces*len(runs) {
+			t.Fatalf("merge of %d runs: %d operations, %d records, %v; want %d operations", len(runs), stats.Merges, len(out.Vals), err, ops)
 		}
 		return after.TotalAlloc - before.TotalAlloc
 	}
-	few, many := allocated(10), allocated(40)
-	leafSet := uint64(fanIn * leafBatch * (unsafe.Sizeof(record.Record{}) + 8))
 	copyBatch := uint64(stream.DefaultBatchLen * unsafe.Sizeof(record.Record{}))
-	if perOp := (many - few) / 30; many > few && perOp >= min(leafSet, copyBatch) {
-		t.Fatalf("each further merge operation allocates %d bytes (10 operations %d, 40 operations %d): its %d bytes of leaves or the %d of its copy batch are not reused",
-			perOp, few, many, leafSet, copyBatch)
+	for _, pieces := range []int{1, 4} {
+		few, many := allocated(10, pieces), allocated(40, pieces)
+		leafSet := uint64(fanIn*pieces*leafBatch) * uint64(unsafe.Sizeof(record.Record{})+8)
+		bound := leafSet
+		if pieces == 1 {
+			bound = min(leafSet, copyBatch)
+		}
+		if perOp := (many - few) / 30; many > few && perOp >= bound {
+			t.Fatalf("%d pieces a run: each further merge operation allocates %d bytes (10 operations %d, 40 operations %d): its %d bytes of leaves or the %d of its copy batch are not reused",
+				pieces, perOp, few, many, leafSet, copyBatch)
+		}
 	}
 }
 

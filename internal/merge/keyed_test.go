@@ -36,14 +36,20 @@ type failingSource[T any] struct {
 	err  error
 }
 
-func (s *failingSource[T]) Read() (T, error) {
-	if len(s.vals) == 0 {
-		var zero T
-		return zero, s.err
+func (s *failingSource[T]) ReadBatch(dst []T) (int, error) {
+	if len(s.vals) == 0 && len(dst) > 0 {
+		return 0, s.err
 	}
-	v := s.vals[0]
-	s.vals = s.vals[1:]
-	return v, nil
+	n := copy(dst, s.vals)
+	s.vals = s.vals[n:]
+	return n, nil
+}
+
+// readOne reads a single element through the batch protocol.
+func readOne[T any](s stream.BatchReader[T]) (T, error) {
+	var one [1]T
+	_, err := s.ReadBatch(one[:])
+	return one[0], err
 }
 
 func (s *failingSource[T]) Close() error { return nil }
@@ -114,17 +120,11 @@ func buildRecordSources(seed int64, k int, keys int64, less func(a, b record.Rec
 
 func drainAll[T any](t *testing.T, s Source[T]) []T {
 	t.Helper()
-	var out []T
-	for {
-		v, err := s.Read()
-		if err == io.EOF {
-			return out
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, v)
+	out, err := stream.ReadAllCancel[T](s, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return out
 }
 
 // treeOutput merges the sources through the tree newTree builds for kc and
@@ -316,7 +316,7 @@ func TestKeyedEnginesEmptyAndSingle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := lt.Read(); err != io.EOF {
+		if _, err := readOne(lt); err != io.EOF {
 			t.Fatalf("%s: empty tree Read = %v, want io.EOF", sh.name, err)
 		}
 		if n, err := lt.ReadBatch(make([]record.Record, 4)); n != 0 || err != io.EOF {
@@ -364,11 +364,11 @@ func TestKeyedEnginesEmptyAndSingle(t *testing.T) {
 
 		lt, _ = newTree(failing(), record.Less, sh.kc)
 		for want := int64(1); want <= 5; want++ {
-			if r, err := lt.Read(); err != nil || r.Key != want {
+			if r, err := readOne(lt); err != nil || r.Key != want {
 				t.Fatalf("%s: Read = %+v, %v, want key %d", sh.name, r, err, want)
 			}
 		}
-		if _, err := lt.Read(); err != boom {
+		if _, err := readOne(lt); err != boom {
 			t.Fatalf("%s: Read past the failure = %v, want the source error", sh.name, err)
 		}
 		lt.Close()
@@ -430,10 +430,9 @@ func mergeInto[T any](tb testing.TB, runs [][]T, open engineOpener[T], out []T) 
 		tb.Fatal(err)
 	}
 	defer eng.Close()
-	br := stream.AsBatchReader[T](eng)
 	n := 0
 	for n < len(out) {
-		m, err := br.ReadBatch(out[n:min(n+stream.DefaultBatchLen, len(out))])
+		m, err := eng.ReadBatch(out[n:min(n+stream.DefaultBatchLen, len(out))])
 		n += m
 		if err == io.EOF {
 			break

@@ -1,12 +1,14 @@
 package merge
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/runio"
+	"repro/internal/storage"
 	"repro/internal/stream"
 )
 
@@ -17,7 +19,8 @@ type Config struct {
 	FanIn int
 	// MemoryBytes is the buffer memory available to the merge phase; it is
 	// divided evenly among the blocks the concurrent merge operations hold:
-	// each one's input readers and its output writer (see bufBytes).
+	// one per input run — which a run with overlapping ranges splits again
+	// among its pieces — and its output writer (see bufBytes).
 	MemoryBytes int
 	// Workers bounds how many intermediate merges run at once. It decides
 	// when an operation of the merge plan runs, never which runs it merges:
@@ -97,25 +100,39 @@ type Stats struct {
 	Inputs int
 }
 
-// openMerged opens the runs, each with the per-stream buffer budget, as one
-// sorted source: the run itself when there is one, else a loser tree with
-// its leaves in the arena, shaped by the emitter's KeyCodec (tree.go).
+// openMerged opens the runs, each within the per-run buffer budget, as one
+// sorted source. A run opens as its sorted pieces (runio.OpenRun) — one, or
+// one per segment when its stream ranges overlap, the run's budget split
+// among them — and every piece of every run is a leaf of one loser tree,
+// laid out in the arena and shaped by the emitter's KeyCodec (tree.go), so an
+// overlap run is merged by the operation's own tree, on keys like any other
+// leaf. A single piece is its own source. A run that cannot be opened, or a
+// piece that fails while the tree primes it, closes every piece opened.
 func openMerged[T any](em *runio.Emitter[T], a *leafArena[T], runs []runio.Run, bufBytes int) (Source[T], error) {
 	srcs := make([]Source[T], 0, len(runs))
 	for _, r := range runs {
-		rc, err := em.Open(r, bufBytes)
+		pieces, err := em.Open(r, bufBytes)
 		if err != nil {
 			for _, s := range srcs {
 				s.Close()
 			}
 			return nil, err
 		}
-		srcs = append(srcs, rc)
+		for _, piece := range pieces {
+			srcs = append(srcs, piece)
+		}
 	}
 	if len(srcs) == 1 {
 		return srcs[0], nil
 	}
 	return newTreeIn(a, srcs, em.Less, em.KeyCodec)
+}
+
+// miscount is the error of a merge that delivered another number of records
+// than the runs it read hold: corruption no piece caught, never a shorter
+// output.
+func miscount(what string, got, want int64) error {
+	return fmt.Errorf("%w: merge: %s ended after %d records, its inputs hold %d", storage.ErrCorrupt, what, got, want)
 }
 
 // op is one intermediate merge of a plan. A plan numbers its runs: 0..n-1
@@ -195,9 +212,10 @@ func planMerge(sizes []int64, fanIn int) plan {
 // The merge tree, the files written and Stats are the same at every Workers
 // setting, which decides only when an operation runs (see Config.Workers).
 //
-// Each input is one sorted stream when opened: a 2WRS run with overlapping
-// stream ranges interleaves its segments on the fly (runio.OpenRun), so
-// callers pass runs as-is. The element codec and comparator come from em.
+// Each input is one run of the plan however it opens: a 2WRS run with
+// overlapping stream ranges opens as a leaf per segment of the operation that
+// reads it (openMerged), so callers pass runs as-is and the fan-in counts
+// runs, not leaves. The element codec and comparator come from em.
 //
 // Merge is NewStream followed by a batched copy into dst: callers that want
 // the merged order as a pull stream instead of a materialised output use
@@ -270,7 +288,7 @@ func execute[T any](em *runio.Emitter[T], p plan, runs []runio.Run, arenas []lea
 				group[j] = runs[in]
 			}
 			mu.Unlock()
-			out, err := mergeOp(em, a, q, group, names[i], p.ops[i].depth, cfg.bufBytes(len(arenas), len(group), q != nil), cfg)
+			out, err := mergeOp(em, a, q, group, names[i], p.ops[i], cfg.bufBytes(len(arenas), len(group), q != nil), cfg)
 			mu.Lock()
 			if err == nil {
 				runs[n+i], state[i] = out, complete
@@ -300,14 +318,15 @@ func execute[T any](em *runio.Emitter[T], p plan, runs []runio.Run, arenas []lea
 // the given pre-allocated name and deletes the consumed inputs, recording one
 // "merge_op" span and the per-operation metrics. a and q are the calling
 // worker's; the output is complete on the store, and q joined, when mergeOp
-// returns, error or not.
-func mergeOp[T any](em *runio.Emitter[T], a *leafArena[T], q *runio.WriteBehind, group []runio.Run, name string, depth, bufBytes int, cfg Config) (out runio.Run, err error) {
+// returns, error or not. An output that does not hold exactly the records of
+// its inputs (o.records) is an error matching storage.ErrCorrupt.
+func mergeOp[T any](em *runio.Emitter[T], a *leafArena[T], q *runio.WriteBehind, group []runio.Run, name string, o op, bufBytes int, cfg Config) (out runio.Run, err error) {
 	if cfg.Cancel != nil {
 		if err := cfg.Cancel(); err != nil {
 			return runio.Run{}, err
 		}
 	}
-	sp := cfg.Span.Start("merge_op", obs.Int("width", int64(len(group))), obs.Int("depth", int64(depth)))
+	sp := cfg.Span.Start("merge_op", obs.Int("width", int64(len(group))), obs.Int("depth", int64(o.depth)))
 	defer func() {
 		if err != nil {
 			sp.End(obs.Str("error", err.Error()))
@@ -330,7 +349,10 @@ func mergeOp[T any](em *runio.Emitter[T], a *leafArena[T], q *runio.WriteBehind,
 	if a.batch == nil {
 		a.batch = make([]T, stream.DefaultBatchLen)
 	}
-	_, err = stream.CopyBuffer[T](wr, eng, a.batch, cfg.Cancel)
+	moved, err := stream.CopyBuffer[T](wr, eng, a.batch, cfg.Cancel)
+	if err == nil && moved != o.records {
+		err = miscount(name, moved, o.records)
+	}
 	if cerr := eng.Close(); err == nil {
 		err = cerr
 	}

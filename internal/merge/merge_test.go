@@ -2,6 +2,7 @@ package merge
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"slices"
@@ -35,16 +36,10 @@ func srcOf(keys ...int64) *sliceSource {
 func drain(t *testing.T, s Source[record.Record]) []int64 {
 	t.Helper()
 	var keys []int64
-	for {
-		rec, err := s.Read()
-		if err == io.EOF {
-			return keys
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, rec := range drainAll(t, s) {
 		keys = append(keys, rec.Key)
 	}
+	return keys
 }
 
 func TestLoserTreeThreeWayExample(t *testing.T) {
@@ -127,7 +122,7 @@ func TestMergersEmptyAndSingle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lt.Read(); err != io.EOF {
+	if _, err := readOne(lt); err != io.EOF {
 		t.Fatalf("empty loser tree read = %v, want io.EOF", err)
 	}
 	lt.Close()
@@ -140,7 +135,7 @@ func TestMergersEmptyAndSingle(t *testing.T) {
 	lt2.Close()
 
 	hm, _ := NewHeapMerger([]Source[record.Record]{srcOf()}, record.Less)
-	if _, err := hm.Read(); err != io.EOF {
+	if _, err := readOne(hm); err != io.EOF {
 		t.Fatalf("heap merger over empty source = %v, want io.EOF", err)
 	}
 	hm.Close()
@@ -162,7 +157,7 @@ func TestReadAfterClose(t *testing.T) {
 	for _, sh := range recordShapes {
 		lt, _ := newTree([]Source[record.Record]{srcOf(1)}, record.Less, sh.kc)
 		lt.Close()
-		if _, err := lt.Read(); err != record.ErrClosed {
+		if _, err := readOne(lt); err != record.ErrClosed {
 			t.Fatalf("%s: read after close = %v, want ErrClosed", sh.name, err)
 		}
 		if n, err := lt.ReadBatch(make([]record.Record, 2)); n != 0 || err != record.ErrClosed {
@@ -174,7 +169,7 @@ func TestReadAfterClose(t *testing.T) {
 	}
 	hm, _ := NewHeapMerger([]Source[record.Record]{srcOf(1)}, record.Less)
 	hm.Close()
-	if _, err := hm.Read(); err != record.ErrClosed {
+	if _, err := readOne(hm); err != record.ErrClosed {
 		t.Fatalf("heap read after close = %v, want ErrClosed", err)
 	}
 }
@@ -206,6 +201,48 @@ func makeRuns(t *testing.T, fs vfs.FS, em *runio.Emitter[record.Record], n, leng
 			t.Fatal(err)
 		}
 		runs = append(runs, runio.SingleRun(w.Segment()))
+	}
+	return runs, all
+}
+
+// makeOverlapRuns writes n runs laid out as 2WRS lays one out — a backward
+// chain, a forward file, a backward chain, a forward file — of length records
+// per segment, each segment a sorted quarter of the run's random keys, so the
+// four ranges overlap end to end and the run is not concatenable: it opens as
+// four pieces.
+func makeOverlapRuns(t *testing.T, em *runio.Emitter[record.Record], n, length int, seed int64) ([]runio.Run, []record.Record) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	var runs []runio.Run
+	var all []record.Record
+	for i := 0; i < n; i++ {
+		run := runio.Run{}
+		for s := 0; s < 4; s++ {
+			part := make([]record.Record, length)
+			for j := range part {
+				part[j] = record.Record{Key: rng.Int63n(1 << 30), Aux: uint64(len(all) + j)}
+			}
+			all = append(all, part...)
+			descending := s%2 == 0
+			sort.Slice(part, func(a, b int) bool {
+				if descending {
+					return part[a].Key > part[b].Key
+				}
+				return part[a].Key < part[b].Key
+			})
+			w, err := em.Stream(fmt.Sprintf("s%d", 4-s), descending)
+			if err == nil {
+				if err = w.WriteBatch(part); err == nil {
+					err = w.Close()
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			run.Segments = append(run.Segments, w.Segment())
+			run.Records += w.Segment().Records
+		}
+		runs = append(runs, run)
 	}
 	return runs, all
 }
@@ -313,19 +350,21 @@ func testMergeHeapEngine(t *testing.T, kc codec.KeyCodec[record.Record]) {
 	em := runio.RecordEmitter(fs, "m")
 	em.KeyCodec = kc
 	runs, all := makeRuns(t, fs, em, 7, 40, 4)
-	srcs := make([]Source[record.Record], len(runs))
-	for i, run := range runs {
-		rc, err := em.Open(run, 4096)
+	var srcs []Source[record.Record]
+	for _, run := range runs {
+		pieces, err := em.Open(run, 4096)
 		if err != nil {
 			t.Fatal(err)
 		}
-		srcs[i] = rc
+		for _, piece := range pieces {
+			srcs = append(srcs, piece)
+		}
 	}
 	hm, err := NewHeapMerger(srcs, record.Less)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := record.ReadAll(hm)
+	want, err := stream.ReadAllCancel[record.Record](hm, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +465,7 @@ func TestNewStreamMatchesMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := stream.ReadAll[record.Record](st)
+	got, err := stream.ReadAllCancel[record.Record](st, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +486,7 @@ func TestNewStreamMatchesMerge(t *testing.T) {
 	if len(names) != 0 {
 		t.Fatalf("files left after close: %v", names)
 	}
-	if _, err := st.Read(); err != stream.ErrClosed {
+	if _, err := readOne(st); err != stream.ErrClosed {
 		t.Fatalf("read after close: %v, want ErrClosed", err)
 	}
 }
@@ -466,7 +505,7 @@ func TestStreamPartialDrainCleansUp(t *testing.T) {
 	want := append([]record.Record(nil), all...)
 	sort.Slice(want, func(i, j int) bool { return record.Less(want[i], want[j]) })
 	for i := 0; i < 5; i++ {
-		got, err := st.Read()
+		got, err := readOne(st)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -492,7 +531,7 @@ func TestStreamEmptyAndCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Read(); err != io.EOF {
+	if _, err := readOne(st); err != io.EOF {
 		t.Fatalf("empty stream Read = %v, want EOF", err)
 	}
 	if n, err := st.ReadBatch(make([]record.Record, 4)); n != 0 || err != io.EOF {
@@ -560,35 +599,55 @@ func TestMergeStopsPassOnFailure(t *testing.T) {
 // against the blocks it really holds: with a write-behind per worker — two
 // blocks per writer, one filling and one in flight — the spill path's pool
 // never has more out than MemoryBytes plus the frame headroom of each block.
+// That holds when every input is a four-segment overlap run too: the fan-in
+// counts runs, a run's share of the budget is split among its pieces, and
+// four times the leaves cost no more buffer — as long as a piece's share is
+// still a page, the floor no reader goes under, which the second row's budget
+// allows for. (A framing backend reads a chain file through a window of one
+// framed page of its own beside the reader's buffer — under every backward
+// segment, overlap or not — so there the two chains of each run add a page.)
 func TestMergeHoldsToMemoryBudget(t *testing.T) {
-	const (
-		fanIn, workers = 4, 2
-		memory         = 64 << 10
-		slack          = workers * (fanIn + 2) * storage.FrameHeadroom
-	)
-	for _, comp := range []string{"raw", "none"} {
-		fs := vfs.NewMemFS()
-		st, err := storage.New(fs, storage.Config{Compression: comp})
-		if err != nil {
-			t.Fatal(err)
-		}
-		em := runio.NewEmitterOn[record.Record](st, "m", codec.Record16{}, record.Less)
-		runs, all := makeRuns(t, fs, em, 50, 2000, 6)
-		written := storage.PoolOf(st).Peak()
-		em.Async = true
-		var out record.SliceWriter
-		if _, err := Merge(em, runs, &out, Config{FanIn: fanIn, MemoryBytes: memory, Workers: workers}); err != nil {
-			t.Fatal(err)
-		}
-		if !record.IsSorted(out.Vals) || len(out.Vals) != len(all) {
-			t.Fatalf("%s: merge output wrong", comp)
-		}
-		peak := storage.PoolOf(st).Peak()
-		if peak <= written {
-			t.Fatalf("%s: the merge took no block from the pool (peak %d after the runs were written, %d after the merge)", comp, written, peak)
-		}
-		if peak > memory+slack {
-			t.Fatalf("%s: %d bytes of blocks out of the pool at once, over the budget of %d + %d", comp, peak, memory, slack)
+	const fanIn, workers = 4, 2
+	for _, row := range []struct {
+		name   string
+		pieces int // per run
+		memory int
+	}{{"single", 1, 64 << 10}, {"overlap", 4, 256 << 10}} {
+		for _, comp := range []string{"raw", "none"} {
+			name := row.name + "/" + comp
+			slack := workers * (fanIn*row.pieces + 2) * storage.FrameHeadroom
+			if comp != "raw" {
+				slack += workers * fanIn * (row.pieces / 2) * (runio.DefaultPageSize + storage.FrameHeadroom)
+			}
+			fs := vfs.NewMemFS()
+			st, err := storage.New(fs, storage.Config{Compression: comp})
+			if err != nil {
+				t.Fatal(err)
+			}
+			em := runio.NewEmitterOn[record.Record](st, "m", codec.Record16{}, record.Less)
+			var runs []runio.Run
+			var all []record.Record
+			if row.pieces == 1 {
+				runs, all = makeRuns(t, fs, em, 50, 2000, 6)
+			} else {
+				runs, all = makeOverlapRuns(t, em, 50, 2000/row.pieces, 6)
+			}
+			written := storage.PoolOf(st).Peak()
+			em.Async = true
+			var out record.SliceWriter
+			if _, err := Merge(em, runs, &out, Config{FanIn: fanIn, MemoryBytes: row.memory, Workers: workers}); err != nil {
+				t.Fatal(err)
+			}
+			if !record.IsSorted(out.Vals) || !record.NewMultiset(out.Vals).Equal(record.NewMultiset(all)) {
+				t.Fatalf("%s: merge output wrong", name)
+			}
+			peak := storage.PoolOf(st).Peak()
+			if peak <= written {
+				t.Fatalf("%s: the merge took no block from the pool (peak %d after the runs were written, %d after the merge)", name, written, peak)
+			}
+			if peak > row.memory+slack {
+				t.Fatalf("%s: %d bytes of blocks out of the pool at once, over the budget of %d + %d", name, peak, row.memory, slack)
+			}
 		}
 	}
 }

@@ -10,27 +10,28 @@ import (
 	"repro/internal/stream"
 )
 
-// Stream is a pull-driven view of a merge: the next element of the globally
-// sorted order on every Read/ReadBatch, instead of a materialised output
-// file. It is how the operator layer consumes a run set — Distinct, GroupBy
-// and MergeJoin filter the stream on the fly, and TopK abandons it after k
+// Stream is a pull-driven view of a merge: the next elements of the globally
+// sorted order on every ReadBatch, instead of a materialised output file. It
+// is how the operator layer consumes a run set — Distinct, GroupBy and
+// MergeJoin filter the stream on the fly, and TopK abandons it after k
 // elements, skipping the I/O a full merge would have spent on the tail.
 //
-// A Stream speaks both stream protocols (Read and ReadBatch) and polls the
-// merge Config.Cancel hook at batch boundaries — and every cancelBatch
-// element reads on the element-at-a-time path — so a cancelled context
-// surfaces mid-stream. Close releases the open sources and deletes the
-// remaining run files; it is safe (and required) to Close a Stream that was
-// only partially drained.
+// A Stream is a stream.BatchReader and polls the merge Config.Cancel hook at
+// batch boundaries, so a cancelled context surfaces mid-stream. Drained to its
+// end it must have delivered exactly the records of the runs it merges, and
+// fails with an error matching storage.ErrCorrupt when it has not; a Stream
+// abandoned early checks nothing. Close releases the open sources and deletes
+// the remaining run files; it is safe (and required) to Close a Stream that
+// was only partially drained.
 type Stream[T any] struct {
 	store  storage.Backend
 	eng    Source[T]
-	engB   stream.BatchReader[T]
 	finals []runio.Run
 	stats  Stats
 	cancel func() error
-	ops    int
-	closed bool
+	// want is the record count of the final runs, out what was delivered.
+	want, out int64
+	closed    bool
 
 	// Observability: the final-merge span (ended at Close), the output
 	// record counter, the progress reporter and the driver's close hook.
@@ -40,12 +41,6 @@ type Stream[T any] struct {
 	rep     *obs.Reporter
 	onClose func()
 }
-
-// cancelBatch is how many element-at-a-time reads pass between cancellation
-// checks on a Stream, matching the cadence of the public API's context
-// wrappers (the batch path checks every ReadBatch call, which is at least as
-// often).
-const cancelBatch = 1024
 
 // NewStream plans the merge (planMerge), executes the plan's intermediate
 // operations — reducing the inputs to at most FanIn runs, on up to Workers
@@ -88,6 +83,7 @@ func NewStream[T any](em *runio.Emitter[T], inputs []runio.Run, cfg Config) (*St
 	}
 	for _, id := range p.finals {
 		st.finals = append(st.finals, runs[id])
+		st.want += runs[id].Records
 	}
 	var err error
 	st.eng, err = openMerged(em, &arenas[0], st.finals, cfg.bufBytes(1, len(st.finals), false))
@@ -98,7 +94,6 @@ func NewStream[T any](em *runio.Emitter[T], inputs []runio.Run, cfg Config) (*St
 		cfg.mOps.Add(1)
 		cfg.mFanIn.Observe(float64(len(st.finals)))
 	}
-	st.engB = stream.AsBatchReader[T](st.eng)
 	st.fspan = cfg.Span.Start("merge_final", obs.Int("width", int64(len(st.finals))))
 	return st, nil
 }
@@ -107,30 +102,6 @@ func NewStream[T any](em *runio.Emitter[T], inputs []runio.Run, cfg Config) (*St
 // operations are complete by the time NewStream returns, and the final merge
 // they count streams lazily.
 func (s *Stream[T]) Stats() Stats { return s.stats }
-
-// Read returns the next element of the merged order, polling the
-// cancellation hook every cancelBatch reads.
-func (s *Stream[T]) Read() (T, error) {
-	var zero T
-	if s.closed {
-		return zero, stream.ErrClosed
-	}
-	if s.eng == nil {
-		return zero, io.EOF
-	}
-	if s.cancel != nil && s.ops%cancelBatch == 0 {
-		if err := s.cancel(); err != nil {
-			return zero, err
-		}
-	}
-	s.ops++
-	v, err := s.eng.Read()
-	if err == nil {
-		s.outc.Add(1)
-		s.rep.Add(1)
-	}
-	return v, err
-}
 
 // ReadBatch fills dst per the stream.BatchReader contract, polling the
 // cancellation hook once per batch.
@@ -146,10 +117,14 @@ func (s *Stream[T]) ReadBatch(dst []T) (int, error) {
 			return 0, err
 		}
 	}
-	n, err := s.engB.ReadBatch(dst)
+	n, err := s.eng.ReadBatch(dst)
 	if n > 0 {
+		s.out += int64(n)
 		s.outc.Add(int64(n))
 		s.rep.Add(int64(n))
+	}
+	if err == io.EOF && s.out != s.want {
+		err = miscount(fmt.Sprintf("the final merge of %d runs", len(s.finals)), s.out, s.want)
 	}
 	return n, err
 }

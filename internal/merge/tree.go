@@ -4,6 +4,15 @@
 // codec and on the comparator alone when it does not — and a multi-pass
 // driver with configurable fan-in. Everything is generic over the element
 // type, ordered by a caller-supplied comparator.
+//
+// The tree is the only merge engine. A merge operation's leaves are the
+// sorted pieces of the runs it reads (runio.OpenRun): one per run, or one
+// per segment of a 2WRS run whose stream ranges overlap, so a run is one to
+// four leaves while the plan and the fan-in count runs. Sources, the tree and
+// the Stream it ends in all read a batch at a time (stream.BatchReader); and
+// every count the plan knows is checked — a piece, an operation's output and
+// a fully drained final merge that hold another number of records than they
+// should fail with an error matching storage.ErrCorrupt.
 package merge
 
 import (
@@ -14,16 +23,16 @@ import (
 	"repro/internal/stream"
 )
 
-// Source is a sorted element stream being merged.
+// Source is a sorted element stream being merged: a leaf of the tree, read
+// a batch at a time. A piece of a run (runio.Reader) is one.
 type Source[T any] interface {
-	stream.Reader[T]
+	stream.BatchReader[T]
 	Close() error
 }
 
 // leafBatch is the element count of the per-input refill buffers the loser
-// tree and the reference HeapMerger keep: each leaf advance is an array
-// index, and the underlying run-reader stack is entered once per leafBatch
-// elements.
+// tree keeps: each leaf advance is an array index, and the underlying
+// run-reader stack is entered once per leafBatch elements.
 const leafBatch = 256
 
 // leafArena is the memory one merging goroutine reuses from operation to
@@ -54,7 +63,6 @@ func batches[E any](slab *[]E, k int) []E {
 // when pos[i] == end[i] after a refill.
 type leaves[T any] struct {
 	srcs []Source[T]
-	brs  []stream.BatchReader[T]
 	buf  []T
 	pos  []int
 	end  []int
@@ -66,13 +74,11 @@ func newLeaves[T any](a *leafArena[T], srcs []Source[T]) leaves[T] {
 	k := len(srcs)
 	l := leaves[T]{
 		srcs: srcs,
-		brs:  make([]stream.BatchReader[T], k),
 		buf:  batches(&a.buf, k),
 		pos:  make([]int, k),
 		end:  make([]int, k),
 	}
-	for i, s := range srcs {
-		l.brs[i] = stream.AsBatchReader[T](s)
+	for i := range srcs {
 		l.pos[i], l.end[i] = i*leafBatch, i*leafBatch
 	}
 	return l
@@ -82,7 +88,7 @@ func newLeaves[T any](a *leafArena[T], srcs []Source[T]) leaves[T] {
 // element. It returns the batch — empty at the end of the source's stream.
 func (l *leaves[T]) refill(i int) ([]T, error) {
 	batch := l.buf[i*leafBatch : (i+1)*leafBatch]
-	n, err := l.brs[i].ReadBatch(batch)
+	n, err := l.srcs[i].ReadBatch(batch)
 	if err != nil && err != io.EOF {
 		return nil, err
 	}
@@ -107,10 +113,11 @@ func (l *leaves[T]) closeAll() error {
 	return first
 }
 
-// LoserTree is the merge engine: a tournament tree over k sorted sources
-// that performs ⌈log2 k⌉ matches per element (the winner replays only its
-// own path), where a heap of sources costs up to twice that —
-// BenchmarkAblationMergeEngine quantifies the difference. Leaves are
+// LoserTree is the merge engine, and the only one: a tournament tree over k
+// sorted sources that performs ⌈log2 k⌉ matches per element (the winner
+// replays only its own path), where a heap of sources costs up to twice that
+// — BenchmarkAblationMergeEngine quantifies the difference against the
+// reference HeapMerger the tests keep (heapmerger_test.go). Leaves are
 // refilled a batch at a time, so source dispatch — and, under a cached-word
 // codec, the key computation — is paid once per leafBatch elements, and
 // what the per-element loop touches is arrays.
@@ -186,7 +193,7 @@ func newTreeIn[T any](a *leafArena[T], srcs []Source[T], less func(a, b T) bool,
 		if kc.TotalKey() {
 			t.cmp = nil
 		}
-		if fs := kc.FixedKeySize(); fs >= 1 && fs <= 8 {
+		if codec.PrefixIsKey(kc) {
 			t.keys, t.pfx = batches(&a.keys, k), codec.PrefixAllFunc(kc)
 		} else {
 			t.ovc = newOVCState(kc, k)
@@ -299,14 +306,6 @@ func (t *LoserTree[T]) build() {
 	t.tree[0] = winner[1]
 }
 
-// Read returns the next element in global sorted order, or io.EOF once all
-// sources are exhausted: ReadBatch over one element.
-func (t *LoserTree[T]) Read() (T, error) {
-	var one [1]T
-	_, err := t.ReadBatch(one[:])
-	return one[0], err
-}
-
 // ReadBatch fills dst with the next elements in global sorted order per the
 // stream.BatchReader contract, replaying the winner path once per element
 // but paying the interface dispatch to the caller only once per batch. A
@@ -389,108 +388,4 @@ func (t *LoserTree[T]) Close() error {
 	}
 	t.closed = true
 	return t.closeAll()
-}
-
-// HeapMerger is the naive alternative: a binary heap of sources, costing up
-// to 2·log2 k comparisons per record. It exists as the ablation baseline
-// for the loser tree.
-type HeapMerger[T any] struct {
-	leaves[T]
-	cmp     func(a, b T) bool
-	heap    []int // source indices ordered by head element
-	closed  bool
-	pendErr error // error deferred by ReadBatch after a partial batch
-}
-
-// NewHeapMerger builds a heap-based merger over the sources.
-func NewHeapMerger[T any](srcs []Source[T], less func(a, b T) bool) (*HeapMerger[T], error) {
-	m := &HeapMerger[T]{leaves: newLeaves(new(leafArena[T]), srcs), cmp: less}
-	for i := range srcs {
-		batch, err := m.refill(i)
-		if err != nil {
-			m.Close()
-			return nil, err
-		}
-		if len(batch) == 0 {
-			continue
-		}
-		m.heap = append(m.heap, i)
-		m.up(len(m.heap) - 1)
-	}
-	return m, nil
-}
-
-func (m *HeapMerger[T]) less(i, j int) bool { return m.cmp(m.head(m.heap[i]), m.head(m.heap[j])) }
-
-func (m *HeapMerger[T]) up(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !m.less(i, p) {
-			return
-		}
-		m.heap[i], m.heap[p] = m.heap[p], m.heap[i]
-		i = p
-	}
-}
-
-func (m *HeapMerger[T]) down(i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < len(m.heap) && m.less(l, best) {
-			best = l
-		}
-		if r < len(m.heap) && m.less(r, best) {
-			best = r
-		}
-		if best == i {
-			return
-		}
-		m.heap[i], m.heap[best] = m.heap[best], m.heap[i]
-		i = best
-	}
-}
-
-// Read returns the next element in global sorted order.
-func (m *HeapMerger[T]) Read() (T, error) {
-	var zero T
-	if m.closed {
-		return zero, stream.ErrClosed
-	}
-	if len(m.heap) == 0 {
-		return zero, io.EOF
-	}
-	src := m.heap[0]
-	rec := m.head(src)
-	if m.pos[src]+1 < m.end[src] {
-		m.pos[src]++
-	} else if batch, err := m.refill(src); err != nil {
-		return zero, err
-	} else if len(batch) == 0 {
-		last := len(m.heap) - 1
-		m.heap[0] = m.heap[last]
-		m.heap = m.heap[:last]
-	}
-	if len(m.heap) > 0 {
-		m.down(0)
-	}
-	return rec, nil
-}
-
-// ReadBatch fills dst with the next elements in global sorted order per the
-// stream.BatchReader contract.
-func (m *HeapMerger[T]) ReadBatch(dst []T) (int, error) {
-	if m.closed {
-		return 0, stream.ErrClosed
-	}
-	return stream.ReadBatchElems[T](m, &m.pendErr, dst)
-}
-
-// Close closes every source.
-func (m *HeapMerger[T]) Close() error {
-	if m.closed {
-		return stream.ErrClosed
-	}
-	m.closed = true
-	return m.closeAll()
 }

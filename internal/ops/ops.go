@@ -25,32 +25,10 @@ import (
 // batch, which is at least as often.
 const cancelOps = 1024
 
-// elemRead adapts a batch-native operator to the element-at-a-time Read
-// method through a lazily built stream.Fetcher. Mixing Read and ReadBatch
-// calls on one operator is not supported: elements buffered for Read are
-// invisible to ReadBatch.
-type elemRead[T any] struct {
-	f    *stream.Fetcher[T]
-	self stream.Reader[T] // the operator, which also reads in batches
-}
-
-func (e *elemRead[T]) Read() (T, error) {
-	if e.f == nil {
-		e.f = stream.NewFetcher(e.self, 0)
-	}
-	v, ok, err := e.f.Next()
-	if !ok && err == nil {
-		err = io.EOF
-	}
-	return v, err
-}
-
 // Distinct filters a sorted stream down to one element per equivalence
-// class, keeping the first element of each run of equal elements. It
-// implements both stream protocols; In reports how many elements were
-// consumed from the source.
+// class, keeping the first element of each run of equal elements. In reports
+// how many elements were consumed from the source.
 type Distinct[T any] struct {
-	elemRead[T]
 	src     stream.BatchReader[T]
 	eq      func(a, b T) bool
 	last    T
@@ -62,9 +40,7 @@ type Distinct[T any] struct {
 // NewDistinct returns a Distinct over the sorted src. eq must agree with
 // the order src was sorted by: equal elements must be adjacent.
 func NewDistinct[T any](src stream.BatchReader[T], eq func(a, b T) bool) *Distinct[T] {
-	d := &Distinct[T]{src: src, eq: eq, scratch: make([]T, stream.DefaultBatchLen)}
-	d.self = d
-	return d
+	return &Distinct[T]{src: src, eq: eq, scratch: make([]T, stream.DefaultBatchLen)}
 }
 
 // In returns the number of elements consumed from the source so far.
@@ -106,7 +82,6 @@ func (d *Distinct[T]) ReadBatch(dst []T) (int, error) {
 // the group's first element (the representative), so reduce is free to
 // change the parts of the accumulator the grouping key does not cover.
 type GroupBy[T any] struct {
-	elemRead[T]
 	src     stream.BatchReader[T]
 	same    func(a, b T) bool
 	reduce  func(acc, v T) T
@@ -123,9 +98,7 @@ type GroupBy[T any] struct {
 // the sort order (same-group elements adjacent); reduce folds one member
 // into the accumulator.
 func NewGroupBy[T any](src stream.BatchReader[T], same func(a, b T) bool, reduce func(acc, v T) T) *GroupBy[T] {
-	g := &GroupBy[T]{src: src, same: same, reduce: reduce, scratch: make([]T, stream.DefaultBatchLen)}
-	g.self = g
-	return g
+	return &GroupBy[T]{src: src, same: same, reduce: reduce, scratch: make([]T, stream.DefaultBatchLen)}
 }
 
 // In returns the number of elements consumed from the source so far.
@@ -219,7 +192,7 @@ func (c *countWriter[T]) WriteBatch(src []T) error {
 // group is buffered, so memory is bounded by the largest set of equal-key
 // right elements, not the input size. cancel (nil means never) is polled
 // every cancelOps consumed or emitted elements.
-func MergeJoin[L, R, O any](left stream.Reader[L], right stream.Reader[R], cmp func(L, R) int, join func(L, R) O, dst stream.Writer[O], cancel func() error) (JoinStats, error) {
+func MergeJoin[L, R, O any](left stream.BatchReader[L], right stream.BatchReader[R], cmp func(L, R) int, join func(L, R) O, dst stream.Writer[O], cancel func() error) (JoinStats, error) {
 	cw := &countWriter[O]{w: stream.AsBatchWriter(dst)}
 	out := stream.NewElementWriter[O](cw, 0)
 	st, err := mergeJoin(left, right, cmp, join, out, cancel)
@@ -232,7 +205,7 @@ func MergeJoin[L, R, O any](left stream.Reader[L], right stream.Reader[R], cmp f
 
 // mergeJoin is the join loop; the caller flushes the batching writer and
 // fills in the delivered-row count.
-func mergeJoin[L, R, O any](left stream.Reader[L], right stream.Reader[R], cmp func(L, R) int, join func(L, R) O, out *stream.ElementWriter[O], cancel func() error) (JoinStats, error) {
+func mergeJoin[L, R, O any](left stream.BatchReader[L], right stream.BatchReader[R], cmp func(L, R) int, join func(L, R) O, out *stream.ElementWriter[O], cancel func() error) (JoinStats, error) {
 	var st JoinStats
 	lf, rf := stream.NewFetcher(left, 0), stream.NewFetcher(right, 0)
 	var ticks int64

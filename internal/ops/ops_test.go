@@ -32,7 +32,7 @@ func sortedCopy(in []int64) []int64 {
 	return s
 }
 
-func TestDistinctBatchAndElement(t *testing.T) {
+func TestDistinctAtEveryBatchLength(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	in := make([]int64, 5000)
 	for i := range in {
@@ -41,7 +41,7 @@ func TestDistinctBatchAndElement(t *testing.T) {
 	s := sortedCopy(in)
 	want := refDistinct(in)
 
-	// Batch path, deliberately awkward dst sizes.
+	// Deliberately awkward dst sizes, one element per call among them.
 	for _, dstLen := range []int{1, 3, 64, 1024, 5000} {
 		d := NewDistinct[int64](stream.NewSliceReader(s), eqInt)
 		var got []int64
@@ -68,25 +68,15 @@ func TestDistinctBatchAndElement(t *testing.T) {
 			t.Fatalf("dstLen %d: In() = %d, want %d", dstLen, d.In(), len(in))
 		}
 	}
-
-	// Element path.
-	d := NewDistinct[int64](stream.NewSliceReader(s), eqInt)
-	got, err := stream.ReadAll[int64](d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("element path: %d distinct, want %d", len(got), len(want))
-	}
 }
 
 func TestDistinctEmptyAndSingle(t *testing.T) {
 	d := NewDistinct[int64](stream.NewSliceReader[int64](nil), eqInt)
-	if _, err := d.Read(); err != io.EOF {
-		t.Fatalf("empty stream: err = %v, want EOF", err)
+	if n, err := d.ReadBatch(make([]int64, 1)); n != 0 || err != io.EOF {
+		t.Fatalf("empty stream: %d, err = %v, want EOF", n, err)
 	}
 	d = NewDistinct[int64](stream.NewSliceReader([]int64{7, 7, 7}), eqInt)
-	got, err := stream.ReadAll[int64](d)
+	got, err := stream.ReadAllCancel[int64](d, nil)
 	if err != nil || len(got) != 1 || got[0] != 7 {
 		t.Fatalf("got %v, %v", got, err)
 	}
@@ -119,7 +109,7 @@ func TestGroupBySumsAdjacentGroups(t *testing.T) {
 	// the low ones; payload sums stay below 1000*… safe in int64.
 	reduce := func(acc, v int64) int64 { return acc + v%1000 }
 	g := NewGroupBy[int64](stream.NewSliceReader(s), same, reduce)
-	got, err := stream.ReadAll[int64](g)
+	got, err := stream.ReadAllCancel[int64](g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +239,7 @@ func TestMergeJoinCancellation(t *testing.T) {
 	endless := stream.Func[int64](func() (int64, error) { n++; return int64(n) * 1000, nil })
 	var out stream.SliceWriter[int64]
 	_, err := MergeJoin[int64, int64, int64](
-		endless, endless, cmpIntPair, func(l, r int64) int64 { return 0 }, &out,
+		stream.AsBatchReader[int64](endless), stream.AsBatchReader[int64](endless), cmpIntPair, func(l, r int64) int64 { return 0 }, &out,
 		func() error { return sentinel })
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want sentinel", err)

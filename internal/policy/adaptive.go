@@ -2,7 +2,6 @@ package policy
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/obs"
 	"repro/internal/runio"
@@ -59,8 +58,8 @@ const engineWords = 9
 
 // newAdaptive builds the engine over src: fresh, or standing where the one
 // that took the checkpoint stood.
-func newAdaptive[T any](src stream.Reader[T], em *runio.Emitter[T], cfg Config, key func(T) float64, from *Checkpoint[T]) (*adaptive[T], error) {
-	a := &adaptive[T]{em: em, cfg: cfg, key: key, ob: &observer[T]{br: stream.AsBatchReader(src), less: em.Less, ring: make([]T, cfg.Window())}}
+func newAdaptive[T any](src stream.BatchReader[T], em *runio.Emitter[T], cfg Config, key func(T) float64, from *Checkpoint[T]) (*adaptive[T], error) {
+	a := &adaptive[T]{em: em, cfg: cfg, key: key, ob: &observer[T]{br: src, less: em.Less, ring: make([]T, cfg.Window())}}
 	a.queue = stream.Prepend[T](nil, a.ob)
 	if from == nil {
 		return a, nil
@@ -249,16 +248,6 @@ func (o *observer[T]) note(vals []T) {
 		o.ring[o.count%int64(len(o.ring))] = v
 		o.count++
 	}
-}
-
-// Read makes the observer a stream.Reader; consumers all fetch in batches.
-func (o *observer[T]) Read() (T, error) {
-	var one [1]T
-	n, err := o.ReadBatch(one[:])
-	if n == 0 && err == nil {
-		err = io.EOF
-	}
-	return one[0], err
 }
 
 // stats measures the ring's contents in arrival order.

@@ -103,7 +103,7 @@ type Result struct {
 // (from nil; down selects Alternating's first run direction), or the one
 // that took the checkpoint. Quick holds nothing between runs, so its
 // restore is a fresh one.
-func newStepper[T any](kind Kind, down bool, src stream.Reader[T], em *runio.Emitter[T], cfg Config, key func(T) float64, from *Checkpoint[T]) (Generator[T], error) {
+func newStepper[T any](kind Kind, down bool, src stream.BatchReader[T], em *runio.Emitter[T], cfg Config, key func(T) float64, from *Checkpoint[T]) (Generator[T], error) {
 	switch {
 	case kind == TwoWayRS && from != nil:
 		return core.Restore(src, em, cfg.TWRS.For(cfg.Memory), key, from.Recs, from.State)
@@ -129,7 +129,7 @@ func newStepper[T any](kind Kind, down bool, src stream.Reader[T], em *runio.Emi
 // range) is an error, never a different run sequence. key optionally
 // projects elements onto the real line for the 2WRS numeric heuristics; nil
 // selects the comparator-only fallbacks. Step the result with Drive.
-func NewGenerator[T any](kind Kind, src stream.Reader[T], em *runio.Emitter[T], cfg Config, key func(T) float64, from *Checkpoint[T]) (Driven[T], error) {
+func NewGenerator[T any](kind Kind, src stream.BatchReader[T], em *runio.Emitter[T], cfg Config, key func(T) float64, from *Checkpoint[T]) (Driven[T], error) {
 	if cfg.Memory <= 0 {
 		return nil, fmt.Errorf("policy: memory must be positive, got %d", cfg.Memory)
 	}
@@ -146,7 +146,7 @@ func NewGenerator[T any](kind Kind, src stream.Reader[T], em *runio.Emitter[T], 
 // Generate runs the given policy over src from start to end, writing runs
 // through em: NewGenerator, then Drive, then the emitter's Barrier, so the
 // runs are whole on the store when it returns.
-func Generate[T any](kind Kind, src stream.Reader[T], em *runio.Emitter[T], cfg Config, key func(T) float64) (Result, error) {
+func Generate[T any](kind Kind, src stream.BatchReader[T], em *runio.Emitter[T], cfg Config, key func(T) float64) (Result, error) {
 	gen, err := NewGenerator(kind, src, em, cfg, key, nil)
 	if err != nil {
 		return Result{}, err

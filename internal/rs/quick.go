@@ -5,6 +5,7 @@ import (
 	"io"
 	"slices"
 
+	"repro/internal/codec"
 	"repro/internal/runio"
 	"repro/internal/stream"
 )
@@ -43,14 +44,14 @@ type QuickStepper[T any] struct {
 
 // NewQuickStepper returns a QuickStepper over src with a load buffer of
 // `memory` elements, writing through em and ordering by em.Less.
-func NewQuickStepper[T any](src stream.Reader[T], em *runio.Emitter[T], memory int) (*QuickStepper[T], error) {
+func NewQuickStepper[T any](src stream.BatchReader[T], em *runio.Emitter[T], memory int) (*QuickStepper[T], error) {
 	if memory <= 0 {
 		return nil, fmt.Errorf("rs: memory must be positive, got %d", memory)
 	}
-	s := &QuickStepper[T]{em: em, br: stream.AsBatchReader(src), memory: memory}
+	s := &QuickStepper[T]{em: em, br: src, memory: memory}
 	if kc := em.KeyCodec; kc != nil {
 		s.pfx = em.PrefixFunc()
-		if fs := kc.FixedKeySize(); fs >= 1 && fs <= 8 {
+		if codec.PrefixIsKey(kc) {
 			s.radix = kc.TotalKey()
 			s.radixIfUnique = !kc.TotalKey()
 		}

@@ -76,7 +76,7 @@ type Stepper[T any] struct {
 // direction of its first run: a caller that knows the input leads with a
 // descending trend starts with a down-run so the trend lands in run one.
 // Without alternating every run is an up-run.
-func NewStepper[T any](src stream.Reader[T], em *runio.Emitter[T], memory int, alternating, down bool) (*Stepper[T], error) {
+func NewStepper[T any](src stream.BatchReader[T], em *runio.Emitter[T], memory int, alternating, down bool) (*Stepper[T], error) {
 	if memory <= 0 {
 		return nil, fmt.Errorf("rs: memory must be positive, got %d", memory)
 	}
@@ -242,7 +242,7 @@ func (s *Stepper[T]) Checkpoint(put func(T)) []uint64 {
 // State of the other mode's length, counts that do not add up to recs and
 // records that are not in the order of the heap they are listed for are an
 // error, never a different run sequence.
-func RestoreStepper[T any](src stream.Reader[T], em *runio.Emitter[T], memory int, alternating bool, recs []T, state []uint64) (*Stepper[T], error) {
+func RestoreStepper[T any](src stream.BatchReader[T], em *runio.Emitter[T], memory int, alternating bool, recs []T, state []uint64) (*Stepper[T], error) {
 	words, n := 2, uint64(len(recs))
 	if alternating {
 		words = 3

@@ -6,9 +6,11 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/gen"
+	"repro/internal/merge"
 	"repro/internal/record"
 	"repro/internal/runio"
 	"repro/internal/storage"
+	"repro/internal/stream"
 	"repro/internal/vfs"
 )
 
@@ -65,19 +67,34 @@ func generateLSS(recs []record.Record, memory int) (result, vfs.FS, error) {
 	return res, fs, err
 }
 
+// readRun reads a run back in ascending order: a concatenable run is one
+// piece, and one whose stream ranges overlap is a piece per segment, merged
+// by the loser tree as the merge phase would.
+func readRun(fs vfs.FS, run runio.Run, bufBytes int) ([]record.Record, error) {
+	pieces, err := runio.OpenRun(storage.NewRaw(fs), run, bufBytes, codec.Record16{})
+	if err != nil {
+		return nil, err
+	}
+	srcs := make([]merge.Source[record.Record], len(pieces))
+	for i, p := range pieces {
+		srcs[i] = p
+	}
+	lt, err := merge.NewLoserTree(srcs, record.Less)
+	if err != nil {
+		return nil, err
+	}
+	defer lt.Close()
+	return stream.ReadAllCancel[record.Record](lt, nil)
+}
+
 func verify(t *testing.T, fs vfs.FS, runs []runio.Run, input []record.Record) {
 	t.Helper()
 	union := make(record.Multiset)
 	for i, run := range runs {
-		r, err := runio.OpenRun(storage.NewRaw(fs), run, 1024, codec.Record16{}, record.Less)
+		recs, err := readRun(fs, run, 1024)
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
-		recs, err := record.ReadAll(r)
-		if err != nil {
-			t.Fatalf("run %d: %v", i, err)
-		}
-		r.Close()
 		if !record.IsSorted(recs) {
 			t.Fatalf("run %d not sorted", i)
 		}

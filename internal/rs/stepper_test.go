@@ -11,7 +11,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/record"
 	"repro/internal/runio"
-	"repro/internal/storage"
 	"repro/internal/vfs"
 )
 
@@ -29,12 +28,7 @@ func recordEmitter(fs vfs.FS, keyed bool) *runio.Emitter[record.Record] {
 // runKeys reads a run back ascending and returns its keys.
 func runKeys(t *testing.T, fs vfs.FS, run runio.Run) []int64 {
 	t.Helper()
-	rc, err := runio.OpenRun(storage.NewRaw(fs), run, 1024, codec.Record16{}, record.Less)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
-	recs, err := record.ReadAll(rc)
+	recs, err := readRun(fs, run, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,12 +104,13 @@ type cutReader struct {
 	pos  int
 }
 
-func (r *cutReader) Read() (record.Record, error) {
+func (r *cutReader) ReadBatch(dst []record.Record) (int, error) {
 	if r.pos == len(r.recs) {
-		return record.Record{}, io.EOF
+		return 0, io.EOF
 	}
-	r.pos++
-	return r.recs[r.pos-1], nil
+	n := copy(dst, r.recs[r.pos:])
+	r.pos += n
+	return n, nil
 }
 
 // TestCheckpointRestoreExactState is internal/core's test of the same name

@@ -105,9 +105,9 @@ func BenchmarkWriterBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkReaderBatch times a forward run read back through ReadBatch (the
-// bulk decode kernel, a buffer per call) beside element reads, and holds
-// every iteration to the elements of the element path.
+// BenchmarkReaderBatch times a forward run read back through ReadBatch a
+// full batch per call (the bulk decode kernel, a buffer per call) beside one
+// element per call, and holds every iteration to the elements written.
 func BenchmarkReaderBatch(b *testing.B) {
 	recs := benchInput()
 	st := storage.NewRaw(vfs.NewMemFS())
@@ -121,24 +121,17 @@ func BenchmarkReaderBatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	got := make([]record.Record, 0, len(recs)+stream.DefaultBatchLen)
-	read := func(batch bool) {
+	read := func(batchLen int) {
 		r, err := NewReader[record.Record](st, "run", 64<<10, codec.Record16{})
 		if err != nil {
 			b.Fatal(err)
 		}
 		got = got[:0]
 		for err == nil {
-			if batch {
-				var n int
-				n, err = r.ReadBatch(got[len(got) : len(got)+stream.DefaultBatchLen])
-				if got = got[:len(got)+n]; len(got) > len(recs) {
-					b.Fatalf("read %d elements of a run of %d", len(got), len(recs))
-				}
-			} else {
-				var v record.Record
-				if v, err = r.Read(); err == nil {
-					got = append(got, v)
-				}
+			var n int
+			n, err = r.ReadBatch(got[len(got) : len(got)+batchLen])
+			if got = got[:len(got)+n]; len(got) > len(recs) {
+				b.Fatalf("read %d elements of a run of %d", len(got), len(recs))
 			}
 		}
 		if err != io.EOF {
@@ -148,15 +141,15 @@ func BenchmarkReaderBatch(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	read(false)
+	read(1)
 	want := slices.Clone(got)
 	if !slices.Equal(want, recs) {
-		b.Fatal("element reads do not return what was written")
+		b.Fatal("batches of one do not return what was written")
 	}
 	for _, mode := range []struct {
 		name  string
-		batch bool
-	}{{"batch", true}, {"element", false}} {
+		batch int
+	}{{"batch", stream.DefaultBatchLen}, {"one", 1}} {
 		b.Run(mode.name, func(b *testing.B) {
 			b.SetBytes(int64(len(recs) * record.Size))
 			for i := 0; i < b.N; i++ {

@@ -218,8 +218,8 @@ func (e *Emitter[T]) TakeSum(name string) (uint64, bool) {
 	return sum, ok
 }
 
-// Open returns an ascending reader over the run using the emitter's codec
-// and comparator.
-func (e *Emitter[T]) Open(r Run, bufBytes int) (ReadCloser[T], error) {
-	return OpenRun(e.Store, r, bufBytes, e.Codec, e.Less)
+// Open opens the run as its sorted pieces (OpenRun) on the emitter's store
+// with the emitter's codec.
+func (e *Emitter[T]) Open(r Run, bufBytes int) ([]*Reader[T], error) {
+	return OpenRun(e.Store, r, bufBytes, e.Codec)
 }

@@ -22,6 +22,12 @@ type spillFile struct {
 	// file starts a segment, where a partial element left over from the
 	// previous one is a truncated tail and is dropped.
 	joins bool
+	// seg and records, on the last file of a segment read as part of a run
+	// (OpenRun), are the segment's name and the number of records it holds:
+	// when the file is drained the reader must have yielded exactly that many
+	// since the segment began. records 0 checks nothing.
+	seg     string
+	records int64
 }
 
 // open returns the file's payload as one ascending byte stream. A chain
@@ -71,6 +77,8 @@ type Reader[T any] struct {
 	bulk   codec.Bulk[T]       // c's bulk kernels, when it is fixed-width and has them
 	fixed  int                 // c.FixedSize()
 	files  []spillFile         // not yet opened, in read order
+	cur    spillFile           // the file opened last
+	got    int64               // records yielded since cur's segment began
 	src    storage.BlockReader // the open file; nil between files
 	lend   storage.BlockLender // src again, when it lends its blocks
 	size   int                 // bytes per read: the buffer budget
@@ -112,6 +120,7 @@ func (r *Reader[T]) decode() (v T, ok bool) {
 		v, k, err := r.c.Decode(r.buf[r.pos:])
 		if err == nil {
 			r.pos += k
+			r.got++
 			return v, true
 		}
 		if !errors.Is(err, codec.ErrShort) {
@@ -123,30 +132,14 @@ func (r *Reader[T]) decode() (v T, ok bool) {
 	return v, false
 }
 
-// Read returns the next element or io.EOF. It is ReadBatch for one element,
-// kept on the element path: a destination passed to the codec's bulk
-// kernels, an interface call, would have to live on the heap.
-func (r *Reader[T]) Read() (T, error) {
-	var zero T
-	if r.closed {
-		return zero, stream.ErrClosed
-	}
-	for r.err == nil {
-		if v, ok := r.decode(); ok {
-			return v, nil
-		}
-	}
-	err := r.err
-	r.err = nil
-	return zero, err
-}
-
 // ReadBatch decodes up to len(dst) elements per the stream.BatchReader
 // contract — a buffer's worth per call of the codec's bulk kernel, where it
 // has one — and an error met after some elements were decoded waits for the
-// next call. A trailing partial element means corruption upstream and
-// reads as a clean end of its segment, matching the historical fixed-width
-// behaviour.
+// next call. A trailing partial element means corruption upstream and reads
+// as the end of its segment; a piece of a run, which knows the record count of
+// each segment, turns an end on any other count into an error matching
+// storage.ErrCorrupt (refill) — a run file cut short must fail the merge, not
+// shorten its output.
 func (r *Reader[T]) ReadBatch(dst []T) (int, error) {
 	if r.closed {
 		return 0, stream.ErrClosed
@@ -160,6 +153,7 @@ func (r *Reader[T]) ReadBatch(dst []T) (int, error) {
 			}
 		} else if k := r.bulk.DecodeAll(dst[n:], r.buf[r.pos:]); k > 0 {
 			n += k
+			r.got += int64(k)
 			r.pos += k * r.fixed
 		} else {
 			r.err = r.refill()
@@ -179,7 +173,9 @@ func (r *Reader[T]) ReadBatch(dst []T) (int, error) {
 // blocks, the next block is decoded where it lies. Otherwise the partial
 // element left over moves to the front of the reader's own buffer and more
 // bytes are read behind it, into a larger buffer when one element outgrows
-// it. It is the only place the reader touches storage.
+// it. A drained file that ends a segment of known length must have brought
+// the segment to exactly that length. It is the only place the reader touches
+// storage.
 func (r *Reader[T]) refill() error {
 	rest := r.buf[r.pos:]
 	r.buf, r.pos = rest, 0
@@ -224,6 +220,12 @@ func (r *Reader[T]) refill() error {
 		if err := src.Close(); err != nil {
 			return err
 		}
+		if want := r.cur.records; want > 0 {
+			if r.got != want {
+				return fmt.Errorf("%w: runio: %s ended after %d of its %d records", storage.ErrCorrupt, r.cur.seg, r.got, want)
+			}
+			r.got = 0
+		}
 	}
 }
 
@@ -238,7 +240,7 @@ func (r *Reader[T]) openNext() error {
 	if err != nil {
 		return err
 	}
-	r.files, r.src = r.files[1:], src
+	r.files, r.cur, r.src = r.files[1:], f, src
 	r.lend, _ = src.(storage.BlockLender)
 	if !f.joins {
 		r.buf, r.pos = nil, 0

@@ -38,10 +38,16 @@ func (s Segment) EachFile(visit func(name string, index int)) {
 }
 
 // appendFiles appends the segment's files to dst as the reader meets them.
-func (s Segment) appendFiles(dst []spillFile) []spillFile {
+// counted makes the reader hold the segment to its record count when the
+// last of them is drained.
+func (s Segment) appendFiles(dst []spillFile, counted bool) []spillFile {
+	first := len(dst)
 	s.EachFile(func(name string, i int) {
 		dst = append(dst, spillFile{name: name, paged: s.Backward, index: i, joins: s.Backward && i < s.Files-1})
 	})
+	if counted && len(dst) > first {
+		dst[len(dst)-1].seg, dst[len(dst)-1].records = s.Name, s.Records
+	}
 	return dst
 }
 
@@ -49,9 +55,15 @@ func (s Segment) appendFiles(dst []spillFile) []spillFile {
 // buffer size in bytes, decoding elements with c. A forward segment's file
 // is opened here, so a missing one fails this call; a chain's files are
 // opened as the read reaches them, and a missing or corrupt one fails that
-// read.
+// read. The reader yields whatever the files hold: the caller counts.
 func OpenSegment[T any](st storage.Backend, s Segment, bufBytes int, c codec.Codec[T]) (*Reader[T], error) {
-	r := newReader(st, s.appendFiles(nil), bufBytes, c)
+	return openSegment(st, s, bufBytes, c, false)
+}
+
+// openSegment is OpenSegment, with the reader holding the segment to its
+// record count when counted.
+func openSegment[T any](st storage.Backend, s Segment, bufBytes int, c codec.Codec[T], counted bool) (*Reader[T], error) {
+	r := newReader(st, s.appendFiles(nil, counted), bufBytes, c)
 	if !s.Backward {
 		if err := r.openNext(); err != nil {
 			return nil, err
@@ -86,7 +98,8 @@ type Run struct {
 	// disjoint in segment order, so reading them back to back yields one
 	// sorted sequence. 2WRS guarantees each stream is sorted but the four
 	// ranges can overlap slightly when an insertion heuristic misjudges
-	// the division point; OpenRun interleaves the segments of such a run.
+	// the division point; OpenRun opens such a run as one sorted piece per
+	// segment, for the merge to interleave.
 	Concatenable bool
 }
 
@@ -95,46 +108,45 @@ func SingleRun(seg Segment) Run {
 	return Run{Segments: []Segment{seg}, Records: seg.Records, Concatenable: true}
 }
 
-// OpenRun returns an ascending reader over the whole run within the given
-// buffer budget in bytes. A concatenable run is one Reader over the files of
-// all its non-empty segments (one open file at a time, so the whole budget
-// buffers it); a run with overlapping stream ranges opens a Reader per
-// segment — splitting the budget — and interleave-merges them on the fly, so
-// a run is always a single sorted merge input either way. Because overlaps
-// are narrow, the interleaved read pattern still drains mostly one file at a
-// time and stays nearly sequential on disk.
-func OpenRun[T any](st storage.Backend, r Run, bufBytes int, c codec.Codec[T], less func(a, b T) bool) (ReadCloser[T], error) {
-	nonEmpty := 0
+// OpenRun opens the run as its sorted pieces within the given buffer budget
+// in bytes: the readers whose merge — a plain concatenation when there is one
+// — is the run in ascending order. A concatenable run is one piece, a Reader
+// over the files of all its non-empty segments (one open file at a time, so
+// the whole budget buffers it); a run with overlapping stream ranges is one
+// piece per non-empty segment, the budget split evenly among them and floored
+// at a page each. Because overlaps are narrow, a merge of the pieces still
+// drains mostly one file at a time and stays nearly sequential on disk. A
+// piece holds every segment it reads to the segment's record count: one that
+// ends short (or long) fails the read with an error matching
+// storage.ErrCorrupt naming it. On an error every piece already opened is
+// closed.
+func OpenRun[T any](st storage.Backend, r Run, bufBytes int, c codec.Codec[T]) ([]*Reader[T], error) {
+	live := make([]Segment, 0, 4) // on the stack: a run has at most four
 	for _, s := range r.Segments {
 		if s.Records > 0 {
-			nonEmpty++
+			live = append(live, s)
 		}
 	}
-	if r.Concatenable || nonEmpty == 0 {
+	if r.Concatenable || len(live) == 0 {
 		var files []spillFile
-		for _, s := range r.Segments {
-			if s.Records > 0 {
-				files = s.appendFiles(files)
-			}
+		for _, s := range live {
+			files = s.appendFiles(files, true)
 		}
-		return newReader(st, files, bufBytes, c), nil
+		return []*Reader[T]{newReader(st, files, bufBytes, c)}, nil
 	}
-	per := max(bufBytes/nonEmpty, DefaultPageSize)
-	open := make([]*Reader[T], 0, nonEmpty)
-	for _, s := range r.Segments {
-		if s.Records == 0 {
-			continue
-		}
-		rc, err := OpenSegment(st, s, per, c)
+	per := max(bufBytes/len(live), DefaultPageSize)
+	pieces := make([]*Reader[T], 0, len(live))
+	for _, s := range live {
+		piece, err := openSegment(st, s, per, c, true)
 		if err != nil {
-			for _, o := range open {
+			for _, o := range pieces {
 				o.Close()
 			}
 			return nil, err
 		}
-		open = append(open, rc)
+		pieces = append(pieces, piece)
 	}
-	return newInterleaveReader(open, less)
+	return pieces, nil
 }
 
 // Remove deletes all files of the run; see Segment.Remove.

@@ -47,11 +47,18 @@
 // NewReader, NewBackwardReader, OpenSegment and OpenRun differ only in the
 // file list they build.
 //
-// A Run is an ordered list of segments (forward or backward). A concatenable
-// run is read by one Reader over the files of all its segments, which is how
-// the four 2WRS output streams become one logical sorted run:
-// rev(4) + 3 + rev(2) + 1. A run whose stream ranges overlap gets a Reader
-// per segment under the interleaveReader's minimum scan.
+// A Run is an ordered list of segments (forward or backward), and OpenRun
+// returns it as its sorted pieces. A concatenable run is one piece: a Reader
+// over the files of all its segments, which is how the four 2WRS output
+// streams become one logical sorted run: rev(4) + 3 + rev(2) + 1. A run whose
+// stream ranges overlap is a piece — a Reader — per non-empty segment, each
+// sorted, and the merge makes every piece a leaf of its own tree; runio
+// merges nothing. A piece knows how many records each of its segments holds
+// and fails, with an error matching storage.ErrCorrupt, when one ends on
+// another count.
+//
+// Readers speak the batch protocol only (stream.BatchReader): everything
+// that reads a run reads it a batch at a time.
 //
 // Both layouts reach the file system through a storage.Backend: the raw
 // backend reproduces the historical bytes exactly, while the block backend
@@ -92,12 +99,6 @@ const DefaultPagesPerFile = 1000
 // ErrOutOfOrder reports an element written against the run's sort direction,
 // which always means a bug or corruption upstream.
 var ErrOutOfOrder = errors.New("runio: record out of order")
-
-// ReadCloser is an element stream with a Close method.
-type ReadCloser[T any] interface {
-	stream.Reader[T]
-	Close() error
-}
 
 // bufSize normalizes a requested buffer size: defaults, then for fixed-width
 // codecs rounds down to a whole number of elements (floored at one).

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/codec"
@@ -32,9 +33,9 @@ func writeForward(t *testing.T, fs vfs.FS, name string, keys []int64) {
 	}
 }
 
-func readAllClosing(t *testing.T, r ReadCloser[record.Record]) []record.Record {
+func readAllClosing(t *testing.T, r *Reader[record.Record]) []record.Record {
 	t.Helper()
-	recs, err := record.ReadAll(r)
+	recs, err := stream.ReadAllCancel[record.Record](r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,6 +43,23 @@ func readAllClosing(t *testing.T, r ReadCloser[record.Record]) []record.Record {
 		t.Fatal(err)
 	}
 	return recs
+}
+
+// readOne reads a single element through the batch protocol.
+func readOne[T any](r *Reader[T]) (T, error) {
+	var one [1]T
+	_, err := r.ReadBatch(one[:])
+	return one[0], err
+}
+
+// openWhole opens a run that must be a single sorted piece.
+func openWhole[T any](t *testing.T, st storage.Backend, run Run, bufBytes int, c codec.Codec[T]) *Reader[T] {
+	t.Helper()
+	pieces, err := OpenRun(st, run, bufBytes, c)
+	if err != nil || len(pieces) != 1 {
+		t.Fatalf("OpenRun = %d pieces, %v; want one", len(pieces), err)
+	}
+	return pieces[0]
 }
 
 func TestForwardRoundTrip(t *testing.T) {
@@ -96,7 +114,7 @@ func TestForwardEmptyRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Read(); err != io.EOF {
+	if _, err := readOne(r); err != io.EOF {
 		t.Fatalf("read of empty run = %v, want io.EOF", err)
 	}
 	r.Close()
@@ -219,7 +237,7 @@ func TestBackwardEmptyStream(t *testing.T) {
 		t.Fatalf("Files = %d, want 0", w.Files())
 	}
 	r, _ := NewBackwardReader(storage.NewRaw(fs), "b", 0, 0, codec.Record16{})
-	if _, err := r.Read(); err != io.EOF {
+	if _, err := readOne(r); err != io.EOF {
 		t.Fatalf("empty chain read = %v, want io.EOF", err)
 	}
 	r.Close()
@@ -260,7 +278,7 @@ func TestBackwardHeaderCorruptionDetected(t *testing.T) {
 	}
 	f.Close()
 	r, _ := NewBackwardReader(storage.NewRaw(fs), "b", 1, 0, codec.Record16{})
-	if _, err := r.Read(); err == nil {
+	if _, err := readOne(r); err == nil {
 		t.Fatal("corrupt header should fail the read")
 	}
 	r.Close()
@@ -350,11 +368,8 @@ func TestRunConcatenatesSegments(t *testing.T) {
 		},
 		Records: 10,
 	}
-	r, err := OpenRun(storage.NewRaw(fs), run, 256, codec.Record16{}, record.Less)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := readAllClosing(t, r)
+	run.Concatenable = true
+	got := readAllClosing(t, openWhole(t, storage.NewRaw(fs), run, 256, codec.Record16{}))
 	want := []int64{36, 37, 38, 39, 40, 50, 51, 52, 53, 54}
 	if len(got) != len(want) {
 		t.Fatalf("got %d records, want %d", len(got), len(want))
@@ -377,8 +392,7 @@ func TestRunSkipsEmptySegments(t *testing.T) {
 		},
 		Records: 2,
 	}
-	r, _ := OpenRun(storage.NewRaw(fs), run, 0, codec.Record16{}, record.Less)
-	got := readAllClosing(t, r)
+	got := readAllClosing(t, openWhole(t, storage.NewRaw(fs), run, 0, codec.Record16{}))
 	if len(got) != 2 {
 		t.Fatalf("got %d records, want 2", len(got))
 	}
@@ -425,7 +439,7 @@ func TestReaderClosedSemantics(t *testing.T) {
 	writeForward(t, fs, "r", []int64{1})
 	r, _ := NewReader(storage.NewRaw(fs), "r", 0, codec.Record16{})
 	r.Close()
-	if _, err := r.Read(); err != record.ErrClosed {
+	if _, err := readOne(r); err != record.ErrClosed {
 		t.Fatalf("read after close = %v, want ErrClosed", err)
 	}
 	if err := r.Close(); err != record.ErrClosed {
@@ -439,43 +453,48 @@ type drained[T any] struct {
 	err, closeErr error
 }
 
-// drain opens a stream, reads it to its first error — element by element,
-// or through ReadBatch when batch > 0, holding it to the batch contract —
-// and closes it.
-func drain[T any](t *testing.T, open func() (ReadCloser[T], error), batch int) drained[T] {
+// drain opens a run, reads its pieces one after the other to the first
+// error through ReadBatch with buffers of the given length, holding every call
+// to the batch contract, and closes them all.
+func drain[T any](t *testing.T, open func() ([]*Reader[T], error), batch int) drained[T] {
 	t.Helper()
-	r, err := open()
+	pieces, err := open()
 	if err != nil {
 		return drained[T]{err: err}
 	}
-	var elems []T
-	buf := make([]T, max(batch, 1))
-	for {
-		n := 0
-		if batch == 0 {
-			if buf[0], err = r.Read(); err == nil {
-				n = 1
+	out := drained[T]{err: io.EOF}
+	buf := make([]T, batch)
+	for _, r := range pieces {
+		for out.err == io.EOF {
+			n, err := r.ReadBatch(buf)
+			if (n > 0) == (err != nil) {
+				t.Fatalf("batch=%d: ReadBatch returned %d, %v", batch, n, err)
 			}
-		} else if n, err = r.(stream.BatchReader[T]).ReadBatch(buf); (n > 0) == (err != nil) {
-			t.Fatalf("batch=%d: ReadBatch returned %d, %v", batch, n, err)
+			out.elems = append(out.elems, buf[:n]...)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				out.err = err
+			}
 		}
-		elems = append(elems, buf[:n]...)
-		if err != nil {
-			return drained[T]{elems, err, r.Close()}
+		if err := r.Close(); err != nil && out.closeErr == nil {
+			out.closeErr = err
 		}
 	}
+	return out
 }
 
-// checkBatchMatchesElement requires ReadBatch, at awkward batch lengths, to
-// deliver exactly what element reads do: the same elements, then the same
-// error on the call after the last of them.
-func checkBatchMatchesElement[T comparable](t *testing.T, open func() (ReadCloser[T], error)) drained[T] {
+// drainAtEveryLength requires ReadBatch, at awkward batch lengths, to deliver
+// exactly what reading one element per call does: the same elements, then the
+// same error on the call after the last of them.
+func drainAtEveryLength[T comparable](t *testing.T, open func() ([]*Reader[T], error)) drained[T] {
 	t.Helper()
-	want := drain(t, open, 0)
-	for _, batch := range []int{1, 7, 256, 2048} {
+	want := drain(t, open, 1)
+	for _, batch := range []int{7, 256, 2048} {
 		got := drain(t, open, batch)
 		if !slices.Equal(got.elems, want.elems) || got.err != want.err || got.closeErr != want.closeErr {
-			t.Fatalf("batch=%d: %d elements, then %v (close: %v); element reads gave %d, then %v (close: %v)",
+			t.Fatalf("batch=%d: %d elements, then %v (close: %v); batches of one gave %d, then %v (close: %v)",
 				batch, len(got.elems), got.err, got.closeErr, len(want.elems), want.err, want.closeErr)
 		}
 	}
@@ -585,10 +604,11 @@ func (f faultFile) Close() error {
 	return err
 }
 
-// TestBatchReadMatchesElementRead drives every reader — forward file,
-// backward chain, whole runs concatenated and interleaved — through Read and
-// through ReadBatch with awkward batch sizes and requires the same result.
-func TestBatchReadMatchesElementRead(t *testing.T) {
+// TestReadBatchAtEveryLength drives every reader — forward file, backward
+// chain, whole runs as one piece and as a piece per segment — through
+// ReadBatch with awkward batch sizes and requires the same result as one
+// element per call.
+func TestReadBatchAtEveryLength(t *testing.T) {
 	fs := vfs.NewMemFS()
 	st := storage.NewRaw(fs)
 	// Forward run.
@@ -616,13 +636,13 @@ func TestBatchReadMatchesElementRead(t *testing.T) {
 			{Name: "bf", Records: 1000},
 		},
 		Records: 1500,
-		// Ranges overlap (backward is 1..500, forward 0..2997), so opening
-		// non-concatenable exercises the interleave reader as well.
+		// Ranges overlap (backward is 1..500, forward 0..2997): opened
+		// non-concatenable it is one piece per segment.
 	}
 	for _, concat := range []bool{true, false} {
 		recRun.Concatenable = concat
-		got := checkBatchMatchesElement(t, func() (ReadCloser[record.Record], error) {
-			return OpenRun(st, recRun, 256, codec.Record16{}, record.Less)
+		got := drainAtEveryLength(t, func() ([]*Reader[record.Record], error) {
+			return OpenRun(st, recRun, 256, codec.Record16{})
 		})
 		if len(got.elems) != 1500 || got.err != io.EOF || got.closeErr != nil {
 			t.Fatalf("concat=%v: %d records, then %v (close: %v)", concat, len(got.elems), got.err, got.closeErr)
@@ -631,12 +651,12 @@ func TestBatchReadMatchesElementRead(t *testing.T) {
 
 	// A whole variable-width run through a 7-byte buffer: elements span the
 	// buffer, pages and chain files; concatenated it is one reader over
-	// every file, interleaved it is one reader per segment.
+	// every file, otherwise one reader per segment.
 	run, all := stringRun(t, fs, 150)
 	for _, concat := range []bool{true, false} {
 		run.Concatenable = concat
-		got := checkBatchMatchesElement(t, func() (ReadCloser[string], error) {
-			return OpenRun(st, run, 7, codec.String{}, lessStr)
+		got := drainAtEveryLength(t, func() ([]*Reader[string], error) {
+			return OpenRun(st, run, 7, codec.String{})
 		})
 		if !slices.Equal(got.elems, all) || got.err != io.EOF || got.closeErr != nil {
 			t.Fatalf("concat=%v: %d strings, then %v (close: %v); want the run's %d", concat, len(got.elems), got.err, got.closeErr, len(all))
@@ -644,8 +664,8 @@ func TestBatchReadMatchesElementRead(t *testing.T) {
 	}
 
 	// Storage failing at every point of a small run: whatever decoded before
-	// the n-th open, read or close comes out, then the fault, alike through
-	// both protocols.
+	// the n-th open, read or close comes out, then the fault, alike at every
+	// batch length; a piece that fails to open closes the ones before it.
 	smallFS := vfs.NewMemFS()
 	small, smallAll := stringRun(t, smallFS, 12)
 	for _, concat := range []bool{true, false} {
@@ -653,9 +673,9 @@ func TestBatchReadMatchesElementRead(t *testing.T) {
 		for _, op := range []string{"open", "read", "close"} {
 			for n, fired := 1, true; fired; n++ {
 				var fb *faultBackend
-				got := checkBatchMatchesElement(t, func() (ReadCloser[string], error) {
+				got := drainAtEveryLength(t, func() ([]*Reader[string], error) {
 					fb = &faultBackend{Backend: storage.NewRaw(smallFS), op: op, n: n}
-					return OpenRun(fb, small, 7, codec.String{}, lessStr)
+					return OpenRun(fb, small, 7, codec.String{})
 				})
 				fired = fb.seen >= n
 				if fired != (got.err == errInjected || got.closeErr == errInjected) ||
@@ -666,8 +686,11 @@ func TestBatchReadMatchesElementRead(t *testing.T) {
 		}
 	}
 
-	// A forward segment cut mid-element reads as a clean end of that segment:
-	// the partial tail is dropped and the next segment decodes from its start.
+	// A forward segment cut mid-element ends there, the partial tail dropped.
+	// Read on its own (OpenSegment) that is a clean end, for the caller to
+	// count; read as part of a run, the piece knows how many records the
+	// segment was to hold and fails where it ends, with an error matching
+	// storage.ErrCorrupt that names it and both counts.
 	var enc []byte
 	for _, v := range []string{"bx1", "bx2", "bx3-cut-inside-this-one"} {
 		enc = codec.String{}.Append(enc, v)
@@ -680,21 +703,35 @@ func TestBatchReadMatchesElementRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	cut := Run{Segments: []Segment{{Name: "cut", Records: 3}, run.Segments[2], run.Segments[3]}, Concatenable: true}
-	got := checkBatchMatchesElement(t, func() (ReadCloser[string], error) {
-		return OpenRun(st, cut, 7, codec.String{}, lessStr)
-	})
-	if want := append([]string{"bx1", "bx2"}, all[300:]...); !slices.Equal(got.elems, want) || got.err != io.EOF {
-		t.Fatalf("truncated segment: %d strings, then %v; want %d", len(got.elems), got.err, len(want))
+	cutSeg := Segment{Name: "cut", Records: 3}
+	alone := drain(t, func() ([]*Reader[string], error) {
+		r, err := OpenSegment(st, cutSeg, 7, codec.String{})
+		return []*Reader[string]{r}, err
+	}, 7)
+	if !slices.Equal(alone.elems, []string{"bx1", "bx2"}) || alone.err != io.EOF {
+		t.Fatalf("truncated segment on its own: %v, then %v; want two strings and a clean end", alone.elems, alone.err)
+	}
+	cut := Run{Segments: []Segment{cutSeg, run.Segments[2], run.Segments[3]}, Concatenable: true}
+	var got drained[string]
+	for _, batch := range []int{1, 7, 2048} {
+		got = drain(t, func() ([]*Reader[string], error) { return OpenRun(st, cut, 7, codec.String{}) }, batch)
+		if want := []string{"bx1", "bx2"}; !slices.Equal(got.elems, want) || !errors.Is(got.err, storage.ErrCorrupt) {
+			t.Fatalf("truncated segment: %d strings, then %v; want %d, then storage.ErrCorrupt", len(got.elems), got.err, len(want))
+		}
+		for _, part := range []string{"cut", "2 of its 3"} {
+			if !strings.Contains(got.err.Error(), part) {
+				t.Fatalf("truncated segment: %q does not mention %q", got.err, part)
+			}
+		}
 	}
 
 	// One buffer per run: read segment by segment, each of the four pays a
 	// reader and a buffer; read as a run, they are paid once.
 	run.Concatenable = true
 	buf := make([]string, 256)
-	readAll := func(r ReadCloser[string], err error) {
+	readAll := func(r *Reader[string], err error) {
 		for err == nil {
-			_, err = r.(stream.BatchReader[string]).ReadBatch(buf)
+			_, err = r.ReadBatch(buf)
 		}
 		if err != io.EOF || r.Close() != nil {
 			t.Fatal(err)
@@ -706,7 +743,7 @@ func TestBatchReadMatchesElementRead(t *testing.T) {
 		}
 	})
 	whole := testing.AllocsPerRun(5, func() {
-		readAll(OpenRun(st, run, 4096, codec.String{}, lessStr))
+		readAll(openWhole(t, st, run, 4096, codec.String{}), nil)
 	})
 	if whole > bySegment-6 {
 		t.Fatalf("reading the run costs %v allocations, its four segments one by one %v: want three readers and three buffers fewer", whole, bySegment)
@@ -834,10 +871,10 @@ func TestAsyncWriterRoundTrip(t *testing.T) {
 	}
 }
 
-// TestElementPathDoesNotAllocate pins the cost of the one-element calls
-// beside the bulk kernels: Read's result and Write's argument never pass
-// through the codec's bulk interface — where they would have to be slices,
-// and escape to the heap once per element — so neither allocates.
+// TestElementPathDoesNotAllocate pins the cost of the one-element call that
+// is left beside the bulk kernels — run generators write an element at a
+// time: Write's argument never passes through the codec's bulk interface,
+// where it would have to be a slice and escape to the heap once per element.
 func TestElementPathDoesNotAllocate(t *testing.T) {
 	st := storage.NewRaw(vfs.NewMemFS())
 	w, err := NewWriter[record.Record](st, "run", 0, codec.Record16{}, record.Less)
@@ -855,18 +892,6 @@ func TestElementPathDoesNotAllocate(t *testing.T) {
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
-	}
-	r, err := NewReader[record.Record](st, "run", 0, codec.Record16{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if n := testing.AllocsPerRun(5000, func() {
-		if _, err := r.Read(); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Fatalf("Read allocates %v times per element", n)
 	}
 }
 

@@ -77,7 +77,7 @@ func FuzzVarWidthRoundTrip(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := stream.ReadAll[[]byte](r)
+			got, err := stream.ReadAllCancel[[]byte](r, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,7 +102,7 @@ func FuzzVarWidthRoundTrip(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err = stream.ReadAll[[]byte](br)
+			got, err = stream.ReadAllCancel[[]byte](br, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

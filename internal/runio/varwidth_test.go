@@ -53,7 +53,7 @@ func TestForwardVarWidthRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := stream.ReadAll[string](r)
+	got, err := stream.ReadAllCancel[string](r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestBackwardVarWidthSpanningPagesAndFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := stream.ReadAll[string](r)
+	got, err := stream.ReadAllCancel[string](r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestBackwardVarWidthElementLargerThanBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := stream.ReadAll[string](r)
+	got, err := stream.ReadAllCancel[string](r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +168,8 @@ func TestVarWidthRunConcatenation(t *testing.T) {
 		Records:      5,
 		Concatenable: true,
 	}
-	r, err := OpenRun(storage.NewRaw(fs), run, 256, codec.String{}, lessStr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := stream.ReadAll[string](r)
+	r := openWhole(t, storage.NewRaw(fs), run, 256, codec.String{})
+	got, err := stream.ReadAllCancel[string](r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

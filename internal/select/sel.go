@@ -74,7 +74,7 @@ const cancelOps = 1024
 // is O(k) and nothing spills. cancel (nil means never) is polled every
 // cancelOps consumed elements; read reports how many elements were consumed
 // even when an error cut the stream short.
-func Stream[T any](src stream.Reader[T], k int, dir Dir, less func(a, b T) bool, cancel func() error) (vals []T, read int64, err error) {
+func Stream[T any](src stream.BatchReader[T], k int, dir Dir, less func(a, b T) bool, cancel func() error) (vals []T, read int64, err error) {
 	if k < 0 {
 		return nil, 0, fmt.Errorf("sel: selection requires k ≥ 0, got %d", k)
 	}

@@ -242,7 +242,7 @@ func TestStreamCancellation(t *testing.T) {
 		}
 		return nil
 	}
-	if _, _, err := Stream[int](endless, 10, Smallest, func(a, b int) bool { return a < b }, cancel); !errors.Is(err, sentinel) {
+	if _, _, err := Stream(stream.AsBatchReader[int](endless), 10, Smallest, func(a, b int) bool { return a < b }, cancel); !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want sentinel", err)
 	}
 	if n > 2*cancelOps {

@@ -30,14 +30,18 @@ type BatchWriter[T any] interface {
 }
 
 // Sized is implemented by sources that know how many elements remain
-// (e.g. SliceReader); consumers use it to pre-size output slices.
+// (e.g. SliceReader), and by the wrappers that forward the hint of what they
+// wrap, where a negative count means unknown; consumers use it to pre-size
+// output slices.
 type Sized interface {
 	Remaining() int
 }
 
-// AsBatchReader returns r itself when it already implements BatchReader,
-// otherwise an adapter that fills each batch with element-at-a-time reads,
-// so batch-oriented code can consume any Reader.
+// AsBatchReader is where a caller's source crosses into the library: it
+// returns r itself when it already implements BatchReader, otherwise an
+// adapter that fills each batch with element-at-a-time reads and forwards
+// the source's Remaining hint. An entry point calls it once on the source it
+// was given; everything below reads batches.
 func AsBatchReader[T any](r Reader[T]) BatchReader[T] {
 	if br, ok := r.(BatchReader[T]); ok {
 		return br
@@ -53,26 +57,17 @@ type readerBatcher[T any] struct {
 }
 
 func (b *readerBatcher[T]) ReadBatch(dst []T) (int, error) {
-	return ReadBatchElems(b.r, &b.err, dst)
-}
-
-// ReadBatchElems implements the ReadBatch contract over an element reader
-// for concrete types that keep their own deferred-error slot: it fills dst
-// by repeated Read calls and parks a mid-batch error in *pend, returning
-// it — per the contract — on the next call with n == 0. It exists so the
-// element-loop + pendErr pattern lives in exactly one place.
-func ReadBatchElems[T any](r Reader[T], pend *error, dst []T) (int, error) {
-	if *pend != nil {
-		err := *pend
-		*pend = nil
+	if b.err != nil {
+		err := b.err
+		b.err = nil
 		return 0, err
 	}
 	n := 0
 	for n < len(dst) {
-		v, err := r.Read()
+		v, err := b.r.Read()
 		if err != nil {
 			if n > 0 {
-				*pend = err
+				b.err = err
 				return n, nil
 			}
 			return 0, err
@@ -81,6 +76,19 @@ func ReadBatchElems[T any](r Reader[T], pend *error, dst []T) (int, error) {
 		n++
 	}
 	return n, nil
+}
+
+// Remaining forwards Sized: what the source reports, or -1 when it does not
+// know.
+func (b *readerBatcher[T]) Remaining() int { return RemainingOf(b.r) }
+
+// RemainingOf is src's Remaining when it is Sized, and -1 — unknown — when
+// it is not: how a wrapper forwards the hint of whatever it wraps.
+func RemainingOf(src any) int {
+	if s, ok := src.(Sized); ok {
+		return s.Remaining()
+	}
+	return -1
 }
 
 // AsBatchWriter returns w itself when it already implements BatchWriter,
@@ -159,11 +167,11 @@ type Fetcher[T any] struct {
 
 // NewFetcher returns a Fetcher over r with the given batch length (0 means
 // DefaultBatchLen).
-func NewFetcher[T any](r Reader[T], batchLen int) *Fetcher[T] {
+func NewFetcher[T any](r BatchReader[T], batchLen int) *Fetcher[T] {
 	if batchLen <= 0 {
 		batchLen = DefaultBatchLen
 	}
-	return &Fetcher[T]{br: AsBatchReader(r), buf: make([]T, batchLen)}
+	return &Fetcher[T]{br: r, buf: make([]T, batchLen)}
 }
 
 // FetchLen sizes a run generator's Fetcher against its memory budget (in

@@ -12,8 +12,7 @@ import "io"
 // growing buf as needed — and reports whether r ended before the n-th. On
 // an error it returns what it had read. A caller that wants to know whether
 // a stream holds more than limit elements asks for limit+1.
-func ReadPrefix[T any](r Reader[T], buf []T, n int, cancel func() error) (_ []T, ended bool, err error) {
-	br := AsBatchReader(r)
+func ReadPrefix[T any](br BatchReader[T], buf []T, n int, cancel func() error) (_ []T, ended bool, err error) {
 	var scratch []T
 	for read := 0; read < n; {
 		if cancel != nil {
@@ -49,7 +48,7 @@ func ReadPrefix[T any](r Reader[T], buf []T, n int, cancel func() error) (_ []T,
 
 // Discard reads and drops the next n elements of r and returns how many it
 // dropped: fewer than n with a nil error means r ended first.
-func Discard[T any](r Reader[T], n int64, cancel func() error) (int64, error) {
+func Discard[T any](r BatchReader[T], n int64, cancel func() error) (int64, error) {
 	return CopyN[T](nowhere[T]{}, r, n, cancel)
 }
 
@@ -65,23 +64,12 @@ func (nowhere[T]) WriteBatch([]T) error { return nil }
 // on, and how a generator's carried records reach its successor.
 type Prepended[T any] struct {
 	head []T
-	tail Reader[T]
-	br   BatchReader[T]
+	tail BatchReader[T]
 }
 
 // Prepend returns a reader serving head, then tail. head is not copied.
-func Prepend[T any](head []T, tail Reader[T]) *Prepended[T] {
-	return &Prepended[T]{head: head, tail: tail, br: AsBatchReader(tail)}
-}
-
-// Read returns the next element or the tail's error.
-func (p *Prepended[T]) Read() (T, error) {
-	if len(p.head) > 0 {
-		v := p.head[0]
-		p.head = p.head[1:]
-		return v, nil
-	}
-	return p.tail.Read()
+func Prepend[T any](head []T, tail BatchReader[T]) *Prepended[T] {
+	return &Prepended[T]{head: head, tail: tail}
 }
 
 // ReadBatch serves the buffer first — a batch never spans the seam — then
@@ -92,7 +80,7 @@ func (p *Prepended[T]) ReadBatch(dst []T) (int, error) {
 		p.head = p.head[n:]
 		return n, nil
 	}
-	return p.br.ReadBatch(dst)
+	return p.tail.ReadBatch(dst)
 }
 
 // Head returns the part of the buffer not read yet; the view is valid until
@@ -102,8 +90,8 @@ func (p *Prepended[T]) Head() []T { return p.head }
 // Remaining forwards Sized: the unread buffer plus what the tail reports,
 // or -1 when the tail does not know.
 func (p *Prepended[T]) Remaining() int {
-	if s, ok := p.tail.(Sized); ok && s.Remaining() >= 0 {
-		return len(p.head) + s.Remaining()
+	if n := RemainingOf(p.tail); n >= 0 {
+		return len(p.head) + n
 	}
 	return -1
 }

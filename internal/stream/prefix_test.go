@@ -25,19 +25,21 @@ func TestReadPrefixDiscardPrepend(t *testing.T) {
 		"batch":   func() Reader[int] { return NewSliceReader(seq(n)) },
 		"element": func() Reader[int] { return &errReader[int]{vals: seq(n), err: io.EOF} },
 	} {
-		src := open()
+		caller := open()
+		src := AsBatchReader(caller)
 		head, ended, err := ReadPrefix(src, nil, DefaultBatchLen+5, nil)
 		if err != nil || ended || !slices.Equal(head, seq(DefaultBatchLen+5)) {
 			t.Fatalf("%s: ReadPrefix = %d elements, ended=%v, %v", name, len(head), ended, err)
 		}
 		whole := Prepend(head, src)
-		if _, sized := src.(Sized); sized && whole.Remaining() != n {
+		if _, sized := caller.(Sized); sized && whole.Remaining() != n {
 			t.Fatalf("%s: Remaining = %d, want %d", name, whole.Remaining(), n)
 		} else if !sized && whole.Remaining() != -1 {
 			t.Fatalf("%s: Remaining = %d over a tail that does not know, want -1", name, whole.Remaining())
 		}
-		if v, err := whole.Read(); v != 0 || err != nil || len(whole.Head()) != len(head)-1 {
-			t.Fatalf("%s: Read = %d, %v with %d of the buffer left", name, v, err, len(whole.Head()))
+		var one [1]int
+		if k, err := whole.ReadBatch(one[:]); k != 1 || one[0] != 0 || err != nil || len(whole.Head()) != len(head)-1 {
+			t.Fatalf("%s: ReadBatch of one = %d (%d), %v with %d of the buffer left", name, k, one[0], err, len(whole.Head()))
 		}
 		if dropped, err := Discard[int](whole, 2*DefaultBatchLen, nil); dropped != 2*DefaultBatchLen || err != nil {
 			t.Fatalf("%s: Discard = %d, %v", name, dropped, err)
@@ -56,11 +58,11 @@ func TestReadPrefixDiscardPrepend(t *testing.T) {
 // before it, and a cancel hook is polled before every batch.
 func TestReadPrefixDiscardErrors(t *testing.T) {
 	boom := errors.New("boom")
-	got, _, err := ReadPrefix[int](&errReader[int]{vals: seq(5), err: boom}, nil, 9, nil)
+	got, _, err := ReadPrefix(AsBatchReader[int](&errReader[int]{vals: seq(5), err: boom}), nil, 9, nil)
 	if err != boom || !slices.Equal(got, seq(5)) {
 		t.Fatalf("ReadPrefix over a failing source = %v, %v", got, err)
 	}
-	if dropped, err := Discard[int](&errReader[int]{vals: seq(5), err: boom}, 9, nil); err != boom || dropped != 5 {
+	if dropped, err := Discard(AsBatchReader[int](&errReader[int]{vals: seq(5), err: boom}), 9, nil); err != boom || dropped != 5 {
 		t.Fatalf("Discard over a failing source = %d, %v", dropped, err)
 	}
 	polls := 0

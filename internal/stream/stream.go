@@ -4,11 +4,14 @@
 // public API — moves values of an arbitrary element type T through these
 // interfaces.
 //
-// Two protocols coexist: the element-at-a-time Reader/Writer pair, and the
-// batch-at-a-time BatchReader/BatchWriter pair (batch.go). The batch
-// protocol is the data plane's fast path — it amortises dynamic dispatch
-// over whole pages of elements — and AsBatchReader/AsBatchWriter adapt any
-// element stream into it, so the two interoperate freely.
+// Below the public boundary there is one read protocol: BatchReader
+// (batch.go), which amortises dynamic dispatch over whole pages of elements.
+// Reader, the element-at-a-time shape, is what a caller's source looks like
+// (repro.Source, a generator, a byte stream of records): the entry points
+// that accept one adapt it once with AsBatchReader, and nothing inside the
+// library implements or calls Read. The write side keeps both shapes,
+// Writer and BatchWriter, because both are used: run generators write an
+// element at a time, the merge and the copy helpers a batch at a time.
 package stream
 
 import (
@@ -20,8 +23,9 @@ import (
 // ErrClosed is returned by stream operations after Close.
 var ErrClosed = errors.New("stream: closed")
 
-// Reader yields elements one at a time; Read returns io.EOF when the stream
-// is exhausted.
+// Reader is the shape of a caller's source: it yields elements one at a
+// time, and Read returns io.EOF when the stream is exhausted. The library
+// reads one only through AsBatchReader.
 type Reader[T any] interface {
 	Read() (T, error)
 }
@@ -88,18 +92,18 @@ func (s *SliceWriter[T]) WriteBatch(src []T) error {
 	return nil
 }
 
-// ReadAll drains r into a slice. It is intended for tests and examples where
-// the stream is known to fit in memory. Sources that report their Remaining
-// length get a pre-sized output slice instead of append-doubling.
+// ReadAll drains a caller's source into a slice. It is intended for tests
+// and examples where the stream is known to fit in memory. Sources that
+// report their Remaining length get a pre-sized output slice instead of
+// append-doubling.
 func ReadAll[T any](r Reader[T]) ([]T, error) {
-	return ReadAllCancel(r, nil)
+	return ReadAllCancel(AsBatchReader(r), nil)
 }
 
-// ReadAllCancel is ReadAll with a cancellation hook: cancel (nil means never)
-// is polled before every batch, so an element-at-a-time source is abandoned
-// within DefaultBatchLen reads of cancellation — the same 1024-op cadence the
-// public API's context wrappers guarantee.
-func ReadAllCancel[T any](r Reader[T], cancel func() error) ([]T, error) {
+// ReadAllCancel drains r with a cancellation hook: cancel (nil means never)
+// is polled before every batch of at most DefaultBatchLen elements — the
+// 1024-op cadence the public API's context wrappers guarantee.
+func ReadAllCancel[T any](r BatchReader[T], cancel func() error) ([]T, error) {
 	var out []T
 	if s, ok := r.(Sized); ok && s.Remaining() > 0 {
 		out = make([]T, 0, s.Remaining())
@@ -113,38 +117,38 @@ func WriteAll[T any](w Writer[T], vals []T) error {
 	return AsBatchWriter(w).WriteBatch(vals)
 }
 
-// Copy streams elements from r to w until EOF, returning the number copied.
-// It moves whole batches when either side supports the batch protocol,
-// adapting the other side as needed.
+// Copy streams a caller's source into w until EOF, returning the number of
+// elements copied, in whole batches: each side is adapted to the batch
+// protocol unless it speaks it already.
 func Copy[T any](w Writer[T], r Reader[T]) (int64, error) {
-	return CopyCancel(w, r, nil)
+	return CopyCancel(w, AsBatchReader(r), nil)
 }
 
-// CopyCancel is Copy with a cancellation hook: cancel (nil means never) is
-// polled before every batch, bounding the work done after cancellation to one
-// DefaultBatchLen batch even when both endpoints are element-at-a-time
-// streams — the 1024-op cadence DESIGN.md documents. The merge phase and the
-// operator layer use it to honour context cancellation mid-stream.
-func CopyCancel[T any](w Writer[T], r Reader[T], cancel func() error) (int64, error) {
+// CopyCancel streams r into w until EOF with a cancellation hook: cancel (nil
+// means never) is polled before every batch, bounding the work done after
+// cancellation to one DefaultBatchLen batch — the 1024-op cadence DESIGN.md
+// documents. The merge phase and the operator layer use it to honour context
+// cancellation mid-stream.
+func CopyCancel[T any](w Writer[T], r BatchReader[T], cancel func() error) (int64, error) {
 	return CopyN(w, r, math.MaxInt64, cancel)
 }
 
 // CopyN is CopyCancel stopping after n elements: it streams at most n from r
 // to w and returns the number copied, fewer than n with a nil error when r
 // ended first. It is the one capped batch loop: Discard is CopyN to nowhere.
-func CopyN[T any](w Writer[T], r Reader[T], n int64, cancel func() error) (int64, error) {
+func CopyN[T any](w Writer[T], r BatchReader[T], n int64, cancel func() error) (int64, error) {
 	return copyN(w, r, n, make([]T, max(0, min(n, DefaultBatchLen))), cancel)
 }
 
 // CopyBuffer is CopyCancel moving its batches through buf instead of a
 // buffer of its own, for a caller that copies stream after stream (a merge
 // worker, once per merge operation).
-func CopyBuffer[T any](w Writer[T], r Reader[T], buf []T, cancel func() error) (int64, error) {
+func CopyBuffer[T any](w Writer[T], r BatchReader[T], buf []T, cancel func() error) (int64, error) {
 	return copyN(w, r, math.MaxInt64, buf, cancel)
 }
 
-func copyN[T any](w Writer[T], r Reader[T], n int64, buf []T, cancel func() error) (int64, error) {
-	br, bw := AsBatchReader(r), AsBatchWriter(w)
+func copyN[T any](w Writer[T], br BatchReader[T], n int64, buf []T, cancel func() error) (int64, error) {
+	bw := AsBatchWriter(w)
 	var done int64
 	for done < n {
 		if cancel != nil {
@@ -169,7 +173,8 @@ func copyN[T any](w Writer[T], r Reader[T], n int64, buf []T, cancel func() erro
 	return done, nil
 }
 
-// Func adapts a function to the Reader interface.
+// Func adapts a function to the Reader interface: a caller's source in one
+// closure.
 type Func[T any] func() (T, error)
 
 // Read calls the function.

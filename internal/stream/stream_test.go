@@ -99,6 +99,35 @@ func TestAsBatchReaderAdapterDefersMidBatchError(t *testing.T) {
 	}
 }
 
+// sizedReader is an element source that knows its length.
+type sizedReader[T any] struct{ errReader[T] }
+
+func (s *sizedReader[T]) Remaining() int { return len(s.vals) }
+
+// TestAsBatchReaderAdapterForwardsSized: the adapter reports what a Sized
+// source reports, and -1 — unknown — over one that is not; an empty dst reads
+// as (0, nil) without touching the source.
+func TestAsBatchReaderAdapterForwardsSized(t *testing.T) {
+	br := AsBatchReader[int](&sizedReader[int]{errReader[int]{vals: []int{1, 2, 3}, err: io.EOF}})
+	if n, err := br.ReadBatch(nil); n != 0 || err != nil {
+		t.Fatalf("empty dst = %d, %v, want 0, nil", n, err)
+	}
+	if got := br.(Sized).Remaining(); got != 3 {
+		t.Fatalf("Remaining = %d, want 3", got)
+	}
+	br.ReadBatch(make([]int, 2))
+	if got := br.(Sized).Remaining(); got != 1 {
+		t.Fatalf("Remaining after a batch of 2 = %d, want 1", got)
+	}
+	if got := AsBatchReader[int](&errReader[int]{err: io.EOF}).(Sized).Remaining(); got != -1 {
+		t.Fatalf("Remaining over an unsized source = %d, want -1", got)
+	}
+	out, err := ReadAll[int](&sizedReader[int]{errReader[int]{vals: seq(3000), err: io.EOF}})
+	if err != nil || len(out) != 3000 || cap(out) != 3000 {
+		t.Fatalf("ReadAll over a sized element source = %d elements, cap %d, %v; want 3000 pre-sized", len(out), cap(out), err)
+	}
+}
+
 func TestAsBatchReaderAdapterEOF(t *testing.T) {
 	br := AsBatchReader[int](&errReader[int]{vals: []int{1, 2, 3}, err: io.EOF})
 	buf := make([]int, 2)
@@ -172,7 +201,7 @@ func TestElementReader(t *testing.T) {
 
 func TestElementReaderError(t *testing.T) {
 	boom := errors.New("boom")
-	f := NewFetcher[int](&errReader[int]{vals: []int{9}, err: boom}, 4)
+	f := NewFetcher(AsBatchReader[int](&errReader[int]{vals: []int{9}, err: boom}), 4)
 	if v, ok, err := f.Next(); v != 9 || !ok || err != nil {
 		t.Fatalf("Next = %v, %v, %v", v, ok, err)
 	}
@@ -228,7 +257,7 @@ func TestFetcher(t *testing.T) {
 
 func TestFetcherError(t *testing.T) {
 	boom := errors.New("boom")
-	f := NewFetcher[int](&errReader[int]{vals: []int{5}, err: boom}, 3)
+	f := NewFetcher(AsBatchReader[int](&errReader[int]{vals: []int{5}, err: boom}), 3)
 	if v, ok, err := f.Next(); v != 5 || !ok || err != nil {
 		t.Fatalf("Next = %v, %v, %v", v, ok, err)
 	}
@@ -337,8 +366,8 @@ func TestFuncAdapters(t *testing.T) {
 }
 
 // TestCopyCancelElementPathCadence is the regression test for the
-// cancellation audit: CopyCancel over two element-at-a-time endpoints (the
-// compatibility path — neither side speaks the batch protocol) must abandon
+// cancellation audit: CopyCancel over two adapted element-at-a-time endpoints
+// (a caller's source and sink — neither speaks the batch protocol) must abandon
 // the stream within one DefaultBatchLen batch of the hook firing, the
 // 1024-op cadence DESIGN.md documents. Before CopyCancel existed, plain
 // Copy had no cancellation hook at all and would spin on an endless
@@ -359,7 +388,7 @@ func TestCopyCancelElementPathCadence(t *testing.T) {
 		}
 		return nil
 	}
-	n, err := CopyCancel[int](w, endless, cancel)
+	n, err := CopyCancel(w, AsBatchReader[int](endless), cancel)
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want the cancel sentinel", err)
 	}
@@ -378,7 +407,7 @@ func TestReadAllCancelElementPathCadence(t *testing.T) {
 	reads := 0
 	endless := Func[int](func() (int, error) { reads++; return reads, nil })
 	polls := 0
-	out, err := ReadAllCancel[int](endless, func() error {
+	out, err := ReadAllCancel(AsBatchReader[int](endless), func() error {
 		polls++
 		if polls > 2 {
 			return sentinel

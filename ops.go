@@ -58,7 +58,7 @@ func (s *Sorter[T]) eq() func(a, b T) bool {
 // leaves as little behind as one that drains it. It returns the two-phase
 // statistics of the underlying sort: the run-generation half from the run
 // set, the merge half from the stream.
-func (s *Sorter[T]) streamed(o *op, src Source[T], prefix, phase string, drain func(st *merge.Stream[T], n int64) error) (Stats, error) {
+func (s *Sorter[T]) streamed(o *op, src stream.BatchReader[T], prefix, phase string, drain func(st *merge.Stream[T], n int64) error) (Stats, error) {
 	o.phase("generate")
 	rset, _, err := s.generate(o, src, nil, prefix, false)
 	if err != nil {
@@ -81,8 +81,8 @@ func (s *Sorter[T]) streamed(o *op, src Source[T], prefix, phase string, drain f
 
 // piped is the body of the operators that transform the whole merged order:
 // it streams the sorted input through the given transformer into dst.
-func (s *Sorter[T]) piped(o *op, src Source[T], name string, dst Sink[T], through func(stream.BatchReader[T]) stream.Reader[T]) (stats OpStats, err error) {
-	stats.Sort, err = s.streamed(o, src, name, name, func(st *merge.Stream[T], n int64) (err error) {
+func (s *Sorter[T]) piped(o *op, src Source[T], name string, dst Sink[T], through func(stream.BatchReader[T]) stream.BatchReader[T]) (stats OpStats, err error) {
+	stats.Sort, err = s.streamed(o, source(o, src), name, name, func(st *merge.Stream[T], n int64) (err error) {
 		stats.In, stats.Sorted = n, true
 		stats.Out, err = stream.CopyCancel[T](&ctxWriter[T]{ctx: o.ctx, dst: dst}, through(st), o.ctx.Err)
 		return err
@@ -98,7 +98,7 @@ func (s *Sorter[T]) piped(o *op, src Source[T], name string, dst Sink[T], throug
 func (s *Sorter[T]) Distinct(ctx context.Context, src Source[T], dst Sink[T]) (stats OpStats, err error) {
 	o := startOp(ctx, s.cfg.Trace, "distinct")
 	defer o.finish(&stats.Elapsed, &stats.Phases, &err)
-	return s.piped(o, src, "distinct", dst, func(in stream.BatchReader[T]) stream.Reader[T] {
+	return s.piped(o, src, "distinct", dst, func(in stream.BatchReader[T]) stream.BatchReader[T] {
 		return ops.NewDistinct[T](in, s.eq())
 	})
 }
@@ -120,7 +120,7 @@ func (s *Sorter[T]) GroupBy(ctx context.Context, src Source[T], sameGroup func(a
 	o := startOp(ctx, s.cfg.Trace, "groupby")
 	defer o.finish(&stats.Elapsed, &stats.Phases, &err)
 	var g *ops.GroupBy[T]
-	stats, err = s.piped(o, src, "groupby", dst, func(in stream.BatchReader[T]) stream.Reader[T] {
+	stats, err = s.piped(o, src, "groupby", dst, func(in stream.BatchReader[T]) stream.BatchReader[T] {
 		g = ops.NewGroupBy[T](in, sameGroup, reduce)
 		return g
 	})
@@ -187,8 +187,8 @@ func MergeJoin[L, R, O any](ctx context.Context, left *Sorter[L], lsrc Source[L]
 	// The right side generates while the left stream is already open, so
 	// the left side's "drain" phase is still "generate"; "join" starts once
 	// both merged orders are.
-	stats.Left, err = left.streamed(o, lsrc, "joinl", "generate", func(lst *merge.Stream[L], _ int64) (err error) {
-		stats.Right, err = right.streamed(o, rsrc, "joinr", "join", func(rst *merge.Stream[R], _ int64) error {
+	stats.Left, err = left.streamed(o, source(o, lsrc), "joinl", "generate", func(lst *merge.Stream[L], _ int64) (err error) {
+		stats.Right, err = right.streamed(o, source(o, rsrc), "joinr", "join", func(rst *merge.Stream[R], _ int64) error {
 			js, err := ops.MergeJoin[L, R, O](lst, rst, cmp, join, &ctxWriter[O]{ctx: o.ctx, dst: dst}, o.ctx.Err)
 			stats.LeftIn, stats.RightIn, stats.Out, stats.MaxGroup = js.LeftIn, js.RightIn, js.Out, js.MaxGroup
 			return err

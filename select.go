@@ -70,7 +70,7 @@ type rankRange struct{ lo, hi int64 }
 // abandons the merge after the last, so the tail past it is never read.
 // The result is an OpStats less its timing, which is the skeleton's.
 func (s *Sorter[T]) rankQuery(o *op, name string, w stream.Writer[T],
-	memory func(r *OpStats) (Source[T], error), ranges func(n int64) ([]rankRange, error)) (r OpStats, err error) {
+	memory func(r *OpStats) (stream.BatchReader[T], error), ranges func(n int64) ([]rankRange, error)) (r OpStats, err error) {
 	rest, err := memory(&r)
 	if rest == nil || err != nil {
 		return r, err
@@ -113,17 +113,18 @@ func (s *Sorter[T]) rankQuery(o *op, name string, w stream.Writer[T],
 func (s *Sorter[T]) pick(o *op, name string, src Source[T], ranks func(n int64) ([]int, error)) ([]T, SelectStats, error) {
 	var picked stream.SliceWriter[T]
 	var swaps int64
+	in := source(o, src)
 	r, err := s.rankQuery(o, name, &picked,
-		func(r *OpStats) (Source[T], error) {
+		func(r *OpStats) (stream.BatchReader[T], error) {
 			o.phase("read")
 			limit := s.cfg.MemoryRecords + 1
-			buf, fits, err := stream.ReadPrefix[T](&ctxReader[T]{ctx: o.ctx, src: src}, make([]T, 0, min(limit, 1<<16)), limit, nil)
+			buf, fits, err := stream.ReadPrefix(in, make([]T, 0, min(limit, 1<<16)), limit, nil)
 			r.In = int64(len(buf))
 			if err != nil {
 				return nil, err
 			}
 			if !fits {
-				return stream.Prepend[T](buf, src), nil
+				return stream.Prepend(buf, in), nil
 			}
 			o.phase("partition")
 			want, err := ranks(r.In)
@@ -242,13 +243,14 @@ func (s *Sorter[T]) kOf(ctx context.Context, src Source[T], k int, dir sel.Dir, 
 	o := startOp(ctx, s.cfg.Trace, name, obs.Int("k", int64(k)))
 	defer o.finish(&stats.Elapsed, &stats.Phases, &err)
 	w := &ctxWriter[T]{ctx: o.ctx, dst: dst}
+	in := source(o, src)
 	return s.rankQuery(o, name, w,
-		func(r *OpStats) (Source[T], error) {
+		func(r *OpStats) (stream.BatchReader[T], error) {
 			if k > s.cfg.MemoryRecords {
-				return src, nil
+				return in, nil
 			}
 			o.phase("select")
-			vals, read, err := sel.Stream[T](&ctxReader[T]{ctx: o.ctx, src: src}, k, dir, s.ops.Less, o.ctx.Err)
+			vals, read, err := sel.Stream(in, k, dir, s.ops.Less, o.ctx.Err)
 			r.In = read
 			if err == nil {
 				err = stream.WriteAll[T](w, vals)
@@ -289,7 +291,7 @@ func (s *Sorter[T]) ApproxSelect(ctx context.Context, src Source[T], k int, eps 
 	o := startOp(ctx, s.cfg.Trace, "approx_select", obs.Int("k", int64(k)))
 	defer o.finish(&stats.Elapsed, &stats.Phases, &err)
 	o.phase("read")
-	vals, err := stream.ReadAllCancel[T](&ctxReader[T]{ctx: o.ctx, src: src}, o.ctx.Err)
+	vals, err := stream.ReadAllCancel(source(o, src), o.ctx.Err)
 	n := int64(len(vals))
 	stats.In = n
 	if err != nil {

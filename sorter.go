@@ -476,70 +476,45 @@ func New[T any](less func(a, b T) bool, opts ...Option) (*Sorter[T], error) {
 // Config returns the sorter's frozen configuration.
 func (s *Sorter[T]) Config() Config { return s.cfg }
 
-// ctxBatch is how many element-at-a-time stream operations pass between
-// context checks on the legacy Read/Write paths. The batch paths check at
-// every batch boundary instead, which is both cheaper and at least as
-// prompt: a batch never exceeds stream.DefaultBatchLen elements.
-const ctxBatch = 1024
-
-// ctxReader checks the context at batch boundaries (ReadBatch) or every
-// ctxBatch reads (legacy Read), forwarding the batch protocol and the
-// Remaining-length hint of the wrapped source.
+// ctxReader is a call's source below the public boundary: the caller's
+// Source adapted to the batch protocol once (source), the context checked at
+// every batch boundary — a batch never exceeds stream.DefaultBatchLen
+// elements — and the source's Remaining-length hint forwarded.
 type ctxReader[T any] struct {
 	ctx context.Context
-	src Source[T]
-	br  stream.BatchReader[T] // lazily built batch view of src
-	n   int
+	br  stream.BatchReader[T]
 }
 
-func (r *ctxReader[T]) Read() (T, error) {
-	if r.n%ctxBatch == 0 {
-		if err := r.ctx.Err(); err != nil {
-			var zero T
-			return zero, err
-		}
-	}
-	r.n++
-	return r.src.Read()
+// source is where a caller's Source crosses the public boundary; everything
+// a call does with its input afterwards reads the returned batches.
+func source[T any](o *op, src Source[T]) stream.BatchReader[T] {
+	return &ctxReader[T]{ctx: o.ctx, br: stream.AsBatchReader[T](src)}
 }
 
-// ReadBatch checks the context once per batch, then delegates: directly to
-// the source when it speaks the batch protocol itself, otherwise through
-// the element-loop adapter.
+// ReadBatch checks the context once per batch, then delegates.
 func (r *ctxReader[T]) ReadBatch(dst []T) (int, error) {
 	if err := r.ctx.Err(); err != nil {
 		return 0, err
-	}
-	if r.br == nil {
-		r.br = stream.AsBatchReader[T](r.src)
 	}
 	return r.br.ReadBatch(dst)
 }
 
 // Remaining forwards the wrapped source's length hint; -1 means unknown.
-func (r *ctxReader[T]) Remaining() int {
-	if s, ok := r.src.(stream.Sized); ok {
-		return s.Remaining()
-	}
-	return -1
-}
+func (r *ctxReader[T]) Remaining() int { return stream.RemainingOf(r.br) }
 
-// ctxWriter checks the context at batch boundaries (WriteBatch) or every
-// ctxBatch writes (legacy Write).
+// ctxWriter checks the context at batch boundaries. Every copy into a sink
+// moves batches, so its Write — what makes it a stream.Writer — is never on a
+// hot path and simply checks on every call.
 type ctxWriter[T any] struct {
 	ctx context.Context
 	dst Sink[T]
 	bw  stream.BatchWriter[T]
-	n   int
 }
 
 func (w *ctxWriter[T]) Write(v T) error {
-	if w.n%ctxBatch == 0 {
-		if err := w.ctx.Err(); err != nil {
-			return err
-		}
+	if err := w.ctx.Err(); err != nil {
+		return err
 	}
-	w.n++
 	return w.dst.Write(v)
 }
 
@@ -596,9 +571,9 @@ func (s *Sorter[T]) Resume(ctx context.Context, src Source[T], dst Sink[T]) (Sta
 
 // generate is the one way into the sorter: every entry point — Sort and
 // Resume, which materialise the result, and the operators and selections,
-// which stream it — resolves the spill file system, converts the
-// configuration and wraps the source in the call's context here, and
-// reaches run generation through it. prefix namespaces the call's temporary
+// which stream it — resolves the spill file system and converts the
+// configuration here, and reaches run generation through it, over the
+// call's context-checked batch view of its source (source). prefix namespaces the call's temporary
 // files, so concurrent phases — the two sides of a MergeJoin sharing a
 // TempDir — cannot collide. The caller owns the returned run set: Merge it,
 // or OpenMerged and Close the stream; either consumes the run files and,
@@ -607,7 +582,7 @@ func (s *Sorter[T]) Resume(ctx context.Context, src Source[T], dst Sink[T]) (Sta
 // A sharded sort (Shards > 1, dst given) is the exception the signature
 // shows: it partitions, sorts and concatenates into dst in one pass and
 // returns its statistics with no run set.
-func (s *Sorter[T]) generate(o *op, src Source[T], dst Sink[T], prefix string, resume bool) (*extsort.RunSet[T], Stats, error) {
+func (s *Sorter[T]) generate(o *op, src stream.BatchReader[T], dst Sink[T], prefix string, resume bool) (*extsort.RunSet[T], Stats, error) {
 	fs := s.fs
 	if fs == nil {
 		var err error
@@ -619,13 +594,12 @@ func (s *Sorter[T]) generate(o *op, src Source[T], dst Sink[T], prefix string, r
 	icfg.Cancel = o.ctx.Err
 	icfg.Prefix = prefix
 	icfg.Resume = icfg.Resume || resume
-	reader := &ctxReader[T]{ctx: o.ctx, src: src}
 	if dst != nil && s.cfg.Shards > 1 {
-		stats, err := distsort.Sort[T](reader, &ctxWriter[T]{ctx: o.ctx, dst: dst}, fs,
+		stats, err := distsort.SortBatch[T](src, &ctxWriter[T]{ctx: o.ctx, dst: dst}, fs,
 			distsort.Config{Shards: s.cfg.Shards, Extsort: icfg}, s.ops)
 		return nil, stats, err
 	}
-	rset, err := extsort.GenerateRuns[T](reader, fs, icfg, s.ops)
+	rset, err := extsort.GenerateRunsBatch[T](src, fs, icfg, s.ops)
 	return rset, Stats{}, err
 }
 
@@ -636,7 +610,7 @@ func (s *Sorter[T]) generate(o *op, src Source[T], dst Sink[T], prefix string, r
 func (s *Sorter[T]) sort(ctx context.Context, src Source[T], dst Sink[T], resume bool) (stats Stats, err error) {
 	o := startOp(ctx, nil, "") // no root span: the driver traces and times a sort itself
 	defer o.finish(nil, nil, &err)
-	rset, stats, err := s.generate(o, src, dst, "", resume)
+	rset, stats, err := s.generate(o, source(o, src), dst, "", resume)
 	if rset == nil {
 		return stats, err
 	}
