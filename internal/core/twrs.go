@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -89,8 +90,9 @@ type generator[T any] struct {
 	tSet, bSet bool
 	t, b       T
 
-	// Victim buffer state (§4.3).
+	// Victim buffer state (§4.3); byKey is the keyed sort's scratch.
 	victim       []T
+	byKey        []heap.Item[T]
 	victimActive bool
 	lo, hi       T // exclusive valid range once active
 
@@ -174,6 +176,7 @@ func newStepper[T any](src stream.BatchReader[T], em *runio.Emitter[T], cfg Conf
 	}
 	if victimCap > 0 {
 		g.victim = make([]T, 0, victimCap)
+		g.byKey = make([]heap.Item[T], 0, victimCap)
 	}
 	return &Stepper[T]{g: g}, nil
 }
@@ -572,18 +575,36 @@ func (g *generator[T]) victimAdd(rec T) error {
 	return nil
 }
 
-// sortVictim orders the victim contents ascending.
+// sortVictim orders the victim contents ascending. It sorts (key prefix,
+// element) pairs, each prefix computed once — all zero without a key codec:
+// the integer compare decides strictly ordered pairs and the comparator
+// breaks only prefix ties. Those are the comparator's own decisions, so the
+// sort makes the same moves, and leaves the same permutation, as sorting the
+// elements with it.
 func (g *generator[T]) sortVictim() {
-	slices.SortFunc(g.victim, func(a, b T) int {
-		switch {
-		case g.less(a, b):
-			return -1
-		case g.less(b, a):
-			return 1
-		default:
-			return 0
+	ks := g.byKey[:0]
+	for _, v := range g.victim {
+		it := heap.Item[T]{Rec: v}
+		if g.pfx != nil {
+			it.Key = g.pfx(v)
 		}
+		ks = append(ks, it)
+	}
+	slices.SortFunc(ks, func(a, b heap.Item[T]) int {
+		switch {
+		case a.Key != b.Key:
+			return cmp.Compare(a.Key, b.Key)
+		case g.less(a.Rec, b.Rec):
+			return -1
+		case g.less(b.Rec, a.Rec):
+			return 1
+		}
+		return 0
 	})
+	for i, k := range ks {
+		g.victim[i] = k.Rec
+	}
+	g.byKey = ks
 }
 
 // largestGapIndex returns i maximising the key gap between victim[i] and
@@ -602,30 +623,26 @@ func (g *generator[T]) largestGapIndex() int {
 	return best
 }
 
-// flushVictimParts writes victim[:cut] to stream 3 ascending and
-// victim[cut:] to stream 2 descending, then sets the valid range to the gap
-// between them and empties the buffer (§4.3).
+// flushVictimParts sets the valid range to the gap between victim[:cut] and
+// victim[cut:], writes the first part to stream 3 ascending and the second,
+// reversed, to stream 2 descending — one batch each — and empties the buffer
+// (§4.3).
 func (g *generator[T]) flushVictimParts(cut int) error {
-	for _, r := range g.victim[:cut] {
-		if err := g.write(stream3, r); err != nil {
-			return err
-		}
-	}
-	for i := len(g.victim) - 1; i >= cut; i-- {
-		if err := g.write(stream2, g.victim[i]); err != nil {
-			return err
-		}
-	}
+	v := g.victim
+	g.victim = v[:0]
 	if cut > 0 {
-		g.lo = g.victim[cut-1]
+		g.lo = v[cut-1]
 	}
-	if cut < len(g.victim) {
-		g.hi = g.victim[cut]
+	if cut < len(v) {
+		g.hi = v[cut]
 	} else {
 		g.hi = g.lo
 	}
-	g.victim = g.victim[:0]
-	return nil
+	slices.Reverse(v[cut:])
+	if err := g.writeBatch(stream3, v[:cut]); err != nil {
+		return err
+	}
+	return g.writeBatch(stream2, v[cut:])
 }
 
 // write appends v to stream i, opening the stream if v is its first record.
@@ -640,6 +657,19 @@ func (g *generator[T]) write(i int, v T) error {
 	}
 	s.last = v
 	return s.w.Write(v)
+}
+
+// writeBatch appends vs, in the stream's direction, to stream i: the first
+// through write, which opens the stream with it.
+func (g *generator[T]) writeBatch(i int, vs []T) error {
+	if len(vs) == 0 {
+		return nil
+	}
+	if err := g.write(i, vs[0]); err != nil {
+		return err
+	}
+	g.streams[i].last = vs[len(vs)-1]
+	return g.streams[i].w.WriteBatch(vs[1:])
 }
 
 // concatenable reports whether the four stream ranges are pairwise disjoint
@@ -682,10 +712,8 @@ func (g *generator[T]) endRun() error {
 			// Active phase (contents strictly inside (lo,hi)) or a single
 			// record: appending everything to stream 3 keeps it ascending
 			// and inside the gap.
-			for _, r := range g.victim {
-				if err := g.write(stream3, r); err != nil {
-					return err
-				}
+			if err := g.writeBatch(stream3, g.victim); err != nil {
+				return err
 			}
 			g.victim = g.victim[:0]
 		}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/storage"
+	"repro/internal/stream"
 )
 
 // backwardMagic identifies a backward-format file (Appendix A).
@@ -52,30 +53,99 @@ func decodeHeader(buf []byte) (header, error) {
 // "same name followed by a different number" scheme.
 func backwardFileName(base string, i int) string { return fmt.Sprintf("%s.%d", base, i) }
 
+// chainFile is one file of a backward chain as its writer's queue sees it:
+// created, given runs of whole pages top down, finished and closed by
+// whoever executes the operations, in order.
+type chainFile struct {
+	st   storage.Backend
+	name string
+	w    storage.PageWriter // nil before create and after a failed one
+	top  int                // the highest data page not stored yet
+	// hdr is the file's header: the writer counts its records, finish fills
+	// in where the payload starts.
+	hdr header
+	at  int // where the payload starts in the block opFinish carries
+}
+
+// exec performs one operation. A file whose create failed (or was skipped)
+// ignores the rest.
+func (f *chainFile) exec(op int, block []byte) (err error) {
+	switch {
+	case op == opCreate:
+		f.w, err = f.st.CreatePaged(f.name, int(f.hdr.pageSize), int(f.hdr.pages))
+	case f.w == nil:
+	case op == opAppend:
+		err = f.writePages(block)
+	case op == opFinish:
+		err = f.finish(block[f.at:])
+	case op == opClose:
+		err = f.w.Close()
+		f.w = nil
+	}
+	return err
+}
+
+// writePages stores a run of whole pages just below those already stored.
+func (f *chainFile) writePages(pages []byte) error {
+	f.top -= len(pages) / int(f.hdr.pageSize)
+	return f.w.WritePage(f.top+1, pages)
+}
+
+// finish completes the file: the payload left over — whole pages, then a
+// partial lowest one — and the header, which says where an ascending read
+// starts. In a partial page that is where the backend says: the raw layout
+// right-aligns the payload, framed slots store exactly it and start at 0.
+func (f *chainFile) finish(payload []byte) error {
+	partial := len(payload) % int(f.hdr.pageSize)
+	if len(payload) > partial {
+		if err := f.writePages(payload[partial:]); err != nil {
+			return err
+		}
+	}
+	f.hdr.startPage, f.hdr.startPos = uint32(f.top+1), 0
+	if partial > 0 {
+		sp, err := f.w.WriteTail(f.top, payload[:partial])
+		if err != nil {
+			return err
+		}
+		f.hdr.startPage, f.hdr.startPos = uint32(f.top), uint32(sp)
+	}
+	hdr := make([]byte, headerSize)
+	f.hdr.encode(hdr)
+	return f.w.WriteHeader(hdr)
+}
+
 // BackwardWriter writes a stream of elements arriving in *descending* order
 // so that each file reads ascending front-to-back. Encoded bytes fill a
-// one-page buffer from its end; full pages are handed to the storage
-// backend at decreasing page positions; when page 1 is reached a header is
-// stamped on page 0 and the next chain file is started. With a
-// variable-width codec an element's encoding may span pages and even files:
-// the continuation bytes land at the tail of the next chain file, which is
-// exactly where an ascending read (files in reverse creation order, each
-// scanned forward) expects them. How pages become bytes on the file system
-// — the historical in-place layout, or checksummed and compressed
-// fixed-size slots — is the backend's business (see internal/storage).
+// pooled block of whole pages — sized as a Writer's — from its end, and each
+// full block is stored with one call over its page range, at decreasing
+// positions; when page 1 is reached a header is stamped on page 0 and the
+// next element starts the next chain file. A variable-width encoding may
+// span pages and even files: the continuation bytes land at the tail of the
+// next chain file, which is exactly where an ascending read (files in
+// reverse creation order, each scanned forward) expects them. File
+// operations go through a WriteBehind as a Writer's do, and the bytes stored
+// depend neither on it nor on the block size.
 type BackwardWriter[T any] struct {
 	streamBase[T]
-	st           storage.Backend
-	pageSize     int
-	pagesPerFile int
+	st         storage.Backend
+	q          *WriteBehind
+	pool       *storage.Pool
+	fixed      int // c.FixedSize()
+	blockPages int
+	file       header // what every file's header starts as: pages and page size
 
-	cur         storage.PageWriter // the chain file being filled; nil between files
-	page        []byte
-	posInPage   int
-	pageIdx     int
-	fileRecords uint64
+	f    *chainFile // the chain file being filled; nil between files
+	left int        // its data pages not given to a block yet
+	// blk[pos:end] is what the block being filled holds, the end of its
+	// highest page last; it is full at pos 0.
+	blk      []byte
+	pos, end int
+	// err is a failure to store a full block: the writer cannot go on.
+	err error
 
-	scratch []byte
+	scratch []byte // a variable-width element's encoding
+	rev     []T    // a page of a batch, ascending, for the bulk kernel
 }
 
 // NewBackwardWriter returns a writer for a descending stream stored under
@@ -84,13 +154,19 @@ type BackwardWriter[T any] struct {
 // fixed-width codecs the page size must hold a whole number of elements,
 // preserving the historical non-spanning layout.
 func NewBackwardWriter[T any](st storage.Backend, base string, pageSize, pagesPerFile int, c codec.Codec[T], less func(a, b T) bool) (*BackwardWriter[T], error) {
+	return newBackwardWriter(nil, st, base, pageSize, pagesPerFile, c, less)
+}
+
+// newBackwardWriter is NewBackwardWriter on the queue q.
+func newBackwardWriter[T any](q *WriteBehind, st storage.Backend, base string, pageSize, pagesPerFile int, c codec.Codec[T], less func(a, b T) bool) (*BackwardWriter[T], error) {
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
 	}
 	if pagesPerFile <= 0 {
 		pagesPerFile = DefaultPagesPerFile
 	}
-	if fixed := c.FixedSize(); fixed > 0 && pageSize%fixed != 0 {
+	fixed := c.FixedSize()
+	if fixed > 0 && pageSize%fixed != 0 {
 		return nil, fmt.Errorf("runio: page size %d must be a multiple of the element size %d", pageSize, fixed)
 	}
 	if pageSize < headerSize {
@@ -99,8 +175,9 @@ func NewBackwardWriter[T any](st storage.Backend, base string, pageSize, pagesPe
 	if pagesPerFile < 2 {
 		return nil, fmt.Errorf("runio: pagesPerFile %d must be at least 2 (header + data)", pagesPerFile)
 	}
-	w := &BackwardWriter[T]{st: st, pageSize: pageSize, pagesPerFile: pagesPerFile, page: make([]byte, pageSize), posInPage: pageSize}
-	w.streamBase = streamBase[T]{seg: Segment{Name: base, Backward: true}, c: c, less: less, layout: w}
+	w := &BackwardWriter[T]{st: st, q: q, pool: storage.PoolOf(st), fixed: fixed, file: header{pages: uint32(pagesPerFile), pageSize: uint32(pageSize)}}
+	w.blockPages = min(max(blockBytes(w.pool.Budget())/pageSize, 1), pagesPerFile-1)
+	w.streamBase = newStreamBase(Segment{Name: base, Backward: true}, c, less, w)
 	return w, nil
 }
 
@@ -109,127 +186,180 @@ func (w *BackwardWriter[T]) Write(r T) error {
 	if err := w.admit(r); err != nil {
 		return err
 	}
-	if w.cur == nil {
-		if err := w.openNextFile(); err != nil {
+	if w.f == nil || w.err != nil {
+		if err := w.ready(); err != nil {
 			return err
 		}
 	}
-	w.fileRecords++
-	// Lay the encoding down back-to-front: its tail bytes go just below the
-	// current position, continuing into lower pages (and, on rollover, the
-	// next chain file) until the whole element is placed.
+	w.f.hdr.records++
+	if w.fixed == 0 {
+		return w.place(r)
+	}
+	// A page holds whole elements, so the block has room for this one.
+	w.pos -= w.fixed
+	w.encode(w.blk[w.pos:w.pos], r)
+	if w.summed {
+		w.sum = ContentSum(w.sum, w.blk[w.pos:w.pos+w.fixed])
+	}
+	if w.pos == 0 {
+		return w.full()
+	}
+	return nil
+}
+
+// place lays a variable-width encoding down back-to-front: its tail bytes
+// go just below the current position, continuing into lower pages (and, on
+// rollover, the next chain file) until the whole element is placed.
+func (w *BackwardWriter[T]) place(r T) error {
 	pending := w.c.Append(w.scratch[:0], r)
 	if w.summed {
-		// The content checksum sums per-element CRCs, so it is the same
-		// value an ascending re-read computes despite the descending write
-		// order (see ContentSum).
 		w.sum = ContentSum(w.sum, pending)
 	}
 	w.scratch = pending[:0]
-	for len(pending) > 0 {
-		if w.cur == nil {
-			if err := w.openNextFile(); err != nil {
-				return err
-			}
-		}
-		k := len(pending)
-		if k > w.posInPage {
-			k = w.posInPage
-		}
-		copy(w.page[w.posInPage-k:w.posInPage], pending[len(pending)-k:])
-		w.posInPage -= k
+	for {
+		k := min(len(pending), w.pos)
+		copy(w.blk[w.pos-k:w.pos], pending[len(pending)-k:])
+		w.pos -= k
 		pending = pending[:len(pending)-k]
-		if w.posInPage == 0 {
-			if err := w.flushPage(); err != nil {
-				return err
-			}
+		if w.pos > 0 {
+			return nil
 		}
-	}
-	return nil
-}
-
-// WriteBatch appends every element of src in order (descending). The byte
-// layout is identical to element-at-a-time writes.
-func (w *BackwardWriter[T]) WriteBatch(src []T) error {
-	for _, r := range src {
-		if err := w.Write(r); err != nil {
+		if err := w.full(); err != nil || len(pending) == 0 {
+			return err
+		}
+		if err := w.ready(); err != nil {
 			return err
 		}
 	}
+}
+
+// WriteBatch appends every element of src in order (descending). With a
+// bulk codec each turn of its loop takes the elements that still fit the
+// block, at most a page of them, and encodes them ascending in one call just
+// below what the block holds; other codecs write element by element. The
+// bytes stored are those of element writes.
+func (w *BackwardWriter[T]) WriteBatch(src []T) error {
+	if w.closed {
+		return stream.ErrClosed
+	}
+	for len(src) > 0 {
+		if w.bulk == nil {
+			if err := w.Write(src[0]); err != nil {
+				return err
+			}
+			src = src[1:]
+			continue
+		}
+		if err := w.ready(); err != nil {
+			return err
+		}
+		if w.rev == nil {
+			w.rev = make([]T, int(w.file.pageSize)/w.fixed)
+		}
+		n := min(len(src), w.pos/w.fixed, len(w.rev))
+		if err := w.admitAll(src[:n]); err != nil {
+			return err
+		}
+		for i, r := range src[:n] {
+			w.rev[n-1-i] = r
+		}
+		at := w.pos - n*w.fixed
+		w.bulk.AppendAll(w.blk[at:at], w.rev[:n])
+		for ; w.summed && at < w.pos; at += w.fixed {
+			w.sum = ContentSum(w.sum, w.blk[at:at+w.fixed])
+		}
+		w.pos -= n * w.fixed
+		w.f.hdr.records += uint64(n)
+		if src = src[n:]; w.pos == 0 {
+			if err := w.full(); err != nil {
+				return err
+			}
+		}
+	}
 	return nil
 }
 
-func (w *BackwardWriter[T]) openNextFile() error {
-	pw, err := w.st.CreatePaged(backwardFileName(w.seg.Name, w.seg.Files), w.pageSize, w.pagesPerFile)
-	if err != nil {
+// ready makes sure the block has room for the next byte, starting the next
+// chain file when none is open; once storing a block has failed it fails.
+func (w *BackwardWriter[T]) ready() error {
+	if w.err != nil || w.f != nil {
+		return w.err
+	}
+	w.left = int(w.file.pages) - 1
+	f := &chainFile{st: w.st, name: backwardFileName(w.seg.Name, w.seg.Files), top: w.left, hdr: w.file}
+	f.hdr.index = uint32(w.seg.Files)
+	if err := w.q.do(f, opCreate, nil); err != nil {
 		return err
 	}
-	w.cur = pw
+	w.f = f
 	w.seg.Files++
-	w.pageIdx = w.pagesPerFile - 1
-	w.posInPage = w.pageSize
-	w.fileRecords = 0
+	w.nextBlock()
 	return nil
 }
 
-// flushPage hands the full page buffer to the backend at the current page
-// position and, when the file has no data pages left, finishes it: the next
-// write opens the following chain file.
-func (w *BackwardWriter[T]) flushPage() error {
-	if err := w.cur.WritePage(w.pageIdx, w.page); err != nil {
-		return err
+// nextBlock starts the block of the current file's next blockPages data
+// pages, or of what is left of them at the file's head.
+func (w *BackwardWriter[T]) nextBlock() {
+	if w.blk == nil {
+		w.blk = w.pool.Get(w.blockPages * int(w.file.pageSize))
 	}
-	w.posInPage = w.pageSize
-	w.pageIdx--
-	if w.pageIdx > 0 {
+	n := min(w.blockPages, w.left)
+	w.left -= n
+	w.pos, w.end = n*int(w.file.pageSize), n*int(w.file.pageSize)
+}
+
+// full stores the block just filled and moves on to the file's next one —
+// or, when it held the file's head, completes and closes the file, and the
+// next byte starts the following chain file.
+func (w *BackwardWriter[T]) full() error {
+	if w.err = w.store(opAppend, w.blk[:w.end]); w.err != nil {
+		return w.err
+	}
+	if w.end = 0; w.left > 0 {
+		w.nextBlock()
 		return nil
 	}
-	if err := w.flush(); err != nil {
-		return err
+	if w.err = w.flush(); w.err != nil {
+		return w.err
 	}
 	return w.release()
 }
 
-// flush completes the current chain file, if one is open: the partial page
-// still in the buffer, then the header.
+// flush completes the current chain file, if one is open: what the block
+// holds, then the header.
 func (w *BackwardWriter[T]) flush() error {
-	if w.cur == nil {
-		return nil
+	if w.f == nil || w.err != nil {
+		return w.err
 	}
-	startPage := w.pageIdx + 1
-	startPos := 0
-	if w.posInPage != w.pageSize {
-		// A partial page still sits in the buffer (only possible at Close):
-		// store it as this file's lowest page. The backend reports where an
-		// ascending read of that page must start (the raw layout
-		// right-aligns the tail in place; framed slots store exactly the
-		// payload and start at 0).
-		sp, err := w.cur.WriteTail(w.pageIdx, w.page[w.posInPage:])
-		if err != nil {
-			return err
-		}
-		startPage, startPos = w.pageIdx, sp
+	var block []byte
+	if w.pos < w.end {
+		block, w.f.at = w.blk[:w.end], w.pos
 	}
-	hdr := make([]byte, headerSize)
-	header{
-		index:     uint32(w.seg.Files - 1),
-		pages:     uint32(w.pagesPerFile),
-		pageSize:  uint32(w.pageSize),
-		startPage: uint32(startPage),
-		startPos:  uint32(startPos),
-		records:   w.fileRecords,
-	}.encode(hdr)
-	return w.cur.WriteHeader(hdr)
+	w.pos, w.end = 0, 0
+	return w.store(opFinish, block)
 }
 
-// release closes the current chain file, complete or not.
+// store performs op on the current chain file with block, which a
+// write-behind then owns.
+func (w *BackwardWriter[T]) store(op int, block []byte) error {
+	err := w.q.do(w.f, op, block)
+	if err == nil && block != nil && w.q != nil {
+		w.blk = nil
+	}
+	return err
+}
+
+// release returns the block to the pool and closes the current chain file,
+// complete or not, behind whatever is still queued for it.
 func (w *BackwardWriter[T]) release() error {
-	if w.cur == nil {
+	w.pool.Put(w.blk)
+	w.blk = nil
+	if w.f == nil {
 		return nil
 	}
-	err := w.cur.Close()
-	w.cur = nil
-	return err
+	f := w.f
+	w.f = nil
+	return w.q.close(f)
 }
 
 // Files returns the number of chain files created so far.

@@ -45,10 +45,10 @@ func benchInput() []record.Record {
 
 // BenchmarkWriterBatch times a forward run written through WriteBatch (the
 // bulk encode kernel, a page per call) beside the same run written element
-// by element, and beside the same records written descending through the
-// backward chain's WriteBatch, which is still an element loop — the baseline
-// a block treatment of that path starts from. Every iteration is held to
-// the bytes of its layout's element path.
+// by element, and the same records written descending to a backward chain
+// both ways: its WriteBatch, which encodes a page of them per bulk call
+// tail-first into the block, and its Write, which encodes each in place.
+// Every iteration is held to the bytes of its layout's element path.
 func BenchmarkWriterBatch(b *testing.B) {
 	recs := benchInput()
 	descending := slices.Clone(recs)
@@ -88,7 +88,7 @@ func BenchmarkWriterBatch(b *testing.B) {
 	for _, mode := range []struct {
 		name         string
 		chain, batch bool
-	}{{"batch", false, true}, {"element", false, false}, {"chain", true, true}} {
+	}{{"batch", false, true}, {"element", false, false}, {"chain", true, true}, {"chain-element", true, false}} {
 		write(mode.chain, false)
 		want := bytes.Clone(st.got)
 		b.Run(mode.name, func(b *testing.B) {

@@ -28,13 +28,13 @@ type Emitter[T any] struct {
 	PageSize int
 	// PagesPerFile is the backward chain file length in pages (0: default).
 	PagesPerFile int
-	// Async gives every goroutine that writes forward files through the
-	// emitter a write-behind (see WriteBehind): files are created, written
-	// and closed on a background goroutine, overlapping run-generation and
-	// merge CPU work with file I/O, and are complete only after Barrier (the
-	// generation pass) or the queue's own Join (a merge worker). The driver
-	// enables it when Parallelism > 1; the bytes written are identical
-	// either way.
+	// Async gives every goroutine that writes spill files through the
+	// emitter a write-behind (see WriteBehind): forward files and backward
+	// chain files are created, written and closed on a background goroutine,
+	// overlapping run-generation and merge CPU work with file I/O, and are
+	// complete only after Barrier (the generation pass) or the queue's own
+	// Join (a merge worker). The driver enables it when Parallelism > 1; the
+	// bytes written are identical either way.
 	Async bool
 	// KeyCodec, when set, supplies memcmp-ordered normalized key bytes
 	// consistent with Less (see codec.KeyCodec). Run generators then cache
@@ -52,8 +52,7 @@ type Emitter[T any] struct {
 	Checksums bool
 
 	// gen is the write-behind of the goroutine that calls Stream — the
-	// run-generation pass — started by its first forward writer when Async
-	// is set.
+	// run-generation pass — started by its first stream when Async is set.
 	gen *WriteBehind
 
 	mu   sync.Mutex
@@ -91,13 +90,13 @@ func (e *Emitter[T]) PrefixFunc() func(T) uint64 {
 	return codec.PrefixFunc(e.KeyCodec)
 }
 
-// forwardBlockBytes sizes the blocks run generation hands to storage: an
-// eighth of the memory budget declared on the store's pool, in whole pages,
-// between one page — what it is without a budget — and 64 KiB, past which
-// a larger write buys nothing. They sit outside the record budget the
-// generator fills: one block per open forward stream, and under Async one
-// more in flight.
-func forwardBlockBytes(budget int) int {
+// blockBytes sizes the blocks run generation hands to storage, forward
+// files and backward chains alike: an eighth of the memory budget declared
+// on the store's pool, in whole pages, between one page — what it is without
+// a budget — and 64 KiB, past which a larger write buys nothing. They sit
+// outside the record budget the generator fills: one block per open stream,
+// and under Async one more in flight.
+func blockBytes(budget int) int {
 	pages := min(budget/8, 64<<10) / DefaultPageSize
 	return max(pages, 1) * DefaultPageSize
 }
@@ -106,29 +105,29 @@ func forwardBlockBytes(budget int) int {
 // ascending one stored as a forward file, or a descending one stored as an
 // Appendix A backward chain, so the merge reads both forward. role
 // distinguishes streams in file names (e.g. "rs", "s1"). It is for the one
-// goroutine that generates runs: under Async its forward writers share that
-// goroutine's write-behind, and their files are complete after Barrier.
+// goroutine that generates runs: under Async every stream it opens shares
+// that goroutine's write-behind, and their files are complete after Barrier.
 func (e *Emitter[T]) Stream(role string, descending bool) (StreamWriter[T], error) {
 	name := e.Namer.Next(role)
+	if e.Async && e.gen == nil {
+		e.gen = e.NewWriteBehind()
+	}
 	if descending {
-		w, err := NewBackwardWriter(e.Store, name, e.PageSize, e.PagesPerFile, e.Codec, e.Less)
+		w, err := newBackwardWriter(e.gen, e.Store, name, e.PageSize, e.PagesPerFile, e.Codec, e.Less)
 		if err != nil {
 			return nil, err
 		}
 		e.adopt(&w.streamBase)
 		return w, nil
 	}
-	if e.Async && e.gen == nil {
-		e.gen = e.NewWriteBehind()
-	}
-	w, err := e.NewWriter(e.gen, name, forwardBlockBytes(storage.PoolOf(e.Store).Budget()))
+	w, err := e.NewWriter(e.gen, name, blockBytes(storage.PoolOf(e.Store).Budget()))
 	if err != nil {
 		return nil, err
 	}
 	return w, nil
 }
 
-// NewWriteBehind returns a write queue for one goroutine that writes forward
+// NewWriteBehind returns a write queue for one goroutine that writes spill
 // files through the emitter: a write-behind when Async is set, and
 // otherwise nil, the synchronous queue.
 func (e *Emitter[T]) NewWriteBehind() *WriteBehind {
@@ -171,8 +170,8 @@ func (e *Emitter[T]) forget(s *streamBase[T]) {
 	delete(e.open, s)
 }
 
-// Barrier waits until every forward file written through Stream is complete
-// on the store — created, written and closed — and returns the first error
+// Barrier waits until every file written through Stream is complete on the
+// store — created, written and closed — and returns the first error
 // the generation pass's write-behind has met. Run generation calls it before
 // its runs are read and at every durable commit boundary; without Async
 // there is nothing to wait for.

@@ -17,7 +17,7 @@
 //     phase can later read them sequentially *forward* in ascending order,
 //     because disks favour forward sequential access. Each backward stream is
 //     a chain of fixed-size files of k pages; bytes are written from the
-//     tail of the file toward its head through a one-page buffer, page 0
+//     tail of the file toward its head, a block of pages at a time, page 0
 //     holds a header {index, pages, startPage, startPos, records}, and files
 //     are named "base.N" in creation order. Ascending reads open the files in
 //     reverse creation order and scan forward from the header's start
@@ -30,13 +30,14 @@
 // (forward files) and BackwardWriter (chains) are the two layouts; what
 // they share is written once, in the streamBase both embed: the run-order
 // check in the stream's direction, the element count and chain-file count
-// of the segment being built, the content checksum kept for an emitter
-// with Checksums on, Close, and the abort by which Emitter.AbortOpen closes
-// every stream still live on a failure path. What they do not share stays
-// apart, because it has no logic in common: one fills a pooled block front
-// to back and hands it to a write-behind, the other lays each encoding down
-// tail-first across one-page buffers and chain files. Segment.EachFile is
-// the one place that knows which files a segment consists of.
+// of the segment being built, the encoding of an element written alone, the
+// content checksum kept for an emitter with Checksums on, Close, and the
+// abort by which Emitter.AbortOpen closes every stream still live on a
+// failure path. What they do not share is their fill loop: one fills a
+// pooled block front to back, the other fills a pooled block of whole pages
+// back to front and stores it over a page range of the current chain file.
+// Segment.EachFile is the one place that knows which files a segment
+// consists of.
 //
 // Reading is one type. Reader decodes a list of spill files in ascending read
 // order through one buffer, opening each file as the one before it drains:
@@ -66,18 +67,20 @@
 // backend keeps runs in memory under a byte budget. runio deals in pages
 // and chain files; how those become bytes at rest is the backend's concern.
 //
-// The forward path moves blocks, not records. WriteBatch and ReadBatch
-// encode and decode a page of elements per call through the codec's bulk
-// kernels (codec.Bulk; other codecs keep the element loop inside the same
-// page loop). A writer's blocks and a reader's buffer come from the
-// backend's pool (storage.PoolOf) and return to it when the file closes, so
-// they are reused across runs, merge operations and passes; a writer's block
-// carries storage.FrameHeadroom spare bytes so a framing backend stores it
-// with one write, and a backend that holds verified blocks lends them to
-// the reader instead of copying (Reader.refill, the one place reads touch
-// storage). Under Emitter.Async every goroutine that writes has one
-// WriteBehind which creates, appends to and closes its files in the
-// background; the files are complete after its Join.
+// Both write paths and the read path move blocks, not records. WriteBatch
+// and ReadBatch encode and decode a page of elements per call through the
+// codec's bulk kernels (codec.Bulk; other codecs keep the element loop
+// inside the same page loop). Writers' blocks and a reader's buffer come
+// from the backend's pool (storage.PoolOf) and return to it when the file
+// closes, so they are reused across runs, merge operations and passes; a
+// forward block carries storage.FrameHeadroom spare bytes so a framing
+// backend stores it with one write, a chain block is one write of its pages
+// on the raw backend, and a backend that holds verified blocks lends them
+// to the reader instead of copying (Reader.refill, the one place reads
+// touch storage). Under Emitter.Async every goroutine that writes has one
+// WriteBehind which creates, writes and closes its files — forward files
+// and chain files — in the background; the files are complete after its
+// Join.
 package runio
 
 import (
@@ -129,11 +132,10 @@ type Writer[T any] struct {
 	f      outFile
 	q      *WriteBehind
 	pool   *storage.Pool
-	bulk   codec.Bulk[T] // c's bulk kernels, when it is fixed-width and has them
-	fixed  int           // c.FixedSize()
-	buf    []byte        // the block being filled: FrameHeadroom spare bytes, then the page
-	target int           // page bytes at which the block is flushed
-	order  bool          // sum is the running StreamSum of the pages, not a ContentSum
+	fixed  int    // c.FixedSize()
+	buf    []byte // the block being filled: FrameHeadroom spare bytes, then the page
+	target int    // page bytes at which the block is flushed
+	order  bool   // sum is the running StreamSum of the pages, not a ContentSum
 }
 
 // headroom is where a block's page starts: the bytes before it are the
@@ -173,11 +175,8 @@ func NewWriter[T any](st storage.Backend, name string, bufBytes int, c codec.Cod
 // create fails the call; on a write-behind it is the queue's error.
 func newWriter[T any](q *WriteBehind, st storage.Backend, name string, bufBytes int, c codec.Codec[T], less func(a, b T) bool) (*Writer[T], error) {
 	w := &Writer[T]{f: outFile{st: st, name: name}, q: q, pool: storage.PoolOf(st), fixed: c.FixedSize()}
-	w.streamBase = streamBase[T]{seg: Segment{Name: name}, c: c, less: less, layout: w}
+	w.streamBase = newStreamBase(Segment{Name: name}, c, less, w)
 	w.target = bufSize(bufBytes, w.fixed)
-	if w.fixed > 0 {
-		w.bulk, _ = c.(codec.Bulk[T])
-	}
 	if err := q.do(&w.f, opCreate, nil); err != nil {
 		return nil, err
 	}
@@ -202,7 +201,7 @@ func (w *Writer[T]) Write(r T) error {
 		return err
 	}
 	prev := len(w.buf)
-	w.buf = w.c.Append(w.buf, r)
+	w.buf = w.encode(w.buf, r)
 	if w.summed {
 		w.sum = ContentSum(w.sum, w.buf[prev:])
 	}
@@ -229,16 +228,8 @@ func (w *Writer[T]) WriteBatch(src []T) error {
 			n = min(len(src), max((w.target-(len(w.buf)-headroom))/w.fixed, 1))
 		}
 		page := src[:n]
-		// A forward file only ever ascends, so the page's order check is
-		// the comparator itself: admit's direction test, repeated per
-		// element, is measurable on the merge's output path.
-		if w.seg.Records > 0 && w.less(page[0], w.last) {
-			return w.outOfOrder(page[0], w.last)
-		}
-		for i := 1; i < n; i++ {
-			if w.less(page[i], page[i-1]) {
-				return w.outOfOrder(page[i], page[i-1])
-			}
+		if err := w.admitAll(page); err != nil {
+			return err
 		}
 		at := len(w.buf)
 		if w.bulk != nil {
@@ -254,8 +245,6 @@ func (w *Writer[T]) WriteBatch(src []T) error {
 				w.sum = ContentSum(w.sum, w.buf[at:at+size])
 			}
 		}
-		w.last = page[n-1]
-		w.seg.Records += int64(n)
 		src = src[n:]
 		if len(w.buf)-headroom >= w.target {
 			if err := w.flush(); err != nil {
@@ -292,10 +281,5 @@ func (w *Writer[T]) flush() error {
 func (w *Writer[T]) release() error {
 	w.pool.Put(w.buf)
 	w.buf = nil
-	if w.q == nil {
-		return w.f.exec(opClose, nil)
-	}
-	// Queued even when the queue has failed: the handle must close.
-	w.q.enqueue(&w.f, opClose, nil)
-	return w.q.failure()
+	return w.q.close(&w.f)
 }

@@ -1,9 +1,11 @@
 package runio
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"slices"
 	"sort"
@@ -750,8 +752,68 @@ func TestReadBatchAtEveryLength(t *testing.T) {
 	}
 }
 
+// fileBytes returns the whole of a file.
+func fileBytes(t *testing.T, fs vfs.FS, name string) []byte {
+	t.Helper()
+	f, err := fs.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	size, _ := f.Size()
+	buf := make([]byte, size)
+	if _, err := f.ReadAt(buf, 0); err != nil && err != io.EOF {
+		t.Fatal(err)
+	}
+	return buf
+}
+
+// writeChain stores vals, descending, as one chain stream of 64-byte pages
+// through an emitter with Checksums on — element by element when split is
+// 0, in batches of split otherwise — and returns every file stored and the
+// stream's content sum.
+func writeChain[T any](t *testing.T, comp string, pagesPerFile, split int, c codec.Codec[T], less func(a, b T) bool, vals []T) (map[string][]byte, uint64) {
+	t.Helper()
+	fs := vfs.NewMemFS()
+	st, err := storage.New(fs, storage.Config{Compression: comp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	em := NewEmitterOn[T](st, "ch", c, less)
+	em.PageSize, em.PagesPerFile, em.Checksums = 64, pagesPerFile, true
+	w, err := em.Stream("s", true)
+	for rest := vals; len(rest) > 0 && err == nil; {
+		if split == 0 {
+			err, rest = w.Write(rest[0]), rest[1:]
+		} else {
+			n := min(split, len(rest))
+			err, rest = w.WriteBatch(rest[:n]), rest[n:]
+		}
+	}
+	if err == nil {
+		err = w.Close()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, ok := em.TakeSum(w.Segment().Name)
+	if !ok {
+		t.Fatal("no content sum for the chain")
+	}
+	names, _ := fs.Names()
+	files := make(map[string][]byte, len(names))
+	for _, n := range names {
+		files[n] = fileBytes(t, fs, n)
+	}
+	return files, sum
+}
+
 // TestWriteBatchMatchesWrite checks that batched writes produce
-// byte-identical files to element writes, including page-flush boundaries.
+// byte-identical files to element writes, including page-flush boundaries:
+// a forward run, and backward chains of fixed-width records and of strings
+// that span pages and files — every batch length from one element to a
+// page and one more, files of one and two data pages, raw and framed, with
+// equal content sums.
 func TestWriteBatchMatchesWrite(t *testing.T) {
 	recs := make([]record.Record, 777)
 	for i := range recs {
@@ -780,20 +842,7 @@ func TestWriteBatchMatchesWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	read := func(name string) []byte {
-		f, err := fs.Open(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		size, _ := f.Size()
-		buf := make([]byte, size)
-		if _, err := f.ReadAt(buf, 0); err != nil && err != io.EOF {
-			t.Fatal(err)
-		}
-		return buf
-	}
-	a, b := read("el"), read("ba")
+	a, b := fileBytes(t, fs, "el"), fileBytes(t, fs, "ba")
 	if len(a) != len(b) {
 		t.Fatalf("file sizes differ: %d vs %d", len(a), len(b))
 	}
@@ -807,6 +856,29 @@ func TestWriteBatchMatchesWrite(t *testing.T) {
 	for i := range recs {
 		if got[i] != recs[i] {
 			t.Fatalf("record %d = %+v, want %+v", i, got[i], recs[i])
+		}
+	}
+
+	slices.Reverse(recs)
+	strs := make([]string, 300)
+	for i := range strs {
+		strs[i] = fmt.Sprintf("%04d%s", len(strs)-i, strings.Repeat("s", i%150))
+	}
+	const perPage = 64 / record.Size
+	for _, comp := range []string{"raw", "none"} {
+		for _, pagesPerFile := range []int{2, 3} {
+			wantRecs, recSum := writeChain(t, comp, pagesPerFile, 0, codec.Record16{}, record.Less, recs)
+			wantStrs, strSum := writeChain(t, comp, pagesPerFile, 0, codec.String{}, func(a, b string) bool { return a < b }, strs)
+			for split := 1; split <= perPage+1; split++ {
+				gotRecs, sum := writeChain(t, comp, pagesPerFile, split, codec.Record16{}, record.Less, recs)
+				if !maps.EqualFunc(gotRecs, wantRecs, bytes.Equal) || sum != recSum {
+					t.Fatalf("%s, %d pages a file, batches of %d records: %d files and sum %#x, element writes %d and %#x", comp, pagesPerFile, split, len(gotRecs), sum, len(wantRecs), recSum)
+				}
+				gotStrs, sum := writeChain(t, comp, pagesPerFile, split, codec.String{}, func(a, b string) bool { return a < b }, strs)
+				if !maps.EqualFunc(gotStrs, wantStrs, bytes.Equal) || sum != strSum {
+					t.Fatalf("%s, %d pages a file, batches of %d strings: %d files and sum %#x, element writes %d and %#x", comp, pagesPerFile, split, len(gotStrs), sum, len(wantStrs), strSum)
+				}
+			}
 		}
 	}
 }
@@ -895,9 +967,10 @@ func TestElementPathDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// failingWrites fails the n-th call of one kind — "create", "append" or
-// "close" on a forward file, "tail" or "header" on a chain file — made
-// through it for writing, and counts the handles left open.
+// failingWrites fails the n-th call of one kind — "create" or "close" of
+// either kind of file, "append" on a forward file, "pages", "tail" or
+// "header" on a chain file — made through it for writing, and counts the
+// handles left open.
 type failingWrites struct {
 	storage.Backend
 	op      string
@@ -947,6 +1020,9 @@ func (w failingWriter) Close() error {
 }
 
 func (b *failingWrites) CreatePaged(name string, pageSize, pages int) (storage.PageWriter, error) {
+	if err := b.hit("create"); err != nil {
+		return nil, err
+	}
 	w, err := b.Backend.CreatePaged(name, pageSize, pages)
 	if err == nil {
 		b.open++
@@ -957,6 +1033,13 @@ func (b *failingWrites) CreatePaged(name string, pageSize, pages int) (storage.P
 type failingPages struct {
 	storage.PageWriter
 	b *failingWrites
+}
+
+func (w failingPages) WritePage(idx int, pages []byte) error {
+	if err := w.b.hit("pages"); err != nil {
+		return err
+	}
+	return w.PageWriter.WritePage(idx, pages)
 }
 
 func (w failingPages) WriteTail(idx int, payload []byte) (int, error) {
@@ -975,44 +1058,64 @@ func (w failingPages) WriteHeader(hdr []byte) error {
 
 func (w failingPages) Close() error {
 	w.b.open--
-	return w.PageWriter.Close()
+	err := w.b.hit("close")
+	if cerr := w.PageWriter.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
-// TestChainWriterClosesFileItCouldNotFinish fails the two writes that
-// complete a chain file — the partial tail page and the header — once when
-// Close makes them and once when a full file rolls over mid-stream and the
-// generator then abandons the writer to AbortOpen: either way the chain
-// file's handle is closed, and the stream is no longer live.
+// TestChainWriterClosesFileItCouldNotFinish fails the writes that complete
+// a chain file — the partial tail page and the header — once when Close
+// makes them and once when a full file rolls over mid-stream and the
+// generator then abandons the writer to AbortOpen; it fails a block's page
+// run and the next file's create the same way, and abandons a chain with no
+// fault in the middle of a block. Synchronously and through the
+// write-behind, the injected error surfaces by the Barrier at the latest,
+// every chain file's handle is closed, and the stream is no longer live.
 func TestChainWriterClosesFileItCouldNotFinish(t *testing.T) {
-	for _, tc := range []struct {
-		op      string
-		records int // 4 to a page, 2 data pages to a file
-		abandon bool
-	}{
-		{op: "tail", records: 5},
-		{op: "header", records: 5},
-		{op: "header", records: 8, abandon: true},
-	} {
-		st := &failingWrites{Backend: storage.NewRaw(vfs.NewMemFS()), op: tc.op, n: 1}
-		em := NewEmitterOn[record.Record](st, "cw", codec.Record16{}, record.Less)
-		em.PageSize, em.PagesPerFile = 64, 3
-		w, err := em.Stream("s4", true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := tc.records; i > 0 && err == nil; i-- {
-			err = w.Write(record.Record{Key: int64(i)})
-		}
-		if tc.abandon {
-			if !errors.Is(err, errInjected) || st.open != 1 {
-				t.Fatalf("%+v: the rollover returned %v with %d handles open, want the injected error and the file still held", tc, err, st.open)
+	for _, async := range []bool{false, true} {
+		for _, tc := range []struct {
+			op      string
+			n       int // fail the op's n-th call
+			records int // 4 to a page, 2 data pages (one block) to a file
+			abandon bool
+			held    int // handles open when a synchronous rollover fails
+		}{
+			{op: "tail", n: 1, records: 5},
+			{op: "header", n: 1, records: 5},
+			{op: "header", n: 1, records: 8, abandon: true, held: 1},
+			{op: "pages", n: 1, records: 8, abandon: true, held: 1},
+			{op: "create", n: 2, records: 9, abandon: true},
+			{op: "none", records: 6, abandon: true, held: 1},
+		} {
+			st := &failingWrites{Backend: storage.NewRaw(vfs.NewMemFS()), op: tc.op, n: tc.n}
+			em := NewEmitterOn[record.Record](st, "cw", codec.Record16{}, record.Less)
+			em.PageSize, em.PagesPerFile, em.Async = 64, 3, async
+			w, err := em.Stream("s4", true)
+			if err != nil {
+				t.Fatal(err)
 			}
-			em.AbortOpen()
-		} else if err = w.Close(); !errors.Is(err, errInjected) {
-			t.Fatalf("%+v: Close returned %v, want the injected error", tc, err)
-		}
-		if st.open != 0 || len(em.open) != 0 {
-			t.Fatalf("%+v: %d handles open and %d streams live afterwards", tc, st.open, len(em.open))
+			for i := tc.records; i > 0 && err == nil; i-- {
+				err = w.Write(record.Record{Key: int64(i)})
+			}
+			if tc.abandon {
+				if !async && (errors.Is(err, errInjected) != (tc.n > 0) || st.open != tc.held) {
+					t.Fatalf("%+v: the writes returned %v with %d handles open", tc, err, st.open)
+				}
+				em.AbortOpen()
+			} else if cerr := w.Close(); err == nil {
+				err = cerr
+			}
+			if berr := em.Barrier(); err == nil {
+				err = berr
+			}
+			if errors.Is(err, errInjected) != (tc.n > 0) || tc.n == 0 && err != nil {
+				t.Fatalf("async %v, %+v: the writes, Close and Barrier returned %v", async, tc, err)
+			}
+			if st.open != 0 || len(em.open) != 0 {
+				t.Fatalf("async %v, %+v: %d handles open and %d streams live afterwards", async, tc, st.open, len(em.open))
+			}
 		}
 	}
 }
@@ -1057,47 +1160,73 @@ func TestRemoveCarriesOnPastAFailure(t *testing.T) {
 }
 
 // TestWriteBehindSurfacesFirstError fails each kind of queued operation at
-// each position of a three-file sequence: a writer call returns the
-// injected error at the latest by the file after the failing one, Join
-// always does, every handle that was opened is closed, and nothing is left
-// running (the race detector and the goroutine count in internal/extsort
-// watch that end to end).
+// each position of a three-file sequence — forward files, and chains of two
+// full files and a third with a partial tail: a writer call returns the
+// injected error at the latest by the file after the failing one, Join (the
+// Barrier, for chains) always does, every handle that was opened is closed,
+// and nothing is left running (the race detector and the goroutine count in
+// internal/extsort watch that end to end).
 func TestWriteBehindSurfacesFirstError(t *testing.T) {
-	for _, op := range []string{"create", "append", "close"} {
-		for n := 1; n <= 3; n++ {
-			st := &failingWrites{Backend: storage.NewRaw(vfs.NewMemFS()), op: op, n: n}
-			em := NewEmitterOn[record.Record](st, "wb", codec.Record16{}, record.Less)
-			em.Async = true
-			q := em.NewWriteBehind()
-			var first error
-			note := func(err error) {
-				if first == nil {
-					first = err
+	for _, chain := range []bool{false, true} {
+		ops := []string{"create", "append", "close"}
+		if chain {
+			ops = []string{"create", "pages", "tail", "header", "close"}
+		}
+		for _, op := range ops {
+			for n := 1; n <= 3; n++ {
+				st := &failingWrites{Backend: storage.NewRaw(vfs.NewMemFS()), op: op, n: n}
+				em := NewEmitterOn[record.Record](st, "wb", codec.Record16{}, record.Less)
+				em.Async, em.PageSize, em.PagesPerFile = true, 64, 3
+				q := em.NewWriteBehind()
+				join := q.Join
+				if chain {
+					join = em.Barrier
 				}
-			}
-			for f := 0; f < 3 && first == nil; f++ {
-				w, err := em.NewWriter(q, fmt.Sprintf("f%d", f), 64)
-				if err != nil {
+				var first error
+				note := func(err error) {
+					if first == nil {
+						first = err
+					}
+				}
+				for f := 0; f < 3 && first == nil; f++ {
+					var w StreamWriter[record.Record]
+					var err error
+					if chain {
+						w, err = em.Stream("c", true)
+					} else {
+						w, err = em.NewWriter(q, fmt.Sprintf("f%d", f), 64)
+					}
+					if err != nil {
+						note(err)
+						break
+					}
+					// Four blocks of four forward; two chain files of two
+					// pages of four, and two records more.
+					for i := 0; i < 18 && err == nil; i++ {
+						key := int64(i)
+						if chain {
+							key = 18 - key
+						} else if i == 16 {
+							break
+						}
+						err = w.Write(record.Record{Key: key})
+					}
 					note(err)
-					break
+					note(w.Close())
 				}
-				for i := 0; i < 16 && err == nil; i++ { // four blocks of four
-					err = w.Write(record.Record{Key: int64(i)})
+				name := fmt.Sprintf("chain %v, %s %d", chain, op, n)
+				if err := join(); !errors.Is(err, errInjected) {
+					t.Fatalf("%s: Join returned %v, want the injected error", name, err)
 				}
-				note(err)
-				note(w.Close())
-			}
-			if err := q.Join(); !errors.Is(err, errInjected) {
-				t.Fatalf("%s %d: Join returned %v, want the injected error", op, n, err)
-			}
-			if first != nil && !errors.Is(first, errInjected) {
-				t.Fatalf("%s %d: a writer returned %v, want the injected error", op, n, first)
-			}
-			if st.open != 0 {
-				t.Fatalf("%s %d: %d file handles left open", op, n, st.open)
-			}
-			if err := q.Join(); !errors.Is(err, errInjected) {
-				t.Fatalf("%s %d: a second Join returned %v", op, n, err)
+				if first != nil && !errors.Is(first, errInjected) {
+					t.Fatalf("%s: a writer returned %v, want the injected error", name, first)
+				}
+				if st.open != 0 {
+					t.Fatalf("%s: %d file handles left open", name, st.open)
+				}
+				if err := join(); !errors.Is(err, errInjected) {
+					t.Fatalf("%s: a second Join returned %v", name, err)
+				}
 			}
 		}
 	}

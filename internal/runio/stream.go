@@ -35,16 +35,21 @@ type layout interface {
 
 // streamBase is the part of a spill-stream writer that does not depend on
 // its layout: the description of the stream being built, the run-order
-// check, the content checksum, and the end of its life — Close, or abort on
-// a failure path. The two layouts share no more than this (one fills a
-// pooled block front to back and hands it to a write-behind, the other lays
-// pages down tail-first into a chain of paged files), so each keeps its own
-// fill loop around it.
+// check, the encoding of an element written alone, the content checksum,
+// and the end of its life — Close, or abort on a failure path. The two
+// layouts share no more than this (one fills a pooled block front to back,
+// the other back to front and into a chain of paged files), so each keeps
+// its own fill loop around it.
 type streamBase[T any] struct {
 	// seg is the stream so far: Records counts the elements admitted,
 	// Backward is its direction, Files the chain files created.
-	seg    Segment
-	c      codec.Codec[T]
+	seg  Segment
+	c    codec.Codec[T]
+	bulk codec.Bulk[T] // c's bulk kernels, when it is fixed-width and has them
+	// one holds an element encoded alone through bulk, which as an argument
+	// would escape to the heap, and which the kernel stores without the
+	// round trip through a scratch array that Append makes.
+	one    [1]T
 	less   func(a, b T) bool
 	last   T
 	closed bool
@@ -58,6 +63,24 @@ type streamBase[T any] struct {
 	// em, when set, is the emitter that opened the stream and lists it as
 	// live until it closes or is aborted.
 	em *Emitter[T]
+}
+
+// newStreamBase returns the shared part of a writer of layout l.
+func newStreamBase[T any](seg Segment, c codec.Codec[T], less func(a, b T) bool, l layout) streamBase[T] {
+	s := streamBase[T]{seg: seg, c: c, less: less, layout: l}
+	if c.FixedSize() > 0 {
+		s.bulk, _ = c.(codec.Bulk[T])
+	}
+	return s
+}
+
+// encode appends the encoding of r to buf.
+func (s *streamBase[T]) encode(buf []byte, r T) []byte {
+	if s.bulk == nil {
+		return s.c.Append(buf, r)
+	}
+	s.one[0] = r
+	return s.bulk.AppendAll(buf, s.one[:])
 }
 
 // Segment describes the stream as written so far.
@@ -93,6 +116,34 @@ func (s *streamBase[T]) admit(r T) error {
 	}
 	s.last = r
 	s.seg.Records++
+	return nil
+}
+
+// admitAll is admit for every element of page, in order, with the direction
+// test made once per page rather than per element, where it is measurable
+// on the merge's output path.
+func (s *streamBase[T]) admitAll(page []T) error {
+	prev, i := s.last, 0
+	if s.seg.Records == 0 {
+		prev, i = page[0], 1
+	}
+	if s.seg.Backward {
+		for ; i < len(page); i++ {
+			if s.less(prev, page[i]) {
+				return s.outOfOrder(page[i], prev)
+			}
+			prev = page[i]
+		}
+	} else {
+		for ; i < len(page); i++ {
+			if s.less(page[i], prev) {
+				return s.outOfOrder(page[i], prev)
+			}
+			prev = page[i]
+		}
+	}
+	s.last = prev
+	s.seg.Records += int64(len(page))
 	return nil
 }
 

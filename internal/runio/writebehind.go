@@ -6,6 +6,13 @@ import (
 	"repro/internal/storage"
 )
 
+// queuedFile is a file being written as its writer's queue sees it: a
+// forward file (outFile) or one file of a backward chain (chainFile), whose
+// operations whoever executes them performs in order.
+type queuedFile interface {
+	exec(op int, block []byte) error
+}
+
 // outFile is one forward spill file as its writer's queue sees it: created,
 // appended to and closed by whoever executes the operations, in order.
 type outFile struct {
@@ -14,10 +21,16 @@ type outFile struct {
 	w    storage.BlockWriter // nil before create and after a failed one
 }
 
-// The operations of a forward writer on its file.
+// The operations of a writer on its file. Those that carry a block take it
+// from the writer's pool, and a write-behind returns it there once executed.
 const (
 	opCreate = iota
-	opAppend // block: FrameHeadroom spare bytes, then the payload
+	// opAppend stores a block: on a forward file FrameHeadroom spare bytes,
+	// then the payload; on a chain file a run of whole pages.
+	opAppend
+	// opFinish completes a chain file: the rest of its last block, if it
+	// carries one, and its header.
+	opFinish
 	opClose
 )
 
@@ -38,13 +51,13 @@ func (f *outFile) exec(op int, block []byte) (err error) {
 }
 
 // WriteBehind is the write side of one goroutine that writes spill files —
-// the run-generation pass, or one merge worker. The forward writers of
-// that goroutine queue their creates, block appends and closes on it, and
-// one background goroutine executes them in order, so creating a file,
-// writing its blocks and closing it overlap the owner's sorting, encoding
-// and merging, across files as well as within one: a writer's Close returns
-// once its last block is queued, and the next run starts filling while the
-// last one drains.
+// the run-generation pass, or one merge worker. The writers of that
+// goroutine, forward files and backward chains alike, queue their creates,
+// block writes, chain-file finishes and closes on it, and one background
+// goroutine executes them in order, so creating a file, writing its blocks
+// and closing it overlap the owner's sorting, encoding and merging, across
+// files as well as within one: a writer's Close returns once its last block
+// is queued, and the next run starts filling while the last one drains.
 //
 // The owner must Join before anything depends on the files being complete:
 // before a run is opened for reading or removed, at a durable commit
@@ -64,9 +77,10 @@ type WriteBehind struct {
 	pool *storage.Pool
 
 	// ops is nil while no goroutine runs. The capacity lets a run's last
-	// block, its close, the next run's create and (2WRS) a second stream's
-	// create queue behind the block being written without stalling the
-	// owner; blocks themselves are bounded by inFlight, not by it.
+	// block, its close, the next run's create and (2WRS) the creates,
+	// finishes and closes of its other streams and chain files queue behind
+	// the block being written without stalling the owner; blocks themselves
+	// are bounded by inFlight, not by it.
 	ops  chan queuedOp
 	done chan struct{}
 	// inFlight holds one token per block queued or being written: with the
@@ -79,13 +93,13 @@ type WriteBehind struct {
 }
 
 type queuedOp struct {
-	f     *outFile
+	f     queuedFile
 	op    int
 	block []byte
 }
 
 // opQueueLen is the capacity of WriteBehind.ops; see there.
-const opQueueLen = 4
+const opQueueLen = 8
 
 func newWriteBehind(pool *storage.Pool) *WriteBehind {
 	return &WriteBehind{pool: pool, inFlight: make(chan struct{}, 1)}
@@ -105,7 +119,7 @@ func (q *WriteBehind) failure() error {
 // queues it and returns the queue's first error so far. A queued block
 // belongs to the queue, which returns it to the pool once written; in
 // either case an error leaves it with the caller.
-func (q *WriteBehind) do(f *outFile, op int, block []byte) error {
+func (q *WriteBehind) do(f queuedFile, op int, block []byte) error {
 	if q == nil {
 		return f.exec(op, block)
 	}
@@ -118,12 +132,12 @@ func (q *WriteBehind) do(f *outFile, op int, block []byte) error {
 
 // enqueue queues the operation whatever the queue's state, starting the
 // goroutine if none runs.
-func (q *WriteBehind) enqueue(f *outFile, op int, block []byte) {
+func (q *WriteBehind) enqueue(f queuedFile, op int, block []byte) {
 	if q.ops == nil {
 		q.ops, q.done = make(chan queuedOp, opQueueLen), make(chan struct{})
 		go q.run(q.ops, q.done)
 	}
-	if op == opAppend {
+	if block != nil {
 		q.inFlight <- struct{}{}
 	}
 	q.ops <- queuedOp{f, op, block}
@@ -141,11 +155,22 @@ func (q *WriteBehind) run(ops <-chan queuedOp, done chan<- struct{}) {
 				q.mu.Unlock()
 			}
 		}
-		if o.op == opAppend {
+		if o.block != nil {
 			q.pool.Put(o.block)
 			<-q.inFlight
 		}
 	}
+}
+
+// close closes f behind whatever is still queued for it — queued even when
+// the queue has failed, so that the handle is closed — and returns the
+// close's error, or on a write-behind the queue's error so far.
+func (q *WriteBehind) close(f queuedFile) error {
+	if q == nil {
+		return f.exec(opClose, nil)
+	}
+	q.enqueue(f, opClose, nil)
+	return q.failure()
 }
 
 // Join waits until every queued operation has executed, stops the queue's

@@ -246,7 +246,7 @@ func writeBlock(f vfs.File, z *compressor, c *counters, p, block []byte, off int
 	if _, err := f.WriteAt(out, off); err != nil {
 		return 0, err
 	}
-	c.wrote(int64(len(p)), int64(len(out)))
+	c.wrote(1, int64(len(p)), int64(len(out)))
 	return len(out), nil
 }
 
@@ -434,9 +434,17 @@ type blockPageWriter struct {
 	slot int64
 }
 
-func (w *blockPageWriter) WritePage(idx int, page []byte) error {
-	_, err := writeBlock(w.f, &w.z, w.c, page, nil, int64(idx)*w.slot)
-	return err
+// WritePage frames each page of the run in its own slot.
+func (w *blockPageWriter) WritePage(idx int, pages []byte) error {
+	size := int(w.slot) - frameSize
+	for ; len(pages) > 0; idx++ {
+		p := pages[:min(len(pages), size)]
+		if _, err := writeBlock(w.f, &w.z, w.c, p, nil, int64(idx)*w.slot); err != nil {
+			return err
+		}
+		pages = pages[len(p):]
+	}
+	return nil
 }
 
 func (w *blockPageWriter) WriteTail(idx int, payload []byte) (int, error) {
@@ -449,7 +457,7 @@ func (w *blockPageWriter) WriteHeader(hdr []byte) error {
 	if _, err := w.f.WriteAt(hdr, 0); err != nil {
 		return err
 	}
-	w.c.wrote(int64(len(hdr)), int64(len(hdr)))
+	w.c.wrote(1, int64(len(hdr)), int64(len(hdr)))
 	return nil
 }
 

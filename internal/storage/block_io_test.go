@@ -3,10 +3,12 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/vfs"
 )
 
@@ -126,6 +128,75 @@ func TestBlockIsOneWriteAndOneRead(t *testing.T) {
 		}
 		if !bytes.Equal(files[0], files[1]) {
 			t.Fatalf("%s: a block appended in place is stored differently from one appended plainly", comp)
+		}
+	}
+}
+
+// TestPageRunCountsEveryPage writes one chain file page by page and again
+// three pages per WritePage — seven data pages, a partial tail and the
+// header — on every framing, bare and Traced: the files are byte-identical
+// and so is the accounting, BlocksWritten counting pages either way; only
+// the number of calls differs, and on the raw layout a run of pages is one
+// write.
+func TestPageRunCountsEveryPage(t *testing.T) {
+	const pageSize, pages = 128, 9
+	var data []byte
+	for i := 2; i < pages; i++ {
+		data = append(data, randPayload(pageSize, int64(i))...)
+		if i%2 == 0 {
+			copy(data[len(data)-pageSize:], dupPayload(pageSize))
+		}
+	}
+	hdr := bytes.Repeat([]byte{7}, 32)
+	for _, comp := range all {
+		for _, traced := range []bool{false, true} {
+			var files [2][]byte
+			var stats [2]IOStats
+			var writes [2]int
+			for i, run := range []int{1, 3} {
+				fs := &countingFS{FS: vfs.NewMemFS()}
+				b := mustBackend(t, fs, Config{Compression: string(comp)})
+				if traced {
+					b = Traced(b, obs.New())
+				}
+				pw, err := b.CreatePaged("c", pageSize, pages)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for top := pages - 1; top >= 2 && err == nil; top -= run {
+					lo := max(2, top-run+1)
+					err = pw.WritePage(lo, data[(lo-2)*pageSize:(top-1)*pageSize])
+				}
+				if err == nil {
+					_, err = pw.WriteTail(1, randPayload(40, 1))
+				}
+				if err == nil {
+					err = pw.WriteHeader(hdr)
+				}
+				if cerr := pw.Close(); err == nil {
+					err = cerr
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				f, _ := fs.FS.Open("c")
+				n, _ := f.Size()
+				files[i] = make([]byte, n)
+				f.ReadAt(files[i], 0)
+				f.Close()
+				stats[i], writes[i] = b.Stats(), fs.writes
+			}
+			name := fmt.Sprintf("%s (traced %v)", comp, traced)
+			if !bytes.Equal(files[0], files[1]) {
+				t.Fatalf("%s: a chain file written in runs of pages differs from one written page by page", name)
+			}
+			// Seven data pages, the tail and the header.
+			if stats[0] != stats[1] || stats[0].BlocksWritten != 7+1+1 {
+				t.Fatalf("%s: page by page %+v, in runs %+v; want equal, 9 blocks written", name, stats[0], stats[1])
+			}
+			if want := 1 + 3 + 1; comp == Raw && writes[1] != want {
+				t.Fatalf("%s: %d writes in runs of pages, want %d", name, writes[1], want)
+			}
 		}
 	}
 }

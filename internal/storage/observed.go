@@ -125,9 +125,9 @@ type tracedPageWriter struct {
 	bytes int64
 }
 
-func (w *tracedPageWriter) WritePage(idx int, page []byte) error {
-	w.bytes += int64(len(page))
-	return w.w.WritePage(idx, page)
+func (w *tracedPageWriter) WritePage(idx int, pages []byte) error {
+	w.bytes += int64(len(pages))
+	return w.w.WritePage(idx, pages)
 }
 
 func (w *tracedPageWriter) WriteTail(idx int, payload []byte) (int, error) {

@@ -72,7 +72,7 @@ func (w *rawBlockWriter) Append(p []byte) error {
 		return err
 	}
 	w.off += int64(len(p))
-	w.c.wrote(int64(len(p)), int64(len(p)))
+	w.c.wrote(1, int64(len(p)), int64(len(p)))
 	return nil
 }
 
@@ -108,11 +108,11 @@ type rawPageWriter struct {
 	pageSize int
 }
 
-func (w *rawPageWriter) WritePage(idx int, page []byte) error {
-	if _, err := w.f.WriteAt(page, int64(idx)*int64(w.pageSize)); err != nil {
+func (w *rawPageWriter) WritePage(idx int, pages []byte) error {
+	if _, err := w.f.WriteAt(pages, int64(idx)*int64(w.pageSize)); err != nil {
 		return err
 	}
-	w.c.wrote(int64(len(page)), int64(len(page)))
+	w.c.wrote(int64(len(pages)/w.pageSize), int64(len(pages)), int64(len(pages)))
 	return nil
 }
 
@@ -122,7 +122,7 @@ func (w *rawPageWriter) WriteTail(idx int, payload []byte) (int, error) {
 	if _, err := w.f.WriteAt(payload, off); err != nil {
 		return 0, err
 	}
-	w.c.wrote(int64(len(payload)), int64(len(payload)))
+	w.c.wrote(1, int64(len(payload)), int64(len(payload)))
 	return startPos, nil
 }
 
@@ -130,7 +130,7 @@ func (w *rawPageWriter) WriteHeader(hdr []byte) error {
 	if _, err := w.f.WriteAt(hdr, 0); err != nil {
 		return err
 	}
-	w.c.wrote(int64(len(hdr)), int64(len(hdr)))
+	w.c.wrote(1, int64(len(hdr)), int64(len(hdr)))
 	return nil
 }
 

@@ -105,7 +105,8 @@ var ErrCorrupt = errors.New("storage: corrupt block frame")
 // physical bytes actually moved to or from the file system, including block
 // frames and after compression — the quantity an I/O-bound sort pays for.
 type IOStats struct {
-	// BlocksWritten and BlocksRead count block (or page) transfers.
+	// BlocksWritten and BlocksRead count block (or page) transfers: a run
+	// of pages stored by one call counts each of its pages.
 	BlocksWritten int64
 	// BlocksRead counts block (or page) reads.
 	BlocksRead int64
@@ -157,8 +158,9 @@ type counters struct {
 	overflows           atomic.Int64
 }
 
-func (c *counters) wrote(raw, stored int64) {
-	c.blocksW.Add(1)
+// wrote accounts one write of blocks blocks (or pages).
+func (c *counters) wrote(blocks, raw, stored int64) {
+	c.blocksW.Add(blocks)
 	c.rawW.Add(raw)
 	c.storedW.Add(stored)
 }
@@ -246,8 +248,10 @@ type BlockReader interface {
 // caller-chosen (tail-first decreasing) page indices, plus a raw header
 // region at the front of the file. Page index 0 is reserved for the header.
 type PageWriter interface {
-	// WritePage stores a full page at index idx ≥ 1.
-	WritePage(idx int, page []byte) error
+	// WritePage stores a run of whole pages at indices idx ≥ 1, idx+1, …:
+	// one page, or a block of them that the raw layout stores with one
+	// write. Each page counts as a block written either way.
+	WritePage(idx int, pages []byte) error
 	// WriteTail stores the final, partial payload at index idx ≥ 1 and
 	// returns the in-page position an ascending reader must start at (the
 	// raw layout right-aligns the tail inside its page; framed layouts
