@@ -1,12 +1,12 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 
+	"repro/internal/codec"
 	"repro/internal/heap"
 	"repro/internal/runio"
 	"repro/internal/stream"
@@ -90,9 +90,10 @@ type generator[T any] struct {
 	tSet, bSet bool
 	t, b       T
 
-	// Victim buffer state (§4.3); byKey is the keyed sort's scratch.
+	// Victim buffer state (§4.3). sort orders it ascending, into the
+	// permutation slices.SortFunc gives it under the comparator.
 	victim       []T
-	byKey        []heap.Item[T]
+	sort         *codec.KeySorter[T]
 	victimActive bool
 	lo, hi       T // exclusive valid range once active
 
@@ -176,7 +177,7 @@ func newStepper[T any](src stream.BatchReader[T], em *runio.Emitter[T], cfg Conf
 	}
 	if victimCap > 0 {
 		g.victim = make([]T, 0, victimCap)
-		g.byKey = make([]heap.Item[T], 0, victimCap)
+		g.sort = codec.NewKeySorter(em.KeyCodec, less)
 	}
 	return &Stepper[T]{g: g}, nil
 }
@@ -405,7 +406,7 @@ func (g *generator[T]) route(v T, fromTop bool) error {
 	if g.victimCap > 0 && !g.victimActive {
 		g.victim = append(g.victim, v)
 		if len(g.victim) == g.victimCap {
-			g.sortVictim()
+			g.sort.Sort(g.victim)
 			if err := g.flushVictimParts(g.largestGapIndex()); err != nil {
 				return err
 			}
@@ -566,45 +567,13 @@ func (g *generator[T]) chooseInsertSide(rec T) bool {
 func (g *generator[T]) victimAdd(rec T) error {
 	g.victim = append(g.victim, rec)
 	if len(g.victim) == g.victimCap {
-		g.sortVictim()
+		g.sort.Sort(g.victim)
 		if err := g.flushVictimParts(g.largestGapIndex()); err != nil {
 			return err
 		}
 		g.res.VictimFlushes++
 	}
 	return nil
-}
-
-// sortVictim orders the victim contents ascending. It sorts (key prefix,
-// element) pairs, each prefix computed once — all zero without a key codec:
-// the integer compare decides strictly ordered pairs and the comparator
-// breaks only prefix ties. Those are the comparator's own decisions, so the
-// sort makes the same moves, and leaves the same permutation, as sorting the
-// elements with it.
-func (g *generator[T]) sortVictim() {
-	ks := g.byKey[:0]
-	for _, v := range g.victim {
-		it := heap.Item[T]{Rec: v}
-		if g.pfx != nil {
-			it.Key = g.pfx(v)
-		}
-		ks = append(ks, it)
-	}
-	slices.SortFunc(ks, func(a, b heap.Item[T]) int {
-		switch {
-		case a.Key != b.Key:
-			return cmp.Compare(a.Key, b.Key)
-		case g.less(a.Rec, b.Rec):
-			return -1
-		case g.less(b.Rec, a.Rec):
-			return 1
-		}
-		return 0
-	})
-	for i, k := range ks {
-		g.victim[i] = k.Rec
-	}
-	g.byKey = ks
 }
 
 // largestGapIndex returns i maximising the key gap between victim[i] and
@@ -701,7 +670,7 @@ func (g *generator[T]) concatenable() bool {
 // the run manifest and resets all per-run state.
 func (g *generator[T]) endRun() error {
 	if len(g.victim) > 0 {
-		g.sortVictim()
+		g.sort.Sort(g.victim)
 		if !g.victimActive && len(g.victim) >= 2 {
 			// The run ended before the victim ever filled: still split at
 			// the largest gap so both extra streams stay balanced.
