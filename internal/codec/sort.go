@@ -1,6 +1,9 @@
 package codec
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
 // KeySorter sorts batches of elements into the order — the very
 // permutation — that slices.SortFunc gives them under the comparator, and
@@ -118,6 +121,21 @@ func insertionKeyed[T any](a []keyed[T]) {
 	}
 }
 
+// monotone reports whether a's prefixes never descend, or never ascend,
+// reversing a in the second case so that it is sorted either way. It looks
+// no further than the first element that breaks both.
+func monotone[T any](a []keyed[T]) bool {
+	up, down := true, true
+	for i := 1; i < len(a) && (up || down); i++ {
+		up = up && a[i-1].k <= a[i].k
+		down = down && a[i-1].k >= a[i].k
+	}
+	if down && !up {
+		slices.Reverse(a)
+	}
+	return up || down
+}
+
 // radixSortKeyed sorts a ascending by the k field using MSD radix over the
 // bytes of the prefix, most significant first, and reports whether every
 // key is distinct. scratch must be at least as long as a; contents of both
@@ -132,21 +150,28 @@ func radixSortKeyed[T any](a, scratch []keyed[T]) bool {
 	return true
 }
 
-// radixMSD sorts one bucket by the byte at the given shift, recursing into
-// sub-buckets at the next byte down.
+// radixMSD sorts one bucket by the highest byte, at or below the given
+// shift, on which its prefixes differ, recursing into sub-buckets at the
+// next byte down. A bucket whose prefixes already run one way — ascending,
+// or descending and reversed — is finished in one pass: a victim buffer
+// holds the interleaved output of two opposite trends, which the first byte
+// that tells them apart splits into two such buckets.
 func radixMSD[T any](a, scratch []keyed[T], shift uint) {
+	if monotone(a) {
+		return
+	}
 	if len(a) <= radixCutoff {
 		insertionKeyed(a)
 		return
 	}
+	var diff uint64
+	for i := range a {
+		diff |= a[i].k ^ a[0].k
+	}
+	shift = min(shift, uint(63-bits.LeadingZeros64(diff))/8*8)
 	var count [256]int
 	for i := range a {
 		count[byte(a[i].k>>shift)]++
-	}
-	if shift > 0 && count[byte(a[0].k>>shift)] == len(a) {
-		// One bucket: nothing to scatter at this byte.
-		radixMSD(a, scratch, shift-8)
-		return
 	}
 	var offs [256]int
 	sum := 0
