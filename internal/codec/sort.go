@@ -41,7 +41,7 @@ func NewKeySorter[T any](kc KeyCodec[T], less func(a, b T) bool) *KeySorter[T] {
 // Sort sorts vs ascending in place.
 func (s *KeySorter[T]) Sort(vs []T) {
 	if s.pfx == nil {
-		slices.SortFunc(vs, func(a, b T) int { return s.compare(a, b) })
+		slices.SortFunc(vs, s.compare)
 		return
 	}
 	if cap(s.pairs) < len(vs) {
@@ -141,7 +141,7 @@ func monotone[T any](a []keyed[T]) bool {
 // key is distinct. scratch must be at least as long as a; contents of both
 // are clobbered.
 func radixSortKeyed[T any](a, scratch []keyed[T]) bool {
-	radixMSD(a, scratch, 56)
+	radixMSD(a, scratch)
 	for i := 1; i < len(a); i++ {
 		if a[i].k == a[i-1].k {
 			return false
@@ -150,13 +150,13 @@ func radixSortKeyed[T any](a, scratch []keyed[T]) bool {
 	return true
 }
 
-// radixMSD sorts one bucket by the highest byte, at or below the given
-// shift, on which its prefixes differ, recursing into sub-buckets at the
-// next byte down. A bucket whose prefixes already run one way — ascending,
-// or descending and reversed — is finished in one pass: a victim buffer
-// holds the interleaved output of two opposite trends, which the first byte
-// that tells them apart splits into two such buckets.
-func radixMSD[T any](a, scratch []keyed[T], shift uint) {
+// radixMSD sorts one bucket by the highest byte on which its prefixes
+// differ, recursing into the sub-buckets. A bucket whose prefixes already
+// run one way — ascending, or descending and reversed — is finished in one
+// pass: a victim buffer holds the interleaved output of two opposite
+// trends, which the first byte that tells them apart splits into two such
+// buckets.
+func radixMSD[T any](a, scratch []keyed[T]) {
 	if monotone(a) {
 		return
 	}
@@ -168,7 +168,7 @@ func radixMSD[T any](a, scratch []keyed[T], shift uint) {
 	for i := range a {
 		diff |= a[i].k ^ a[0].k
 	}
-	shift = min(shift, uint(63-bits.LeadingZeros64(diff))/8*8)
+	shift := uint(63-bits.LeadingZeros64(diff)) / 8 * 8
 	var count [256]int
 	for i := range a {
 		count[byte(a[i].k>>shift)]++
@@ -191,7 +191,7 @@ func radixMSD[T any](a, scratch []keyed[T], shift uint) {
 	}
 	for b := 0; b < 256; b++ {
 		if count[b] > 1 {
-			radixMSD(a[offs[b]:offs[b]+count[b]], scratch[:count[b]], shift-8)
+			radixMSD(a[offs[b]:offs[b]+count[b]], scratch[:count[b]])
 		}
 	}
 }
