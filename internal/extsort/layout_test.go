@@ -16,6 +16,7 @@ import (
 	"repro/internal/record"
 	"repro/internal/runio"
 	"repro/internal/storage"
+	"repro/internal/stream"
 	"repro/internal/vfs"
 )
 
@@ -99,6 +100,107 @@ func TestRunFileLayoutGolden(t *testing.T) {
 				for _, async := range []bool{false, true} {
 					for _, keyed := range []bool{false, true} {
 						got, rolled := generate(recs, alg, comp, async, keyed)
+						anyRolled = anyRolled || rolled
+						if !ok {
+							t.Errorf("no golden for %s: %q: %q,", name, name, got)
+							want, ok = got, true
+						} else if got != want {
+							t.Errorf("%s (async %v, keyed %v): run files hash to %s, want %s", name, async, keyed, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	if !anyRolled {
+		t.Fatal("no chain rolled over to a second file: the fixture does not cover a rollover")
+	}
+}
+
+// stringFileGolden is runFileGolden for variable-width elements: strings on
+// 64-byte pages, three pages to a chain file, so encodings span pages and
+// files and the places the chain writer lays their bytes — and the start
+// page and position each header records — are pinned too.
+var stringFileGolden = map[string]string{
+	"2wrs/mixed/raw":               "0b494aa244e8b53daa271059421b34507147ba457bb9041338ccbee5c30d918c",
+	"rs/mixed/raw":                 "ab0304a0f720f9e4c67a385342db546852e37bb59e695bf0017b9248fa49c939",
+	"alternating/mixed/raw":        "38cb2a88a28abb62b11130b99626f52a88537d105df59913e568a44fac54e390",
+	"auto/mixed/raw":               "0b494aa244e8b53daa271059421b34507147ba457bb9041338ccbee5c30d918c",
+	"2wrs/mixed/none":              "3d179a48333c16fbb1cdab82b9a14b4a7b6e90477d1a6ec4be66029bb4a32251",
+	"rs/mixed/none":                "f705b18897a5cba832bb488b302f2264ce7e36b54472e24e9b863b44fd0287a9",
+	"alternating/mixed/none":       "5765d86e02c65f008998b4bc537e5f7df50d6433cfcd21a86b49209d9247293f",
+	"auto/mixed/none":              "3d179a48333c16fbb1cdab82b9a14b4a7b6e90477d1a6ec4be66029bb4a32251",
+	"2wrs/alternating/raw":         "a5070b8285d20aecce52eb498c98557598cdda96589cba71ab3cdd29b62a9363",
+	"rs/alternating/raw":           "13862b6d512e975b9272d00535bdda2c12328ffbb8354eed5ab29e358df44151",
+	"alternating/alternating/raw":  "a0c65cb7047fe35a9b4ecd2dde8715316fc5fc9621fc08dc835d685e36ea04d2",
+	"auto/alternating/raw":         "a5070b8285d20aecce52eb498c98557598cdda96589cba71ab3cdd29b62a9363",
+	"2wrs/alternating/none":        "8f8041785868740c3ea1b9bb32ff70bf746022ad117e33534cd4aa15d499f72c",
+	"rs/alternating/none":          "e68626f59241336f737fd269a677db0e98e0caf759bcb20f1e05d81903badf04",
+	"alternating/alternating/none": "2746164157d87506c367c1ecdf16bddd8d5a46c27d9cf43ff8504336fd23ae7e",
+	"auto/alternating/none":        "8f8041785868740c3ea1b9bb32ff70bf746022ad117e33534cd4aa15d499f72c",
+}
+
+// TestStringRunFileLayoutGolden is TestRunFileLayoutGolden for codec.String
+// elements 22 to 50 bytes long. A record becomes a string whose order is
+// the record's (its key, offset to unsigned, in 20 digits) padded by a
+// length taken from its payload.
+func TestStringRunFileLayoutGolden(t *testing.T) {
+	less := func(a, b string) bool { return a < b }
+	key := func(s string) float64 {
+		var k uint64
+		fmt.Sscanf(s[:20], "%d", &k)
+		return float64(k)
+	}
+	generate := func(strs []string, alg policy.Kind, comp string, async, keyed bool) (string, bool) {
+		fs := vfs.NewMemFS()
+		st, err := storage.New(fs, storage.Config{Compression: comp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		storage.PoolOf(st).Reserve(128 << 10)
+		em := runio.NewEmitterOn[string](st, "gold", codec.String{}, less)
+		em.Async, em.PageSize, em.PagesPerFile = async, 64, 3
+		if keyed {
+			em.KeyCodec = codec.KeyString{}
+		}
+		pcfg := policy.Config{Memory: 2000, TWRS: core.Config{
+			Setup: core.BothBuffers, BufferFrac: 0.02,
+			Input: core.InMean, Output: core.OutRandom, Seed: 11,
+		}}
+		if _, err = policy.Generate[string](alg, stream.NewSliceReader(strs), em, pcfg, key); err != nil {
+			t.Fatal(err)
+		}
+		names, err := fs.Names()
+		if err != nil {
+			t.Fatal(err)
+		}
+		slices.Sort(names)
+		h := sha256.New()
+		rolled := false
+		for _, n := range names {
+			data := readFile(t, fs, n)
+			h.Write([]byte(n))
+			h.Write(binary.LittleEndian.AppendUint64(nil, uint64(len(data))))
+			h.Write(data)
+			rolled = rolled || strings.HasSuffix(n, ".1")
+		}
+		return hex.EncodeToString(h.Sum(nil)), rolled
+	}
+
+	anyRolled := false
+	for _, kind := range []gen.Kind{gen.MixedBalanced, gen.Alternating} {
+		recs := gen.Generate(gen.Config{Kind: kind, N: 20000, Seed: 7, Noise: 100})
+		strs := make([]string, len(recs))
+		for i, r := range recs {
+			strs[i] = fmt.Sprintf("%020d", uint64(r.Key)^1<<63) + strings.Repeat("x", 2+int(r.Aux%29))
+		}
+		for _, comp := range []string{"raw", "none"} {
+			for _, alg := range []policy.Kind{policy.TwoWayRS, policy.RS, policy.Alternating, policy.Auto} {
+				name := fmt.Sprintf("%v/%v/%s", alg, kind, comp)
+				want, ok := stringFileGolden[name]
+				for _, async := range []bool{false, true} {
+					for _, keyed := range []bool{false, true} {
+						got, rolled := generate(strs, alg, comp, async, keyed)
 						anyRolled = anyRolled || rolled
 						if !ok {
 							t.Errorf("no golden for %s: %q: %q,", name, name, got)
