@@ -51,13 +51,15 @@ func (s *KeySorter[T]) Sort(vs []T) {
 		}
 	}
 	pairs := s.pair(vs)
-	switch {
-	case !s.radix:
+	if !s.radix {
 		s.sortPairs(pairs)
-	case !radixSortKeyed(pairs, s.scratch[:len(vs)]) && !s.total:
-		// A repeated key that does not determine its elements: where the
-		// ties land matters, so the batch is sorted again as it came.
-		s.sortPairs(s.pair(vs))
+	} else {
+		radixMSD(pairs, s.scratch[:len(vs)])
+		if !s.total && repeatsKey(pairs) {
+			// A repeated key that does not determine its elements: where
+			// the ties land matters, so the batch is sorted again as it came.
+			s.sortPairs(s.pair(vs))
+		}
 	}
 	for i := range pairs {
 		vs[i] = pairs[i].v
@@ -121,45 +123,19 @@ func insertionKeyed[T any](a []keyed[T]) {
 	}
 }
 
-// monotone reports whether a's prefixes never descend, or never ascend,
-// reversing a in the second case so that it is sorted either way. It looks
-// no further than the first element that breaks both.
-func monotone[T any](a []keyed[T]) bool {
-	up, down := true, true
-	for i := 1; i < len(a) && (up || down); i++ {
-		up = up && a[i-1].k <= a[i].k
-		down = down && a[i-1].k >= a[i].k
-	}
-	if down && !up {
-		slices.Reverse(a)
-	}
-	return up || down
-}
-
-// radixSortKeyed sorts a ascending by the k field using MSD radix over the
-// bytes of the prefix, most significant first, and reports whether every
-// key is distinct. scratch must be at least as long as a; contents of both
-// are clobbered.
-func radixSortKeyed[T any](a, scratch []keyed[T]) bool {
-	radixMSD(a, scratch)
+// repeatsKey reports whether the sorted pairs a hold a key twice.
+func repeatsKey[T any](a []keyed[T]) bool {
 	for i := 1; i < len(a); i++ {
 		if a[i].k == a[i-1].k {
-			return false
+			return true
 		}
 	}
-	return true
+	return false
 }
 
 // radixMSD sorts one bucket by the highest byte on which its prefixes
-// differ, recursing into the sub-buckets. A bucket whose prefixes already
-// run one way — ascending, or descending and reversed — is finished in one
-// pass: a victim buffer holds the interleaved output of two opposite
-// trends, which the first byte that tells them apart splits into two such
-// buckets.
+// differ, recursing into the sub-buckets; a bucket of one prefix is sorted.
 func radixMSD[T any](a, scratch []keyed[T]) {
-	if monotone(a) {
-		return
-	}
 	if len(a) <= radixCutoff {
 		insertionKeyed(a)
 		return
@@ -167,6 +143,9 @@ func radixMSD[T any](a, scratch []keyed[T]) {
 	var diff uint64
 	for i := range a {
 		diff |= a[i].k ^ a[0].k
+	}
+	if diff == 0 {
+		return
 	}
 	shift := uint(63-bits.LeadingZeros64(diff)) / 8 * 8
 	var count [256]int

@@ -40,7 +40,8 @@ func checkKeySorter[T comparable](t *testing.T, name string, kc KeyCodec[T], les
 // repeated ones (sorted again by comparison), under the key-only comparator
 // and one that refines ties by Aux; and the keyed comparison sort of a key
 // longer than the prefix. Batches run from empty to past the radix cutoff,
-// with keys that share their high bytes, so single-bucket levels are met.
+// with keys that share their high bytes, so single-bucket levels are met,
+// and past the cutoff with a single key and already in either order.
 func TestKeySorterIsTheComparatorSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var recs [][]record.Record
@@ -59,6 +60,18 @@ func TestKeySorterIsTheComparatorSort(t *testing.T) {
 			r = append(r, record.Record{Key: key, Aux: uint64(j)})
 			k = append(k, key)
 			s = append(s, fmt.Sprintf("key-%012d/%d", key, j%3))
+		}
+		recs, ints, strs = append(recs, r), append(ints, k), append(strs, s)
+	}
+	// Past the cutoff: one key throughout, ascending, descending.
+	for _, step := range []int64{0, 1, -1} {
+		var r []record.Record
+		var k []int64
+		var s []string
+		for j := int64(0); j < 200; j++ {
+			r = append(r, record.Record{Key: step * j, Aux: uint64(j)})
+			k = append(k, step*j)
+			s = append(s, fmt.Sprintf("key-%012d/%d", step*j+1000, j%3))
 		}
 		recs, ints, strs = append(recs, r), append(ints, k), append(strs, s)
 	}
