@@ -197,7 +197,7 @@ func (w *BackwardWriter[T]) Write(r T) error {
 	}
 	// A page holds whole elements, so the block has room for this one.
 	w.pos -= w.fixed
-	w.encode(w.blk[w.pos:w.pos], r)
+	w.c.Append(w.blk[w.pos:w.pos], r)
 	if w.summed {
 		w.sum = ContentSum(w.sum, w.blk[w.pos:w.pos+w.fixed])
 	}

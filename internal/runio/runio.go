@@ -30,10 +30,9 @@
 // (forward files) and BackwardWriter (chains) are the two layouts; what
 // they share is written once, in the streamBase both embed: the run-order
 // check in the stream's direction, the element count and chain-file count
-// of the segment being built, the encoding of an element written alone, the
-// content checksum kept for an emitter with Checksums on, Close, and the
-// abort by which Emitter.AbortOpen closes every stream still live on a
-// failure path. What they do not share is their fill loop: one fills a
+// of the segment being built, the content checksum kept for an emitter
+// with Checksums on, Close, and the abort by which Emitter.AbortOpen closes
+// every stream still live on a failure path. What they do not share is their fill loop: one fills a
 // pooled block front to back, the other fills a pooled block of whole pages
 // back to front and stores it over a page range of the current chain file.
 // Segment.EachFile is the one place that knows which files a segment
@@ -201,7 +200,7 @@ func (w *Writer[T]) Write(r T) error {
 		return err
 	}
 	prev := len(w.buf)
-	w.buf = w.encode(w.buf, r)
+	w.buf = w.c.Append(w.buf, r)
 	if w.summed {
 		w.sum = ContentSum(w.sum, w.buf[prev:])
 	}

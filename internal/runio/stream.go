@@ -35,21 +35,16 @@ type layout interface {
 
 // streamBase is the part of a spill-stream writer that does not depend on
 // its layout: the description of the stream being built, the run-order
-// check, the encoding of an element written alone, the content checksum,
-// and the end of its life — Close, or abort on a failure path. The two
-// layouts share no more than this (one fills a pooled block front to back,
-// the other back to front and into a chain of paged files), so each keeps
-// its own fill loop around it.
+// check, the content checksum, and the end of its life — Close, or abort on
+// a failure path. The two layouts share no more than this (one fills a
+// pooled block front to back, the other back to front and into a chain of
+// paged files), so each keeps its own fill loop around it.
 type streamBase[T any] struct {
 	// seg is the stream so far: Records counts the elements admitted,
 	// Backward is its direction, Files the chain files created.
-	seg  Segment
-	c    codec.Codec[T]
-	bulk codec.Bulk[T] // c's bulk kernels, when it is fixed-width and has them
-	// one holds an element encoded alone through bulk, which as an argument
-	// would escape to the heap, and which the kernel stores without the
-	// round trip through a scratch array that Append makes.
-	one    [1]T
+	seg    Segment
+	c      codec.Codec[T]
+	bulk   codec.Bulk[T] // c's bulk kernels, when it is fixed-width and has them
 	less   func(a, b T) bool
 	last   T
 	closed bool
@@ -72,15 +67,6 @@ func newStreamBase[T any](seg Segment, c codec.Codec[T], less func(a, b T) bool,
 		s.bulk, _ = c.(codec.Bulk[T])
 	}
 	return s
-}
-
-// encode appends the encoding of r to buf.
-func (s *streamBase[T]) encode(buf []byte, r T) []byte {
-	if s.bulk == nil {
-		return s.c.Append(buf, r)
-	}
-	s.one[0] = r
-	return s.bulk.AppendAll(buf, s.one[:])
 }
 
 // Segment describes the stream as written so far.
