@@ -3,6 +3,7 @@ package distsort
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -193,6 +194,26 @@ func TestShardedStatsAndPhases(t *testing.T) {
 	}
 	if !st.Keyed {
 		t.Fatal("record sort with KeyRecord16 should report Keyed")
+	}
+}
+
+// TestAddIOSumsEveryField sets every IOStats field to a distinct value and
+// aggregates two such shards: each field must come out doubled, so a field
+// added to IOStats and forgotten in addIO reads zero here.
+func TestAddIOSumsEveryField(t *testing.T) {
+	var shard extsort.IOStats
+	v := reflect.ValueOf(&shard).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetInt(int64(i + 1))
+	}
+	var sum extsort.IOStats
+	addIO(&sum, shard)
+	addIO(&sum, shard)
+	got := reflect.ValueOf(sum)
+	for i := 0; i < got.NumField(); i++ {
+		if want := 2 * int64(i+1); got.Field(i).Int() != want {
+			t.Errorf("two shards sum %s to %d, want %d", got.Type().Field(i).Name, got.Field(i).Int(), want)
+		}
 	}
 }
 

@@ -810,6 +810,40 @@ func TestResumeConfigMismatch(t *testing.T) {
 	})
 }
 
+// durableHeaderGolden is the manifest header a durable sort at
+// durableCfg(48) writes, per backend. The header is what Resume checks a
+// spill directory against, so a change to it strands every directory a
+// released version left behind: it may change only with the manifest format.
+var durableHeaderGolden = map[string]manifest.Header{
+	"raw": {
+		Version: 2, Prefix: "sort", Codec: "codec.Record16", KeyCodec: "codec.KeyRecord16",
+		Compression: "raw", Generation: durableGenerationGolden,
+	},
+	"block_flate": {
+		Version: 2, Prefix: "sort", Codec: "codec.Record16", KeyCodec: "codec.KeyRecord16",
+		Compression: "flate", Generation: durableGenerationGolden,
+	},
+}
+
+const durableGenerationGolden = "policy=2wrs memory=48 elem=16 page=4096 pages_per_file=4 " +
+	"twrs={Memory:48 Setup:both BufferFrac:0.02 Input:mean Output:random Seed:0}"
+
+// TestDurableHeaderGolden holds the header a durable sort writes on the raw
+// and the flate backend to durableHeaderGolden: compression, codecs and the
+// generation fingerprint.
+func TestDurableHeaderGolden(t *testing.T) {
+	for name, sc := range map[string]storage.Config{"raw": {}, "block_flate": {Compression: "flate"}} {
+		t.Run(name, func(t *testing.T) {
+			cfg := durableCfg(48)
+			cfg.Storage = sc
+			_, st, _ := durableBaseline(t, testRecords(1200, 7), cfg, RecordOps())
+			if st.Header != durableHeaderGolden[name] {
+				t.Errorf("manifest header\n got %#v\nwant %#v", st.Header, durableHeaderGolden[name])
+			}
+		})
+	}
+}
+
 // TestDurableRejectsUnstableConfigs used to pin the one policy a durable
 // sort refused up front, the adaptive auto, whose probe and switch history
 // lived outside every checkpoint. They are in the generator's now, so the
