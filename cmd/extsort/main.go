@@ -8,7 +8,7 @@
 //
 //	extsort sort      -in input.rec -out sorted.rec   # full external sort (default)
 //	extsort sort      -policy auto -in input.rec -out sorted.rec
-//	extsort sort      -compress flate -spillmem 67108864 -in input.rec -out sorted.rec
+//	extsort sort      -compress flate -in input.rec -out sorted.rec
 //	extsort distinct  -in input.rec -out distinct.rec # one record per key, ascending
 //	extsort topk      -k 100 -in input.rec -out top.rec
 //	extsort bottomk   -k 100 -in input.rec -out bottom.rec
@@ -20,8 +20,7 @@
 // -compress selects the spill framing (raw, none, flate): any value but
 // raw checksums every spilled block, and flate also compresses it, so the
 // sort reports raw-versus-stored spill bytes and fails loudly — never
-// silently wrong — on corrupted spill data. -spillmem keeps runs in memory
-// under the given byte budget, overflowing to the temp directory.
+// silently wrong — on corrupted spill data.
 //
 // -manifest makes the sort durable: every completed run is recorded in a
 // CRC-guarded manifest in -tmp, and a killed command can be finished with
@@ -98,7 +97,6 @@ type sortFlags struct {
 	outH     *string
 	seed     *int64
 	compress *string
-	spillMem *int64
 	manifest *bool
 	resume   *bool
 	shards   *int
@@ -127,7 +125,6 @@ func newSortFlags(fs *flag.FlagSet) *sortFlags {
 		seed:    fs.Int64("seed", 1, "seed for randomised heuristics"),
 		compress: fs.String("compress", "raw", "spill framing: "+strings.Join(storage.Compressions(), ", ")+
 			"; any value but raw adds per-block CRC32 checksums, flate also compresses"),
-		spillMem: fs.Int64("spillmem", 0, "keep spilled runs in memory under this byte budget, overflowing to -tmp (0: always on disk)"),
 		manifest: fs.Bool("manifest", false, "record every completed run in a durable manifest in -tmp, so a killed "+
 			"command can be finished with -resume instead of starting over (works under every -policy)"),
 		resume: fs.Bool("resume", false, "resume the durable sort a previous -manifest run left in -tmp: completed runs "+
@@ -244,7 +241,7 @@ func (f *sortFlags) config() (repro.Config, func(), error) {
 		Input:          inHeur,
 		Output:         outHeur,
 		Seed:           *f.seed,
-		Storage:        repro.Storage{Compression: *f.compress, MemoryBudgetBytes: *f.spillMem},
+		Storage:        repro.Storage{Compression: *f.compress},
 		Manifest:       *f.manifest || *f.resume,
 		Resume:         *f.resume,
 		Shards:         *f.shards,
@@ -409,9 +406,6 @@ func printIOStats(stats repro.Stats) {
 		io.RawBytesWritten, io.StoredBytesWritten, io.CompressionRatio(), io.BlocksWritten)
 	fmt.Printf("read back:        %d raw bytes <- %d stored in %d blocks\n",
 		io.RawBytesRead, io.StoredBytesRead, io.BlocksRead)
-	if io.Overflows > 0 || io.MemFiles > 0 || io.DiskFiles > 0 {
-		fmt.Printf("spill tiering:    %d overflows to disk\n", io.Overflows)
-	}
 	if io.VerifyFailures > 0 {
 		fmt.Printf("verify failures:  %d (spilled blocks failed checksum!)\n", io.VerifyFailures)
 	}

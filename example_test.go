@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"os"
 
 	"repro"
 )
@@ -254,43 +253,6 @@ func ExampleWithCompression() {
 	// backend: block(flate)
 	// spill compressed: true
 	// verify failures: 0
-}
-
-// The full storage configuration: checksummed flate framing plus an
-// in-memory spill tier. Runs live in memory until the 64 KiB budget fills,
-// then the growing file migrates to the temp directory mid-write;
-// Stats.IO.Overflows counts those migrations.
-func ExampleWithStorage() {
-	dir, err := os.MkdirTemp("", "spill")
-	if err != nil {
-		panic(err)
-	}
-	defer os.RemoveAll(dir)
-	in := make([]int64, 200000)
-	for i := range in {
-		in[i] = int64(len(in) - i) // descending: worst case for classic RS
-	}
-	s, err := repro.New(func(a, b int64) bool { return a < b },
-		repro.WithMemoryRecords(1024),
-		repro.WithTempDir(dir),
-		repro.WithStorage(repro.Storage{
-			Compression:       "flate",
-			MemoryBudgetBytes: 64 << 10,
-		}))
-	if err != nil {
-		panic(err)
-	}
-	_, stats, err := s.SortSlice(context.Background(), in)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("backend:", stats.Storage)
-	fmt.Println("overflowed to disk:", stats.IO.Overflows > 0)
-	fmt.Println("blocks checksummed:", stats.IO.BlocksWritten > 0)
-	// Output:
-	// backend: block(flate)+tiered(65536)
-	// overflowed to disk: true
-	// blocks checksummed: true
 }
 
 // event is the element type of ExampleWithKeyCodec: ordered by host, then

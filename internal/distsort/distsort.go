@@ -393,11 +393,6 @@ func addIO(dst *extsort.IOStats, s extsort.IOStats) {
 	dst.RawBytesRead += s.RawBytesRead
 	dst.StoredBytesRead += s.StoredBytesRead
 	dst.VerifyFailures += s.VerifyFailures
-	dst.MemFiles += s.MemFiles
-	dst.DiskFiles += s.DiskFiles
-	dst.MemBytes += s.MemBytes
-	dst.DiskBytes += s.DiskBytes
-	dst.Overflows += s.Overflows
 }
 
 // maxOf returns the largest count, or zero for an empty slice.

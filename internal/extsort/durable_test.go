@@ -49,7 +49,7 @@ func TestDurableMatchesPlain(t *testing.T) {
 						if err != nil {
 							t.Fatalf("durable=%v: %v", durable, err)
 						}
-						sums[i] = runFileSums(t, fs, cfg, rset.Runs())
+						sums[i] = runFileSums(t, fs, rset.Runs())
 						for _, run := range rset.Runs() {
 							for _, seg := range run.Segments {
 								if _, ok := rset.em.TakeSum(seg.Name); ok {

@@ -205,14 +205,13 @@ type Config struct {
 	Resume bool
 	// Storage selects the spill backend layered over fs: the zero value is
 	// the historical raw layout; a Compression name turns on checksummed
-	// block framing (optionally compressed), and MemoryBudgetBytes adds an
-	// in-memory tier that overflows to fs.
+	// block framing (optionally compressed).
 	Storage storage.Config
 	// Trace, when non-nil, records spans for the sort's phases, runs,
 	// merge operations and spill files; export them with the tracer's
 	// WriteChromeTrace/WriteSpansJSONL. Nil disables tracing at zero cost.
 	Trace *obs.Tracer
-	// Metrics, when non-nil, receives live counters, gauges and histograms
+	// Metrics, when non-nil, receives live counters and histograms
 	// under the extsort_* names (internal/obs names.go), kept consistent
 	// with the final Stats/Stats.IO. Nil disables metrics at zero cost.
 	Metrics *obs.Registry
@@ -303,8 +302,8 @@ type Stats struct {
 	MergeSim  time.Duration
 	// Storage describes the spill backend that ran (e.g. "raw",
 	// "block(flate)"); IO is its byte-level accounting — raw versus stored
-	// bytes moved, block counts, checksum verification failures, and the
-	// memory tier's residency. IO covers both phases once Merge returns.
+	// bytes moved, block counts and checksum verification failures. IO
+	// covers both phases once Merge returns.
 	Storage string
 	// IO is the spill backend's I/O accounting snapshot.
 	IO IOStats
@@ -738,7 +737,7 @@ func isSpillName(prefix, name string) bool {
 // silently. A durable sort's manifest and carry snapshots are removed too
 // — Discard abandons the sort, resumable state included — and a second
 // Discard of the same set is a no-op. After Discard the backend holds no
-// file of this sort, on any tier.
+// file of this sort.
 func (r *RunSet[T]) Discard() error {
 	r.o.reporter().Stop()
 	// A failed generation can abandon its current run writer with the

@@ -42,12 +42,10 @@ type sortObs struct {
 
 // ioMetrics mirrors storage.IOStats onto registry collectors.
 type ioMetrics struct {
-	blocksW, blocksR    *obs.Counter
-	rawW, storedW       *obs.Counter
-	rawR, storedR       *obs.Counter
-	verify, overflows   *obs.Counter
-	memFiles, diskFiles *obs.Gauge
-	memBytes, diskBytes *obs.Gauge
+	blocksW, blocksR *obs.Counter
+	rawW, storedW    *obs.Counter
+	rawR, storedR    *obs.Counter
+	verify           *obs.Counter
 }
 
 // newSortObs builds the bundle for one sort, or returns nil when the
@@ -71,18 +69,13 @@ func newSortObs(cfg Config) *sortObs {
 	o.phaseMrg = m.Histogram(obs.MPhaseSeconds, "Per-phase wall seconds.", obs.PhaseSecondsBuckets,
 		obs.Label{Name: "phase", Value: "merge"})
 	o.io = ioMetrics{
-		blocksW:   m.Counter(obs.MSpillBlocksWritten, "Spill blocks written."),
-		blocksR:   m.Counter(obs.MSpillBlocksRead, "Spill blocks read."),
-		rawW:      m.Counter(obs.MSpillRawBytes, "Pre-compression bytes written to spill storage."),
-		storedW:   m.Counter(obs.MSpillStoredBytes, "On-storage bytes written to spill storage."),
-		rawR:      m.Counter(obs.MReadRawBytes, "Post-decompression bytes read back from spill storage."),
-		storedR:   m.Counter(obs.MReadStoredBytes, "On-storage bytes read back from spill storage."),
-		verify:    m.Counter(obs.MSpillVerifyFailures, "Checksum verification failures on spill reads."),
-		overflows: m.Counter(obs.MSpillOverflows, "Memory-tier overflows migrated to disk."),
-		memFiles:  m.Gauge(obs.MSpillMemFiles, "Spill files currently in the memory tier."),
-		diskFiles: m.Gauge(obs.MSpillDiskFiles, "Spill files currently on disk."),
-		memBytes:  m.Gauge(obs.MSpillMemBytes, "Bytes currently in the memory tier."),
-		diskBytes: m.Gauge(obs.MSpillDiskBytes, "Bytes currently on disk."),
+		blocksW: m.Counter(obs.MSpillBlocksWritten, "Spill blocks written."),
+		blocksR: m.Counter(obs.MSpillBlocksRead, "Spill blocks read."),
+		rawW:    m.Counter(obs.MSpillRawBytes, "Pre-compression bytes written to spill storage."),
+		storedW: m.Counter(obs.MSpillStoredBytes, "On-storage bytes written to spill storage."),
+		rawR:    m.Counter(obs.MReadRawBytes, "Post-decompression bytes read back from spill storage."),
+		storedR: m.Counter(obs.MReadStoredBytes, "On-storage bytes read back from spill storage."),
+		verify:  m.Counter(obs.MSpillVerifyFailures, "Checksum verification failures on spill reads."),
 	}
 	return o
 }
@@ -151,10 +144,9 @@ func (o *sortObs) observeMergePhase(d time.Duration) {
 }
 
 // syncIO folds a fresh backend snapshot into the registry: counters
-// advance by the delta since the last sync, gauges track the current
-// residency. Synced at generation end, after every merge operation
-// completes is unnecessary — once more when the merge stream closes keeps
-// the final exposition exactly equal to Stats.IO.
+// advance by the delta since the last sync. Synced at generation end and
+// once more when the merge stream closes, which keeps the final exposition
+// exactly equal to Stats.IO.
 func (o *sortObs) syncIO(st storage.IOStats) {
 	if o == nil {
 		return
@@ -170,11 +162,6 @@ func (o *sortObs) syncIO(st storage.IOStats) {
 	o.io.rawR.Add(st.RawBytesRead - last.RawBytesRead)
 	o.io.storedR.Add(st.StoredBytesRead - last.StoredBytesRead)
 	o.io.verify.Add(st.VerifyFailures - last.VerifyFailures)
-	o.io.overflows.Add(st.Overflows - last.Overflows)
-	o.io.memFiles.Set(st.MemFiles)
-	o.io.diskFiles.Set(st.DiskFiles)
-	o.io.memBytes.Set(st.MemBytes)
-	o.io.diskBytes.Set(st.DiskBytes)
 }
 
 // meterReader counts records flowing out of a source into the input

@@ -348,11 +348,11 @@ func (r *RunSet[T]) sweepUnreferenced(ref map[string]bool) error {
 // boundary snapshot validates — is adopted; the generator is restored from
 // that snapshot exactly as it stood, so everything after the boundary is
 // regenerated with identical bytes (see the file comment). A missing file
-// only shortens the prefix (e.g. a memory-tier spill lost with the
-// process); present-but-mismatched data — a snapshot with two records
-// swapped included — is manifest.ErrChecksum, a configuration change is
-// manifest.MismatchError (errors.Is manifest.ErrMismatch), and no manifest
-// at all is manifest.ErrNoManifest — wrong output is never produced.
+// only shortens the prefix; present-but-mismatched data — a snapshot with
+// two records swapped included — is manifest.ErrChecksum, a configuration
+// change is manifest.MismatchError (errors.Is manifest.ErrMismatch), and no
+// manifest at all is manifest.ErrNoManifest — wrong output is never
+// produced.
 func Resume[T any](src stream.BatchReader[T], fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
 	entry := time.Now()
 	rset, st, err := openDurable(fs, cfg, ops)

@@ -112,14 +112,9 @@ func writeFile(t *testing.T, fs vfs.FS, name string, data []byte) {
 // runFileSums fingerprints the runs as they lie on fs: one "run role crc64"
 // line per physical file, in run and segment order. The role is the file
 // name without the sort prefix and namer slot, so a durable pass — whose
-// snapshots take slots of their own — lines up with a plain one. A backend
-// with a memory tier keeps some files off fs; such a set has no fingerprint
-// (nil).
-func runFileSums(t *testing.T, fs vfs.FS, cfg Config, runs []runio.Run) []string {
+// snapshots take slots of their own — lines up with a plain one.
+func runFileSums(t *testing.T, fs vfs.FS, runs []runio.Run) []string {
 	t.Helper()
-	if cfg.Storage.MemoryBudgetBytes > 0 {
-		return nil
-	}
 	tab := crc64.MakeTable(crc64.ECMA)
 	var out []string
 	for i, run := range runs {
@@ -150,7 +145,7 @@ func durableBaseline[T any](t *testing.T, vals []T, cfg Config, ops Ops[T]) ([]T
 	if !st.Committed {
 		t.Fatal("baseline manifest not committed")
 	}
-	files := runFileSums(t, fs, cfg, rset.Runs())
+	files := runFileSums(t, fs, rset.Runs())
 	want, _ := mergeToSlice(t, rset)
 	if _, err := fs.Open(manifest.Name(rset.cfg.Prefix)); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("manifest survived a successful merge: %v", err)
@@ -345,7 +340,7 @@ func resumeAtEveryBoundary[T comparable](t *testing.T, recs []T, cfg Config, ops
 			if got := reg.Counter(obs.MRecordsIn, "").Value(); got != wantIn {
 				t.Errorf("%s = %d, want %d", obs.MRecordsIn, got, wantIn)
 			}
-			if files := runFileSums(t, fs, cfg, rset.Runs()); !slices.Equal(files, wantFiles) {
+			if files := runFileSums(t, fs, rset.Runs()); !slices.Equal(files, wantFiles) {
 				t.Errorf("resumed run files differ from the uninterrupted sort's:\n got %v\nwant %v", files, wantFiles)
 			}
 			got, _ := mergeToSlice(t, rset)
@@ -369,7 +364,6 @@ func TestResumeCrashMatrix(t *testing.T) {
 	}{
 		{"raw", storage.Config{}},
 		{"block_flate", storage.Config{Compression: "flate"}},
-		{"tiered", storage.Config{MemoryBudgetBytes: 1 << 14}},
 	}
 	type runner func(t *testing.T, cfg Config, span int64)
 	modes := []struct {
@@ -428,8 +422,6 @@ var crashSpans = map[string]int64{
 	"raw/string_keyed": 25403, "raw/string_comparator": 25373,
 	"block_flate/record16_keyed": 16207, "block_flate/record16_comparator": 16175,
 	"block_flate/string_keyed": 9593, "block_flate/string_comparator": 9563,
-	"tiered/record16_keyed": 39252, "tiered/record16_comparator": 39220,
-	"tiered/string_keyed": 23993, "tiered/string_comparator": 23963,
 }
 
 func crashMatrixCase[T comparable](t *testing.T, vals []T, cfg Config, ops Ops[T], span int64) {
@@ -483,7 +475,7 @@ func crashMatrixCase[T comparable](t *testing.T, vals []T, cfg Config, ops Ops[T
 			if got := reg.Counter(obs.MRunsRecovered, "").Value(); got != int64(stats.RunsRecovered) {
 				t.Errorf("%s = %d, Stats.RunsRecovered = %d", obs.MRunsRecovered, got, stats.RunsRecovered)
 			}
-			if files := runFileSums(t, base, cfg, rset.Runs()); !slices.Equal(files, wantFiles) {
+			if files := runFileSums(t, base, rset.Runs()); !slices.Equal(files, wantFiles) {
 				t.Errorf("resumed run files differ from the uninterrupted sort's")
 			}
 			got, _ := mergeToSlice(t, rset)
@@ -880,7 +872,6 @@ func TestDurableDiscard(t *testing.T) {
 	}{
 		{"raw", storage.Config{}},
 		{"block_flate", storage.Config{Compression: "flate"}},
-		{"tiered", storage.Config{MemoryBudgetBytes: 1 << 14}},
 	}
 	recs := testRecords(1200, 8)
 	for _, be := range backends {

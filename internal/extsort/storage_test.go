@@ -2,7 +2,6 @@ package extsort
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -41,53 +40,48 @@ func TestSortAcrossStorageBackends(t *testing.T) {
 	// "gzip" was a backend until PR 22; the driver now refuses the name
 	// like any unknown one, before it creates a file.
 	for _, comp := range []string{"raw", "none", "flate", "gzip"} {
-		for _, budget := range []int64{0, 16 << 10} {
-			t.Run(fmt.Sprintf("%s/budget=%d", comp, budget), func(t *testing.T) {
-				fs := vfs.NewMemFS()
-				cfg := Recommended(500)
-				cfg.Storage = storage.Config{Compression: comp, MemoryBudgetBytes: budget}
-				var out record.SliceWriter
-				stats, err := Sort(record.NewSliceReader(recs), &out, fs, cfg, RecordOps())
-				if comp == "gzip" {
-					if names, _ := fs.Names(); err == nil || len(names) != 0 {
-						t.Fatalf("retired compression: err = %v, files %v; want it refused up front", err, names)
-					}
-					return
+		t.Run(comp, func(t *testing.T) {
+			fs := vfs.NewMemFS()
+			cfg := Recommended(500)
+			cfg.Storage = storage.Config{Compression: comp}
+			var out record.SliceWriter
+			stats, err := Sort(record.NewSliceReader(recs), &out, fs, cfg, RecordOps())
+			if comp == "gzip" {
+				if names, _ := fs.Names(); err == nil || len(names) != 0 {
+					t.Fatalf("retired compression: err = %v, files %v; want it refused up front", err, names)
 				}
-				if err != nil {
-					t.Fatal(err)
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(out.Vals) != len(want) {
+				t.Fatalf("got %d records, want %d", len(out.Vals), len(want))
+			}
+			for i := range want {
+				if out.Vals[i] != want[i] {
+					t.Fatalf("record %d = %v, want %v", i, out.Vals[i], want[i])
 				}
-				if len(out.Vals) != len(want) {
-					t.Fatalf("got %d records, want %d", len(out.Vals), len(want))
+			}
+			if stats.IO.VerifyFailures != 0 {
+				t.Fatalf("verify failures on clean data: %d", stats.IO.VerifyFailures)
+			}
+			if stats.IO.RawBytesWritten == 0 || stats.IO.RawBytesRead == 0 {
+				t.Fatalf("no I/O accounted: %+v", stats.IO)
+			}
+			if comp == "flate" {
+				if stats.IO.StoredBytesWritten*2 > stats.IO.RawBytesWritten {
+					t.Fatalf("%s stored %d of %d raw bytes: expected >= 2x reduction on dup-heavy data",
+						comp, stats.IO.StoredBytesWritten, stats.IO.RawBytesWritten)
 				}
-				for i := range want {
-					if out.Vals[i] != want[i] {
-						t.Fatalf("record %d = %v, want %v", i, out.Vals[i], want[i])
-					}
-				}
-				if stats.IO.VerifyFailures != 0 {
-					t.Fatalf("verify failures on clean data: %d", stats.IO.VerifyFailures)
-				}
-				if stats.IO.RawBytesWritten == 0 || stats.IO.RawBytesRead == 0 {
-					t.Fatalf("no I/O accounted: %+v", stats.IO)
-				}
-				if comp == "flate" {
-					if stats.IO.StoredBytesWritten*2 > stats.IO.RawBytesWritten {
-						t.Fatalf("%s stored %d of %d raw bytes: expected >= 2x reduction on dup-heavy data",
-							comp, stats.IO.StoredBytesWritten, stats.IO.RawBytesWritten)
-					}
-				}
-				if budget > 0 && stats.IO.Overflows == 0 {
-					t.Fatalf("tiered sort with a %d-byte budget never overflowed", budget)
-				}
-				if names, _ := fs.Names(); len(names) != 0 {
-					t.Fatalf("spill files left behind: %v", names)
-				}
-				if !strings.Contains(stats.Storage, comp) && comp != "raw" {
-					t.Fatalf("Stats.Storage = %q, want mention of %q", stats.Storage, comp)
-				}
-			})
-		}
+			}
+			if names, _ := fs.Names(); len(names) != 0 {
+				t.Fatalf("spill files left behind: %v", names)
+			}
+			if !strings.Contains(stats.Storage, comp) && comp != "raw" {
+				t.Fatalf("Stats.Storage = %q, want mention of %q", stats.Storage, comp)
+			}
+		})
 	}
 }
 
@@ -180,56 +174,52 @@ func (r *failAfterReader) Read() (record.Record, error) {
 func TestNoSpillLeaksOnErrors(t *testing.T) {
 	recs := dupHeavy(20000)
 	for _, comp := range []string{"raw", "flate"} {
-		for _, budget := range []int64{0, 8 << 10} {
-			name := fmt.Sprintf("%s/budget=%d", comp, budget)
-			t.Run("midgen/"+name, func(t *testing.T) {
-				fs := vfs.NewMemFS()
-				cfg := Recommended(300)
-				cfg.Storage = storage.Config{Compression: comp, MemoryBudgetBytes: budget}
-				var out record.SliceWriter
-				_, err := Sort(&failAfterReader{recs: recs}, &out, fs, cfg, RecordOps())
-				if !errors.Is(err, errMidStream) {
-					t.Fatalf("error = %v, want injected failure", err)
+		t.Run("midgen/"+comp, func(t *testing.T) {
+			fs := vfs.NewMemFS()
+			cfg := Recommended(300)
+			cfg.Storage = storage.Config{Compression: comp}
+			var out record.SliceWriter
+			_, err := Sort(&failAfterReader{recs: recs}, &out, fs, cfg, RecordOps())
+			if !errors.Is(err, errMidStream) {
+				t.Fatalf("error = %v, want injected failure", err)
+			}
+			if names, _ := fs.Names(); len(names) != 0 {
+				t.Fatalf("spill files left after mid-generation failure: %v", names)
+			}
+		})
+		t.Run("midmerge/"+comp, func(t *testing.T) {
+			fs := vfs.NewMemFS()
+			cfg := Recommended(300)
+			cfg.Storage = storage.Config{Compression: comp}
+			cfg.FanIn = 2          // force several merge passes
+			var calls atomic.Int64 // Cancel is polled from parallel merge goroutines
+			cfg.Cancel = func() error {
+				if calls.Add(1) > 3 {
+					return errMidStream
 				}
-				if names, _ := fs.Names(); len(names) != 0 {
-					t.Fatalf("spill files left after mid-generation failure: %v", names)
-				}
-			})
-			t.Run("midmerge/"+name, func(t *testing.T) {
-				fs := vfs.NewMemFS()
-				cfg := Recommended(300)
-				cfg.Storage = storage.Config{Compression: comp, MemoryBudgetBytes: budget}
-				cfg.FanIn = 2          // force several merge passes
-				var calls atomic.Int64 // Cancel is polled from parallel merge goroutines
-				cfg.Cancel = func() error {
-					if calls.Add(1) > 3 {
-						return errMidStream
-					}
-					return nil
-				}
-				var out record.SliceWriter
-				_, err := Sort(record.NewSliceReader(recs), &out, fs, cfg, RecordOps())
-				if !errors.Is(err, errMidStream) {
-					t.Fatalf("error = %v, want injected cancellation", err)
-				}
-				if names, _ := fs.Names(); len(names) != 0 {
-					t.Fatalf("spill files left after mid-merge cancellation: %v", names)
-				}
-			})
-		}
+				return nil
+			}
+			var out record.SliceWriter
+			_, err := Sort(record.NewSliceReader(recs), &out, fs, cfg, RecordOps())
+			if !errors.Is(err, errMidStream) {
+				t.Fatalf("error = %v, want injected cancellation", err)
+			}
+			if names, _ := fs.Names(); len(names) != 0 {
+				t.Fatalf("spill files left after mid-merge cancellation: %v", names)
+			}
+		})
 	}
 }
 
 // TestDiscardSweepsAllBackends generates runs (2WRS: forward files plus
-// backward chains) on every backend and checks Discard leaves nothing, on
-// either tier.
+// backward chains) on every backend and checks Discard leaves nothing.
 func TestDiscardSweepsAllBackends(t *testing.T) {
 	recs := dupHeavy(20000)
 	for _, comp := range []string{"raw", "none", "flate"} {
 		t.Run(comp, func(t *testing.T) {
 			fs := vfs.NewMemFS()
 			cfg := Recommended(300)
-			cfg.Storage = storage.Config{Compression: comp, MemoryBudgetBytes: 8 << 10}
+			cfg.Storage = storage.Config{Compression: comp}
 			rset, err := GenerateRuns(record.NewSliceReader(recs), fs, cfg, RecordOps())
 			if err != nil {
 				t.Fatal(err)
@@ -240,11 +230,8 @@ func TestDiscardSweepsAllBackends(t *testing.T) {
 			if err := rset.Discard(); err != nil {
 				t.Fatal(err)
 			}
-			if names, _ := rset.Store().Names(); len(names) != 0 {
-				t.Fatalf("files left after Discard: %v", names)
-			}
 			if names, _ := fs.Names(); len(names) != 0 {
-				t.Fatalf("backing files left after Discard: %v", names)
+				t.Fatalf("files left after Discard: %v", names)
 			}
 		})
 	}

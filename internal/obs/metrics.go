@@ -43,36 +43,6 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is a metric that can go up and down. A nil *Gauge is the disabled
-// gauge. Gauges are safe for concurrent use.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(n)
-}
-
-// Add adjusts the gauge by n (which may be negative).
-func (g *Gauge) Add(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(n)
-}
-
-// Value returns the gauge's current value (0 for nil).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
 // Histogram is a fixed-bucket cumulative histogram. A nil *Histogram is
 // the disabled histogram; Observe on it is an allocation-free no-op.
 // Histograms are safe for concurrent use.
@@ -121,7 +91,6 @@ type metricKind uint8
 
 const (
 	kindCounter metricKind = iota
-	kindGauge
 	kindHistogram
 )
 
@@ -129,7 +98,6 @@ const (
 type series struct {
 	labels []Label
 	c      *Counter
-	g      *Gauge
 	h      *Histogram
 }
 
@@ -199,8 +167,6 @@ func (r *Registry) lookup(name, help string, kind metricKind, buckets []float64,
 	switch kind {
 	case kindCounter:
 		s.c = &Counter{}
-	case kindGauge:
-		s.g = &Gauge{}
 	case kindHistogram:
 		s.h = &Histogram{bounds: append([]float64(nil), buckets...)}
 		s.h.counts = make([]atomic.Int64, len(buckets)+1)
@@ -216,15 +182,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 		return nil
 	}
 	return r.lookup(name, help, kindCounter, nil, labels).c
-}
-
-// Gauge returns the gauge series for name+labels, registering it on
-// first use. Returns nil on a nil registry.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	if r == nil {
-		return nil
-	}
-	return r.lookup(name, help, kindGauge, nil, labels).g
 }
 
 // Histogram returns the histogram series for name+labels with the given
@@ -287,10 +244,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	var b strings.Builder
 	for _, f := range fams {
 		kind := "counter"
-		switch f.kind {
-		case kindGauge:
-			kind = "gauge"
-		case kindHistogram:
+		if f.kind == kindHistogram {
 			kind = "histogram"
 		}
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, kind)
@@ -300,10 +254,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				b.WriteString(f.name)
 				writeLabels(&b, s.labels)
 				fmt.Fprintf(&b, " %d\n", s.c.Value())
-			case kindGauge:
-				b.WriteString(f.name)
-				writeLabels(&b, s.labels)
-				fmt.Fprintf(&b, " %d\n", s.g.Value())
 			case kindHistogram:
 				cum := int64(0)
 				for i, bound := range s.h.bounds {

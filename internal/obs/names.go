@@ -65,17 +65,6 @@ const (
 	// MShardRecords is the distribution of records routed to each range
 	// shard by the partition pass.
 	MShardRecords = "distsort_shard_records"
-
-	// MSpillOverflows counts memory-tier overflows migrated to disk.
-	MSpillOverflows = "extsort_spill_overflows_total"
-	// MSpillMemFiles gauges spill files currently in the memory tier.
-	MSpillMemFiles = "extsort_spill_mem_files"
-	// MSpillDiskFiles gauges spill files currently on disk.
-	MSpillDiskFiles = "extsort_spill_disk_files"
-	// MSpillMemBytes gauges bytes currently in the memory tier.
-	MSpillMemBytes = "extsort_spill_mem_bytes"
-	// MSpillDiskBytes gauges bytes currently on disk.
-	MSpillDiskBytes = "extsort_spill_disk_bytes"
 )
 
 // Default bucket bounds for the registry's histograms.

@@ -1,11 +1,11 @@
 // Package obs is the library's observability layer: a low-overhead span
-// tracer, a metrics registry (counters, gauges, fixed-bucket histograms)
+// tracer, a metrics registry (counters and fixed-bucket histograms)
 // with Prometheus text exposition, Chrome trace_event and JSONL span
 // exporters, and a tick-based progress reporter.
 //
 // Everything is nil-safe by design: the disabled state of every hook is a
 // nil pointer, and every method on a nil *Tracer, *Span, *Registry,
-// *Counter, *Gauge, *Histogram or *Reporter is a no-op that allocates
+// *Counter, *Histogram or *Reporter is a no-op that allocates
 // nothing. Call sites therefore instrument unconditionally — no branches,
 // no interface indirection — and a sort with observability off pays only
 // the nil checks. Instrumented code updates metrics at batch or run

@@ -41,13 +41,10 @@ func TestNilSafety(t *testing.T) {
 
 	var reg *Registry
 	c := reg.Counter("c", "help")
-	g := reg.Gauge("g", "help")
 	h := reg.Histogram("h", "help", []float64{1, 2})
 	c.Add(1)
-	g.Set(2)
-	g.Add(1)
 	h.Observe(1.5)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
+	if c.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil collectors retained values")
 	}
 	if err := reg.WritePrometheus(os.Stderr); err != nil {
@@ -71,13 +68,11 @@ func TestDisabledAllocs(t *testing.T) {
 	var tr *Tracer
 	var c *Counter
 	var h *Histogram
-	var g *Gauge
 	var rep *Reporter
 	allocs := testing.AllocsPerRun(1000, func() {
 		sp := tr.Start("run")
 		sp.End()
 		c.Add(1)
-		g.Set(3)
 		h.Observe(1)
 		rep.Add(64)
 		rep.SetPhase("merge", 100)
@@ -274,7 +269,6 @@ func TestPrometheusGolden(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter(MRecordsIn, "Records read from the sort input.").Add(1000000)
 	reg.Counter(MRuns, "Sorted runs emitted.").Add(13)
-	reg.Gauge(MSpillDiskBytes, "Bytes currently on disk.").Set(1 << 20)
 	h := reg.Histogram(MRunLength, "Run length distribution in records.", []float64{256, 1024, 4096})
 	h.Observe(100)
 	h.Observe(2000)

@@ -15,7 +15,7 @@ import (
 type Emitter[T any] struct {
 	// Store is the spill backend run files are written to and read from:
 	// the raw pass-through over a vfs.FS, or a framed backend with
-	// checksums, compression and tiering (see internal/storage).
+	// checksums and compression (see internal/storage).
 	Store storage.Backend
 	// Namer allocates unique file names.
 	Namer *Namer

@@ -62,9 +62,9 @@
 //
 // Both layouts reach the file system through a storage.Backend: the raw
 // backend reproduces the historical bytes exactly, while the block backend
-// adds per-block CRC32 checksums and optional compression, and a tiered
-// backend keeps runs in memory under a byte budget. runio deals in pages
-// and chain files; how those become bytes at rest is the backend's concern.
+// adds per-block CRC32 checksums and optional compression. runio deals in
+// pages and chain files; how those become bytes at rest is the backend's
+// concern.
 //
 // Both write paths and the read path move blocks, not records. WriteBatch
 // and ReadBatch encode and decode a page of elements per call through the

@@ -190,10 +190,9 @@ type blockBackend struct {
 	comp Compression
 	c    *counters
 	pool *Pool
-	desc string
 }
 
-func (b *blockBackend) String() string { return b.desc }
+func (b *blockBackend) String() string { return "block(" + string(b.comp) + ")" }
 
 func (b *blockBackend) Stats() IOStats { return b.c.snapshot() }
 

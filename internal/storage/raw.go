@@ -15,12 +15,11 @@ type rawBackend struct {
 	fs   vfs.FS
 	c    *counters
 	pool *Pool
-	desc string
 }
 
 func (b *rawBackend) blockPool() *Pool { return b.pool }
 
-func (b *rawBackend) String() string { return b.desc }
+func (b *rawBackend) String() string { return "raw" }
 
 func (b *rawBackend) Stats() IOStats { return b.c.snapshot() }
 

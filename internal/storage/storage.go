@@ -25,12 +25,6 @@
 // on loan (BlockLender) move it without a copy on either side. Corruption of a spilled block
 // then surfaces as ErrChecksum (or ErrCorrupt for a damaged frame) when the
 // merge reads it back, never as silently wrong output.
-//
-// Orthogonally to framing, a Config.MemoryBudgetBytes layers a
-// byte-budgeted memory tier over the backing vfs.FS: spill files live in
-// memory until the tier exceeds its budget, at which point the growing
-// file migrates to the backing store. New composes framing and tiering
-// from a Config.
 package storage
 
 import (
@@ -85,11 +79,6 @@ type Config struct {
 	// unframed layout, or "none", "flate" for checksummed block framing
 	// with the named payload codec.
 	Compression string
-	// MemoryBudgetBytes, when positive, keeps spill files in an in-memory
-	// tier of at most this many bytes; a file whose growth pushes the tier
-	// over budget migrates to the backing file system mid-write. Zero
-	// disables tiering.
-	MemoryBudgetBytes int64
 }
 
 // ErrChecksum reports a block whose payload failed CRC verification: the
@@ -122,18 +111,6 @@ type IOStats struct {
 	// VerifyFailures counts blocks whose checksum or frame validation
 	// failed on read.
 	VerifyFailures int64
-	// MemFiles and DiskFiles count files currently resident in the memory
-	// tier and on the backing store (zero when tiering is off).
-	MemFiles int64
-	// DiskFiles counts files currently resident on the backing store.
-	DiskFiles int64
-	// MemBytes and DiskBytes are the bytes currently resident per tier.
-	MemBytes int64
-	// DiskBytes is the bytes currently resident on the backing store.
-	DiskBytes int64
-	// Overflows counts files the memory tier migrated to the backing store
-	// because the budget was exceeded mid-write.
-	Overflows int64
 }
 
 // CompressionRatio returns RawBytesWritten / StoredBytesWritten — how many
@@ -149,13 +126,10 @@ func (s IOStats) CompressionRatio() float64 {
 // counters is the shared, goroutine-safe accumulator behind IOStats:
 // write-behind goroutines and parallel merge workers hit it concurrently.
 type counters struct {
-	blocksW, blocksR    atomic.Int64
-	rawW, storedW       atomic.Int64
-	rawR, storedR       atomic.Int64
-	verifyFailures      atomic.Int64
-	memFiles, diskFiles atomic.Int64
-	memBytes, diskBytes atomic.Int64
-	overflows           atomic.Int64
+	blocksW, blocksR atomic.Int64
+	rawW, storedW    atomic.Int64
+	rawR, storedR    atomic.Int64
+	verifyFailures   atomic.Int64
 }
 
 // wrote accounts one write of blocks blocks (or pages).
@@ -180,11 +154,6 @@ func (c *counters) snapshot() IOStats {
 		RawBytesRead:       c.rawR.Load(),
 		StoredBytesRead:    c.storedR.Load(),
 		VerifyFailures:     c.verifyFailures.Load(),
-		MemFiles:           c.memFiles.Load(),
-		DiskFiles:          c.diskFiles.Load(),
-		MemBytes:           c.memBytes.Load(),
-		DiskBytes:          c.diskBytes.Load(),
-		Overflows:          c.overflows.Load(),
 	}
 }
 
@@ -294,8 +263,7 @@ type Backend interface {
 	OpenPaged(name string) (PageReader, error)
 	// Remove deletes the named spill file.
 	Remove(name string) error
-	// Names lists every file currently stored, across tiers, sorted. It
-	// exists so sweep-style cleanup and leak tests can see everything.
+	// Names lists every file currently stored, sorted. It exists so sweep-style cleanup and leak tests can see everything.
 	Names() ([]string, error)
 	// Stats snapshots the backend's I/O accounting.
 	Stats() IOStats
@@ -303,31 +271,22 @@ type Backend interface {
 	String() string
 }
 
-// New builds the Backend a Config describes over fs: the compression
-// framing, layered on a memory tier when a budget is set.
+// New builds the Backend a Config describes over fs: its compression
+// framing.
 func New(fs vfs.FS, cfg Config) (Backend, error) {
 	comp, err := ParseCompression(cfg.Compression)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.MemoryBudgetBytes < 0 {
-		return nil, fmt.Errorf("storage: memory budget must be non-negative, got %d", cfg.MemoryBudgetBytes)
-	}
-	c, pool := &counters{}, &Pool{}
-	desc := ""
-	if cfg.MemoryBudgetBytes > 0 {
-		fs = newTieredFS(fs, cfg.MemoryBudgetBytes, c)
-		desc = fmt.Sprintf("+tiered(%d)", cfg.MemoryBudgetBytes)
-	}
 	if comp == Raw {
-		return &rawBackend{fs: fs, c: c, pool: pool, desc: "raw" + desc}, nil
+		return NewRaw(fs), nil
 	}
-	return &blockBackend{fs: fs, comp: comp, c: c, pool: pool, desc: fmt.Sprintf("block(%s)%s", comp, desc)}, nil
+	return &blockBackend{fs: fs, comp: comp, c: &counters{}, pool: &Pool{}}, nil
 }
 
 // NewRaw returns the accounting-only pass-through backend over fs: the
 // historical on-disk layout, byte for byte. It is what every call site that
 // predates the storage layer uses.
 func NewRaw(fs vfs.FS) Backend {
-	return &rawBackend{fs: fs, c: &counters{}, pool: &Pool{}, desc: "raw"}
+	return &rawBackend{fs: fs, c: &counters{}, pool: &Pool{}}
 }

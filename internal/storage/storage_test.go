@@ -46,9 +46,6 @@ func TestParseCompression(t *testing.T) {
 	if _, err := New(vfs.NewMemFS(), Config{Compression: "bogus"}); err == nil {
 		t.Error("New with bogus compression should fail")
 	}
-	if _, err := New(vfs.NewMemFS(), Config{MemoryBudgetBytes: -1}); err == nil {
-		t.Error("New with negative budget should fail")
-	}
 }
 
 // dupPayload is highly compressible; randPayload is not.
@@ -286,133 +283,5 @@ func TestPagedRoundTrip(t *testing.T) {
 				t.Fatalf("paged round trip: got %d bytes, want %d", len(got), len(want))
 			}
 		})
-	}
-}
-
-func TestTieredOverflow(t *testing.T) {
-	disk := vfs.NewMemFS()
-	b := mustBackend(t, disk, Config{MemoryBudgetBytes: 1000})
-	// First file fits in memory.
-	w, _ := b.Create("small")
-	if err := w.Append(dupPayload(256)); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-	if st := b.Stats(); st.MemFiles != 1 || st.MemBytes != 256 || st.Overflows != 0 {
-		t.Fatalf("after small file: %+v", st)
-	}
-	// Second file blows the budget mid-write and migrates.
-	w, _ = b.Create("big")
-	var wantBig []byte
-	for i := 0; i < 8; i++ {
-		blk := randPayload(256, int64(i))
-		wantBig = append(wantBig, blk...)
-		if err := w.Append(blk); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w.Close()
-	st := b.Stats()
-	if st.Overflows != 1 {
-		t.Fatalf("overflows = %d, want 1", st.Overflows)
-	}
-	if st.MemFiles != 1 || st.DiskFiles != 1 {
-		t.Fatalf("residency: %+v", st)
-	}
-	// The backing store holds the migrated file; the tier the small one.
-	diskNames, _ := disk.Names()
-	if len(diskNames) != 1 || diskNames[0] != "big" {
-		t.Fatalf("disk names = %v", diskNames)
-	}
-	names, _ := b.Names()
-	if len(names) != 2 {
-		t.Fatalf("union names = %v", names)
-	}
-	// Both files read back intact across tiers.
-	r, err := b.Open("big")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := io.ReadAll(r)
-	if err != nil || !bytes.Equal(got, wantBig) {
-		t.Fatalf("migrated file read: err %v, %d bytes want %d", err, len(got), len(wantBig))
-	}
-	r.Close()
-	r, _ = b.Open("small")
-	if got, err := io.ReadAll(r); err != nil || len(got) != 256 {
-		t.Fatalf("mem file read: err %v, %d bytes", err, len(got))
-	}
-	r.Close()
-	// Removal empties both tiers and the accounting.
-	if err := b.Remove("big"); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Remove("small"); err != nil {
-		t.Fatal(err)
-	}
-	st = b.Stats()
-	if st.MemFiles != 0 || st.DiskFiles != 0 || st.MemBytes != 0 || st.DiskBytes != 0 {
-		t.Fatalf("after removal: %+v", st)
-	}
-	if names, _ := b.Names(); len(names) != 0 {
-		t.Fatalf("names after removal: %v", names)
-	}
-}
-
-func TestTieredComposesWithCompression(t *testing.T) {
-	disk := vfs.NewMemFS()
-	b := mustBackend(t, disk, Config{Compression: string(Flate), MemoryBudgetBytes: 512})
-	w, _ := b.Create("f")
-	var want []byte
-	for i := 0; i < 64; i++ {
-		blk := randPayload(128, int64(i))
-		want = append(want, blk...)
-		if err := w.Append(blk); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w.Close()
-	if b.Stats().Overflows != 1 {
-		t.Fatalf("overflows = %d, want 1", b.Stats().Overflows)
-	}
-	r, _ := b.Open("f")
-	got, err := io.ReadAll(r)
-	if err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("compressed+tiered round trip: err %v, %d bytes want %d", err, len(got), len(want))
-	}
-	r.Close()
-}
-
-// failCreateFS refuses Create, simulating a full or vanished disk.
-type failCreateFS struct{ vfs.FS }
-
-func (f failCreateFS) Create(string) (vfs.File, error) {
-	return nil, errors.New("disk full")
-}
-
-func TestTieredCreateFailureLeavesCountersClean(t *testing.T) {
-	b := mustBackend(t, failCreateFS{vfs.NewMemFS()}, Config{MemoryBudgetBytes: 4})
-	// Fill the memory tier past its budget; the migration to the failing
-	// disk must surface the error.
-	w, err := b.Create("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append(dupPayload(64)); err == nil {
-		t.Fatal("migration to a failing disk did not error")
-	}
-	w.Close()
-	// The tier is over budget, so the next Create targets the disk and
-	// fails outright: no counter may move.
-	before := b.Stats()
-	if _, err := b.Create("b"); err == nil {
-		t.Fatal("disk create did not error")
-	}
-	after := b.Stats()
-	if after.DiskFiles != before.DiskFiles || after.MemFiles != before.MemFiles {
-		t.Fatalf("counters moved across a failed create: %+v -> %+v", before, after)
-	}
-	if after.DiskFiles != 0 {
-		t.Fatalf("DiskFiles = %d with no disk file in existence", after.DiskFiles)
 	}
 }

@@ -39,10 +39,10 @@ type SpanData = obs.SpanData
 // returned by Tracer.Events.
 type TraceEvent = obs.EventData
 
-// Metrics is a registry of live counters, gauges and histograms that the
-// sorts it is attached to keep current: records in/out, runs emitted and
-// their length distribution, merge operations and fan-in, spill I/O in
-// raw and stored bytes, per-phase wall seconds. Expose it with
+// Metrics is a registry of live counters and histograms that the sorts it
+// is attached to keep current: records in/out, runs emitted and their
+// length distribution, merge operations and fan-in, spill I/O in raw and
+// stored bytes, per-phase wall seconds. Expose it with
 // WritePrometheus or serve it over HTTP with Handler. A Metrics registry
 // is safe for concurrent use and may aggregate several sorts; a nil
 // registry is a valid no-op.
@@ -71,8 +71,8 @@ func WithTracer(t *Tracer) Option {
 }
 
 // WithMetrics attaches a metrics registry to the sorter: every subsequent
-// Sort, operator or selection call keeps the registry's counters, gauges
-// and histograms current. Nil detaches metrics (the default).
+// Sort, operator or selection call keeps the registry's counters and
+// histograms current. Nil detaches metrics (the default).
 func WithMetrics(m *Metrics) Option {
 	return func(s *sorterConfig) error { s.cfg.Metrics = m; return nil }
 }

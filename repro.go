@@ -79,16 +79,14 @@
 //
 // # Spill storage
 //
-// How runs reach temporary storage is pluggable too (WithStorage,
-// WithCompression, WithSpillMemory). The default is the paper's raw
-// layout; a named compression ("none", "flate") frames every spilled
-// block with a CRC32 checksum — corrupted spill data then fails the merge
-// with a checksum error instead of producing silently wrong output — and
-// "flate" also shrinks the bytes that actually move.
-// A byte budget keeps runs in an in-memory tier that overflows to the
-// temp directory mid-write when it fills. Stats.IO accounts for every
-// spilled byte, raw versus stored, along with block counts, overflow
-// migrations and verification failures. See DESIGN.md §10.
+// How runs reach temporary storage is pluggable too (WithCompression).
+// The default is the paper's raw layout; a named compression ("none",
+// "flate") frames every spilled block with a CRC32 checksum — corrupted
+// spill data then fails the merge with a checksum error instead of
+// producing silently wrong output — and "flate" also shrinks the bytes
+// that actually move. Stats.IO accounts for every spilled byte, raw versus
+// stored, along with block counts and verification failures. See
+// DESIGN.md §10.
 //
 // # Timing
 //
@@ -146,12 +144,12 @@ type Stats = extsort.Stats
 
 // IOStats is the spill backend's byte-level I/O accounting, carried in
 // Stats.IO: raw versus stored bytes moved (the gap is what compression
-// saved), block counts, checksum verification failures, and the memory
-// tier's residency and overflow counts.
+// saved), block counts and checksum verification failures.
 type IOStats = extsort.IOStats
 
 // Storage configures how runs spill to temporary files; see Config.Storage
-// and WithStorage. The zero value is the library's historical raw layout.
+// and WithCompression. The zero value is the library's historical raw
+// layout.
 type Storage = storage.Config
 
 // Durable-sort sentinel errors, matched with errors.Is against failures of
@@ -273,17 +271,15 @@ type Config struct {
 	// frames every spilled page in a self-describing block with a CRC32
 	// checksum (compressed for the latter), so corrupted spill data
 	// surfaces as a checksum error instead of silently wrong output.
-	// A positive MemoryBudgetBytes keeps runs in an in-memory tier of at
-	// most that many bytes, overflowing to TempDir (or the in-process FS)
-	// when the budget is exceeded. Stats.IO reports what the backend did.
+	// Stats.IO reports what the backend did.
 	Storage Storage
 	// Trace, when non-nil, records phase, run, merge and spill spans plus
 	// policy-switch events for every sort run under this configuration;
 	// export with Tracer.WriteChromeTrace or Tracer.WriteSpansJSONL. Nil
 	// (the default) disables tracing at zero cost. See WithTracer.
 	Trace *Tracer
-	// Metrics, when non-nil, keeps the registry's counters, gauges and
-	// histograms current across every sort run under this configuration;
+	// Metrics, when non-nil, keeps the registry's counters and histograms
+	// current across every sort run under this configuration;
 	// expose with Metrics.WritePrometheus or Metrics.Handler. Nil (the
 	// default) disables metrics at zero cost. See WithMetrics.
 	Metrics *Metrics
@@ -366,9 +362,6 @@ func (c Config) Validate() error {
 	}
 	if _, err := storage.ParseCompression(c.Storage.Compression); err != nil {
 		return fmt.Errorf("repro: unknown compression %q (valid: %s)", c.Storage.Compression, strings.Join(Compressions(), ", "))
-	}
-	if c.Storage.MemoryBudgetBytes < 0 {
-		return fmt.Errorf("repro: storage memory budget must be non-negative, got %d", c.Storage.MemoryBudgetBytes)
 	}
 	return nil
 }

@@ -242,14 +242,6 @@ func WithSeed(seed int64) Option {
 	return func(s *sorterConfig) error { s.cfg.Seed = seed; return nil }
 }
 
-// WithStorage configures the spill backend in one call: the compression
-// framing and the in-memory tier budget. The zero Storage is the historical
-// raw layout with no tier. See Config.Storage for the field semantics and
-// Stats.IO for the resulting accounting.
-func WithStorage(st Storage) Option {
-	return func(s *sorterConfig) error { s.cfg.Storage = st; return nil }
-}
-
 // WithCompression selects the spill compression by name: "raw" (the
 // default: the historical unframed layout), or "none" or "flate" — which
 // frame every spilled page in a CRC32-checksummed block, compressed for
@@ -258,13 +250,6 @@ func WithStorage(st Storage) Option {
 // names fail at New with an error listing the valid ones (Compressions).
 func WithCompression(name string) Option {
 	return func(s *sorterConfig) error { s.cfg.Storage.Compression = name; return nil }
-}
-
-// WithSpillMemory keeps runs in an in-memory tier of at most budgetBytes
-// bytes, overflowing to the temp directory (or the in-process file system)
-// mid-write once the tier fills. Stats.IO reports residency and overflows.
-func WithSpillMemory(budgetBytes int64) Option {
-	return func(s *sorterConfig) error { s.cfg.Storage.MemoryBudgetBytes = budgetBytes; return nil }
 }
 
 // WithManifest makes the sorter's sorts durable: every completed run is

@@ -301,8 +301,6 @@ func TestConfigValidateTable(t *testing.T) {
 		{"unknown compression", func(c *Config) { c.Storage.Compression = "zstd" }, "compression"},
 		{"compression flate ok", func(c *Config) { c.Storage.Compression = "flate" }, ""},
 		{"compression raw ok", func(c *Config) { c.Storage.Compression = "raw" }, ""},
-		{"negative spill budget", func(c *Config) { c.Storage.MemoryBudgetBytes = -1 }, "budget"},
-		{"spill budget ok", func(c *Config) { c.Storage.MemoryBudgetBytes = 1 << 20 }, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -538,10 +536,10 @@ func TestSorterCancelledBeforeMerge(t *testing.T) {
 	}
 }
 
-// TestSorterStorageOptions drives the public storage options end to end: a
-// variable-width sort through every framed backend over a real temp dir,
-// with the tier budget forcing overflows, must produce the same output as
-// the raw layout, account its I/O, and leave the directory empty.
+// TestSorterStorageOptions drives the public storage option end to end: a
+// variable-width sort through every framed backend over a real temp dir
+// must produce the same output as the raw layout, account its I/O, and
+// leave the directory empty.
 func TestSorterStorageOptions(t *testing.T) {
 	in := make([]string, 6000)
 	for i := range in {
@@ -556,8 +554,7 @@ func TestSorterStorageOptions(t *testing.T) {
 			s, err := New(func(a, b string) bool { return a < b },
 				WithMemoryRecords(256),
 				WithTempDir(dir),
-				WithCompression(comp),
-				WithSpillMemory(8<<10))
+				WithCompression(comp))
 			if comp == "gzip" {
 				if err == nil || !strings.Contains(err.Error(), strings.Join(Compressions(), ", ")) {
 					t.Fatalf("WithCompression(gzip): %v, want an error listing the valid names", err)
@@ -585,9 +582,6 @@ func TestSorterStorageOptions(t *testing.T) {
 			if stats.IO.RawBytesWritten == 0 || stats.IO.VerifyFailures != 0 {
 				t.Fatalf("%s: IO accounting %+v", comp, stats.IO)
 			}
-			if stats.IO.Overflows == 0 {
-				t.Fatalf("%s: spill tier never overflowed to disk", comp)
-			}
 			ents, err := os.ReadDir(dir)
 			if err != nil {
 				t.Fatal(err)
@@ -599,11 +593,8 @@ func TestSorterStorageOptions(t *testing.T) {
 	}
 }
 
-// TestWithSpillMemoryRejectsNegative pins the option-level validation.
-func TestWithSpillMemoryRejectsNegative(t *testing.T) {
-	if _, err := New(func(a, b int64) bool { return a < b }, WithSpillMemory(-1)); err == nil {
-		t.Fatal("WithSpillMemory(-1) accepted")
-	}
+// TestWithCompressionRejectsUnknown pins the option-level validation.
+func TestWithCompressionRejectsUnknown(t *testing.T) {
 	if _, err := New(func(a, b int64) bool { return a < b }, WithCompression("zstd")); err == nil {
 		t.Fatal("WithCompression(zstd) accepted")
 	}
