@@ -22,9 +22,8 @@ import (
 // comparator-only, an uninterrupted durable pass must write the plain
 // pass's run files byte for byte — the
 // i-th run of one equals the i-th run of the other, file by file. It also
-// checks the two things the boundary hook owes the emitter and the file
-// system: every segment checksum was taken, and no snapshot outlives the
-// commit.
+// checks what the boundary hook owes the file system: no snapshot outlives
+// the commit.
 func TestDurableMatchesPlain(t *testing.T) {
 	const n, m = 6000, 150
 	for _, name := range []string{"2wrs", "rs", "alternating", "quick", "auto", "alg_rs", "alg_lss", "alg_2wrs"} {
@@ -50,13 +49,6 @@ func TestDurableMatchesPlain(t *testing.T) {
 							t.Fatalf("durable=%v: %v", durable, err)
 						}
 						sums[i] = runFileSums(t, fs, rset.Runs())
-						for _, run := range rset.Runs() {
-							for _, seg := range run.Segments {
-								if _, ok := rset.em.TakeSum(seg.Name); ok {
-									t.Errorf("durable=%v: the checksum of %s was never taken", durable, seg.Name)
-								}
-							}
-						}
 						left, _ := fs.Names()
 						for _, file := range left {
 							if strings.HasSuffix(file, "-carry") {

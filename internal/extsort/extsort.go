@@ -167,12 +167,12 @@ type Config struct {
 	// around each phase so Stats can report simulated I/O time.
 	Clock func() time.Duration
 	// Parallelism bounds the sort's concurrency (default GOMAXPROCS):
-	// above 1, run generation and every merge worker create, write and
-	// close their spill files through a write-behind goroutine and up to
-	// this many operations of the merge plan execute at once. 1 reproduces
-	// the fully sequential behaviour — and the paper's sequential cost
-	// model — exactly; the on-disk run format, the merge tree and the
-	// sorted output are identical either way.
+	// above 1, run generation creates, writes and closes its spill files
+	// through a write-behind goroutine and up to this many operations of
+	// the merge plan execute at once. 1 reproduces the fully sequential
+	// behaviour — and the paper's sequential cost model — exactly; the
+	// on-disk run format, the merge tree and the sorted output are
+	// identical either way.
 	// A simulated clock (Clock != nil) always forces 1: overlap against a
 	// single simulated device would double-count time.
 	Parallelism int
@@ -413,7 +413,7 @@ func newRunSet[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
 		// and internal/exp's TestTimeSweepsShapes fails, so this fork stays.
 		em.PagesPerFile = backwardPages(cfg.Memory, ops.elementBytes())
 	}
-	// With headroom for concurrency, spill files are created, written and
+	// With headroom for concurrency, run files are created, written and
 	// closed by a write-behind goroutine so heap work overlaps file I/O.
 	em.Async = cfg.Parallelism > 1
 	// The byte form of the memory budget: what the spill path's block pool

@@ -127,16 +127,7 @@ func (r *RunSet[T]) commitBoundary(man *manifest.Writer, gsp *obs.Span, gen poli
 		Policy:       gen.Kind().String(),
 	}
 	for _, seg := range run.Segments {
-		ms := manifest.Segment{Name: seg.Name, Records: seg.Records, Backward: seg.Backward, Files: seg.Files}
-		if seg.Records > 0 {
-			sum, ok := r.em.TakeSum(seg.Name)
-			if !ok {
-				sp.Drop()
-				return "", fmt.Errorf("extsort: internal: no content checksum recorded for segment %s", seg.Name)
-			}
-			ms.Sum = sum
-		}
-		mr.Segments = append(mr.Segments, ms)
+		mr.Segments = append(mr.Segments, manifest.Segment{Name: seg.Name, Records: seg.Records, Backward: seg.Backward, Files: seg.Files, Sum: seg.Sum})
 	}
 	// The snapshot file exists only if the generator holds anything; a
 	// write error is kept and the rest of the listing dropped.
@@ -250,7 +241,7 @@ func readSnapshot[T any](store storage.Backend, mr manifest.Run, ops Ops[T]) (*p
 
 // toSegment reconstructs a segment's description from its manifest record.
 func toSegment(ms manifest.Segment) runio.Segment {
-	return runio.Segment{Name: ms.Name, Records: ms.Records, Backward: ms.Backward, Files: ms.Files}
+	return runio.Segment{Name: ms.Name, Records: ms.Records, Backward: ms.Backward, Files: ms.Files, Sum: ms.Sum}
 }
 
 // toRunioRun reconstructs the in-memory run descriptor from its manifest

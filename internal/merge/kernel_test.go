@@ -390,9 +390,9 @@ func TestSequentialScheduleUnchanged(t *testing.T) {
 // scheduleFS records, while log is set, what each merge operation opened —
 // its inputs, in group order — and the output it then created, as one step
 // in TestSequentialScheduleUnchanged's spelling. An operation opens and
-// creates on the goroutine of the worker that executes it (the emitter is
-// not Async), so the opens are kept per goroutine and concurrent operations
-// do not mix; steps is in creation order.
+// creates on the goroutine of the worker that executes it, so the opens are
+// kept per goroutine and concurrent operations do not mix; steps is in
+// creation order.
 type scheduleFS struct {
 	vfs.FS
 	log    bool

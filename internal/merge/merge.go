@@ -25,8 +25,8 @@ type Config struct {
 	// Workers bounds how many intermediate merges run at once. It decides
 	// when an operation of the merge plan runs, never which runs it merges:
 	// ≤1 executes the plan in order on the caller's goroutine; above 1,
-	// operations whose inputs are complete overlap, each worker writing
-	// through its own write-behind when the emitter is Async.
+	// operations whose inputs are complete overlap, each worker creating,
+	// writing and closing its output on its own goroutine.
 	Workers int
 	// Cancel, when set, is polled between batches of every merge operation;
 	// a non-nil return aborts the merge with that error. The driver wires
@@ -66,23 +66,18 @@ func (c *Config) resolveMetrics() {
 // bufBytes returns the per-block buffer budget of a merge of the given width
 // when workers of them run at once. MemoryBytes is a budget for the whole
 // phase: the workers share it, and each one's part is split evenly across
-// the blocks its operation holds at once — one per input, the one its writer
-// is filling and, when the writer has a write-behind (writeBehind), the one
-// in flight to storage — floored at one file system page: no real device
+// the blocks its operation holds at once — one per input and the one its
+// writer is filling — floored at one file system page: no real device
 // transfers less than a page per request. Concurrent operations all get the
 // blocks of a full-width one, the narrow first one too: a framed block is
 // read whole, so no operation may write larger blocks than the readers of
 // the one that consumes its output are given. The final merge has no writer
 // of its own, and its spare share is what the output batch costs.
-func (c Config) bufBytes(workers, width int, writeBehind bool) int {
+func (c Config) bufBytes(workers, width int) int {
 	if workers > 1 {
 		width = c.FanIn
 	}
-	blocks := width + 1
-	if writeBehind {
-		blocks++
-	}
-	return max(c.MemoryBytes/workers/blocks, runio.DefaultPageSize)
+	return max(c.MemoryBytes/workers/(width+1), runio.DefaultPageSize)
 }
 
 // Stats reports what the merge phase did.
@@ -235,11 +230,11 @@ func Merge[T any](em *runio.Emitter[T], inputs []runio.Run, dst stream.Writer[T]
 
 // execute runs the plan's operations on one worker per arena and leaves the
 // outputs in runs, which holds the plan's inputs and a slot per operation
-// under the plan's numbering. A worker owns its arena and its write queue,
-// and takes the earliest unclaimed operation whose inputs are complete: one
-// worker is the plan in order, on the caller's goroutine with the
-// synchronous queue; several overlap whatever is ready, with no barrier
-// between the levels of the tree. execute returns the first failure or
+// under the plan's numbering. A worker owns its arena, writes its outputs
+// on its own goroutine, and takes the earliest unclaimed operation whose
+// inputs are complete: one worker is the plan in order, on the caller's
+// goroutine; several overlap whatever is ready, with no barrier between the
+// levels of the tree. execute returns the first failure or
 // cancellation: nothing is claimed after it, so no operation that depends
 // on a failed one ever starts.
 func execute[T any](em *runio.Emitter[T], p plan, runs []runio.Run, arenas []leafArena[T], cfg Config) error {
@@ -265,7 +260,7 @@ func execute[T any](em *runio.Emitter[T], p plan, runs []runio.Run, arenas []lea
 		}
 		return true
 	}
-	work := func(a *leafArena[T], q *runio.WriteBehind) {
+	work := func(a *leafArena[T]) {
 		mu.Lock()
 		defer mu.Unlock()
 		for firstErr == nil && next < len(p.ops) {
@@ -288,7 +283,7 @@ func execute[T any](em *runio.Emitter[T], p plan, runs []runio.Run, arenas []lea
 				group[j] = runs[in]
 			}
 			mu.Unlock()
-			out, err := mergeOp(em, a, q, group, names[i], p.ops[i], cfg.bufBytes(len(arenas), len(group), q != nil), cfg)
+			out, err := mergeOp(em, a, group, names[i], p.ops[i], cfg.bufBytes(len(arenas), len(group)), cfg)
 			mu.Lock()
 			if err == nil {
 				runs[n+i], state[i] = out, complete
@@ -299,7 +294,7 @@ func execute[T any](em *runio.Emitter[T], p plan, runs []runio.Run, arenas []lea
 		}
 	}
 	if len(arenas) == 1 {
-		work(&arenas[0], nil)
+		work(&arenas[0])
 		return firstErr
 	}
 	var wg sync.WaitGroup
@@ -307,7 +302,7 @@ func execute[T any](em *runio.Emitter[T], p plan, runs []runio.Run, arenas []lea
 		wg.Add(1)
 		go func(a *leafArena[T]) {
 			defer wg.Done()
-			work(a, em.NewWriteBehind())
+			work(a)
 		}(&arenas[i])
 	}
 	wg.Wait()
@@ -316,11 +311,11 @@ func execute[T any](em *runio.Emitter[T], p plan, runs []runio.Run, arenas []lea
 
 // mergeOp performs one operation: it merges the group into a fresh run under
 // the given pre-allocated name and deletes the consumed inputs, recording one
-// "merge_op" span and the per-operation metrics. a and q are the calling
-// worker's; the output is complete on the store, and q joined, when mergeOp
-// returns, error or not. An output that does not hold exactly the records of
-// its inputs (o.records) is an error matching storage.ErrCorrupt.
-func mergeOp[T any](em *runio.Emitter[T], a *leafArena[T], q *runio.WriteBehind, group []runio.Run, name string, o op, bufBytes int, cfg Config) (out runio.Run, err error) {
+// "merge_op" span and the per-operation metrics. a is the calling worker's
+// arena; the output is closed, and so whole, when mergeOp returns, error or
+// not. An output that does not hold exactly the records of its inputs
+// (o.records) is an error matching storage.ErrCorrupt.
+func mergeOp[T any](em *runio.Emitter[T], a *leafArena[T], group []runio.Run, name string, o op, bufBytes int, cfg Config) (out runio.Run, err error) {
 	if cfg.Cancel != nil {
 		if err := cfg.Cancel(); err != nil {
 			return runio.Run{}, err
@@ -341,7 +336,7 @@ func mergeOp[T any](em *runio.Emitter[T], a *leafArena[T], q *runio.WriteBehind,
 	if err != nil {
 		return runio.Run{}, err
 	}
-	wr, err := em.NewWriter(q, name, bufBytes)
+	wr, err := em.NewWriter(name, bufBytes)
 	if err != nil {
 		eng.Close()
 		return runio.Run{}, err
@@ -358,12 +353,6 @@ func mergeOp[T any](em *runio.Emitter[T], a *leafArena[T], q *runio.WriteBehind,
 	}
 	if cerr := wr.Close(); err == nil {
 		err = cerr
-	}
-	// The barrier: the output must be whole before it counts as a run and
-	// before the inputs it replaces go, and nothing may still be writing to
-	// it when a failed merge's files are swept.
-	if jerr := q.Join(); err == nil {
-		err = jerr
 	}
 	if err != nil {
 		return runio.Run{}, err

@@ -557,8 +557,8 @@ func TestStreamEmptyAndCancel(t *testing.T) {
 	st.Close()
 }
 
-// failingStore fails the n-th Create made on it and counts the ones that
-// come after.
+// failingStore is a disk that dies at the n-th Create made on it: that
+// create and every later one fail. It counts them all.
 type failingStore struct {
 	storage.Backend
 	n       int64
@@ -568,16 +568,17 @@ type failingStore struct {
 var errCreate = errors.New("injected create failure")
 
 func (s *failingStore) Create(name string) (storage.BlockWriter, error) {
-	if s.creates.Add(1) == s.n {
+	if s.creates.Add(1) >= s.n {
 		return nil, errCreate
 	}
 	return s.Backend.Create(name)
 }
 
 // TestMergeStopsPassOnFailure holds the worker pool to stopping a pass at
-// its first failed merge: each merge creates one output file, so with the
-// first create of a 30-merge pass failing, at most the merges the other
-// workers had already started may still create theirs.
+// its first failed merge: each merge creates one output file, and with the
+// disk dead from the first create of a 30-merge pass on, a worker that
+// meets the failure claims nothing more, so every worker tries at most one
+// create after the first failed one.
 func TestMergeStopsPassOnFailure(t *testing.T) {
 	const workers = 2
 	fs := vfs.NewMemFS()
@@ -596,9 +597,9 @@ func TestMergeStopsPassOnFailure(t *testing.T) {
 }
 
 // TestMergeHoldsToMemoryBudget checks the merge's division of its memory
-// against the blocks it really holds: with a write-behind per worker — two
-// blocks per writer, one filling and one in flight — the spill path's pool
-// never has more out than MemoryBytes plus the frame headroom of each block.
+// against the blocks it really holds: with two workers, each writer holding
+// the one block it is filling, the spill path's pool never has more out
+// than MemoryBytes plus the frame headroom of each block.
 // That holds when every input is a four-segment overlap run too: the fan-in
 // counts runs, a run's share of the budget is split among its pieces, and
 // four times the leaves cost no more buffer — as long as a piece's share is
@@ -615,7 +616,7 @@ func TestMergeHoldsToMemoryBudget(t *testing.T) {
 	}{{"single", 1, 64 << 10}, {"overlap", 4, 256 << 10}} {
 		for _, comp := range []string{"raw", "none"} {
 			name := row.name + "/" + comp
-			slack := workers * (fanIn*row.pieces + 2) * storage.FrameHeadroom
+			slack := workers * (fanIn*row.pieces + 1) * storage.FrameHeadroom
 			if comp != "raw" {
 				slack += workers * fanIn * (row.pieces / 2) * (runio.DefaultPageSize + storage.FrameHeadroom)
 			}
@@ -633,7 +634,6 @@ func TestMergeHoldsToMemoryBudget(t *testing.T) {
 				runs, all = makeOverlapRuns(t, em, 50, 2000/row.pieces, 6)
 			}
 			written := storage.PoolOf(st).Peak()
-			em.Async = true
 			var out record.SliceWriter
 			if _, err := Merge(em, runs, &out, Config{FanIn: fanIn, MemoryBytes: row.memory, Workers: workers}); err != nil {
 				t.Fatal(err)

@@ -225,7 +225,9 @@ func unevenRuns(t *testing.T, em *runio.Emitter[record.Record], n int, seed int6
 // Workers setting: the same operations — output name ← input names, in
 // group order — whatever order they ran in, the same statistics and the
 // same bytes written as one worker's, which
-// TestSequentialScheduleUnchanged holds to the rule.
+// TestSequentialScheduleUnchanged holds to the rule. The emitter is Async,
+// as the driver makes it above one worker: that must not move a merge's
+// creates off the goroutine of the worker that executes it.
 func TestScheduleIndependentOfWorkers(t *testing.T) {
 	const fanIn, n = 4, 500
 	type outcome struct {
@@ -239,7 +241,7 @@ func TestScheduleIndependentOfWorkers(t *testing.T) {
 		em := runio.RecordEmitter(fs, "m")
 		runs := unevenRuns(t, em, n, 5)
 		before := em.Store.Stats().RawBytesWritten
-		fs.log = true
+		fs.log, em.Async = true, true
 		var out record.SliceWriter
 		stats, err := Merge(em, runs, &out, Config{FanIn: fanIn, MemoryBytes: 1 << 16, Workers: workers})
 		if err != nil {
@@ -327,11 +329,10 @@ func (s *faultStore) Open(name string) (storage.BlockReader, error) {
 }
 
 // TestFailedOperationStrandsNothing fails a create, and an input open, at
-// every position of a multi-level plan, on 1, 2 and 4 workers with a
-// write-behind each: Merge returns the injected error, fewer than Workers
-// operations start once it has happened, none of them reads the output that
-// was never made, and every worker and every write-behind goroutine is gone
-// when Merge returns.
+// every position of a multi-level plan, on 1, 2 and 4 workers: Merge
+// returns the injected error, fewer than Workers operations start once it
+// has happened, none of them reads the output that was never made, and
+// every worker goroutine is gone when Merge returns.
 func TestFailedOperationStrandsNothing(t *testing.T) {
 	const fanIn, n = 2, 24 // 22 intermediate operations, 5 levels
 	for _, workers := range []int{1, 2, 4} {
@@ -345,7 +346,7 @@ func TestFailedOperationStrandsNothing(t *testing.T) {
 				if fault == errOpen {
 					st.failCreate, st.failOpen = 0, fanIn*(pos-1)+1
 				}
-				em.Store, em.Async = st, true
+				em.Store = st
 				before := runtime.NumGoroutine()
 				var out record.SliceWriter
 				_, err := Merge(em, runs, &out, Config{FanIn: fanIn, MemoryBytes: 1 << 14, Workers: workers})

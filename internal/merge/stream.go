@@ -86,7 +86,7 @@ func NewStream[T any](em *runio.Emitter[T], inputs []runio.Run, cfg Config) (*St
 		st.want += runs[id].Records
 	}
 	var err error
-	st.eng, err = openMerged(em, &arenas[0], st.finals, cfg.bufBytes(1, len(st.finals), false))
+	st.eng, err = openMerged(em, &arenas[0], st.finals, cfg.bufBytes(1, len(st.finals)))
 	if err != nil {
 		return nil, err
 	}

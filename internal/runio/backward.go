@@ -124,12 +124,12 @@ func (f *chainFile) finish(payload []byte) error {
 // span pages and even files: the continuation bytes land at the tail of the
 // next chain file, which is exactly where an ascending read (files in
 // reverse creation order, each scanned forward) expects them. File
-// operations go through a WriteBehind as a Writer's do, and the bytes stored
+// operations go through a writeBehind as a Writer's do, and the bytes stored
 // depend neither on it nor on the block size.
 type BackwardWriter[T any] struct {
 	streamBase[T]
 	st         storage.Backend
-	q          *WriteBehind
+	q          *writeBehind
 	pool       *storage.Pool
 	fixed      int // c.FixedSize()
 	blockPages int
@@ -158,7 +158,7 @@ func NewBackwardWriter[T any](st storage.Backend, base string, pageSize, pagesPe
 }
 
 // newBackwardWriter is NewBackwardWriter on the queue q.
-func newBackwardWriter[T any](q *WriteBehind, st storage.Backend, base string, pageSize, pagesPerFile int, c codec.Codec[T], less func(a, b T) bool) (*BackwardWriter[T], error) {
+func newBackwardWriter[T any](q *writeBehind, st storage.Backend, base string, pageSize, pagesPerFile int, c codec.Codec[T], less func(a, b T) bool) (*BackwardWriter[T], error) {
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
 	}

@@ -28,13 +28,13 @@ type Emitter[T any] struct {
 	PageSize int
 	// PagesPerFile is the backward chain file length in pages (0: default).
 	PagesPerFile int
-	// Async gives every goroutine that writes spill files through the
-	// emitter a write-behind (see WriteBehind): forward files and backward
-	// chain files are created, written and closed on a background goroutine,
-	// overlapping run-generation and merge CPU work with file I/O, and are
-	// complete only after Barrier (the generation pass) or the queue's own
-	// Join (a merge worker). The driver enables it when Parallelism > 1; the
-	// bytes written are identical either way.
+	// Async gives the run-generation pass — the goroutine that calls Stream
+	// — a write-behind (see writeBehind): its forward files and backward
+	// chain files are created, written and closed on a background
+	// goroutine, overlapping generation CPU work with file I/O, and are
+	// complete only after Barrier. Writers from NewWriter ignore it and
+	// write on their caller's goroutine. The driver enables it when
+	// Parallelism > 1; the bytes written are identical either way.
 	Async bool
 	// KeyCodec, when set, supplies memcmp-ordered normalized key bytes
 	// consistent with Less (see codec.KeyCodec). Run generators then cache
@@ -45,18 +45,17 @@ type Emitter[T any] struct {
 	// check.
 	KeyCodec codec.KeyCodec[T]
 	// Checksums, when set, makes every writer the emitter creates keep the
-	// order-insensitive content checksum of its stream (ContentSum) and
-	// holds it under the stream's name until TakeSum collects it. Resumable
-	// sorts commit the sums of each run in the manifest at its boundary;
-	// off (the default) no per-element CRC is ever computed.
+	// order-insensitive content checksum of its stream (ContentSum), which
+	// Close records as the stream's Segment.Sum. Resumable sorts commit the
+	// sums of each run in the manifest at its boundary; off (the default)
+	// no per-element CRC is ever computed.
 	Checksums bool
 
 	// gen is the write-behind of the goroutine that calls Stream — the
 	// run-generation pass — started by its first stream when Async is set.
-	gen *WriteBehind
+	gen *writeBehind
 
-	mu   sync.Mutex
-	sums map[string]uint64
+	mu sync.Mutex
 	// open lists every stream the emitter opened that has not closed yet,
 	// whatever its layout: what AbortOpen force-closes on a failure path.
 	open map[*streamBase[T]]struct{}
@@ -110,7 +109,7 @@ func blockBytes(budget int) int {
 func (e *Emitter[T]) Stream(role string, descending bool) (StreamWriter[T], error) {
 	name := e.Namer.Next(role)
 	if e.Async && e.gen == nil {
-		e.gen = e.NewWriteBehind()
+		e.gen = newWriteBehind(storage.PoolOf(e.Store))
 	}
 	if descending {
 		w, err := newBackwardWriter(e.gen, e.Store, name, e.PageSize, e.PagesPerFile, e.Codec, e.Less)
@@ -120,28 +119,19 @@ func (e *Emitter[T]) Stream(role string, descending bool) (StreamWriter[T], erro
 		e.adopt(&w.streamBase)
 		return w, nil
 	}
-	w, err := e.NewWriter(e.gen, name, blockBytes(storage.PoolOf(e.Store).Budget()))
-	if err != nil {
-		return nil, err
-	}
-	return w, nil
-}
-
-// NewWriteBehind returns a write queue for one goroutine that writes spill
-// files through the emitter: a write-behind when Async is set, and
-// otherwise nil, the synchronous queue.
-func (e *Emitter[T]) NewWriteBehind() *WriteBehind {
-	if !e.Async {
-		return nil
-	}
-	return newWriteBehind(storage.PoolOf(e.Store))
+	return e.newWriter(e.gen, name, blockBytes(storage.PoolOf(e.Store).Budget()))
 }
 
 // NewWriter creates a forward writer on the named file with an explicit
-// buffer size, its file operations on the calling goroutine's queue q.
-// Unlike Stream it does not touch the Namer, so concurrent merge workers
-// can use it with pre-allocated names.
-func (e *Emitter[T]) NewWriter(q *WriteBehind, name string, bufBytes int) (*Writer[T], error) {
+// buffer size, whose file operations run on the calling goroutine whatever
+// Async says. Unlike Stream it does not touch the Namer, so concurrent
+// merge workers can use it with pre-allocated names.
+func (e *Emitter[T]) NewWriter(name string, bufBytes int) (*Writer[T], error) {
+	return e.newWriter(nil, name, bufBytes)
+}
+
+// newWriter is NewWriter on the queue q.
+func (e *Emitter[T]) newWriter(q *writeBehind, name string, bufBytes int) (*Writer[T], error) {
 	w, err := newWriter(q, e.Store, name, bufBytes, e.Codec, e.Less)
 	if err != nil {
 		return nil, err
@@ -150,9 +140,9 @@ func (e *Emitter[T]) NewWriter(q *WriteBehind, name string, bufBytes int) (*Writ
 	return w, nil
 }
 
-// adopt makes the emitter the owner of a stream it opened: the stream's
-// content sum is collected when Checksums is on, and it is listed as live
-// until it closes, so that a failure path can abort it.
+// adopt makes the emitter the owner of a stream it opened: the stream keeps
+// its content sum when Checksums is on, and it is listed as live until it
+// closes, so that a failure path can abort it.
 func (e *Emitter[T]) adopt(s *streamBase[T]) {
 	s.em, s.summed = e, e.Checksums
 	e.mu.Lock()
@@ -175,15 +165,15 @@ func (e *Emitter[T]) forget(s *streamBase[T]) {
 // the generation pass's write-behind has met. Run generation calls it before
 // its runs are read and at every durable commit boundary; without Async
 // there is nothing to wait for.
-func (e *Emitter[T]) Barrier() error { return e.gen.Join() }
+func (e *Emitter[T]) Barrier() error { return e.gen.join() }
 
 // AbortOpen force-closes every stream the emitter opened that is still live
 // — buffered pages are dropped, the underlying files closed — and joins the
 // generation pass's write-behind. Failure paths call it before sweeping (or
 // abandoning) spill files, so no handle outlives the sort and nothing is
 // still appending to a file being removed — the race a run generator invites
-// when a source error makes it abandon its writers mid-run. (A merge worker
-// joins its own queue before its merge returns.)
+// when a source error makes it abandon its writers mid-run. (A merge
+// worker's writer is synchronous and closed before its operation returns.)
 func (e *Emitter[T]) AbortOpen() {
 	e.mu.Lock()
 	live := e.open
@@ -192,29 +182,7 @@ func (e *Emitter[T]) AbortOpen() {
 	for s := range live {
 		s.abort()
 	}
-	e.gen.Join()
-}
-
-// noteSum records a closed stream's content checksum under its name.
-func (e *Emitter[T]) noteSum(name string, sum uint64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.sums == nil {
-		e.sums = make(map[string]uint64)
-	}
-	e.sums[name] = sum
-}
-
-// TakeSum removes and returns the content checksum recorded for the named
-// stream, if the emitter ran with Checksums on and the stream's writer
-// closed cleanly. Taking is what keeps the table the size of one run
-// rather than of the whole sort.
-func (e *Emitter[T]) TakeSum(name string) (uint64, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	sum, ok := e.sums[name]
-	delete(e.sums, name)
-	return sum, ok
+	e.gen.join()
 }
 
 // Open opens the run as its sorted pieces (OpenRun) on the emitter's store

@@ -21,6 +21,9 @@ type Segment struct {
 	// Files is the chain length for backward segments (0 or 1 file chains
 	// are legal); it is ignored for forward segments.
 	Files int
+	// Sum is the segment's order-insensitive content checksum (ContentSum),
+	// kept when the writer's emitter has Checksums on; 0 otherwise.
+	Sum uint64
 }
 
 // EachFile calls visit for each physical file of the segment in ascending

@@ -30,13 +30,13 @@
 // (forward files) and BackwardWriter (chains) are the two layouts; what
 // they share is written once, in the streamBase both embed: the run-order
 // check in the stream's direction, the element count and chain-file count
-// of the segment being built, the content checksum kept for an emitter
-// with Checksums on, Close, and the abort by which Emitter.AbortOpen closes
-// every stream still live on a failure path. What they do not share is their fill loop: one fills a
-// pooled block front to back, the other fills a pooled block of whole pages
-// back to front and stores it over a page range of the current chain file.
-// Segment.EachFile is the one place that knows which files a segment
-// consists of.
+// of the segment being built, its content checksum (Segment.Sum) under an
+// emitter with Checksums on, Close, and the abort by which Emitter.AbortOpen
+// closes every stream still live on a failure path. What they do not share
+// is their fill loop: one fills a pooled block front to back, the other
+// fills a pooled block of whole pages back to front and stores it over a
+// page range of the current chain file. Segment.EachFile is the one place
+// that knows which files a segment consists of.
 //
 // Reading is one type. Reader decodes a list of spill files in ascending read
 // order through one buffer, opening each file as the one before it drains:
@@ -76,10 +76,10 @@
 // backend stores it with one write, a chain block is one write of its pages
 // on the raw backend, and a backend that holds verified blocks lends them
 // to the reader instead of copying (Reader.refill, the one place reads
-// touch storage). Under Emitter.Async every goroutine that writes has one
-// WriteBehind which creates, writes and closes its files — forward files
-// and chain files — in the background; the files are complete after its
-// Join.
+// touch storage). Under Emitter.Async the run-generation pass has one
+// write-behind which creates, writes and closes its files in the
+// background; they are complete after Emitter.Barrier. Every other writer,
+// a merge output included, writes on its caller's goroutine.
 package runio
 
 import (
@@ -121,15 +121,15 @@ func bufSize(bufBytes, fixed int) int {
 // fill a pooled block, and each full one becomes one block of the storage
 // backend's stream (a plain byte range on the raw backend, a checksummed —
 // optionally compressed — frame on the block backend). Creating the file,
-// appending its blocks and closing it go through a WriteBehind: the
-// synchronous nil one by default, the writing goroutine's own when the
-// writer comes from an Emitter with Async set, where Close returns with
-// the last block queued and the file is complete only after the queue's
-// next Join. The bytes stored are the same either way.
+// appending its blocks and closing it go through a writeBehind: the
+// synchronous nil one by default, the generation pass's when the writer
+// comes from Emitter.Stream with Async set, where Close returns with the
+// last block queued and the file is complete only after the next
+// Emitter.Barrier. The bytes stored are the same either way.
 type Writer[T any] struct {
 	streamBase[T]
 	f      outFile
-	q      *WriteBehind
+	q      *writeBehind
 	pool   *storage.Pool
 	fixed  int    // c.FixedSize()
 	buf    []byte // the block being filled: FrameHeadroom spare bytes, then the page
@@ -172,7 +172,7 @@ func NewWriter[T any](st storage.Backend, name string, bufBytes int, c codec.Cod
 
 // newWriter is NewWriter on the queue q. On the synchronous queue a failed
 // create fails the call; on a write-behind it is the queue's error.
-func newWriter[T any](q *WriteBehind, st storage.Backend, name string, bufBytes int, c codec.Codec[T], less func(a, b T) bool) (*Writer[T], error) {
+func newWriter[T any](q *writeBehind, st storage.Backend, name string, bufBytes int, c codec.Codec[T], less func(a, b T) bool) (*Writer[T], error) {
 	w := &Writer[T]{f: outFile{st: st, name: name}, q: q, pool: storage.PoolOf(st), fixed: c.FixedSize()}
 	w.streamBase = newStreamBase(Segment{Name: name}, c, less, w)
 	w.target = bufSize(bufBytes, w.fixed)

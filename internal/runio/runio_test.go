@@ -796,10 +796,7 @@ func writeChain[T any](t *testing.T, comp string, pagesPerFile, split int, c cod
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, ok := em.TakeSum(w.Segment().Name)
-	if !ok {
-		t.Fatal("no content sum for the chain")
-	}
+	sum := w.Segment().Sum
 	names, _ := fs.Names()
 	files := make(map[string][]byte, len(names))
 	for _, n := range names {
@@ -898,16 +895,17 @@ func TestWriteBatchRejectsOutOfOrder(t *testing.T) {
 }
 
 // TestAsyncWriterRoundTrip exercises the write-behind directly: several
-// files through one queue with many small blocks each, every Close
-// returning before its file is complete, then a read-back after the Join.
+// forward streams of the generation pass through one queue with many blocks
+// each, every Close returning before its file is complete, then a read-back
+// after the Barrier.
 func TestAsyncWriterRoundTrip(t *testing.T) {
 	fs := vfs.NewMemFS()
 	em := RecordEmitter(fs, "as")
 	em.Async = true
-	q := em.NewWriteBehind()
 	const files, n = 3, 5000
+	var names []string
 	for f := 0; f < files; f++ {
-		w, err := em.NewWriter(q, fmt.Sprintf("as%d", f), 64)
+		w, err := em.Stream("as", false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -919,15 +917,16 @@ func TestAsyncWriterRoundTrip(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if w.Count() != n {
-			t.Fatalf("file %d: count %d, want %d", f, w.Count(), n)
+		if seg := w.Segment(); seg.Records != n {
+			t.Fatalf("file %d: count %d, want %d", f, seg.Records, n)
 		}
+		names = append(names, w.Segment().Name)
 	}
-	if err := q.Join(); err != nil {
+	if err := em.Barrier(); err != nil {
 		t.Fatal(err)
 	}
-	for f := 0; f < files; f++ {
-		r, err := NewReader(em.Store, fmt.Sprintf("as%d", f), 0, codec.Record16{})
+	for f, name := range names {
+		r, err := NewReader(em.Store, name, 0, codec.Record16{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1160,12 +1159,12 @@ func TestRemoveCarriesOnPastAFailure(t *testing.T) {
 }
 
 // TestWriteBehindSurfacesFirstError fails each kind of queued operation at
-// each position of a three-file sequence — forward files, and chains of two
-// full files and a third with a partial tail: a writer call returns the
-// injected error at the latest by the file after the failing one, Join (the
-// Barrier, for chains) always does, every handle that was opened is closed,
-// and nothing is left running (the race detector and the goroutine count in
-// internal/extsort watch that end to end).
+// each position of a three-stream sequence of the generation pass — forward
+// files, and chains of two full files and a third with a partial tail: a
+// writer call returns the injected error at the latest by the stream after
+// the failing one, the Barrier always does, every handle that was opened is
+// closed, and nothing is left running (the race detector and the goroutine
+// count in internal/extsort watch that end to end).
 func TestWriteBehindSurfacesFirstError(t *testing.T) {
 	for _, chain := range []bool{false, true} {
 		ops := []string{"create", "append", "close"}
@@ -1177,11 +1176,6 @@ func TestWriteBehindSurfacesFirstError(t *testing.T) {
 				st := &failingWrites{Backend: storage.NewRaw(vfs.NewMemFS()), op: op, n: n}
 				em := NewEmitterOn[record.Record](st, "wb", codec.Record16{}, record.Less)
 				em.Async, em.PageSize, em.PagesPerFile = true, 64, 3
-				q := em.NewWriteBehind()
-				join := q.Join
-				if chain {
-					join = em.Barrier
-				}
 				var first error
 				note := func(err error) {
 					if first == nil {
@@ -1189,25 +1183,21 @@ func TestWriteBehindSurfacesFirstError(t *testing.T) {
 					}
 				}
 				for f := 0; f < 3 && first == nil; f++ {
-					var w StreamWriter[record.Record]
-					var err error
-					if chain {
-						w, err = em.Stream("c", true)
-					} else {
-						w, err = em.NewWriter(q, fmt.Sprintf("f%d", f), 64)
-					}
+					w, err := em.Stream("s", chain)
 					if err != nil {
 						note(err)
 						break
 					}
-					// Four blocks of four forward; two chain files of two
+					// Four one-page blocks forward; two chain files of two
 					// pages of four, and two records more.
-					for i := 0; i < 18 && err == nil; i++ {
+					records := 4 * DefaultPageSize / record.Size
+					if chain {
+						records = 18
+					}
+					for i := 0; i < records && err == nil; i++ {
 						key := int64(i)
 						if chain {
-							key = 18 - key
-						} else if i == 16 {
-							break
+							key = int64(records - i)
 						}
 						err = w.Write(record.Record{Key: key})
 					}
@@ -1215,8 +1205,8 @@ func TestWriteBehindSurfacesFirstError(t *testing.T) {
 					note(w.Close())
 				}
 				name := fmt.Sprintf("chain %v, %s %d", chain, op, n)
-				if err := join(); !errors.Is(err, errInjected) {
-					t.Fatalf("%s: Join returned %v, want the injected error", name, err)
+				if err := em.Barrier(); !errors.Is(err, errInjected) {
+					t.Fatalf("%s: Barrier returned %v, want the injected error", name, err)
 				}
 				if first != nil && !errors.Is(first, errInjected) {
 					t.Fatalf("%s: a writer returned %v, want the injected error", name, first)
@@ -1224,8 +1214,8 @@ func TestWriteBehindSurfacesFirstError(t *testing.T) {
 				if st.open != 0 {
 					t.Fatalf("%s: %d file handles left open", name, st.open)
 				}
-				if err := join(); !errors.Is(err, errInjected) {
-					t.Fatalf("%s: a second Join returned %v", name, err)
+				if err := em.Barrier(); !errors.Is(err, errInjected) {
+					t.Fatalf("%s: a second Barrier returned %v", name, err)
 				}
 			}
 		}

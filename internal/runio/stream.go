@@ -49,9 +49,9 @@ type streamBase[T any] struct {
 	last   T
 	closed bool
 	// summed makes the stream fold every encoded element into sum, its
-	// order-insensitive content checksum (ContentSum), which the emitter
-	// receives when the stream closes successfully. The per-element CRC is
-	// paid only when the emitter runs with Checksums on.
+	// order-insensitive content checksum (ContentSum), which Close records
+	// as the segment's Sum. The per-element CRC is paid only when the
+	// emitter runs with Checksums on.
 	summed bool
 	sum    uint64
 	layout layout
@@ -133,9 +133,10 @@ func (s *streamBase[T]) admitAll(page []T) error {
 	return nil
 }
 
-// Close stores what is buffered and closes the stream's files — a forward
-// file now, on the synchronous queue, and by the next Join of a
-// write-behind, whose error so far it returns.
+// Close stores what is buffered and closes the stream's files — now, on
+// the synchronous queue, and by the next Barrier behind the generation
+// pass's write-behind, whose error so far it returns — and records the
+// content checksum in the segment when one is kept.
 func (s *streamBase[T]) Close() error {
 	if s.closed {
 		return stream.ErrClosed
@@ -144,8 +145,8 @@ func (s *streamBase[T]) Close() error {
 	if rerr := s.retire(); err == nil {
 		err = rerr
 	}
-	if err == nil && s.summed {
-		s.em.noteSum(s.seg.Name, s.sum)
+	if s.summed {
+		s.seg.Sum = s.sum
 	}
 	return err
 }

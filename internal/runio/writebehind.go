@@ -50,30 +50,30 @@ func (f *outFile) exec(op int, block []byte) (err error) {
 	return err
 }
 
-// WriteBehind is the write side of one goroutine that writes spill files —
-// the run-generation pass, or one merge worker. The writers of that
-// goroutine, forward files and backward chains alike, queue their creates,
-// block writes, chain-file finishes and closes on it, and one background
-// goroutine executes them in order, so creating a file, writing its blocks
-// and closing it overlap the owner's sorting, encoding and merging, across
-// files as well as within one: a writer's Close returns once its last block
-// is queued, and the next run starts filling while the last one drains.
+// writeBehind is the write side of the run-generation pass under
+// Emitter.Async. The streams that pass opens, forward files and backward
+// chains alike, queue their creates, block writes, chain-file finishes and
+// closes on it, and one background goroutine executes them in order, so
+// creating a file, writing its blocks and closing it overlap the
+// generator's sorting and encoding, across files as well as within one: a
+// writer's Close returns once its last block is queued, and the next run
+// starts filling while the last one drains.
 //
-// The owner must Join before anything depends on the files being complete:
-// before a run is opened for reading or removed, at a durable commit
-// boundary, before a failed sort's files are swept. The first error of a
-// queued operation makes every later one a no-op (closes excepted, so no
-// handle leaks) and is what every later call on the queue returns, Join
-// included: it surfaces at the next flush of any writer on the queue, and
-// no later than the next Join.
+// The emitter joins it (Barrier, AbortOpen) before anything depends on the
+// files being complete: before a run is opened for reading or removed, at a
+// durable commit boundary, before a failed sort's files are swept. The
+// first error of a queued operation makes every later one a no-op (closes
+// excepted, so no handle leaks) and is what every later call on the queue
+// returns, join included: it surfaces at the next flush of any writer on
+// the queue, and no later than the next join.
 //
-// A nil *WriteBehind is the synchronous queue: every operation executes on
-// the spot and returns its own error. It is what a writer outside any
-// pipeline, and every writer of a sort at Parallelism 1, uses.
+// A nil *writeBehind is the synchronous queue: every operation executes on
+// the spot and returns its own error. Every other writer uses it, merge
+// outputs and every writer of a sort at Parallelism 1 included.
 //
 // Only the owner calls its methods; the queue goroutine exists from the
-// first queued operation to the next Join.
-type WriteBehind struct {
+// first queued operation to the next join.
+type writeBehind struct {
 	pool *storage.Pool
 
 	// ops is nil while no goroutine runs. The capacity lets a run's last
@@ -98,18 +98,15 @@ type queuedOp struct {
 	block []byte
 }
 
-// opQueueLen is the capacity of WriteBehind.ops; see there.
+// opQueueLen is the capacity of writeBehind.ops; see there.
 const opQueueLen = 8
 
-func newWriteBehind(pool *storage.Pool) *WriteBehind {
-	return &WriteBehind{pool: pool, inFlight: make(chan struct{}, 1)}
+func newWriteBehind(pool *storage.Pool) *writeBehind {
+	return &writeBehind{pool: pool, inFlight: make(chan struct{}, 1)}
 }
 
 // failure returns the first error of a queued operation, if any.
-func (q *WriteBehind) failure() error {
-	if q == nil {
-		return nil
-	}
+func (q *writeBehind) failure() error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.err
@@ -119,7 +116,7 @@ func (q *WriteBehind) failure() error {
 // queues it and returns the queue's first error so far. A queued block
 // belongs to the queue, which returns it to the pool once written; in
 // either case an error leaves it with the caller.
-func (q *WriteBehind) do(f queuedFile, op int, block []byte) error {
+func (q *writeBehind) do(f queuedFile, op int, block []byte) error {
 	if q == nil {
 		return f.exec(op, block)
 	}
@@ -132,7 +129,7 @@ func (q *WriteBehind) do(f queuedFile, op int, block []byte) error {
 
 // enqueue queues the operation whatever the queue's state, starting the
 // goroutine if none runs.
-func (q *WriteBehind) enqueue(f queuedFile, op int, block []byte) {
+func (q *writeBehind) enqueue(f queuedFile, op int, block []byte) {
 	if q.ops == nil {
 		q.ops, q.done = make(chan queuedOp, opQueueLen), make(chan struct{})
 		go q.run(q.ops, q.done)
@@ -143,7 +140,7 @@ func (q *WriteBehind) enqueue(f queuedFile, op int, block []byte) {
 	q.ops <- queuedOp{f, op, block}
 }
 
-func (q *WriteBehind) run(ops <-chan queuedOp, done chan<- struct{}) {
+func (q *writeBehind) run(ops <-chan queuedOp, done chan<- struct{}) {
 	defer close(done)
 	for o := range ops {
 		if q.failure() == nil || o.op == opClose {
@@ -165,7 +162,7 @@ func (q *WriteBehind) run(ops <-chan queuedOp, done chan<- struct{}) {
 // close closes f behind whatever is still queued for it — queued even when
 // the queue has failed, so that the handle is closed — and returns the
 // close's error, or on a write-behind the queue's error so far.
-func (q *WriteBehind) close(f queuedFile) error {
+func (q *writeBehind) close(f queuedFile) error {
 	if q == nil {
 		return f.exec(opClose, nil)
 	}
@@ -173,9 +170,9 @@ func (q *WriteBehind) close(f queuedFile) error {
 	return q.failure()
 }
 
-// Join waits until every queued operation has executed, stops the queue's
+// join waits until every queued operation has executed, stops the queue's
 // goroutine and returns the first error any operation has met.
-func (q *WriteBehind) Join() error {
+func (q *writeBehind) join() error {
 	if q == nil {
 		return nil
 	}

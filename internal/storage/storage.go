@@ -124,7 +124,7 @@ func (s IOStats) CompressionRatio() float64 {
 }
 
 // counters is the shared, goroutine-safe accumulator behind IOStats:
-// write-behind goroutines and parallel merge workers hit it concurrently.
+// the write-behind goroutine and parallel merge workers hit it concurrently.
 type counters struct {
 	blocksW, blocksR atomic.Int64
 	rawW, storedW    atomic.Int64
@@ -249,7 +249,7 @@ type PageReader interface {
 }
 
 // Backend stores spill files. Implementations are safe for concurrent use
-// across distinct files (parallel merge workers and write-behinds); a
+// across distinct files (parallel merge workers and the write-behind); a
 // single file is written by one goroutine, closed, then read.
 type Backend interface {
 	// Create opens a forward spill stream for sequential block appends.

@@ -249,10 +249,10 @@ type Config struct {
 	// to a few GB and fastest for tests).
 	TempDir string
 	// Parallelism bounds the sort's concurrency: above 1, run spilling
-	// overlaps file I/O on background writer goroutines and up to this many
-	// operations of the merge plan run at once. 1 forces the fully
-	// sequential behaviour; 0 (the default) uses GOMAXPROCS. Output, on-disk
-	// run format and merge tree are identical at every setting.
+	// overlaps file I/O on a background writer goroutine and up to this
+	// many operations of the merge plan run at once. 1 forces the fully
+	// sequential behaviour; 0 (the default) uses GOMAXPROCS. Output,
+	// on-disk run format and merge tree are identical at every setting.
 	Parallelism int
 	// Shards, when above 1, turns the sort into a range-partitioned
 	// distribution sort: a memory-sized prefix of the input is sampled for

@@ -220,7 +220,7 @@ func WithTempDir(dir string) Option {
 }
 
 // WithParallelism bounds the sort's concurrency: above 1, run spilling
-// overlaps file I/O on background writer goroutines and up to this many
+// overlaps file I/O on a background writer goroutine and up to this many
 // operations of the merge plan whose inputs are complete run at once. 1
 // forces the fully sequential behaviour (the paper's cost model); 0, the
 // default, uses GOMAXPROCS. The on-disk run format, the merge tree and the
