@@ -380,6 +380,11 @@ func GenerateRunsBatch[T any](src stream.BatchReader[T], fs vfs.FS, cfg Config, 
 	return rset.generate(src, nil, nil, entry)
 }
 
+// spillView is the file system the spill backend sees, given the one its
+// files live in: the identity. Tests replace it to watch every spill file
+// by name.
+var spillView = func(fs vfs.FS) vfs.FS { return fs }
+
 // newRunSet validates the configuration and builds the RunSet shell —
 // storage, observability, emitter — every entry point starts from:
 // GenerateRuns, Resume and OpenRunSet, so all three lay spill files out
@@ -395,7 +400,7 @@ func newRunSet[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
 	if err := cfg.Policy.Validate(); err != nil {
 		return nil, err
 	}
-	store, err := storage.New(fs, cfg.Storage)
+	store, err := storage.New(spillView(fs), cfg.Storage)
 	if err != nil {
 		return nil, err
 	}
