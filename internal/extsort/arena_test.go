@@ -4,24 +4,109 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/manifest"
 	"repro/internal/policy"
 	"repro/internal/record"
+	"repro/internal/runio"
 	"repro/internal/storage"
 	"repro/internal/vfs"
 )
 
+// spillOf is the file system a run set's spill files live in by name: its
+// arena, or the base file system of a sort on a simulated clock.
+func spillOf[T any](r *RunSet[T]) vfs.FS {
+	if r.spill != nil {
+		return r.spill
+	}
+	return r.fs
+}
+
+// reopenSpill is the arena a durable record sort under cfg left on fs,
+// holding every file its manifest places, as Resume reopens it.
+func reopenSpill(t *testing.T, fs vfs.FS, cfg Config) *vfs.Arena {
+	t.Helper()
+	st, err := manifest.Load(fs, manifest.Name("sort"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := vfs.NewArena(fs, "sort"+arenaSuffix, runio.BlockBytes(cfg.Memory*record.Size))
+	if err := a.Adopt(placed(st.Runs, true)); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.Close() })
+	return a
+}
+
 // removalPrints is a file system that fingerprints every file — name,
-// length and bytes — at the moment it is removed.
+// length and bytes — at the moment it is removed. Over a spill arena it also
+// keeps the bound the arena is held to: after every write, the arena is no
+// larger than the most the live files have ever held in whole extents (a
+// file's last extent counts in full), plus the extents of one write in
+// flight per open writer — two, as a framed block is a little over one
+// extent.
 type removalPrints struct {
 	vfs.FS
 	mu     sync.Mutex
 	prints map[string]string
+	sizes  map[string]int64 // live files by name
+	open   int              // writers not yet closed
+	peak   int64            // the most the live files held, in whole extents
+	over   int64            // the most the arena exceeded peak by, in extents per open writer
+}
+
+type printedFile struct {
+	vfs.File
+	p    *removalPrints
+	name string
+}
+
+func (p *removalPrints) Create(name string) (vfs.File, error) {
+	f, err := p.FS.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	p.mu.Lock()
+	p.sizes[name] = 0
+	p.open++
+	p.mu.Unlock()
+	return &printedFile{File: f, p: p, name: name}, nil
+}
+
+func (f *printedFile) WriteAt(b []byte, off int64) (int, error) {
+	n, err := f.File.WriteAt(b, off)
+	p := f.p
+	a, ok := p.FS.(*vfs.Arena)
+	if !ok {
+		return n, err
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.sizes[f.name] = max(p.sizes[f.name], off+int64(n))
+	e := int64(a.ExtentSize())
+	live := int64(0)
+	for _, size := range p.sizes {
+		live += (size + e - 1) / e * e
+	}
+	p.peak = max(p.peak, live)
+	if size := a.Size(); size > p.peak {
+		p.over = max(p.over, (size-p.peak+e*int64(p.open)-1)/(e*int64(p.open)))
+	}
+	return n, err
+}
+
+func (f *printedFile) Close() error {
+	f.p.mu.Lock()
+	f.p.open--
+	f.p.mu.Unlock()
+	return f.File.Close()
 }
 
 func (p *removalPrints) Remove(name string) error {
@@ -36,6 +121,7 @@ func (p *removalPrints) Remove(name string) error {
 		h.Write(data[:n])
 		p.mu.Lock()
 		p.prints[name] = hex.EncodeToString(h.Sum(nil))
+		delete(p.sizes, name)
 		p.mu.Unlock()
 	}
 	return p.FS.Remove(name)
@@ -66,8 +152,10 @@ var wholeSortGolden = map[string]string{
 // TestSpillFilesAsRemoved runs a quick sort of 64 runs at fan-in 4 — three
 // merge passes — on one and two workers, and fingerprints each spill file
 // as the sort removes it, through a file system between the spill backend
-// and whatever stores the sort's files. The files, their names and their
-// bytes are the sort's format; where they are stored is not.
+// and the arena that stores the sort's files. The files, their names and
+// their bytes are the sort's format, recorded when every spill file was a
+// file of its own; where they are stored is not. The arena never holds more
+// than its files do, in whole extents, plus one write per open writer.
 func TestSpillFilesAsRemoved(t *testing.T) {
 	const memory = 500
 	recs := gen.Generate(gen.Config{Kind: gen.Random, N: 64 * memory, Seed: 29})
@@ -75,7 +163,7 @@ func TestSpillFilesAsRemoved(t *testing.T) {
 	for _, comp := range []string{"raw", "none"} {
 		for _, par := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/parallelism=%d", comp, par), func(t *testing.T) {
-				prints := &removalPrints{prints: map[string]string{}}
+				prints := &removalPrints{prints: map[string]string{}, sizes: map[string]int64{}}
 				spillView = func(fs vfs.FS) vfs.FS {
 					prints.FS = fs
 					return prints
@@ -100,7 +188,102 @@ func TestSpillFilesAsRemoved(t *testing.T) {
 				if got := prints.digest(); got != wholeSortGolden[comp] {
 					t.Errorf("spill files as removed hash to %s, want %s (%d files)", got, wholeSortGolden[comp], len(prints.prints))
 				}
+				if _, ok := prints.FS.(*vfs.Arena); !ok {
+					t.Fatalf("the sort spilled into %T, not an arena", prints.FS)
+				}
+				if prints.over > 2 {
+					t.Errorf("the arena outgrew its live files' %d bytes by %d extents per open writer", prints.peak, prints.over)
+				}
 			})
+		}
+	}
+}
+
+// countingFS counts the creates and removes that reach a file system.
+type countingFS struct {
+	vfs.FS
+	creates, removes atomic.Int64
+}
+
+func (c *countingFS) Create(name string) (vfs.File, error) {
+	c.creates.Add(1)
+	return c.FS.Create(name)
+}
+
+func (c *countingFS) Remove(name string) error {
+	c.removes.Add(1)
+	return c.FS.Remove(name)
+}
+
+// TestSortCreatesOneFile counts what a spill_merge-shaped sort — quick runs
+// on checksummed blocks, fan-in 4, several merge passes — asks of the file
+// system it is given: one create and one remove, the spill arena's, at one
+// and two workers. A durable sort adds its manifest: two creates.
+func TestSortCreatesOneFile(t *testing.T) {
+	recs := gen.Generate(gen.Config{Kind: gen.Random, N: 40 * 500, Seed: 31})
+	for _, durable := range []bool{false, true} {
+		for _, par := range []int{1, 2} {
+			fs := &countingFS{FS: vfs.NewMemFS()}
+			cfg := Config{Policy: policy.Quick, Memory: 500, FanIn: 4, Parallelism: par, Manifest: durable,
+				Storage: storage.Config{Compression: "none"}}
+			var out record.SliceWriter
+			stats, err := Sort(record.NewSliceReader(recs), &out, fs, cfg, RecordOps())
+			if err != nil {
+				t.Fatal(err)
+			}
+			creates, removes := fs.creates.Load(), fs.removes.Load()
+			wantCreates := int64(1)
+			if durable {
+				wantCreates = 2
+			}
+			if creates > wantCreates || removes > wantCreates {
+				t.Errorf("durable=%v parallelism=%d: %d runs in %d passes created %d files and removed %d, want at most %d of each",
+					durable, par, stats.Runs, stats.MergePasses, creates, removes, wantCreates)
+			}
+			if names, _ := fs.Names(); len(names) != 0 {
+				t.Errorf("durable=%v parallelism=%d: %v left behind", durable, par, names)
+			}
+		}
+	}
+}
+
+// TestSpillFaultsStrandNothing fails a spill file's create, or one of its
+// block writes, above the arena — on the write-behind during generation, on
+// a merge worker after it — at points swept across the whole sort, on one
+// and two workers: the sort returns the injected error, and the arena it
+// discards leaves nothing on the file system, no extent included.
+func TestSpillFaultsStrandNothing(t *testing.T) {
+	recs := gen.Generate(gen.Config{Kind: gen.Random, N: 12000, Seed: 3})
+	defer func(v func(vfs.FS) vfs.FS) { spillView = v }(spillView)
+	for _, par := range []int{1, 2} {
+		for _, op := range []string{"create", "write"} {
+			cfg := Recommended(300)
+			cfg.FanIn, cfg.Parallelism = 3, par
+			var fault *faultFS
+			spillView = func(fs vfs.FS) vfs.FS {
+				fault.FS = fs
+				return fault
+			}
+			fault = &faultFS{op: op, writesLeft: 1 << 30}
+			var out record.SliceWriter
+			if _, err := Sort(record.NewSliceReader(recs), &out, vfs.NewMemFS(), cfg, RecordOps()); err != nil {
+				t.Fatal(err)
+			}
+			calls := (1 << 30) - fault.writesLeft
+			for budget := int64(0); budget < calls; budget += max(calls/12, 1) {
+				fault = &faultFS{op: op, writesLeft: budget}
+				mem := vfs.NewMemFS()
+				_, err := Sort(record.NewSliceReader(recs), &out, mem, cfg, RecordOps())
+				if !errors.Is(err, errInjected) {
+					t.Fatalf("parallelism %d, %s %d: error = %v, want the injected failure", par, op, budget, err)
+				}
+				if a := fault.FS.(*vfs.Arena); a.Size() != 0 {
+					t.Fatalf("parallelism %d, %s %d: the discarded arena still spans %d bytes", par, op, budget, a.Size())
+				}
+				if names, _ := mem.Names(); len(names) != 0 {
+					t.Fatalf("parallelism %d, %s %d: %v left behind", par, op, budget, names)
+				}
+			}
 		}
 	}
 }

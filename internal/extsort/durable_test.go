@@ -48,8 +48,8 @@ func TestDurableMatchesPlain(t *testing.T) {
 						if err != nil {
 							t.Fatalf("durable=%v: %v", durable, err)
 						}
-						sums[i] = runFileSums(t, fs, rset.Runs())
-						left, _ := fs.Names()
+						sums[i] = runFileSums(t, spillOf(rset), rset.Runs())
+						left, _ := spillOf(rset).Names()
 						for _, file := range left {
 							if strings.HasSuffix(file, "-carry") {
 								t.Errorf("snapshot %s outlived the commit", file)

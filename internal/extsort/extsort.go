@@ -348,7 +348,13 @@ type RunSet[T any] struct {
 	// under manifestName, which is empty for non-durable sorts.
 	fs           vfs.FS
 	manifestName string
+	// spill is the arena on fs holding every spill file; nil for a sort on
+	// a simulated clock, whose files are fs's own.
+	spill *vfs.Arena
 }
+
+// arenaSuffix is appended to a sort's file prefix to name its spill arena.
+const arenaSuffix = ".arena"
 
 // GenerateRuns is GenerateRunsBatch over a caller's source, which crosses
 // into the batch protocol here (stream.AsBatchReader) and nowhere below.
@@ -400,7 +406,35 @@ func newRunSet[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
 	if err := cfg.Policy.Validate(); err != nil {
 		return nil, err
 	}
-	store, err := storage.New(spillView(fs), cfg.Storage)
+	if cfg.Manifest && cfg.Clock != nil {
+		return nil, fmt.Errorf("extsort: a durable sort needs a spill arena, which a simulated clock does not have")
+	}
+	// The byte form of the memory budget: what the spill path's block pool
+	// keeps between files, what run generation sizes its blocks from and
+	// what the merge divides among its buffers.
+	budget := cfg.Memory * ops.elementBytes()
+	var (
+		arena *vfs.Arena
+		spill = fs
+		pages int // 0: the thesis' k=1000 pages
+	)
+	if cfg.Clock == nil {
+		// Right-size backward chain files on real machines. Simulated runs
+		// (Clock set) keep the thesis' k=1000-page layout: it is part of
+		// what Chapter 6 measures. With right-sized files under the
+		// simulated clock the 2WRS totals of Figs 6.4/6.5/6.7 move by
+		// 2.8-5x (reverse input, 400k records: 292 ms -> 1.457 s simulated)
+		// and internal/exp's TestTimeSweepsShapes fails, so this fork stays.
+		pages = backwardPages(cfg.Memory, ops.elementBytes())
+		// Spill files live in one arena file, in extents of a generation
+		// block, so the file system sees one create and one unlink per sort
+		// and a consumed run's pages are overwritten by the next writer.
+		// Simulated runs keep a file per run: Chapter 6's disk model gives
+		// every file a region of its own.
+		arena = vfs.NewArena(fs, cfg.Prefix+arenaSuffix, runio.BlockBytes(budget))
+		spill = arena
+	}
+	store, err := storage.New(spillView(spill), cfg.Storage)
 	if err != nil {
 		return nil, err
 	}
@@ -409,27 +443,16 @@ func newRunSet[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
 	// inside a file pays no tracing cost.
 	store = storage.Traced(store, o.tracer())
 	em := runio.NewEmitterOn(store, cfg.Prefix, ops.Codec, ops.Less)
-	if cfg.Clock == nil {
-		// Right-size backward chain files on real machines. Simulated runs
-		// (Clock set) keep the thesis' k=1000-page layout: it is part of
-		// what Chapter 6 measures. With right-sized files under the
-		// simulated clock the 2WRS totals of Figs 6.4/6.5/6.7 move by
-		// 2.8-5x (reverse input, 400k records: 292 ms -> 1.457 s simulated)
-		// and internal/exp's TestTimeSweepsShapes fails, so this fork stays.
-		em.PagesPerFile = backwardPages(cfg.Memory, ops.elementBytes())
-	}
+	em.PagesPerFile = pages
 	// With headroom for concurrency, run files are created, written and
 	// closed by a write-behind goroutine so heap work overlaps file I/O.
 	em.Async = cfg.Parallelism > 1
-	// The byte form of the memory budget: what the spill path's block pool
-	// keeps between files, what run generation sizes its blocks from and
-	// what the merge divides among its buffers.
-	storage.PoolOf(store).Reserve(cfg.Memory * ops.elementBytes())
+	storage.PoolOf(store).Reserve(budget)
 	clock := cfg.Clock
 	if clock == nil {
 		clock = func() time.Duration { return 0 }
 	}
-	rset := &RunSet[T]{store: store, em: em, cfg: cfg, ops: ops, clock: clock, o: o, fs: fs}
+	rset := &RunSet[T]{store: store, em: em, cfg: cfg, ops: ops, clock: clock, o: o, fs: fs, spill: arena}
 	if cfg.Manifest {
 		rset.manifestName = manifest.Name(cfg.Prefix)
 	}
@@ -440,7 +463,16 @@ func newRunSet[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
 // abortSetup unwinds a newRunSet whose sort never started.
 func (r *RunSet[T]) abortSetup(err error) (*RunSet[T], error) {
 	r.o.reporter().Stop()
+	r.closeSpill()
 	return nil, err
+}
+
+// closeSpill releases the arena's handle on its physical file, keeping the
+// files: what a durable sort leaves for Resume when it stops short.
+func (r *RunSet[T]) closeSpill() {
+	if r.spill != nil {
+		r.spill.Close()
+	}
 }
 
 // generate runs phase one on a RunSet shell. Plain, durable and resumed
@@ -490,6 +522,7 @@ func (r *RunSet[T]) generate(src stream.BatchReader[T], recovered []manifest.Run
 		man.Close()
 		o.reporter().Stop()
 		em.AbortOpen()
+		r.closeSpill()
 		return nil, err
 	}
 
@@ -571,6 +604,9 @@ func (r *RunSet[T]) generate(src stream.BatchReader[T], recovered []manifest.Run
 		for _, name := range snapshots {
 			r.store.Remove(name)
 		}
+		// The committed manifest names every run until the merge is done with
+		// it: their extents are not reused before.
+		r.spill.Hold()
 		em.Checksums = false // the merge phase does not update the manifest
 	}
 
@@ -687,6 +723,7 @@ func (r *RunSet[T]) OpenMerged() (*merge.Stream[T], error) {
 	st, err := merge.NewStream(r.em, r.runs, mc)
 	if err != nil {
 		end()
+		r.closeSpill()
 	}
 	return st, err
 }
@@ -700,6 +737,7 @@ func (r *RunSet[T]) Merge(dst stream.Writer[T]) (Stats, error) {
 	end()
 	if err != nil {
 		r.stats.IO = r.store.Stats()
+		r.closeSpill()
 		return r.stats, err
 	}
 	wall := time.Since(wallStart)
@@ -742,7 +780,8 @@ func isSpillName(prefix, name string) bool {
 // silently. A durable sort's manifest and carry snapshots are removed too
 // — Discard abandons the sort, resumable state included — and a second
 // Discard of the same set is a no-op. After Discard the backend holds no
-// file of this sort.
+// file of this sort; in the spill arena every removal but the last is
+// bookkeeping, and the last unlinks the arena.
 func (r *RunSet[T]) Discard() error {
 	r.o.reporter().Stop()
 	// A failed generation can abandon its current run writer with the
@@ -786,6 +825,7 @@ func (r *RunSet[T]) Discard() error {
 func (r *RunSet[T]) removeManifest() {
 	if r.manifestName != "" && r.fs != nil {
 		r.fs.Remove(r.manifestName)
+		r.spill.Release()
 	}
 	r.manifestName = ""
 }

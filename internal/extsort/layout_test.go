@@ -48,14 +48,15 @@ var runFileGolden = map[string]string{
 // TestRunFileLayoutGolden generates runs with a fixed seed for every policy
 // that writes chains — 2wrs, rs, alternating and auto — on the mixed and the
 // alternating input, over the raw and the framed backend, and holds the
-// files to runFileGolden. Every configuration is generated four ways —
-// synchronously and through the write-behind, with and without a key codec —
-// and all four must store the same bytes. The pool budget makes a
+// files to runFileGolden. Every configuration is generated eight ways —
+// synchronously and through the write-behind, with and without a key codec,
+// one file per spill file and in a spill arena, each file read back through
+// it by name — and all eight must store the same bytes. The pool budget makes a
 // generator's block four pages and a chain file has six data pages, so
 // chains roll over to their next file in the middle of a block.
 func TestRunFileLayoutGolden(t *testing.T) {
-	generate := func(recs []record.Record, alg policy.Kind, comp string, async, keyed bool) (string, bool) {
-		fs := vfs.NewMemFS()
+	generate := func(recs []record.Record, alg policy.Kind, comp string, async, keyed, arena bool) (string, bool) {
+		fs := spillLeg(arena)
 		st, err := storage.New(fs, storage.Config{Compression: comp})
 		if err != nil {
 			t.Fatal(err)
@@ -99,13 +100,15 @@ func TestRunFileLayoutGolden(t *testing.T) {
 				want, ok := runFileGolden[name]
 				for _, async := range []bool{false, true} {
 					for _, keyed := range []bool{false, true} {
-						got, rolled := generate(recs, alg, comp, async, keyed)
-						anyRolled = anyRolled || rolled
-						if !ok {
-							t.Errorf("no golden for %s: %q: %q,", name, name, got)
-							want, ok = got, true
-						} else if got != want {
-							t.Errorf("%s (async %v, keyed %v): run files hash to %s, want %s", name, async, keyed, got, want)
+						for _, arena := range []bool{false, true} {
+							got, rolled := generate(recs, alg, comp, async, keyed, arena)
+							anyRolled = anyRolled || rolled
+							if !ok {
+								t.Errorf("no golden for %s: %q: %q,", name, name, got)
+								want, ok = got, true
+							} else if got != want {
+								t.Errorf("%s (async %v, keyed %v, arena %v): run files hash to %s, want %s", name, async, keyed, arena, got, want)
+							}
 						}
 					}
 				}
@@ -140,6 +143,15 @@ var stringFileGolden = map[string]string{
 	"auto/alternating/none":        "8f8041785868740c3ea1b9bb32ff70bf746022ad117e33534cd4aa15d499f72c",
 }
 
+// spillLeg is the file system a layout golden generates into: a MemFS, or a
+// spill arena over one in the extents a sort of the golden's budget uses.
+func spillLeg(arena bool) vfs.FS {
+	if !arena {
+		return vfs.NewMemFS()
+	}
+	return vfs.NewArena(vfs.NewMemFS(), "gold"+arenaSuffix, runio.BlockBytes(128<<10))
+}
+
 // TestStringRunFileLayoutGolden is TestRunFileLayoutGolden for codec.String
 // elements 22 to 50 bytes long. A record becomes a string whose order is
 // the record's (its key, offset to unsigned, in 20 digits) padded by a
@@ -151,8 +163,8 @@ func TestStringRunFileLayoutGolden(t *testing.T) {
 		fmt.Sscanf(s[:20], "%d", &k)
 		return float64(k)
 	}
-	generate := func(strs []string, alg policy.Kind, comp string, async, keyed bool) (string, bool) {
-		fs := vfs.NewMemFS()
+	generate := func(strs []string, alg policy.Kind, comp string, async, keyed, arena bool) (string, bool) {
+		fs := spillLeg(arena)
 		st, err := storage.New(fs, storage.Config{Compression: comp})
 		if err != nil {
 			t.Fatal(err)
@@ -200,13 +212,15 @@ func TestStringRunFileLayoutGolden(t *testing.T) {
 				want, ok := stringFileGolden[name]
 				for _, async := range []bool{false, true} {
 					for _, keyed := range []bool{false, true} {
-						got, rolled := generate(strs, alg, comp, async, keyed)
-						anyRolled = anyRolled || rolled
-						if !ok {
-							t.Errorf("no golden for %s: %q: %q,", name, name, got)
-							want, ok = got, true
-						} else if got != want {
-							t.Errorf("%s (async %v, keyed %v): run files hash to %s, want %s", name, async, keyed, got, want)
+						for _, arena := range []bool{false, true} {
+							got, rolled := generate(strs, alg, comp, async, keyed, arena)
+							anyRolled = anyRolled || rolled
+							if !ok {
+								t.Errorf("no golden for %s: %q: %q,", name, name, got)
+								want, ok = got, true
+							} else if got != want {
+								t.Errorf("%s (async %v, keyed %v, arena %v): run files hash to %s, want %s", name, async, keyed, arena, got, want)
+							}
 						}
 					}
 				}

@@ -155,12 +155,57 @@ func (r *RunSet[T]) commitBoundary(man *manifest.Writer, gsp *obs.Span, gen poli
 	if err == nil {
 		// Every record consumed is either in a run by now or held.
 		mr.InputPos, mr.NamerSeq = emitted+mr.CarryRecords, r.em.Namer.Seq()
+		mr.Files = r.placements(mr)
 		err = man.AppendRun(mr)
 	}
 	written = r.store.Stats().RawBytesWritten - written
 	sp.End(obs.Int("records", mr.CarryRecords), obs.Int("bytes", written))
 	r.o.observeCheckpoint(written, time.Since(start))
 	return mr.CarryName, err
+}
+
+// placements reports where the arena holds the files of a run record: each
+// file of its non-empty segments, then its snapshot.
+func (r *RunSet[T]) placements(mr manifest.Run) []vfs.ArenaFile {
+	var files []vfs.ArenaFile
+	place := func(name string, _ int) {
+		if pf, ok := r.spill.Placement(name); ok {
+			files = append(files, pf)
+		}
+	}
+	for _, ms := range mr.Segments {
+		if ms.Records > 0 {
+			toSegment(ms).EachFile(place)
+		}
+	}
+	if mr.CarryName != "" {
+		place(mr.CarryName, 0)
+	}
+	return files
+}
+
+// placed gathers the arena files the given run records place, snapshots
+// only with carries.
+func placed(runs []manifest.Run, carries bool) []vfs.ArenaFile {
+	var files []vfs.ArenaFile
+	for _, mr := range runs {
+		for _, pf := range mr.Files {
+			if carries || pf.Name != mr.CarryName {
+				files = append(files, pf)
+			}
+		}
+	}
+	return files
+}
+
+// adopt makes the sort's arena hold exactly the files the given records
+// place, and every other extent free. An arena the records cannot describe
+// is a corrupt manifest.
+func (r *RunSet[T]) adopt(runs []manifest.Run, carries bool) error {
+	if err := r.spill.Adopt(placed(runs, carries)); err != nil {
+		return fmt.Errorf("%w: %v", manifest.ErrCorrupt, err)
+	}
+	return nil
 }
 
 // sumStream drains rc, recomputing a checksum by re-encoding every element
@@ -254,27 +299,17 @@ func toRunioRun(mr manifest.Run) runio.Run {
 	return run
 }
 
-// referencedNames returns every physical file name the given manifest runs
-// reference: the files of every non-empty segment, and generator snapshots.
-func referencedNames(runs []manifest.Run) map[string]bool {
-	ref := make(map[string]bool)
-	for _, mr := range runs {
-		for _, ms := range mr.Segments {
-			if ms.Records == 0 {
-				continue
-			}
-			toSegment(ms).EachFile(func(name string, _ int) { ref[name] = true })
-		}
-		if mr.CarryName != "" {
-			ref[mr.CarryName] = true
-		}
-	}
-	return ref
-}
-
 // adoptCommitted fills a RunSet shell from a fully validated committed
-// manifest, recovering every run without touching the input.
-func (r *RunSet[T]) adoptCommitted(st *manifest.State, entry time.Time) *RunSet[T] {
+// manifest, recovering every run without touching the input. The arena
+// keeps the runs and frees everything else — snapshots included: nothing
+// restarts from a committed manifest, and a crash between the commit and
+// generate's snapshot removals would otherwise leave them behind for good
+// — and holds the runs' extents while the manifest names them.
+func (r *RunSet[T]) adoptCommitted(st *manifest.State, entry time.Time) (*RunSet[T], error) {
+	if err := r.adopt(st.Runs, false); err != nil {
+		return r.abortSetup(err)
+	}
+	r.spill.Hold()
 	sp := r.o.tracer().Start("resume",
 		obs.Int("runs_recovered", int64(len(st.Runs))), obs.Bool("committed", true))
 	for _, mr := range st.Runs {
@@ -290,12 +325,12 @@ func (r *RunSet[T]) adoptCommitted(st *manifest.State, entry time.Time) *RunSet[
 	sp.End()
 	r.o.observeRecovered(len(r.runs))
 	r.finishGenerate("resume", time.Since(entry), entry)
-	return r
+	return r, nil
 }
 
 // openDurable is the common opening of Resume and OpenRunSet: the RunSet
 // shell of a durable sort plus the loaded manifest, its header checked
-// against the invocation.
+// against the invocation, and the arena holding every file it places.
 func openDurable[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], *manifest.State, error) {
 	cfg.Manifest = true
 	rset, err := newRunSet(fs, cfg, ops)
@@ -306,26 +341,14 @@ func openDurable[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], *manifes
 	if err == nil {
 		err = checkHeader(st.Header, rset.cfg, ops, rset.em)
 	}
+	if err == nil {
+		err = rset.adopt(st.Runs, true)
+	}
 	if err != nil {
 		rset.abortSetup(err)
 		return nil, nil, err
 	}
 	return rset, st, nil
-}
-
-// sweepUnreferenced removes every spill file of the sort that the given
-// manifest runs do not reference.
-func (r *RunSet[T]) sweepUnreferenced(ref map[string]bool) error {
-	names, err := r.store.Names()
-	if err != nil {
-		return err
-	}
-	for _, name := range names {
-		if isSpillName(r.cfg.Prefix, name) && !ref[name] {
-			r.store.Remove(name)
-		}
-	}
-	return nil
 }
 
 // Resume reconstructs a durable sort from the manifest a previous
@@ -366,20 +389,9 @@ func Resume[T any](src stream.BatchReader[T], fs vfs.FS, cfg Config, ops Ops[T])
 	}
 	if st.Committed && valid == len(st.Runs) {
 		// Generation had finished and every run survived: adopt the whole
-		// set without reading the input at all. A crash after commit can
-		// still leave half-written merge scratch behind, so sweep spill
-		// files the manifest does not reference before adopting —
-		// snapshots included: nothing restarts from a committed manifest,
-		// and a crash between the commit and generate's snapshot removals
-		// would otherwise leave them behind for good.
-		ref := referencedNames(st.Runs)
-		for _, mr := range st.Runs {
-			delete(ref, mr.CarryName)
-		}
-		if err := rset.sweepUnreferenced(ref); err != nil {
-			return rset.abortSetup(err)
-		}
-		return rset.adoptCommitted(st, entry), nil
+		// set without reading the input at all. Whatever a crash after the
+		// commit left in the arena — half-written merge outputs — is free.
+		return rset.adoptCommitted(st, entry)
 	}
 
 	// Walk back to a boundary whose snapshot is available: a missing
@@ -396,10 +408,10 @@ func Resume[T any](src stream.BatchReader[T], fs vfs.FS, cfg Config, ops Ops[T])
 			return rset.abortSetup(err)
 		}
 	}
-	// Sweep spill files the recovered prefix does not reference: runs past
-	// the boundary, stale snapshots, and half-written files of the crashed
-	// pass. They will be regenerated under the same names.
-	if err := rset.sweepUnreferenced(referencedNames(st.Runs[:j])); err != nil {
+	// The arena keeps the recovered prefix; the free list takes what it does
+	// not place — runs past the boundary, stale snapshots, and half-written
+	// files of the crashed pass, to be regenerated under the same names.
+	if err := rset.adopt(st.Runs[:j], true); err != nil {
 		return rset.abortSetup(err)
 	}
 	return rset.generate(src, st.Runs[:j], from, entry)
@@ -425,7 +437,7 @@ func OpenRunSet[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
 			return rset.abortSetup(err)
 		}
 	}
-	return rset.adoptCommitted(st, entry), nil
+	return rset.adoptCommitted(st, entry)
 }
 
 // Persist reports the manifest file name describing this run set, so

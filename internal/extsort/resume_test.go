@@ -94,10 +94,10 @@ func mergeToSlice[T any](t *testing.T, rset *RunSet[T]) ([]T, Stats) {
 	return out.Vals, stats
 }
 
-// writeFile replaces a file on fs with data.
+// writeFile overwrites a file on fs in place with data of its length.
 func writeFile(t *testing.T, fs vfs.FS, name string, data []byte) {
 	t.Helper()
-	f, err := fs.Create(name)
+	f, err := fs.Open(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func durableBaseline[T any](t *testing.T, vals []T, cfg Config, ops Ops[T]) ([]T
 	if !st.Committed {
 		t.Fatal("baseline manifest not committed")
 	}
-	files := runFileSums(t, fs, rset.Runs())
+	files := runFileSums(t, spillOf(rset), rset.Runs())
 	want, _ := mergeToSlice(t, rset)
 	if _, err := fs.Open(manifest.Name(rset.cfg.Prefix)); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("manifest survived a successful merge: %v", err)
@@ -340,7 +340,7 @@ func resumeAtEveryBoundary[T comparable](t *testing.T, recs []T, cfg Config, ops
 			if got := reg.Counter(obs.MRecordsIn, "").Value(); got != wantIn {
 				t.Errorf("%s = %d, want %d", obs.MRecordsIn, got, wantIn)
 			}
-			if files := runFileSums(t, fs, rset.Runs()); !slices.Equal(files, wantFiles) {
+			if files := runFileSums(t, spillOf(rset), rset.Runs()); !slices.Equal(files, wantFiles) {
 				t.Errorf("resumed run files differ from the uninterrupted sort's:\n got %v\nwant %v", files, wantFiles)
 			}
 			got, _ := mergeToSlice(t, rset)
@@ -406,6 +406,93 @@ func TestResumeCrashMatrix(t *testing.T) {
 				mode.run(t, cfg, crashSpans[be.name+"/"+mode.name])
 			})
 		}
+	}
+	t.Run("raw/record16_keyed/recycled_extent", crashRecycled)
+}
+
+// recycleKill is the file system of a process killed in the middle of a
+// write into a recycled extent of its spill arena: the after-th write that
+// lands below offset below — in the arena as the pass found it, where
+// extents are reused — tears halfway, and every write after it fails.
+type recycleKill struct {
+	vfs.FS
+	below  int64
+	after  int
+	writes int
+	fired  bool
+}
+
+type recycleKillFile struct {
+	vfs.File
+	k *recycleKill
+}
+
+func (k *recycleKill) Open(name string) (vfs.File, error) {
+	f, err := k.FS.Open(name)
+	if err != nil || name != "sort"+arenaSuffix {
+		return f, err
+	}
+	return &recycleKillFile{File: f, k: k}, nil
+}
+
+func (f *recycleKillFile) WriteAt(p []byte, off int64) (int, error) {
+	k := f.k
+	if k.fired {
+		return 0, crashfs.ErrCrashed
+	}
+	if off < k.below {
+		if k.writes++; k.writes == k.after {
+			k.fired = true
+			n, _ := f.File.WriteAt(p[:len(p)/2], off)
+			return n, crashfs.ErrCrashed
+		}
+	}
+	return f.File.WriteAt(p, off)
+}
+
+// crashRecycled resumes a durable sort whose manifest lost its last run
+// records, so the files of those runs lie in the arena where no record
+// places them, on a file system that kills the resumed pass mid-write into
+// one of their extents, which it reuses to regenerate the runs: the stale
+// bytes of an abandoned file now sit under torn new ones, beneath the name
+// the lost record committed. The second resume must recover exactly what
+// the sums vouch for and finish byte-identical to an uninterrupted sort.
+func crashRecycled(t *testing.T) {
+	cfg := durableCfg(512) // runs of several blocks
+	cfg.Parallelism = 1
+	recs := testRecords(12000, 7)
+	want, st, wantFiles := durableBaseline(t, recs, cfg, RecordOps())
+	base := vfs.NewMemFS()
+	if _, err := GenerateRuns[record.Record](stream.NewSliceReader(recs), base, cfg, RecordOps()); err != nil {
+		t.Fatal(err)
+	}
+	k := len(st.Runs) / 2
+	w, err := manifest.Rewrite(base, manifest.Name("sort"), st.Header, st.Runs[:k])
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	kill := &recycleKill{FS: base, below: int64(len(readFile(t, base, "sort"+arenaSuffix))), after: 3}
+	rcfg := cfg
+	rcfg.Resume = true
+	if _, err := GenerateRuns[record.Record](stream.NewSliceReader(recs), kill, rcfg, RecordOps()); !errors.Is(err, crashfs.ErrCrashed) || !kill.fired {
+		t.Fatalf("resumed pass: %v, kill fired %v: no write of it tore in a recycled extent", err, kill.fired)
+	}
+	rset, err := GenerateRuns[record.Record](stream.NewSliceReader(recs), base, rcfg, RecordOps())
+	if err != nil {
+		t.Fatalf("second resume: %v", err)
+	}
+	if got := rset.Stats().RunsRecovered; got < k {
+		t.Errorf("second resume recovered %d runs, want at least the %d the manifest kept", got, k)
+	}
+	if files := runFileSums(t, spillOf(rset), rset.Runs()); !slices.Equal(files, wantFiles) {
+		t.Errorf("resumed run files differ from the uninterrupted sort's")
+	}
+	if got, _ := mergeToSlice(t, rset); !slices.Equal(got, want) {
+		t.Fatal("resumed output differs from uninterrupted sort")
+	}
+	if names, _ := base.Names(); len(names) != 0 {
+		t.Fatalf("leftover files after the merge: %v", names)
 	}
 }
 
@@ -475,7 +562,7 @@ func crashMatrixCase[T comparable](t *testing.T, vals []T, cfg Config, ops Ops[T
 			if got := reg.Counter(obs.MRunsRecovered, "").Value(); got != int64(stats.RunsRecovered) {
 				t.Errorf("%s = %d, Stats.RunsRecovered = %d", obs.MRunsRecovered, got, stats.RunsRecovered)
 			}
-			if files := runFileSums(t, base, rset.Runs()); !slices.Equal(files, wantFiles) {
+			if files := runFileSums(t, spillOf(rset), rset.Runs()); !slices.Equal(files, wantFiles) {
 				t.Errorf("resumed run files differ from the uninterrupted sort's")
 			}
 			got, _ := mergeToSlice(t, rset)
@@ -508,37 +595,23 @@ func partialState(t *testing.T, recs []record.Record, failAt int64, sc storage.C
 	return fs, cfg
 }
 
-// diesBeforeCarryRemoval is the file system of a process killed right after
-// its manifest commit: generateDurable's only remaining file operations are
-// the carry-snapshot removals, and none of them lands.
-type diesBeforeCarryRemoval struct{ vfs.FS }
-
-func (f diesBeforeCarryRemoval) Remove(name string) error {
-	if strings.HasSuffix(name, "-carry") {
-		return crashfs.ErrCrashed
-	}
-	return f.FS.Remove(name)
-}
-
-// TestResumeCommittedSweepsCarries crashes exactly between the manifest
-// commit and the carry removals. Resume adopts the committed runs without
-// restarting any generator, so it must sweep the orphaned snapshots itself:
-// a committed manifest still names them, and nothing later would.
+// TestResumeCommittedSweepsCarries resumes a sort whose process died right
+// after its manifest commit. The committed manifest still places the
+// boundary snapshots in the arena; Resume adopts the committed runs without
+// restarting any generator, so it must free the snapshots itself: nothing
+// later would.
 func TestResumeCommittedSweepsCarries(t *testing.T) {
 	recs := testRecords(3000, 5)
 	cfg := durableCfg(128)
 	want, _, _ := durableBaseline(t, recs, cfg, RecordOps())
 
 	base := vfs.NewMemFS()
-	if _, err := GenerateRuns[record.Record](stream.NewSliceReader(recs), diesBeforeCarryRemoval{base}, cfg, RecordOps()); err != nil {
+	if _, err := GenerateRuns[record.Record](stream.NewSliceReader(recs), base, cfg, RecordOps()); err != nil {
 		t.Fatalf("GenerateRuns: %v", err)
 	}
-	names, err := base.Names()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.ContainsFunc(names, func(n string) bool { return strings.HasSuffix(n, "-carry") }) {
-		t.Fatalf("the killed pass left no carry snapshot behind: %v", names)
+	st, err := manifest.Load(base, manifest.Name("sort"))
+	if err != nil || !st.Committed || !slices.ContainsFunc(st.Runs, func(mr manifest.Run) bool { return mr.CarryName != "" }) {
+		t.Fatalf("the committed manifest places no snapshot: %v", err)
 	}
 
 	rcfg := cfg
@@ -547,15 +620,57 @@ func TestResumeCommittedSweepsCarries(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
-	got, st := mergeToSlice(t, rset)
-	if st.RunsRecovered != st.Runs || st.Runs == 0 {
-		t.Fatalf("recovered %d of %d runs, want the whole committed set", st.RunsRecovered, st.Runs)
+	if names, _ := rset.Store().Names(); slices.ContainsFunc(names, func(n string) bool { return strings.HasSuffix(n, "-carry") }) {
+		t.Fatalf("the resumed arena still holds snapshots: %v", names)
+	}
+	got, stats := mergeToSlice(t, rset)
+	if stats.RunsRecovered != stats.Runs || stats.Runs == 0 {
+		t.Fatalf("recovered %d of %d runs, want the whole committed set", stats.RunsRecovered, stats.Runs)
 	}
 	if !slices.Equal(got, want) {
 		t.Fatal("resumed output differs from uninterrupted sort")
 	}
 	if names, _ := base.Names(); len(names) != 0 {
 		t.Fatalf("leftover files after resume and merge: %v", names)
+	}
+}
+
+// TestResumeAfterCrashMidMerge kills a durable sort in the middle of its
+// intermediate merges, which reuse the arena's free extents while the
+// committed manifest still names every run: the runs' extents are held, so
+// the resume adopts them all, regenerating nothing, and merges to the
+// uninterrupted sort's output.
+func TestResumeAfterCrashMidMerge(t *testing.T) {
+	recs := testRecords(12000, 13)
+	cfg := durableCfg(256)
+	cfg.FanIn, cfg.Parallelism = 3, 1
+	want, st, _ := durableBaseline(t, recs, cfg, RecordOps())
+	probe := crashfs.New(vfs.NewMemFS(), crashfs.Options{FailAfterBytes: -1, FailAfterOps: -1})
+	if _, err := GenerateRuns[record.Record](stream.NewSliceReader(recs), probe, cfg, RecordOps()); err != nil {
+		t.Fatal(err)
+	}
+	base := vfs.NewMemFS()
+	// Generation writes probe.Written() bytes; the intermediate merges write
+	// about as many again.
+	cfs := crashfs.New(base, crashfs.Options{FailAfterBytes: probe.Written() * 3 / 2, FailAfterOps: -1, Torn: true})
+	var out stream.SliceWriter[record.Record]
+	if _, err := Sort[record.Record](stream.NewSliceReader(recs), &out, cfs, cfg, RecordOps()); !errors.Is(err, crashfs.ErrCrashed) {
+		t.Fatalf("crashed sort: %v, want crashfs.ErrCrashed", err)
+	}
+	rcfg := cfg
+	rcfg.Resume = true
+	rset, err := GenerateRuns[record.Record](stream.NewSliceReader(recs), base, rcfg, RecordOps())
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if got := rset.Stats().RunsRecovered; got != len(st.Runs) {
+		t.Errorf("recovered %d of %d committed runs", got, len(st.Runs))
+	}
+	if got, _ := mergeToSlice(t, rset); !slices.Equal(got, want) {
+		t.Fatal("resumed output differs from uninterrupted sort")
+	}
+	if names, _ := base.Names(); len(names) != 0 {
+		t.Fatalf("leftover files after the merge: %v", names)
 	}
 }
 
@@ -626,7 +741,7 @@ func TestResumeCorruptRunData(t *testing.T) {
 	if victim == "" {
 		victim = st.Runs[0].Segments[0].Name + ".0"
 	}
-	flipByte(t, fs, victim)
+	flipByte(t, reopenSpill(t, fs, cfg), victim)
 	_, err = Resume[record.Record](stream.NewSliceReader(recs), fs, cfg, RecordOps())
 	if !errors.Is(err, manifest.ErrChecksum) {
 		t.Fatalf("resume over corrupt run data: %v, want manifest.ErrChecksum", err)
@@ -671,12 +786,13 @@ func TestResumeDamagedSnapshot(t *testing.T) {
 		fs, cfg := partialState(t, recs, 900, storage.Config{})
 		st, _ := manifest.Load(fs, manifest.Name("sort"))
 		last := st.Runs[len(st.Runs)-1]
-		data := readFile(t, fs, last.CarryName)
+		spill := reopenSpill(t, fs, cfg)
+		data := readFile(t, spill, last.CarryName)
 		if bytes.Equal(data[:recSize], data[recSize:2*recSize]) {
 			t.Fatal("first two snapshot records are identical; the swap would be a no-op")
 		}
 		swap(data, 0, 1)
-		writeFile(t, fs, last.CarryName, data)
+		writeFile(t, spill, last.CarryName, data)
 		if _, err := resume(fs, cfg); !errors.Is(err, manifest.ErrChecksum) {
 			t.Fatalf("resume over a permuted snapshot: %v, want manifest.ErrChecksum", err)
 		}
@@ -685,11 +801,12 @@ func TestResumeDamagedSnapshot(t *testing.T) {
 		fs, cfg := partialState(t, recs, 900, storage.Config{})
 		st, _ := manifest.Load(fs, manifest.Name("sort"))
 		last := &st.Runs[len(st.Runs)-1]
-		data := readFile(t, fs, last.CarryName)
+		spill := reopenSpill(t, fs, cfg)
+		data := readFile(t, spill, last.CarryName)
 		// The BottomHeap leads the snapshot, its maximum first: trading the
 		// root for the last leaf puts a smaller record above its children.
 		swap(data, 0, int(last.State[0])-1)
-		writeFile(t, fs, last.CarryName, data)
+		writeFile(t, spill, last.CarryName, data)
 		last.CarrySum = runio.StreamSum(0, data)
 		w, err := manifest.Rewrite(fs, manifest.Name("sort"), st.Header, st.Runs)
 		if err != nil {
@@ -723,11 +840,16 @@ func TestResumeDamagedSnapshot(t *testing.T) {
 		}
 	})
 	t.Run("missing", func(t *testing.T) {
+		// A snapshot the manifest does not place is not in the arena.
 		fs, cfg := partialState(t, recs, 900, storage.Config{})
 		st, _ := manifest.Load(fs, manifest.Name("sort"))
-		if err := fs.Remove(st.Runs[len(st.Runs)-1].CarryName); err != nil {
+		last := &st.Runs[len(st.Runs)-1]
+		last.Files = slices.DeleteFunc(last.Files, func(pf vfs.ArenaFile) bool { return pf.Name == last.CarryName })
+		w, err := manifest.Rewrite(fs, manifest.Name("sort"), st.Header, st.Runs)
+		if err != nil {
 			t.Fatal(err)
 		}
+		w.Close()
 		rset, err := resume(fs, cfg)
 		if err != nil {
 			t.Fatalf("resume without the last snapshot: %v", err)
@@ -808,11 +930,11 @@ func TestResumeConfigMismatch(t *testing.T) {
 // released version left behind: it may change only with the manifest format.
 var durableHeaderGolden = map[string]manifest.Header{
 	"raw": {
-		Version: 2, Prefix: "sort", Codec: "codec.Record16", KeyCodec: "codec.KeyRecord16",
+		Version: 3, Prefix: "sort", Codec: "codec.Record16", KeyCodec: "codec.KeyRecord16",
 		Compression: "raw", Generation: durableGenerationGolden,
 	},
 	"block_flate": {
-		Version: 2, Prefix: "sort", Codec: "codec.Record16", KeyCodec: "codec.KeyRecord16",
+		Version: 3, Prefix: "sort", Codec: "codec.Record16", KeyCodec: "codec.KeyRecord16",
 		Compression: "flate", Generation: durableGenerationGolden,
 	},
 }

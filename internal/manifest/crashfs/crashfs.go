@@ -119,8 +119,15 @@ func (f *FS) Create(name string) (vfs.File, error) {
 	return &crashFile{fs: f, f: file}, nil
 }
 
-// Open passes through: reads survive the crash.
-func (f *FS) Open(name string) (vfs.File, error) { return f.base.Open(name) }
+// Open passes through: reads survive the crash. Writes through the handle
+// are charged against the crash budgets like a created file's.
+func (f *FS) Open(name string) (vfs.File, error) {
+	file, err := f.base.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return &crashFile{fs: f, f: file}, nil
+}
 
 // Remove fails after the crash point and passes through before it.
 func (f *FS) Remove(name string) error {

@@ -30,11 +30,14 @@ import (
 )
 
 // Version is the manifest format version this package reads and writes.
-// Version 2 changed what a run record means, not its shape: checksums are
-// CRC-32C and the carry file is a positional snapshot restored through
-// Run.State. A version 1 manifest is the scratch state of an interrupted
-// sort, not an archive: it is refused like any unknown version (ErrCorrupt).
-const Version = 2
+// Version 3 places the files: a sort keeps its spill files as extents of one
+// arena file (vfs.Arena), and every run record lists the size and extents of
+// each file it names (Run.Files), so a resume can reopen the arena. Version
+// 2 made checksums CRC-32C and the carry file a positional snapshot restored
+// through Run.State. An older manifest is the scratch state of an
+// interrupted sort, not an archive: it is refused like any unknown version
+// (ErrCorrupt).
+const Version = 3
 
 // Suffix is appended to a sort's file prefix to name its manifest.
 const Suffix = ".manifest"
@@ -165,6 +168,10 @@ type Run struct {
 	// NamerSeq is the spill Namer's sequence counter at this boundary, so
 	// a resumed sort continues the exact same file-name sequence.
 	NamerSeq int `json:"namer_seq"`
+	// Files places every file the record names — those of each non-empty
+	// segment, then the snapshot — in the sort's spill arena: its size and
+	// extents. A resume adopts exactly the files of the records it keeps.
+	Files []vfs.ArenaFile `json:"files,omitempty"`
 }
 
 // Commit marks a completed generation pass.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"os"
 	"strings"
 	"testing"
 
@@ -254,6 +255,24 @@ func TestManifestErrors(t *testing.T) {
 		if _, err := Decode(fixed); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("version %d: %v, want ErrCorrupt", v, err)
 		}
+	}
+}
+
+// TestVersion2Refused loads the manifest a version 2 durable sort left
+// behind (testdata/v2.manifest: two run boundaries of a 2WRS sort, its
+// files one per run on the file system): its records place no file in an
+// arena, so it is refused like any unknown version.
+func TestVersion2Refused(t *testing.T) {
+	data, err := os.ReadFile("testdata/v2.manifest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := vfs.NewMemFS()
+	f, _ := fs.Create("sort.manifest")
+	f.WriteAt(data, 0)
+	f.Close()
+	if _, err := Load(fs, "sort.manifest"); !errors.Is(err, ErrCorrupt) || errors.Is(err, ErrNoHeader) {
+		t.Fatalf("version 2 manifest: %v, want ErrCorrupt for its version", err)
 	}
 }
 

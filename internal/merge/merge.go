@@ -357,8 +357,11 @@ func mergeOp[T any](em *runio.Emitter[T], a *leafArena[T], group []runio.Run, na
 	if err != nil {
 		return runio.Run{}, err
 	}
-	for _, r := range group {
-		if err := r.Remove(em.Store); err != nil {
+	// Last input first: a spill arena's LIFO free list then hands the next
+	// writer the first input's extents first, in the order they were written,
+	// so its file comes out as few contiguous stretches as the inputs were.
+	for i := len(group) - 1; i >= 0; i-- {
+		if err := group[i].Remove(em.Store); err != nil {
 			return runio.Run{}, err
 		}
 	}

@@ -176,7 +176,7 @@ func newBackwardWriter[T any](q *writeBehind, st storage.Backend, base string, p
 		return nil, fmt.Errorf("runio: pagesPerFile %d must be at least 2 (header + data)", pagesPerFile)
 	}
 	w := &BackwardWriter[T]{st: st, q: q, pool: storage.PoolOf(st), fixed: fixed, file: header{pages: uint32(pagesPerFile), pageSize: uint32(pageSize)}}
-	w.blockPages = min(max(blockBytes(w.pool.Budget())/pageSize, 1), pagesPerFile-1)
+	w.blockPages = min(max(BlockBytes(w.pool.Budget())/pageSize, 1), pagesPerFile-1)
 	w.streamBase = newStreamBase(Segment{Name: base, Backward: true}, c, less, w)
 	return w, nil
 }

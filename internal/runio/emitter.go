@@ -89,13 +89,14 @@ func (e *Emitter[T]) PrefixFunc() func(T) uint64 {
 	return codec.PrefixFunc(e.KeyCodec)
 }
 
-// blockBytes sizes the blocks run generation hands to storage, forward
+// BlockBytes sizes the blocks run generation hands to storage, forward
 // files and backward chains alike: an eighth of the memory budget declared
 // on the store's pool, in whole pages, between one page — what it is without
 // a budget — and 64 KiB, past which a larger write buys nothing. They sit
 // outside the record budget the generator fills: one block per open stream,
-// and under Async one more in flight.
-func blockBytes(budget int) int {
+// and under Async one more in flight. A sort's spill arena takes it as its
+// extent size.
+func BlockBytes(budget int) int {
 	pages := min(budget/8, 64<<10) / DefaultPageSize
 	return max(pages, 1) * DefaultPageSize
 }
@@ -119,7 +120,7 @@ func (e *Emitter[T]) Stream(role string, descending bool) (StreamWriter[T], erro
 		e.adopt(&w.streamBase)
 		return w, nil
 	}
-	return e.newWriter(e.gen, name, blockBytes(storage.PoolOf(e.Store).Budget()))
+	return e.newWriter(e.gen, name, BlockBytes(storage.PoolOf(e.Store).Budget()))
 }
 
 // NewWriter creates a forward writer on the named file with an explicit

@@ -1,13 +1,16 @@
 // Package vfs provides the small file-system abstraction that all run
 // storage in this library is written against.
 //
-// Two implementations are provided: OSFS stores files on the real file
-// system (what a production deployment uses) and MemFS stores them in
-// memory (deterministic, used by tests and as the backing store for the
-// simulated disk in internal/iosim).
+// Two implementations store files: OSFS on the real file system (what a
+// production deployment uses) and MemFS in memory (deterministic, used by
+// tests and as the backing store for the simulated disk in internal/iosim).
+// A third, Arena, stores every file it holds as extents of one physical
+// file of another FS: a sort spills its runs into one, so the file system
+// sees one create and one unlink per sort instead of a pair per run.
 package vfs
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -33,7 +36,8 @@ type File interface {
 type FS interface {
 	// Create creates or truncates the named file for read/write access.
 	Create(name string) (File, error)
-	// Open opens an existing file for reading.
+	// Open opens an existing file for reading and, where the
+	// implementation allows it, for writing in place.
 	Open(name string) (File, error)
 	// Remove deletes the named file.
 	Remove(name string) error
@@ -69,9 +73,14 @@ func (fs *OSFS) Create(name string) (File, error) {
 	return osFile{f}, nil
 }
 
-// Open implements FS.
+// Open implements FS: read-write where the file's permissions allow, so an
+// Arena can write into the physical file it adopts; read-only otherwise.
 func (fs *OSFS) Open(name string) (File, error) {
-	f, err := os.Open(filepath.Join(fs.dir, name))
+	path := filepath.Join(fs.dir, name)
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if errors.Is(err, os.ErrPermission) {
+		f, err = os.Open(path)
+	}
 	if err != nil {
 		return nil, err
 	}
