@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -242,47 +241,6 @@ func TestSortCreatesOneFile(t *testing.T) {
 			}
 			if names, _ := fs.Names(); len(names) != 0 {
 				t.Errorf("durable=%v parallelism=%d: %v left behind", durable, par, names)
-			}
-		}
-	}
-}
-
-// TestSpillFaultsStrandNothing fails a spill file's create, or one of its
-// block writes, above the arena — on the write-behind during generation, on
-// a merge worker after it — at points swept across the whole sort, on one
-// and two workers: the sort returns the injected error, and the arena it
-// discards leaves nothing on the file system, no extent included.
-func TestSpillFaultsStrandNothing(t *testing.T) {
-	recs := gen.Generate(gen.Config{Kind: gen.Random, N: 12000, Seed: 3})
-	defer func(v func(vfs.FS) vfs.FS) { spillView = v }(spillView)
-	for _, par := range []int{1, 2} {
-		for _, op := range []string{"create", "write"} {
-			cfg := Recommended(300)
-			cfg.FanIn, cfg.Parallelism = 3, par
-			var fault *faultFS
-			spillView = func(fs vfs.FS) vfs.FS {
-				fault.FS = fs
-				return fault
-			}
-			fault = &faultFS{op: op, writesLeft: 1 << 30}
-			var out record.SliceWriter
-			if _, err := Sort(record.NewSliceReader(recs), &out, vfs.NewMemFS(), cfg, RecordOps()); err != nil {
-				t.Fatal(err)
-			}
-			calls := (1 << 30) - fault.writesLeft
-			for budget := int64(0); budget < calls; budget += max(calls/12, 1) {
-				fault = &faultFS{op: op, writesLeft: budget}
-				mem := vfs.NewMemFS()
-				_, err := Sort(record.NewSliceReader(recs), &out, mem, cfg, RecordOps())
-				if !errors.Is(err, errInjected) {
-					t.Fatalf("parallelism %d, %s %d: error = %v, want the injected failure", par, op, budget, err)
-				}
-				if a := fault.FS.(*vfs.Arena); a.Size() != 0 {
-					t.Fatalf("parallelism %d, %s %d: the discarded arena still spans %d bytes", par, op, budget, a.Size())
-				}
-				if names, _ := mem.Names(); len(names) != 0 {
-					t.Fatalf("parallelism %d, %s %d: %v left behind", par, op, budget, names)
-				}
 			}
 		}
 	}

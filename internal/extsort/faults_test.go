@@ -76,6 +76,19 @@ func (f *faultFile) Close() error {
 	return err
 }
 
+// aboveArena places *f between each sort's spill backend and its arena for
+// the rest of the test: it then counts and fails the spill files' own
+// creates, block writes and closes, which are the same number at every
+// Parallelism, where the arena's writes to its one file are not.
+func aboveArena(t *testing.T, f **faultFS) {
+	v := spillView
+	t.Cleanup(func() { spillView = v })
+	spillView = func(fs vfs.FS) vfs.FS {
+		(*f).FS = fs
+		return *f
+	}
+}
+
 func TestSortSurfacesWriteFailures(t *testing.T) {
 	recs := gen.Generate(gen.Config{Kind: gen.Random, N: 20000, Seed: 1})
 	// Sweep the failure point across the whole sort so both phases hit it.
@@ -93,16 +106,18 @@ func TestSortSucceedsWithExactBudget(t *testing.T) {
 	recs := gen.Generate(gen.Config{Kind: gen.Random, N: 5000, Seed: 2})
 	// First find out how many writes a clean run needs, then verify the
 	// sort succeeds with exactly that budget (no off-by-one retries).
-	counter := &faultFS{FS: vfs.NewMemFS(), writesLeft: 1 << 30}
+	var fault *faultFS
+	aboveArena(t, &fault)
+	fault = &faultFS{writesLeft: 1 << 30}
 	var out record.SliceWriter
-	if _, err := Sort(record.NewSliceReader(recs), &out, counter, Recommended(200), RecordOps()); err != nil {
+	if _, err := Sort(record.NewSliceReader(recs), &out, vfs.NewMemFS(), Recommended(200), RecordOps()); err != nil {
 		t.Fatal(err)
 	}
-	used := (1 << 30) - atomic.LoadInt64(&counter.writesLeft)
+	used := (1 << 30) - atomic.LoadInt64(&fault.writesLeft)
 
-	exact := &faultFS{FS: vfs.NewMemFS(), writesLeft: used}
+	fault = &faultFS{writesLeft: used}
 	var out2 record.SliceWriter
-	if _, err := Sort(record.NewSliceReader(recs), &out2, exact, Recommended(200), RecordOps()); err != nil {
+	if _, err := Sort(record.NewSliceReader(recs), &out2, vfs.NewMemFS(), Recommended(200), RecordOps()); err != nil {
 		t.Fatalf("sort with exact write budget %d failed: %v", used, err)
 	}
 	if !record.IsSorted(out2.Vals) || len(out2.Vals) != len(recs) {
@@ -122,13 +137,16 @@ func settledGoroutines(want int) int {
 }
 
 // TestSortSurfacesEveryFileFault sweeps a failing create, block write and
-// close across the whole sort, with and without the write-behind and the
-// merge worker pool, on the plain and the framed backend: the injected
-// error is what Sort returns — a failure behind the generator's or a merge
-// worker's back surfaces by the next barrier, never as success — no
-// goroutine outlives the failed sort, and no spill file does either.
+// close of a spill file across the whole sort, with and without the
+// write-behind and the merge worker pool, on the plain and the framed
+// backend: the injected error is what Sort returns — a failure behind the
+// generator's or a merge worker's back surfaces by the next barrier, never
+// as success — no goroutine outlives the failed sort, and no spill file
+// does either: the arena is gone from the file system, no extent left.
 func TestSortSurfacesEveryFileFault(t *testing.T) {
 	recs := gen.Generate(gen.Config{Kind: gen.Random, N: 12000, Seed: 3})
+	var fault *faultFS
+	aboveArena(t, &fault)
 	for _, comp := range []string{"raw", "none"} {
 		for _, par := range []int{1, 2} {
 			for _, op := range []string{"create", "write", "close"} {
@@ -138,12 +156,12 @@ func TestSortSurfacesEveryFileFault(t *testing.T) {
 				cfg.Storage = storage.Config{Compression: comp}
 				// How many calls of op a clean sort makes, then every
 				// failure point up to it (every few, for writes).
-				clean := &faultFS{FS: vfs.NewMemFS(), op: op, writesLeft: 1 << 30}
+				fault = &faultFS{op: op, writesLeft: 1 << 30}
 				var out record.SliceWriter
-				if _, err := Sort(record.NewSliceReader(recs), &out, clean, cfg, RecordOps()); err != nil {
+				if _, err := Sort(record.NewSliceReader(recs), &out, vfs.NewMemFS(), cfg, RecordOps()); err != nil {
 					t.Fatal(err)
 				}
-				calls := (1 << 30) - atomic.LoadInt64(&clean.writesLeft)
+				calls := (1 << 30) - atomic.LoadInt64(&fault.writesLeft)
 				step := max(calls/40, 1)
 				if testing.Short() {
 					step = max(calls/8, 1)
@@ -152,14 +170,17 @@ func TestSortSurfacesEveryFileFault(t *testing.T) {
 				for budget := int64(0); budget < calls; budget += step {
 					name := fmt.Sprintf("%s/parallelism=%d/%s=%d", comp, par, op, budget)
 					mem := vfs.NewMemFS()
-					fs := &faultFS{FS: mem, op: op, writesLeft: budget}
+					fault = &faultFS{op: op, writesLeft: budget}
 					var out record.SliceWriter
-					_, err := Sort(record.NewSliceReader(recs), &out, fs, cfg, RecordOps())
+					_, err := Sort(record.NewSliceReader(recs), &out, mem, cfg, RecordOps())
 					if !errors.Is(err, errInjected) {
 						t.Fatalf("%s: error = %v, want the injected failure", name, err)
 					}
 					if names, _ := mem.Names(); len(names) != 0 {
 						t.Fatalf("%s: spill files left behind: %v", name, names)
+					}
+					if size := fault.FS.(*vfs.Arena).Size(); size != 0 {
+						t.Fatalf("%s: the discarded arena still spans %d bytes", name, size)
 					}
 					if n := settledGoroutines(before); n > before {
 						t.Fatalf("%s: %d goroutines after the failed sort, %d before", name, n, before)

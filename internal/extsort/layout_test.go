@@ -51,7 +51,8 @@ var runFileGolden = map[string]string{
 // files to runFileGolden. Every configuration is generated eight ways —
 // synchronously and through the write-behind, with and without a key codec,
 // one file per spill file and in a spill arena, each file read back through
-// it by name — and all eight must store the same bytes. The pool budget makes a
+// it by name — and all eight must store the same bytes (-short takes the
+// arena leg through the keyed write-behind only). The pool budget makes a
 // generator's block four pages and a chain file has six data pages, so
 // chains roll over to their next file in the middle of a block.
 func TestRunFileLayoutGolden(t *testing.T) {
@@ -101,6 +102,9 @@ func TestRunFileLayoutGolden(t *testing.T) {
 				for _, async := range []bool{false, true} {
 					for _, keyed := range []bool{false, true} {
 						for _, arena := range []bool{false, true} {
+							if arena && testing.Short() && !(async && keyed) {
+								continue // -short: the arena leg once per configuration
+							}
 							got, rolled := generate(recs, alg, comp, async, keyed, arena)
 							anyRolled = anyRolled || rolled
 							if !ok {
@@ -213,6 +217,9 @@ func TestStringRunFileLayoutGolden(t *testing.T) {
 				for _, async := range []bool{false, true} {
 					for _, keyed := range []bool{false, true} {
 						for _, arena := range []bool{false, true} {
+							if arena && testing.Short() && !(async && keyed) {
+								continue // -short: the arena leg once per configuration
+							}
 							got, rolled := generate(strs, alg, comp, async, keyed, arena)
 							anyRolled = anyRolled || rolled
 							if !ok {

@@ -198,16 +198,6 @@ func placed(runs []manifest.Run, carries bool) []vfs.ArenaFile {
 	return files
 }
 
-// adopt makes the sort's arena hold exactly the files the given records
-// place, and every other extent free. An arena the records cannot describe
-// is a corrupt manifest.
-func (r *RunSet[T]) adopt(runs []manifest.Run, carries bool) error {
-	if err := r.spill.Adopt(placed(runs, carries)); err != nil {
-		return fmt.Errorf("%w: %v", manifest.ErrCorrupt, err)
-	}
-	return nil
-}
-
 // sumStream drains rc, recomputing a checksum by re-encoding every element
 // and folding it in with fold — runio.ContentSum for run segments,
 // runio.StreamSum for snapshots; with collect it also returns the elements.
@@ -306,7 +296,7 @@ func toRunioRun(mr manifest.Run) runio.Run {
 // generate's snapshot removals would otherwise leave them behind for good
 // — and holds the runs' extents while the manifest names them.
 func (r *RunSet[T]) adoptCommitted(st *manifest.State, entry time.Time) (*RunSet[T], error) {
-	if err := r.adopt(st.Runs, false); err != nil {
+	if err := r.spill.Adopt(placed(st.Runs, false)); err != nil {
 		return r.abortSetup(err)
 	}
 	r.spill.Hold()
@@ -342,7 +332,7 @@ func openDurable[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], *manifes
 		err = checkHeader(st.Header, rset.cfg, ops, rset.em)
 	}
 	if err == nil {
-		err = rset.adopt(st.Runs, true)
+		err = rset.spill.Adopt(placed(st.Runs, true))
 	}
 	if err != nil {
 		rset.abortSetup(err)
@@ -411,7 +401,7 @@ func Resume[T any](src stream.BatchReader[T], fs vfs.FS, cfg Config, ops Ops[T])
 	// The arena keeps the recovered prefix; the free list takes what it does
 	// not place — runs past the boundary, stale snapshots, and half-written
 	// files of the crashed pass, to be regenerated under the same names.
-	if err := rset.adopt(st.Runs[:j], true); err != nil {
+	if err := rset.spill.Adopt(placed(st.Runs[:j], true)); err != nil {
 		return rset.abortSetup(err)
 	}
 	return rset.generate(src, st.Runs[:j], from, entry)

@@ -1,6 +1,8 @@
 // Package storage is the spill layer between runio and vfs: it decides how
 // the page-sized buffers the run writers produce become bytes on a file
-// system, and accounts for every byte moved either way.
+// system, and accounts for every byte moved either way. Where those bytes
+// lie is the file system's business: a sort hands its backend a vfs.Arena,
+// which keeps every spill file as extents of one physical file.
 //
 // A Backend offers two file shapes, matching runio's two on-disk layouts:
 //

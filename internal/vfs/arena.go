@@ -64,12 +64,15 @@ type arenaFile struct {
 	gone bool // removed: its handles fail
 }
 
-// ArenaFile is where one file lies in an arena: its size and, for each
-// extent-sized piece of it in order, the extent holding it, -1 for a piece
-// never written. A durable record of it lets a later arena adopt the file.
+// ArenaFile is where one file lies in an arena. A durable record of it lets
+// a later arena adopt the file.
 type ArenaFile struct {
-	Name    string  `json:"name"`
-	Size    int64   `json:"size"`
+	// Name is the file's name in the arena.
+	Name string `json:"name"`
+	// Size is the file's length in bytes.
+	Size int64 `json:"size"`
+	// Extents gives, for each extent-sized piece of the file in order, the
+	// extent of the physical file holding it, -1 for a piece never written.
 	Extents []int64 `json:"extents"`
 }
 
