@@ -11,11 +11,11 @@ import (
 
 	"repro/internal/extsort"
 	"repro/internal/gen"
-	"repro/internal/manifest/crashfs"
 	"repro/internal/policy"
 	"repro/internal/record"
 	"repro/internal/stream"
 	"repro/internal/vfs"
+	"repro/internal/vfs/faultfs"
 )
 
 // durableShardedCfg is the durable template every crash test uses: the
@@ -54,7 +54,7 @@ func TestShardedResumeCrashMatrix(t *testing.T) {
 	// subtests (a manifest record that grows a field must not rename them),
 	// the kill itself is the same fraction of the live total.
 	const span = 183665
-	probe := crashfs.New(vfs.NewMemFS(), crashfs.Options{FailAfterBytes: -1, FailAfterOps: -1})
+	probe := faultfs.New(vfs.NewMemFS(), faultfs.Options{FailAfterBytes: -1, FailAfterOps: -1})
 	var sink stream.SliceWriter[record.Record]
 	if _, err := Sort[record.Record](stream.NewSliceReader(vals), &sink, probe, cfg, recOps()); err != nil {
 		t.Fatalf("probe: %v", err)
@@ -76,13 +76,13 @@ func TestShardedResumeCrashMatrix(t *testing.T) {
 		torn := i%2 == 0
 		t.Run(fmt.Sprintf("kill_%d_torn_%v", 1+label, torn), func(t *testing.T) {
 			surviving := vfs.NewMemFS()
-			cfs := crashfs.New(surviving, crashfs.Options{FailAfterBytes: kill, FailAfterOps: -1, Torn: torn})
+			cfs := faultfs.New(surviving, faultfs.Options{FailAfterBytes: kill, FailAfterOps: -1, Torn: torn})
 			var out stream.SliceWriter[record.Record]
 			_, err := Sort[record.Record](stream.NewSliceReader(vals), &out, cfs, cfg, recOps())
 			if err == nil {
 				t.Fatal("crashed pass succeeded despite exhausted write budget")
 			}
-			if !errors.Is(err, crashfs.ErrCrashed) {
+			if !errors.Is(err, faultfs.ErrCrashed) {
 				t.Fatalf("crashed pass: %v", err)
 			}
 
@@ -137,7 +137,7 @@ func resumeMidShard(t *testing.T, kind policy.Kind) {
 	if _, err := Sort[record.Record](stream.NewSliceReader(vals), &ref, base, cfg, recOps()); err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
-	probe := crashfs.New(vfs.NewMemFS(), crashfs.Options{FailAfterBytes: -1, FailAfterOps: -1})
+	probe := faultfs.New(vfs.NewMemFS(), faultfs.Options{FailAfterBytes: -1, FailAfterOps: -1})
 	var sink stream.SliceWriter[record.Record]
 	if _, err := Sort[record.Record](stream.NewSliceReader(vals), &sink, probe, cfg, recOps()); err != nil {
 		t.Fatalf("probe: %v", err)
@@ -146,9 +146,9 @@ func resumeMidShard(t *testing.T, kind policy.Kind) {
 	// Kill at 70% of the write stream: well past the first committed
 	// runs, before the sort finishes.
 	surviving := vfs.NewMemFS()
-	cfs := crashfs.New(surviving, crashfs.Options{FailAfterBytes: probe.Written() * 7 / 10, FailAfterOps: -1})
+	cfs := faultfs.New(surviving, faultfs.Options{FailAfterBytes: probe.Written() * 7 / 10, FailAfterOps: -1})
 	var out stream.SliceWriter[record.Record]
-	if _, err := Sort[record.Record](stream.NewSliceReader(vals), &out, cfs, cfg, recOps()); !errors.Is(err, crashfs.ErrCrashed) {
+	if _, err := Sort[record.Record](stream.NewSliceReader(vals), &out, cfs, cfg, recOps()); !errors.Is(err, faultfs.ErrCrashed) {
 		t.Fatalf("crashed pass: %v", err)
 	}
 

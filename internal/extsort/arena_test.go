@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/gen"
@@ -17,6 +16,7 @@ import (
 	"repro/internal/runio"
 	"repro/internal/storage"
 	"repro/internal/vfs"
+	"repro/internal/vfs/faultfs"
 )
 
 // spillOf is the file system a run set's spill files live in by name: its
@@ -44,8 +44,9 @@ func reopenSpill(t *testing.T, fs vfs.FS, cfg Config) *vfs.Arena {
 	return a
 }
 
-// removalPrints is a file system that fingerprints every file — name,
-// length and bytes — at the moment it is removed. Over a spill arena it also
+// removalPrints is a view of the spill files, set at spillView, that
+// fingerprints every file — name, length and bytes — at the moment it is
+// removed. Over a spill arena it also
 // keeps the bound the arena is held to: after every write, the arena is no
 // larger than the most the live files have ever held in whole extents (a
 // file's last extent counts in full), plus the extents of one write in
@@ -198,31 +199,16 @@ func TestSpillFilesAsRemoved(t *testing.T) {
 	}
 }
 
-// countingFS counts the creates and removes that reach a file system.
-type countingFS struct {
-	vfs.FS
-	creates, removes atomic.Int64
-}
-
-func (c *countingFS) Create(name string) (vfs.File, error) {
-	c.creates.Add(1)
-	return c.FS.Create(name)
-}
-
-func (c *countingFS) Remove(name string) error {
-	c.removes.Add(1)
-	return c.FS.Remove(name)
-}
-
 // TestSortCreatesOneFile counts what a spill_merge-shaped sort — quick runs
-// on checksummed blocks, fan-in 4, several merge passes — asks of the file
-// system it is given: one create and one remove, the spill arena's, at one
-// and two workers. A durable sort adds its manifest: two creates.
+// on checksummed blocks, fan-in 4, several merge passes — asks of the
+// physical file system it is given: one create and one remove, the spill
+// arena's, at one and two workers. A durable sort adds its manifest: two
+// creates.
 func TestSortCreatesOneFile(t *testing.T) {
 	recs := gen.Generate(gen.Config{Kind: gen.Random, N: 40 * 500, Seed: 31})
 	for _, durable := range []bool{false, true} {
 		for _, par := range []int{1, 2} {
-			fs := &countingFS{FS: vfs.NewMemFS()}
+			fs := faultfs.New(vfs.NewMemFS(), faultfs.Options{})
 			cfg := Config{Policy: policy.Quick, Memory: 500, FanIn: 4, Parallelism: par, Manifest: durable,
 				Storage: storage.Config{Compression: "none"}}
 			var out record.SliceWriter
@@ -230,7 +216,7 @@ func TestSortCreatesOneFile(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			creates, removes := fs.creates.Load(), fs.removes.Load()
+			creates, removes := fs.Calls(faultfs.Create), fs.Calls(faultfs.Remove)
 			wantCreates := int64(1)
 			if durable {
 				wantCreates = 2

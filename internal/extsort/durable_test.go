@@ -71,9 +71,10 @@ func TestDurableMatchesPlain(t *testing.T) {
 	}
 }
 
-// discardFS accepts every write and keeps nothing, so an allocation
-// measurement sees the sort's own allocations and not the file bytes a
-// MemFS would hold. Run generation never reads its spill files back.
+// discardFS is a physical file system that accepts every write and keeps
+// nothing, so an allocation measurement sees the sort's own allocations and
+// not the file bytes a MemFS would hold. Run generation never reads its
+// spill files back.
 type discardFS struct{ vfs.FS }
 
 type discardFile struct{ vfs.File }

@@ -387,8 +387,9 @@ func GenerateRunsBatch[T any](src stream.BatchReader[T], fs vfs.FS, cfg Config, 
 }
 
 // spillView is the file system the spill backend sees, given the one its
-// files live in: the identity. Tests replace it to watch every spill file
-// by name.
+// files live in: the identity. It is the one seam where spill files are
+// observed by name: tests replace it to count and break them, and trace
+// spans wrap what it returns.
 var spillView = func(fs vfs.FS) vfs.FS { return fs }
 
 // newRunSet validates the configuration and builds the RunSet shell —
@@ -434,14 +435,11 @@ func newRunSet[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
 		arena = vfs.NewArena(fs, cfg.Prefix+arenaSuffix, runio.BlockBytes(budget))
 		spill = arena
 	}
-	store, err := storage.New(spillView(spill), cfg.Storage)
+	store, err := storage.New(traceFiles(spillView(spill), cfg.Trace), cfg.Storage)
 	if err != nil {
 		return nil, err
 	}
 	o := newSortObs(cfg)
-	// Per-spill-file spans ride a decorated backend; block-level I/O
-	// inside a file pays no tracing cost.
-	store = storage.Traced(store, o.tracer())
 	em := runio.NewEmitterOn(store, cfg.Prefix, ops.Codec, ops.Less)
 	em.PagesPerFile = pages
 	// With headroom for concurrency, run files are created, written and

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,91 +11,44 @@ import (
 	"repro/internal/record"
 	"repro/internal/storage"
 	"repro/internal/vfs"
+	"repro/internal/vfs/faultfs"
 )
 
-// faultFS wraps a vfs.FS and fails every call of one kind — "write" (the
-// default), "create" or "close" — once its budget of allowed calls is
-// exhausted, exercising error propagation through run generation and the
-// merge phase.
-type faultFS struct {
-	vfs.FS
-	op         string
-	writesLeft int64 // calls of op still allowed
+// seam is a fault FS between a sort's spill backend and its arena: it
+// counts and fails the spill files' own calls, which are the same number at
+// every Parallelism, where the arena's writes to its one physical file are
+// not.
+type seam struct {
+	arm   func(*faultfs.FS) // readies each sort's fault FS before the sort uses it
+	fs    *faultfs.FS       // the last sort's
+	arena *vfs.Arena        // what fs wraps
 }
 
-var errInjected = errors.New("injected write failure")
-
-func (f *faultFS) hit(op string) error {
-	failing := f.op
-	if failing == "" {
-		failing = "write"
-	}
-	if op == failing && atomic.AddInt64(&f.writesLeft, -1) < 0 {
-		return errInjected
-	}
-	return nil
-}
-
-type faultFile struct {
-	vfs.File
-	fs *faultFS
-}
-
-func (f *faultFS) Create(name string) (vfs.File, error) {
-	if err := f.hit("create"); err != nil {
-		return nil, err
-	}
-	file, err := f.FS.Create(name)
-	if err != nil {
-		return nil, err
-	}
-	return &faultFile{File: file, fs: f}, nil
-}
-
-func (f *faultFS) Open(name string) (vfs.File, error) {
-	file, err := f.FS.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	return &faultFile{File: file, fs: f}, nil
-}
-
-func (f *faultFile) WriteAt(p []byte, off int64) (int, error) {
-	if err := f.fs.hit("write"); err != nil {
-		return 0, err
-	}
-	return f.File.WriteAt(p, off)
-}
-
-func (f *faultFile) Close() error {
-	err := f.fs.hit("close")
-	if cerr := f.File.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// aboveArena places *f between each sort's spill backend and its arena for
-// the rest of the test: it then counts and fails the spill files' own
-// creates, block writes and closes, which are the same number at every
-// Parallelism, where the arena's writes to its one file are not.
-func aboveArena(t *testing.T, f **faultFS) {
+// aboveArena puts a seam under every sort for the rest of the test.
+func aboveArena(t *testing.T) *seam {
+	s := &seam{arm: func(*faultfs.FS) {}}
 	v := spillView
 	t.Cleanup(func() { spillView = v })
 	spillView = func(fs vfs.FS) vfs.FS {
-		(*f).FS = fs
-		return *f
+		s.arena, _ = fs.(*vfs.Arena)
+		s.fs = faultfs.New(fs, faultfs.Options{})
+		s.arm(s.fs)
+		return s.fs
 	}
+	return s
 }
 
+// TestSortSurfacesWriteFailures kills the writes to the sort's physical
+// file, its arena, from a point swept across the whole sort, so that both
+// phases hit it.
 func TestSortSurfacesWriteFailures(t *testing.T) {
 	recs := gen.Generate(gen.Config{Kind: gen.Random, N: 20000, Seed: 1})
-	// Sweep the failure point across the whole sort so both phases hit it.
 	for _, budget := range []int64{0, 1, 5, 50, 120} {
-		fs := &faultFS{FS: vfs.NewMemFS(), writesLeft: budget}
+		fs := faultfs.New(vfs.NewMemFS(), faultfs.Options{})
+		fs.Fail(faultfs.Write, budget+1)
 		var out record.SliceWriter
 		_, err := Sort(record.NewSliceReader(recs), &out, fs, Recommended(200), RecordOps())
-		if !errors.Is(err, errInjected) {
+		if !errors.Is(err, faultfs.ErrInjected) {
 			t.Fatalf("budget %d: error = %v, want injected failure", budget, err)
 		}
 	}
@@ -104,18 +56,17 @@ func TestSortSurfacesWriteFailures(t *testing.T) {
 
 func TestSortSucceedsWithExactBudget(t *testing.T) {
 	recs := gen.Generate(gen.Config{Kind: gen.Random, N: 5000, Seed: 2})
-	// First find out how many writes a clean run needs, then verify the
-	// sort succeeds with exactly that budget (no off-by-one retries).
-	var fault *faultFS
-	aboveArena(t, &fault)
-	fault = &faultFS{writesLeft: 1 << 30}
+	// First find out how many spill-file writes a clean run needs, then
+	// verify the sort succeeds with exactly that budget (no off-by-one
+	// retries).
+	s := aboveArena(t)
 	var out record.SliceWriter
 	if _, err := Sort(record.NewSliceReader(recs), &out, vfs.NewMemFS(), Recommended(200), RecordOps()); err != nil {
 		t.Fatal(err)
 	}
-	used := (1 << 30) - atomic.LoadInt64(&fault.writesLeft)
+	used := s.fs.Calls(faultfs.Write)
 
-	fault = &faultFS{writesLeft: used}
+	s.arm = func(fs *faultfs.FS) { fs.Fail(faultfs.Write, used+1) }
 	var out2 record.SliceWriter
 	if _, err := Sort(record.NewSliceReader(recs), &out2, vfs.NewMemFS(), Recommended(200), RecordOps()); err != nil {
 		t.Fatalf("sort with exact write budget %d failed: %v", used, err)
@@ -145,41 +96,43 @@ func settledGoroutines(want int) int {
 // does either: the arena is gone from the file system, no extent left.
 func TestSortSurfacesEveryFileFault(t *testing.T) {
 	recs := gen.Generate(gen.Config{Kind: gen.Random, N: 12000, Seed: 3})
-	var fault *faultFS
-	aboveArena(t, &fault)
+	s := aboveArena(t)
 	for _, comp := range []string{"raw", "none"} {
 		for _, par := range []int{1, 2} {
-			for _, op := range []string{"create", "write", "close"} {
+			for _, op := range []struct {
+				name string
+				op   faultfs.Op
+			}{{"create", faultfs.Create}, {"write", faultfs.Write}, {"close", faultfs.Close}} {
 				cfg := Recommended(300)
 				cfg.FanIn = 3 // several merge passes
 				cfg.Parallelism = par
 				cfg.Storage = storage.Config{Compression: comp}
 				// How many calls of op a clean sort makes, then every
 				// failure point up to it (every few, for writes).
-				fault = &faultFS{op: op, writesLeft: 1 << 30}
+				s.arm = func(*faultfs.FS) {}
 				var out record.SliceWriter
 				if _, err := Sort(record.NewSliceReader(recs), &out, vfs.NewMemFS(), cfg, RecordOps()); err != nil {
 					t.Fatal(err)
 				}
-				calls := (1 << 30) - atomic.LoadInt64(&fault.writesLeft)
+				calls := s.fs.Calls(op.op)
 				step := max(calls/40, 1)
 				if testing.Short() {
 					step = max(calls/8, 1)
 				}
 				before := runtime.NumGoroutine()
 				for budget := int64(0); budget < calls; budget += step {
-					name := fmt.Sprintf("%s/parallelism=%d/%s=%d", comp, par, op, budget)
+					name := fmt.Sprintf("%s/parallelism=%d/%s=%d", comp, par, op.name, budget)
 					mem := vfs.NewMemFS()
-					fault = &faultFS{op: op, writesLeft: budget}
+					s.arm = func(fs *faultfs.FS) { fs.Fail(op.op, budget+1) }
 					var out record.SliceWriter
 					_, err := Sort(record.NewSliceReader(recs), &out, mem, cfg, RecordOps())
-					if !errors.Is(err, errInjected) {
+					if !errors.Is(err, faultfs.ErrInjected) {
 						t.Fatalf("%s: error = %v, want the injected failure", name, err)
 					}
 					if names, _ := mem.Names(); len(names) != 0 {
 						t.Fatalf("%s: spill files left behind: %v", name, names)
 					}
-					if size := fault.FS.(*vfs.Arena).Size(); size != 0 {
+					if size := s.arena.Size(); size != 0 {
 						t.Fatalf("%s: the discarded arena still spans %d bytes", name, size)
 					}
 					if n := settledGoroutines(before); n > before {

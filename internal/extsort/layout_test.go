@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -163,8 +164,7 @@ func spillLeg(arena bool) vfs.FS {
 func TestStringRunFileLayoutGolden(t *testing.T) {
 	less := func(a, b string) bool { return a < b }
 	key := func(s string) float64 {
-		var k uint64
-		fmt.Sscanf(s[:20], "%d", &k)
+		k, _ := strconv.ParseUint(s[:20], 10, 64)
 		return float64(k)
 	}
 	generate := func(strs []string, alg policy.Kind, comp string, async, keyed, arena bool) (string, bool) {

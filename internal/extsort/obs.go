@@ -7,6 +7,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/stream"
+	"repro/internal/vfs"
 )
 
 // PhaseStat is one named phase of a sort's elapsed time.
@@ -86,6 +87,61 @@ func (o *sortObs) tracer() *obs.Tracer {
 		return nil
 	}
 	return o.tr
+}
+
+// traceFiles returns fs with one span per file on the "spill" track:
+// "spill_write" from Create, "spill_read" from Open, each ended by the
+// file's Close with its name and the bytes moved through it. Those are the
+// bytes the backend stores and reads back, frames and compression included,
+// so a sort's spans sum to its Stats.IO stored bytes. A nil tracer returns
+// fs unchanged.
+func traceFiles(fs vfs.FS, tr *obs.Tracer) vfs.FS {
+	if tr == nil {
+		return fs
+	}
+	return &tracedFS{FS: fs, tr: tr}
+}
+
+type tracedFS struct {
+	vfs.FS
+	tr *obs.Tracer
+}
+
+func (t *tracedFS) Create(name string) (vfs.File, error) {
+	return t.traced(name, "spill_write", t.FS.Create)
+}
+
+func (t *tracedFS) Open(name string) (vfs.File, error) {
+	return t.traced(name, "spill_read", t.FS.Open)
+}
+
+func (t *tracedFS) traced(name, span string, open func(string) (vfs.File, error)) (vfs.File, error) {
+	f, err := open(name)
+	if err != nil {
+		return nil, err
+	}
+	return &tracedFile{File: f, sp: t.tr.StartOn("spill", span, obs.Str("file", name))}, nil
+}
+
+// tracedFile counts the bytes read and written through it into its span.
+type tracedFile struct {
+	vfs.File
+	sp    *obs.Span
+	bytes int64
+}
+
+func (f *tracedFile) ReadAt(p []byte, off int64) (int, error)  { return f.add(f.File.ReadAt(p, off)) }
+func (f *tracedFile) WriteAt(p []byte, off int64) (int, error) { return f.add(f.File.WriteAt(p, off)) }
+
+func (f *tracedFile) add(n int, err error) (int, error) {
+	f.bytes += int64(n)
+	return n, err
+}
+
+func (f *tracedFile) Close() error {
+	err := f.File.Close()
+	f.sp.End(obs.Int("bytes", f.bytes))
+	return err
 }
 
 // reporter returns the bundle's progress reporter (nil when disabled).

@@ -13,6 +13,7 @@ import (
 	"repro/internal/runio"
 	"repro/internal/storage"
 	"repro/internal/vfs"
+	"repro/internal/vfs/faultfs"
 )
 
 // readFile returns the full contents of a MemFS file.
@@ -145,11 +146,13 @@ func TestSortParallelismEquivalence(t *testing.T) {
 }
 
 // TestSortParallelWriteFailure verifies error propagation through the
-// worker pool and the async spill writers.
+// worker pool and the async spill writers, killing the writes to the sort's
+// physical file, its arena.
 func TestSortParallelWriteFailure(t *testing.T) {
 	recs := gen.Generate(gen.Config{Kind: gen.Random, N: 20000, Seed: 1})
 	for _, budget := range []int64{0, 1, 5, 50, 120} {
-		fs := &faultFS{FS: vfs.NewMemFS(), writesLeft: budget}
+		fs := faultfs.New(vfs.NewMemFS(), faultfs.Options{})
+		fs.Fail(faultfs.Write, budget+1)
 		cfg := Recommended(200)
 		cfg.Parallelism = 4
 		var out record.SliceWriter

@@ -16,7 +16,6 @@ import (
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/manifest"
-	"repro/internal/manifest/crashfs"
 	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/record"
@@ -24,6 +23,7 @@ import (
 	"repro/internal/storage"
 	"repro/internal/stream"
 	"repro/internal/vfs"
+	"repro/internal/vfs/faultfs"
 )
 
 // testRecords builds a deterministic shuffled record input with duplicate
@@ -410,46 +410,6 @@ func TestResumeCrashMatrix(t *testing.T) {
 	t.Run("raw/record16_keyed/recycled_extent", crashRecycled)
 }
 
-// recycleKill is the file system of a process killed in the middle of a
-// write into a recycled extent of its spill arena: the after-th write that
-// lands below offset below — in the arena as the pass found it, where
-// extents are reused — tears halfway, and every write after it fails.
-type recycleKill struct {
-	vfs.FS
-	below  int64
-	after  int
-	writes int
-	fired  bool
-}
-
-type recycleKillFile struct {
-	vfs.File
-	k *recycleKill
-}
-
-func (k *recycleKill) Open(name string) (vfs.File, error) {
-	f, err := k.FS.Open(name)
-	if err != nil || name != "sort"+arenaSuffix {
-		return f, err
-	}
-	return &recycleKillFile{File: f, k: k}, nil
-}
-
-func (f *recycleKillFile) WriteAt(p []byte, off int64) (int, error) {
-	k := f.k
-	if k.fired {
-		return 0, crashfs.ErrCrashed
-	}
-	if off < k.below {
-		if k.writes++; k.writes == k.after {
-			k.fired = true
-			n, _ := f.File.WriteAt(p[:len(p)/2], off)
-			return n, crashfs.ErrCrashed
-		}
-	}
-	return f.File.WriteAt(p, off)
-}
-
 // crashRecycled resumes a durable sort whose manifest lost its last run
 // records, so the files of those runs lie in the arena where no record
 // places them, on a file system that kills the resumed pass mid-write into
@@ -472,11 +432,18 @@ func crashRecycled(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Close()
-	kill := &recycleKill{FS: base, below: int64(len(readFile(t, base, "sort"+arenaSuffix))), after: 3}
+	// The physical file system of a process killed in the middle of a write
+	// into a recycled extent of its spill arena: the third write that lands
+	// below the arena's end as the pass found it, where extents are reused,
+	// tears halfway, and every mutation after it fails.
+	below := int64(len(readFile(t, base, "sort"+arenaSuffix)))
+	kill := faultfs.New(base, faultfs.Options{FailAfterOps: 2, Torn: true, Match: func(name string, off int64) bool {
+		return name == "sort"+arenaSuffix && off < below
+	}})
 	rcfg := cfg
 	rcfg.Resume = true
-	if _, err := GenerateRuns[record.Record](stream.NewSliceReader(recs), kill, rcfg, RecordOps()); !errors.Is(err, crashfs.ErrCrashed) || !kill.fired {
-		t.Fatalf("resumed pass: %v, kill fired %v: no write of it tore in a recycled extent", err, kill.fired)
+	if _, err := GenerateRuns[record.Record](stream.NewSliceReader(recs), kill, rcfg, RecordOps()); !errors.Is(err, faultfs.ErrCrashed) || !kill.Crashed() {
+		t.Fatalf("resumed pass: %v, kill fired %v: no write of it tore in a recycled extent", err, kill.Crashed())
 	}
 	rset, err := GenerateRuns[record.Record](stream.NewSliceReader(recs), base, rcfg, RecordOps())
 	if err != nil {
@@ -517,9 +484,9 @@ var crashSpans = map[string]int64{
 func crashMatrixCase[T comparable](t *testing.T, vals []T, cfg Config, ops Ops[T], span int64) {
 	want, _, wantFiles := durableBaseline(t, vals, cfg, ops)
 
-	// Measure how many bytes an uninterrupted pass writes to the backing
-	// FS, to spread kill points over the real write stream.
-	probe := crashfs.New(vfs.NewMemFS(), crashfs.Options{FailAfterBytes: -1, FailAfterOps: -1})
+	// Measure how many bytes an uninterrupted pass writes to the physical
+	// file system, arena and manifest, to spread kill points over them.
+	probe := faultfs.New(vfs.NewMemFS(), faultfs.Options{FailAfterBytes: -1, FailAfterOps: -1})
 	if _, err := GenerateRuns[T](stream.NewSliceReader(vals), probe, cfg, ops); err != nil {
 		t.Fatalf("probe pass: %v", err)
 	}
@@ -538,9 +505,9 @@ func crashMatrixCase[T comparable](t *testing.T, vals []T, cfg Config, ops Ops[T
 		torn := i%2 == 0
 		t.Run(fmt.Sprintf("kill_%d_torn_%v", 1+label, torn), func(t *testing.T) {
 			base := vfs.NewMemFS()
-			cfs := crashfs.New(base, crashfs.Options{FailAfterBytes: kill, FailAfterOps: -1, Torn: torn})
+			cfs := faultfs.New(base, faultfs.Options{FailAfterBytes: kill, FailAfterOps: -1, Torn: torn})
 			_, genErr := GenerateRuns[T](stream.NewSliceReader(vals), cfs, cfg, ops)
-			if genErr != nil && !errors.Is(genErr, crashfs.ErrCrashed) {
+			if genErr != nil && !errors.Is(genErr, faultfs.ErrCrashed) {
 				t.Fatalf("crashed pass: %v", genErr)
 			}
 			if genErr == nil {
@@ -648,17 +615,17 @@ func TestResumeAfterCrashMidMerge(t *testing.T) {
 	cfg := durableCfg(256)
 	cfg.FanIn, cfg.Parallelism = 3, 1
 	want, st, _ := durableBaseline(t, recs, cfg, RecordOps())
-	probe := crashfs.New(vfs.NewMemFS(), crashfs.Options{FailAfterBytes: -1, FailAfterOps: -1})
+	probe := faultfs.New(vfs.NewMemFS(), faultfs.Options{FailAfterBytes: -1, FailAfterOps: -1})
 	if _, err := GenerateRuns[record.Record](stream.NewSliceReader(recs), probe, cfg, RecordOps()); err != nil {
 		t.Fatal(err)
 	}
 	base := vfs.NewMemFS()
-	// Generation writes probe.Written() bytes; the intermediate merges write
-	// about as many again.
-	cfs := crashfs.New(base, crashfs.Options{FailAfterBytes: probe.Written() * 3 / 2, FailAfterOps: -1, Torn: true})
+	// Generation writes probe.Written() bytes to the physical file system;
+	// the intermediate merges write about as many again, into the arena.
+	cfs := faultfs.New(base, faultfs.Options{FailAfterBytes: probe.Written() * 3 / 2, FailAfterOps: -1, Torn: true})
 	var out stream.SliceWriter[record.Record]
-	if _, err := Sort[record.Record](stream.NewSliceReader(recs), &out, cfs, cfg, RecordOps()); !errors.Is(err, crashfs.ErrCrashed) {
-		t.Fatalf("crashed sort: %v, want crashfs.ErrCrashed", err)
+	if _, err := Sort[record.Record](stream.NewSliceReader(recs), &out, cfs, cfg, RecordOps()); !errors.Is(err, faultfs.ErrCrashed) {
+		t.Fatalf("crashed sort: %v, want faultfs.ErrCrashed", err)
 	}
 	rcfg := cfg
 	rcfg.Resume = true

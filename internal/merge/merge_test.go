@@ -16,6 +16,7 @@ import (
 	"repro/internal/storage"
 	"repro/internal/stream"
 	"repro/internal/vfs"
+	"repro/internal/vfs/faultfs"
 )
 
 // sliceSource adapts a slice to the Source interface.
@@ -557,41 +558,23 @@ func TestStreamEmptyAndCancel(t *testing.T) {
 	st.Close()
 }
 
-// failingStore is a disk that dies at the n-th Create made on it: that
-// create and every later one fail. It counts them all.
-type failingStore struct {
-	storage.Backend
-	n       int64
-	creates atomic.Int64
-}
-
-var errCreate = errors.New("injected create failure")
-
-func (s *failingStore) Create(name string) (storage.BlockWriter, error) {
-	if s.creates.Add(1) >= s.n {
-		return nil, errCreate
-	}
-	return s.Backend.Create(name)
-}
-
 // TestMergeStopsPassOnFailure holds the worker pool to stopping a pass at
 // its first failed merge: each merge creates one output file, and with the
 // disk dead from the first create of a 30-merge pass on, a worker that
-// meets the failure claims nothing more, so every worker tries at most one
-// create after the first failed one.
+// meets the failure claims nothing more, so every worker fails at most one
+// create.
 func TestMergeStopsPassOnFailure(t *testing.T) {
 	const workers = 2
-	fs := vfs.NewMemFS()
+	fs := faultfs.New(vfs.NewMemFS(), faultfs.Options{})
 	em := runio.RecordEmitter(fs, "m")
 	runs, _ := makeRuns(t, fs, em, 60, 20, 5)
-	st := &failingStore{Backend: em.Store, n: 1}
-	em.Store = st
+	fs.Fail(faultfs.Create, 1)
 	var out record.SliceWriter
 	_, err := Merge(em, runs, &out, Config{FanIn: 2, MemoryBytes: 1 << 14, Workers: workers})
-	if !errors.Is(err, errCreate) {
+	if !errors.Is(err, faultfs.ErrInjected) {
 		t.Fatalf("error = %v, want the injected create failure", err)
 	}
-	if after := st.creates.Load() - st.n; after >= workers {
+	if after := fs.Failed(faultfs.Create) - 1; after >= workers {
 		t.Fatalf("%d merges started after the pass had failed, want fewer than the %d workers", after, workers)
 	}
 }

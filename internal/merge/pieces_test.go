@@ -11,37 +11,8 @@ import (
 	"repro/internal/record"
 	"repro/internal/runio"
 	"repro/internal/vfs"
+	"repro/internal/vfs/faultfs"
 )
-
-// handleFS counts the files it has handed out against the ones closed.
-type handleFS struct {
-	vfs.FS
-	open atomic.Int64
-}
-
-type countedFile struct {
-	vfs.File
-	fs     *handleFS
-	closed atomic.Bool
-}
-
-func (h *handleFS) counted(f vfs.File, err error) (vfs.File, error) {
-	if err != nil {
-		return nil, err
-	}
-	h.open.Add(1)
-	return &countedFile{File: f, fs: h}, nil
-}
-
-func (h *handleFS) Create(name string) (vfs.File, error) { return h.counted(h.FS.Create(name)) }
-func (h *handleFS) Open(name string) (vfs.File, error)   { return h.counted(h.FS.Open(name)) }
-
-func (f *countedFile) Close() error {
-	if !f.closed.Swap(true) {
-		f.fs.open.Add(-1)
-	}
-	return f.File.Close()
-}
 
 // TestOverlapRunsMergeOnKeys: a run whose stream ranges overlap is merged by
 // the operation's own tree, a leaf per segment, keyed like every other leaf —
@@ -125,7 +96,7 @@ func (w *sliceWriter[T]) WriteBatch(src []T) error { w.vals = append(w.vals, src
 func checkSegments(t *testing.T, what string, runs [][]record.Record, want []record.Record, less func(a, b record.Record) bool, kc codec.KeyCodec[record.Record], maxBatch, failing int) {
 	t.Helper()
 	mem := vfs.NewMemFS()
-	fs := &handleFS{FS: mem}
+	fs := faultfs.New(mem, faultfs.Options{})
 	em := runio.NewEmitter[record.Record](fs, "f", codec.Record16{}, less)
 	em.KeyCodec = kc
 	em.PageSize, em.PagesPerFile = 64, 3
@@ -193,7 +164,7 @@ func checkSegments(t *testing.T, what string, runs [][]record.Record, want []rec
 			t.Fatalf("%s: Close: %v", what, cerr)
 		}
 	}
-	if n := fs.open.Load(); n != 0 {
+	if n := fs.Handles(); n != 0 {
 		t.Fatalf("%s: %d file handles still open after %v", what, n, err)
 	}
 	if !damaged {

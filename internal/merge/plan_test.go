@@ -7,14 +7,13 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/record"
 	"repro/internal/runio"
-	"repro/internal/storage"
 	"repro/internal/vfs"
+	"repro/internal/vfs/faultfs"
 )
 
 // passRuleVolume is the volume the pass planner this package used to run
@@ -268,96 +267,36 @@ func TestScheduleIndependentOfWorkers(t *testing.T) {
 	}
 }
 
-// faultStore fails the n-th Create or the n-th Open made on it — one create
-// per merge operation, so n sweeps the positions of the plan — and watches
-// what happens afterwards.
-type faultStore struct {
-	storage.Backend
-	failCreate, failOpen int64
-
-	mu             sync.Mutex
-	creates, opens int64
-	failed         bool
-	missing        string // the output whose create failed
-	after          int    // files created once the failure had happened
-	readMissing    bool
-}
-
-var errOpen = errors.New("injected open failure")
-
-// call counts one call of a kind and reports whether it is the one to fail.
-// A call that comes after the failure first gives the worker that met it a
-// moment to report it: what may still start then is what was claimed before.
-func (s *faultStore) call(count *int64, failAt int64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if *count++; *count == failAt {
-		s.failed = true
-		return true
-	}
-	if s.failed {
-		s.mu.Unlock()
-		time.Sleep(time.Millisecond)
-		s.mu.Lock()
-	}
-	return false
-}
-
-func (s *faultStore) Create(name string) (storage.BlockWriter, error) {
-	if s.call(&s.creates, s.failCreate) {
-		s.mu.Lock()
-		s.missing = name
-		s.mu.Unlock()
-		return nil, errCreate
-	}
-	s.mu.Lock()
-	if s.failed {
-		s.after++
-	}
-	s.mu.Unlock()
-	return s.Backend.Create(name)
-}
-
-func (s *faultStore) Open(name string) (storage.BlockReader, error) {
-	if s.call(&s.opens, s.failOpen) {
-		return nil, errOpen
-	}
-	s.mu.Lock()
-	s.readMissing = s.readMissing || name == s.missing
-	s.mu.Unlock()
-	return s.Backend.Open(name)
-}
-
-// TestFailedOperationStrandsNothing fails a create, and an input open, at
-// every position of a multi-level plan, on 1, 2 and 4 workers: Merge
-// returns the injected error, fewer than Workers operations start once it
-// has happened, none of them reads the output that was never made, and
-// every worker goroutine is gone when Merge returns.
+// TestFailedOperationStrandsNothing kills the creates, and the input opens,
+// from every position of a multi-level plan on, on 1, 2 and 4 workers: Merge
+// returns the injected error, every worker meets the dead disk at most once
+// — the failure stops it claiming — none of them opens the output that was
+// never made, and every worker goroutine is gone when Merge returns.
 func TestFailedOperationStrandsNothing(t *testing.T) {
 	const fanIn, n = 2, 24 // 22 intermediate operations, 5 levels
 	for _, workers := range []int{1, 2, 4} {
 		for pos := int64(1); pos <= n-fanIn; pos++ {
-			for _, fault := range []error{errCreate, errOpen} {
-				name := fmt.Sprintf("workers %d, %v at position %d", workers, fault, pos)
-				fs := vfs.NewMemFS()
+			for _, fault := range []struct {
+				name string
+				op   faultfs.Op
+				at   int64 // the call of op the operation at pos makes first
+			}{{"create", faultfs.Create, pos}, {"open", faultfs.Open, fanIn*(pos-1) + 1}} {
+				name := fmt.Sprintf("workers %d, %s at position %d", workers, fault.name, pos)
+				fs := faultfs.New(vfs.NewMemFS(), faultfs.Options{})
 				em := runio.RecordEmitter(fs, "m")
 				runs, _ := makeRuns(t, fs, em, n, 20, 5)
-				st := &faultStore{Backend: em.Store, failCreate: pos}
-				if fault == errOpen {
-					st.failCreate, st.failOpen = 0, fanIn*(pos-1)+1
-				}
-				em.Store = st
+				fs.Fail(fault.op, fault.at)
 				before := runtime.NumGoroutine()
 				var out record.SliceWriter
 				_, err := Merge(em, runs, &out, Config{FanIn: fanIn, MemoryBytes: 1 << 14, Workers: workers})
-				if !errors.Is(err, fault) {
+				if !errors.Is(err, faultfs.ErrInjected) {
 					t.Fatalf("%s: error = %v", name, err)
 				}
-				if st.after >= workers {
-					t.Fatalf("%s: %d operations started after the failure, want fewer than the workers", name, st.after)
+				if after := fs.Failed(fault.op) - 1; after >= int64(workers) {
+					t.Fatalf("%s: %d operations started after the failure, want fewer than the workers", name, after)
 				}
-				if st.readMissing {
-					t.Fatalf("%s: an operation opened %s, which was never created", name, st.missing)
+				if fault.op == faultfs.Create && fs.Failed(faultfs.Open) != 0 {
+					t.Fatalf("%s: an operation opened an output that was never created", name)
 				}
 				deadline := time.Now().Add(time.Second)
 				for runtime.NumGoroutine() > before && time.Now().Before(deadline) {

@@ -17,6 +17,7 @@ import (
 	"repro/internal/storage"
 	"repro/internal/stream"
 	"repro/internal/vfs"
+	"repro/internal/vfs/faultfs"
 )
 
 func writeForward(t *testing.T, fs vfs.FS, name string, keys []int64) {
@@ -550,62 +551,6 @@ func stringRun(t *testing.T, fs vfs.FS, n int) (Run, []string) {
 	return run, all
 }
 
-var errInjected = errors.New("injected fault")
-
-// faultBackend fails the n-th call of one kind — "open", "read" or "close"
-// — made on it or on the files it opened.
-type faultBackend struct {
-	storage.Backend
-	op      string
-	n, seen int
-}
-
-func (b *faultBackend) hit(op string) error {
-	if op == b.op {
-		if b.seen++; b.seen == b.n {
-			return errInjected
-		}
-	}
-	return nil
-}
-
-func (b *faultBackend) Open(name string) (storage.BlockReader, error) {
-	if err := b.hit("open"); err != nil {
-		return nil, err
-	}
-	r, err := b.Backend.Open(name)
-	return faultFile{r, nil, b}, err
-}
-
-func (b *faultBackend) OpenPaged(name string) (storage.PageReader, error) {
-	if err := b.hit("open"); err != nil {
-		return nil, err
-	}
-	r, err := b.Backend.OpenPaged(name)
-	return faultFile{r, r, b}, err
-}
-
-type faultFile struct {
-	storage.BlockReader
-	storage.PageReader
-	b *faultBackend
-}
-
-func (f faultFile) Read(p []byte) (int, error) {
-	if err := f.b.hit("read"); err != nil {
-		return 0, err
-	}
-	return f.BlockReader.Read(p)
-}
-
-func (f faultFile) Close() error {
-	err := f.b.hit("close")
-	if cerr := f.BlockReader.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
 // TestReadBatchAtEveryLength drives every reader — forward file, backward
 // chain, whole runs as one piece and as a piece per segment — through
 // ReadBatch with awkward batch sizes and requires the same result as one
@@ -665,24 +610,29 @@ func TestReadBatchAtEveryLength(t *testing.T) {
 		}
 	}
 
-	// Storage failing at every point of a small run: whatever decoded before
+	// A disk dying at every point of a small run: whatever decoded before
 	// the n-th open, read or close comes out, then the fault, alike at every
-	// batch length; a piece that fails to open closes the ones before it.
+	// batch length; a piece that fails to open closes the ones before it,
+	// and no file is left open.
 	smallFS := vfs.NewMemFS()
 	small, smallAll := stringRun(t, smallFS, 12)
 	for _, concat := range []bool{true, false} {
 		small.Concatenable = concat
-		for _, op := range []string{"open", "read", "close"} {
-			for n, fired := 1, true; fired; n++ {
-				var fb *faultBackend
+		for _, op := range []struct {
+			name string
+			op   faultfs.Op
+		}{{"open", faultfs.Open}, {"read", faultfs.Read}, {"close", faultfs.Close}} {
+			for n, fired := int64(1), true; fired; n++ {
+				var fs *faultfs.FS
 				got := drainAtEveryLength(t, func() ([]*Reader[string], error) {
-					fb = &faultBackend{Backend: storage.NewRaw(smallFS), op: op, n: n}
-					return OpenRun(fb, small, 7, codec.String{})
+					fs = faultfs.New(smallFS, faultfs.Options{})
+					fs.Fail(op.op, n)
+					return OpenRun(storage.NewRaw(fs), small, 7, codec.String{})
 				})
-				fired = fb.seen >= n
-				if fired != (got.err == errInjected || got.closeErr == errInjected) ||
+				fired = fs.Calls(op.op) >= n
+				if fired != (got.err == faultfs.ErrInjected || got.closeErr == faultfs.ErrInjected) || fs.Handles() != 0 ||
 					!fired && got.err != io.EOF || len(got.elems) > len(smallAll) || !slices.Equal(got.elems, smallAll[:len(got.elems)]) {
-					t.Fatalf("concat=%v, %s %d: %d strings, then %v (close: %v)", concat, op, n, len(got.elems), got.err, got.closeErr)
+					t.Fatalf("concat=%v, %s %d: %d strings, then %v (close: %v), %d files open", concat, op.name, n, len(got.elems), got.err, got.closeErr, fs.Handles())
 				}
 			}
 		}
@@ -966,10 +916,13 @@ func TestElementPathDoesNotAllocate(t *testing.T) {
 	}
 }
 
+var errInjected = errors.New("injected fault")
+
 // failingWrites fails the n-th call of one kind — "create" or "close" of
 // either kind of file, "append" on a forward file, "pages", "tail" or
 // "header" on a chain file — made through it for writing, and counts the
-// handles left open.
+// handles left open. It wraps the backend, not the file system: WritePage,
+// WriteTail and WriteHeader are not one file operation each.
 type failingWrites struct {
 	storage.Backend
 	op      string
@@ -1119,19 +1072,6 @@ func TestChainWriterClosesFileItCouldNotFinish(t *testing.T) {
 	}
 }
 
-// removeFails is a backend on which one file cannot be removed.
-type removeFails struct {
-	storage.Backend
-	name string
-}
-
-func (b removeFails) Remove(name string) error {
-	if name == b.name {
-		return errInjected
-	}
-	return b.Backend.Remove(name)
-}
-
 // TestRemoveCarriesOnPastAFailure removes a run whose first file (in read
 // order) cannot be removed and whose last is already gone: every other
 // file goes, and the failure — not the missing file — is the error.
@@ -1147,7 +1087,9 @@ func TestRemoveCarriesOnPastAFailure(t *testing.T) {
 	}
 	writeForward(t, fs, "f", []int64{1})
 	run := Run{Segments: []Segment{w.Segment(), {Name: "f", Records: 1}, {Name: "gone", Records: 1}}}
-	if err := run.Remove(removeFails{st, "b.3"}); !errors.Is(err, errInjected) {
+	gone := faultfs.New(fs, faultfs.Options{Match: func(name string, _ int64) bool { return name == "b.3" }})
+	gone.Fail(faultfs.Remove, 1)
+	if err := run.Remove(storage.NewRaw(gone)); !errors.Is(err, faultfs.ErrInjected) {
 		t.Fatalf("Remove returned %v, want the injected failure", err)
 	}
 	if names, _ := fs.Names(); !slices.Equal(names, []string{"b.3"}) {

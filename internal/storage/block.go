@@ -307,6 +307,7 @@ func (s *blockSource) fill(n, size int) (int, error) {
 	}
 	got, err := s.f.ReadAt(s.win[s.hi:framePad+room], s.pos+int64(have))
 	s.hi += got
+	s.c.storedR.Add(int64(got))
 	if err == io.EOF {
 		s.eof, err = true, nil
 	}
@@ -352,7 +353,7 @@ func (s *blockSource) next(sizeHint int) ([]byte, error) {
 		return corrupt(fmt.Errorf("%w: crc %#x, frame says %#x", ErrChecksum, got, fr.crc))
 	}
 	s.seek(s.pos + int64(stored))
-	s.c.read(int64(fr.rawLen), int64(stored))
+	s.c.read(int64(fr.rawLen), 0) // fill counted the stored bytes as it read them
 	return raw, nil
 }
 

@@ -3,45 +3,13 @@ package storage
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"io"
 	"testing"
 
-	"repro/internal/obs"
 	"repro/internal/vfs"
+	"repro/internal/vfs/faultfs"
 )
-
-// countingFS counts the positional reads and writes that reach its files.
-type countingFS struct {
-	vfs.FS
-	reads, writes int
-}
-
-type countingFile struct {
-	vfs.File
-	fs *countingFS
-}
-
-func (c *countingFS) Create(name string) (vfs.File, error) {
-	f, err := c.FS.Create(name)
-	return countingFile{f, c}, err
-}
-
-func (c *countingFS) Open(name string) (vfs.File, error) {
-	f, err := c.FS.Open(name)
-	return countingFile{f, c}, err
-}
-
-func (f countingFile) ReadAt(p []byte, off int64) (int, error) {
-	f.fs.reads++
-	return f.File.ReadAt(p, off)
-}
-
-func (f countingFile) WriteAt(p []byte, off int64) (int, error) {
-	f.fs.writes++
-	return f.File.WriteAt(p, off)
-}
 
 // block returns payload behind FrameHeadroom spare bytes, as AppendBlock
 // takes it.
@@ -57,7 +25,7 @@ func TestBlockIsOneWriteAndOneRead(t *testing.T) {
 	for _, comp := range compressions {
 		var files [2][]byte
 		for i, inPlace := range []bool{false, true} {
-			fs := &countingFS{FS: vfs.NewMemFS()}
+			fs := faultfs.New(vfs.NewMemFS(), faultfs.Options{})
 			b := mustBackend(t, fs, Config{Compression: string(comp)})
 			w, err := b.Create("f")
 			if err != nil {
@@ -82,17 +50,17 @@ func TestBlockIsOneWriteAndOneRead(t *testing.T) {
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if fs.writes != blocks {
-				t.Fatalf("%s in place %v: %d writes for %d blocks", comp, inPlace, fs.writes, blocks)
+			if writes := fs.Calls(faultfs.Write); writes != blocks {
+				t.Fatalf("%s in place %v: %d writes for %d blocks", comp, inPlace, writes, blocks)
 			}
-			f, _ := fs.FS.Open("f")
+			f, _ := fs.Open("f")
 			n, _ := f.Size()
 			files[i] = make([]byte, n)
 			f.ReadAt(files[i], 0)
 			f.Close()
 
 			for _, lend := range []bool{false, true} {
-				fs.reads = 0
+				before := fs.Calls(faultfs.Read)
 				r, err := b.Open("f")
 				if err != nil {
 					t.Fatal(err)
@@ -121,8 +89,8 @@ func TestBlockIsOneWriteAndOneRead(t *testing.T) {
 				// One read per block, at most one more to size the window
 				// when the first block outgrows the caller's hint, and one
 				// to find the end.
-				if fs.reads > blocks+2 {
-					t.Fatalf("%s in place %v, lent %v: %d reads for %d blocks", comp, inPlace, lend, fs.reads, blocks)
+				if reads := fs.Calls(faultfs.Read) - before; reads > blocks+2 {
+					t.Fatalf("%s in place %v, lent %v: %d reads for %d blocks", comp, inPlace, lend, reads, blocks)
 				}
 			}
 		}
@@ -134,10 +102,9 @@ func TestBlockIsOneWriteAndOneRead(t *testing.T) {
 
 // TestPageRunCountsEveryPage writes one chain file page by page and again
 // three pages per WritePage — seven data pages, a partial tail and the
-// header — on every framing, bare and Traced: the files are byte-identical
-// and so is the accounting, BlocksWritten counting pages either way; only
-// the number of calls differs, and on the raw layout a run of pages is one
-// write.
+// header — on every framing: the files are byte-identical and so is the
+// accounting, BlocksWritten counting pages either way; only the number of
+// calls differs, and on the raw layout a run of pages is one write.
 func TestPageRunCountsEveryPage(t *testing.T) {
 	const pageSize, pages = 128, 9
 	var data []byte
@@ -149,54 +116,48 @@ func TestPageRunCountsEveryPage(t *testing.T) {
 	}
 	hdr := bytes.Repeat([]byte{7}, 32)
 	for _, comp := range all {
-		for _, traced := range []bool{false, true} {
-			var files [2][]byte
-			var stats [2]IOStats
-			var writes [2]int
-			for i, run := range []int{1, 3} {
-				fs := &countingFS{FS: vfs.NewMemFS()}
-				b := mustBackend(t, fs, Config{Compression: string(comp)})
-				if traced {
-					b = Traced(b, obs.New())
-				}
-				pw, err := b.CreatePaged("c", pageSize, pages)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for top := pages - 1; top >= 2 && err == nil; top -= run {
-					lo := max(2, top-run+1)
-					err = pw.WritePage(lo, data[(lo-2)*pageSize:(top-1)*pageSize])
-				}
-				if err == nil {
-					_, err = pw.WriteTail(1, randPayload(40, 1))
-				}
-				if err == nil {
-					err = pw.WriteHeader(hdr)
-				}
-				if cerr := pw.Close(); err == nil {
-					err = cerr
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				f, _ := fs.FS.Open("c")
-				n, _ := f.Size()
-				files[i] = make([]byte, n)
-				f.ReadAt(files[i], 0)
-				f.Close()
-				stats[i], writes[i] = b.Stats(), fs.writes
+		var files [2][]byte
+		var stats [2]IOStats
+		var writes [2]int64
+		for i, run := range []int{1, 3} {
+			fs := faultfs.New(vfs.NewMemFS(), faultfs.Options{})
+			b := mustBackend(t, fs, Config{Compression: string(comp)})
+			pw, err := b.CreatePaged("c", pageSize, pages)
+			if err != nil {
+				t.Fatal(err)
 			}
-			name := fmt.Sprintf("%s (traced %v)", comp, traced)
-			if !bytes.Equal(files[0], files[1]) {
-				t.Fatalf("%s: a chain file written in runs of pages differs from one written page by page", name)
+			for top := pages - 1; top >= 2 && err == nil; top -= run {
+				lo := max(2, top-run+1)
+				err = pw.WritePage(lo, data[(lo-2)*pageSize:(top-1)*pageSize])
 			}
-			// Seven data pages, the tail and the header.
-			if stats[0] != stats[1] || stats[0].BlocksWritten != 7+1+1 {
-				t.Fatalf("%s: page by page %+v, in runs %+v; want equal, 9 blocks written", name, stats[0], stats[1])
+			if err == nil {
+				_, err = pw.WriteTail(1, randPayload(40, 1))
 			}
-			if want := 1 + 3 + 1; comp == Raw && writes[1] != want {
-				t.Fatalf("%s: %d writes in runs of pages, want %d", name, writes[1], want)
+			if err == nil {
+				err = pw.WriteHeader(hdr)
 			}
+			if cerr := pw.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, _ := fs.Open("c")
+			n, _ := f.Size()
+			files[i] = make([]byte, n)
+			f.ReadAt(files[i], 0)
+			f.Close()
+			stats[i], writes[i] = b.Stats(), fs.Calls(faultfs.Write)
+		}
+		if !bytes.Equal(files[0], files[1]) {
+			t.Fatalf("%s: a chain file written in runs of pages differs from one written page by page", comp)
+		}
+		// Seven data pages, the tail and the header.
+		if stats[0] != stats[1] || stats[0].BlocksWritten != 7+1+1 {
+			t.Fatalf("%s: page by page %+v, in runs %+v; want equal, 9 blocks written", comp, stats[0], stats[1])
+		}
+		if want := int64(1 + 3 + 1); comp == Raw && writes[1] != want {
+			t.Fatalf("%s: %d writes in runs of pages, want %d", comp, writes[1], want)
 		}
 	}
 }

@@ -104,7 +104,7 @@ func (p *Pool) Peak() int {
 type pooled interface{ blockPool() *Pool }
 
 // PoolOf returns the block pool that travels with a backend built by New or
-// NewRaw (Traced included), and nil — which pools nothing — for any other.
+// NewRaw, and nil — which pools nothing — for any other.
 func PoolOf(b Backend) *Pool {
 	if p, ok := b.(pooled); ok {
 		return p.blockPool()

@@ -2,7 +2,9 @@
 // the page-sized buffers the run writers produce become bytes on a file
 // system, and accounts for every byte moved either way. Where those bytes
 // lie is the file system's business: a sort hands its backend a vfs.Arena,
-// which keeps every spill file as extents of one physical file.
+// which keeps every spill file as extents of one physical file. So is
+// watching them: per-file trace spans, and the tests' counts and faults,
+// wrap the vfs.FS a backend is built over, not the backend.
 //
 // A Backend offers two file shapes, matching runio's two on-disk layouts:
 //
@@ -108,7 +110,9 @@ type IOStats struct {
 	StoredBytesWritten int64
 	// RawBytesRead is payload bytes returned to readers.
 	RawBytesRead int64
-	// StoredBytesRead is physical bytes read, before decompression.
+	// StoredBytesRead is physical bytes read, before decompression: all the
+	// file system returned, the unused room of a framed chain file's fixed
+	// page slots included.
 	StoredBytesRead int64
 	// VerifyFailures counts blocks whose checksum or frame validation
 	// failed on read.

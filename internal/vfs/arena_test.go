@@ -281,6 +281,8 @@ func TestArenaOneCreateOneUnlink(t *testing.T) {
 	}
 }
 
+// countingFS counts the creates and removes that reach an FS. It is not
+// faultfs, which imports this package.
 type countingFS struct {
 	FS
 	creates, removes int

@@ -13,19 +13,20 @@ import (
 // registry and progress reporter that Config (or the WithTracer /
 // WithMetrics / WithProgress options) attach to a sort, plus the skeleton
 // every public call runs in (op): context, root span, phases, errors. The
-// machinery lives in internal/obs; see DESIGN.md §"Observability" for the
-// span taxonomy, the metric names and the overhead budget.
+// machinery lives in internal/obs (spill spans: internal/extsort, where the
+// spill backend meets its file system); see DESIGN.md §"Observability" for
+// the span taxonomy, the metric names and the overhead budget.
 
 // Tracer records the spans and instant events of the sorts it is attached
 // to: one "generate" span per sort covering run generation with one child
 // "run" span per emitted run, one "merge" span covering the merge phase
 // with a "merge_op" child per merge operation, "spill_write"/"spill_read"
-// spans on the "spill" track for every spill file, and "policy_switch"
-// events when the adaptive policy changes generator mid-stream. Export
-// the result with WriteChromeTrace (chrome://tracing / Perfetto JSON) or
-// WriteSpansJSONL, or walk Spans and Events directly. A Tracer is safe
-// for concurrent use and may be shared by several sorts; a nil Tracer is
-// a valid no-op.
+// spans on the "spill" track for every spill file (their "bytes" sum to
+// the stored bytes of Stats.IO), and "policy_switch" events when the
+// adaptive policy changes generator mid-stream. Export the result with
+// WriteChromeTrace (chrome://tracing / Perfetto JSON) or WriteSpansJSONL,
+// or walk Spans and Events directly. A Tracer is safe for concurrent use
+// and may be shared by several sorts; a nil Tracer is a valid no-op.
 type Tracer = obs.Tracer
 
 // Span is one timed interval recorded by a Tracer.
