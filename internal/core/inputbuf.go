@@ -30,7 +30,7 @@ type inputBuffer[T any] struct {
 
 // newInputBuffer returns an empty FIFO of the given capacity over src,
 // read through a batched fetch buffer sized against the memory budget; the
-// caller pre-fills it with fill or restore. key, when non-nil, enables the
+// caller pre-fills it with fill. key, when non-nil, enables the
 // running mean. trackMedian enables the sliding-median structure (needed by
 // the Median heuristic and by the comparator-only Mean fallback), ordered
 // by less.
@@ -43,37 +43,6 @@ func newInputBuffer[T any](src stream.BatchReader[T], capacity, memory int, key 
 		}
 	}
 	return b
-}
-
-// export lists the FIFO oldest first and then the fetch read-ahead, the
-// order restore takes them back in, and returns the two counts.
-func (b *inputBuffer[T]) export(put func(T)) (fifo, ahead int) {
-	for i := 0; i < b.n; i++ {
-		put(b.ring[(b.head+i)%len(b.ring)])
-	}
-	pending := b.src.Pending()
-	for _, rec := range pending {
-		put(rec)
-	}
-	return b.n, len(pending)
-}
-
-// restore refills an empty buffer from an export. The sliding median is
-// rebuilt — any structure over the same multiset answers alike — but the
-// running sum is taken as given: it is a history of rounded additions and
-// subtractions that re-adding the contents would not reproduce bit for bit.
-func (b *inputBuffer[T]) restore(fifo, ahead []T, sum float64) bool {
-	if len(fifo) > len(b.ring) || !b.src.Preload(ahead) {
-		return false
-	}
-	b.n = copy(b.ring, fifo)
-	if b.med != nil {
-		for i, rec := range fifo {
-			b.med.Add(rec, uint64(i))
-		}
-	}
-	b.sum = sum
-	return true
 }
 
 // fill tops the FIFO up from the source.

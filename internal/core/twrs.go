@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -75,7 +74,6 @@ type generator[T any] struct {
 	in        *inputBuffer[T]
 	dh        *heap.DoubleHeap[T]
 	rng       *rand.Rand
-	draws     uint64 // coin flips taken from rng: a restore replays that many
 	victimCap int
 
 	currentRun int
@@ -138,18 +136,6 @@ type Stepper[T any] struct {
 // onto the real line for the numeric heuristics; pass nil for
 // comparator-only element types.
 func NewStepper[T any](src stream.BatchReader[T], em *runio.Emitter[T], cfg Config, key func(T) float64) (*Stepper[T], error) {
-	s, err := newStepper(src, em, cfg, key)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.g.in.fill(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// newStepper builds the stepper with every buffer still empty.
-func newStepper[T any](src stream.BatchReader[T], em *runio.Emitter[T], cfg Config, key func(T) float64) (*Stepper[T], error) {
 	inputCap, victimCap, arena, err := cfg.sizes()
 	if err != nil {
 		return nil, err
@@ -178,6 +164,9 @@ func newStepper[T any](src stream.BatchReader[T], em *runio.Emitter[T], cfg Conf
 	if victimCap > 0 {
 		g.victim = make([]T, 0, victimCap)
 		g.sort = codec.NewKeySorter(em.KeyCodec, less)
+	}
+	if err := in.fill(); err != nil {
+		return nil, err
 	}
 	return &Stepper[T]{g: g}, nil
 }
@@ -275,62 +264,6 @@ func (s *Stepper[T]) Carry() []T {
 	return append(out, g.in.drain()...)
 }
 
-// Checkpoint lists, without disturbing the stepper, every record it holds
-// at a run boundary in the order Restore takes them back — BottomHeap and
-// TopHeap in heap index order (ties pop by position, so position is
-// state), the input FIFO oldest first, the fetch read-ahead — and returns
-// those four counts followed by the scalars that survive a boundary: a flag
-// word (rangeSet, lastInputTop, lastOutputTop), minSeen, maxSeen and the
-// FIFO's running sum as float64 bits, and the number of coin flips drawn.
-// endRun has just reset everything else (DESIGN.md §14). It is only
-// meaningful right after NextRun returned a run.
-func (s *Stepper[T]) Checkpoint(put func(T)) []uint64 {
-	g := s.g
-	g.dh.Export(put)
-	fifo, ahead := g.in.export(put)
-	var flags uint64
-	for i, f := range []bool{g.rangeSet, g.lastInputTop, g.lastOutputTop} {
-		if f {
-			flags |= 1 << i
-		}
-	}
-	return []uint64{
-		uint64(g.dh.LenBottom()), uint64(g.dh.LenTop()), uint64(fifo), uint64(ahead), flags,
-		math.Float64bits(g.minSeen), math.Float64bits(g.maxSeen), math.Float64bits(g.in.sum), g.draws,
-	}
-}
-
-// Restore rebuilds the Stepper whose Checkpoint listed recs and returned
-// state, over src positioned just past the read-ahead and under the same
-// configuration: it goes on to emit exactly the runs the original would
-// have. Counts that do not add up to recs, or records not in heap order
-// where they were listed, are an error, never a different run sequence.
-func Restore[T any](src stream.BatchReader[T], em *runio.Emitter[T], cfg Config, key func(T) float64, recs []T, state []uint64) (*Stepper[T], error) {
-	s, err := newStepper(src, em, cfg, key)
-	if err != nil {
-		return nil, err
-	}
-	n := uint64(len(recs))
-	if len(state) != 9 || state[0] > n || state[1] > n-state[0] || state[2] > n-state[0]-state[1] || state[3] != n-state[0]-state[1]-state[2] {
-		return nil, fmt.Errorf("core: checkpoint state %v does not describe %d records", state, n)
-	}
-	g := s.g
-	top, fifo, ahead := state[0]+state[1], state[0]+state[1]+state[2], n
-	if err := g.dh.Import(recs[:state[0]], recs[state[0]:top], 0, g.pfx); err != nil {
-		return nil, err
-	}
-	if !g.in.restore(recs[top:fifo], recs[fifo:ahead], math.Float64frombits(state[7])) {
-		return nil, fmt.Errorf("core: checkpoint input buffer of %d+%d records exceeds its capacity", state[2], state[3])
-	}
-	g.rangeSet, g.lastInputTop, g.lastOutputTop = state[4]&1 != 0, state[4]&2 != 0, state[4]&4 != 0
-	g.minSeen, g.maxSeen = math.Float64frombits(state[5]), math.Float64frombits(state[6])
-	for ; g.draws < state[8]; g.draws++ { // reseeded above: skip the flips already taken
-		g.rng.Intn(2)
-	}
-	s.filled = true
-	return s, nil
-}
-
 // chooseOutputSide picks the heap to release the next record from. ok is
 // false when neither heap has a current-run record on top.
 func (g *generator[T]) chooseOutputSide() (fromTop, ok bool) {
@@ -372,12 +305,8 @@ func (g *generator[T]) chooseOutputSide() (fromTop, ok bool) {
 	}
 }
 
-// coin flips the seeded coin the Random heuristics share, counting the
-// flip so a checkpoint can say where in the sequence the generator stands.
-func (g *generator[T]) coin() bool {
-	g.draws++
-	return g.rng.Intn(2) == 0
-}
+// coin flips the seeded coin the Random heuristics share.
+func (g *generator[T]) coin() bool { return g.rng.Intn(2) == 0 }
 
 // route releases a popped record: to the victim buffer during the initial
 // collection phase, otherwise directly to the releasing heap's stream

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"io"
-	"slices"
 	"testing"
 
 	"repro/internal/codec"
@@ -434,100 +431,5 @@ func TestInvalidMemoryRejected(t *testing.T) {
 		Config{Memory: 0}, record.Key)
 	if err == nil {
 		t.Fatal("memory 0 should be rejected")
-	}
-}
-
-// countingReader counts the records handed out, so a test can cut the
-// input where a checkpointed stepper stopped reading it.
-type countingReader struct {
-	recs []record.Record
-	pos  int
-}
-
-func (r *countingReader) ReadBatch(dst []record.Record) (int, error) {
-	if r.pos == len(r.recs) {
-		return 0, io.EOF
-	}
-	n := copy(dst, r.recs[r.pos:])
-	r.pos += n
-	return n, nil
-}
-
-// TestCheckpointRestoreExactState checkpoints a stepper at every run
-// boundary, restores a second one from the listing over the rest of the
-// input, and requires the restored stepper to stand exactly where the first
-// does — an immediate Checkpoint returns the same records and the same
-// state words, the float sum and the coin-flip count included — and to
-// emit, run for run, the records the first goes on to emit. The key
-// projection is fractional so the FIFO's running sum is a genuine history
-// of rounded additions, not an exact integer a fresh sum would reproduce.
-// The MinDistance cells flip the coin only where the heuristic falls back
-// on it: on a run's first two-sided output, and always without a key.
-func TestCheckpointRestoreExactState(t *testing.T) {
-	recs := gen.Generate(gen.Config{Kind: gen.MixedBalanced, N: 3000, Seed: 5, Noise: 40})
-	fraction := func(r record.Record) float64 { return float64(r.Key) / 3 }
-	for _, cell := range []struct {
-		in    InputHeuristic
-		out   OutputHeuristic
-		keyed bool
-	}{
-		{InMean, OutRandom, true}, {InMedian, OutRandom, true}, {InRandom, OutRandom, true}, {InBalancing, OutRandom, true},
-		{InMean, OutMinDistance, true}, {InMean, OutMinDistance, false},
-	} {
-		name, key := fmt.Sprintf("%v/%v/keyed=%v", cell.in, cell.out, cell.keyed), fraction
-		if !cell.keyed {
-			key = nil
-		}
-		cfg := Config{Memory: 120, Setup: BothBuffers, BufferFrac: 0.2, Input: cell.in, Output: cell.out, Seed: 9}
-		src, fsA := &countingReader{recs: recs}, vfs.NewMemFS()
-		s, err := NewStepper[record.Record](src, runio.RecordEmitter(fsA, "a"), cfg, key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		list := func(s *Stepper[record.Record]) ([]record.Record, []uint64) {
-			var held []record.Record
-			state := s.Checkpoint(func(r record.Record) { held = append(held, r) })
-			return held, state
-		}
-		readRun := func(fs vfs.FS, run runio.Run) []record.Record {
-			out, err := readRun(fs, run, 4096)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return out
-		}
-		// next is what the stepper restored at the previous boundary emitted
-		// as its following run; the original must now emit the same.
-		var next []record.Record
-		for boundary := 1; ; boundary++ {
-			run, ok, err := s.NextRun()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if boundary > 1 && (ok != (next != nil) || ok && !slices.Equal(readRun(fsA, run), next)) {
-				t.Fatalf("%s: the stepper restored at boundary %d emitted a different next run than the original", name, boundary-1)
-			}
-			if !ok {
-				break
-			}
-			held, state := list(s)
-			if len(state) != 9 {
-				t.Fatalf("%s boundary %d: checkpoint state %v, want 9 words", name, boundary, state)
-			}
-			fsB := vfs.NewMemFS()
-			r, err := Restore[record.Record](record.NewSliceReader(recs[src.pos:]), runio.RecordEmitter(fsB, "b"), cfg, key, held, state)
-			if err != nil {
-				t.Fatalf("%s boundary %d: Restore: %v", name, boundary, err)
-			}
-			if held2, state2 := list(r); !slices.Equal(held, held2) || !slices.Equal(state, state2) {
-				t.Fatalf("%s boundary %d: restored stepper stands elsewhere:\n state %v\n  from %v", name, boundary, state2, state)
-			}
-			next = nil
-			if run, ok, err := r.NextRun(); err != nil {
-				t.Fatal(err)
-			} else if ok {
-				next = readRun(fsB, run)
-			}
-		}
 	}
 }

@@ -37,7 +37,7 @@ func reopenSpill(t *testing.T, fs vfs.FS, cfg Config) *vfs.Arena {
 		t.Fatal(err)
 	}
 	a := vfs.NewArena(fs, "sort"+arenaSuffix, runio.BlockBytes(cfg.Memory*record.Size))
-	if err := a.Adopt(placed(st.Runs, true)); err != nil {
+	if err := a.Adopt(placed(st.Runs)); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { a.Close() })

@@ -187,21 +187,22 @@ type Config struct {
 	// ("<Prefix>.manifest", written directly on fs beside the spill files)
 	// records each run boundary as it completes, so a crashed or killed
 	// sort can resume from the last boundary instead of restarting (see
-	// internal/manifest and DESIGN.md §14). The runs are the plain sort's,
-	// byte for byte: the generator is not disturbed, each boundary only
-	// checkpoints it in place — the records it holds written, in position,
-	// to a snapshot file beside the runs, its few state words into the
-	// manifest record — so a resume can restore it exactly. That holds
-	// under every policy: the adaptive auto is a generator like the fixed
-	// four, its engine state rides in the checkpoint, and a resumed auto
-	// sort repeats the decisions of the uninterrupted one. On error the
-	// spill files and manifest are left in place for Resume, not discarded.
+	// internal/manifest and DESIGN.md §14). The files are the plain sort's,
+	// byte for byte: the generator is not disturbed, and a boundary only
+	// appends the run's shape and content checksums to the manifest. A
+	// resume replays a fresh generator from the first input record, checks
+	// every recovered run against its record and writes from the last one
+	// on. That holds under every policy: the adaptive auto is a
+	// deterministic generator like the fixed four, and a resumed auto sort
+	// repeats the decisions of the uninterrupted one. On error the spill
+	// files and manifest are left in place for Resume, not discarded.
 	Manifest bool
 	// Resume makes GenerateRuns first attempt to resume from the manifest
 	// a previous Manifest-mode pass left behind, falling back to a fresh
 	// manifest-writing pass when none exists. The input source must serve
-	// the same records from the start; resume fast-forwards it to the
-	// recorded position. Implies Manifest.
+	// the same records from the start; the resume replays generation over
+	// them and refuses an input that regenerates a different run. Implies
+	// Manifest.
 	Resume bool
 	// Storage selects the spill backend layered over fs: the zero value is
 	// the historical raw layout; a Compression name turns on checksummed
@@ -383,7 +384,7 @@ func GenerateRunsBatch[T any](src stream.BatchReader[T], fs vfs.FS, cfg Config, 
 	if err != nil {
 		return nil, err
 	}
-	return rset.generate(src, nil, nil, entry)
+	return rset.generate(src, nil, entry)
 }
 
 // spillView is the file system the spill backend sees, given the one its
@@ -474,15 +475,15 @@ func (r *RunSet[T]) closeSpill() {
 }
 
 // generate runs phase one on a RunSet shell. Plain, durable and resumed
-// passes share it: the generator runs straight through the input either
-// way, and a durable sort (Config.Manifest) only adds a hook at every run
-// boundary that snapshots the generator where it stands and appends a
-// manifest record, then commits the manifest at the end. recovered and
-// from continue an earlier pass: the boundaries Resume adopted and the
-// generator's checkpoint at the last of them. On error a plain sort
-// discards its files; a durable one leaves spill files and manifest on
-// disk for Resume.
-func (r *RunSet[T]) generate(src stream.BatchReader[T], recovered []manifest.Run, from *policy.Checkpoint[T], entry time.Time) (*RunSet[T], error) {
+// passes share it: the generator runs straight through the input from its
+// first record either way, and a durable sort (Config.Manifest) only adds a
+// hook at every run boundary that appends a manifest record, then commits
+// the manifest at the end. recovered are the boundaries Resume adopted: the
+// pass replays them first, regenerating their runs into a store that keeps
+// nothing and checking each against its record, and switches to the sort's
+// store at the last of them. On error a plain sort discards its files; a
+// durable one leaves spill files and manifest on disk for Resume.
+func (r *RunSet[T]) generate(src stream.BatchReader[T], recovered []manifest.Run, entry time.Time) (*RunSet[T], error) {
 	cfg, ops, em, o := r.cfg, r.ops, r.em, r.o
 	durable := r.manifestName != ""
 	em.Checksums = durable
@@ -507,7 +508,9 @@ func (r *RunSet[T]) generate(src stream.BatchReader[T], recovered []manifest.Run
 
 	gsp := o.tracer().Start("generate",
 		obs.Str("policy", cfg.Policy.String()), obs.Bool("keyed", keyed), obs.Bool("durable", durable))
+	var rsp *obs.Span // the replay of a resumed pass, while it lasts
 	fail := func(err error) (*RunSet[T], error) {
+		rsp.End(obs.Str("error", err.Error()))
 		gsp.End(obs.Str("error", err.Error()))
 		if !durable {
 			r.Discard()
@@ -524,56 +527,55 @@ func (r *RunSet[T]) generate(src stream.BatchReader[T], recovered []manifest.Run
 		return nil, err
 	}
 
-	var (
-		emitted   int64 // records in the runs so far, recovered ones included
-		snapshots []string
-	)
-	pcfg := policy.Config{Memory: cfg.Memory, TWRS: cfg.TWRS, Span: gsp}
+	// The meter counts every record the generator reads — a boundary's
+	// input position — and leaves the replayed prefix out of the input
+	// metric.
+	var skip int64
+	async := em.Async
 	if n := len(recovered); n > 0 {
-		pos := recovered[n-1].InputPos
-		rsp := o.tracer().Start("resume", obs.Int("runs_recovered", int64(n)), obs.Int("input_pos", pos))
-		if from.Tail, err = skipInput(src, pos, pcfg.Window()); err != nil {
-			rsp.End(obs.Str("error", err.Error()))
-			return fail(err)
-		}
-		rsp.End()
-		for _, mr := range recovered {
-			r.runs = append(r.runs, toRunioRun(mr))
-			r.policies = append(r.policies, mr.Policy)
-			emitted += mr.Records
-			if mr.CarryName != "" {
-				snapshots = append(snapshots, mr.CarryName)
-			}
-		}
-		em.Namer.SetSeq(recovered[n-1].NamerSeq)
+		skip = recovered[n-1].InputPos
+		rsp = gsp.Start("resume", obs.Int("runs_recovered", int64(n)), obs.Int("input_pos", skip))
 		r.stats.RunsRecovered = n
 		o.observeRecovered(n)
+		// The replay writes nowhere, and synchronously: a write-behind binds
+		// to the pool of the store its first stream writes to.
+		em.Store, em.Async = storage.NewRaw(discardFS{}), false
+		storage.PoolOf(em.Store).Reserve(storage.PoolOf(r.store).Budget())
 	}
-	var commit func(policy.Driven[T], runio.Run) error
+	in := meterSource(o, src, skip)
+	var (
+		replayed int // recovered boundaries regenerated so far
+		commit   func(policy.Driven[T], runio.Run) error
+	)
 	if durable {
 		commit = func(gen policy.Driven[T], run runio.Run) error {
-			emitted += run.Records
-			name, err := r.commitBoundary(man, gsp, gen, run, emitted)
-			if name != "" {
-				snapshots = append(snapshots, name)
+			mr := runRecord(gen.Kind(), run, in.n, em.Namer.Seq())
+			if replayed == len(recovered) {
+				return r.commitBoundary(man, gsp, mr)
 			}
-			return err
+			if !sameRun(mr, recovered[replayed]) {
+				return fmt.Errorf("%w: run %d regenerated from the input is not the run the manifest committed; the source must re-serve the original input", manifest.ErrChecksum, replayed+1)
+			}
+			// No stream is open at a boundary: the one point where the
+			// replay can hand over to the sort's store.
+			if replayed++; replayed == len(recovered) {
+				em.Store, em.Async = r.store, async
+				rsp.End()
+			}
+			return nil
 		}
 	}
 
-	// Every policy takes the same two steps: build (or restore) its
-	// generator over the metered input, then drive it to exhaustion. The
-	// prefix a resume skipped above is not metered.
+	// Every policy takes the same two steps: build its generator over the
+	// metered input, then drive it to exhaustion.
 	simStart, wallStart := r.clock(), time.Now()
-	gen, err := policy.NewGenerator(cfg.Policy, meterSource(o, src), em, pcfg, ops.Key, from)
-	if err != nil && from != nil {
-		// The snapshot passed its checksum yet is no state of this
-		// generator: as corrupt as data that fails one.
-		err = fmt.Errorf("%w: %v", manifest.ErrChecksum, err)
-	}
+	gen, err := policy.NewGenerator(cfg.Policy, in, em, policy.Config{Memory: cfg.Memory, TWRS: cfg.TWRS, Span: gsp}, ops.Key)
 	var pres policy.Result
 	if err == nil {
 		pres, err = policy.Drive(gen, gsp, commit)
+	}
+	if err == nil && replayed < len(recovered) {
+		err = fmt.Errorf("%w: the input ended after %d records, before the %d runs the manifest committed were regenerated; the source must re-serve the original input", manifest.ErrChecksum, in.n, len(recovered))
 	}
 	if err == nil {
 		// The end of generation: every run is whole before it is counted,
@@ -584,23 +586,17 @@ func (r *RunSet[T]) generate(src stream.BatchReader[T], recovered []manifest.Run
 	if err != nil {
 		return fail(err)
 	}
-	r.runs = append(r.runs, pres.Runs...)
+	r.runs = pres.Runs
 	for _, k := range pres.Policies {
 		r.policies = append(r.policies, k.String())
 	}
 	r.stats.PolicySwitches = pres.Switches
 	if durable {
-		// Commit before deleting the snapshots: a crash between the two
-		// leaves a committed manifest whose runs are all complete, which
-		// recovers fully; the stale snapshots are swept on the next resume.
-		if err := man.Commit(emitted); err != nil {
+		if err := man.Commit(pres.Records, pres.Switches); err != nil {
 			return fail(err)
 		}
 		if err := man.Close(); err != nil {
 			return fail(err)
-		}
-		for _, name := range snapshots {
-			r.store.Remove(name)
 		}
 		// The committed manifest names every run until the merge is done with
 		// it: their extents are not reused before.
@@ -775,8 +771,8 @@ func isSpillName(prefix, name string) bool {
 // produced — any stragglers a failed pass left behind (a half-written run
 // from an aborted generation, intermediate outputs of a failed reduce,
 // orphaned backward chain files). Runs already consumed are skipped
-// silently. A durable sort's manifest and carry snapshots are removed too
-// — Discard abandons the sort, resumable state included — and a second
+// silently. A durable sort's manifest is removed too — Discard abandons
+// the sort, resumable state included — and a second
 // Discard of the same set is a no-op. After Discard the backend holds no
 // file of this sort; in the spill arena every removal but the last is
 // bookkeeping, and the last unlinks the arena.

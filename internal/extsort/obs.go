@@ -30,7 +30,6 @@ type sortObs struct {
 	runs      *obs.Counter
 	runLen    *obs.Histogram
 	recovered *obs.Counter
-	ckptBytes *obs.Counter
 	ckptTime  *obs.Histogram
 	switches  *obs.Counter
 	phaseGen  *obs.Histogram
@@ -62,7 +61,6 @@ func newSortObs(cfg Config) *sortObs {
 	o.runs = m.Counter(obs.MRuns, "Sorted runs emitted by generation.")
 	o.runLen = m.Histogram(obs.MRunLength, "Run length distribution in records.", obs.RunLengthBuckets)
 	o.recovered = m.Counter(obs.MRunsRecovered, "Runs recovered from a durable manifest by a resumed sort.")
-	o.ckptBytes = m.Counter(obs.MCheckpointBytes, "Snapshot bytes written at durable run boundaries.")
 	o.ckptTime = m.Histogram(obs.MCheckpointSeconds, "Per-boundary checkpoint wall seconds.", obs.PhaseSecondsBuckets)
 	o.switches = m.Counter(obs.MPolicySwitches, "Mid-stream generator switches by the auto policy.")
 	o.phaseGen = m.Histogram(obs.MPhaseSeconds, "Per-phase wall seconds.", obs.PhaseSecondsBuckets,
@@ -181,13 +179,11 @@ func (o *sortObs) observeRecovered(n int) {
 	o.recovered.Add(int64(n))
 }
 
-// observeCheckpoint records one durable run boundary: the snapshot bytes
-// written and the wall time the whole checkpoint took.
-func (o *sortObs) observeCheckpoint(bytes int64, d time.Duration) {
+// observeCheckpoint records the wall time one durable run boundary took.
+func (o *sortObs) observeCheckpoint(d time.Duration) {
 	if o == nil {
 		return
 	}
-	o.ckptBytes.Add(bytes)
 	o.ckptTime.Observe(d.Seconds())
 }
 
@@ -220,37 +216,39 @@ func (o *sortObs) syncIO(st storage.IOStats) {
 	o.io.verify.Add(st.VerifyFailures - last.VerifyFailures)
 }
 
-// meterReader counts records flowing out of a source into the input
-// counter and the progress reporter, a batch at a time, and forwards the
-// source's Remaining hint.
+// meterReader counts the records flowing out of a source — the input
+// position a durable boundary records — into the progress reporter, and
+// those past the first skip into the input counter, a batch at a time. It
+// forwards the source's Remaining hint.
 type meterReader[T any] struct {
-	br  stream.BatchReader[T]
-	c   *obs.Counter
-	rep *obs.Reporter
+	br   stream.BatchReader[T]
+	c    *obs.Counter
+	rep  *obs.Reporter
+	n    int64 // records read so far
+	skip int64 // the prefix a resumed pass replays: input of an earlier pass
 }
 
 func (m *meterReader[T]) ReadBatch(dst []T) (int, error) {
-	n, err := m.br.ReadBatch(dst)
-	if n > 0 {
-		m.c.Add(int64(n))
-		m.rep.Add(int64(n))
+	k, err := m.br.ReadBatch(dst)
+	m.n += int64(k)
+	m.rep.Add(int64(k))
+	if fresh := min(int64(k), m.n-m.skip); fresh > 0 {
+		m.c.Add(fresh)
 	}
-	return n, err
+	return k, err
 }
 
 // Remaining forwards Sized; -1 when the source does not know.
 func (m *meterReader[T]) Remaining() int { return stream.RemainingOf(m.br) }
 
-// meterSource wraps src with a meterReader when the bundle has anything
-// to feed; otherwise returns src unchanged. It also moves the progress
-// reporter into the "generate" phase, sized from the source when known.
-func meterSource[T any](o *sortObs, src stream.BatchReader[T]) stream.BatchReader[T] {
-	if o == nil {
-		return src
+// meterSource wraps src with a meterReader that skips the first skip
+// records, and moves the progress reporter into the "generate" phase, sized
+// from the source when known.
+func meterSource[T any](o *sortObs, src stream.BatchReader[T], skip int64) *meterReader[T] {
+	m := &meterReader[T]{br: src, skip: skip}
+	if o != nil {
+		o.rep.SetPhase("generate", int64(stream.RemainingOf(src)))
+		m.c, m.rep = o.recordsIn, o.rep
 	}
-	o.rep.SetPhase("generate", int64(stream.RemainingOf(src)))
-	if o.recordsIn == nil && o.rep == nil {
-		return src
-	}
-	return &meterReader[T]{br: src, c: o.recordsIn, rep: o.rep}
+	return m
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"time"
 
 	"repro/internal/manifest"
@@ -23,33 +24,16 @@ import (
 //
 // Durable mode does not change how runs are generated: the generator runs
 // straight through the input exactly as in a plain sort (RunSet.generate),
-// and every run boundary is a checkpoint taken in place — the records the
-// generator holds, listed in positional order into a snapshot file, plus a
-// few state words in the manifest record. An uninterrupted durable sort
-// therefore writes the plain sort's run files byte for byte, and a sort
-// resumed at boundary j restores the generator exactly as it stood there,
-// so it writes the uninterrupted sort's.
-
-// neverLess is the comparator for snapshot files: generator state is listed
-// by position, not in sorted order, so order validation is disabled.
-func neverLess[T any](a, b T) bool { return false }
-
-// skipInput fast-forwards src, which re-serves input a previous pass already
-// consumed, to record n and returns the last keep records before it (all n,
-// if fewer) for the restored generator's Checkpoint.Tail. Running out early
-// means the source is not the same input the manifest was written against.
-func skipInput[T any](src stream.BatchReader[T], n int64, keep int) ([]T, error) {
-	keep = int(min(n, int64(keep)))
-	done, err := stream.Discard(src, n-int64(keep), nil)
-	var tail []T
-	if err == nil {
-		tail, _, err = stream.ReadPrefix(src, make([]T, 0, keep), keep, nil)
-	}
-	if done += int64(len(tail)); err == nil && done < n {
-		err = fmt.Errorf("extsort: resume: input ended after %d records but the manifest recorded position %d; the source must re-serve the original input from the start", done, n)
-	}
-	return tail, err
-}
+// and a run boundary only appends a record identifying the run — its
+// segments with their content sums, the policy that wrote it, the input
+// position — to the manifest. An uninterrupted durable sort therefore
+// writes exactly the plain sort's files. Every generator is a deterministic
+// function of its input and configuration, so its state at a boundary is
+// never stored: a resume builds a fresh generator over the input from
+// record 0 and replays it, regenerating the recovered runs into a store
+// that keeps nothing and checking each against its record, then writes for
+// real from the last recovered boundary on — the uninterrupted sort's files
+// again.
 
 // compressionName returns the canonical spill framing name for the header.
 func compressionName(cfg Config) string {
@@ -105,103 +89,85 @@ func checkHeader[T any](h manifest.Header, cfg Config, ops Ops[T], em *runio.Emi
 	return nil
 }
 
-// commitBoundary makes one run boundary durable, with the generator at rest
-// after run and emitted records in the runs so far: it writes the records
-// gen holds to a snapshot file in the order Checkpoint lists them, then
-// appends the manifest record tying together the run's file shape and
-// content checksums, the snapshot with its order-sensitive checksum and
-// state words, and the input position. Once AppendRun returns, a crash
-// anywhere later resumes at (or after) this boundary. It returns the
-// snapshot's name, empty when gen held nothing.
-func (r *RunSet[T]) commitBoundary(man *manifest.Writer, gsp *obs.Span, gen policy.Driven[T], run runio.Run, emitted int64) (string, error) {
-	// The boundary is a barrier: what the manifest is about to call
-	// committed must be whole on the store first.
-	if err := r.em.Barrier(); err != nil {
-		return "", err
-	}
-	start, written := time.Now(), r.store.Stats().RawBytesWritten
-	sp := gsp.Start("checkpoint")
-	mr := manifest.Run{
-		Records:      run.Records,
-		Concatenable: run.Concatenable,
-		Policy:       gen.Kind().String(),
-	}
+// runRecord is the manifest record of a run boundary, given the policy
+// that wrote the run and the input read and names taken by then: what a
+// durable pass commits there, and what a resumed pass regenerates there and
+// compares with the record it recovered.
+func runRecord(kind policy.Kind, run runio.Run, inputPos int64, namerSeq int) manifest.Run {
+	mr := manifest.Run{Records: run.Records, Concatenable: run.Concatenable, Policy: kind.String(), InputPos: inputPos, NamerSeq: namerSeq}
 	for _, seg := range run.Segments {
 		mr.Segments = append(mr.Segments, manifest.Segment{Name: seg.Name, Records: seg.Records, Backward: seg.Backward, Files: seg.Files, Sum: seg.Sum})
 	}
-	// The snapshot file exists only if the generator holds anything; a
-	// write error is kept and the rest of the listing dropped.
-	var (
-		w   *runio.Writer[T]
-		err error
-	)
-	mr.State = gen.Checkpoint(func(v T) {
-		if w == nil && err == nil {
-			mr.CarryName = r.em.Namer.Next("carry")
-			if w, err = runio.NewWriter(r.em.Store, mr.CarryName, 0, r.ops.Codec, neverLess[T]); err == nil {
-				w.SumStream()
-			}
-		}
-		if err == nil {
-			err = w.Write(v)
-		}
-	})
-	if w != nil {
-		if cerr := w.Close(); err == nil {
-			err = cerr
-		}
-		mr.CarryRecords, mr.CarrySum = w.Count(), w.Sum()
-	}
+	return mr
+}
+
+// sameRun reports whether a regenerated boundary matches the recovered one:
+// the same run — records, concatenability, policy, and every segment's
+// name, length, layout and content sum — with at least as much input read.
+// (A pass killed at its source can commit boundaries after a short last
+// batch, so a replay may have read further; never less.)
+func sameRun(got, want manifest.Run) bool {
+	return got.Records == want.Records && got.Concatenable == want.Concatenable && got.Policy == want.Policy &&
+		slices.Equal(got.Segments, want.Segments) && got.InputPos >= want.InputPos
+}
+
+// commitBoundary makes one run boundary durable: once the run's files are
+// whole on the store — the boundary is a barrier — it appends the run's
+// record, with the arena's placement of its files, to the manifest. Once
+// AppendRun returns, a crash anywhere later resumes at (or after) this
+// boundary.
+func (r *RunSet[T]) commitBoundary(man *manifest.Writer, gsp *obs.Span, mr manifest.Run) error {
+	start, sp := time.Now(), gsp.Start("checkpoint")
+	err := r.em.Barrier()
 	if err == nil {
-		// Every record consumed is either in a run by now or held.
-		mr.InputPos, mr.NamerSeq = emitted+mr.CarryRecords, r.em.Namer.Seq()
 		mr.Files = r.placements(mr)
 		err = man.AppendRun(mr)
 	}
-	written = r.store.Stats().RawBytesWritten - written
-	sp.End(obs.Int("records", mr.CarryRecords), obs.Int("bytes", written))
-	r.o.observeCheckpoint(written, time.Since(start))
-	return mr.CarryName, err
+	sp.End()
+	r.o.observeCheckpoint(time.Since(start))
+	return err
 }
 
 // placements reports where the arena holds the files of a run record: each
-// file of its non-empty segments, then its snapshot.
+// file of its non-empty segments.
 func (r *RunSet[T]) placements(mr manifest.Run) []vfs.ArenaFile {
 	var files []vfs.ArenaFile
-	place := func(name string, _ int) {
-		if pf, ok := r.spill.Placement(name); ok {
-			files = append(files, pf)
-		}
-	}
 	for _, ms := range mr.Segments {
 		if ms.Records > 0 {
-			toSegment(ms).EachFile(place)
+			toSegment(ms).EachFile(func(name string, _ int) {
+				if pf, ok := r.spill.Placement(name); ok {
+					files = append(files, pf)
+				}
+			})
 		}
-	}
-	if mr.CarryName != "" {
-		place(mr.CarryName, 0)
 	}
 	return files
 }
 
-// placed gathers the arena files the given run records place, snapshots
-// only with carries.
-func placed(runs []manifest.Run, carries bool) []vfs.ArenaFile {
+// placed gathers the arena files the given run records place.
+func placed(runs []manifest.Run) []vfs.ArenaFile {
 	var files []vfs.ArenaFile
 	for _, mr := range runs {
-		for _, pf := range mr.Files {
-			if carries || pf.Name != mr.CarryName {
-				files = append(files, pf)
-			}
-		}
+		files = append(files, mr.Files...)
 	}
 	return files
 }
 
-// sumStream drains rc, recomputing a checksum by re-encoding every element
-// and folding it in with fold — runio.ContentSum for run segments,
-// runio.StreamSum for snapshots; with collect it also returns the elements.
-func sumStream[T any](rc *runio.Reader[T], ops Ops[T], fold func(uint64, []byte) uint64, collect bool) (elems []T, n int64, sum uint64, err error) {
+// discardFS is a file system that accepts every write and keeps nothing.
+// A resumed pass regenerates its recovered runs into it, where only the
+// content sums the writers take on the way count.
+type discardFS struct{ vfs.FS }
+
+type discardFile struct{ vfs.File }
+
+func (discardFS) Create(string) (vfs.File, error)          { return discardFile{}, nil }
+func (discardFS) Remove(string) error                      { return nil }
+func (discardFile) WriteAt(p []byte, _ int64) (int, error) { return len(p), nil }
+func (discardFile) Close() error                           { return nil }
+
+// sumStream drains rc, recomputing its content checksum
+// (runio.ContentSum) by re-encoding every element.
+func sumStream[T any](rc *runio.Reader[T], ops Ops[T]) (n int64, sum uint64, err error) {
 	defer rc.Close()
 	buf := make([]T, 512)
 	var scratch []byte
@@ -209,17 +175,14 @@ func sumStream[T any](rc *runio.Reader[T], ops Ops[T], fold func(uint64, []byte)
 		k, rerr := rc.ReadBatch(buf)
 		for _, v := range buf[:k] {
 			scratch = ops.Codec.Append(scratch[:0], v)
-			sum = fold(sum, scratch)
-		}
-		if collect {
-			elems = append(elems, buf[:k]...)
+			sum = runio.ContentSum(sum, scratch)
 		}
 		n += int64(k)
 		if rerr == io.EOF || (rerr == nil && k == 0) {
-			return elems, n, sum, nil
+			return n, sum, nil
 		}
 		if rerr != nil {
-			return nil, 0, 0, rerr
+			return 0, 0, rerr
 		}
 	}
 }
@@ -238,7 +201,7 @@ func validateRunFiles[T any](store storage.Backend, mr manifest.Run, ops Ops[T])
 		if err != nil {
 			return err
 		}
-		_, n, sum, err := sumStream(rc, ops, runio.ContentSum, false)
+		n, sum, err := sumStream(rc, ops)
 		if err != nil {
 			return err
 		}
@@ -248,30 +211,6 @@ func validateRunFiles[T any](store storage.Backend, mr manifest.Run, ops Ops[T])
 		}
 	}
 	return nil
-}
-
-// readSnapshot loads a boundary's generator checkpoint: the state words
-// from the manifest record and, when the generator held anything, the
-// snapshot file, validated in order against its committed checksum.
-func readSnapshot[T any](store storage.Backend, mr manifest.Run, ops Ops[T]) (*policy.Checkpoint[T], error) {
-	from := &policy.Checkpoint[T]{State: mr.State}
-	if mr.CarryName == "" {
-		return from, nil
-	}
-	rc, err := runio.NewReader[T](store, mr.CarryName, 0, ops.Codec)
-	if err != nil {
-		return nil, err
-	}
-	elems, n, sum, err := sumStream[T](rc, ops, runio.StreamSum, true)
-	if err != nil {
-		return nil, err
-	}
-	if n != mr.CarryRecords || sum != mr.CarrySum {
-		return nil, fmt.Errorf("%w: snapshot %s: manifest committed %d records (sum %08x), file holds %d (sum %08x)",
-			manifest.ErrChecksum, mr.CarryName, mr.CarryRecords, mr.CarrySum, n, sum)
-	}
-	from.Recs = elems
-	return from, nil
 }
 
 // toSegment reconstructs a segment's description from its manifest record.
@@ -291,12 +230,10 @@ func toRunioRun(mr manifest.Run) runio.Run {
 
 // adoptCommitted fills a RunSet shell from a fully validated committed
 // manifest, recovering every run without touching the input. The arena
-// keeps the runs and frees everything else — snapshots included: nothing
-// restarts from a committed manifest, and a crash between the commit and
-// generate's snapshot removals would otherwise leave them behind for good
-// — and holds the runs' extents while the manifest names them.
+// keeps the runs, frees everything else — what a crash in the merge left —
+// and holds the runs' extents while the manifest names them.
 func (r *RunSet[T]) adoptCommitted(st *manifest.State, entry time.Time) (*RunSet[T], error) {
-	if err := r.spill.Adopt(placed(st.Runs, false)); err != nil {
+	if err := r.spill.Adopt(placed(st.Runs)); err != nil {
 		return r.abortSetup(err)
 	}
 	r.spill.Hold()
@@ -308,9 +245,7 @@ func (r *RunSet[T]) adoptCommitted(st *manifest.State, entry time.Time) (*RunSet
 	}
 	r.stats.RunsRecovered = len(r.runs)
 	r.stats.Policy = r.cfg.Policy.String()
-	if n := len(st.Runs); n > 0 {
-		r.stats.PolicySwitches = policy.SwitchesAt(r.cfg.Policy, st.Runs[n-1].State)
-	}
+	r.stats.PolicySwitches = st.Commit.Switches
 	r.stats.Keyed = st.Header.KeyCodec != ""
 	sp.End()
 	r.o.observeRecovered(len(r.runs))
@@ -332,7 +267,7 @@ func openDurable[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], *manifes
 		err = checkHeader(st.Header, rset.cfg, ops, rset.em)
 	}
 	if err == nil {
-		err = rset.spill.Adopt(placed(st.Runs, true))
+		err = rset.spill.Adopt(placed(st.Runs))
 	}
 	if err != nil {
 		rset.abortSetup(err)
@@ -343,20 +278,20 @@ func openDurable[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], *manifes
 
 // Resume reconstructs a durable sort from the manifest a previous
 // Manifest-mode pass left on fs and continues run generation from the last
-// recoverable boundary. src must re-serve the same input from the start;
-// Resume fast-forwards it to the recorded position, so only unprocessed
-// records are read in full.
+// recoverable boundary. src must re-serve the same input from the start:
+// Resume replays the generator over it, which costs the generation work of
+// the recovered prefix but writes none of its files.
 //
 // Recovery is prefix-shaped: the longest leading sequence of runs whose
-// files are all present and match their committed checksums — and whose
-// boundary snapshot validates — is adopted; the generator is restored from
-// that snapshot exactly as it stood, so everything after the boundary is
-// regenerated with identical bytes (see the file comment). A missing file
-// only shortens the prefix; present-but-mismatched data — a snapshot with
-// two records swapped included — is manifest.ErrChecksum, a configuration
-// change is manifest.MismatchError (errors.Is manifest.ErrMismatch), and no
-// manifest at all is manifest.ErrNoManifest — wrong output is never
-// produced.
+// files are all present and match their committed checksums is adopted. A
+// fresh generator then regenerates those runs from the input, each checked
+// against its record, and writes everything after the last of them with
+// identical bytes (see the file comment). A missing file only shortens the
+// prefix; present-but-mismatched data is manifest.ErrChecksum, and so is an
+// input that regenerates a different run or ends before the recovered
+// prefix does; a configuration change is manifest.MismatchError (errors.Is
+// manifest.ErrMismatch), and no manifest at all is manifest.ErrNoManifest —
+// wrong output is never produced.
 func Resume[T any](src stream.BatchReader[T], fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
 	entry := time.Now()
 	rset, st, err := openDurable(fs, cfg, ops)
@@ -384,27 +319,13 @@ func Resume[T any](src stream.BatchReader[T], fs vfs.FS, cfg Config, ops Ops[T])
 		return rset.adoptCommitted(st, entry)
 	}
 
-	// Walk back to a boundary whose snapshot is available: a missing
-	// snapshot (like a missing run file) just shortens the prefix further,
-	// down to boundary 0, which starts fresh.
-	var from *policy.Checkpoint[T]
-	j := valid
-	for ; j > 0; j-- {
-		from, err = readSnapshot(rset.store, st.Runs[j-1], rset.ops)
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, os.ErrNotExist) {
-			return rset.abortSetup(err)
-		}
-	}
 	// The arena keeps the recovered prefix; the free list takes what it does
-	// not place — runs past the boundary, stale snapshots, and half-written
-	// files of the crashed pass, to be regenerated under the same names.
-	if err := rset.spill.Adopt(placed(st.Runs[:j], true)); err != nil {
+	// not place — runs past the prefix and half-written files of the crashed
+	// pass, to be regenerated under the same names.
+	if err := rset.spill.Adopt(placed(st.Runs[:valid])); err != nil {
 		return rset.abortSetup(err)
 	}
-	return rset.generate(src, st.Runs[:j], from, entry)
+	return rset.generate(src, st.Runs[:valid], entry)
 }
 
 // OpenRunSet adopts the run set of a completed (committed) Manifest-mode

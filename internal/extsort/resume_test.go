@@ -1,7 +1,6 @@
 package extsort
 
 import (
-	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
@@ -109,10 +108,10 @@ func writeFile(t *testing.T, fs vfs.FS, name string, data []byte) {
 	}
 }
 
-// runFileSums fingerprints the runs as they lie on fs: one "run role crc64"
-// line per physical file, in run and segment order. The role is the file
-// name without the sort prefix and namer slot, so a durable pass — whose
-// snapshots take slots of their own — lines up with a plain one.
+// runFileSums fingerprints the runs as they lie on fs: one "run name crc64"
+// line per physical file, in run and segment order. The name is the whole
+// file name, so a durable pass lines up with a plain one only if its
+// boundaries take no name of their own.
 func runFileSums(t *testing.T, fs vfs.FS, runs []runio.Run) []string {
 	t.Helper()
 	tab := crc64.MakeTable(crc64.ECMA)
@@ -120,8 +119,7 @@ func runFileSums(t *testing.T, fs vfs.FS, runs []runio.Run) []string {
 	for i, run := range runs {
 		for _, seg := range run.Segments {
 			seg.EachFile(func(name string, _ int) {
-				role := name[strings.LastIndexByte(name, '-')+1:]
-				out = append(out, fmt.Sprintf("run %d %s %016x", i, role, crc64.Checksum(readFile(t, fs, name), tab)))
+				out = append(out, fmt.Sprintf("run %d %s %016x", i, name, crc64.Checksum(readFile(t, fs, name), tab)))
 			})
 		}
 	}
@@ -155,8 +153,8 @@ func durableBaseline[T any](t *testing.T, vals []T, cfg Config, ops Ops[T]) ([]T
 
 // tieRecords builds an input of at most 16 distinct keys with distinct
 // payloads: nearly every heap comparison is a tie, so a resumed sort
-// reproduces the uninterrupted one's bytes only if the heaps come back in
-// the exact layout they had.
+// reproduces the uninterrupted one's bytes only if its generator stands in
+// the exact heap layout the uninterrupted one had.
 func tieRecords(n int, seed int64) []record.Record {
 	rng := rand.New(rand.NewSource(seed))
 	recs := make([]record.Record, n)
@@ -168,8 +166,8 @@ func tieRecords(n int, seed int64) []record.Record {
 
 // bufferedTWRS is a 2WRS configuration whose input and victim buffers are
 // real at test-sized memory (a fifth of it, where the recommended 2% rounds
-// to nothing), so resumes exercise the restored FIFO, its running sum and
-// the rebuilt sliding median.
+// to nothing), so resumes exercise the replayed FIFO, its running sum and
+// its sliding median.
 func bufferedTWRS(in core.InputHeuristic, out core.OutputHeuristic) core.Config {
 	return core.Config{Setup: core.BothBuffers, BufferFrac: 0.2, Input: in, Output: out, Seed: 3}
 }
@@ -179,7 +177,7 @@ func bufferedTWRS(in core.InputHeuristic, out core.OutputHeuristic) core.Config 
 // byte-identical to the uninterrupted sort's, and exactly the boundaries
 // committed before the kill must be recovered rather than regenerated. The
 // named cases widen the default one (2WRS, recommended heuristics) to the
-// state a checkpoint has to carry: heap layout under ties, the coin-flip
+// state a replay has to reach again: heap layout under ties, the coin-flip
 // position of the random heuristics, the FIFO's float sum and median, a
 // key-less element type, and the other generators.
 func TestResumeAtEveryRunBoundary(t *testing.T) {
@@ -386,7 +384,7 @@ func TestResumeCrashMatrix(t *testing.T) {
 		{"string_comparator", func(t *testing.T, cfg Config, span int64) {
 			crashMatrixCase(t, testStrings(700, 7), cfg, stringOps(), span)
 		}},
-		// The state a checkpoint has to carry beyond the records: heap
+		// The state a replay has to reach again beyond the records: heap
 		// layout under ties with the coin-flip position of the random
 		// heuristics, and the FIFO's sliding median for a key-less type.
 		{"record16_ties_random", func(t *testing.T, cfg Config, span int64) {
@@ -468,8 +466,7 @@ func crashRecycled(t *testing.T) {
 // is drawn as an offset into this span, which labels the subtest, and is
 // then scaled to the live write total, so the labels stay put when a
 // manifest record grows a field while the kills still cover the whole live
-// stream, its tail — the manifest commit and the snapshot removals —
-// included. The ties and median cells are pinned to what they wrote in
+// stream, its tail — the manifest commit — included. The ties and median cells are pinned to what they wrote in
 // manifest format 2, before run records placed their files in the arena
 // and grew; a cell without an entry is labelled by the live offset.
 var crashSpans = map[string]int64{
@@ -563,46 +560,6 @@ func partialState(t *testing.T, recs []record.Record, failAt int64, sc storage.C
 		t.Fatalf("partial state: committed=%v runs=%d", st.Committed, len(st.Runs))
 	}
 	return fs, cfg
-}
-
-// TestResumeCommittedSweepsCarries resumes a sort whose process died right
-// after its manifest commit. The committed manifest still places the
-// boundary snapshots in the arena; Resume adopts the committed runs without
-// restarting any generator, so it must free the snapshots itself: nothing
-// later would.
-func TestResumeCommittedSweepsCarries(t *testing.T) {
-	recs := testRecords(3000, 5)
-	cfg := durableCfg(128)
-	want, _, _ := durableBaseline(t, recs, cfg, RecordOps())
-
-	base := vfs.NewMemFS()
-	if _, err := GenerateRuns[record.Record](stream.NewSliceReader(recs), base, cfg, RecordOps()); err != nil {
-		t.Fatalf("GenerateRuns: %v", err)
-	}
-	st, err := manifest.Load(base, manifest.Name("sort"))
-	if err != nil || !st.Committed || !slices.ContainsFunc(st.Runs, func(mr manifest.Run) bool { return mr.CarryName != "" }) {
-		t.Fatalf("the committed manifest places no snapshot: %v", err)
-	}
-
-	rcfg := cfg
-	rcfg.Resume = true
-	rset, err := GenerateRuns[record.Record](stream.NewSliceReader(recs), base, rcfg, RecordOps())
-	if err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	if names, _ := rset.Store().Names(); slices.ContainsFunc(names, func(n string) bool { return strings.HasSuffix(n, "-carry") }) {
-		t.Fatalf("the resumed arena still holds snapshots: %v", names)
-	}
-	got, stats := mergeToSlice(t, rset)
-	if stats.RunsRecovered != stats.Runs || stats.Runs == 0 {
-		t.Fatalf("recovered %d of %d runs, want the whole committed set", stats.RunsRecovered, stats.Runs)
-	}
-	if !slices.Equal(got, want) {
-		t.Fatal("resumed output differs from uninterrupted sort")
-	}
-	if names, _ := base.Names(); len(names) != 0 {
-		t.Fatalf("leftover files after resume and merge: %v", names)
-	}
 }
 
 // TestResumeAfterCrashMidMerge kills a durable sort in the middle of its
@@ -718,6 +675,59 @@ func TestResumeCorruptRunData(t *testing.T) {
 	}
 }
 
+// TestResumeRefusesChangedInput holds a resume to the input the manifest
+// was written against. A durable sort is killed at record 2,000 of 3,000;
+// a resume over that input with one record of the recovered prefix changed
+// regenerates a run that is not the committed one, and one over a source
+// cut short of the last recovered input position cannot regenerate the
+// prefix: both are refused before anything is written. A resume with the
+// right source then finishes byte-identical to the uninterrupted sort and
+// leaves nothing behind once merged.
+func TestResumeRefusesChangedInput(t *testing.T) {
+	for _, pol := range []policy.Kind{policy.TwoWayRS, policy.Auto} {
+		t.Run(pol.String(), func(t *testing.T) {
+			recs := testRecords(3000, 1)
+			cfg := durableCfg(64)
+			cfg.Policy = pol
+			want, _, _ := durableBaseline(t, recs, cfg, RecordOps())
+			fs := vfs.NewMemFS()
+			_, err := GenerateRuns[record.Record](&killedReader[record.Record]{vals: recs, failAt: 2000}, fs, cfg, RecordOps())
+			if !errors.Is(err, errSrcKilled) {
+				t.Fatalf("killed pass: %v, want errSrcKilled", err)
+			}
+			st, err := manifest.Load(fs, manifest.Name("sort"))
+			if err != nil || len(st.Runs) < 2 {
+				t.Fatalf("the killed pass left %v runs: %v", st, err)
+			}
+			rcfg := cfg
+			rcfg.Resume = true
+			changed := slices.Clone(recs)
+			changed[10].Aux ^= 1 << 40
+			rset, err := GenerateRuns[record.Record](stream.NewSliceReader(changed), fs, rcfg, RecordOps())
+			if !errors.Is(err, manifest.ErrChecksum) || rset != nil {
+				t.Fatalf("resume over a changed input: %v, want manifest.ErrChecksum and no run set", err)
+			}
+			cut := recs[:st.Runs[len(st.Runs)-1].InputPos-1]
+			if rset, err = GenerateRuns[record.Record](stream.NewSliceReader(cut), fs, rcfg, RecordOps()); err == nil || rset != nil {
+				t.Fatalf("resume over an input cut before the recovered prefix ends: %v, want an error and no run set", err)
+			}
+			rset, err = GenerateRuns[record.Record](stream.NewSliceReader(recs), fs, rcfg, RecordOps())
+			if err != nil {
+				t.Fatalf("resume over the original input: %v", err)
+			}
+			if got := rset.Stats().RunsRecovered; got != len(st.Runs) {
+				t.Errorf("recovered %d runs, want the %d the killed pass committed", got, len(st.Runs))
+			}
+			if got, _ := mergeToSlice(t, rset); !slices.Equal(got, want) {
+				t.Fatal("resumed output differs from the uninterrupted sort's")
+			}
+			if names, _ := fs.Names(); len(names) != 0 {
+				t.Fatalf("leftover files after the merge: %v", names)
+			}
+		})
+	}
+}
+
 // flipByte inverts one byte in the middle of a file.
 func flipByte(t *testing.T, fs vfs.FS, name string) {
 	t.Helper()
@@ -727,110 +737,6 @@ func flipByte(t *testing.T, fs vfs.FS, name string) {
 	}
 	data[len(data)/2] ^= 0xff
 	writeFile(t, fs, name, data)
-}
-
-// TestResumeDamagedSnapshot damages the last boundary's generator snapshot
-// four ways. Swapping two records leaves the element multiset — and the
-// order-insensitive sum run segments carry — unchanged, yet position is
-// state, so the snapshot's stream checksum must refuse it. A swap that
-// breaks the heap order, with the manifest re-signed to match, passes every
-// checksum and must be refused by the restore itself, as must a state word
-// of the auto policy's engine that is out of range. All three surface as
-// manifest.ErrChecksum, never as a different run sequence. A snapshot that
-// is simply gone only moves the resume one boundary back.
-func TestResumeDamagedSnapshot(t *testing.T) {
-	recs := testRecords(1200, 12)
-	want, _, _ := durableBaseline(t, recs, durableCfg(64), RecordOps())
-	const recSize = 16 // codec.Record16
-	swap := func(data []byte, i, j int) {
-		var tmp [recSize]byte
-		copy(tmp[:], data[i*recSize:])
-		copy(data[i*recSize:(i+1)*recSize], data[j*recSize:(j+1)*recSize])
-		copy(data[j*recSize:(j+1)*recSize], tmp[:])
-	}
-	resume := func(fs vfs.FS, cfg Config) (*RunSet[record.Record], error) {
-		return Resume[record.Record](stream.NewSliceReader(recs), fs, cfg, RecordOps())
-	}
-
-	t.Run("swapped", func(t *testing.T) {
-		fs, cfg := partialState(t, recs, 900, storage.Config{})
-		st, _ := manifest.Load(fs, manifest.Name("sort"))
-		last := st.Runs[len(st.Runs)-1]
-		spill := reopenSpill(t, fs, cfg)
-		data := readFile(t, spill, last.CarryName)
-		if bytes.Equal(data[:recSize], data[recSize:2*recSize]) {
-			t.Fatal("first two snapshot records are identical; the swap would be a no-op")
-		}
-		swap(data, 0, 1)
-		writeFile(t, spill, last.CarryName, data)
-		if _, err := resume(fs, cfg); !errors.Is(err, manifest.ErrChecksum) {
-			t.Fatalf("resume over a permuted snapshot: %v, want manifest.ErrChecksum", err)
-		}
-	})
-	t.Run("re-signed", func(t *testing.T) {
-		fs, cfg := partialState(t, recs, 900, storage.Config{})
-		st, _ := manifest.Load(fs, manifest.Name("sort"))
-		last := &st.Runs[len(st.Runs)-1]
-		spill := reopenSpill(t, fs, cfg)
-		data := readFile(t, spill, last.CarryName)
-		// The BottomHeap leads the snapshot, its maximum first: trading the
-		// root for the last leaf puts a smaller record above its children.
-		swap(data, 0, int(last.State[0])-1)
-		writeFile(t, spill, last.CarryName, data)
-		last.CarrySum = runio.StreamSum(0, data)
-		w, err := manifest.Rewrite(fs, manifest.Name("sort"), st.Header, st.Runs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.Close()
-		if _, err := resume(fs, cfg); !errors.Is(err, manifest.ErrChecksum) {
-			t.Fatalf("resume over an out-of-order snapshot: %v, want manifest.ErrChecksum", err)
-		}
-	})
-	t.Run("auto_engine_word", func(t *testing.T) {
-		// The adaptive engine's words close the state; the one naming the
-		// current stepper's policy, re-signed to a policy no stepper has,
-		// passes the manifest's checksum and must be refused by the restore.
-		cfg, fs := durableCfg(64), vfs.NewMemFS()
-		cfg.Policy = policy.Auto
-		_, err := GenerateRuns[record.Record](&killedReader[record.Record]{vals: recs, failAt: 900}, fs, cfg, RecordOps())
-		if !errors.Is(err, errSrcKilled) {
-			t.Fatalf("partial pass: err = %v, want errSrcKilled", err)
-		}
-		st, _ := manifest.Load(fs, manifest.Name("sort"))
-		last := &st.Runs[len(st.Runs)-1]
-		last.State[len(last.State)-9] = uint64(policy.Auto)
-		w, err := manifest.Rewrite(fs, manifest.Name("sort"), st.Header, st.Runs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.Close()
-		if _, err := resume(fs, cfg); !errors.Is(err, manifest.ErrChecksum) {
-			t.Fatalf("resume over a garbled engine word: %v, want manifest.ErrChecksum", err)
-		}
-	})
-	t.Run("missing", func(t *testing.T) {
-		// A snapshot the manifest does not place is not in the arena.
-		fs, cfg := partialState(t, recs, 900, storage.Config{})
-		st, _ := manifest.Load(fs, manifest.Name("sort"))
-		last := &st.Runs[len(st.Runs)-1]
-		last.Files = slices.DeleteFunc(last.Files, func(pf vfs.ArenaFile) bool { return pf.Name == last.CarryName })
-		w, err := manifest.Rewrite(fs, manifest.Name("sort"), st.Header, st.Runs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.Close()
-		rset, err := resume(fs, cfg)
-		if err != nil {
-			t.Fatalf("resume without the last snapshot: %v", err)
-		}
-		if got := rset.Stats().RunsRecovered; got != len(st.Runs)-1 {
-			t.Errorf("recovered %d runs, want %d: a missing snapshot costs exactly one boundary", got, len(st.Runs)-1)
-		}
-		if got, _ := mergeToSlice(t, rset); !slices.Equal(got, want) {
-			t.Fatal("output differs after resuming one boundary back")
-		}
-	})
 }
 
 // TestResumeConfigMismatch resumes a durable sort under a changed codec,
@@ -900,11 +806,11 @@ func TestResumeConfigMismatch(t *testing.T) {
 // released version left behind: it may change only with the manifest format.
 var durableHeaderGolden = map[string]manifest.Header{
 	"raw": {
-		Version: 3, Prefix: "sort", Codec: "codec.Record16", KeyCodec: "codec.KeyRecord16",
+		Version: 4, Prefix: "sort", Codec: "codec.Record16", KeyCodec: "codec.KeyRecord16",
 		Compression: "raw", Generation: durableGenerationGolden,
 	},
 	"block_flate": {
-		Version: 3, Prefix: "sort", Codec: "codec.Record16", KeyCodec: "codec.KeyRecord16",
+		Version: 4, Prefix: "sort", Codec: "codec.Record16", KeyCodec: "codec.KeyRecord16",
 		Compression: "flate", Generation: durableGenerationGolden,
 	},
 }
@@ -930,9 +836,9 @@ func TestDurableHeaderGolden(t *testing.T) {
 
 // TestDurableRejectsUnstableConfigs used to pin the one policy a durable
 // sort refused up front, the adaptive auto, whose probe and switch history
-// lived outside every checkpoint. They are in the generator's now, so the
-// pin is the other way round: no policy is refused — each sorts durably and
-// leaves nothing behind.
+// lived outside every checkpoint. A resume replays it like any other
+// generator now, so the pin is the other way round: no policy is refused —
+// each sorts durably and leaves nothing behind.
 func TestDurableRejectsUnstableConfigs(t *testing.T) {
 	recs := testRecords(1000, 6)
 	want := slices.Clone(recs)
@@ -956,7 +862,7 @@ func TestDurableRejectsUnstableConfigs(t *testing.T) {
 // TestDurableDiscard exercises RunSet.Discard across all storage backends:
 // after discarding a completed durable sort — or a sort resumed from a
 // crash — the backing file system holds neither the manifest nor any spill
-// or carry file, and a second Discard is a clean no-op.
+// file, and a second Discard is a clean no-op.
 func TestDurableDiscard(t *testing.T) {
 	backends := []struct {
 		name string

@@ -11,7 +11,6 @@
 package heap
 
 import (
-	"errors"
 	"fmt"
 	"math/bits"
 )
@@ -199,27 +198,7 @@ func (s *side[T]) pop() Item[T] {
 	return top
 }
 
-// export yields the side's records in logical index order, root first.
-func (s *side[T]) export(yield func(T)) {
-	for j := 1; j <= s.n; j++ {
-		yield(s.at(j).Rec)
-	}
-}
-
-// load places recs at logical indices 1..len(recs) with no sift.
-func (s *side[T]) load(recs []T, run int, key func(T) uint64) {
-	s.n = len(recs)
-	for j, rec := range recs {
-		it := Item[T]{Rec: rec, Run: run, Key: s.flip}
-		if key != nil {
-			it.Key ^= key(rec)
-		}
-		*s.at(j + 1) = it
-	}
-}
-
-// valid reports whether the heap property holds everywhere; Import and
-// tests use it.
+// valid reports whether the heap property holds everywhere; tests use it.
 func (s *side[T]) valid() bool {
 	for j := 2; j <= s.n; j++ {
 		c, p := s.at(j), s.at(j>>1)
@@ -283,31 +262,6 @@ func (h *Heap[T]) Peek() Item[T] {
 	}
 	return h.s.peek()
 }
-
-// Export yields the records in logical index order, root first, without
-// disturbing the heap. Import of that sequence into a heap of the same
-// capacity and direction rebuilds the identical layout — the one the tie
-// rules make every later pop depend on — provided all items carry one run
-// tag, which holds at a run boundary of replacement selection.
-func (h *Heap[T]) Export(yield func(T)) { h.s.export(yield) }
-
-// Import replaces the heap's contents with recs placed at logical indices
-// 1..len(recs) as listed — no sift — all tagged run, their cached prefixes
-// recomputed with key (nil for unkeyed heaps). It fails when recs exceed
-// the capacity or are not in heap order in that layout: they were not an
-// Export of such a heap.
-func (h *Heap[T]) Import(recs []T, run int, key func(T) uint64) error {
-	if len(recs) > h.Cap() {
-		return fmt.Errorf("heap: import of %d records into capacity %d", len(recs), h.Cap())
-	}
-	h.s.load(recs, run, key)
-	if !h.s.valid() {
-		return errLayout
-	}
-	return nil
-}
-
-var errLayout = errors.New("heap: imported records are not in heap order")
 
 // Reset empties the heap, retaining its backing array. The whole array is
 // cleared — pop leaves vacated slots populated — so retained references are
@@ -411,29 +365,8 @@ func (d *DoubleHeap[T]) PeekBottom() Item[T] {
 	return d.bottom.peek()
 }
 
-// Export yields the BottomHeap's records and then the TopHeap's, each in
-// logical index order; see Heap.Export.
-func (d *DoubleHeap[T]) Export(yield func(T)) {
-	d.bottom.export(yield)
-	d.top.export(yield)
-}
-
-// Import replaces both heaps' contents with the two halves of an Export;
-// see Heap.Import.
-func (d *DoubleHeap[T]) Import(bottom, top []T, run int, key func(T) uint64) error {
-	if len(bottom)+len(top) > d.cap {
-		return fmt.Errorf("heap: import of %d records into capacity %d", len(bottom)+len(top), d.cap)
-	}
-	d.bottom.load(bottom, run, key)
-	d.top.load(top, run, key)
-	if !d.Valid() {
-		return errLayout
-	}
-	return nil
-}
-
 // Valid reports whether both heap properties hold and the two sides do not
-// overlap; Import and tests use it.
+// overlap; tests use it.
 func (d *DoubleHeap[T]) Valid() bool {
 	return d.Len() <= d.cap && d.bottom.valid() && d.top.valid()
 }

@@ -167,12 +167,10 @@ func TestHeapMatchesOracle(t *testing.T) {
 }
 
 // doubleChecker drives a DoubleHeap and one oracle per side through the
-// same operations. After a reimport, twin is the heap the current one was
-// exported from: it takes every later operation too and must release the
-// very same items, ties included.
+// same operations.
 type doubleChecker struct {
 	t        testing.TB
-	d, twin  *DoubleHeap[record.Record]
+	d        *DoubleHeap[record.Record]
 	capacity int
 	top, bot oracle
 }
@@ -184,66 +182,23 @@ func newDoubleChecker(t testing.TB, capacity int) *doubleChecker {
 
 func (c *doubleChecker) pushTop(it Item[record.Record]) {
 	c.d.PushTop(it)
-	if c.twin != nil {
-		c.twin.PushTop(it)
-	}
 	c.top.push(it)
 	c.check()
 }
 
 func (c *doubleChecker) pushBottom(it Item[record.Record]) {
 	c.d.PushBottom(it)
-	if c.twin != nil {
-		c.twin.PushBottom(it)
-	}
 	c.bot.push(it)
 	c.check()
 }
 
 func (c *doubleChecker) popTop() {
-	got := c.d.PopTop()
-	if c.twin != nil {
-		if want := c.twin.PopTop(); got != want {
-			c.t.Fatalf("reimported TopHeap popped %+v, the heap it was exported from %+v", got, want)
-		}
-	}
-	c.top.pop(got)
+	c.top.pop(c.d.PopTop())
 	c.check()
 }
 
 func (c *doubleChecker) popBottom() {
-	got := c.d.PopBottom()
-	if c.twin != nil {
-		if want := c.twin.PopBottom(); got != want {
-			c.t.Fatalf("reimported BottomHeap popped %+v, the heap it was exported from %+v", got, want)
-		}
-	}
-	c.bot.pop(got)
-	c.check()
-}
-
-// reimport replaces the heap under test with a fresh arena holding an
-// Import of its Export, when every held item carries one run tag (the
-// precondition a run boundary guarantees), and keeps the original as twin.
-func (c *doubleChecker) reimport(prefix func(record.Record) uint64) {
-	c.t.Helper()
-	held := append(append([]Item[record.Record]{}, c.bot.items...), c.top.items...)
-	for _, it := range held {
-		if it.Run != held[0].Run {
-			return
-		}
-	}
-	if len(held) == 0 {
-		return
-	}
-	var recs []record.Record
-	c.d.Export(func(r record.Record) { recs = append(recs, r) })
-	fresh := NewDouble(c.capacity, record.Less)
-	nb := c.d.LenBottom()
-	if err := fresh.Import(recs[:nb], recs[nb:], held[0].Run, prefix); err != nil {
-		c.t.Fatalf("Import of an Export: %v", err)
-	}
-	c.twin, c.d = c.d, fresh
+	c.bot.pop(c.d.PopBottom())
 	c.check()
 }
 
@@ -335,98 +290,11 @@ func FuzzDoubleHeapOps(f *testing.F) {
 			case op == 3 && c.d.LenBottom() > 0:
 				c.popBottom()
 			}
-			c.reimport(prefix)
 		}
 		if !c.d.Valid() {
 			t.Fatal("heap property broken")
 		}
 	})
-}
-
-// TestExportImportRoundTrip rebuilds heaps from their Export at every
-// kernel shape and requires the rebuilt heap to behave as the original bit
-// for bit: the same pop sequence, ties included, through a further walk of
-// pushes and pops — on a min-heap, a max-heap and both DoubleHeap sides.
-func TestExportImportRoundTrip(t *testing.T) {
-	eachKernelShape(t, func(t *testing.T, size int, src *itemSource) {
-		flat := func() Item[record.Record] { it := src.item(); it.Run = 3; return it }
-		for _, desc := range []bool{false, true} {
-			h, fresh := New(size, desc, record.Less), New(size, desc, record.Less)
-			for !h.Full() {
-				h.Push(flat())
-			}
-			for i := 0; i < size/2; i++ { // age the layout past a plain fill
-				h.Pop()
-				h.Push(flat())
-			}
-			var recs []record.Record
-			h.Export(func(r record.Record) { recs = append(recs, r) })
-			if err := fresh.Import(recs, 3, src.prefix); err != nil {
-				t.Fatalf("capacity %d desc %v: Import of an Export: %v", size, desc, err)
-			}
-			for step := 0; h.Len() > 0; step++ {
-				a, b := h.Pop(), fresh.Pop()
-				if a != b {
-					t.Fatalf("capacity %d desc %v: pop %d is %+v from the original, %+v from the import", size, desc, step, a, b)
-				}
-				if step < size && step%3 != 0 {
-					it := flat()
-					h.Push(it)
-					fresh.Push(it)
-				}
-			}
-		}
-
-		c := newDoubleChecker(t, size)
-		for !c.d.Full() {
-			if src.rng.Intn(2) == 0 {
-				c.pushTop(flat())
-			} else {
-				c.pushBottom(flat())
-			}
-		}
-		c.reimport(src.prefix)
-		if c.twin == nil {
-			t.Fatalf("capacity %d: a uniformly tagged DoubleHeap was not reimported", size)
-		}
-		for op := 0; c.d.Len() > 0; op++ {
-			switch k := src.rng.Intn(3); {
-			case k == 0 && op < 2*size && !c.d.Full():
-				c.pushTop(flat())
-			case k == 1 && op < 2*size && !c.d.Full():
-				c.pushBottom(flat())
-			case c.d.LenTop() > 0 && (k == 2 || c.d.LenBottom() == 0):
-				c.popTop()
-			default:
-				c.popBottom()
-			}
-		}
-	})
-}
-
-// TestImportRejectsNonExports pins Import's two refusals: more records than
-// the arena holds, and records that are not in heap order where listed.
-func TestImportRejectsNonExports(t *testing.T) {
-	recs := []record.Record{{Key: 1}, {Key: 2}, {Key: 3}}
-	if err := New(2, false, record.Less).Import(recs, 0, nil); err == nil {
-		t.Error("Import of 3 records into a heap of 2 succeeded")
-	}
-	if err := New(4, true, record.Less).Import(recs, 0, nil); err == nil {
-		t.Error("Import of ascending records into a max-heap succeeded")
-	}
-	if err := New(4, false, record.Less).Import(recs, 0, nil); err != nil {
-		t.Errorf("Import of ascending records into a min-heap: %v", err)
-	}
-	d := NewDouble(4, record.Less)
-	if err := d.Import(recs, recs, 0, nil); err == nil {
-		t.Error("Import of 6 records into a double heap of 4 succeeded")
-	}
-	if err := d.Import(recs[:2], recs[:2], 0, nil); err == nil {
-		t.Error("Import of an ascending BottomHeap succeeded")
-	}
-	if err := d.Import([]record.Record{{Key: 9}, {Key: 2}}, recs[:2], 0, nil); err != nil || d.LenBottom() != 2 || d.LenTop() != 2 {
-		t.Errorf("Import of a valid pair of sides: %v (%d+%d held)", err, d.LenBottom(), d.LenTop())
-	}
 }
 
 // TestSteadyStateAllocs pins the replacement-selection step — pop, push —

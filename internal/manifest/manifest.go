@@ -1,12 +1,16 @@
 // Package manifest persists the state of a run-generation pass so a
-// crashed or preempted external sort can resume instead of re-reading the
-// input from record zero (DESIGN.md §14).
+// crashed or preempted external sort can resume instead of regenerating
+// every run (DESIGN.md §14).
 //
 // A manifest is a text file of CRC-guarded JSON lines: a header record
 // describing the sort's identity (codec fingerprint, storage framing,
 // generation configuration), one run record appended — and durable —
 // at every run boundary, and a final commit record once generation
-// completes. Each line is independently checksummed:
+// completes. A run record identifies its run — the segments with their
+// content checksums, the policy that wrote it, the input position — and
+// holds no generator state: a resume replays the generator from the first
+// input record and checks each regenerated run against its record. Each
+// line is independently checksummed:
 //
 //	<8 hex digits of CRC32(payload)> <payload JSON>\n
 //
@@ -30,14 +34,15 @@ import (
 )
 
 // Version is the manifest format version this package reads and writes.
-// Version 3 places the files: a sort keeps its spill files as extents of one
-// arena file (vfs.Arena), and every run record lists the size and extents of
-// each file it names (Run.Files), so a resume can reopen the arena. Version
-// 2 made checksums CRC-32C and the carry file a positional snapshot restored
-// through Run.State. An older manifest is the scratch state of an
-// interrupted sort, not an archive: it is refused like any unknown version
-// (ErrCorrupt).
-const Version = 3
+// Version 4 drops the generator snapshot: a run record no longer names a
+// carry file or state words, since a resume replays the generator instead
+// of restoring it, and the commit record counts the policy switches.
+// Version 3 placed the files: a sort keeps its spill files as extents of
+// one arena file (vfs.Arena), and every run record lists the size and
+// extents of each file it names (Run.Files), so a resume can reopen the
+// arena. An older manifest is the scratch state of an interrupted sort, not
+// an archive: it is refused like any unknown version (ErrCorrupt).
+const Version = 4
 
 // Suffix is appended to a sort's file prefix to name its manifest.
 const Suffix = ".manifest"
@@ -133,9 +138,10 @@ type Segment struct {
 	Sum uint64 `json:"sum"`
 }
 
-// Run is one durable run boundary: the run's file shape, the snapshot of
-// the generator as it stood there, and the input position — everything
-// resume needs to reconstruct the exact generation state at this boundary.
+// Run is one durable run boundary: what identifies the run — its file shape
+// and content checksums, the policy that wrote it — and the input position
+// and file-name sequence there. A resume regenerates the run by replay and
+// requires it to match.
 type Run struct {
 	// Seq is the 1-based run index; records must arrive in sequence.
 	Seq int `json:"seq"`
@@ -147,30 +153,23 @@ type Run struct {
 	Policy string `json:"policy"`
 	// Segments lists the run's physical pieces in ascending order.
 	Segments []Segment `json:"segments"`
-	// CarryName is the spill file holding the snapshot: every element the
-	// generator held at this boundary, in the positional order its
-	// Checkpoint lists them (heaps in index order, FIFO, read-ahead); empty
-	// when it held nothing.
+	// CarryName named format 3's generator snapshot file. Nothing writes
+	// it, or the two fields after it, any more; they stay declared for
+	// callers that still build records with them.
 	CarryName string `json:"carry,omitempty"`
-	// CarryRecords is the snapshot's element count.
+	// CarryRecords was the snapshot's element count; never written.
 	CarryRecords int64 `json:"carry_records,omitempty"`
-	// CarrySum is the snapshot's order-sensitive checksum: the CRC-32C of
-	// its encoded element stream. Position is state, so a permuted
-	// snapshot must not validate.
+	// CarrySum was the snapshot's checksum; never written.
 	CarrySum uint64 `json:"carry_sum,omitempty"`
-	// State is the generator's Checkpoint state words: how the snapshot
-	// divides into heaps and buffers, plus the scalars that survive a
-	// boundary. The generator named by Policy defines the layout.
-	State []uint64 `json:"state,omitempty"`
-	// InputPos is the number of input elements consumed up to and
-	// including this boundary (emitted plus carried).
+	// InputPos is the number of input elements the generator had read at
+	// this boundary, read-ahead included. A resume requires the source to
+	// re-serve at least that many.
 	InputPos int64 `json:"input_pos"`
-	// NamerSeq is the spill Namer's sequence counter at this boundary, so
-	// a resumed sort continues the exact same file-name sequence.
+	// NamerSeq is the spill Namer's sequence counter at this boundary.
 	NamerSeq int `json:"namer_seq"`
-	// Files places every file the record names — those of each non-empty
-	// segment, then the snapshot — in the sort's spill arena: its size and
-	// extents. A resume adopts exactly the files of the records it keeps.
+	// Files places every file of the run's non-empty segments in the sort's
+	// spill arena: its size and extents. A resume adopts exactly the files
+	// of the records it keeps.
 	Files []vfs.ArenaFile `json:"files,omitempty"`
 }
 
@@ -180,6 +179,10 @@ type Commit struct {
 	Runs int `json:"runs"`
 	// Records is the total input element count.
 	Records int64 `json:"records"`
+	// Switches counts the generator changes the pass made (the auto
+	// policy's; 0 under a fixed one), for callers that adopt the committed
+	// runs without reading the input.
+	Switches int `json:"switches,omitempty"`
 }
 
 // State is everything a loader recovered from a manifest file.
@@ -291,11 +294,11 @@ func (w *Writer) AppendRun(r Run) error {
 
 // Commit closes generation: it writes the commit record stamped with the
 // writer's run count.
-func (w *Writer) Commit(records int64) error {
+func (w *Writer) Commit(records int64, switches int) error {
 	if w.closed {
 		return fmt.Errorf("manifest: commit on closed writer")
 	}
-	c := Commit{Runs: w.runs, Records: records}
+	c := Commit{Runs: w.runs, Records: records, Switches: switches}
 	buf, err := appendRecord(nil, line{T: "c", C: &c})
 	if err != nil {
 		return err

@@ -31,12 +31,8 @@ func testRun(seq int) Run {
 			{Name: fmt.Sprintf("sort-%04d-rs", seq), Records: int64(60 * seq), Sum: uint64(seq) * 7},
 			{Name: fmt.Sprintf("sort-%04d-s2", seq), Records: int64(40 * seq), Backward: true, Files: 2, Sum: uint64(seq) * 13},
 		},
-		CarryName:    fmt.Sprintf("sort-%04d-carry", seq),
-		CarryRecords: 9,
-		CarrySum:     uint64(seq) * 3,
-		State:        []uint64{uint64(seq), 1<<63 + 5}, // past float64's integers: words must survive JSON exactly
-		InputPos:     int64(109 * seq),
-		NamerSeq:     3 * seq,
+		InputPos: int64(109 * seq),
+		NamerSeq: 3 * seq,
 	}
 }
 
@@ -58,7 +54,7 @@ func writeManifest(t testing.TB, n int, commit bool) []byte {
 		}
 	}
 	if commit {
-		if err := w.Commit(records); err != nil {
+		if err := w.Commit(records, n); err != nil {
 			t.Fatalf("Commit: %v", err)
 		}
 	}
@@ -100,7 +96,7 @@ func TestManifestRoundTrip(t *testing.T) {
 			t.Errorf("run %d = %+v, want %+v", i, r, want)
 		}
 	}
-	if !st.Committed || st.Commit.Runs != 3 || st.Commit.Records != testRun(3).InputPos {
+	if !st.Committed || st.Commit.Runs != 3 || st.Commit.Records != testRun(3).InputPos || st.Commit.Switches != 3 {
 		t.Errorf("commit = %v %+v", st.Committed, st.Commit)
 	}
 	if st.TornBytes != 0 {
@@ -215,7 +211,7 @@ func TestManifestCommitCountMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.runs = 5 // sabotage the count the commit record will carry
-	if err := w.Commit(100); err != nil {
+	if err := w.Commit(100, 0); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -258,21 +254,25 @@ func TestManifestErrors(t *testing.T) {
 	}
 }
 
-// TestVersion2Refused loads the manifest a version 2 durable sort left
-// behind (testdata/v2.manifest: two run boundaries of a 2WRS sort, its
-// files one per run on the file system): its records place no file in an
-// arena, so it is refused like any unknown version.
+// TestVersion2Refused loads the manifests durable sorts of two older
+// formats left behind, each refused like any unknown version:
+// testdata/v2.manifest (two run boundaries of a 2WRS sort, its files one
+// per run on the file system), whose records place no file in an arena, and
+// testdata/v3.manifest (three boundaries of a 2WRS sort in an arena), whose
+// records restore the generator from a snapshot instead of replaying it.
 func TestVersion2Refused(t *testing.T) {
-	data, err := os.ReadFile("testdata/v2.manifest")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := vfs.NewMemFS()
-	f, _ := fs.Create("sort.manifest")
-	f.WriteAt(data, 0)
-	f.Close()
-	if _, err := Load(fs, "sort.manifest"); !errors.Is(err, ErrCorrupt) || errors.Is(err, ErrNoHeader) {
-		t.Fatalf("version 2 manifest: %v, want ErrCorrupt for its version", err)
+	for _, v := range []int{2, 3} {
+		data, err := os.ReadFile(fmt.Sprintf("testdata/v%d.manifest", v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs := vfs.NewMemFS()
+		f, _ := fs.Create("sort.manifest")
+		f.WriteAt(data, 0)
+		f.Close()
+		if _, err := Load(fs, "sort.manifest"); !errors.Is(err, ErrCorrupt) || errors.Is(err, ErrNoHeader) {
+			t.Fatalf("version %d manifest: %v, want ErrCorrupt for its version", v, err)
+		}
 	}
 }
 
@@ -300,7 +300,7 @@ func TestRewriteRenumbersPrefix(t *testing.T) {
 	if err := w.AppendRun(testRun(3)); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Commit(327); err != nil {
+	if err := w.Commit(327, 0); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()

@@ -15,13 +15,10 @@ const (
 	// MRunsRecovered counts runs recovered from a durable manifest by a
 	// resumed sort instead of being regenerated.
 	MRunsRecovered = "extsort_runs_recovered_total"
-	// MCheckpointBytes counts snapshot bytes a durable sort wrote at its
-	// run boundaries (encoded, before storage framing).
-	MCheckpointBytes = "extsort_checkpoint_bytes_total"
 	// MCheckpointSeconds is the distribution of per-boundary checkpoint
-	// wall time — snapshot write, content-sum collection and manifest
-	// append; its _sum is the durable sort's total checkpoint time and its
-	// _count the number of boundaries.
+	// wall time — the barrier that makes the run's files whole, and the
+	// manifest append; its _sum is the durable sort's total checkpoint time
+	// and its _count the number of boundaries.
 	MCheckpointSeconds = "extsort_checkpoint_seconds"
 	// MPolicySwitches counts mid-stream generator switches by the auto
 	// policy.

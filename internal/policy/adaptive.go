@@ -1,8 +1,6 @@
 package policy
 
 import (
-	"fmt"
-
 	"repro/internal/obs"
 	"repro/internal/runio"
 	"repro/internal/stream"
@@ -14,8 +12,8 @@ import (
 // from a rolling window of recent input. A decisive regime change drains
 // the stepper's buffered state (Generator.Carry) into a queue the successor
 // is built over at the next call, so the switch is exact — no element is
-// lost or reordered across it — and the boundary between the two calls can
-// be checkpointed like any other.
+// lost or reordered across it — and the boundary between the two calls is
+// a run boundary like any other.
 //
 // Two guards keep it honest. Hysteresis: a switch needs a decisive rule
 // (choose's confident result) and at least one window of fresh input since
@@ -51,53 +49,11 @@ type adaptive[T any] struct {
 	switches int
 }
 
-// engineWords is how many state words Checkpoint appends to the current
-// stepper's: kind, down, locked, shortRuns, nextEval, visited, switches, the
-// number of queued elements closing the listing, and the input consumed.
-const engineWords = 9
-
-// newAdaptive builds the engine over src: fresh, or standing where the one
-// that took the checkpoint stood.
-func newAdaptive[T any](src stream.BatchReader[T], em *runio.Emitter[T], cfg Config, key func(T) float64, from *Checkpoint[T]) (*adaptive[T], error) {
+// newAdaptive builds the engine over src.
+func newAdaptive[T any](src stream.BatchReader[T], em *runio.Emitter[T], cfg Config, key func(T) float64) *adaptive[T] {
 	a := &adaptive[T]{em: em, cfg: cfg, key: key, ob: &observer[T]{br: src, less: em.Less, ring: make([]T, cfg.Window())}}
 	a.queue = stream.Prepend[T](nil, a.ob)
-	if from == nil {
-		return a, nil
-	}
-	n := len(from.State) - engineWords
-	if n < 0 {
-		return nil, fmt.Errorf("policy: checkpoint state %v lacks the adaptive engine's %d words", from.State, engineWords)
-	}
-	w, held := from.State[n:], uint64(len(from.Recs))
-	kind, queued, consumed := Kind(w[0]), w[7], int64(w[8])
-	// A stepper that returned no words held nothing: Quick, or none built yet.
-	if kind < TwoWayRS || kind > Quick || w[1] > 1 || w[2] > 1 || w[5]>>(Quick+1) != 0 || w[5]&(1<<kind) == 0 ||
-		queued > held || consumed < int64(held) || (n == 0 && queued != held) || (n > 0 && kind == Quick) ||
-		int64(len(from.Tail)) != min(consumed, int64(len(a.ob.ring))) {
-		return nil, fmt.Errorf("policy: checkpoint state %v with a tail of %d is no state of the adaptive engine over %d records", from.State, len(from.Tail), held)
-	}
-	a.kind, a.down, a.locked, a.probed = kind, w[1] == 1, w[2] == 1, true
-	a.shortRuns, a.nextEval, a.visited, a.switches = int(w[3]), int64(w[4]), w[5], int(w[6])
-	a.ob.count = consumed - int64(len(from.Tail))
-	a.ob.note(from.Tail)
-	a.queue = stream.Prepend(from.Recs[held-queued:], a.ob)
-	if n == 0 {
-		return a, nil
-	}
-	var err error
-	a.cur, err = newStepper(kind, false, a.queue, em, cfg, key, &Checkpoint[T]{Recs: from.Recs[:held-queued], State: from.State[:n]})
-	return a, err
-}
-
-// SwitchesAt reads, from the state words a generator of the given policy
-// returned at a run boundary, how many times it had changed steppers by
-// then: what Driven.Switches said there, for callers that adopt finished
-// runs without restoring the generator.
-func SwitchesAt(kind Kind, state []uint64) int {
-	if kind != Auto || len(state) < engineWords {
-		return 0
-	}
-	return int(state[len(state)-engineWords+6])
+	return a
 }
 
 // Kind names the policy whose stepper wrote the latest run.
@@ -125,7 +81,7 @@ func (a *adaptive[T]) NextRun() (runio.Run, bool, error) {
 	}
 	if a.cur == nil {
 		var err error
-		if a.cur, err = newStepper(a.kind, a.down, a.queue, a.em, a.cfg, a.key, nil); err != nil {
+		if a.cur, err = newStepper(a.kind, a.down, a.queue, a.em, a.cfg, a.key); err != nil {
 			return runio.Run{}, false, err
 		}
 	}
@@ -178,30 +134,6 @@ func (a *adaptive[T]) Carry() []T {
 	return out
 }
 
-// Checkpoint lists the current stepper's records followed by the queued
-// ones, and appends the engine's words (engineWords) to the stepper's. The
-// rolling window is not listed: it is the input just before the boundary,
-// which a resume re-reads anyway (Checkpoint.Tail).
-func (a *adaptive[T]) Checkpoint(put func(T)) []uint64 {
-	var state []uint64
-	if a.cur != nil {
-		state = a.cur.Checkpoint(put)
-	}
-	queued := a.queue.Head()
-	for _, v := range queued {
-		put(v)
-	}
-	var down, locked uint64
-	if a.down {
-		down = 1
-	}
-	if a.locked {
-		locked = 1
-	}
-	return append(state, uint64(a.kind), down, locked, uint64(a.shortRuns), uint64(a.nextEval),
-		a.visited, uint64(a.switches), uint64(len(queued)), uint64(a.ob.count))
-}
-
 // chooseRolling applies the probe's decision rules to the rolling window,
 // plus the two feedback rules that only make sense mid-stream.
 func chooseRolling(st Stats, cur Kind, shortRuns int) (kind Kind, down, confident bool) {
@@ -235,19 +167,15 @@ type observer[T any] struct {
 	ring  []T
 }
 
-// ReadBatch forwards to the source and notes what passed through.
+// ReadBatch forwards to the source, counting what passed through and
+// pushing it into the ring.
 func (o *observer[T]) ReadBatch(dst []T) (int, error) {
 	n, err := o.br.ReadBatch(dst)
-	o.note(dst[:n])
-	return n, err
-}
-
-// note counts vals and pushes them into the ring.
-func (o *observer[T]) note(vals []T) {
-	for _, v := range vals {
+	for _, v := range dst[:n] {
 		o.ring[o.count%int64(len(o.ring))] = v
 		o.count++
 	}
+	return n, err
 }
 
 // stats measures the ring's contents in arrival order.

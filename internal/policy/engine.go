@@ -13,20 +13,18 @@ import (
 // Generator is the common per-run interface every run generator offers the
 // policy layer: NextRun writes exactly one run through the configured
 // emitter (ok=false at exhaustion). Between runs its buffered state —
-// heaps, FIFOs, read-ahead — can leave two ways. Carry is the destructive
+// heaps, FIFOs, read-ahead — can leave through Carry, the destructive
 // hand-off: it surrenders every element, order and run tags dropped, so a
-// different generator can take over (Auto's switches). Checkpoint is the
-// boundary snapshot: it lists the same elements in positional order,
-// disturbing nothing, and returns the state words that also survive a
-// boundary, so NewGenerator can rebuild this exact generator later (durable
-// sorts). Four types implement it: 2WRS's stepper in internal/core, the
-// heap stepper of internal/rs in its two modes (rs and alternating) and its
+// different generator can take over (Auto's switches). Every generator is a
+// deterministic function of its input and configuration, so a durable sort
+// recovers one by replaying it from the first record, never by restoring
+// it. Four types implement it: 2WRS's stepper in internal/core, the heap
+// stepper of internal/rs in its two modes (rs and alternating) and its
 // quicksort stepper, and the adaptive engine that wraps whichever of them is
 // current.
 type Generator[T any] interface {
 	NextRun() (run runio.Run, ok bool, err error)
 	Carry() []T
-	Checkpoint(put func(T)) (state []uint64)
 }
 
 // Driven is a Generator as NewGenerator builds it, which can also say what
@@ -48,21 +46,6 @@ type fixed[T any] struct {
 
 func (f fixed[T]) Kind() Kind  { return f.kind }
 func (fixed[T]) Switches() int { return 0 }
-
-// Checkpoint is what Generator.Checkpoint produced at one run boundary, as
-// a restore takes it back.
-type Checkpoint[T any] struct {
-	// Recs are the elements the generator listed, in order.
-	Recs []T
-	// State are the words it returned.
-	State []uint64
-	// Tail is the input just before the boundary's position, oldest first:
-	// the last Config.Window elements the generator had consumed, or all of
-	// them if it had consumed fewer. The source re-serves them on the way to
-	// that position anyway; Auto rebuilds its rolling window from them, the
-	// fixed policies ignore them.
-	Tail []T
-}
 
 // Config parameterises policy-driven run generation.
 type Config struct {
@@ -95,25 +78,19 @@ type Result struct {
 	// consumed, once the pass has finished.
 	Records int64
 	// Switches counts mid-stream generator changes (always 0 for fixed
-	// policies), those before the checkpoint a pass resumed from included.
+	// policies).
 	Switches int
 }
 
-// newStepper builds the stepper of a fixed policy over src: a fresh one
-// (from nil; down selects Alternating's first run direction), or the one
-// that took the checkpoint. Quick holds nothing between runs, so its
-// restore is a fresh one.
-func newStepper[T any](kind Kind, down bool, src stream.BatchReader[T], em *runio.Emitter[T], cfg Config, key func(T) float64, from *Checkpoint[T]) (Generator[T], error) {
-	switch {
-	case kind == TwoWayRS && from != nil:
-		return core.Restore(src, em, cfg.TWRS.For(cfg.Memory), key, from.Recs, from.State)
-	case kind == TwoWayRS:
+// newStepper builds the stepper of a fixed policy over src; down selects
+// Alternating's first run direction.
+func newStepper[T any](kind Kind, down bool, src stream.BatchReader[T], em *runio.Emitter[T], cfg Config, key func(T) float64) (Generator[T], error) {
+	switch kind {
+	case TwoWayRS:
 		return core.NewStepper(src, em, cfg.TWRS.For(cfg.Memory), key)
-	case (kind == RS || kind == Alternating) && from != nil:
-		return rs.RestoreStepper(src, em, cfg.Memory, kind == Alternating, from.Recs, from.State)
-	case kind == RS || kind == Alternating:
+	case RS, Alternating:
 		return rs.NewStepper(src, em, cfg.Memory, kind == Alternating, down)
-	case kind == Quick:
+	case Quick:
 		return rs.NewQuickStepper(src, em, cfg.Memory)
 	default:
 		return nil, errUnknown(kind.String())
@@ -122,21 +99,17 @@ func newStepper[T any](kind Kind, down bool, src stream.BatchReader[T], em *runi
 
 // NewGenerator is the one constructor of run generators: the stepper of a
 // fixed policy, or Auto's adaptive engine over whichever stepper is
-// current. from nil is a fresh generator. Otherwise it is the one that took
-// that checkpoint, over src positioned just past the input that one had
-// consumed; a checkpoint no generator of the kind could have taken (counts
-// that do not add up, records out of heap order, an engine word out of
-// range) is an error, never a different run sequence. key optionally
-// projects elements onto the real line for the 2WRS numeric heuristics; nil
-// selects the comparator-only fallbacks. Step the result with Drive.
-func NewGenerator[T any](kind Kind, src stream.BatchReader[T], em *runio.Emitter[T], cfg Config, key func(T) float64, from *Checkpoint[T]) (Driven[T], error) {
+// current, fresh over src. key optionally projects elements onto the real
+// line for the 2WRS numeric heuristics; nil selects the comparator-only
+// fallbacks. Step the result with Drive.
+func NewGenerator[T any](kind Kind, src stream.BatchReader[T], em *runio.Emitter[T], cfg Config, key func(T) float64) (Driven[T], error) {
 	if cfg.Memory <= 0 {
 		return nil, fmt.Errorf("policy: memory must be positive, got %d", cfg.Memory)
 	}
 	if kind == Auto {
-		return newAdaptive(src, em, cfg, key, from)
+		return newAdaptive(src, em, cfg, key), nil
 	}
-	gen, err := newStepper(kind, false, src, em, cfg, key, from)
+	gen, err := newStepper(kind, false, src, em, cfg, key)
 	if err != nil {
 		return nil, err
 	}
@@ -147,7 +120,7 @@ func NewGenerator[T any](kind Kind, src stream.BatchReader[T], em *runio.Emitter
 // through em: NewGenerator, then Drive, then the emitter's Barrier, so the
 // runs are whole on the store when it returns.
 func Generate[T any](kind Kind, src stream.BatchReader[T], em *runio.Emitter[T], cfg Config, key func(T) float64) (Result, error) {
-	gen, err := NewGenerator(kind, src, em, cfg, key, nil)
+	gen, err := NewGenerator(kind, src, em, cfg, key)
 	if err != nil {
 		return Result{}, err
 	}
@@ -161,8 +134,8 @@ func Generate[T any](kind Kind, src stream.BatchReader[T], em *runio.Emitter[T],
 // Drive is the one run-generation loop: it steps gen to exhaustion and
 // returns the runs it emitted with the policy that wrote each, recording
 // one "run" span per run under span (nil: none). boundary, when set, is
-// called after every run with the generator at rest — the one moment
-// Checkpoint is meaningful; an error from it aborts the pass. On an error
+// called after every run with the generator at rest, no stream open; an
+// error from it aborts the pass. On an error
 // the Result holds the runs completed before it.
 func Drive[T any](gen Driven[T], span *obs.Span, boundary func(Driven[T], runio.Run) error) (res Result, err error) {
 	defer func() { res.Switches = gen.Switches() }()

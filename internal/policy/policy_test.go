@@ -1,8 +1,6 @@
 package policy
 
 import (
-	"math/rand"
-	"slices"
 	"testing"
 
 	"repro/internal/codec"
@@ -204,120 +202,6 @@ func TestAutoSwitchesAtRunBoundaryOnRegimeChange(t *testing.T) {
 	// switch has to pay off.
 	if maxRuns := n/(2*m) + 2; len(res.Runs) > maxRuns {
 		t.Fatalf("auto produced %d runs, want ≤ %d", len(res.Runs), maxRuns)
-	}
-}
-
-// switchingInput changes regime four times at a memory of 64: ascending
-// (the probe commits to rs), random, a noisy descent that pins rs to bare
-// memory-sized runs (the feedback rule drops to quick, which is still
-// reading its predecessor's carry one boundary later), ascending again
-// (rs is wanted but already abandoned: the oscillation lock settles on
-// 2wrs) and a random tail that puts boundaries behind the lock.
-func switchingInput() []record.Record {
-	rng := rand.New(rand.NewSource(1))
-	var recs []record.Record
-	for _, seg := range []struct {
-		n   int
-		key func(i int) int64
-	}{
-		{400, func(i int) int64 { return int64(i) }},
-		{1000, func(int) int64 { return rng.Int63n(1 << 20) }},
-		{1000, func(i int) int64 { return int64(10000-i) + rng.Int63n(40) }},
-		{500, func(i int) int64 { return int64(i) }},
-		{400, func(int) int64 { return rng.Int63n(1 << 20) }},
-	} {
-		for i := 0; i < seg.n; i++ {
-			recs = append(recs, record.Record{Key: seg.key(i), Aux: uint64(len(recs))})
-		}
-	}
-	return recs
-}
-
-// TestAdaptiveCheckpointRestoreExactState gives the adaptive generator the
-// check internal/core's TestCheckpointRestoreExactState applies to 2WRS: at
-// every run boundary — the ones between a decided switch and the
-// successor's first run, behind the oscillation lock and with a carry half
-// read included — a second generator restored from the checkpoint over the
-// rest of the input must stand exactly where the first does (an immediate
-// Checkpoint lists the same records and returns the same words) and go on
-// to emit the run, under the policy, the first emits next.
-func TestAdaptiveCheckpointRestoreExactState(t *testing.T) {
-	recs, cfg := switchingInput(), Config{Memory: 64}
-	src, fsA := record.NewSliceReader(recs), vfs.NewMemFS()
-	g, err := NewGenerator[record.Record](Auto, src, runio.RecordEmitter(fsA, "a"), cfg, record.Key, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	list := func(g Generator[record.Record]) (cp Checkpoint[record.Record]) {
-		cp.State = g.Checkpoint(func(r record.Record) { cp.Recs = append(cp.Recs, r) })
-		return cp
-	}
-	readRun := func(fs vfs.FS, run runio.Run) []record.Record {
-		out, err := readRun(fs, run, 4096)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	var (
-		next                          []record.Record // the run the generator restored at the previous boundary emitted
-		nextKind                      Kind
-		pending, halfRead, afterLock  int // boundaries of each kind seen
-		restoredSwitches, restoredRun = 0, false
-	)
-	for boundary := 1; ; boundary++ {
-		run, ok, err := g.NextRun()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if boundary > 1 && (ok != restoredRun || ok && (!slices.Equal(readRun(fsA, run), next) || g.Kind() != nextKind)) {
-			t.Fatalf("the generator restored at boundary %d emitted a different next run than the original", boundary-1)
-		}
-		if !ok {
-			if restoredSwitches != g.Switches() {
-				t.Fatalf("the last restored generator counts %d switches, the original %d", restoredSwitches, g.Switches())
-			}
-			break
-		}
-		a := g.(*adaptive[record.Record])
-		switch queued := len(a.queue.Head()); {
-		case a.cur == nil:
-			pending++
-		case queued > 0:
-			halfRead++
-		}
-		if a.locked {
-			afterLock++
-		}
-		cp, pos := list(g), len(recs)-src.Remaining()
-		cp.Tail = recs[max(0, pos-cfg.Window()):pos]
-		fsB := vfs.NewMemFS()
-		r, err := NewGenerator[record.Record](Auto, record.NewSliceReader(recs[pos:]), runio.RecordEmitter(fsB, "b"), cfg, record.Key, &cp)
-		if err != nil {
-			t.Fatalf("boundary %d: restore: %v", boundary, err)
-		}
-		if cp2 := list(r); !slices.Equal(cp.Recs, cp2.Recs) || !slices.Equal(cp.State, cp2.State) {
-			t.Fatalf("boundary %d: restored generator stands elsewhere:\n state %v\n  from %v", boundary, cp2.State, cp.State)
-		}
-		run, restoredRun, err = r.NextRun()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if next, restoredSwitches = nil, r.Switches(); restoredRun {
-			next, nextKind = readRun(fsB, run), r.Kind()
-		}
-
-		// A garbled engine word is refused, never stepped from.
-		bad := cp
-		bad.State = slices.Clone(cp.State)
-		bad.State[len(bad.State)-engineWords] = uint64(Auto)
-		if _, err := NewGenerator[record.Record](Auto, record.NewSliceReader(recs[pos:]), runio.RecordEmitter(fsB, "c"), cfg, record.Key, &bad); err == nil {
-			t.Fatalf("boundary %d: restore accepted auto as the current stepper's policy", boundary)
-		}
-	}
-	if g.Switches() < 2 || pending < 2 || halfRead == 0 || afterLock < 2 {
-		t.Fatalf("%d switches, %d boundaries with the successor pending, %d with a carry half read, %d behind the lock: the input no longer exercises them",
-			g.Switches(), pending, halfRead, afterLock)
 	}
 }
 

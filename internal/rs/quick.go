@@ -80,7 +80,3 @@ func (s *QuickStepper[T]) NextRun() (runio.Run, bool, error) {
 // Carry returns nil: a QuickStepper holds nothing between runs — every run
 // boundary is already a clean cut.
 func (s *QuickStepper[T]) Carry() []T { return nil }
-
-// Checkpoint lists nothing, for the same reason: a fresh QuickStepper over
-// the rest of the input is the restored one.
-func (s *QuickStepper[T]) Checkpoint(func(T)) []uint64 { return nil }

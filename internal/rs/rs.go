@@ -22,8 +22,7 @@
 // boundary. QuickStepper is Load-Sort-Store. Both emit one run per NextRun
 // call and can surrender their buffered state through Carry — the contract
 // the adaptive policy engine uses to switch generators at run boundaries
-// mid-stream — or list it in place through Checkpoint, for durable sorts to
-// snapshot. The policy layer (policy.Drive) is the loop that steps them.
+// mid-stream. The policy layer (policy.Drive) is the loop that steps them.
 package rs
 
 import (
@@ -210,55 +209,4 @@ func (s *Stepper[T]) Carry() []T {
 		}
 	}
 	return append(out, s.in.Drain()...)
-}
-
-// Checkpoint lists, without disturbing the stepper, the records it holds at
-// a run boundary — the heap of the next run's direction in index order
-// (heap.Export; a flip has emptied the other), then the fetch read-ahead —
-// and returns their two counts, followed when alternating by that direction
-// (1 = down). Unlike Carry it is only meaningful right after NextRun
-// returned a run, when every heap item carries the same run tag.
-func (s *Stepper[T]) Checkpoint(put func(T)) []uint64 {
-	h := s.active()
-	h.Export(put)
-	ahead := s.in.Pending()
-	for _, v := range ahead {
-		put(v)
-	}
-	state := []uint64{uint64(h.Len()), uint64(len(ahead))}
-	if s.alternating {
-		var down uint64
-		if s.down {
-			down = 1
-		}
-		state = append(state, down)
-	}
-	return state
-}
-
-// RestoreStepper rebuilds the Stepper of the same mode whose Checkpoint
-// listed recs and returned state, over src positioned just past the
-// read-ahead: it goes on to emit exactly the runs the original would have.
-// State of the other mode's length, counts that do not add up to recs and
-// records that are not in the order of the heap they are listed for are an
-// error, never a different run sequence.
-func RestoreStepper[T any](src stream.BatchReader[T], em *runio.Emitter[T], memory int, alternating bool, recs []T, state []uint64) (*Stepper[T], error) {
-	words, n := 2, uint64(len(recs))
-	if alternating {
-		words = 3
-	}
-	if len(state) != words || state[0] > n || state[1] != n-state[0] {
-		return nil, fmt.Errorf("rs: checkpoint state %v does not describe %d records", state, n)
-	}
-	s, err := NewStepper(src, em, memory, alternating, alternating && state[2] != 0)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.active().Import(recs[:state[0]], 0, s.pfx); err != nil {
-		return nil, err
-	}
-	if !s.in.Preload(recs[state[0]:]) {
-		return nil, fmt.Errorf("rs: checkpoint read-ahead of %d records exceeds the fetch batch", state[1])
-	}
-	return s, nil
 }

@@ -182,10 +182,6 @@ func (nm *Namer) Next(role string) string {
 }
 
 // Seq returns the number of names handed out so far. A resumable sort
-// records it at every run boundary so a resumed pass can fast-forward the
-// namer (SetSeq) and continue the exact same name sequence.
+// records it at every run boundary; a resumed pass replays the names from
+// the start and reaches the same count there.
 func (nm *Namer) Seq() int { return nm.n }
-
-// SetSeq fast-forwards (or rewinds) the namer to a recorded sequence
-// position: the next Next call hands out name n+1.
-func (nm *Namer) SetSeq(n int) { nm.n = n }

@@ -134,7 +134,6 @@ type Writer[T any] struct {
 	fixed  int    // c.FixedSize()
 	buf    []byte // the block being filled: FrameHeadroom spare bytes, then the page
 	target int    // page bytes at which the block is flushed
-	order  bool   // sum is the running StreamSum of the pages, not a ContentSum
 }
 
 // headroom is where a block's page starts: the bytes before it are the
@@ -156,13 +155,6 @@ func ContentSum(sum uint64, encoded []byte) uint64 {
 	return sum + uint64(crc32.Checksum(encoded, castagnoli))
 }
 
-// StreamSum folds the next encoded bytes into an order-sensitive checksum:
-// the running CRC-32C of the whole encoded stream, however it is cut into
-// calls. Generator snapshots use it, where an element's position is state.
-func StreamSum(sum uint64, encoded []byte) uint64 {
-	return uint64(crc32.Update(uint32(sum), castagnoli, encoded))
-}
-
 // NewWriter creates the named spill stream on st and returns a Writer with
 // the given buffer size in bytes (0 means DefaultPageSize), encoding
 // elements with c and validating write order with less.
@@ -182,15 +174,6 @@ func newWriter[T any](q *writeBehind, st storage.Backend, name string, bufBytes 
 	w.buf = w.pool.Get(headroom + w.target)[:headroom]
 	return w, nil
 }
-
-// SumStream makes the writer keep the order-sensitive StreamSum of
-// everything it encodes, for Sum to report. It must be called before the
-// first Write.
-func (w *Writer[T]) SumStream() { w.order = true }
-
-// Sum returns the StreamSum of the pages flushed so far — of the whole
-// stream once the writer is closed.
-func (w *Writer[T]) Sum() uint64 { return w.sum }
 
 // Write appends r to the run. Elements must arrive in non-decreasing order.
 // It is WriteBatch for one element, kept apart so that the element does not
@@ -260,9 +243,6 @@ func (w *Writer[T]) WriteBatch(src []T) error {
 func (w *Writer[T]) flush() error {
 	if len(w.buf) == headroom {
 		return nil
-	}
-	if w.order {
-		w.sum = StreamSum(w.sum, w.buf[headroom:])
 	}
 	if err := w.q.do(&w.f, opAppend, w.buf); err != nil {
 		return err

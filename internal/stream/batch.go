@@ -216,22 +216,6 @@ func (f *Fetcher[T]) refill() (T, bool, error) {
 	return f.buf[0], true, nil
 }
 
-// Pending returns the elements the Fetcher has read ahead but not yet handed
-// out, without consuming them; the view is valid until the next call on the
-// Fetcher. Run-boundary checkpoints list it as part of a generator's state.
-func (f *Fetcher[T]) Pending() []T { return f.buf[f.pos:f.n] }
-
-// Preload puts elems in front of the source as read-ahead, the inverse of
-// Pending for a Fetcher restored from a checkpoint. It reports false when
-// elems exceed the batch length: a Fetcher never reads further ahead.
-func (f *Fetcher[T]) Preload(elems []T) bool {
-	if len(elems) > len(f.buf) {
-		return false
-	}
-	f.pos, f.n = 0, copy(f.buf, elems)
-	return true
-}
-
 // Drain returns the elements the Fetcher has read ahead but not yet handed
 // out, emptying its buffer without touching the underlying source. A policy
 // switch uses it to hand buffered input to a successor generator; the

@@ -168,9 +168,11 @@ var (
 	// error: the intact prefix is resumed and the tail regenerated.)
 	ErrManifestCorrupt = manifest.ErrCorrupt
 	// ErrRunChecksum: a spill file referenced by the manifest is present
-	// but its contents do not match the recorded checksum. The sort
-	// refuses to resume rather than risk wrong output; discard the spill
-	// directory and rerun.
+	// but its contents do not match the recorded checksum, or the input a
+	// resume replays regenerates a run other than the recorded one (the
+	// source is not the original input). The sort refuses to resume rather
+	// than risk wrong output; resume with the original input, or discard
+	// the spill directory and rerun.
 	ErrRunChecksum = manifest.ErrChecksum
 )
 
@@ -291,12 +293,14 @@ type Config struct {
 	// recorded in a CRC-guarded manifest file alongside the spill files,
 	// so a sort killed mid-generation can be picked up with Sorter.Resume
 	// (or the -resume CLI flag) instead of starting over. Durable sorts
-	// generate exactly the runs a plain sort would: each run boundary
-	// only checkpoints the generator in place (a snapshot of the records
-	// it holds, plus a few state words), from which a resume restores it
-	// exactly, so the resumed output is byte-identical to an
+	// write exactly the files a plain sort would: a run boundary only
+	// records the run's shape and content checksums. Every generator is a
+	// deterministic function of its input, so a resume replays it from the
+	// first record, checks each regenerated run against the manifest
+	// (refusing an input that differs) and writes for real from the last
+	// recovered run on; the resumed output is byte-identical to an
 	// uninterrupted sort — under every policy, the adaptive "auto" (whose
-	// decisions a resume repeats) included. See DESIGN.md §14.
+	// decisions the replay repeats) included. See DESIGN.md §14.
 	Manifest bool
 	// Resume makes every sort under this configuration first look for a
 	// durable manifest left by an interrupted earlier sort and continue

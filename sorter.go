@@ -537,12 +537,13 @@ func (s *Sorter[T]) Sort(ctx context.Context, src Source[T], dst Sink[T]) (Stats
 
 // Resume finishes a durable sort that a previous Sort (in this process or,
 // with a TempDir, in an earlier one) left interrupted: completed runs are
-// validated against the manifest and reused, the input is rewound to the
-// last committed run boundary, and generation continues from there. src
-// must re-serve the original input from the start — Resume skips what the
-// committed runs already consumed. The output is byte-identical to what the
-// uninterrupted sort would have produced; Stats.RunsRecovered reports how
-// many runs were reused. When no manifest exists (nothing to resume, or a
+// validated against the manifest and reused, and generation continues from
+// the last committed run boundary. src must re-serve the original input
+// from the start — Resume replays generation over what the committed runs
+// consumed, writing nothing, and fails with ErrRunChecksum when a
+// regenerated run is not the committed one. The output is byte-identical
+// to what the uninterrupted sort would have produced; Stats.RunsRecovered
+// reports how many runs were reused. When no manifest exists (nothing to resume, or a
 // crash predated the first run) Resume simply runs a fresh durable sort. A
 // manifest written under a different codec, compression or generation
 // configuration fails with ErrManifestMismatch rather than mixing
