@@ -44,17 +44,11 @@ func (p TimePoint) Speedup() float64 {
 // timedSort sorts a generated dataset with the given run generator on a
 // fresh simulated disk and returns (run generation time, total time).
 func timedSort(kind gen.Kind, n, memory, sections int, pol policy.Kind) (runT, totalT time.Duration, err error) {
-	disk := iosim.NewDisk(iosim.Defaults2010())
-	fs := iosim.NewFS(vfs.NewMemFS(), disk)
 	cfg := extsort.Recommended(memory)
 	cfg.Policy = pol
-	cfg.Clock = disk.Elapsed
-	// The simulated disk models the paper's single sequential device;
-	// Parallelism=1 keeps the measured schedule on the paper's sequential
-	// cost model regardless of the host's core count.
-	cfg.Parallelism = 1
+	cfg.Disk = iosim.NewDisk(iosim.Defaults2010())
 	src := gen.New(gen.Config{Kind: kind, N: n, Seed: 1, Noise: 1000, Sections: sections})
-	stats, err := extsort.Sort[record.Record](src, discardWriter{}, fs, cfg, extsort.RecordOps())
+	stats, err := extsort.Sort[record.Record](src, discardWriter{}, vfs.NewMemFS(), cfg, extsort.RecordOps())
 	if err != nil {
 		return 0, 0, err
 	}

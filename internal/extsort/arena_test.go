@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/iosim"
 	"repro/internal/manifest"
 	"repro/internal/policy"
 	"repro/internal/record"
@@ -18,15 +19,6 @@ import (
 	"repro/internal/vfs"
 	"repro/internal/vfs/faultfs"
 )
-
-// spillOf is the file system a run set's spill files live in by name: its
-// arena, or the base file system of a sort on a simulated clock.
-func spillOf[T any](r *RunSet[T]) vfs.FS {
-	if r.spill != nil {
-		return r.spill
-	}
-	return r.fs
-}
 
 // reopenSpill is the arena a durable record sort under cfg left on fs,
 // holding every file its manifest places, as Resume reopens it.
@@ -202,31 +194,36 @@ func TestSpillFilesAsRemoved(t *testing.T) {
 // TestSortCreatesOneFile counts what a spill_merge-shaped sort — quick runs
 // on checksummed blocks, fan-in 4, several merge passes — asks of the
 // physical file system it is given: one create and one remove, the spill
-// arena's, at one and two workers. A durable sort adds its manifest: two
-// creates.
+// arena's, at one and two workers, and under the simulated disk, which sits
+// above the arena. A durable sort adds its manifest: two creates.
 func TestSortCreatesOneFile(t *testing.T) {
 	recs := gen.Generate(gen.Config{Kind: gen.Random, N: 40 * 500, Seed: 31})
-	for _, durable := range []bool{false, true} {
-		for _, par := range []int{1, 2} {
-			fs := faultfs.New(vfs.NewMemFS(), faultfs.Options{})
-			cfg := Config{Policy: policy.Quick, Memory: 500, FanIn: 4, Parallelism: par, Manifest: durable,
-				Storage: storage.Config{Compression: "none"}}
-			var out record.SliceWriter
-			stats, err := Sort(record.NewSliceReader(recs), &out, fs, cfg, RecordOps())
-			if err != nil {
-				t.Fatal(err)
-			}
-			creates, removes := fs.Calls(faultfs.Create), fs.Calls(faultfs.Remove)
-			wantCreates := int64(1)
-			if durable {
-				wantCreates = 2
-			}
-			if creates > wantCreates || removes > wantCreates {
-				t.Errorf("durable=%v parallelism=%d: %d runs in %d passes created %d files and removed %d, want at most %d of each",
-					durable, par, stats.Runs, stats.MergePasses, creates, removes, wantCreates)
-			}
-			if names, _ := fs.Names(); len(names) != 0 {
-				t.Errorf("durable=%v parallelism=%d: %v left behind", durable, par, names)
+	for _, simulated := range []bool{false, true} {
+		for _, durable := range []bool{false, true} {
+			for _, par := range []int{1, 2} {
+				fs := faultfs.New(vfs.NewMemFS(), faultfs.Options{})
+				cfg := Config{Policy: policy.Quick, Memory: 500, FanIn: 4, Parallelism: par, Manifest: durable,
+					Storage: storage.Config{Compression: "none"}}
+				if simulated {
+					cfg.Disk = iosim.NewDisk(iosim.Defaults2010())
+				}
+				var out record.SliceWriter
+				stats, err := Sort(record.NewSliceReader(recs), &out, fs, cfg, RecordOps())
+				if err != nil {
+					t.Fatal(err)
+				}
+				creates, removes := fs.Calls(faultfs.Create), fs.Calls(faultfs.Remove)
+				wantCreates := int64(1)
+				if durable {
+					wantCreates = 2
+				}
+				if creates > wantCreates || removes > wantCreates {
+					t.Errorf("disk=%v durable=%v parallelism=%d: %d runs in %d passes created %d files and removed %d, want at most %d of each",
+						simulated, durable, par, stats.Runs, stats.MergePasses, creates, removes, wantCreates)
+				}
+				if names, _ := fs.Names(); len(names) != 0 {
+					t.Errorf("disk=%v durable=%v parallelism=%d: %v left behind", simulated, durable, par, names)
+				}
 			}
 		}
 	}

@@ -51,7 +51,7 @@ func TestDurableMatchesPlain(t *testing.T) {
 						if err != nil {
 							t.Fatalf("durable=%v: %v", durable, err)
 						}
-						sums[i] = runFileSums(t, spillOf(rset), rset.Runs())
+						sums[i] = runFileSums(t, rset.spill, rset.Runs())
 						raw[i] = rset.Stats().IO.RawBytesWritten
 						if err := rset.Discard(); err != nil {
 							t.Fatal(err)

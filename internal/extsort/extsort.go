@@ -10,12 +10,12 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/codec"
 	"repro/internal/core"
+	"repro/internal/iosim"
 	"repro/internal/manifest"
 	"repro/internal/merge"
 	"repro/internal/obs"
@@ -163,9 +163,11 @@ type Config struct {
 	TWRS core.Config
 	// Prefix names the temporary files of this sort (default "sort").
 	Prefix string
-	// Clock, when set, samples a simulated clock (e.g. iosim.Disk.Elapsed)
+	// Disk, when set, charges every spill access to the analytical disk of
+	// internal/iosim, which sits above the spill arena and sees the logical
+	// files at their logical offsets; its clock (Disk.Elapsed) is sampled
 	// around each phase so Stats can report simulated I/O time.
-	Clock func() time.Duration
+	Disk *iosim.Disk
 	// Parallelism bounds the sort's concurrency (default GOMAXPROCS):
 	// above 1, run generation creates, writes and closes its spill files
 	// through a write-behind goroutine and up to this many operations of
@@ -173,7 +175,7 @@ type Config struct {
 	// behaviour — and the paper's sequential cost model — exactly; the
 	// on-disk run format, the merge tree and the sorted output are
 	// identical either way.
-	// A simulated clock (Clock != nil) always forces 1: overlap against a
+	// A simulated disk (Disk != nil) always forces 1: overlap against a
 	// single simulated device would double-count time.
 	Parallelism int
 	// Cancel, when set, is polled between batches in the merge phase; a
@@ -253,10 +255,10 @@ func (c Config) Resolved() Config {
 	if c.Parallelism <= 0 {
 		c.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	if c.Clock != nil {
-		// A simulated clock models the paper's single sequential device;
+	if c.Disk != nil {
+		// A simulated disk models the paper's single sequential device;
 		// overlapping phases against it would double-count time, so a
-		// clocked sort is always sequential regardless of Parallelism.
+		// simulated sort is always sequential regardless of Parallelism.
 		c.Parallelism = 1
 	}
 	c.TWRS = c.TWRS.For(c.Memory)
@@ -297,8 +299,8 @@ type Stats struct {
 	MergeInputs int
 	MergePasses int
 	MergeOps    int
-	// RunGenSim and MergeSim are simulated-clock phase durations when
-	// Config.Clock was provided (e.g. backed by iosim.Disk).
+	// RunGenSim and MergeSim are the simulated disk's time spent in each
+	// phase when Config.Disk is set; zero otherwise.
 	RunGenSim time.Duration
 	MergeSim  time.Duration
 	// Storage describes the spill backend that ran (e.g. "raw",
@@ -341,16 +343,15 @@ type RunSet[T any] struct {
 	policies []string // policies[i] names the generator that produced runs[i]
 	cfg      Config
 	ops      Ops[T]
-	clock    func() time.Duration
-	stats    Stats    // run-generation half; Merge fills the merge half
-	o        *sortObs // nil when observability is off
+	clock    func() time.Duration // the simulated disk's clock, or zero
+	stats    Stats                // run-generation half; Merge fills the merge half
+	o        *sortObs             // nil when observability is off
 
 	// fs is the base file system; a durable sort's manifest lives on it
 	// under manifestName, which is empty for non-durable sorts.
 	fs           vfs.FS
 	manifestName string
-	// spill is the arena on fs holding every spill file; nil for a sort on
-	// a simulated clock, whose files are fs's own.
+	// spill is the arena on fs holding every spill file.
 	spill *vfs.Arena
 }
 
@@ -408,33 +409,28 @@ func newRunSet[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
 	if err := cfg.Policy.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Manifest && cfg.Clock != nil {
-		return nil, fmt.Errorf("extsort: a durable sort needs a spill arena, which a simulated clock does not have")
-	}
 	// The byte form of the memory budget: what the spill path's block pool
 	// keeps between files, what run generation sizes its blocks from and
 	// what the merge divides among its buffers.
 	budget := cfg.Memory * ops.elementBytes()
+	// Spill files live in one arena file, in extents of a generation block,
+	// so the file system sees one create and one unlink per sort and a
+	// consumed run's pages are overwritten by the next writer.
+	arena := vfs.NewArena(fs, cfg.Prefix+arenaSuffix, runio.BlockBytes(budget))
 	var (
-		arena *vfs.Arena
-		spill = fs
-		pages int // 0: the thesis' k=1000 pages
+		spill vfs.FS = arena
+		pages        = backwardPages(cfg.Memory, ops.elementBytes())
+		clock        = func() time.Duration { return 0 }
 	)
-	if cfg.Clock == nil {
-		// Right-size backward chain files on real machines. Simulated runs
-		// (Clock set) keep the thesis' k=1000-page layout: it is part of
-		// what Chapter 6 measures. With right-sized files under the
-		// simulated clock the 2WRS totals of Figs 6.4/6.5/6.7 move by
-		// 2.8-5x (reverse input, 400k records: 292 ms -> 1.457 s simulated)
-		// and internal/exp's TestTimeSweepsShapes fails, so this fork stays.
-		pages = backwardPages(cfg.Memory, ops.elementBytes())
-		// Spill files live in one arena file, in extents of a generation
-		// block, so the file system sees one create and one unlink per sort
-		// and a consumed run's pages are overwritten by the next writer.
-		// Simulated runs keep a file per run: Chapter 6's disk model gives
-		// every file a region of its own.
-		arena = vfs.NewArena(fs, cfg.Prefix+arenaSuffix, runio.BlockBytes(budget))
-		spill = arena
+	if cfg.Disk != nil {
+		// The disk model sits above the arena, so it charges the logical
+		// files at their logical offsets, each in a region of its own.
+		// Simulated runs keep the thesis' k=1000-page chain layout: it is
+		// part of what Chapter 6 measures. With right-sized files under the
+		// model the 2WRS totals of Figs 6.4/6.5/6.7 move by 2.8-5x (reverse
+		// input, 400k records: 292 ms -> 1.457 s simulated) and
+		// internal/exp's TestTimeSweepsShapes fails, so this fork stays.
+		spill, pages, clock = iosim.NewFS(arena, cfg.Disk), 0, cfg.Disk.Elapsed
 	}
 	store, err := storage.New(traceFiles(spillView(spill), cfg.Trace), cfg.Storage)
 	if err != nil {
@@ -447,10 +443,6 @@ func newRunSet[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
 	// closed by a write-behind goroutine so heap work overlaps file I/O.
 	em.Async = cfg.Parallelism > 1
 	storage.PoolOf(store).Reserve(budget)
-	clock := cfg.Clock
-	if clock == nil {
-		clock = func() time.Duration { return 0 }
-	}
 	rset := &RunSet[T]{store: store, em: em, cfg: cfg, ops: ops, clock: clock, o: o, fs: fs, spill: arena}
 	if cfg.Manifest {
 		rset.manifestName = manifest.Name(cfg.Prefix)
@@ -462,16 +454,8 @@ func newRunSet[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
 // abortSetup unwinds a newRunSet whose sort never started.
 func (r *RunSet[T]) abortSetup(err error) (*RunSet[T], error) {
 	r.o.reporter().Stop()
-	r.closeSpill()
+	r.spill.Close()
 	return nil, err
-}
-
-// closeSpill releases the arena's handle on its physical file, keeping the
-// files: what a durable sort leaves for Resume when it stops short.
-func (r *RunSet[T]) closeSpill() {
-	if r.spill != nil {
-		r.spill.Close()
-	}
 }
 
 // generate runs phase one on a RunSet shell. Plain, durable and resumed
@@ -523,7 +507,7 @@ func (r *RunSet[T]) generate(src stream.BatchReader[T], recovered []manifest.Run
 		man.Close()
 		o.reporter().Stop()
 		em.AbortOpen()
-		r.closeSpill()
+		r.spill.Close() // the files stay for Resume
 		return nil, err
 	}
 
@@ -653,7 +637,7 @@ func (r *RunSet[T]) Stats() Stats {
 }
 
 // Store exposes the spill backend of this sort, for callers that inspect
-// accounting or file residency directly (tests, benchmarks).
+// its accounting directly (tests, benchmarks).
 func (r *RunSet[T]) Store() storage.Backend { return r.store }
 
 // mergeConfig assembles the merge-phase configuration from the sort's, and
@@ -707,9 +691,10 @@ func (r *RunSet[T]) mergeConfig() (merge.Config, func()) {
 // Closed, fully drained or not; the merge half of the RunSet's Stats stays
 // zero — the Stream reports its own.
 //
-// Note that simulated-clock accounting (Config.Clock) covers only the
-// intermediate passes here, since the final merge's I/O happens at the
-// caller's pace; Merge accounts for the whole phase.
+// The simulated disk (Config.Disk) still charges the final merge's reads as
+// the caller drains the stream, but no phase time is taken here: the merge
+// half of Stats, MergeSim included, stays zero. Merge accounts for the
+// whole phase.
 func (r *RunSet[T]) OpenMerged() (*merge.Stream[T], error) {
 	// Every run — concatenable or not — is one merge input: one with
 	// overlapping streams opens as several leaves of the operation reading it.
@@ -717,7 +702,7 @@ func (r *RunSet[T]) OpenMerged() (*merge.Stream[T], error) {
 	st, err := merge.NewStream(r.em, r.runs, mc)
 	if err != nil {
 		end()
-		r.closeSpill()
+		r.spill.Close()
 	}
 	return st, err
 }
@@ -731,7 +716,7 @@ func (r *RunSet[T]) Merge(dst stream.Writer[T]) (Stats, error) {
 	end()
 	if err != nil {
 		r.stats.IO = r.store.Stats()
-		r.closeSpill()
+		r.spill.Close()
 		return r.stats, err
 	}
 	wall := time.Since(wallStart)
@@ -745,37 +730,13 @@ func (r *RunSet[T]) Merge(dst stream.Writer[T]) (Stats, error) {
 	return r.stats, nil
 }
 
-// isSpillName reports whether name matches the shape the sort's Namer
-// hands out — prefix-NNNN-role, backward chains appending ".N" — so the
-// Discard sweep can recognise this sort's files without ever touching an
-// unrelated file that merely shares the prefix (a user's "sort-mydata.rec"
-// in a shared temp directory must survive a failed sort).
-func isSpillName(prefix, name string) bool {
-	rest, ok := strings.CutPrefix(name, prefix+"-")
-	if !ok {
-		return false
-	}
-	digits := 0
-	for digits < len(rest) && rest[digits] >= '0' && rest[digits] <= '9' {
-		digits++
-	}
-	// The Namer zero-pads sequence numbers to at least four digits.
-	if digits < 4 || digits >= len(rest) || rest[digits] != '-' {
-		return false
-	}
-	return len(rest) > digits+1
-}
-
-// Discard deletes every spill file of this sort without merging: the run
-// manifests, plus — by sweeping the backend for names the sort's Namer
-// produced — any stragglers a failed pass left behind (a half-written run
-// from an aborted generation, intermediate outputs of a failed reduce,
-// orphaned backward chain files). Runs already consumed are skipped
-// silently. A durable sort's manifest is removed too — Discard abandons
-// the sort, resumable state included — and a second
-// Discard of the same set is a no-op. After Discard the backend holds no
-// file of this sort; in the spill arena every removal but the last is
-// bookkeeping, and the last unlinks the arena.
+// Discard deletes every spill file of this sort without merging: the
+// manifest of a durable sort first — Discard abandons the sort, resumable
+// state included — then every file the arena holds, removed through the
+// spill backend: the runs, and whatever a failed pass left behind (a
+// half-written run from an aborted generation, intermediate outputs of a
+// failed reduce). Every removal but the last is bookkeeping, and the last
+// unlinks the arena. A second Discard of the same set is a no-op.
 func (r *RunSet[T]) Discard() error {
 	r.o.reporter().Stop()
 	// A failed generation can abandon its current run writer with the
@@ -783,29 +744,15 @@ func (r *RunSet[T]) Discard() error {
 	// writes to.
 	r.em.AbortOpen()
 	var first error
-	if r.manifestName != "" && r.fs != nil {
+	if r.manifestName != "" {
 		if err := r.fs.Remove(r.manifestName); err != nil && !errors.Is(err, os.ErrNotExist) {
 			first = err
 		}
 		r.manifestName = ""
 	}
-	for _, run := range r.runs {
-		if err := run.Remove(r.store); first == nil {
-			first = err
-		}
-	}
 	r.runs = nil
-	names, err := r.store.Names()
-	if err != nil {
-		if first == nil {
-			first = err
-		}
-		return first
-	}
+	names, _ := r.spill.Names() // an arena lists its files without I/O and cannot fail
 	for _, name := range names {
-		if !isSpillName(r.cfg.Prefix, name) {
-			continue
-		}
 		if err := r.store.Remove(name); err != nil && first == nil && !errors.Is(err, os.ErrNotExist) {
 			first = err
 		}
@@ -817,7 +764,7 @@ func (r *RunSet[T]) Discard() error {
 // forgets it so Discard does not try again. Best-effort: a manifest that
 // cannot be removed only costs a failed validation on some later Resume.
 func (r *RunSet[T]) removeManifest() {
-	if r.manifestName != "" && r.fs != nil {
+	if r.manifestName != "" {
 		r.fs.Remove(r.manifestName)
 		r.spill.Release()
 	}

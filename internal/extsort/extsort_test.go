@@ -143,11 +143,10 @@ func TestSortCleansUpTempFiles(t *testing.T) {
 func TestSortWithSimulatedDisk(t *testing.T) {
 	recs := gen.Generate(gen.Config{Kind: gen.Random, N: 10000, Seed: 5})
 	disk := iosim.NewDisk(iosim.Defaults2010())
-	fs := iosim.NewFS(vfs.NewMemFS(), disk)
 	cfg := Recommended(200)
-	cfg.Clock = disk.Elapsed
+	cfg.Disk = disk
 	var out record.SliceWriter
-	stats, err := Sort(record.NewSliceReader(recs), &out, fs, cfg, RecordOps())
+	stats, err := Sort(record.NewSliceReader(recs), &out, vfs.NewMemFS(), cfg, RecordOps())
 	if err != nil {
 		t.Fatal(err)
 	}

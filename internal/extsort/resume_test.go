@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/core"
+	"repro/internal/iosim"
 	"repro/internal/manifest"
 	"repro/internal/obs"
 	"repro/internal/policy"
@@ -143,7 +144,7 @@ func durableBaseline[T any](t *testing.T, vals []T, cfg Config, ops Ops[T]) ([]T
 	if !st.Committed {
 		t.Fatal("baseline manifest not committed")
 	}
-	files := runFileSums(t, spillOf(rset), rset.Runs())
+	files := runFileSums(t, rset.spill, rset.Runs())
 	want, _ := mergeToSlice(t, rset)
 	if _, err := fs.Open(manifest.Name(rset.cfg.Prefix)); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("manifest survived a successful merge: %v", err)
@@ -179,7 +180,8 @@ func bufferedTWRS(in core.InputHeuristic, out core.OutputHeuristic) core.Config 
 // named cases widen the default one (2WRS, recommended heuristics) to the
 // state a replay has to reach again: heap layout under ties, the coin-flip
 // position of the random heuristics, the FIFO's float sum and median, a
-// key-less element type, and the other generators.
+// key-less element type, the other generators, and the simulated disk above
+// the arena with the thesis' chain layout.
 func TestResumeAtEveryRunBoundary(t *testing.T) {
 	resumeAtEveryBoundary(t, testRecords(1500, 1), durableCfg(64), RecordOps())
 
@@ -220,6 +222,13 @@ func TestResumeAtEveryRunBoundary(t *testing.T) {
 	t.Run("legacy_lss", func(t *testing.T) {
 		resumeAtEveryBoundary(t, testRecords(1500, 8),
 			with(func(c *Config) { c.Policy, _ = policy.Parse("lss") }), RecordOps())
+	})
+	t.Run("simulated_disk", func(t *testing.T) {
+		disk := iosim.NewDisk(iosim.Defaults2010())
+		resumeAtEveryBoundary(t, testRecords(1500, 11), with(func(c *Config) { c.Disk = disk }), RecordOps())
+		if disk.Stats().Bytes() == 0 {
+			t.Fatal("the simulated disk saw no traffic")
+		}
 	})
 	t.Run("auto_switching", func(t *testing.T) {
 		ref := resumeAtEveryBoundary(t, switchingRecords(), with(func(c *Config) { c.Policy = policy.Auto }), RecordOps())
@@ -338,7 +347,7 @@ func resumeAtEveryBoundary[T comparable](t *testing.T, recs []T, cfg Config, ops
 			if got := reg.Counter(obs.MRecordsIn, "").Value(); got != wantIn {
 				t.Errorf("%s = %d, want %d", obs.MRecordsIn, got, wantIn)
 			}
-			if files := runFileSums(t, spillOf(rset), rset.Runs()); !slices.Equal(files, wantFiles) {
+			if files := runFileSums(t, rset.spill, rset.Runs()); !slices.Equal(files, wantFiles) {
 				t.Errorf("resumed run files differ from the uninterrupted sort's:\n got %v\nwant %v", files, wantFiles)
 			}
 			got, _ := mergeToSlice(t, rset)
@@ -450,7 +459,7 @@ func crashRecycled(t *testing.T) {
 	if got := rset.Stats().RunsRecovered; got < k {
 		t.Errorf("second resume recovered %d runs, want at least the %d the manifest kept", got, k)
 	}
-	if files := runFileSums(t, spillOf(rset), rset.Runs()); !slices.Equal(files, wantFiles) {
+	if files := runFileSums(t, rset.spill, rset.Runs()); !slices.Equal(files, wantFiles) {
 		t.Errorf("resumed run files differ from the uninterrupted sort's")
 	}
 	if got, _ := mergeToSlice(t, rset); !slices.Equal(got, want) {
@@ -529,7 +538,7 @@ func crashMatrixCase[T comparable](t *testing.T, vals []T, cfg Config, ops Ops[T
 			if got := reg.Counter(obs.MRunsRecovered, "").Value(); got != int64(stats.RunsRecovered) {
 				t.Errorf("%s = %d, Stats.RunsRecovered = %d", obs.MRunsRecovered, got, stats.RunsRecovered)
 			}
-			if files := runFileSums(t, spillOf(rset), rset.Runs()); !slices.Equal(files, wantFiles) {
+			if files := runFileSums(t, rset.spill, rset.Runs()); !slices.Equal(files, wantFiles) {
 				t.Errorf("resumed run files differ from the uninterrupted sort's")
 			}
 			got, _ := mergeToSlice(t, rset)
@@ -904,7 +913,7 @@ func assertDiscardClean[T any](t *testing.T, rset *RunSet[T], fs vfs.FS) {
 		t.Fatal(err)
 	}
 	for _, name := range names {
-		if name == manifest.Name(rset.cfg.Prefix) || isSpillName(rset.cfg.Prefix, name) {
+		if name == manifest.Name(rset.cfg.Prefix) || name == rset.cfg.Prefix+arenaSuffix {
 			t.Errorf("Discard left %s behind", name)
 		}
 	}

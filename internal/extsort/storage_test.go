@@ -224,7 +224,7 @@ func TestDiscardSweepsAllBackends(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if names, _ := rset.Store().Names(); len(names) == 0 {
+			if names, _ := rset.spill.Names(); len(names) == 0 {
 				t.Fatal("no spill files generated")
 			}
 			if err := rset.Discard(); err != nil {
@@ -298,28 +298,6 @@ func TestDiscardSparesUnrelatedFiles(t *testing.T) {
 	for i := range want {
 		if names[i] != want[i] {
 			t.Fatalf("names after failed sort = %v, want %v", names, want)
-		}
-	}
-}
-
-// TestIsSpillName pins the sweep's name recognition against the Namer's
-// actual format.
-func TestIsSpillName(t *testing.T) {
-	cases := map[string]bool{
-		"sort-0001-rs":     true,
-		"sort-0001-s2.17":  true, // backward chain file
-		"sort-12345-merge": true, // sequence numbers can outgrow 4 digits
-		"sort-mydata.rec":  false,
-		"sort-data":        false,
-		"sort-12-x":        false, // too few digits for the Namer's %04d
-		"sort-0001-":       false, // no role
-		"sort2-0001-rs":    false, // different prefix
-		"unrelated":        false,
-		"sort-0001rs":      false, // no separator after the sequence
-	}
-	for name, want := range cases {
-		if got := isSpillName("sort", name); got != want {
-			t.Errorf("isSpillName(sort, %q) = %v, want %v", name, got, want)
 		}
 	}
 }

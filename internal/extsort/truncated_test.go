@@ -85,7 +85,7 @@ func TestTruncatedRunFailsMerge(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 			seg, file := firstSegment(t, rset.Runs(), tc.backward)
-			before, after := cutFile(t, spillOf(rset), file)
+			before, after := cutFile(t, rset.spill, file)
 			var out stream.SliceWriter[record.Record]
 			_, err = rset.Merge(&out)
 			if !errors.Is(err, storage.ErrCorrupt) {
@@ -109,7 +109,7 @@ func TestTruncatedRunFailsMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, file := firstSegment(t, rset.Runs(), false)
-	cutFile(t, spillOf(rset), file)
+	cutFile(t, rset.spill, file)
 	st, err := rset.OpenMerged()
 	if err != nil {
 		t.Fatal(err)

@@ -159,8 +159,9 @@ func (d *Disk) access(name string, off int64, n int, write bool) {
 }
 
 // FS wraps an inner vfs.FS so that every positional access is charged to a
-// Disk. Typically the inner FS is a vfs.MemFS, making experiments fully
-// deterministic.
+// Disk. A sort (extsort.Config.Disk) wraps its spill arena, so the disk sees
+// each logical spill file at its logical offsets; over a vfs.MemFS the
+// experiments are fully deterministic.
 type FS struct {
 	inner vfs.FS
 	disk  *Disk
@@ -168,9 +169,6 @@ type FS struct {
 
 // NewFS returns a vfs.FS whose I/O is accounted against disk.
 func NewFS(inner vfs.FS, disk *Disk) *FS { return &FS{inner: inner, disk: disk} }
-
-// Disk returns the disk backing this file system.
-func (fs *FS) Disk() *Disk { return fs.disk }
 
 type simFile struct {
 	vfs.File

@@ -170,7 +170,7 @@ func (e *Emitter[T]) Barrier() error { return e.gen.join() }
 
 // AbortOpen force-closes every stream the emitter opened that is still live
 // — buffered pages are dropped, the underlying files closed — and joins the
-// generation pass's write-behind. Failure paths call it before sweeping (or
+// generation pass's write-behind. Failure paths call it before removing (or
 // abandoning) spill files, so no handle outlives the sort and nothing is
 // still appending to a file being removed — the race a run generator invites
 // when a source error makes it abandon its writers mid-run. (A merge

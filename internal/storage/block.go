@@ -198,8 +198,6 @@ func (b *blockBackend) Stats() IOStats { return b.c.snapshot() }
 
 func (b *blockBackend) Remove(name string) error { return b.fs.Remove(name) }
 
-func (b *blockBackend) Names() ([]string, error) { return b.fs.Names() }
-
 func (b *blockBackend) blockPool() *Pool { return b.pool }
 
 func (b *blockBackend) Create(name string) (BlockWriter, error) {

@@ -25,8 +25,6 @@ func (b *rawBackend) Stats() IOStats { return b.c.snapshot() }
 
 func (b *rawBackend) Remove(name string) error { return b.fs.Remove(name) }
 
-func (b *rawBackend) Names() ([]string, error) { return b.fs.Names() }
-
 func (b *rawBackend) Create(name string) (BlockWriter, error) {
 	f, err := b.fs.Create(name)
 	if err != nil {

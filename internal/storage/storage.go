@@ -1,10 +1,12 @@
 // Package storage is the spill layer between runio and vfs: it decides how
 // the page-sized buffers the run writers produce become bytes on a file
 // system, and accounts for every byte moved either way. Where those bytes
-// lie is the file system's business: a sort hands its backend a vfs.Arena,
-// which keeps every spill file as extents of one physical file. So is
-// watching them: per-file trace spans, and the tests' counts and faults,
-// wrap the vfs.FS a backend is built over, not the backend.
+// lie is the file system's business: every sort hands its backend a
+// vfs.Arena, which keeps every spill file as extents of one physical file.
+// So is watching and timing them: per-file trace spans, the simulated disk
+// of internal/iosim, and the tests' counts and faults wrap the vfs.FS a
+// backend is built over, not the backend. A backend lists no files; the
+// arena it writes into does.
 //
 // A Backend offers two file shapes, matching runio's two on-disk layouts:
 //
@@ -269,8 +271,6 @@ type Backend interface {
 	OpenPaged(name string) (PageReader, error)
 	// Remove deletes the named spill file.
 	Remove(name string) error
-	// Names lists every file currently stored, sorted. It exists so sweep-style cleanup and leak tests can see everything.
-	Names() ([]string, error)
 	// Stats snapshots the backend's I/O accounting.
 	Stats() IOStats
 	// String describes the backend configuration, e.g. "block(flate)".
