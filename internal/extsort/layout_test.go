@@ -148,6 +148,20 @@ var stringFileGolden = map[string]string{
 	"auto/alternating/none":        "8f8041785868740c3ea1b9bb32ff70bf746022ad117e33534cd4aa15d499f72c",
 }
 
+// stringComparatorGolden is stringFileGolden for the 2WRS cells of
+// TestStringRunFileLayoutGolden that pass no key projection, by input
+// heuristic, buffer setup and comparator.
+var stringComparatorGolden = map[string]string{
+	"2wrs/mean/both/full":      "4ce7208010ae8fb640d68143d400b127b484c4b13a45fafd296cb5c051e25452",
+	"2wrs/mean/both/prefix":    "b322622f4e7fdec98e065d717bec9ecacd829049aaf39c0874a657385d08e1db",
+	"2wrs/mean/input/full":     "94ad44e9c2c6d33e7e2b945dd9f21ea39d2af9297a2ca8989d1b62340a5150a4",
+	"2wrs/mean/input/prefix":   "71ca0cfafee5c1f66d68049a2a44419875c9d41ca33f5e52083e37c3b6569703",
+	"2wrs/median/both/full":    "d95350823c15eb412ad0a28958cefbcd3194736c40e6b4356aab5a03054c940f",
+	"2wrs/median/both/prefix":  "3e9415f1f9e85f0a8a1ffeacabbe92309d65603e1a1f27f4f8ff538c603d6788",
+	"2wrs/median/input/full":   "d13d63aee7585db74adefbca23a0e2c7efff315463f48a0b3cbcc1fd74b92e49",
+	"2wrs/median/input/prefix": "02b254af20a224d5730f6c405dc22ba892b3e462523dd81d4850cc8657713f1a",
+}
+
 // spillLeg is the file system a layout golden generates into: a MemFS, or a
 // spill arena over one in the extents a sort of the golden's budget uses.
 func spillLeg(arena bool) vfs.FS {
@@ -167,7 +181,11 @@ func TestStringRunFileLayoutGolden(t *testing.T) {
 		k, _ := strconv.ParseUint(s[:20], 10, 64)
 		return float64(k)
 	}
-	generate := func(strs []string, alg policy.Kind, comp string, async, keyed, arena bool) (string, bool) {
+	defaults := core.Config{
+		Setup: core.BothBuffers, BufferFrac: 0.02,
+		Input: core.InMean, Output: core.OutRandom, Seed: 11,
+	}
+	generate := func(strs []string, alg policy.Kind, comp string, async, keyed, arena bool, tw core.Config, less func(a, b string) bool, key func(string) float64) (string, bool) {
 		fs := spillLeg(arena)
 		st, err := storage.New(fs, storage.Config{Compression: comp})
 		if err != nil {
@@ -179,10 +197,7 @@ func TestStringRunFileLayoutGolden(t *testing.T) {
 		if keyed {
 			em.KeyCodec = codec.KeyString{}
 		}
-		pcfg := policy.Config{Memory: 2000, TWRS: core.Config{
-			Setup: core.BothBuffers, BufferFrac: 0.02,
-			Input: core.InMean, Output: core.OutRandom, Seed: 11,
-		}}
+		pcfg := policy.Config{Memory: 2000, TWRS: tw}
 		if _, err = policy.Generate[string](alg, stream.NewSliceReader(strs), em, pcfg, key); err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +235,7 @@ func TestStringRunFileLayoutGolden(t *testing.T) {
 							if arena && testing.Short() && !(async && keyed) {
 								continue // -short: the arena leg once per configuration
 							}
-							got, rolled := generate(strs, alg, comp, async, keyed, arena)
+							got, rolled := generate(strs, alg, comp, async, keyed, arena, defaults, less, key)
 							anyRolled = anyRolled || rolled
 							if !ok {
 								t.Errorf("no golden for %s: %q: %q,", name, name, got)
@@ -236,5 +251,49 @@ func TestStringRunFileLayoutGolden(t *testing.T) {
 	}
 	if !anyRolled {
 		t.Fatal("no chain rolled over to a second file: the fixture does not cover a rollover")
+	}
+
+	// The comparator-only cells: 2WRS with no key projection, where Mean
+	// and Median both read the input buffer's median element. A third of
+	// the input draws its keys from six values, and the prefix comparator
+	// orders by those keys alone, so the buffer holds many elements that
+	// are equivalent without being equal.
+	recs := gen.Generate(gen.Config{Kind: gen.MixedBalanced, N: 20000, Seed: 7, Noise: 100})
+	strs := make([]string, len(recs))
+	for i, r := range recs {
+		k := r.Key
+		if i >= 6000 && i < 12000 {
+			k = recs[6000+int(r.Aux%6)].Key
+		}
+		strs[i] = fmt.Sprintf("%020d", uint64(k)^1<<63) + strings.Repeat("x", 2+int(r.Aux%29))
+	}
+	prefixLess := func(a, b string) bool { return a[:20] < b[:20] }
+	for _, in := range []core.InputHeuristic{core.InMean, core.InMedian} {
+		for _, setup := range []core.BufferSetup{core.BothBuffers, core.InputBufferOnly} {
+			for _, cmp := range []string{"full", "prefix"} {
+				name := fmt.Sprintf("2wrs/%v/%v/%s", in, setup, cmp)
+				want, ok := stringComparatorGolden[name]
+				tw := defaults
+				tw.Input, tw.Setup, tw.BufferFrac = in, setup, 0.1
+				cl := less
+				if cmp == "prefix" {
+					cl = prefixLess
+				}
+				for _, async := range []bool{false, true} {
+					for _, keyed := range []bool{false, true} {
+						if keyed && cmp == "prefix" {
+							continue // KeyString orders whole strings
+						}
+						got, _ := generate(strs, policy.TwoWayRS, "raw", async, keyed, false, tw, cl, nil)
+						if !ok {
+							t.Errorf("no golden for %s: %q: %q,", name, name, got)
+							want, ok = got, true
+						} else if got != want {
+							t.Errorf("%s (async %v, keyed %v): run files hash to %s, want %s", name, async, keyed, got, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }
