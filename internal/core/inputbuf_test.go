@@ -1,9 +1,14 @@
 package core
 
 import (
+	"cmp"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/record"
+	"repro/internal/stream"
 )
 
 func TestInputBufferPassThrough(t *testing.T) {
@@ -129,5 +134,100 @@ func TestInputBufferEmptySource(t *testing.T) {
 	}
 	if _, ok := b.median(); ok {
 		t.Fatal("empty buffer should have no median")
+	}
+}
+
+// TestInputBufferMedianProperty drives buffers through random sequences of
+// next, drain and fill over keys with many duplicates, mirroring the FIFO
+// in a plain slice. Every median must be a live element equivalent to the
+// lower median of a sorted copy of the mirror.
+func TestInputBufferMedianProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		input := make([]record.Record, rng.Intn(300))
+		distinct := 1 + rng.Intn(8)
+		for i := range input {
+			input[i] = record.Record{Key: int64(rng.Intn(distinct)), Aux: uint64(i)}
+		}
+		capacity := 1 + rng.Intn(40)
+		b := newInputBuffer(record.NewSliceReader(input), capacity, 64, nil, true, record.Less)
+		var live []record.Record
+		pos := 0
+		fill := func() {
+			if err := b.fill(); err != nil {
+				t.Fatal(err)
+			}
+			for len(live) < capacity && pos < len(input) {
+				live = append(live, input[pos])
+				pos++
+			}
+		}
+		fill()
+		for step := 0; step < 2*len(input)+1; step++ {
+			md, ok := b.median()
+			if ok != (len(live) > 0) {
+				t.Fatalf("trial %d step %d: median ok = %v with %d buffered", trial, step, ok, len(live))
+			}
+			if ok {
+				sorted := slices.Clone(live)
+				slices.SortStableFunc(sorted, func(x, y record.Record) int { return cmp.Compare(x.Key, y.Key) })
+				if want := sorted[(len(sorted)-1)/2]; md.Key != want.Key {
+					t.Fatalf("trial %d step %d: median key %d, want %d", trial, step, md.Key, want.Key)
+				}
+				if !slices.Contains(live, md) {
+					t.Fatalf("trial %d step %d: median %v is not buffered", trial, step, md)
+				}
+			}
+			switch r := rng.Intn(20); {
+			case r == 0:
+				got := b.drain()
+				k := len(got) - len(live)
+				if k < 0 || !slices.Equal(got, append(live, input[pos:pos+k]...)) {
+					t.Fatalf("trial %d step %d: drain returned %d elements out of order", trial, step, len(got))
+				}
+				live, pos = nil, pos+k
+				fill()
+			default:
+				rec, ok, err := b.next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ok != (len(live) > 0) || ok && rec != live[0] {
+					t.Fatalf("trial %d step %d: next = (%v, %v), want head of %v", trial, step, rec, ok, live)
+				}
+				if ok {
+					live = live[1:]
+					fill()
+				}
+			}
+		}
+	}
+}
+
+// TestInputBufferMedianNaN runs the ordered slots under a comparator that
+// is no strict weak order, float64 < with NaNs among the values: the FIFO
+// must still hand back every element in arrival order.
+func TestInputBufferMedianNaN(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	vals := make([]float64, 2000)
+	for i := range vals {
+		vals[i] = float64(rng.Intn(10))
+		if rng.Intn(4) == 0 {
+			vals[i] = math.NaN()
+		}
+	}
+	b := newInputBuffer(stream.NewSliceReader(vals), 16, 64, nil, true, func(x, y float64) bool { return x < y })
+	if err := b.fill(); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range vals {
+		b.median()
+		got, ok, err := b.next()
+		if err != nil || !ok || !(got == want || math.IsNaN(got) && math.IsNaN(want)) {
+			t.Fatalf("element %d: next = (%v, %v, %v), want %v", i, got, ok, err, want)
+		}
+	}
+	if _, ok, _ := b.next(); ok {
+		t.Fatal("expected end of input")
 	}
 }

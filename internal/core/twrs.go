@@ -65,7 +65,9 @@ type generator[T any] struct {
 	// key optionally projects elements onto the real line. The numeric
 	// heuristics (Mean division point, victim gap split, MinDistance
 	// output) use it when present; comparator-only element types degrade
-	// to order-based fallbacks (buffer median, middle split, Random).
+	// to order-based fallbacks (the input buffer's median element, the
+	// victim buffer's middle split, Random), and the buffer then keeps its
+	// slots in order.
 	key func(T) float64
 	// pfx caches normalized-key prefixes into double-heap items when the
 	// emitter carries a KeyCodec; nil on the comparator-only path.

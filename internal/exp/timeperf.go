@@ -42,17 +42,22 @@ func (p TimePoint) Speedup() float64 {
 }
 
 // timedSort sorts a generated dataset with the given run generator on a
-// fresh simulated disk and returns (run generation time, total time).
+// fresh simulated disk and returns (run generation time, total time): the
+// disk's clock after each phase.
 func timedSort(kind gen.Kind, n, memory, sections int, pol policy.Kind) (runT, totalT time.Duration, err error) {
 	cfg := extsort.Recommended(memory)
 	cfg.Policy = pol
 	cfg.Disk = iosim.NewDisk(iosim.Defaults2010())
 	src := gen.New(gen.Config{Kind: kind, N: n, Seed: 1, Noise: 1000, Sections: sections})
-	stats, err := extsort.Sort[record.Record](src, discardWriter{}, vfs.NewMemFS(), cfg, extsort.RecordOps())
+	rset, err := extsort.GenerateRuns[record.Record](src, vfs.NewMemFS(), cfg, extsort.RecordOps())
 	if err != nil {
 		return 0, 0, err
 	}
-	return stats.RunGenSim, stats.TotalSim(), nil
+	runT = cfg.Disk.Elapsed()
+	if _, err := rset.Merge(discardWriter{}); err != nil {
+		return 0, 0, err
+	}
+	return runT, cfg.Disk.Elapsed(), nil
 }
 
 // discardWriter consumes the sorted output; the destination write cost is

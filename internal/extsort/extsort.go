@@ -165,8 +165,9 @@ type Config struct {
 	Prefix string
 	// Disk, when set, charges every spill access to the analytical disk of
 	// internal/iosim, which sits above the spill arena and sees the logical
-	// files at their logical offsets; its clock (Disk.Elapsed) is sampled
-	// around each phase so Stats can report simulated I/O time.
+	// files at their logical offsets. Its clock (Disk.Elapsed) is the
+	// caller's to read: after GenerateRuns for run generation, after Merge
+	// for the whole sort.
 	Disk *iosim.Disk
 	// Parallelism bounds the sort's concurrency (default GOMAXPROCS):
 	// above 1, run generation creates, writes and closes its spill files
@@ -265,7 +266,8 @@ func (c Config) Resolved() Config {
 	return c
 }
 
-// Stats reports everything the experiments measure about one sort.
+// Stats reports everything the experiments measure about one sort but its
+// simulated I/O time, which the caller reads off Config.Disk.
 type Stats struct {
 	// Records is the number of records sorted.
 	Records int64
@@ -299,10 +301,6 @@ type Stats struct {
 	MergeInputs int
 	MergePasses int
 	MergeOps    int
-	// RunGenSim and MergeSim are the simulated disk's time spent in each
-	// phase when Config.Disk is set; zero otherwise.
-	RunGenSim time.Duration
-	MergeSim  time.Duration
 	// Storage describes the spill backend that ran (e.g. "raw",
 	// "block(flate)"); IO is its byte-level accounting — raw versus stored
 	// bytes moved, block counts and checksum verification failures. IO
@@ -324,9 +322,6 @@ type Stats struct {
 // internal/storage so Stats can carry it.
 type IOStats = storage.IOStats
 
-// TotalSim returns the end-to-end simulated duration.
-func (s Stats) TotalSim() time.Duration { return s.RunGenSim + s.MergeSim }
-
 // RunSet is the boundary between the sort's two phases: the sorted runs one
 // generation pass produced, plus everything needed to merge them — the file
 // system, the emitter (codec, comparator, layout sizes) and the frozen
@@ -343,9 +338,8 @@ type RunSet[T any] struct {
 	policies []string // policies[i] names the generator that produced runs[i]
 	cfg      Config
 	ops      Ops[T]
-	clock    func() time.Duration // the simulated disk's clock, or zero
-	stats    Stats                // run-generation half; Merge fills the merge half
-	o        *sortObs             // nil when observability is off
+	stats    Stats    // run-generation half; Merge fills the merge half
+	o        *sortObs // nil when observability is off
 
 	// fs is the base file system; a durable sort's manifest lives on it
 	// under manifestName, which is empty for non-durable sorts.
@@ -396,8 +390,7 @@ var spillView = func(fs vfs.FS) vfs.FS { return fs }
 
 // newRunSet validates the configuration and builds the RunSet shell —
 // storage, observability, emitter — every entry point starts from:
-// GenerateRuns, Resume and OpenRunSet, so all three lay spill files out
-// identically.
+// GenerateRuns and Resume, so both lay spill files out identically.
 func newRunSet[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
 	cfg = cfg.Resolved()
 	if err := ops.validate(); err != nil {
@@ -420,7 +413,6 @@ func newRunSet[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
 	var (
 		spill vfs.FS = arena
 		pages        = backwardPages(cfg.Memory, ops.elementBytes())
-		clock        = func() time.Duration { return 0 }
 	)
 	if cfg.Disk != nil {
 		// The disk model sits above the arena, so it charges the logical
@@ -430,7 +422,7 @@ func newRunSet[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
 		// model the 2WRS totals of Figs 6.4/6.5/6.7 move by 2.8-5x (reverse
 		// input, 400k records: 292 ms -> 1.457 s simulated) and
 		// internal/exp's TestTimeSweepsShapes fails, so this fork stays.
-		spill, pages, clock = iosim.NewFS(arena, cfg.Disk), 0, cfg.Disk.Elapsed
+		spill, pages = iosim.NewFS(arena, cfg.Disk), 0
 	}
 	store, err := storage.New(traceFiles(spillView(spill), cfg.Trace), cfg.Storage)
 	if err != nil {
@@ -443,7 +435,7 @@ func newRunSet[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
 	// closed by a write-behind goroutine so heap work overlaps file I/O.
 	em.Async = cfg.Parallelism > 1
 	storage.PoolOf(store).Reserve(budget)
-	rset := &RunSet[T]{store: store, em: em, cfg: cfg, ops: ops, clock: clock, o: o, fs: fs, spill: arena}
+	rset := &RunSet[T]{store: store, em: em, cfg: cfg, ops: ops, o: o, fs: fs, spill: arena}
 	if cfg.Manifest {
 		rset.manifestName = manifest.Name(cfg.Prefix)
 	}
@@ -552,7 +544,7 @@ func (r *RunSet[T]) generate(src stream.BatchReader[T], recovered []manifest.Run
 
 	// Every policy takes the same two steps: build its generator over the
 	// metered input, then drive it to exhaustion.
-	simStart, wallStart := r.clock(), time.Now()
+	wallStart := time.Now()
 	gen, err := policy.NewGenerator(cfg.Policy, in, em, policy.Config{Memory: cfg.Memory, TWRS: cfg.TWRS, Span: gsp}, ops.Key)
 	var pres policy.Result
 	if err == nil {
@@ -589,7 +581,6 @@ func (r *RunSet[T]) generate(src stream.BatchReader[T], recovered []manifest.Run
 	}
 
 	r.stats.Policy = cfg.Policy.String()
-	r.stats.RunGenSim = r.clock() - simStart
 	r.finishGenerate("generate", time.Since(wallStart), entry)
 	gsp.End(obs.Int("runs", int64(r.stats.Runs)), obs.Int("records", r.stats.Records))
 	return r, nil
@@ -689,12 +680,8 @@ func (r *RunSet[T]) mergeConfig() (merge.Config, func()) {
 // as a pull stream in globally sorted order. The returned Stream owns the
 // remaining run files — and the manifest of a durable sort — and must be
 // Closed, fully drained or not; the merge half of the RunSet's Stats stays
-// zero — the Stream reports its own.
-//
-// The simulated disk (Config.Disk) still charges the final merge's reads as
-// the caller drains the stream, but no phase time is taken here: the merge
-// half of Stats, MergeSim included, stays zero. Merge accounts for the
-// whole phase.
+// zero — the Stream reports its own. The simulated disk (Config.Disk)
+// charges the final merge's reads as the caller drains the stream.
 func (r *RunSet[T]) OpenMerged() (*merge.Stream[T], error) {
 	// Every run — concatenable or not — is one merge input: one with
 	// overlapping streams opens as several leaves of the operation reading it.
@@ -710,7 +697,7 @@ func (r *RunSet[T]) OpenMerged() (*merge.Stream[T], error) {
 // Merge completes the sort: it merges the run set into dst and returns the
 // full two-phase statistics.
 func (r *RunSet[T]) Merge(dst stream.Writer[T]) (Stats, error) {
-	simStart, wallStart := r.clock(), time.Now()
+	wallStart := time.Now()
 	mc, end := r.mergeConfig()
 	ms, err := merge.Merge(r.em, r.runs, dst, mc)
 	end()
@@ -723,7 +710,6 @@ func (r *RunSet[T]) Merge(dst stream.Writer[T]) (Stats, error) {
 	r.stats.MergeInputs = ms.Inputs
 	r.stats.MergePasses = ms.Passes
 	r.stats.MergeOps = ms.Merges
-	r.stats.MergeSim = r.clock() - simStart
 	r.stats.IO = r.store.Stats()
 	r.stats.Elapsed += wall
 	r.stats.Phases = append(r.stats.Phases, PhaseStat{Name: "merge", Wall: wall})

@@ -3,7 +3,6 @@ package extsort
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/gen"
@@ -145,29 +144,23 @@ func TestSortWithSimulatedDisk(t *testing.T) {
 	disk := iosim.NewDisk(iosim.Defaults2010())
 	cfg := Recommended(200)
 	cfg.Disk = disk
-	var out record.SliceWriter
-	stats, err := Sort(record.NewSliceReader(recs), &out, vfs.NewMemFS(), cfg, RecordOps())
+	rset, err := GenerateRuns(record.NewSliceReader(recs), vfs.NewMemFS(), cfg, RecordOps())
 	if err != nil {
+		t.Fatal(err)
+	}
+	genT := disk.Elapsed()
+	var out record.SliceWriter
+	if _, err := rset.Merge(&out); err != nil {
 		t.Fatal(err)
 	}
 	if !record.IsSorted(out.Vals) {
 		t.Fatal("output not sorted")
 	}
-	if stats.RunGenSim <= 0 || stats.MergeSim <= 0 {
-		t.Fatalf("simulated times not captured: %+v", stats)
-	}
-	if stats.TotalSim() != stats.RunGenSim+stats.MergeSim {
-		t.Fatal("TotalSim inconsistent")
+	if genT <= 0 || disk.Elapsed() <= genT {
+		t.Fatalf("disk clock did not advance in both phases: %v after generation, %v after merge", genT, disk.Elapsed())
 	}
 	if disk.Stats().Bytes() == 0 {
 		t.Fatal("disk accounting saw no traffic")
-	}
-}
-
-func TestStatsTotals(t *testing.T) {
-	s := Stats{RunGenSim: 3 * time.Second, MergeSim: 4 * time.Second}
-	if s.TotalSim() != 7*time.Second {
-		t.Fatalf("totals wrong: %+v", s)
 	}
 }
 

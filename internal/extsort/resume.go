@@ -19,8 +19,8 @@ import (
 
 // This file implements durable (resumable) run generation: Config.Manifest
 // records every run boundary in a CRC-guarded manifest beside the spill
-// files, and Resume/OpenRunSet reconstruct a RunSet from that state after a
-// crash or across processes (DESIGN.md §14).
+// files, and Resume reconstructs a RunSet from that state after a crash
+// (DESIGN.md §14).
 //
 // Durable mode does not change how runs are generated: the generator runs
 // straight through the input exactly as in a plain sort (RunSet.generate),
@@ -229,13 +229,10 @@ func toRunioRun(mr manifest.Run) runio.Run {
 }
 
 // adoptCommitted fills a RunSet shell from a fully validated committed
-// manifest, recovering every run without touching the input. The arena
-// keeps the runs, frees everything else — what a crash in the merge left —
-// and holds the runs' extents while the manifest names them.
-func (r *RunSet[T]) adoptCommitted(st *manifest.State, entry time.Time) (*RunSet[T], error) {
-	if err := r.spill.Adopt(placed(st.Runs)); err != nil {
-		return r.abortSetup(err)
-	}
+// manifest, recovering every run without touching the input. The arena,
+// which has adopted the runs, holds their extents while the manifest names
+// them.
+func (r *RunSet[T]) adoptCommitted(st *manifest.State, entry time.Time) {
 	r.spill.Hold()
 	sp := r.o.tracer().Start("resume",
 		obs.Int("runs_recovered", int64(len(st.Runs))), obs.Bool("committed", true))
@@ -250,30 +247,6 @@ func (r *RunSet[T]) adoptCommitted(st *manifest.State, entry time.Time) (*RunSet
 	sp.End()
 	r.o.observeRecovered(len(r.runs))
 	r.finishGenerate("resume", time.Since(entry), entry)
-	return r, nil
-}
-
-// openDurable is the common opening of Resume and OpenRunSet: the RunSet
-// shell of a durable sort plus the loaded manifest, its header checked
-// against the invocation, and the arena holding every file it places.
-func openDurable[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], *manifest.State, error) {
-	cfg.Manifest = true
-	rset, err := newRunSet(fs, cfg, ops)
-	if err != nil {
-		return nil, nil, err
-	}
-	st, err := manifest.Load(fs, rset.manifestName)
-	if err == nil {
-		err = checkHeader(st.Header, rset.cfg, ops, rset.em)
-	}
-	if err == nil {
-		err = rset.spill.Adopt(placed(st.Runs))
-	}
-	if err != nil {
-		rset.abortSetup(err)
-		return nil, nil, err
-	}
-	return rset, st, nil
 }
 
 // Resume reconstructs a durable sort from the manifest a previous
@@ -294,9 +267,22 @@ func openDurable[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], *manifes
 // wrong output is never produced.
 func Resume[T any](src stream.BatchReader[T], fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
 	entry := time.Now()
-	rset, st, err := openDurable(fs, cfg, ops)
+	cfg.Manifest = true
+	rset, err := newRunSet(fs, cfg, ops)
 	if err != nil {
 		return nil, err
+	}
+	// The manifest, its header checked against the invocation, and the
+	// arena holding every file it places, so the runs can be read back.
+	st, err := manifest.Load(fs, rset.manifestName)
+	if err == nil {
+		err = checkHeader(st.Header, rset.cfg, ops, rset.em)
+	}
+	if err == nil {
+		err = rset.spill.Adopt(placed(st.Runs))
+	}
+	if err != nil {
+		return rset.abortSetup(err)
 	}
 
 	// The longest contiguous prefix of runs whose files validate.
@@ -316,7 +302,8 @@ func Resume[T any](src stream.BatchReader[T], fs vfs.FS, cfg Config, ops Ops[T])
 		// Generation had finished and every run survived: adopt the whole
 		// set without reading the input at all. Whatever a crash after the
 		// commit left in the arena — half-written merge outputs — is free.
-		return rset.adoptCommitted(st, entry)
+		rset.adoptCommitted(st, entry)
+		return rset, nil
 	}
 
 	// The arena keeps the recovered prefix; the free list takes what it does
@@ -326,40 +313,4 @@ func Resume[T any](src stream.BatchReader[T], fs vfs.FS, cfg Config, ops Ops[T])
 		return rset.abortSetup(err)
 	}
 	return rset.generate(src, st.Runs[:valid], entry)
-}
-
-// OpenRunSet adopts the run set of a completed (committed) Manifest-mode
-// generation pass, typically from another process: every run file is
-// validated against the manifest before any of them is trusted. It never
-// reads the sort input — an uncommitted manifest is manifest.ErrNotCommitted
-// (resume that with Resume, which can regenerate), and a committed manifest
-// with missing or mismatched files is an error rather than a partial set.
-func OpenRunSet[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
-	entry := time.Now()
-	rset, st, err := openDurable(fs, cfg, ops)
-	if err != nil {
-		return nil, err
-	}
-	if !st.Committed {
-		return rset.abortSetup(fmt.Errorf("%w: %s", manifest.ErrNotCommitted, rset.manifestName))
-	}
-	for _, mr := range st.Runs {
-		if err := validateRunFiles(rset.store, mr, rset.ops); err != nil {
-			return rset.abortSetup(err)
-		}
-	}
-	return rset.adoptCommitted(st, entry)
-}
-
-// Persist reports the manifest file name describing this run set, so
-// another process can adopt the runs with OpenRunSet (same fs, same
-// Config.Prefix). The manifest is already durable and committed by the
-// time GenerateRuns returns; Persist only names it. It errors for
-// non-durable sorts, and after Merge or Discard have invalidated the
-// manifest.
-func (r *RunSet[T]) Persist() (string, error) {
-	if r.manifestName == "" {
-		return "", fmt.Errorf("extsort: Persist needs a durable sort (Config.Manifest) whose manifest is still live")
-	}
-	return r.manifestName, nil
 }

@@ -593,14 +593,18 @@ func TestResumeAfterCrashMidMerge(t *testing.T) {
 	if _, err := Sort[record.Record](stream.NewSliceReader(recs), &out, cfs, cfg, RecordOps()); !errors.Is(err, faultfs.ErrCrashed) {
 		t.Fatalf("crashed sort: %v, want faultfs.ErrCrashed", err)
 	}
+	reg := obs.NewRegistry()
 	rcfg := cfg
-	rcfg.Resume = true
+	rcfg.Resume, rcfg.Metrics = true, reg
 	rset, err := GenerateRuns[record.Record](stream.NewSliceReader(recs), base, rcfg, RecordOps())
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
 	if got := rset.Stats().RunsRecovered; got != len(st.Runs) {
 		t.Errorf("recovered %d of %d committed runs", got, len(st.Runs))
+	}
+	if got := reg.Counter(obs.MRunsRecovered, "").Value(); got != int64(len(st.Runs)) {
+		t.Errorf("%s = %d, want %d", obs.MRunsRecovered, got, len(st.Runs))
 	}
 	if got, _ := mergeToSlice(t, rset); !slices.Equal(got, want) {
 		t.Fatal("resumed output differs from uninterrupted sort")
@@ -919,71 +923,5 @@ func assertDiscardClean[T any](t *testing.T, rset *RunSet[T], fs vfs.FS) {
 	}
 	if err := rset.Discard(); err != nil {
 		t.Errorf("second Discard: %v", err)
-	}
-}
-
-// TestPersistAndOpenRunSet covers the cross-process handoff: one "process"
-// generates and persists runs, a second opens the committed manifest with
-// OpenRunSet — regenerating nothing — and merges to the same output.
-func TestPersistAndOpenRunSet(t *testing.T) {
-	recs := testRecords(1500, 9)
-	cfg := durableCfg(64)
-	want, st, _ := durableBaseline(t, recs, cfg, RecordOps())
-
-	fs := vfs.NewMemFS()
-	rset, err := GenerateRuns[record.Record](stream.NewSliceReader(recs), fs, cfg, RecordOps())
-	if err != nil {
-		t.Fatalf("GenerateRuns: %v", err)
-	}
-	name, err := rset.Persist()
-	if err != nil {
-		t.Fatalf("Persist: %v", err)
-	}
-	if name != manifest.Name("sort") {
-		t.Errorf("Persist name = %q", name)
-	}
-
-	reg := obs.NewRegistry()
-	ocfg := cfg
-	ocfg.Metrics = reg
-	opened, err := OpenRunSet[record.Record](fs, ocfg, RecordOps())
-	if err != nil {
-		t.Fatalf("OpenRunSet: %v", err)
-	}
-	stats := opened.Stats()
-	if stats.RunsRecovered != len(st.Runs) || stats.Runs != len(st.Runs) {
-		t.Errorf("recovered %d of %d runs, want all %d", stats.RunsRecovered, stats.Runs, len(st.Runs))
-	}
-	if got := reg.Counter(obs.MRunsRecovered, "").Value(); got != int64(len(st.Runs)) {
-		t.Errorf("%s = %d, want %d", obs.MRunsRecovered, got, len(st.Runs))
-	}
-	got, _ := mergeToSlice(t, opened)
-	if !slices.Equal(got, want) {
-		t.Fatal("opened run set merged to different output")
-	}
-}
-
-func TestOpenRunSetRequiresCommit(t *testing.T) {
-	recs := testRecords(1200, 10)
-	fs, cfg := partialState(t, recs, 900, storage.Config{})
-	_, err := OpenRunSet[record.Record](fs, cfg, RecordOps())
-	if !errors.Is(err, manifest.ErrNotCommitted) {
-		t.Fatalf("OpenRunSet on uncommitted state: %v, want ErrNotCommitted", err)
-	}
-	if _, err := OpenRunSet[record.Record](vfs.NewMemFS(), cfg, RecordOps()); !errors.Is(err, manifest.ErrNoManifest) {
-		t.Fatalf("OpenRunSet on empty FS: %v, want ErrNoManifest", err)
-	}
-}
-
-func TestPersistRequiresManifest(t *testing.T) {
-	recs := testRecords(500, 11)
-	rset, err := GenerateRuns[record.Record](stream.NewSliceReader(recs), vfs.NewMemFS(),
-		Config{Policy: policy.TwoWayRS, Memory: 64}, RecordOps())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rset.Discard()
-	if _, err := rset.Persist(); err == nil {
-		t.Fatal("Persist succeeded on a non-durable run set")
 	}
 }

@@ -69,10 +69,6 @@ var ErrNoHeader = fmt.Errorf("%w: no readable header record", ErrCorrupt)
 // manifest record committed — genuine corruption, never resumed past.
 var ErrChecksum = errors.New("manifest: run data checksum mismatch")
 
-// ErrNotCommitted reports an OpenRunSet-style open of a manifest whose
-// generation pass never finished.
-var ErrNotCommitted = errors.New("manifest: generation not committed")
-
 // ErrMismatch is the sentinel wrapped by MismatchError, for errors.Is.
 var ErrMismatch = errors.New("manifest: configuration mismatch")
 
