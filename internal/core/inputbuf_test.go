@@ -231,3 +231,110 @@ func TestInputBufferMedianNaN(t *testing.T) {
 		t.Fatal("expected end of input")
 	}
 }
+
+// The TestWindowMedian tests hold the median of the buffer's sliding
+// window, the FIFO's contents, to small hand-checked cases.
+
+func newInt64Buffer(keys []int64, capacity int) *inputBuffer[int64] {
+	return newInputBuffer(stream.NewSliceReader(keys), capacity, 64, nil, true, func(a, b int64) bool { return a < b })
+}
+
+func TestWindowMedianBasic(t *testing.T) {
+	for _, c := range []struct {
+		keys []int64
+		want int64
+		ok   bool
+	}{
+		{nil, 0, false},
+		{[]int64{5}, 5, true},
+		{[]int64{5, 1}, 1, true}, // lower median
+		{[]int64{5, 1, 9}, 5, true},
+	} {
+		b := newInt64Buffer(c.keys, 3)
+		if err := b.fill(); err != nil {
+			t.Fatal(err)
+		}
+		if md, ok := b.median(); ok != c.ok || md != c.want {
+			t.Fatalf("median of %v = (%d, %v), want (%d, %v)", c.keys, md, ok, c.want, c.ok)
+		}
+	}
+	b := newInt64Buffer([]int64{5, 1, 9}, 3)
+	if err := b.fill(); err != nil {
+		t.Fatal(err)
+	}
+	b.next() // remove the 5
+	if md, _ := b.median(); md != 1 {
+		t.Fatalf("lower median of {1,9} = %d, want 1", md)
+	}
+	if b.n != 2 || len(b.order) != 2 {
+		t.Fatalf("n = %d, order %v, want 2 elements", b.n, b.order)
+	}
+}
+
+func TestWindowMedianSlidingAgainstNaive(t *testing.T) {
+	const window = 31
+	rng := rand.New(rand.NewSource(9))
+	keys := make([]int64, 2000)
+	for i := range keys {
+		keys[i] = rng.Int63n(1000) - 500
+	}
+	b := newInt64Buffer(keys, window)
+	if err := b.fill(); err != nil {
+		t.Fatal(err)
+	}
+	for step := range keys {
+		live := slices.Clone(keys[step:min(step+window, len(keys))])
+		slices.Sort(live)
+		got, ok := b.median()
+		if !ok {
+			t.Fatalf("step %d: no median with %d keys", step, len(live))
+		}
+		if want := live[(len(live)-1)/2]; got != want {
+			t.Fatalf("step %d: median = %d, want %d (window %v)", step, got, want, live)
+		}
+		if rec, ok, err := b.next(); err != nil || !ok || rec != keys[step] {
+			t.Fatalf("step %d: next = (%d, %v, %v), want %d", step, rec, ok, err, keys[step])
+		}
+	}
+}
+
+func TestWindowMedianDuplicateKeys(t *testing.T) {
+	b := newInt64Buffer([]int64{7, 7, 7, 7, 7, 7, 7, 7, 7, 7}, 10)
+	if err := b.fill(); err != nil {
+		t.Fatal(err)
+	}
+	if md, _ := b.median(); md != 7 {
+		t.Fatalf("median of constant window = %d, want 7", md)
+	}
+	for i := 0; i < 9; i++ {
+		b.next()
+		if md, _ := b.median(); md != 7 {
+			t.Fatalf("median after %d removals = %d, want 7", i+1, md)
+		}
+	}
+}
+
+func TestWindowMedianDrainCompletely(t *testing.T) {
+	b := newInt64Buffer([]int64{0, 1, 2, 3, 4, 42}, 5)
+	if err := b.fill(); err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 5; i++ {
+		if got := b.pop(); got != i {
+			t.Fatalf("pop = %d, want %d", got, i)
+		}
+	}
+	if b.n != 0 || len(b.order) != 0 {
+		t.Fatalf("n = %d, order %v after draining, want empty", b.n, b.order)
+	}
+	if _, ok := b.median(); ok {
+		t.Fatal("drained window should have no median")
+	}
+	// Reusable after draining.
+	if err := b.fill(); err != nil {
+		t.Fatal(err)
+	}
+	if md, _ := b.median(); md != 42 {
+		t.Fatal("window unusable after draining")
+	}
+}
