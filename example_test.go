@@ -286,9 +286,9 @@ func (eventCodec) FixedSize() int { return 0 }
 // Supplying normalized key bytes for a custom element type. The composite
 // codec concatenates memcmp-ordered fields (an escaped variable-width
 // string, then a sign-flipped big-endian int64), which moves the sort's
-// hot comparisons off the comparator and onto cached integer prefixes and
-// offset-value codes; Stats.Keyed confirms the keyed path engaged. The
-// comparator stays authoritative — output is byte-identical either way.
+// hot comparisons off the comparator and onto cached integer prefixes;
+// Stats.Keyed confirms the keyed path engaged. The comparator stays
+// authoritative — output is byte-identical either way.
 func ExampleWithKeyCodec() {
 	less := func(a, b event) bool {
 		if a.Host != b.Host {

@@ -5,7 +5,7 @@
 // lexicographic (bytes.Compare) order equals the comparator's order. That
 // single property collapses the sorter's hot comparisons — heap sifts, run
 // sorting, loser-tree matches — from indirect comparator calls into integer
-// compares over cached key prefixes, with a memcmp only on ties.
+// compares over cached key prefixes, with the comparator only on ties.
 //
 // The encodings (DESIGN.md §12 has the full tables):
 //
@@ -29,9 +29,9 @@
 package codec
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
-	"math/bits"
 
 	"repro/internal/record"
 )
@@ -248,8 +248,9 @@ func Prefix(key []byte) uint64 {
 // PrefixIsKey reports whether Prefix of kc's key bytes is the whole key: a
 // fixed-width key of at most 8 bytes, under which equal prefixes are equal
 // keys and nothing has to look at the key bytes themselves. Everything that
-// chooses between "the cached word decides" and "the word, then the bytes"
-// asks here: the merge tree, the batch sorter's radix (KeySorter), the shard router.
+// chooses between "the cached word decides" and "the word, then the bytes or
+// the comparator" asks here: the merge tree, the batch sorter's radix
+// (KeySorter), the shard router.
 func PrefixIsKey[T any](kc KeyCodec[T]) bool {
 	fs := kc.FixedKeySize()
 	return fs >= 1 && fs <= 8
@@ -374,61 +375,11 @@ func KeyOrderConsistent[T any](kc KeyCodec[T], less func(a, b T) bool, sample []
 	}
 	for i := range sample {
 		for j := i + 1; j < len(sample); j++ {
-			c := compareBytes(keys[i], keys[j])
+			c := bytes.Compare(keys[i], keys[j])
 			if (c < 0) != less(sample[i], sample[j]) || (c > 0) != less(sample[j], sample[i]) {
 				return false
 			}
 		}
 	}
 	return true
-}
-
-// compareBytes is bytes.Compare without importing bytes (kept local so the
-// codec package's dependency set stays tiny and the helper is inlinable
-// next to FirstDiff).
-func compareBytes(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	}
-	return 0
-}
-
-// FirstDiff returns the index of the first byte where a and b differ,
-// comparing 8 bytes at a time; when one is a prefix of the other (or they
-// are equal) it returns the shorter length. Offset-value coding uses it to
-// locate the decisive byte of a tie in one pass.
-func FirstDiff(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		x := binary.BigEndian.Uint64(a[i:])
-		y := binary.BigEndian.Uint64(b[i:])
-		if x != y {
-			return i + bits.LeadingZeros64(x^y)/8
-		}
-	}
-	for ; i < n; i++ {
-		if a[i] != b[i] {
-			return i
-		}
-	}
-	return n
 }

@@ -209,31 +209,6 @@ func TestPrefixerAgreement(t *testing.T) {
 	}
 }
 
-func TestFirstDiff(t *testing.T) {
-	cases := []struct {
-		a, b string
-		want int
-	}{
-		{"", "", 0},
-		{"a", "", 0},
-		{"", "a", 0},
-		{"abc", "abc", 3},
-		{"abc", "abd", 2},
-		{"abc", "abcd", 3},
-		{"xbcdefgh", "abcdefgh", 0},
-		{"abcdefgh", "abcdefgx", 7},                  // diff inside the first 8-byte chunk
-		{"abcdefghi", "abcdefghj", 8},                // diff just past the chunk
-		{"abcdefghijklmnop", "abcdefghijklmnoq", 15}, // diff in the second chunk
-		{"abcdefghijklmnop", "abcdefghijklmnop", 16},
-		{"abcdefghijklmnopq", "abcdefghijklmnop", 16},
-	}
-	for _, c := range cases {
-		if got := FirstDiff([]byte(c.a), []byte(c.b)); got != c.want {
-			t.Fatalf("FirstDiff(%q, %q) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
-
 func TestKeyOrderConsistentRejectsBadCodecs(t *testing.T) {
 	sample := []int64{3, -1, 4, 1, -5, 9, 2, 6}
 	less := func(a, b int64) bool { return a < b }

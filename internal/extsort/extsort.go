@@ -45,12 +45,9 @@ type Ops[T any] struct {
 	KeyCodec codec.KeyCodec[T]
 	// KeyedExplicit marks KeyCodec as caller-supplied rather than inferred:
 	// a sampled order disagreement between KeyCodec and Less then fails the
-	// sort instead of silently falling back to the comparator.
+	// sort instead of silently falling back to the comparator, and the final
+	// merge trusts the codec instead of checking its output (Ops.Keyed).
 	KeyedExplicit bool
-	// ElementBytes estimates the stored size of one element for converting
-	// the record-denominated memory budget into merge buffer bytes. 0 uses
-	// Codec.FixedSize, falling back to 32 for variable-width codecs.
-	ElementBytes int
 }
 
 func (o Ops[T]) validate() error {
@@ -75,11 +72,10 @@ func backwardPages(memory, elemBytes int) int {
 	return min(max(pages, 4), runio.DefaultPagesPerFile)
 }
 
-// elementBytes resolves the per-element size estimate.
+// elementBytes estimates the stored size of one element, which converts
+// the record-denominated memory budget into bytes: the codec's fixed size,
+// or 32 for a variable-width codec.
 func (o Ops[T]) elementBytes() int {
-	if o.ElementBytes > 0 {
-		return o.ElementBytes
-	}
 	if f := o.Codec.FixedSize(); f > 0 {
 		return f
 	}
@@ -107,7 +103,9 @@ const keySampleLen = 64
 // the first keySampleLen elements and reports keyed (consistent), fails
 // the sort (explicit codec, inconsistent) or falls back to the comparator
 // silently (inferred codec, inconsistent — e.g. a descending comparator
-// over the natural int64 codec). Without a KeyCodec nothing runs keyed.
+// over the natural int64 codec). Without a KeyCodec nothing runs keyed. An
+// inferred codec that disagrees only past the sample fails the sort with
+// errInferredKeys instead of misordering it.
 func (o Ops[T]) Keyed(sample []T) (bool, error) {
 	if o.KeyCodec == nil {
 		return false, nil
@@ -122,6 +120,21 @@ func (o Ops[T]) Keyed(sample []T) (bool, error) {
 		return false, nil
 	}
 	return true, nil
+}
+
+// errInferredKeys explains a misordered sort that ran keyed on an inferred
+// key codec: the codec passed the sampled check but orders later elements
+// differently from the comparator.
+var errInferredKeys = errors.New("the inferred key codec disagrees with the comparator past the sampled prefix of the input; sort with WithoutKeys")
+
+// explainOrder wraps a run-order failure of a sort keyed on an inferred
+// codec — a run writer's, in generation or an intermediate merge — in
+// errInferredKeys, and returns every other error as it is.
+func (r *RunSet[T]) explainOrder(err error) error {
+	if r.em.KeyCodec != nil && !r.ops.KeyedExplicit && errors.Is(err, runio.ErrOutOfOrder) && !errors.Is(err, errInferredKeys) {
+		return fmt.Errorf("%w: %w", err, errInferredKeys)
+	}
+	return err
 }
 
 // applyKeyCodec samples the head of src, arms the emitter when the sort
@@ -486,6 +499,7 @@ func (r *RunSet[T]) generate(src stream.BatchReader[T], recovered []manifest.Run
 		obs.Str("policy", cfg.Policy.String()), obs.Bool("keyed", keyed), obs.Bool("durable", durable))
 	var rsp *obs.Span // the replay of a resumed pass, while it lasts
 	fail := func(err error) (*RunSet[T], error) {
+		err = r.explainOrder(err)
 		rsp.End(obs.Str("error", err.Error()))
 		gsp.End(obs.Str("error", err.Error()))
 		if !durable {
@@ -651,6 +665,9 @@ func (r *RunSet[T]) mergeConfig() (merge.Config, func()) {
 		Workers:     r.cfg.Parallelism,
 		Cancel:      r.cfg.Cancel,
 	}
+	if r.em.KeyCodec != nil && !r.ops.KeyedExplicit {
+		mc.OrderErr = errInferredKeys
+	}
 	end := func() {}
 	if o := r.o; o != nil {
 		sp := o.tracer().Start("merge", obs.Int("inputs", int64(len(r.runs))))
@@ -691,7 +708,7 @@ func (r *RunSet[T]) OpenMerged() (*merge.Stream[T], error) {
 		end()
 		r.spill.Close()
 	}
-	return st, err
+	return st, r.explainOrder(err)
 }
 
 // Merge completes the sort: it merges the run set into dst and returns the
@@ -704,7 +721,7 @@ func (r *RunSet[T]) Merge(dst stream.Writer[T]) (Stats, error) {
 	if err != nil {
 		r.stats.IO = r.store.Stats()
 		r.spill.Close()
-		return r.stats, err
+		return r.stats, r.explainOrder(err)
 	}
 	wall := time.Since(wallStart)
 	r.stats.MergeInputs = ms.Inputs

@@ -94,11 +94,7 @@ func checkHeader[T any](h manifest.Header, cfg Config, ops Ops[T], em *runio.Emi
 // durable pass commits there, and what a resumed pass regenerates there and
 // compares with the record it recovered.
 func runRecord(kind policy.Kind, run runio.Run, inputPos int64, namerSeq int) manifest.Run {
-	mr := manifest.Run{Records: run.Records, Concatenable: run.Concatenable, Policy: kind.String(), InputPos: inputPos, NamerSeq: namerSeq}
-	for _, seg := range run.Segments {
-		mr.Segments = append(mr.Segments, manifest.Segment{Name: seg.Name, Records: seg.Records, Backward: seg.Backward, Files: seg.Files, Sum: seg.Sum})
-	}
-	return mr
+	return manifest.Run{Records: run.Records, Concatenable: run.Concatenable, Policy: kind.String(), Segments: run.Segments, InputPos: inputPos, NamerSeq: namerSeq}
 }
 
 // sameRun reports whether a regenerated boundary matches the recovered one:
@@ -134,7 +130,7 @@ func (r *RunSet[T]) placements(mr manifest.Run) []vfs.ArenaFile {
 	var files []vfs.ArenaFile
 	for _, ms := range mr.Segments {
 		if ms.Records > 0 {
-			toSegment(ms).EachFile(func(name string, _ int) {
+			ms.EachFile(func(name string, _ int) {
 				if pf, ok := r.spill.Placement(name); ok {
 					files = append(files, pf)
 				}
@@ -197,7 +193,7 @@ func validateRunFiles[T any](store storage.Backend, mr manifest.Run, ops Ops[T])
 		if ms.Records == 0 {
 			continue
 		}
-		rc, err := runio.OpenSegment[T](store, toSegment(ms), 0, ops.Codec)
+		rc, err := runio.OpenSegment[T](store, ms, 0, ops.Codec)
 		if err != nil {
 			return err
 		}
@@ -213,19 +209,10 @@ func validateRunFiles[T any](store storage.Backend, mr manifest.Run, ops Ops[T])
 	return nil
 }
 
-// toSegment reconstructs a segment's description from its manifest record.
-func toSegment(ms manifest.Segment) runio.Segment {
-	return runio.Segment{Name: ms.Name, Records: ms.Records, Backward: ms.Backward, Files: ms.Files, Sum: ms.Sum}
-}
-
 // toRunioRun reconstructs the in-memory run descriptor from its manifest
 // record.
 func toRunioRun(mr manifest.Run) runio.Run {
-	run := runio.Run{Records: mr.Records, Concatenable: mr.Concatenable}
-	for _, ms := range mr.Segments {
-		run.Segments = append(run.Segments, toSegment(ms))
-	}
-	return run
+	return runio.Run{Records: mr.Records, Concatenable: mr.Concatenable, Segments: mr.Segments}
 }
 
 // adoptCommitted fills a RunSet shell from a fully validated committed

@@ -30,6 +30,7 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/runio"
 	"repro/internal/vfs"
 )
 
@@ -115,24 +116,12 @@ type Header struct {
 	Generation string `json:"generation"`
 }
 
-// Segment mirrors runio.Segment plus the content checksum committed for
-// the segment's data.
-type Segment struct {
-	// Name is the file name (forward) or chain base name (backward).
-	Name string `json:"name"`
-	// Records is the element count of the segment.
-	Records int64 `json:"records"`
-	// Backward marks the Appendix A decreasing-stream layout.
-	Backward bool `json:"backward,omitempty"`
-	// Files is the chain length for backward segments.
-	Files int `json:"files,omitempty"`
-	// Sum is the order-insensitive content checksum: the 64-bit sum of
-	// CRC-32C(encoded element) over the segment's elements. It is
-	// computable online by both ascending and descending writers and
-	// re-computable by an ascending validation read, so one definition
-	// covers every layout.
-	Sum uint64 `json:"sum"`
-}
+// Segment is a run segment as the manifest records it: runio's own
+// description, content checksum included. The checksum is the 64-bit sum of
+// CRC-32C(encoded element) over the segment's elements, computable online
+// by both ascending and descending writers and re-computable by an
+// ascending validation read, so one definition covers every layout.
+type Segment = runio.Segment
 
 // Run is one durable run boundary: what identifies the run — its file shape
 // and content checksums, the policy that wrote it — and the input position

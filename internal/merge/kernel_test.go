@@ -165,7 +165,7 @@ func raggedCase(t *testing.T, data []byte) {
 		less func(a, b record.Record) bool
 	}{{"record.Less", record.Less}, {"keyThenAux", keyThenAux}} {
 		ref := referenceOutput(t, clean(c.less), c.less)
-		want, _ := treeOutput(t, clean(c.less)(), c.less, nil)
+		want := treeOutput(t, clean(c.less)(), c.less, nil)
 		sameOrder(t, c.name+": unkeyed tree vs heap merger", want, ref, c.less)
 		for _, sh := range recordShapes {
 			checkRagged(t, c.name+", "+sh.name, recs, want, c.less, sh.kc, maxBatch, failing)

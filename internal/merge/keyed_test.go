@@ -54,21 +54,28 @@ func readOne[T any](s stream.BatchReader[T]) (T, error) {
 
 func (s *failingSource[T]) Close() error { return nil }
 
-// recordKeyVar is KeyRecord16 declared variable-width: the same key bytes,
-// taken through the offset-value-coding tie rule instead of the cached word.
-type recordKeyVar struct{ codec.KeyRecord16 }
+// recordKeyLong is KeyRecord16 padded to a 16-byte key: the same order and
+// the same cached word, but a word that is not the whole key, so the tree
+// asks the comparator on every word tie even where it would not need to —
+// the shape of every variable-width or longer key.
+type recordKeyLong struct{ codec.KeyRecord16 }
 
-func (recordKeyVar) FixedKeySize() int { return 0 }
+func (k recordKeyLong) AppendKey(buf []byte, r record.Record) []byte {
+	return append(k.KeyRecord16.AppendKey(buf, r), make([]byte, 8)...)
+}
+
+func (recordKeyLong) FixedKeySize() int { return 16 }
 
 // recordShapes is every way the one tree is built over records: unkeyed,
-// keyed on the cached word, and keyed through offset-value coding.
+// keyed on a word that is the whole key, and keyed on the word of a longer
+// key.
 var recordShapes = []struct {
 	name string
 	kc   codec.KeyCodec[record.Record]
 }{
 	{"comparator", nil},
 	{"prefix", codec.KeyRecord16{}},
-	{"ovc", recordKeyVar{}},
+	{"long-key", recordKeyLong{}},
 }
 
 // keyThenAux refines record.Less on key ties: a total order over records
@@ -128,8 +135,8 @@ func drainAll[T any](t *testing.T, s Source[T]) []T {
 }
 
 // treeOutput merges the sources through the tree newTree builds for kc and
-// returns the output with the drained tree (for its counters).
-func treeOutput[T any](t *testing.T, srcs []Source[T], less func(a, b T) bool, kc codec.KeyCodec[T]) ([]T, *LoserTree[T]) {
+// returns the output.
+func treeOutput[T any](t *testing.T, srcs []Source[T], less func(a, b T) bool, kc codec.KeyCodec[T]) []T {
 	t.Helper()
 	lt, err := newTree(srcs, less, kc)
 	if err != nil {
@@ -139,7 +146,7 @@ func treeOutput[T any](t *testing.T, srcs []Source[T], less func(a, b T) bool, k
 	if err := lt.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return out, lt
+	return out
 }
 
 // referenceOutput merges the sources through the reference HeapMerger and
@@ -213,9 +220,9 @@ func checkRecordShape(t *testing.T, kc codec.KeyCodec[record.Record]) {
 		for trial := int64(0); trial < 20; trial++ {
 			build := buildRecordSources(trial, 1+int(trial%9), tc.keys, tc.less)
 			ref := referenceOutput(t, build, tc.less)
-			want, _ := treeOutput(t, build(), tc.less, nil)
+			want := treeOutput(t, build(), tc.less, nil)
 			sameOrder(t, tc.name+": unkeyed tree vs heap merger", want, ref, tc.less)
-			got, _ := treeOutput(t, build(), tc.less, kc)
+			got := treeOutput(t, build(), tc.less, kc)
 			sameElements(t, tc.name+": keyed tree vs unkeyed tree", got, want)
 		}
 	}
@@ -230,19 +237,18 @@ func TestPrefixTreeMatchesLoserTree(t *testing.T) {
 	checkRecordShape(t, codec.KeyRecord16{})
 }
 
-// TestOVCTreeMatchesLoserTree pins the offset-value-coded tie rule against
-// the unkeyed tree: on the record cases (a non-total key, so equal full
-// keys end in the comparator) and on variable-length string runs built to
-// stress both OVC paths — long shared prefixes (fast-path re-tags) and
-// duplicate keys across sources (equal-code ties).
-func TestOVCTreeMatchesLoserTree(t *testing.T) {
-	checkRecordShape(t, recordKeyVar{})
+// TestLongKeyTreeMatchesLoserTree pins the tree keyed on the word of a key
+// longer than the word against the unkeyed tree: on the record cases (a
+// non-total key, so every word tie ends in the comparator) and on
+// variable-length string runs with long shared prefixes — words that tie
+// on keys that differ — and duplicate keys across sources.
+func TestLongKeyTreeMatchesLoserTree(t *testing.T) {
+	checkRecordShape(t, recordKeyLong{})
 
 	words := []string{"", "a", "aa", "aaaaaaaaaaaaaaaab", "aaaaaaaaaaaaaaaac",
 		"prefix/shared/deep/x", "prefix/shared/deep/y", "prefix/shared/z",
-		"zz", "\x00", "\x00\x01"}
+		"zz", "\x00", "\x00\x01", "\xff\xff\xff\xff\xff\xff\xff\xff", "\xff\xff\xff\xff\xff\xff\xff\xffz"}
 	less := func(a, b string) bool { return a < b }
-	var totalFast int64
 	for trial := int64(0); trial < 20; trial++ {
 		k := 1 + int(trial%7)
 		build := func() []Source[string] {
@@ -264,23 +270,15 @@ func TestOVCTreeMatchesLoserTree(t *testing.T) {
 			return srcs
 		}
 		want := referenceOutput(t, build, less)
-		got, ot := treeOutput[string](t, build(), less, codec.KeyString{})
-		sameElements(t, "ovc tree vs heap merger", got, want)
-		got, _ = treeOutput(t, build(), less, nil)
-		sameElements(t, "unkeyed tree vs heap merger", got, want)
-		totalFast += ot.ovc.fastPath
-	}
-	// A single-source trial has no matches at all, but across twenty trials
-	// of duplicate-heavy shared-prefix runs the fast path must fire.
-	if totalFast == 0 {
-		t.Fatal("OVC fast path never taken across all trials")
+		sameElements(t, "keyed tree vs heap merger", treeOutput(t, build(), less, codec.KeyString{}), want)
+		sameElements(t, "unkeyed tree vs heap merger", treeOutput(t, build(), less, nil), want)
 	}
 }
 
-// TestOVCTreeLongKeysVsFixedEngine runs the OVC rule on a keyspace where
-// the decisive byte sits far past the 8-byte prefix — the regime the cached
-// word cannot decide and OVC exists for.
-func TestOVCTreeLongKeysVsFixedEngine(t *testing.T) {
+// TestLongKeyTreeSharedPrefixVsHeapMerger merges strings whose decisive
+// byte sits far past the 8-byte word: every word ties, and every match is
+// the comparator's.
+func TestLongKeyTreeSharedPrefixVsHeapMerger(t *testing.T) {
 	const shared = "this-shared-prefix-is-much-longer-than-eight-bytes/"
 	build := func() []Source[string] {
 		rng := rand.New(rand.NewSource(99))
@@ -297,14 +295,7 @@ func TestOVCTreeLongKeysVsFixedEngine(t *testing.T) {
 	}
 	less := func(a, b string) bool { return a < b }
 	want := referenceOutput(t, build, less)
-	got, ot := treeOutput[string](t, build(), less, codec.KeyString{})
-	sameElements(t, "ovc tree vs heap merger", got, want)
-	// Every key shares a 51-byte prefix; with offset-value coding the vast
-	// majority of matches must resolve without touching the key bytes.
-	if ot.ovc.fastPath < ot.ovc.fullCmp {
-		t.Fatalf("fast path %d < full compares %d on a shared-prefix keyspace",
-			ot.ovc.fastPath, ot.ovc.fullCmp)
-	}
+	sameElements(t, "keyed tree vs heap merger", treeOutput(t, build(), less, codec.KeyString{}), want)
 }
 
 // TestKeyedEnginesEmptyAndSingle covers the degenerate inputs for every
@@ -324,7 +315,7 @@ func TestKeyedEnginesEmptyAndSingle(t *testing.T) {
 		}
 		lt.Close()
 
-		got, _ := treeOutput(t, []Source[record.Record]{
+		got := treeOutput(t, []Source[record.Record]{
 			genSrcOf([]record.Record(nil)),
 			genSrcOf([]record.Record{{Key: 5, Aux: 1}}),
 			genSrcOf([]record.Record(nil)),
@@ -411,6 +402,29 @@ func benchInt64Runs(k int) [][]int64 {
 
 func lessInt64(a, b int64) bool { return a < b }
 
+// benchVocab is the word list of the strings example: keys like
+// "kiwi-mango-000042-xyz…", 17 to 63 bytes long.
+var benchVocab = []string{
+	"amber", "birch", "cobalt", "dune", "ember", "fjord", "glacier",
+	"harbor", "iris", "juniper", "kiwi", "lagoon", "mango", "nectar",
+	"onyx", "pearl", "quartz", "raven", "sable", "tundra",
+}
+
+// benchStringRuns deals benchTotal strings of the strings example's shape,
+// each after prefix, into k sorted runs.
+func benchStringRuns(k int, prefix string) [][]string {
+	return benchRuns(k, func(rng *rand.Rand, _ uint64) string {
+		tail := make([]byte, rng.Intn(41))
+		for i := range tail {
+			tail[i] = byte('a' + rng.Intn(26))
+		}
+		return fmt.Sprintf("%s%s-%s-%06d-%s", prefix, benchVocab[rng.Intn(len(benchVocab))],
+			benchVocab[rng.Intn(len(benchVocab))], rng.Intn(1_000_000), tail)
+	}, lessString)
+}
+
+func lessString(a, b string) bool { return a < b }
+
 // engineOpener builds a merge engine over sources.
 type engineOpener[T any] func([]Source[T]) (Source[T], error)
 
@@ -463,9 +477,11 @@ func benchMerge[T comparable](b *testing.B, runs [][]T, want []T, open engineOpe
 }
 
 // BenchmarkKeyedVsComparatorMerge is the CI microbenchmark guard: the same
-// merge of 2^20 records through the unkeyed tree, the cached-word key and
-// the OVC rule, and of 2^20 int64s under their total key, at fan-in 4 and
-// 10. The reference output is the unkeyed tree's, tie placement included.
+// merge of 2^20 records through the unkeyed tree, a word that is the whole
+// key and the word of a longer key; of 2^20 int64s under their total key;
+// and of 2^20 strings — vocabulary words, and the same after a shared
+// "https://example.com/" — unkeyed and keyed, at fan-in 4 and 10. The
+// reference output is the unkeyed tree's, tie placement included.
 func BenchmarkKeyedVsComparatorMerge(b *testing.B) {
 	for _, k := range benchFanIns {
 		recs := benchRecordRuns(k)
@@ -482,6 +498,19 @@ func BenchmarkKeyedVsComparatorMerge(b *testing.B) {
 		b.Run(fmt.Sprintf("fanin=%d/total-int64", k), func(b *testing.B) {
 			benchMerge(b, ints, wantInts, treeOpener[int64](lessInt64, codec.KeyInt64{}))
 		})
+		for _, set := range []struct{ name, prefix string }{{"vocab", ""}, {"url", "https://example.com/"}} {
+			strs := benchStringRuns(k, set.prefix)
+			wantStrs := make([]string, benchTotal)
+			wantStrs = wantStrs[:mergeInto(b, strs, treeOpener(lessString, nil), wantStrs)]
+			for _, sh := range []struct {
+				name string
+				kc   codec.KeyCodec[string]
+			}{{"comparator", nil}, {"keyed", codec.KeyString{}}} {
+				b.Run(fmt.Sprintf("fanin=%d/%s-%s", k, set.name, sh.name), func(b *testing.B) {
+					benchMerge(b, strs, wantStrs, treeOpener(lessString, sh.kc))
+				})
+			}
+		}
 	}
 }
 

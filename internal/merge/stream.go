@@ -20,9 +20,11 @@ import (
 // batch boundaries, so a cancelled context surfaces mid-stream. Drained to its
 // end it must have delivered exactly the records of the runs it merges, and
 // fails with an error matching storage.ErrCorrupt when it has not; a Stream
-// abandoned early checks nothing. Close releases the open sources and deletes
-// the remaining run files; it is safe (and required) to Close a Stream that
-// was only partially drained.
+// abandoned early checks nothing. Under Config.OrderErr it also fails, with
+// an error matching runio.ErrOutOfOrder, on the first element that orders
+// below the one delivered before it. Close releases the open sources and
+// deletes the remaining run files; it is safe (and required) to Close a
+// Stream that was only partially drained.
 type Stream[T any] struct {
 	store  storage.Backend
 	eng    Source[T]
@@ -32,6 +34,12 @@ type Stream[T any] struct {
 	// want is the record count of the final runs, out what was delivered.
 	want, out int64
 	closed    bool
+	// less, set under Config.OrderErr, holds each element against last, the
+	// one delivered before; err is the check's failure, returned ever after.
+	less     func(a, b T) bool
+	last     T
+	orderErr error
+	err      error
 
 	// Observability: the final-merge span (ended at Close), the output
 	// record counter, the progress reporter and the driver's close hook.
@@ -63,7 +71,11 @@ func NewStream[T any](em *runio.Emitter[T], inputs []runio.Run, cfg Config) (*St
 	p := planMerge(sizes, cfg.FanIn)
 	st := &Stream[T]{
 		store: em.Store, cancel: cfg.Cancel, stats: p.stats, rep: cfg.Progress, onClose: cfg.OnClose,
-		outc: cfg.Metrics.Counter(obs.MRecordsOut, "Records delivered by the final merge."),
+		outc:     cfg.Metrics.Counter(obs.MRecordsOut, "Records delivered by the final merge."),
+		orderErr: cfg.OrderErr,
+	}
+	if cfg.OrderErr != nil {
+		st.less = em.Less
 	}
 	if len(inputs) == 0 {
 		return st, nil
@@ -109,6 +121,9 @@ func (s *Stream[T]) ReadBatch(dst []T) (int, error) {
 	if s.closed {
 		return 0, stream.ErrClosed
 	}
+	if s.err != nil {
+		return 0, s.err
+	}
 	if s.eng == nil {
 		return 0, io.EOF
 	}
@@ -118,6 +133,11 @@ func (s *Stream[T]) ReadBatch(dst []T) (int, error) {
 		}
 	}
 	n, err := s.eng.ReadBatch(dst)
+	if n > 0 && s.less != nil {
+		if s.err = s.checkOrder(dst[:n]); s.err != nil {
+			return 0, s.err
+		}
+	}
 	if n > 0 {
 		s.out += int64(n)
 		s.outc.Add(int64(n))
@@ -127,6 +147,24 @@ func (s *Stream[T]) ReadBatch(dst []T) (int, error) {
 		err = miscount(fmt.Sprintf("the final merge of %d runs", len(s.finals)), s.out, s.want)
 	}
 	return n, err
+}
+
+// checkOrder holds a batch about to be delivered to the comparator: each
+// element against the one before it, the first against the last element
+// delivered.
+func (s *Stream[T]) checkOrder(batch []T) error {
+	prev := s.last
+	if s.out == 0 {
+		prev = batch[0]
+	}
+	for _, v := range batch {
+		if s.less(v, prev) {
+			return fmt.Errorf("%w: the final merge delivered %v after %v: %w", runio.ErrOutOfOrder, v, prev, s.orderErr)
+		}
+		prev = v
+	}
+	s.last = prev
+	return nil
 }
 
 // Close releases the merge engine's sources and deletes the final run

@@ -36,11 +36,11 @@ type Source[T any] interface {
 const leafBatch = 256
 
 // leafArena is the memory one merging goroutine reuses from operation to
-// operation: leafBatch decoded elements per source, for a tree keyed on the
-// cached word their keys, and the batch its copy loop moves the output
-// through. It outlives the engines built in it — a merge worker builds one
-// per merge operation, one after the other, and the final merge takes over
-// the first worker's — and its zero value is ready to use.
+// operation: leafBatch decoded elements per source, for a keyed tree their
+// cached words, and the batch its copy loop moves the output through. It
+// outlives the engines built in it — a merge worker builds one per merge
+// operation, one after the other, and the final merge takes over the first
+// worker's — and its zero value is ready to use.
 type leafArena[T any] struct {
 	buf   []T
 	keys  []uint64
@@ -118,45 +118,42 @@ func (l *leaves[T]) closeAll() error {
 // replays only its own path), where a heap of sources costs up to twice that
 // — BenchmarkAblationMergeEngine quantifies the difference against the
 // reference HeapMerger the tests keep (heapmerger_test.go). Leaves are
-// refilled a batch at a time, so source dispatch — and, under a cached-word
-// codec, the key computation — is paid once per leafBatch elements, and
-// what the per-element loop touches is arrays.
+// refilled a batch at a time, so source dispatch — and, under a key codec,
+// the key computation — is paid once per leafBatch elements, and what the
+// per-element loop touches is arrays.
 //
 // There is one tree for every key shape, laid out like the heap kernel's
 // Item (DESIGN.md §12): per source a head element, read in place in its
 // decoded leaf batch, and a cached uint64 key, and a tie rule consulted only
 // when two keys are equal.
 //
-//   - The key is codec.Prefix of the head's normalized key when the codec's
-//     whole key fits 8 bytes — loaded, on an advance, from the key array the
-//     refill filled beside the batch — and stays zero otherwise — unkeyed,
-//     or a variable-width or longer key — so that every match ties and falls
-//     through to the rule. An exhausted source holds ^0 and therefore
-//     orders last without a liveness check anywhere off the tie path.
-//   - The tie rule is nothing when the key is total (equal key bytes are
-//     identical elements), the comparator for every other ≤8-byte codec and
-//     for the unkeyed tree, and offset-value coding (ovc.go) for longer
-//     keys, which itself ends in the comparator when two full keys are
-//     equal and the codec is not total.
+//   - The key is codec.Prefix of the head's normalized key under a key
+//     codec — loaded, on an advance, from the key array the refill filled
+//     beside the batch — and stays zero in the unkeyed tree, so that every
+//     match ties and falls through to the rule. An exhausted source holds ^0
+//     and therefore orders last without a liveness check anywhere off the
+//     tie path.
+//   - The tie rule is nothing when the word is the whole key and the key is
+//     total (equal words are identical elements), and the comparator for
+//     every other shape: a key longer than 8 bytes or of variable width, a
+//     key that is not total, and the unkeyed tree.
 //
 // A key orders consistently with the comparator (it coarsens it) and only
-// a total key stands in for it on ties, so the merged order is the
-// comparator's for every shape — also under a comparator that refines key
-// ties, as Key-then-Aux does over a Record's Key codec.
+// a word that is a whole total key stands in for it on ties, so the merged
+// order is the comparator's for every shape — also under a comparator that
+// refines key ties, as Key-then-Aux does over a Record's Key codec.
 type LoserTree[T any] struct {
 	leaves[T]
 	// key[i] is the cached key of source i's head.
 	key []uint64
-	// keys, under a cached-word codec, holds the key of every decoded leaf
-	// element at the element's index in buf — computed a batch at a time by
-	// pfx when the leaf refills, so an advance loads its key — and is nil
-	// otherwise, which leaves every live key zero.
+	// keys, under a key codec, holds the key of every decoded leaf element
+	// at the element's index in buf — computed a batch at a time by pfx when
+	// the leaf refills, so an advance loads its key — and is nil in the
+	// unkeyed tree, which leaves every live key zero.
 	keys []uint64
 	pfx  func(dst []uint64, src []T)
-	// cmp is the comparator the tie rule ends in; nil when the key is total.
+	// cmp is the tie rule; nil when the word is a whole total key.
 	cmp func(a, b T) bool
-	// ovc, when set, is the tie rule for keys longer than the cached word.
-	ovc *ovcState[T]
 	// tree[j] holds the loser of the match at internal node j; tree[0]
 	// holds the overall winner.
 	tree    []int
@@ -178,8 +175,7 @@ func newTree[T any](srcs []Source[T], less func(a, b T) bool, kc codec.KeyCodec[
 
 // newTreeIn builds the tree over the sources with its leaves in the arena,
 // priming each source. kc, when not nil, is a key codec consistent with
-// less; the key slot and the tie rule follow from what it reports about
-// itself.
+// less; the tie rule follows from what it reports about itself.
 func newTreeIn[T any](a *leafArena[T], srcs []Source[T], less func(a, b T) bool, kc codec.KeyCodec[T]) (*LoserTree[T], error) {
 	k := len(srcs)
 	t := &LoserTree[T]{
@@ -190,13 +186,9 @@ func newTreeIn[T any](a *leafArena[T], srcs []Source[T], less func(a, b T) bool,
 		k:      k,
 	}
 	if kc != nil {
-		if kc.TotalKey() {
+		t.keys, t.pfx = batches(&a.keys, k), codec.PrefixAllFunc(kc)
+		if codec.PrefixIsKey(kc) && kc.TotalKey() {
 			t.cmp = nil
-		}
-		if codec.PrefixIsKey(kc) {
-			t.keys, t.pfx = batches(&a.keys, k), codec.PrefixAllFunc(kc)
-		} else {
-			t.ovc = newOVCState(kc, k)
 		}
 	}
 	for i := range srcs {
@@ -225,8 +217,6 @@ func (t *LoserTree[T]) refill(i int) error {
 	case t.keys != nil:
 		t.pfx(t.keys[h:h+len(batch)], batch)
 		t.key[i] = t.keys[h]
-	case t.ovc != nil:
-		t.ovc.load(i, batch[0])
 	}
 	return nil
 }
@@ -236,44 +226,13 @@ func (t *LoserTree[T]) refill(i int) error {
 // and only here, and only behind the sentinel — an exhausted source's ^0
 // can tie with another exhausted source or with a live maximal key — and
 // exhausted sources order last. Between live heads the comparator decides,
-// unless the key is total (cmp is nil: equal keys are identical elements)
-// or longer than the cached word, where offset-value codes do. The codes'
-// one-compare fast path is spelled out here and not behind ovc.go's door
-// because a second call per match costs that rule ~4% on short keys.
+// unless the word is a whole total key (cmp is nil: equal words are
+// identical elements).
 func (t *LoserTree[T]) tie(a, b int) bool {
 	if t.key[a] == ^uint64(0) && (t.done(a) || t.done(b)) {
 		return !t.done(a)
 	}
-	o := t.ovc
-	if o == nil {
-		return t.cmp != nil && t.cmp(t.head(a), t.head(b))
-	}
-	if o.ref[a] == 0 || o.ref[a] != o.ref[b] {
-		// References differ (or are invalid): one full key compare, which
-		// also realigns the loser's code to the winner for the matches below.
-		o.fullCmp++
-		return t.ovcSettle(a, b, 0)
-	}
-	ca, cb := o.code[a], o.code[b]
-	if ca != cb {
-		// Both codes are relative to the same reference r with r ≤ both
-		// keys, so the code order is the key order. The loser's code is also
-		// its code relative to the winner's key (the winner agrees with r
-		// through the loser's decisive byte), so re-tagging the loser against
-		// the winner costs nothing.
-		o.fastPath++
-		if ca < cb {
-			o.ref[b] = o.id[a]
-			return true
-		}
-		o.ref[a] = o.id[b]
-		return false
-	}
-	// Equal codes: both keys depart from the reference at the same offset
-	// with the same byte. Scan on from the next byte — or, if that byte is
-	// the terminator, from the end of both keys; the scan's result is
-	// exactly the loser's new code relative to the winner.
-	return t.ovcSettle(a, b, ovcCap-int(ca>>9)+1)
+	return t.cmp != nil && t.cmp(t.head(a), t.head(b))
 }
 
 // beats reports whether source a's head orders strictly before source b's.
@@ -347,8 +306,6 @@ func (t *LoserTree[T]) ReadBatch(dst []T) (int, error) {
 			}
 		} else if keys != nil {
 			key[w] = keys[h]
-		} else if t.ovc != nil {
-			t.ovc.load(w, buf[h])
 		}
 		// Replay the winner's path to the root: at each internal node the
 		// contender either stays winner or swaps with the stored loser. Equal

@@ -13,17 +13,17 @@ import (
 // backward file chain, always read in ascending order.
 type Segment struct {
 	// Name is the file name (forward) or the chain base name (backward).
-	Name string
+	Name string `json:"name"`
 	// Records is the number of elements stored in the segment.
-	Records int64
+	Records int64 `json:"records"`
 	// Backward marks the Appendix A decreasing-stream layout.
-	Backward bool
+	Backward bool `json:"backward,omitempty"`
 	// Files is the chain length for backward segments (0 or 1 file chains
 	// are legal); it is ignored for forward segments.
-	Files int
+	Files int `json:"files,omitempty"`
 	// Sum is the segment's order-insensitive content checksum (ContentSum),
 	// kept when the writer's emitter has Checksums on; 0 otherwise.
-	Sum uint64
+	Sum uint64 `json:"sum"`
 }
 
 // EachFile calls visit for each physical file of the segment in ascending

@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/record"
+	"repro/internal/runio"
 )
 
 // sortBothWays sorts the dataset twice — keyed (inferred codec) and with
@@ -131,8 +133,8 @@ func TestKeyedMatchesComparatorEverywhere(t *testing.T) {
 }
 
 // TestKeyedStringsMatchComparator drives the variable-width key path (and
-// with it the offset-value-coded merge) on string elements with long shared
-// prefixes, keyed versus comparator-only.
+// with it the merge on key words that tie on long shared prefixes) on
+// string elements, keyed versus comparator-only.
 func TestKeyedStringsMatchComparator(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	data := make([]string, 20_000)
@@ -218,6 +220,60 @@ func TestInferredCodecSilentFallback(t *testing.T) {
 	}
 	if _, stats, err := asc.SortSlice(context.Background(), data); err != nil || !stats.Keyed {
 		t.Fatalf("ascending int64 should run keyed: err=%v keyed=%v", err, stats.Keyed)
+	}
+}
+
+// TestInferredCodecMisorderFails: an inferred key codec that passes the
+// sampled check but disagrees with the comparator later in the input must
+// fail the sort, never return misordered output. Under a case-insensitive
+// comparator the inferred string codec orders "K…" before "k…" where the
+// comparator ties them. With the lowercase half first, every run is
+// single-case and in order, and only the final merge can see the
+// disagreement; with the cases interleaved, a run writer sees it first.
+// Both errors wrap runio.ErrOutOfOrder and name WithoutKeys.
+func TestInferredCodecMisorderFails(t *testing.T) {
+	fold := func(a, b string) bool { return strings.ToLower(a) < strings.ToLower(b) }
+	halves := make([]string, 0, 2560)
+	for _, f := range []string{"k%05d", "K%05d"} {
+		for i := 0; i < 1280; i++ {
+			halves = append(halves, fmt.Sprintf(f, i))
+		}
+	}
+	mixed := make([]string, 2560)
+	for i := range mixed {
+		mixed[i] = fmt.Sprintf("k%05d", i)
+		if i >= 64 && i%2 == 1 {
+			mixed[i] = strings.ToUpper(mixed[i])
+		}
+	}
+	check := func(name, policy string, data []string) {
+		t.Helper()
+		s, err := New(fold, WithMemoryRecords(256), WithPolicy(policy))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, stats, err := s.SortSlice(context.Background(), data)
+		if err == nil {
+			sorted := sort.SliceIsSorted(out, func(i, j int) bool { return fold(out[i], out[j]) })
+			t.Fatalf("%s, policy %s: nil error (Keyed=%v, %d runs, output sorted: %v)", name, policy, stats.Keyed, stats.Runs, sorted)
+		}
+		if !errors.Is(err, runio.ErrOutOfOrder) || !strings.Contains(err.Error(), "WithoutKeys") {
+			t.Fatalf("%s, policy %s: error %q does not wrap runio.ErrOutOfOrder and name WithoutKeys", name, policy, err)
+		}
+		s, err = New(fold, WithMemoryRecords(256), WithPolicy(policy), WithoutKeys())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out, _, err = s.SortSlice(context.Background(), data); err != nil {
+			t.Fatalf("%s, policy %s, WithoutKeys: %v", name, policy, err)
+		}
+		if !sort.SliceIsSorted(out, func(i, j int) bool { return fold(out[i], out[j]) }) {
+			t.Fatalf("%s, policy %s, WithoutKeys: output not sorted", name, policy)
+		}
+	}
+	check("case halves", "quick", halves)
+	for _, policy := range Policies() {
+		check("cases mixed", policy, mixed)
 	}
 }
 

@@ -68,8 +68,8 @@ func Float64Codec() Codec[float64] { return codec.Float64{} }
 // KeyCodec produces memcmp-ordered normalized key bytes for elements of
 // type T, enabling the comparator-free hot path: run batches sort on cached
 // key prefixes (pure radix when the key is total and at most 8 bytes) and
-// the merge compares normalized keys — via prefix integers or offset-value
-// coding — instead of calling the comparator per match. The contract:
+// the merge compares cached key prefixes instead of calling the comparator
+// per match. The contract:
 //
 //	bytes.Compare(AppendKey(nil, a), AppendKey(nil, b)) < 0  ⟹  less(a, b)
 //
@@ -157,12 +157,11 @@ func CompositeKeyCodec[T any](fixed int, total bool, fields ...func(buf []byte, 
 // The codec and key hooks are stashed untyped so that the Option type stays
 // non-generic (ergonomic at call sites); New type-checks them against T.
 type sorterConfig struct {
-	cfg          Config
-	codec        any
-	key          any
-	keyCodec     any
-	noKeys       bool
-	elementBytes int
+	cfg      Config
+	codec    any
+	key      any
+	keyCodec any
+	noKeys   bool
 }
 
 // Option configures a Sorter under construction. Options are shared across
@@ -298,6 +297,11 @@ func WithKey[T any](key func(T) float64) Option {
 // codec that disagrees with the comparator on a sampled prefix of the
 // input fails the sort with an error — an inferred one falls back to the
 // comparator silently (e.g. a descending comparator over int64 elements).
+// An inferred codec that passes the sample but disagrees with the
+// comparator later in the input (a case-insensitive comparator over
+// strings) fails the sort with an out-of-order error naming WithoutKeys,
+// the option that sorts such input: the sort checks its output against the
+// comparator, at one comparator call per element.
 // The sampled check is stricter than the contract — on the sample, less
 // must hold exactly where the key bytes order strictly — so a comparator
 // that refines key ties passes it when the sampled keys are distinct;
@@ -326,18 +330,6 @@ func WithoutKeys() Option {
 	}
 }
 
-// WithElementBytes estimates the stored size of one element, used to size
-// merge buffers for variable-width codecs (default 32).
-func WithElementBytes(n int) Option {
-	return func(s *sorterConfig) error {
-		if n <= 0 {
-			return fmt.Errorf("repro: element bytes must be positive, got %d", n)
-		}
-		s.elementBytes = n
-		return nil
-	}
-}
-
 // builtin is what New infers for an element type it knows when no option
 // says otherwise: the spill codec; the key codec under the type's natural
 // (ascending) order; and, for Record and the numeric types, the projection
@@ -345,7 +337,8 @@ func WithElementBytes(n int) Option {
 // untyped for the same reason sorterConfig's are; resolve asserts them to T.
 // An inferred key codec is validated against the actual comparator on a
 // sample of the input at sort time and dropped silently on disagreement, so
-// inferring one for, say, a descending int64 sort is safe.
+// inferring one for, say, a descending int64 sort is safe; a disagreement
+// past the sample fails the sort (WithKeyCodec).
 type builtin struct{ codec, keyCodec, key any }
 
 // builtinFor is the one table of the element types New knows; the zero
@@ -434,7 +427,7 @@ func New[T any](less func(a, b T) bool, opts ...Option) (*Sorter[T], error) {
 		return nil, err
 	}
 	s := &Sorter[T]{cfg: sc.cfg}
-	s.ops = extsort.Ops[T]{Less: less, ElementBytes: sc.elementBytes, KeyedExplicit: sc.keyCodec != nil}
+	s.ops = extsort.Ops[T]{Less: less, KeyedExplicit: sc.keyCodec != nil}
 	def := builtinFor[T]()
 	var err error
 	if s.ops.Codec, err = resolve[codec.Codec[T], T](sc.codec, def.codec, "WithCodec", "encode"); err == nil && s.ops.Codec == nil {

@@ -270,9 +270,6 @@ func TestNewRejectsBadInputs(t *testing.T) {
 	if _, err := New(lessInt, WithKey(func(s string) float64 { return 0 })); err == nil {
 		t.Fatal("key/element type mismatch should be rejected")
 	}
-	if _, err := New(lessInt, WithElementBytes(-4)); err == nil {
-		t.Fatal("negative element bytes should be rejected")
-	}
 }
 
 func TestConfigValidateTable(t *testing.T) {
