@@ -249,8 +249,8 @@ func Prefix(key []byte) uint64 {
 // fixed-width key of at most 8 bytes, under which equal prefixes are equal
 // keys and nothing has to look at the key bytes themselves. Everything that
 // chooses between "the cached word decides" and "the word, then the bytes or
-// the comparator" asks here: the merge tree, the batch sorter's radix
-// (KeySorter), the shard router.
+// the comparator" asks here: the merge tree and the batch sorter's radix
+// (KeySorter).
 func PrefixIsKey[T any](kc KeyCodec[T]) bool {
 	fs := kc.FixedKeySize()
 	return fs >= 1 && fs <= 8

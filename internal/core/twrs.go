@@ -11,31 +11,6 @@ import (
 	"repro/internal/stream"
 )
 
-// Result summarises one 2WRS run-generation pass.
-type Result struct {
-	// Runs lists the generated runs in creation order. Each run has up to
-	// four segments: streams 4, 3, 2, 1 in ascending-concatenation order.
-	Runs []runio.Run
-	// Records is the number of input records consumed.
-	Records int64
-	// OverlapRuns counts runs whose four stream ranges were not pairwise
-	// disjoint (see runio.Run.Concatenable). It is 0 whenever the insertion
-	// heuristic partitions the heaps cleanly, and far from rare when it does
-	// not: under the recommended configuration a third to a half of the runs
-	// of an alternating input overlap, and about one in twenty of a random one.
-	OverlapRuns int64
-	// VictimFlushes counts victim-buffer flushes (initial and active).
-	VictimFlushes int64
-}
-
-// AvgRunLength returns the mean run length in records, 0 for no runs.
-func (r Result) AvgRunLength() float64 {
-	if len(r.Runs) == 0 {
-		return 0
-	}
-	return float64(r.Records) / float64(len(r.Runs))
-}
-
 // outStream is one of the four output streams of a run (Figure 4.1): what
 // it is called in file names, its direction, its writer — opened by the
 // stream's first record, so a stream the run never feeds has no file — and
@@ -116,8 +91,6 @@ type generator[T any] struct {
 	division    float64
 	divRecSet   bool
 	divRec      T
-
-	res Result
 }
 
 // Stepper runs two-way replacement selection one run at a time: each
@@ -173,10 +146,6 @@ func NewStepper[T any](src stream.BatchReader[T], em *runio.Emitter[T], cfg Conf
 	return &Stepper[T]{g: g}, nil
 }
 
-// Result returns the statistics accumulated so far, including every run
-// emitted by NextRun.
-func (s *Stepper[T]) Result() Result { return s.g.res }
-
 // fill is the fill phase (doubleHeap.fill in Algorithm 2): both heaps are
 // eligible for every record, so the input heuristic decides each placement.
 func (s *Stepper[T]) fill() error {
@@ -189,7 +158,6 @@ func (s *Stepper[T]) fill() error {
 		if !ok {
 			break
 		}
-		g.res.Records++
 		g.insertInput(rec)
 	}
 	return nil
@@ -210,12 +178,12 @@ func (s *Stepper[T]) NextRun() (runio.Run, bool, error) {
 		fromTop, ok := g.chooseOutputSide()
 		if !ok {
 			// Both heap tops belong to the next run: the current run ends.
-			n := len(g.res.Runs)
-			if err := g.endRun(); err != nil {
+			run, err := g.endRun()
+			if err != nil {
 				return runio.Run{}, false, err
 			}
-			if len(g.res.Runs) > n {
-				return g.res.Runs[n], true, nil
+			if run.Records > 0 {
+				return run, true, nil
 			}
 			continue
 		}
@@ -236,14 +204,11 @@ func (s *Stepper[T]) NextRun() (runio.Run, bool, error) {
 		return runio.Run{}, false, nil
 	}
 	s.finished = true
-	n := len(g.res.Runs)
-	if err := g.endRun(); err != nil {
+	run, err := g.endRun()
+	if err != nil || run.Records == 0 {
 		return runio.Run{}, false, err
 	}
-	if len(g.res.Runs) > n {
-		return g.res.Runs[n], true, nil
-	}
-	return runio.Run{}, false, nil
+	return run, true, nil
 }
 
 // Carry removes and returns every element the stepper has buffered — both
@@ -342,7 +307,6 @@ func (g *generator[T]) route(v T, fromTop bool) error {
 				return err
 			}
 			g.victimActive = true
-			g.res.VictimFlushes++
 		}
 		return nil
 	}
@@ -365,7 +329,6 @@ func (g *generator[T]) consumeInput() error {
 	if err != nil || !ok {
 		return err
 	}
-	g.res.Records++
 	for g.victimActive && g.less(g.lo, rec) && g.less(rec, g.hi) {
 		if err := g.victimAdd(rec); err != nil {
 			return err
@@ -374,7 +337,6 @@ func (g *generator[T]) consumeInput() error {
 		if err != nil || !ok {
 			return err
 		}
-		g.res.Records++
 	}
 	g.insertInput(rec)
 	return nil
@@ -502,7 +464,6 @@ func (g *generator[T]) victimAdd(rec T) error {
 		if err := g.flushVictimParts(g.largestGapIndex()); err != nil {
 			return err
 		}
-		g.res.VictimFlushes++
 	}
 	return nil
 }
@@ -597,34 +558,34 @@ func (g *generator[T]) concatenable() bool {
 	return true
 }
 
-// endRun flushes the victim buffer, closes the four stream writers, records
-// the run manifest and resets all per-run state.
-func (g *generator[T]) endRun() error {
+// endRun flushes the victim buffer, closes the four stream writers, resets
+// all per-run state and returns the run's manifest, which has no records
+// when the run wrote nothing.
+func (g *generator[T]) endRun() (runio.Run, error) {
 	if len(g.victim) > 0 {
 		g.sort.Sort(g.victim)
 		if !g.victimActive && len(g.victim) >= 2 {
 			// The run ended before the victim ever filled: still split at
 			// the largest gap so both extra streams stay balanced.
 			if err := g.flushVictimParts(g.largestGapIndex()); err != nil {
-				return err
+				return runio.Run{}, err
 			}
 		} else {
 			// Active phase (contents strictly inside (lo,hi)) or a single
 			// record: appending everything to stream 3 keeps it ascending
 			// and inside the gap.
 			if err := g.writeBatch(stream3, g.victim); err != nil {
-				return err
+				return runio.Run{}, err
 			}
 			g.victim = g.victim[:0]
 		}
-		g.res.VictimFlushes++
 	}
 
 	var run runio.Run
 	for i := range g.streams {
 		if w := g.streams[i].w; w != nil {
 			if err := w.Close(); err != nil {
-				return err
+				return runio.Run{}, err
 			}
 			seg := w.Segment()
 			run.Segments = append(run.Segments, seg)
@@ -633,10 +594,6 @@ func (g *generator[T]) endRun() error {
 	}
 	if run.Records > 0 {
 		run.Concatenable = g.concatenable()
-		if !run.Concatenable {
-			g.res.OverlapRuns++
-		}
-		g.res.Runs = append(g.res.Runs, run)
 	}
 
 	for i := range g.streams {
@@ -653,7 +610,7 @@ func (g *generator[T]) endRun() error {
 	if g.cfg.Input == InBalancing {
 		g.rebalanceHeaps()
 	}
-	return nil
+	return run, nil
 }
 
 // rebalanceHeaps levels the two heap sizes at the start of a run, as the

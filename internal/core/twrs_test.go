@@ -14,15 +14,37 @@ import (
 	"repro/internal/vfs"
 )
 
+// result is what the tests keep of one generation pass: the runs NextRun
+// handed out, the records they hold and how many of them overlap.
+type result struct {
+	Runs        []runio.Run
+	Records     int64
+	OverlapRuns int64
+}
+
+// AvgRunLength returns the mean run length in records, 0 for no runs.
+func (r result) AvgRunLength() float64 {
+	if len(r.Runs) == 0 {
+		return 0
+	}
+	return float64(r.Records) / float64(len(r.Runs))
+}
+
 // generate steps a 2WRS stepper over src to exhaustion.
-func generate(src stream.BatchReader[record.Record], em *runio.Emitter[record.Record], cfg Config, key func(record.Record) float64) (Result, error) {
+func generate(src stream.BatchReader[record.Record], em *runio.Emitter[record.Record], cfg Config, key func(record.Record) float64) (res result, err error) {
 	s, err := NewStepper(src, em, cfg, key)
 	if err != nil {
-		return Result{}, err
+		return res, err
 	}
 	for {
-		if _, ok, err := s.NextRun(); err != nil || !ok {
-			return s.Result(), err
+		run, ok, err := s.NextRun()
+		if err != nil || !ok {
+			return res, err
+		}
+		res.Runs = append(res.Runs, run)
+		res.Records += run.Records
+		if !run.Concatenable {
+			res.OverlapRuns++
 		}
 	}
 }
@@ -50,7 +72,7 @@ func rsRuns(t *testing.T, recs []record.Record, memory int) []runio.Run {
 
 // runTWRS executes 2WRS over recs and returns the result plus the fs holding
 // the runs.
-func runTWRS(t *testing.T, recs []record.Record, cfg Config) (Result, vfs.FS) {
+func runTWRS(t *testing.T, recs []record.Record, cfg Config) (result, vfs.FS) {
 	t.Helper()
 	fs := vfs.NewMemFS()
 	em := runio.RecordEmitter(fs, "t")

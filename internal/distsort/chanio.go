@@ -6,15 +6,14 @@ import (
 	"sync"
 )
 
-// errAborted is what shard readers and writers return once another part
+// errAborted is what a shard's feed reader returns once another part
 // of the sharded sort has failed; the failure that caused the abort is
 // what Sort reports.
 var errAborted = errors.New("distsort: aborted by concurrent failure")
 
 // failure is the sort-wide first-error latch. fail records the first
-// error and closes done, which unblocks every channel send and receive in
-// the pipeline so the partition loop, the shard goroutines and the drain
-// all unwind without deadlocking.
+// error and closes done, which unblocks every feed send and receive so the
+// partition loop and the shard goroutines unwind without deadlocking.
 type failure struct {
 	once sync.Once
 	err  error
@@ -96,62 +95,4 @@ func (r *chanReader[T]) discard() error {
 			return err
 		}
 	}
-}
-
-// chanWriter adapts a shard's output channel to the stream protocol,
-// buffering elements into owned batches so the drain can consume them
-// without copying.
-type chanWriter[T any] struct {
-	ch   chan<- []T
-	done <-chan struct{}
-	buf  []T
-}
-
-// Write buffers one element, flushing full batches.
-func (w *chanWriter[T]) Write(v T) error {
-	w.buf = append(w.buf, v)
-	if len(w.buf) >= feedBatch {
-		return w.flush()
-	}
-	return nil
-}
-
-// WriteBatch buffers a batch, flushing at the batch boundary.
-func (w *chanWriter[T]) WriteBatch(src []T) error {
-	for len(src) > 0 {
-		n := feedBatch - len(w.buf)
-		if n > len(src) {
-			n = len(src)
-		}
-		w.buf = append(w.buf, src[:n]...)
-		src = src[n:]
-		if len(w.buf) >= feedBatch {
-			if err := w.flush(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// flush hands the buffered batch to the drain and starts a fresh one.
-func (w *chanWriter[T]) flush() error {
-	if len(w.buf) == 0 {
-		return nil
-	}
-	b := w.buf
-	w.buf = make([]T, 0, feedBatch)
-	select {
-	case w.ch <- b:
-		return nil
-	case <-w.done:
-		return errAborted
-	}
-}
-
-// flushClose flushes the tail batch and closes the output channel.
-func (w *chanWriter[T]) flushClose() error {
-	err := w.flush()
-	close(w.ch)
-	return err
 }

@@ -22,17 +22,19 @@ package distsort
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"repro/internal/extsort"
+	"repro/internal/merge"
 	"repro/internal/obs"
 	"repro/internal/stream"
 	"repro/internal/vfs"
 )
 
 const (
-	// feedBatch is the element batch size handed between the partition
-	// loop, the shard channels and the concatenation drain.
+	// feedBatch is the element batch size the partition loop reads and
+	// hands to the shard feeds.
 	feedBatch = 1024
 	// feedDepth is the per-shard channel depth in batches; it bounds the
 	// records in flight per shard to feedDepth*feedBatch.
@@ -63,12 +65,6 @@ type Config struct {
 	// Resume replays the partition and recovers per shard. Trace and
 	// Metrics are shared by the partition pass and all shards.
 	Extsort extsort.Config
-}
-
-// shardResult is one shard goroutine's outcome.
-type shardResult struct {
-	stats extsort.Stats
-	ok    bool
 }
 
 // Sort is SortBatch over a caller's source, adapted once here.
@@ -123,73 +119,66 @@ func SortBatch[T any](src stream.BatchReader[T], dst stream.Writer[T], fs vfs.FS
 		// the same branch.
 		return extsort.SortBatch(stream.NewSliceReader(sample), dst, fs, cfg.Extsort, ops)
 	}
-	rt, err := newRouter(sample, shards, ops, cfg.Extsort.Parallelism)
+	rt, err := newRouter(sample, shards, ops.Less, cfg.Extsort.Parallelism)
 	if err != nil {
 		return extsort.Stats{}, err
 	}
 	return shardedSort(entry, sample, src, dst, fs, cfg, ops, shards, rt)
 }
 
-// shardedSort runs the partition loop, the S concurrent shard sorts and
-// the in-order concatenation drain, and aggregates the statistics.
+// shardedSort runs the partition loop and the S concurrent shard sorts,
+// drains the shards' merge streams into dst in shard order, and aggregates
+// the statistics.
 func shardedSort[T any](entry time.Time, sample []T, src stream.BatchReader[T], dst stream.Writer[T], fs vfs.FS, cfg Config, ops extsort.Ops[T], shards int, rt *router[T]) (extsort.Stats, error) {
 	tr := cfg.Extsort.Trace
 	cancel := cfg.Extsort.Cancel
+	// The shards report nothing (shardConfig): S concurrent sorts reporting
+	// phases would interleave meaninglessly. The driver reports for them.
+	rep := cfg.Extsort.Progress.Start(cfg.Extsort.Prefix)
+	defer rep.Stop()
 	fail := newFailure()
 	feeds := make([]chan []T, shards)
-	outs := make([]chan []T, shards)
-	for i := range feeds {
+	shs := make([]shard[T], shards)
+	for i := range shs {
 		feeds[i] = make(chan []T, feedDepth)
-		outs[i] = make(chan []T, feedDepth)
-	}
-	results := make([]shardResult, shards)
-	done := make(chan struct{})
-	for i := 0; i < shards; i++ {
-		go func(i int) {
-			defer func() { done <- struct{}{} }()
-			runShard(i, feeds[i], outs[i], fs, shardConfig(cfg, shards, i), ops, fail, &results[i])
-		}(i)
+		shs[i].done = make(chan struct{})
+		go shs[i].run(i, feeds[i], fs, shardConfig(cfg, shards, i), ops, fail)
 	}
 
 	// Partition overlaps run generation: shards consume their feeds while
 	// the loop is still routing, so the "partition" phase covers both.
+	rep.SetPhase("partition", -1)
 	psp := tr.StartOn("shard_partition", "shard_partition",
 		obs.Int("shards", int64(shards)), obs.Int("sample", int64(len(sample))), obs.Int("splitters", int64(len(rt.bounds))))
 	partStart := time.Now()
-	counts, perr := partition(sample, src, feeds, rt, fail, cancel)
+	counts, perr := partition(sample, src, feeds, rt, fail, cancel, rep)
 	partWall := time.Since(partStart)
 	if perr != nil {
 		fail.fail(perr)
 		psp.Drop()
 	} else {
-		psp.End(obs.Int("max_shard", maxOf(counts)))
+		psp.End(obs.Int("max_shard", slices.Max(counts)))
 	}
 
-	// Concatenate: the shard ranges are disjoint and ordered, so draining
-	// each output channel in shard order is the merge.
+	// Concatenate: the shard ranges are disjoint and ordered, so copying
+	// each shard's merge stream in shard order is the merge. A later shard
+	// keeps merging on its own goroutine while an earlier one drains.
+	var total int64
+	for _, c := range counts {
+		total += c
+	}
+	rep.SetPhase("merge", total)
+	st := extsort.Stats{Shards: shards, ShardRecords: counts}
 	drainStart := time.Now()
-	if perr == nil {
-		if derr := drain(dst, outs, fail, cancel); derr != nil {
-			fail.fail(derr)
+	for i := range shs {
+		s, err := shs[i].finish(dst, fail, cancel, rep, cfg.Extsort.Manifest)
+		if err != nil {
+			fail.fail(err)
+			continue
 		}
-	}
-	drainWall := time.Since(drainStart)
-	for i := 0; i < shards; i++ {
-		<-done
-	}
-	if err := fail.get(); err != nil {
-		return extsort.Stats{}, err
-	}
-
-	st := extsort.Stats{
-		Shards:       shards,
-		ShardRecords: counts,
-		Keyed:        results[0].stats.Keyed,
-		Policy:       results[0].stats.Policy,
-		Storage:      results[0].stats.Storage,
-	}
-	for _, r := range results {
-		s := r.stats
+		if i == 0 {
+			st.Keyed, st.Policy, st.Storage = s.Keyed, s.Policy, s.Storage
+		}
 		st.Records += s.Records
 		st.Runs += s.Runs
 		st.RunsRecovered += s.RunsRecovered
@@ -197,10 +186,12 @@ func shardedSort[T any](entry time.Time, sample []T, src stream.BatchReader[T], 
 		st.OverlapRuns += s.OverlapRuns
 		st.MergeInputs += s.MergeInputs
 		st.MergeOps += s.MergeOps
-		if s.MergePasses > st.MergePasses {
-			st.MergePasses = s.MergePasses
-		}
+		st.MergePasses = max(st.MergePasses, s.MergePasses)
 		addIO(&st.IO, s.IO)
+	}
+	drainWall := time.Since(drainStart)
+	if err := fail.get(); err != nil {
+		return extsort.Stats{}, err
 	}
 	if st.Runs > 0 {
 		st.AvgRunLength = float64(st.Records) / float64(st.Runs)
@@ -224,8 +215,7 @@ func shardedSort[T any](entry time.Time, sample []T, src stream.BatchReader[T], 
 // template (Sort resolves it): an even share of the memory budget, a
 // namespaced spill prefix (which in durable mode also namespaces the
 // shard's manifest), and a share of the merge parallelism. The progress
-// reporter stays with the driver — S concurrent sorts reporting phases
-// would interleave meaninglessly.
+// reporter stays with the driver.
 func shardConfig(cfg Config, shards, i int) extsort.Config {
 	scfg := cfg.Extsort
 	scfg.Memory = max(scfg.Memory/shards, 1)
@@ -235,53 +225,82 @@ func shardConfig(cfg Config, shards, i int) extsort.Config {
 	return scfg
 }
 
-// runShard sorts one shard: generate runs from the feed channel, then
-// merge them into the output channel for the drain to concatenate.
-func runShard[T any](i int, feed <-chan []T, out chan<- []T, fs vfs.FS, scfg extsort.Config, ops extsort.Ops[T], fail *failure, res *shardResult) {
-	tr := scfg.Trace
-	sp := tr.StartOn("shard_sort", fmt.Sprintf("shard %02d", i), obs.Int("shard", int64(i)))
+// shard is what one shard goroutine hands the driver once done is closed:
+// its run set and the merge stream over it, whose intermediate merges are
+// already complete. Either is nil when the shard failed before reaching it.
+type shard[T any] struct {
+	rset *extsort.RunSet[T]
+	st   *merge.Stream[T]
+	sp   *obs.Span
+	done chan struct{}
+}
+
+// run sorts shard i up to its final merge: it generates runs from the feed,
+// runs the intermediate merges and leaves the final one open for the driver.
+func (sh *shard[T]) run(i int, feed <-chan []T, fs vfs.FS, scfg extsort.Config, ops extsort.Ops[T], fail *failure) {
+	defer close(sh.done)
+	sh.sp = scfg.Trace.StartOn("shard_sort", fmt.Sprintf("shard %02d", i), obs.Int("shard", int64(i)))
 	in := &chanReader[T]{ch: feed, done: fail.done}
-	rset, err := extsort.GenerateRunsBatch(in, fs, scfg, ops)
-	if err != nil {
-		close(out)
-		fail.fail(fmt.Errorf("distsort: shard %d: %w", i, err))
-		sp.Drop()
-		return
-	}
-	// A resumed shard whose manifest was already committed adopts its runs
-	// without reading a record, but the partition loop still routes the
-	// shard's share of the input to it: unread, the feed fills and blocks
-	// the loop, and with it every other shard. Generation otherwise ends
-	// at the feed's EOF, so this returns at once.
-	err = in.discard()
-	w := &chanWriter[T]{ch: out, done: fail.done, buf: make([]T, 0, feedBatch)}
-	var st extsort.Stats
-	if err == nil {
-		st, err = rset.Merge(w)
-	}
-	res.stats = st
-	if err == nil {
-		err = w.flushClose()
-	} else {
-		close(out)
-		if !scfg.Manifest {
-			// Non-durable shards have nothing to resume from; sweep the
-			// leftover run files. Durable shards keep them for Resume.
-			rset.Discard()
+	var err error
+	if sh.rset, err = extsort.GenerateRunsBatch(in, fs, scfg, ops); err == nil {
+		// A resumed shard whose manifest was already committed adopts its
+		// runs without reading a record, but the partition loop still routes
+		// the shard's share of the input to it: unread, the feed fills and
+		// blocks the loop, and with it every other shard. Generation
+		// otherwise ends at the feed's EOF, so this returns at once.
+		if err = in.discard(); err == nil {
+			sh.st, err = sh.rset.OpenMerged()
 		}
 	}
 	if err != nil {
 		fail.fail(fmt.Errorf("distsort: shard %d: %w", i, err))
-		sp.Drop()
-		return
 	}
-	sp.End(obs.Int("records", st.Records), obs.Int("runs", int64(st.Runs)))
-	res.ok = true
+}
+
+// finish waits for the shard, copies its merge stream into dst unless the
+// sort has already failed, and closes the stream, which deletes the shard's
+// run files and, when durable, its manifest. It returns the shard's
+// two-phase statistics. A failed non-durable shard sweeps whatever spill
+// files are left; a durable one keeps them for Resume.
+func (sh *shard[T]) finish(dst stream.Writer[T], fail *failure, cancel func() error, rep *obs.Reporter, durable bool) (extsort.Stats, error) {
+	<-sh.done
+	err := fail.get()
+	if err == nil {
+		_, err = stream.CopyCancel[T](dst, reported[T]{sh.st, rep}, cancel)
+	}
+	if sh.st != nil {
+		if cerr := sh.st.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		if sh.rset != nil && !durable {
+			sh.rset.Discard()
+		}
+		sh.sp.Drop()
+		return extsort.Stats{}, err
+	}
+	st, ms := sh.rset.Stats(), sh.st.Stats()
+	st.MergeInputs, st.MergePasses, st.MergeOps = ms.Inputs, ms.Passes, ms.Merges
+	sh.sp.End(obs.Int("records", st.Records), obs.Int("runs", int64(st.Runs)))
+	return st, nil
+}
+
+// reported counts the elements read through it into a progress reporter.
+type reported[T any] struct {
+	stream.BatchReader[T]
+	rep *obs.Reporter
+}
+
+func (r reported[T]) ReadBatch(dst []T) (int, error) {
+	n, err := r.BatchReader.ReadBatch(dst)
+	r.rep.Add(int64(n))
+	return n, err
 }
 
 // partition replays the sampled prefix in its original input order, then
 // the rest of src, routing every element to exactly one shard feed.
-func partition[T any](sample []T, src stream.BatchReader[T], feeds []chan []T, rt *router[T], fail *failure, cancel func() error) ([]int64, error) {
+func partition[T any](sample []T, src stream.BatchReader[T], feeds []chan []T, rt *router[T], fail *failure, cancel func() error, rep *obs.Reporter) ([]int64, error) {
 	counts := make([]int64, len(feeds))
 	pend := make([][]T, len(feeds))
 	for i := range pend {
@@ -308,6 +327,7 @@ func partition[T any](sample []T, src stream.BatchReader[T], feeds []chan []T, r
 				}
 			}
 		}
+		rep.Add(int64(len(batch)))
 		return nil
 	}
 	poll := func() error {
@@ -357,33 +377,6 @@ func partition[T any](sample []T, src stream.BatchReader[T], feeds []chan []T, r
 	return counts, nil
 }
 
-// drain concatenates the shard outputs into dst in shard order.
-func drain[T any](dst stream.Writer[T], outs []chan []T, fail *failure, cancel func() error) error {
-	bw := stream.AsBatchWriter(dst)
-	for i := range outs {
-	shard:
-		for {
-			select {
-			case b, ok := <-outs[i]:
-				if !ok {
-					break shard
-				}
-				if err := bw.WriteBatch(b); err != nil {
-					return err
-				}
-				if cancel != nil {
-					if err := cancel(); err != nil {
-						return err
-					}
-				}
-			case <-fail.done:
-				return fail.get()
-			}
-		}
-	}
-	return nil
-}
-
 // addIO accumulates one shard's I/O accounting into the aggregate.
 func addIO(dst *extsort.IOStats, s extsort.IOStats) {
 	dst.BlocksWritten += s.BlocksWritten
@@ -393,15 +386,4 @@ func addIO(dst *extsort.IOStats, s extsort.IOStats) {
 	dst.RawBytesRead += s.RawBytesRead
 	dst.StoredBytesRead += s.StoredBytesRead
 	dst.VerifyFailures += s.VerifyFailures
-}
-
-// maxOf returns the largest count, or zero for an empty slice.
-func maxOf(counts []int64) int64 {
-	var m int64
-	for _, c := range counts {
-		if c > m {
-			m = c
-		}
-	}
-	return m
 }

@@ -269,11 +269,23 @@ func (f *failReader) Read() (record.Record, error) {
 
 func TestShardedSourceErrorPropagates(t *testing.T) {
 	vals := recordDataset(gen.Random, 4000)
+	fs := vfs.NewMemFS()
 	var out stream.SliceWriter[record.Record]
-	_, err := Sort[record.Record](&failReader{vals: vals}, &out, vfs.NewMemFS(),
+	_, err := Sort[record.Record](&failReader{vals: vals}, &out, fs,
 		shardedCfg(4, 500), recOps())
 	if !errors.Is(err, errSrcBroken) {
 		t.Fatalf("err = %v, want errSrcBroken", err)
+	}
+	assertEmpty(t, fs)
+}
+
+// assertEmpty fails unless a failed non-durable sort left fs empty: every
+// shard, whether it failed, was aborted or had its merge stream open,
+// removes its spill files.
+func assertEmpty(t *testing.T, fs *vfs.MemFS) {
+	t.Helper()
+	if names, _ := fs.Names(); len(names) != 0 {
+		t.Fatalf("leftover temp files after failed sort: %v", names)
 	}
 }
 
@@ -288,15 +300,17 @@ func TestShardedCancel(t *testing.T) {
 		}
 		return nil
 	}
+	fs := vfs.NewMemFS()
 	var out stream.SliceWriter[record.Record]
-	_, err := Sort[record.Record](stream.NewSliceReader(vals), &out, vfs.NewMemFS(), cfg, recOps())
+	_, err := Sort[record.Record](stream.NewSliceReader(vals), &out, fs, cfg, recOps())
 	if !errors.Is(err, errCancelled) {
 		t.Fatalf("err = %v, want errCancelled", err)
 	}
+	assertEmpty(t, fs)
 }
 
 // failWriter fails after accepting a fixed number of elements, exercising
-// the drain error path while shard merges are still producing.
+// the drain error path while later shards are still merging.
 type failWriter struct {
 	n     int
 	limit int
@@ -314,11 +328,13 @@ func (w *failWriter) Write(record.Record) error {
 
 func TestShardedDestinationErrorPropagates(t *testing.T) {
 	vals := recordDataset(gen.Random, 6000)
+	fs := vfs.NewMemFS()
 	_, err := Sort[record.Record](stream.NewSliceReader(vals), &failWriter{limit: 100},
-		vfs.NewMemFS(), shardedCfg(4, 500), recOps())
+		fs, shardedCfg(4, 500), recOps())
 	if !errors.Is(err, errDstBroken) {
 		t.Fatalf("err = %v, want errDstBroken", err)
 	}
+	assertEmpty(t, fs)
 }
 
 // TestShardedSpillHygiene checks that a successful sharded sort leaves the

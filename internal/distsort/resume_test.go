@@ -224,7 +224,7 @@ func TestShardedResumeCommittedShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := newRouter(sample, shards, recOps(), cfg.Extsort.Parallelism)
+	rt, err := newRouter(sample, shards, recOps().Less, cfg.Extsort.Parallelism)
 	if err != nil {
 		t.Fatal(err)
 	}

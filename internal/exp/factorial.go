@@ -73,14 +73,14 @@ func factorialDataset(kind gen.Kind, p Params) (*anova.Dataset, error) {
 // runEmitter returns a fresh in-memory emitter for the run-length
 // experiments, which only count runs and their lengths and never read a run
 // back. Run boundaries do not depend on the backward chain-file length, so
-// the files are sized to about one memory-load of records instead of the
-// thesis' k = 1000 pages: MemFS materialises a backward file at full size,
-// and at the default every descending stream of every run zero-fills ~4 MB
-// (46 s of system time across the 144,000 runs of the tiny factorial).
+// the files are sized by runio.BackwardPages, to about one memory-load of
+// records, instead of the thesis' k = 1000 pages: MemFS materialises a
+// backward file at full size, and at the default every descending stream of
+// every run zero-fills ~4 MB (46 s of system time across the 144,000 runs of
+// the tiny factorial).
 func runEmitter(memory int) *runio.Emitter[record.Record] {
 	em := runio.RecordEmitter(vfs.NewMemFS(), "r")
-	pages := 2*memory*record.Size/runio.DefaultPageSize + 2
-	em.PagesPerFile = min(max(pages, 4), runio.DefaultPagesPerFile)
+	em.PagesPerFile = runio.BackwardPages(memory, record.Size)
 	return em
 }
 

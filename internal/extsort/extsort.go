@@ -46,7 +46,7 @@ type Ops[T any] struct {
 	// KeyedExplicit marks KeyCodec as caller-supplied rather than inferred:
 	// a sampled order disagreement between KeyCodec and Less then fails the
 	// sort instead of silently falling back to the comparator, and the final
-	// merge trusts the codec instead of checking its output (Ops.Keyed).
+	// merge trusts the codec instead of checking its output (Ops.keyed).
 	KeyedExplicit bool
 }
 
@@ -58,18 +58,6 @@ func (o Ops[T]) validate() error {
 		return fmt.Errorf("extsort: Ops.Codec must be set")
 	}
 	return nil
-}
-
-// backwardPages sizes backward chain files to the data a run's descending
-// streams actually carry (about one memory-load of elements each), instead
-// of the thesis' fixed k=1000 pages. Backward files are materialised at
-// full size and written from the tail, so a file far larger than its
-// stream wastes space — and, on the in-memory FS, real zeroed allocation —
-// per run. Streams that outgrow one file simply chain to the next, so this
-// is pure tuning: the format is unchanged.
-func backwardPages(memory, elemBytes int) int {
-	pages := (2*memory*elemBytes+runio.DefaultPageSize-1)/runio.DefaultPageSize + 2
-	return min(max(pages, 4), runio.DefaultPagesPerFile)
 }
 
 // elementBytes estimates the stored size of one element, which converts
@@ -97,8 +85,7 @@ func RecordOps() Ops[record.Record] {
 // within the first few distinct values.
 const keySampleLen = 64
 
-// Keyed decides whether a sort whose input starts with sample runs keyed —
-// the one validation the sort driver and the shard router both apply. It
+// keyed decides whether a sort whose input starts with sample runs keyed. It
 // checks the codec's byte order against the comparator on every pair of
 // the first keySampleLen elements and reports keyed (consistent), fails
 // the sort (explicit codec, inconsistent) or falls back to the comparator
@@ -106,7 +93,7 @@ const keySampleLen = 64
 // over the natural int64 codec). Without a KeyCodec nothing runs keyed. An
 // inferred codec that disagrees only past the sample fails the sort with
 // errInferredKeys instead of misordering it.
-func (o Ops[T]) Keyed(sample []T) (bool, error) {
+func (o Ops[T]) keyed(sample []T) (bool, error) {
 	if o.KeyCodec == nil {
 		return false, nil
 	}
@@ -138,7 +125,7 @@ func (r *RunSet[T]) explainOrder(err error) error {
 }
 
 // applyKeyCodec samples the head of src, arms the emitter when the sort
-// runs keyed (Ops.Keyed) and returns a reader that re-serves the sample.
+// runs keyed (Ops.keyed) and returns a reader that re-serves the sample.
 func applyKeyCodec[T any](src stream.BatchReader[T], em *runio.Emitter[T], ops Ops[T]) (stream.BatchReader[T], bool, error) {
 	if ops.KeyCodec == nil {
 		return src, false, nil
@@ -147,7 +134,7 @@ func applyKeyCodec[T any](src stream.BatchReader[T], em *runio.Emitter[T], ops O
 	if err != nil {
 		return nil, false, err
 	}
-	keyed, err := ops.Keyed(sample)
+	keyed, err := ops.keyed(sample)
 	if err != nil {
 		return nil, false, err
 	}
@@ -425,7 +412,7 @@ func newRunSet[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
 	arena := vfs.NewArena(fs, cfg.Prefix+arenaSuffix, runio.BlockBytes(budget))
 	var (
 		spill vfs.FS = arena
-		pages        = backwardPages(cfg.Memory, ops.elementBytes())
+		pages        = runio.BackwardPages(cfg.Memory, ops.elementBytes())
 	)
 	if cfg.Disk != nil {
 		// The disk model sits above the arena, so it charges the logical

@@ -98,6 +98,18 @@ const DefaultPageSize = 4096
 // pages; the thesis reports 40 MB with its larger pages).
 const DefaultPagesPerFile = 1000
 
+// BackwardPages sizes backward chain files to the data a run's descending
+// streams actually carry (about one memory-load of elements each), instead
+// of the thesis' fixed DefaultPagesPerFile. Backward files are materialised
+// at full size and written from the tail, so a file far larger than its
+// stream wastes space — and, on the in-memory FS, real zeroed allocation —
+// per run. Streams that outgrow one file simply chain to the next, so this
+// is pure tuning: run boundaries and the format are unchanged.
+func BackwardPages(memory, elemBytes int) int {
+	pages := (2*memory*elemBytes+DefaultPageSize-1)/DefaultPageSize + 2
+	return min(max(pages, 4), DefaultPagesPerFile)
+}
+
 // ErrOutOfOrder reports an element written against the run's sort direction,
 // which always means a bug or corruption upstream.
 var ErrOutOfOrder = errors.New("runio: record out of order")

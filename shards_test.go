@@ -1,11 +1,14 @@
 package repro
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 )
 
 // shardDataset builds records whose payload is a pure function of the key,
@@ -79,6 +82,33 @@ func TestWithShardsSingleStream(t *testing.T) {
 		}
 		if stats.Shards != 0 {
 			t.Fatalf("WithShards(%d): Stats.Shards = %d, want 0", shards, stats.Shards)
+		}
+	}
+}
+
+// TestWithShardsProgress checks that a sharded sort reports progress as a
+// single-stream one does: a line per tick naming the phase, partition or
+// merge, and the done line last.
+func TestWithShardsProgress(t *testing.T) {
+	var buf bytes.Buffer
+	s, err := New(func(a, b Record) bool { return a.Key < b.Key },
+		WithMemoryRecords(1<<14), WithShards(2), WithProgress(&buf, 10*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.SortSlice(context.Background(), shardDataset(400_000, 9)); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) < 2 {
+		t.Fatalf("progress output %q, want phase lines and a done line", buf.String())
+	}
+	if last := lines[len(lines)-1]; !strings.Contains(last, ": done in ") {
+		t.Fatalf("last progress line %q, want the done line", last)
+	}
+	for _, l := range lines[:len(lines)-1] {
+		if !strings.Contains(l, " partition ") && !strings.Contains(l, " merge ") {
+			t.Fatalf("progress line %q names neither the partition nor the merge phase", l)
 		}
 	}
 }
