@@ -30,7 +30,7 @@ func benchRunGen(b *testing.B, policy string, kind DatasetKind) {
 	b.SetBytes(int64(len(recs) * record.Size))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := SortSlice(recs, cfg); err != nil {
+		if _, _, err := sortRecords(recs, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -46,7 +46,7 @@ func BenchmarkSortSlice1M(b *testing.B) {
 	b.SetBytes(int64(len(recs) * record.Size))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := SortSlice(recs, cfg); err != nil {
+		if _, _, err := sortRecords(recs, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -110,7 +110,7 @@ func BenchmarkAblationVictimBuffer(b *testing.B) {
 		var runs int
 		for i := 0; i < b.N; i++ {
 			fs := vfs.NewMemFS()
-			res, err := policy.Generate(policy.TwoWayRS, record.NewSliceReader(recs), runio.RecordEmitter(fs, "v"),
+			res, err := policy.Generate(policy.TwoWayRS, stream.NewSliceReader(recs), runio.RecordEmitter(fs, "v"),
 				policy.Config{Memory: 1_000, TWRS: core.Config{
 					Setup: setup, BufferFrac: 0.02,
 					Input: core.InMean, Output: core.OutRandom, Seed: 1,

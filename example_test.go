@@ -190,11 +190,16 @@ func ExampleMergeJoin() {
 	// Output: [{1/103} {2/207} {2/208}] pairs=3
 }
 
-// The classic fixed-record API remains as thin wrappers over
-// Sorter[Record].
-func ExampleSortSlice() {
+// The paper's fixed 16-byte records sort by key under Record.Less, here
+// with the paper's recommended configuration (DefaultConfig: 2WRS, fan-in
+// 10, both auxiliary buffers).
+func ExampleSorter_SortSlice() {
+	s, err := repro.New(repro.Record.Less, repro.WithConfig(repro.DefaultConfig(1000)))
+	if err != nil {
+		panic(err)
+	}
 	recs := []repro.Record{{Key: 9}, {Key: 4}, {Key: 7}}
-	sorted, stats, err := repro.SortSlice(recs, repro.DefaultConfig(1000))
+	sorted, stats, err := s.SortSlice(context.Background(), recs)
 	if err != nil {
 		panic(err)
 	}

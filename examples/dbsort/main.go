@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log"
@@ -68,7 +69,11 @@ func main() {
 		cfg := repro.DefaultConfig(memory)
 		cfg.Policy = alg
 		out.n, out.last, out.sorted = 0, 0, true
-		stats, err := repro.Sort(&scanInAOrder{rows: rows}, &out, cfg)
+		s, err := repro.New(repro.Record.Less, repro.WithConfig(cfg))
+		if err != nil {
+			log.Fatal(err)
+		}
+		stats, err := s.Sort(context.Background(), &scanInAOrder{rows: rows}, &out)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,41 +1,26 @@
-// Quickstart: sort a file of records that does not fit in the configured
-// memory budget, using the paper's recommended 2WRS configuration, and
-// print the run-generation statistics that make 2WRS interesting.
+// Quickstart: sort a dataset that does not fit in the configured memory
+// budget, using the paper's recommended 2WRS configuration, and print the
+// run-generation statistics that make 2WRS interesting.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
-	"os"
-	"path/filepath"
 
 	"repro"
 )
 
 func main() {
-	dir, err := os.MkdirTemp("", "twrs-quickstart")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer os.RemoveAll(dir)
-
 	// One million records of a "mixed" stream — an ascending trend
 	// interleaved with a descending one, the workload databases produce
 	// when scanning anticorrelated columns — sorted with memory for only
-	// 10k records (1% of the input).
+	// 10k records (1% of the input). The runs spill to process memory;
+	// set cfg.TempDir to spill them to files instead.
 	const n, memory = 1_000_000, 10_000
-	in := filepath.Join(dir, "input.rec")
-	out := filepath.Join(dir, "sorted.rec")
-	if err := repro.WriteFile(in, repro.Dataset(repro.DatasetMixedBalanced, n, 42)); err != nil {
-		log.Fatal(err)
-	}
-
+	recs := repro.Dataset(repro.DatasetMixedBalanced, n, 42)
 	cfg := repro.DefaultConfig(memory)
-	cfg.TempDir = filepath.Join(dir, "tmp")
-	stats, err := repro.SortFile(in, out, cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
+	stats := sortRecords(recs, cfg)
 
 	fmt.Printf("sorted %d records with memory for %d (%.1f%% of input)\n",
 		stats.Records, memory, 100*float64(memory)/float64(n))
@@ -49,12 +34,22 @@ func main() {
 
 	// Compare with classic replacement selection on the same input.
 	cfg.Policy = "rs"
-	rsStats, err := repro.SortFile(in, filepath.Join(dir, "sorted-rs.rec"), cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
+	rsStats := sortRecords(recs, cfg)
 	fmt.Printf("\nclassic RS on the same input: %d runs (%.2fx memory), %d merge passes\n",
 		rsStats.Runs, rsStats.AvgRunLength/float64(memory), rsStats.MergePasses)
 	fmt.Printf("2WRS generated %.1fx longer runs\n",
 		stats.AvgRunLength/rsStats.AvgRunLength)
+}
+
+// sortRecords sorts recs by key under cfg and returns the statistics.
+func sortRecords(recs []repro.Record, cfg repro.Config) repro.Stats {
+	s, err := repro.New(repro.Record.Less, repro.WithConfig(cfg))
+	if err != nil {
+		log.Fatal(err)
+	}
+	_, stats, err := s.SortSlice(context.Background(), recs)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return stats
 }

@@ -12,7 +12,7 @@ import (
 )
 
 func TestInputBufferPassThrough(t *testing.T) {
-	src := record.NewSliceReader(record.FromKeys(3, 1, 2))
+	src := stream.NewSliceReader(record.FromKeys(3, 1, 2))
 	b := newInputBuffer(src, 0, 64, record.Key, false, record.Less)
 	err := b.fill()
 	if err != nil {
@@ -44,7 +44,7 @@ func TestInputBufferPassThrough(t *testing.T) {
 }
 
 func TestInputBufferFIFOOrder(t *testing.T) {
-	src := record.NewSliceReader(record.FromKeys(10, 20, 30, 40, 50))
+	src := stream.NewSliceReader(record.FromKeys(10, 20, 30, 40, 50))
 	b := newInputBuffer(src, 3, 64, record.Key, false, record.Less)
 	err := b.fill()
 	if err != nil {
@@ -77,7 +77,7 @@ func TestInputBufferFIFOOrder(t *testing.T) {
 }
 
 func TestInputBufferMedianTracking(t *testing.T) {
-	src := record.NewSliceReader(record.FromKeys(5, 1, 9, 3, 7))
+	src := stream.NewSliceReader(record.FromKeys(5, 1, 9, 3, 7))
 	b := newInputBuffer(src, 3, 64, record.Key, true, record.Less)
 	err := b.fill()
 	if err != nil {
@@ -98,7 +98,7 @@ func TestInputBufferMedianTracking(t *testing.T) {
 }
 
 func TestInputBufferShorterThanCapacity(t *testing.T) {
-	src := record.NewSliceReader(record.FromKeys(1, 2))
+	src := stream.NewSliceReader(record.FromKeys(1, 2))
 	b := newInputBuffer(src, 10, 64, record.Key, false, record.Less)
 	err := b.fill()
 	if err != nil {
@@ -121,7 +121,7 @@ func TestInputBufferShorterThanCapacity(t *testing.T) {
 }
 
 func TestInputBufferEmptySource(t *testing.T) {
-	b := newInputBuffer(record.NewSliceReader(nil), 4, 64, record.Key, true, record.Less)
+	b := newInputBuffer(stream.NewSliceReader[record.Record](nil), 4, 64, record.Key, true, record.Less)
 	err := b.fill()
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +150,7 @@ func TestInputBufferMedianProperty(t *testing.T) {
 			input[i] = record.Record{Key: int64(rng.Intn(distinct)), Aux: uint64(i)}
 		}
 		capacity := 1 + rng.Intn(40)
-		b := newInputBuffer(record.NewSliceReader(input), capacity, 64, nil, true, record.Less)
+		b := newInputBuffer(stream.NewSliceReader(input), capacity, 64, nil, true, record.Less)
 		var live []record.Record
 		pos := 0
 		fill := func() {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/record"
 	"repro/internal/runio"
+	"repro/internal/stream"
 	"repro/internal/vfs"
 )
 
@@ -30,7 +31,7 @@ func TestQuickArbitraryInputsProduceValidRuns(t *testing.T) {
 		em := runio.RecordEmitter(fs, "q")
 		em.PageSize = 64
 		em.PagesPerFile = 4
-		res, err := generate(record.NewSliceReader(recs), em, cfg, record.Key)
+		res, err := generate(stream.NewSliceReader(recs), em, cfg, record.Key)
 		if err != nil {
 			t.Logf("generate failed: %v", err)
 			return false

@@ -6,6 +6,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/record"
 	"repro/internal/runio"
+	"repro/internal/stream"
 	"repro/internal/vfs"
 )
 
@@ -13,7 +14,7 @@ import (
 func ratioFor(t *testing.T, recs []record.Record, cfg Config) float64 {
 	t.Helper()
 	fs := vfs.NewMemFS()
-	res, err := generate(record.NewSliceReader(recs), runio.RecordEmitter(fs, "t"), cfg, record.Key)
+	res, err := generate(stream.NewSliceReader(recs), runio.RecordEmitter(fs, "t"), cfg, record.Key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestOverlapRunsMergeCleanly(t *testing.T) {
 	const n, m = 10000, 200
 	recs := gen.Generate(gen.Config{Kind: gen.Random, N: n, Seed: 3})
 	fs := vfs.NewMemFS()
-	res, err := generate(record.NewSliceReader(recs), runio.RecordEmitter(fs, "t"),
+	res, err := generate(stream.NewSliceReader(recs), runio.RecordEmitter(fs, "t"),
 		cfgFor(m, BothBuffers, 0.02, InRandom, OutRandom), record.Key)
 	if err != nil {
 		t.Fatal(err)

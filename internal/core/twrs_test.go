@@ -53,7 +53,7 @@ func generate(src stream.BatchReader[record.Record], em *runio.Emitter[record.Re
 // from recs with a heap of memory records.
 func rsRuns(t *testing.T, recs []record.Record, memory int) []runio.Run {
 	t.Helper()
-	s, err := rs.NewStepper(record.NewSliceReader(recs), runio.RecordEmitter(vfs.NewMemFS(), "rs"), memory, false, false)
+	s, err := rs.NewStepper(stream.NewSliceReader(recs), runio.RecordEmitter(vfs.NewMemFS(), "rs"), memory, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func runTWRS(t *testing.T, recs []record.Record, cfg Config) (result, vfs.FS) {
 	em := runio.RecordEmitter(fs, "t")
 	em.PageSize = 64
 	em.PagesPerFile = 8
-	res, err := generate(record.NewSliceReader(recs), em, cfg, record.Key)
+	res, err := generate(stream.NewSliceReader(recs), em, cfg, record.Key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +449,7 @@ func TestParseHeuristics(t *testing.T) {
 }
 
 func TestInvalidMemoryRejected(t *testing.T) {
-	_, err := generate(record.NewSliceReader(nil), runio.RecordEmitter(vfs.NewMemFS(), "t"),
+	_, err := generate(stream.NewSliceReader[record.Record](nil), runio.RecordEmitter(vfs.NewMemFS(), "t"),
 		Config{Memory: 0}, record.Key)
 	if err == nil {
 		t.Fatal("memory 0 should be rejected")

@@ -267,6 +267,7 @@ func (sh *shard[T]) finish(dst stream.Writer[T], fail *failure, cancel func() er
 	err := fail.get()
 	if err == nil {
 		_, err = stream.CopyCancel[T](dst, reported[T]{sh.st, rep}, cancel)
+		err = sh.rset.ExplainOrder(err)
 	}
 	if sh.st != nil {
 		if cerr := sh.st.Close(); err == nil {

@@ -3,7 +3,6 @@ package exp
 import (
 	"cmp"
 	"fmt"
-	"io"
 	"slices"
 	"time"
 
@@ -208,11 +207,7 @@ func BestFanIn(pts []FanInPoint) int {
 func makeSortedRuns(em *runio.Emitter[record.Record], n, length int) ([]runio.Run, error) {
 	var runs []runio.Run
 	for i := 0; i < n; i++ {
-		g := gen.New(gen.Config{Kind: gen.Random, N: length, Seed: int64(i + 1)})
-		recs, err := record.ReadAll(g)
-		if err != nil && err != io.EOF {
-			return nil, err
-		}
+		recs := gen.Generate(gen.Config{Kind: gen.Random, N: length, Seed: int64(i + 1)})
 		// Sort in memory: these runs model the output of a previous run
 		// generation phase.
 		slices.SortFunc(recs, func(a, b record.Record) int { return cmp.Compare(a.Key, b.Key) })
@@ -220,7 +215,7 @@ func makeSortedRuns(em *runio.Emitter[record.Record], n, length int) ([]runio.Ru
 		if err != nil {
 			return nil, err
 		}
-		if err := record.WriteAll(w, recs); err != nil {
+		if err := w.WriteBatch(recs); err != nil {
 			return nil, err
 		}
 		if err := w.Close(); err != nil {

@@ -16,6 +16,7 @@ import (
 	"repro/internal/record"
 	"repro/internal/runio"
 	"repro/internal/storage"
+	"repro/internal/stream"
 	"repro/internal/vfs"
 	"repro/internal/vfs/faultfs"
 )
@@ -163,8 +164,8 @@ func TestSpillFilesAsRemoved(t *testing.T) {
 				fs := vfs.NewMemFS()
 				cfg := Config{Policy: policy.Quick, Memory: memory, FanIn: 4, Parallelism: par,
 					Storage: storage.Config{Compression: comp}}
-				var out record.SliceWriter
-				stats, err := Sort(record.NewSliceReader(recs), &out, fs, cfg, RecordOps())
+				var out stream.SliceWriter[record.Record]
+				stats, err := Sort(stream.NewSliceReader(recs), &out, fs, cfg, RecordOps())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -207,8 +208,8 @@ func TestSortCreatesOneFile(t *testing.T) {
 				if simulated {
 					cfg.Disk = iosim.NewDisk(iosim.Defaults2010())
 				}
-				var out record.SliceWriter
-				stats, err := Sort(record.NewSliceReader(recs), &out, fs, cfg, RecordOps())
+				var out stream.SliceWriter[record.Record]
+				stats, err := Sort(stream.NewSliceReader(recs), &out, fs, cfg, RecordOps())
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -47,7 +47,7 @@ func TestDurableMatchesPlain(t *testing.T) {
 					for i, durable := range []bool{false, true} {
 						cfg.Manifest = durable
 						fs := vfs.NewMemFS()
-						rset, err := GenerateRuns(record.NewSliceReader(recs), fs, cfg, ops)
+						rset, err := GenerateRuns(stream.NewSliceReader(recs), fs, cfg, ops)
 						if err != nil {
 							t.Fatalf("durable=%v: %v", durable, err)
 						}
@@ -88,7 +88,7 @@ func TestDurableBoundaryAllocs(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		rset, err := GenerateRuns(record.NewSliceReader(recs), discardFS{}, cfg, RecordOps())
+		rset, err := GenerateRuns(stream.NewSliceReader(recs), discardFS{}, cfg, RecordOps())
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)

@@ -45,8 +45,7 @@ type Ops[T any] struct {
 	KeyCodec codec.KeyCodec[T]
 	// KeyedExplicit marks KeyCodec as caller-supplied rather than inferred:
 	// a sampled order disagreement between KeyCodec and Less then fails the
-	// sort instead of silently falling back to the comparator, and the final
-	// merge trusts the codec instead of checking its output (Ops.keyed).
+	// sort instead of silently falling back to the comparator (Ops.keyed).
 	KeyedExplicit bool
 }
 
@@ -70,10 +69,10 @@ func (o Ops[T]) elementBytes() int {
 	return 32
 }
 
-// RecordOps returns the Ops for the historical fixed 16-byte Record
-// streams, the instantiation every legacy caller uses. The key codec is
-// inferred — record.Less is the natural int64 order on Key — so legacy
-// Record sorts run keyed automatically.
+// RecordOps returns the Ops for the paper's fixed 16-byte Record streams,
+// the ones New infers for Sorter[Record] and the experiments use directly.
+// record.Less is the natural int64 order on Key, so Record sorts run keyed
+// on the inferred key codec.
 func RecordOps() Ops[record.Record] {
 	return Ops[record.Record]{Less: record.Less, Codec: codec.Record16{}, Key: record.Key, KeyCodec: codec.KeyRecord16{}}
 }
@@ -90,9 +89,9 @@ const keySampleLen = 64
 // the first keySampleLen elements and reports keyed (consistent), fails
 // the sort (explicit codec, inconsistent) or falls back to the comparator
 // silently (inferred codec, inconsistent — e.g. a descending comparator
-// over the natural int64 codec). Without a KeyCodec nothing runs keyed. An
-// inferred codec that disagrees only past the sample fails the sort with
-// errInferredKeys instead of misordering it.
+// over the natural int64 codec). Without a KeyCodec nothing runs keyed. A
+// codec of either kind that disagrees only past the sample fails the sort
+// with errKeyOrder instead of misordering it.
 func (o Ops[T]) keyed(sample []T) (bool, error) {
 	if o.KeyCodec == nil {
 		return false, nil
@@ -109,17 +108,18 @@ func (o Ops[T]) keyed(sample []T) (bool, error) {
 	return true, nil
 }
 
-// errInferredKeys explains a misordered sort that ran keyed on an inferred
-// key codec: the codec passed the sampled check but orders later elements
+// errKeyOrder explains a misordered sort that ran keyed: the key codec,
+// inferred or supplied, passed the sampled check but orders later elements
 // differently from the comparator.
-var errInferredKeys = errors.New("the inferred key codec disagrees with the comparator past the sampled prefix of the input; sort with WithoutKeys")
+var errKeyOrder = errors.New("the key codec disagrees with the comparator past the sampled prefix of the input; sort with WithoutKeys")
 
-// explainOrder wraps a run-order failure of a sort keyed on an inferred
-// codec — a run writer's, in generation or an intermediate merge — in
-// errInferredKeys, and returns every other error as it is.
-func (r *RunSet[T]) explainOrder(err error) error {
-	if r.em.KeyCodec != nil && !r.ops.KeyedExplicit && errors.Is(err, runio.ErrOutOfOrder) && !errors.Is(err, errInferredKeys) {
-		return fmt.Errorf("%w: %w", err, errInferredKeys)
+// ExplainOrder wraps an order failure of a keyed sort — a run writer's, in
+// generation or an intermediate merge, or the final merge's — in
+// errKeyOrder, and returns every other error as it is. A caller draining
+// OpenMerged's stream passes the stream's errors through it.
+func (r *RunSet[T]) ExplainOrder(err error) error {
+	if r.em.KeyCodec != nil && errors.Is(err, runio.ErrOutOfOrder) && !errors.Is(err, errKeyOrder) {
+		return fmt.Errorf("%w: %w", err, errKeyOrder)
 	}
 	return err
 }
@@ -271,13 +271,15 @@ func (c Config) Resolved() Config {
 type Stats struct {
 	// Records is the number of records sorted.
 	Records int64
-	// Runs is the number of runs generated; AvgRunLength is Records/Runs.
-	Runs         int
+	// Runs is the number of runs generated.
+	Runs int
+	// AvgRunLength is Records/Runs.
 	AvgRunLength float64
 	// Policy names the run-generation policy that ran ("2wrs", "rs",
-	// "alternating", "quick", "auto"). PolicySwitches counts the mid-stream
-	// generator changes the auto policy made (0 for every fixed policy).
-	Policy         string
+	// "alternating", "quick", "auto").
+	Policy string
+	// PolicySwitches counts the mid-stream generator changes the auto
+	// policy made (0 for every fixed policy).
 	PolicySwitches int
 	// RunsRecovered is the number of runs a resumed sort recovered intact
 	// from a durable manifest instead of regenerating (0 for fresh sorts).
@@ -297,10 +299,12 @@ type Stats struct {
 	// their streams merge separately: such a run is still one input of the
 	// merge plan, and opens as one leaf per stream of the merge that reads it.
 	OverlapRuns int64
-	// MergeInputs, MergePasses and MergeOps describe the merge phase.
+	// MergeInputs is the number of runs the merge phase started from.
 	MergeInputs int
+	// MergePasses is the depth of the merge tree (merge.Stats.Passes).
 	MergePasses int
-	MergeOps    int
+	// MergeOps is the number of k-way merge operations (merge.Stats.Merges).
+	MergeOps int
 	// Storage describes the spill backend that ran (e.g. "raw",
 	// "block(flate)"); IO is its byte-level accounting — raw versus stored
 	// bytes moved, block counts and checksum verification failures. IO
@@ -486,7 +490,7 @@ func (r *RunSet[T]) generate(src stream.BatchReader[T], recovered []manifest.Run
 		obs.Str("policy", cfg.Policy.String()), obs.Bool("keyed", keyed), obs.Bool("durable", durable))
 	var rsp *obs.Span // the replay of a resumed pass, while it lasts
 	fail := func(err error) (*RunSet[T], error) {
-		err = r.explainOrder(err)
+		err = r.ExplainOrder(err)
 		rsp.End(obs.Str("error", err.Error()))
 		gsp.End(obs.Str("error", err.Error()))
 		if !durable {
@@ -652,9 +656,6 @@ func (r *RunSet[T]) mergeConfig() (merge.Config, func()) {
 		Workers:     r.cfg.Parallelism,
 		Cancel:      r.cfg.Cancel,
 	}
-	if r.em.KeyCodec != nil && !r.ops.KeyedExplicit {
-		mc.OrderErr = errInferredKeys
-	}
 	end := func() {}
 	if o := r.o; o != nil {
 		sp := o.tracer().Start("merge", obs.Int("inputs", int64(len(r.runs))))
@@ -695,7 +696,7 @@ func (r *RunSet[T]) OpenMerged() (*merge.Stream[T], error) {
 		end()
 		r.spill.Close()
 	}
-	return st, r.explainOrder(err)
+	return st, r.ExplainOrder(err)
 }
 
 // Merge completes the sort: it merges the run set into dst and returns the
@@ -708,7 +709,7 @@ func (r *RunSet[T]) Merge(dst stream.Writer[T]) (Stats, error) {
 	if err != nil {
 		r.stats.IO = r.store.Stats()
 		r.spill.Close()
-		return r.stats, r.explainOrder(err)
+		return r.stats, r.ExplainOrder(err)
 	}
 	wall := time.Since(wallStart)
 	r.stats.MergeInputs = ms.Inputs

@@ -66,7 +66,7 @@ func TestSortSmallFanIn(t *testing.T) {
 // HeapMerger beside internal/merge's tests.)
 func TestSortHeapEngine(t *testing.T) {
 	recs := gen.Generate(gen.Config{Kind: gen.Random, N: 5000, Seed: 2})
-	rset, err := GenerateRuns(record.NewSliceReader(recs), vfs.NewMemFS(), Recommended(100), RecordOps())
+	rset, err := GenerateRuns(stream.NewSliceReader(recs), vfs.NewMemFS(), Recommended(100), RecordOps())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestSortHeapEngine(t *testing.T) {
 	if err := hm.Close(); err != nil {
 		t.Fatal(err)
 	}
-	var out record.SliceWriter
+	var out stream.SliceWriter[record.Record]
 	if _, err := rset.Merge(&out); err != nil {
 		t.Fatal(err)
 	}
@@ -129,8 +129,8 @@ func TestSortRejectsBadConfig(t *testing.T) {
 func TestSortCleansUpTempFiles(t *testing.T) {
 	recs := gen.Generate(gen.Config{Kind: gen.Random, N: 5000, Seed: 4})
 	fs := vfs.NewMemFS()
-	var out record.SliceWriter
-	if _, err := Sort(record.NewSliceReader(recs), &out, fs, Recommended(100), RecordOps()); err != nil {
+	var out stream.SliceWriter[record.Record]
+	if _, err := Sort(stream.NewSliceReader(recs), &out, fs, Recommended(100), RecordOps()); err != nil {
 		t.Fatal(err)
 	}
 	names, _ := fs.Names()
@@ -144,12 +144,12 @@ func TestSortWithSimulatedDisk(t *testing.T) {
 	disk := iosim.NewDisk(iosim.Defaults2010())
 	cfg := Recommended(200)
 	cfg.Disk = disk
-	rset, err := GenerateRuns(record.NewSliceReader(recs), vfs.NewMemFS(), cfg, RecordOps())
+	rset, err := GenerateRuns(stream.NewSliceReader(recs), vfs.NewMemFS(), cfg, RecordOps())
 	if err != nil {
 		t.Fatal(err)
 	}
 	genT := disk.Elapsed()
-	var out record.SliceWriter
+	var out stream.SliceWriter[record.Record]
 	if _, err := rset.Merge(&out); err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestGenerateRunsBoundary(t *testing.T) {
 	recs := gen.Generate(gen.Config{Kind: gen.Random, N: 20_000, Seed: 3, Noise: 1000})
 	mk := func() (*RunSet[record.Record], vfs.FS) {
 		fs := vfs.NewMemFS()
-		rset, err := GenerateRuns[record.Record](record.NewSliceReader(recs), fs, Recommended(512), RecordOps())
+		rset, err := GenerateRuns[record.Record](stream.NewSliceReader(recs), fs, Recommended(512), RecordOps())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +247,7 @@ func TestGenerateRunsBoundary(t *testing.T) {
 
 	// Merge completes the sort with full two-phase stats.
 	rset, fs = mk()
-	var out record.SliceWriter
+	var out stream.SliceWriter[record.Record]
 	st, err = rset.Merge(&out)
 	if err != nil {
 		t.Fatal(err)
@@ -280,11 +280,11 @@ func TestSortEqualsGenerateRunsPlusMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rset, err := GenerateRuns[record.Record](record.NewSliceReader(recs), vfs.NewMemFS(), cfg, RecordOps())
+	rset, err := GenerateRuns[record.Record](stream.NewSliceReader(recs), vfs.NewMemFS(), cfg, RecordOps())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out record.SliceWriter
+	var out stream.SliceWriter[record.Record]
 	cstats, err := rset.Merge(&out)
 	if err != nil {
 		t.Fatal(err)

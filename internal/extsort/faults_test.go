@@ -10,6 +10,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/record"
 	"repro/internal/storage"
+	"repro/internal/stream"
 	"repro/internal/vfs"
 	"repro/internal/vfs/faultfs"
 )
@@ -46,8 +47,8 @@ func TestSortSurfacesWriteFailures(t *testing.T) {
 	for _, budget := range []int64{0, 1, 5, 50, 120} {
 		fs := faultfs.New(vfs.NewMemFS(), faultfs.Options{})
 		fs.Fail(faultfs.Write, budget+1)
-		var out record.SliceWriter
-		_, err := Sort(record.NewSliceReader(recs), &out, fs, Recommended(200), RecordOps())
+		var out stream.SliceWriter[record.Record]
+		_, err := Sort(stream.NewSliceReader(recs), &out, fs, Recommended(200), RecordOps())
 		if !errors.Is(err, faultfs.ErrInjected) {
 			t.Fatalf("budget %d: error = %v, want injected failure", budget, err)
 		}
@@ -60,15 +61,15 @@ func TestSortSucceedsWithExactBudget(t *testing.T) {
 	// verify the sort succeeds with exactly that budget (no off-by-one
 	// retries).
 	s := aboveArena(t)
-	var out record.SliceWriter
-	if _, err := Sort(record.NewSliceReader(recs), &out, vfs.NewMemFS(), Recommended(200), RecordOps()); err != nil {
+	var out stream.SliceWriter[record.Record]
+	if _, err := Sort(stream.NewSliceReader(recs), &out, vfs.NewMemFS(), Recommended(200), RecordOps()); err != nil {
 		t.Fatal(err)
 	}
 	used := s.fs.Calls(faultfs.Write)
 
 	s.arm = func(fs *faultfs.FS) { fs.Fail(faultfs.Write, used+1) }
-	var out2 record.SliceWriter
-	if _, err := Sort(record.NewSliceReader(recs), &out2, vfs.NewMemFS(), Recommended(200), RecordOps()); err != nil {
+	var out2 stream.SliceWriter[record.Record]
+	if _, err := Sort(stream.NewSliceReader(recs), &out2, vfs.NewMemFS(), Recommended(200), RecordOps()); err != nil {
 		t.Fatalf("sort with exact write budget %d failed: %v", used, err)
 	}
 	if !record.IsSorted(out2.Vals) || len(out2.Vals) != len(recs) {
@@ -110,8 +111,8 @@ func TestSortSurfacesEveryFileFault(t *testing.T) {
 				// How many calls of op a clean sort makes, then every
 				// failure point up to it (every few, for writes).
 				s.arm = func(*faultfs.FS) {}
-				var out record.SliceWriter
-				if _, err := Sort(record.NewSliceReader(recs), &out, vfs.NewMemFS(), cfg, RecordOps()); err != nil {
+				var out stream.SliceWriter[record.Record]
+				if _, err := Sort(stream.NewSliceReader(recs), &out, vfs.NewMemFS(), cfg, RecordOps()); err != nil {
 					t.Fatal(err)
 				}
 				calls := s.fs.Calls(op.op)
@@ -124,8 +125,8 @@ func TestSortSurfacesEveryFileFault(t *testing.T) {
 					name := fmt.Sprintf("%s/parallelism=%d/%s=%d", comp, par, op.name, budget)
 					mem := vfs.NewMemFS()
 					s.arm = func(fs *faultfs.FS) { fs.Fail(op.op, budget+1) }
-					var out record.SliceWriter
-					_, err := Sort(record.NewSliceReader(recs), &out, mem, cfg, RecordOps())
+					var out stream.SliceWriter[record.Record]
+					_, err := Sort(stream.NewSliceReader(recs), &out, mem, cfg, RecordOps())
 					if !errors.Is(err, faultfs.ErrInjected) {
 						t.Fatalf("%s: error = %v, want the injected failure", name, err)
 					}

@@ -73,7 +73,7 @@ func TestRunFileLayoutGolden(t *testing.T) {
 			Setup: core.BothBuffers, BufferFrac: 0.02,
 			Input: core.InMean, Output: core.OutRandom, Seed: 11,
 		}}
-		if _, err = policy.Generate[record.Record](alg, record.NewSliceReader(recs), em, pcfg, record.Key); err != nil {
+		if _, err = policy.Generate[record.Record](alg, stream.NewSliceReader(recs), em, pcfg, record.Key); err != nil {
 			t.Fatal(err)
 		}
 		names, err := fs.Names()

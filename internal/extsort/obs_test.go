@@ -9,6 +9,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/record"
 	"repro/internal/storage"
+	"repro/internal/stream"
 	"repro/internal/vfs"
 )
 
@@ -26,8 +27,8 @@ func TestSpillSpansSumToStats(t *testing.T) {
 				tr := obs.New()
 				cfg := Config{Policy: kind, Memory: 500, FanIn: 3, Parallelism: par, Trace: tr,
 					Storage: storage.Config{Compression: comp}}
-				var out record.SliceWriter
-				stats, err := Sort(record.NewSliceReader(recs), &out, vfs.NewMemFS(), cfg, RecordOps())
+				var out stream.SliceWriter[record.Record]
+				stats, err := Sort(stream.NewSliceReader(recs), &out, vfs.NewMemFS(), cfg, RecordOps())
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}

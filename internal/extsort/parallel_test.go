@@ -12,6 +12,7 @@ import (
 	"repro/internal/record"
 	"repro/internal/runio"
 	"repro/internal/storage"
+	"repro/internal/stream"
 	"repro/internal/vfs"
 	"repro/internal/vfs/faultfs"
 )
@@ -75,7 +76,7 @@ func TestRunFilesByteIdenticalAsync(t *testing.T) {
 		if alg == policy.Quick {
 			pcfg.Memory = 1500
 		}
-		if _, err = policy.Generate[record.Record](alg, record.NewSliceReader(recs), em, pcfg, record.Key); err != nil {
+		if _, err = policy.Generate[record.Record](alg, stream.NewSliceReader(recs), em, pcfg, record.Key); err != nil {
 			t.Fatal(err)
 		}
 		return fsFingerprint(t, fs)
@@ -155,8 +156,8 @@ func TestSortParallelWriteFailure(t *testing.T) {
 		fs.Fail(faultfs.Write, budget+1)
 		cfg := Recommended(200)
 		cfg.Parallelism = 4
-		var out record.SliceWriter
-		_, err := Sort(record.NewSliceReader(recs), &out, fs, cfg, RecordOps())
+		var out stream.SliceWriter[record.Record]
+		_, err := Sort(stream.NewSliceReader(recs), &out, fs, cfg, RecordOps())
 		if err == nil {
 			t.Fatalf("budget %d: parallel sort swallowed the injected failure", budget)
 		}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/policy"
 	"repro/internal/record"
+	"repro/internal/stream"
 	"repro/internal/vfs"
 )
 
@@ -19,7 +20,7 @@ func TestRunSetRecordsPolicies(t *testing.T) {
 		{Policy: policy.Quick, Memory: m},
 		{Memory: m}, // the zero Kind: 2wrs
 	} {
-		rset, err := GenerateRuns(record.NewSliceReader(recs), vfs.NewMemFS(), cfg, RecordOps())
+		rset, err := GenerateRuns(stream.NewSliceReader(recs), vfs.NewMemFS(), cfg, RecordOps())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/record"
 	"repro/internal/storage"
+	"repro/internal/stream"
 	"repro/internal/vfs"
 )
 
@@ -44,8 +45,8 @@ func TestSortAcrossStorageBackends(t *testing.T) {
 			fs := vfs.NewMemFS()
 			cfg := Recommended(500)
 			cfg.Storage = storage.Config{Compression: comp}
-			var out record.SliceWriter
-			stats, err := Sort(record.NewSliceReader(recs), &out, fs, cfg, RecordOps())
+			var out stream.SliceWriter[record.Record]
+			stats, err := Sort(stream.NewSliceReader(recs), &out, fs, cfg, RecordOps())
 			if comp == "gzip" {
 				if names, _ := fs.Names(); err == nil || len(names) != 0 {
 					t.Fatalf("retired compression: err = %v, files %v; want it refused up front", err, names)
@@ -110,7 +111,7 @@ func TestCorruptSpillSurfacesChecksumError(t *testing.T) {
 			cfg.Policy = policy.RS
 			cfg.Storage.Compression = tc.comp
 			recs := dupHeavy(20000)
-			rset, err := GenerateRuns(record.NewSliceReader(recs), fs, cfg, RecordOps())
+			rset, err := GenerateRuns(stream.NewSliceReader(recs), fs, cfg, RecordOps())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,7 +133,7 @@ func TestCorruptSpillSurfacesChecksumError(t *testing.T) {
 			}
 			f.Close()
 
-			var out record.SliceWriter
+			var out stream.SliceWriter[record.Record]
 			_, err = rset.Merge(&out)
 			if err == nil {
 				t.Fatal("merge of corrupted spill data succeeded")
@@ -178,7 +179,7 @@ func TestNoSpillLeaksOnErrors(t *testing.T) {
 			fs := vfs.NewMemFS()
 			cfg := Recommended(300)
 			cfg.Storage = storage.Config{Compression: comp}
-			var out record.SliceWriter
+			var out stream.SliceWriter[record.Record]
 			_, err := Sort(&failAfterReader{recs: recs}, &out, fs, cfg, RecordOps())
 			if !errors.Is(err, errMidStream) {
 				t.Fatalf("error = %v, want injected failure", err)
@@ -199,8 +200,8 @@ func TestNoSpillLeaksOnErrors(t *testing.T) {
 				}
 				return nil
 			}
-			var out record.SliceWriter
-			_, err := Sort(record.NewSliceReader(recs), &out, fs, cfg, RecordOps())
+			var out stream.SliceWriter[record.Record]
+			_, err := Sort(stream.NewSliceReader(recs), &out, fs, cfg, RecordOps())
 			if !errors.Is(err, errMidStream) {
 				t.Fatalf("error = %v, want injected cancellation", err)
 			}
@@ -220,7 +221,7 @@ func TestDiscardSweepsAllBackends(t *testing.T) {
 			fs := vfs.NewMemFS()
 			cfg := Recommended(300)
 			cfg.Storage = storage.Config{Compression: comp}
-			rset, err := GenerateRuns(record.NewSliceReader(recs), fs, cfg, RecordOps())
+			rset, err := GenerateRuns(stream.NewSliceReader(recs), fs, cfg, RecordOps())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -244,7 +245,7 @@ func TestStatsIOCoversBothPhases(t *testing.T) {
 	cfg := Recommended(300)
 	cfg.Storage.Compression = "flate"
 	recs := dupHeavy(20000)
-	rset, err := GenerateRuns(record.NewSliceReader(recs), fs, cfg, RecordOps())
+	rset, err := GenerateRuns(stream.NewSliceReader(recs), fs, cfg, RecordOps())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +253,7 @@ func TestStatsIOCoversBothPhases(t *testing.T) {
 	if genIO.RawBytesWritten == 0 || genIO.RawBytesRead != 0 {
 		t.Fatalf("after generation: %+v", genIO)
 	}
-	var out record.SliceWriter
+	var out stream.SliceWriter[record.Record]
 	stats, err := rset.Merge(&out)
 	if err != nil {
 		t.Fatal(err)
@@ -282,7 +283,7 @@ func TestDiscardSparesUnrelatedFiles(t *testing.T) {
 	}
 	cfg := Recommended(300)
 	cfg.Storage.Compression = "flate"
-	var out record.SliceWriter
+	var out stream.SliceWriter[record.Record]
 	_, err := Sort(&failAfterReader{recs: dupHeavy(20000)}, &out, fs, cfg, RecordOps())
 	if !errors.Is(err, errMidStream) {
 		t.Fatalf("error = %v, want injected failure", err)

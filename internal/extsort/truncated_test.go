@@ -80,7 +80,7 @@ func TestTruncatedRunFailsMerge(t *testing.T) {
 			cfg := Recommended(1000)
 			cfg.Policy, cfg.Parallelism, cfg.FanIn = tc.kind, par, 4
 			fs := vfs.NewMemFS()
-			rset, err := GenerateRuns(record.NewSliceReader(recs), fs, cfg, RecordOps())
+			rset, err := GenerateRuns(stream.NewSliceReader(recs), fs, cfg, RecordOps())
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -104,7 +104,7 @@ func TestTruncatedRunFailsMerge(t *testing.T) {
 	fs := vfs.NewMemFS()
 	cfg := Recommended(1000)
 	cfg.Policy = policy.Quick
-	rset, err := GenerateRuns(record.NewSliceReader(recs[:5000]), fs, cfg, RecordOps())
+	rset, err := GenerateRuns(stream.NewSliceReader(recs[:5000]), fs, cfg, RecordOps())
 	if err != nil {
 		t.Fatal(err)
 	}

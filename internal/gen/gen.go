@@ -2,11 +2,11 @@
 // thesis: sorted, reverse sorted, alternating, random, mixed balanced and
 // mixed imbalanced.
 //
-// Generators are streaming (record.Reader) so experiments never need the
-// whole input in memory, and deterministic given a seed. As in §5.2, a
-// uniformly distributed value in [1, Noise] can be added to every key to
-// give replicated ANOVA executions their variance; keys are spread by a
-// Step factor first so the noise does not change the macro shape.
+// Generators are streaming (stream.Reader[record.Record]) so experiments
+// never need the whole input in memory, and deterministic given a seed. As
+// in §5.2, a uniformly distributed value in [1, Noise] can be added to every
+// key to give replicated ANOVA executions their variance; keys are spread by
+// a Step factor first so the noise does not change the macro shape.
 package gen
 
 import (
@@ -63,6 +63,7 @@ func ParseKind(s string) (Kind, error) {
 
 // Config describes a dataset.
 type Config struct {
+	// Kind is the distribution to generate.
 	Kind Kind
 	// N is the number of records to generate.
 	N int
@@ -90,7 +91,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Generator streams the records of a dataset. It implements record.Reader.
+// Generator streams the records of a dataset. It implements
+// stream.Reader[record.Record].
 type Generator struct {
 	cfg Config
 	rng *rand.Rand
@@ -103,7 +105,7 @@ func New(cfg Config) *Generator {
 	return &Generator{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
 
-// Read implements record.Reader, returning io.EOF after N records.
+// Read implements stream.Reader, returning io.EOF after N records.
 func (g *Generator) Read() (record.Record, error) {
 	if g.i >= g.cfg.N {
 		return record.Record{}, io.EOF

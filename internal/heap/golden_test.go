@@ -13,6 +13,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/record"
 	"repro/internal/runio"
+	"repro/internal/stream"
 	"repro/internal/vfs"
 )
 
@@ -63,7 +64,7 @@ func hashRuns(t *testing.T, kind policy.Kind, dist gen.Kind, keyed bool) uint64 
 		if keyed {
 			em.KeyCodec = codec.KeyRecord16{}
 		}
-		res, err := policy.Generate(kind, record.NewSliceReader(gen.Generate(cfg)), em, policy.Config{Memory: memory}, record.Key)
+		res, err := policy.Generate(kind, stream.NewSliceReader(gen.Generate(cfg)), em, policy.Config{Memory: memory}, record.Key)
 		if err != nil {
 			t.Fatal(err)
 		}

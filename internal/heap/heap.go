@@ -23,9 +23,9 @@ import (
 // comparator. Key must order consistently with the comparator (a
 // coarsening of it, as codec.Prefix is) and Run must not be negative.
 type Item[T any] struct {
-	Rec T
-	Run int
-	Key uint64
+	Rec T      // the element
+	Run int    // the run it belongs to
+	Key uint64 // the cached key prefix, or zero
 }
 
 // side is a binary heap laid out over a (possibly shared) backing array.
@@ -313,8 +313,10 @@ func (d *DoubleHeap[T]) Cap() int { return d.cap }
 // Full reports whether the combined heaps are at capacity.
 func (d *DoubleHeap[T]) Full() bool { return d.Len() == d.cap }
 
-// LenTop and LenBottom return the sizes of the individual heaps.
-func (d *DoubleHeap[T]) LenTop() int    { return d.top.n }
+// LenTop returns the size of the TopHeap.
+func (d *DoubleHeap[T]) LenTop() int { return d.top.n }
+
+// LenBottom returns the size of the BottomHeap.
 func (d *DoubleHeap[T]) LenBottom() int { return d.bottom.n }
 
 // PushTop inserts into the TopHeap (min-heap). Panics when full.

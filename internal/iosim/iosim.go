@@ -54,11 +54,11 @@ func Defaults2010() Params {
 
 // Stats aggregates the simulated I/O activity.
 type Stats struct {
-	Reads        int64
-	Writes       int64
-	Seeks        int64
-	BytesRead    int64
-	BytesWritten int64
+	Reads        int64 // read requests
+	Writes       int64 // write requests
+	Seeks        int64 // requests that moved the head
+	BytesRead    int64 // bytes read
+	BytesWritten int64 // bytes written
 }
 
 // Ops returns the total number of I/O requests issued.
@@ -67,6 +67,7 @@ func (s Stats) Ops() int64 { return s.Reads + s.Writes }
 // Bytes returns the total bytes moved in either direction.
 func (s Stats) Bytes() int64 { return s.BytesRead + s.BytesWritten }
 
+// String formats the counters on one line.
 func (s Stats) String() string {
 	return fmt.Sprintf("reads=%d writes=%d seeks=%d bytesRead=%d bytesWritten=%d",
 		s.Reads, s.Writes, s.Seeks, s.BytesRead, s.BytesWritten)

@@ -284,7 +284,7 @@ func TestMergeReusesLeafState(t *testing.T) {
 		} else {
 			runs, _ = makeOverlapRuns(t, em, ops*(fanIn-1)+1, 1, 7)
 		}
-		var out record.SliceWriter
+		var out stream.SliceWriter[record.Record]
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		stats, err := Merge(em, runs, &out, Config{FanIn: fanIn, MemoryBytes: 1 << 16})

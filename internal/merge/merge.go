@@ -47,11 +47,6 @@ type Config struct {
 	// uses it to end its phase span and sync I/O metrics. Drivers make it
 	// idempotent and also invoke it on NewStream/Merge error paths.
 	OnClose func()
-	// OrderErr, when set, makes the final merge hold each element it
-	// delivers to the comparator against the one before — the one order no
-	// run writer checks — and fail the first that orders below it with an
-	// error wrapping runio.ErrOutOfOrder and OrderErr.
-	OrderErr error
 
 	// Collectors resolved once by NewStream so merge operations (possibly
 	// on worker goroutines) never touch the registry.

@@ -21,7 +21,7 @@ import (
 
 // sliceSource adapts a slice to the Source interface.
 type sliceSource struct {
-	*record.SliceReader
+	*stream.SliceReader[record.Record]
 	closed bool
 }
 
@@ -31,7 +31,7 @@ func (s *sliceSource) Close() error {
 }
 
 func srcOf(keys ...int64) *sliceSource {
-	return &sliceSource{SliceReader: record.NewSliceReader(record.FromKeys(keys...))}
+	return &sliceSource{SliceReader: stream.NewSliceReader(record.FromKeys(keys...))}
 }
 
 func drain(t *testing.T, s Source[record.Record]) []int64 {
@@ -158,19 +158,19 @@ func TestReadAfterClose(t *testing.T) {
 	for _, sh := range recordShapes {
 		lt, _ := newTree([]Source[record.Record]{srcOf(1)}, record.Less, sh.kc)
 		lt.Close()
-		if _, err := readOne(lt); err != record.ErrClosed {
+		if _, err := readOne(lt); err != stream.ErrClosed {
 			t.Fatalf("%s: read after close = %v, want ErrClosed", sh.name, err)
 		}
-		if n, err := lt.ReadBatch(make([]record.Record, 2)); n != 0 || err != record.ErrClosed {
+		if n, err := lt.ReadBatch(make([]record.Record, 2)); n != 0 || err != stream.ErrClosed {
 			t.Fatalf("%s: batch read after close = %d, %v, want ErrClosed", sh.name, n, err)
 		}
-		if err := lt.Close(); err != record.ErrClosed {
+		if err := lt.Close(); err != stream.ErrClosed {
 			t.Fatalf("%s: double close = %v, want ErrClosed", sh.name, err)
 		}
 	}
 	hm, _ := NewHeapMerger([]Source[record.Record]{srcOf(1)}, record.Less)
 	hm.Close()
-	if _, err := readOne(hm); err != record.ErrClosed {
+	if _, err := readOne(hm); err != stream.ErrClosed {
 		t.Fatalf("heap read after close = %v, want ErrClosed", err)
 	}
 }
@@ -252,7 +252,7 @@ func TestMergeSinglePass(t *testing.T) {
 	fs := vfs.NewMemFS()
 	em := runio.RecordEmitter(fs, "m")
 	runs, all := makeRuns(t, fs, em, 5, 100, 1)
-	var out record.SliceWriter
+	var out stream.SliceWriter[record.Record]
 	stats, err := Merge(em, runs, &out, Config{FanIn: 10, MemoryBytes: 1 << 16})
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +280,7 @@ func TestMergeMultiPass(t *testing.T) {
 	fs := vfs.NewMemFS()
 	em := runio.RecordEmitter(fs, "m")
 	runs, all := makeRuns(t, fs, em, 23, 50, 2)
-	var out record.SliceWriter
+	var out stream.SliceWriter[record.Record]
 	stats, err := Merge(em, runs, &out, Config{FanIn: 3, MemoryBytes: 1 << 14})
 	if err != nil {
 		t.Fatal(err)
@@ -305,7 +305,7 @@ func TestMergeSingleRunPassThrough(t *testing.T) {
 	fs := vfs.NewMemFS()
 	em := runio.RecordEmitter(fs, "m")
 	runs, all := makeRuns(t, fs, em, 1, 64, 3)
-	var out record.SliceWriter
+	var out stream.SliceWriter[record.Record]
 	stats, err := Merge(em, runs, &out, Config{FanIn: 10, MemoryBytes: 4096})
 	if err != nil {
 		t.Fatal(err)
@@ -321,7 +321,7 @@ func TestMergeSingleRunPassThrough(t *testing.T) {
 func TestMergeNoInputs(t *testing.T) {
 	fs := vfs.NewMemFS()
 	em := runio.RecordEmitter(fs, "m")
-	var out record.SliceWriter
+	var out stream.SliceWriter[record.Record]
 	stats, err := Merge(em, nil, &out, Config{FanIn: 4, MemoryBytes: 4096})
 	if err != nil || stats.Inputs != 0 || len(out.Vals) != 0 {
 		t.Fatalf("empty merge = (%+v, %v)", stats, err)
@@ -331,7 +331,7 @@ func TestMergeNoInputs(t *testing.T) {
 func TestMergeRejectsBadFanIn(t *testing.T) {
 	fs := vfs.NewMemFS()
 	em := runio.RecordEmitter(fs, "m")
-	var out record.SliceWriter
+	var out stream.SliceWriter[record.Record]
 	if _, err := Merge(em, nil, &out, Config{FanIn: 1}); err == nil {
 		t.Fatal("fan-in 1 should be rejected")
 	}
@@ -375,7 +375,7 @@ func testMergeHeapEngine(t *testing.T, kc codec.KeyCodec[record.Record]) {
 	if !record.IsSorted(want) || len(want) != len(all) {
 		t.Fatal("heap engine merge wrong")
 	}
-	var out record.SliceWriter
+	var out stream.SliceWriter[record.Record]
 	if _, err := Merge(em, runs, &out, Config{FanIn: 3, MemoryBytes: 8192}); err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +392,7 @@ func TestMergeParallelWorkers(t *testing.T) {
 		em := runio.RecordEmitter(fs, "m")
 		runs, all := makeRuns(t, fs, em, 37, 40, 8)
 		written := em.Store.Stats().RawBytesWritten
-		var out record.SliceWriter
+		var out stream.SliceWriter[record.Record]
 		stats, err := Merge(em, runs, &out, Config{FanIn: 3, MemoryBytes: 1 << 14, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
@@ -445,7 +445,7 @@ func TestMergeCancelAborts(t *testing.T) {
 		em := runio.RecordEmitter(fs, "m")
 		runs, _ := makeRuns(t, fs, em, 23, 50, 5)
 		cn := &cancelNow{after: 3, err: io.ErrClosedPipe}
-		var out record.SliceWriter
+		var out stream.SliceWriter[record.Record]
 		_, err := Merge(em, runs, &out, Config{
 			FanIn: 3, MemoryBytes: 1 << 14, Workers: workers, Cancel: cn.hook,
 		})
@@ -569,7 +569,7 @@ func TestMergeStopsPassOnFailure(t *testing.T) {
 	em := runio.RecordEmitter(fs, "m")
 	runs, _ := makeRuns(t, fs, em, 60, 20, 5)
 	fs.Fail(faultfs.Create, 1)
-	var out record.SliceWriter
+	var out stream.SliceWriter[record.Record]
 	_, err := Merge(em, runs, &out, Config{FanIn: 2, MemoryBytes: 1 << 14, Workers: workers})
 	if !errors.Is(err, faultfs.ErrInjected) {
 		t.Fatalf("error = %v, want the injected create failure", err)
@@ -617,7 +617,7 @@ func TestMergeHoldsToMemoryBudget(t *testing.T) {
 				runs, all = makeOverlapRuns(t, em, 50, 2000/row.pieces, 6)
 			}
 			written := storage.PoolOf(st).Peak()
-			var out record.SliceWriter
+			var out stream.SliceWriter[record.Record]
 			if _, err := Merge(em, runs, &out, Config{FanIn: fanIn, MemoryBytes: row.memory, Workers: workers}); err != nil {
 				t.Fatal(err)
 			}

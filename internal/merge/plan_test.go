@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/record"
 	"repro/internal/runio"
+	"repro/internal/stream"
 	"repro/internal/vfs"
 	"repro/internal/vfs/faultfs"
 )
@@ -241,7 +242,7 @@ func TestScheduleIndependentOfWorkers(t *testing.T) {
 		runs := unevenRuns(t, em, n, 5)
 		before := em.Store.Stats().RawBytesWritten
 		fs.log, em.Async = true, true
-		var out record.SliceWriter
+		var out stream.SliceWriter[record.Record]
 		stats, err := Merge(em, runs, &out, Config{FanIn: fanIn, MemoryBytes: 1 << 16, Workers: workers})
 		if err != nil {
 			t.Fatalf("workers %d: %v", workers, err)
@@ -287,7 +288,7 @@ func TestFailedOperationStrandsNothing(t *testing.T) {
 				runs, _ := makeRuns(t, fs, em, n, 20, 5)
 				fs.Fail(fault.op, fault.at)
 				before := runtime.NumGoroutine()
-				var out record.SliceWriter
+				var out stream.SliceWriter[record.Record]
 				_, err := Merge(em, runs, &out, Config{FanIn: fanIn, MemoryBytes: 1 << 14, Workers: workers})
 				if !errors.Is(err, faultfs.ErrInjected) {
 					t.Fatalf("%s: error = %v", name, err)

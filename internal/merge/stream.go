@@ -20,8 +20,9 @@ import (
 // batch boundaries, so a cancelled context surfaces mid-stream. Drained to its
 // end it must have delivered exactly the records of the runs it merges, and
 // fails with an error matching storage.ErrCorrupt when it has not; a Stream
-// abandoned early checks nothing. Under Config.OrderErr it also fails, with
-// an error matching runio.ErrOutOfOrder, on the first element that orders
+// abandoned early checks nothing. It also holds each element it delivers to
+// the comparator — the one order no run writer checks — and fails, with an
+// error matching runio.ErrOutOfOrder, on the first element that orders
 // below the one delivered before it. Close releases the open sources and
 // deletes the remaining run files; it is safe (and required) to Close a
 // Stream that was only partially drained.
@@ -34,12 +35,11 @@ type Stream[T any] struct {
 	// want is the record count of the final runs, out what was delivered.
 	want, out int64
 	closed    bool
-	// less, set under Config.OrderErr, holds each element against last, the
-	// one delivered before; err is the check's failure, returned ever after.
-	less     func(a, b T) bool
-	last     T
-	orderErr error
-	err      error
+	// less holds each element against last, the one delivered before; err
+	// is the check's failure, returned ever after.
+	less func(a, b T) bool
+	last T
+	err  error
 
 	// Observability: the final-merge span (ended at Close), the output
 	// record counter, the progress reporter and the driver's close hook.
@@ -71,11 +71,8 @@ func NewStream[T any](em *runio.Emitter[T], inputs []runio.Run, cfg Config) (*St
 	p := planMerge(sizes, cfg.FanIn)
 	st := &Stream[T]{
 		store: em.Store, cancel: cfg.Cancel, stats: p.stats, rep: cfg.Progress, onClose: cfg.OnClose,
-		outc:     cfg.Metrics.Counter(obs.MRecordsOut, "Records delivered by the final merge."),
-		orderErr: cfg.OrderErr,
-	}
-	if cfg.OrderErr != nil {
-		st.less = em.Less
+		outc: cfg.Metrics.Counter(obs.MRecordsOut, "Records delivered by the final merge."),
+		less: em.Less,
 	}
 	if len(inputs) == 0 {
 		return st, nil
@@ -133,12 +130,10 @@ func (s *Stream[T]) ReadBatch(dst []T) (int, error) {
 		}
 	}
 	n, err := s.eng.ReadBatch(dst)
-	if n > 0 && s.less != nil {
+	if n > 0 {
 		if s.err = s.checkOrder(dst[:n]); s.err != nil {
 			return 0, s.err
 		}
-	}
-	if n > 0 {
 		s.out += int64(n)
 		s.outc.Add(int64(n))
 		s.rep.Add(int64(n))
@@ -159,7 +154,7 @@ func (s *Stream[T]) checkOrder(batch []T) error {
 	}
 	for _, v := range batch {
 		if s.less(v, prev) {
-			return fmt.Errorf("%w: the final merge delivered %v after %v: %w", runio.ErrOutOfOrder, v, prev, s.orderErr)
+			return fmt.Errorf("%w: the final merge delivered %v after %v", runio.ErrOutOfOrder, v, prev)
 		}
 		prev = v
 	}

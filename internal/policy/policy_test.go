@@ -16,7 +16,7 @@ import (
 func generate(t *testing.T, kind Kind, recs []record.Record, memory int) (Result, vfs.FS) {
 	t.Helper()
 	fs := vfs.NewMemFS()
-	res, err := Generate(kind, record.NewSliceReader(recs), runio.RecordEmitter(fs, "pol"), Config{Memory: memory}, record.Key)
+	res, err := Generate(kind, stream.NewSliceReader(recs), runio.RecordEmitter(fs, "pol"), Config{Memory: memory}, record.Key)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,51 +1,6 @@
 package record
 
-import (
-	"io"
-
-	"repro/internal/stream"
-)
-
-// ErrClosed is returned by stream operations after Close. It is the shared
-// stream.ErrClosed so generic and Record-specific layers agree.
-var ErrClosed = stream.ErrClosed
-
-// Reader is the minimal record-at-a-time input interface consumed by all run
-// generation algorithms. Read returns io.EOF when the stream is exhausted.
-// It is the Record instantiation of the generic stream.Reader.
-type Reader = stream.Reader[Record]
-
-// Writer is the record-at-a-time output interface produced by run
-// generation and consumed by the merge phase.
-type Writer = stream.Writer[Record]
-
-// SliceReader adapts an in-memory slice to the Reader interface.
-type SliceReader = stream.SliceReader[Record]
-
-// NewSliceReader returns a Reader over recs. The slice is not copied; the
-// caller must not mutate it while reading.
-func NewSliceReader(recs []Record) *SliceReader { return stream.NewSliceReader(recs) }
-
-// SliceWriter collects written records in memory, in its Vals field.
-type SliceWriter = stream.SliceWriter[Record]
-
-// ReadAll drains r into a slice. It is intended for tests and examples
-// where the stream is known to fit in memory; sized sources get a
-// pre-sized result.
-func ReadAll(r Reader) ([]Record, error) {
-	return stream.ReadAll[Record](r)
-}
-
-// WriteAll writes every record of recs to w, stopping at the first error.
-func WriteAll(w Writer, recs []Record) error {
-	return stream.WriteAll[Record](w, recs)
-}
-
-// Copy streams records from r to w until EOF, returning the number copied.
-// Batches move whole when either side supports the batch protocol.
-func Copy(w Writer, r Reader) (int64, error) {
-	return stream.Copy[Record](w, r)
-}
+import "io"
 
 // ByteReader decodes records from an io.Reader carrying the binary record
 // encoding. It buffers internally in whole-record units.
@@ -56,7 +11,7 @@ type ByteReader struct {
 	pendErr error  // error deferred by ReadBatch after a partial batch
 }
 
-// NewByteReader returns a Reader decoding records from src.
+// NewByteReader returns a ByteReader decoding records from src.
 func NewByteReader(src io.Reader) *ByteReader { return &ByteReader{src: src} }
 
 // Read decodes the next record. A trailing partial record surfaces as
@@ -113,7 +68,7 @@ type ByteWriter struct {
 	slab []byte // batch encode scratch
 }
 
-// NewByteWriter returns a Writer encoding records to dst.
+// NewByteWriter returns a ByteWriter encoding records to dst.
 func NewByteWriter(dst io.Writer) *ByteWriter { return &ByteWriter{dst: dst} }
 
 // Write encodes r to the underlying writer.

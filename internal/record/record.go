@@ -70,29 +70,6 @@ func Decode(buf []byte) Record {
 	}
 }
 
-// EncodeSlice encodes all records into a freshly allocated byte slice.
-func EncodeSlice(recs []Record) []byte {
-	buf := make([]byte, len(recs)*Size)
-	for i, r := range recs {
-		Encode(buf[i*Size:], r)
-	}
-	return buf
-}
-
-// DecodeSlice decodes len(buf)/Size records from buf. It panics if buf is
-// not a whole number of records, which always indicates file corruption or
-// a programming error upstream.
-func DecodeSlice(buf []byte) []Record {
-	if len(buf)%Size != 0 {
-		panic(fmt.Sprintf("record: buffer of %d bytes is not a whole number of records", len(buf)))
-	}
-	recs := make([]Record, len(buf)/Size)
-	for i := range recs {
-		recs[i] = Decode(buf[i*Size:])
-	}
-	return recs
-}
-
 // IsSorted reports whether recs is sorted in non-decreasing key order.
 func IsSorted(recs []Record) bool {
 	for i := 1; i < len(recs); i++ {
@@ -111,15 +88,6 @@ func IsReverseSorted(recs []Record) bool {
 		}
 	}
 	return true
-}
-
-// Keys extracts the keys of recs, mostly a test convenience.
-func Keys(recs []Record) []int64 {
-	keys := make([]int64, len(recs))
-	for i, r := range recs {
-		keys[i] = r.Key
-	}
-	return keys
 }
 
 // FromKeys builds records with sequential Aux values from a list of keys,

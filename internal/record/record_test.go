@@ -6,6 +6,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/stream"
 )
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
@@ -36,32 +38,6 @@ func TestEncodeDecodeQuick(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
-}
-
-func TestEncodeSliceDecodeSlice(t *testing.T) {
-	recs := FromKeys(5, -3, 0, 9, 9)
-	buf := EncodeSlice(recs)
-	if len(buf) != len(recs)*Size {
-		t.Fatalf("encoded length = %d, want %d", len(buf), len(recs)*Size)
-	}
-	got := DecodeSlice(buf)
-	if len(got) != len(recs) {
-		t.Fatalf("decoded %d records, want %d", len(got), len(recs))
-	}
-	for i := range recs {
-		if got[i] != recs[i] {
-			t.Errorf("record %d: got %v want %v", i, got[i], recs[i])
-		}
-	}
-}
-
-func TestDecodeSlicePanicsOnPartialRecord(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on partial record")
-		}
-	}()
-	DecodeSlice(make([]byte, Size+1))
 }
 
 func TestLessAndCompare(t *testing.T) {
@@ -119,12 +95,12 @@ func TestMultisetAuxDistinguishes(t *testing.T) {
 
 func TestSliceReaderWriter(t *testing.T) {
 	recs := FromKeys(4, 2, 7)
-	r := NewSliceReader(recs)
+	r := stream.NewSliceReader(recs)
 	if r.Remaining() != 3 {
 		t.Fatalf("Remaining = %d, want 3", r.Remaining())
 	}
-	var w SliceWriter
-	n, err := Copy(&w, r)
+	var w stream.SliceWriter[Record]
+	n, err := stream.Copy[Record](&w, r)
 	if err != nil || n != 3 {
 		t.Fatalf("Copy = (%d, %v), want (3, nil)", n, err)
 	}
@@ -138,11 +114,11 @@ func TestSliceReaderWriter(t *testing.T) {
 
 func TestReadAllWriteAll(t *testing.T) {
 	recs := FromKeys(9, 8, 7, 6)
-	var w SliceWriter
-	if err := WriteAll(&w, recs); err != nil {
+	var w stream.SliceWriter[Record]
+	if err := stream.WriteAll(&w, recs); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadAll(NewSliceReader(w.Vals))
+	got, err := stream.ReadAll[Record](stream.NewSliceReader(w.Vals))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,14 +131,14 @@ func TestByteReaderWriter(t *testing.T) {
 	recs := FromKeys(1, -5, 1000)
 	var buf bytes.Buffer
 	bw := NewByteWriter(&buf)
-	if err := WriteAll(bw, recs); err != nil {
+	if err := stream.WriteAll(bw, recs); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() != len(recs)*Size {
 		t.Fatalf("wrote %d bytes, want %d", buf.Len(), len(recs)*Size)
 	}
 	br := NewByteReader(&buf)
-	got, err := ReadAll(br)
+	got, err := stream.ReadAll[Record](br)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,17 +155,10 @@ func TestByteReaderPartialRecord(t *testing.T) {
 }
 
 func TestKeysAndFromKeys(t *testing.T) {
-	recs := FromKeys(3, 1, 2)
-	keys := Keys(recs)
 	want := []int64{3, 1, 2}
-	for i := range want {
-		if keys[i] != want[i] {
-			t.Fatalf("keys = %v, want %v", keys, want)
-		}
-	}
-	for i, r := range recs {
-		if r.Aux != uint64(i) {
-			t.Fatalf("FromKeys aux %d = %d, want %d", i, r.Aux, i)
+	for i, r := range FromKeys(want...) {
+		if r.Key != want[i] || r.Aux != uint64(i) {
+			t.Fatalf("FromKeys record %d = %v, want {%d/%d}", i, r, want[i], i)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/record"
 	"repro/internal/runio"
 	"repro/internal/storage"
+	"repro/internal/stream"
 )
 
 // discardStore accepts every write and keeps nothing: a run written onto it
@@ -42,7 +43,7 @@ func BenchmarkStepperRun(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				em := runio.NewEmitterOn[record.Record](discardStore{}, "b", codec.Record16{}, record.Less)
 				em.KeyCodec = codec.KeyRecord16{}
-				s, err := NewStepper(record.NewSliceReader(recs), em, memory, mode.alternating, false)
+				s, err := NewStepper(stream.NewSliceReader(recs), em, memory, mode.alternating, false)
 				for ok := err == nil; ok; {
 					_, ok, err = s.NextRun()
 				}

@@ -43,7 +43,7 @@ func drain(nextRun func() (runio.Run, bool, error)) (res result, err error) {
 func generate(t *testing.T, recs []record.Record, memory int) (result, vfs.FS) {
 	t.Helper()
 	fs := vfs.NewMemFS()
-	s, err := NewStepper(record.NewSliceReader(recs), runio.RecordEmitter(fs, "rs"), memory, false, false)
+	s, err := NewStepper(stream.NewSliceReader(recs), runio.RecordEmitter(fs, "rs"), memory, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func generate(t *testing.T, recs []record.Record, memory int) (result, vfs.FS) {
 // QuickStepper.
 func generateLSS(recs []record.Record, memory int) (result, vfs.FS, error) {
 	fs := vfs.NewMemFS()
-	s, err := NewQuickStepper(record.NewSliceReader(recs), runio.RecordEmitter(fs, "lss"), memory)
+	s, err := NewQuickStepper(stream.NewSliceReader(recs), runio.RecordEmitter(fs, "lss"), memory)
 	if err != nil {
 		return result{}, fs, err
 	}
@@ -193,7 +193,7 @@ func TestEmptyInputNoRuns(t *testing.T) {
 
 func TestInvalidMemory(t *testing.T) {
 	fs := vfs.NewMemFS()
-	if _, err := NewStepper(record.NewSliceReader(nil), runio.RecordEmitter(fs, "rs"), 0, false, false); err == nil {
+	if _, err := NewStepper(stream.NewSliceReader[record.Record](nil), runio.RecordEmitter(fs, "rs"), 0, false, false); err == nil {
 		t.Fatal("memory 0 should be rejected")
 	}
 	if _, _, err := generateLSS(nil, -1); err == nil {

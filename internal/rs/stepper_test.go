@@ -9,6 +9,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/record"
 	"repro/internal/runio"
+	"repro/internal/stream"
 	"repro/internal/vfs"
 )
 
@@ -58,7 +59,7 @@ func TestDownRunsMirrorUpRuns(t *testing.T) {
 			}
 			runs := func(recs []record.Record, down bool) (keys [][]int64, downRuns int) {
 				fs := vfs.NewMemFS()
-				s, err := NewStepper(record.NewSliceReader(recs), recordEmitter(fs, keyed), 100, true, down)
+				s, err := NewStepper(stream.NewSliceReader(recs), recordEmitter(fs, keyed), 100, true, down)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -74,7 +74,7 @@ func NewEmitterOn[T any](st storage.Backend, prefix string, c codec.Codec[T], le
 }
 
 // RecordEmitter returns an Emitter for the historical fixed 16-byte Record
-// streams, the instantiation every legacy caller uses.
+// streams, the instantiation the paper's experiments use.
 func RecordEmitter(fs vfs.FS, prefix string) *Emitter[record.Record] {
 	return NewEmitter[record.Record](fs, prefix, codec.Record16{}, record.Less)
 }

@@ -105,7 +105,7 @@ func TestForwardWriterCount(t *testing.T) {
 		t.Fatalf("Count = %d, want 7", w.Count())
 	}
 	w.Close()
-	if err := w.Close(); err != record.ErrClosed {
+	if err := w.Close(); err != stream.ErrClosed {
 		t.Fatalf("double close = %v, want ErrClosed", err)
 	}
 }
@@ -442,10 +442,10 @@ func TestReaderClosedSemantics(t *testing.T) {
 	writeForward(t, fs, "r", []int64{1})
 	r, _ := NewReader(storage.NewRaw(fs), "r", 0, codec.Record16{})
 	r.Close()
-	if _, err := readOne(r); err != record.ErrClosed {
+	if _, err := readOne(r); err != stream.ErrClosed {
 		t.Fatalf("read after close = %v, want ErrClosed", err)
 	}
-	if err := r.Close(); err != record.ErrClosed {
+	if err := r.Close(); err != stream.ErrClosed {
 		t.Fatalf("double close = %v, want ErrClosed", err)
 	}
 }

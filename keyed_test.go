@@ -230,7 +230,10 @@ func TestInferredCodecSilentFallback(t *testing.T) {
 // comparator ties them. With the lowercase half first, every run is
 // single-case and in order, and only the final merge can see the
 // disagreement; with the cases interleaved, a run writer sees it first.
-// Both errors wrap runio.ErrOutOfOrder and name WithoutKeys.
+// The same codec supplied through WithKeyCodec is held to the same check,
+// over the halves under every policy. Every error wraps
+// runio.ErrOutOfOrder and names WithoutKeys, whether SortSlice, Distinct or
+// a sharded sort drains the final merge.
 func TestInferredCodecMisorderFails(t *testing.T) {
 	fold := func(a, b string) bool { return strings.ToLower(a) < strings.ToLower(b) }
 	halves := make([]string, 0, 2560)
@@ -246,9 +249,9 @@ func TestInferredCodecMisorderFails(t *testing.T) {
 			mixed[i] = strings.ToUpper(mixed[i])
 		}
 	}
-	check := func(name, policy string, data []string) {
+	check := func(name, policy string, data []string, opts ...Option) {
 		t.Helper()
-		s, err := New(fold, WithMemoryRecords(256), WithPolicy(policy))
+		s, err := New(fold, append([]Option{WithMemoryRecords(256), WithPolicy(policy)}, opts...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,7 +263,20 @@ func TestInferredCodecMisorderFails(t *testing.T) {
 		if !errors.Is(err, runio.ErrOutOfOrder) || !strings.Contains(err.Error(), "WithoutKeys") {
 			t.Fatalf("%s, policy %s: error %q does not wrap runio.ErrOutOfOrder and name WithoutKeys", name, policy, err)
 		}
-		s, err = New(fold, WithMemoryRecords(256), WithPolicy(policy), WithoutKeys())
+		// An operator and a sharded sort drain the merged streams
+		// themselves: the same check, the same explanation.
+		_, err = s.Distinct(context.Background(), newSliceSource(data), &sliceSink[string]{})
+		if !errors.Is(err, runio.ErrOutOfOrder) || !strings.Contains(err.Error(), "WithoutKeys") {
+			t.Fatalf("%s, policy %s: Distinct's error %q does not wrap runio.ErrOutOfOrder and name WithoutKeys", name, policy, err)
+		}
+		sharded, err := New(fold, append([]Option{WithMemoryRecords(256), WithPolicy(policy), WithShards(2)}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err = sharded.SortSlice(context.Background(), data); !errors.Is(err, runio.ErrOutOfOrder) || !strings.Contains(err.Error(), "WithoutKeys") {
+			t.Fatalf("%s, policy %s: sharded sort's error %q does not wrap runio.ErrOutOfOrder and name WithoutKeys", name, policy, err)
+		}
+		s, err = New(fold, append([]Option{WithMemoryRecords(256), WithPolicy(policy)}, append(opts, WithoutKeys())...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,6 +290,7 @@ func TestInferredCodecMisorderFails(t *testing.T) {
 	check("case halves", "quick", halves)
 	for _, policy := range Policies() {
 		check("cases mixed", policy, mixed)
+		check("case halves, WithKeyCodec", policy, halves, WithKeyCodec(StringKeyCodec()))
 	}
 }
 

@@ -70,7 +70,7 @@ func (s *Sorter[T]) streamed(o *op, src stream.BatchReader[T], prefix, phase str
 		return Stats{}, err
 	}
 	o.phase(phase)
-	err = drain(st, rset.Stats().Records)
+	err = rset.ExplainOrder(drain(st, rset.Stats().Records))
 	if cerr := st.Close(); err == nil {
 		err = cerr
 	}

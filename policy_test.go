@@ -44,9 +44,9 @@ func TestPoliciesListsAll(t *testing.T) {
 // TestPolicyNames: the policy name is the one generator selector, and every
 // spelling policy.Parse accepts — the five names Policies lists, the two
 // aliases, and the empty name of a hand-built config — selects the same
-// generator through the generic constructor and through the classic
-// wrappers. Every one of them is also a valid name for a durable sort, auto
-// — whose probe state the checkpoints hold now — included.
+// generator through WithPolicy and through WithConfig. Every one of them
+// is also a valid name for a durable sort, auto — whose probe state the
+// checkpoints hold now — included.
 func TestPolicyNames(t *testing.T) {
 	want := map[string]string{"alt": "alternating", "lss": "quick", "": "2wrs"}
 	for _, name := range Policies() {
@@ -62,10 +62,9 @@ func TestPolicyNames(t *testing.T) {
 		if err != nil || len(out) != len(recs) || stats.Policy != policy {
 			t.Fatalf("New(WithPolicy(%q)): err=%v, %d records, Stats.Policy=%q, want %q", name, err, len(out), stats.Policy, policy)
 		}
-		var dst record.SliceWriter
-		stats, err = Sort(record.NewSliceReader(recs), &dst, Config{Policy: name, MemoryRecords: 500})
-		if err != nil || !record.IsSorted(dst.Vals) || len(dst.Vals) != len(recs) || stats.Policy != policy {
-			t.Fatalf("Sort(Config{Policy: %q}): err=%v, %d records, Stats.Policy=%q, want %q", name, err, len(dst.Vals), stats.Policy, policy)
+		out, stats, err = sortRecords(recs, Config{Policy: name, MemoryRecords: 500})
+		if err != nil || !record.IsSorted(out) || len(out) != len(recs) || stats.Policy != policy {
+			t.Fatalf("WithConfig(Config{Policy: %q}): err=%v, %d records, Stats.Policy=%q, want %q", name, err, len(out), stats.Policy, policy)
 		}
 	}
 	for name := range want {

@@ -96,26 +96,13 @@
 // selection), whose sum never exceeds Elapsed — on Stats, OpStats,
 // SelectStats and JoinStats alike. There is no second statement of either.
 //
-// # The classic record API
-//
-// The original fixed-record API remains as thin wrappers over
-// Sorter[Record], configured by the same Config (DefaultConfig selects
-// 2WRS with the paper's recommended parameters):
-//
-//	cfg := repro.DefaultConfig(1 << 20) // one million records of memory
-//	cfg.Policy = "rs"                   // or any other name in Policies()
-//	stats, err := repro.Sort(src, dst, cfg)
-//
 // See examples/ for three runnable programs (quickstart, strings, dbsort),
 // example_test.go for a runnable example of every operator, selection and
 // option, and DESIGN.md for the system map.
 package repro
 
 import (
-	"bufio"
-	"context"
 	"fmt"
-	"os"
 	"strings"
 
 	"repro/internal/core"
@@ -127,15 +114,11 @@ import (
 	"repro/internal/storage"
 )
 
-// Record is the unit of the classic API: a 64-bit key ordered ascending and
-// a 64-bit auxiliary payload carried along unchanged.
+// Record is the unit of the paper's experiments: a 64-bit key ordered
+// ascending and a 64-bit auxiliary payload carried along unchanged. Its Less
+// method, as the method expression Record.Less, is the comparator that sorts
+// Records by key.
 type Record = record.Record
-
-// Reader yields records; it returns io.EOF at end of stream.
-type Reader = record.Reader
-
-// Writer consumes records.
-type Writer = record.Writer
 
 // Stats reports what a sort did: run counts, average run length, merge
 // passes, its wall time (Elapsed, and Phases by name), and the spill
@@ -213,9 +196,8 @@ const (
 
 // Config controls a sort. The zero value is not valid — it has no memory
 // budget; start from DefaultConfig or build a Sorter through New with
-// options. New (and so Sort, SortSlice and SortFile) reads a zero FanIn or
-// BufferFraction as the paper's default; Validate itself takes the values
-// as they stand.
+// options. New reads a zero FanIn or BufferFraction as the paper's default;
+// Validate itself takes the values as they stand.
 type Config struct {
 	// Policy names the run generator. Valid names are listed by
 	// Policies(): "2wrs" (the paper's two-way replacement selection), "rs",
@@ -308,8 +290,7 @@ type Config struct {
 	// original input from the start). With no manifest present the sort
 	// simply runs fresh. Resume implies Manifest. Most callers use
 	// Sorter.Resume instead; the config flag exists for the operator layer
-	// (Distinct, TopK, …) and the classic wrappers, which have no separate
-	// resume entry point.
+	// (Distinct, TopK, …), which has no separate resume entry point.
 	Resume bool
 }
 
@@ -405,89 +386,6 @@ func (c Config) toInternal() extsort.Config {
 	}
 }
 
-// Sort reads every record from src, sorts them externally within the
-// configured memory budget, and writes the ascending result to dst. It is
-// a thin wrapper over Sorter[Record]; use New for other element types or
-// for context cancellation.
-func Sort(src Reader, dst Writer, cfg Config) (Stats, error) {
-	s, err := New(record.Less, WithConfig(cfg))
-	if err != nil {
-		return Stats{}, err
-	}
-	return s.Sort(context.Background(), src, dst)
-}
-
-// SortSlice sorts a slice through the external-sort machinery and returns a
-// new sorted slice. It is a convenience for small inputs and examples.
-func SortSlice(recs []Record, cfg Config) ([]Record, Stats, error) {
-	s, err := New(record.Less, WithConfig(cfg))
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return s.SortSlice(context.Background(), recs)
-}
-
-// fileBuffer is the buffer size of the record-file helpers below.
-const fileBuffer = 1 << 20
-
-// readRecordFile opens a binary record file and hands use a buffered reader
-// over it.
-func readRecordFile(path string, use func(Reader) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return use(record.NewByteReader(bufio.NewReaderSize(f, fileBuffer)))
-}
-
-// writeRecordFile creates a binary record file, hands fill a buffered
-// writer over it, and flushes and closes it once fill has succeeded.
-func writeRecordFile(path string, fill func(Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriterSize(f, fileBuffer)
-	err = fill(record.NewByteWriter(w))
-	if err == nil {
-		err = w.Flush()
-	}
-	if err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// SortFile sorts a binary record file (16-byte little-endian records as
-// written by WriteFile or cmd/gendata) into a new file.
-func SortFile(inPath, outPath string, cfg Config) (Stats, error) {
-	var stats Stats
-	err := readRecordFile(inPath, func(src Reader) error {
-		return writeRecordFile(outPath, func(dst Writer) (err error) {
-			stats, err = Sort(src, dst, cfg)
-			return err
-		})
-	})
-	return stats, err
-}
-
-// WriteFile writes records to a binary record file readable by SortFile.
-func WriteFile(path string, recs []Record) error {
-	return writeRecordFile(path, func(w Writer) error { return record.WriteAll(w, recs) })
-}
-
-// ReadFile reads a whole binary record file into memory.
-func ReadFile(path string) ([]Record, error) {
-	var recs []Record
-	err := readRecordFile(path, func(r Reader) (err error) {
-		recs, err = record.ReadAll(r)
-		return err
-	})
-	return recs, err
-}
-
 // DatasetKind identifies one of the paper's six input distributions.
 type DatasetKind = gen.Kind
 
@@ -509,6 +407,6 @@ func Dataset(kind DatasetKind, n int, seed int64) []Record {
 
 // DatasetReader streams one of the paper's benchmark distributions without
 // materialising it, for inputs larger than memory.
-func DatasetReader(kind DatasetKind, n int, seed int64) Reader {
+func DatasetReader(kind DatasetKind, n int, seed int64) Source[Record] {
 	return gen.New(gen.Config{Kind: kind, N: n, Seed: seed, Noise: 1000})
 }

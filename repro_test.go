@@ -1,16 +1,28 @@
 package repro
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/record"
+	"repro/internal/stream"
 )
+
+// sortRecords sorts recs under cfg through New, the way the paper's
+// experiments configure a sort.
+func sortRecords(recs []Record, cfg Config) ([]Record, Stats, error) {
+	s, err := New(Record.Less, WithConfig(cfg))
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	return s.SortSlice(context.Background(), recs)
+}
 
 func TestSortSliceDefault(t *testing.T) {
 	recs := Dataset(DatasetRandom, 10000, 1)
-	out, stats, err := SortSlice(recs, DefaultConfig(300))
+	out, stats, err := sortRecords(recs, DefaultConfig(300))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +42,7 @@ func TestSortAllAlgorithms(t *testing.T) {
 	for _, alg := range Policies() {
 		cfg := DefaultConfig(200)
 		cfg.Policy = alg
-		out, _, err := SortSlice(recs, cfg)
+		out, _, err := sortRecords(recs, cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
@@ -44,7 +56,7 @@ func TestSortWithTempDir(t *testing.T) {
 	recs := Dataset(DatasetReverseSorted, 5000, 3)
 	cfg := DefaultConfig(100)
 	cfg.TempDir = filepath.Join(t.TempDir(), "runs")
-	out, stats, err := SortSlice(recs, cfg)
+	out, stats, err := sortRecords(recs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,36 +76,9 @@ func TestSortWithTempDir(t *testing.T) {
 	}
 }
 
-func TestSortFileRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	in := filepath.Join(dir, "in.rec")
-	out := filepath.Join(dir, "out.rec")
-	recs := Dataset(DatasetAlternating, 5000, 4)
-	if err := WriteFile(in, recs); err != nil {
-		t.Fatal(err)
-	}
-	stats, err := SortFile(in, out, DefaultConfig(200))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Records != 5000 {
-		t.Fatalf("records = %d", stats.Records)
-	}
-	got, err := ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !record.IsSorted(got) || len(got) != len(recs) {
-		t.Fatal("sorted file wrong")
-	}
-	if !record.NewMultiset(got).Equal(record.NewMultiset(recs)) {
-		t.Fatal("sorted file lost records")
-	}
-}
-
 func TestDatasetReaderStreams(t *testing.T) {
 	r := DatasetReader(DatasetSorted, 100, 5)
-	got, err := record.ReadAll(r)
+	got, err := stream.ReadAll[record.Record](r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +108,7 @@ func TestHeuristicConfigurations(t *testing.T) {
 		for _, out := range []OutputHeuristic{OutputRandom, OutputAlternate, OutputUseful, OutputBalancing, OutputMinDistance} {
 			cfg := DefaultConfig(100)
 			cfg.Input, cfg.Output = in, out
-			sorted, _, err := SortSlice(recs, cfg)
+			sorted, _, err := sortRecords(recs, cfg)
 			if err != nil {
 				t.Fatalf("in=%v out=%v: %v", in, out, err)
 			}

@@ -14,8 +14,8 @@ import (
 )
 
 // Source yields elements one at a time; Read returns io.EOF at end of
-// stream. Any type with this shape (including every Reader in this package
-// and the internal stream readers) satisfies it.
+// stream. Any type with this shape (DatasetReader's among them) satisfies
+// it.
 type Source[T any] interface {
 	Read() (T, error)
 }
@@ -297,11 +297,11 @@ func WithKey[T any](key func(T) float64) Option {
 // codec that disagrees with the comparator on a sampled prefix of the
 // input fails the sort with an error — an inferred one falls back to the
 // comparator silently (e.g. a descending comparator over int64 elements).
-// An inferred codec that passes the sample but disagrees with the
+// A codec of either kind that passes the sample but disagrees with the
 // comparator later in the input (a case-insensitive comparator over
 // strings) fails the sort with an out-of-order error naming WithoutKeys,
-// the option that sorts such input: the sort checks its output against the
-// comparator, at one comparator call per element.
+// the option that sorts such input: every sort checks its output against
+// the comparator, at one comparator call per element.
 // The sampled check is stricter than the contract — on the sample, less
 // must hold exactly where the key bytes order strictly — so a comparator
 // that refines key ties passes it when the sampled keys are distinct;

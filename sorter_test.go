@@ -331,40 +331,35 @@ func TestNewValidatesConfig(t *testing.T) {
 }
 
 func TestLegacySortRejectsBadConfig(t *testing.T) {
-	if _, _, err := SortSlice(nil, Config{}); err == nil {
+	if _, err := New(Record.Less, WithConfig(Config{})); err == nil {
 		t.Fatal("zero config should be rejected")
 	}
 }
 
 func TestLegacyHandBuiltConfigStillSorts(t *testing.T) {
 	// Seed-era behavior: a hand-built config with zero FanIn/BufferFraction
-	// relied on downstream defaulting. Every entry point resolves it the
-	// same way — New is the one place — so all of them sort it alike.
+	// relied on downstream defaulting. New is the one place that resolves
+	// it, so SortSlice and Sort over a streamed dataset sort it alike.
 	recs := Dataset(DatasetRandom, 3000, 1)
-	cfg := Config{Policy: "rs", MemoryRecords: 1000}
-	recLess := func(a, b Record) bool { return a.Key < b.Key }
+	s, err := New(Record.Less, WithConfig(Config{Policy: "rs", MemoryRecords: 1000}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := s.Config().FanIn, DefaultConfig(1000).FanIn; got != want {
+		t.Errorf("zero FanIn resolved to %d, want the default %d", got, want)
+	}
+	if got, want := s.Config().BufferFraction, DefaultConfig(1000).BufferFraction; got != want {
+		t.Errorf("zero BufferFraction resolved to %v, want the default %v", got, want)
+	}
 	paths := []struct {
 		name string
 		sort func() ([]Record, Stats, error)
 	}{
-		{"SortSlice", func() ([]Record, Stats, error) { return SortSlice(recs, cfg) }},
+		{"SortSlice", func() ([]Record, Stats, error) { return s.SortSlice(context.Background(), recs) }},
 		{"Sort", func() ([]Record, Stats, error) {
 			var out sliceSink[Record]
-			st, err := Sort(DatasetReader(DatasetRandom, 3000, 1), &out, cfg)
+			st, err := s.Sort(context.Background(), DatasetReader(DatasetRandom, 3000, 1), &out)
 			return out.vals, st, err
-		}},
-		{"New+WithConfig", func() ([]Record, Stats, error) {
-			s, err := New(recLess, WithConfig(cfg))
-			if err != nil {
-				return nil, Stats{}, err
-			}
-			if got, want := s.Config().FanIn, DefaultConfig(1000).FanIn; got != want {
-				t.Errorf("zero FanIn resolved to %d, want the default %d", got, want)
-			}
-			if got, want := s.Config().BufferFraction, DefaultConfig(1000).BufferFraction; got != want {
-				t.Errorf("zero BufferFraction resolved to %v, want the default %v", got, want)
-			}
-			return s.SortSlice(context.Background(), recs)
 		}},
 	}
 	var first []Record
@@ -374,7 +369,7 @@ func TestLegacyHandBuiltConfigStillSorts(t *testing.T) {
 		if err != nil || len(out) != len(recs) {
 			t.Fatalf("%s: seed-era hand-built config: err=%v len=%d", p.name, err, len(out))
 		}
-		checkSortedPermutation(t, recs, out, recLess)
+		checkSortedPermutation(t, recs, out, Record.Less)
 		if i == 0 {
 			first, firstStats = out, st
 			continue
