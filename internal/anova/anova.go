@@ -19,22 +19,22 @@ import (
 
 // Factor is a categorical explanatory variable.
 type Factor struct {
-	Name   string
-	Levels int
+	Name   string // the label its terms are printed with, e.g. "β"
+	Levels int    // the number of levels, numbered from 0
 }
 
 // Observation is one experiment outcome: the factor levels of its
 // configuration, the response value, and an optional WLS weight (0 means 1).
 type Observation struct {
-	Levels []int
-	Y      float64
-	Weight float64
+	Levels []int   // the level of each factor of the dataset, in its order
+	Y      float64 // the response
+	Weight float64 // the WLS weight; 0 means 1
 }
 
 // Dataset is a set of observations over common factors.
 type Dataset struct {
-	Factors []Factor
-	Obs     []Observation
+	Factors []Factor      // the explanatory variables
+	Obs     []Observation // the outcomes, in the order they were added
 }
 
 // Add appends an observation with weight 1.
@@ -82,9 +82,9 @@ func (d *Dataset) VarianceByLevel(factor int) ([]float64, error) {
 // factors, as (combination levels, mean, count) tuples sorted by levels.
 // This is the data behind Figures 5.8, 5.11 and 5.12.
 type GroupMean struct {
-	Levels []int
-	Mean   float64
-	N      int
+	Levels []int   // the levels of the grouping factors, in MeansBy's order
+	Mean   float64 // the mean response of the group
+	N      int     // the number of observations in the group
 }
 
 // MeansBy groups observations by the levels of the given factors.
@@ -138,30 +138,30 @@ type TermRow struct {
 	Name string
 	// Factors are the indices of the factors in the term.
 	Factors []int
-	SS      float64
-	DF      int
-	MSS     float64
-	F       float64
-	Sig     float64
-	Power   float64
+	SS      float64 // the term's sum of squares
+	DF      int     // its degrees of freedom
+	MSS     float64 // its mean square, SS/DF
+	F       float64 // the F statistic, MSS over the error mean square
+	Sig     float64 // the p-value of F
+	Power   float64 // the observed power at α = 0.05
 }
 
 // Fit is a fitted ANOVA model.
 type Fit struct {
-	Rows []TermRow
+	Rows []TermRow // one per model term
 	// Error line.
 	SSE float64
-	DFE int
-	MSE float64
+	DFE int     // the error degrees of freedom
+	MSE float64 // the error mean square, SSE/DFE
 	// Model quality.
 	SSTotal   float64
-	R2        float64
-	Sigma     float64
-	CVPercent float64
-	GrandMean float64
+	R2        float64 // the coefficient of determination, 1 − SSE/SSTotal
+	Sigma     float64 // the residual standard deviation, √MSE
+	CVPercent float64 // the coefficient of variation, 100·Sigma/|GrandMean|
+	GrandMean float64 // the (weighted) mean response
 	// Per-observation diagnostics, in dataset order.
 	Predicted    []float64
-	StdResiduals []float64
+	StdResiduals []float64 // weighted standardized residuals, √w(y−ŷ)/Sigma
 }
 
 // columnsFor enumerates the effect-coded columns of a term: one column per

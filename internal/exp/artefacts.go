@@ -110,7 +110,7 @@ func List() string {
 // the package's shape tests read the rows and series the render loop
 // computes.
 type Session struct {
-	Params Params
+	Params Params // the scale every artefact of the pass runs at
 	// Progress, when non-nil, receives a line per finished factorial
 	// dataset.
 	Progress func(string)

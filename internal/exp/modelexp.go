@@ -11,11 +11,11 @@ import (
 // at the start of the first `runs` runs for uniform input, plus each run's
 // length relative to memory (which converges to 2.0, §3.6.1).
 type ModelResult struct {
-	RunLengths []float64
+	RunLengths []float64 // the length of each run relative to memory
 	// Densities[r] is the density profile at the start of run r, sampled
 	// at SampleXs.
 	Densities [][]float64
-	SampleXs  []float64
+	SampleXs  []float64 // the sample points, centred in equal cells of [0, 1)
 }
 
 // Fig38Model runs the snowplow model for the given number of runs and

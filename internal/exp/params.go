@@ -32,8 +32,8 @@ type Params struct {
 	// (thesis: 400 runs of 16 MB each); FanInMergeMemory is the merge
 	// buffer memory in bytes for that experiment.
 	FanInRuns        int
-	FanInRunRecords  int
-	FanInMergeMemory int
+	FanInRunRecords  int // records per run
+	FanInMergeMemory int // merge buffer memory in bytes
 }
 
 // Tiny is the scale of the package's tests and of EXPERIMENTS.md (the whole

@@ -17,12 +17,12 @@ import (
 
 // RunLengthRow is one row of Table 5.13.
 type RunLengthRow struct {
-	Kind gen.Kind
+	Kind gen.Kind // the input dataset
 	// Ratio[i] is the avg run length / memory for column i (RS, cfg1,
 	// cfg2, cfg3); Runs[i] is the corresponding run count ("inf" rows have
 	// Runs[i] == 1).
 	Ratio [4]float64
-	Runs  [4]int
+	Runs  [4]int // run counts, per column as Ratio
 }
 
 // table513Configs returns the three 2WRS configurations.
@@ -78,8 +78,8 @@ func RenderTable513(rows []RunLengthRow) string {
 // BufferSweepPoint is one point of Fig 5.4: run length vs buffer size on
 // random input.
 type BufferSweepPoint struct {
-	FracPercent float64
-	Ratio       float64
+	FracPercent float64 // the buffers' share of memory, in percent
+	Ratio       float64 // the average run length relative to memory
 }
 
 // Fig54BufferSweep reproduces the linear run-length/buffer-size relation of

@@ -25,11 +25,11 @@ import (
 // TimePoint is one x position of a Chapter 6 figure: run-generation and
 // total times for both algorithms.
 type TimePoint struct {
-	X       float64 // memory (records), input (records) or section count
-	RSRun   time.Duration
-	RSTotal time.Duration
-	TWRun   time.Duration
-	TWTotal time.Duration
+	X       float64       // memory (records), input (records) or section count
+	RSRun   time.Duration // RS run generation, simulated
+	RSTotal time.Duration // RS run generation and merge, simulated
+	TWRun   time.Duration // 2WRS run generation, simulated
+	TWTotal time.Duration // 2WRS run generation and merge, simulated
 }
 
 // Speedup returns total RS time over total 2WRS time.
@@ -161,8 +161,8 @@ func RenderTimePoints(xLabel string, pts []TimePoint) string {
 
 // FanInPoint is one x position of Fig 6.1.
 type FanInPoint struct {
-	FanIn   int
-	SimTime time.Duration
+	FanIn   int           // the merge fan-in
+	SimTime time.Duration // the simulated time of the merge alone
 }
 
 // Fig61FanIn reproduces the merge-time-vs-fan-in U-shape: a set of

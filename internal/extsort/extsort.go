@@ -169,13 +169,12 @@ type Config struct {
 	// caller's to read: after GenerateRuns for run generation, after Merge
 	// for the whole sort.
 	Disk *iosim.Disk
-	// Parallelism bounds the sort's concurrency (default GOMAXPROCS):
-	// above 1, run generation creates, writes and closes its spill files
-	// through a write-behind goroutine and up to this many operations of
-	// the merge plan execute at once. 1 reproduces the fully sequential
-	// behaviour — and the paper's sequential cost model — exactly; the
-	// on-disk run format, the merge tree and the sorted output are
-	// identical either way.
+	// Parallelism bounds the sort's concurrency (default GOMAXPROCS): up to
+	// this many operations of the merge plan execute at once. Run generation
+	// is one sequential pass at every setting, writing its own files. 1
+	// reproduces the fully sequential behaviour — and the paper's sequential
+	// cost model — exactly; the on-disk run format, the merge tree and the
+	// sorted output are identical either way.
 	// A simulated disk (Disk != nil) always forces 1: overlap against a
 	// single simulated device would double-count time.
 	Parallelism int
@@ -435,9 +434,6 @@ func newRunSet[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
 	o := newSortObs(cfg)
 	em := runio.NewEmitterOn(store, cfg.Prefix, ops.Codec, ops.Less)
 	em.PagesPerFile = pages
-	// With headroom for concurrency, run files are created, written and
-	// closed by a write-behind goroutine so heap work overlaps file I/O.
-	em.Async = cfg.Parallelism > 1
 	storage.PoolOf(store).Reserve(budget)
 	rset := &RunSet[T]{store: store, em: em, cfg: cfg, ops: ops, o: o, fs: fs, spill: arena}
 	if cfg.Manifest {
@@ -498,9 +494,8 @@ func (r *RunSet[T]) generate(src stream.BatchReader[T], recovered []manifest.Run
 			return nil, err
 		}
 		// The spill files and manifest are exactly the state Resume needs,
-		// so nothing is discarded. But the write-behind must still be
-		// joined, abandoned run writers included, or it would keep
-		// appending to the surviving files while a later Resume reads them.
+		// so nothing is discarded. But the run writers the pass abandoned
+		// must still be closed, or their handles would outlive the sort.
 		man.Close()
 		o.reporter().Stop()
 		em.AbortOpen()
@@ -512,15 +507,13 @@ func (r *RunSet[T]) generate(src stream.BatchReader[T], recovered []manifest.Run
 	// input position — and leaves the replayed prefix out of the input
 	// metric.
 	var skip int64
-	async := em.Async
 	if n := len(recovered); n > 0 {
 		skip = recovered[n-1].InputPos
 		rsp = gsp.Start("resume", obs.Int("runs_recovered", int64(n)), obs.Int("input_pos", skip))
 		r.stats.RunsRecovered = n
 		o.observeRecovered(n)
-		// The replay writes nowhere, and synchronously: a write-behind binds
-		// to the pool of the store its first stream writes to.
-		em.Store, em.Async = storage.NewRaw(discardFS{}), false
+		// The replay writes nowhere.
+		em.Store = storage.NewRaw(discardFS{})
 		storage.PoolOf(em.Store).Reserve(storage.PoolOf(r.store).Budget())
 	}
 	in := meterSource(o, src, skip)
@@ -540,7 +533,7 @@ func (r *RunSet[T]) generate(src stream.BatchReader[T], recovered []manifest.Run
 			// No stream is open at a boundary: the one point where the
 			// replay can hand over to the sort's store.
 			if replayed++; replayed == len(recovered) {
-				em.Store, em.Async = r.store, async
+				em.Store = r.store
 				rsp.End()
 			}
 			return nil
@@ -557,12 +550,6 @@ func (r *RunSet[T]) generate(src stream.BatchReader[T], recovered []manifest.Run
 	}
 	if err == nil && replayed < len(recovered) {
 		err = fmt.Errorf("%w: the input ended after %d records, before the %d runs the manifest committed were regenerated; the source must re-serve the original input", manifest.ErrChecksum, in.n, len(recovered))
-	}
-	if err == nil {
-		// The end of generation: every run is whole before it is counted,
-		// committed or merged, and a write that failed behind the
-		// generator's back fails the pass here.
-		err = em.Barrier()
 	}
 	if err != nil {
 		return fail(err)
@@ -730,9 +717,8 @@ func (r *RunSet[T]) Merge(dst stream.Writer[T]) (Stats, error) {
 // unlinks the arena. A second Discard of the same set is a no-op.
 func (r *RunSet[T]) Discard() error {
 	r.o.reporter().Stop()
-	// A failed generation can abandon its current run writer with the
-	// write-behind still appending; join it before removing the files it
-	// writes to.
+	// A failed generation can abandon its current run writers; close them
+	// before removing the files they write to.
 	r.em.AbortOpen()
 	var first error
 	if r.manifestName != "" {

@@ -89,12 +89,12 @@ func settledGoroutines(want int) int {
 }
 
 // TestSortSurfacesEveryFileFault sweeps a failing create, block write and
-// close of a spill file across the whole sort, with and without the
-// write-behind and the merge worker pool, on the plain and the framed
-// backend: the injected error is what Sort returns — a failure behind the
-// generator's or a merge worker's back surfaces by the next barrier, never
-// as success — no goroutine outlives the failed sort, and no spill file
-// does either: the arena is gone from the file system, no extent left.
+// close of a spill file across the whole sort, at Parallelism 1 and 2 — one
+// merge worker and a pool of them — on the plain and the framed backend:
+// the injected error is what Sort returns — a failure on a merge worker
+// surfaces when the pass stops, never as success — no goroutine outlives
+// the failed sort, and no spill file does either: the arena is gone from
+// the file system, no extent left.
 func TestSortSurfacesEveryFileFault(t *testing.T) {
 	recs := gen.Generate(gen.Config{Kind: gen.Random, N: 12000, Seed: 3})
 	s := aboveArena(t)

@@ -23,10 +23,8 @@ import (
 
 // runFileGolden is the SHA-256 of every spill file one generation pass
 // leaves behind — each name, length and content in name order — per policy,
-// input and backend. It pins the layout itself, backward chains included,
-// where TestRunFilesByteIdenticalAsync only holds two ways of writing it to
-// each other: a drift both ways shared would pass that test and fails this
-// one. A change to it is a change of the on-disk format.
+// input and backend. It pins the layout itself, backward chains included. A
+// change to it is a change of the on-disk format.
 var runFileGolden = map[string]string{
 	"2wrs/mixed/raw":               "0a267207af6ef419887dc6d6901fd8f6a86febda8ac91a6f95cb782abe3568ac",
 	"rs/mixed/raw":                 "165e972193f6ec9973e8256843354ac161c0a96e5cf372c71f41249ab475c0d5",
@@ -49,15 +47,14 @@ var runFileGolden = map[string]string{
 // TestRunFileLayoutGolden generates runs with a fixed seed for every policy
 // that writes chains — 2wrs, rs, alternating and auto — on the mixed and the
 // alternating input, over the raw and the framed backend, and holds the
-// files to runFileGolden. Every configuration is generated eight ways —
-// synchronously and through the write-behind, with and without a key codec,
-// one file per spill file and in a spill arena, each file read back through
-// it by name — and all eight must store the same bytes (-short takes the
-// arena leg through the keyed write-behind only). The pool budget makes a
+// files to runFileGolden. Every configuration is generated four ways — with
+// and without a key codec, one file per spill file and in a spill arena,
+// each file read back through it by name — and all four must store the same
+// bytes (-short takes the arena leg keyed only). The pool budget makes a
 // generator's block four pages and a chain file has six data pages, so
 // chains roll over to their next file in the middle of a block.
 func TestRunFileLayoutGolden(t *testing.T) {
-	generate := func(recs []record.Record, alg policy.Kind, comp string, async, keyed, arena bool) (string, bool) {
+	generate := func(recs []record.Record, alg policy.Kind, comp string, keyed, arena bool) (string, bool) {
 		fs := spillLeg(arena)
 		st, err := storage.New(fs, storage.Config{Compression: comp})
 		if err != nil {
@@ -65,7 +62,7 @@ func TestRunFileLayoutGolden(t *testing.T) {
 		}
 		storage.PoolOf(st).Reserve(128 << 10)
 		em := runio.NewEmitterOn[record.Record](st, "gold", codec.Record16{}, record.Less)
-		em.Async, em.PagesPerFile = async, 7
+		em.PagesPerFile = 7
 		if keyed {
 			em.KeyCodec = codec.KeyRecord16{}
 		}
@@ -100,20 +97,18 @@ func TestRunFileLayoutGolden(t *testing.T) {
 			for _, alg := range []policy.Kind{policy.TwoWayRS, policy.RS, policy.Alternating, policy.Auto} {
 				name := fmt.Sprintf("%v/%v/%s", alg, kind, comp)
 				want, ok := runFileGolden[name]
-				for _, async := range []bool{false, true} {
-					for _, keyed := range []bool{false, true} {
-						for _, arena := range []bool{false, true} {
-							if arena && testing.Short() && !(async && keyed) {
-								continue // -short: the arena leg once per configuration
-							}
-							got, rolled := generate(recs, alg, comp, async, keyed, arena)
-							anyRolled = anyRolled || rolled
-							if !ok {
-								t.Errorf("no golden for %s: %q: %q,", name, name, got)
-								want, ok = got, true
-							} else if got != want {
-								t.Errorf("%s (async %v, keyed %v, arena %v): run files hash to %s, want %s", name, async, keyed, arena, got, want)
-							}
+				for _, keyed := range []bool{false, true} {
+					for _, arena := range []bool{false, true} {
+						if arena && testing.Short() && !keyed {
+							continue // -short: the arena leg once per configuration
+						}
+						got, rolled := generate(recs, alg, comp, keyed, arena)
+						anyRolled = anyRolled || rolled
+						if !ok {
+							t.Errorf("no golden for %s: %q: %q,", name, name, got)
+							want, ok = got, true
+						} else if got != want {
+							t.Errorf("%s (keyed %v, arena %v): run files hash to %s, want %s", name, keyed, arena, got, want)
 						}
 					}
 				}
@@ -185,7 +180,7 @@ func TestStringRunFileLayoutGolden(t *testing.T) {
 		Setup: core.BothBuffers, BufferFrac: 0.02,
 		Input: core.InMean, Output: core.OutRandom, Seed: 11,
 	}
-	generate := func(strs []string, alg policy.Kind, comp string, async, keyed, arena bool, tw core.Config, less func(a, b string) bool, key func(string) float64) (string, bool) {
+	generate := func(strs []string, alg policy.Kind, comp string, keyed, arena bool, tw core.Config, less func(a, b string) bool, key func(string) float64) (string, bool) {
 		fs := spillLeg(arena)
 		st, err := storage.New(fs, storage.Config{Compression: comp})
 		if err != nil {
@@ -193,7 +188,7 @@ func TestStringRunFileLayoutGolden(t *testing.T) {
 		}
 		storage.PoolOf(st).Reserve(128 << 10)
 		em := runio.NewEmitterOn[string](st, "gold", codec.String{}, less)
-		em.Async, em.PageSize, em.PagesPerFile = async, 64, 3
+		em.PageSize, em.PagesPerFile = 64, 3
 		if keyed {
 			em.KeyCodec = codec.KeyString{}
 		}
@@ -229,20 +224,18 @@ func TestStringRunFileLayoutGolden(t *testing.T) {
 			for _, alg := range []policy.Kind{policy.TwoWayRS, policy.RS, policy.Alternating, policy.Auto} {
 				name := fmt.Sprintf("%v/%v/%s", alg, kind, comp)
 				want, ok := stringFileGolden[name]
-				for _, async := range []bool{false, true} {
-					for _, keyed := range []bool{false, true} {
-						for _, arena := range []bool{false, true} {
-							if arena && testing.Short() && !(async && keyed) {
-								continue // -short: the arena leg once per configuration
-							}
-							got, rolled := generate(strs, alg, comp, async, keyed, arena, defaults, less, key)
-							anyRolled = anyRolled || rolled
-							if !ok {
-								t.Errorf("no golden for %s: %q: %q,", name, name, got)
-								want, ok = got, true
-							} else if got != want {
-								t.Errorf("%s (async %v, keyed %v, arena %v): run files hash to %s, want %s", name, async, keyed, arena, got, want)
-							}
+				for _, keyed := range []bool{false, true} {
+					for _, arena := range []bool{false, true} {
+						if arena && testing.Short() && !keyed {
+							continue // -short: the arena leg once per configuration
+						}
+						got, rolled := generate(strs, alg, comp, keyed, arena, defaults, less, key)
+						anyRolled = anyRolled || rolled
+						if !ok {
+							t.Errorf("no golden for %s: %q: %q,", name, name, got)
+							want, ok = got, true
+						} else if got != want {
+							t.Errorf("%s (keyed %v, arena %v): run files hash to %s, want %s", name, keyed, arena, got, want)
 						}
 					}
 				}
@@ -279,18 +272,16 @@ func TestStringRunFileLayoutGolden(t *testing.T) {
 				if cmp == "prefix" {
 					cl = prefixLess
 				}
-				for _, async := range []bool{false, true} {
-					for _, keyed := range []bool{false, true} {
-						if keyed && cmp == "prefix" {
-							continue // KeyString orders whole strings
-						}
-						got, _ := generate(strs, policy.TwoWayRS, "raw", async, keyed, false, tw, cl, nil)
-						if !ok {
-							t.Errorf("no golden for %s: %q: %q,", name, name, got)
-							want, ok = got, true
-						} else if got != want {
-							t.Errorf("%s (async %v, keyed %v): run files hash to %s, want %s", name, async, keyed, got, want)
-						}
+				for _, keyed := range []bool{false, true} {
+					if keyed && cmp == "prefix" {
+						continue // KeyString orders whole strings
+					}
+					got, _ := generate(strs, policy.TwoWayRS, "raw", keyed, false, tw, cl, nil)
+					if !ok {
+						t.Errorf("no golden for %s: %q: %q,", name, name, got)
+						want, ok = got, true
+					} else if got != want {
+						t.Errorf("%s (keyed %v): run files hash to %s, want %s", name, keyed, got, want)
 					}
 				}
 			}

@@ -13,7 +13,7 @@ import (
 )
 
 // TestFailedGenerationClosesEveryHandle fails the source of a sort under
-// every policy, plain and durable, with and without the write-behind — once
+// every policy, plain and durable, at Parallelism 1 and 2 — once
 // in the middle of a run, with the run's streams open, and once on the
 // first read after a run boundary — and counts file handles at the seam
 // between the spill backend and the arena, where every spill file is one:

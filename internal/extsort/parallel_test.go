@@ -1,17 +1,11 @@
 package extsort
 
 import (
-	"bytes"
 	"io"
 	"testing"
 
-	"repro/internal/codec"
-	"repro/internal/core"
 	"repro/internal/gen"
-	"repro/internal/policy"
 	"repro/internal/record"
-	"repro/internal/runio"
-	"repro/internal/storage"
 	"repro/internal/stream"
 	"repro/internal/vfs"
 	"repro/internal/vfs/faultfs"
@@ -34,75 +28,6 @@ func readFile(t *testing.T, fs vfs.FS, name string) []byte {
 		t.Fatal(err)
 	}
 	return buf
-}
-
-// fsFingerprint snapshots every file of the FS by name.
-func fsFingerprint(t *testing.T, fs vfs.FS) map[string][]byte {
-	t.Helper()
-	names, err := fs.Names()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make(map[string][]byte, len(names))
-	for _, n := range names {
-		out[n] = readFile(t, fs, n)
-	}
-	return out
-}
-
-// TestRunFilesByteIdenticalAsync is the on-disk-format fixture: for a fixed
-// seed, run generation through a synchronous emitter and through one whose
-// files go through a write-behind (what Parallelism > 1 enables) must
-// produce exactly the same files with exactly the same bytes — block frames
-// included, on the framed backend — for 2WRS, RS and quick. A budget is
-// declared on the pool so the generators' blocks are larger than a page.
-func TestRunFilesByteIdenticalAsync(t *testing.T) {
-	recs := gen.Generate(gen.Config{Kind: gen.MixedBalanced, N: 20000, Seed: 7, Noise: 100})
-
-	generate := func(async bool, alg policy.Kind, comp string) map[string][]byte {
-		fs := vfs.NewMemFS()
-		st, err := storage.New(fs, storage.Config{Compression: comp})
-		if err != nil {
-			t.Fatal(err)
-		}
-		storage.PoolOf(st).Reserve(64 << 10)
-		em := runio.NewEmitterOn[record.Record](st, "fix", codec.Record16{}, record.Less)
-		em.Async = async
-		em.PagesPerFile = 64
-		pcfg := policy.Config{Memory: 500, TWRS: core.Config{
-			Setup: core.BothBuffers, BufferFrac: 0.02,
-			Input: core.InMean, Output: core.OutRandom, Seed: 11,
-		}}
-		if alg == policy.Quick {
-			pcfg.Memory = 1500
-		}
-		if _, err = policy.Generate[record.Record](alg, stream.NewSliceReader(recs), em, pcfg, record.Key); err != nil {
-			t.Fatal(err)
-		}
-		return fsFingerprint(t, fs)
-	}
-
-	for _, comp := range []string{"raw", "none"} {
-		for _, alg := range []policy.Kind{policy.TwoWayRS, policy.RS, policy.Quick} {
-			sync := generate(false, alg, comp)
-			async := generate(true, alg, comp)
-			if len(sync) == 0 {
-				t.Fatalf("%s/%v: no run files produced", comp, alg)
-			}
-			if len(sync) != len(async) {
-				t.Fatalf("%s/%v: file sets differ: %d sync vs %d async", comp, alg, len(sync), len(async))
-			}
-			for name, want := range sync {
-				got, ok := async[name]
-				if !ok {
-					t.Fatalf("%s/%v: file %s missing from async run", comp, alg, name)
-				}
-				if !bytes.Equal(want, got) {
-					t.Fatalf("%s/%v: file %s differs between sync and async spill", comp, alg, name)
-				}
-			}
-		}
-	}
 }
 
 // TestSortParallelismEquivalence runs the same sort at Parallelism 1 and 4
@@ -146,8 +71,8 @@ func TestSortParallelismEquivalence(t *testing.T) {
 	}
 }
 
-// TestSortParallelWriteFailure verifies error propagation through the
-// worker pool and the async spill writers, killing the writes to the sort's
+// TestSortParallelWriteFailure verifies error propagation through run
+// generation and the merge worker pool, killing the writes to the sort's
 // physical file, its arena.
 func TestSortParallelWriteFailure(t *testing.T) {
 	recs := gen.Generate(gen.Config{Kind: gen.Random, N: 20000, Seed: 1})

@@ -225,9 +225,7 @@ func unevenRuns(t *testing.T, em *runio.Emitter[record.Record], n int, seed int6
 // Workers setting: the same operations — output name ← input names, in
 // group order — whatever order they ran in, the same statistics and the
 // same bytes written as one worker's, which
-// TestSequentialScheduleUnchanged holds to the rule. The emitter is Async,
-// as the driver makes it above one worker: that must not move a merge's
-// creates off the goroutine of the worker that executes it.
+// TestSequentialScheduleUnchanged holds to the rule.
 func TestScheduleIndependentOfWorkers(t *testing.T) {
 	const fanIn, n = 4, 500
 	type outcome struct {
@@ -241,7 +239,7 @@ func TestScheduleIndependentOfWorkers(t *testing.T) {
 		em := runio.RecordEmitter(fs, "m")
 		runs := unevenRuns(t, em, n, 5)
 		before := em.Store.Stats().RawBytesWritten
-		fs.log, em.Async = true, true
+		fs.log = true
 		var out stream.SliceWriter[record.Record]
 		stats, err := Merge(em, runs, &out, Config{FanIn: fanIn, MemoryBytes: 1 << 16, Workers: workers})
 		if err != nil {

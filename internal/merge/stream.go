@@ -78,10 +78,6 @@ func NewStream[T any](em *runio.Emitter[T], inputs []runio.Run, cfg Config) (*St
 		return st, nil
 	}
 	cfg.Span.Annotate(obs.Int("ops", int64(p.stats.Merges)), obs.Int("passes", int64(p.stats.Passes)), obs.Int("moved", p.stats.RecordsMoved))
-	// The runs must be whole before they are opened for reading.
-	if err := em.Barrier(); err != nil {
-		return nil, err
-	}
 	storage.PoolOf(em.Store).Reserve(cfg.MemoryBytes)
 
 	runs := make([]runio.Run, len(inputs)+len(p.ops))

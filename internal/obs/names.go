@@ -16,9 +16,9 @@ const (
 	// resumed sort instead of being regenerated.
 	MRunsRecovered = "extsort_runs_recovered_total"
 	// MCheckpointSeconds is the distribution of per-boundary checkpoint
-	// wall time — the barrier that makes the run's files whole, and the
-	// manifest append; its _sum is the durable sort's total checkpoint time
-	// and its _count the number of boundaries.
+	// wall time — the manifest append that commits the run's files; its
+	// _sum is the durable sort's total checkpoint time and its _count the
+	// number of boundaries.
 	MCheckpointSeconds = "extsort_checkpoint_seconds"
 	// MPolicySwitches counts mid-stream generator switches by the auto
 	// policy.

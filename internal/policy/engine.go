@@ -117,18 +117,14 @@ func NewGenerator[T any](kind Kind, src stream.BatchReader[T], em *runio.Emitter
 }
 
 // Generate runs the given policy over src from start to end, writing runs
-// through em: NewGenerator, then Drive, then the emitter's Barrier, so the
-// runs are whole on the store when it returns.
+// through em: NewGenerator, then Drive. The runs are whole on the store when
+// it returns.
 func Generate[T any](kind Kind, src stream.BatchReader[T], em *runio.Emitter[T], cfg Config, key func(T) float64) (Result, error) {
 	gen, err := NewGenerator(kind, src, em, cfg, key)
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := Drive(gen, cfg.Span, nil)
-	if berr := em.Barrier(); err == nil {
-		err = berr
-	}
-	return res, err
+	return Drive(gen, cfg.Span, nil)
 }
 
 // Drive is the one run-generation loop: it steps gen to exhaustion and

@@ -59,15 +59,12 @@ func (s *QuickStepper[T]) NextRun() (runio.Run, bool, error) {
 	if fill == 0 {
 		return runio.Run{}, false, nil
 	}
-	// The run's file is asked for before the batch is sorted: behind a
-	// write-behind its creation then overlaps the sort, which costs about
-	// as much.
+	buf := s.buf[:fill]
+	s.sort.Sort(buf)
 	w, err := s.em.Stream("quick", false)
 	if err != nil {
 		return runio.Run{}, false, err
 	}
-	buf := s.buf[:fill]
-	s.sort.Sort(buf)
 	if err := stream.WriteAll[T](w, buf); err != nil {
 		return runio.Run{}, false, err
 	}

@@ -53,36 +53,14 @@ func decodeHeader(buf []byte) (header, error) {
 // "same name followed by a different number" scheme.
 func backwardFileName(base string, i int) string { return fmt.Sprintf("%s.%d", base, i) }
 
-// chainFile is one file of a backward chain as its writer's queue sees it:
-// created, given runs of whole pages top down, finished and closed by
-// whoever executes the operations, in order.
+// chainFile is one open file of a backward chain: given runs of whole pages
+// top down, then finished and closed.
 type chainFile struct {
-	st   storage.Backend
-	name string
-	w    storage.PageWriter // nil before create and after a failed one
-	top  int                // the highest data page not stored yet
+	w   storage.PageWriter
+	top int // the highest data page not stored yet
 	// hdr is the file's header: the writer counts its records, finish fills
 	// in where the payload starts.
 	hdr header
-	at  int // where the payload starts in the block opFinish carries
-}
-
-// exec performs one operation. A file whose create failed (or was skipped)
-// ignores the rest.
-func (f *chainFile) exec(op int, block []byte) (err error) {
-	switch {
-	case op == opCreate:
-		f.w, err = f.st.CreatePaged(f.name, int(f.hdr.pageSize), int(f.hdr.pages))
-	case f.w == nil:
-	case op == opAppend:
-		err = f.writePages(block)
-	case op == opFinish:
-		err = f.finish(block[f.at:])
-	case op == opClose:
-		err = f.w.Close()
-		f.w = nil
-	}
-	return err
 }
 
 // writePages stores a run of whole pages just below those already stored.
@@ -123,13 +101,12 @@ func (f *chainFile) finish(payload []byte) error {
 // next element starts the next chain file. A variable-width encoding may
 // span pages and even files: the continuation bytes land at the tail of the
 // next chain file, which is exactly where an ascending read (files in
-// reverse creation order, each scanned forward) expects them. File
-// operations go through a writeBehind as a Writer's do, and the bytes stored
-// depend neither on it nor on the block size.
+// reverse creation order, each scanned forward) expects them. Like a
+// Writer it performs its file operations on its caller's goroutine, and the
+// bytes stored do not depend on the block size.
 type BackwardWriter[T any] struct {
 	streamBase[T]
 	st         storage.Backend
-	q          *writeBehind
 	pool       *storage.Pool
 	fixed      int // c.FixedSize()
 	blockPages int
@@ -154,11 +131,6 @@ type BackwardWriter[T any] struct {
 // fixed-width codecs the page size must hold a whole number of elements,
 // preserving the historical non-spanning layout.
 func NewBackwardWriter[T any](st storage.Backend, base string, pageSize, pagesPerFile int, c codec.Codec[T], less func(a, b T) bool) (*BackwardWriter[T], error) {
-	return newBackwardWriter(nil, st, base, pageSize, pagesPerFile, c, less)
-}
-
-// newBackwardWriter is NewBackwardWriter on the queue q.
-func newBackwardWriter[T any](q *writeBehind, st storage.Backend, base string, pageSize, pagesPerFile int, c codec.Codec[T], less func(a, b T) bool) (*BackwardWriter[T], error) {
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
 	}
@@ -175,7 +147,7 @@ func newBackwardWriter[T any](q *writeBehind, st storage.Backend, base string, p
 	if pagesPerFile < 2 {
 		return nil, fmt.Errorf("runio: pagesPerFile %d must be at least 2 (header + data)", pagesPerFile)
 	}
-	w := &BackwardWriter[T]{st: st, q: q, pool: storage.PoolOf(st), fixed: fixed, file: header{pages: uint32(pagesPerFile), pageSize: uint32(pageSize)}}
+	w := &BackwardWriter[T]{st: st, pool: storage.PoolOf(st), fixed: fixed, file: header{pages: uint32(pagesPerFile), pageSize: uint32(pageSize)}}
 	w.blockPages = min(max(BlockBytes(w.pool.Budget())/pageSize, 1), pagesPerFile-1)
 	w.streamBase = newStreamBase(Segment{Name: base, Backward: true}, c, less, w)
 	return w, nil
@@ -286,12 +258,12 @@ func (w *BackwardWriter[T]) ready() error {
 		return w.err
 	}
 	w.left = int(w.file.pages) - 1
-	f := &chainFile{st: w.st, name: backwardFileName(w.seg.Name, w.seg.Files), top: w.left, hdr: w.file}
-	f.hdr.index = uint32(w.seg.Files)
-	if err := w.q.do(f, opCreate, nil); err != nil {
+	pw, err := w.st.CreatePaged(backwardFileName(w.seg.Name, w.seg.Files), int(w.file.pageSize), int(w.file.pages))
+	if err != nil {
 		return err
 	}
-	w.f = f
+	w.f = &chainFile{w: pw, top: w.left, hdr: w.file}
+	w.f.hdr.index = uint32(w.seg.Files)
 	w.seg.Files++
 	w.nextBlock()
 	return nil
@@ -312,7 +284,7 @@ func (w *BackwardWriter[T]) nextBlock() {
 // or, when it held the file's head, completes and closes the file, and the
 // next byte starts the following chain file.
 func (w *BackwardWriter[T]) full() error {
-	if w.err = w.store(opAppend, w.blk[:w.end]); w.err != nil {
+	if w.err = w.f.writePages(w.blk[:w.end]); w.err != nil {
 		return w.err
 	}
 	if w.end = 0; w.left > 0 {
@@ -331,35 +303,22 @@ func (w *BackwardWriter[T]) flush() error {
 	if w.f == nil || w.err != nil {
 		return w.err
 	}
-	var block []byte
-	if w.pos < w.end {
-		block, w.f.at = w.blk[:w.end], w.pos
-	}
+	payload := w.blk[w.pos:w.end]
 	w.pos, w.end = 0, 0
-	return w.store(opFinish, block)
-}
-
-// store performs op on the current chain file with block, which a
-// write-behind then owns.
-func (w *BackwardWriter[T]) store(op int, block []byte) error {
-	err := w.q.do(w.f, op, block)
-	if err == nil && block != nil && w.q != nil {
-		w.blk = nil
-	}
-	return err
+	return w.f.finish(payload)
 }
 
 // release returns the block to the pool and closes the current chain file,
-// complete or not, behind whatever is still queued for it.
+// complete or not.
 func (w *BackwardWriter[T]) release() error {
 	w.pool.Put(w.blk)
 	w.blk = nil
 	if w.f == nil {
 		return nil
 	}
-	f := w.f
+	err := w.f.w.Close()
 	w.f = nil
-	return w.q.close(f)
+	return err
 }
 
 // Files returns the number of chain files created so far.

@@ -28,14 +28,6 @@ type Emitter[T any] struct {
 	PageSize int
 	// PagesPerFile is the backward chain file length in pages (0: default).
 	PagesPerFile int
-	// Async gives the run-generation pass — the goroutine that calls Stream
-	// — a write-behind (see writeBehind): its forward files and backward
-	// chain files are created, written and closed on a background
-	// goroutine, overlapping generation CPU work with file I/O, and are
-	// complete only after Barrier. Writers from NewWriter ignore it and
-	// write on their caller's goroutine. The driver enables it when
-	// Parallelism > 1; the bytes written are identical either way.
-	Async bool
 	// KeyCodec, when set, supplies memcmp-ordered normalized key bytes
 	// consistent with Less (see codec.KeyCodec). Run generators then cache
 	// key prefixes in their heaps and sort batches on the normalized bytes,
@@ -50,10 +42,6 @@ type Emitter[T any] struct {
 	// sums of each run in the manifest at its boundary; off (the default)
 	// no per-element CRC is ever computed.
 	Checksums bool
-
-	// gen is the write-behind of the goroutine that calls Stream — the
-	// run-generation pass — started by its first stream when Async is set.
-	gen *writeBehind
 
 	mu sync.Mutex
 	// open lists every stream the emitter opened that has not closed yet,
@@ -93,9 +81,8 @@ func (e *Emitter[T]) PrefixFunc() func(T) uint64 {
 // files and backward chains alike: an eighth of the memory budget declared
 // on the store's pool, in whole pages, between one page — what it is without
 // a budget — and 64 KiB, past which a larger write buys nothing. They sit
-// outside the record budget the generator fills: one block per open stream,
-// and under Async one more in flight. A sort's spill arena takes it as its
-// extent size.
+// outside the record budget the generator fills, one block per open stream.
+// A sort's spill arena takes it as its extent size.
 func BlockBytes(budget int) int {
 	pages := min(budget/8, 64<<10) / DefaultPageSize
 	return max(pages, 1) * DefaultPageSize
@@ -105,35 +92,26 @@ func BlockBytes(budget int) int {
 // ascending one stored as a forward file, or a descending one stored as an
 // Appendix A backward chain, so the merge reads both forward. role
 // distinguishes streams in file names (e.g. "rs", "s1"). It is for the one
-// goroutine that generates runs: under Async every stream it opens shares
-// that goroutine's write-behind, and their files are complete after Barrier.
+// goroutine that generates runs, which also performs the stream's file
+// operations: a file is complete when the stream's Close returns.
 func (e *Emitter[T]) Stream(role string, descending bool) (StreamWriter[T], error) {
 	name := e.Namer.Next(role)
-	if e.Async && e.gen == nil {
-		e.gen = newWriteBehind(storage.PoolOf(e.Store))
-	}
 	if descending {
-		w, err := newBackwardWriter(e.gen, e.Store, name, e.PageSize, e.PagesPerFile, e.Codec, e.Less)
+		w, err := NewBackwardWriter(e.Store, name, e.PageSize, e.PagesPerFile, e.Codec, e.Less)
 		if err != nil {
 			return nil, err
 		}
 		e.adopt(&w.streamBase)
 		return w, nil
 	}
-	return e.newWriter(e.gen, name, BlockBytes(storage.PoolOf(e.Store).Budget()))
+	return e.NewWriter(name, BlockBytes(storage.PoolOf(e.Store).Budget()))
 }
 
 // NewWriter creates a forward writer on the named file with an explicit
-// buffer size, whose file operations run on the calling goroutine whatever
-// Async says. Unlike Stream it does not touch the Namer, so concurrent
+// buffer size. Unlike Stream it does not touch the Namer, so concurrent
 // merge workers can use it with pre-allocated names.
 func (e *Emitter[T]) NewWriter(name string, bufBytes int) (*Writer[T], error) {
-	return e.newWriter(nil, name, bufBytes)
-}
-
-// newWriter is NewWriter on the queue q.
-func (e *Emitter[T]) newWriter(q *writeBehind, name string, bufBytes int) (*Writer[T], error) {
-	w, err := newWriter(q, e.Store, name, bufBytes, e.Codec, e.Less)
+	w, err := NewWriter(e.Store, name, bufBytes, e.Codec, e.Less)
 	if err != nil {
 		return nil, err
 	}
@@ -161,20 +139,12 @@ func (e *Emitter[T]) forget(s *streamBase[T]) {
 	delete(e.open, s)
 }
 
-// Barrier waits until every file written through Stream is complete on the
-// store — created, written and closed — and returns the first error
-// the generation pass's write-behind has met. Run generation calls it before
-// its runs are read and at every durable commit boundary; without Async
-// there is nothing to wait for.
-func (e *Emitter[T]) Barrier() error { return e.gen.join() }
-
-// AbortOpen force-closes every stream the emitter opened that is still live
-// — buffered pages are dropped, the underlying files closed — and joins the
-// generation pass's write-behind. Failure paths call it before removing (or
-// abandoning) spill files, so no handle outlives the sort and nothing is
-// still appending to a file being removed — the race a run generator invites
-// when a source error makes it abandon its writers mid-run. (A merge
-// worker's writer is synchronous and closed before its operation returns.)
+// AbortOpen force-closes every stream the emitter opened that is still live:
+// buffered pages are dropped and the underlying files closed. Failure paths
+// call it before removing (or abandoning) spill files, so no handle outlives
+// the sort — the leak a run generator invites when a source error makes it
+// abandon its writers mid-run. (A merge worker's writer is closed before its
+// operation returns.)
 func (e *Emitter[T]) AbortOpen() {
 	e.mu.Lock()
 	live := e.open
@@ -183,7 +153,6 @@ func (e *Emitter[T]) AbortOpen() {
 	for s := range live {
 		s.abort()
 	}
-	e.gen.join()
 }
 
 // Open opens the run as its sorted pieces (OpenRun) on the emitter's store

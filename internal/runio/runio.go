@@ -76,10 +76,10 @@
 // backend stores it with one write, a chain block is one write of its pages
 // on the raw backend, and a backend that holds verified blocks lends them
 // to the reader instead of copying (Reader.refill, the one place reads
-// touch storage). Under Emitter.Async the run-generation pass has one
-// write-behind which creates, writes and closes its files in the
-// background; they are complete after Emitter.Barrier. Every other writer,
-// a merge output included, writes on its caller's goroutine.
+// touch storage). At every Parallelism of a sort, every writer — a run
+// generator's and a merge output's alike — creates, writes and closes its
+// files on its caller's goroutine, so a file is complete when the writer's
+// Close returns. Nothing in the package starts a goroutine.
 package runio
 
 import (
@@ -132,16 +132,12 @@ func bufSize(bufBytes, fixed int) int {
 // Writer writes an ascending forward run block by block: encoded elements
 // fill a pooled block, and each full one becomes one block of the storage
 // backend's stream (a plain byte range on the raw backend, a checksummed —
-// optionally compressed — frame on the block backend). Creating the file,
-// appending its blocks and closing it go through a writeBehind: the
-// synchronous nil one by default, the generation pass's when the writer
-// comes from Emitter.Stream with Async set, where Close returns with the
-// last block queued and the file is complete only after the next
-// Emitter.Barrier. The bytes stored are the same either way.
+// optionally compressed — frame on the block backend). The writer creates,
+// appends to and closes its file on its caller's goroutine, so the file is
+// complete when Close returns.
 type Writer[T any] struct {
 	streamBase[T]
-	f      outFile
-	q      *writeBehind
+	f      storage.BlockWriter
 	pool   *storage.Pool
 	fixed  int    // c.FixedSize()
 	buf    []byte // the block being filled: FrameHeadroom spare bytes, then the page
@@ -169,20 +165,16 @@ func ContentSum(sum uint64, encoded []byte) uint64 {
 
 // NewWriter creates the named spill stream on st and returns a Writer with
 // the given buffer size in bytes (0 means DefaultPageSize), encoding
-// elements with c and validating write order with less.
+// elements with c and validating write order with less. A failed create
+// fails the call.
 func NewWriter[T any](st storage.Backend, name string, bufBytes int, c codec.Codec[T], less func(a, b T) bool) (*Writer[T], error) {
-	return newWriter(nil, st, name, bufBytes, c, less)
-}
-
-// newWriter is NewWriter on the queue q. On the synchronous queue a failed
-// create fails the call; on a write-behind it is the queue's error.
-func newWriter[T any](q *writeBehind, st storage.Backend, name string, bufBytes int, c codec.Codec[T], less func(a, b T) bool) (*Writer[T], error) {
-	w := &Writer[T]{f: outFile{st: st, name: name}, q: q, pool: storage.PoolOf(st), fixed: c.FixedSize()}
-	w.streamBase = newStreamBase(Segment{Name: name}, c, less, w)
-	w.target = bufSize(bufBytes, w.fixed)
-	if err := q.do(&w.f, opCreate, nil); err != nil {
+	f, err := st.Create(name)
+	if err != nil {
 		return nil, err
 	}
+	w := &Writer[T]{f: f, pool: storage.PoolOf(st), fixed: c.FixedSize()}
+	w.streamBase = newStreamBase(Segment{Name: name}, c, less, w)
+	w.target = bufSize(bufBytes, w.fixed)
 	w.buf = w.pool.Get(headroom + w.target)[:headroom]
 	return w, nil
 }
@@ -249,28 +241,21 @@ func (w *Writer[T]) WriteBatch(src []T) error {
 	return nil
 }
 
-// flush hands the block being filled to the file's queue and starts a new
-// one: the same block again when the append has already happened, a fresh
-// one from the pool when the queue now owns the old.
+// flush appends the block being filled to the file and starts it over.
 func (w *Writer[T]) flush() error {
 	if len(w.buf) == headroom {
 		return nil
 	}
-	if err := w.q.do(&w.f, opAppend, w.buf); err != nil {
+	if err := storage.AppendBlock(w.f, w.buf); err != nil {
 		return err
-	}
-	if w.q != nil {
-		w.buf = w.pool.Get(headroom + w.target)
 	}
 	w.buf = w.buf[:headroom]
 	return nil
 }
 
-// release returns the writer's block to the pool and closes the file,
-// behind whatever is still queued for it. It returns the close's error, or
-// on a write-behind the queue's error so far.
+// release returns the writer's block to the pool and closes the file.
 func (w *Writer[T]) release() error {
 	w.pool.Put(w.buf)
 	w.buf = nil
-	return w.q.close(&w.f)
+	return w.f.Close()
 }

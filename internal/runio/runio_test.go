@@ -844,54 +844,6 @@ func TestWriteBatchRejectsOutOfOrder(t *testing.T) {
 	w.Close()
 }
 
-// TestAsyncWriterRoundTrip exercises the write-behind directly: several
-// forward streams of the generation pass through one queue with many blocks
-// each, every Close returning before its file is complete, then a read-back
-// after the Barrier.
-func TestAsyncWriterRoundTrip(t *testing.T) {
-	fs := vfs.NewMemFS()
-	em := RecordEmitter(fs, "as")
-	em.Async = true
-	const files, n = 3, 5000
-	var names []string
-	for f := 0; f < files; f++ {
-		w, err := em.Stream("as", false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			if err := w.Write(record.Record{Key: int64(i), Aux: uint64(f)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if seg := w.Segment(); seg.Records != n {
-			t.Fatalf("file %d: count %d, want %d", f, seg.Records, n)
-		}
-		names = append(names, w.Segment().Name)
-	}
-	if err := em.Barrier(); err != nil {
-		t.Fatal(err)
-	}
-	for f, name := range names {
-		r, err := NewReader(em.Store, name, 0, codec.Record16{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := readAllClosing(t, r)
-		if len(got) != n {
-			t.Fatalf("file %d: got %d records, want %d", f, len(got), n)
-		}
-		for i, rec := range got {
-			if rec.Key != int64(i) || rec.Aux != uint64(f) {
-				t.Fatalf("file %d record %d = %+v", f, i, rec)
-			}
-		}
-	}
-}
-
 // TestElementPathDoesNotAllocate pins the cost of the one-element call that
 // is left beside the bulk kernels — run generators write an element at a
 // time: Write's argument never passes through the codec's bulk interface,
@@ -1022,52 +974,48 @@ func (w failingPages) Close() error {
 // makes them and once when a full file rolls over mid-stream and the
 // generator then abandons the writer to AbortOpen; it fails a block's page
 // run and the next file's create the same way, and abandons a chain with no
-// fault in the middle of a block. Synchronously and through the
-// write-behind, the injected error surfaces by the Barrier at the latest,
-// every chain file's handle is closed, and the stream is no longer live.
+// fault in the middle of a block. Before Close or AbortOpen exactly the
+// handles of the case are open and an abandoned stream's writes have
+// returned the injected error; afterwards the error has surfaced, every
+// chain file's handle is closed, and the stream is no longer live.
 func TestChainWriterClosesFileItCouldNotFinish(t *testing.T) {
-	for _, async := range []bool{false, true} {
-		for _, tc := range []struct {
-			op      string
-			n       int // fail the op's n-th call
-			records int // 4 to a page, 2 data pages (one block) to a file
-			abandon bool
-			held    int // handles open when a synchronous rollover fails
-		}{
-			{op: "tail", n: 1, records: 5},
-			{op: "header", n: 1, records: 5},
-			{op: "header", n: 1, records: 8, abandon: true, held: 1},
-			{op: "pages", n: 1, records: 8, abandon: true, held: 1},
-			{op: "create", n: 2, records: 9, abandon: true},
-			{op: "none", records: 6, abandon: true, held: 1},
-		} {
-			st := &failingWrites{Backend: storage.NewRaw(vfs.NewMemFS()), op: tc.op, n: tc.n}
-			em := NewEmitterOn[record.Record](st, "cw", codec.Record16{}, record.Less)
-			em.PageSize, em.PagesPerFile, em.Async = 64, 3, async
-			w, err := em.Stream("s4", true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := tc.records; i > 0 && err == nil; i-- {
-				err = w.Write(record.Record{Key: int64(i)})
-			}
-			if tc.abandon {
-				if !async && (errors.Is(err, errInjected) != (tc.n > 0) || st.open != tc.held) {
-					t.Fatalf("%+v: the writes returned %v with %d handles open", tc, err, st.open)
-				}
-				em.AbortOpen()
-			} else if cerr := w.Close(); err == nil {
-				err = cerr
-			}
-			if berr := em.Barrier(); err == nil {
-				err = berr
-			}
-			if errors.Is(err, errInjected) != (tc.n > 0) || tc.n == 0 && err != nil {
-				t.Fatalf("async %v, %+v: the writes, Close and Barrier returned %v", async, tc, err)
-			}
-			if st.open != 0 || len(em.open) != 0 {
-				t.Fatalf("async %v, %+v: %d handles open and %d streams live afterwards", async, tc, st.open, len(em.open))
-			}
+	for _, tc := range []struct {
+		op      string
+		n       int // fail the op's n-th call
+		records int // 4 to a page, 2 data pages (one block) to a file
+		abandon bool
+		held    int // handles open once the writes have returned
+	}{
+		{op: "tail", n: 1, records: 5, held: 1},
+		{op: "header", n: 1, records: 5, held: 1},
+		{op: "header", n: 1, records: 8, abandon: true, held: 1},
+		{op: "pages", n: 1, records: 8, abandon: true, held: 1},
+		{op: "create", n: 2, records: 9, abandon: true},
+		{op: "none", records: 6, abandon: true, held: 1},
+	} {
+		st := &failingWrites{Backend: storage.NewRaw(vfs.NewMemFS()), op: tc.op, n: tc.n}
+		em := NewEmitterOn[record.Record](st, "cw", codec.Record16{}, record.Less)
+		em.PageSize, em.PagesPerFile = 64, 3
+		w, err := em.Stream("s4", true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := tc.records; i > 0 && err == nil; i-- {
+			err = w.Write(record.Record{Key: int64(i)})
+		}
+		if st.open != tc.held || tc.abandon && errors.Is(err, errInjected) != (tc.n > 0) {
+			t.Fatalf("%+v: the writes returned %v with %d handles open", tc, err, st.open)
+		}
+		if tc.abandon {
+			em.AbortOpen()
+		} else if cerr := w.Close(); err == nil {
+			err = cerr
+		}
+		if errors.Is(err, errInjected) != (tc.n > 0) || tc.n == 0 && err != nil {
+			t.Fatalf("%+v: the writes and Close returned %v", tc, err)
+		}
+		if st.open != 0 || len(em.open) != 0 {
+			t.Fatalf("%+v: %d handles open and %d streams live afterwards", tc, st.open, len(em.open))
 		}
 	}
 }
@@ -1100,14 +1048,13 @@ func TestRemoveCarriesOnPastAFailure(t *testing.T) {
 	}
 }
 
-// TestWriteBehindSurfacesFirstError fails each kind of queued operation at
-// each position of a three-stream sequence of the generation pass — forward
-// files, and chains of two full files and a third with a partial tail: a
-// writer call returns the injected error at the latest by the stream after
-// the failing one, the Barrier always does, every handle that was opened is
-// closed, and nothing is left running (the race detector and the goroutine
-// count in internal/extsort watch that end to end).
-func TestWriteBehindSurfacesFirstError(t *testing.T) {
+// TestWriterSurfacesFileFault fails each kind of file operation at each
+// position of a three-stream sequence of the generation pass — forward
+// files, and chains of two full files and a third with a partial tail. The
+// writer call that performs the failing operation returns the injected
+// error and every call before it returns nil; once that stream is closed,
+// no handle is open and no stream is live.
+func TestWriterSurfacesFileFault(t *testing.T) {
 	for _, chain := range []bool{false, true} {
 		ops := []string{"create", "append", "close"}
 		if chain {
@@ -1115,19 +1062,24 @@ func TestWriteBehindSurfacesFirstError(t *testing.T) {
 		}
 		for _, op := range ops {
 			for n := 1; n <= 3; n++ {
+				name := fmt.Sprintf("chain %v, %s %d", chain, op, n)
 				st := &failingWrites{Backend: storage.NewRaw(vfs.NewMemFS()), op: op, n: n}
 				em := NewEmitterOn[record.Record](st, "wb", codec.Record16{}, record.Less)
-				em.Async, em.PageSize, em.PagesPerFile = true, 64, 3
-				var first error
-				note := func(err error) {
-					if first == nil {
-						first = err
+				em.PageSize, em.PagesPerFile = 64, 3
+				// met reports whether the call that returned err performed
+				// the failing operation, and fails the test unless it
+				// returned exactly the injected error then and nil before.
+				met := func(err error) bool {
+					hit := st.seen >= n
+					if hit != (err != nil) || hit && !errors.Is(err, errInjected) {
+						t.Fatalf("%s: a writer call returned %v after %d calls of the operation", name, err, st.seen)
 					}
+					return hit
 				}
-				for f := 0; f < 3 && first == nil; f++ {
+				failed := false
+				for f := 0; f < 3 && !failed; f++ {
 					w, err := em.Stream("s", chain)
-					if err != nil {
-						note(err)
+					if failed = met(err); failed {
 						break
 					}
 					// Four one-page blocks forward; two chain files of two
@@ -1136,28 +1088,24 @@ func TestWriteBehindSurfacesFirstError(t *testing.T) {
 					if chain {
 						records = 18
 					}
-					for i := 0; i < records && err == nil; i++ {
+					for i := 0; i < records && !failed; i++ {
 						key := int64(i)
 						if chain {
 							key = int64(records - i)
 						}
-						err = w.Write(record.Record{Key: key})
+						failed = met(w.Write(record.Record{Key: key}))
 					}
-					note(err)
-					note(w.Close())
+					if failed {
+						w.Close()
+					} else {
+						failed = met(w.Close())
+					}
 				}
-				name := fmt.Sprintf("chain %v, %s %d", chain, op, n)
-				if err := em.Barrier(); !errors.Is(err, errInjected) {
-					t.Fatalf("%s: Barrier returned %v, want the injected error", name, err)
+				if !failed {
+					t.Fatalf("%s: no writer call met the fault", name)
 				}
-				if first != nil && !errors.Is(first, errInjected) {
-					t.Fatalf("%s: a writer returned %v, want the injected error", name, first)
-				}
-				if st.open != 0 {
-					t.Fatalf("%s: %d file handles left open", name, st.open)
-				}
-				if err := em.Barrier(); !errors.Is(err, errInjected) {
-					t.Fatalf("%s: a second Barrier returned %v", name, err)
+				if st.open != 0 || len(em.open) != 0 {
+					t.Fatalf("%s: %d file handles open and %d streams live", name, st.open, len(em.open))
 				}
 			}
 		}

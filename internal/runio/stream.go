@@ -133,9 +133,7 @@ func (s *streamBase[T]) admitAll(page []T) error {
 	return nil
 }
 
-// Close stores what is buffered and closes the stream's files — now, on
-// the synchronous queue, and by the next Barrier behind the generation
-// pass's write-behind, whose error so far it returns — and records the
+// Close stores what is buffered, closes the stream's files and records the
 // content checksum in the segment when one is kept.
 func (s *streamBase[T]) Close() error {
 	if s.closed {
@@ -162,9 +160,7 @@ func (s *streamBase[T]) retire() error {
 }
 
 // abort closes a stream an error path abandoned, without flushing: the
-// caller is about to remove or invalidate its files anyway, and joins the
-// generation pass's write-behind before it does, so nothing is still
-// appending to a file being removed.
+// caller is about to remove or invalidate its files anyway.
 func (s *streamBase[T]) abort() {
 	if !s.closed {
 		s.retire()

@@ -1,6 +1,6 @@
 // Package stats implements the probability distributions and descriptive
 // statistics behind the paper's ANOVA analysis (Appendix B): the regularized
-// incomplete beta function, F / Student-t / normal CDFs, the noncentral F
+// incomplete beta function, F and normal CDFs, the noncentral F
 // distribution (for the "Power" column of the thesis tables), and the
 // studentized range distribution (for Tukey's HSD tests).
 //
@@ -154,19 +154,6 @@ func FTestPower(alpha, d1, d2, lambda float64) float64 {
 	return 1 - NoncentralFCDF(crit, d1, d2, lambda)
 }
 
-// TCDF returns P(T ≤ t) for Student's t with df degrees of freedom.
-func TCDF(t, df float64) float64 {
-	if t == 0 {
-		return 0.5
-	}
-	x := df / (df + t*t)
-	p := 0.5 * RegIncBeta(df/2, 0.5, x)
-	if t > 0 {
-		return 1 - p
-	}
-	return p
-}
-
 // StudentizedRangeCDF returns P(Q ≤ q) for the studentized range of k
 // groups. For the large error degrees of freedom of the paper's designs
 // (thousands of observations) the infinite-df form is accurate:
@@ -243,9 +230,6 @@ func Variance(xs []float64) float64 {
 	}
 	return s / float64(n-1)
 }
-
-// StdDev returns the sample standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // Histogram bins xs into `bins` equal-width buckets over [lo, hi], clamping
 // out-of-range values into the edge buckets. It returns the counts and the

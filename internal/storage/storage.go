@@ -132,7 +132,7 @@ func (s IOStats) CompressionRatio() float64 {
 }
 
 // counters is the shared, goroutine-safe accumulator behind IOStats:
-// the write-behind goroutine and parallel merge workers hit it concurrently.
+// parallel merge workers hit it concurrently.
 type counters struct {
 	blocksW, blocksR atomic.Int64
 	rawW, storedW    atomic.Int64
@@ -257,8 +257,8 @@ type PageReader interface {
 }
 
 // Backend stores spill files. Implementations are safe for concurrent use
-// across distinct files (parallel merge workers and the write-behind); a
-// single file is written by one goroutine, closed, then read.
+// across distinct files (parallel merge workers); a single file is written
+// by one goroutine, closed, then read.
 type Backend interface {
 	// Create opens a forward spill stream for sequential block appends.
 	Create(name string) (BlockWriter, error)

@@ -170,19 +170,6 @@ func (fs *MemFS) Names() ([]string, error) {
 	return names, nil
 }
 
-// TotalBytes reports the sum of all file sizes, used by temp-space tests.
-func (fs *MemFS) TotalBytes() int64 {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	var total int64
-	for _, d := range fs.files {
-		d.mu.Lock()
-		total += int64(len(d.data))
-		d.mu.Unlock()
-	}
-	return total
-}
-
 func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
 	if f.closed {
 		return 0, os.ErrClosed

@@ -183,19 +183,6 @@ func TestMemFSClosedFile(t *testing.T) {
 	}
 }
 
-func TestMemFSTotalBytes(t *testing.T) {
-	fs := NewMemFS()
-	f, _ := fs.Create("x")
-	f.WriteAt(make([]byte, 100), 0)
-	f.Close()
-	g, _ := fs.Create("y")
-	g.WriteAt(make([]byte, 50), 0)
-	g.Close()
-	if got := fs.TotalBytes(); got != 150 {
-		t.Fatalf("TotalBytes = %d, want 150", got)
-	}
-}
-
 func TestMemFSNegativeOffset(t *testing.T) {
 	fs := NewMemFS()
 	f, _ := fs.Create("x")
