@@ -28,6 +28,7 @@ import (
 	"repro/internal/extsort"
 	"repro/internal/merge"
 	"repro/internal/obs"
+	"repro/internal/runio"
 	"repro/internal/stream"
 	"repro/internal/vfs"
 )
@@ -169,9 +170,10 @@ func shardedSort[T any](entry time.Time, sample []T, src stream.BatchReader[T], 
 	}
 	rep.SetPhase("merge", total)
 	st := extsort.Stats{Shards: shards, ShardRecords: counts}
+	cat := &joined[T]{less: ops.Less, rep: rep}
 	drainStart := time.Now()
 	for i := range shs {
-		s, err := shs[i].finish(dst, fail, cancel, rep, cfg.Extsort.Manifest)
+		s, err := shs[i].finish(dst, fail, cancel, cat)
 		if err != nil {
 			fail.fail(err)
 			continue
@@ -237,6 +239,7 @@ type shard[T any] struct {
 
 // run sorts shard i up to its final merge: it generates runs from the feed,
 // runs the intermediate merges and leaves the final one open for the driver.
+// A failed shard has left its run set by the one exit (RunSet.Abandon).
 func (sh *shard[T]) run(i int, feed <-chan []T, fs vfs.FS, scfg extsort.Config, ops extsort.Ops[T], fail *failure) {
 	defer close(sh.done)
 	sh.sp = scfg.Trace.StartOn("shard_sort", fmt.Sprintf("shard %02d", i), obs.Int("shard", int64(i)))
@@ -248,7 +251,9 @@ func (sh *shard[T]) run(i int, feed <-chan []T, fs vfs.FS, scfg extsort.Config, 
 		// the shard's share of the input to it: unread, the feed fills and
 		// blocks the loop, and with it every other shard. Generation
 		// otherwise ends at the feed's EOF, so this returns at once.
-		if err = in.discard(); err == nil {
+		if err = in.discard(); err != nil {
+			err = sh.rset.Abandon(err)
+		} else {
 			sh.st, err = sh.rset.OpenMerged()
 		}
 	}
@@ -257,17 +262,16 @@ func (sh *shard[T]) run(i int, feed <-chan []T, fs vfs.FS, scfg extsort.Config, 
 	}
 }
 
-// finish waits for the shard, copies its merge stream into dst unless the
-// sort has already failed, and closes the stream, which deletes the shard's
-// run files and, when durable, its manifest. It returns the shard's
-// two-phase statistics. A failed non-durable shard sweeps whatever spill
-// files are left; a durable one keeps them for Resume.
-func (sh *shard[T]) finish(dst stream.Writer[T], fail *failure, cancel func() error, rep *obs.Reporter, durable bool) (extsort.Stats, error) {
+// finish waits for the shard, copies its merge stream into dst through cat
+// unless the sort has already failed, and closes the stream, which deletes
+// the shard's run files and, when durable, its manifest. It returns the
+// shard's two-phase statistics.
+func (sh *shard[T]) finish(dst stream.Writer[T], fail *failure, cancel func() error, cat *joined[T]) (extsort.Stats, error) {
 	<-sh.done
 	err := fail.get()
 	if err == nil {
-		_, err = stream.CopyCancel[T](dst, reported[T]{sh.st, rep}, cancel)
-		err = sh.rset.ExplainOrder(err)
+		cat.sh, cat.start = sh, cat.out
+		_, err = stream.CopyCancel[T](dst, cat, cancel)
 	}
 	if sh.st != nil {
 		if cerr := sh.st.Close(); err == nil {
@@ -275,28 +279,36 @@ func (sh *shard[T]) finish(dst stream.Writer[T], fail *failure, cancel func() er
 		}
 	}
 	if err != nil {
-		if sh.rset != nil && !durable {
-			sh.rset.Discard()
-		}
 		sh.sp.Drop()
 		return extsort.Stats{}, err
 	}
-	st, ms := sh.rset.Stats(), sh.st.Stats()
-	st.MergeInputs, st.MergePasses, st.MergeOps = ms.Inputs, ms.Passes, ms.Merges
+	st := sh.rset.Stats()
 	sh.sp.End(obs.Int("records", st.Records), obs.Int("runs", int64(st.Runs)))
 	return st, nil
 }
 
-// reported counts the elements read through it into a progress reporter.
-type reported[T any] struct {
-	stream.BatchReader[T]
-	rep *obs.Reporter
+// joined reads the shards' merge streams in turn, sh's now, counting what it
+// delivers into the progress reporter. Each stream checks its own order;
+// joined holds each shard's first element against the last one before it —
+// one comparator call per boundary — and fails with runio.ErrOutOfOrder.
+type joined[T any] struct {
+	sh         *shard[T]
+	less       func(a, b T) bool
+	rep        *obs.Reporter
+	last       T     // the last element delivered
+	out, start int64 // elements delivered in all, and before sh's first
 }
 
-func (r reported[T]) ReadBatch(dst []T) (int, error) {
-	n, err := r.BatchReader.ReadBatch(dst)
-	r.rep.Add(int64(n))
-	return n, err
+func (j *joined[T]) ReadBatch(dst []T) (int, error) {
+	n, err := j.sh.st.ReadBatch(dst)
+	if n > 0 {
+		if j.out == j.start && j.out > 0 && j.less(dst[0], j.last) {
+			return 0, fmt.Errorf("%w: a shard begins with %v, below %v, where the shard before it ends", runio.ErrOutOfOrder, dst[0], j.last)
+		}
+		j.last, j.out = dst[n-1], j.out+int64(n)
+		j.rep.Add(int64(n))
+	}
+	return n, j.sh.rset.ExplainOrder(err)
 }
 
 // partition replays the sampled prefix in its original input order, then

@@ -8,12 +8,14 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/codec"
 	"repro/internal/extsort"
 	"repro/internal/gen"
 	"repro/internal/obs"
 	"repro/internal/record"
+	"repro/internal/runio"
 	"repro/internal/stream"
 	"repro/internal/vfs"
 )
@@ -333,6 +335,32 @@ func TestShardedDestinationErrorPropagates(t *testing.T) {
 		fs, shardedCfg(4, 500), recOps())
 	if !errors.Is(err, errDstBroken) {
 		t.Fatalf("err = %v, want errDstBroken", err)
+	}
+	assertEmpty(t, fs)
+}
+
+// TestShardedMisroutedBoundaryFails swaps the ranges of the first two shards
+// in the router: each shard still sorts what it gets, so only the boundary
+// between them is out of order, and the concatenation must fail with
+// runio.ErrOutOfOrder instead of writing a misordered output, leaving
+// nothing behind.
+func TestShardedMisroutedBoundaryFails(t *testing.T) {
+	vals := recordDataset(gen.Random, 6000)
+	cfg := shardedCfg(4, 500)
+	cfg.Extsort = cfg.Extsort.Resolved()
+	rt, err := newRouter(slices.Clone(vals[:500]), 4, recOps().Less, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rt.gap[0] != 0 || rt.gap[1] != 1 {
+		t.Fatalf("router gaps %v: the fixture needs distinct first splitters", rt.gap)
+	}
+	rt.gap[0], rt.gap[1] = 1, 0
+	fs := vfs.NewMemFS()
+	var out stream.SliceWriter[record.Record]
+	_, err = shardedSort(time.Now(), nil, stream.NewSliceReader(vals), &out, fs, cfg, recOps(), 4, rt)
+	if !errors.Is(err, runio.ErrOutOfOrder) {
+		t.Fatalf("err = %v, want runio.ErrOutOfOrder", err)
 	}
 	assertEmpty(t, fs)
 }

@@ -70,24 +70,13 @@ func factorialDataset(kind gen.Kind, p Params) (*anova.Dataset, error) {
 	return ds, nil
 }
 
-// runEmitter returns a fresh in-memory emitter for the run-length
-// experiments, which only count runs and their lengths and never read a run
-// back. Run boundaries do not depend on the backward chain-file length, so
-// the files are sized by runio.BackwardPages, to about one memory-load of
-// records, instead of the thesis' k = 1000 pages: MemFS materialises a
-// backward file at full size, and at the default every descending stream of
-// every run zero-fills ~4 MB (46 s of system time across the 144,000 runs of
-// the tiny factorial).
-func runEmitter(memory int) *runio.Emitter[record.Record] {
-	em := runio.RecordEmitter(vfs.NewMemFS(), "r")
-	em.PagesPerFile = runio.BackwardPages(memory, record.Size)
-	return em
-}
-
 // generate runs one generator — classic RS, or 2WRS under twrs — over the
-// dataset gcfg describes with p.Memory records of memory.
+// dataset gcfg describes with p.Memory records of memory. The run-length
+// experiments only count runs and their lengths and never read a run back,
+// so the runs are written where nothing is kept (vfs.Discard).
 func generate(kind policy.Kind, gcfg gen.Config, p Params, twrs core.Config) (policy.Result, error) {
-	return policy.Generate(kind, stream.AsBatchReader[record.Record](gen.New(gcfg)), runEmitter(p.Memory), policy.Config{Memory: p.Memory, TWRS: twrs}, record.Key)
+	em := runio.RecordEmitter(vfs.Discard{}, "r")
+	return policy.Generate(kind, stream.AsBatchReader[record.Record](gen.New(gcfg)), em, policy.Config{Memory: p.Memory, TWRS: twrs}, record.Key)
 }
 
 // ratio is a pass's average run length relative to memory.

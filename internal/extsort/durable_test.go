@@ -73,7 +73,7 @@ func TestDurableMatchesPlain(t *testing.T) {
 }
 
 // TestDurableBoundaryAllocs pins what a run boundary may allocate in a
-// durable sort, measured on discardFS, so that the measurement sees the
+// durable sort, measured on vfs.Discard, so that the measurement sees the
 // sort's own allocations and not the file bytes a MemFS would hold. A
 // boundary costs a manifest line and the run's own stream writers — not a
 // second heap arena (32 B × M) nor a []T of the M records held, which is
@@ -88,7 +88,7 @@ func TestDurableBoundaryAllocs(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		rset, err := GenerateRuns(stream.NewSliceReader(recs), discardFS{}, cfg, RecordOps())
+		rset, err := GenerateRuns(stream.NewSliceReader(recs), vfs.Discard{}, cfg, RecordOps())
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)

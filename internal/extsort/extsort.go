@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/codec"
@@ -108,6 +107,11 @@ func (o Ops[T]) keyed(sample []T) (bool, error) {
 	return true, nil
 }
 
+// ErrRecordCount fails a sort whose runs do not hold exactly the records run
+// generation read: a generator dropped or repeated one. Every later count
+// agrees with the runs, so the end of generation is the one place it shows.
+var ErrRecordCount = errors.New("extsort: the runs do not hold the records run generation read")
+
 // errKeyOrder explains a misordered sort that ran keyed: the key codec,
 // inferred or supplied, passed the sampled check but orders later elements
 // differently from the comparator.
@@ -196,8 +200,8 @@ type Config struct {
 	// every recovered run against its record and writes from the last one
 	// on. That holds under every policy: the adaptive auto is a
 	// deterministic generator like the fixed four, and a resumed auto sort
-	// repeats the decisions of the uninterrupted one. On error the spill
-	// files and manifest are left in place for Resume, not discarded.
+	// repeats the decisions of the uninterrupted one. A failure before the
+	// merged stream opens keeps the spill files and manifest for Resume.
 	Manifest bool
 	// Resume makes GenerateRuns first attempt to resume from the manifest
 	// a previous Manifest-mode pass left behind, falling back to a fresh
@@ -333,7 +337,7 @@ type IOStats = storage.IOStats
 // a stream, filtering or abandoning it without materialising an output file.
 //
 // A RunSet owns its run files until exactly one of Merge, OpenMerged (whose
-// Stream then owns them) or Discard is called.
+// Stream then owns them), Discard or, on failure, Abandon is called.
 type RunSet[T any] struct {
 	store    storage.Backend
 	em       *runio.Emitter[T]
@@ -341,7 +345,7 @@ type RunSet[T any] struct {
 	policies []string // policies[i] names the generator that produced runs[i]
 	cfg      Config
 	ops      Ops[T]
-	stats    Stats    // run-generation half; Merge fills the merge half
+	stats    Stats    // run-generation half; OpenMerged adds the plan, Merge the phase
 	o        *sortObs // nil when observability is off
 
 	// fs is the base file system; a durable sort's manifest lives on it
@@ -443,13 +447,6 @@ func newRunSet[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
 	return rset, nil
 }
 
-// abortSetup unwinds a newRunSet whose sort never started.
-func (r *RunSet[T]) abortSetup(err error) (*RunSet[T], error) {
-	r.o.reporter().Stop()
-	r.spill.Close()
-	return nil, err
-}
-
 // generate runs phase one on a RunSet shell. Plain, durable and resumed
 // passes share it: the generator runs straight through the input from its
 // first record either way, and a durable sort (Config.Manifest) only adds a
@@ -457,8 +454,7 @@ func (r *RunSet[T]) abortSetup(err error) (*RunSet[T], error) {
 // the manifest at the end. recovered are the boundaries Resume adopted: the
 // pass replays them first, regenerating their runs into a store that keeps
 // nothing and checking each against its record, and switches to the sort's
-// store at the last of them. On error a plain sort discards its files; a
-// durable one leaves spill files and manifest on disk for Resume.
+// store at the last of them. On error the pass leaves by Abandon.
 func (r *RunSet[T]) generate(src stream.BatchReader[T], recovered []manifest.Run, entry time.Time) (*RunSet[T], error) {
 	cfg, ops, em, o := r.cfg, r.ops, r.em, r.o
 	durable := r.manifestName != ""
@@ -468,7 +464,7 @@ func (r *RunSet[T]) generate(src stream.BatchReader[T], recovered []manifest.Run
 	// sampled order check against the comparator.
 	src, keyed, err := applyKeyCodec(src, em, ops)
 	if err != nil {
-		return r.abortSetup(err)
+		return nil, r.Abandon(err)
 	}
 	r.stats.Keyed = keyed
 
@@ -478,7 +474,7 @@ func (r *RunSet[T]) generate(src stream.BatchReader[T], recovered []manifest.Run
 		// torn tail; with nothing recovered it is a fresh manifest.
 		man, err = manifest.Rewrite(r.fs, r.manifestName, durableHeader(cfg, ops, em, keyed), recovered)
 		if err != nil {
-			return r.abortSetup(err)
+			return nil, r.Abandon(err)
 		}
 	}
 
@@ -486,20 +482,12 @@ func (r *RunSet[T]) generate(src stream.BatchReader[T], recovered []manifest.Run
 		obs.Str("policy", cfg.Policy.String()), obs.Bool("keyed", keyed), obs.Bool("durable", durable))
 	var rsp *obs.Span // the replay of a resumed pass, while it lasts
 	fail := func(err error) (*RunSet[T], error) {
-		err = r.ExplainOrder(err)
+		if man != nil {
+			man.Close()
+		}
+		err = r.Abandon(err)
 		rsp.End(obs.Str("error", err.Error()))
 		gsp.End(obs.Str("error", err.Error()))
-		if !durable {
-			r.Discard()
-			return nil, err
-		}
-		// The spill files and manifest are exactly the state Resume needs,
-		// so nothing is discarded. But the run writers the pass abandoned
-		// must still be closed, or their handles would outlive the sort.
-		man.Close()
-		o.reporter().Stop()
-		em.AbortOpen()
-		r.spill.Close() // the files stay for Resume
 		return nil, err
 	}
 
@@ -513,7 +501,7 @@ func (r *RunSet[T]) generate(src stream.BatchReader[T], recovered []manifest.Run
 		r.stats.RunsRecovered = n
 		o.observeRecovered(n)
 		// The replay writes nowhere.
-		em.Store = storage.NewRaw(discardFS{})
+		em.Store = storage.NewRaw(vfs.Discard{})
 		storage.PoolOf(em.Store).Reserve(storage.PoolOf(r.store).Budget())
 	}
 	in := meterSource(o, src, skip)
@@ -550,6 +538,9 @@ func (r *RunSet[T]) generate(src stream.BatchReader[T], recovered []manifest.Run
 	}
 	if err == nil && replayed < len(recovered) {
 		err = fmt.Errorf("%w: the input ended after %d records, before the %d runs the manifest committed were regenerated; the source must re-serve the original input", manifest.ErrChecksum, in.n, len(recovered))
+	}
+	if err == nil && pres.Records != in.n {
+		err = fmt.Errorf("%w: %d read, %d in the runs", ErrRecordCount, in.n, pres.Records)
 	}
 	if err != nil {
 		return fail(err)
@@ -610,9 +601,10 @@ func (r *RunSet[T]) Runs() []runio.Run { return r.runs }
 func (r *RunSet[T]) RunPolicies() []string { return r.policies }
 
 // Stats returns the statistics accumulated so far: the run-generation half
-// after GenerateRuns, both halves after Merge. The IO accounting is a live
-// snapshot of the spill backend, so a caller draining OpenMerged sees the
-// final merge's reads accumulate.
+// after GenerateRuns, the merge plan's counts from OpenMerged on, the merge
+// phase after Merge. The IO accounting is a live snapshot of the spill
+// backend, so a caller draining OpenMerged sees the final merge's reads
+// accumulate.
 func (r *RunSet[T]) Stats() Stats {
 	st := r.stats
 	st.IO = r.store.Stats()
@@ -626,16 +618,16 @@ func (r *RunSet[T]) Store() storage.Backend { return r.store }
 // mergeConfig assembles the merge-phase configuration from the sort's, and
 // returns beside it the hook that ends the phase's observability: the
 // "merge" span, the phase-time histogram, the I/O metric sync and the
-// progress reporter. The hook is idempotent; Merge and OpenMerged call it
-// on the paths where no stream ever existed.
+// progress reporter. It runs once: when the stream closes, or when
+// OpenMerged fails and no stream ever exists.
 //
 // The stream's OnClose is where the run files are consumed — Close deletes
 // whatever is left of them, drained (Merge) or abandoned early (a TopK or
 // Select that has what it came for) — so that is where a durable sort's
 // manifest goes too: it no longer describes anything recoverable, and left
 // behind it would only make a later Resume re-validate, fail and regenerate
-// from scratch. A merge that fails before its stream exists keeps the
-// manifest, with whatever runs survive, for Resume.
+// from scratch. A merge that fails before its stream exists leaves by
+// Abandon, which keeps the manifest, with whatever runs survive, for Resume.
 func (r *RunSet[T]) mergeConfig() (merge.Config, func()) {
 	mc := merge.Config{
 		FanIn:       r.cfg.FanIn,
@@ -648,21 +640,22 @@ func (r *RunSet[T]) mergeConfig() (merge.Config, func()) {
 		sp := o.tracer().Start("merge", obs.Int("inputs", int64(len(r.runs))))
 		o.reporter().SetPhase("merge", r.stats.Records)
 		start := time.Now()
-		var once sync.Once
 		mc.Span = sp
 		mc.Metrics = r.cfg.Metrics
 		mc.Progress = o.reporter()
 		end = func() {
-			once.Do(func() {
-				sp.End()
-				o.observeMergePhase(time.Since(start))
-				o.syncIO(r.store.Stats())
-				o.reporter().Stop()
-			})
+			sp.End()
+			o.observeMergePhase(time.Since(start))
+			o.syncIO(r.store.Stats())
+			o.reporter().Stop()
 		}
 	}
 	mc.OnClose = func() {
-		r.removeManifest()
+		if r.manifestName != "" {
+			r.fs.Remove(r.manifestName) // best-effort: a stale manifest only fails a later Resume's validation
+			r.spill.Release()
+			r.manifestName = ""
+		}
 		end()
 	}
 	return mc, end
@@ -671,9 +664,10 @@ func (r *RunSet[T]) mergeConfig() (merge.Config, func()) {
 // OpenMerged runs the intermediate merge passes and returns the final merge
 // as a pull stream in globally sorted order. The returned Stream owns the
 // remaining run files — and the manifest of a durable sort — and must be
-// Closed, fully drained or not; the merge half of the RunSet's Stats stays
-// zero — the Stream reports its own. The simulated disk (Config.Disk)
-// charges the final merge's reads as the caller drains the stream.
+// Closed, fully drained or not. From then on the RunSet's Stats carry the
+// plan's MergeInputs, MergePasses and MergeOps; the phases stay
+// generation's. The simulated disk (Config.Disk) charges the final merge's
+// reads as the caller drains the stream. A failure has left by Abandon.
 func (r *RunSet[T]) OpenMerged() (*merge.Stream[T], error) {
 	// Every run — concatenable or not — is one merge input: one with
 	// overlapping streams opens as several leaves of the operation reading it.
@@ -681,45 +675,61 @@ func (r *RunSet[T]) OpenMerged() (*merge.Stream[T], error) {
 	st, err := merge.NewStream(r.em, r.runs, mc)
 	if err != nil {
 		end()
-		r.spill.Close()
+		return nil, r.Abandon(err)
 	}
-	return st, r.ExplainOrder(err)
+	ms := st.Stats()
+	r.stats.MergeInputs, r.stats.MergePasses, r.stats.MergeOps = ms.Inputs, ms.Passes, ms.Merges
+	return st, nil
 }
 
-// Merge completes the sort: it merges the run set into dst and returns the
-// full two-phase statistics.
+// Merge completes the sort: it opens the merged stream, copies it into dst
+// and closes it, and returns the full two-phase statistics.
 func (r *RunSet[T]) Merge(dst stream.Writer[T]) (Stats, error) {
 	wallStart := time.Now()
-	mc, end := r.mergeConfig()
-	ms, err := merge.Merge(r.em, r.runs, dst, mc)
-	end()
+	st, err := r.OpenMerged()
 	if err != nil {
-		r.stats.IO = r.store.Stats()
-		r.spill.Close()
-		return r.stats, r.ExplainOrder(err)
+		return r.Stats(), err
+	}
+	_, err = stream.CopyCancel[T](dst, st, r.cfg.Cancel)
+	if cerr := st.Close(); err == nil {
+		err = cerr
+	}
+	r.stats.IO = r.store.Stats()
+	if err != nil {
+		return r.stats, r.Abandon(err)
 	}
 	wall := time.Since(wallStart)
-	r.stats.MergeInputs = ms.Inputs
-	r.stats.MergePasses = ms.Passes
-	r.stats.MergeOps = ms.Merges
-	r.stats.IO = r.store.Stats()
 	r.stats.Elapsed += wall
 	r.stats.Phases = append(r.stats.Phases, PhaseStat{Name: "merge", Wall: wall})
 	return r.stats, nil
 }
 
+// Abandon is the one way out of a failed sort's run set, and decides what
+// the failure leaves on disk: exactly what Resume needs — a durable sort's
+// manifest and arena, closed, and nothing of a plain sort's (Discard). It
+// stops the progress reporter, closes the run writers a failed pass left
+// open and returns err explained (ExplainOrder). Every failure inside this
+// package ends here; a caller calls it only for a set it does not open.
+func (r *RunSet[T]) Abandon(err error) error {
+	r.o.reporter().Stop()
+	r.em.AbortOpen()
+	if r.manifestName == "" {
+		r.Discard()
+	}
+	r.spill.Close()
+	return r.ExplainOrder(err)
+}
+
 // Discard deletes every spill file of this sort without merging: the
-// manifest of a durable sort first — Discard abandons the sort, resumable
+// manifest of a durable sort first — Discard gives the sort up, resumable
 // state included — then every file the arena holds, removed through the
 // spill backend: the runs, and whatever a failed pass left behind (a
 // half-written run from an aborted generation, intermediate outputs of a
 // failed reduce). Every removal but the last is bookkeeping, and the last
-// unlinks the arena. A second Discard of the same set is a no-op.
+// unlinks the arena. A second Discard of the same set is a no-op. A failed
+// sort does not call it: Abandon decides what a failure leaves.
 func (r *RunSet[T]) Discard() error {
 	r.o.reporter().Stop()
-	// A failed generation can abandon its current run writers; close them
-	// before removing the files they write to.
-	r.em.AbortOpen()
 	var first error
 	if r.manifestName != "" {
 		if err := r.fs.Remove(r.manifestName); err != nil && !errors.Is(err, os.ErrNotExist) {
@@ -737,17 +747,6 @@ func (r *RunSet[T]) Discard() error {
 	return first
 }
 
-// removeManifest deletes the sort's manifest file, if it has one, and
-// forgets it so Discard does not try again. Best-effort: a manifest that
-// cannot be removed only costs a failed validation on some later Resume.
-func (r *RunSet[T]) removeManifest() {
-	if r.manifestName != "" {
-		r.fs.Remove(r.manifestName)
-		r.spill.Release()
-	}
-	r.manifestName = ""
-}
-
 // Sort is SortBatch over a caller's source, adapted once here.
 func Sort[T any](src stream.Reader[T], dst stream.Writer[T], fs vfs.FS, cfg Config, ops Ops[T]) (Stats, error) {
 	return SortBatch(stream.AsBatchReader(src), dst, fs, cfg, ops)
@@ -755,20 +754,15 @@ func Sort[T any](src stream.Reader[T], dst stream.Writer[T], fs vfs.FS, cfg Conf
 
 // SortBatch reads all elements from src, sorts them externally using temporary
 // files on fs, and writes the sorted stream to dst. Ordering, storage and
-// heuristics come from ops. It is GenerateRunsBatch followed by RunSet.Merge; a
-// failed merge discards the run set, so no spill files outlive the error —
-// except in Manifest mode, where the spill files and manifest are the
-// sort's resumable state and survive the failure.
+// heuristics come from ops. It is GenerateRunsBatch followed by RunSet.Merge;
+// either leaves a failure by RunSet.Abandon, so only a durable sort's
+// resumable state outlives the error.
 func SortBatch[T any](src stream.BatchReader[T], dst stream.Writer[T], fs vfs.FS, cfg Config, ops Ops[T]) (Stats, error) {
 	rset, err := GenerateRunsBatch(src, fs, cfg, ops)
 	if err != nil {
 		return Stats{}, err
 	}
-	stats, err := rset.Merge(dst)
-	if err != nil && rset.manifestName == "" {
-		rset.Discard()
-	}
-	return stats, err
+	return rset.Merge(dst)
 }
 
 // SortSlice sorts elements in memory-bounded fashion through a MemFS and

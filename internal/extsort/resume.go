@@ -146,18 +146,6 @@ func placed(runs []manifest.Run) []vfs.ArenaFile {
 	return files
 }
 
-// discardFS is a file system that accepts every write and keeps nothing.
-// A resumed pass regenerates its recovered runs into it, where only the
-// content sums the writers take on the way count.
-type discardFS struct{ vfs.FS }
-
-type discardFile struct{ vfs.File }
-
-func (discardFS) Create(string) (vfs.File, error)          { return discardFile{}, nil }
-func (discardFS) Remove(string) error                      { return nil }
-func (discardFile) WriteAt(p []byte, _ int64) (int, error) { return len(p), nil }
-func (discardFile) Close() error                           { return nil }
-
 // sumStream drains rc, recomputing its content checksum
 // (runio.ContentSum) by re-encoding every element.
 func sumStream[T any](rc *runio.Reader[T], ops Ops[T]) (n int64, sum uint64, err error) {
@@ -266,7 +254,7 @@ func Resume[T any](src stream.BatchReader[T], fs vfs.FS, cfg Config, ops Ops[T])
 		err = rset.spill.Adopt(placed(st.Runs))
 	}
 	if err != nil {
-		return rset.abortSetup(err)
+		return nil, rset.Abandon(err)
 	}
 
 	// The longest contiguous prefix of runs whose files validate.
@@ -280,7 +268,7 @@ func Resume[T any](src stream.BatchReader[T], fs vfs.FS, cfg Config, ops Ops[T])
 		if errors.Is(err, os.ErrNotExist) {
 			break
 		}
-		return rset.abortSetup(err)
+		return nil, rset.Abandon(err)
 	}
 	if st.Committed && valid == len(st.Runs) {
 		// Generation had finished and every run survived: adopt the whole
@@ -294,7 +282,7 @@ func Resume[T any](src stream.BatchReader[T], fs vfs.FS, cfg Config, ops Ops[T])
 	// not place — runs past the prefix and half-written files of the crashed
 	// pass, to be regenerated under the same names.
 	if err := rset.spill.Adopt(placed(st.Runs[:valid])); err != nil {
-		return rset.abortSetup(err)
+		return nil, rset.Abandon(err)
 	}
 	return rset.generate(src, st.Runs[:valid], entry)
 }

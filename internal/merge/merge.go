@@ -43,9 +43,8 @@ type Config struct {
 	// Progress, when non-nil, is advanced by every output batch of the
 	// final merge.
 	Progress *obs.Reporter
-	// OnClose, when non-nil, runs when the merge Stream closes; the driver
-	// uses it to end its phase span and sync I/O metrics. Drivers make it
-	// idempotent and also invoke it on NewStream/Merge error paths.
+	// OnClose, when non-nil, runs once, when the merge Stream closes:
+	// extsort ends its merge phase there and removes a durable manifest.
 	OnClose func()
 
 	// Collectors resolved once by NewStream so merge operations (possibly

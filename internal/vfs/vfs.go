@@ -234,3 +234,28 @@ func (f *memFile) Size() (int64, error) {
 	defer f.d.mu.Unlock()
 	return int64(len(f.d.data)), nil
 }
+
+// Discard is a file system that keeps nothing, for runs no one reads back: a
+// resumed sort's replay of the runs it recovered, and the run-length
+// experiments'. A file created on it takes every write and reads as empty;
+// Open and Names find none.
+type Discard struct{}
+
+type discardFile struct{}
+
+// Create implements FS.
+func (Discard) Create(string) (File, error) { return discardFile{}, nil }
+
+// Open implements FS: nothing is held.
+func (Discard) Open(name string) (File, error) { return nil, notExist("open", name) }
+
+// Remove implements FS.
+func (Discard) Remove(string) error { return nil }
+
+// Names implements FS: nothing is held.
+func (Discard) Names() ([]string, error) { return nil, nil }
+
+func (discardFile) ReadAt([]byte, int64) (int, error)      { return 0, io.EOF }
+func (discardFile) WriteAt(p []byte, _ int64) (int, error) { return len(p), nil }
+func (discardFile) Close() error                           { return nil }
+func (discardFile) Size() (int64, error)                   { return 0, nil }

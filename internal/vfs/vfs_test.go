@@ -194,3 +194,34 @@ func TestMemFSNegativeOffset(t *testing.T) {
 		t.Fatal("WriteAt(-1) should fail")
 	}
 }
+
+// TestDiscardKeepsNothing: a file created on Discard takes every write and
+// reads as empty, and the file system holds nothing to open or list.
+func TestDiscardKeepsNothing(t *testing.T) {
+	var fs Discard
+	f, err := fs.Create("run")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := f.WriteAt([]byte("payload"), 4096); n != 7 || err != nil {
+		t.Fatalf("WriteAt = (%d, %v), want (7, nil)", n, err)
+	}
+	if n, err := f.ReadAt(make([]byte, 4), 0); n != 0 || err != io.EOF {
+		t.Fatalf("ReadAt = (%d, %v), want (0, io.EOF)", n, err)
+	}
+	if size, err := f.Size(); size != 0 || err != nil {
+		t.Fatalf("Size = (%d, %v), want (0, nil)", size, err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.Open("run"); !os.IsNotExist(err) {
+		t.Fatalf("Open = %v, want not-exist", err)
+	}
+	if names, err := fs.Names(); len(names) != 0 || err != nil {
+		t.Fatalf("Names = (%v, %v), want nothing", names, err)
+	}
+	if err := fs.Remove("run"); err != nil {
+		t.Fatal(err)
+	}
+}

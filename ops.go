@@ -55,9 +55,9 @@ func (s *Sorter[T]) eq() func(a, b T) bool {
 // elements in it — to drain under the named phase, then the stream closed
 // whatever drain did. Closing is what deletes the remaining run files and a
 // durable sorter's manifest, so an operator that abandons the stream early
-// leaves as little behind as one that drains it. It returns the two-phase
-// statistics of the underlying sort: the run-generation half from the run
-// set, the merge half from the stream.
+// leaves as little behind as one that drains it; a sort that fails before
+// its stream opens leaves what RunSet.Abandon decides. It returns the
+// two-phase statistics of the underlying sort.
 func (s *Sorter[T]) streamed(o *op, src stream.BatchReader[T], prefix, phase string, drain func(st *merge.Stream[T], n int64) error) (Stats, error) {
 	o.phase("generate")
 	rset, _, err := s.generate(o, src, nil, prefix, false)
@@ -66,7 +66,6 @@ func (s *Sorter[T]) streamed(o *op, src stream.BatchReader[T], prefix, phase str
 	}
 	st, err := rset.OpenMerged()
 	if err != nil {
-		rset.Discard()
 		return Stats{}, err
 	}
 	o.phase(phase)
@@ -74,9 +73,7 @@ func (s *Sorter[T]) streamed(o *op, src stream.BatchReader[T], prefix, phase str
 	if cerr := st.Close(); err == nil {
 		err = cerr
 	}
-	stats, ms := rset.Stats(), st.Stats()
-	stats.MergeInputs, stats.MergePasses, stats.MergeOps = ms.Inputs, ms.Passes, ms.Merges
-	return stats, err
+	return rset.Stats(), err
 }
 
 // piped is the body of the operators that transform the whole merged order:

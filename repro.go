@@ -159,6 +159,11 @@ var (
 	ErrRunChecksum = manifest.ErrChecksum
 )
 
+// ErrRecordCount fails a sort whose runs do not hold exactly the elements run
+// generation read from the source: a generator dropped or repeated one. Every
+// sort checks it when generation ends; no later count could see the loss.
+var ErrRecordCount = extsort.ErrRecordCount
+
 // InputHeuristic decides which heap stores a record when both could.
 type InputHeuristic = core.InputHeuristic
 

@@ -11,7 +11,11 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
+
+	"repro/internal/vfs"
+	"repro/internal/vfs/faultfs"
 )
 
 // dyingSource serves records but fails once pos reaches dieAt, simulating
@@ -308,6 +312,117 @@ func TestDurableOperatorsLeaveNothingBehind(t *testing.T) {
 				}
 				if names, err := s.fs.Names(); err != nil || len(names) != 0 {
 					t.Errorf("left in the spill store: %v (%v)", names, err)
+				}
+			})
+		}
+	}
+}
+
+// TestFailedMergeLeavesResumableState breaks the spill store's last write,
+// which is an intermediate merge's (the final merge writes nothing), under
+// Sort and every spilling operator. Each must return the fault. A durable
+// sorter must keep its manifest and arena, and a rerun under Config.Resume
+// must recover runs, give the unbroken run's output and leave nothing; a
+// plain sorter must keep nothing.
+func TestFailedMergeLeavesResumableState(t *testing.T) {
+	const memory = 256
+	recs := shuffledRecords(20000, 5)
+	less := func(a, b Record) bool { return a.Key < b.Key }
+	ctx := context.Background()
+	src := func() Source[Record] { return &dyingSource{recs: recs, dieAt: len(recs) + 1} }
+	// Each op returns its output and how many runs its sorts recovered.
+	ops := []struct {
+		name string
+		run  func(s *Sorter[Record]) ([]Record, int, error)
+	}{
+		{"Sort", func(s *Sorter[Record]) ([]Record, int, error) {
+			var out sliceSink[Record]
+			st, err := s.Sort(ctx, src(), &out)
+			return out.vals, st.RunsRecovered, err
+		}},
+		{"Distinct", func(s *Sorter[Record]) ([]Record, int, error) {
+			var out sliceSink[Record]
+			st, err := s.Distinct(ctx, src(), &out)
+			return out.vals, st.Sort.RunsRecovered, err
+		}},
+		{"GroupBy", func(s *Sorter[Record]) ([]Record, int, error) {
+			var out sliceSink[Record]
+			st, err := s.GroupBy(ctx, src(), nil, func(acc, v Record) Record { acc.Aux += v.Aux; return acc }, &out)
+			return out.vals, st.Sort.RunsRecovered, err
+		}},
+		{"TopK", func(s *Sorter[Record]) ([]Record, int, error) {
+			var out sliceSink[Record]
+			st, err := s.TopK(ctx, src(), 4*memory, &out)
+			return out.vals, st.Sort.RunsRecovered, err
+		}},
+		{"BottomK", func(s *Sorter[Record]) ([]Record, int, error) {
+			var out sliceSink[Record]
+			st, err := s.BottomK(ctx, src(), 4*memory, &out)
+			return out.vals, st.Sort.RunsRecovered, err
+		}},
+		{"Select", func(s *Sorter[Record]) ([]Record, int, error) {
+			v, st, err := s.Select(ctx, src(), len(recs)/3)
+			return []Record{v}, st.Sort.RunsRecovered, err
+		}},
+		{"Quantiles", func(s *Sorter[Record]) ([]Record, int, error) {
+			out, st, err := s.Quantiles(ctx, src(), []float64{0.1, 0.5, 0.9})
+			return out, st.Sort.RunsRecovered, err
+		}},
+		{"MergeJoin", func(s *Sorter[Record]) ([]Record, int, error) {
+			var out sliceSink[Record]
+			st, err := MergeJoin(ctx, s, src(), s, src(),
+				func(l, r Record) int { return cmp.Compare(l.Key, r.Key) }, func(l, r Record) Record { l.Aux ^= r.Aux; return l }, &out)
+			return out.vals, st.Left.RunsRecovered + st.Right.RunsRecovered, err
+		}},
+	}
+	build := func(t *testing.T, fs vfs.FS, opts ...Option) *Sorter[Record] {
+		s, err := New(less, append([]Option{WithMemoryRecords(memory), WithFanIn(2)}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.fs = fs
+		return s
+	}
+	holds := func(names []string, suffix string) bool {
+		return slices.ContainsFunc(names, func(n string) bool { return strings.HasSuffix(n, suffix) })
+	}
+	for _, op := range ops {
+		for _, durable := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/durable=%v", op.name, durable), func(t *testing.T) {
+				var opts []Option
+				if durable {
+					opts = append(opts, WithManifest())
+				}
+				probe := faultfs.New(vfs.NewMemFS(), faultfs.Options{})
+				want, _, err := op.run(build(t, probe, opts...))
+				if err != nil {
+					t.Fatal(err)
+				}
+				mem := vfs.NewMemFS()
+				broken := faultfs.New(mem, faultfs.Options{})
+				broken.Fail(faultfs.Write, probe.Calls(faultfs.Write))
+				s := build(t, broken, opts...)
+				if _, _, err := op.run(s); !errors.Is(err, faultfs.ErrInjected) {
+					t.Fatalf("err = %v, want the injected write fault", err)
+				}
+				names, _ := mem.Names()
+				if !durable {
+					if len(names) != 0 {
+						t.Fatalf("a plain sorter left %v", names)
+					}
+					return
+				}
+				if !holds(names, ".manifest") || !holds(names, ".arena") {
+					t.Fatalf("a durable sorter left %v, want its manifest and arena", names)
+				}
+				cfg := s.Config()
+				cfg.Resume = true
+				got, recovered, err := op.run(build(t, mem, WithConfig(cfg)))
+				if err != nil || recovered == 0 || !slices.Equal(got, want) {
+					t.Fatalf("rerun under Resume: %v, %d runs recovered, output equal: %v", err, recovered, slices.Equal(got, want))
+				}
+				if names, _ := mem.Names(); len(names) != 0 {
+					t.Fatalf("the rerun left %v", names)
 				}
 			})
 		}

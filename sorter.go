@@ -584,9 +584,8 @@ func (s *Sorter[T]) generate(o *op, src stream.BatchReader[T], dst Sink[T], pref
 }
 
 // sort is the materialising caller of generate: the run set merged into
-// dst. A merge that fails discards the run set, so no spill file outlives
-// the error — except under WithManifest, where whatever a failed pass left
-// on the store is the state Resume continues from.
+// dst. What a failure leaves on the store is RunSet.Abandon's to decide:
+// under WithManifest the state Resume continues from, otherwise nothing.
 func (s *Sorter[T]) sort(ctx context.Context, src Source[T], dst Sink[T], resume bool) (stats Stats, err error) {
 	o := startOp(ctx, nil, "") // no root span: the driver traces and times a sort itself
 	defer o.finish(nil, nil, &err)
@@ -594,11 +593,7 @@ func (s *Sorter[T]) sort(ctx context.Context, src Source[T], dst Sink[T], resume
 	if rset == nil {
 		return stats, err
 	}
-	stats, err = rset.Merge(&ctxWriter[T]{ctx: o.ctx, dst: dst})
-	if err != nil && !s.cfg.Manifest && !s.cfg.Resume {
-		rset.Discard()
-	}
-	return stats, err
+	return rset.Merge(&ctxWriter[T]{ctx: o.ctx, dst: dst})
 }
 
 // SortSlice sorts a slice through the external-sort machinery and returns a
