@@ -116,7 +116,7 @@ func newSortFlags(fs *flag.FlagSet) *sortFlags {
 		policy: fs.String("policy", def.Policy, "run generation policy: "+strings.Join(repro.Policies(), ", ")+
 			" (alt and lss are accepted for alternating and quick); 'auto' adapts to the input, switching generators at run boundaries"),
 		memory:  fs.Int("memory", def.MemoryRecords, "memory budget in records"),
-		fanIn:   fs.Int("fanin", def.FanIn, "merge fan-in"),
+		fanIn:   fs.Int("fanin", def.FanIn, "merge fan-in; 0 merges as wide as the memory budget feeds at a 16 KiB block per input, and at least 10"),
 		tempDir: fs.String("tmp", "", "directory for temporary runs (default: system temp)"),
 		setup:   fs.String("buffers", def.Setup.String(), "2WRS buffer setup: input, both, victim"),
 		frac:    fs.Float64("buffrac", def.BufferFraction, "fraction of memory for 2WRS buffers"),

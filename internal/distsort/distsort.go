@@ -85,8 +85,10 @@ func Sort[T any](src stream.Reader[T], dst stream.Writer[T], fs vfs.FS, cfg Conf
 func SortBatch[T any](src stream.BatchReader[T], dst stream.Writer[T], fs vfs.FS, cfg Config, ops extsort.Ops[T]) (extsort.Stats, error) {
 	entry := time.Now()
 	// Resolved once, so the shard count, the router and every shard's carved
-	// configuration read the same prefix and parallelism.
+	// configuration read the same prefix and parallelism — and the same
+	// fan-in, the whole budget's, as repro.New derives it.
 	cfg.Extsort = cfg.Extsort.Resolved()
+	cfg.Extsort.FanIn = cfg.Extsort.MergeFanIn(ops.ElementBytes())
 	shards := cfg.Shards
 	if shards <= 0 {
 		if cfg.Extsort.Manifest || cfg.Extsort.Resume {

@@ -14,6 +14,7 @@ import (
 	"repro/internal/extsort"
 	"repro/internal/gen"
 	"repro/internal/obs"
+	"repro/internal/policy"
 	"repro/internal/record"
 	"repro/internal/runio"
 	"repro/internal/stream"
@@ -196,6 +197,23 @@ func TestShardedStatsAndPhases(t *testing.T) {
 	}
 	if !st.Keyed {
 		t.Fatal("record sort with KeyRecord16 should report Keyed")
+	}
+}
+
+// TestShardsKeepTheWholeBudgetsFanIn pins where a sharded sort's derived
+// fan-in comes from: the whole budget, 2^14 Records feeding 15 inputs, as
+// repro.New derives it — not a shard's half, which would give 10. Each
+// shard's quick runs number 11 to 13, one pass at 15 and two at 10.
+func TestShardsKeepTheWholeBudgetsFanIn(t *testing.T) {
+	vals := recordDataset(gen.Random, 24<<13)
+	cfg := shardedCfg(2, 1<<14)
+	cfg.Extsort.Policy = policy.Quick
+	out, st := runSharded(t, vals, cfg, recOps())
+	if !slices.IsSortedFunc(out, record.Compare) {
+		t.Fatal("output not sorted")
+	}
+	if st.Runs < 22 || st.MergePasses != 1 {
+		t.Fatalf("%d runs in %d passes, want about 24 in 1", st.Runs, st.MergePasses)
 	}
 }
 

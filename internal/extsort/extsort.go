@@ -58,10 +58,10 @@ func (o Ops[T]) validate() error {
 	return nil
 }
 
-// elementBytes estimates the stored size of one element, which converts
+// ElementBytes estimates the stored size of one element, which converts
 // the record-denominated memory budget into bytes: the codec's fixed size,
 // or 32 for a variable-width codec.
-func (o Ops[T]) elementBytes() int {
+func (o Ops[T]) ElementBytes() int {
 	if f := o.Codec.FixedSize(); f > 0 {
 		return f
 	}
@@ -159,7 +159,8 @@ type Config struct {
 	// generation data structures, and (converted to bytes) the merge
 	// buffers.
 	Memory int
-	// FanIn is the merge fan-in; zero means DefaultFanIn.
+	// FanIn is the merge fan-in; zero means the width MergeFanIn derives
+	// from the memory budget.
 	FanIn int
 	// TWRS carries the 2WRS-specific knobs; its Memory field is ignored in
 	// favour of Config.Memory. Zero value means the recommended §5.3
@@ -231,7 +232,30 @@ type Config struct {
 // core.Recommended's §5.3 parameters it is the one place the paper's
 // recommended configuration is written down; every default, public
 // (repro.DefaultConfig, cmd/extsort's flags) or internal, reads the two.
+// Recommended and every simulated sort merge at it; a real sort that sets no
+// fan-in merges at least this wide (MergeFanIn).
 const DefaultFanIn = 10
+
+// mergeBlockFloor is the smallest block the derived fan-in leaves each merge
+// input: four file system pages, so an overlap run's share still gives each
+// of its at most four pieces a page (DESIGN.md §4 has the sweep behind it).
+const mergeBlockFloor = 16 << 10
+
+// MergeFanIn returns the fan-in of a sort under c whose elements are stored
+// in elementBytes each: c.FanIn when set, DefaultFanIn for a simulated sort
+// (the paper's disk, where every input costs a seek), and otherwise the
+// widest merge the budget feeds at one mergeBlockFloor block per input
+// beside the output's — never narrower than DefaultFanIn. It does not read
+// Parallelism, so the merge tree is the same at every setting.
+func (c Config) MergeFanIn(elementBytes int) int {
+	switch {
+	case c.FanIn != 0:
+		return c.FanIn
+	case c.Disk != nil:
+		return DefaultFanIn
+	}
+	return max(DefaultFanIn, c.Memory*elementBytes/mergeBlockFloor-1)
+}
 
 // Recommended returns the paper's recommended end-to-end configuration:
 // 2WRS (§5.3 parameters) with the optimal fan-in.
@@ -244,15 +268,14 @@ func Recommended(memory int) Config {
 	}
 }
 
-// Resolved returns c with every unset field replaced by its default. It is
-// the one place those defaults are written — the driver applies it to every
-// sort, and the layers around it (the sharded sort's template and shard
-// count, the public API's fan-in and in-memory selection parallelism) call
-// it instead of repeating a rule. Resolving twice changes nothing.
+// Resolved returns c with every unset field but FanIn replaced by its
+// default. It is the one place those defaults are written — the driver
+// applies it to every sort, and the layers around it (the sharded sort's
+// template and shard count, the public API's in-memory selection
+// parallelism) call it instead of repeating a rule. A zero FanIn stays zero
+// until the element width is known: the driver resolves it by MergeFanIn.
+// Resolving twice changes nothing.
 func (c Config) Resolved() Config {
-	if c.FanIn == 0 {
-		c.FanIn = DefaultFanIn
-	}
 	if c.Prefix == "" {
 		c.Prefix = "sort"
 	}
@@ -412,14 +435,15 @@ func newRunSet[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
 	// The byte form of the memory budget: what the spill path's block pool
 	// keeps between files, what run generation sizes its blocks from and
 	// what the merge divides among its buffers.
-	budget := cfg.Memory * ops.elementBytes()
+	budget := cfg.Memory * ops.ElementBytes()
+	cfg.FanIn = cfg.MergeFanIn(ops.ElementBytes())
 	// Spill files live in one arena file, in extents of a generation block,
 	// so the file system sees one create and one unlink per sort and a
 	// consumed run's pages are overwritten by the next writer.
 	arena := vfs.NewArena(fs, cfg.Prefix+arenaSuffix, runio.BlockBytes(budget))
 	var (
 		spill vfs.FS = arena
-		pages        = runio.BackwardPages(cfg.Memory, ops.elementBytes())
+		pages        = runio.BackwardPages(cfg.Memory, ops.ElementBytes())
 	)
 	if cfg.Disk != nil {
 		// The disk model sits above the arena, so it charges the logical
@@ -631,7 +655,7 @@ func (r *RunSet[T]) Store() storage.Backend { return r.store }
 func (r *RunSet[T]) mergeConfig() (merge.Config, func()) {
 	mc := merge.Config{
 		FanIn:       r.cfg.FanIn,
-		MemoryBytes: r.cfg.Memory * r.ops.elementBytes(),
+		MemoryBytes: r.cfg.Memory * r.ops.ElementBytes(),
 		Workers:     r.cfg.Parallelism,
 		Cancel:      r.cfg.Cancel,
 	}

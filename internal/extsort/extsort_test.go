@@ -58,6 +58,61 @@ func TestSortSmallFanIn(t *testing.T) {
 	}
 }
 
+// TestMergeFanInRule holds MergeFanIn to its table: a zero FanIn is the
+// widest merge the budget feeds at a 16 KiB block per input, never below
+// the paper's 10; an explicit FanIn, a simulated disk and Recommended keep
+// their width; and Parallelism is no input to it.
+func TestMergeFanInRule(t *testing.T) {
+	disk := iosim.NewDisk(iosim.Defaults2010())
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		elem int
+		want int
+	}{
+		{"derived", Config{Memory: 1 << 16}, 16, 63},
+		{"derived from bytes", Config{Memory: 1 << 14}, 32, 31},
+		{"derived just above 10", Config{Memory: 12 << 10}, 16, 11},
+		{"never below 10", Config{Memory: 1000}, 16, DefaultFanIn},
+		{"explicit kept", Config{Memory: 1 << 16, FanIn: 4}, 16, 4},
+		{"explicit wider kept", Config{Memory: 1000, FanIn: 200}, 16, 200},
+		{"simulated", Config{Memory: 1 << 16, Disk: disk}, 16, DefaultFanIn},
+		{"recommended", Recommended(1 << 16), 16, DefaultFanIn},
+		{"parallelism 1", Config{Memory: 1 << 16, Parallelism: 1}, 16, 63},
+		{"parallelism 2", Config{Memory: 1 << 16, Parallelism: 2}, 16, 63},
+	} {
+		if got := tc.cfg.MergeFanIn(tc.elem); got != tc.want {
+			t.Errorf("%s: MergeFanIn(%d) = %d, want %d", tc.name, tc.elem, got, tc.want)
+		}
+		if got := tc.cfg.Resolved().MergeFanIn(tc.elem); got != tc.want {
+			t.Errorf("%s: resolved, MergeFanIn(%d) = %d, want %d", tc.name, tc.elem, got, tc.want)
+		}
+	}
+}
+
+// TestDerivedFanInPlanIndependentOfParallelism sorts more runs than the
+// derived width at Parallelism 1 and 2: both merge by the same plan — the
+// derived 15-way one, not the paper's 10-way — and write the same bytes.
+func TestDerivedFanInPlanIndependentOfParallelism(t *testing.T) {
+	recs := gen.Generate(gen.Config{Kind: gen.Random, N: 20 << 14, Seed: 8})
+	var want Stats
+	for _, par := range []int{1, 2} {
+		cfg := Config{Policy: policy.Quick, Memory: 1 << 14, Parallelism: par}
+		st := sortAndCheck(t, recs, cfg)
+		// 20 runs: 15-way merges take one intermediate operation before
+		// the final one, 10-way merges two.
+		if st.Runs != 20 || st.MergePasses != 2 || st.MergeOps != 2 {
+			t.Fatalf("parallelism %d: %d runs, %d passes, %d operations; want 20, 2 and 2", par, st.Runs, st.MergePasses, st.MergeOps)
+		}
+		if par == 1 {
+			want = st
+		} else if st.MergeOps != want.MergeOps || st.IO.RawBytesWritten != want.IO.RawBytesWritten {
+			t.Errorf("parallelism %d: %d operations and %d bytes written, parallelism 1 %d and %d",
+				par, st.MergeOps, st.IO.RawBytesWritten, want.MergeOps, want.IO.RawBytesWritten)
+		}
+	}
+}
+
 // TestSortHeapEngine holds the sort's multi-pass merge phase to one k-way
 // merge: one comparator-only tree over every piece of every generated run
 // reads back what RunSet.Merge writes — the same records in the same key

@@ -56,7 +56,7 @@ func generationFingerprint[T any](cfg Config, ops Ops[T], em *runio.Emitter[T]) 
 		pages = runio.DefaultPagesPerFile
 	}
 	return fmt.Sprintf("policy=%s memory=%d elem=%d page=%d pages_per_file=%d twrs=%+v",
-		cfg.Policy, cfg.Memory, ops.elementBytes(), page, pages, cfg.TWRS)
+		cfg.Policy, cfg.Memory, ops.ElementBytes(), page, pages, cfg.TWRS)
 }
 
 // durableHeader builds the manifest identity record for this invocation.

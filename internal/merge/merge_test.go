@@ -590,13 +590,30 @@ func TestMergeStopsPassOnFailure(t *testing.T) {
 // allows for. (A framing backend reads a chain file through a window of one
 // framed page of its own beside the reader's buffer — under every backward
 // segment, overlap or not — so there the two chains of each run add a page.)
+// The derived rows merge at the width a budget of 2^14 Records feeds
+// (extsort.Config.MergeFanIn: 256 KiB at a 16 KiB block per input, 15),
+// where a lone operation gives each input one 16 KiB block and an overlap
+// run's four pieces a page each. Two concurrent operations halve the
+// blocks, which single-segment runs take in their stride; an overlap run's
+// pieces would go under a page, and the page floor exceeds the budget (by
+// 1.9x here, 1.3x at fan-in 10: DESIGN.md §4). So the
+// two-worker overlap row merges the full width once: the final merge, which
+// has the whole budget at every Workers.
 func TestMergeHoldsToMemoryBudget(t *testing.T) {
-	const fanIn, workers = 4, 2
 	for _, row := range []struct {
-		name   string
-		pieces int // per run
-		memory int
-	}{{"single", 1, 64 << 10}, {"overlap", 4, 256 << 10}} {
+		name                 string
+		pieces               int // per run
+		memory               int
+		fanIn, workers, runs int
+	}{
+		{"single", 1, 64 << 10, 4, 2, 50},
+		{"overlap", 4, 256 << 10, 4, 2, 50},
+		{"derived/single/1", 1, 256 << 10, 15, 1, 50},
+		{"derived/single/2", 1, 256 << 10, 15, 2, 50},
+		{"derived/overlap/1", 4, 256 << 10, 15, 1, 50},
+		{"derived/overlap/2/one-merge", 4, 256 << 10, 15, 2, 15},
+	} {
+		fanIn, workers := row.fanIn, row.workers
 		for _, comp := range []string{"raw", "none"} {
 			name := row.name + "/" + comp
 			slack := workers * (fanIn*row.pieces + 1) * storage.FrameHeadroom
@@ -612,9 +629,9 @@ func TestMergeHoldsToMemoryBudget(t *testing.T) {
 			var runs []runio.Run
 			var all []record.Record
 			if row.pieces == 1 {
-				runs, all = makeRuns(t, fs, em, 50, 2000, 6)
+				runs, all = makeRuns(t, fs, em, row.runs, 2000, 6)
 			} else {
-				runs, all = makeOverlapRuns(t, em, 50, 2000/row.pieces, 6)
+				runs, all = makeOverlapRuns(t, em, row.runs, 2000/row.pieces, 6)
 			}
 			written := storage.PoolOf(st).Peak()
 			var out stream.SliceWriter[record.Record]

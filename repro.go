@@ -201,8 +201,9 @@ const (
 
 // Config controls a sort. The zero value is not valid — it has no memory
 // budget; start from DefaultConfig or build a Sorter through New with
-// options. New reads a zero FanIn or BufferFraction as the paper's default;
-// Validate itself takes the values as they stand.
+// options. New reads a zero BufferFraction as the paper's default and
+// resolves a zero FanIn to the width the memory budget feeds; Validate
+// itself takes the values as they stand.
 type Config struct {
 	// Policy names the run generator. Valid names are listed by
 	// Policies(): "2wrs" (the paper's two-way replacement selection), "rs",
@@ -216,8 +217,10 @@ type Config struct {
 	Policy string
 	// MemoryRecords is the memory budget in records for both phases.
 	MemoryRecords int
-	// FanIn is the merge fan-in. Zero means the paper's optimum, which is
-	// what DefaultConfig sets (10).
+	// FanIn is the merge fan-in. Zero, what DefaultConfig sets, means the
+	// widest merge the memory budget feeds at a 16 KiB block per input, and
+	// never narrower than the paper's optimum of 10; New resolves it, so a
+	// Sorter's Config reports the width its sorts merge at.
 	FanIn int
 	// Setup selects which auxiliary 2WRS buffers exist. Setup,
 	// BufferFraction, Input and Output tune 2WRS and are ignored by the
@@ -307,7 +310,6 @@ func DefaultConfig(memoryRecords int) Config {
 	return Config{
 		Policy:         "2wrs",
 		MemoryRecords:  memoryRecords,
-		FanIn:          extsort.DefaultFanIn,
 		Setup:          twrs.Setup,
 		BufferFraction: twrs.BufferFrac,
 		Input:          twrs.Input,
@@ -324,8 +326,8 @@ func (c Config) Validate() error {
 	if c.MemoryRecords < 3 {
 		return fmt.Errorf("repro: memory budget of %d records is too small (need ≥ 3)", c.MemoryRecords)
 	}
-	if c.FanIn < 2 {
-		return fmt.Errorf("repro: merge fan-in must be at least 2, got %d", c.FanIn)
+	if c.FanIn < 0 || c.FanIn == 1 {
+		return fmt.Errorf("repro: merge fan-in must be 0 (derived) or at least 2, got %d", c.FanIn)
 	}
 	if c.BufferFraction <= 0 || c.BufferFraction > 0.5 {
 		return fmt.Errorf("repro: buffer fraction %v outside (0, 0.5]", c.BufferFraction)

@@ -96,7 +96,8 @@ func TestDatasetReaderStreams(t *testing.T) {
 
 func TestDefaultConfigIsRecommended(t *testing.T) {
 	cfg := DefaultConfig(1000)
-	if cfg.Policy != "2wrs" || cfg.FanIn != 10 || cfg.Setup != BothBuffers ||
+	// FanIn 0 is "derived from the budget": the paper's 10 at least.
+	if cfg.Policy != "2wrs" || cfg.FanIn != 0 || cfg.Setup != BothBuffers ||
 		cfg.BufferFraction != 0.02 || cfg.Input != InputMean || cfg.Output != OutputRandom {
 		t.Fatalf("DefaultConfig = %+v, not the paper's §5.3 recommendation", cfg)
 	}

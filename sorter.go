@@ -191,7 +191,9 @@ func WithMemoryRecords(n int) Option {
 	return func(s *sorterConfig) error { s.cfg.MemoryRecords = n; return nil }
 }
 
-// WithFanIn sets the merge fan-in (the paper's optimum is 10).
+// WithFanIn sets the merge fan-in. Without it a sort merges as wide as its
+// memory budget feeds at a 16 KiB block per input, and never narrower than
+// the paper's optimum of 10.
 func WithFanIn(n int) Option {
 	return func(s *sorterConfig) error { s.cfg.FanIn = n; return nil }
 }
@@ -418,9 +420,8 @@ func New[T any](less func(a, b T) bool, opts ...Option) (*Sorter[T], error) {
 			return nil, err
 		}
 	}
-	// A zero FanIn or BufferFraction — a hand-built Config that never set
-	// them — means the paper's default here, as it does one layer down.
-	sc.cfg.FanIn = extsort.Config{FanIn: sc.cfg.FanIn}.Resolved().FanIn
+	// A zero BufferFraction — a hand-built Config that never set it — means
+	// the paper's default here, as it does one layer down.
 	if sc.cfg.BufferFraction == 0 {
 		sc.cfg.BufferFraction = defaults.BufferFraction
 	}
@@ -440,6 +441,11 @@ func New[T any](less func(a, b T) bool, opts ...Option) (*Sorter[T], error) {
 	}
 	if err == nil && !sc.noKeys {
 		s.ops.KeyCodec, err = resolve[codec.KeyCodec[T], T](sc.keyCodec, def.keyCodec, "WithKeyCodec", "key")
+	}
+	if err == nil {
+		// The driver's rule for a zero fan-in, resolved once the element
+		// width is known, so Config reports the width the sorts merge at.
+		s.cfg.FanIn = s.cfg.toInternal().MergeFanIn(s.ops.ElementBytes())
 	}
 	if err == nil && (s.cfg.Manifest || s.cfg.Resume) {
 		// Durable sorts need a file system that outlives one Sort call, or

@@ -284,7 +284,8 @@ func TestConfigValidateTable(t *testing.T) {
 		{"negative memory", func(c *Config) { c.MemoryRecords = -5 }, "memory"},
 		{"tiny memory", func(c *Config) { c.MemoryRecords = 2 }, "too small"},
 		{"fan-in one", func(c *Config) { c.FanIn = 1 }, "fan-in"},
-		{"fan-in zero", func(c *Config) { c.FanIn = 0 }, "fan-in"},
+		{"fan-in zero", func(c *Config) { c.FanIn = 0 }, ""},
+		{"fan-in negative", func(c *Config) { c.FanIn = -1 }, "fan-in"},
 		{"fraction zero", func(c *Config) { c.BufferFraction = 0 }, "fraction"},
 		{"fraction negative", func(c *Config) { c.BufferFraction = -0.1 }, "fraction"},
 		{"fraction too large", func(c *Config) { c.BufferFraction = 0.6 }, "fraction"},
@@ -345,8 +346,10 @@ func TestLegacyHandBuiltConfigStillSorts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := s.Config().FanIn, DefaultConfig(1000).FanIn; got != want {
-		t.Errorf("zero FanIn resolved to %d, want the default %d", got, want)
+	// 1000 16-byte records feed fewer than ten merge blocks: the width
+	// derived from the budget is the paper's 10, its lower bound.
+	if got, want := s.Config().FanIn, 10; got != want {
+		t.Errorf("zero FanIn resolved to %d, want the derived %d", got, want)
 	}
 	if got, want := s.Config().BufferFraction, DefaultConfig(1000).BufferFraction; got != want {
 		t.Errorf("zero BufferFraction resolved to %v, want the default %v", got, want)
