@@ -85,10 +85,9 @@ func Sort[T any](src stream.Reader[T], dst stream.Writer[T], fs vfs.FS, cfg Conf
 func SortBatch[T any](src stream.BatchReader[T], dst stream.Writer[T], fs vfs.FS, cfg Config, ops extsort.Ops[T]) (extsort.Stats, error) {
 	entry := time.Now()
 	// Resolved once, so the shard count, the router and every shard's carved
-	// configuration read the same prefix and parallelism — and the same
-	// fan-in, the whole budget's, as repro.New derives it.
+	// configuration read the same prefix and parallelism. A zero FanIn stays
+	// zero: each shard derives it from its own share of the budget.
 	cfg.Extsort = cfg.Extsort.Resolved()
-	cfg.Extsort.FanIn = cfg.Extsort.MergeFanIn(ops.ElementBytes())
 	shards := cfg.Shards
 	if shards <= 0 {
 		if cfg.Extsort.Manifest || cfg.Extsort.Resume {
@@ -213,6 +212,18 @@ func shardedSort[T any](entry time.Time, sample []T, src stream.BatchReader[T], 
 		}
 	}
 	return st, nil
+}
+
+// MergeFanIn returns the fan-in each shard of a sort under c merges at, of
+// elements stored in elementBytes each: the template's rule
+// (extsort.Config.MergeFanIn) read on one shard's share of the memory
+// budget, which is all that shard's merge buffers have.
+func (c Config) MergeFanIn(elementBytes int) int {
+	shards := c.Shards
+	if shards <= 0 {
+		shards = c.Extsort.Resolved().Parallelism
+	}
+	return shardConfig(c, shards, 0).MergeFanIn(elementBytes)
 }
 
 // shardConfig carves shard i's extsort configuration out of the resolved

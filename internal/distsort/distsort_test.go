@@ -200,20 +200,22 @@ func TestShardedStatsAndPhases(t *testing.T) {
 	}
 }
 
-// TestShardsKeepTheWholeBudgetsFanIn pins where a sharded sort's derived
-// fan-in comes from: the whole budget, 2^14 Records feeding 15 inputs, as
-// repro.New derives it — not a shard's half, which would give 10. Each
-// shard's quick runs number 11 to 13, one pass at 15 and two at 10.
-func TestShardsKeepTheWholeBudgetsFanIn(t *testing.T) {
-	vals := recordDataset(gen.Random, 24<<13)
-	cfg := shardedCfg(2, 1<<14)
+// TestShardsDeriveFanInFromTheirShare pins where a sharded sort's derived
+// fan-in comes from: a shard's share of the budget, which is all its merge
+// buffers have. 2^15 Records (512 KiB) feed 31 inputs; a shard's half, 15.
+// Each shard's quick runs number 17 or 18, one pass at 31 and two at 15.
+func TestShardsDeriveFanInFromTheirShare(t *testing.T) {
+	cfg := shardedCfg(2, 1<<15)
 	cfg.Extsort.Policy = policy.Quick
-	out, st := runSharded(t, vals, cfg, recOps())
+	if got := cfg.MergeFanIn(16); got != 15 {
+		t.Fatalf("shard fan-in = %d, want 15", got)
+	}
+	out, st := runSharded(t, recordDataset(gen.Random, 35<<14), cfg, recOps())
 	if !slices.IsSortedFunc(out, record.Compare) {
 		t.Fatal("output not sorted")
 	}
-	if st.Runs < 22 || st.MergePasses != 1 {
-		t.Fatalf("%d runs in %d passes, want about 24 in 1", st.Runs, st.MergePasses)
+	if st.Runs <= 32 || st.Runs > 2*31 || st.MergePasses != 2 {
+		t.Fatalf("%d runs in %d passes, want about 35 in 2", st.Runs, st.MergePasses)
 	}
 }
 

@@ -242,17 +242,14 @@ const DefaultFanIn = 10
 const mergeBlockFloor = 16 << 10
 
 // MergeFanIn returns the fan-in of a sort under c whose elements are stored
-// in elementBytes each: c.FanIn when set, DefaultFanIn for a simulated sort
-// (the paper's disk, where every input costs a seek), and otherwise the
-// widest merge the budget feeds at one mergeBlockFloor block per input
-// beside the output's — never narrower than DefaultFanIn. It does not read
-// Parallelism, so the merge tree is the same at every setting.
+// in elementBytes each: c.FanIn when set, and otherwise the widest merge the
+// budget feeds at one mergeBlockFloor block per input beside the output's —
+// never narrower than DefaultFanIn. Simulated sorts keep the paper's width
+// by starting from Recommended. MergeFanIn does not read Parallelism, so the
+// merge tree is the same at every setting.
 func (c Config) MergeFanIn(elementBytes int) int {
-	switch {
-	case c.FanIn != 0:
+	if c.FanIn != 0 {
 		return c.FanIn
-	case c.Disk != nil:
-		return DefaultFanIn
 	}
 	return max(DefaultFanIn, c.Memory*elementBytes/mergeBlockFloor-1)
 }

@@ -60,10 +60,12 @@ func TestSortSmallFanIn(t *testing.T) {
 
 // TestMergeFanInRule holds MergeFanIn to its table: a zero FanIn is the
 // widest merge the budget feeds at a 16 KiB block per input, never below
-// the paper's 10; an explicit FanIn, a simulated disk and Recommended keep
-// their width; and Parallelism is no input to it.
+// the paper's 10; an explicit FanIn and Recommended keep their width, and so
+// does a simulated sort, which starts from Recommended (internal/exp); and
+// Parallelism is no input to it.
 func TestMergeFanInRule(t *testing.T) {
-	disk := iosim.NewDisk(iosim.Defaults2010())
+	simulated := Recommended(1 << 16)
+	simulated.Disk = iosim.NewDisk(iosim.Defaults2010())
 	for _, tc := range []struct {
 		name string
 		cfg  Config
@@ -76,7 +78,7 @@ func TestMergeFanInRule(t *testing.T) {
 		{"never below 10", Config{Memory: 1000}, 16, DefaultFanIn},
 		{"explicit kept", Config{Memory: 1 << 16, FanIn: 4}, 16, 4},
 		{"explicit wider kept", Config{Memory: 1000, FanIn: 200}, 16, 200},
-		{"simulated", Config{Memory: 1 << 16, Disk: disk}, 16, DefaultFanIn},
+		{"simulated", simulated, 16, DefaultFanIn},
 		{"recommended", Recommended(1 << 16), 16, DefaultFanIn},
 		{"parallelism 1", Config{Memory: 1 << 16, Parallelism: 1}, 16, 63},
 		{"parallelism 2", Config{Memory: 1 << 16, Parallelism: 2}, 16, 63},

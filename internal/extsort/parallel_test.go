@@ -35,11 +35,14 @@ func readFile(t *testing.T, fs vfs.FS, name string) []byte {
 // run-generation statistics and an identical merge — the same operations,
 // tree depth and bytes written: concurrency must change only the schedule.
 func TestSortParallelismEquivalence(t *testing.T) {
-	recs := gen.Generate(gen.Config{Kind: gen.Random, N: 30000, Seed: 9})
+	recs := gen.Generate(gen.Config{Kind: gen.Random, N: 300_000, Seed: 9})
 
 	run := func(par int) ([]record.Record, Stats) {
-		cfg := Recommended(300) // ~100 runs: several intermediate merge passes
-		cfg.Parallelism = par
+		// 12 Ki Records (192 KiB) feed four 2-way operations at once at
+		// a page for each piece of a run (merge's fedWorkers), so all four
+		// workers merge; a dozen runs take several intermediate passes.
+		cfg := Recommended(12 << 10)
+		cfg.FanIn, cfg.Parallelism = 2, par
 		out, stats, err := SortSlice(recs, cfg, RecordOps())
 		if err != nil {
 			t.Fatal(err)
@@ -73,14 +76,15 @@ func TestSortParallelismEquivalence(t *testing.T) {
 
 // TestSortParallelWriteFailure verifies error propagation through run
 // generation and the merge worker pool, killing the writes to the sort's
-// physical file, its arena.
+// physical file, its arena, at points up to 800 of its about 1,000.
 func TestSortParallelWriteFailure(t *testing.T) {
-	recs := gen.Generate(gen.Config{Kind: gen.Random, N: 20000, Seed: 1})
-	for _, budget := range []int64{0, 1, 5, 50, 120} {
+	recs := gen.Generate(gen.Config{Kind: gen.Random, N: 300_000, Seed: 1})
+	for _, budget := range []int64{0, 1, 5, 50, 120, 400, 800} {
 		fs := faultfs.New(vfs.NewMemFS(), faultfs.Options{})
 		fs.Fail(faultfs.Write, budget+1)
-		cfg := Recommended(200)
-		cfg.Parallelism = 4
+		// As above: a budget that feeds all four merge workers.
+		cfg := Recommended(12 << 10)
+		cfg.FanIn, cfg.Parallelism = 2, 4
 		var out stream.SliceWriter[record.Record]
 		_, err := Sort(stream.NewSliceReader(recs), &out, fs, cfg, RecordOps())
 		if err == nil {

@@ -26,7 +26,8 @@ type Config struct {
 	// when an operation of the merge plan runs, never which runs it merges:
 	// ≤1 executes the plan in order on the caller's goroutine; above 1,
 	// operations whose inputs are complete overlap, each worker creating,
-	// writing and closing its output on its own goroutine.
+	// writing and closing its output on its own goroutine. No more run at
+	// once than MemoryBytes feeds (fedWorkers).
 	Workers int
 	// Cancel, when set, is polled between batches of every merge operation;
 	// a non-nil return aborts the merge with that error. The driver wires
@@ -77,6 +78,20 @@ func (c Config) bufBytes(workers, width int) int {
 		width = c.FanIn
 	}
 	return max(c.MemoryBytes/workers/(width+1), runio.DefaultPageSize)
+}
+
+// fedWorkers returns how many full-width operations MemoryBytes feeds at
+// once without a block going under its floor: each holds FanIn+1 blocks of
+// bufBytes, and an input's block is split among the pieces of the run it
+// reads, a page each at the least. Any operation may read the inputs' most
+// divided run, so that run decides; intermediate outputs are one piece. At
+// 0 one operation still runs, its blocks on the page floor.
+func (c Config) fedWorkers(inputs []runio.Run) int {
+	pieces := 1
+	for _, r := range inputs {
+		pieces = max(pieces, r.Pieces())
+	}
+	return c.MemoryBytes / ((c.FanIn + 1) * pieces * runio.DefaultPageSize)
 }
 
 // Stats reports what the merge phase did.

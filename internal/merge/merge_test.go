@@ -393,7 +393,8 @@ func TestMergeParallelWorkers(t *testing.T) {
 		runs, all := makeRuns(t, fs, em, 37, 40, 8)
 		written := em.Store.Stats().RawBytesWritten
 		var out stream.SliceWriter[record.Record]
-		stats, err := Merge(em, runs, &out, Config{FanIn: 3, MemoryBytes: 1 << 14, Workers: workers})
+		// 2^17 bytes feed eight 3-way operations at a page a block.
+		stats, err := Merge(em, runs, &out, Config{FanIn: 3, MemoryBytes: 1 << 17, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -447,7 +448,7 @@ func TestMergeCancelAborts(t *testing.T) {
 		cn := &cancelNow{after: 3, err: io.ErrClosedPipe}
 		var out stream.SliceWriter[record.Record]
 		_, err := Merge(em, runs, &out, Config{
-			FanIn: 3, MemoryBytes: 1 << 14, Workers: workers, Cancel: cn.hook,
+			FanIn: 3, MemoryBytes: 1 << 16, Workers: workers, Cancel: cn.hook,
 		})
 		if err != io.ErrClosedPipe {
 			t.Fatalf("workers %d: err = %v, want the cancel error", workers, err)
@@ -570,7 +571,7 @@ func TestMergeStopsPassOnFailure(t *testing.T) {
 	runs, _ := makeRuns(t, fs, em, 60, 20, 5)
 	fs.Fail(faultfs.Create, 1)
 	var out stream.SliceWriter[record.Record]
-	_, err := Merge(em, runs, &out, Config{FanIn: 2, MemoryBytes: 1 << 14, Workers: workers})
+	_, err := Merge(em, runs, &out, Config{FanIn: 2, MemoryBytes: 1 << 15, Workers: workers})
 	if !errors.Is(err, faultfs.ErrInjected) {
 		t.Fatalf("error = %v, want the injected create failure", err)
 	}
@@ -593,12 +594,12 @@ func TestMergeStopsPassOnFailure(t *testing.T) {
 // The derived rows merge at the width a budget of 2^14 Records feeds
 // (extsort.Config.MergeFanIn: 256 KiB at a 16 KiB block per input, 15),
 // where a lone operation gives each input one 16 KiB block and an overlap
-// run's four pieces a page each. Two concurrent operations halve the
-// blocks, which single-segment runs take in their stride; an overlap run's
-// pieces would go under a page, and the page floor exceeds the budget (by
-// 1.9x here, 1.3x at fan-in 10: DESIGN.md §4). So the
-// two-worker overlap row merges the full width once: the final merge, which
-// has the whole budget at every Workers.
+// run's four pieces a page each, and more runs than that width, so
+// intermediate operations run beside each other (200 for eight workers, so
+// that eight are ready at once). Concurrent operations
+// split the blocks, so no more run at once than keep every piece at a page
+// (fedWorkers): four of eight workers over single-segment runs, and one of
+// two over overlap runs, where two would hold 1.9x the budget.
 func TestMergeHoldsToMemoryBudget(t *testing.T) {
 	for _, row := range []struct {
 		name                 string
@@ -610,8 +611,9 @@ func TestMergeHoldsToMemoryBudget(t *testing.T) {
 		{"overlap", 4, 256 << 10, 4, 2, 50},
 		{"derived/single/1", 1, 256 << 10, 15, 1, 50},
 		{"derived/single/2", 1, 256 << 10, 15, 2, 50},
+		{"derived/single/8", 1, 256 << 10, 15, 8, 200},
 		{"derived/overlap/1", 4, 256 << 10, 15, 1, 50},
-		{"derived/overlap/2/one-merge", 4, 256 << 10, 15, 2, 15},
+		{"derived/overlap/2", 4, 256 << 10, 15, 2, 50},
 	} {
 		fanIn, workers := row.fanIn, row.workers
 		for _, comp := range []string{"raw", "none"} {

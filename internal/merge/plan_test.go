@@ -287,7 +287,7 @@ func TestFailedOperationStrandsNothing(t *testing.T) {
 				fs.Fail(fault.op, fault.at)
 				before := runtime.NumGoroutine()
 				var out stream.SliceWriter[record.Record]
-				_, err := Merge(em, runs, &out, Config{FanIn: fanIn, MemoryBytes: 1 << 14, Workers: workers})
+				_, err := Merge(em, runs, &out, Config{FanIn: fanIn, MemoryBytes: 1 << 16, Workers: workers})
 				if !errors.Is(err, faultfs.ErrInjected) {
 					t.Fatalf("%s: error = %v", name, err)
 				}

@@ -52,8 +52,9 @@ type Stream[T any] struct {
 
 // NewStream plans the merge (planMerge), executes the plan's intermediate
 // operations — reducing the inputs to at most FanIn runs, on up to Workers
-// workers — and returns the final merge as a Stream for the caller to drain.
-// Merge is equivalent to NewStream followed by a copy into dst and Close.
+// workers, as many as the budget feeds — and returns the final merge as a
+// Stream for the caller to drain. Merge is equivalent to NewStream followed
+// by a copy into dst and Close.
 //
 // The returned Stream owns the remaining run files: they are deleted on
 // Close whether or not the stream was fully drained. On error the files of
@@ -82,7 +83,7 @@ func NewStream[T any](em *runio.Emitter[T], inputs []runio.Run, cfg Config) (*St
 
 	runs := make([]runio.Run, len(inputs)+len(p.ops))
 	copy(runs, inputs)
-	arenas := make([]leafArena[T], max(1, min(cfg.Workers, len(p.ops))))
+	arenas := make([]leafArena[T], max(1, min(cfg.Workers, len(p.ops), cfg.fedWorkers(inputs))))
 	if err := execute(em, p, runs, arenas, cfg); err != nil {
 		return nil, err
 	}

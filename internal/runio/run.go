@@ -111,6 +111,21 @@ func SingleRun(seg Segment) Run {
 	return Run{Segments: []Segment{seg}, Records: seg.Records, Concatenable: true}
 }
 
+// Pieces returns how many sorted pieces OpenRun opens the run as: one per
+// non-empty segment when the segments' ranges overlap, and one otherwise.
+func (r Run) Pieces() int {
+	if r.Concatenable {
+		return 1
+	}
+	n := 0
+	for _, s := range r.Segments {
+		if s.Records > 0 {
+			n++
+		}
+	}
+	return max(n, 1)
+}
+
 // OpenRun opens the run as its sorted pieces within the given buffer budget
 // in bytes: the readers whose merge — a plain concatenation when there is one
 // — is the run in ascending order. A concatenable run is one piece, a Reader

@@ -264,10 +264,13 @@ func (d *discard[T]) Write(T) error { d.n++; return nil }
 // parallel merge: every run span hangs off the generate span, every
 // merge_op span off the merge span, and no span references an unknown
 // parent. Run with -race this also exercises the tracer's thread safety.
+// The budget, 8 Ki int64s (64 KiB), feeds four 3-way merges at once at a
+// page a block, and the quick policy's 13 runs give them work.
 func TestSpanNestingParallelMerges(t *testing.T) {
 	tr := repro.NewTracer()
 	s, err := repro.New(func(a, b int64) bool { return a < b },
-		repro.WithMemoryRecords(500),
+		repro.WithPolicy("quick"),
+		repro.WithMemoryRecords(8<<10),
 		repro.WithFanIn(3),
 		repro.WithParallelism(4),
 		repro.WithTracer(tr),
@@ -275,7 +278,7 @@ func TestSpanNestingParallelMerges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.SortSlice(context.Background(), shuffledInt64(30_000)); err != nil {
+	if _, _, err := s.SortSlice(context.Background(), shuffledInt64(100_000)); err != nil {
 		t.Fatal(err)
 	}
 

@@ -220,7 +220,8 @@ type Config struct {
 	// FanIn is the merge fan-in. Zero, what DefaultConfig sets, means the
 	// widest merge the memory budget feeds at a 16 KiB block per input, and
 	// never narrower than the paper's optimum of 10; New resolves it, so a
-	// Sorter's Config reports the width its sorts merge at.
+	// Sorter's Config reports the width its sorts merge at. Under Shards
+	// that is each shard's, fed by its share of the budget.
 	FanIn int
 	// Setup selects which auxiliary 2WRS buffers exist. Setup,
 	// BufferFraction, Input and Output tune 2WRS and are ignored by the

@@ -444,8 +444,9 @@ func New[T any](less func(a, b T) bool, opts ...Option) (*Sorter[T], error) {
 	}
 	if err == nil {
 		// The driver's rule for a zero fan-in, resolved once the element
-		// width is known, so Config reports the width the sorts merge at.
-		s.cfg.FanIn = s.cfg.toInternal().MergeFanIn(s.ops.ElementBytes())
+		// width is known, so Config reports the width the sorts merge at:
+		// under Shards, each shard's, on its share of the budget.
+		s.cfg.FanIn = distsort.Config{Shards: max(s.cfg.Shards, 1), Extsort: s.cfg.toInternal()}.MergeFanIn(s.ops.ElementBytes())
 	}
 	if err == nil && (s.cfg.Manifest || s.cfg.Resume) {
 		// Durable sorts need a file system that outlives one Sort call, or
