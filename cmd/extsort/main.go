@@ -1,8 +1,8 @@
 // Command extsort sorts and queries binary record files externally with a
 // bounded memory budget. -policy names the run generator: 2wrs (the
 // default), rs, alternating (or alt), quick (or lss: the paper's
-// Load-Sort-Store) or the adaptive "auto", which probes the input and
-// switches generators at run boundaries mid-stream.
+// Load-Sort-Store) or "auto", which probes a memory-sized prefix of the
+// input and runs the generator the probe names over all of it.
 //
 // Subcommands:
 //
@@ -374,9 +374,6 @@ func (o *outFile) close() error {
 
 func printSortStats(memory int, stats repro.Stats) {
 	fmt.Printf("policy:           %v\n", stats.Policy)
-	if stats.PolicySwitches > 0 {
-		fmt.Printf("policy switches:  %d (mid-stream, at run boundaries)\n", stats.PolicySwitches)
-	}
 	fmt.Printf("records:          %d\n", stats.Records)
 	if stats.Shards > 0 {
 		fmt.Printf("shards:           %d (records per shard: %v)\n", stats.Shards, stats.ShardRecords)

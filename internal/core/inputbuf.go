@@ -160,18 +160,6 @@ func (b *inputBuffer[T]) remove(k int) {
 	}
 }
 
-// drain removes and returns every element buffered in the FIFO and in its
-// fetch read-ahead, without reading anything more from the source. The
-// buffer is left empty but remains usable; policy switches use drain to
-// hand buffered input to a successor generator.
-func (b *inputBuffer[T]) drain() []T {
-	out := make([]T, 0, b.n)
-	for b.n > 0 {
-		out = append(out, b.pop())
-	}
-	return append(out, b.src.Drain()...)
-}
-
 // mean returns the mean key projection of the buffered elements; ok is
 // false when the buffer is empty or disabled, or no projection exists.
 func (b *inputBuffer[T]) mean() (float64, bool) {

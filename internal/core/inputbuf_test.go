@@ -137,8 +137,8 @@ func TestInputBufferEmptySource(t *testing.T) {
 	}
 }
 
-// TestInputBufferMedianProperty drives buffers through random sequences of
-// next, drain and fill over keys with many duplicates, mirroring the FIFO
+// TestInputBufferMedianProperty drives buffers through sequences of next
+// and fill over random keys with many duplicates, mirroring the FIFO
 // in a plain slice. Every median must be a live element equivalent to the
 // lower median of a sorted copy of the mirror.
 func TestInputBufferMedianProperty(t *testing.T) {
@@ -178,27 +178,16 @@ func TestInputBufferMedianProperty(t *testing.T) {
 					t.Fatalf("trial %d step %d: median %v is not buffered", trial, step, md)
 				}
 			}
-			switch r := rng.Intn(20); {
-			case r == 0:
-				got := b.drain()
-				k := len(got) - len(live)
-				if k < 0 || !slices.Equal(got, append(live, input[pos:pos+k]...)) {
-					t.Fatalf("trial %d step %d: drain returned %d elements out of order", trial, step, len(got))
-				}
-				live, pos = nil, pos+k
+			rec, ok, err := b.next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok != (len(live) > 0) || ok && rec != live[0] {
+				t.Fatalf("trial %d step %d: next = (%v, %v), want head of %v", trial, step, rec, ok, live)
+			}
+			if ok {
+				live = live[1:]
 				fill()
-			default:
-				rec, ok, err := b.next()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ok != (len(live) > 0) || ok && rec != live[0] {
-					t.Fatalf("trial %d step %d: next = (%v, %v), want head of %v", trial, step, rec, ok, live)
-				}
-				if ok {
-					live = live[1:]
-					fill()
-				}
 			}
 		}
 	}

@@ -97,9 +97,7 @@ type generator[T any] struct {
 // NextRun call drives Algorithm 2 until the current run closes. Between
 // calls the double heap holds the records already tagged for the next run
 // and the input buffer its read-ahead, so a caller may stop after any run
-// and either continue later or hand the buffered state to a different
-// generator via Carry — the contract internal/policy's adaptive engine
-// builds on.
+// and continue later.
 type Stepper[T any] struct {
 	g        *generator[T]
 	filled   bool
@@ -209,26 +207,6 @@ func (s *Stepper[T]) NextRun() (runio.Run, bool, error) {
 		return runio.Run{}, false, err
 	}
 	return run, true, nil
-}
-
-// Carry removes and returns every element the stepper has buffered — both
-// heaps, the input FIFO and its fetch read-ahead — leaving it empty. Run
-// tags are dropped: a successor generator re-derives run membership. It is
-// meant to be called at a run boundary (right after NextRun returns a
-// run), where the victim buffer is guaranteed empty; any victim residue is
-// drained too as a defensive measure.
-func (s *Stepper[T]) Carry() []T {
-	g := s.g
-	out := make([]T, 0, g.dh.Len()+len(g.victim))
-	for g.dh.LenTop() > 0 {
-		out = append(out, g.dh.PopTop().Rec)
-	}
-	for g.dh.LenBottom() > 0 {
-		out = append(out, g.dh.PopBottom().Rec)
-	}
-	out = append(out, g.victim...)
-	g.victim = g.victim[:0]
-	return append(out, g.in.drain()...)
 }
 
 // chooseOutputSide picks the heap to release the next record from. ok is

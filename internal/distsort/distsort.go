@@ -185,7 +185,6 @@ func shardedSort[T any](entry time.Time, sample []T, src stream.BatchReader[T], 
 		st.Records += s.Records
 		st.Runs += s.Runs
 		st.RunsRecovered += s.RunsRecovered
-		st.PolicySwitches += s.PolicySwitches
 		st.OverlapRuns += s.OverlapRuns
 		st.MergeInputs += s.MergeInputs
 		st.MergeOps += s.MergeOps

@@ -118,8 +118,8 @@ func TestShardedResumeCrashMatrix(t *testing.T) {
 // TestShardedResumeMidShard pins the headline recovery property
 // deterministically: crash late enough that some shards committed runs,
 // then check Resume reuses them instead of regenerating from scratch.
-// Under the adaptive policy too: every shard's engine resumes where it
-// stood, on its own share of the input.
+// Under auto too: every shard's probe chooses on its own share of the
+// input, and its resume repeats that choice.
 func TestShardedResumeMidShard(t *testing.T) {
 	for _, kind := range []policy.Kind{policy.TwoWayRS, policy.Auto} {
 		t.Run(kind.String(), func(t *testing.T) { resumeMidShard(t, kind) })

@@ -151,9 +151,9 @@ func applyKeyCodec[T any](src stream.BatchReader[T], em *runio.Emitter[T], ops O
 // Config parameterises a complete external sort.
 type Config struct {
 	// Policy selects the run generator (internal/policy): one of the fixed
-	// ones (2wrs, rs, alternating, quick) or the adaptive auto, which probes
-	// the input and may switch generators at run boundaries mid-stream. The
-	// zero value is 2wrs, the paper's algorithm.
+	// ones (2wrs, rs, alternating, quick) or auto, which probes a
+	// memory-sized input prefix and runs the fixed generator it names over
+	// the whole input. The zero value is 2wrs, the paper's algorithm.
 	Policy policy.Kind
 	// Memory is the memory budget in records, used by both phases: the run
 	// generation data structures, and (converted to bytes) the merge
@@ -199,10 +199,10 @@ type Config struct {
 	// appends the run's shape and content checksums to the manifest. A
 	// resume replays a fresh generator from the first input record, checks
 	// every recovered run against its record and writes from the last one
-	// on. That holds under every policy: the adaptive auto is a
-	// deterministic generator like the fixed four, and a resumed auto sort
-	// repeats the decisions of the uninterrupted one. A failure before the
-	// merged stream opens keeps the spill files and manifest for Resume.
+	// on. That holds under every policy: auto's probe reads the same
+	// prefix, so a resumed auto sort repeats the one decision of the
+	// uninterrupted one. A failure before the merged stream opens keeps the
+	// spill files and manifest for Resume.
 	Manifest bool
 	// Resume makes GenerateRuns first attempt to resume from the manifest
 	// a previous Manifest-mode pass left behind, falling back to a fresh
@@ -301,9 +301,6 @@ type Stats struct {
 	// Policy names the run-generation policy that ran ("2wrs", "rs",
 	// "alternating", "quick", "auto").
 	Policy string
-	// PolicySwitches counts the mid-stream generator changes the auto
-	// policy made (0 for every fixed policy).
-	PolicySwitches int
 	// RunsRecovered is the number of runs a resumed sort recovered intact
 	// from a durable manifest instead of regenerating (0 for fresh sorts).
 	RunsRecovered int
@@ -359,14 +356,13 @@ type IOStats = storage.IOStats
 // A RunSet owns its run files until exactly one of Merge, OpenMerged (whose
 // Stream then owns them), Discard or, on failure, Abandon is called.
 type RunSet[T any] struct {
-	store    storage.Backend
-	em       *runio.Emitter[T]
-	runs     []runio.Run
-	policies []string // policies[i] names the generator that produced runs[i]
-	cfg      Config
-	ops      Ops[T]
-	stats    Stats    // run-generation half; OpenMerged adds the plan, Merge the phase
-	o        *sortObs // nil when observability is off
+	store storage.Backend
+	em    *runio.Emitter[T]
+	runs  []runio.Run
+	cfg   Config
+	ops   Ops[T]
+	stats Stats    // run-generation half; OpenMerged adds the plan, Merge the phase
+	o     *sortObs // nil when observability is off
 
 	// fs is the base file system; a durable sort's manifest lives on it
 	// under manifestName, which is empty for non-durable sorts.
@@ -528,10 +524,10 @@ func (r *RunSet[T]) generate(src stream.BatchReader[T], recovered []manifest.Run
 	in := meterSource(o, src, skip)
 	var (
 		replayed int // recovered boundaries regenerated so far
-		commit   func(policy.Driven[T], runio.Run) error
+		commit   func(policy.Driven, runio.Run) error
 	)
 	if durable {
-		commit = func(gen policy.Driven[T], run runio.Run) error {
+		commit = func(gen policy.Driven, run runio.Run) error {
 			mr := runRecord(gen.Kind(), run, in.n, em.Namer.Seq())
 			if replayed == len(recovered) {
 				return r.commitBoundary(man, gsp, mr)
@@ -567,12 +563,8 @@ func (r *RunSet[T]) generate(src stream.BatchReader[T], recovered []manifest.Run
 		return fail(err)
 	}
 	r.runs = pres.Runs
-	for _, k := range pres.Policies {
-		r.policies = append(r.policies, k.String())
-	}
-	r.stats.PolicySwitches = pres.Switches
 	if durable {
-		if err := man.Commit(pres.Records, pres.Switches); err != nil {
+		if err := man.Commit(pres.Records); err != nil {
 			return fail(err)
 		}
 		if err := man.Close(); err != nil {
@@ -613,13 +605,6 @@ func (r *RunSet[T]) finishGenerate(phase string, wall time.Duration, entry time.
 
 // Runs returns the run manifests of the set; callers must not mutate them.
 func (r *RunSet[T]) Runs() []runio.Run { return r.runs }
-
-// RunPolicies returns, parallel to Runs, the name of the run-generation
-// policy that produced each run. Under a fixed policy every entry is the
-// same; under the auto policy the sequence records where the engine
-// switched generators mid-stream. Callers must not mutate the returned
-// slice.
-func (r *RunSet[T]) RunPolicies() []string { return r.policies }
 
 // Stats returns the statistics accumulated so far: the run-generation half
 // after GenerateRuns, the merge plan's counts from OpenMerged on, the merge

@@ -31,7 +31,6 @@ type sortObs struct {
 	runLen    *obs.Histogram
 	recovered *obs.Counter
 	ckptTime  *obs.Histogram
-	switches  *obs.Counter
 	phaseGen  *obs.Histogram
 	phaseMrg  *obs.Histogram
 
@@ -62,7 +61,6 @@ func newSortObs(cfg Config) *sortObs {
 	o.runLen = m.Histogram(obs.MRunLength, "Run length distribution in records.", obs.RunLengthBuckets)
 	o.recovered = m.Counter(obs.MRunsRecovered, "Runs recovered from a durable manifest by a resumed sort.")
 	o.ckptTime = m.Histogram(obs.MCheckpointSeconds, "Per-boundary checkpoint wall seconds.", obs.PhaseSecondsBuckets)
-	o.switches = m.Counter(obs.MPolicySwitches, "Mid-stream generator switches by the auto policy.")
 	o.phaseGen = m.Histogram(obs.MPhaseSeconds, "Per-phase wall seconds.", obs.PhaseSecondsBuckets,
 		obs.Label{Name: "phase", Value: "generate"})
 	o.phaseMrg = m.Histogram(obs.MPhaseSeconds, "Per-phase wall seconds.", obs.PhaseSecondsBuckets,
@@ -150,13 +148,12 @@ func (o *sortObs) reporter() *obs.Reporter {
 	return o.rep
 }
 
-// finishGenerate records the switch counter, the generation phase time
-// and an I/O sync after the run-generation loop completes.
+// finishGenerate records the generation phase time and an I/O sync after
+// the run-generation loop completes.
 func (o *sortObs) finishGenerate(st Stats, wall time.Duration) {
 	if o == nil {
 		return
 	}
-	o.switches.Add(int64(st.PolicySwitches))
 	o.phaseGen.Observe(wall.Seconds())
 	o.syncIO(st.IO)
 }

@@ -210,11 +210,9 @@ func (r *RunSet[T]) adoptCommitted(st *manifest.State, entry time.Time) {
 		obs.Int("runs_recovered", int64(len(st.Runs))), obs.Bool("committed", true))
 	for _, mr := range st.Runs {
 		r.runs = append(r.runs, toRunioRun(mr))
-		r.policies = append(r.policies, mr.Policy)
 	}
 	r.stats.RunsRecovered = len(r.runs)
 	r.stats.Policy = r.cfg.Policy.String()
-	r.stats.PolicySwitches = st.Commit.Switches
 	r.stats.Keyed = st.Header.KeyCodec != ""
 	sp.End()
 	r.o.observeRecovered(len(r.runs))

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"hash/crc64"
 	"io"
 	"math/rand"
@@ -14,6 +15,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/core"
+	"repro/internal/gen"
 	"repro/internal/iosim"
 	"repro/internal/manifest"
 	"repro/internal/obs"
@@ -230,55 +232,25 @@ func TestResumeAtEveryRunBoundary(t *testing.T) {
 			t.Fatal("the simulated disk saw no traffic")
 		}
 	})
+	// auto, switched by its probe off the paper's 2wrs onto rs: the
+	// alternating dataset opens with an ascending section a memory-load
+	// long. The replay must repeat that one choice.
 	t.Run("auto_switching", func(t *testing.T) {
-		ref := resumeAtEveryBoundary(t, switchingRecords(), with(func(c *Config) { c.Policy = policy.Auto }), RecordOps())
-		if ref.PolicySwitches < 2 {
-			t.Fatalf("auto switched %d times; the input must take it through two switches", ref.PolicySwitches)
+		recs := gen.Generate(gen.Config{Kind: gen.Alternating, N: 4000, Sections: 64, Seed: 13, Noise: 1000})
+		st := resumeAtEveryBoundary(t, recs, with(func(c *Config) { c.Policy = policy.Auto }), RecordOps())
+		if got := st.Runs[0].Policy; got != policy.RS.String() {
+			t.Fatalf("auto's probe chose %s; the input must take it off 2wrs onto rs", got)
 		}
 	})
 }
 
-// switchingRecords is an input on which the auto policy, at a memory of 64,
-// changes generators twice — rs to quick on a noisy descent that pins rs to
-// memory-sized runs, then, wanting the abandoned rs back on a second
-// ascent, onto 2wrs under the oscillation lock — with run boundaries before,
-// between (the successor not yet built, or still reading its predecessor's
-// carry) and after.
-func switchingRecords() []record.Record {
-	rng := rand.New(rand.NewSource(1))
-	var recs []record.Record
-	for _, seg := range []struct {
-		n   int
-		key func(i int) int64
-	}{
-		{400, func(i int) int64 { return int64(i) }},
-		{1000, func(int) int64 { return rng.Int63n(1 << 20) }},
-		{1000, func(i int) int64 { return int64(10000-i) + rng.Int63n(40) }},
-		{500, func(i int) int64 { return int64(i) }},
-		{400, func(int) int64 { return rng.Int63n(1 << 20) }},
-	} {
-		for i := 0; i < seg.n; i++ {
-			recs = append(recs, record.Record{Key: seg.key(i), Aux: uint64(len(recs))})
-		}
-	}
-	return recs
-}
-
-// resumeAtEveryBoundary returns the statistics of the uninterrupted plain
-// pass every resume is also held to: its policy per run and switch count.
-func resumeAtEveryBoundary[T comparable](t *testing.T, recs []T, cfg Config, ops Ops[T]) Stats {
+// resumeAtEveryBoundary returns the committed manifest of the
+// uninterrupted durable pass every resume is held to.
+func resumeAtEveryBoundary[T comparable](t *testing.T, recs []T, cfg Config, ops Ops[T]) *manifest.State {
 	want, st, wantFiles := durableBaseline(t, recs, cfg, ops)
 	if len(st.Runs) < 3 {
 		t.Fatalf("baseline produced only %d runs; matrix needs more", len(st.Runs))
 	}
-	plain := cfg
-	plain.Manifest = false
-	pset, err := GenerateRuns[T](stream.NewSliceReader(recs), vfs.NewMemFS(), plain, ops)
-	if err != nil {
-		t.Fatalf("plain pass: %v", err)
-	}
-	ref, wantPolicies := pset.Stats(), pset.RunPolicies()
-	pset.Discard()
 	for j := 0; j <= len(st.Runs); j++ {
 		j := j
 		t.Run(fmt.Sprintf("boundary_%d", j), func(t *testing.T) {
@@ -298,9 +270,8 @@ func resumeAtEveryBoundary[T comparable](t *testing.T, recs []T, cfg Config, ops
 			if !killFires {
 				wantRecovered = len(st.Runs)
 			}
-			// A run made of carried records alone (auto's quick right after a
-			// switch) reads no input, so its boundary too commits before the
-			// kill fires.
+			// A run that reads no input of its own commits its boundary
+			// before the kill fires too.
 			for wantRecovered < len(st.Runs) && st.Runs[wantRecovered].InputPos < failAt {
 				wantRecovered++
 			}
@@ -332,9 +303,8 @@ func resumeAtEveryBoundary[T comparable](t *testing.T, recs []T, cfg Config, ops
 			if stats.Runs != len(st.Runs) {
 				t.Errorf("resumed run count = %d, want %d (boundaries must be deterministic)", stats.Runs, len(st.Runs))
 			}
-			if stats.Policy != ref.Policy || stats.PolicySwitches != ref.PolicySwitches || !slices.Equal(rset.RunPolicies(), wantPolicies) {
-				t.Errorf("resumed sort ran %s with %d switches, runs by %v; the uninterrupted one %s with %d, by %v",
-					stats.Policy, stats.PolicySwitches, rset.RunPolicies(), ref.Policy, ref.PolicySwitches, wantPolicies)
+			if stats.Policy != cfg.Policy.String() {
+				t.Errorf("resumed sort ran %s, want %s", stats.Policy, cfg.Policy)
 			}
 			// The prefix a resume skips is not input of this pass.
 			wantIn := int64(0)
@@ -356,7 +326,7 @@ func resumeAtEveryBoundary[T comparable](t *testing.T, recs []T, cfg Config, ops
 			}
 		})
 	}
-	return ref
+	return st
 }
 
 // TestResumeCrashMatrix sweeps seeded crash points — including torn writes
@@ -739,6 +709,81 @@ func TestResumeRefusesChangedInput(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestResumeSwitchingAutoManifest pins how a resume treats the manifest of
+// an auto pass that changed generators mid-stream, as auto once did: its
+// run records name two policies, and its commit record counts the
+// switches. Uncommitted, it is refused with manifest.ErrChecksum — the
+// replay makes one choice, and each regenerated run must name the
+// recorded policy — writing no output and keeping the manifest. Committed,
+// it is adopted whole, its switch count ignored.
+func TestResumeSwitchingAutoManifest(t *testing.T) {
+	recs := testRecords(3000, 1)
+	cfg := durableCfg(64)
+	cfg.Policy = policy.Auto
+	rcfg := cfg
+	rcfg.Resume = true
+	name := manifest.Name("sort")
+	// switched rewrites the manifest on fs with its later half of runs
+	// named by a generator the probe did not choose, and returns what it
+	// held before.
+	switched := func(t *testing.T, fs vfs.FS) *manifest.State {
+		t.Helper()
+		st, err := manifest.Load(fs, name)
+		if err != nil || len(st.Runs) < 2 {
+			t.Fatalf("the pass left %v runs: %v", st, err)
+		}
+		runs := slices.Clone(st.Runs)
+		for i := len(runs) / 2; i < len(runs); i++ {
+			runs[i].Policy = policy.Quick.String()
+		}
+		w, err := manifest.Rewrite(fs, name, st.Header, runs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+
+	t.Run("uncommitted", func(t *testing.T) {
+		fs := vfs.NewMemFS()
+		if _, err := GenerateRuns[record.Record](&killedReader[record.Record]{vals: recs, failAt: 2000}, fs, cfg, RecordOps()); !errors.Is(err, errSrcKilled) {
+			t.Fatalf("killed pass: %v, want errSrcKilled", err)
+		}
+		st := switched(t, fs)
+		var out stream.SliceWriter[record.Record]
+		if _, err := Sort[record.Record](stream.NewSliceReader(recs), &out, fs, rcfg, RecordOps()); !errors.Is(err, manifest.ErrChecksum) || len(out.Vals) != 0 {
+			t.Fatalf("resume: %v with %d records written, want manifest.ErrChecksum and none", err, len(out.Vals))
+		}
+		if kept, err := manifest.Load(fs, name); err != nil || len(kept.Runs) != len(st.Runs) {
+			t.Fatalf("the refused resume left %v: %v, want the manifest's %d runs", kept, err, len(st.Runs))
+		}
+	})
+
+	t.Run("committed", func(t *testing.T) {
+		want, _, _ := durableBaseline(t, recs, cfg, RecordOps())
+		fs := vfs.NewMemFS()
+		// A pass that died after its commit, before its merge.
+		if _, err := GenerateRuns[record.Record](stream.NewSliceReader(recs), fs, cfg, RecordOps()); err != nil {
+			t.Fatal(err)
+		}
+		st := switched(t, fs)
+		payload := fmt.Sprintf(`{"t":"c","c":{"runs":%d,"records":%d,"switches":1}}`, len(st.Runs), st.Commit.Records)
+		writeFile(t, fs, name, fmt.Appendf(readFile(t, fs, name), "%08x %s\n", crc32.ChecksumIEEE([]byte(payload)), payload))
+		rset, err := GenerateRuns[record.Record](stream.NewSliceReader(recs), fs, rcfg, RecordOps())
+		if err != nil {
+			t.Fatalf("resume: %v", err)
+		}
+		if got := rset.Stats().RunsRecovered; got != len(st.Runs) {
+			t.Errorf("recovered %d runs, want all %d committed", got, len(st.Runs))
+		}
+		if got, _ := mergeToSlice(t, rset); !slices.Equal(got, want) {
+			t.Fatal("resumed output differs from the uninterrupted sort's")
+		}
+	})
 }
 
 // flipByte inverts one byte in the middle of a file.

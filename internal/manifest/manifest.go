@@ -37,7 +37,8 @@ import (
 // Version is the manifest format version this package reads and writes.
 // Version 4 drops the generator snapshot: a run record no longer names a
 // carry file or state words, since a resume replays the generator instead
-// of restoring it, and the commit record counts the policy switches.
+// of restoring it. Its commit record once also counted auto's mid-stream
+// generator switches; that key is no longer written, and readers ignore it.
 // Version 3 placed the files: a sort keeps its spill files as extents of
 // one arena file (vfs.Arena), and every run record lists the size and
 // extents of each file it names (Run.Files), so a resume can reopen the
@@ -164,10 +165,6 @@ type Commit struct {
 	Runs int `json:"runs"`
 	// Records is the total input element count.
 	Records int64 `json:"records"`
-	// Switches counts the generator changes the pass made (the auto
-	// policy's; 0 under a fixed one), for callers that adopt the committed
-	// runs without reading the input.
-	Switches int `json:"switches,omitempty"`
 }
 
 // State is everything a loader recovered from a manifest file.
@@ -279,11 +276,11 @@ func (w *Writer) AppendRun(r Run) error {
 
 // Commit closes generation: it writes the commit record stamped with the
 // writer's run count.
-func (w *Writer) Commit(records int64, switches int) error {
+func (w *Writer) Commit(records int64) error {
 	if w.closed {
 		return fmt.Errorf("manifest: commit on closed writer")
 	}
-	c := Commit{Runs: w.runs, Records: records, Switches: switches}
+	c := Commit{Runs: w.runs, Records: records}
 	buf, err := appendRecord(nil, line{T: "c", C: &c})
 	if err != nil {
 		return err

@@ -54,7 +54,7 @@ func writeManifest(t testing.TB, n int, commit bool) []byte {
 		}
 	}
 	if commit {
-		if err := w.Commit(records, n); err != nil {
+		if err := w.Commit(records); err != nil {
 			t.Fatalf("Commit: %v", err)
 		}
 	}
@@ -96,7 +96,7 @@ func TestManifestRoundTrip(t *testing.T) {
 			t.Errorf("run %d = %+v, want %+v", i, r, want)
 		}
 	}
-	if !st.Committed || st.Commit.Runs != 3 || st.Commit.Records != testRun(3).InputPos || st.Commit.Switches != 3 {
+	if !st.Committed || st.Commit.Runs != 3 || st.Commit.Records != testRun(3).InputPos {
 		t.Errorf("commit = %v %+v", st.Committed, st.Commit)
 	}
 	if st.TornBytes != 0 {
@@ -211,7 +211,7 @@ func TestManifestCommitCountMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.runs = 5 // sabotage the count the commit record will carry
-	if err := w.Commit(100, 0); err != nil {
+	if err := w.Commit(100); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -300,7 +300,7 @@ func TestRewriteRenumbersPrefix(t *testing.T) {
 	if err := w.AppendRun(testRun(3)); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Commit(327, 0); err != nil {
+	if err := w.Commit(327); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()

@@ -54,7 +54,6 @@ type chromeEvent struct {
 	Dur  int64           `json:"dur,omitempty"`
 	Pid  int             `json:"pid"`
 	Tid  int             `json:"tid"`
-	S    string          `json:"s,omitempty"`
 	Args json.RawMessage `json:"args,omitempty"`
 }
 
@@ -94,30 +93,19 @@ func assignLanes(spans []SpanData) map[int64]int {
 	return lanes
 }
 
-// WriteChromeTrace exports all completed spans and events as a Chrome
-// trace_event JSON document (the format read by chrome://tracing and
-// Perfetto). Each track becomes a group of threads; overlapping spans in
-// a track are spread across lanes.
+// WriteChromeTrace exports all completed spans as a Chrome trace_event
+// JSON document (the format read by chrome://tracing and Perfetto). Each
+// track becomes a group of threads; overlapping spans in a track are
+// spread across lanes.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	spans := t.Spans()
-	events := t.Events()
-
 	byTrack := make(map[string][]SpanData)
 	var tracks []string
-	seen := make(map[string]bool)
-	addTrack := func(name string) {
-		if !seen[name] {
-			seen[name] = true
+	for _, sp := range t.Spans() {
+		name := trackName(sp.Track)
+		if byTrack[name] == nil {
 			tracks = append(tracks, name)
 		}
-	}
-	for _, sp := range spans {
-		name := trackName(sp.Track)
-		addTrack(name)
 		byTrack[name] = append(byTrack[name], sp)
-	}
-	for _, ev := range events {
-		addTrack(trackName(ev.Track))
 	}
 	sort.Slice(tracks, func(i, j int) bool {
 		if (tracks[i] == defaultTrack) != (tracks[j] == defaultTrack) {
@@ -127,10 +115,8 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	})
 
 	var out []chromeEvent
-	trackBase := make(map[string]int, len(tracks))
 	for ti, name := range tracks {
 		base := ti * 100
-		trackBase[name] = base
 		lanes := assignLanes(byTrack[name])
 		maxLane := 0
 		for _, l := range lanes {
@@ -161,17 +147,6 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			})
 		}
 	}
-	for _, ev := range events {
-		out = append(out, chromeEvent{
-			Name: ev.Name,
-			Ph:   "i",
-			Ts:   ev.Time.Microseconds(),
-			Pid:  1,
-			Tid:  trackBase[trackName(ev.Track)],
-			S:    "t",
-			Args: attrsJSON(ev.Attrs),
-		})
-	}
 
 	enc, err := json.MarshalIndent(struct {
 		TraceEvents []chromeEvent `json:"traceEvents"`
@@ -195,8 +170,8 @@ type jsonlSpan struct {
 	Attrs   json.RawMessage `json:"attrs,omitempty"`
 }
 
-// WriteSpansJSONL exports completed spans (then events) as one JSON
-// object per line, for grep/jq-style inspection.
+// WriteSpansJSONL exports completed spans as one JSON object per line,
+// for grep/jq-style inspection.
 func (t *Tracer) WriteSpansJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	for _, sp := range t.Spans() {
@@ -205,17 +180,6 @@ func (t *Tracer) WriteSpansJSONL(w io.Writer) error {
 			Name: sp.Name, Track: trackName(sp.Track),
 			StartUs: sp.Start.Microseconds(), DurUs: sp.Duration.Microseconds(),
 			Attrs: attrsJSON(sp.Attrs),
-		}
-		if err := enc.Encode(line); err != nil {
-			return err
-		}
-	}
-	for _, ev := range t.Events() {
-		line := jsonlSpan{
-			Type: "event", Parent: ev.Parent,
-			Name: ev.Name, Track: trackName(ev.Track),
-			StartUs: ev.Time.Microseconds(),
-			Attrs:   attrsJSON(ev.Attrs),
 		}
 		if err := enc.Encode(line); err != nil {
 			return err

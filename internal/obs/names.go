@@ -20,9 +20,6 @@ const (
 	// _sum is the durable sort's total checkpoint time and its _count the
 	// number of boundaries.
 	MCheckpointSeconds = "extsort_checkpoint_seconds"
-	// MPolicySwitches counts mid-stream generator switches by the auto
-	// policy.
-	MPolicySwitches = "extsort_policy_switches_total"
 	// MMergeOps counts individual k-way merge operations (intermediate
 	// and final).
 	MMergeOps = "extsort_merge_ops_total"

@@ -24,19 +24,14 @@ func TestNilSafety(t *testing.T) {
 	sp2 := tr.StartOn("spill", "y")
 	child := sp.Start("child")
 	child.Annotate(Int("n", 1))
-	child.Event("ev")
 	child.End()
 	sp.End(Bool("ok", true))
 	sp2.Drop()
-	tr.Event("e")
 	if sp.ID() != 0 {
 		t.Fatalf("nil span ID = %d", sp.ID())
 	}
 	if got := tr.Spans(); got != nil {
 		t.Fatalf("nil tracer Spans = %v", got)
-	}
-	if got := tr.Events(); got != nil {
-		t.Fatalf("nil tracer Events = %v", got)
 	}
 
 	var reg *Registry
@@ -114,7 +109,6 @@ func TestSpanNesting(t *testing.T) {
 	run.End(Int("records", 100))
 	gen.End()
 	tr.StartOn("spill", "spill_write").End(Int("bytes", 4096))
-	root.Event("policy_switch", Str("from", "rs"), Str("to", "2wrs"))
 	root.End()
 
 	spans := tr.Spans()
@@ -142,10 +136,6 @@ func TestSpanNesting(t *testing.T) {
 			t.Fatalf("span %s has non-positive duration %v", sp.Name, sp.Duration)
 		}
 	}
-	evs := tr.Events()
-	if len(evs) != 1 || evs[0].Name != "policy_switch" || evs[0].Parent != byName["sort"].ID {
-		t.Fatalf("events = %+v", evs)
-	}
 }
 
 // TestSpanDrop verifies dropped spans are not recorded.
@@ -172,7 +162,6 @@ func TestTracerConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				sp := root.Start("merge_op")
-				sp.Event("tick")
 				sp.End(Int("records", int64(i)))
 			}
 		}()
@@ -292,8 +281,7 @@ func TestChromeTraceGolden(t *testing.T) {
 	root := tr.Start("sort", Str("alg", "2wrs"), Bool("keyed", true))
 	gen := root.Start("generate", Str("policy", "auto"))
 	gen.Start("run", Str("policy", "rs")).End(Int("records", 250))
-	gen.Event("policy_switch", Str("from", "rs"), Str("to", "2wrs"))
-	gen.Start("run", Str("policy", "2wrs")).End(Int("records", 750))
+	gen.Start("run", Str("policy", "rs")).End(Int("records", 750))
 	gen.End()
 	w := tr.StartOn("spill", "spill_write", Str("file", "run-0"))
 	w.End(Int("bytes", 8192))
@@ -323,22 +311,21 @@ func TestJSONL(t *testing.T) {
 	tr := NewWithClock(fakeClock())
 	sp := tr.Start("sort")
 	sp.Start("generate").End(Int("records", 10))
-	sp.Event("note", Str("k", "v"))
 	sp.End()
 	var buf bytes.Buffer
 	if err := tr.WriteSpansJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("got %d lines, want 3:\n%s", len(lines), buf.String())
+	if len(lines) != 2 {
+		t.Fatalf("got %d lines, want 2:\n%s", len(lines), buf.String())
 	}
 	for _, ln := range lines {
 		var m map[string]any
 		if err := json.Unmarshal([]byte(ln), &m); err != nil {
 			t.Fatalf("line %q: %v", ln, err)
 		}
-		if m["type"] != "span" && m["type"] != "event" {
+		if m["type"] != "span" {
 			t.Fatalf("line %q has type %v", ln, m["type"])
 		}
 	}

@@ -26,31 +26,15 @@ type SpanData struct {
 	Attrs []Attr
 }
 
-// EventData is one instant event as recorded by a Tracer.
-type EventData struct {
-	// Parent is the ID of the enclosing span, or 0 for a tracer-level
-	// event.
-	Parent int64
-	// Name is the event's name, e.g. "policy_switch".
-	Name string
-	// Track is the track of the enclosing span.
-	Track string
-	// Time is the event's time relative to the Tracer's epoch.
-	Time time.Duration
-	// Attrs holds the event's annotations.
-	Attrs []Attr
-}
-
-// Tracer records spans and instant events. A nil *Tracer is the disabled
-// tracer: every method on it (and on the nil *Span values it returns) is
-// an allocation-free no-op. Tracers are safe for concurrent use; an
+// Tracer records spans. A nil *Tracer is the disabled tracer: every method
+// on it (and on the nil *Span values it returns) is an allocation-free
+// no-op. Tracers are safe for concurrent use; an
 // individual *Span must be ended by the goroutine that owns it.
 type Tracer struct {
-	clock  func() time.Duration
-	ids    atomic.Int64
-	mu     sync.Mutex
-	spans  []SpanData
-	events []EventData
+	clock func() time.Duration
+	ids   atomic.Int64
+	mu    sync.Mutex
+	spans []SpanData
 }
 
 // New returns a Tracer whose clock is wall time relative to the call.
@@ -100,38 +84,12 @@ func (t *Tracer) StartOn(track, name string, attrs ...Attr) *Span {
 	return t.startSpan(track, 0, name, attrs)
 }
 
-// Event records a tracer-level instant event.
-func (t *Tracer) Event(name string, attrs ...Attr) {
-	if t == nil {
-		return
-	}
-	t.recordEvent(0, "", name, attrs)
-}
-
-func (t *Tracer) recordEvent(parent int64, track, name string, attrs []Attr) {
-	ev := EventData{Parent: parent, Name: name, Track: track, Time: t.clock()}
-	if len(attrs) > 0 {
-		ev.Attrs = append(ev.Attrs, attrs...)
-	}
-	t.mu.Lock()
-	t.events = append(t.events, ev)
-	t.mu.Unlock()
-}
-
 // Start begins a child span on the receiver's track.
 func (s *Span) Start(name string, attrs ...Attr) *Span {
 	if s == nil {
 		return nil
 	}
 	return s.t.startSpan(s.track, s.id, name, attrs)
-}
-
-// Event records an instant event parented to the receiver.
-func (s *Span) Event(name string, attrs ...Attr) {
-	if s == nil {
-		return
-	}
-	s.t.recordEvent(s.id, s.track, name, attrs)
 }
 
 // Annotate appends attributes to the span before it ends.
@@ -194,17 +152,5 @@ func (t *Tracer) Spans() []SpanData {
 	defer t.mu.Unlock()
 	out := make([]SpanData, len(t.spans))
 	copy(out, t.spans)
-	return out
-}
-
-// Events returns a copy of all recorded instant events in order.
-func (t *Tracer) Events() []EventData {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]EventData, len(t.events))
-	copy(out, t.events)
 	return out
 }

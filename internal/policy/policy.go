@@ -3,10 +3,10 @@
 // strategies the library implements — the paper's two-way replacement
 // selection, classic replacement selection, alternating up/down runs
 // (Bender et al., "Run Generation Revisited") and memory-sized quicksort
-// batches — behind one per-run Generator interface, and adds Auto: an
-// adaptive policy that probes the order structure of a memory-sized input
-// prefix, keeps rolling order statistics while the sort runs, and switches
-// generators at run boundaries when the input's regime changes mid-stream.
+// batches — behind one per-run Generator interface, and adds Auto: a
+// choice made once per input, which probes the order structure of a
+// memory-sized prefix and runs the fixed generator it names over the whole
+// input.
 //
 // The driver (internal/extsort) selects a policy through Config.Policy;
 // the public API exposes it as repro.WithPolicy, with Auto as the generic
@@ -43,8 +43,9 @@ const (
 	// the paper's Load-Sort-Store baseline (§2.1.1), which fills memory,
 	// sorts it "with any internal sort" and stores it.
 	Quick
-	// Auto probes the input and delegates to one of the four fixed
-	// policies, re-deciding at run boundaries as the stream evolves.
+	// Auto probes a memory-sized prefix of the input and runs whichever of
+	// the four fixed policies the probe names, from the first record to
+	// the last.
 	Auto
 )
 

@@ -1,12 +1,15 @@
 package policy
 
 import (
+	"io"
+	"reflect"
 	"testing"
 
 	"repro/internal/codec"
 	"repro/internal/gen"
 	"repro/internal/merge"
 	"repro/internal/record"
+	"repro/internal/rs"
 	"repro/internal/runio"
 	"repro/internal/storage"
 	"repro/internal/stream"
@@ -22,9 +25,6 @@ func generate(t *testing.T, kind Kind, recs []record.Record, memory int) (Result
 	}
 	if res.Records != int64(len(recs)) {
 		t.Fatalf("%v consumed %d records, want %d", kind, res.Records, len(recs))
-	}
-	if len(res.Policies) != len(res.Runs) {
-		t.Fatalf("%v: %d runs but %d policy entries", kind, len(res.Runs), len(res.Policies))
 	}
 	return res, fs
 }
@@ -97,11 +97,6 @@ func TestFixedPoliciesAllDistributions(t *testing.T) {
 			if len(res.Runs) == 0 {
 				t.Fatalf("%v/%v: no runs", kind, dist)
 			}
-			for i, p := range res.Policies {
-				if p != kind {
-					t.Fatalf("%v/%v: run %d attributed to %v", kind, dist, i, p)
-				}
-			}
 			verify(t, fs, res.Runs, recs)
 		}
 	}
@@ -163,46 +158,95 @@ func TestSawtoothDegeneratesClassicRSOnly(t *testing.T) {
 	}
 }
 
-// TestAutoSwitchesAtRunBoundaryOnRegimeChange feeds an ascending half
-// followed by a descending half: the probe commits to classic RS, the
-// rolling window detects the reversal, and the engine must switch
-// generators at a run boundary — recorded in Result.Policies — without
-// losing a record.
-func TestAutoSwitchesAtRunBoundaryOnRegimeChange(t *testing.T) {
-	const n, m = 60000, 1000
-	recs := make([]record.Record, n)
-	for i := 0; i < n/2; i++ {
-		recs[i] = record.Record{Key: int64(i), Aux: uint64(i)}
+// TestAutoDecidesOnce is auto's oracle: on each of the paper's datasets,
+// and on a stream whose order regime turns from ascending to descending
+// half-way, an auto pass writes byte-identical run files to the fixed
+// stepper its probe names, built directly — Alternating opening in the
+// probe's direction. The probe sees only the first memory-load, so the
+// turn does not change the choice.
+func TestAutoDecidesOnce(t *testing.T) {
+	const n, m = 20000, 500
+	turn := make([]record.Record, n)
+	for i := range turn {
+		turn[i] = record.Record{Key: int64(min(i, n-i)), Aux: uint64(i)}
 	}
-	for i := n / 2; i < n; i++ {
-		recs[i] = record.Record{Key: int64(2*n - i), Aux: uint64(i)}
+	type input struct {
+		name string
+		recs []record.Record
 	}
-	res, fs := generate(t, Auto, recs, m)
-	verify(t, fs, res.Runs, recs)
-
-	if res.Switches < 1 {
-		t.Fatalf("auto made %d switches on a regime-changing stream, want ≥ 1", res.Switches)
+	inputs := []input{{"ascending_then_descending", turn}}
+	for _, dist := range gen.Kinds {
+		inputs = append(inputs, input{dist.String(), gen.Generate(gen.Config{Kind: dist, N: n, Seed: 17, Noise: 1000})})
 	}
-	if res.Policies[0] != RS {
-		t.Fatalf("probe chose %v for the ascending prefix, want rs", res.Policies[0])
-	}
-	changed := false
-	for i := 1; i < len(res.Policies); i++ {
-		if res.Policies[i] != res.Policies[i-1] {
-			changed = true
-			if res.Policies[i] == RS {
-				t.Fatalf("auto switched back to rs at run %d: %v", i, res.Policies)
-			}
+	for _, in := range inputs {
+		kind, down := choose(Measure(in.recs[:m], record.Less))
+		if in.name == "ascending_then_descending" && kind != RS {
+			t.Fatalf("%s: the probe chose %v for the ascending prefix, want rs", in.name, kind)
 		}
+		pass := func(auto bool) (Result, *vfs.MemFS) {
+			fs := vfs.NewMemFS()
+			src, em := stream.NewSliceReader(in.recs), runio.RecordEmitter(fs, "pol")
+			var g Driven
+			var err error
+			switch {
+			case auto:
+				g, err = NewGenerator(Auto, src, em, Config{Memory: m}, record.Key)
+			case kind == Alternating:
+				var st *rs.Stepper[record.Record]
+				st, err = rs.NewStepper(src, em, m, true, down)
+				g = fixed{st, kind}
+			default:
+				g, err = NewGenerator(kind, src, em, Config{Memory: m}, record.Key)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g.Kind() != kind {
+				t.Fatalf("%s: auto names %v, its probe %v", in.name, g.Kind(), kind)
+			}
+			res, err := Drive(g, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res, fs
+		}
+		t.Logf("%s: the probe chose %v (down %v)", in.name, kind, down)
+		autoRes, autoFS := pass(true)
+		fixedRes, fixedFS := pass(false)
+		if !reflect.DeepEqual(autoRes, fixedRes) {
+			t.Fatalf("%s: auto wrote %d runs, %v alone %d", in.name, len(autoRes.Runs), kind, len(fixedRes.Runs))
+		}
+		if got, want := files(t, autoFS), files(t, fixedFS); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: auto's %d run files differ from %v's %d", in.name, len(got), kind, len(want))
+		}
+		verify(t, autoFS, autoRes.Runs, in.recs)
 	}
-	if !changed {
-		t.Fatalf("policies never changed across runs: %v", res.Policies)
+}
+
+// files returns the content of every file on fs by name.
+func files(t *testing.T, fs *vfs.MemFS) map[string][]byte {
+	t.Helper()
+	names, err := fs.Names()
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The descending half must not fragment into memory-sized runs: the
-	// switch has to pay off.
-	if maxRuns := n/(2*m) + 2; len(res.Runs) > maxRuns {
-		t.Fatalf("auto produced %d runs, want ≤ %d", len(res.Runs), maxRuns)
+	out := make(map[string][]byte, len(names))
+	for _, name := range names {
+		f, err := fs.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size, err := f.Size()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = make([]byte, size)
+		if _, err := f.ReadAt(out[name], 0); err != nil && err != io.EOF {
+			t.Fatal(err)
+		}
+		f.Close()
 	}
+	return out
 }
 
 func TestMeasureShapes(t *testing.T) {
@@ -241,7 +285,7 @@ func TestChoosePerDistribution(t *testing.T) {
 		{"sections", Stats{N: 8192, AscFrac: 0.5, DescFrac: 0.5, Zigzag: 0.01, InvRatio: 0.5, AvgMono: 160}, TwoWayRS},
 	}
 	for _, c := range cases {
-		if got, _, _ := choose(c.st); got != c.want {
+		if got, _ := choose(c.st); got != c.want {
 			t.Fatalf("%s: choose = %v, want %v", c.name, got, c.want)
 		}
 	}

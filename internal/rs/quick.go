@@ -73,7 +73,3 @@ func (s *QuickStepper[T]) NextRun() (runio.Run, bool, error) {
 	}
 	return runio.SingleRun(w.Segment()), true, nil
 }
-
-// Carry returns nil: a QuickStepper holds nothing between runs — every run
-// boundary is already a clean cut.
-func (s *QuickStepper[T]) Carry() []T { return nil }

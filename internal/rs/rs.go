@@ -20,9 +20,7 @@
 // heap in either direction: classic RS is the Stepper that never changes
 // direction, the alternating generator the one that flips at every run
 // boundary. QuickStepper is Load-Sort-Store. Both emit one run per NextRun
-// call and can surrender their buffered state through Carry — the contract
-// the adaptive policy engine uses to switch generators at run boundaries
-// mid-stream. The policy layer (policy.Drive) is the loop that steps them.
+// call; the policy layer (policy.Drive) is the loop that steps them.
 package rs
 
 import (
@@ -53,8 +51,7 @@ import (
 // model).
 //
 // Between calls the heap holds the records already tagged for the next run,
-// so a caller may stop after any run and either continue later or hand the
-// buffered state to a different generator via Carry.
+// so a caller may stop after any run and continue later.
 type Stepper[T any] struct {
 	em *runio.Emitter[T]
 	in *stream.Fetcher[T]
@@ -114,7 +111,8 @@ func (s *Stepper[T]) item(rec T) (it heap.Item[T]) {
 }
 
 // fill tops the active heap up from the input (heap.fill in Algorithm 1).
-// After the initial fill it is a no-op until Carry empties the heap.
+// After the initial fill it is a no-op: every record written is replaced
+// from the input while the input lasts.
 func (s *Stepper[T]) fill() error {
 	for h := s.active(); !h.Full(); {
 		rec, ok, err := s.in.Next()
@@ -195,18 +193,4 @@ func (s *Stepper[T]) NextRun() (runio.Run, bool, error) {
 		}
 	}
 	return runio.SingleRun(w.Segment()), true, nil
-}
-
-// Carry removes and returns every element the Stepper has buffered — the
-// heap contents plus the fetch buffer's read-ahead — leaving it empty. The
-// run tags are dropped: a successor generator re-derives run membership
-// itself.
-func (s *Stepper[T]) Carry() []T {
-	out := make([]T, 0, s.active().Len())
-	for _, h := range []*heap.Heap[T]{s.up, s.dn} {
-		for h != nil && h.Len() > 0 {
-			out = append(out, h.Pop().Rec)
-		}
-	}
-	return append(out, s.in.Drain()...)
 }

@@ -215,17 +215,3 @@ func (f *Fetcher[T]) refill() (T, bool, error) {
 	f.pos, f.n = 1, n
 	return f.buf[0], true, nil
 }
-
-// Drain returns the elements the Fetcher has read ahead but not yet handed
-// out, emptying its buffer without touching the underlying source. A policy
-// switch uses it to hand buffered input to a successor generator; the
-// Fetcher remains usable afterwards (its next call refills from the source).
-func (f *Fetcher[T]) Drain() []T {
-	if f.pos >= f.n {
-		return nil
-	}
-	out := make([]T, f.n-f.pos)
-	copy(out, f.buf[f.pos:f.n])
-	f.pos, f.n = 0, 0
-	return out
-}

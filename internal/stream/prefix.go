@@ -61,7 +61,7 @@ func (nowhere[T]) WriteBatch([]T) error { return nil }
 // Prepended replays a buffer, then continues with the reader it was taken
 // from: how a consumer that had to look at the head of a stream — a sampled
 // check, a probe, a selection that outgrew memory — hands the whole stream
-// on, and how a generator's carried records reach its successor.
+// on.
 type Prepended[T any] struct {
 	head []T
 	tail BatchReader[T]
@@ -82,10 +82,6 @@ func (p *Prepended[T]) ReadBatch(dst []T) (int, error) {
 	}
 	return p.tail.ReadBatch(dst)
 }
-
-// Head returns the part of the buffer not read yet; the view is valid until
-// the next read.
-func (p *Prepended[T]) Head() []T { return p.head }
 
 // Remaining forwards Sized: the unread buffer plus what the tail reports,
 // or -1 when the tail does not know.

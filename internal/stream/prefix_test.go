@@ -38,8 +38,8 @@ func TestReadPrefixDiscardPrepend(t *testing.T) {
 			t.Fatalf("%s: Remaining = %d over a tail that does not know, want -1", name, whole.Remaining())
 		}
 		var one [1]int
-		if k, err := whole.ReadBatch(one[:]); k != 1 || one[0] != 0 || err != nil || len(whole.Head()) != len(head)-1 {
-			t.Fatalf("%s: ReadBatch of one = %d (%d), %v with %d of the buffer left", name, k, one[0], err, len(whole.Head()))
+		if k, err := whole.ReadBatch(one[:]); k != 1 || one[0] != 0 || err != nil || len(whole.head) != len(head)-1 {
+			t.Fatalf("%s: ReadBatch of one = %d (%d), %v with %d of the buffer left", name, k, one[0], err, len(whole.head))
 		}
 		if dropped, err := Discard[int](whole, 2*DefaultBatchLen, nil); dropped != 2*DefaultBatchLen || err != nil {
 			t.Fatalf("%s: Discard = %d, %v", name, dropped, err)

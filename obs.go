@@ -17,15 +17,14 @@ import (
 // spill backend meets its file system); see DESIGN.md §"Observability" for
 // the span taxonomy, the metric names and the overhead budget.
 
-// Tracer records the spans and instant events of the sorts it is attached
-// to: one "generate" span per sort covering run generation with one child
+// Tracer records the spans of the sorts it is attached to: one "generate" span per sort covering run generation with one child
 // "run" span per emitted run, one "merge" span covering the merge phase
 // with a "merge_op" child per merge operation, "spill_write"/"spill_read"
 // spans on the "spill" track for every spill file (their "bytes" sum to
-// the stored bytes of Stats.IO), and "policy_switch" events when the
-// adaptive policy changes generator mid-stream. Export the result with
-// WriteChromeTrace (chrome://tracing / Perfetto JSON) or WriteSpansJSONL,
-// or walk Spans and Events directly. A Tracer is safe for concurrent use
+// the stored bytes of Stats.IO). Each "run" span's "policy" attribute
+// names the generator that wrote the run — under "auto", the one its probe
+// chose. Export the result with WriteChromeTrace (chrome://tracing /
+// Perfetto JSON) or WriteSpansJSONL, or walk Spans directly. A Tracer is safe for concurrent use
 // and may be shared by several sorts; a nil Tracer is a valid no-op.
 type Tracer = obs.Tracer
 
@@ -35,10 +34,6 @@ type Span = obs.Span
 // SpanData is the immutable record of a finished Span, as returned by
 // Tracer.Spans.
 type SpanData = obs.SpanData
-
-// TraceEvent is the record of an instant event (e.g. a policy switch), as
-// returned by Tracer.Events.
-type TraceEvent = obs.EventData
 
 // Metrics is a registry of live counters and histograms that the sorts it
 // is attached to keep current: records in/out, runs emitted and their

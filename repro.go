@@ -34,11 +34,12 @@
 // to pick a generator (WithPolicy, Config.Policy): the paper's 2WRS,
 // classic replacement selection, alternating up/down runs and quicksort
 // batches (the paper's Load-Sort-Store, also spelled "lss") sit behind one
-// policy boundary, and New's default "auto" policy probes the input's order
-// statistics — inversion ratio, monotone run structure — to pick the
-// generator the data favours, switching at run boundaries if the regime
-// changes mid-stream. Stats.Policy and Stats.PolicySwitches report what
-// ran; Policies lists the valid names, and Config.Validate rejects unknown
+// policy boundary, and New's default "auto" policy probes the order
+// statistics of a memory-sized input prefix — inversion ratio, monotone run
+// structure — and runs the generator the data favours over the whole
+// input, deciding once. Stats.Policy reports the policy that was asked for
+// and each "run" span the generator that wrote the run; Policies lists the
+// valid names, and Config.Validate rejects unknown
 // ones outright. See DESIGN.md §9 for the cost model.
 //
 // # The operator layer
@@ -208,9 +209,9 @@ type Config struct {
 	// Policy names the run generator. Valid names are listed by
 	// Policies(): "2wrs" (the paper's two-way replacement selection), "rs",
 	// "alternating" (also spelled "alt"), "quick" (the paper's
-	// Load-Sort-Store, also spelled "lss") and "auto" — the adaptive policy
-	// that probes the input's order structure and may switch generators at
-	// run boundaries mid-stream. Unknown names are rejected by Validate,
+	// Load-Sort-Store, also spelled "lss") and "auto", which probes the
+	// order structure of a memory-sized input prefix and runs the generator
+	// it names over the whole input. Unknown names are rejected by Validate,
 	// never silently defaulted. The generic constructor New defaults to
 	// "auto"; DefaultConfig says "2wrs", which is also what the empty name
 	// of a hand-built config means.
@@ -267,8 +268,8 @@ type Config struct {
 	// surfaces as a checksum error instead of silently wrong output.
 	// Stats.IO reports what the backend did.
 	Storage Storage
-	// Trace, when non-nil, records phase, run, merge and spill spans plus
-	// policy-switch events for every sort run under this configuration;
+	// Trace, when non-nil, records phase, run, merge and spill spans for
+	// every sort run under this configuration;
 	// export with Tracer.WriteChromeTrace or Tracer.WriteSpansJSONL. Nil
 	// (the default) disables tracing at zero cost. See WithTracer.
 	Trace *Tracer
@@ -291,8 +292,8 @@ type Config struct {
 	// first record, checks each regenerated run against the manifest
 	// (refusing an input that differs) and writes for real from the last
 	// recovered run on; the resumed output is byte-identical to an
-	// uninterrupted sort — under every policy, the adaptive "auto" (whose
-	// decisions the replay repeats) included. See DESIGN.md §14.
+	// uninterrupted sort — under every policy, "auto" (whose one decision
+	// the replay repeats) included. See DESIGN.md §14.
 	Manifest bool
 	// Resume makes every sort under this configuration first look for a
 	// durable manifest left by an interrupted earlier sort and continue

@@ -180,8 +180,8 @@ func TestSorterResumeMismatch(t *testing.T) {
 
 // TestManifestConfigValidation pins the config-level rules for durable
 // sorts: Resume demands WithManifest, and that is the only rule — the
-// default constructor plus WithManifest, which means the adaptive auto
-// policy, builds a sorter that sorts durably and resumes.
+// default constructor plus WithManifest, which means the auto policy,
+// builds a sorter that sorts durably and resumes.
 func TestManifestConfigValidation(t *testing.T) {
 	less := func(a, b Record) bool { return a.Key < b.Key }
 	s, err := New(less, WithMemoryRecords(256))

@@ -177,8 +177,8 @@ func WithConfig(cfg Config) Option {
 
 // WithPolicy selects the run generator by name: "2wrs", "rs",
 // "alternating" (also "alt"), "quick" (also "lss"), or "auto" (the default
-// for New), which probes the input's order structure and switches
-// generators at run boundaries when the regime changes mid-stream. Unknown
+// for New), which probes the order structure of a memory-sized input
+// prefix and runs the generator it names over the whole input. Unknown
 // names fail at New with an error listing the valid policies (see
 // Policies).
 func WithPolicy(name string) Option {
@@ -259,7 +259,8 @@ func WithCompression(name string) Option {
 // that died mid-generation — process kill, cancelled context, failed source
 // — can be finished by Sorter.Resume without regenerating the runs that
 // already reached storage. It works under every policy, the default auto
-// included; see DESIGN.md §14 for the recovery rules. With no TempDir
+// included: a resume replays auto's one decision from the same input
+// prefix. See DESIGN.md §14 for the recovery rules. With no TempDir
 // the Sorter keeps one in-process file system for all its sorts (rather
 // than one per Sort call) so Resume can see what a failed Sort left behind;
 // with a TempDir, resumability extends across process restarts.
@@ -399,9 +400,9 @@ type Sorter[T any] struct {
 
 // New builds a Sorter ordering elements with less. Options supply the
 // memory budget, run-generation policy, heuristics, codec and numeric key
-// projection; the defaults are a budget of 2^20 elements and the adaptive
-// "auto" policy, which picks (and mid-stream, re-picks) the run generator
-// matching the input's order structure; WithPolicy pins one generator, and
+// projection; the defaults are a budget of 2^20 elements and the "auto"
+// policy, which picks, once, the run generator matching the order
+// structure of a memory-sized input prefix; WithPolicy pins one generator, and
 // a WithConfig configuration carries its own Policy. New validates the
 // resulting configuration and reports descriptive errors for nonsense
 // values.
