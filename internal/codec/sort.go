@@ -8,23 +8,27 @@ import (
 // KeySorter sorts batches of elements into the order — the very
 // permutation — that slices.SortFunc gives them under the comparator, and
 // gets there faster with a key codec. Each element is paired with its cached
-// normalized-key prefix. When the prefix is the whole key (PrefixIsKey), the
-// pairs are ordered by MSD radix over its bytes, with no comparator call:
-// where keys are distinct there is only one ascending order, and where equal
-// keys are equal elements (TotalKey) tie placement stores the same bytes, so
-// only a batch with a repeated key of a codec that is not total is sorted
-// again, by comparison. Otherwise the comparison sort runs over the pairs,
-// the prefix deciding strictly ordered pairs and the comparator breaking
-// prefix ties — pointwise the comparator's own decisions, so the same
-// permutation. The run generators sort their batches through it: the quick
-// stepper its memory loads, two-way replacement selection its victim buffer.
+// normalized-key prefix, filled a chunk at a time through the codec's bulk
+// face. When the prefix is the whole key (PrefixIsKey), the pairs are
+// ordered by radix over its bytes, with no comparator call: where keys are
+// distinct there is only one ascending order, and where equal keys are equal
+// elements (TotalKey) tie placement stores the same bytes, so only a batch
+// with a repeated key of a codec that is not total is sorted again, by
+// comparison. Otherwise the comparison sort runs over the pairs, the prefix
+// deciding strictly ordered pairs and the comparator breaking prefix ties —
+// pointwise the comparator's own decisions, so the same permutation. The run
+// generators sort their batches through it: the quick stepper its memory
+// loads, two-way replacement selection its victim buffer.
 type KeySorter[T any] struct {
-	less  func(a, b T) bool
-	pfx   func(T) uint64 // nil: the comparator alone
-	radix bool           // the prefix is the whole key
-	total bool           // and equal keys are equal elements
-	// pairs and scratch are reused across batches.
+	less   func(a, b T) bool
+	pfxAll func(dst []uint64, src []T) // nil: the comparator alone
+	radix  bool                        // the prefix is the whole key
+	total  bool                        // and equal keys are equal elements
+	// pairs and scratch are reused across batches, keys and count across
+	// chunks and buckets.
 	pairs, scratch []keyed[T]
+	keys           [pfxChunk]uint64
+	count          byteCounts
 }
 
 // NewKeySorter returns a sorter ordering by less and keyed by kc, or by less
@@ -32,7 +36,7 @@ type KeySorter[T any] struct {
 func NewKeySorter[T any](kc KeyCodec[T], less func(a, b T) bool) *KeySorter[T] {
 	s := &KeySorter[T]{less: less}
 	if kc != nil {
-		s.pfx = PrefixFunc(kc)
+		s.pfxAll = PrefixAllFunc(kc)
 		s.radix, s.total = PrefixIsKey(kc), kc.TotalKey()
 	}
 	return s
@@ -40,7 +44,7 @@ func NewKeySorter[T any](kc KeyCodec[T], less func(a, b T) bool) *KeySorter[T] {
 
 // Sort sorts vs ascending in place.
 func (s *KeySorter[T]) Sort(vs []T) {
-	if s.pfx == nil {
+	if s.pfxAll == nil {
 		slices.SortFunc(vs, s.compare)
 		return
 	}
@@ -50,15 +54,16 @@ func (s *KeySorter[T]) Sort(vs []T) {
 			s.scratch = make([]keyed[T], len(vs))
 		}
 	}
-	pairs := s.pair(vs)
+	pairs, diff := s.pair(vs)
 	if !s.radix {
 		s.sortPairs(pairs)
 	} else {
-		radixMSD(pairs, s.scratch[:len(vs)])
+		pairs = s.radixSort(pairs, s.scratch[:len(vs)], diff)
 		if !s.total && repeatsKey(pairs) {
 			// A repeated key that does not determine its elements: where
 			// the ties land matters, so the batch is sorted again as it came.
-			s.sortPairs(s.pair(vs))
+			pairs, _ = s.pair(vs)
+			s.sortPairs(pairs)
 		}
 	}
 	for i := range pairs {
@@ -79,11 +84,70 @@ func (s *KeySorter[T]) sortPairs(pairs []keyed[T]) {
 	})
 }
 
-// pair fills the pair buffer with vs and their prefixes, in vs's order.
-func (s *KeySorter[T]) pair(vs []T) []keyed[T] {
-	pairs := s.pairs[:len(vs)]
-	for i, v := range vs {
-		pairs[i] = keyed[T]{k: s.pfx(v), v: v}
+// pair fills the pair buffer with vs and their prefixes, in vs's order, one
+// bulk prefix call per chunk. diff has a bit set wherever two prefixes
+// differ.
+func (s *KeySorter[T]) pair(vs []T) (pairs []keyed[T], diff uint64) {
+	pairs = s.pairs[:len(vs)]
+	for lo := 0; lo < len(vs); lo += pfxChunk {
+		chunk := vs[lo:min(lo+pfxChunk, len(vs))]
+		keys := s.keys[:len(chunk)]
+		s.pfxAll(keys, chunk)
+		k0 := s.keys[0]
+		dst := pairs[lo : lo+len(chunk)]
+		for i, k := range keys {
+			diff |= k ^ k0
+			dst[i] = keyed[T]{k: k, v: chunk[i]}
+		}
+		if lo > 0 {
+			diff |= k0 ^ pairs[0].k
+		}
+	}
+	return pairs, diff
+}
+
+// radixSort orders pairs by prefix, stably, using scratch (as long as
+// pairs) for the scatters, and returns the sorted pairs: pairs itself or
+// scratch. diff has a bit set wherever two prefixes differ. A batch that
+// fits lsdMax runs the LSD kernel whole. A larger one takes one MSD pass on
+// its top differing byte first, so that each bucket the kernel then sorts
+// stays in L2.
+func (s *KeySorter[T]) radixSort(pairs, scratch []keyed[T], diff uint64) []keyed[T] {
+	if len(pairs) <= insertionMax {
+		insertionKeyed(pairs)
+		return pairs
+	}
+	if diff == 0 {
+		return pairs
+	}
+	if len(pairs) <= lsdMax {
+		countBytes(&s.count, pairs, diff)
+		return lsd(pairs, scratch, &s.count, diff)
+	}
+	d := (63 - bits.LeadingZeros64(diff)) / 8
+	top := uint64(0xff) << (8 * d)
+	countBytes(&s.count, pairs, top)
+	sizes := s.count[d]
+	offsets(&s.count[d])
+	scatter(pairs, scratch, &s.count[d], 8*uint(d))
+	hi := 0
+	for _, n := range sizes {
+		lo := hi
+		hi += int(n)
+		if n < 2 {
+			copy(pairs[lo:hi], scratch[lo:hi])
+			continue
+		}
+		bucket := scratch[lo:hi]
+		if len(bucket) <= insertionMax {
+			insertionKeyed(bucket)
+		} else {
+			countBytes(&s.count, bucket, diff&^top)
+			bucket = lsd(bucket, pairs[lo:hi], &s.count, diff&^top)
+		}
+		if &bucket[0] != &pairs[lo] {
+			copy(pairs[lo:hi], bucket)
+		}
 	}
 	return pairs
 }
@@ -105,12 +169,76 @@ type keyed[T any] struct {
 	v T
 }
 
-// radixCutoff is the bucket size below which MSD recursion switches to
-// insertion sort on the cached prefixes: small buckets are cheaper to
-// finish in place than to count and scatter again.
-const radixCutoff = 48
+const (
+	// pfxChunk is how many prefixes one bulk call fills before they are
+	// paired with their elements: small enough to stay in L1.
+	pfxChunk = 256
+	// insertionMax is the batch or bucket size at or below which insertion
+	// sort on the cached prefixes beats counting and scattering.
+	insertionMax = 48
+	// lsdMax is the largest batch the LSD kernel sorts whole. Past it the
+	// pairs and their scratch outgrow L2, and the scatters miss cache.
+	lsdMax = 1 << 15
+)
 
-// insertionKeyed sorts a small slice ascending by prefix.
+// byteCounts holds, for each of a prefix's 8 bytes (least significant
+// first), how many prefixes of a batch hold each byte value.
+type byteCounts [8][256]uint32
+
+// countBytes sets c's rows to the byte counts of a's prefixes for the bytes
+// that mask has nonzero, one pass per byte; the other rows are not touched.
+func countBytes[T any](c *byteCounts, a []keyed[T], mask uint64) {
+	for d := range c {
+		if byte(mask>>(8*d)) == 0 {
+			continue
+		}
+		row := &c[d]
+		*row = [256]uint32{}
+		shift := 8 * uint(d)
+		for i := range a {
+			row[byte(a[i].k>>shift)]++
+		}
+	}
+}
+
+// lsd sorts a by prefix, stably: one counting scatter per byte in which its
+// prefixes differ — nonzero in mask, and more than one value counted in c —
+// least significant first, alternating between a and b, which is as long.
+// It returns whichever of the two holds the result.
+func lsd[T any](a, b []keyed[T], c *byteCounts, mask uint64) []keyed[T] {
+	for d := range c {
+		if byte(mask>>(8*d)) == 0 || c[d][byte(a[0].k>>(8*d))] == uint32(len(a)) {
+			continue
+		}
+		offsets(&c[d])
+		scatter(a, b, &c[d], 8*uint(d))
+		a, b = b, a
+	}
+	return a
+}
+
+// offsets turns a row of byte counts into each byte value's first index.
+func offsets(row *[256]uint32) {
+	var sum uint32
+	for i, n := range row {
+		row[i] = sum
+		sum += n
+	}
+}
+
+// scatter moves src into dst by byte shift/8 of the prefixes, pos holding
+// each byte value's next index in dst.
+//
+//go:noinline
+func scatter[T any](src, dst []keyed[T], pos *[256]uint32, shift uint) {
+	for _, x := range src {
+		p := &pos[byte(x.k>>shift)]
+		dst[*p] = x
+		*p++
+	}
+}
+
+// insertionKeyed sorts a small slice ascending by prefix, stably.
 func insertionKeyed[T any](a []keyed[T]) {
 	for i := 1; i < len(a); i++ {
 		x := a[i]
@@ -131,46 +259,4 @@ func repeatsKey[T any](a []keyed[T]) bool {
 		}
 	}
 	return false
-}
-
-// radixMSD sorts one bucket by the highest byte on which its prefixes
-// differ, recursing into the sub-buckets; a bucket of one prefix is sorted.
-func radixMSD[T any](a, scratch []keyed[T]) {
-	if len(a) <= radixCutoff {
-		insertionKeyed(a)
-		return
-	}
-	var diff uint64
-	for i := range a {
-		diff |= a[i].k ^ a[0].k
-	}
-	if diff == 0 {
-		return
-	}
-	shift := uint(63-bits.LeadingZeros64(diff)) / 8 * 8
-	var count [256]int
-	for i := range a {
-		count[byte(a[i].k>>shift)]++
-	}
-	var offs [256]int
-	sum := 0
-	for b := 0; b < 256; b++ {
-		offs[b] = sum
-		sum += count[b]
-	}
-	pos := offs
-	for i := range a {
-		b := byte(a[i].k >> shift)
-		scratch[pos[b]] = a[i]
-		pos[b]++
-	}
-	copy(a, scratch[:len(a)])
-	if shift == 0 {
-		return
-	}
-	for b := 0; b < 256; b++ {
-		if count[b] > 1 {
-			radixMSD(a[offs[b]:offs[b]+count[b]], scratch[:count[b]])
-		}
-	}
 }
