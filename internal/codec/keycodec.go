@@ -12,14 +12,13 @@
 //   - int64: the sign bit is flipped and the result stored big-endian, so
 //     negative values order below non-negative ones byte-wise.
 //   - uint64: stored big-endian unchanged.
-//   - float64: IEEE 754 totalOrder. Negative floats (sign bit set) have all
-//     bits complemented; non-negative floats have only the sign bit flipped.
-//     The resulting byte order is -NaN < -Inf < … < -0.0 < +0.0 < … < +Inf
-//     < +NaN: every pair ordered by < stays ordered, ties under < (such as
-//     -0.0 vs +0.0, or NaN vs anything) receive a fixed documented order.
-//     A comparator that is exactly `<` never disagrees with the encoding on
-//     a strictly ordered pair; inputs containing NaNs are not strict-weakly
-//     ordered by `<` in the first place and fail the sampled validation.
+//   - float64: IEEE 754 totalOrder with -0.0 folded into +0.0. Negative
+//     floats (sign bit set) have all bits complemented; non-negative floats
+//     have only the sign bit flipped. The resulting byte order is -NaN <
+//     -Inf < … < -1 < 0 < 1 < … < +Inf < +NaN, and -0.0 and +0.0 share the
+//     key of 0, so the key ties exactly where `<` does. NaN is out of scope:
+//     `<` does not order it strict-weakly, so inputs containing NaNs fail the
+//     sampled validation and the encoding gives them only a fixed place.
 //   - string / []byte: the raw bytes (lexicographic order is the byte
 //     order already).
 //   - composite keys: per-field encodings concatenated. Variable-width
@@ -80,16 +79,23 @@ func AppendKeyUint64(buf []byte, v uint64) []byte {
 
 // AppendKeyFloat64 appends the memcmp-ordered encoding of a float64: the
 // IEEE 754 totalOrder transform (negative values fully complemented,
-// non-negative values sign-flipped), big-endian. -0.0 orders immediately
-// before +0.0 and NaNs order at the extremes by their sign bit.
+// non-negative values sign-flipped), big-endian, with -0.0 encoded as +0.0,
+// since `<` ties them. NaNs order at the extremes by their sign bit; they
+// are not ordered by `<` and stay out of the contract.
 func AppendKeyFloat64(buf []byte, v float64) []byte {
+	return binary.BigEndian.AppendUint64(buf, float64Key(v))
+}
+
+// float64Key is the totalOrder transform of v, -0.0 folded into +0.0.
+func float64Key(v float64) uint64 {
+	if v == 0 {
+		return 1 << 63
+	}
 	b := math.Float64bits(v)
 	if b&(1<<63) != 0 {
-		b = ^b
-	} else {
-		b |= 1 << 63
+		return ^b
 	}
-	return binary.BigEndian.AppendUint64(buf, b)
+	return b | 1<<63
 }
 
 // AppendKeyBytesEscaped appends a variable-width byte-string field in the
@@ -144,8 +150,8 @@ func (KeyUint64) FixedKeySize() int { return 8 }
 // TotalKey implements KeyCodec: the key is the element.
 func (KeyUint64) TotalKey() bool { return true }
 
-// KeyFloat64 is the KeyCodec for float64 elements under the `<` order,
-// refined to IEEE totalOrder on ties (see AppendKeyFloat64).
+// KeyFloat64 is the KeyCodec for float64 elements under the `<` order (see
+// AppendKeyFloat64; NaN is out of scope).
 type KeyFloat64 struct{}
 
 // AppendKey implements KeyCodec.
@@ -154,9 +160,9 @@ func (KeyFloat64) AppendKey(buf []byte, v float64) []byte { return AppendKeyFloa
 // FixedKeySize implements KeyCodec.
 func (KeyFloat64) FixedKeySize() int { return 8 }
 
-// TotalKey implements KeyCodec. -0.0 and +0.0 tie under `<` but store
-// different bytes, so rearranging ties is not output-identical: the key is
-// not total.
+// TotalKey implements KeyCodec. -0.0 and +0.0 share a key, as they tie under
+// `<`, but store different bytes, so rearranging ties is not
+// output-identical: the key is not total.
 func (KeyFloat64) TotalKey() bool { return false }
 
 // KeyString is the KeyCodec for string elements under the natural order:
@@ -272,13 +278,7 @@ func (KeyInt64) KeyPrefix(v int64) uint64 { return uint64(v) ^ (1 << 63) }
 func (KeyUint64) KeyPrefix(v uint64) uint64 { return v }
 
 // KeyPrefix implements Prefixer.
-func (KeyFloat64) KeyPrefix(v float64) uint64 {
-	b := math.Float64bits(v)
-	if b&(1<<63) != 0 {
-		return ^b
-	}
-	return b | 1<<63
-}
+func (KeyFloat64) KeyPrefix(v float64) uint64 { return float64Key(v) }
 
 // KeyPrefix implements Prefixer.
 func (KeyRecord16) KeyPrefix(r record.Record) uint64 { return uint64(r.Key) ^ (1 << 63) }

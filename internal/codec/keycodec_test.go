@@ -45,17 +45,20 @@ func TestKeyUint64Order(t *testing.T) {
 	checkOrder[uint64](t, KeyUint64{}, func(a, b uint64) bool { return a < b }, vals)
 }
 
-// TestKeyFloat64Order pins the documented totalOrder byte ordering on the
-// edge cases: -NaN < -Inf < negatives < -0.0 < +0.0 < positives < +Inf <
-// +NaN. The comparator here is totalOrder itself (< refined on its ties),
-// so the strict-order side of the contract is exercised on every pair,
-// including the ones `<` alone cannot separate.
+// TestKeyFloat64Order pins the documented byte ordering on the edge cases:
+// -NaN < -Inf < negatives < ±0.0 < positives < +Inf < +NaN, the two zeros
+// sharing one key. The comparator here is totalOrder with the zeros folded
+// (`<` refined on NaN only), so the strict-order side of the contract is
+// exercised on every pair, including the ones `<` alone cannot separate.
 func TestKeyFloat64Order(t *testing.T) {
 	negNaN := math.Float64frombits(1<<63 | uint64(math.Float64bits(math.NaN())))
 	vals := []float64{negNaN, math.Inf(-1), -math.MaxFloat64, -1.5, -1,
 		-math.SmallestNonzeroFloat64, math.Copysign(0, -1), 0,
 		math.SmallestNonzeroFloat64, 1, 1.5, math.MaxFloat64, math.Inf(1), math.NaN()}
 	rank := func(v float64) uint64 {
+		if v == 0 {
+			v = 0
+		}
 		b := math.Float64bits(v)
 		if b&(1<<63) != 0 {
 			return ^b
@@ -77,8 +80,14 @@ func TestKeyFloat64Order(t *testing.T) {
 			}
 		}
 	}
-	// -0.0 and +0.0 tie under < but encode differently: the codec must
-	// declare itself non-total or tie rearrangement would corrupt output.
+	// -0.0 and +0.0 tie under < and share a key, but store different bytes:
+	// the codec must declare itself non-total or tie rearrangement would
+	// corrupt output.
+	negZero := math.Copysign(0, -1)
+	if !bytes.Equal(AppendKeyFloat64(nil, negZero), AppendKeyFloat64(nil, 0)) ||
+		(KeyFloat64{}).KeyPrefix(negZero) != (KeyFloat64{}).KeyPrefix(0) {
+		t.Fatal("-0.0 and +0.0 tie under < but key differently")
+	}
 	if (KeyFloat64{}).TotalKey() {
 		t.Fatal("KeyFloat64 must not claim a total key: -0.0 and +0.0 tie under < with distinct bytes")
 	}
@@ -244,6 +253,8 @@ func FuzzKeyCodecOrder(f *testing.F) {
 		math.Float64bits(math.Copysign(0, -1)), math.Float64bits(0), "a", "ab")
 	f.Add(int64(-256), int64(256), math.Float64bits(math.Inf(-1)),
 		math.Float64bits(math.NaN()), "\x00", "\x00\xff")
+	f.Add(int64(1), int64(1), math.Float64bits(0),
+		math.Float64bits(math.Copysign(0, -1)), "b", "b")
 	f.Fuzz(func(t *testing.T, i1, i2 int64, u1, u2 uint64, s1, s2 string) {
 		checkPair[int64](t, KeyInt64{}, func(a, b int64) bool { return a < b }, i1, i2)
 		checkPair[uint64](t, KeyUint64{}, func(a, b uint64) bool { return a < b }, u1, u2)
@@ -262,6 +273,9 @@ func FuzzKeyCodecOrder(f *testing.F) {
 		}
 		if f2 < f1 && bytes.Compare(k2, k1) >= 0 {
 			t.Fatalf("float64: %v < %v but keys %x >= %x", f2, f1, k2, k1)
+		}
+		if f1 == f2 && !bytes.Equal(k1, k2) {
+			t.Fatalf("float64: %v and %v tie under < but key %x and %x", f1, f2, k1, k2)
 		}
 
 		checkPair[record.Record](t, KeyRecord16{}, record.Less,

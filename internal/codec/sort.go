@@ -1,32 +1,31 @@
 package codec
 
-import (
-	"math/bits"
-	"slices"
-)
+import "math/bits"
 
-// KeySorter sorts batches of elements into the order — the very
-// permutation — that slices.SortFunc gives them under the comparator, and
-// gets there faster with a key codec. Each element is paired with its cached
-// normalized-key prefix, filled a chunk at a time through the codec's bulk
-// face. When the prefix is the whole key (PrefixIsKey), the pairs are
-// ordered by radix over its bytes, with no comparator call: where keys are
-// distinct there is only one ascending order, and where equal keys are equal
-// elements (TotalKey) tie placement stores the same bytes, so only a batch
-// with a repeated key of a codec that is not total is sorted again, by
-// comparison. Otherwise the comparison sort runs over the pairs, the prefix
-// deciding strictly ordered pairs and the comparator breaking prefix ties —
-// pointwise the comparator's own decisions, so the same permutation. The run
-// generators sort their batches through it: the quick stepper its memory
-// loads, two-way replacement selection its victim buffer.
+// KeySorter sorts batches of elements stably under the comparator: elements
+// it ties keep their input order, so the result is the one permutation a
+// stable comparison sort gives, with or without a key codec. With one, each
+// element is paired with its cached normalized-key prefix, filled a chunk at
+// a time through the codec's bulk face, and the pairs are ordered by radix
+// over the bytes in which their prefixes differ — no comparator call, since a
+// lower prefix is a lower key (KeyCodec's contract). Each run of equal
+// prefixes is then ordered by the comparator: one call per element when the
+// run is already in order, a stable merge sort when it is not. Only where
+// equal prefixes are equal elements (a total key the prefix holds whole) is
+// that skipped: their ties store the same bytes. Without a key codec the
+// batch is merge sorted under the comparator. The run generators sort their
+// batches through it: the quick stepper its memory loads, two-way
+// replacement selection its victim buffer.
 type KeySorter[T any] struct {
-	less   func(a, b T) bool
-	pfxAll func(dst []uint64, src []T) // nil: the comparator alone
-	radix  bool                        // the prefix is the whole key
-	total  bool                        // and equal keys are equal elements
-	// pairs and scratch are reused across batches, keys and count across
-	// chunks and buckets.
+	less     func(a, b T) bool
+	lessPair func(a, b keyed[T]) bool    // less on the pairs' elements
+	pfxAll   func(dst []uint64, src []T) // nil: the comparator alone
+	exact    bool                        // equal prefixes are equal elements
+	// The buffers are reused across batches: pairs and scratch by the keyed
+	// sort, elems by the comparator's, keys and count across chunks and
+	// buckets.
 	pairs, scratch []keyed[T]
+	elems          []T
 	keys           [pfxChunk]uint64
 	count          byteCounts
 }
@@ -35,53 +34,57 @@ type KeySorter[T any] struct {
 // alone when kc is nil. It reuses its buffers: one goroutine uses it.
 func NewKeySorter[T any](kc KeyCodec[T], less func(a, b T) bool) *KeySorter[T] {
 	s := &KeySorter[T]{less: less}
+	s.lessPair = func(a, b keyed[T]) bool { return less(a.v, b.v) }
 	if kc != nil {
 		s.pfxAll = PrefixAllFunc(kc)
-		s.radix, s.total = PrefixIsKey(kc), kc.TotalKey()
+		s.exact = PrefixIsKey(kc) && kc.TotalKey()
 	}
 	return s
 }
 
-// Sort sorts vs ascending in place.
+// Sort sorts vs ascending in place, stably.
 func (s *KeySorter[T]) Sort(vs []T) {
 	if s.pfxAll == nil {
-		slices.SortFunc(vs, s.compare)
+		if cap(s.elems) < len(vs) {
+			s.elems = make([]T, len(vs))
+		}
+		mergeSort(vs, s.elems[:len(vs)], s.less)
 		return
 	}
 	if cap(s.pairs) < len(vs) {
 		s.pairs = make([]keyed[T], len(vs))
-		if s.radix {
-			s.scratch = make([]keyed[T], len(vs))
-		}
+		s.scratch = make([]keyed[T], len(vs))
 	}
 	pairs, diff := s.pair(vs)
-	if !s.radix {
-		s.sortPairs(pairs)
-	} else {
-		pairs = s.radixSort(pairs, s.scratch[:len(vs)], diff)
-		if !s.total && repeatsKey(pairs) {
-			// A repeated key that does not determine its elements: where
-			// the ties land matters, so the batch is sorted again as it came.
-			pairs, _ = s.pair(vs)
-			s.sortPairs(pairs)
+	sorted, spare := s.radixSort(pairs, s.scratch[:len(vs)], diff)
+	if !s.exact {
+		for i := 1; i < len(sorted); i++ {
+			if sorted[i].k != sorted[i-1].k {
+				continue
+			}
+			j := i + 1
+			for j < len(sorted) && sorted[j].k == sorted[i].k {
+				j++
+			}
+			s.orderTies(sorted[i-1:j], spare[i-1:j])
+			i = j
 		}
 	}
-	for i := range pairs {
-		vs[i] = pairs[i].v
+	for i := range sorted {
+		vs[i] = sorted[i].v
 	}
 }
 
-// sortPairs is the comparison sort over pairs.
-func (s *KeySorter[T]) sortPairs(pairs []keyed[T]) {
-	slices.SortFunc(pairs, func(a, b keyed[T]) int {
-		if a.k != b.k {
-			if a.k < b.k {
-				return -1
-			}
-			return 1
+// orderTies orders a run of equal prefixes by the comparator, stably, using
+// buf (as long as run) as scratch. A run already in order costs one
+// comparison per element.
+func (s *KeySorter[T]) orderTies(run, buf []keyed[T]) {
+	for i := 1; i < len(run); i++ {
+		if s.less(run[i].v, run[i-1].v) {
+			mergeSort(run, buf, s.lessPair)
+			return
 		}
-		return s.compare(a.v, b.v)
-	})
+	}
 }
 
 // pair fills the pair buffer with vs and their prefixes, in vs's order, one
@@ -107,29 +110,31 @@ func (s *KeySorter[T]) pair(vs []T) (pairs []keyed[T], diff uint64) {
 }
 
 // radixSort orders pairs by prefix, stably, using scratch (as long as
-// pairs) for the scatters, and returns the sorted pairs: pairs itself or
-// scratch. diff has a bit set wherever two prefixes differ. A batch that
-// fits lsdMax runs the LSD kernel whole. A larger one takes one MSD pass on
-// its top differing byte first, so that each bucket the kernel then sorts
-// stays in L2.
-func (s *KeySorter[T]) radixSort(pairs, scratch []keyed[T], diff uint64) []keyed[T] {
+// pairs) for the scatters. It returns the sorted pairs and the other buffer:
+// pairs and scratch in either order. diff has a bit set wherever two
+// prefixes differ. A batch that fits lsdMax runs the LSD kernel whole. A
+// larger one takes one MSD pass on its top differing byte first, so that
+// each bucket the kernel then sorts stays in L2.
+func (s *KeySorter[T]) radixSort(pairs, scratch []keyed[T], diff uint64) (sorted, spare []keyed[T]) {
 	if len(pairs) <= insertionMax {
 		insertionKeyed(pairs)
-		return pairs
+		return pairs, scratch
 	}
 	if diff == 0 {
-		return pairs
+		return pairs, scratch
 	}
 	if len(pairs) <= lsdMax {
-		countBytes(&s.count, pairs, diff)
 		return lsd(pairs, scratch, &s.count, diff)
 	}
 	d := (63 - bits.LeadingZeros64(diff)) / 8
-	top := uint64(0xff) << (8 * d)
-	countBytes(&s.count, pairs, top)
-	sizes := s.count[d]
-	offsets(&s.count[d])
-	scatter(pairs, scratch, &s.count[d], 8*uint(d))
+	top := &s.count[d]
+	*top = [256]uint32{}
+	for i := range pairs {
+		top[byte(pairs[i].k>>(8*d))]++
+	}
+	sizes := *top
+	offsets(top)
+	scatter(pairs, scratch, top, 8*uint(d))
 	hi := 0
 	for _, n := range sizes {
 		lo := hi
@@ -141,26 +146,14 @@ func (s *KeySorter[T]) radixSort(pairs, scratch []keyed[T], diff uint64) []keyed
 		bucket := scratch[lo:hi]
 		if len(bucket) <= insertionMax {
 			insertionKeyed(bucket)
-		} else {
-			countBytes(&s.count, bucket, diff&^top)
-			bucket = lsd(bucket, pairs[lo:hi], &s.count, diff&^top)
+		} else if diff := prefixDiff(bucket); diff != 0 {
+			bucket, _ = lsd(bucket, pairs[lo:hi], &s.count, diff)
 		}
 		if &bucket[0] != &pairs[lo] {
 			copy(pairs[lo:hi], bucket)
 		}
 	}
-	return pairs
-}
-
-// compare is less as a three-way comparison.
-func (s *KeySorter[T]) compare(a, b T) int {
-	switch {
-	case s.less(a, b):
-		return -1
-	case s.less(b, a):
-		return 1
-	}
-	return 0
+	return pairs, scratch
 }
 
 // keyed pairs an element with its cached normalized-key prefix.
@@ -179,42 +172,49 @@ const (
 	// lsdMax is the largest batch the LSD kernel sorts whole. Past it the
 	// pairs and their scratch outgrow L2, and the scatters miss cache.
 	lsdMax = 1 << 15
+	// mergeBlock is the block the merge sort insertion sorts before it
+	// merges.
+	mergeBlock = 16
 )
 
 // byteCounts holds, for each of a prefix's 8 bytes (least significant
 // first), how many prefixes of a batch hold each byte value.
 type byteCounts [8][256]uint32
 
-// countBytes sets c's rows to the byte counts of a's prefixes for the bytes
-// that mask has nonzero, one pass per byte; the other rows are not touched.
-func countBytes[T any](c *byteCounts, a []keyed[T], mask uint64) {
+// prefixDiff has a bit set wherever two of a's prefixes differ.
+func prefixDiff[T any](a []keyed[T]) uint64 {
+	var diff uint64
+	for i := range a {
+		diff |= a[i].k ^ a[0].k
+	}
+	return diff
+}
+
+// lsd sorts a by prefix, stably: one counting scatter per byte set in mask,
+// the bytes in which a's prefixes differ, least significant first,
+// alternating between a and b, which is as long. It counts each byte in a
+// pass of its own up front, which measured faster than counting the next
+// byte inside each scatter. It returns the one that holds the result, then
+// the other.
+func lsd[T any](a, b []keyed[T], c *byteCounts, mask uint64) (sorted, other []keyed[T]) {
 	for d := range c {
 		if byte(mask>>(8*d)) == 0 {
 			continue
 		}
-		row := &c[d]
+		row, shift := &c[d], 8*uint(d)
 		*row = [256]uint32{}
-		shift := 8 * uint(d)
 		for i := range a {
 			row[byte(a[i].k>>shift)]++
 		}
+		offsets(row)
 	}
-}
-
-// lsd sorts a by prefix, stably: one counting scatter per byte in which its
-// prefixes differ — nonzero in mask, and more than one value counted in c —
-// least significant first, alternating between a and b, which is as long.
-// It returns whichever of the two holds the result.
-func lsd[T any](a, b []keyed[T], c *byteCounts, mask uint64) []keyed[T] {
 	for d := range c {
-		if byte(mask>>(8*d)) == 0 || c[d][byte(a[0].k>>(8*d))] == uint32(len(a)) {
-			continue
+		if byte(mask>>(8*d)) != 0 {
+			scatter(a, b, &c[d], 8*uint(d))
+			a, b = b, a
 		}
-		offsets(&c[d])
-		scatter(a, b, &c[d], 8*uint(d))
-		a, b = b, a
 	}
-	return a
+	return a, b
 }
 
 // offsets turns a row of byte counts into each byte value's first index.
@@ -251,12 +251,57 @@ func insertionKeyed[T any](a []keyed[T]) {
 	}
 }
 
-// repeatsKey reports whether the sorted pairs a hold a key twice.
-func repeatsKey[T any](a []keyed[T]) bool {
-	for i := 1; i < len(a); i++ {
-		if a[i].k == a[i-1].k {
-			return true
-		}
+// mergeSort sorts a stably by less, using buf (as long as a) as scratch:
+// blocks of mergeBlock elements are insertion sorted in place, then merged
+// pairwise, alternating between a and buf, and the result is copied back
+// when it ends in buf.
+func mergeSort[E any](a, buf []E, less func(x, y E) bool) {
+	n := len(a)
+	for lo := 0; lo < n; lo += mergeBlock {
+		insertionSort(a[lo:min(lo+mergeBlock, n)], less)
 	}
-	return false
+	src, dst := a, buf
+	for w := mergeBlock; w < n; w *= 2 {
+		for lo := 0; lo < n; lo += 2 * w {
+			mid, hi := min(lo+w, n), min(lo+2*w, n)
+			merge(src[lo:mid], src[mid:hi], dst[lo:hi], less)
+		}
+		src, dst = dst, src
+	}
+	if n > mergeBlock && &src[0] != &a[0] {
+		copy(a, src)
+	}
+}
+
+// merge merges the sorted x and y into out, x's element first on a tie.
+func merge[E any](x, y, out []E, less func(x, y E) bool) {
+	if len(y) == 0 || !less(y[0], x[len(x)-1]) {
+		copy(out[copy(out, x):], y)
+		return
+	}
+	i, j, k := 0, 0, 0
+	for i < len(x) && j < len(y) {
+		if less(y[j], x[i]) {
+			out[k] = y[j]
+			j++
+		} else {
+			out[k] = x[i]
+			i++
+		}
+		k++
+	}
+	k += copy(out[k:], x[i:])
+	copy(out[k:], y[j:])
+}
+
+// insertionSort sorts a small slice by less, stably.
+func insertionSort[E any](a []E, less func(x, y E) bool) {
+	for i := 1; i < len(a); i++ {
+		x := a[i]
+		j := i
+		for ; j > 0 && less(x, a[j-1]); j-- {
+			a[j] = a[j-1]
+		}
+		a[j] = x
+	}
 }

@@ -138,8 +138,8 @@ func (p *removalPrints) digest() string {
 // TestSpillFilesAsRemoved runs, per backend, recorded when each run and
 // merge output was a file of its own on a MemFS.
 var wholeSortGolden = map[string]string{
-	"raw":  "8b4a8e807b363321a7502b4fe0139d2b33cec4721a6230b7784f2f2104b7de39",
-	"none": "5e4534f81b5407d489a37af6b48216d8331efb4fe82c87545b5ccca2aabd070d",
+	"raw":  "6433ae8c532edfb221184f6f9ebb29ff862f1ec929af155d1555eaa64f94dfc6",
+	"none": "9b6358658168edc0333bdc6368fc2f55f207aed8d1ee8200fd2b5df14f5b9cf7",
 }
 
 // TestSpillFilesAsRemoved runs a quick sort of 64 runs at fan-in 4 — three

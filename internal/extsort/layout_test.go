@@ -34,14 +34,14 @@ var runFileGolden = map[string]string{
 	"rs/mixed/none":                "4930fcebdb4545e259d62d38e2c8423a6970a8d788ae158fb0cb29e1013ee145",
 	"alternating/mixed/none":       "7b239be76a74ff69e574f7485e76c22fc9e8ddb98a3f08c38c717f16f6e3a539",
 	"auto/mixed/none":              "df011d2fd5e18385447cec0a0eb6a61e5da7c06dec92654351b75936e2e987b5",
-	"2wrs/alternating/raw":         "1fbddec3c0052f8336776dd76f42ea2ac5830f705491e52cf5dff36dd73e3666",
+	"2wrs/alternating/raw":         "beda70288666f19c5dcfeaf7891b3a971f0b9d7985d64cf49b0377a18eddf536",
 	"rs/alternating/raw":           "f383f64cffdab4d6452678b472e9158feb37b5006ccda5fb4f49ebeb784b151d",
 	"alternating/alternating/raw":  "9f758c161abefdbd5168791fe3b63d45c84725a060a3fde28d3afc527e42872b",
-	"auto/alternating/raw":         "1fbddec3c0052f8336776dd76f42ea2ac5830f705491e52cf5dff36dd73e3666",
-	"2wrs/alternating/none":        "3bed505f799d38d2fc28bd7a79b13c2d5f1fbec4227feef34a3fb77df5c80933",
+	"auto/alternating/raw":         "beda70288666f19c5dcfeaf7891b3a971f0b9d7985d64cf49b0377a18eddf536",
+	"2wrs/alternating/none":        "8278f0eda90aa2332cd07696bf2d13c1b88ba90110e89d0d958eb350bc454d4f",
 	"rs/alternating/none":          "edd8d13feed6080b83f483baf09e0b6f647c6e7b79d9d5670025720ce70c841d",
 	"alternating/alternating/none": "1acdfe470f044b7fcd36bd710c91cf61542d7e5a54caed420900cd20355bc827",
-	"auto/alternating/none":        "3bed505f799d38d2fc28bd7a79b13c2d5f1fbec4227feef34a3fb77df5c80933",
+	"auto/alternating/none":        "8278f0eda90aa2332cd07696bf2d13c1b88ba90110e89d0d958eb350bc454d4f",
 }
 
 // TestRunFileLayoutGolden generates runs with a fixed seed for every policy
@@ -148,11 +148,11 @@ var stringFileGolden = map[string]string{
 // heuristic, buffer setup and comparator.
 var stringComparatorGolden = map[string]string{
 	"2wrs/mean/both/full":      "4ce7208010ae8fb640d68143d400b127b484c4b13a45fafd296cb5c051e25452",
-	"2wrs/mean/both/prefix":    "b322622f4e7fdec98e065d717bec9ecacd829049aaf39c0874a657385d08e1db",
+	"2wrs/mean/both/prefix":    "56d487b029663afe8597e212fa3df374cd6dc5f3d57cd957dda2aa91bff30e9c",
 	"2wrs/mean/input/full":     "94ad44e9c2c6d33e7e2b945dd9f21ea39d2af9297a2ca8989d1b62340a5150a4",
 	"2wrs/mean/input/prefix":   "71ca0cfafee5c1f66d68049a2a44419875c9d41ca33f5e52083e37c3b6569703",
 	"2wrs/median/both/full":    "d95350823c15eb412ad0a28958cefbcd3194736c40e6b4356aab5a03054c940f",
-	"2wrs/median/both/prefix":  "3e9415f1f9e85f0a8a1ffeacabbe92309d65603e1a1f27f4f8ff538c603d6788",
+	"2wrs/median/both/prefix":  "09b83577f2caae9e3e00bb1cc3ea75afb713fd45bfff5c8a3aaab7a687e8cd10",
 	"2wrs/median/input/full":   "d13d63aee7585db74adefbca23a0e2c7efff315463f48a0b3cbcc1fd74b92e49",
 	"2wrs/median/input/prefix": "02b254af20a224d5730f6c405dc22ba892b3e462523dd81d4850cc8657713f1a",
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -127,6 +128,51 @@ func TestKeyedMatchesComparatorEverywhere(t *testing.T) {
 						}
 					}
 				})
+			}
+		}
+	}
+}
+
+// TestKeyedFloatsMatchComparator sorts float64s holding both zeros, keyed
+// and WithoutKeys, and requires the same bits at every position: -0.0 and
+// +0.0 tie under `<` and share a key, so they land where the comparator's
+// sort puts them. The zeros first appear after the 64-element sample that
+// validates the inferred codec, or inside it, which must not turn the keys
+// off.
+func TestKeyedFloatsMatchComparator(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	rng := rand.New(rand.NewSource(13))
+	for _, zerosFrom := range []int{64, 0} {
+		data := make([]float64, 20_000)
+		for i := range data {
+			data[i] = float64(rng.Intn(2000)-1000) / 8
+			if i >= zerosFrom && rng.Intn(4) == 0 {
+				data[i] = []float64{negZero, 0}[rng.Intn(2)]
+			}
+		}
+		for _, policy := range []string{"quick", "2wrs"} {
+			run := func(opts ...Option) ([]float64, Stats) {
+				opts = append([]Option{WithPolicy(policy), WithMemoryRecords(1000)}, opts...)
+				s, err := New(func(a, b float64) bool { return a < b }, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out, stats, err := s.SortSlice(context.Background(), data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return out, stats
+			}
+			keyed, kst := run()
+			comp, _ := run(WithoutKeys())
+			if !kst.Keyed {
+				t.Fatalf("zeros from %d, policy %s: the inferred float64 codec did not engage", zerosFrom, policy)
+			}
+			for i := range comp {
+				if math.Float64bits(keyed[i]) != math.Float64bits(comp[i]) {
+					t.Fatalf("zeros from %d, policy %s: diverge at %d: keyed %v vs comparator %v",
+						zerosFrom, policy, i, keyed[i], comp[i])
+				}
 			}
 		}
 	}

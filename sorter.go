@@ -105,8 +105,9 @@ func Int64KeyCodec() KeyCodec[int64] { return codec.KeyInt64{} }
 // Uint64KeyCodec orders uint64 elements ascending: big-endian.
 func Uint64KeyCodec() KeyCodec[uint64] { return codec.KeyUint64{} }
 
-// Float64KeyCodec orders float64 elements by `<`, refined to IEEE 754
-// totalOrder on ties: -NaN < -Inf < … < -0.0 < +0.0 < … < +Inf < +NaN.
+// Float64KeyCodec orders float64 elements by `<`: IEEE 754 totalOrder with
+// -0.0 keyed as +0.0, so the two tie as they do under `<`. NaN is out of
+// scope: `<` does not order it, and a sample holding one fails validation.
 func Float64KeyCodec() KeyCodec[float64] { return codec.KeyFloat64{} }
 
 // StringKeyCodec orders strings lexicographically: the key is the string.
@@ -310,7 +311,8 @@ func WithKey[T any](key func(T) float64) Option {
 // must hold exactly where the key bytes order strictly — so a comparator
 // that refines key ties passes it when the sampled keys are distinct;
 // past the sample, key ties under a codec that is not total go to the
-// comparator.
+// comparator. Within a batch the generator sorts (a quick load, 2WRS's
+// victim buffer), elements the comparator ties keep their input order.
 func WithKeyCodec[T any](kc KeyCodec[T]) Option {
 	return func(s *sorterConfig) error {
 		if kc == nil {
@@ -325,7 +327,8 @@ func WithKeyCodec[T any](kc KeyCodec[T]) Option {
 // WithoutKeys disables the keyed hot path even for element types whose key
 // codec New would infer: every comparison goes through the comparator. The
 // sorted output is byte-identical either way — this exists for ablation
-// measurements and as a hedge against a misbehaving codec.
+// measurements and as a hedge against a misbehaving codec. Batch sorts keep
+// comparator ties in input order here too, as keyed ones do.
 func WithoutKeys() Option {
 	return func(s *sorterConfig) error {
 		s.noKeys = true
