@@ -55,8 +55,7 @@ func (s *KeySorter[T]) Sort(vs []T) {
 		s.pairs = make([]keyed[T], len(vs))
 		s.scratch = make([]keyed[T], len(vs))
 	}
-	pairs, diff := s.pair(vs)
-	sorted, spare := s.radixSort(pairs, s.scratch[:len(vs)], diff)
+	sorted, spare := s.radixSort(s.pair(vs), s.scratch[:len(vs)])
 	if !s.exact {
 		for i := 1; i < len(sorted); i++ {
 			if sorted[i].k != sorted[i-1].k {
@@ -88,50 +87,37 @@ func (s *KeySorter[T]) orderTies(run, buf []keyed[T]) {
 }
 
 // pair fills the pair buffer with vs and their prefixes, in vs's order, one
-// bulk prefix call per chunk. diff has a bit set wherever two prefixes
-// differ.
-func (s *KeySorter[T]) pair(vs []T) (pairs []keyed[T], diff uint64) {
-	pairs = s.pairs[:len(vs)]
+// bulk prefix call per chunk.
+func (s *KeySorter[T]) pair(vs []T) []keyed[T] {
+	pairs := s.pairs[:len(vs)]
 	for lo := 0; lo < len(vs); lo += pfxChunk {
 		chunk := vs[lo:min(lo+pfxChunk, len(vs))]
 		keys := s.keys[:len(chunk)]
 		s.pfxAll(keys, chunk)
-		k0 := s.keys[0]
-		dst := pairs[lo : lo+len(chunk)]
 		for i, k := range keys {
-			diff |= k ^ k0
-			dst[i] = keyed[T]{k: k, v: chunk[i]}
-		}
-		if lo > 0 {
-			diff |= k0 ^ pairs[0].k
+			pairs[lo+i] = keyed[T]{k: k, v: chunk[i]}
 		}
 	}
-	return pairs, diff
+	return pairs
 }
 
 // radixSort orders pairs by prefix, stably, using scratch (as long as
 // pairs) for the scatters. It returns the sorted pairs and the other buffer:
-// pairs and scratch in either order. diff has a bit set wherever two
-// prefixes differ. A batch that fits lsdMax runs the LSD kernel whole. A
-// larger one takes one MSD pass on its top differing byte first, so that
-// each bucket the kernel then sorts stays in L2.
-func (s *KeySorter[T]) radixSort(pairs, scratch []keyed[T], diff uint64) (sorted, spare []keyed[T]) {
+// pairs and scratch in either order. A batch that fits lsdMax runs the LSD
+// kernel whole. A larger one takes one MSD pass on its top differing byte
+// first, so that each bucket the kernel then sorts stays in L2.
+func (s *KeySorter[T]) radixSort(pairs, scratch []keyed[T]) (sorted, spare []keyed[T]) {
 	if len(pairs) <= insertionMax {
 		insertionKeyed(pairs)
 		return pairs, scratch
 	}
-	if diff == 0 {
-		return pairs, scratch
-	}
-	if len(pairs) <= lsdMax {
+	diff := prefixDiff(pairs)
+	if len(pairs) <= lsdMax || diff == 0 {
 		return lsd(pairs, scratch, &s.count, diff)
 	}
 	d := (63 - bits.LeadingZeros64(diff)) / 8
 	top := &s.count[d]
-	*top = [256]uint32{}
-	for i := range pairs {
-		top[byte(pairs[i].k>>(8*d))]++
-	}
+	count(top, pairs, 8*uint(d))
 	sizes := *top
 	offsets(top)
 	scatter(pairs, scratch, top, 8*uint(d))
@@ -139,17 +125,13 @@ func (s *KeySorter[T]) radixSort(pairs, scratch []keyed[T], diff uint64) (sorted
 	for _, n := range sizes {
 		lo := hi
 		hi += int(n)
-		if n < 2 {
-			copy(pairs[lo:hi], scratch[lo:hi])
-			continue
-		}
 		bucket := scratch[lo:hi]
-		if len(bucket) <= insertionMax {
+		if n > insertionMax {
+			bucket, _ = lsd(bucket, pairs[lo:hi], &s.count, prefixDiff(bucket))
+		} else {
 			insertionKeyed(bucket)
-		} else if diff := prefixDiff(bucket); diff != 0 {
-			bucket, _ = lsd(bucket, pairs[lo:hi], &s.count, diff)
 		}
-		if &bucket[0] != &pairs[lo] {
+		if n > 0 && &bucket[0] != &pairs[lo] {
 			copy(pairs[lo:hi], bucket)
 		}
 	}
@@ -198,15 +180,10 @@ func prefixDiff[T any](a []keyed[T]) uint64 {
 // the other.
 func lsd[T any](a, b []keyed[T], c *byteCounts, mask uint64) (sorted, other []keyed[T]) {
 	for d := range c {
-		if byte(mask>>(8*d)) == 0 {
-			continue
+		if byte(mask>>(8*d)) != 0 {
+			count(&c[d], a, 8*uint(d))
+			offsets(&c[d])
 		}
-		row, shift := &c[d], 8*uint(d)
-		*row = [256]uint32{}
-		for i := range a {
-			row[byte(a[i].k>>shift)]++
-		}
-		offsets(row)
 	}
 	for d := range c {
 		if byte(mask>>(8*d)) != 0 {
@@ -215,6 +192,14 @@ func lsd[T any](a, b []keyed[T], c *byteCounts, mask uint64) (sorted, other []ke
 		}
 	}
 	return a, b
+}
+
+// count sets row to the counts of byte shift/8 of a's prefixes.
+func count[T any](row *[256]uint32, a []keyed[T], shift uint) {
+	*row = [256]uint32{}
+	for i := range a {
+		row[byte(a[i].k>>shift)]++
+	}
 }
 
 // offsets turns a row of byte counts into each byte value's first index.
