@@ -55,22 +55,55 @@ func (s *KeySorter[T]) Sort(vs []T) {
 		s.pairs = make([]keyed[T], len(vs))
 		s.scratch = make([]keyed[T], len(vs))
 	}
-	sorted, spare := s.radixSort(s.pair(vs), s.scratch[:len(vs)])
+	pairs, diff := s.pair(vs)
+	scratch := s.scratch[:len(vs)]
+	if len(vs) <= lsdMax || diff == 0 {
+		s.sortInto(vs, pairs, scratch, diff)
+		return
+	}
+	// One MSD pass on the top differing byte, into scratch. Each bucket is
+	// then sorted with the head of pairs as its scratch, which stays in
+	// cache from bucket to bucket, and written straight into vs.
+	d := (63 - bits.LeadingZeros64(diff)) / 8
+	top := &s.count[d]
+	count(top, pairs, 8*uint(d))
+	sizes := *top
+	offsets(top)
+	scatter(pairs, scratch, top, 8*uint(d))
+	hi := 0
+	for _, n := range sizes {
+		lo := hi
+		hi += int(n)
+		bucket := scratch[lo:hi]
+		s.sortInto(vs[lo:hi], bucket, pairs[:n], prefixDiff(bucket))
+	}
+}
+
+// sortInto sorts the pairs a by prefix, stably, using b (as long as a) as
+// scratch, orders each run of equal prefixes by the comparator unless equal
+// prefixes are equal elements, and writes the elements into vs in order.
+// diff has a bit set wherever two of a's prefixes differ.
+func (s *KeySorter[T]) sortInto(vs []T, a, b []keyed[T], diff uint64) {
+	if len(a) <= insertionMax {
+		insertionKeyed(a)
+	} else {
+		a, b = lsd(a, b, &s.count, diff)
+	}
 	if !s.exact {
-		for i := 1; i < len(sorted); i++ {
-			if sorted[i].k != sorted[i-1].k {
+		for i := 1; i < len(a); i++ {
+			if a[i].k != a[i-1].k {
 				continue
 			}
 			j := i + 1
-			for j < len(sorted) && sorted[j].k == sorted[i].k {
+			for j < len(a) && a[j].k == a[i].k {
 				j++
 			}
-			s.orderTies(sorted[i-1:j], spare[i-1:j])
+			s.orderTies(a[i-1:j], b[i-1:j])
 			i = j
 		}
 	}
-	for i := range sorted {
-		vs[i] = sorted[i].v
+	for i := range a {
+		vs[i] = a[i].v
 	}
 }
 
@@ -87,55 +120,24 @@ func (s *KeySorter[T]) orderTies(run, buf []keyed[T]) {
 }
 
 // pair fills the pair buffer with vs and their prefixes, in vs's order, one
-// bulk prefix call per chunk.
-func (s *KeySorter[T]) pair(vs []T) []keyed[T] {
-	pairs := s.pairs[:len(vs)]
+// bulk prefix call per chunk. diff has a bit set wherever two prefixes
+// differ.
+func (s *KeySorter[T]) pair(vs []T) (pairs []keyed[T], diff uint64) {
+	pairs = s.pairs[:len(vs)]
 	for lo := 0; lo < len(vs); lo += pfxChunk {
 		chunk := vs[lo:min(lo+pfxChunk, len(vs))]
 		keys := s.keys[:len(chunk)]
 		s.pfxAll(keys, chunk)
+		k0 := pairs[0].k
+		if lo == 0 {
+			k0 = keys[0]
+		}
 		for i, k := range keys {
+			diff |= k ^ k0
 			pairs[lo+i] = keyed[T]{k: k, v: chunk[i]}
 		}
 	}
-	return pairs
-}
-
-// radixSort orders pairs by prefix, stably, using scratch (as long as
-// pairs) for the scatters. It returns the sorted pairs and the other buffer:
-// pairs and scratch in either order. A batch that fits lsdMax runs the LSD
-// kernel whole. A larger one takes one MSD pass on its top differing byte
-// first, so that each bucket the kernel then sorts stays in L2.
-func (s *KeySorter[T]) radixSort(pairs, scratch []keyed[T]) (sorted, spare []keyed[T]) {
-	if len(pairs) <= insertionMax {
-		insertionKeyed(pairs)
-		return pairs, scratch
-	}
-	diff := prefixDiff(pairs)
-	if len(pairs) <= lsdMax || diff == 0 {
-		return lsd(pairs, scratch, &s.count, diff)
-	}
-	d := (63 - bits.LeadingZeros64(diff)) / 8
-	top := &s.count[d]
-	count(top, pairs, 8*uint(d))
-	sizes := *top
-	offsets(top)
-	scatter(pairs, scratch, top, 8*uint(d))
-	hi := 0
-	for _, n := range sizes {
-		lo := hi
-		hi += int(n)
-		bucket := scratch[lo:hi]
-		if n > insertionMax {
-			bucket, _ = lsd(bucket, pairs[lo:hi], &s.count, prefixDiff(bucket))
-		} else {
-			insertionKeyed(bucket)
-		}
-		if n > 0 && &bucket[0] != &pairs[lo] {
-			copy(pairs[lo:hi], bucket)
-		}
-	}
-	return pairs, scratch
+	return pairs, diff
 }
 
 // keyed pairs an element with its cached normalized-key prefix.
