@@ -59,9 +59,9 @@ type KeyCodec[T any] interface {
 	FixedKeySize() int
 	// TotalKey reports whether the key bytes determine the element entirely
 	// (key equality implies the elements are interchangeable byte-for-byte
-	// in storage). Order-insensitive rearrangement of ties — e.g. radix
-	// sorting a run batch, or merging without the comparator — is only
-	// output-identical for total keys.
+	// in storage). Order-insensitive rearrangement of ties — e.g. a batch
+	// sort that leaves its key ties unordered, or merging without the
+	// comparator — is only output-identical for total keys.
 	TotalKey() bool
 }
 
@@ -255,7 +255,7 @@ func Prefix(key []byte) uint64 {
 // fixed-width key of at most 8 bytes, under which equal prefixes are equal
 // keys and nothing has to look at the key bytes themselves. Everything that
 // chooses between "the cached word decides" and "the word, then the bytes or
-// the comparator" asks here: the merge tree and the batch sorter's radix
+// the comparator" asks here: the merge tree and the batch sorter's tie rule
 // (KeySorter).
 func PrefixIsKey[T any](kc KeyCodec[T]) bool {
 	fs := kc.FixedKeySize()

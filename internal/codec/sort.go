@@ -66,7 +66,7 @@ func (s *KeySorter[T]) Sort(vs []T) {
 	// cache from bucket to bucket, and written straight into vs.
 	d := (63 - bits.LeadingZeros64(diff)) / 8
 	top := &s.count[d]
-	count(top, pairs, 8*uint(d))
+	countByte(top, pairs, 8*uint(d))
 	sizes := *top
 	offsets(top)
 	scatter(pairs, scratch, top, 8*uint(d))
@@ -183,7 +183,7 @@ func prefixDiff[T any](a []keyed[T]) uint64 {
 func lsd[T any](a, b []keyed[T], c *byteCounts, mask uint64) (sorted, other []keyed[T]) {
 	for d := range c {
 		if byte(mask>>(8*d)) != 0 {
-			count(&c[d], a, 8*uint(d))
+			countByte(&c[d], a, 8*uint(d))
 			offsets(&c[d])
 		}
 	}
@@ -196,8 +196,8 @@ func lsd[T any](a, b []keyed[T], c *byteCounts, mask uint64) (sorted, other []ke
 	return a, b
 }
 
-// count sets row to the counts of byte shift/8 of a's prefixes.
-func count[T any](row *[256]uint32, a []keyed[T], shift uint) {
+// countByte sets row to the counts of byte shift/8 of a's prefixes.
+func countByte[T any](row *[256]uint32, a []keyed[T], shift uint) {
 	*row = [256]uint32{}
 	for i := range a {
 		row[byte(a[i].k>>shift)]++

@@ -13,10 +13,10 @@ import (
 // generators sort — the victim buffer at memory 2^14 (164) and 2^16 (655),
 // spill_merge's load (2^14), and loads of 2^16 and the default 2^20 — with
 // keys drawn from n × 1000 values, distinct (one from each thousand) and
-// repeated (multiples of 1000 below n × 1000, so about a third of the records
-// share a key), keyed by KeyRecord16
-// and comparator-only. Every iteration is held to the oracle, a stable sort
-// under the comparator, outside the timed region.
+// repeated (multiples of 1000 below n × 1000, so about a third of the
+// records share a key), keyed by KeyRecord16 and comparator-only. Every
+// iteration is held to the oracle, a stable sort under the comparator,
+// outside the timed region.
 func BenchmarkKeySorter(b *testing.B) {
 	for _, n := range []int{164, 655, 1 << 14, 1 << 16, 1 << 20} {
 		for _, keys := range []string{"distinct", "repeated"} {
@@ -29,10 +29,7 @@ func BenchmarkKeySorter(b *testing.B) {
 				}
 				in[i] = record.Record{Key: key, Aux: uint64(i)}
 			}
-			want := slices.Clone(in)
-			slices.SortStableFunc(want, func(x, y record.Record) int {
-				return cmpKey(x.Key, y.Key)
-			})
+			want := stableSorted(in, record.Less)
 			for _, mode := range []string{"keyed", "comparator"} {
 				var kc KeyCodec[record.Record]
 				if mode == "keyed" {
@@ -58,15 +55,4 @@ func BenchmarkKeySorter(b *testing.B) {
 			}
 		}
 	}
-}
-
-// cmpKey is a three-way comparison of two keys.
-func cmpKey(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
 }

@@ -65,8 +65,8 @@ type generator[T any] struct {
 	tSet, bSet bool
 	t, b       T
 
-	// Victim buffer state (§4.3). sort orders it ascending, into the
-	// permutation slices.SortFunc gives it under the comparator.
+	// Victim buffer state (§4.3). sort orders it ascending, stably under
+	// the comparator.
 	victim       []T
 	sort         *codec.KeySorter[T]
 	victimActive bool

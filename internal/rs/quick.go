@@ -10,12 +10,12 @@ import (
 )
 
 // QuickStepper is the Load-Sort-Store baseline (§2.1.1) one run at a time,
-// as memory-sized sorted batches: fill the memory budget, sort it with the
-// standard library's pattern-defeating quicksort — or by radix, where a key
-// codec allows (codec.KeySorter) — and store it as one run (the thesis
-// sorts with "any internal sort"). Run lengths are exactly the memory budget — half of
-// what replacement selection achieves on random input — but no heap is
-// touched: each element costs an amortised O(log M) comparison inside a
+// as memory-sized sorted batches: fill the memory budget, sort it stably —
+// by radix on key prefixes where a key codec allows, by merge sort under the
+// comparator otherwise (codec.KeySorter) — and store it as one run (the
+// thesis sorts with "any internal sort"). Run lengths are exactly the memory
+// budget — half of what replacement selection achieves on random input —
+// but no heap is touched: each element costs a few passes of a
 // cache-friendly array sort instead of a pointer-free but branch-heavy
 // heap walk, which makes it the cheapest generator per element. The
 // adaptive policy drops to it when run lengths have degenerated to the

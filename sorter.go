@@ -66,10 +66,10 @@ func Uint64Codec() Codec[uint64] { return codec.Uint64{} }
 func Float64Codec() Codec[float64] { return codec.Float64{} }
 
 // KeyCodec produces memcmp-ordered normalized key bytes for elements of
-// type T, enabling the comparator-free hot path: run batches sort on cached
-// key prefixes (pure radix when the key is total and at most 8 bytes) and
-// the merge compares cached key prefixes instead of calling the comparator
-// per match. The contract:
+// type T, enabling the comparator-free hot path: run batches radix sort on
+// cached key prefixes (with no comparator call when the key is total and at
+// most 8 bytes) and the merge compares cached key prefixes instead of
+// calling the comparator per match. The contract:
 //
 //	bytes.Compare(AppendKey(nil, a), AppendKey(nil, b)) < 0  ⟹  less(a, b)
 //
@@ -86,9 +86,9 @@ func Float64Codec() Codec[float64] { return codec.Float64{} }
 // AppendKey appends v's key bytes onto buf and returns the extended slice.
 // FixedKeySize returns the constant key length for fixed-width keys and 0
 // for variable-width ones. TotalKey reports whether the key bytes determine
-// the element entirely (required before key ties may be left to chance, as
-// radix sorting and a comparator-free merge do). See DESIGN.md §12 for the
-// encodings and fallback rules.
+// the element entirely (required before key ties may be left to chance: by
+// a comparator-free merge, or a batch sort that does not order its key
+// ties). See DESIGN.md §12 for the encodings and fallback rules.
 type KeyCodec[T any] interface {
 	AppendKey(buf []byte, v T) []byte
 	FixedKeySize() int
