@@ -173,6 +173,8 @@ func sumStream[T any](rc *runio.Reader[T], ops Ops[T]) (n int64, sum uint64, err
 // surfaces as os.ErrNotExist (the caller treats it as "the durable prefix
 // ends here"); present-but-mismatched data is manifest.ErrChecksum and
 // always fatal — committed files are complete, so a mismatch is corruption.
+// A block that fails its frame check is such a mismatch too: the error
+// matches manifest.ErrChecksum and the storage error both.
 func validateRunFiles[T any](store storage.Backend, mr manifest.Run, ops Ops[T]) error {
 	for _, ms := range mr.Segments {
 		if ms.Records == 0 {
@@ -183,6 +185,9 @@ func validateRunFiles[T any](store storage.Backend, mr manifest.Run, ops Ops[T])
 			return err
 		}
 		n, sum, err := sumStream(rc, ops)
+		if errors.Is(err, storage.ErrChecksum) || errors.Is(err, storage.ErrCorrupt) {
+			return fmt.Errorf("%w: run %d: %w", manifest.ErrChecksum, mr.Seq, err)
+		}
 		if err != nil {
 			return err
 		}

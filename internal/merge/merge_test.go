@@ -588,9 +588,9 @@ func TestMergeStopsPassOnFailure(t *testing.T) {
 // counts runs, a run's share of the budget is split among its pieces, and
 // four times the leaves cost no more buffer — as long as a piece's share is
 // still a page, the floor no reader goes under, which the second row's budget
-// allows for. (A framing backend reads a chain file through a window of one
-// framed page of its own beside the reader's buffer — under every backward
-// segment, overlap or not — so there the two chains of each run add a page.)
+// allows for. A framing backend holds to the same slack: its readers lend
+// blocks out of their windows, forward files and chains alike, so a piece
+// holds one buffer either way.
 // The derived rows merge at the width a budget of 2^14 Records feeds
 // (extsort.Config.MergeFanIn: 256 KiB at a 16 KiB block per input, 15),
 // where a lone operation gives each input one 16 KiB block and an overlap
@@ -619,9 +619,6 @@ func TestMergeHoldsToMemoryBudget(t *testing.T) {
 		for _, comp := range []string{"raw", "none"} {
 			name := row.name + "/" + comp
 			slack := workers * (fanIn*row.pieces + 1) * storage.FrameHeadroom
-			if comp != "raw" {
-				slack += workers * fanIn * (row.pieces / 2) * (runio.DefaultPageSize + storage.FrameHeadroom)
-			}
 			fs := vfs.NewMemFS()
 			st, err := storage.New(fs, storage.Config{Compression: comp})
 			if err != nil {

@@ -43,6 +43,10 @@ type Emitter[T any] struct {
 	// no per-element CRC is ever computed.
 	Checksums bool
 
+	// block is the size of the blocks of the last stream Stream opened,
+	// which Open tells the readers of runs.
+	block int
+
 	mu sync.Mutex
 	// open lists every stream the emitter opened that has not closed yet,
 	// whatever its layout: what AbortOpen force-closes on a failure path.
@@ -96,6 +100,7 @@ func BlockBytes(budget int) int {
 // operations: a file is complete when the stream's Close returns.
 func (e *Emitter[T]) Stream(role string, descending bool) (StreamWriter[T], error) {
 	name := e.Namer.Next(role)
+	e.block = BlockBytes(storage.PoolOf(e.Store).Budget())
 	if descending {
 		w, err := NewBackwardWriter(e.Store, name, e.PageSize, e.PagesPerFile, e.Codec, e.Less)
 		if err != nil {
@@ -104,7 +109,7 @@ func (e *Emitter[T]) Stream(role string, descending bool) (StreamWriter[T], erro
 		e.adopt(&w.streamBase)
 		return w, nil
 	}
-	return e.NewWriter(name, BlockBytes(storage.PoolOf(e.Store).Budget()))
+	return e.NewWriter(name, e.block)
 }
 
 // NewWriter creates a forward writer on the named file with an explicit
@@ -156,7 +161,12 @@ func (e *Emitter[T]) AbortOpen() {
 }
 
 // Open opens the run as its sorted pieces (OpenRun) on the emitter's store
-// with the emitter's codec.
+// with the emitter's codec, telling each the block size of the streams the
+// emitter writes.
 func (e *Emitter[T]) Open(r Run, bufBytes int) ([]*Reader[T], error) {
-	return OpenRun(e.Store, r, bufBytes, e.Codec)
+	pieces, err := OpenRun(e.Store, r, bufBytes, e.Codec)
+	for _, p := range pieces {
+		p.block = e.block
+	}
+	return pieces, err
 }

@@ -22,10 +22,11 @@ type spillFile struct {
 	// file starts a segment, where a partial element left over from the
 	// previous one is a truncated tail and is dropped.
 	joins bool
-	// seg and records, on the last file of a segment read as part of a run
-	// (OpenRun), are the segment's name and the number of records it holds:
-	// when the file is drained the reader must have yielded exactly that many
-	// since the segment began. records 0 checks nothing.
+	// seg is the name of the segment the file belongs to, and records, in
+	// a segment read as part of a run (OpenRun), the number of records it
+	// holds: when its last file (index 0) is drained the reader must have
+	// yielded exactly that many since the segment began. records 0 checks
+	// nothing.
 	seg     string
 	records int64
 }
@@ -82,6 +83,7 @@ type Reader[T any] struct {
 	src    storage.BlockReader // the open file; nil between files
 	lend   storage.BlockLender // src again, when it lends its blocks
 	size   int                 // bytes per read: the buffer budget
+	block  int                 // the block size of the run's writer, when known (Emitter.Open)
 	own    []byte              // the reader's buffer, from the pool, once it needs one
 	buf    []byte              // the bytes being decoded: a prefix of own, or a block on loan
 	pos    int                 // consumed bytes of buf
@@ -175,7 +177,11 @@ func (r *Reader[T]) ReadBatch(dst []T) (int, error) {
 // bytes are read behind it, into a larger buffer when one element outgrows
 // it. A drained file that ends a segment of known length must have brought
 // the segment to exactly that length. It is the only place the reader touches
-// storage.
+// storage. A lending file is asked for blocks of the larger of the buffer
+// budget and the writer's block size, which is what its window is made
+// for: every file of a run, forward (whose window must hold a whole block)
+// or chain, then takes a window of one size, which the pool hands back file
+// after file.
 func (r *Reader[T]) refill() error {
 	rest := r.buf[r.pos:]
 	r.buf, r.pos = rest, 0
@@ -187,13 +193,13 @@ func (r *Reader[T]) refill() error {
 			rest = r.buf
 		}
 		if len(rest) == 0 && r.lend != nil {
-			block, err := r.lend.NextBlock(r.size)
+			block, err := r.lend.NextBlock(max(r.size, r.block))
 			if err == nil {
 				r.buf = block
 				return nil
 			}
 			if err != io.EOF {
-				return err
+				return r.failed(r.cur, err)
 			}
 		} else {
 			if len(rest) >= len(r.own) {
@@ -208,7 +214,7 @@ func (r *Reader[T]) refill() error {
 			r.buf = rest
 			n, err := r.src.Read(r.own[len(rest):])
 			if err != nil && err != io.EOF {
-				return err
+				return r.failed(r.cur, err)
 			}
 			if n > 0 {
 				r.buf = r.own[:len(rest)+n]
@@ -218,9 +224,9 @@ func (r *Reader[T]) refill() error {
 		src := r.src
 		r.src, r.lend = nil, nil
 		if err := src.Close(); err != nil {
-			return err
+			return r.failed(r.cur, err)
 		}
-		if want := r.cur.records; want > 0 {
+		if want := r.cur.records; want > 0 && r.cur.index == 0 {
 			if r.got != want {
 				return fmt.Errorf("%w: runio: %s ended after %d of its %d records", storage.ErrCorrupt, r.cur.seg, r.got, want)
 			}
@@ -238,7 +244,7 @@ func (r *Reader[T]) openNext() error {
 	f := r.files[0]
 	src, err := f.open(r.st)
 	if err != nil {
-		return err
+		return r.failed(f, err)
 	}
 	r.files, r.cur, r.src = r.files[1:], f, src
 	r.lend, _ = src.(storage.BlockLender)
@@ -246,6 +252,15 @@ func (r *Reader[T]) openNext() error {
 		r.buf, r.pos = nil, 0
 	}
 	return nil
+}
+
+// failed says where in the run a storage error met reading file f struck:
+// the segment's name and the records it had yielded by then, of how many.
+func (r *Reader[T]) failed(f spillFile, err error) error {
+	if f.records > 0 {
+		return fmt.Errorf("runio: %s after %d of its %d records: %w", f.seg, r.got, f.records, err)
+	}
+	return fmt.Errorf("runio: %s after %d records: %w", f.seg, r.got, err)
 }
 
 // Close releases the open file, if any, and the reader's buffer.

@@ -44,13 +44,13 @@ func (s Segment) EachFile(visit func(name string, index int)) {
 // counted makes the reader hold the segment to its record count when the
 // last of them is drained.
 func (s Segment) appendFiles(dst []spillFile, counted bool) []spillFile {
-	first := len(dst)
-	s.EachFile(func(name string, i int) {
-		dst = append(dst, spillFile{name: name, paged: s.Backward, index: i, joins: s.Backward && i < s.Files-1})
-	})
-	if counted && len(dst) > first {
-		dst[len(dst)-1].seg, dst[len(dst)-1].records = s.Name, s.Records
+	var records int64
+	if counted {
+		records = s.Records
 	}
+	s.EachFile(func(name string, i int) {
+		dst = append(dst, spillFile{name: name, paged: s.Backward, index: i, joins: s.Backward && i < s.Files-1, seg: s.Name, records: records})
+	})
 	return dst
 }
 

@@ -496,7 +496,7 @@ func drainAtEveryLength[T comparable](t *testing.T, open func() ([]*Reader[T], e
 	want := drain(t, open, 1)
 	for _, batch := range []int{7, 256, 2048} {
 		got := drain(t, open, batch)
-		if !slices.Equal(got.elems, want.elems) || got.err != want.err || got.closeErr != want.closeErr {
+		if !slices.Equal(got.elems, want.elems) || fmt.Sprint(got.err) != fmt.Sprint(want.err) || got.closeErr != want.closeErr {
 			t.Fatalf("batch=%d: %d elements, then %v (close: %v); batches of one gave %d, then %v (close: %v)",
 				batch, len(got.elems), got.err, got.closeErr, len(want.elems), want.err, want.closeErr)
 		}
@@ -630,7 +630,7 @@ func TestReadBatchAtEveryLength(t *testing.T) {
 					return OpenRun(storage.NewRaw(fs), small, 7, codec.String{})
 				})
 				fired = fs.Calls(op.op) >= n
-				if fired != (got.err == faultfs.ErrInjected || got.closeErr == faultfs.ErrInjected) || fs.Handles() != 0 ||
+				if fired != (errors.Is(got.err, faultfs.ErrInjected) || got.closeErr == faultfs.ErrInjected) || fs.Handles() != 0 ||
 					!fired && got.err != io.EOF || len(got.elems) > len(smallAll) || !slices.Equal(got.elems, smallAll[:len(got.elems)]) {
 					t.Fatalf("concat=%v, %s %d: %d strings, then %v (close: %v), %d files open", concat, op.name, n, len(got.elems), got.err, got.closeErr, fs.Handles())
 				}

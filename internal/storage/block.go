@@ -221,7 +221,7 @@ func (b *blockBackend) CreatePaged(name string, pageSize, pages int) (PageWriter
 	if err != nil {
 		return nil, err
 	}
-	return &blockPageWriter{f: f, c: b.c, z: compressor{comp: b.comp, pool: b.pool}, slot: int64(frameSize + pageSize)}, nil
+	return &blockPageWriter{f: f, c: b.c, z: compressor{comp: b.comp, pool: b.pool}, pool: b.pool, slot: frameSize + pageSize}, nil
 }
 
 func (b *blockBackend) OpenPaged(name string) (PageReader, error) {
@@ -229,30 +229,17 @@ func (b *blockBackend) OpenPaged(name string) (PageReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &blockPageReader{blockSource: blockSource{f: f, c: b.c, pool: b.pool}}, nil
-}
-
-// writeBlock frames and checksums the payload p and writes frame and
-// payload at off in one call, returning the stored length. block is p with
-// its frame's room in front, or nil (see compressor.framed).
-func writeBlock(f vfs.File, z *compressor, c *counters, p, block []byte, off int64) (int, error) {
-	out, err := z.framed(p, block)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := f.WriteAt(out, off); err != nil {
-		return 0, err
-	}
-	c.wrote(1, int64(len(p)), int64(len(out)))
-	return len(out), nil
+	return &blockReader{blockSource: blockSource{f: f, c: b.c, pool: b.pool}, paged: true}, nil
 }
 
 // blockSource reads the blocks of one file front to back through a sliding
 // window: a pooled buffer holding the file's next bytes, refilled by one
-// ReadAt when the next block is not wholly in it. A window the size of a
-// block plus its frame therefore costs one read per block, a larger one
-// less, and nothing is read twice. Verified payloads are served in place,
-// out of the window (or out of the decompressor's buffer).
+// ReadAt when the next block is not wholly in it. The window is made once,
+// when the file's first block is read, for the caller's buffer or that
+// block, whichever is larger; every read fills as much of it as whole blocks
+// (or chain slots) allow, so a window the size of a block costs one read per
+// block, a larger one less, and nothing is read twice. Verified payloads are
+// served in place, out of the window (or out of the decompressor's buffer).
 type blockSource struct {
 	f    vfs.File
 	c    *counters
@@ -263,10 +250,13 @@ type blockSource struct {
 	hi   int
 	pos  int64
 	eof  bool // a read came back short: the file ends at win[hi]
-	// stored is the size of the last block met, frame included. Reads end
-	// on a multiple of it, so in a file of equal blocks none straddles two
-	// reads and nothing in the window ever has to move.
-	stored int
+	// unit is what reads are a whole number of when the window has room:
+	// a chain file's slot, or a forward stream's last block met, frame
+	// included, so that in a file of equal blocks none straddles two reads
+	// and nothing in the window ever has to move.
+	unit int
+	// slot is a chain file's slot size, set by Seek; 0 for a forward stream.
+	slot int
 }
 
 // seek moves the window's front to file offset off, keeping what it holds
@@ -280,18 +270,44 @@ func (s *blockSource) seek(off int64) {
 	s.pos = off
 }
 
+// open makes the window of a file whose first block is about to be read:
+// room for frameSize+sizeHint bytes or, in a forward stream whose first
+// frame says its block is larger, for that block, so that the window is
+// not made twice. The first frame is read on its own for that; the read
+// behind it carries on where it ends.
+func (s *blockSource) open(sizeHint int) error {
+	size := frameSize + sizeHint
+	var head [frameSize]byte
+	n := 0
+	if s.slot == 0 {
+		var err error
+		n, err = s.f.ReadAt(head[:], s.pos)
+		if err != nil && err != io.EOF {
+			return err
+		}
+		s.eof = err == io.EOF
+		s.c.storedR.Add(int64(n))
+		if fr, err := decodeFrame(head[:]); n == frameSize && err == nil {
+			size = max(size, frameSize+fr.compLen)
+		}
+	}
+	s.win = s.pool.Get(framePad + size)
+	s.lo, s.hi = framePad, framePad+copy(s.win[framePad:], head[:n])
+	return nil
+}
+
 // fill makes the window hold n bytes from its front, if the file has them,
-// and returns how many it holds. A window that has to be allocated or
-// replaced is made for size bytes (n if that is more). What the window
-// holds starts framePad bytes in, so that behind a frame there the payload
-// starts on a cache line.
-func (s *blockSource) fill(n, size int) (int, error) {
+// and returns how many it holds. A window too small for n — a block larger
+// than the first — is replaced by one of n bytes. What the window holds
+// starts framePad bytes in, so that behind a frame there the payload starts
+// on a cache line.
+func (s *blockSource) fill(n int) (int, error) {
 	have := s.hi - s.lo
 	if have >= n || s.eof {
 		return have, nil
 	}
 	if len(s.win) < framePad+n {
-		win := s.pool.Get(framePad + max(n, size))
+		win := s.pool.Get(framePad + n)
 		copy(win[framePad:], s.win[s.lo:s.hi])
 		s.pool.Put(s.win)
 		s.win = win
@@ -300,8 +316,8 @@ func (s *blockSource) fill(n, size int) (int, error) {
 	}
 	s.lo, s.hi = framePad, framePad+have
 	room := len(s.win) - framePad
-	if s.stored > 0 && room-room%s.stored >= n {
-		room -= room % s.stored
+	if s.unit > 0 && room-room%s.unit >= n {
+		room -= room % s.unit
 	}
 	got, err := s.f.ReadAt(s.win[s.hi:framePad+room], s.pos+int64(have))
 	s.hi += got
@@ -313,15 +329,20 @@ func (s *blockSource) fill(n, size int) (int, error) {
 }
 
 // next reads, verifies and inflates the block at the window's front and
-// moves past it. sizeHint is the payload size the caller expects — what a
-// window is sized for before the first frame says. It returns io.EOF at a
-// clean end of file. The payload is valid until the next call.
+// moves past it. sizeHint is the payload size the caller expects — what the
+// window is made for, unless the first block is larger. It returns io.EOF
+// at a clean end of file. The payload is valid until the next call.
 func (s *blockSource) next(sizeHint int) ([]byte, error) {
 	corrupt := func(err error) ([]byte, error) {
 		s.c.verifyFailures.Add(1)
 		return nil, err
 	}
-	n, err := s.fill(frameSize, frameSize+sizeHint)
+	if s.win == nil {
+		if err := s.open(sizeHint); err != nil {
+			return nil, err
+		}
+	}
+	n, err := s.fill(frameSize)
 	if err != nil {
 		return nil, err
 	}
@@ -336,8 +357,10 @@ func (s *blockSource) next(sizeHint int) ([]byte, error) {
 		return corrupt(err)
 	}
 	stored := frameSize + fr.compLen
-	s.stored = stored
-	if n, err = s.fill(stored, frameSize+max(sizeHint, fr.compLen)); err != nil {
+	if s.unit = s.slot; s.slot == 0 {
+		s.unit = stored
+	}
+	if n, err = s.fill(stored); err != nil {
 		return nil, err
 	}
 	if n < stored {
@@ -378,9 +401,16 @@ func (w *blockWriter) AppendInPlace(block []byte) error {
 }
 
 func (w *blockWriter) append(p, block []byte) error {
-	stored, err := writeBlock(w.f, &w.z, w.c, p, block, w.off)
-	w.off += int64(stored)
-	return err
+	out, err := w.z.framed(p, block)
+	if err != nil {
+		return err
+	}
+	if _, err := w.f.WriteAt(out, w.off); err != nil {
+		return err
+	}
+	w.c.wrote(1, int64(len(p)), int64(len(out)))
+	w.off += int64(len(out))
+	return nil
 }
 
 func (w *blockWriter) Close() error {
@@ -388,10 +418,17 @@ func (w *blockWriter) Close() error {
 	return w.f.Close()
 }
 
-// blockReader walks a frame concatenation, serving verified payloads.
+// blockReader serves verified block payloads: a forward stream's blocks in
+// order or, once Seek has positioned it, a chain file's slots from the
+// start page to the last. Either way it lends each payload out of its
+// window (BlockLender), and Read copies it out.
 type blockReader struct {
 	blockSource
 	payload []byte // the rest of the block Read is copying out
+	// A chain file's position: the next slot to read, the last, and how
+	// far into the first one the payload starts.
+	page, last, skip int
+	paged, seeked    bool
 }
 
 // NextBlock implements BlockLender.
@@ -401,11 +438,34 @@ func (r *blockReader) NextBlock(sizeHint int) ([]byte, error) {
 		return rest, nil
 	}
 	for {
-		raw, err := r.next(sizeHint)
+		raw, err := r.nextBlock(sizeHint)
 		if err != nil || len(raw) > 0 {
 			return raw, err
 		}
 	}
+}
+
+// nextBlock returns the payload of the next block or chain slot.
+func (r *blockReader) nextBlock(sizeHint int) ([]byte, error) {
+	if !r.paged {
+		return r.next(sizeHint)
+	}
+	if !r.seeked {
+		return nil, fmt.Errorf("storage: paged read before Seek")
+	}
+	if r.page > r.last {
+		return nil, io.EOF
+	}
+	r.seek(int64(r.page) * int64(r.slot))
+	// io.EOF here is a short physical file: it ends the chain file.
+	raw, err := r.next(sizeHint)
+	if err != nil {
+		return nil, err
+	}
+	r.page++
+	raw = raw[min(r.skip, len(raw)):]
+	r.skip = 0
+	return raw, nil
 }
 
 func (r *blockReader) Read(p []byte) (int, error) {
@@ -421,6 +481,27 @@ func (r *blockReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
+func (r *blockReader) ReadHeader(p []byte) error {
+	n, err := r.f.ReadAt(p, 0)
+	if err != nil && err != io.EOF {
+		return err
+	}
+	if n < len(p) {
+		return fmt.Errorf("%w: short header (%d of %d bytes)", ErrCorrupt, n, len(p))
+	}
+	r.c.read(int64(len(p)), int64(len(p)))
+	return nil
+}
+
+func (r *blockReader) Seek(startPage, startPos, pageSize, pages int) error {
+	r.slot = frameSize + pageSize
+	r.page = startPage
+	r.last = pages - 1
+	r.skip = startPos
+	r.seeked = true
+	return nil
+}
+
 // blockPageWriter gives page i the fixed slot [i*(frameSize+pageSize), …):
 // offsets stay computable for the tail-first write pattern while each slot
 // holds a frame plus at most pageSize of (possibly compressed) payload.
@@ -429,19 +510,41 @@ type blockPageWriter struct {
 	f    vfs.File
 	c    *counters
 	z    compressor
-	slot int64
+	pool *Pool
+	slot int
+	buf  []byte // a run of framed slots, stored with one write
 }
 
-// WritePage frames each page of the run in its own slot.
+// WritePage frames each page of the run into its slot of one buffer and
+// stores the slots with one write.
 func (w *blockPageWriter) WritePage(idx int, pages []byte) error {
-	size := int(w.slot) - frameSize
-	for ; len(pages) > 0; idx++ {
+	size := w.slot - frameSize
+	n := (len(pages) + size - 1) / size
+	if len(w.buf) < n*w.slot {
+		w.pool.Put(w.buf)
+		w.buf = w.pool.Get(n * w.slot)
+	}
+	end := 0
+	var raw, stored int64
+	for at := 0; len(pages) > 0; at += w.slot {
 		p := pages[:min(len(pages), size)]
-		if _, err := writeBlock(w.f, &w.z, w.c, p, nil, int64(idx)*w.slot); err != nil {
+		block := w.buf[at : at+frameSize+len(p)]
+		copy(block[frameSize:], p)
+		out, err := w.z.framed(block[frameSize:], block)
+		if err != nil {
 			return err
 		}
+		// A compressed page lands in front of its slot, zeros behind it.
+		k := copy(w.buf[at:at+w.slot], out)
+		clear(w.buf[at+k : at+w.slot])
+		end = at + k
+		raw, stored = raw+int64(len(p)), stored+int64(k)
 		pages = pages[len(p):]
 	}
+	if _, err := w.f.WriteAt(w.buf[:end], int64(idx)*int64(w.slot)); err != nil {
+		return err
+	}
+	w.c.wrote(int64(n), raw, stored)
 	return nil
 }
 
@@ -461,61 +564,7 @@ func (w *blockPageWriter) WriteHeader(hdr []byte) error {
 
 func (w *blockPageWriter) Close() error {
 	w.z.release()
+	w.pool.Put(w.buf)
+	w.buf = nil
 	return w.f.Close()
-}
-
-// blockPageReader streams slot payloads from the start page to the last.
-type blockPageReader struct {
-	blockSource
-	payload []byte
-	slot    int64
-	page    int // the next slot to read
-	last    int
-	skip    int
-	seeked  bool
-}
-
-func (r *blockPageReader) ReadHeader(p []byte) error {
-	n, err := r.f.ReadAt(p, 0)
-	if err != nil && err != io.EOF {
-		return err
-	}
-	if n < len(p) {
-		return fmt.Errorf("%w: short header (%d of %d bytes)", ErrCorrupt, n, len(p))
-	}
-	r.c.read(int64(len(p)), int64(len(p)))
-	return nil
-}
-
-func (r *blockPageReader) Seek(startPage, startPos, pageSize, pages int) error {
-	r.slot = int64(frameSize + pageSize)
-	r.page = startPage
-	r.last = pages - 1
-	r.skip = startPos
-	r.seeked = true
-	return nil
-}
-
-func (r *blockPageReader) Read(p []byte) (int, error) {
-	if !r.seeked {
-		return 0, fmt.Errorf("storage: paged read before Seek")
-	}
-	for len(r.payload) == 0 {
-		if r.page > r.last {
-			return 0, io.EOF
-		}
-		r.seek(int64(r.page) * r.slot)
-		raw, err := r.next(int(r.slot) - frameSize)
-		if err != nil {
-			// io.EOF is a short physical file: tolerate it like the raw
-			// layout and end the chain file here.
-			return 0, err
-		}
-		r.page++
-		r.payload = raw[min(r.skip, len(raw)):]
-		r.skip = 0
-	}
-	n := copy(p, r.payload)
-	r.payload = r.payload[n:]
-	return n, nil
 }

@@ -104,7 +104,7 @@ func TestBlockIsOneWriteAndOneRead(t *testing.T) {
 // three pages per WritePage — seven data pages, a partial tail and the
 // header — on every framing: the files are byte-identical and so is the
 // accounting, BlocksWritten counting pages either way; only the number of
-// calls differs, and on the raw layout a run of pages is one write.
+// calls differs, and on every framing a run of pages is one write.
 func TestPageRunCountsEveryPage(t *testing.T) {
 	const pageSize, pages = 128, 9
 	var data []byte
@@ -156,7 +156,7 @@ func TestPageRunCountsEveryPage(t *testing.T) {
 		if stats[0] != stats[1] || stats[0].BlocksWritten != 7+1+1 {
 			t.Fatalf("%s: page by page %+v, in runs %+v; want equal, 9 blocks written", comp, stats[0], stats[1])
 		}
-		if want := int64(1 + 3 + 1); comp == Raw && writes[1] != want {
+		if want := int64(1 + 3 + 1); writes[1] != want {
 			t.Fatalf("%s: %d writes in runs of pages, want %d", comp, writes[1], want)
 		}
 	}

@@ -226,8 +226,8 @@ type BlockReader interface {
 // region at the front of the file. Page index 0 is reserved for the header.
 type PageWriter interface {
 	// WritePage stores a run of whole pages at indices idx ≥ 1, idx+1, …:
-	// one page, or a block of them that the raw layout stores with one
-	// write. Each page counts as a block written either way.
+	// one page, or a block of them, stored with one write. Each page counts
+	// as a block written either way.
 	WritePage(idx int, pages []byte) error
 	// WriteTail stores the final, partial payload at index idx ≥ 1 and
 	// returns the in-page position an ascending reader must start at (the
