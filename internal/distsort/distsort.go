@@ -180,7 +180,7 @@ func shardedSort[T any](entry time.Time, sample []T, src stream.BatchReader[T], 
 			continue
 		}
 		if i == 0 {
-			st.Keyed, st.Policy = s.Keyed, s.Policy
+			st.Keyed, st.Policy, st.Storage = s.Keyed, s.Policy, s.Storage
 		}
 		st.Records += s.Records
 		st.Runs += s.Runs

@@ -211,9 +211,9 @@ type Config struct {
 	// them and refuses an input that regenerates a different run. Implies
 	// Manifest.
 	Resume bool
-	// Storage names the spill framing layered over fs, which is always
-	// CRC-framed blocks: its Compression may be "" or "none" and selects
-	// nothing. ROADMAP item 10 deletes the field.
+	// Storage selects the spill backend layered over fs: the zero value is
+	// the historical raw layout; a Compression name turns on checksummed
+	// block framing (optionally compressed).
 	Storage storage.Config
 	// Trace, when non-nil, records spans for the sort's phases, runs,
 	// merge operations and spill files; export them with the tracer's
@@ -325,9 +325,12 @@ type Stats struct {
 	MergePasses int
 	// MergeOps is the number of k-way merge operations (merge.Stats.Merges).
 	MergeOps int
-	// IO is the spill backend's byte-level accounting — payload versus
-	// stored bytes moved, block counts and checksum verification failures.
-	// It covers both phases once Merge returns.
+	// Storage describes the spill backend that ran (e.g. "raw",
+	// "block(flate)"); IO is its byte-level accounting — raw versus stored
+	// bytes moved, block counts and checksum verification failures. IO
+	// covers both phases once Merge returns.
+	Storage string
+	// IO is the spill backend's I/O accounting snapshot.
 	IO IOStats
 	// Elapsed is the end-to-end wall time of the entry point that produced
 	// these stats, including setup outside the phase loops — so it is
@@ -457,6 +460,7 @@ func newRunSet[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
 	if cfg.Manifest {
 		rset.manifestName = manifest.Name(cfg.Prefix)
 	}
+	rset.stats.Storage = store.String()
 	return rset, nil
 }
 
@@ -514,7 +518,7 @@ func (r *RunSet[T]) generate(src stream.BatchReader[T], recovered []manifest.Run
 		r.stats.RunsRecovered = n
 		o.observeRecovered(n)
 		// The replay writes nowhere.
-		em.Store, _ = storage.New(vfs.Discard{}, storage.Config{}) // the zero Config is always valid
+		em.Store = storage.NewRaw(vfs.Discard{})
 		storage.PoolOf(em.Store).Reserve(storage.PoolOf(r.store).Budget())
 	}
 	in := meterSource(o, src, skip)

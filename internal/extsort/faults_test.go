@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/record"
+	"repro/internal/storage"
 	"repro/internal/stream"
 	"repro/internal/vfs"
 	"repro/internal/vfs/faultfs"
@@ -89,51 +90,55 @@ func settledGoroutines(want int) int {
 
 // TestSortSurfacesEveryFileFault sweeps a failing create, block write and
 // close of a spill file across the whole sort, at Parallelism 1 and 2 — one
-// merge worker and a pool of them: the injected error is what Sort returns — a failure on a merge worker
+// merge worker and a pool of them — on the plain and the framed backend:
+// the injected error is what Sort returns — a failure on a merge worker
 // surfaces when the pass stops, never as success — no goroutine outlives
 // the failed sort, and no spill file does either: the arena is gone from
 // the file system, no extent left.
 func TestSortSurfacesEveryFileFault(t *testing.T) {
 	recs := gen.Generate(gen.Config{Kind: gen.Random, N: 12000, Seed: 3})
 	s := aboveArena(t)
-	for _, par := range []int{1, 2} {
-		for _, op := range []struct {
-			name string
-			op   faultfs.Op
-		}{{"create", faultfs.Create}, {"write", faultfs.Write}, {"close", faultfs.Close}} {
-			cfg := Recommended(300)
-			cfg.FanIn = 3 // several merge passes
-			cfg.Parallelism = par
-			// How many calls of op a clean sort makes, then every
-			// failure point up to it (every few, for writes).
-			s.arm = func(*faultfs.FS) {}
-			var out stream.SliceWriter[record.Record]
-			if _, err := Sort(stream.NewSliceReader(recs), &out, vfs.NewMemFS(), cfg, RecordOps()); err != nil {
-				t.Fatal(err)
-			}
-			calls := s.fs.Calls(op.op)
-			step := max(calls/40, 1)
-			if testing.Short() {
-				step = max(calls/8, 1)
-			}
-			before := runtime.NumGoroutine()
-			for budget := int64(0); budget < calls; budget += step {
-				name := fmt.Sprintf("parallelism=%d/%s=%d", par, op.name, budget)
-				mem := vfs.NewMemFS()
-				s.arm = func(fs *faultfs.FS) { fs.Fail(op.op, budget+1) }
+	for _, comp := range []string{"raw", "none"} {
+		for _, par := range []int{1, 2} {
+			for _, op := range []struct {
+				name string
+				op   faultfs.Op
+			}{{"create", faultfs.Create}, {"write", faultfs.Write}, {"close", faultfs.Close}} {
+				cfg := Recommended(300)
+				cfg.FanIn = 3 // several merge passes
+				cfg.Parallelism = par
+				cfg.Storage = storage.Config{Compression: comp}
+				// How many calls of op a clean sort makes, then every
+				// failure point up to it (every few, for writes).
+				s.arm = func(*faultfs.FS) {}
 				var out stream.SliceWriter[record.Record]
-				_, err := Sort(stream.NewSliceReader(recs), &out, mem, cfg, RecordOps())
-				if !errors.Is(err, faultfs.ErrInjected) {
-					t.Fatalf("%s: error = %v, want the injected failure", name, err)
+				if _, err := Sort(stream.NewSliceReader(recs), &out, vfs.NewMemFS(), cfg, RecordOps()); err != nil {
+					t.Fatal(err)
 				}
-				if names, _ := mem.Names(); len(names) != 0 {
-					t.Fatalf("%s: spill files left behind: %v", name, names)
+				calls := s.fs.Calls(op.op)
+				step := max(calls/40, 1)
+				if testing.Short() {
+					step = max(calls/8, 1)
 				}
-				if size := s.arena.Size(); size != 0 {
-					t.Fatalf("%s: the discarded arena still spans %d bytes", name, size)
-				}
-				if n := settledGoroutines(before); n > before {
-					t.Fatalf("%s: %d goroutines after the failed sort, %d before", name, n, before)
+				before := runtime.NumGoroutine()
+				for budget := int64(0); budget < calls; budget += step {
+					name := fmt.Sprintf("%s/parallelism=%d/%s=%d", comp, par, op.name, budget)
+					mem := vfs.NewMemFS()
+					s.arm = func(fs *faultfs.FS) { fs.Fail(op.op, budget+1) }
+					var out stream.SliceWriter[record.Record]
+					_, err := Sort(stream.NewSliceReader(recs), &out, mem, cfg, RecordOps())
+					if !errors.Is(err, faultfs.ErrInjected) {
+						t.Fatalf("%s: error = %v, want the injected failure", name, err)
+					}
+					if names, _ := mem.Names(); len(names) != 0 {
+						t.Fatalf("%s: spill files left behind: %v", name, names)
+					}
+					if size := s.arena.Size(); size != 0 {
+						t.Fatalf("%s: the discarded arena still spans %d bytes", name, size)
+					}
+					if n := settledGoroutines(before); n > before {
+						t.Fatalf("%s: %d goroutines after the failed sort, %d before", name, n, before)
+					}
 				}
 			}
 		}

@@ -22,32 +22,41 @@ import (
 )
 
 // runFileGolden is the SHA-256 of every spill file one generation pass
-// leaves behind — each name, length and content in name order — per policy
-// and input. It pins the layout itself, backward chains included. A change
-// to it is a change of the on-disk format.
+// leaves behind — each name, length and content in name order — per policy,
+// input and backend. It pins the layout itself, backward chains included. A
+// change to it is a change of the on-disk format.
 var runFileGolden = map[string]string{
-	"2wrs/mixed":              "df011d2fd5e18385447cec0a0eb6a61e5da7c06dec92654351b75936e2e987b5",
-	"rs/mixed":                "4930fcebdb4545e259d62d38e2c8423a6970a8d788ae158fb0cb29e1013ee145",
-	"alternating/mixed":       "7b239be76a74ff69e574f7485e76c22fc9e8ddb98a3f08c38c717f16f6e3a539",
-	"auto/mixed":              "df011d2fd5e18385447cec0a0eb6a61e5da7c06dec92654351b75936e2e987b5",
-	"2wrs/alternating":        "8278f0eda90aa2332cd07696bf2d13c1b88ba90110e89d0d958eb350bc454d4f",
-	"rs/alternating":          "edd8d13feed6080b83f483baf09e0b6f647c6e7b79d9d5670025720ce70c841d",
-	"alternating/alternating": "1acdfe470f044b7fcd36bd710c91cf61542d7e5a54caed420900cd20355bc827",
-	"auto/alternating":        "8278f0eda90aa2332cd07696bf2d13c1b88ba90110e89d0d958eb350bc454d4f",
+	"2wrs/mixed/raw":               "0a267207af6ef419887dc6d6901fd8f6a86febda8ac91a6f95cb782abe3568ac",
+	"rs/mixed/raw":                 "165e972193f6ec9973e8256843354ac161c0a96e5cf372c71f41249ab475c0d5",
+	"alternating/mixed/raw":        "30196d18e20ce6ffdea593f2a09e9e8d88b41f80653c3226077747e99034ad35",
+	"auto/mixed/raw":               "0a267207af6ef419887dc6d6901fd8f6a86febda8ac91a6f95cb782abe3568ac",
+	"2wrs/mixed/none":              "df011d2fd5e18385447cec0a0eb6a61e5da7c06dec92654351b75936e2e987b5",
+	"rs/mixed/none":                "4930fcebdb4545e259d62d38e2c8423a6970a8d788ae158fb0cb29e1013ee145",
+	"alternating/mixed/none":       "7b239be76a74ff69e574f7485e76c22fc9e8ddb98a3f08c38c717f16f6e3a539",
+	"auto/mixed/none":              "df011d2fd5e18385447cec0a0eb6a61e5da7c06dec92654351b75936e2e987b5",
+	"2wrs/alternating/raw":         "beda70288666f19c5dcfeaf7891b3a971f0b9d7985d64cf49b0377a18eddf536",
+	"rs/alternating/raw":           "f383f64cffdab4d6452678b472e9158feb37b5006ccda5fb4f49ebeb784b151d",
+	"alternating/alternating/raw":  "9f758c161abefdbd5168791fe3b63d45c84725a060a3fde28d3afc527e42872b",
+	"auto/alternating/raw":         "beda70288666f19c5dcfeaf7891b3a971f0b9d7985d64cf49b0377a18eddf536",
+	"2wrs/alternating/none":        "8278f0eda90aa2332cd07696bf2d13c1b88ba90110e89d0d958eb350bc454d4f",
+	"rs/alternating/none":          "edd8d13feed6080b83f483baf09e0b6f647c6e7b79d9d5670025720ce70c841d",
+	"alternating/alternating/none": "1acdfe470f044b7fcd36bd710c91cf61542d7e5a54caed420900cd20355bc827",
+	"auto/alternating/none":        "8278f0eda90aa2332cd07696bf2d13c1b88ba90110e89d0d958eb350bc454d4f",
 }
 
 // TestRunFileLayoutGolden generates runs with a fixed seed for every policy
 // that writes chains — 2wrs, rs, alternating and auto — on the mixed and the
-// alternating input, and holds the files to runFileGolden. Every configuration is generated four ways — with
+// alternating input, over the raw and the framed backend, and holds the
+// files to runFileGolden. Every configuration is generated four ways — with
 // and without a key codec, one file per spill file and in a spill arena,
 // each file read back through it by name — and all four must store the same
 // bytes (-short takes the arena leg keyed only). The pool budget makes a
 // generator's block four pages and a chain file has six data pages, so
 // chains roll over to their next file in the middle of a block.
 func TestRunFileLayoutGolden(t *testing.T) {
-	generate := func(recs []record.Record, alg policy.Kind, keyed, arena bool) (string, bool) {
+	generate := func(recs []record.Record, alg policy.Kind, comp string, keyed, arena bool) (string, bool) {
 		fs := spillLeg(arena)
-		st, err := storage.New(fs, storage.Config{})
+		st, err := storage.New(fs, storage.Config{Compression: comp})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,21 +93,23 @@ func TestRunFileLayoutGolden(t *testing.T) {
 	anyRolled := false
 	for _, kind := range []gen.Kind{gen.MixedBalanced, gen.Alternating} {
 		recs := gen.Generate(gen.Config{Kind: kind, N: 40000, Seed: 7, Noise: 100})
-		for _, alg := range []policy.Kind{policy.TwoWayRS, policy.RS, policy.Alternating, policy.Auto} {
-			name := fmt.Sprintf("%v/%v", alg, kind)
-			want, ok := runFileGolden[name]
-			for _, keyed := range []bool{false, true} {
-				for _, arena := range []bool{false, true} {
-					if arena && testing.Short() && !keyed {
-						continue // -short: the arena leg once per configuration
-					}
-					got, rolled := generate(recs, alg, keyed, arena)
-					anyRolled = anyRolled || rolled
-					if !ok {
-						t.Errorf("no golden for %s: %q: %q,", name, name, got)
-						want, ok = got, true
-					} else if got != want {
-						t.Errorf("%s (keyed %v, arena %v): run files hash to %s, want %s", name, keyed, arena, got, want)
+		for _, comp := range []string{"raw", "none"} {
+			for _, alg := range []policy.Kind{policy.TwoWayRS, policy.RS, policy.Alternating, policy.Auto} {
+				name := fmt.Sprintf("%v/%v/%s", alg, kind, comp)
+				want, ok := runFileGolden[name]
+				for _, keyed := range []bool{false, true} {
+					for _, arena := range []bool{false, true} {
+						if arena && testing.Short() && !keyed {
+							continue // -short: the arena leg once per configuration
+						}
+						got, rolled := generate(recs, alg, comp, keyed, arena)
+						anyRolled = anyRolled || rolled
+						if !ok {
+							t.Errorf("no golden for %s: %q: %q,", name, name, got)
+							want, ok = got, true
+						} else if got != want {
+							t.Errorf("%s (keyed %v, arena %v): run files hash to %s, want %s", name, keyed, arena, got, want)
+						}
 					}
 				}
 			}
@@ -114,30 +125,36 @@ func TestRunFileLayoutGolden(t *testing.T) {
 // files and the places the chain writer lays their bytes — and the start
 // page and position each header records — are pinned too.
 var stringFileGolden = map[string]string{
-	"2wrs/mixed":              "3d179a48333c16fbb1cdab82b9a14b4a7b6e90477d1a6ec4be66029bb4a32251",
-	"rs/mixed":                "f705b18897a5cba832bb488b302f2264ce7e36b54472e24e9b863b44fd0287a9",
-	"alternating/mixed":       "5765d86e02c65f008998b4bc537e5f7df50d6433cfcd21a86b49209d9247293f",
-	"auto/mixed":              "3d179a48333c16fbb1cdab82b9a14b4a7b6e90477d1a6ec4be66029bb4a32251",
-	"2wrs/alternating":        "8f8041785868740c3ea1b9bb32ff70bf746022ad117e33534cd4aa15d499f72c",
-	"rs/alternating":          "e68626f59241336f737fd269a677db0e98e0caf759bcb20f1e05d81903badf04",
-	"alternating/alternating": "2746164157d87506c367c1ecdf16bddd8d5a46c27d9cf43ff8504336fd23ae7e",
-	"auto/alternating":        "8f8041785868740c3ea1b9bb32ff70bf746022ad117e33534cd4aa15d499f72c",
+	"2wrs/mixed/raw":               "0b494aa244e8b53daa271059421b34507147ba457bb9041338ccbee5c30d918c",
+	"rs/mixed/raw":                 "ab0304a0f720f9e4c67a385342db546852e37bb59e695bf0017b9248fa49c939",
+	"alternating/mixed/raw":        "38cb2a88a28abb62b11130b99626f52a88537d105df59913e568a44fac54e390",
+	"auto/mixed/raw":               "0b494aa244e8b53daa271059421b34507147ba457bb9041338ccbee5c30d918c",
+	"2wrs/mixed/none":              "3d179a48333c16fbb1cdab82b9a14b4a7b6e90477d1a6ec4be66029bb4a32251",
+	"rs/mixed/none":                "f705b18897a5cba832bb488b302f2264ce7e36b54472e24e9b863b44fd0287a9",
+	"alternating/mixed/none":       "5765d86e02c65f008998b4bc537e5f7df50d6433cfcd21a86b49209d9247293f",
+	"auto/mixed/none":              "3d179a48333c16fbb1cdab82b9a14b4a7b6e90477d1a6ec4be66029bb4a32251",
+	"2wrs/alternating/raw":         "a5070b8285d20aecce52eb498c98557598cdda96589cba71ab3cdd29b62a9363",
+	"rs/alternating/raw":           "13862b6d512e975b9272d00535bdda2c12328ffbb8354eed5ab29e358df44151",
+	"alternating/alternating/raw":  "a0c65cb7047fe35a9b4ecd2dde8715316fc5fc9621fc08dc835d685e36ea04d2",
+	"auto/alternating/raw":         "a5070b8285d20aecce52eb498c98557598cdda96589cba71ab3cdd29b62a9363",
+	"2wrs/alternating/none":        "8f8041785868740c3ea1b9bb32ff70bf746022ad117e33534cd4aa15d499f72c",
+	"rs/alternating/none":          "e68626f59241336f737fd269a677db0e98e0caf759bcb20f1e05d81903badf04",
+	"alternating/alternating/none": "2746164157d87506c367c1ecdf16bddd8d5a46c27d9cf43ff8504336fd23ae7e",
+	"auto/alternating/none":        "8f8041785868740c3ea1b9bb32ff70bf746022ad117e33534cd4aa15d499f72c",
 }
 
 // stringComparatorGolden is stringFileGolden for the 2WRS cells of
 // TestStringRunFileLayoutGolden that pass no key projection, by input
-// heuristic, buffer setup and comparator. It was recorded on the unframed
-// layout and re-recorded once, when CRC-framed blocks became the only spill
-// format, to the hashes the framed backend of the commit before wrote.
+// heuristic, buffer setup and comparator.
 var stringComparatorGolden = map[string]string{
-	"2wrs/mean/both/full":      "952eb0551637df63c079dbf27ebabfeaa8436fda58db033295e5864a017e31dc",
-	"2wrs/mean/both/prefix":    "ae97483d7eb850420eb9b7068b5e5ae4205535906f38c61ecfa64c2201c7cd7d",
-	"2wrs/mean/input/full":     "4783b2962bd930bc4506ea7ae6f22ba62d9c631b7f67024667910aa07b5b5ab6",
-	"2wrs/mean/input/prefix":   "9c8e88abd5336f45432974a4a804c4c1fb664740b072953881e4840d83c78afc",
-	"2wrs/median/both/full":    "54ebb4834c9d6d1d418a81b01534e1e1e8023b68d4d01e922c94067173307b8b",
-	"2wrs/median/both/prefix":  "d289ab8386d7722dcbe96582929b72187a5cd705c7745294109d1eec8909cc2b",
-	"2wrs/median/input/full":   "da3c7c5c40c33e3b73dc2814d5608375cbde9ba6012870c6c688df08bd6b247b",
-	"2wrs/median/input/prefix": "dffaf7155b901b83e1602ab66786c759bd62b652a2606714462d6b3ce7f300e3",
+	"2wrs/mean/both/full":      "4ce7208010ae8fb640d68143d400b127b484c4b13a45fafd296cb5c051e25452",
+	"2wrs/mean/both/prefix":    "56d487b029663afe8597e212fa3df374cd6dc5f3d57cd957dda2aa91bff30e9c",
+	"2wrs/mean/input/full":     "94ad44e9c2c6d33e7e2b945dd9f21ea39d2af9297a2ca8989d1b62340a5150a4",
+	"2wrs/mean/input/prefix":   "71ca0cfafee5c1f66d68049a2a44419875c9d41ca33f5e52083e37c3b6569703",
+	"2wrs/median/both/full":    "d95350823c15eb412ad0a28958cefbcd3194736c40e6b4356aab5a03054c940f",
+	"2wrs/median/both/prefix":  "09b83577f2caae9e3e00bb1cc3ea75afb713fd45bfff5c8a3aaab7a687e8cd10",
+	"2wrs/median/input/full":   "d13d63aee7585db74adefbca23a0e2c7efff315463f48a0b3cbcc1fd74b92e49",
+	"2wrs/median/input/prefix": "02b254af20a224d5730f6c405dc22ba892b3e462523dd81d4850cc8657713f1a",
 }
 
 // spillLeg is the file system a layout golden generates into: a MemFS, or a
@@ -163,9 +180,9 @@ func TestStringRunFileLayoutGolden(t *testing.T) {
 		Setup: core.BothBuffers, BufferFrac: 0.02,
 		Input: core.InMean, Output: core.OutRandom, Seed: 11,
 	}
-	generate := func(strs []string, alg policy.Kind, keyed, arena bool, tw core.Config, less func(a, b string) bool, key func(string) float64) (string, bool) {
+	generate := func(strs []string, alg policy.Kind, comp string, keyed, arena bool, tw core.Config, less func(a, b string) bool, key func(string) float64) (string, bool) {
 		fs := spillLeg(arena)
-		st, err := storage.New(fs, storage.Config{})
+		st, err := storage.New(fs, storage.Config{Compression: comp})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,21 +220,23 @@ func TestStringRunFileLayoutGolden(t *testing.T) {
 		for i, r := range recs {
 			strs[i] = fmt.Sprintf("%020d", uint64(r.Key)^1<<63) + strings.Repeat("x", 2+int(r.Aux%29))
 		}
-		for _, alg := range []policy.Kind{policy.TwoWayRS, policy.RS, policy.Alternating, policy.Auto} {
-			name := fmt.Sprintf("%v/%v", alg, kind)
-			want, ok := stringFileGolden[name]
-			for _, keyed := range []bool{false, true} {
-				for _, arena := range []bool{false, true} {
-					if arena && testing.Short() && !keyed {
-						continue // -short: the arena leg once per configuration
-					}
-					got, rolled := generate(strs, alg, keyed, arena, defaults, less, key)
-					anyRolled = anyRolled || rolled
-					if !ok {
-						t.Errorf("no golden for %s: %q: %q,", name, name, got)
-						want, ok = got, true
-					} else if got != want {
-						t.Errorf("%s (keyed %v, arena %v): run files hash to %s, want %s", name, keyed, arena, got, want)
+		for _, comp := range []string{"raw", "none"} {
+			for _, alg := range []policy.Kind{policy.TwoWayRS, policy.RS, policy.Alternating, policy.Auto} {
+				name := fmt.Sprintf("%v/%v/%s", alg, kind, comp)
+				want, ok := stringFileGolden[name]
+				for _, keyed := range []bool{false, true} {
+					for _, arena := range []bool{false, true} {
+						if arena && testing.Short() && !keyed {
+							continue // -short: the arena leg once per configuration
+						}
+						got, rolled := generate(strs, alg, comp, keyed, arena, defaults, less, key)
+						anyRolled = anyRolled || rolled
+						if !ok {
+							t.Errorf("no golden for %s: %q: %q,", name, name, got)
+							want, ok = got, true
+						} else if got != want {
+							t.Errorf("%s (keyed %v, arena %v): run files hash to %s, want %s", name, keyed, arena, got, want)
+						}
 					}
 				}
 			}
@@ -257,7 +276,7 @@ func TestStringRunFileLayoutGolden(t *testing.T) {
 					if keyed && cmp == "prefix" {
 						continue // KeyString orders whole strings
 					}
-					got, _ := generate(strs, policy.TwoWayRS, keyed, false, tw, cl, nil)
+					got, _ := generate(strs, policy.TwoWayRS, "raw", keyed, false, tw, cl, nil)
 					if !ok {
 						t.Errorf("no golden for %s: %q: %q,", name, name, got)
 						want, ok = got, true

@@ -68,9 +68,9 @@ func newSortObs(cfg Config) *sortObs {
 	o.io = ioMetrics{
 		blocksW: m.Counter(obs.MSpillBlocksWritten, "Spill blocks written."),
 		blocksR: m.Counter(obs.MSpillBlocksRead, "Spill blocks read."),
-		rawW:    m.Counter(obs.MSpillRawBytes, "Payload bytes written to spill storage, frames not counted."),
+		rawW:    m.Counter(obs.MSpillRawBytes, "Pre-compression bytes written to spill storage."),
 		storedW: m.Counter(obs.MSpillStoredBytes, "On-storage bytes written to spill storage."),
-		rawR:    m.Counter(obs.MReadRawBytes, "Payload bytes read back from spill storage, frames not counted."),
+		rawR:    m.Counter(obs.MReadRawBytes, "Post-decompression bytes read back from spill storage."),
 		storedR: m.Counter(obs.MReadStoredBytes, "On-storage bytes read back from spill storage."),
 		verify:  m.Counter(obs.MSpillVerifyFailures, "Checksum verification failures on spill reads."),
 	}
@@ -88,7 +88,7 @@ func (o *sortObs) tracer() *obs.Tracer {
 // traceFiles returns fs with one span per file on the "spill" track:
 // "spill_write" from Create, "spill_read" from Open, each ended by the
 // file's Close with its name and the bytes moved through it. Those are the
-// bytes the backend stores and reads back, frames included,
+// bytes the backend stores and reads back, frames and compression included,
 // so a sort's spans sum to its Stats.IO stored bytes. A nil tracer returns
 // fs unchanged.
 func traceFiles(fs vfs.FS, tr *obs.Tracer) vfs.FS {

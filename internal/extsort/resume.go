@@ -35,10 +35,14 @@ import (
 // real from the last recovered boundary on — the uninterrupted sort's files
 // again.
 
-// framing is the spill framing a manifest header names: the one format.
-// A header that names another — "raw" or "flate", both retired — was
-// written by a build whose run files this one cannot read.
-const framing = "none"
+// compressionName returns the canonical spill framing name for the header.
+func compressionName(cfg Config) string {
+	comp, err := storage.ParseCompression(cfg.Storage.Compression)
+	if err != nil {
+		return cfg.Storage.Compression
+	}
+	return string(comp)
+}
 
 // generationFingerprint strings together every knob that shapes the
 // deterministic run sequence. Two invocations with equal fingerprints (and
@@ -60,7 +64,7 @@ func durableHeader[T any](cfg Config, ops Ops[T], em *runio.Emitter[T], keyed bo
 	h := manifest.Header{
 		Prefix:      cfg.Prefix,
 		Codec:       fmt.Sprintf("%T", ops.Codec),
-		Compression: framing,
+		Compression: compressionName(cfg),
 		Generation:  generationFingerprint(cfg, ops, em),
 	}
 	if keyed {
@@ -76,8 +80,8 @@ func checkHeader[T any](h manifest.Header, cfg Config, ops Ops[T], em *runio.Emi
 	if got := fmt.Sprintf("%T", ops.Codec); h.Codec != got {
 		return &manifest.MismatchError{Field: "codec", Want: h.Codec, Got: got}
 	}
-	if h.Compression != framing {
-		return &manifest.MismatchError{Field: "compression", Want: h.Compression, Got: framing}
+	if got := compressionName(cfg); h.Compression != got {
+		return &manifest.MismatchError{Field: "compression", Want: h.Compression, Got: got}
 	}
 	if got := generationFingerprint(cfg, ops, em); h.Generation != got {
 		return &manifest.MismatchError{Field: "generation", Want: h.Generation, Got: got}

@@ -22,6 +22,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/record"
 	"repro/internal/runio"
+	"repro/internal/storage"
 	"repro/internal/stream"
 	"repro/internal/vfs"
 	"repro/internal/vfs/faultfs"
@@ -329,15 +330,18 @@ func resumeAtEveryBoundary[T comparable](t *testing.T, recs []T, cfg Config, ops
 }
 
 // TestResumeCrashMatrix sweeps seeded crash points — including torn writes
-// — across codec widths and keyed/comparator modes, with the crash free to
-// land mid-run-file or mid-manifest-append. Every combination must resume
-// to output byte-identical to the uninterrupted sort. The matrix is drawn
-// twice: the draws are named for the two spill framings it was written
-// over, raw and block_flate, whose spans (crashSpans) label the kill
-// points. Both run the one framing there is now, each with its own kill
-// points.
+// — across storage backends, codec widths and keyed/comparator modes, with
+// the crash free to land mid-run-file or mid-manifest-append. Every
+// combination must resume to output byte-identical to the uninterrupted
+// sort.
 func TestResumeCrashMatrix(t *testing.T) {
-	draws := []string{"raw", "block_flate"}
+	backends := []struct {
+		name string
+		sc   storage.Config
+	}{
+		{"raw", storage.Config{}},
+		{"block_flate", storage.Config{Compression: "flate"}},
+	}
 	type runner func(t *testing.T, cfg Config, span int64)
 	modes := []struct {
 		name string
@@ -371,10 +375,12 @@ func TestResumeCrashMatrix(t *testing.T) {
 			crashMatrixCase(t, testStrings(700, 8), cfg, stringOps(), span)
 		}},
 	}
-	for _, draw := range draws {
+	for _, be := range backends {
 		for _, mode := range modes {
-			t.Run(draw+"/"+mode.name, func(t *testing.T) {
-				mode.run(t, durableCfg(48), crashSpans[draw+"/"+mode.name])
+			t.Run(be.name+"/"+mode.name, func(t *testing.T) {
+				cfg := durableCfg(48)
+				cfg.Storage = be.sc
+				mode.run(t, cfg, crashSpans[be.name+"/"+mode.name])
 			})
 		}
 	}
@@ -435,7 +441,7 @@ func crashRecycled(t *testing.T) {
 }
 
 // crashSpans is what an uninterrupted pass of each crash-matrix cell wrote
-// when the matrix was introduced, under the framing its draw is named for. It only names the subtests: a kill point
+// when the matrix was introduced. It only names the subtests: a kill point
 // is drawn as an offset into this span, which labels the subtest, and is
 // then scaled to the live write total, so the labels stay put when a
 // manifest record grows a field while the kills still cover the whole live
@@ -516,9 +522,10 @@ func crashMatrixCase[T comparable](t *testing.T, vals []T, cfg Config, ops Ops[T
 
 // partialState crashes a durable record sort at the given input position
 // and returns the surviving file system and config.
-func partialState(t *testing.T, recs []record.Record, failAt int64) (vfs.FS, Config) {
+func partialState(t *testing.T, recs []record.Record, failAt int64, sc storage.Config) (vfs.FS, Config) {
 	t.Helper()
 	cfg := durableCfg(64)
+	cfg.Storage = sc
 	fs := vfs.NewMemFS()
 	_, err := GenerateRuns[record.Record](&killedReader[record.Record]{vals: recs, failAt: failAt}, fs, cfg, RecordOps())
 	if !errors.Is(err, errSrcKilled) {
@@ -582,7 +589,7 @@ func TestResumeAfterCrashMidMerge(t *testing.T) {
 // intact prefix.
 func TestResumeTornManifestTail(t *testing.T) {
 	recs := testRecords(1200, 3)
-	fs, cfg := partialState(t, recs, 900)
+	fs, cfg := partialState(t, recs, 900, storage.Config{})
 	name := manifest.Name("sort")
 	f, err := fs.Open(name)
 	if err != nil {
@@ -629,7 +636,7 @@ func TestResumeTornManifestTail(t *testing.T) {
 // from corrupt data.
 func TestResumeCorruptRunData(t *testing.T) {
 	recs := testRecords(1200, 4)
-	fs, cfg := partialState(t, recs, 900)
+	fs, cfg := partialState(t, recs, 900, storage.Config{})
 	st, err := manifest.Load(fs, manifest.Name("sort"))
 	if err != nil {
 		t.Fatal(err)
@@ -790,13 +797,12 @@ func flipByte(t *testing.T, fs vfs.FS, name string) {
 	writeFile(t, fs, name, data)
 }
 
-// TestResumeConfigMismatch resumes a durable sort under a changed codec or
-// generation shape, or over a manifest that names a retired spill framing:
-// each must be refused with a typed manifest.ErrMismatch, never silently
-// combined with incompatible state.
+// TestResumeConfigMismatch resumes a durable sort under a changed codec,
+// compression or generation shape: each must be refused with a typed
+// manifest.ErrMismatch, never silently combined with incompatible state.
 func TestResumeConfigMismatch(t *testing.T) {
 	recs := testRecords(1200, 5)
-	fs, cfg := partialState(t, recs, 900)
+	fs, cfg := partialState(t, recs, 900, storage.Config{})
 
 	t.Run("codec", func(t *testing.T) {
 		_, err := Resume[string](stream.NewSliceReader([]string{"a"}), fs, cfg, stringOps())
@@ -806,13 +812,11 @@ func TestResumeConfigMismatch(t *testing.T) {
 		}
 	})
 	t.Run("compression", func(t *testing.T) {
-		// A manifest as a build whose default was the unframed raw layout
-		// left it: this build cannot read its run files.
-		rs, rcfg := partialState(t, recs, 900)
-		renameFraming(t, rs, "raw")
-		_, err := Resume[record.Record](stream.NewSliceReader(recs), rs, rcfg, RecordOps())
+		bad := cfg
+		bad.Storage.Compression = "flate"
+		_, err := Resume[record.Record](stream.NewSliceReader(recs), fs, bad, RecordOps())
 		var mm *manifest.MismatchError
-		if !errors.As(err, &mm) || mm.Field != "compression" || mm.Want != "raw" || mm.Got != "none" {
+		if !errors.As(err, &mm) || mm.Field != "compression" {
 			t.Fatalf("compression mismatch: %v", err)
 		}
 	})
@@ -829,45 +833,36 @@ func TestResumeConfigMismatch(t *testing.T) {
 	// select any more, so every resume is a compression mismatch. (Last:
 	// it rewrites the manifest the subtests above share.)
 	t.Run("retired gzip", func(t *testing.T) {
-		renameFraming(t, fs, "gzip")
-		_, err := Resume[record.Record](stream.NewSliceReader(recs), fs, cfg, RecordOps())
-		var mm *manifest.MismatchError
-		if !errors.As(err, &mm) || mm.Field != "compression" || mm.Want != "gzip" {
-			t.Fatalf("resume over a gzip manifest: %v", err)
+		name := manifest.Name("sort")
+		st, err := manifest.Load(fs, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Header.Compression = "gzip"
+		w, err := manifest.Rewrite(fs, name, st.Header, st.Runs)
+		if err == nil {
+			err = w.Close()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, comp := range storage.Compressions() {
+			now := cfg
+			now.Storage.Compression = comp
+			_, err := Resume[record.Record](stream.NewSliceReader(recs), fs, now, RecordOps())
+			var mm *manifest.MismatchError
+			if !errors.As(err, &mm) || mm.Field != "compression" || mm.Want != "gzip" {
+				t.Fatalf("resume under %q over a gzip manifest: %v", comp, err)
+			}
 		}
 	})
 }
 
-// renameFraming rewrites the manifest of the durable sort in fs to name
-// the spill framing comp, as a build that wrote comp left it.
-func renameFraming(t *testing.T, fs vfs.FS, comp string) {
-	t.Helper()
-	name := manifest.Name("sort")
-	st, err := manifest.Load(fs, name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.Header.Compression = comp
-	w, err := manifest.Rewrite(fs, name, st.Header, st.Runs)
-	if err == nil {
-		err = w.Close()
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // durableHeaderGolden is the manifest header a durable sort at
-// durableCfg(48) writes: "none" now, and "raw" and "block_flate" as the
-// builds that had those framings wrote it. The header is what Resume
-// checks a spill directory against, so a change to it strands every
-// directory a released version left behind: it may change only with the
-// manifest format, or with the spill format, as the retired framings did.
+// durableCfg(48) writes, per backend. The header is what Resume checks a
+// spill directory against, so a change to it strands every directory a
+// released version left behind: it may change only with the manifest format.
 var durableHeaderGolden = map[string]manifest.Header{
-	"none": {
-		Version: 4, Prefix: "sort", Codec: "codec.Record16", KeyCodec: "codec.KeyRecord16",
-		Compression: "none", Generation: durableGenerationGolden,
-	},
 	"raw": {
 		Version: 4, Prefix: "sort", Codec: "codec.Record16", KeyCodec: "codec.KeyRecord16",
 		Compression: "raw", Generation: durableGenerationGolden,
@@ -881,35 +876,17 @@ var durableHeaderGolden = map[string]manifest.Header{
 const durableGenerationGolden = "policy=2wrs memory=48 elem=16 page=4096 pages_per_file=4 " +
 	"twrs={Memory:48 Setup:both BufferFrac:0.02 Input:mean Output:random Seed:0}"
 
-// TestDurableHeaderGolden holds the header a durable sort writes to
-// durableHeaderGolden: compression, codecs and the generation fingerprint.
-// A spill directory whose header is the one a retired framing's build
-// wrote is refused on resume as a compression mismatch.
+// TestDurableHeaderGolden holds the header a durable sort writes on the raw
+// and the flate backend to durableHeaderGolden: compression, codecs and the
+// generation fingerprint.
 func TestDurableHeaderGolden(t *testing.T) {
-	for _, name := range []string{"none", "raw", "block_flate"} {
+	for name, sc := range map[string]storage.Config{"raw": {}, "block_flate": {Compression: "flate"}} {
 		t.Run(name, func(t *testing.T) {
-			cfg, want := durableCfg(48), durableHeaderGolden[name]
-			recs := testRecords(1200, 7)
-			if name == "none" {
-				_, st, _ := durableBaseline(t, recs, cfg, RecordOps())
-				if st.Header != want {
-					t.Errorf("manifest header\n got %#v\nwant %#v", st.Header, want)
-				}
-				return
-			}
-			fs := vfs.NewMemFS()
-			if _, err := GenerateRuns[record.Record](&killedReader[record.Record]{vals: recs, failAt: 900}, fs, cfg, RecordOps()); !errors.Is(err, errSrcKilled) {
-				t.Fatalf("partial pass: %v", err)
-			}
-			renameFraming(t, fs, want.Compression)
-			st, err := manifest.Load(fs, manifest.Name("sort"))
-			if err != nil || st.Header != want {
-				t.Fatalf("manifest header\n got %#v (%v)\nwant %#v", st.Header, err, want)
-			}
-			_, err = Resume[record.Record](stream.NewSliceReader(recs), fs, cfg, RecordOps())
-			var mm *manifest.MismatchError
-			if !errors.As(err, &mm) || mm.Field != "compression" || mm.Want != want.Compression {
-				t.Fatalf("resume over a %s header: %v, want a compression mismatch", name, err)
+			cfg := durableCfg(48)
+			cfg.Storage = sc
+			_, st, _ := durableBaseline(t, testRecords(1200, 7), cfg, RecordOps())
+			if st.Header != durableHeaderGolden[name] {
+				t.Errorf("manifest header\n got %#v\nwant %#v", st.Header, durableHeaderGolden[name])
 			}
 		})
 	}
@@ -940,25 +917,23 @@ func TestDurableRejectsUnstableConfigs(t *testing.T) {
 	}
 }
 
-// TestDurableDiscard exercises RunSet.Discard: after discarding a
-// completed durable sort — or a sort resumed from a crash — the backing
-// file system holds neither the manifest nor any spill file, and a second
-// Discard is a clean no-op. The two rows are named for the spill framings
-// the test was written over; both run the one framing there is now, at two
-// memory sizes and crash points.
+// TestDurableDiscard exercises RunSet.Discard across all storage backends:
+// after discarding a completed durable sort — or a sort resumed from a
+// crash — the backing file system holds neither the manifest nor any spill
+// file, and a second Discard is a clean no-op.
 func TestDurableDiscard(t *testing.T) {
-	rows := []struct {
-		name   string
-		memory int
-		failAt int64
+	backends := []struct {
+		name string
+		sc   storage.Config
 	}{
-		{"raw", 64, 900},
-		{"block_flate", 48, 600},
+		{"raw", storage.Config{}},
+		{"block_flate", storage.Config{Compression: "flate"}},
 	}
 	recs := testRecords(1200, 8)
-	for _, be := range rows {
+	for _, be := range backends {
 		t.Run(be.name+"/completed", func(t *testing.T) {
-			cfg := durableCfg(be.memory)
+			cfg := durableCfg(64)
+			cfg.Storage = be.sc
 			fs := vfs.NewMemFS()
 			rset, err := GenerateRuns[record.Record](stream.NewSliceReader(recs), fs, cfg, RecordOps())
 			if err != nil {
@@ -967,7 +942,7 @@ func TestDurableDiscard(t *testing.T) {
 			assertDiscardClean(t, rset, fs)
 		})
 		t.Run(be.name+"/resumed", func(t *testing.T) {
-			fs, cfg := partialState(t, recs, be.failAt)
+			fs, cfg := partialState(t, recs, 900, be.sc)
 			rset, err := Resume[record.Record](stream.NewSliceReader(recs), fs, cfg, RecordOps())
 			if err != nil {
 				t.Fatalf("Resume: %v", err)

@@ -4,22 +4,19 @@ import (
 	"errors"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/policy"
 	"repro/internal/record"
-	"repro/internal/runio"
 	"repro/internal/storage"
 	"repro/internal/stream"
 	"repro/internal/vfs"
-	"repro/internal/vfs/faultfs"
 )
 
 // dupHeavy folds keys to few distinct values and zeroes the payload: the
-// tie-heavy spill stream of the storage tests.
+// compressible spill stream of the storage benchmarks.
 func dupHeavy(n int) []record.Record {
 	recs := gen.Generate(gen.Config{Kind: gen.Random, N: n, Seed: 7})
 	for i := range recs {
@@ -35,20 +32,14 @@ func sortedCopy(recs []record.Record) []record.Record {
 	return out
 }
 
-// retiredFramings are the spill framings the library once had beside the
-// one it keeps: the unframed raw layout, the default until the CRC-framed
-// blocks were made as cheap, and the flate and gzip codecs. A test that
-// once ran under each keeps a subtest per name, which now checks that the
-// name is refused up front.
-var retiredFramings = map[string]bool{"raw": true, "flate": true, "gzip": true}
-
 // TestSortAcrossStorageBackends runs the full sort — 2WRS, so forward and
-// backward chain layouts both exercise the framing — and checks the
-// output, the accounting, and that no spill file survives. A retired
-// framing name is refused before a file is created.
+// backward chain layouts both exercise the framing — under every backend
+// and checks the output, the accounting, and that no spill file survives.
 func TestSortAcrossStorageBackends(t *testing.T) {
 	recs := dupHeavy(30000)
 	want := sortedCopy(recs)
+	// "gzip" was a backend until PR 22; the driver now refuses the name
+	// like any unknown one, before it creates a file.
 	for _, comp := range []string{"raw", "none", "flate", "gzip"} {
 		t.Run(comp, func(t *testing.T) {
 			fs := vfs.NewMemFS()
@@ -56,7 +47,7 @@ func TestSortAcrossStorageBackends(t *testing.T) {
 			cfg.Storage = storage.Config{Compression: comp}
 			var out stream.SliceWriter[record.Record]
 			stats, err := Sort(stream.NewSliceReader(recs), &out, fs, cfg, RecordOps())
-			if retiredFramings[comp] {
+			if comp == "gzip" {
 				if names, _ := fs.Names(); err == nil || len(names) != 0 {
 					t.Fatalf("retired compression: err = %v, files %v; want it refused up front", err, names)
 				}
@@ -79,11 +70,17 @@ func TestSortAcrossStorageBackends(t *testing.T) {
 			if stats.IO.RawBytesWritten == 0 || stats.IO.RawBytesRead == 0 {
 				t.Fatalf("no I/O accounted: %+v", stats.IO)
 			}
-			if stats.IO.StoredBytesWritten <= stats.IO.RawBytesWritten {
-				t.Fatalf("stored %d of %d payload bytes: the frames are missing", stats.IO.StoredBytesWritten, stats.IO.RawBytesWritten)
+			if comp == "flate" {
+				if stats.IO.StoredBytesWritten*2 > stats.IO.RawBytesWritten {
+					t.Fatalf("%s stored %d of %d raw bytes: expected >= 2x reduction on dup-heavy data",
+						comp, stats.IO.StoredBytesWritten, stats.IO.RawBytesWritten)
+				}
 			}
 			if names, _ := fs.Names(); len(names) != 0 {
 				t.Fatalf("spill files left behind: %v", names)
+			}
+			if !strings.Contains(stats.Storage, comp) && comp != "raw" {
+				t.Fatalf("Stats.Storage = %q, want mention of %q", stats.Storage, comp)
 			}
 		})
 	}
@@ -94,17 +91,16 @@ func TestSortAcrossStorageBackends(t *testing.T) {
 // produce silently wrong output.
 func TestCorruptSpillSurfacesChecksumError(t *testing.T) {
 	cases := []struct {
-		name string
-		off  int64 // the byte of a run file's first block to damage
-		poke func(byte) byte
+		name, comp string
+		off        int64 // the byte of a run file's first block to damage
+		poke       func(byte) byte
 	}{
 		// Past the frame header, well into the payload.
-		{"none", 20 + 16, func(b byte) byte { return b ^ 0xa5 }},
-		// Run files as the retired flate and gzip codecs left them: the
-		// frame's codec byte says 1 or 2, which names no payload codec any
-		// more.
-		{"flate", 4, func(byte) byte { return 1 }},
-		{"gzip", 4, func(byte) byte { return 2 }},
+		{"none", "none", 20 + 16, func(b byte) byte { return b ^ 0xa5 }},
+		{"flate", "flate", 20 + 16, func(b byte) byte { return b ^ 0xa5 }},
+		// A run file as the retired gzip framing left it: the frame's codec
+		// byte says 2, which names no payload codec any more.
+		{"gzip", "flate", 4, func(byte) byte { return 2 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -113,6 +109,7 @@ func TestCorruptSpillSurfacesChecksumError(t *testing.T) {
 			// Classic RS keeps every run in a single forward file, so any
 			// spill file is a plain block stream we can poke a byte into.
 			cfg.Policy = policy.RS
+			cfg.Storage.Compression = tc.comp
 			recs := dupHeavy(20000)
 			rset, err := GenerateRuns(stream.NewSliceReader(recs), fs, cfg, RecordOps())
 			if err != nil {
@@ -155,86 +152,6 @@ func TestCorruptSpillSurfacesChecksumError(t *testing.T) {
 	}
 }
 
-// spillSizes records the size of every spill file as the sort removes it.
-type spillSizes struct {
-	vfs.FS
-	mu    sync.Mutex
-	sizes map[string]int64
-}
-
-func (s *spillSizes) Remove(name string) error {
-	if f, err := s.FS.Open(name); err == nil {
-		size, _ := f.Size()
-		f.Close()
-		s.mu.Lock()
-		s.sizes[name] = size
-		s.mu.Unlock()
-	}
-	return s.FS.Remove(name)
-}
-
-// TestBitFlipFailsSort flips one bit of what a read of one spill file
-// returns — as a failing disk or bus would, the file itself intact — in a
-// plain sort at the defaults: in the frame and in the payload of a forward
-// run file's first block, and of a backward chain file's last page slot.
-// Each must fail the sort with a storage error, ErrChecksum or ErrCorrupt,
-// and leave no file behind; none may return output.
-func TestBitFlipFailsSort(t *testing.T) {
-	recs := testRecords(20000, 9)
-	cfg := Recommended(500)
-	defer func(v func(vfs.FS) vfs.FS) { spillView = v }(spillView)
-	clean := &spillSizes{sizes: map[string]int64{}}
-	spillView = func(fs vfs.FS) vfs.FS {
-		clean.FS = fs
-		return clean
-	}
-	var out stream.SliceWriter[record.Record]
-	if _, err := Sort(stream.NewSliceReader(recs), &out, vfs.NewMemFS(), cfg, RecordOps()); err != nil {
-		t.Fatal(err)
-	}
-	const frame = 20 // a block frame's bytes
-	slot := int64(frame + runio.DefaultPageSize)
-	var forward, chain string
-	for name, size := range clean.sizes {
-		if strings.HasSuffix(name, "-s3") && size > 2*frame && (forward == "" || name < forward) {
-			forward = name
-		}
-		if strings.HasSuffix(name, ".0") && (chain == "" || name < chain) {
-			chain = name
-		}
-	}
-	if forward == "" || chain == "" {
-		t.Fatalf("no forward run file or no chain file among %v", clean.sizes)
-	}
-	for _, tc := range []struct {
-		name, file string
-		byte       int64 // the byte whose bit 2 reads flipped
-	}{
-		{"forward/frame", forward, 0},
-		{"forward/payload", forward, frame + 5},
-		{"chain/frame", chain, (clean.sizes[chain] - 1) / slot * slot},
-		{"chain/payload", chain, clean.sizes[chain] - 1},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			spillView = func(fs vfs.FS) vfs.FS {
-				return faultfs.New(fs, faultfs.Options{FlipBit: tc.byte*8 + 2 + 1, Match: func(name string, _ int64) bool {
-					return name == tc.file
-				}})
-			}
-			fs := vfs.NewMemFS()
-			var out stream.SliceWriter[record.Record]
-			_, err := Sort(stream.NewSliceReader(recs), &out, fs, cfg, RecordOps())
-			if !errors.Is(err, storage.ErrChecksum) && !errors.Is(err, storage.ErrCorrupt) {
-				t.Fatalf("%s of %s flipped: Sort returned %v after %d of %d records, want a storage checksum or corruption error",
-					tc.name, tc.file, err, len(out.Vals), len(recs))
-			}
-			if names, _ := fs.Names(); len(names) != 0 {
-				t.Fatalf("files left behind: %v", names)
-			}
-		})
-	}
-}
-
 // failAfterReader yields records until its budget runs out, then fails,
 // simulating a source error (or cancellation) mid-generation.
 type failAfterReader struct {
@@ -252,32 +169,18 @@ func (r *failAfterReader) Read() (record.Record, error) {
 	return r.recs[r.n-1], nil
 }
 
-// refusedUpFront fails the test unless err refuses the retired framing
-// comp before anything reached fs.
-func refusedUpFront(t *testing.T, fs vfs.FS, comp string, err error) {
-	t.Helper()
-	if names, _ := fs.Names(); err == nil || !strings.Contains(err.Error(), comp) || len(names) != 0 {
-		t.Fatalf("retired framing %s: err = %v, files %v; want it refused up front", comp, err, names)
-	}
-}
-
 // TestNoSpillLeaksOnErrors drives both failure classes — a source error
-// mid-generation and a cancellation mid-merge — and requires that no spill
-// file survives the failed sort; under a retired framing name the sort
-// fails before it starts, leaving nothing either.
+// mid-generation and a cancellation mid-merge — under every backend and
+// requires that no spill file survives the failed sort.
 func TestNoSpillLeaksOnErrors(t *testing.T) {
 	recs := dupHeavy(20000)
-	for _, comp := range []string{"none", "raw", "flate"} {
+	for _, comp := range []string{"raw", "flate"} {
 		t.Run("midgen/"+comp, func(t *testing.T) {
 			fs := vfs.NewMemFS()
 			cfg := Recommended(300)
 			cfg.Storage = storage.Config{Compression: comp}
 			var out stream.SliceWriter[record.Record]
 			_, err := Sort(&failAfterReader{recs: recs}, &out, fs, cfg, RecordOps())
-			if retiredFramings[comp] {
-				refusedUpFront(t, fs, comp, err)
-				return
-			}
 			if !errors.Is(err, errMidStream) {
 				t.Fatalf("error = %v, want injected failure", err)
 			}
@@ -299,10 +202,6 @@ func TestNoSpillLeaksOnErrors(t *testing.T) {
 			}
 			var out stream.SliceWriter[record.Record]
 			_, err := Sort(stream.NewSliceReader(recs), &out, fs, cfg, RecordOps())
-			if retiredFramings[comp] {
-				refusedUpFront(t, fs, comp, err)
-				return
-			}
 			if !errors.Is(err, errMidStream) {
 				t.Fatalf("error = %v, want injected cancellation", err)
 			}
@@ -314,8 +213,7 @@ func TestNoSpillLeaksOnErrors(t *testing.T) {
 }
 
 // TestDiscardSweepsAllBackends generates runs (2WRS: forward files plus
-// backward chains) and checks Discard leaves nothing; a retired framing
-// name generates nothing to discard.
+// backward chains) on every backend and checks Discard leaves nothing.
 func TestDiscardSweepsAllBackends(t *testing.T) {
 	recs := dupHeavy(20000)
 	for _, comp := range []string{"raw", "none", "flate"} {
@@ -324,10 +222,6 @@ func TestDiscardSweepsAllBackends(t *testing.T) {
 			cfg := Recommended(300)
 			cfg.Storage = storage.Config{Compression: comp}
 			rset, err := GenerateRuns(stream.NewSliceReader(recs), fs, cfg, RecordOps())
-			if retiredFramings[comp] {
-				refusedUpFront(t, fs, comp, err)
-				return
-			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -349,6 +243,7 @@ func TestDiscardSweepsAllBackends(t *testing.T) {
 func TestStatsIOCoversBothPhases(t *testing.T) {
 	fs := vfs.NewMemFS()
 	cfg := Recommended(300)
+	cfg.Storage.Compression = "flate"
 	recs := dupHeavy(20000)
 	rset, err := GenerateRuns(stream.NewSliceReader(recs), fs, cfg, RecordOps())
 	if err != nil {
@@ -387,6 +282,7 @@ func TestDiscardSparesUnrelatedFiles(t *testing.T) {
 		f.Close()
 	}
 	cfg := Recommended(300)
+	cfg.Storage.Compression = "flate"
 	var out stream.SliceWriter[record.Record]
 	_, err := Sort(&failAfterReader{recs: dupHeavy(20000)}, &out, fs, cfg, RecordOps())
 	if !errors.Is(err, errMidStream) {

@@ -24,29 +24,26 @@ import (
 // position, so one different child pick, tie break or sift-up stop
 // anywhere shows up as a different byte in some run. A change to the
 // kernels must reproduce these; a change to a generator's policy
-// re-records them (the failure message prints the table). They were
-// re-recorded once when CRC-framed blocks became the only spill format,
-// to the hashes the framed backend of the commit before wrote for the same
-// runs.
+// re-records them (the failure message prints the table).
 var goldenRuns = map[string]uint64{
-	"2wrs/sorted":             0xd289df2b03daea69,
-	"2wrs/reverse":            0xd53d1e37617cc5f,
-	"2wrs/alternating":        0x68dcc940387034d7,
-	"2wrs/random":             0x78d8d2b5a80b76b5,
-	"2wrs/mixed":              0x2344d9e2da15e153,
-	"2wrs/imbalanced":         0x55f44f64f81f5836,
-	"rs/sorted":               0x6329849eb464bed7,
-	"rs/reverse":              0x73a0ccc332a897f7,
-	"rs/alternating":          0xfc6b774a9326f0cc,
-	"rs/random":               0x1f7e06bb4816703c,
-	"rs/mixed":                0x762c11d8e1a06643,
-	"rs/imbalanced":           0x479ec05b7eaaf299,
-	"alternating/sorted":      0x3d47bb3466821941,
-	"alternating/reverse":     0x7a39e558e0e1dac2,
-	"alternating/alternating": 0xb298cd997fad3ba4,
-	"alternating/random":      0x8c5cc8eddd8bfebd,
-	"alternating/mixed":       0xec978521c7845207,
-	"alternating/imbalanced":  0x2beb452006af4fec,
+	"2wrs/sorted":             0xd81ac426a0eda9dd,
+	"2wrs/reverse":            0xcfdef62e5b11bc26,
+	"2wrs/alternating":        0x386b4cccc2ada424,
+	"2wrs/random":             0x702f2fd4a7f5198c,
+	"2wrs/mixed":              0x7d2db68c2b53f759,
+	"2wrs/imbalanced":         0x83ae1e9dd83d4ee2,
+	"rs/sorted":               0x3fc708915954c58,
+	"rs/reverse":              0x274d46be1474e765,
+	"rs/alternating":          0xbb48bfc6492d8a52,
+	"rs/random":               0xed9b48edee83713f,
+	"rs/mixed":                0xb00b58d15d6a62ee,
+	"rs/imbalanced":           0x5d74eb55fcc0541b,
+	"alternating/sorted":      0xb40412ca61141936,
+	"alternating/reverse":     0xaa5719dc98d7f12a,
+	"alternating/alternating": 0xed6160168b8a22b2,
+	"alternating/random":      0xa0c3afa2ce5e5b0b,
+	"alternating/mixed":       0x57cc85a85d1d765,
+	"alternating/imbalanced":  0x50d8d610f711d635,
 }
 
 // hashRuns generates runs over the distribution twice — the thesis's

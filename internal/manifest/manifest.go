@@ -109,10 +109,8 @@ type Header struct {
 	// KeyCodec fingerprints the normalized-key codec, empty when the sort
 	// ran comparator-only. Informational: see the type comment.
 	KeyCodec string `json:"key_codec,omitempty"`
-	// Compression is the spill storage framing name, written as "none":
-	// CRC-framed blocks, the one format. A manifest that names another
-	// ("raw" or "flate", both retired) is refused on resume. ROADMAP item
-	// 10 deletes the field.
+	// Compression is the spill storage framing name ("raw", "none",
+	// "flate").
 	Compression string `json:"compression"`
 	// Generation fingerprints every knob that shapes the deterministic
 	// run sequence: policy, memory budget, page layout, 2WRS parameters.

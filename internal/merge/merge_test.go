@@ -588,9 +588,9 @@ func TestMergeStopsPassOnFailure(t *testing.T) {
 // counts runs, a run's share of the budget is split among its pieces, and
 // four times the leaves cost no more buffer — as long as a piece's share is
 // still a page, the floor no reader goes under, which the second row's budget
-// allows for. The slack is a frame's headroom per buffer: a reader lends
-// blocks out of its window, forward files and chains alike, so a piece
-// holds one buffer.
+// allows for. A framing backend holds to the same slack: its readers lend
+// blocks out of their windows, forward files and chains alike, so a piece
+// holds one buffer either way.
 // The derived rows merge at the width a budget of 2^14 Records feeds
 // (extsort.Config.MergeFanIn: 256 KiB at a 16 KiB block per input, 15),
 // where a lone operation gives each input one 16 KiB block and an overlap
@@ -616,35 +616,37 @@ func TestMergeHoldsToMemoryBudget(t *testing.T) {
 		{"derived/overlap/2", 4, 256 << 10, 15, 2, 50},
 	} {
 		fanIn, workers := row.fanIn, row.workers
-		name := row.name
-		slack := workers * (fanIn*row.pieces + 1) * storage.FrameHeadroom
-		fs := vfs.NewMemFS()
-		st, err := storage.New(fs, storage.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		em := runio.NewEmitterOn[record.Record](st, "m", codec.Record16{}, record.Less)
-		var runs []runio.Run
-		var all []record.Record
-		if row.pieces == 1 {
-			runs, all = makeRuns(t, fs, em, row.runs, 2000, 6)
-		} else {
-			runs, all = makeOverlapRuns(t, em, row.runs, 2000/row.pieces, 6)
-		}
-		written := storage.PoolOf(st).Peak()
-		var out stream.SliceWriter[record.Record]
-		if _, err := Merge(em, runs, &out, Config{FanIn: fanIn, MemoryBytes: row.memory, Workers: workers}); err != nil {
-			t.Fatal(err)
-		}
-		if !record.IsSorted(out.Vals) || !record.NewMultiset(out.Vals).Equal(record.NewMultiset(all)) {
-			t.Fatalf("%s: merge output wrong", name)
-		}
-		peak := storage.PoolOf(st).Peak()
-		if peak <= written {
-			t.Fatalf("%s: the merge took no block from the pool (peak %d after the runs were written, %d after the merge)", name, written, peak)
-		}
-		if peak > row.memory+slack {
-			t.Fatalf("%s: %d bytes of blocks out of the pool at once, over the budget of %d + %d", name, peak, row.memory, slack)
+		for _, comp := range []string{"raw", "none"} {
+			name := row.name + "/" + comp
+			slack := workers * (fanIn*row.pieces + 1) * storage.FrameHeadroom
+			fs := vfs.NewMemFS()
+			st, err := storage.New(fs, storage.Config{Compression: comp})
+			if err != nil {
+				t.Fatal(err)
+			}
+			em := runio.NewEmitterOn[record.Record](st, "m", codec.Record16{}, record.Less)
+			var runs []runio.Run
+			var all []record.Record
+			if row.pieces == 1 {
+				runs, all = makeRuns(t, fs, em, row.runs, 2000, 6)
+			} else {
+				runs, all = makeOverlapRuns(t, em, row.runs, 2000/row.pieces, 6)
+			}
+			written := storage.PoolOf(st).Peak()
+			var out stream.SliceWriter[record.Record]
+			if _, err := Merge(em, runs, &out, Config{FanIn: fanIn, MemoryBytes: row.memory, Workers: workers}); err != nil {
+				t.Fatal(err)
+			}
+			if !record.IsSorted(out.Vals) || !record.NewMultiset(out.Vals).Equal(record.NewMultiset(all)) {
+				t.Fatalf("%s: merge output wrong", name)
+			}
+			peak := storage.PoolOf(st).Peak()
+			if peak <= written {
+				t.Fatalf("%s: the merge took no block from the pool (peak %d after the runs were written, %d after the merge)", name, written, peak)
+			}
+			if peak > row.memory+slack {
+				t.Fatalf("%s: %d bytes of blocks out of the pool at once, over the budget of %d + %d", name, peak, row.memory, slack)
+			}
 		}
 	}
 }

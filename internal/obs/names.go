@@ -34,14 +34,14 @@ const (
 	// phase="generate"|"merge".
 	MPhaseSeconds = "extsort_phase_seconds"
 
-	// MSpillRawBytes counts payload bytes written to spill storage,
-	// frames not counted.
+	// MSpillRawBytes counts pre-compression bytes written to spill
+	// storage.
 	MSpillRawBytes = "extsort_spilled_raw_bytes_total"
 	// MSpillStoredBytes counts on-storage bytes written to spill
 	// storage.
 	MSpillStoredBytes = "extsort_spilled_stored_bytes_total"
-	// MReadRawBytes counts payload bytes read back from spill storage,
-	// frames not counted.
+	// MReadRawBytes counts post-decompression bytes read back from
+	// spill storage.
 	MReadRawBytes = "extsort_read_raw_bytes_total"
 	// MReadStoredBytes counts on-storage bytes read back from spill
 	// storage.

@@ -13,8 +13,9 @@ import (
 // create run files: the spill storage backend, a name allocator, the
 // element codec and comparator, and buffer/layout sizes.
 type Emitter[T any] struct {
-	// Store is the spill backend run files are written to and read from
-	// (see internal/storage).
+	// Store is the spill backend run files are written to and read from:
+	// the raw pass-through over a vfs.FS, or a framed backend with
+	// checksums and compression (see internal/storage).
 	Store storage.Backend
 	// Namer allocates unique file names.
 	Namer *Namer
@@ -52,11 +53,10 @@ type Emitter[T any] struct {
 	open map[*streamBase[T]]struct{}
 }
 
-// NewEmitter returns an Emitter with default sizes writing through a spill
-// backend of its own on fs.
+// NewEmitter returns an Emitter with default sizes writing through the raw
+// (historical, pass-through) backend on fs.
 func NewEmitter[T any](fs vfs.FS, prefix string, c codec.Codec[T], less func(a, b T) bool) *Emitter[T] {
-	st, _ := storage.New(fs, storage.Config{}) // the zero Config is always valid
-	return NewEmitterOn[T](st, prefix, c, less)
+	return NewEmitterOn[T](storage.NewRaw(fs), prefix, c, less)
 }
 
 // NewEmitterOn returns an Emitter with default sizes writing through the

@@ -60,9 +60,11 @@
 // Readers speak the batch protocol only (stream.BatchReader): everything
 // that reads a run reads it a batch at a time.
 //
-// Both layouts reach the file system through a storage.Backend, which
-// frames every block with a CRC32 checksum. runio deals in pages and chain
-// files; how those become bytes at rest is the backend's concern.
+// Both layouts reach the file system through a storage.Backend: the raw
+// backend reproduces the historical bytes exactly, while the block backend
+// adds per-block CRC32 checksums and optional compression. runio deals in
+// pages and chain files; how those become bytes at rest is the backend's
+// concern.
 //
 // Both write paths and the read path move blocks, not records. WriteBatch
 // and ReadBatch encode and decode a page of elements per call through the
@@ -128,9 +130,10 @@ func bufSize(bufBytes, fixed int) int {
 
 // Writer writes an ascending forward run block by block: encoded elements
 // fill a pooled block, and each full one becomes one block of the storage
-// backend's stream, a checksummed frame. The writer creates, appends to
-// and closes its file on its caller's goroutine, so the file is complete
-// when Close returns.
+// backend's stream (a plain byte range on the raw backend, a checksummed —
+// optionally compressed — frame on the block backend). The writer creates,
+// appends to and closes its file on its caller's goroutine, so the file is
+// complete when Close returns.
 type Writer[T any] struct {
 	streamBase[T]
 	f      storage.BlockWriter

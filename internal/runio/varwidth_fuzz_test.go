@@ -14,9 +14,9 @@ import (
 // FuzzVarWidthRoundTrip drives the length-prefixed variable-width codec
 // through both on-disk layouts with tiny pages (64 bytes; 3-page backward
 // chain files, i.e. one header plus two data pages), so fuzz-chosen element
-// lengths constantly straddle page and chain-file boundaries, so the
-// boundary-spanning streams also cross checksummed block frames and the
-// fixed-slot paged layout.
+// lengths constantly straddle page and chain-file boundaries — and through
+// every storage backend, so the same boundary-spanning streams also cross
+// checksummed, compressed block frames and the fixed-slot paged layout.
 // Each input byte contributes one element whose payload length is that
 // byte's value (0–255): a page can hold several elements, an element can
 // span several pages, and the chain can grow to many files. The property is
@@ -54,62 +54,64 @@ func FuzzVarWidthRoundTrip(f *testing.F) {
 			}
 		}
 
-		st, err := storage.New(vfs.NewMemFS(), storage.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		// Forward layout: ascending writes, ascending reads.
-		w, err := NewWriter(st, "f", 64, codec.Bytes{}, asc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, v := range vals {
-			if err := w.Write(v); err != nil {
+		for _, comp := range []string{"raw", "none", "flate"} {
+			st, err := storage.New(vfs.NewMemFS(), storage.Config{Compression: comp})
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		r, err := NewReader(st, "f", 64, codec.Bytes{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := stream.ReadAllCancel[[]byte](r, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Close()
-		check("forward", got)
 
-		// Backward layout: descending writes through the tail-first chain,
-		// ascending reads across the file transitions.
-		bw, err := NewBackwardWriter(st, "b", 64, 3, codec.Bytes{}, asc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := len(vals) - 1; i >= 0; i-- {
-			if err := bw.Write(vals[i]); err != nil {
+			// Forward layout: ascending writes, ascending reads.
+			w, err := NewWriter(st, "f", 64, codec.Bytes{}, asc)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		if err := bw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		br, err := NewBackwardReader(st, "b", bw.Files(), 64, codec.Bytes{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err = stream.ReadAllCancel[[]byte](br, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		br.Close()
-		check("backward", got)
+			for _, v := range vals {
+				if err := w.Write(v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			r, err := NewReader(st, "f", 64, codec.Bytes{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := stream.ReadAllCancel[[]byte](r, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Close()
+			check(comp+"/forward", got)
 
-		if vf := st.Stats().VerifyFailures; vf != 0 {
-			t.Fatalf("%d verify failures on clean round trip", vf)
+			// Backward layout: descending writes through the tail-first chain,
+			// ascending reads across the file transitions.
+			bw, err := NewBackwardWriter(st, "b", 64, 3, codec.Bytes{}, asc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := len(vals) - 1; i >= 0; i-- {
+				if err := bw.Write(vals[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := bw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			br, err := NewBackwardReader(st, "b", bw.Files(), 64, codec.Bytes{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err = stream.ReadAllCancel[[]byte](br, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			br.Close()
+			check(comp+"/backward", got)
+
+			if vf := st.Stats().VerifyFailures; vf != 0 {
+				t.Fatalf("%s: %d verify failures on clean round trip", comp, vf)
+			}
 		}
 	})
 }

@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -15,62 +17,182 @@ const blockMagic = 0x42535732
 // frameSize is the fixed length of a block frame header:
 //
 //	magic   uint32  frame marker
-//	codec   uint8   payload codec: 0, the payload as it is
+//	codec   uint8   payload codec of this block (stored, flate)
 //	_       [3]byte reserved, zero
-//	rawLen  uint32  payload length
-//	compLen uint32  payload length as stored: rawLen
-//	crc32   uint32  IEEE CRC of the payload
-//
-// The codec byte and the second length are what is left of the DEFLATE
-// codec this layout once carried; a frame that names another codec or
-// stores another length is corrupt.
+//	rawLen  uint32  payload length before compression
+//	compLen uint32  payload length as stored (== rawLen for stored blocks)
+//	crc32   uint32  IEEE CRC of the *uncompressed* payload
 const frameSize = 20
 
 // framePad is where a frame starts in FrameHeadroom spare bytes: it takes
 // the last frameSize of them, directly in front of the payload.
 const framePad = FrameHeadroom - frameSize
 
-// maxBlockLen bounds the payload length a frame may claim, so a corrupt
+// Per-block payload codec ids. A compressing backend falls back to
+// codecStored per block when compression would not shrink the payload, so
+// compLen never exceeds rawLen and incompressible data costs only the frame.
+const (
+	codecStored = 0
+	codecFlate  = 1
+)
+
+// maxBlockLen bounds the payload lengths a frame may claim, so a corrupt
 // frame cannot drive a giant allocation.
 const maxBlockLen = 1 << 30
 
-// encodeFrame stamps the frame of payload p into dst[:frameSize].
-func encodeFrame(dst, p []byte) {
+// frame is the decoded form of a block frame header.
+type frame struct {
+	codec   byte
+	rawLen  int
+	compLen int
+	crc     uint32
+}
+
+func encodeFrame(dst []byte, f frame) {
 	binary.LittleEndian.PutUint32(dst[0:4], blockMagic)
-	dst[4], dst[5], dst[6], dst[7] = 0, 0, 0, 0
-	binary.LittleEndian.PutUint32(dst[8:12], uint32(len(p)))
-	binary.LittleEndian.PutUint32(dst[12:16], uint32(len(p)))
-	binary.LittleEndian.PutUint32(dst[16:20], crc32.ChecksumIEEE(p))
+	dst[4] = f.codec
+	dst[5], dst[6], dst[7] = 0, 0, 0
+	binary.LittleEndian.PutUint32(dst[8:12], uint32(f.rawLen))
+	binary.LittleEndian.PutUint32(dst[12:16], uint32(f.compLen))
+	binary.LittleEndian.PutUint32(dst[16:20], f.crc)
 }
 
-// decodeFrame returns the payload length and CRC a frame states.
-func decodeFrame(src []byte) (n int, crc uint32, err error) {
+func decodeFrame(src []byte) (frame, error) {
 	if m := binary.LittleEndian.Uint32(src[0:4]); m != blockMagic {
-		return 0, 0, fmt.Errorf("%w: bad magic %#x", ErrCorrupt, m)
+		return frame{}, fmt.Errorf("%w: bad magic %#x", ErrCorrupt, m)
 	}
-	if src[4] != 0 {
-		return 0, 0, fmt.Errorf("%w: unknown payload codec %d", ErrCorrupt, src[4])
+	f := frame{
+		codec:   src[4],
+		rawLen:  int(binary.LittleEndian.Uint32(src[8:12])),
+		compLen: int(binary.LittleEndian.Uint32(src[12:16])),
+		crc:     binary.LittleEndian.Uint32(src[16:20]),
 	}
-	n = int(binary.LittleEndian.Uint32(src[8:12]))
-	if stored := int(binary.LittleEndian.Uint32(src[12:16])); n > maxBlockLen || stored != n {
-		return 0, 0, fmt.Errorf("%w: implausible lengths raw=%d stored=%d", ErrCorrupt, n, stored)
+	if f.codec > codecFlate {
+		return frame{}, fmt.Errorf("%w: unknown payload codec %d", ErrCorrupt, f.codec)
 	}
-	return n, binary.LittleEndian.Uint32(src[16:20]), nil
+	if f.rawLen < 0 || f.rawLen > maxBlockLen || f.compLen < 0 || f.compLen > f.rawLen {
+		return frame{}, fmt.Errorf("%w: implausible lengths raw=%d comp=%d", ErrCorrupt, f.rawLen, f.compLen)
+	}
+	if f.codec == codecStored && f.compLen != f.rawLen {
+		return frame{}, fmt.Errorf("%w: stored block with comp=%d != raw=%d", ErrCorrupt, f.compLen, f.rawLen)
+	}
+	return f, nil
 }
 
-// blockBackend stores every page in a self-describing, CRC32-checksummed
-// block. Forward streams are frame concatenations; paged files give every
-// page a fixed-size slot, so the tail-first write pattern of the backward
-// format keeps computable offsets. A forward block is one write — frame and
-// payload together — and a run of chain pages is one write too; a read
-// fills a window of the caller's buffer size (blockSource).
+// compressor turns payloads into stored blocks — frame and payload in one
+// contiguous buffer, so a block is one write — reusing one flate
+// encoder and its buffers across the blocks of a single writer.
+type compressor struct {
+	comp  Compression
+	pool  *Pool
+	buf   bytes.Buffer // frameSize spare bytes, then the compressed payload
+	plain []byte       // FrameHeadroom spare bytes, then a payload that came without them
+	fw    *flate.Writer
+}
+
+// compress encodes p per the backend's compression behind frameSize spare
+// bytes. It returns codecStored and nil when p is to be stored as it is:
+// no compression configured, or it would not shrink the payload. The
+// returned slice is only valid until the next call.
+func (c *compressor) compress(p []byte) (byte, []byte, error) {
+	if c.comp == None {
+		return codecStored, nil, nil
+	}
+	c.buf.Reset()
+	var spare [frameSize]byte
+	c.buf.Write(spare[:])
+	if c.fw == nil {
+		var err error
+		if c.fw, err = flate.NewWriter(&c.buf, flate.BestSpeed); err != nil {
+			return 0, nil, err
+		}
+	} else {
+		c.fw.Reset(&c.buf)
+	}
+	if _, err := c.fw.Write(p); err != nil {
+		return 0, nil, err
+	}
+	if err := c.fw.Close(); err != nil {
+		return 0, nil, err
+	}
+	if c.buf.Len()-frameSize >= len(p) {
+		return codecStored, nil, nil
+	}
+	return codecFlate, c.buf.Bytes(), nil
+}
+
+// framed returns what to store for the payload p: its frame and the stored
+// payload behind it, contiguous. block, when non-nil, is p with frameSize
+// spare bytes in front of it (the end of an InPlaceAppender's headroom), and
+// a payload stored as it is gets its frame stamped there; without it the
+// payload is copied behind a frame in the compressor's own block. The
+// result is only valid until the next call.
+func (c *compressor) framed(p, block []byte) ([]byte, error) {
+	codec, out, err := c.compress(p)
+	if err != nil {
+		return nil, err
+	}
+	if out == nil {
+		if block == nil {
+			if cap(c.plain) < FrameHeadroom+len(p) {
+				c.pool.Put(c.plain)
+				c.plain = c.pool.Get(FrameHeadroom + len(p))
+			}
+			block = c.plain[framePad : FrameHeadroom+len(p)]
+			copy(block[frameSize:], p)
+		}
+		out = block
+	}
+	encodeFrame(out, frame{codec: codec, rawLen: len(p), compLen: len(out) - frameSize, crc: crc32.ChecksumIEEE(p)})
+	return out, nil
+}
+
+// release returns the compressor's block to the pool when its writer closes.
+func (c *compressor) release() {
+	c.pool.Put(c.plain)
+	c.plain = nil
+}
+
+// decompressor inflates block payloads, reusing the decoder and the output
+// buffer across the blocks of a single reader.
+type decompressor struct {
+	fr  io.ReadCloser
+	out []byte
+}
+
+// decompress returns the raw payload of a block, valid until the next call.
+func (d *decompressor) decompress(f frame, comp []byte) ([]byte, error) {
+	if f.codec == codecStored {
+		return comp, nil
+	}
+	if cap(d.out) < f.rawLen {
+		d.out = make([]byte, f.rawLen)
+	}
+	d.out = d.out[:f.rawLen]
+	if d.fr == nil {
+		d.fr = flate.NewReader(bytes.NewReader(comp)).(io.ReadCloser)
+	} else if err := d.fr.(flate.Resetter).Reset(bytes.NewReader(comp), nil); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	if _, err := io.ReadFull(d.fr, d.out); err != nil {
+		return nil, fmt.Errorf("%w: payload inflates short: %v", ErrCorrupt, err)
+	}
+	return d.out, nil
+}
+
+// blockBackend frames every page in a self-describing, CRC32-checksummed
+// block, optionally compressed. Forward streams are frame concatenations;
+// paged files give every page a fixed-size slot so the tail-first write
+// pattern of the backward format keeps working with variable compressed
+// sizes. A block is one write — frame and payload together — and one read.
 type blockBackend struct {
 	fs   vfs.FS
+	comp Compression
 	c    *counters
 	pool *Pool
 }
 
-func (b *blockBackend) String() string { return "block" }
+func (b *blockBackend) String() string { return "block(" + string(b.comp) + ")" }
 
 func (b *blockBackend) Stats() IOStats { return b.c.snapshot() }
 
@@ -83,7 +205,7 @@ func (b *blockBackend) Create(name string) (BlockWriter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &blockWriter{f: f, c: b.c, pool: b.pool}, nil
+	return &blockWriter{f: f, c: b.c, z: compressor{comp: b.comp, pool: b.pool}}, nil
 }
 
 func (b *blockBackend) Open(name string) (BlockReader, error) {
@@ -99,7 +221,7 @@ func (b *blockBackend) CreatePaged(name string, pageSize, pages int) (PageWriter
 	if err != nil {
 		return nil, err
 	}
-	return &blockPageWriter{f: f, c: b.c, pool: b.pool, slot: frameSize + pageSize}, nil
+	return &blockPageWriter{f: f, c: b.c, z: compressor{comp: b.comp, pool: b.pool}, pool: b.pool, slot: frameSize + pageSize}, nil
 }
 
 func (b *blockBackend) OpenPaged(name string) (PageReader, error) {
@@ -114,23 +236,25 @@ func (b *blockBackend) OpenPaged(name string) (PageReader, error) {
 // window: a pooled buffer holding the file's next bytes, refilled by one
 // ReadAt when the next block is not wholly in it. The window is made once,
 // when the file's first block is read, for the caller's buffer or that
-// block, whichever is larger, and every read fills it: nothing is read
-// twice, and a read brings as many whole blocks as the window holds — one
-// a read when the blocks are larger than the caller's buffer. (An unframed
-// layout read through the same buffer brings the buffer's worth of bytes a
-// read, whole pages or not; a window that must hold whole blocks to verify
-// them brings that many only when the buffer is a whole number of blocks
-// and their frames.) Verified payloads are served in place, out of the
-// window.
+// block, whichever is larger; every read fills as much of it as whole blocks
+// (or chain slots) allow, so a window the size of a block costs one read per
+// block, a larger one less, and nothing is read twice. Verified payloads are
+// served in place, out of the window (or out of the decompressor's buffer).
 type blockSource struct {
 	f    vfs.File
 	c    *counters
 	pool *Pool
+	z    decompressor
 	win  []byte // win[lo:hi] holds the file's bytes from offset pos on
 	lo   int
 	hi   int
 	pos  int64
 	eof  bool // a read came back short: the file ends at win[hi]
+	// unit is what reads are a whole number of when the window has room:
+	// a chain file's slot, or a forward stream's last block met, frame
+	// included, so that in a file of equal blocks none straddles two reads
+	// and nothing in the window ever has to move.
+	unit int
 	// slot is a chain file's slot size, set by Seek; 0 for a forward stream.
 	slot int
 }
@@ -163,8 +287,8 @@ func (s *blockSource) open(sizeHint int) error {
 		}
 		s.eof = err == io.EOF
 		s.c.storedR.Add(int64(n))
-		if first, _, err := decodeFrame(head[:]); n == frameSize && err == nil {
-			size = max(size, frameSize+first)
+		if fr, err := decodeFrame(head[:]); n == frameSize && err == nil {
+			size = max(size, frameSize+fr.compLen)
 		}
 	}
 	s.win = s.pool.Get(framePad + size)
@@ -173,11 +297,10 @@ func (s *blockSource) open(sizeHint int) error {
 }
 
 // fill makes the window hold n bytes from its front, if the file has them,
-// and returns how many it holds: what it holds moves to the front, and one
-// read fills the rest. A window too small for n — a block larger than the
-// first — is replaced by one of n bytes. What the window holds starts
-// framePad bytes in, so that behind a frame there the payload starts on a
-// cache line.
+// and returns how many it holds. A window too small for n — a block larger
+// than the first — is replaced by one of n bytes. What the window holds
+// starts framePad bytes in, so that behind a frame there the payload starts
+// on a cache line.
 func (s *blockSource) fill(n int) (int, error) {
 	have := s.hi - s.lo
 	if have >= n || s.eof {
@@ -192,7 +315,11 @@ func (s *blockSource) fill(n int) (int, error) {
 		copy(s.win[framePad:], s.win[s.lo:s.hi])
 	}
 	s.lo, s.hi = framePad, framePad+have
-	got, err := s.f.ReadAt(s.win[s.hi:], s.pos+int64(have))
+	room := len(s.win) - framePad
+	if s.unit > 0 && room-room%s.unit >= n {
+		room -= room % s.unit
+	}
+	got, err := s.f.ReadAt(s.win[s.hi:framePad+room], s.pos+int64(have))
 	s.hi += got
 	s.c.storedR.Add(int64(got))
 	if err == io.EOF {
@@ -201,10 +328,10 @@ func (s *blockSource) fill(n int) (int, error) {
 	return s.hi - s.lo, err
 }
 
-// next reads and verifies the block at the window's front and moves past
-// it. sizeHint is the payload size the caller expects — what the window is
-// made for, unless the first block is larger. It returns io.EOF at a clean
-// end of file. The payload is valid until the next call.
+// next reads, verifies and inflates the block at the window's front and
+// moves past it. sizeHint is the payload size the caller expects — what the
+// window is made for, unless the first block is larger. It returns io.EOF
+// at a clean end of file. The payload is valid until the next call.
 func (s *blockSource) next(sizeHint int) ([]byte, error) {
 	corrupt := func(err error) ([]byte, error) {
 		s.c.verifyFailures.Add(1)
@@ -225,24 +352,30 @@ func (s *blockSource) next(sizeHint int) ([]byte, error) {
 	if n < frameSize {
 		return corrupt(fmt.Errorf("%w: truncated frame (%d of %d bytes)", ErrCorrupt, n, frameSize))
 	}
-	size, crc, err := decodeFrame(s.win[s.lo:])
+	fr, err := decodeFrame(s.win[s.lo:])
 	if err != nil {
 		return corrupt(err)
 	}
-	stored := frameSize + size
+	stored := frameSize + fr.compLen
+	if s.unit = s.slot; s.slot == 0 {
+		s.unit = stored
+	}
 	if n, err = s.fill(stored); err != nil {
 		return nil, err
 	}
 	if n < stored {
-		return corrupt(fmt.Errorf("%w: truncated payload (%d of %d bytes)", ErrCorrupt, n-frameSize, size))
+		return corrupt(fmt.Errorf("%w: truncated payload (%d of %d bytes)", ErrCorrupt, n-frameSize, fr.compLen))
 	}
-	payload := s.win[s.lo+frameSize : s.lo+stored]
-	if got := crc32.ChecksumIEEE(payload); got != crc {
-		return corrupt(fmt.Errorf("%w: crc %#x, frame says %#x", ErrChecksum, got, crc))
+	raw, err := s.z.decompress(fr, s.win[s.lo+frameSize:s.lo+stored])
+	if err != nil {
+		return corrupt(err)
+	}
+	if got := crc32.ChecksumIEEE(raw); got != fr.crc {
+		return corrupt(fmt.Errorf("%w: crc %#x, frame says %#x", ErrChecksum, got, fr.crc))
 	}
 	s.seek(s.pos + int64(stored))
-	s.c.read(int64(size), 0) // fill counted the stored bytes as it read them
-	return payload, nil
+	s.c.read(int64(fr.rawLen), 0) // fill counted the stored bytes as it read them
+	return raw, nil
 }
 
 // Close returns the window to the pool and closes the file.
@@ -254,28 +387,24 @@ func (s *blockSource) Close() error {
 
 // blockWriter appends framed blocks back to back.
 type blockWriter struct {
-	f     vfs.File
-	c     *counters
-	pool  *Pool
-	plain []byte // FrameHeadroom spare bytes, then a payload that came without them
-	off   int64
+	f   vfs.File
+	c   *counters
+	z   compressor
+	off int64
 }
 
-// Append copies p behind a frame in the writer's own block and stores both.
-func (w *blockWriter) Append(p []byte) error {
-	if len(w.plain) < FrameHeadroom+len(p) {
-		w.pool.Put(w.plain)
-		w.plain = w.pool.Get(FrameHeadroom + len(p))
-	}
-	copy(w.plain[FrameHeadroom:], p)
-	return w.AppendInPlace(w.plain[:FrameHeadroom+len(p)])
-}
+func (w *blockWriter) Append(p []byte) error { return w.append(p, nil) }
 
-// AppendInPlace implements InPlaceAppender: the frame goes at the end of
-// the headroom, and frame and payload are one write.
+// AppendInPlace implements InPlaceAppender.
 func (w *blockWriter) AppendInPlace(block []byte) error {
-	p, out := block[FrameHeadroom:], block[framePad:]
-	encodeFrame(out, p)
+	return w.append(block[FrameHeadroom:], block[framePad:])
+}
+
+func (w *blockWriter) append(p, block []byte) error {
+	out, err := w.z.framed(p, block)
+	if err != nil {
+		return err
+	}
 	if _, err := w.f.WriteAt(out, w.off); err != nil {
 		return err
 	}
@@ -285,8 +414,7 @@ func (w *blockWriter) AppendInPlace(block []byte) error {
 }
 
 func (w *blockWriter) Close() error {
-	w.pool.Put(w.plain)
-	w.plain = nil
+	w.z.release()
 	return w.f.Close()
 }
 
@@ -375,11 +503,13 @@ func (r *blockReader) Seek(startPage, startPos, pageSize, pages int) error {
 }
 
 // blockPageWriter gives page i the fixed slot [i*(frameSize+pageSize), …):
-// offsets stay computable for the tail-first write pattern. Slot 0 carries
-// the unframed chain header.
+// offsets stay computable for the tail-first write pattern while each slot
+// holds a frame plus at most pageSize of (possibly compressed) payload.
+// Slot 0 carries the raw chain header, as page 0 does in the raw layout.
 type blockPageWriter struct {
 	f    vfs.File
 	c    *counters
+	z    compressor
 	pool *Pool
 	slot int
 	buf  []byte // a run of framed slots, stored with one write
@@ -394,23 +524,33 @@ func (w *blockPageWriter) WritePage(idx int, pages []byte) error {
 		w.pool.Put(w.buf)
 		w.buf = w.pool.Get(n * w.slot)
 	}
-	end := 0 // where the last slot's payload ends: every other slot is full
+	end := 0
+	var raw, stored int64
 	for at := 0; len(pages) > 0; at += w.slot {
 		p := pages[:min(len(pages), size)]
-		encodeFrame(w.buf[at:], p)
-		end = at + frameSize + copy(w.buf[at+frameSize:], p)
+		block := w.buf[at : at+frameSize+len(p)]
+		copy(block[frameSize:], p)
+		out, err := w.z.framed(block[frameSize:], block)
+		if err != nil {
+			return err
+		}
+		// A compressed page lands in front of its slot, zeros behind it.
+		k := copy(w.buf[at:at+w.slot], out)
+		clear(w.buf[at+k : at+w.slot])
+		end = at + k
+		raw, stored = raw+int64(len(p)), stored+int64(k)
 		pages = pages[len(p):]
 	}
 	if _, err := w.f.WriteAt(w.buf[:end], int64(idx)*int64(w.slot)); err != nil {
 		return err
 	}
-	w.c.wrote(int64(n), int64(end-n*frameSize), int64(end))
+	w.c.wrote(int64(n), raw, stored)
 	return nil
 }
 
 func (w *blockPageWriter) WriteTail(idx int, payload []byte) (int, error) {
-	// A slot stores exactly its payload: an ascending read starts at its
-	// first byte, so the start position is always 0.
+	// Framed slots store exactly the payload: an ascending read starts at
+	// its first byte, so the start position is always 0.
 	return 0, w.WritePage(idx, payload)
 }
 
@@ -423,6 +563,7 @@ func (w *blockPageWriter) WriteHeader(hdr []byte) error {
 }
 
 func (w *blockPageWriter) Close() error {
+	w.z.release()
 	w.pool.Put(w.buf)
 	w.buf = nil
 	return w.f.Close()

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"hash/crc32"
 	"io"
 	"testing"
 
@@ -16,91 +17,94 @@ func block(payload []byte) []byte {
 	return append(make([]byte, FrameHeadroom, FrameHeadroom+len(payload)), payload...)
 }
 
-// TestBlockIsOneWriteAndOneRead holds the backend to one file-system
+// TestBlockIsOneWriteAndOneRead holds the framed backends to one file-system
 // call per block each way — in place and through plain Append, lent and
 // copied out — and the two write paths to the same bytes.
 func TestBlockIsOneWriteAndOneRead(t *testing.T) {
 	const blocks, size = 9, 4096
-	var files [2][]byte
-	for i, inPlace := range []bool{false, true} {
-		fs := faultfs.New(vfs.NewMemFS(), faultfs.Options{})
-		b := mustBackend(t, fs)
-		w, err := b.Create("f")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want []byte
-		for k := 0; k < blocks; k++ {
-			p := randPayload(size, int64(k))
-			if k%2 == 0 {
-				p = dupPayload(size)
-			}
-			want = append(want, p...)
-			if inPlace {
-				err = AppendBlock(w, block(p))
-			} else {
-				err = w.Append(p)
-			}
+	for _, comp := range compressions {
+		var files [2][]byte
+		for i, inPlace := range []bool{false, true} {
+			fs := faultfs.New(vfs.NewMemFS(), faultfs.Options{})
+			b := mustBackend(t, fs, Config{Compression: string(comp)})
+			w, err := b.Create("f")
 			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if writes := fs.Calls(faultfs.Write); writes != blocks {
-			t.Fatalf("in place %v: %d writes for %d blocks", inPlace, writes, blocks)
-		}
-		f, _ := fs.Open("f")
-		n, _ := f.Size()
-		files[i] = make([]byte, n)
-		f.ReadAt(files[i], 0)
-		f.Close()
-
-		for _, lend := range []bool{false, true} {
-			before := fs.Calls(faultfs.Read)
-			r, err := b.Open("f")
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got []byte
-			if lend {
-				for {
-					p, err := r.(BlockLender).NextBlock(size)
-					if err == io.EOF {
-						break
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					got = append(got, p...)
+			var want []byte
+			for k := 0; k < blocks; k++ {
+				p := randPayload(size, int64(k))
+				if k%2 == 0 {
+					p = dupPayload(size)
 				}
-			} else if got, err = io.ReadAll(r); err != nil {
+				want = append(want, p...)
+				if inPlace {
+					err = AppendBlock(w, block(p))
+				} else {
+					err = w.Append(p)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if err := r.Close(); err != nil {
-				t.Fatal(err)
+			if writes := fs.Calls(faultfs.Write); writes != blocks {
+				t.Fatalf("%s in place %v: %d writes for %d blocks", comp, inPlace, writes, blocks)
 			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("in place %v, lent %v: read back %d bytes, want %d", inPlace, lend, len(got), len(want))
-			}
-			// One read per block, one more for the first frame, which
-			// sizes the window, and one to find the end.
-			if reads := fs.Calls(faultfs.Read) - before; reads > blocks+2 {
-				t.Fatalf("in place %v, lent %v: %d reads for %d blocks", inPlace, lend, reads, blocks)
+			f, _ := fs.Open("f")
+			n, _ := f.Size()
+			files[i] = make([]byte, n)
+			f.ReadAt(files[i], 0)
+			f.Close()
+
+			for _, lend := range []bool{false, true} {
+				before := fs.Calls(faultfs.Read)
+				r, err := b.Open("f")
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got []byte
+				if lend {
+					for {
+						p, err := r.(BlockLender).NextBlock(size)
+						if err == io.EOF {
+							break
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						got = append(got, p...)
+					}
+				} else if got, err = io.ReadAll(r); err != nil {
+					t.Fatal(err)
+				}
+				if err := r.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s in place %v, lent %v: read back %d bytes, want %d", comp, inPlace, lend, len(got), len(want))
+				}
+				// One read per block, at most one more to size the window
+				// when the first block outgrows the caller's hint, and one
+				// to find the end.
+				if reads := fs.Calls(faultfs.Read) - before; reads > blocks+2 {
+					t.Fatalf("%s in place %v, lent %v: %d reads for %d blocks", comp, inPlace, lend, reads, blocks)
+				}
 			}
 		}
-	}
-	if !bytes.Equal(files[0], files[1]) {
-		t.Fatal("a block appended in place is stored differently from one appended plainly")
+		if !bytes.Equal(files[0], files[1]) {
+			t.Fatalf("%s: a block appended in place is stored differently from one appended plainly", comp)
+		}
 	}
 }
 
 // TestPageRunCountsEveryPage writes one chain file page by page and again
 // three pages per WritePage — seven data pages, a partial tail and the
-// header: the files are byte-identical and so is the accounting,
-// BlocksWritten counting pages either way; only the number of calls
-// differs, and a run of pages is one write.
+// header — on every framing: the files are byte-identical and so is the
+// accounting, BlocksWritten counting pages either way; only the number of
+// calls differs, and on every framing a run of pages is one write.
 func TestPageRunCountsEveryPage(t *testing.T) {
 	const pageSize, pages = 128, 9
 	var data []byte
@@ -111,48 +115,50 @@ func TestPageRunCountsEveryPage(t *testing.T) {
 		}
 	}
 	hdr := bytes.Repeat([]byte{7}, 32)
-	var files [2][]byte
-	var stats [2]IOStats
-	var writes [2]int64
-	for i, run := range []int{1, 3} {
-		fs := faultfs.New(vfs.NewMemFS(), faultfs.Options{})
-		b := mustBackend(t, fs)
-		pw, err := b.CreatePaged("c", pageSize, pages)
-		if err != nil {
-			t.Fatal(err)
+	for _, comp := range all {
+		var files [2][]byte
+		var stats [2]IOStats
+		var writes [2]int64
+		for i, run := range []int{1, 3} {
+			fs := faultfs.New(vfs.NewMemFS(), faultfs.Options{})
+			b := mustBackend(t, fs, Config{Compression: string(comp)})
+			pw, err := b.CreatePaged("c", pageSize, pages)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for top := pages - 1; top >= 2 && err == nil; top -= run {
+				lo := max(2, top-run+1)
+				err = pw.WritePage(lo, data[(lo-2)*pageSize:(top-1)*pageSize])
+			}
+			if err == nil {
+				_, err = pw.WriteTail(1, randPayload(40, 1))
+			}
+			if err == nil {
+				err = pw.WriteHeader(hdr)
+			}
+			if cerr := pw.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, _ := fs.Open("c")
+			n, _ := f.Size()
+			files[i] = make([]byte, n)
+			f.ReadAt(files[i], 0)
+			f.Close()
+			stats[i], writes[i] = b.Stats(), fs.Calls(faultfs.Write)
 		}
-		for top := pages - 1; top >= 2 && err == nil; top -= run {
-			lo := max(2, top-run+1)
-			err = pw.WritePage(lo, data[(lo-2)*pageSize:(top-1)*pageSize])
+		if !bytes.Equal(files[0], files[1]) {
+			t.Fatalf("%s: a chain file written in runs of pages differs from one written page by page", comp)
 		}
-		if err == nil {
-			_, err = pw.WriteTail(1, randPayload(40, 1))
+		// Seven data pages, the tail and the header.
+		if stats[0] != stats[1] || stats[0].BlocksWritten != 7+1+1 {
+			t.Fatalf("%s: page by page %+v, in runs %+v; want equal, 9 blocks written", comp, stats[0], stats[1])
 		}
-		if err == nil {
-			err = pw.WriteHeader(hdr)
+		if want := int64(1 + 3 + 1); writes[1] != want {
+			t.Fatalf("%s: %d writes in runs of pages, want %d", comp, writes[1], want)
 		}
-		if cerr := pw.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, _ := fs.Open("c")
-		n, _ := f.Size()
-		files[i] = make([]byte, n)
-		f.ReadAt(files[i], 0)
-		f.Close()
-		stats[i], writes[i] = b.Stats(), fs.Calls(faultfs.Write)
-	}
-	if !bytes.Equal(files[0], files[1]) {
-		t.Fatal("a chain file written in runs of pages differs from one written page by page")
-	}
-	// Seven data pages, the tail and the header.
-	if stats[0] != stats[1] || stats[0].BlocksWritten != 7+1+1 {
-		t.Fatalf("page by page %+v, in runs %+v; want equal, 9 blocks written", stats[0], stats[1])
-	}
-	if want := int64(1 + 3 + 1); writes[1] != want {
-		t.Fatalf("%d writes in runs of pages, want %d", writes[1], want)
 	}
 }
 
@@ -172,13 +178,13 @@ func TestReadsFilesOfTheOldWriter(t *testing.T) {
 		p := randPayload(size, int64(k))
 		want = append(want, p...)
 		var hdr [frameSize]byte
-		encodeFrame(hdr[:], p)
+		encodeFrame(hdr[:], frame{codec: codecStored, rawLen: size, compLen: size, crc: crc32.ChecksumIEEE(p)})
 		f.WriteAt(hdr[:], off)
 		f.WriteAt(p, off+frameSize)
 		off += int64(frameSize + size)
 	}
 	f.Close()
-	b := mustBackend(t, fs)
+	b := mustBackend(t, fs, Config{Compression: string(None)})
 	for _, hint := range []int{0, 64, 4096, 1 << 16} {
 		r, err := b.Open("old")
 		if err != nil {
@@ -219,7 +225,7 @@ func TestReadsFilesOfTheOldWriter(t *testing.T) {
 func TestTruncatedBlockIsCorrupt(t *testing.T) {
 	for _, cut := range []int{5, frameSize + 100} {
 		fs := vfs.NewMemFS()
-		b := mustBackend(t, fs)
+		b := mustBackend(t, fs, Config{Compression: string(None)})
 		w, _ := b.Create("f")
 		w.Append(randPayload(512, 1))
 		w.Append(randPayload(512, 2))
@@ -287,7 +293,7 @@ func TestPoolReusesAndBounds(t *testing.T) {
 	if p.idle != 200 || len(p.free) != 2 || &p.free[0][0] != &a[0] {
 		t.Fatalf("idle = %d in %d blocks, want a and b kept", p.idle, len(p.free))
 	}
-	if PoolOf(mustBackend(t, vfs.NewMemFS())) == nil {
+	if PoolOf(NewRaw(vfs.NewMemFS())) == nil {
 		t.Fatal("a backend of this package carries no pool")
 	}
 }

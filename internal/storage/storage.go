@@ -15,20 +15,22 @@
 //
 //   - Paged files (CreatePaged/OpenPaged): fixed-size pages written at
 //     arbitrary — in practice tail-first decreasing — page indices plus a
-//     small unframed header region at the front, used for the Appendix A backward
+//     small raw header region at the front, used for the Appendix A backward
 //     chain format. Ascending reads stream page payloads forward from a
 //     start page.
 //
-// One format implements the interface: every page is wrapped in a
-// self-describing frame — magic, payload length and a CRC32 of the payload
-// — so corruption of a spilled block surfaces as ErrChecksum (or ErrCorrupt
-// for a damaged frame) when the merge reads it back, never as silently
-// wrong output. A frame costs 20 bytes a block and no file-system call: a
-// block is one write, frame and payload together, and so is a run of chain
-// pages; a read fills a window of the caller's buffer size with as many
-// whole blocks as fit. Callers that leave FrameHeadroom bytes in front
-// of a payload (AppendBlock) and take blocks on loan (BlockLender) move it
-// without a copy on either side.
+// Two framings implement the interface. The raw backend reproduces the
+// library's historical on-disk layout byte for byte and only adds
+// accounting; it is the default, and the layout every pre-storage test and
+// the iosim disk model pin. The block backend wraps each page in a
+// self-describing frame — magic, per-block codec, payload lengths and a
+// CRC32 of the uncompressed payload — and optionally compresses payloads
+// with the standard library's flate. A block is one file-system
+// write, frame and payload together, and one read; callers that leave
+// FrameHeadroom bytes in front of a payload (AppendBlock) and take blocks
+// on loan (BlockLender) move it without a copy on either side. Corruption of a spilled block
+// then surfaces as ErrChecksum (or ErrCorrupt for a damaged frame) when the
+// merge reads it back, never as silently wrong output.
 package storage
 
 import (
@@ -41,23 +43,47 @@ import (
 	"repro/internal/vfs"
 )
 
-// ParseCompression resolves the name of the spill framing: "" and "none"
-// name the one there is, CRC-framed blocks stored as they are, and come
-// back as "none"; any other name is an error. It is kept, with one value
-// left, for the callers that still name the framing; ROADMAP item 10
-// deletes it with Config.Compression.
-func ParseCompression(s string) (string, error) {
-	if s == "" || strings.EqualFold(s, "none") {
-		return "none", nil
-	}
-	return "", fmt.Errorf("storage: unknown compression %q (want none)", s)
+// Compression names a block payload codec.
+type Compression string
+
+// The supported spill framings. Raw is the historical unframed layout;
+// every other value selects block framing with per-block CRC32 checksums
+// and the named payload codec.
+const (
+	// Raw is the historical pass-through layout: no frames, no checksums,
+	// byte-identical to the pre-storage library.
+	Raw Compression = "raw"
+	// None frames and checksums blocks but stores payloads uncompressed.
+	None Compression = "none"
+	// Flate compresses block payloads with DEFLATE (stdlib compress/flate,
+	// BestSpeed — spill bandwidth matters more than ratio).
+	Flate Compression = "flate"
+)
+
+// Compressions lists the valid Compression names in presentation order.
+func Compressions() []string {
+	return []string{string(Raw), string(None), string(Flate)}
 }
 
-// Config configures the spill backend.
+// ParseCompression resolves a compression name. The empty string means Raw,
+// preserving the zero Config's historical behaviour.
+func ParseCompression(s string) (Compression, error) {
+	switch strings.ToLower(s) {
+	case "", "raw":
+		return Raw, nil
+	case "none":
+		return None, nil
+	case "flate", "deflate":
+		return Flate, nil
+	}
+	return "", fmt.Errorf("storage: unknown compression %q (want %s)", s, strings.Join(Compressions(), ", "))
+}
+
+// Config selects a spill backend.
 type Config struct {
-	// Compression names the spill framing, which must be "" or "none"
-	// (ParseCompression): every block is CRC-framed and stored as it is.
-	// The field selects nothing any more; ROADMAP item 10 deletes it.
+	// Compression selects the spill framing: "" or "raw" for the historical
+	// unframed layout, or "none", "flate" for checksummed block framing
+	// with the named payload codec.
 	Compression string
 }
 
@@ -71,8 +97,8 @@ var ErrCorrupt = errors.New("storage: corrupt block frame")
 
 // IOStats is a point-in-time snapshot of a backend's I/O accounting. Raw
 // counts payload bytes as the run writers produced them; Stored counts the
-// physical bytes actually moved to or from the file system, block frames
-// included — the quantity an I/O-bound sort pays for.
+// physical bytes actually moved to or from the file system, including block
+// frames and after compression — the quantity an I/O-bound sort pays for.
 type IOStats struct {
 	// BlocksWritten and BlocksRead count block (or page) transfers: a run
 	// of pages stored by one call counts each of its pages.
@@ -81,17 +107,28 @@ type IOStats struct {
 	BlocksRead int64
 	// RawBytesWritten is payload bytes handed to the backend.
 	RawBytesWritten int64
-	// StoredBytesWritten is physical bytes written, frames included.
+	// StoredBytesWritten is physical bytes written, after framing and
+	// compression. Equal to RawBytesWritten on the raw backend.
 	StoredBytesWritten int64
 	// RawBytesRead is payload bytes returned to readers.
 	RawBytesRead int64
-	// StoredBytesRead is physical bytes read: all the file system returned,
-	// frames and the unused room of a chain file's fixed page slots
-	// included.
+	// StoredBytesRead is physical bytes read, before decompression: all the
+	// file system returned, the unused room of a framed chain file's fixed
+	// page slots included.
 	StoredBytesRead int64
 	// VerifyFailures counts blocks whose checksum or frame validation
 	// failed on read.
 	VerifyFailures int64
+}
+
+// CompressionRatio returns RawBytesWritten / StoredBytesWritten — how many
+// logical bytes each stored byte carries (1 on the raw backend, >1 when
+// compression is winning). It returns 0 before anything was written.
+func (s IOStats) CompressionRatio() float64 {
+	if s.StoredBytesWritten == 0 {
+		return 0
+	}
+	return float64(s.RawBytesWritten) / float64(s.StoredBytesWritten)
 }
 
 // counters is the shared, goroutine-safe accumulator behind IOStats:
@@ -185,7 +222,7 @@ type BlockReader interface {
 }
 
 // PageWriter stores the fixed-size pages of one backward chain file at
-// caller-chosen (tail-first decreasing) page indices, plus an unframed header
+// caller-chosen (tail-first decreasing) page indices, plus a raw header
 // region at the front of the file. Page index 0 is reserved for the header.
 type PageWriter interface {
 	// WritePage stores a run of whole pages at indices idx ≥ 1, idx+1, …:
@@ -194,20 +231,21 @@ type PageWriter interface {
 	WritePage(idx int, pages []byte) error
 	// WriteTail stores the final, partial payload at index idx ≥ 1 and
 	// returns the in-page position an ascending reader must start at (the
-	// block backend stores exactly the payload and returns 0).
+	// raw layout right-aligns the tail inside its page; framed layouts
+	// store exactly the payload and return 0).
 	WriteTail(idx int, payload []byte) (startPos int, err error)
-	// WriteHeader stores the unframed chain-file header at the front.
+	// WriteHeader stores the raw chain-file header at the front.
 	WriteHeader(hdr []byte) error
 	// Close finalises the file.
 	Close() error
 }
 
-// PageReader reads one backward chain file: the unframed header first, then —
+// PageReader reads one backward chain file: the raw header first, then —
 // after Seek positions it — the page payloads as one ascending byte stream.
 // Read follows io.Reader semantics and never returns (0, nil) for a
 // non-empty p.
 type PageReader interface {
-	// ReadHeader fills p from the unframed header region at the front.
+	// ReadHeader fills p from the raw header region at the front.
 	ReadHeader(p []byte) error
 	// Seek positions the payload stream at startPos bytes into page
 	// startPage of a file with the given page size and page count; it must
@@ -235,24 +273,26 @@ type Backend interface {
 	Remove(name string) error
 	// Stats snapshots the backend's I/O accounting.
 	Stats() IOStats
-	// String describes the backend, e.g. "block".
+	// String describes the backend configuration, e.g. "block(flate)".
 	String() string
 }
 
-// New returns the spill backend over fs. cfg.Compression must be "" or
-// "none" (ParseCompression); ROADMAP item 10 drops the Config.
+// New builds the Backend a Config describes over fs: its compression
+// framing.
 func New(fs vfs.FS, cfg Config) (Backend, error) {
-	if _, err := ParseCompression(cfg.Compression); err != nil {
+	comp, err := ParseCompression(cfg.Compression)
+	if err != nil {
 		return nil, err
 	}
-	return &blockBackend{fs: fs, c: &counters{}, pool: &Pool{}}, nil
+	if comp == Raw {
+		return NewRaw(fs), nil
+	}
+	return &blockBackend{fs: fs, comp: comp, c: &counters{}, pool: &Pool{}}, nil
 }
 
-// NewRaw returns the spill backend over fs, as New does.
-//
-// Deprecated: the unframed layout it was named for is gone; it returns the
-// one CRC-framed backend. ROADMAP item 10 deletes it.
+// NewRaw returns the accounting-only pass-through backend over fs: the
+// historical on-disk layout, byte for byte. It is what every call site that
+// predates the storage layer uses.
 func NewRaw(fs vfs.FS) Backend {
-	b, _ := New(fs, Config{}) // the zero Config is always valid
-	return b
+	return &rawBackend{fs: fs, c: &counters{}, pool: &Pool{}}
 }

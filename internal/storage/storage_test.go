@@ -11,78 +11,44 @@ import (
 	"repro/internal/vfs"
 )
 
-func mustBackend(t *testing.T, fs vfs.FS) Backend {
+// compressions lists every framed mode (everything but Raw).
+var compressions = []Compression{None, Flate}
+
+// all lists every backend mode.
+var all = []Compression{Raw, None, Flate}
+
+func mustBackend(t *testing.T, fs vfs.FS, cfg Config) Backend {
 	t.Helper()
-	b, err := New(fs, Config{})
+	b, err := New(fs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return b
 }
 
-// TestParseCompression holds the framing names to the one format: "" and
-// "none" name it; raw and flate, its retired siblings, are refused like any
-// unknown name, by ParseCompression and by New.
 func TestParseCompression(t *testing.T) {
-	for _, in := range []string{"", "none", "NONE"} {
-		if got, err := ParseCompression(in); err != nil || got != "none" {
-			t.Errorf("ParseCompression(%q) = %q, %v; want none", in, got, err)
+	for in, want := range map[string]Compression{
+		"": Raw, "raw": Raw, "none": None, "flate": Flate, "deflate": Flate,
+		"FLATE": Flate,
+	} {
+		got, err := ParseCompression(in)
+		if err != nil || got != want {
+			t.Errorf("ParseCompression(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	for _, name := range []string{"raw", "flate", "deflate", "gzip", "zstd"} {
-		if _, err := ParseCompression(name); err == nil || !strings.Contains(err.Error(), "want none") {
-			t.Errorf("ParseCompression(%s) = %v, want an error naming none", name, err)
+	// gzip was a second deflate framing until PR 22; its name is rejected
+	// like any unknown one, with the list of valid names.
+	for _, name := range []string{"zstd", "gzip", "gz"} {
+		if _, err := ParseCompression(name); err == nil || !strings.Contains(err.Error(), strings.Join(Compressions(), ", ")) {
+			t.Errorf("ParseCompression(%s) = %v, want an error listing the valid names", name, err)
 		}
-		if _, err := New(vfs.NewMemFS(), Config{Compression: name}); err == nil {
-			t.Errorf("New with compression %s should fail", name)
-		}
+	}
+	if _, err := New(vfs.NewMemFS(), Config{Compression: "bogus"}); err == nil {
+		t.Error("New with bogus compression should fail")
 	}
 }
 
-// eachFraming runs test on a backend for each spill framing name the
-// round trips were once run under: "none", the one framing, and the
-// retired "raw" and "flate", which New must refuse.
-func eachFraming(t *testing.T, test func(t *testing.T, fs vfs.FS, b Backend)) {
-	for _, name := range []string{"raw", "none", "flate"} {
-		t.Run(name, func(t *testing.T) {
-			fs := vfs.NewMemFS()
-			b, err := New(fs, Config{Compression: name})
-			if name != "none" {
-				if err == nil {
-					t.Fatalf("New accepted the retired framing %s", name)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			test(t, fs, b)
-		})
-	}
-}
-
-// TestIncompressibleFallsBackToStored stores a block of random bytes: it
-// costs exactly its frame on top of the payload, and reads back as written.
-func TestIncompressibleFallsBackToStored(t *testing.T) {
-	b := mustBackend(t, vfs.NewMemFS())
-	w, _ := b.Create("f")
-	payload := randPayload(4096, 3)
-	if err := w.Append(payload); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-	if st := b.Stats(); st.StoredBytesWritten != int64(len(payload)+frameSize) {
-		t.Fatalf("stored %d bytes for a %d-byte block, want %d", st.StoredBytesWritten, len(payload), len(payload)+frameSize)
-	}
-	r, _ := b.Open("f")
-	got, err := io.ReadAll(r)
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("round trip: err %v, %d bytes", err, len(got))
-	}
-	r.Close()
-}
-
-// dupPayload repeats a short pattern; randPayload does not.
+// dupPayload is highly compressible; randPayload is not.
 func dupPayload(n int) []byte {
 	p := make([]byte, n)
 	for i := range p {
@@ -98,67 +64,114 @@ func randPayload(n int, seed int64) []byte {
 }
 
 func TestForwardStreamRoundTrip(t *testing.T) {
-	eachFraming(t, func(t *testing.T, fs vfs.FS, b Backend) {
-		blocks := [][]byte{dupPayload(4096), randPayload(4096, 1), dupPayload(100), randPayload(7, 2)}
-		w, err := b.Create("f")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want []byte
-		for _, blk := range blocks {
-			if err := w.Append(blk); err != nil {
+	for _, comp := range all {
+		t.Run(string(comp), func(t *testing.T) {
+			fs := vfs.NewMemFS()
+			b := mustBackend(t, fs, Config{Compression: string(comp)})
+			blocks := [][]byte{dupPayload(4096), randPayload(4096, 1), dupPayload(100), randPayload(7, 2)}
+			w, err := b.Create("f")
+			if err != nil {
 				t.Fatal(err)
 			}
-			want = append(want, blk...)
-		}
-		if err := w.Close(); err != nil {
+			var want []byte
+			for _, blk := range blocks {
+				if err := w.Append(blk); err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, blk...)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			r, err := b.Open("f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := io.ReadAll(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("round trip lost bytes: got %d, want %d", len(got), len(want))
+			}
+			st := b.Stats()
+			if st.RawBytesWritten != int64(len(want)) || st.RawBytesRead != int64(len(want)) {
+				t.Fatalf("raw accounting: wrote %d read %d, want %d", st.RawBytesWritten, st.RawBytesRead, len(want))
+			}
+			if st.BlocksWritten != int64(len(blocks)) {
+				t.Fatalf("blocks written = %d, want %d", st.BlocksWritten, len(blocks))
+			}
+			if st.VerifyFailures != 0 {
+				t.Fatalf("verify failures = %d on clean data", st.VerifyFailures)
+			}
+			if comp == Raw && st.StoredBytesWritten != st.RawBytesWritten {
+				t.Fatalf("raw backend stored %d != raw %d", st.StoredBytesWritten, st.RawBytesWritten)
+			}
+		})
+	}
+}
+
+func TestCompressionShrinksDups(t *testing.T) {
+	b := mustBackend(t, vfs.NewMemFS(), Config{Compression: string(Flate)})
+	w, _ := b.Create("f")
+	for i := 0; i < 64; i++ {
+		if err := w.Append(dupPayload(4096)); err != nil {
 			t.Fatal(err)
 		}
-		r, err := b.Open("f")
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := io.ReadAll(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("round trip lost bytes: got %d, want %d", len(got), len(want))
-		}
-		st := b.Stats()
-		if st.RawBytesWritten != int64(len(want)) || st.RawBytesRead != int64(len(want)) {
-			t.Fatalf("raw accounting: wrote %d read %d, want %d", st.RawBytesWritten, st.RawBytesRead, len(want))
-		}
-		if st.BlocksWritten != int64(len(blocks)) {
-			t.Fatalf("blocks written = %d, want %d", st.BlocksWritten, len(blocks))
-		}
-		if st.VerifyFailures != 0 {
-			t.Fatalf("verify failures = %d on clean data", st.VerifyFailures)
-		}
-	})
+	}
+	w.Close()
+	st := b.Stats()
+	if ratio := st.CompressionRatio(); ratio < 2 {
+		t.Fatalf("compression ratio %.2f on duplicated data, want >= 2", ratio)
+	}
+}
+
+func TestIncompressibleFallsBackToStored(t *testing.T) {
+	fs := vfs.NewMemFS()
+	b := mustBackend(t, fs, Config{Compression: string(Flate)})
+	w, _ := b.Create("f")
+	payload := randPayload(4096, 3)
+	if err := w.Append(payload); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	st := b.Stats()
+	// A stored block costs exactly the frame on top of the payload: random
+	// data must never expand beyond that.
+	if st.StoredBytesWritten != int64(len(payload)+frameSize) {
+		t.Fatalf("stored %d bytes for a %d-byte incompressible block, want %d",
+			st.StoredBytesWritten, len(payload), len(payload)+frameSize)
+	}
+	r, _ := b.Open("f")
+	got, err := io.ReadAll(r)
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("stored fallback round trip: err %v, %d bytes", err, len(got))
+	}
+	r.Close()
 }
 
 func TestChecksumFlipDetected(t *testing.T) {
 	cases := []struct {
 		name string
+		comp Compression
 		off  int64 // the byte to damage
 		poke func(byte) byte
 	}{
 		// One byte of the stored payload, past the frame header, flipped.
-		{"none", frameSize + 3, func(b byte) byte { return b ^ 0xff }},
-		// Blocks as the retired flate and gzip codecs left them: their
-		// frames name payload codecs 1 and 2, which no longer are ones — a
-		// corrupt frame, never data handed to the wrong decoder.
-		{"flate", 4, func(byte) byte { return 1 }},
-		{"gzip", 4, func(byte) byte { return 2 }},
+		{"none", None, frameSize + 3, func(b byte) byte { return b ^ 0xff }},
+		{"flate", Flate, frameSize + 3, func(b byte) byte { return b ^ 0xff }},
+		// A block as the retired gzip framing left it: its frame names
+		// payload codec 2, which no longer is one — a corrupt frame, never
+		// data handed to the wrong decoder.
+		{"gzip", Flate, 4, func(byte) byte { return 2 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := vfs.NewMemFS()
-			b := mustBackend(t, fs)
+			b := mustBackend(t, fs, Config{Compression: string(tc.comp)})
 			w, _ := b.Create("f")
 			if err := w.Append(dupPayload(4096)); err != nil {
 				t.Fatal(err)
@@ -196,7 +209,7 @@ func TestChecksumFlipDetected(t *testing.T) {
 
 func TestFrameCorruptionDetected(t *testing.T) {
 	fs := vfs.NewMemFS()
-	b := mustBackend(t, fs)
+	b := mustBackend(t, fs, Config{Compression: string(None)})
 	w, _ := b.Create("f")
 	w.Append(dupPayload(64))
 	w.Close()
@@ -213,58 +226,62 @@ func TestFrameCorruptionDetected(t *testing.T) {
 }
 
 func TestPagedRoundTrip(t *testing.T) {
-	eachFraming(t, func(t *testing.T, _ vfs.FS, b Backend) {
-		const pageSize, pages = 128, 5
-		pw, err := b.CreatePaged("p", pageSize, pages)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Pages arrive tail-first, as the backward writer produces them.
-		p4, p3, p2 := dupPayload(pageSize), randPayload(pageSize, 4), dupPayload(pageSize)
-		tail := randPayload(40, 5)
-		for idx, page := range map[int][]byte{4: p4, 3: p3, 2: p2} {
-			if err := pw.WritePage(idx, page); err != nil {
+	for _, comp := range all {
+		t.Run(string(comp), func(t *testing.T) {
+			fs := vfs.NewMemFS()
+			b := mustBackend(t, fs, Config{Compression: string(comp)})
+			const pageSize, pages = 128, 5
+			pw, err := b.CreatePaged("p", pageSize, pages)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		startPos, err := pw.WriteTail(1, tail)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hdr := bytes.Repeat([]byte{7}, 32)
-		if err := pw.WriteHeader(hdr); err != nil {
-			t.Fatal(err)
-		}
-		if err := pw.Close(); err != nil {
-			t.Fatal(err)
-		}
+			// Pages arrive tail-first, as the backward writer produces them.
+			p4, p3, p2 := dupPayload(pageSize), randPayload(pageSize, 4), dupPayload(pageSize)
+			tail := randPayload(40, 5)
+			for idx, page := range map[int][]byte{4: p4, 3: p3, 2: p2} {
+				if err := pw.WritePage(idx, page); err != nil {
+					t.Fatal(err)
+				}
+			}
+			startPos, err := pw.WriteTail(1, tail)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hdr := bytes.Repeat([]byte{7}, 32)
+			if err := pw.WriteHeader(hdr); err != nil {
+				t.Fatal(err)
+			}
+			if err := pw.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-		pr, err := b.OpenPaged("p")
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotHdr := make([]byte, 32)
-		if err := pr.ReadHeader(gotHdr); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(gotHdr, hdr) {
-			t.Fatal("header round trip mismatch")
-		}
-		if err := pr.Seek(1, startPos, pageSize, pages); err != nil {
-			t.Fatal(err)
-		}
-		got, err := io.ReadAll(struct{ io.Reader }{pr})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pr.Close()
-		var want []byte
-		want = append(want, tail...)
-		want = append(want, p2...)
-		want = append(want, p3...)
-		want = append(want, p4...)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("paged round trip: got %d bytes, want %d", len(got), len(want))
-		}
-	})
+			pr, err := b.OpenPaged("p")
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotHdr := make([]byte, 32)
+			if err := pr.ReadHeader(gotHdr); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gotHdr, hdr) {
+				t.Fatal("header round trip mismatch")
+			}
+			if err := pr.Seek(1, startPos, pageSize, pages); err != nil {
+				t.Fatal(err)
+			}
+			got, err := io.ReadAll(struct{ io.Reader }{pr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pr.Close()
+			var want []byte
+			want = append(want, tail...)
+			want = append(want, p2...)
+			want = append(want, p3...)
+			want = append(want, p4...)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("paged round trip: got %d bytes, want %d", len(got), len(want))
+			}
+		})
+	}
 }

@@ -80,12 +80,14 @@
 //
 // # Spill storage
 //
-// Every spilled block is framed with a CRC32 checksum: corrupted spill data
-// fails the merge with a checksum error instead of producing silently wrong
-// output. A frame costs 20 bytes a block and no file-system call of its
-// own. Stats.IO accounts for
-// every spilled byte, payload versus stored, along with block counts and
-// verification failures. See DESIGN.md §10.
+// How runs reach temporary storage is pluggable too (WithCompression).
+// The default is the paper's raw layout; a named compression ("none",
+// "flate") frames every spilled block with a CRC32 checksum — corrupted
+// spill data then fails the merge with a checksum error instead of
+// producing silently wrong output — and "flate" also shrinks the bytes
+// that actually move. Stats.IO accounts for every spilled byte, raw versus
+// stored, along with block counts and verification failures. See
+// DESIGN.md §10.
 //
 // # Timing
 //
@@ -125,12 +127,13 @@ type Record = record.Record
 type Stats = extsort.Stats
 
 // IOStats is the spill backend's byte-level I/O accounting, carried in
-// Stats.IO: payload versus stored bytes moved (the gap is the block
-// frames), block counts and checksum verification failures.
+// Stats.IO: raw versus stored bytes moved (the gap is what compression
+// saved), block counts and checksum verification failures.
 type IOStats = extsort.IOStats
 
-// Storage names the spill framing; see Config.Storage. There is one, so
-// the zero value is the only setting; ROADMAP item 10 deletes the type.
+// Storage configures how runs spill to temporary files; see Config.Storage
+// and WithCompression. The zero value is the library's historical raw
+// layout.
 type Storage = storage.Config
 
 // Durable-sort sentinel errors, matched with errors.Is against failures of
@@ -258,12 +261,12 @@ type Config struct {
 	// sharded sorts (Manifest/Resume) keep one manifest per shard and
 	// resume only the unfinished shards. See DESIGN.md §15.
 	Shards int
-	// Storage names the spill framing. Every spilled page is stored in a
-	// self-describing block with a CRC32 checksum, so corrupted spill data
-	// surfaces as a checksum error instead of silently wrong output;
-	// Compression may be "" or "none", which both name that one framing.
-	// Stats.IO reports what the backend did. ROADMAP item 10 deletes the
-	// field.
+	// Storage selects the spill backend. The zero value stores runs in the
+	// historical raw layout. Setting Compression to "none" or "flate"
+	// frames every spilled page in a self-describing block with a CRC32
+	// checksum (compressed for the latter), so corrupted spill data
+	// surfaces as a checksum error instead of silently wrong output.
+	// Stats.IO reports what the backend did.
 	Storage Storage
 	// Trace, when non-nil, records phase, run, merge and spill spans for
 	// every sort run under this configuration;
@@ -353,10 +356,14 @@ func (c Config) Validate() error {
 		return fmt.Errorf("repro: shards must be non-negative, got %d", c.Shards)
 	}
 	if _, err := storage.ParseCompression(c.Storage.Compression); err != nil {
-		return fmt.Errorf("repro: unknown compression %q (valid: none)", c.Storage.Compression)
+		return fmt.Errorf("repro: unknown compression %q (valid: %s)", c.Storage.Compression, strings.Join(Compressions(), ", "))
 	}
 	return nil
 }
+
+// Compressions lists the valid spill compression names accepted by
+// Config.Storage and WithCompression, in presentation order.
+func Compressions() []string { return storage.Compressions() }
 
 // Policies lists the valid run-generation policy names accepted by
 // Config.Policy and WithPolicy, in presentation order.

@@ -156,11 +156,12 @@ func TestSorterResumeAcrossProcessBoundary(t *testing.T) {
 func TestSorterResumeMismatch(t *testing.T) {
 	dir := t.TempDir()
 	recs := shuffledRecords(4000, 3)
-	mk := func(memory int) *Sorter[Record] {
+	mk := func(compression string) *Sorter[Record] {
 		s, err := New(func(a, b Record) bool { return a.Key < b.Key },
-			WithMemoryRecords(memory),
+			WithMemoryRecords(256),
 			WithPolicy("2wrs"),
 			WithTempDir(dir),
+			WithCompression(compression),
 			WithManifest())
 		if err != nil {
 			t.Fatal(err)
@@ -168,12 +169,12 @@ func TestSorterResumeMismatch(t *testing.T) {
 		return s
 	}
 	var out sliceSink[Record]
-	if _, err := mk(256).Sort(context.Background(), &dyingSource{recs: recs, dieAt: 3000}, &out); !errors.Is(err, errSourceDied) {
+	if _, err := mk("raw").Sort(context.Background(), &dyingSource{recs: recs, dieAt: 3000}, &out); !errors.Is(err, errSourceDied) {
 		t.Fatalf("interrupted Sort: %v", err)
 	}
-	_, err := mk(512).Resume(context.Background(), &dyingSource{recs: recs, dieAt: len(recs) + 1}, &out)
+	_, err := mk("flate").Resume(context.Background(), &dyingSource{recs: recs, dieAt: len(recs) + 1}, &out)
 	if !errors.Is(err, ErrManifestMismatch) {
-		t.Fatalf("resume under a changed memory budget: %v, want ErrManifestMismatch", err)
+		t.Fatalf("resume under changed compression: %v, want ErrManifestMismatch", err)
 	}
 }
 

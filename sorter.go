@@ -245,11 +245,12 @@ func WithSeed(seed int64) Option {
 	return func(s *sorterConfig) error { s.cfg.Seed = seed; return nil }
 }
 
-// WithCompression names the spill framing. It accepts only "none": every
-// spilled page is stored in a CRC32-checksummed block, so corrupted spill
-// data is a checksum error at merge time instead of silently wrong output.
-// Any other name fails at New. It selects nothing and is kept for callers
-// that still name it; ROADMAP item 10 deletes it.
+// WithCompression selects the spill compression by name: "raw" (the
+// default: the historical unframed layout), or "none" or "flate" — which
+// frame every spilled page in a CRC32-checksummed block, compressed for
+// the latter. Either framed mode turns corrupted spill data into a
+// checksum error at merge time instead of silently wrong output. Unknown
+// names fail at New with an error listing the valid ones (Compressions).
 func WithCompression(name string) Option {
 	return func(s *sorterConfig) error { s.cfg.Storage.Compression = name; return nil }
 }

@@ -8,7 +8,6 @@ import (
 	"io"
 	"math/rand"
 	"os"
-	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -298,9 +297,8 @@ func TestConfigValidateTable(t *testing.T) {
 		{"unknown input heuristic", func(c *Config) { c.Input = InputHeuristic(99) }, "input heuristic"},
 		{"unknown output heuristic", func(c *Config) { c.Output = OutputHeuristic(99) }, "output heuristic"},
 		{"unknown compression", func(c *Config) { c.Storage.Compression = "zstd" }, "compression"},
-		{"compression none ok", func(c *Config) { c.Storage.Compression = "none" }, ""},
-		{"compression flate refused", func(c *Config) { c.Storage.Compression = "flate" }, "compression"},
-		{"compression raw refused", func(c *Config) { c.Storage.Compression = "raw" }, "compression"},
+		{"compression flate ok", func(c *Config) { c.Storage.Compression = "flate" }, ""},
+		{"compression raw ok", func(c *Config) { c.Storage.Compression = "raw" }, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -534,18 +532,17 @@ func TestSorterCancelledBeforeMerge(t *testing.T) {
 }
 
 // TestSorterStorageOptions drives the public storage option end to end: a
-// variable-width sort under WithCompression("none") over a real temp dir
-// must produce the sorted input, account its I/O, and leave the directory
-// empty.
+// variable-width sort through every framed backend over a real temp dir
+// must produce the same output as the raw layout, account its I/O, and
+// leave the directory empty.
 func TestSorterStorageOptions(t *testing.T) {
 	in := make([]string, 6000)
 	for i := range in {
 		in[i] = fmt.Sprintf("key-%05d", (i*7919)%6000)
 	}
-	want := slices.Clone(in)
-	slices.Sort(want)
-	// raw, flate and gzip name framings the library once had: New refuses
-	// them like any unknown name, naming the valid one.
+	var want []string
+	// "gzip" was a fourth framing until PR 22: New refuses the name like any
+	// unknown one, with the list of valid ones.
 	for _, comp := range []string{"raw", "none", "flate", "gzip"} {
 		t.Run(comp, func(t *testing.T) {
 			dir := t.TempDir()
@@ -553,9 +550,9 @@ func TestSorterStorageOptions(t *testing.T) {
 				WithMemoryRecords(256),
 				WithTempDir(dir),
 				WithCompression(comp))
-			if comp != "none" {
-				if err == nil || !strings.Contains(err.Error(), "valid: none") {
-					t.Fatalf("WithCompression(%s): %v, want an error naming the valid one", comp, err)
+			if comp == "gzip" {
+				if err == nil || !strings.Contains(err.Error(), strings.Join(Compressions(), ", ")) {
+					t.Fatalf("WithCompression(gzip): %v, want an error listing the valid names", err)
 				}
 				return
 			}
@@ -566,8 +563,16 @@ func TestSorterStorageOptions(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("%s: %d elements, not the sorted input's %d", comp, len(got), len(want))
+			if want == nil {
+				want = got
+			} else if len(got) != len(want) {
+				t.Fatalf("%s: %d elements, want %d", comp, len(got), len(want))
+			} else {
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s: element %d = %q, want %q", comp, i, got[i], want[i])
+					}
+				}
 			}
 			if stats.IO.RawBytesWritten == 0 || stats.IO.VerifyFailures != 0 {
 				t.Fatalf("%s: IO accounting %+v", comp, stats.IO)
