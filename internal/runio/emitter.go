@@ -44,7 +44,8 @@ type Emitter[T any] struct {
 	Checksums bool
 
 	// block is the size of the blocks of the last stream Stream opened,
-	// which Open tells the readers of runs.
+	// which Open tells the readers of runs: the budget the blocks were
+	// sized from, not one a merge may reserve later.
 	block int
 
 	mu sync.Mutex

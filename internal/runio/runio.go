@@ -73,12 +73,13 @@
 // from the backend's pool (storage.PoolOf) and return to it when the file
 // closes, so they are reused across runs, merge operations and passes; a
 // forward block carries storage.FrameHeadroom spare bytes so a framing
-// backend stores it with one write, a chain block is one write of its pages,
-// and a backend that holds verified blocks lends them to the reader instead
-// of copying (Reader.refill, the one place reads touch storage). At every Parallelism of a sort, every writer — a run
-// generator's and a merge output's alike — creates, writes and closes its
-// files on its caller's goroutine, so a file is complete when the writer's
-// Close returns. Nothing in the package starts a goroutine.
+// backend stores it with one write, a chain block is one write of its
+// pages, and a backend that holds verified blocks lends them to the reader
+// instead of copying (Reader.refill, the one place reads touch storage). At
+// every Parallelism of a sort, every writer — a run generator's and a merge
+// output's alike — creates, writes and closes its files on its caller's
+// goroutine, so a file is complete when the writer's Close returns. Nothing
+// in the package starts a goroutine.
 package runio
 
 import (

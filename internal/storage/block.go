@@ -234,12 +234,13 @@ func (b *blockBackend) OpenPaged(name string) (PageReader, error) {
 
 // blockSource reads the blocks of one file front to back through a sliding
 // window: a pooled buffer holding the file's next bytes, refilled by one
-// ReadAt when the next block is not wholly in it. The window is made once,
-// when the file's first block is read, for the caller's buffer or that
-// block, whichever is larger; every read fills as much of it as whole blocks
-// (or chain slots) allow, so a window the size of a block costs one read per
-// block, a larger one less, and nothing is read twice. Verified payloads are
-// served in place, out of the window (or out of the decompressor's buffer).
+// ReadAt when the next block is not wholly in it. The window is made when
+// the file's first block is read, for the block size the caller expects,
+// and made again only for a block larger than that; every read fills as
+// much of it as whole blocks (or chain slots) allow, so a window the size
+// of a block costs one read per block, a larger one less, and nothing is
+// read twice. Verified payloads are served in place, out of the window (or
+// out of the decompressor's buffer).
 type blockSource struct {
 	f    vfs.File
 	c    *counters
@@ -270,37 +271,11 @@ func (s *blockSource) seek(off int64) {
 	s.pos = off
 }
 
-// open makes the window of a file whose first block is about to be read:
-// room for frameSize+sizeHint bytes or, in a forward stream whose first
-// frame says its block is larger, for that block, so that the window is
-// not made twice. The first frame is read on its own for that; the read
-// behind it carries on where it ends.
-func (s *blockSource) open(sizeHint int) error {
-	size := frameSize + sizeHint
-	var head [frameSize]byte
-	n := 0
-	if s.slot == 0 {
-		var err error
-		n, err = s.f.ReadAt(head[:], s.pos)
-		if err != nil && err != io.EOF {
-			return err
-		}
-		s.eof = err == io.EOF
-		s.c.storedR.Add(int64(n))
-		if fr, err := decodeFrame(head[:]); n == frameSize && err == nil {
-			size = max(size, frameSize+fr.compLen)
-		}
-	}
-	s.win = s.pool.Get(framePad + size)
-	s.lo, s.hi = framePad, framePad+copy(s.win[framePad:], head[:n])
-	return nil
-}
-
 // fill makes the window hold n bytes from its front, if the file has them,
 // and returns how many it holds. A window too small for n — a block larger
-// than the first — is replaced by one of n bytes. What the window holds
-// starts framePad bytes in, so that behind a frame there the payload starts
-// on a cache line.
+// than the caller expected — is replaced by one of n bytes. What the window
+// holds starts framePad bytes in, so that behind a frame there the payload
+// starts on a cache line.
 func (s *blockSource) fill(n int) (int, error) {
 	have := s.hi - s.lo
 	if have >= n || s.eof {
@@ -330,17 +305,16 @@ func (s *blockSource) fill(n int) (int, error) {
 
 // next reads, verifies and inflates the block at the window's front and
 // moves past it. sizeHint is the payload size the caller expects — what the
-// window is made for, unless the first block is larger. It returns io.EOF
-// at a clean end of file. The payload is valid until the next call.
+// window is made for; a larger block regrows it. It returns io.EOF at a
+// clean end of file. The payload is valid until the next call.
 func (s *blockSource) next(sizeHint int) ([]byte, error) {
 	corrupt := func(err error) ([]byte, error) {
 		s.c.verifyFailures.Add(1)
 		return nil, err
 	}
 	if s.win == nil {
-		if err := s.open(sizeHint); err != nil {
-			return nil, err
-		}
+		s.win = s.pool.Get(framePad + frameSize + sizeHint)
+		s.lo, s.hi = framePad, framePad
 	}
 	n, err := s.fill(frameSize)
 	if err != nil {
