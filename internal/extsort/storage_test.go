@@ -4,15 +4,18 @@ import (
 	"errors"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/policy"
 	"repro/internal/record"
+	"repro/internal/runio"
 	"repro/internal/storage"
 	"repro/internal/stream"
 	"repro/internal/vfs"
+	"repro/internal/vfs/faultfs"
 )
 
 // dupHeavy folds keys to few distinct values and zeroes the payload: the
@@ -147,6 +150,89 @@ func TestCorruptSpillSurfacesChecksumError(t *testing.T) {
 			rset.Discard()
 			if names, _ := fs.Names(); len(names) != 0 {
 				t.Fatalf("spill files left after Discard: %v", names)
+			}
+		})
+	}
+}
+
+// spillSizes records the size of every spill file as the sort removes it.
+type spillSizes struct {
+	vfs.FS
+	mu    sync.Mutex
+	sizes map[string]int64
+}
+
+func (s *spillSizes) Remove(name string) error {
+	if f, err := s.FS.Open(name); err == nil {
+		size, _ := f.Size()
+		f.Close()
+		s.mu.Lock()
+		s.sizes[name] = size
+		s.mu.Unlock()
+	}
+	return s.FS.Remove(name)
+}
+
+// TestBitFlipFailsSort flips one bit of what a read of one spill file
+// returns — as a failing disk or bus would, the file itself intact — in a
+// sort on the CRC-framed backend, otherwise at the defaults: in the frame
+// and in the payload of a forward run file's first block, and of a
+// backward chain file's last page slot. Each must fail the sort with a
+// storage error, ErrChecksum or ErrCorrupt, and leave no file behind. (The
+// unframed default has no check to catch the flip: there the sort returns
+// altered output and no error.)
+func TestBitFlipFailsSort(t *testing.T) {
+	recs := testRecords(20000, 9)
+	cfg := Recommended(500)
+	cfg.Storage = storage.Config{Compression: string(storage.None)}
+	defer func(v func(vfs.FS) vfs.FS) { spillView = v }(spillView)
+	clean := &spillSizes{sizes: map[string]int64{}}
+	spillView = func(fs vfs.FS) vfs.FS {
+		clean.FS = fs
+		return clean
+	}
+	var out stream.SliceWriter[record.Record]
+	if _, err := Sort(stream.NewSliceReader(recs), &out, vfs.NewMemFS(), cfg, RecordOps()); err != nil {
+		t.Fatal(err)
+	}
+	const frame = 20 // a block frame's bytes
+	slot := int64(frame + runio.DefaultPageSize)
+	var forward, chain string
+	for name, size := range clean.sizes {
+		if strings.HasSuffix(name, "-s3") && size > 2*frame && (forward == "" || name < forward) {
+			forward = name
+		}
+		if strings.HasSuffix(name, ".0") && (chain == "" || name < chain) {
+			chain = name
+		}
+	}
+	if forward == "" || chain == "" {
+		t.Fatalf("no forward run file or no chain file among %v", clean.sizes)
+	}
+	for _, tc := range []struct {
+		name, file string
+		byte       int64 // the byte whose bit 2 reads flipped
+	}{
+		{"forward/frame", forward, 0},
+		{"forward/payload", forward, frame + 5},
+		{"chain/frame", chain, (clean.sizes[chain] - 1) / slot * slot},
+		{"chain/payload", chain, clean.sizes[chain] - 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spillView = func(fs vfs.FS) vfs.FS {
+				return faultfs.New(fs, faultfs.Options{FlipBit: tc.byte*8 + 2 + 1, Match: func(name string, _ int64) bool {
+					return name == tc.file
+				}})
+			}
+			fs := vfs.NewMemFS()
+			var out stream.SliceWriter[record.Record]
+			_, err := Sort(stream.NewSliceReader(recs), &out, fs, cfg, RecordOps())
+			if !errors.Is(err, storage.ErrChecksum) && !errors.Is(err, storage.ErrCorrupt) {
+				t.Fatalf("%s of %s flipped: Sort returned %v after %d of %d records, want a storage checksum or corruption error",
+					tc.name, tc.file, err, len(out.Vals), len(recs))
+			}
+			if names, _ := fs.Names(); len(names) != 0 {
+				t.Fatalf("files left behind: %v", names)
 			}
 		})
 	}

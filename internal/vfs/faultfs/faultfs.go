@@ -5,7 +5,9 @@
 // fails with ErrCrashed, perhaps after a torn prefix of it landed, every
 // later mutation fails, and reads keep working, as the disk outlives the
 // process. A dead device (Fail) fails every call of one operation from the
-// n-th on with ErrInjected, on whichever goroutine makes it.
+// n-th on with ErrInjected, on whichever goroutine makes it. A flipped bit
+// (Options.FlipBit) corrupts what reads return, as a failing device or bus
+// does, and leaves the file as it is.
 package faultfs
 
 import (
@@ -51,8 +53,13 @@ type Options struct {
 	Torn bool
 	// Match, when set, narrows the faults to the calls it accepts, by file
 	// name and offset (a read's or a write's; 0 for other calls): only those
-	// writes count toward FailAfterOps, and only those calls Fail fails.
+	// writes count toward FailAfterOps, only those calls Fail fails, and
+	// only those reads FlipBit corrupts.
 	Match func(name string, off int64) bool
+	// FlipBit, when positive, is the 1-based index of one bit of a file —
+	// bit (FlipBit-1)%8 of byte (FlipBit-1)/8 — that every read returning
+	// that byte returns flipped. The file keeps the bit as written.
+	FlipBit int64
 }
 
 // FS is the decorator, safe for concurrent use. Make one per simulated
@@ -191,7 +198,12 @@ func (c *faultFile) ReadAt(p []byte, off int64) (int, error) {
 	if _, err := c.fs.charge(Read, c.name, off, 0); err != nil {
 		return 0, err
 	}
-	return c.f.ReadAt(p, off)
+	n, err := c.f.ReadAt(p, off)
+	opt := c.fs.opt
+	if at := (opt.FlipBit-1)/8 - off; opt.FlipBit > 0 && at >= 0 && at < int64(n) && (opt.Match == nil || opt.Match(c.name, off)) {
+		p[at] ^= 1 << ((opt.FlipBit - 1) % 8)
+	}
+	return n, err
 }
 
 func (c *faultFile) WriteAt(p []byte, off int64) (int, error) {

@@ -263,3 +263,48 @@ func TestCountsIncludeFailures(t *testing.T) {
 		t.Errorf("Written = %d, want 8", fs.Written())
 	}
 }
+
+// TestFlipBitCorruptsReads flips bit 3 of byte 5 of one file: every read of
+// that file that returns the byte returns it flipped, whatever its offset
+// and length; reads that miss the byte, and reads of other files, return
+// what was written, and so does the file itself.
+func TestFlipBitCorruptsReads(t *testing.T) {
+	base := vfs.NewMemFS()
+	data := []byte("0123456789abcdef")
+	for _, name := range []string{"a", "b"} {
+		f, _ := base.Create(name)
+		f.WriteAt(data, 0)
+		f.Close()
+	}
+	fs := New(base, Options{FlipBit: 5*8 + 3 + 1, Match: func(name string, _ int64) bool { return name == "b" }})
+	flipped := bytes.Clone(data)
+	flipped[5] ^= 1 << 3
+	for _, tc := range []struct {
+		name     string
+		off, len int
+		want     []byte
+	}{
+		{"b", 0, 16, flipped},
+		{"b", 5, 1, flipped[5:6]},
+		{"b", 3, 4, flipped[3:7]},
+		{"b", 6, 10, data[6:]},
+		{"b", 0, 5, data[:5]},
+		{"a", 0, 16, data},
+	} {
+		f, err := fs.Open(tc.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, tc.len)
+		if _, err := f.ReadAt(got, int64(tc.off)); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		if !bytes.Equal(got, tc.want) {
+			t.Errorf("%s[%d:%d] = %q, want %q", tc.name, tc.off, tc.off+tc.len, got, tc.want)
+		}
+	}
+	if got := readAll(t, base, "b"); !bytes.Equal(got, data) {
+		t.Errorf("the file holds %q, want %q as written", got, data)
+	}
+}
