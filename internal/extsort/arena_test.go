@@ -29,7 +29,7 @@ func reopenSpill(t *testing.T, fs vfs.FS, cfg Config) *vfs.Arena {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := vfs.NewArena(fs, "sort"+arenaSuffix, runio.BlockBytes(cfg.Memory*record.Size))
+	a := vfs.NewArena(fs, "sort"+arenaSuffix, cfg.Storage.StoredBytes(runio.BlockBytes(cfg.Memory*record.Size)))
 	if err := a.Adopt(placed(st.Runs)); err != nil {
 		t.Fatal(err)
 	}
@@ -43,8 +43,8 @@ func reopenSpill(t *testing.T, fs vfs.FS, cfg Config) *vfs.Arena {
 // keeps the bound the arena is held to: after every write, the arena is no
 // larger than the most the live files have ever held in whole extents (a
 // file's last extent counts in full), plus the extents of one write in
-// flight per open writer — two, as a framed block is a little over one
-// extent.
+// flight per open writer — two, as a write that does not start on an
+// extent boundary spans two.
 type removalPrints struct {
 	vfs.FS
 	mu     sync.Mutex

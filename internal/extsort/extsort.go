@@ -430,10 +430,12 @@ func newRunSet[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
 	// what the merge divides among its buffers.
 	budget := cfg.Memory * ops.ElementBytes()
 	cfg.FanIn = cfg.MergeFanIn(ops.ElementBytes())
-	// Spill files live in one arena file, in extents of a generation block,
-	// so the file system sees one create and one unlink per sort and a
-	// consumed run's pages are overwritten by the next writer.
-	arena := vfs.NewArena(fs, cfg.Prefix+arenaSuffix, runio.BlockBytes(budget))
+	// Spill files live in one arena file, in extents of a generation block
+	// as the backend stores it, frame included, so a forward block is one
+	// write into one extent, the file system sees one create and one unlink
+	// per sort, and a consumed run's pages are overwritten by the next
+	// writer.
+	arena := vfs.NewArena(fs, cfg.Prefix+arenaSuffix, cfg.Storage.StoredBytes(runio.BlockBytes(budget)))
 	var (
 		spill vfs.FS = arena
 		pages        = runio.BackwardPages(cfg.Memory, ops.ElementBytes())

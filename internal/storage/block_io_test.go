@@ -100,6 +100,32 @@ func TestBlockIsOneWriteAndOneRead(t *testing.T) {
 	}
 }
 
+// TestStoredBytesMatchesABlock holds Config.StoredBytes, which sizes a
+// sort's arena extents, to what a block of random (incompressible) bytes
+// takes on the file system under every compression: exactly, since a flate
+// block that would not shrink is stored.
+func TestStoredBytesMatchesABlock(t *testing.T) {
+	const size = 4096
+	for _, comp := range append([]Compression{Raw}, compressions...) {
+		fs := vfs.NewMemFS()
+		cfg := Config{Compression: string(comp)}
+		w, err := mustBackend(t, fs, cfg).Create("f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := AppendBlock(w, block(randPayload(size, 1))); err != nil {
+			t.Fatal(err)
+		}
+		w.Close()
+		f, _ := fs.Open("f")
+		n, _ := f.Size()
+		f.Close()
+		if want := cfg.StoredBytes(size); n != int64(want) {
+			t.Errorf("%s: a %d-byte block takes %d bytes, StoredBytes says %d", comp, size, n, want)
+		}
+	}
+}
+
 // TestPageRunCountsEveryPage writes one chain file page by page and again
 // three pages per WritePage — seven data pages, a partial tail and the
 // header — on every framing: the files are byte-identical and so is the

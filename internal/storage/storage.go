@@ -25,11 +25,15 @@
 // the iosim disk model pin. The block backend wraps each page in a
 // self-describing frame — magic, per-block codec, payload lengths and a
 // CRC32 of the uncompressed payload — and optionally compresses payloads
-// with the standard library's flate. A block is one file-system
-// write, frame and payload together, and one read; callers that leave
-// FrameHeadroom bytes in front of a payload (AppendBlock) and take blocks
-// on loan (BlockLender) move it without a copy on either side. Corruption of a spilled block
-// then surfaces as ErrChecksum (or ErrCorrupt for a damaged frame) when the
+// with the standard library's flate. A block is one file-system write,
+// frame and payload together, and so is a run of chain pages; a read fills
+// a window of the caller's block size with as many whole blocks as it
+// holds, so a window of less than two blocks reads more often than the raw
+// layout's buffer of the same size, which is why raw stays the default
+// (DESIGN §10). Callers that leave FrameHeadroom bytes in front of a
+// payload (AppendBlock) and take blocks on loan (BlockLender) move it
+// without a copy on either side. Corruption of a spilled block then
+// surfaces as ErrChecksum (or ErrCorrupt for a damaged frame) when the
 // merge reads it back, never as silently wrong output.
 package storage
 
@@ -85,6 +89,17 @@ type Config struct {
 	// unframed layout, or "none", "flate" for checksummed block framing
 	// with the named payload codec.
 	Compression string
+}
+
+// StoredBytes returns the most bytes a block of payload bytes takes on the
+// file system under cfg: the payload alone in the raw layout, and the
+// payload behind its frame under a framing one (a flate block stores no
+// more than that).
+func (cfg Config) StoredBytes(payload int) int {
+	if comp, _ := ParseCompression(cfg.Compression); comp == Raw {
+		return payload
+	}
+	return frameSize + payload
 }
 
 // ErrChecksum reports a block whose payload failed CRC verification: the
