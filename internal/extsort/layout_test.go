@@ -35,12 +35,12 @@ var runFileGolden = map[string]string{
 	"alternating/mixed/none":       "7b239be76a74ff69e574f7485e76c22fc9e8ddb98a3f08c38c717f16f6e3a539",
 	"auto/mixed/none":              "df011d2fd5e18385447cec0a0eb6a61e5da7c06dec92654351b75936e2e987b5",
 	"2wrs/alternating/raw":         "beda70288666f19c5dcfeaf7891b3a971f0b9d7985d64cf49b0377a18eddf536",
-	"rs/alternating/raw":           "f383f64cffdab4d6452678b472e9158feb37b5006ccda5fb4f49ebeb784b151d",
-	"alternating/alternating/raw":  "9f758c161abefdbd5168791fe3b63d45c84725a060a3fde28d3afc527e42872b",
+	"rs/alternating/raw":           "409d909ad8bc118725092d63bffa0b3fbadf17ae8560c4bcdb516725322cb02f",
+	"alternating/alternating/raw":  "86d0cdabf1816edf579afc9cf6a920ee24e4b0dc21e7fc51f190aced24857c2f",
 	"auto/alternating/raw":         "beda70288666f19c5dcfeaf7891b3a971f0b9d7985d64cf49b0377a18eddf536",
 	"2wrs/alternating/none":        "8278f0eda90aa2332cd07696bf2d13c1b88ba90110e89d0d958eb350bc454d4f",
-	"rs/alternating/none":          "edd8d13feed6080b83f483baf09e0b6f647c6e7b79d9d5670025720ce70c841d",
-	"alternating/alternating/none": "1acdfe470f044b7fcd36bd710c91cf61542d7e5a54caed420900cd20355bc827",
+	"rs/alternating/none":          "5a5cd2d4ccdecf4288bbeccc0fe3e72163ca54833feec094f6b807f2f8b1e04c",
+	"alternating/alternating/none": "21bf6594cc4b8018f5622ff6f23c287d3fe89c2885e16ed8c340b590b4ed5df7",
 	"auto/alternating/none":        "8278f0eda90aa2332cd07696bf2d13c1b88ba90110e89d0d958eb350bc454d4f",
 }
 

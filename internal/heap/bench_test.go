@@ -10,13 +10,13 @@ import (
 )
 
 // The replacement-selection step — pop the top, tag the next input record
-// against the popped one, push it — on a full heap of M items: the loop
-// the rs, alternating and 2wrs generators spend their time in. keyed fills
-// Item.Key the way codec.KeyRecord16 does, so sifts resolve on the integer
-// pair; cmp leaves it zero, so every compare is a comparator call (the
-// prefixModes of kernel_test.go). The
-// three sizes are a heap inside L2 (2^14 × 32 B = 512 KB), at L2 (2^16,
-// 2 MB of 4) and far outside it (2^20, 32 MB).
+// against the popped one, push it — on a full queue of M items: the loop
+// the rs and alternating generators spend their time in on the tree, and
+// 2wrs on the double heap. keyed fills Item.Key the way codec.KeyRecord16
+// does, so compares resolve on the integer pair; cmp leaves it zero, so
+// every compare is a comparator call (the prefixModes of kernel_test.go).
+// The three sizes are a heap inside L2 (2^14 × 32 B = 512 KB), at L2
+// (2^16, 2 MB of 4) and far outside it (2^20, 32 MB).
 
 var benchSizes = []int{1 << 14, 1 << 16, 1 << 20}
 
@@ -65,6 +65,37 @@ func BenchmarkRSStepHeap(b *testing.B) {
 				it.Run = run + 1
 			}
 			h.Push(it)
+		}
+	})
+}
+
+// BenchmarkRSStepTree is BenchmarkRSStepHeap on the tree of losers: the
+// same loop, sizes and key shapes, with the pop and push of a step fused
+// into one Replace.
+func BenchmarkRSStepTree(b *testing.B) {
+	eachBenchShape(b, func(b *testing.B, m int, prefix func(record.Record) uint64) {
+		in := benchInput(2 * m)
+		t := NewTree(m, false, record.Less)
+		for _, r := range in[:m] {
+			t.Load(Item[record.Record]{Rec: r, Key: prefix(r)})
+		}
+		t.Build()
+		run, next := 0, m
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			out := t.Top()
+			if out.Run != run {
+				run++
+			}
+			r := in[next]
+			if next++; next == len(in) {
+				next = 0
+			}
+			it := Item[record.Record]{Rec: r, Run: run, Key: prefix(r)}
+			if record.Less(r, out.Rec) {
+				it.Run = run + 1
+			}
+			t.Replace(it)
 		}
 	})
 }

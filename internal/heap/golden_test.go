@@ -17,14 +17,18 @@ import (
 	"repro/internal/vfs"
 )
 
-// goldenRuns holds, per heap-based policy and input distribution, a hash
-// of every run file the generator writes (names and bytes). They were
-// recorded at the commit before the sift kernels were rewritten: the heaps
-// decide which record leaves next and Aux carries each record's input
-// position, so one different child pick, tie break or sift-up stop
-// anywhere shows up as a different byte in some run. A change to the
-// kernels must reproduce these; a change to a generator's policy
-// re-records them (the failure message prints the table).
+// goldenRuns holds, per policy and input distribution, a hash of every run
+// file the generator writes (names and bytes): 2WRS runs on the double
+// heap, rs and alternating on the tree of losers. The kernels decide which
+// record leaves next and Aux carries each record's input position, so one
+// different child pick, tie break or sift-up stop anywhere shows up as a
+// different byte in some run. The 2wrs hashes date from before the sift
+// kernels were rewritten; the rs and alternating ones were re-recorded when
+// those generators moved from the binary heap to the tree, which releases
+// comparator-equal records in another order (the runs, their lengths and
+// their keys are the heap's: rs.TestStepperMatchesHeapStepper). A change
+// to a kernel must reproduce these; a change to a generator's policy or
+// tie order re-records them (the failure message prints the table).
 var goldenRuns = map[string]uint64{
 	"2wrs/sorted":             0xd81ac426a0eda9dd,
 	"2wrs/reverse":            0xcfdef62e5b11bc26,
@@ -32,18 +36,18 @@ var goldenRuns = map[string]uint64{
 	"2wrs/random":             0x702f2fd4a7f5198c,
 	"2wrs/mixed":              0x7d2db68c2b53f759,
 	"2wrs/imbalanced":         0x83ae1e9dd83d4ee2,
-	"rs/sorted":               0x3fc708915954c58,
-	"rs/reverse":              0x274d46be1474e765,
-	"rs/alternating":          0xbb48bfc6492d8a52,
-	"rs/random":               0xed9b48edee83713f,
-	"rs/mixed":                0xb00b58d15d6a62ee,
-	"rs/imbalanced":           0x5d74eb55fcc0541b,
-	"alternating/sorted":      0xb40412ca61141936,
-	"alternating/reverse":     0xaa5719dc98d7f12a,
-	"alternating/alternating": 0xed6160168b8a22b2,
-	"alternating/random":      0xa0c3afa2ce5e5b0b,
-	"alternating/mixed":       0x57cc85a85d1d765,
-	"alternating/imbalanced":  0x50d8d610f711d635,
+	"rs/sorted":               0x9aafd0fd7253948e,
+	"rs/reverse":              0xdcb0bd4223c7b475,
+	"rs/alternating":          0x1f06166465c2859e,
+	"rs/random":               0xe66fb218a33a4de9,
+	"rs/mixed":                0xf298d74baf173585,
+	"rs/imbalanced":           0x8822593ce7a4dcb4,
+	"alternating/sorted":      0x2d57b2be06d2c1e0,
+	"alternating/reverse":     0x8e8674f11a552fe4,
+	"alternating/alternating": 0x6585fb67b003b063,
+	"alternating/random":      0x6e000391e134dfec,
+	"alternating/mixed":       0x11635bf38887eaa4,
+	"alternating/imbalanced":  0x1845b33068dda3ef,
 }
 
 // hashRuns generates runs over the distribution twice — the thesis's

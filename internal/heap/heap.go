@@ -1,13 +1,15 @@
-// Package heap implements the run-tagged binary heaps used by replacement
-// selection (Chapter 3 of the thesis) and the single-array double heap of
-// two-way replacement selection (§4.1).
+// Package heap implements run-tagged priority queues: the tree of losers
+// that replacement selection (Chapter 3 of the thesis) and the alternating
+// generator run on, the single-array double heap of two-way replacement
+// selection (§4.1), and the binary heap that bounded selection
+// (internal/select) keeps.
 //
-// The heaps are generic over the element type T and ordered by a caller
-// supplied comparator. Items carry a run number in addition to their
-// element. An element marked for a later run always orders after every
-// element of the current run (in either direction), which is exactly the
-// trick RS uses to keep next-run records at the bottom of the heap: priority
-// is the pair (run, element).
+// All are generic over the element type T and ordered by a caller supplied
+// comparator. Items carry a run number in addition to their element. An
+// element marked for a later run always orders after every element of the
+// current run (in either direction), which is exactly the trick RS uses to
+// keep next-run records out of the way: priority is the pair (run,
+// element).
 package heap
 
 import (
@@ -209,8 +211,9 @@ func (s *side[T]) valid() bool {
 	return true
 }
 
-// Heap is a single run-tagged binary heap of fixed capacity, as used by
-// classic replacement selection.
+// Heap is a single run-tagged binary heap of fixed capacity. Replacement
+// selection runs on Tree, whose replacement is one leaf-to-root replay;
+// Heap keeps the push and pop of bounded selection.
 type Heap[T any] struct {
 	s side[T]
 }

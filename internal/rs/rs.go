@@ -6,18 +6,18 @@
 // generators are generic over the element type: the comparator comes from
 // the Emitter they write runs through.
 //
-// Replacement selection keeps a min-heap of `memory` records. Each step pops
-// the smallest current-run record to the output run and replaces it with the
-// next input record, which joins the current run if it is not smaller than
-// the record just written and is otherwise tagged for the next run. A run
-// ends when the heap's top belongs to the next run. On random input the
-// expected run length is twice the memory (§3.5); on ascending input a
-// single run is produced; on descending input every run has exactly
-// `memory` records — the weakness 2WRS (and the alternating generator)
-// removes.
+// Replacement selection keeps `memory` records in a tree of losers
+// (heap.Tree). Each step writes the smallest current-run record to the
+// output run and replaces it with the next input record, which joins the
+// current run if it is not smaller than the record just written and is
+// otherwise tagged for the next run. A run ends when the tree's winner
+// belongs to the next run. On random input the expected run length is
+// twice the memory (§3.5); on ascending input a single run is produced; on
+// descending input every run has exactly `memory` records — the weakness
+// 2WRS (and the alternating generator) removes.
 //
 // Two types generate runs here. Stepper is replacement selection through a
-// heap in either direction: classic RS is the Stepper that never changes
+// tree in either direction: classic RS is the Stepper that never changes
 // direction, the alternating generator the one that flips at every run
 // boundary. QuickStepper is Load-Sort-Store. Both emit one run per NextRun
 // call; the policy layer (policy.Drive) is the loop that steps them.
@@ -31,13 +31,14 @@ import (
 	"repro/internal/stream"
 )
 
-// Stepper runs replacement selection through a run-tagged heap one run at a
-// time, in either direction: each NextRun call writes exactly one run through
-// the emitter. An up-run is classic replacement selection — pop the smallest
-// current-run record, admit a replacement that is not smaller than the
-// record just written — and a down-run is the same recurrence mirrored
-// through a max-heap, stored in the Appendix A backward format, so the merge
-// phase reads every run strictly forward in ascending order either way.
+// Stepper runs replacement selection through a run-tagged tree of losers
+// one run at a time, in either direction: each NextRun call writes exactly
+// one run through the emitter. An up-run is classic replacement selection —
+// take the smallest current-run record, admit a replacement that is not
+// smaller than the record just written — and a down-run is the same
+// recurrence mirrored through a max-tree, stored in the Appendix A backward
+// format, so the merge phase reads every run strictly forward in ascending
+// order either way.
 //
 // Direction is a value, and when it changes is the stepper's only mode. The
 // classic generator ("rs") never flips it. The alternating one ("alt") flips
@@ -45,28 +46,28 @@ import (
 // Singh and Vu ("Run Generation Revisited"): a descending trend is what
 // classic RS fragments into memory-sized runs, and a down-run absorbs it
 // whole, so whichever way the input drifts every other run travels with it.
-// A flip re-heaps the records already tagged for the next run under the
-// opposite order; the second heap shares its lifetime with the stepper, so
-// alternating costs one extra arena over classic RS (DESIGN.md §9's cost
+// A flip re-keys the one arena in place — at a run boundary every record
+// held is tagged for the next run — and replays the tournament in O(M), so
+// alternating holds no more memory than classic RS (DESIGN.md §9's cost
 // model).
 //
-// Between calls the heap holds the records already tagged for the next run,
+// Between calls the tree holds the records already tagged for the next run,
 // so a caller may stop after any run and continue later.
 type Stepper[T any] struct {
 	em *runio.Emitter[T]
 	in *stream.Fetcher[T]
-	up *heap.Heap[T] // min-heap, feeds ascending runs
-	dn *heap.Heap[T] // max-heap, feeds descending runs; nil unless alternating
-	// pfx caches normalized-key prefixes into heap items when the emitter
+	t  *heap.Tree[T] // a min-tree on up-runs, a max-tree on down-runs
+	// pfx caches normalized-key prefixes into tree items when the emitter
 	// carries a KeyCodec; nil on the comparator-only path, where every cached
 	// key is zero.
 	pfx         func(T) uint64
 	alternating bool // flip direction at every run boundary
 	down        bool // direction of the run the next NextRun emits
+	loaded      bool // the tree holds its first memory-load
 	currentRun  int
 }
 
-// NewStepper returns a Stepper over src with a heap of `memory` elements,
+// NewStepper returns a Stepper over src with a tree of `memory` elements,
 // writing through em and ordering by em.Less. alternating selects the
 // generator that flips direction at each run boundary, and down the
 // direction of its first run: a caller that knows the input leads with a
@@ -76,28 +77,17 @@ func NewStepper[T any](src stream.BatchReader[T], em *runio.Emitter[T], memory i
 	if memory <= 0 {
 		return nil, fmt.Errorf("rs: memory must be positive, got %d", memory)
 	}
-	s := &Stepper[T]{
+	down = alternating && down
+	return &Stepper[T]{
 		em: em,
 		// All input flows through a batched fetch buffer: one ReadBatch per
 		// FetchLen elements instead of an interface call per record.
 		in:          stream.NewFetcher(src, stream.FetchLen(memory)),
-		up:          heap.New(memory, false, em.Less),
+		t:           heap.NewTree(memory, down, em.Less),
 		pfx:         em.PrefixFunc(),
 		alternating: alternating,
-		down:        alternating && down,
-	}
-	if alternating {
-		s.dn = heap.New(memory, true, em.Less)
-	}
-	return s, nil
-}
-
-// active returns the heap of the current direction.
-func (s *Stepper[T]) active() *heap.Heap[T] {
-	if s.down {
-		return s.dn
-	}
-	return s.up
+		down:        down,
+	}, nil
 }
 
 // item tags an input record for the current run, with its cached key
@@ -110,17 +100,25 @@ func (s *Stepper[T]) item(rec T) (it heap.Item[T]) {
 	return it
 }
 
-// fill tops the active heap up from the input (heap.fill in Algorithm 1).
-// After the initial fill it is a no-op: every record written is replaced
-// from the input while the input lasts.
+// fill loads the tree from the input and plays its first tournament
+// (heap.fill in Algorithm 1). It runs once: after it every record written
+// is replaced from the input while the input lasts.
 func (s *Stepper[T]) fill() error {
-	for h := s.active(); !h.Full(); {
+	if s.loaded {
+		return nil
+	}
+	for s.t.Len() < s.t.Cap() {
 		rec, ok, err := s.in.Next()
-		if err != nil || !ok {
+		if err != nil {
 			return err
 		}
-		h.Push(s.item(rec))
+		if !ok {
+			break
+		}
+		s.t.Load(s.item(rec))
 	}
+	s.t.Build()
+	s.loaded = true
 	return nil
 }
 
@@ -137,19 +135,19 @@ func (s *Stepper[T]) before(a, b heap.Item[T]) bool {
 
 // NextRun writes the next run — ascending or descending per the stepper's
 // direction — and returns its manifest; ok is false once the input and the
-// heap are both exhausted.
+// tree are both exhausted.
 func (s *Stepper[T]) NextRun() (runio.Run, bool, error) {
 	if err := s.fill(); err != nil {
 		return runio.Run{}, false, err
 	}
-	h := s.active()
-	if h.Len() == 0 {
+	t := s.t
+	if t.Len() == 0 {
 		return runio.Run{}, false, nil
 	}
-	// The heap orders by (run, element), so every record of the current run
-	// pops before the first record of the next: a run ends exactly when the
-	// top's tag advances (§3.3).
-	s.currentRun = h.Peek().Run
+	// The tree orders by (run, element), so every record of the current run
+	// leaves before the first record of the next: a run ends exactly when
+	// the winner's tag advances (§3.3).
+	s.currentRun = t.Top().Run
 	role := "rs"
 	if s.alternating {
 		role = "alt"
@@ -158,39 +156,40 @@ func (s *Stepper[T]) NextRun() (runio.Run, bool, error) {
 	if err != nil {
 		return runio.Run{}, false, err
 	}
-	for h.Len() > 0 && h.Peek().Run == s.currentRun {
-		out := h.Pop()
+	for t.Len() > 0 {
+		out := t.Top()
+		if out.Run != s.currentRun {
+			break
+		}
 		if err := w.Write(out.Rec); err != nil {
 			return runio.Run{}, false, err
 		}
-		// Read the next input record and insert it tagged with the run it
-		// can still join: the current one, unless it falls on the wrong side
-		// of the record just written — below it in an up-run, above it in a
-		// down-run.
+		// Read the next input record and put it in the written record's
+		// place, tagged with the run it can still join: the current one,
+		// unless it falls on the wrong side of the record just written —
+		// below it in an up-run, above it in a down-run.
 		rec, ok, err := s.in.Next()
 		if err != nil {
 			return runio.Run{}, false, err
 		}
 		if !ok {
+			t.Vacate()
 			continue
 		}
 		in := s.item(rec)
 		if s.down && s.before(out, in) || !s.down && s.before(in, out) {
 			in.Run++
 		}
-		h.Push(in)
+		t.Replace(in)
 	}
 	if err := w.Close(); err != nil {
 		return runio.Run{}, false, err
 	}
 	if s.alternating {
-		// Flip: at a run boundary every remaining item carries the next
-		// run's tag, so moving them under the opposite order is a straight
-		// drain-and-push.
+		// Flip: at a run boundary every record held carries the next run's
+		// tag, so the tree goes on in the opposite order after a re-key.
 		s.down = !s.down
-		for to := s.active(); h.Len() > 0; {
-			to.Push(h.Pop())
-		}
+		t.Flip()
 	}
 	return runio.SingleRun(w.Segment()), true, nil
 }
