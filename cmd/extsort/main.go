@@ -380,8 +380,7 @@ func printSortStats(memory int, stats repro.Stats) {
 	}
 	fmt.Printf("runs:             %d\n", stats.Runs)
 	if stats.Runs > 0 {
-		fmt.Printf("avg run length:   %.1f records (%.2fx memory)\n",
-			stats.AvgRunLength, stats.AvgRunLength/float64(memory))
+		fmt.Printf("avg run length:   %s\n", runLength(memory, stats))
 	}
 	if stats.OverlapRuns > 0 {
 		fmt.Printf("overlapping runs: %d (merged as separate streams)\n", stats.OverlapRuns)
@@ -389,6 +388,16 @@ func printSortStats(memory int, stats repro.Stats) {
 	fmt.Printf("merge passes:     %d (%d merge ops over %d inputs)\n",
 		stats.MergePasses, stats.MergeOps, stats.MergeInputs)
 	printIOStats(stats)
+}
+
+// runLength describes the average run length against the memory budget and,
+// when the budget ran in lanes, against one lane's memory.
+func runLength(memory int, stats repro.Stats) string {
+	s := fmt.Sprintf("%.1f records (%.2fx memory", stats.AvgRunLength, stats.AvgRunLength/float64(memory))
+	if stats.Lanes > 1 {
+		s += fmt.Sprintf(", %.2fx lane memory: %d lanes of %d", stats.RunLenOverLaneMemory(), stats.Lanes, stats.LaneMemory)
+	}
+	return s + ")"
 }
 
 // printIOStats reports the spill backend's byte accounting: what the sort

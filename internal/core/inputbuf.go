@@ -119,7 +119,9 @@ func (b *inputBuffer[T]) pop() T {
 		}
 		b.remove(i)
 	}
-	b.head = (b.head + 1) % len(b.ring)
+	if b.head++; b.head == len(b.ring) {
+		b.head = 0
+	}
 	b.n--
 	if b.key != nil {
 		b.sum -= b.key(rec)

@@ -559,7 +559,7 @@ func (g *generator[T]) endRun() (runio.Run, error) {
 		}
 	}
 
-	var run runio.Run
+	run := runio.Run{Segments: make([]runio.Segment, 0, len(g.streams))}
 	for i := range g.streams {
 		if w := g.streams[i].w; w != nil {
 			if err := w.Close(); err != nil {

@@ -181,6 +181,7 @@ func shardedSort[T any](entry time.Time, sample []T, src stream.BatchReader[T], 
 		}
 		if i == 0 {
 			st.Keyed, st.Policy, st.Storage = s.Keyed, s.Policy, s.Storage
+			st.Lanes, st.LaneMemory = s.Lanes, s.LaneMemory
 		}
 		st.Records += s.Records
 		st.Runs += s.Runs

@@ -175,11 +175,12 @@ type Config struct {
 	// for the whole sort.
 	Disk *iosim.Disk
 	// Parallelism bounds the sort's concurrency (default GOMAXPROCS): up to
-	// this many operations of the merge plan execute at once. Run generation
-	// is one sequential pass at every setting, writing its own files. 1
-	// reproduces the fully sequential behaviour — and the paper's sequential
-	// cost model — exactly; the on-disk run format, the merge tree and the
-	// sorted output are identical either way.
+	// this many of the sort's run generators (its Lanes, set by Memory
+	// alone) compute at once, each writing its own files, and up to this
+	// many operations of the merge plan execute at once. 1 reproduces the
+	// fully sequential behaviour — and, with one lane, the paper's
+	// sequential cost model — exactly; the run files, the merge tree and the
+	// sorted output are identical at every setting.
 	// A simulated disk (Disk != nil) always forces 1: overlap against a
 	// single simulated device would double-count time.
 	Parallelism int
@@ -197,9 +198,9 @@ type Config struct {
 	// internal/manifest and DESIGN.md §14). The files are the plain sort's,
 	// byte for byte: the generator is not disturbed, and a boundary only
 	// appends the run's shape and content checksums to the manifest. A
-	// resume replays a fresh generator from the first input record, checks
-	// every recovered run against its record and writes from the last one
-	// on. That holds under every policy: auto's probe reads the same
+	// resume replays fresh generators — one per lane — from the first input
+	// record, checks every recovered run against its record and writes each
+	// lane from its last recovered boundary on. That holds under every policy: auto's probe reads the same
 	// prefix, so a resumed auto sort repeats the one decision of the
 	// uninterrupted one. A failure before the merged stream opens keeps the
 	// spill files and manifest for Resume.
@@ -254,6 +255,21 @@ func (c Config) MergeFanIn(elementBytes int) int {
 	return max(DefaultFanIn, c.Memory*elementBytes/mergeBlockFloor-1)
 }
 
+// generationBlock sizes the blocks every lane's streams hand to storage,
+// given the budget in bytes: BlockBytes of one lane's share of it, and for a
+// framed sort no more than the merge's share of one input in whole pages
+// (merge.Config.InputShare), since a framed reader holds a whole block of
+// the writer. Raw readers take what they ask for, so a raw block keeps the
+// lane's size. c.FanIn is resolved.
+func (c Config) generationBlock(budget int) int {
+	block := runio.BlockBytes(budget / c.Lanes())
+	if comp, _ := storage.ParseCompression(c.Storage.Compression); comp != storage.Raw {
+		share := merge.Config{FanIn: c.FanIn, MemoryBytes: budget}.InputShare()
+		block = min(block, share/runio.DefaultPageSize*runio.DefaultPageSize)
+	}
+	return block
+}
+
 // Recommended returns the paper's recommended end-to-end configuration:
 // 2WRS (§5.3 parameters) with the optimal fan-in.
 func Recommended(memory int) Config {
@@ -301,6 +317,12 @@ type Stats struct {
 	// Policy names the run-generation policy that ran ("2wrs", "rs",
 	// "alternating", "quick", "auto").
 	Policy string
+	// Lanes is how many run generators ran side by side (Config.Lanes): 1
+	// unless the budget exceeds 2^15 elements. In a sharded sort, a shard's.
+	Lanes int
+	// LaneMemory is each lane's budget in elements, Memory / Lanes: the
+	// memory of the generator that wrote a run (RunLenOverLaneMemory).
+	LaneMemory int
 	// RunsRecovered is the number of runs a resumed sort recovered intact
 	// from a durable manifest instead of regenerating (0 for fresh sorts).
 	RunsRecovered int
@@ -340,6 +362,18 @@ type Stats struct {
 	// execution order (e.g. "generate" then "merge"): the one statement of
 	// each phase's wall time.
 	Phases []PhaseStat
+}
+
+// RunLenOverLaneMemory is the average run length as a multiple of one lane's
+// memory: the paper's run-length measure (2.0 for replacement selection on
+// uniform input) for the generators that wrote the runs. Over the whole
+// budget the multiple is about Lanes times smaller, since L lanes write
+// about L times the runs. It is 0 before any run.
+func (s Stats) RunLenOverLaneMemory() float64 {
+	if s.LaneMemory == 0 {
+		return 0
+	}
+	return s.AvgRunLength / float64(s.LaneMemory)
 }
 
 // IOStats is the spill backend's I/O accounting, re-exported from
@@ -435,7 +469,8 @@ func newRunSet[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
 	// write into one extent, the file system sees one create and one unlink
 	// per sort, and a consumed run's pages are overwritten by the next
 	// writer.
-	arena := vfs.NewArena(fs, cfg.Prefix+arenaSuffix, cfg.Storage.StoredBytes(runio.BlockBytes(budget)))
+	block := cfg.generationBlock(budget)
+	arena := vfs.NewArena(fs, cfg.Prefix+arenaSuffix, cfg.Storage.StoredBytes(block))
 	var (
 		spill vfs.FS = arena
 		pages        = runio.BackwardPages(cfg.Memory, ops.ElementBytes())
@@ -456,7 +491,7 @@ func newRunSet[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
 	}
 	o := newSortObs(cfg)
 	em := runio.NewEmitterOn(store, cfg.Prefix, ops.Codec, ops.Less)
-	em.PagesPerFile = pages
+	em.PagesPerFile, em.Block = pages, block
 	storage.PoolOf(store).Reserve(budget)
 	rset := &RunSet[T]{store: store, em: em, cfg: cfg, ops: ops, o: o, fs: fs, spill: arena}
 	if cfg.Manifest {
@@ -467,13 +502,14 @@ func newRunSet[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
 }
 
 // generate runs phase one on a RunSet shell. Plain, durable and resumed
-// passes share it: the generator runs straight through the input from its
-// first record either way, and a durable sort (Config.Manifest) only adds a
-// hook at every run boundary that appends a manifest record, then commits
-// the manifest at the end. recovered are the boundaries Resume adopted: the
-// pass replays them first, regenerating their runs into a store that keeps
-// nothing and checking each against its record, and switches to the sort's
-// store at the last of them. On error the pass leaves by Abandon.
+// passes share it: the sort's generators — one per lane — run straight
+// through the input from its first record either way, and a durable sort
+// (Config.Manifest) only adds a hook at every run boundary that appends a
+// manifest record, then commits the manifest at the end. recovered are the
+// boundaries Resume adopted: each lane replays its own first, regenerating
+// their runs into a store that keeps nothing and checking each against its
+// record, and switches to the sort's store at the last of them. On error
+// the pass leaves by Abandon.
 func (r *RunSet[T]) generate(src stream.BatchReader[T], recovered []manifest.Run, entry time.Time) (*RunSet[T], error) {
 	cfg, ops, em, o := r.cfg, r.ops, r.em, r.o
 	durable := r.manifestName != ""
@@ -510,63 +546,48 @@ func (r *RunSet[T]) generate(src stream.BatchReader[T], recovered []manifest.Run
 		return nil, err
 	}
 
-	// The meter counts every record the generator reads — a boundary's
+	lanes, err := r.newLanes(recovered)
+	if err != nil {
+		return fail(err)
+	}
+	// The meter counts every record the lanes are dealt — a single lane's
 	// input position — and leaves the replayed prefix out of the input
 	// metric.
 	var skip int64
 	if n := len(recovered); n > 0 {
-		skip = recovered[n-1].InputPos
+		skip = replayedInput(lanes)
 		rsp = gsp.Start("resume", obs.Int("runs_recovered", int64(n)), obs.Int("input_pos", skip))
 		r.stats.RunsRecovered = n
 		o.observeRecovered(n)
-		// The replay writes nowhere.
-		em.Store = storage.NewRaw(vfs.Discard{})
-		storage.PoolOf(em.Store).Reserve(storage.PoolOf(r.store).Budget())
 	}
 	in := meterSource(o, src, skip)
-	var (
-		replayed int // recovered boundaries regenerated so far
-		commit   func(policy.Driven, runio.Run) error
-	)
+	var seq *sequencer
 	if durable {
-		commit = func(gen policy.Driven, run runio.Run) error {
-			mr := runRecord(gen.Kind(), run, in.n, em.Namer.Seq())
-			if replayed == len(recovered) {
-				return r.commitBoundary(man, gsp, mr)
-			}
-			if !sameRun(mr, recovered[replayed]) {
-				return fmt.Errorf("%w: run %d regenerated from the input is not the run the manifest committed; the source must re-serve the original input", manifest.ErrChecksum, replayed+1)
-			}
-			// No stream is open at a boundary: the one point where the
-			// replay can hand over to the sort's store.
-			if replayed++; replayed == len(recovered) {
-				em.Store = r.store
-				rsp.End()
-			}
-			return nil
-		}
+		seq = newSequencer(lanes, func(mr manifest.Run) error { return r.commitBoundary(man, gsp, mr) })
 	}
 
-	// Every policy takes the same two steps: build its generator over the
-	// metered input, then drive it to exhaustion.
+	// Every policy takes the same steps: decide once, build a generator per
+	// lane, then drive each to exhaustion.
 	wallStart := time.Now()
-	gen, err := policy.NewGenerator(cfg.Policy, in, em, policy.Config{Memory: cfg.Memory, TWRS: cfg.TWRS, Span: gsp}, ops.Key)
-	var pres policy.Result
-	if err == nil {
-		pres, err = policy.Drive(gen, gsp, commit)
+	runs, err := r.runLanes(lanes, in, seq, gsp, rsp)
+	for _, l := range lanes {
+		if err == nil && l.replayed < len(l.recovered) {
+			err = fmt.Errorf("%w: the input ended after %d records, before the %d runs the manifest committed were regenerated; the source must re-serve the original input", manifest.ErrChecksum, in.n, len(recovered))
+		}
 	}
-	if err == nil && replayed < len(recovered) {
-		err = fmt.Errorf("%w: the input ended after %d records, before the %d runs the manifest committed were regenerated; the source must re-serve the original input", manifest.ErrChecksum, in.n, len(recovered))
+	var records int64
+	for _, run := range runs {
+		records += run.Records
 	}
-	if err == nil && pres.Records != in.n {
-		err = fmt.Errorf("%w: %d read, %d in the runs", ErrRecordCount, in.n, pres.Records)
+	if err == nil && records != in.n {
+		err = fmt.Errorf("%w: %d read, %d in the runs", ErrRecordCount, in.n, records)
 	}
 	if err != nil {
 		return fail(err)
 	}
-	r.runs = pres.Runs
+	r.runs = runs
 	if durable {
-		if err := man.Commit(pres.Records); err != nil {
+		if err := man.Commit(records); err != nil {
 			return fail(err)
 		}
 		if err := man.Close(); err != nil {
@@ -596,6 +617,8 @@ func (r *RunSet[T]) finishGenerate(phase string, wall time.Duration, entry time.
 		r.o.observeRun(run.Records)
 	}
 	r.stats.Runs = len(r.runs)
+	r.stats.Lanes = r.cfg.Lanes()
+	r.stats.LaneMemory = r.cfg.Memory / r.stats.Lanes
 	if r.stats.Runs > 0 {
 		r.stats.AvgRunLength = float64(r.stats.Records) / float64(r.stats.Runs)
 	}

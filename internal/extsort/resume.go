@@ -33,7 +33,9 @@ import (
 // record 0 and replays it, regenerating the recovered runs into a store
 // that keeps nothing and checking each against its record, then writes for
 // real from the last recovered boundary on — the uninterrupted sort's files
-// again.
+// again. A sort in lanes (lanes.go) does this per lane: every record names
+// its lane, the input is dealt again from record 0, and each lane hands over
+// to the real store at its own last recovered boundary.
 
 // compressionName returns the canonical spill framing name for the header.
 func compressionName(cfg Config) string {
@@ -55,8 +57,14 @@ func generationFingerprint[T any](cfg Config, ops Ops[T], em *runio.Emitter[T]) 
 	if pages == 0 {
 		pages = runio.DefaultPagesPerFile
 	}
-	return fmt.Sprintf("policy=%s memory=%d elem=%d page=%d pages_per_file=%d twrs=%+v",
+	fp := fmt.Sprintf("policy=%s memory=%d elem=%d page=%d pages_per_file=%d twrs=%+v",
 		cfg.Policy, cfg.Memory, ops.ElementBytes(), page, pages, cfg.TWRS)
+	if lanes := cfg.Lanes(); lanes > 1 {
+		// The lanes and their blocks follow from the budget, but only under
+		// this rule; a manifest written under another must not resume.
+		fp += fmt.Sprintf(" lanes=%d deal=%d", lanes, cfg.dealLen())
+	}
+	return fp
 }
 
 // durableHeader builds the manifest identity record for this invocation.
@@ -124,7 +132,11 @@ func (r *RunSet[T]) commitBoundary(man *manifest.Writer, gsp *obs.Span, mr manif
 // placements reports where the arena holds the files of a run record: each
 // file of its non-empty segments.
 func (r *RunSet[T]) placements(mr manifest.Run) []vfs.ArenaFile {
-	var files []vfs.ArenaFile
+	n := 0
+	for _, ms := range mr.Segments {
+		n += max(ms.Files, 1)
+	}
+	files := make([]vfs.ArenaFile, 0, n)
 	for _, ms := range mr.Segments {
 		if ms.Records > 0 {
 			ms.EachFile(func(name string, _ int) {

@@ -182,8 +182,8 @@ func bufferedTWRS(in core.InputHeuristic, out core.OutputHeuristic) core.Config 
 // named cases widen the default one (2WRS, recommended heuristics) to the
 // state a replay has to reach again: heap layout under ties, the coin-flip
 // position of the random heuristics, the FIFO's float sum and median, a
-// key-less element type, the other generators, and the simulated disk above
-// the arena with the thesis' chain layout.
+// key-less element type, the other generators, the simulated disk above
+// the arena with the thesis' chain layout, and a sort of two lanes.
 func TestResumeAtEveryRunBoundary(t *testing.T) {
 	resumeAtEveryBoundary(t, testRecords(1500, 1), durableCfg(64), RecordOps())
 
@@ -232,6 +232,7 @@ func TestResumeAtEveryRunBoundary(t *testing.T) {
 			t.Fatal("the simulated disk saw no traffic")
 		}
 	})
+	t.Run("lanes_2", resumeLanesAtEveryBoundary)
 	// auto, switched by its probe off the paper's 2wrs onto rs: the
 	// alternating dataset opens with an ascending section a memory-load
 	// long. The replay must repeat that one choice.
@@ -864,11 +865,11 @@ func TestResumeConfigMismatch(t *testing.T) {
 // released version left behind: it may change only with the manifest format.
 var durableHeaderGolden = map[string]manifest.Header{
 	"raw": {
-		Version: 4, Prefix: "sort", Codec: "codec.Record16", KeyCodec: "codec.KeyRecord16",
+		Version: 5, Prefix: "sort", Codec: "codec.Record16", KeyCodec: "codec.KeyRecord16",
 		Compression: "raw", Generation: durableGenerationGolden,
 	},
 	"block_flate": {
-		Version: 4, Prefix: "sort", Codec: "codec.Record16", KeyCodec: "codec.KeyRecord16",
+		Version: 5, Prefix: "sort", Codec: "codec.Record16", KeyCodec: "codec.KeyRecord16",
 		Compression: "flate", Generation: durableGenerationGolden,
 	},
 }

@@ -35,6 +35,9 @@ import (
 )
 
 // Version is the manifest format version this package reads and writes.
+// Version 5 names the lane of every run record: a sort whose budget is split
+// among generators side by side lists their boundaries interleaved, and a
+// resume hands each recovered record back to the lane that wrote it.
 // Version 4 drops the generator snapshot: a run record no longer names a
 // carry file or state words, since a resume replays the generator instead
 // of restoring it. Its commit record once also counted auto's mid-stream
@@ -44,7 +47,7 @@ import (
 // extents of each file it names (Run.Files), so a resume can reopen the
 // arena. An older manifest is the scratch state of an interrupted sort, not
 // an archive: it is refused like any unknown version (ErrCorrupt).
-const Version = 4
+const Version = 5
 
 // Suffix is appended to a sort's file prefix to name its manifest.
 const Suffix = ".manifest"
@@ -151,8 +154,12 @@ type Run struct {
 	// this boundary, read-ahead included. A resume requires the source to
 	// re-serve at least that many.
 	InputPos int64 `json:"input_pos"`
-	// NamerSeq is the spill Namer's sequence counter at this boundary.
+	// NamerSeq is the spill Namer's sequence counter at this boundary: the
+	// Namer of the lane that wrote the run.
 	NamerSeq int `json:"namer_seq"`
+	// Lane is the index of the generator that wrote the run, 0 in a sort
+	// with one; InputPos counts that lane's input.
+	Lane int `json:"lane,omitempty"`
 	// Files places every file of the run's non-empty segments in the sort's
 	// spill arena: its size and extents. A resume adopts exactly the files
 	// of the records it keeps.
@@ -197,7 +204,11 @@ func appendRecord(buf []byte, l line) ([]byte, error) {
 	if err != nil {
 		return buf, err
 	}
-	buf = fmt.Appendf(buf, "%08x ", crc32.ChecksumIEEE(payload))
+	crc := crc32.ChecksumIEEE(payload)
+	for shift := 28; shift >= 0; shift -= 4 {
+		buf = append(buf, "0123456789abcdef"[crc>>shift&0xf])
+	}
+	buf = append(buf, ' ')
 	buf = append(buf, payload...)
 	return append(buf, '\n'), nil
 }
@@ -206,6 +217,7 @@ func appendRecord(buf []byte, l line) ([]byte, error) {
 // written through to the file system before returning, so a record that
 // AppendRun reported durable survives any later crash.
 type Writer struct {
+	buf    []byte // the last record's line, reused by the next
 	f      vfs.File
 	off    int64
 	runs   int
@@ -267,7 +279,8 @@ func (w *Writer) AppendRun(r Run) error {
 	}
 	w.runs++
 	r.Seq = w.runs
-	buf, err := appendRecord(nil, line{T: "r", R: &r})
+	buf, err := appendRecord(w.buf[:0], line{T: "r", R: &r})
+	w.buf = buf
 	if err != nil {
 		return err
 	}

@@ -259,9 +259,11 @@ func TestManifestErrors(t *testing.T) {
 // testdata/v2.manifest (two run boundaries of a 2WRS sort, its files one
 // per run on the file system), whose records place no file in an arena, and
 // testdata/v3.manifest (three boundaries of a 2WRS sort in an arena), whose
-// records restore the generator from a snapshot instead of replaying it.
+// records restore the generator from a snapshot instead of replaying it, and
+// testdata/v4.manifest (a 2WRS sort replayed from record 0), whose records
+// name no lane.
 func TestVersion2Refused(t *testing.T) {
-	for _, v := range []int{2, 3} {
+	for _, v := range []int{2, 3, 4} {
 		data, err := os.ReadFile(fmt.Sprintf("testdata/v%d.manifest", v))
 		if err != nil {
 			t.Fatal(err)

@@ -80,6 +80,12 @@ func (c Config) bufBytes(workers, width int) int {
 	return max(c.MemoryBytes/workers/(width+1), runio.DefaultPageSize)
 }
 
+// InputShare is the least block a merge under c gives one input of an
+// operation that runs alone: the budget split among FanIn inputs and the
+// output. A framed run's reader holds whole blocks of its writer, so run
+// generation writes a framed sort's blocks no larger.
+func (c Config) InputShare() int { return c.bufBytes(1, c.FanIn) }
+
 // fedWorkers returns how many full-width operations MemoryBytes feeds at
 // once without a block going under its floor: each holds FanIn+1 blocks of
 // bufBytes, and an input's block is split among the pieces of the run it

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -614,6 +615,10 @@ func TestMergeHoldsToMemoryBudget(t *testing.T) {
 		{"derived/single/8", 1, 256 << 10, 15, 8, 200},
 		{"derived/overlap/1", 4, 256 << 10, 15, 1, 50},
 		{"derived/overlap/2", 4, 256 << 10, 15, 2, 50},
+		// Runs written in blocks of the merge's share of an input, the
+		// largest a framed sort's generation writes at F >= 8: a framed
+		// reader holds whole blocks of its writer.
+		{"generation_blocks/single/1", 1, 256 << 10, 15, 1, 50},
 	} {
 		fanIn, workers := row.fanIn, row.workers
 		for _, comp := range []string{"raw", "none"} {
@@ -625,6 +630,9 @@ func TestMergeHoldsToMemoryBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 			em := runio.NewEmitterOn[record.Record](st, "m", codec.Record16{}, record.Less)
+			if strings.HasPrefix(row.name, "generation_blocks/") {
+				em.Block = Config{FanIn: fanIn, MemoryBytes: row.memory}.InputShare()
+			}
 			var runs []runio.Run
 			var all []record.Record
 			if row.pieces == 1 {

@@ -66,43 +66,71 @@ type Result struct {
 	Switches int
 }
 
-// NewGenerator is the one constructor of run generators: the stepper of a
-// fixed policy, fresh over src. Auto is not a generator but a choice made
-// once: it reads a memory-sized prefix of src, measures it, and returns the
-// stepper of the fixed policy the probe names (Alternating opening in the
-// probe's direction) over the prefix and then the rest of src. key
-// optionally projects elements onto the real line for the 2WRS numeric
-// heuristics; nil selects the comparator-only fallbacks. Step the result
-// with Drive.
+// Choice is a policy resolved to the fixed stepper that runs it: the policy
+// itself, or the one Auto's probe named, with the direction Alternating
+// opens in.
+type Choice struct {
+	// Kind is the fixed policy whose stepper runs.
+	Kind Kind
+	down bool // Alternating opens with a descending run
+}
+
+// Decide resolves kind before any generator is built, once per sort. A fixed
+// policy is its own choice. Auto is not a generator but a choice made once:
+// it reads a memory-sized prefix of src, measures it and names the fixed
+// policy the probe favours (Alternating opening in the probe's direction).
+// The returned reader serves src from its first record, the probed prefix
+// included.
+func Decide[T any](kind Kind, src stream.BatchReader[T], memory int, less func(a, b T) bool) (Choice, stream.BatchReader[T], error) {
+	if kind != Auto {
+		return Choice{Kind: kind}, src, nil
+	}
+	prefix, _, err := stream.ReadPrefix(src, make([]T, 0, memory), memory, nil)
+	if err != nil {
+		return Choice{}, nil, err
+	}
+	var c Choice
+	c.Kind, c.down = choose(Measure(prefix, less))
+	return c, stream.Prepend(prefix, src), nil
+}
+
+// NewGenerator is the one constructor of run generators: Decide, then Build
+// over what Decide hands back. key optionally projects elements onto the
+// real line for the 2WRS numeric heuristics; nil selects the comparator-only
+// fallbacks. Step the result with Drive.
 func NewGenerator[T any](kind Kind, src stream.BatchReader[T], em *runio.Emitter[T], cfg Config, key func(T) float64) (Driven, error) {
 	if cfg.Memory <= 0 {
 		return nil, fmt.Errorf("policy: memory must be positive, got %d", cfg.Memory)
 	}
-	down := false
-	if kind == Auto {
-		prefix, _, err := stream.ReadPrefix(src, make([]T, 0, cfg.Memory), cfg.Memory, nil)
-		if err != nil {
-			return nil, err
-		}
-		kind, down = choose(Measure(prefix, em.Less))
-		src = stream.Prepend(prefix, src)
+	c, src, err := Decide(kind, src, cfg.Memory, em.Less)
+	if err != nil {
+		return nil, err
+	}
+	return Build(c, src, em, cfg, key)
+}
+
+// Build returns the stepper of a decided policy, fresh over src: what every
+// generator of a sort runs once Decide has spoken for all of them.
+func Build[T any](c Choice, src stream.BatchReader[T], em *runio.Emitter[T], cfg Config, key func(T) float64) (Driven, error) {
+	if cfg.Memory <= 0 {
+		return nil, fmt.Errorf("policy: memory must be positive, got %d", cfg.Memory)
 	}
 	var gen Generator
 	var err error
-	switch kind {
+	switch c.Kind {
 	case TwoWayRS:
 		gen, err = core.NewStepper(src, em, cfg.TWRS.For(cfg.Memory), key)
 	case RS, Alternating:
-		gen, err = rs.NewStepper(src, em, cfg.Memory, kind == Alternating, down)
+		gen, err = rs.NewStepper(src, em, cfg.Memory, c.Kind == Alternating, c.down)
 	case Quick:
 		gen, err = rs.NewQuickStepper(src, em, cfg.Memory)
 	default:
-		err = errUnknown(kind.String())
+		err = errUnknown(c.Kind.String())
 	}
 	if err != nil {
 		return nil, err
 	}
-	return fixed{gen, kind}, nil
+	return fixed{gen, c.Kind}, nil
 }
 
 // Generate runs the given policy over src from start to end, writing runs

@@ -3,6 +3,7 @@ package runio
 import (
 	"encoding/binary"
 	"fmt"
+	"strconv"
 
 	"repro/internal/codec"
 	"repro/internal/storage"
@@ -51,7 +52,7 @@ func decodeHeader(buf []byte) (header, error) {
 
 // backwardFileName names the i-th file of the chain, matching the thesis'
 // "same name followed by a different number" scheme.
-func backwardFileName(base string, i int) string { return fmt.Sprintf("%s.%d", base, i) }
+func backwardFileName(base string, i int) string { return base + "." + strconv.Itoa(i) }
 
 // chainFile is one open file of a backward chain: given runs of whole pages
 // top down, then finished and closed.
@@ -59,8 +60,9 @@ type chainFile struct {
 	w   storage.PageWriter
 	top int // the highest data page not stored yet
 	// hdr is the file's header: the writer counts its records, finish fills
-	// in where the payload starts.
-	hdr header
+	// in where the payload starts and encodes it into head.
+	hdr  header
+	head [headerSize]byte
 }
 
 // writePages stores a run of whole pages just below those already stored.
@@ -88,9 +90,8 @@ func (f *chainFile) finish(payload []byte) error {
 		}
 		f.hdr.startPage, f.hdr.startPos = uint32(f.top), uint32(sp)
 	}
-	hdr := make([]byte, headerSize)
-	f.hdr.encode(hdr)
-	return f.w.WriteHeader(hdr)
+	f.hdr.encode(f.head[:])
+	return f.w.WriteHeader(f.head[:])
 }
 
 // BackwardWriter writes a stream of elements arriving in *descending* order

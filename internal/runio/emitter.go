@@ -43,10 +43,12 @@ type Emitter[T any] struct {
 	// no per-element CRC is ever computed.
 	Checksums bool
 
-	// block is the size of the blocks of the last stream Stream opened,
-	// which Open tells the readers of runs: the budget the blocks were
-	// sized from, not one a merge may reserve later.
-	block int
+	// Block is the size of the blocks the streams Stream opens hand to
+	// storage, forward blocks and chain writes alike, and what Open tells
+	// the readers of runs. Zero means BlockBytes of the store's pool budget,
+	// fixed when the first stream opens: the budget the blocks were sized
+	// from, not one a merge may reserve later.
+	Block int
 
 	mu sync.Mutex
 	// open lists every stream the emitter opened that has not closed yet,
@@ -101,16 +103,19 @@ func BlockBytes(budget int) int {
 // operations: a file is complete when the stream's Close returns.
 func (e *Emitter[T]) Stream(role string, descending bool) (StreamWriter[T], error) {
 	name := e.Namer.Next(role)
-	e.block = BlockBytes(storage.PoolOf(e.Store).Budget())
+	if e.Block == 0 {
+		e.Block = BlockBytes(storage.PoolOf(e.Store).Budget())
+	}
 	if descending {
 		w, err := NewBackwardWriter(e.Store, name, e.PageSize, e.PagesPerFile, e.Codec, e.Less)
 		if err != nil {
 			return nil, err
 		}
+		w.blockPages = min(max(e.Block/int(w.file.pageSize), 1), int(w.file.pages)-1)
 		e.adopt(&w.streamBase)
 		return w, nil
 	}
-	return e.NewWriter(name, e.block)
+	return e.NewWriter(name, e.Block)
 }
 
 // NewWriter creates a forward writer on the named file with an explicit
@@ -167,7 +172,7 @@ func (e *Emitter[T]) AbortOpen() {
 func (e *Emitter[T]) Open(r Run, bufBytes int) ([]*Reader[T], error) {
 	pieces, err := OpenRun(e.Store, r, bufBytes, e.Codec)
 	for _, p := range pieces {
-		p.block = e.block
+		p.block = e.Block
 	}
 	return pieces, err
 }

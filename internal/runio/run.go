@@ -2,8 +2,8 @@ package runio
 
 import (
 	"errors"
-	"fmt"
 	"os"
+	"strconv"
 
 	"repro/internal/codec"
 	"repro/internal/storage"
@@ -146,7 +146,11 @@ func OpenRun[T any](st storage.Backend, r Run, bufBytes int, c codec.Codec[T]) (
 		}
 	}
 	if r.Concatenable || len(live) == 0 {
-		var files []spillFile
+		n := 0
+		for _, s := range live {
+			n += max(s.Files, 1)
+		}
+		files := make([]spillFile, 0, n)
 		for _, s := range live {
 			files = s.appendFiles(files, true)
 		}
@@ -193,7 +197,13 @@ func NewNamer(prefix string) *Namer { return &Namer{prefix: prefix} }
 // Next returns a fresh name with the given role suffix.
 func (nm *Namer) Next(role string) string {
 	nm.n++
-	return fmt.Sprintf("%s-%04d-%s", nm.prefix, nm.n, role)
+	var seq [20]byte
+	b := seq[:0]
+	for p := 1000; p > 1 && nm.n < p; p /= 10 {
+		b = append(b, '0') // at least four digits
+	}
+	b = strconv.AppendInt(b, int64(nm.n), 10)
+	return nm.prefix + "-" + string(b) + "-" + role
 }
 
 // Seq returns the number of names handed out so far. A resumable sort

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -62,6 +63,10 @@ type arenaFile struct {
 	ext  []int64
 	held bool // removing it parks its extents until Release
 	gone bool // removed: its handles fail
+	// inline holds ext for a file of up to eight extents, and created is
+	// the handle Create returns, so neither costs an allocation of its own.
+	inline  [8]int64
+	created arenaHandle
 }
 
 // ArenaFile is where one file lies in an arena. A durable record of it lets
@@ -132,8 +137,10 @@ func (a *Arena) Create(name string) (File, error) {
 		a.release(old)
 	}
 	n := &arenaFile{name: name}
+	n.ext = n.inline[:0]
+	n.created = arenaHandle{a: a, n: n}
 	a.files[name] = n
-	return &arenaHandle{a: a, n: n}, nil
+	return &n.created, nil
 }
 
 // Open implements FS. The handle may write as well as read.
@@ -351,6 +358,11 @@ func (a *Arena) place(n *arenaFile, off, end int64) [][2]int64 {
 		}
 	}
 	visible := max(n.size, end)
+	if need := int((end-1)/a.extent + 1); need > cap(n.ext) {
+		// Spill files grow an extent at a time: room for twice as many
+		// keeps a long one to a few allocations.
+		n.ext = slices.Grow(n.ext, 2*need-len(n.ext))
+	}
 	for k := off / a.extent; k <= (end-1)/a.extent; k++ {
 		for int64(len(n.ext)) <= k {
 			n.ext = append(n.ext, -1)

@@ -221,13 +221,15 @@ func WithTempDir(dir string) Option {
 	return func(s *sorterConfig) error { s.cfg.TempDir = dir; return nil }
 }
 
-// WithParallelism bounds the sort's concurrency: up to this many operations
-// of the merge plan whose inputs are complete run at once, and in-memory
-// selection builds its heaps on up to this many goroutines. Run generation
-// is one sequential pass at every setting. 1 forces the fully sequential
-// behaviour (the paper's cost model); 0, the default, uses GOMAXPROCS. The
-// on-disk run format, the merge tree and the sorted output are identical at
-// every setting.
+// WithParallelism bounds the sort's concurrency: up to this many run
+// generators compute at once — a budget of more than 2^15 elements runs
+// ⌈budget/2^15⌉ of them side by side, each over its share of the input and
+// of the memory — up to this many operations of the merge plan whose inputs
+// are complete run at once, and in-memory selection builds its heaps on up
+// to this many goroutines. 1 forces the fully sequential behaviour (the
+// paper's cost model); 0, the default, uses GOMAXPROCS. How many generators
+// there are is set by the budget alone, so the run files, the merge tree
+// and the sorted output are identical at every setting.
 func WithParallelism(n int) Option {
 	return func(s *sorterConfig) error { s.cfg.Parallelism = n; return nil }
 }
