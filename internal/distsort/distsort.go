@@ -20,8 +20,8 @@
 package distsort
 
 import (
+	"errors"
 	"fmt"
-	"io"
 	"slices"
 	"time"
 
@@ -35,12 +35,17 @@ import (
 
 const (
 	// feedBatch is the element batch size the partition loop reads and
-	// hands to the shard feeds.
+	// deals to the shards.
 	feedBatch = 1024
-	// feedDepth is the per-shard channel depth in batches; it bounds the
+	// feedDepth is how many batches each shard's feed owns; it bounds the
 	// records in flight per shard to feedDepth*feedBatch.
 	feedDepth = 4
 )
+
+// errAborted is what a shard's feed reports once another part of the
+// sharded sort has failed; the failure that caused the abort is what Sort
+// reports.
+var errAborted = errors.New("distsort: aborted by concurrent failure")
 
 // Config configures one sharded sort.
 type Config struct {
@@ -138,13 +143,13 @@ func shardedSort[T any](entry time.Time, sample []T, src stream.BatchReader[T], 
 	// phases would interleave meaninglessly. The driver reports for them.
 	rep := cfg.Extsort.Progress.Start(cfg.Extsort.Prefix)
 	defer rep.Stop()
-	fail := newFailure()
-	feeds := make([]chan []T, shards)
+	// The feed is also the sort's first-failure latch: a failure anywhere
+	// stops it, which unblocks the partition loop and every shard.
+	feed := stream.NewFeed[T](shards, feedDepth, feedBatch, errAborted)
 	shs := make([]shard[T], shards)
 	for i := range shs {
-		feeds[i] = make(chan []T, feedDepth)
 		shs[i].done = make(chan struct{})
-		go shs[i].run(i, feeds[i], fs, shardConfig(cfg, shards, i), ops, fail)
+		go shs[i].run(i, feed, fs, shardConfig(cfg, shards, i), ops)
 	}
 
 	// Partition overlaps run generation: shards consume their feeds while
@@ -153,14 +158,15 @@ func shardedSort[T any](entry time.Time, sample []T, src stream.BatchReader[T], 
 	psp := tr.StartOn("shard_partition", "shard_partition",
 		obs.Int("shards", int64(shards)), obs.Int("sample", int64(len(sample))), obs.Int("splitters", int64(len(rt.bounds))))
 	partStart := time.Now()
-	counts, perr := partition(sample, src, feeds, rt, fail, cancel, rep)
+	counts, perr := partition(sample, src, feed, rt, cancel, rep)
 	partWall := time.Since(partStart)
 	if perr != nil {
-		fail.fail(perr)
+		feed.Stop(perr)
 		psp.Drop()
 	} else {
 		psp.End(obs.Int("max_shard", slices.Max(counts)))
 	}
+	feed.Close()
 
 	// Concatenate: the shard ranges are disjoint and ordered, so copying
 	// each shard's merge stream in shard order is the merge. A later shard
@@ -174,9 +180,9 @@ func shardedSort[T any](entry time.Time, sample []T, src stream.BatchReader[T], 
 	cat := &joined[T]{less: ops.Less, rep: rep}
 	drainStart := time.Now()
 	for i := range shs {
-		s, err := shs[i].finish(dst, fail, cancel, cat)
+		s, err := shs[i].finish(dst, feed, cancel, cat)
 		if err != nil {
-			fail.fail(err)
+			feed.Stop(err)
 			continue
 		}
 		if i == 0 {
@@ -193,7 +199,7 @@ func shardedSort[T any](entry time.Time, sample []T, src stream.BatchReader[T], 
 		addIO(&st.IO, s.IO)
 	}
 	drainWall := time.Since(drainStart)
-	if err := fail.get(); err != nil {
+	if err := feed.Err(); err != nil {
 		return extsort.Stats{}, err
 	}
 	if st.Runs > 0 {
@@ -250,13 +256,14 @@ type shard[T any] struct {
 	done chan struct{}
 }
 
-// run sorts shard i up to its final merge: it generates runs from the feed,
-// runs the intermediate merges and leaves the final one open for the driver.
-// A failed shard has left its run set by the one exit (RunSet.Abandon).
-func (sh *shard[T]) run(i int, feed <-chan []T, fs vfs.FS, scfg extsort.Config, ops extsort.Ops[T], fail *failure) {
+// run sorts shard i up to its final merge: it generates runs from what the
+// feed deals it, runs the intermediate merges and leaves the final one open
+// for the driver. A failed shard has left its run set by the one exit
+// (RunSet.Abandon) and stops the feed.
+func (sh *shard[T]) run(i int, feed *stream.Feed[T], fs vfs.FS, scfg extsort.Config, ops extsort.Ops[T]) {
 	defer close(sh.done)
 	sh.sp = scfg.Trace.StartOn("shard_sort", fmt.Sprintf("shard %02d", i), obs.Int("shard", int64(i)))
-	in := &chanReader[T]{ch: feed, done: fail.done}
+	in := feed.Reader(i, nil)
 	var err error
 	if sh.rset, err = extsort.GenerateRunsBatch(in, fs, scfg, ops); err == nil {
 		// A resumed shard whose manifest was already committed adopts its
@@ -264,14 +271,14 @@ func (sh *shard[T]) run(i int, feed <-chan []T, fs vfs.FS, scfg extsort.Config, 
 		// the shard's share of the input to it: unread, the feed fills and
 		// blocks the loop, and with it every other shard. Generation
 		// otherwise ends at the feed's EOF, so this returns at once.
-		if err = in.discard(); err != nil {
+		if err = in.Discard(); err != nil {
 			err = sh.rset.Abandon(err)
 		} else {
 			sh.st, err = sh.rset.OpenMerged()
 		}
 	}
 	if err != nil {
-		fail.fail(fmt.Errorf("distsort: shard %d: %w", i, err))
+		feed.Stop(fmt.Errorf("distsort: shard %d: %w", i, err))
 	}
 }
 
@@ -279,9 +286,9 @@ func (sh *shard[T]) run(i int, feed <-chan []T, fs vfs.FS, scfg extsort.Config, 
 // unless the sort has already failed, and closes the stream, which deletes
 // the shard's run files and, when durable, its manifest. It returns the
 // shard's two-phase statistics.
-func (sh *shard[T]) finish(dst stream.Writer[T], fail *failure, cancel func() error, cat *joined[T]) (extsort.Stats, error) {
+func (sh *shard[T]) finish(dst stream.Writer[T], feed *stream.Feed[T], cancel func() error, cat *joined[T]) (extsort.Stats, error) {
 	<-sh.done
-	err := fail.get()
+	err := feed.Err()
 	if err == nil {
 		cat.sh, cat.start = sh, cat.out
 		_, err = stream.CopyCancel[T](dst, cat, cancel)
@@ -324,81 +331,38 @@ func (j *joined[T]) ReadBatch(dst []T) (int, error) {
 	return n, j.sh.rset.ExplainOrder(err)
 }
 
-// partition replays the sampled prefix in its original input order, then
-// the rest of src, routing every element to exactly one shard feed.
-func partition[T any](sample []T, src stream.BatchReader[T], feeds []chan []T, rt *router[T], fail *failure, cancel func() error, rep *obs.Reporter) ([]int64, error) {
-	counts := make([]int64, len(feeds))
-	pend := make([][]T, len(feeds))
+// partition routes the sampled prefix, in its original input order, then
+// the rest of src: every element to exactly one shard, dealt to it in blocks
+// of feedBatch. The caller closes the feed.
+func partition[T any](sample []T, src stream.BatchReader[T], feed *stream.Feed[T], rt *router[T], cancel func() error, rep *obs.Reporter) ([]int64, error) {
+	counts := make([]int64, rt.shards)
+	pend := make([][]T, rt.shards)
 	for i := range pend {
-		pend[i] = make([]T, 0, feedBatch)
-	}
-	send := func(i int) error {
-		b := pend[i]
-		pend[i] = make([]T, 0, feedBatch)
-		select {
-		case feeds[i] <- b:
-			return nil
-		case <-fail.done:
-			return fail.get()
+		var err error
+		if pend[i], err = feed.Block(i); err != nil {
+			return counts, err
 		}
 	}
-	route := func(batch []T) error {
+	in, batch := stream.Prepend(sample, src), make([]T, 0, feedBatch)
+	for ended := false; !ended; {
+		var err error
+		if batch, ended, err = stream.ReadPrefix(in, batch[:0], feedBatch, cancel); err != nil {
+			return counts, err
+		}
 		for _, v := range batch {
 			i := rt.route(v)
 			counts[i]++
-			pend[i] = append(pend[i], v)
-			if len(pend[i]) >= feedBatch {
-				if err := send(i); err != nil {
-					return err
+			if pend[i] = append(pend[i], v); len(pend[i]) == feedBatch {
+				feed.Deal(i, pend[i])
+				if pend[i], err = feed.Block(i); err != nil {
+					return counts, err
 				}
 			}
 		}
 		rep.Add(int64(len(batch)))
-		return nil
 	}
-	poll := func() error {
-		if cancel != nil {
-			return cancel()
-		}
-		return nil
-	}
-	for off := 0; off < len(sample); off += feedBatch {
-		end := off + feedBatch
-		if end > len(sample) {
-			end = len(sample)
-		}
-		if err := poll(); err != nil {
-			return counts, err
-		}
-		if err := route(sample[off:end]); err != nil {
-			return counts, err
-		}
-	}
-	batch := make([]T, feedBatch)
-	for {
-		if err := poll(); err != nil {
-			return counts, err
-		}
-		n, err := src.ReadBatch(batch)
-		if n > 0 {
-			if rerr := route(batch[:n]); rerr != nil {
-				return counts, rerr
-			}
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return counts, err
-		}
-	}
-	for i := range pend {
-		if len(pend[i]) > 0 {
-			if err := send(i); err != nil {
-				return counts, err
-			}
-		}
-		close(feeds[i])
+	for i, blk := range pend {
+		feed.Deal(i, blk)
 	}
 	return counts, nil
 }

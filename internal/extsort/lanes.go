@@ -3,7 +3,6 @@ package extsort
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 
@@ -78,9 +77,7 @@ func (r *RunSet[T]) newLanes(recovered []manifest.Run) ([]*lane[T], error) {
 	for i := range lanes {
 		em := r.em
 		if n > 1 {
-			em = runio.NewEmitterOn(r.store, fmt.Sprintf("%s-l%d", r.cfg.Prefix, i), r.ops.Codec, r.ops.Less)
-			em.PageSize, em.PagesPerFile, em.Block = r.em.PageSize, r.em.PagesPerFile, r.em.Block
-			em.KeyCodec, em.Checksums = r.em.KeyCodec, r.em.Checksums
+			em = r.em.Sibling(fmt.Sprintf("%s-l%d", r.cfg.Prefix, i))
 		}
 		lanes[i] = &lane[T]{idx: i, em: em}
 	}
@@ -140,10 +137,10 @@ func (r *RunSet[T]) boundary(l *lane[T], seq *sequencer, handover func()) func(p
 // (lane-local index, lane) order, the order the sequencer commits them in.
 // One lane runs on the caller's goroutine over in. More each run on a
 // goroutine of their own, at most Parallelism computing at once, while the
-// caller deals in to them: fixed blocks of dealLen records, sized from the
-// configuration alone, block i to lane i mod Lanes. The first failure, in a
-// lane or in the source, stops every lane; all have returned, and their
-// streams are closed, when runLanes does.
+// caller deals in to them through a stream.Feed: fixed blocks of dealLen
+// records, sized from the configuration alone, block i to lane i mod Lanes.
+// The first failure, in a lane or in the source, stops every lane; all have
+// returned, and their streams are closed, when runLanes does.
 func (r *RunSet[T]) runLanes(lanes []*lane[T], in *meterReader[T], seq *sequencer, gsp, rsp *obs.Span) ([]runio.Run, error) {
 	cfg := r.cfg
 	choice, src, err := policy.Decide(cfg.Policy, in, cfg.Memory, r.ops.Less)
@@ -188,18 +185,12 @@ func (r *RunSet[T]) runLanes(lanes []*lane[T], in *meterReader[T], seq *sequence
 		return l.res.Runs, nil
 	}
 
-	st := &stopper{done: make(chan struct{})}
+	feed := stream.NewFeed[T](len(lanes), laneBlocks, cfg.dealLen(), errLaneStopped)
 	sem := make(chan struct{}, cfg.Parallelism)
-	dealLen := cfg.dealLen()
-	readers := make([]*laneReader[T], len(lanes))
 	var wg sync.WaitGroup
 	for i, l := range lanes {
-		lr := &laneReader[T]{full: make(chan []T, laneBlocks), free: make(chan []T, laneBlocks), st: st, sem: sem}
-		for range laneBlocks {
-			lr.free <- make([]T, 0, dealLen)
-		}
-		readers[i] = lr
-		l.in, l.pos = lr, func() int64 { return lr.n }
+		lr := feed.Reader(i, sem)
+		l.in, l.pos = lr, lr.Served
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -209,13 +200,24 @@ func (r *RunSet[T]) runLanes(lanes []*lane[T], in *meterReader[T], seq *sequence
 			err := drive(l, lsp)
 			lsp.End()
 			if err != nil {
-				st.stop(err)
+				feed.Stop(err)
 			}
 		}()
 	}
-	deal(src, readers, dealLen, st)
+	for i, ended := 0, false; !ended; i = (i + 1) % len(lanes) {
+		blk, err := feed.Block(i)
+		if err == nil {
+			blk, ended, err = stream.ReadPrefix(src, blk, cfg.dealLen(), nil)
+		}
+		if err != nil {
+			feed.Stop(err)
+			break
+		}
+		feed.Deal(i, blk)
+	}
+	feed.Close()
 	wg.Wait()
-	if err := st.err; err != nil {
+	if err := feed.Err(); err != nil {
 		for _, l := range lanes {
 			l.em.AbortOpen()
 		}
@@ -233,110 +235,6 @@ func (r *RunSet[T]) runLanes(lanes []*lane[T], in *meterReader[T], seq *sequence
 			return runs, nil
 		}
 	}
-}
-
-// deal reads src into blocks of n records and hands block i to lane i mod
-// len(lanes), reusing the blocks each lane has read. A lane's blocks fit its
-// channel, so a send never waits; the dealer waits only for a lane to give a
-// block back. It stops at the end of src, on a source error (which stops
-// every lane) or once a lane has failed, and then closes every lane's input.
-func deal[T any](src stream.BatchReader[T], lanes []*laneReader[T], n int, st *stopper) {
-	defer func() {
-		for _, lr := range lanes {
-			close(lr.full)
-		}
-	}()
-	for i := 0; ; i = (i + 1) % len(lanes) {
-		lr := lanes[i]
-		var blk []T
-		select {
-		case blk = <-lr.free:
-		case <-st.done:
-			return
-		}
-		blk, ended, err := stream.ReadPrefix(src, blk[:0], n, nil)
-		if err != nil {
-			st.stop(err)
-			return
-		}
-		if len(blk) > 0 {
-			lr.full <- blk
-		}
-		if ended {
-			return
-		}
-	}
-}
-
-// stopper records the first failure of a lane pass and tells every lane.
-type stopper struct {
-	once sync.Once
-	done chan struct{}
-	err  error // set before done closes
-}
-
-func (s *stopper) stop(err error) {
-	s.once.Do(func() {
-		s.err = err
-		close(s.done)
-	})
-}
-
-// laneReader is a lane's input: the blocks dealt to it, in order. It holds a
-// compute token (sem) only while its lane works, never while it waits for a
-// block, so Parallelism bounds the lanes computing and none waits on another.
-type laneReader[T any] struct {
-	full chan []T // blocks dealt to the lane, closed at the end of the input
-	free chan []T // blocks the lane has read, back to the dealer
-	blk  []T      // the block being read
-	off  int      // records of blk already served
-	n    int64    // records served
-	st   *stopper
-	sem  chan struct{}
-}
-
-func (lr *laneReader[T]) ReadBatch(dst []T) (int, error) {
-	if len(dst) == 0 {
-		return 0, nil
-	}
-	if lr.off == len(lr.blk) {
-		if lr.blk != nil {
-			lr.free <- lr.blk
-			lr.blk = nil
-		}
-		var ok bool
-		select {
-		case lr.blk, ok = <-lr.full:
-		default:
-			<-lr.sem
-			select {
-			case lr.blk, ok = <-lr.full:
-			case <-lr.st.done:
-				// The blocks dealt before a failure are still read, so how
-				// far each lane gets does not depend on timing.
-				select {
-				case lr.blk, ok = <-lr.full:
-				default:
-				}
-			}
-			lr.sem <- struct{}{}
-		}
-		if !ok {
-			// A lane ends with the input only when nothing failed: a run
-			// closed over a cut-off input is no boundary of the sort.
-			select {
-			case <-lr.st.done:
-				return 0, errLaneStopped
-			default:
-				return 0, io.EOF
-			}
-		}
-		lr.off = 0
-	}
-	k := copy(dst, lr.blk[lr.off:])
-	lr.off += k
-	lr.n += int64(k)
-	return k, nil
 }
 
 // sequencer commits the boundaries of a durable sort's lanes to its manifest

@@ -50,9 +50,10 @@ type Emitter[T any] struct {
 	// from, not one a merge may reserve later.
 	Block int
 
-	mu sync.Mutex
 	// open lists every stream the emitter opened that has not closed yet,
 	// whatever its layout: what AbortOpen force-closes on a failure path.
+	// mu guards it; it is a pointer so that Sibling can copy the settings.
+	mu   *sync.Mutex
 	open map[*streamBase[T]]struct{}
 }
 
@@ -65,7 +66,15 @@ func NewEmitter[T any](fs vfs.FS, prefix string, c codec.Codec[T], less func(a, 
 // NewEmitterOn returns an Emitter with default sizes writing through the
 // given spill backend.
 func NewEmitterOn[T any](st storage.Backend, prefix string, c codec.Codec[T], less func(a, b T) bool) *Emitter[T] {
-	return &Emitter[T]{Store: st, Namer: NewNamer(prefix), Codec: c, Less: less}
+	return &Emitter[T]{Store: st, Namer: NewNamer(prefix), Codec: c, Less: less, mu: new(sync.Mutex)}
+}
+
+// Sibling returns an emitter that writes as e does — every setting copied —
+// under a namer of its own at prefix, with no stream open.
+func (e *Emitter[T]) Sibling(prefix string) *Emitter[T] {
+	s := *e
+	s.Namer, s.mu, s.open = NewNamer(prefix), new(sync.Mutex), nil
+	return &s
 }
 
 // RecordEmitter returns an Emitter for the historical fixed 16-byte Record

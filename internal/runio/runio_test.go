@@ -7,6 +7,7 @@ import (
 	"io"
 	"maps"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -1110,4 +1111,51 @@ func TestWriterSurfacesFileFault(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSiblingCarriesEverySetting gives every exported field of an emitter a
+// value and checks that a sibling carries each one but the namer, which is
+// its own at the new prefix, and shares none of the original's open streams.
+// A field added to Emitter fails the first check until this test sets it.
+func TestSiblingCarriesEverySetting(t *testing.T) {
+	less := func(a, b int64) bool { return a < b }
+	em := NewEmitter[int64](vfs.NewMemFS(), "sort", codec.Int64{}, less)
+	em.PageSize, em.PagesPerFile, em.Block = 128, 5, 4096
+	em.KeyCodec, em.Checksums = codec.KeyInt64{}, true
+	v := reflect.ValueOf(em).Elem()
+	for i := range v.NumField() {
+		if f := v.Type().Field(i); f.IsExported() && v.Field(i).IsZero() {
+			t.Fatalf("Emitter.%s is not set by this test", f.Name)
+		}
+	}
+	w, err := em.Stream("fwd", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sib := em.Sibling("sort-l1")
+	sv := reflect.ValueOf(sib).Elem()
+	for i := range v.NumField() {
+		f := v.Type().Field(i)
+		if !f.IsExported() || f.Name == "Namer" {
+			continue
+		}
+		a, b := v.Field(i), sv.Field(i)
+		if same := a.Kind() == reflect.Func && a.Pointer() == b.Pointer() || reflect.DeepEqual(a.Interface(), b.Interface()); !same {
+			t.Errorf("the sibling's %s differs from the emitter's", f.Name)
+		}
+	}
+	if got := sib.Namer.Next("run"); got != "sort-l1-0001-run" {
+		t.Errorf("the sibling names its first file %q, want sort-l1-0001-run", got)
+	}
+	if got := em.Namer.Next("run"); got != "sort-0002-run" {
+		t.Errorf("the emitter names its second file %q after the sibling named one, want sort-0002-run", got)
+	}
+	sib.AbortOpen()
+	if err := w.Write(1); err != nil {
+		t.Fatalf("the sibling aborted the emitter's stream: %v", err)
+	}
+	if len(em.open) != 1 || len(sib.open) != 0 {
+		t.Fatalf("%d streams open on the emitter and %d on the sibling, want 1 and 0", len(em.open), len(sib.open))
+	}
+	em.AbortOpen()
 }

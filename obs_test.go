@@ -169,6 +169,37 @@ func TestObsSmoke(t *testing.T) {
 	}
 }
 
+// TestWideMergeLandsInAFiniteFanInBucket merges 70 runs in one operation:
+// the fan-in histogram counts it in its 128 bucket, not only in +Inf, so a
+// derived fan-in of up to 1,023 is told apart from the paper's 10.
+func TestWideMergeLandsInAFiniteFanInBucket(t *testing.T) {
+	reg := repro.NewMetrics()
+	const memory, runs = 1000, 70
+	s, err := repro.New(func(a, b int64) bool { return a < b },
+		repro.WithMemoryRecords(memory), repro.WithPolicy("quick"), repro.WithFanIn(100), repro.WithMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, stats, err := s.SortSlice(context.Background(), shuffledInt64(memory*runs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Runs != runs || stats.MergeOps != 1 {
+		t.Fatalf("%d runs in %d merge operations, want %d in one", stats.Runs, stats.MergeOps, runs)
+	}
+	var prom bytes.Buffer
+	if err := reg.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	series := parsePrometheus(t, prom.String())
+	for le, want := range map[string]float64{"64": 0, "128": 1, "1024": 1, "+Inf": 1} {
+		name := `extsort_merge_fan_in_bucket{le="` + le + `"}`
+		if got, ok := series[name]; !ok || got != want {
+			t.Errorf("%s = %v (present %v), want %v", name, got, ok, want)
+		}
+	}
+}
+
 // phasesWithinElapsed asserts the Phases breakdown is consistent with
 // Elapsed and carries exactly the expected phase names in order.
 func phasesWithinElapsed(t *testing.T, what string, elapsed time.Duration, phases []repro.PhaseStat, names ...string) {

@@ -242,12 +242,12 @@ type Config struct {
 	// the real file system; otherwise runs live in process memory (fine up
 	// to a few GB and fastest for tests).
 	TempDir string
-	// Parallelism bounds the sort's concurrency: up to this many operations
-	// of the merge plan run at once, and in-memory selection builds its
-	// heaps on up to this many goroutines. Run generation is one sequential
-	// pass at every setting. 1 forces the fully sequential behaviour; 0 (the
-	// default) uses GOMAXPROCS. Output, on-disk run format and merge tree
-	// are identical at every setting.
+	// Parallelism bounds the sort's concurrency, as WithParallelism does:
+	// up to this many run generators compute at once (a budget past 2^15
+	// elements runs ⌈budget/2^15⌉ side by side), merge operations run at
+	// once and goroutines build selection heaps. 1 is fully sequential (the
+	// paper's cost model); 0, the default, uses GOMAXPROCS. The run files,
+	// merge tree and sorted output are identical at every setting.
 	Parallelism int
 	// Shards, when above 1, turns the sort into a range-partitioned
 	// distribution sort: a memory-sized prefix of the input is sampled for
