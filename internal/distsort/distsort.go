@@ -22,6 +22,7 @@ package distsort
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -37,8 +38,9 @@ const (
 	// feedBatch is the element batch size the partition loop reads and
 	// deals to the shards.
 	feedBatch = 1024
-	// feedDepth is how many batches each shard's feed owns; it bounds the
-	// records in flight per shard to feedDepth*feedBatch.
+	// feedDepth is how many dealt batches queue to each shard beside the
+	// one the loop fills and the one the shard reads: a shard owns
+	// feedDepth+2 blocks, which bound its records in flight.
 	feedDepth = 4
 )
 
@@ -145,7 +147,7 @@ func shardedSort[T any](entry time.Time, sample []T, src stream.BatchReader[T], 
 	defer rep.Stop()
 	// The feed is also the sort's first-failure latch: a failure anywhere
 	// stops it, which unblocks the partition loop and every shard.
-	feed := stream.NewFeed[T](shards, feedDepth, feedBatch, errAborted)
+	feed := stream.NewFeed[T](shards, feedDepth+2, feedBatch, errAborted)
 	shs := make([]shard[T], shards)
 	for i := range shs {
 		shs[i].done = make(chan struct{})
@@ -271,7 +273,7 @@ func (sh *shard[T]) run(i int, feed *stream.Feed[T], fs vfs.FS, scfg extsort.Con
 		// the shard's share of the input to it: unread, the feed fills and
 		// blocks the loop, and with it every other shard. Generation
 		// otherwise ends at the feed's EOF, so this returns at once.
-		if err = in.Discard(); err != nil {
+		if _, err = stream.Discard[T](in, math.MaxInt64, nil); err != nil {
 			err = sh.rset.Abandon(err)
 		} else {
 			sh.st, err = sh.rset.OpenMerged()
@@ -336,13 +338,7 @@ func (j *joined[T]) ReadBatch(dst []T) (int, error) {
 // of feedBatch. The caller closes the feed.
 func partition[T any](sample []T, src stream.BatchReader[T], feed *stream.Feed[T], rt *router[T], cancel func() error, rep *obs.Reporter) ([]int64, error) {
 	counts := make([]int64, rt.shards)
-	pend := make([][]T, rt.shards)
-	for i := range pend {
-		var err error
-		if pend[i], err = feed.Block(i); err != nil {
-			return counts, err
-		}
-	}
+	pend := make([][]T, rt.shards) // per shard, the block being filled, taken on first use
 	in, batch := stream.Prepend(sample, src), make([]T, 0, feedBatch)
 	for ended := false; !ended; {
 		var err error
@@ -351,18 +347,23 @@ func partition[T any](sample []T, src stream.BatchReader[T], feed *stream.Feed[T
 		}
 		for _, v := range batch {
 			i := rt.route(v)
-			counts[i]++
-			if pend[i] = append(pend[i], v); len(pend[i]) == feedBatch {
-				feed.Deal(i, pend[i])
+			if pend[i] == nil {
 				if pend[i], err = feed.Block(i); err != nil {
 					return counts, err
 				}
+			}
+			counts[i]++
+			if pend[i] = append(pend[i], v); len(pend[i]) == feedBatch {
+				feed.Deal(i, pend[i])
+				pend[i] = nil
 			}
 		}
 		rep.Add(int64(len(batch)))
 	}
 	for i, blk := range pend {
-		feed.Deal(i, blk)
+		if blk != nil {
+			feed.Deal(i, blk)
+		}
 	}
 	return counts, nil
 }

@@ -2,7 +2,6 @@ package stream
 
 import (
 	"io"
-	"math"
 	"sync"
 )
 
@@ -97,9 +96,8 @@ func (f *Feed[T]) Reader(i int, token chan struct{}) *FeedReader[T] {
 }
 
 // FeedReader is one consumer's input: the blocks dealt to it, in order, then
-// io.EOF once the feed closes. Once the feed has stopped it serves the
-// blocks dealt before the stop, then the feed's stopped error, so how far a
-// consumer gets does not depend on when it sees the stop.
+// io.EOF once the feed closes. Once it sees the feed stopped, it serves the
+// blocks already queued to it, then the feed's stopped error.
 type FeedReader[T any] struct {
 	f     *Feed[T]
 	i     int
@@ -128,13 +126,6 @@ func (r *FeedReader[T]) ReadBatch(dst []T) (int, error) {
 // Served is how many elements the reader has served.
 func (r *FeedReader[T]) Served() int64 { return r.n }
 
-// Discard drops the rest of the input: nil at its end, the stopped error if
-// the feed stops first.
-func (r *FeedReader[T]) Discard() error {
-	_, err := Discard[T](r, math.MaxInt64, nil)
-	return err
-}
-
 // next gives the block read back to the producer — never waiting, as the
 // free queue holds every block the consumer owns — and takes the next one.
 func (r *FeedReader[T]) next() error {
@@ -154,7 +145,7 @@ func (r *FeedReader[T]) next() error {
 		select {
 		case r.blk, ok = <-full:
 		case <-r.f.done:
-			select { // the blocks dealt before the stop are still read
+			select { // the blocks already queued are still read
 			case r.blk, ok = <-full:
 			default:
 			}

@@ -3,6 +3,7 @@ package stream
 import (
 	"errors"
 	"io"
+	"math"
 	"slices"
 	"testing"
 	"time"
@@ -180,7 +181,10 @@ func TestFeedDiscardDrainsToEOF(t *testing.T) {
 	f := NewFeed[int](1, depth, 2, errFeedStopped)
 	r := f.Reader(0, nil)
 	done := make(chan error)
-	go func() { done <- r.Discard() }()
+	go func() {
+		_, err := Discard[int](r, math.MaxInt64, nil)
+		done <- err
+	}()
 	for i := range 5 * depth {
 		dealOne(t, f, 0, i, i)
 	}
@@ -200,7 +204,7 @@ func TestFeedDiscardDrainsToEOF(t *testing.T) {
 	f = NewFeed[int](1, depth, 2, errFeedStopped)
 	dealOne(t, f, 0, 1)
 	f.Stop(errors.New("failed"))
-	if err := f.Reader(0, nil).Discard(); err != errFeedStopped {
+	if _, err := Discard[int](f.Reader(0, nil), math.MaxInt64, nil); err != errFeedStopped {
 		t.Fatalf("Discard of a stopped feed = %v, want the stopped error", err)
 	}
 }
