@@ -8,7 +8,6 @@
 //
 //	extsort sort      -in input.rec -out sorted.rec   # full external sort (default)
 //	extsort sort      -policy auto -in input.rec -out sorted.rec
-//	extsort sort      -compress flate -in input.rec -out sorted.rec
 //	extsort distinct  -in input.rec -out distinct.rec # one record per key, ascending
 //	extsort topk      -k 100 -in input.rec -out top.rec
 //	extsort bottomk   -k 100 -in input.rec -out bottom.rec
@@ -17,10 +16,8 @@
 //	extsort quantiles -q 0.5,0.9,0.99 -in input.rec
 //	extsort join      -left a.rec -right b.rec -out joined.rec
 //
-// -compress selects the spill framing (raw, none, flate): any value but
-// raw checksums every spilled block, and flate also compresses it, so the
-// sort reports raw-versus-stored spill bytes and fails loudly — never
-// silently wrong — on corrupted spill data.
+// Every spilled block is checked as it is read back, so a sort fails
+// loudly — never silently wrong — on corrupted spill data.
 //
 // -manifest makes the sort durable: every completed run is recorded in a
 // CRC-guarded manifest in -tmp, and a killed command can be finished with
@@ -58,7 +55,6 @@ import (
 	"repro"
 	"repro/internal/core"
 	"repro/internal/record"
-	"repro/internal/storage"
 )
 
 func main() {
@@ -96,7 +92,6 @@ type sortFlags struct {
 	inH      *string
 	outH     *string
 	seed     *int64
-	compress *string
 	manifest *bool
 	resume   *bool
 	shards   *int
@@ -114,7 +109,8 @@ func newSortFlags(fs *flag.FlagSet) *sortFlags {
 	def := repro.DefaultConfig(100_000)
 	return &sortFlags{
 		policy: fs.String("policy", def.Policy, "run generation policy: "+strings.Join(repro.Policies(), ", ")+
-			" (alt and lss are accepted for alternating and quick); 'auto' adapts to the input, switching generators at run boundaries"),
+			" (alt and lss are accepted for alternating and quick); 'auto' probes the first memory-load of the input "+
+			"and runs the one generator the probe names over all of it"),
 		memory:  fs.Int("memory", def.MemoryRecords, "memory budget in records"),
 		fanIn:   fs.Int("fanin", def.FanIn, "merge fan-in; 0 merges as wide as the memory budget feeds at a 16 KiB block per input, and at least 10"),
 		tempDir: fs.String("tmp", "", "directory for temporary runs (default: system temp)"),
@@ -123,8 +119,6 @@ func newSortFlags(fs *flag.FlagSet) *sortFlags {
 		inH:     fs.String("inheur", def.Input.String(), "2WRS input heuristic"),
 		outH:    fs.String("outheur", def.Output.String(), "2WRS output heuristic"),
 		seed:    fs.Int64("seed", 1, "seed for randomised heuristics"),
-		compress: fs.String("compress", "raw", "spill framing: "+strings.Join(storage.Compressions(), ", ")+
-			"; any value but raw adds per-block CRC32 checksums, flate also compresses"),
 		manifest: fs.Bool("manifest", false, "record every completed run in a durable manifest in -tmp, so a killed "+
 			"command can be finished with -resume instead of starting over (works under every -policy)"),
 		resume: fs.Bool("resume", false, "resume the durable sort a previous -manifest run left in -tmp: completed runs "+
@@ -225,9 +219,6 @@ func (f *sortFlags) config() (repro.Config, func(), error) {
 	if err != nil {
 		return repro.Config{}, nil, err
 	}
-	if _, err := storage.ParseCompression(*f.compress); err != nil {
-		return repro.Config{}, nil, err
-	}
 	if *f.resume && *f.tempDir == "" {
 		return repro.Config{}, nil, fmt.Errorf("-resume requires -tmp: without it each run sorts in a fresh " +
 			"temporary directory, so there is no durable state to pick up")
@@ -241,7 +232,6 @@ func (f *sortFlags) config() (repro.Config, func(), error) {
 		Input:          inHeur,
 		Output:         outHeur,
 		Seed:           *f.seed,
-		Storage:        repro.Storage{Compression: *f.compress},
 		Manifest:       *f.manifest || *f.resume,
 		Resume:         *f.resume,
 		Shards:         *f.shards,
@@ -408,22 +398,20 @@ func printIOStats(stats repro.Stats) {
 		return
 	}
 	fmt.Printf("spill backend:    %s\n", stats.Storage)
-	fmt.Printf("spilled:          %d raw bytes -> %d stored (%.2fx) in %d blocks\n",
-		io.RawBytesWritten, io.StoredBytesWritten, io.CompressionRatio(), io.BlocksWritten)
-	fmt.Printf("read back:        %d raw bytes <- %d stored in %d blocks\n",
-		io.RawBytesRead, io.StoredBytesRead, io.BlocksRead)
+	fmt.Printf("spilled:          %d bytes in %d blocks\n", io.RawBytesWritten, io.BlocksWritten)
+	fmt.Printf("read back:        %d bytes in %d blocks\n", io.RawBytesRead, io.BlocksRead)
 	if io.VerifyFailures > 0 {
 		fmt.Printf("verify failures:  %d (spilled blocks failed checksum!)\n", io.VerifyFailures)
 	}
 }
 
 // fatalSortErr exits with err, decorating the durable-sort mismatch case
-// with actionable advice: the codec/compression/generation fingerprints in
-// the manifest did not match the flags of this invocation.
+// with actionable advice: the codec, layout or generation fingerprint in
+// the manifest did not match this invocation.
 func fatalSortErr(err error) {
 	if errors.Is(err, repro.ErrManifestMismatch) {
 		log.Fatalf("%v\n\nThe durable manifest in -tmp was written by a sort with a different configuration\n"+
-			"(codec, -compress, -memory, -policy or heuristics). Rerun with the original flags\n"+
+			"(codec, spill layout, -memory, -policy or heuristics). Rerun with the original flags\n"+
 			"to resume it, or delete the *.manifest file (and its spill files) to start over.", err)
 	}
 	log.Fatal(err)

@@ -230,36 +230,6 @@ type sliceSink[T any] struct{ vals []T }
 
 func (s *sliceSink[T]) Write(v T) error { s.vals = append(s.vals, v); return nil }
 
-// Compressing the spill stream: any named compression frames every spilled
-// block with a CRC32 checksum, and flate shrinks what actually reaches
-// storage. Stats.IO reports raw versus stored bytes — on this dup-heavy
-// input the stored side is a fraction of the raw side.
-func ExampleWithCompression() {
-	in := make([]int64, 100000)
-	for i := range in {
-		in[i] = int64(i % 100) // few distinct values: highly compressible
-	}
-	s, err := repro.New(func(a, b int64) bool { return a < b },
-		repro.WithMemoryRecords(1024),
-		repro.WithCompression("flate"))
-	if err != nil {
-		panic(err)
-	}
-	sorted, stats, err := s.SortSlice(context.Background(), in)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("sorted:", sorted[0] <= sorted[len(sorted)-1])
-	fmt.Println("backend:", stats.Storage)
-	fmt.Println("spill compressed:", stats.IO.StoredBytesWritten*2 < stats.IO.RawBytesWritten)
-	fmt.Println("verify failures:", stats.IO.VerifyFailures)
-	// Output:
-	// sorted: true
-	// backend: block(flate)
-	// spill compressed: true
-	// verify failures: 0
-}
-
 // event is the element type of ExampleWithKeyCodec: ordered by host, then
 // timestamp.
 type event struct {

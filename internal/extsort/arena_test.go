@@ -15,7 +15,6 @@ import (
 	"repro/internal/policy"
 	"repro/internal/record"
 	"repro/internal/runio"
-	"repro/internal/storage"
 	"repro/internal/stream"
 	"repro/internal/vfs"
 	"repro/internal/vfs/faultfs"
@@ -29,7 +28,7 @@ func reopenSpill(t *testing.T, fs vfs.FS, cfg Config) *vfs.Arena {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := vfs.NewArena(fs, "sort"+arenaSuffix, cfg.Storage.StoredBytes(runio.BlockBytes(cfg.Memory*record.Size)))
+	a := vfs.NewArena(fs, "sort"+arenaSuffix, runio.BlockBytes(cfg.Memory*record.Size))
 	if err := a.Adopt(placed(st.Runs)); err != nil {
 		t.Fatal(err)
 	}
@@ -135,12 +134,9 @@ func (p *removalPrints) digest() string {
 }
 
 // wholeSortGolden is removalPrints' digest of every spill file of the sort
-// TestSpillFilesAsRemoved runs, per backend, recorded when each run and
+// TestSpillFilesAsRemoved runs in the raw layout, recorded when each run and
 // merge output was a file of its own on a MemFS.
-var wholeSortGolden = map[string]string{
-	"raw":  "6433ae8c532edfb221184f6f9ebb29ff862f1ec929af155d1555eaa64f94dfc6",
-	"none": "9b6358658168edc0333bdc6368fc2f55f207aed8d1ee8200fd2b5df14f5b9cf7",
-}
+const wholeSortGolden = "6433ae8c532edfb221184f6f9ebb29ff862f1ec929af155d1555eaa64f94dfc6"
 
 // TestSpillFilesAsRemoved runs a quick sort of 64 runs at fan-in 4 — three
 // merge passes — on one and two workers, and fingerprints each spill file
@@ -153,58 +149,53 @@ func TestSpillFilesAsRemoved(t *testing.T) {
 	const memory = 500
 	recs := gen.Generate(gen.Config{Kind: gen.Random, N: 64 * memory, Seed: 29})
 	defer func(v func(vfs.FS) vfs.FS) { spillView = v }(spillView)
-	for _, comp := range []string{"raw", "none"} {
-		for _, par := range []int{1, 2} {
-			t.Run(fmt.Sprintf("%s/parallelism=%d", comp, par), func(t *testing.T) {
-				prints := &removalPrints{prints: map[string]string{}, sizes: map[string]int64{}}
-				spillView = func(fs vfs.FS) vfs.FS {
-					prints.FS = fs
-					return prints
-				}
-				fs := vfs.NewMemFS()
-				cfg := Config{Policy: policy.Quick, Memory: memory, FanIn: 4, Parallelism: par,
-					Storage: storage.Config{Compression: comp}}
-				var out stream.SliceWriter[record.Record]
-				stats, err := Sort(stream.NewSliceReader(recs), &out, fs, cfg, RecordOps())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if stats.Runs < 60 || stats.MergePasses < 3 {
-					t.Fatalf("%d runs in %d passes: the fixture needs at least 60 runs and 3 passes", stats.Runs, stats.MergePasses)
-				}
-				if len(out.Vals) != len(recs) || !record.IsSorted(out.Vals) {
-					t.Fatal("output is not the sorted input")
-				}
-				if names, _ := fs.Names(); len(names) != 0 {
-					t.Fatalf("files left behind: %v", names)
-				}
-				if got := prints.digest(); got != wholeSortGolden[comp] {
-					t.Errorf("spill files as removed hash to %s, want %s (%d files)", got, wholeSortGolden[comp], len(prints.prints))
-				}
-				if _, ok := prints.FS.(*vfs.Arena); !ok {
-					t.Fatalf("the sort spilled into %T, not an arena", prints.FS)
-				}
-				if prints.over > 2 {
-					t.Errorf("the arena outgrew its live files' %d bytes by %d extents per open writer", prints.peak, prints.over)
-				}
-			})
-		}
+	for _, par := range []int{1, 2} {
+		t.Run(fmt.Sprintf("raw/parallelism=%d", par), func(t *testing.T) {
+			prints := &removalPrints{prints: map[string]string{}, sizes: map[string]int64{}}
+			spillView = func(fs vfs.FS) vfs.FS {
+				prints.FS = fs
+				return prints
+			}
+			fs := vfs.NewMemFS()
+			cfg := Config{Policy: policy.Quick, Memory: memory, FanIn: 4, Parallelism: par}
+			var out stream.SliceWriter[record.Record]
+			stats, err := Sort(stream.NewSliceReader(recs), &out, fs, cfg, RecordOps())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Runs < 60 || stats.MergePasses < 3 {
+				t.Fatalf("%d runs in %d passes: the fixture needs at least 60 runs and 3 passes", stats.Runs, stats.MergePasses)
+			}
+			if len(out.Vals) != len(recs) || !record.IsSorted(out.Vals) {
+				t.Fatal("output is not the sorted input")
+			}
+			if names, _ := fs.Names(); len(names) != 0 {
+				t.Fatalf("files left behind: %v", names)
+			}
+			if got := prints.digest(); got != wholeSortGolden {
+				t.Errorf("spill files as removed hash to %s, want %s (%d files)", got, wholeSortGolden, len(prints.prints))
+			}
+			if _, ok := prints.FS.(*vfs.Arena); !ok {
+				t.Fatalf("the sort spilled into %T, not an arena", prints.FS)
+			}
+			if prints.over > 2 {
+				t.Errorf("the arena outgrew its live files' %d bytes by %d extents per open writer", prints.peak, prints.over)
+			}
+		})
 	}
 }
 
-// TestSortCreatesOneFile counts what a spill_merge-shaped sort — quick runs
-// on checksummed blocks, fan-in 4, several merge passes — asks of the
-// physical file system it is given: one create and one remove, the spill
-// arena's, at one and two workers, and under the simulated disk, which sits
-// above the arena. A durable sort adds its manifest: two creates.
+// TestSortCreatesOneFile counts what a spill_merge-shaped sort — quick runs,
+// fan-in 4, several merge passes — asks of the physical file system it is
+// given: one create and one remove, the spill arena's, at one and two
+// workers, and under the simulated disk, which sits above the arena. A durable sort adds its manifest: two creates.
 func TestSortCreatesOneFile(t *testing.T) {
 	recs := gen.Generate(gen.Config{Kind: gen.Random, N: 40 * 500, Seed: 31})
 	for _, simulated := range []bool{false, true} {
 		for _, durable := range []bool{false, true} {
 			for _, par := range []int{1, 2} {
 				fs := faultfs.New(vfs.NewMemFS(), faultfs.Options{})
-				cfg := Config{Policy: policy.Quick, Memory: 500, FanIn: 4, Parallelism: par, Manifest: durable,
-					Storage: storage.Config{Compression: "none"}}
+				cfg := Config{Policy: policy.Quick, Memory: 500, FanIn: 4, Parallelism: par, Manifest: durable}
 				if simulated {
 					cfg.Disk = iosim.NewDisk(iosim.Defaults2010())
 				}

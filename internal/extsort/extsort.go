@@ -212,9 +212,8 @@ type Config struct {
 	// them and refuses an input that regenerates a different run. Implies
 	// Manifest.
 	Resume bool
-	// Storage selects the spill backend layered over fs: the zero value is
-	// the historical raw layout; a Compression name turns on checksummed
-	// block framing (optionally compressed).
+	// Storage is the spill backend's configuration, of which there is none:
+	// every sort stores the raw layout, checked block by block.
 	Storage storage.Config
 	// Trace, when non-nil, records spans for the sort's phases, runs,
 	// merge operations and spill files; export them with the tracer's
@@ -253,21 +252,6 @@ func (c Config) MergeFanIn(elementBytes int) int {
 		return c.FanIn
 	}
 	return max(DefaultFanIn, c.Memory*elementBytes/mergeBlockFloor-1)
-}
-
-// generationBlock sizes the blocks every lane's streams hand to storage,
-// given the budget in bytes: BlockBytes of one lane's share of it, and for a
-// framed sort no more than the merge's share of one input in whole pages
-// (merge.Config.InputShare), since a framed reader holds a whole block of
-// the writer. Raw readers take what they ask for, so a raw block keeps the
-// lane's size. c.FanIn is resolved.
-func (c Config) generationBlock(budget int) int {
-	block := runio.BlockBytes(budget / c.Lanes())
-	if comp, _ := storage.ParseCompression(c.Storage.Compression); comp != storage.Raw {
-		share := merge.Config{FanIn: c.FanIn, MemoryBytes: budget}.InputShare()
-		block = min(block, share/runio.DefaultPageSize*runio.DefaultPageSize)
-	}
-	return block
 }
 
 // Recommended returns the paper's recommended end-to-end configuration:
@@ -347,10 +331,9 @@ type Stats struct {
 	MergePasses int
 	// MergeOps is the number of k-way merge operations (merge.Stats.Merges).
 	MergeOps int
-	// Storage describes the spill backend that ran (e.g. "raw",
-	// "block(flate)"); IO is its byte-level accounting — raw versus stored
-	// bytes moved, block counts and checksum verification failures. IO
-	// covers both phases once Merge returns.
+	// Storage names the spill backend that ran ("raw"); IO is its
+	// byte-level accounting — bytes moved, block counts and checksum
+	// verification failures. IO covers both phases once Merge returns.
 	Storage string
 	// IO is the spill backend's I/O accounting snapshot.
 	IO IOStats
@@ -464,13 +447,13 @@ func newRunSet[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
 	// what the merge divides among its buffers.
 	budget := cfg.Memory * ops.ElementBytes()
 	cfg.FanIn = cfg.MergeFanIn(ops.ElementBytes())
-	// Spill files live in one arena file, in extents of a generation block
-	// as the backend stores it, frame included, so a forward block is one
-	// write into one extent, the file system sees one create and one unlink
-	// per sort, and a consumed run's pages are overwritten by the next
-	// writer.
-	block := cfg.generationBlock(budget)
-	arena := vfs.NewArena(fs, cfg.Prefix+arenaSuffix, cfg.Storage.StoredBytes(block))
+	// Run generation's streams hand storage blocks of BlockBytes of one
+	// lane's share of the budget. Spill files live in one arena file, in
+	// extents of that block, so a forward block is one write into one
+	// extent, the file system sees one create and one unlink per sort, and
+	// a consumed run's pages are overwritten by the next writer.
+	block := runio.BlockBytes(budget / cfg.Lanes())
+	arena := vfs.NewArena(fs, cfg.Prefix+arenaSuffix, block)
 	var (
 		spill vfs.FS = arena
 		pages        = runio.BackwardPages(cfg.Memory, ops.ElementBytes())

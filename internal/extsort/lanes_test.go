@@ -14,7 +14,6 @@ import (
 	"repro/internal/manifest"
 	"repro/internal/policy"
 	"repro/internal/record"
-	"repro/internal/storage"
 	"repro/internal/stream"
 	"repro/internal/vfs"
 	"repro/internal/vfs/faultfs"
@@ -281,40 +280,32 @@ func resumeLanesAtEveryBoundary(t *testing.T) {
 	}
 }
 
-// TestGenerationBlock holds the blocks run generation writes to their rule:
-// BlockBytes of one lane's share of the budget, capped for a framed sort at
-// the merge's share of one input, so that a framed reader never holds more
-// than its share. Raw sorts, and a framed one merging at F = 4 as the
-// spill_merge workload does, keep their blocks.
+// TestGenerationBlock holds the blocks run generation writes, and the
+// spill arena's extents, to their rule: BlockBytes of one lane's share of
+// the budget, whatever the fan-in.
 func TestGenerationBlock(t *testing.T) {
 	for _, c := range []struct {
 		memory, fanIn int
-		comp          string
 		want          int
 	}{
-		{1 << 14, 4, "none", 32 << 10},     // share 51 KiB: the lane's block
-		{1 << 14, 0, "none", 16 << 10},     // F = 15: a 16 KiB share
-		{1 << 14, 0, "raw", 32 << 10},      // raw: the lane's block
-		{1 << 16, 0, "raw", 64 << 10},      // two lanes of 512 KiB
-		{1 << 16, 0, "none", 16 << 10},     // F = 63: a 16 KiB share
-		{laneMax + 2, 0, "raw", 32 << 10},  // two lanes of 256 KiB
-		{laneMax + 2, 0, "none", 16 << 10}, // F = 31: a 16 KiB share
-		{1 << 20, 0, "raw", 64 << 10},      // 32 lanes of 512 KiB
-		{1 << 20, 4, "none", 64 << 10},     // share 3.2 MiB
-		{1 << 20, 0, "none", 16 << 10},     // F = 1023
-		{1 << 20, 2047, "none", 8 << 10},   // share 8 KiB: two pages
-		{1 << 10, 1000, "none", 4 << 10},   // under a page: one page
+		{1 << 14, 4, 32 << 10},     // one lane of 256 KiB
+		{1 << 14, 0, 32 << 10},     // F = 15
+		{1 << 16, 0, 64 << 10},     // two lanes of 512 KiB
+		{laneMax + 2, 0, 32 << 10}, // two lanes of 256 KiB
+		{1 << 20, 0, 64 << 10},     // 32 lanes of 512 KiB
+		{1 << 20, 2047, 64 << 10},  // F = 2047
+		{1 << 10, 1000, 4 << 10},   // 16 KiB: one page
 	} {
-		cfg := Config{Memory: c.memory, FanIn: c.fanIn, Storage: storage.Config{Compression: c.comp}}
+		cfg := Config{Memory: c.memory, FanIn: c.fanIn}
 		rset, err := newRunSet(vfs.NewMemFS(), cfg, RecordOps())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := rset.em.Block; got != c.want {
-			t.Errorf("memory %d, fan-in %d, %s: generation blocks of %d bytes, want %d", c.memory, c.fanIn, c.comp, got, c.want)
+			t.Errorf("memory %d, fan-in %d: generation blocks of %d bytes, want %d", c.memory, c.fanIn, got, c.want)
 		}
-		if got := rset.spill.ExtentSize(); got != cfg.Storage.StoredBytes(c.want) {
-			t.Errorf("memory %d, fan-in %d, %s: arena extents of %d bytes, want a stored block", c.memory, c.fanIn, c.comp, got)
+		if got := rset.spill.ExtentSize(); got != c.want {
+			t.Errorf("memory %d, fan-in %d: arena extents of %d bytes, want a block", c.memory, c.fanIn, got)
 		}
 	}
 }

@@ -42,8 +42,7 @@ type sortObs struct {
 // ioMetrics mirrors storage.IOStats onto registry collectors.
 type ioMetrics struct {
 	blocksW, blocksR *obs.Counter
-	rawW, storedW    *obs.Counter
-	rawR, storedR    *obs.Counter
+	rawW, rawR       *obs.Counter
 	verify           *obs.Counter
 }
 
@@ -68,10 +67,8 @@ func newSortObs(cfg Config) *sortObs {
 	o.io = ioMetrics{
 		blocksW: m.Counter(obs.MSpillBlocksWritten, "Spill blocks written."),
 		blocksR: m.Counter(obs.MSpillBlocksRead, "Spill blocks read."),
-		rawW:    m.Counter(obs.MSpillRawBytes, "Pre-compression bytes written to spill storage."),
-		storedW: m.Counter(obs.MSpillStoredBytes, "On-storage bytes written to spill storage."),
-		rawR:    m.Counter(obs.MReadRawBytes, "Post-decompression bytes read back from spill storage."),
-		storedR: m.Counter(obs.MReadStoredBytes, "On-storage bytes read back from spill storage."),
+		rawW:    m.Counter(obs.MSpillRawBytes, "Bytes written to spill storage."),
+		rawR:    m.Counter(obs.MReadRawBytes, "Bytes read back from spill storage."),
 		verify:  m.Counter(obs.MSpillVerifyFailures, "Checksum verification failures on spill reads."),
 	}
 	return o
@@ -88,8 +85,8 @@ func (o *sortObs) tracer() *obs.Tracer {
 // traceFiles returns fs with one span per file on the "spill" track:
 // "spill_write" from Create, "spill_read" from Open, each ended by the
 // file's Close with its name and the bytes moved through it. Those are the
-// bytes the backend stores and reads back, frames and compression included,
-// so a sort's spans sum to its Stats.IO stored bytes. A nil tracer returns
+// bytes the backend stores and reads back, so a sort's spans sum to its
+// Stats.IO stored bytes. A nil tracer returns
 // fs unchanged.
 func traceFiles(fs vfs.FS, tr *obs.Tracer) vfs.FS {
 	if tr == nil {
@@ -207,9 +204,7 @@ func (o *sortObs) syncIO(st storage.IOStats) {
 	o.io.blocksW.Add(st.BlocksWritten - last.BlocksWritten)
 	o.io.blocksR.Add(st.BlocksRead - last.BlocksRead)
 	o.io.rawW.Add(st.RawBytesWritten - last.RawBytesWritten)
-	o.io.storedW.Add(st.StoredBytesWritten - last.StoredBytesWritten)
 	o.io.rawR.Add(st.RawBytesRead - last.RawBytesRead)
-	o.io.storedR.Add(st.StoredBytesRead - last.StoredBytesRead)
 	o.io.verify.Add(st.VerifyFailures - last.VerifyFailures)
 }
 

@@ -37,14 +37,9 @@ import (
 // its lane, the input is dealt again from record 0, and each lane hands over
 // to the real store at its own last recovered boundary.
 
-// compressionName returns the canonical spill framing name for the header.
-func compressionName(cfg Config) string {
-	comp, err := storage.ParseCompression(cfg.Storage.Compression)
-	if err != nil {
-		return cfg.Storage.Compression
-	}
-	return string(comp)
-}
+// spillLayout is the one spill layout's name, which a manifest's header
+// records: one written under another ("none", "flate") does not resume.
+const spillLayout = "raw"
 
 // generationFingerprint strings together every knob that shapes the
 // deterministic run sequence. Two invocations with equal fingerprints (and
@@ -72,7 +67,7 @@ func durableHeader[T any](cfg Config, ops Ops[T], em *runio.Emitter[T], keyed bo
 	h := manifest.Header{
 		Prefix:      cfg.Prefix,
 		Codec:       fmt.Sprintf("%T", ops.Codec),
-		Compression: compressionName(cfg),
+		Compression: spillLayout,
 		Generation:  generationFingerprint(cfg, ops, em),
 	}
 	if keyed {
@@ -88,8 +83,8 @@ func checkHeader[T any](h manifest.Header, cfg Config, ops Ops[T], em *runio.Emi
 	if got := fmt.Sprintf("%T", ops.Codec); h.Codec != got {
 		return &manifest.MismatchError{Field: "codec", Want: h.Codec, Got: got}
 	}
-	if got := compressionName(cfg); h.Compression != got {
-		return &manifest.MismatchError{Field: "compression", Want: h.Compression, Got: got}
+	if h.Compression != spillLayout {
+		return &manifest.MismatchError{Field: "compression", Want: h.Compression, Got: spillLayout}
 	}
 	if got := generationFingerprint(cfg, ops, em); h.Generation != got {
 		return &manifest.MismatchError{Field: "generation", Want: h.Generation, Got: got}
@@ -185,8 +180,10 @@ func sumStream[T any](rc *runio.Reader[T], ops Ops[T]) (n int64, sum uint64, err
 // surfaces as os.ErrNotExist (the caller treats it as "the durable prefix
 // ends here"); present-but-mismatched data is manifest.ErrChecksum and
 // always fatal — committed files are complete, so a mismatch is corruption.
-// A block that fails its frame check is such a mismatch too: the error
-// matches manifest.ErrChecksum and the storage error both.
+// The backend holds no block checks of these files, which an earlier
+// process wrote, so the content sums are their check; a file the storage
+// layer finds cut short (storage.ErrCorrupt) is such a mismatch too, and
+// the error matches manifest.ErrChecksum and the storage error both.
 func validateRunFiles[T any](store storage.Backend, mr manifest.Run, ops Ops[T]) error {
 	for _, ms := range mr.Segments {
 		if ms.Records == 0 {
@@ -197,7 +194,7 @@ func validateRunFiles[T any](store storage.Backend, mr manifest.Run, ops Ops[T])
 			return err
 		}
 		n, sum, err := sumStream(rc, ops)
-		if errors.Is(err, storage.ErrChecksum) || errors.Is(err, storage.ErrCorrupt) {
+		if errors.Is(err, storage.ErrCorrupt) {
 			return fmt.Errorf("%w: run %d: %w", manifest.ErrChecksum, mr.Seq, err)
 		}
 		if err != nil {

@@ -22,7 +22,6 @@ import (
 	"repro/internal/policy"
 	"repro/internal/record"
 	"repro/internal/runio"
-	"repro/internal/storage"
 	"repro/internal/stream"
 	"repro/internal/vfs"
 	"repro/internal/vfs/faultfs"
@@ -331,18 +330,11 @@ func resumeAtEveryBoundary[T comparable](t *testing.T, recs []T, cfg Config, ops
 }
 
 // TestResumeCrashMatrix sweeps seeded crash points — including torn writes
-// — across storage backends, codec widths and keyed/comparator modes, with
+// — across codec widths and keyed/comparator modes, with
 // the crash free to land mid-run-file or mid-manifest-append. Every
 // combination must resume to output byte-identical to the uninterrupted
 // sort.
 func TestResumeCrashMatrix(t *testing.T) {
-	backends := []struct {
-		name string
-		sc   storage.Config
-	}{
-		{"raw", storage.Config{}},
-		{"block_flate", storage.Config{Compression: "flate"}},
-	}
 	type runner func(t *testing.T, cfg Config, span int64)
 	modes := []struct {
 		name string
@@ -376,14 +368,10 @@ func TestResumeCrashMatrix(t *testing.T) {
 			crashMatrixCase(t, testStrings(700, 8), cfg, stringOps(), span)
 		}},
 	}
-	for _, be := range backends {
-		for _, mode := range modes {
-			t.Run(be.name+"/"+mode.name, func(t *testing.T) {
-				cfg := durableCfg(48)
-				cfg.Storage = be.sc
-				mode.run(t, cfg, crashSpans[be.name+"/"+mode.name])
-			})
-		}
+	for _, mode := range modes {
+		t.Run("raw/"+mode.name, func(t *testing.T) {
+			mode.run(t, durableCfg(48), crashSpans["raw/"+mode.name])
+		})
 	}
 	t.Run("raw/record16_keyed/recycled_extent", crashRecycled)
 }
@@ -452,10 +440,7 @@ func crashRecycled(t *testing.T) {
 var crashSpans = map[string]int64{
 	"raw/record16_keyed": 39412, "raw/record16_comparator": 39380,
 	"raw/string_keyed": 25403, "raw/string_comparator": 25373,
-	"block_flate/record16_keyed": 16207, "block_flate/record16_comparator": 16175,
-	"block_flate/string_keyed": 9593, "block_flate/string_comparator": 9563,
 	"raw/record16_ties_random": 37905, "raw/string_median": 30543,
-	"block_flate/record16_ties_random": 16271, "block_flate/string_median": 13925,
 }
 
 func crashMatrixCase[T comparable](t *testing.T, vals []T, cfg Config, ops Ops[T], span int64) {
@@ -523,10 +508,9 @@ func crashMatrixCase[T comparable](t *testing.T, vals []T, cfg Config, ops Ops[T
 
 // partialState crashes a durable record sort at the given input position
 // and returns the surviving file system and config.
-func partialState(t *testing.T, recs []record.Record, failAt int64, sc storage.Config) (vfs.FS, Config) {
+func partialState(t *testing.T, recs []record.Record, failAt int64) (vfs.FS, Config) {
 	t.Helper()
 	cfg := durableCfg(64)
-	cfg.Storage = sc
 	fs := vfs.NewMemFS()
 	_, err := GenerateRuns[record.Record](&killedReader[record.Record]{vals: recs, failAt: failAt}, fs, cfg, RecordOps())
 	if !errors.Is(err, errSrcKilled) {
@@ -590,7 +574,7 @@ func TestResumeAfterCrashMidMerge(t *testing.T) {
 // intact prefix.
 func TestResumeTornManifestTail(t *testing.T) {
 	recs := testRecords(1200, 3)
-	fs, cfg := partialState(t, recs, 900, storage.Config{})
+	fs, cfg := partialState(t, recs, 900)
 	name := manifest.Name("sort")
 	f, err := fs.Open(name)
 	if err != nil {
@@ -637,7 +621,7 @@ func TestResumeTornManifestTail(t *testing.T) {
 // from corrupt data.
 func TestResumeCorruptRunData(t *testing.T) {
 	recs := testRecords(1200, 4)
-	fs, cfg := partialState(t, recs, 900, storage.Config{})
+	fs, cfg := partialState(t, recs, 900)
 	st, err := manifest.Load(fs, manifest.Name("sort"))
 	if err != nil {
 		t.Fatal(err)
@@ -798,12 +782,13 @@ func flipByte(t *testing.T, fs vfs.FS, name string) {
 	writeFile(t, fs, name, data)
 }
 
-// TestResumeConfigMismatch resumes a durable sort under a changed codec,
-// compression or generation shape: each must be refused with a typed
+// TestResumeConfigMismatch resumes a durable sort under a changed codec or
+// generation shape, and a spill directory whose manifest names a spill
+// layout this build does not write: each must be refused with a typed
 // manifest.ErrMismatch, never silently combined with incompatible state.
 func TestResumeConfigMismatch(t *testing.T) {
 	recs := testRecords(1200, 5)
-	fs, cfg := partialState(t, recs, 900, storage.Config{})
+	fs, cfg := partialState(t, recs, 900)
 
 	t.Run("codec", func(t *testing.T) {
 		_, err := Resume[string](stream.NewSliceReader([]string{"a"}), fs, cfg, stringOps())
@@ -812,14 +797,39 @@ func TestResumeConfigMismatch(t *testing.T) {
 			t.Fatalf("codec mismatch: %v", err)
 		}
 	})
-	t.Run("compression", func(t *testing.T) {
-		bad := cfg
-		bad.Storage.Compression = "flate"
-		_, err := Resume[record.Record](stream.NewSliceReader(recs), fs, bad, RecordOps())
-		var mm *manifest.MismatchError
-		if !errors.As(err, &mm) || mm.Field != "compression" {
-			t.Fatalf("compression mismatch: %v", err)
+	// refused relabels the manifest's spill layout as comp, wants the
+	// resume refused with a compression mismatch naming it, and puts the
+	// header back.
+	refused := func(t *testing.T, comp string) {
+		name := manifest.Name("sort")
+		st, err := manifest.Load(fs, name)
+		if err != nil {
+			t.Fatal(err)
 		}
+		rewrite := func(h manifest.Header) {
+			w, err := manifest.Rewrite(fs, name, h, st.Runs)
+			if err == nil {
+				err = w.Close()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		h := st.Header
+		h.Compression = comp
+		rewrite(h)
+		defer rewrite(st.Header)
+		_, err = Resume[record.Record](stream.NewSliceReader(recs), fs, cfg, RecordOps())
+		var mm *manifest.MismatchError
+		if !errors.As(err, &mm) || mm.Field != "compression" || mm.Want != comp || mm.Got != "raw" {
+			t.Fatalf("resume over a %q manifest: %v", comp, err)
+		}
+	}
+	// The framed layouts, retired for the one checked raw layout: their
+	// blocks carry frames the reader no longer parses.
+	t.Run("compression", func(t *testing.T) {
+		refused(t, "none")
+		refused(t, "flate")
 	})
 	t.Run("generation", func(t *testing.T) {
 		bad := cfg
@@ -830,67 +840,33 @@ func TestResumeConfigMismatch(t *testing.T) {
 		}
 	})
 	// A spill directory left by a durable sort from before the gzip framing
-	// was retired: its manifest names a compression no configuration can
-	// select any more, so every resume is a compression mismatch. (Last:
-	// it rewrites the manifest the subtests above share.)
-	t.Run("retired gzip", func(t *testing.T) {
-		name := manifest.Name("sort")
-		st, err := manifest.Load(fs, name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st.Header.Compression = "gzip"
-		w, err := manifest.Rewrite(fs, name, st.Header, st.Runs)
-		if err == nil {
-			err = w.Close()
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, comp := range storage.Compressions() {
-			now := cfg
-			now.Storage.Compression = comp
-			_, err := Resume[record.Record](stream.NewSliceReader(recs), fs, now, RecordOps())
-			var mm *manifest.MismatchError
-			if !errors.As(err, &mm) || mm.Field != "compression" || mm.Want != "gzip" {
-				t.Fatalf("resume under %q over a gzip manifest: %v", comp, err)
-			}
-		}
-	})
+	// was retired.
+	t.Run("retired gzip", func(t *testing.T) { refused(t, "gzip") })
 }
 
 // durableHeaderGolden is the manifest header a durable sort at
-// durableCfg(48) writes, per backend. The header is what Resume checks a
-// spill directory against, so a change to it strands every directory a
-// released version left behind: it may change only with the manifest format.
+// durableCfg(48) writes. The header is what Resume checks a spill directory
+// against, so a change to it strands every directory a released version
+// left behind: it may change only with the manifest format.
 var durableHeaderGolden = map[string]manifest.Header{
 	"raw": {
 		Version: 5, Prefix: "sort", Codec: "codec.Record16", KeyCodec: "codec.KeyRecord16",
 		Compression: "raw", Generation: durableGenerationGolden,
-	},
-	"block_flate": {
-		Version: 5, Prefix: "sort", Codec: "codec.Record16", KeyCodec: "codec.KeyRecord16",
-		Compression: "flate", Generation: durableGenerationGolden,
 	},
 }
 
 const durableGenerationGolden = "policy=2wrs memory=48 elem=16 page=4096 pages_per_file=4 " +
 	"twrs={Memory:48 Setup:both BufferFrac:0.02 Input:mean Output:random Seed:0}"
 
-// TestDurableHeaderGolden holds the header a durable sort writes on the raw
-// and the flate backend to durableHeaderGolden: compression, codecs and the
-// generation fingerprint.
+// TestDurableHeaderGolden holds the header a durable sort writes to
+// durableHeaderGolden: spill layout, codecs and the generation fingerprint.
 func TestDurableHeaderGolden(t *testing.T) {
-	for name, sc := range map[string]storage.Config{"raw": {}, "block_flate": {Compression: "flate"}} {
-		t.Run(name, func(t *testing.T) {
-			cfg := durableCfg(48)
-			cfg.Storage = sc
-			_, st, _ := durableBaseline(t, testRecords(1200, 7), cfg, RecordOps())
-			if st.Header != durableHeaderGolden[name] {
-				t.Errorf("manifest header\n got %#v\nwant %#v", st.Header, durableHeaderGolden[name])
-			}
-		})
-	}
+	t.Run("raw", func(t *testing.T) {
+		_, st, _ := durableBaseline(t, testRecords(1200, 7), durableCfg(48), RecordOps())
+		if st.Header != durableHeaderGolden["raw"] {
+			t.Errorf("manifest header\n got %#v\nwant %#v", st.Header, durableHeaderGolden["raw"])
+		}
+	})
 }
 
 // TestDurableRejectsUnstableConfigs used to pin the one policy a durable
@@ -918,39 +894,28 @@ func TestDurableRejectsUnstableConfigs(t *testing.T) {
 	}
 }
 
-// TestDurableDiscard exercises RunSet.Discard across all storage backends:
-// after discarding a completed durable sort — or a sort resumed from a
-// crash — the backing file system holds neither the manifest nor any spill
-// file, and a second Discard is a clean no-op.
+// TestDurableDiscard exercises RunSet.Discard: after discarding a completed
+// durable sort — or a sort resumed from a crash — the backing file system
+// holds neither the manifest nor any spill file, and a second Discard is a
+// clean no-op.
 func TestDurableDiscard(t *testing.T) {
-	backends := []struct {
-		name string
-		sc   storage.Config
-	}{
-		{"raw", storage.Config{}},
-		{"block_flate", storage.Config{Compression: "flate"}},
-	}
 	recs := testRecords(1200, 8)
-	for _, be := range backends {
-		t.Run(be.name+"/completed", func(t *testing.T) {
-			cfg := durableCfg(64)
-			cfg.Storage = be.sc
-			fs := vfs.NewMemFS()
-			rset, err := GenerateRuns[record.Record](stream.NewSliceReader(recs), fs, cfg, RecordOps())
-			if err != nil {
-				t.Fatalf("GenerateRuns: %v", err)
-			}
-			assertDiscardClean(t, rset, fs)
-		})
-		t.Run(be.name+"/resumed", func(t *testing.T) {
-			fs, cfg := partialState(t, recs, 900, be.sc)
-			rset, err := Resume[record.Record](stream.NewSliceReader(recs), fs, cfg, RecordOps())
-			if err != nil {
-				t.Fatalf("Resume: %v", err)
-			}
-			assertDiscardClean(t, rset, fs)
-		})
-	}
+	t.Run("raw/completed", func(t *testing.T) {
+		fs := vfs.NewMemFS()
+		rset, err := GenerateRuns[record.Record](stream.NewSliceReader(recs), fs, durableCfg(64), RecordOps())
+		if err != nil {
+			t.Fatalf("GenerateRuns: %v", err)
+		}
+		assertDiscardClean(t, rset, fs)
+	})
+	t.Run("raw/resumed", func(t *testing.T) {
+		fs, cfg := partialState(t, recs, 900)
+		rset, err := Resume[record.Record](stream.NewSliceReader(recs), fs, cfg, RecordOps())
+		if err != nil {
+			t.Fatalf("Resume: %v", err)
+		}
+		assertDiscardClean(t, rset, fs)
+	})
 }
 
 func assertDiscardClean[T any](t *testing.T, rset *RunSet[T], fs vfs.FS) {

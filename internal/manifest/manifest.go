@@ -112,8 +112,9 @@ type Header struct {
 	// KeyCodec fingerprints the normalized-key codec, empty when the sort
 	// ran comparator-only. Informational: see the type comment.
 	KeyCodec string `json:"key_codec,omitempty"`
-	// Compression is the spill storage framing name ("raw", "none",
-	// "flate").
+	// Compression names the spill layout: always "raw" since the framed
+	// layouts ("none", "flate") were retired, whose manifests do not
+	// resume.
 	Compression string `json:"compression"`
 	// Generation fingerprints every knob that shapes the deterministic
 	// run sequence: policy, memory budget, page layout, 2WRS parameters.

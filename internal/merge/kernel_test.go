@@ -271,11 +271,7 @@ func TestTreeReadBatchDoesNotAllocate(t *testing.T) {
 func TestMergeReusesLeafState(t *testing.T) {
 	const fanIn = 8
 	allocated := func(ops, pieces int) uint64 {
-		st, err := storage.New(vfs.NewOSFS(t.TempDir()), storage.Config{Compression: "none"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		em := runio.NewEmitterOn[record.Record](st, "m", codec.Record16{}, record.Less)
+		em := runio.NewEmitterOn[record.Record](storage.NewRaw(vfs.NewOSFS(t.TempDir())), "m", codec.Record16{}, record.Less)
 		em.KeyCodec = codec.KeyRecord16{}
 		// ops-1 intermediate merges and the final one.
 		var runs []runio.Run

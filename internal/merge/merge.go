@@ -69,22 +69,16 @@ func (c *Config) resolveMetrics() {
 // the blocks its operation holds at once — one per input and the one its
 // writer is filling — floored at one file system page: no real device
 // transfers less than a page per request. Concurrent operations all get the
-// blocks of a full-width one, the narrow first one too: a framed block is
-// read whole, so no operation may write larger blocks than the readers of
-// the one that consumes its output are given. The final merge has no writer
-// of its own, and its spare share is what the output batch costs.
+// blocks of a full-width one, the narrow first one too, so no operation's
+// blocks depend on which others share the workers with it. The final merge
+// has no writer of its own, and its spare share is what the output batch
+// costs.
 func (c Config) bufBytes(workers, width int) int {
 	if workers > 1 {
 		width = c.FanIn
 	}
 	return max(c.MemoryBytes/workers/(width+1), runio.DefaultPageSize)
 }
-
-// InputShare is the least block a merge under c gives one input of an
-// operation that runs alone: the budget split among FanIn inputs and the
-// output. A framed run's reader holds whole blocks of its writer, so run
-// generation writes a framed sort's blocks no larger.
-func (c Config) InputShare() int { return c.bufBytes(1, c.FanIn) }
 
 // fedWorkers returns how many full-width operations MemoryBytes feeds at
 // once without a block going under its floor: each holds FanIn+1 blocks of

@@ -584,14 +584,12 @@ func TestMergeStopsPassOnFailure(t *testing.T) {
 // TestMergeHoldsToMemoryBudget checks the merge's division of its memory
 // against the blocks it really holds: with two workers, each writer holding
 // the one block it is filling, the spill path's pool never has more out
-// than MemoryBytes plus the frame headroom of each block.
+// than MemoryBytes.
 // That holds when every input is a four-segment overlap run too: the fan-in
 // counts runs, a run's share of the budget is split among its pieces, and
 // four times the leaves cost no more buffer — as long as a piece's share is
 // still a page, the floor no reader goes under, which the second row's budget
-// allows for. A framing backend holds to the same slack: its readers lend
-// blocks out of their windows, forward files and chains alike, so a piece
-// holds one buffer either way.
+// allows for.
 // The derived rows merge at the width a budget of 2^14 Records feeds
 // (extsort.Config.MergeFanIn: 256 KiB at a 16 KiB block per input, 15),
 // where a lone operation gives each input one 16 KiB block and an overlap
@@ -615,46 +613,38 @@ func TestMergeHoldsToMemoryBudget(t *testing.T) {
 		{"derived/single/8", 1, 256 << 10, 15, 8, 200},
 		{"derived/overlap/1", 4, 256 << 10, 15, 1, 50},
 		{"derived/overlap/2", 4, 256 << 10, 15, 2, 50},
-		// Runs written in blocks of the merge's share of an input, the
-		// largest a framed sort's generation writes at F >= 8: a framed
-		// reader holds whole blocks of its writer.
+		// Runs written in blocks of the merge's share of an input: a
+		// reader still holds only the buffer it asks for.
 		{"generation_blocks/single/1", 1, 256 << 10, 15, 1, 50},
 	} {
-		fanIn, workers := row.fanIn, row.workers
-		for _, comp := range []string{"raw", "none"} {
-			name := row.name + "/" + comp
-			slack := workers * (fanIn*row.pieces + 1) * storage.FrameHeadroom
-			fs := vfs.NewMemFS()
-			st, err := storage.New(fs, storage.Config{Compression: comp})
-			if err != nil {
-				t.Fatal(err)
-			}
-			em := runio.NewEmitterOn[record.Record](st, "m", codec.Record16{}, record.Less)
-			if strings.HasPrefix(row.name, "generation_blocks/") {
-				em.Block = Config{FanIn: fanIn, MemoryBytes: row.memory}.InputShare()
-			}
-			var runs []runio.Run
-			var all []record.Record
-			if row.pieces == 1 {
-				runs, all = makeRuns(t, fs, em, row.runs, 2000, 6)
-			} else {
-				runs, all = makeOverlapRuns(t, em, row.runs, 2000/row.pieces, 6)
-			}
-			written := storage.PoolOf(st).Peak()
-			var out stream.SliceWriter[record.Record]
-			if _, err := Merge(em, runs, &out, Config{FanIn: fanIn, MemoryBytes: row.memory, Workers: workers}); err != nil {
-				t.Fatal(err)
-			}
-			if !record.IsSorted(out.Vals) || !record.NewMultiset(out.Vals).Equal(record.NewMultiset(all)) {
-				t.Fatalf("%s: merge output wrong", name)
-			}
-			peak := storage.PoolOf(st).Peak()
-			if peak <= written {
-				t.Fatalf("%s: the merge took no block from the pool (peak %d after the runs were written, %d after the merge)", name, written, peak)
-			}
-			if peak > row.memory+slack {
-				t.Fatalf("%s: %d bytes of blocks out of the pool at once, over the budget of %d + %d", name, peak, row.memory, slack)
-			}
+		name, fanIn, workers := row.name, row.fanIn, row.workers
+		fs := vfs.NewMemFS()
+		st := storage.NewRaw(fs)
+		em := runio.NewEmitterOn[record.Record](st, "m", codec.Record16{}, record.Less)
+		if strings.HasPrefix(row.name, "generation_blocks/") {
+			em.Block = Config{FanIn: fanIn, MemoryBytes: row.memory}.bufBytes(1, fanIn)
+		}
+		var runs []runio.Run
+		var all []record.Record
+		if row.pieces == 1 {
+			runs, all = makeRuns(t, fs, em, row.runs, 2000, 6)
+		} else {
+			runs, all = makeOverlapRuns(t, em, row.runs, 2000/row.pieces, 6)
+		}
+		written := storage.PoolOf(st).Peak()
+		var out stream.SliceWriter[record.Record]
+		if _, err := Merge(em, runs, &out, Config{FanIn: fanIn, MemoryBytes: row.memory, Workers: workers}); err != nil {
+			t.Fatal(err)
+		}
+		if !record.IsSorted(out.Vals) || !record.NewMultiset(out.Vals).Equal(record.NewMultiset(all)) {
+			t.Fatalf("%s: merge output wrong", name)
+		}
+		peak := storage.PoolOf(st).Peak()
+		if peak <= written {
+			t.Fatalf("%s: the merge took no block from the pool (peak %d after the runs were written, %d after the merge)", name, written, peak)
+		}
+		if peak > row.memory {
+			t.Fatalf("%s: %d bytes of blocks out of the pool at once, over the budget of %d", name, peak, row.memory)
 		}
 	}
 }

@@ -34,18 +34,10 @@ const (
 	// phase="generate"|"merge".
 	MPhaseSeconds = "extsort_phase_seconds"
 
-	// MSpillRawBytes counts pre-compression bytes written to spill
-	// storage.
+	// MSpillRawBytes counts bytes written to spill storage.
 	MSpillRawBytes = "extsort_spilled_raw_bytes_total"
-	// MSpillStoredBytes counts on-storage bytes written to spill
-	// storage.
-	MSpillStoredBytes = "extsort_spilled_stored_bytes_total"
-	// MReadRawBytes counts post-decompression bytes read back from
-	// spill storage.
+	// MReadRawBytes counts bytes read back from spill storage.
 	MReadRawBytes = "extsort_read_raw_bytes_total"
-	// MReadStoredBytes counts on-storage bytes read back from spill
-	// storage.
-	MReadStoredBytes = "extsort_read_stored_bytes_total"
 	// MSpillBlocksWritten counts spill blocks written.
 	MSpillBlocksWritten = "extsort_spill_blocks_written_total"
 	// MSpillBlocksRead counts spill blocks read.

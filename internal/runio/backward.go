@@ -73,8 +73,8 @@ func (f *chainFile) writePages(pages []byte) error {
 
 // finish completes the file: the payload left over — whole pages, then a
 // partial lowest one — and the header, which says where an ascending read
-// starts. In a partial page that is where the backend says: the raw layout
-// right-aligns the payload, framed slots store exactly it and start at 0.
+// starts. In a partial page that is where the backend says: it
+// right-aligns the payload.
 func (f *chainFile) finish(payload []byte) error {
 	partial := len(payload) % int(f.hdr.pageSize)
 	if len(payload) > partial {

@@ -13,9 +13,8 @@ import (
 // create run files: the spill storage backend, a name allocator, the
 // element codec and comparator, and buffer/layout sizes.
 type Emitter[T any] struct {
-	// Store is the spill backend run files are written to and read from:
-	// the raw pass-through over a vfs.FS, or a framed backend with
-	// checksums and compression (see internal/storage).
+	// Store is the spill backend run files are written to and read from
+	// (see internal/storage).
 	Store storage.Backend
 	// Namer allocates unique file names.
 	Namer *Namer
@@ -176,12 +175,7 @@ func (e *Emitter[T]) AbortOpen() {
 }
 
 // Open opens the run as its sorted pieces (OpenRun) on the emitter's store
-// with the emitter's codec, telling each the block size of the streams the
-// emitter writes.
+// with the emitter's codec.
 func (e *Emitter[T]) Open(r Run, bufBytes int) ([]*Reader[T], error) {
-	pieces, err := OpenRun(e.Store, r, bufBytes, e.Codec)
-	for _, p := range pieces {
-		p.block = e.Block
-	}
-	return pieces, err
+	return OpenRun(e.Store, r, bufBytes, e.Codec)
 }

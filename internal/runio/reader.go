@@ -61,16 +61,9 @@ func (f spillFile) open(st storage.Backend) (storage.BlockReader, error) {
 }
 
 // Reader reads spill files back to back in ascending order through one
-// buffer: a forward run, a backward chain, or every segment of a
+// pooled buffer: a forward run, a backward chain, or every segment of a
 // concatenable run, depending on the file list it was built over. Files
 // are opened one at a time, each when the one before it is drained.
-//
-// The bytes being decoded are either a block on loan from the open file —
-// a backend that verifies whole blocks in a window of its own lends each
-// out rather than copy it (storage.BlockLender) — or the reader's own
-// pooled buffer, which it takes when it first has to read into one: the
-// backend does not lend, or an element straddles what two reads returned
-// and has to be joined.
 type Reader[T any] struct {
 	st     storage.Backend
 	pool   *storage.Pool
@@ -81,11 +74,9 @@ type Reader[T any] struct {
 	cur    spillFile           // the file opened last
 	got    int64               // records yielded since cur's segment began
 	src    storage.BlockReader // the open file; nil between files
-	lend   storage.BlockLender // src again, when it lends its blocks
 	size   int                 // bytes per read: the buffer budget
-	block  int                 // the block size of the run's writer, when known (Emitter.Open)
 	own    []byte              // the reader's buffer, from the pool, once it needs one
-	buf    []byte              // the bytes being decoded: a prefix of own, or a block on loan
+	buf    []byte              // the bytes being decoded: a prefix of own
 	pos    int                 // consumed bytes of buf
 	err    error               // met after the last element decoded; the next call returns it
 	closed bool
@@ -171,17 +162,11 @@ func (r *Reader[T]) ReadBatch(dst []T) (int, error) {
 
 // refill replaces the drained buffer with the stream's next bytes — moving
 // to the next file when the open one is drained — and returns io.EOF once
-// the last file is. With nothing left over and a file that lends its
-// blocks, the next block is decoded where it lies. Otherwise the partial
-// element left over moves to the front of the reader's own buffer and more
-// bytes are read behind it, into a larger buffer when one element outgrows
-// it. A drained file that ends a segment of known length must have brought
-// the segment to exactly that length. It is the only place the reader touches
-// storage. A lending file is asked for blocks of the larger of the buffer
-// budget and the writer's block size, which is what its window is made
-// for: every file of a run, forward (whose window must hold a whole block)
-// or chain, then takes a window of one size, which the pool hands back file
-// after file.
+// the last file is. The partial element left over moves to the front of the
+// reader's buffer and more bytes are read behind it, into a larger buffer
+// when one element outgrows it. A drained file that ends a segment of known
+// length must have brought the segment to exactly that length. It is the
+// only place the reader touches storage.
 func (r *Reader[T]) refill() error {
 	rest := r.buf[r.pos:]
 	r.buf, r.pos = rest, 0
@@ -192,37 +177,26 @@ func (r *Reader[T]) refill() error {
 			}
 			rest = r.buf
 		}
-		if len(rest) == 0 && r.lend != nil {
-			block, err := r.lend.NextBlock(max(r.size, r.block))
-			if err == nil {
-				r.buf = block
-				return nil
-			}
-			if err != io.EOF {
-				return r.failed(r.cur, err)
-			}
+		if len(rest) >= len(r.own) {
+			grown := r.pool.Get(max(r.size, 2*len(rest)))
+			copy(grown, rest)
+			r.pool.Put(r.own)
+			r.own = grown
 		} else {
-			if len(rest) >= len(r.own) {
-				grown := r.pool.Get(max(r.size, 2*len(rest)))
-				copy(grown, rest)
-				r.pool.Put(r.own)
-				r.own = grown
-			} else {
-				copy(r.own, rest)
-			}
-			rest = r.own[:len(rest)]
-			r.buf = rest
-			n, err := r.src.Read(r.own[len(rest):])
-			if err != nil && err != io.EOF {
-				return r.failed(r.cur, err)
-			}
-			if n > 0 {
-				r.buf = r.own[:len(rest)+n]
-				return nil
-			}
+			copy(r.own, rest)
+		}
+		rest = r.own[:len(rest)]
+		r.buf = rest
+		n, err := r.src.Read(r.own[len(rest):])
+		if err != nil && err != io.EOF {
+			return r.failed(r.cur, err)
+		}
+		if n > 0 {
+			r.buf = r.own[:len(rest)+n]
+			return nil
 		}
 		src := r.src
-		r.src, r.lend = nil, nil
+		r.src = nil
 		if err := src.Close(); err != nil {
 			return r.failed(r.cur, err)
 		}
@@ -247,7 +221,6 @@ func (r *Reader[T]) openNext() error {
 		return r.failed(f, err)
 	}
 	r.files, r.cur, r.src = r.files[1:], f, src
-	r.lend, _ = src.(storage.BlockLender)
 	if !f.joins {
 		r.buf, r.pos = nil, 0
 	}

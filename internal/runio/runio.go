@@ -60,11 +60,11 @@
 // Readers speak the batch protocol only (stream.BatchReader): everything
 // that reads a run reads it a batch at a time.
 //
-// Both layouts reach the file system through a storage.Backend: the raw
-// backend reproduces the historical bytes exactly, while the block backend
-// adds per-block CRC32 checksums and optional compression. runio deals in
-// pages and chain files; how those become bytes at rest is the backend's
-// concern.
+// Both layouts reach the file system through a storage.Backend, which
+// stores the historical bytes exactly and checks each block it wrote as it
+// reads it back (a bit flipped at rest is a storage.ErrChecksum). runio
+// deals in pages and chain files; how those become bytes at rest is the
+// backend's concern.
 //
 // Both write paths and the read path move blocks, not records. WriteBatch
 // and ReadBatch encode and decode a page of elements per call through the
@@ -72,11 +72,9 @@
 // inside the same page loop). Writers' blocks and a reader's buffer come
 // from the backend's pool (storage.PoolOf) and return to it when the file
 // closes, so they are reused across runs, merge operations and passes; a
-// forward block carries storage.FrameHeadroom spare bytes so a framing
-// backend stores it with one write, a chain block is one write of its
-// pages, and a backend that holds verified blocks lends them to the reader
-// instead of copying (Reader.refill, the one place reads touch storage). At
-// every Parallelism of a sort, every writer — a run generator's and a merge
+// forward block is one Append and a chain block one write of its pages
+// (Reader.refill is the one place reads touch storage). At every
+// Parallelism of a sort, every writer — a run generator's and a merge
 // output's alike — creates, writes and closes its files on its caller's
 // goroutine, so a file is complete when the writer's Close returns. Nothing
 // in the package starts a goroutine.
@@ -131,8 +129,7 @@ func bufSize(bufBytes, fixed int) int {
 
 // Writer writes an ascending forward run block by block: encoded elements
 // fill a pooled block, and each full one becomes one block of the storage
-// backend's stream (a plain byte range on the raw backend, a checksummed —
-// optionally compressed — frame on the block backend). The writer creates,
+// backend's stream. The writer creates,
 // appends to and closes its file on its caller's goroutine, so the file is
 // complete when Close returns.
 type Writer[T any] struct {
@@ -140,13 +137,9 @@ type Writer[T any] struct {
 	f      storage.BlockWriter
 	pool   *storage.Pool
 	fixed  int    // c.FixedSize()
-	buf    []byte // the block being filled: FrameHeadroom spare bytes, then the page
-	target int    // page bytes at which the block is flushed
+	buf    []byte // the block being filled
+	target int    // bytes at which the block is flushed
 }
-
-// headroom is where a block's page starts: the bytes before it are the
-// storage backend's, for its frame.
-const headroom = storage.FrameHeadroom
 
 // castagnoli selects CRC-32C, which the hardware computes: an element is a
 // dozen-odd bytes, where the byte-table IEEE polynomial cost more than
@@ -175,7 +168,7 @@ func NewWriter[T any](st storage.Backend, name string, bufBytes int, c codec.Cod
 	w := &Writer[T]{f: f, pool: storage.PoolOf(st), fixed: c.FixedSize()}
 	w.streamBase = newStreamBase(Segment{Name: name}, c, less, w)
 	w.target = bufSize(bufBytes, w.fixed)
-	w.buf = w.pool.Get(headroom + w.target)[:headroom]
+	w.buf = w.pool.Get(w.target)[:0]
 	return w, nil
 }
 
@@ -191,7 +184,7 @@ func (w *Writer[T]) Write(r T) error {
 	if w.summed {
 		w.sum = ContentSum(w.sum, w.buf[prev:])
 	}
-	if len(w.buf)-headroom >= w.target {
+	if len(w.buf) >= w.target {
 		return w.flush()
 	}
 	return nil
@@ -211,7 +204,7 @@ func (w *Writer[T]) WriteBatch(src []T) error {
 	for len(src) > 0 {
 		n := 1
 		if w.fixed > 0 {
-			n = min(len(src), max((w.target-(len(w.buf)-headroom))/w.fixed, 1))
+			n = min(len(src), max((w.target-len(w.buf))/w.fixed, 1))
 		}
 		page := src[:n]
 		if err := w.admitAll(page); err != nil {
@@ -232,7 +225,7 @@ func (w *Writer[T]) WriteBatch(src []T) error {
 			}
 		}
 		src = src[n:]
-		if len(w.buf)-headroom >= w.target {
+		if len(w.buf) >= w.target {
 			if err := w.flush(); err != nil {
 				return err
 			}
@@ -243,13 +236,13 @@ func (w *Writer[T]) WriteBatch(src []T) error {
 
 // flush appends the block being filled to the file and starts it over.
 func (w *Writer[T]) flush() error {
-	if len(w.buf) == headroom {
+	if len(w.buf) == 0 {
 		return nil
 	}
-	if err := storage.AppendBlock(w.f, w.buf); err != nil {
+	if err := w.f.Append(w.buf); err != nil {
 		return err
 	}
-	w.buf = w.buf[:headroom]
+	w.buf = w.buf[:0]
 	return nil
 }
 

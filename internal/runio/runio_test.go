@@ -723,14 +723,10 @@ func fileBytes(t *testing.T, fs vfs.FS, name string) []byte {
 // through an emitter with Checksums on — element by element when split is
 // 0, in batches of split otherwise — and returns every file stored and the
 // stream's content sum.
-func writeChain[T any](t *testing.T, comp string, pagesPerFile, split int, c codec.Codec[T], less func(a, b T) bool, vals []T) (map[string][]byte, uint64) {
+func writeChain[T any](t *testing.T, pagesPerFile, split int, c codec.Codec[T], less func(a, b T) bool, vals []T) (map[string][]byte, uint64) {
 	t.Helper()
 	fs := vfs.NewMemFS()
-	st, err := storage.New(fs, storage.Config{Compression: comp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	em := NewEmitterOn[T](st, "ch", c, less)
+	em := NewEmitterOn[T](storage.NewRaw(fs), "ch", c, less)
 	em.PageSize, em.PagesPerFile, em.Checksums = 64, pagesPerFile, true
 	w, err := em.Stream("s", true)
 	for rest := vals; len(rest) > 0 && err == nil; {
@@ -760,8 +756,8 @@ func writeChain[T any](t *testing.T, comp string, pagesPerFile, split int, c cod
 // byte-identical files to element writes, including page-flush boundaries:
 // a forward run, and backward chains of fixed-width records and of strings
 // that span pages and files — every batch length from one element to a
-// page and one more, files of one and two data pages, raw and framed, with
-// equal content sums.
+// page and one more, files of one and two data pages, with equal content
+// sums.
 func TestWriteBatchMatchesWrite(t *testing.T) {
 	recs := make([]record.Record, 777)
 	for i := range recs {
@@ -813,19 +809,17 @@ func TestWriteBatchMatchesWrite(t *testing.T) {
 		strs[i] = fmt.Sprintf("%04d%s", len(strs)-i, strings.Repeat("s", i%150))
 	}
 	const perPage = 64 / record.Size
-	for _, comp := range []string{"raw", "none"} {
-		for _, pagesPerFile := range []int{2, 3} {
-			wantRecs, recSum := writeChain(t, comp, pagesPerFile, 0, codec.Record16{}, record.Less, recs)
-			wantStrs, strSum := writeChain(t, comp, pagesPerFile, 0, codec.String{}, func(a, b string) bool { return a < b }, strs)
-			for split := 1; split <= perPage+1; split++ {
-				gotRecs, sum := writeChain(t, comp, pagesPerFile, split, codec.Record16{}, record.Less, recs)
-				if !maps.EqualFunc(gotRecs, wantRecs, bytes.Equal) || sum != recSum {
-					t.Fatalf("%s, %d pages a file, batches of %d records: %d files and sum %#x, element writes %d and %#x", comp, pagesPerFile, split, len(gotRecs), sum, len(wantRecs), recSum)
-				}
-				gotStrs, sum := writeChain(t, comp, pagesPerFile, split, codec.String{}, func(a, b string) bool { return a < b }, strs)
-				if !maps.EqualFunc(gotStrs, wantStrs, bytes.Equal) || sum != strSum {
-					t.Fatalf("%s, %d pages a file, batches of %d strings: %d files and sum %#x, element writes %d and %#x", comp, pagesPerFile, split, len(gotStrs), sum, len(wantStrs), strSum)
-				}
+	for _, pagesPerFile := range []int{2, 3} {
+		wantRecs, recSum := writeChain(t, pagesPerFile, 0, codec.Record16{}, record.Less, recs)
+		wantStrs, strSum := writeChain(t, pagesPerFile, 0, codec.String{}, func(a, b string) bool { return a < b }, strs)
+		for split := 1; split <= perPage+1; split++ {
+			gotRecs, sum := writeChain(t, pagesPerFile, split, codec.Record16{}, record.Less, recs)
+			if !maps.EqualFunc(gotRecs, wantRecs, bytes.Equal) || sum != recSum {
+				t.Fatalf("%d pages a file, batches of %d records: %d files and sum %#x, element writes %d and %#x", pagesPerFile, split, len(gotRecs), sum, len(wantRecs), recSum)
+			}
+			gotStrs, sum := writeChain(t, pagesPerFile, split, codec.String{}, func(a, b string) bool { return a < b }, strs)
+			if !maps.EqualFunc(gotStrs, wantStrs, bytes.Equal) || sum != strSum {
+				t.Fatalf("%d pages a file, batches of %d strings: %d files and sum %#x, element writes %d and %#x", pagesPerFile, split, len(gotStrs), sum, len(wantStrs), strSum)
 			}
 		}
 	}

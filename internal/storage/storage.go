@@ -1,12 +1,12 @@
 // Package storage is the spill layer between runio and vfs: it decides how
 // the page-sized buffers the run writers produce become bytes on a file
-// system, and accounts for every byte moved either way. Where those bytes
-// lie is the file system's business: every sort hands its backend a
-// vfs.Arena, which keeps every spill file as extents of one physical file.
-// So is watching and timing them: per-file trace spans, the simulated disk
-// of internal/iosim, and the tests' counts and faults wrap the vfs.FS a
-// backend is built over, not the backend. A backend lists no files; the
-// arena it writes into does.
+// system, checks them on the way back, and accounts for every byte moved
+// either way. Where those bytes lie is the file system's business: every
+// sort hands its backend a vfs.Arena, which keeps every spill file as
+// extents of one physical file. So is watching and timing them: per-file
+// trace spans, the simulated disk of internal/iosim, and the tests' counts
+// and faults wrap the vfs.FS a backend is built over, not the backend. A
+// backend lists no files; the arena it writes into does.
 //
 // A Backend offers two file shapes, matching runio's two on-disk layouts:
 //
@@ -19,101 +19,46 @@
 //     chain format. Ascending reads stream page payloads forward from a
 //     start page.
 //
-// Two framings implement the interface. The raw backend reproduces the
-// library's historical on-disk layout byte for byte and only adds
-// accounting; it is the default, and the layout every pre-storage test and
-// the iosim disk model pin. The block backend wraps each page in a
-// self-describing frame — magic, per-block codec, payload lengths and a
-// CRC32 of the uncompressed payload — and optionally compresses payloads
-// with the standard library's flate. A block is one file-system write,
-// frame and payload together, and so is a run of chain pages; a read fills
-// a window of the caller's block size with as many whole blocks as it
-// holds, so a window of less than two blocks reads more often than the raw
-// layout's buffer of the same size, which is why raw stays the default
-// (DESIGN §10). Callers that leave FrameHeadroom bytes in front of a
-// payload (AppendBlock) and take blocks on loan (BlockLender) move it
-// without a copy on either side. Corruption of a spilled block then
-// surfaces as ErrChecksum (or ErrCorrupt for a damaged frame) when the
-// merge reads it back, never as silently wrong output.
+// There is one layout: the library's historical raw bytes, which the iosim
+// disk model and every layout golden pin — blocks and pages land where the
+// run writers put them, with nothing added. Its check is kept beside the
+// file, in memory: every block written (a forward Append, a chain page, a
+// chain tail or header) records its end offset, length and CRC-32C under
+// the file's name, and a reader folds the bytes each read returns into the
+// check of the block they belong to, comparing it once the read passes the
+// block's end. Read windows need not line up with the blocks written. A
+// block that reads back altered is an ErrChecksum naming the file and the
+// block, when the merge reads it, never silently wrong output. The check
+// lives as long as the backend: a file this backend did not write — one a
+// durable sort adopts from an earlier process at Resume — is read
+// unchecked, and the manifest's content sums (runio.ContentSum) cover it.
 package storage
 
 import (
 	"errors"
-	"fmt"
 	"io"
-	"strings"
 	"sync/atomic"
 
 	"repro/internal/vfs"
 )
 
-// Compression names a block payload codec.
-type Compression string
+// Config selects a spill backend. There is one, so it has no fields; it
+// stays for the callers that still pass one to New.
+type Config struct{}
 
-// The supported spill framings. Raw is the historical unframed layout;
-// every other value selects block framing with per-block CRC32 checksums
-// and the named payload codec.
-const (
-	// Raw is the historical pass-through layout: no frames, no checksums,
-	// byte-identical to the pre-storage library.
-	Raw Compression = "raw"
-	// None frames and checksums blocks but stores payloads uncompressed.
-	None Compression = "none"
-	// Flate compresses block payloads with DEFLATE (stdlib compress/flate,
-	// BestSpeed — spill bandwidth matters more than ratio).
-	Flate Compression = "flate"
-)
-
-// Compressions lists the valid Compression names in presentation order.
-func Compressions() []string {
-	return []string{string(Raw), string(None), string(Flate)}
-}
-
-// ParseCompression resolves a compression name. The empty string means Raw,
-// preserving the zero Config's historical behaviour.
-func ParseCompression(s string) (Compression, error) {
-	switch strings.ToLower(s) {
-	case "", "raw":
-		return Raw, nil
-	case "none":
-		return None, nil
-	case "flate", "deflate":
-		return Flate, nil
-	}
-	return "", fmt.Errorf("storage: unknown compression %q (want %s)", s, strings.Join(Compressions(), ", "))
-}
-
-// Config selects a spill backend.
-type Config struct {
-	// Compression selects the spill framing: "" or "raw" for the historical
-	// unframed layout, or "none", "flate" for checksummed block framing
-	// with the named payload codec.
-	Compression string
-}
-
-// StoredBytes returns the most bytes a block of payload bytes takes on the
-// file system under cfg: the payload alone in the raw layout, and the
-// payload behind its frame under a framing one (a flate block stores no
-// more than that).
-func (cfg Config) StoredBytes(payload int) int {
-	if comp, _ := ParseCompression(cfg.Compression); comp == Raw {
-		return payload
-	}
-	return frameSize + payload
-}
-
-// ErrChecksum reports a block whose payload failed CRC verification: the
+// ErrChecksum reports a block whose bytes failed their CRC-32C on read: the
 // spilled data was corrupted at rest or in transit.
 var ErrChecksum = errors.New("storage: block checksum mismatch")
 
-// ErrCorrupt reports a damaged block frame (bad magic or nonsensical
-// lengths), which means the file was truncated or overwritten.
-var ErrCorrupt = errors.New("storage: corrupt block frame")
+// ErrCorrupt reports a spill file whose shape is wrong (it ends inside a
+// block its writer stored, a chain header is short, a run segment ends
+// early), which means the file was truncated or overwritten.
+var ErrCorrupt = errors.New("storage: corrupt spill file")
 
 // IOStats is a point-in-time snapshot of a backend's I/O accounting. Raw
-// counts payload bytes as the run writers produced them; Stored counts the
-// physical bytes actually moved to or from the file system, including block
-// frames and after compression — the quantity an I/O-bound sort pays for.
+// counts payload bytes as the run writers produced them, Stored the bytes
+// moved to or from the file system; with one unframed layout the two are
+// equal, and both stay for the callers that read either.
 type IOStats struct {
 	// BlocksWritten and BlocksRead count block (or page) transfers: a run
 	// of pages stored by one call counts each of its pages.
@@ -122,60 +67,45 @@ type IOStats struct {
 	BlocksRead int64
 	// RawBytesWritten is payload bytes handed to the backend.
 	RawBytesWritten int64
-	// StoredBytesWritten is physical bytes written, after framing and
-	// compression. Equal to RawBytesWritten on the raw backend.
+	// StoredBytesWritten equals RawBytesWritten.
 	StoredBytesWritten int64
 	// RawBytesRead is payload bytes returned to readers.
 	RawBytesRead int64
-	// StoredBytesRead is physical bytes read, before decompression: all the
-	// file system returned, the unused room of a framed chain file's fixed
-	// page slots included.
+	// StoredBytesRead equals RawBytesRead.
 	StoredBytesRead int64
-	// VerifyFailures counts blocks whose checksum or frame validation
-	// failed on read.
+	// VerifyFailures counts blocks whose checksum failed on read.
 	VerifyFailures int64
-}
-
-// CompressionRatio returns RawBytesWritten / StoredBytesWritten — how many
-// logical bytes each stored byte carries (1 on the raw backend, >1 when
-// compression is winning). It returns 0 before anything was written.
-func (s IOStats) CompressionRatio() float64 {
-	if s.StoredBytesWritten == 0 {
-		return 0
-	}
-	return float64(s.RawBytesWritten) / float64(s.StoredBytesWritten)
 }
 
 // counters is the shared, goroutine-safe accumulator behind IOStats:
 // parallel merge workers hit it concurrently.
 type counters struct {
 	blocksW, blocksR atomic.Int64
-	rawW, storedW    atomic.Int64
-	rawR, storedR    atomic.Int64
+	bytesW, bytesR   atomic.Int64
 	verifyFailures   atomic.Int64
 }
 
-// wrote accounts one write of blocks blocks (or pages).
-func (c *counters) wrote(blocks, raw, stored int64) {
+// wrote accounts one write of n bytes in blocks blocks (or pages).
+func (c *counters) wrote(blocks, n int64) {
 	c.blocksW.Add(blocks)
-	c.rawW.Add(raw)
-	c.storedW.Add(stored)
+	c.bytesW.Add(n)
 }
 
-func (c *counters) read(raw, stored int64) {
+// read accounts one read of n bytes.
+func (c *counters) read(n int64) {
 	c.blocksR.Add(1)
-	c.rawR.Add(raw)
-	c.storedR.Add(stored)
+	c.bytesR.Add(n)
 }
 
 func (c *counters) snapshot() IOStats {
+	w, r := c.bytesW.Load(), c.bytesR.Load()
 	return IOStats{
 		BlocksWritten:      c.blocksW.Load(),
 		BlocksRead:         c.blocksR.Load(),
-		RawBytesWritten:    c.rawW.Load(),
-		StoredBytesWritten: c.storedW.Load(),
-		RawBytesRead:       c.rawR.Load(),
-		StoredBytesRead:    c.storedR.Load(),
+		RawBytesWritten:    w,
+		StoredBytesWritten: w,
+		RawBytesRead:       r,
+		StoredBytesRead:    r,
 		VerifyFailures:     c.verifyFailures.Load(),
 	}
 }
@@ -187,44 +117,6 @@ type BlockWriter interface {
 	Append(p []byte) error
 	// Close finalises the stream.
 	Close() error
-}
-
-// FrameHeadroom is the room an InPlaceAppender is given in front of a
-// payload: a cache line, of which a framing backend uses the end for its
-// frame, so that a payload at the start of an aligned block stays aligned
-// for the encoder that fills it and the checksum that reads it.
-const FrameHeadroom = 64
-
-// InPlaceAppender is the optional zero-copy face of a BlockWriter, found by
-// type assertion. AppendBlock is how callers use it.
-type InPlaceAppender interface {
-	// AppendInPlace stores block[FrameHeadroom:] as the stream's next
-	// block. The FrameHeadroom bytes in front of it are the writer's to
-	// scribble on: the frame goes at their end. It must not retain block
-	// after returning.
-	AppendInPlace(block []byte) error
-}
-
-// AppendBlock stores block[FrameHeadroom:] as w's next block — in place
-// when w frames blocks, so frame and payload reach the file system in one
-// write, and by Append when it has no frame to put in the headroom.
-func AppendBlock(w BlockWriter, block []byte) error {
-	if ip, ok := w.(InPlaceAppender); ok {
-		return ip.AppendInPlace(block)
-	}
-	return w.Append(block[FrameHeadroom:])
-}
-
-// BlockLender is the optional zero-copy face of a BlockReader, found by
-// type assertion: a reader that holds each verified block in a buffer of
-// its own lends it out instead of copying it into the caller's. Read and
-// NextBlock may be mixed; both move the same position.
-type BlockLender interface {
-	// NextBlock returns the rest of the current block, or the whole of the
-	// next one, valid until the next call on the reader, and io.EOF at the
-	// end of the stream. sizeHint is the block size the caller expects,
-	// which is what the reader's first file read is sized for.
-	NextBlock(sizeHint int) ([]byte, error)
 }
 
 // BlockReader streams the logical payload bytes of a forward spill stream
@@ -244,10 +136,9 @@ type PageWriter interface {
 	// one page, or a block of them, stored with one write. Each page counts
 	// as a block written either way.
 	WritePage(idx int, pages []byte) error
-	// WriteTail stores the final, partial payload at index idx ≥ 1 and
-	// returns the in-page position an ascending reader must start at (the
-	// raw layout right-aligns the tail inside its page; framed layouts
-	// store exactly the payload and return 0).
+	// WriteTail stores the final, partial payload right-aligned in page
+	// idx ≥ 1 and returns the in-page position an ascending reader must
+	// start at.
 	WriteTail(idx int, payload []byte) (startPos int, err error)
 	// WriteHeader stores the raw chain-file header at the front.
 	WriteHeader(hdr []byte) error
@@ -288,26 +179,22 @@ type Backend interface {
 	Remove(name string) error
 	// Stats snapshots the backend's I/O accounting.
 	Stats() IOStats
-	// String describes the backend configuration, e.g. "block(flate)".
+	// String names the backend: "raw".
 	String() string
 }
 
-// New builds the Backend a Config describes over fs: its compression
-// framing.
+// New returns NewRaw(fs): there is one backend, whatever cfg says.
 func New(fs vfs.FS, cfg Config) (Backend, error) {
-	comp, err := ParseCompression(cfg.Compression)
-	if err != nil {
-		return nil, err
-	}
-	if comp == Raw {
-		return NewRaw(fs), nil
-	}
-	return &blockBackend{fs: fs, comp: comp, c: &counters{}, pool: &Pool{}}, nil
+	return NewRaw(fs), nil
 }
 
-// NewRaw returns the accounting-only pass-through backend over fs: the
-// historical on-disk layout, byte for byte. It is what every call site that
-// predates the storage layer uses.
+// NewRaw returns the backend over fs: the historical on-disk layout, byte
+// for byte, checked block by block in memory. Over vfs.Discard, which keeps
+// nothing to read back, it records no checks.
 func NewRaw(fs vfs.FS) Backend {
-	return &rawBackend{fs: fs, c: &counters{}, pool: &Pool{}}
+	b := &rawBackend{fs: fs, c: &counters{}, pool: &Pool{}}
+	if _, discard := fs.(vfs.Discard); !discard {
+		b.sums = map[string][]check{}
+	}
+	return b
 }

@@ -97,9 +97,7 @@ func TestObsSmoke(t *testing.T) {
 		"extsort_run_length_records_count":              float64(stats.Runs),
 		"extsort_run_length_records_sum":                float64(stats.Records),
 		"extsort_spilled_raw_bytes_total":               float64(stats.IO.RawBytesWritten),
-		"extsort_spilled_stored_bytes_total":            float64(stats.IO.StoredBytesWritten),
 		"extsort_read_raw_bytes_total":                  float64(stats.IO.RawBytesRead),
-		"extsort_read_stored_bytes_total":               float64(stats.IO.StoredBytesRead),
 		"extsort_spill_blocks_written_total":            float64(stats.IO.BlocksWritten),
 		"extsort_spill_blocks_read_total":               float64(stats.IO.BlocksRead),
 		`extsort_phase_seconds_count{phase="generate"}`: 1,

@@ -80,14 +80,13 @@
 //
 // # Spill storage
 //
-// How runs reach temporary storage is pluggable too (WithCompression).
-// The default is the paper's raw layout; a named compression ("none",
-// "flate") frames every spilled block with a CRC32 checksum — corrupted
-// spill data then fails the merge with a checksum error instead of
-// producing silently wrong output — and "flate" also shrinks the bytes
-// that actually move. Stats.IO accounts for every spilled byte, raw versus
-// stored, along with block counts and verification failures. See
-// DESIGN.md §10.
+// Runs spill in the paper's raw layout, the one the Chapter 6 disk model
+// prices, and every block is checked as it is read back: the backend keeps
+// a CRC-32C of each block it wrote, in memory, so corrupted spill data
+// fails the merge with a checksum error (errors.Is storage's ErrChecksum)
+// instead of producing silently wrong output. Stats.IO accounts for every
+// spilled byte, with block counts and verification failures. See DESIGN.md
+// §10.
 //
 // # Timing
 //
@@ -127,13 +126,13 @@ type Record = record.Record
 type Stats = extsort.Stats
 
 // IOStats is the spill backend's byte-level I/O accounting, carried in
-// Stats.IO: raw versus stored bytes moved (the gap is what compression
-// saved), block counts and checksum verification failures.
+// Stats.IO: bytes moved each way (raw and stored, which are equal), block
+// counts and checksum verification failures.
 type IOStats = extsort.IOStats
 
-// Storage configures how runs spill to temporary files; see Config.Storage
-// and WithCompression. The zero value is the library's historical raw
-// layout.
+// Storage is the type of Config.Storage, which has nothing to configure.
+//
+// Deprecated: spill storage has one layout; leave Config.Storage unset.
 type Storage = storage.Config
 
 // Durable-sort sentinel errors, matched with errors.Is against failures of
@@ -144,7 +143,7 @@ var (
 	// starting fresh; the sentinel is for callers of the lower layers.
 	ErrNoManifest = manifest.ErrNoManifest
 	// ErrManifestMismatch: the manifest was written under a different
-	// codec, compression or generation configuration than the resuming
+	// codec, spill layout or generation configuration than the resuming
 	// sort's. Resuming would mix incompatible state, so nothing is reused.
 	ErrManifestMismatch = manifest.ErrMismatch
 	// ErrManifestCorrupt: the manifest's header is unreadable or from an
@@ -261,12 +260,10 @@ type Config struct {
 	// sharded sorts (Manifest/Resume) keep one manifest per shard and
 	// resume only the unfinished shards. See DESIGN.md §15.
 	Shards int
-	// Storage selects the spill backend. The zero value stores runs in the
-	// historical raw layout. Setting Compression to "none" or "flate"
-	// frames every spilled page in a self-describing block with a CRC32
-	// checksum (compressed for the latter), so corrupted spill data
-	// surfaces as a checksum error instead of silently wrong output.
-	// Stats.IO reports what the backend did.
+	// Storage has no fields: spill files have one layout, raw and checked
+	// block by block.
+	//
+	// Deprecated: leave it unset.
 	Storage Storage
 	// Trace, when non-nil, records phase, run, merge and spill spans for
 	// every sort run under this configuration;
@@ -355,15 +352,8 @@ func (c Config) Validate() error {
 	if c.Shards < 0 {
 		return fmt.Errorf("repro: shards must be non-negative, got %d", c.Shards)
 	}
-	if _, err := storage.ParseCompression(c.Storage.Compression); err != nil {
-		return fmt.Errorf("repro: unknown compression %q (valid: %s)", c.Storage.Compression, strings.Join(Compressions(), ", "))
-	}
 	return nil
 }
-
-// Compressions lists the valid spill compression names accepted by
-// Config.Storage and WithCompression, in presentation order.
-func Compressions() []string { return storage.Compressions() }
 
 // Policies lists the valid run-generation policy names accepted by
 // Config.Policy and WithPolicy, in presentation order.
@@ -379,7 +369,6 @@ func (c Config) toInternal() extsort.Config {
 		Memory:      c.MemoryRecords,
 		FanIn:       c.FanIn,
 		Parallelism: c.Parallelism,
-		Storage:     c.Storage,
 		Trace:       c.Trace,
 		Metrics:     c.Metrics,
 		Progress:    c.Progress,

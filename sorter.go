@@ -247,14 +247,14 @@ func WithSeed(seed int64) Option {
 	return func(s *sorterConfig) error { s.cfg.Seed = seed; return nil }
 }
 
-// WithCompression selects the spill compression by name: "raw" (the
-// default: the historical unframed layout), or "none" or "flate" — which
-// frame every spilled page in a CRC32-checksummed block, compressed for
-// the latter. Either framed mode turns corrupted spill data into a
-// checksum error at merge time instead of silently wrong output. Unknown
-// names fail at New with an error listing the valid ones (Compressions).
-func WithCompression(name string) Option {
-	return func(s *sorterConfig) error { s.cfg.Storage.Compression = name; return nil }
+// WithCompression does nothing: it ignores its argument. Spill files have
+// one layout, raw and checked block by block (see the package doc's Spill
+// storage), where it once chose between that layout unchecked and framed
+// ("none") or compressed ("flate") blocks.
+//
+// Deprecated: there is nothing left to choose; drop the option.
+func WithCompression(string) Option {
+	return func(*sorterConfig) error { return nil }
 }
 
 // WithManifest makes the sorter's sorts durable: every completed run is
@@ -552,7 +552,7 @@ func (s *Sorter[T]) Sort(ctx context.Context, src Source[T], dst Sink[T]) (Stats
 // to what the uninterrupted sort would have produced; Stats.RunsRecovered
 // reports how many runs were reused. When no manifest exists (nothing to resume, or a
 // crash predated the first run) Resume simply runs a fresh durable sort. A
-// manifest written under a different codec, compression or generation
+// manifest written under a different codec, spill layout or generation
 // configuration fails with ErrManifestMismatch rather than mixing
 // incompatible state.
 func (s *Sorter[T]) Resume(ctx context.Context, src Source[T], dst Sink[T]) (Stats, error) {
