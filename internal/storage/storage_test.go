@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/vfs"
@@ -296,6 +297,55 @@ func TestChecksFollowTheName(t *testing.T) {
 		if err != nil || !bytes.Equal(got, randPayload(512, 2)) {
 			t.Fatalf("file rewritten below the backend: %d bytes, error %v", len(got), err)
 		}
+	}
+}
+
+// TestConcurrentFilesKeepTheirChecks writes and reads files of one to 30
+// blocks from several goroutines at once, as lanes and merge workers do —
+// short files keep their checks in the writer, long ones pass scratch
+// slices between writers — and rewrites every name once: each file reads
+// back clean against its own checks, and a bit flipped in each after that
+// is caught.
+func TestConcurrentFilesKeepTheirChecks(t *testing.T) {
+	fs := vfs.NewMemFS()
+	b := NewRaw(fs)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 40; k++ {
+				name := fmt.Sprintf("g%d-%d", g, k%20)
+				blocks := 1 + (g*7+k*5)%30
+				w, err := b.Create(name)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i := 0; i < blocks; i++ {
+					w.Append(randPayload(100+i, int64(k*31+i)))
+				}
+				w.Close()
+				r, _ := b.Open(name)
+				if _, err := readIn(r, 77); err != nil {
+					t.Errorf("%s, %d blocks: %v", name, blocks, err)
+				}
+				r.Close()
+			}
+		}()
+	}
+	wg.Wait()
+	names, _ := fs.Names()
+	for _, name := range names {
+		flip(t, fs, name, 50)
+		r, _ := b.Open(name)
+		if _, err := readIn(r, 64); !errors.Is(err, ErrChecksum) {
+			t.Errorf("%s flipped: %v, want ErrChecksum", name, err)
+		}
+		r.Close()
+	}
+	if len(names) != 80 {
+		t.Fatalf("%d files, want 80", len(names))
 	}
 }
 
