@@ -112,7 +112,7 @@ func newSortFlags(fs *flag.FlagSet) *sortFlags {
 			" (alt and lss are accepted for alternating and quick); 'auto' probes the first memory-load of the input "+
 			"and runs the one generator the probe names over all of it"),
 		memory:  fs.Int("memory", def.MemoryRecords, "memory budget in records"),
-		fanIn:   fs.Int("fanin", def.FanIn, "merge fan-in; 0 merges as wide as the memory budget feeds at a 16 KiB block per input, and at least 10"),
+		fanIn:   fs.Int("fanin", def.FanIn, "merge fan-in; 0 merges in one pass when the memory budget gives every piece of every run a 4 KiB page, else as wide as it feeds at a 16 KiB block per input, and at least 10"),
 		tempDir: fs.String("tmp", "", "directory for temporary runs (default: system temp)"),
 		setup:   fs.String("buffers", def.Setup.String(), "2WRS buffer setup: input, both, victim"),
 		frac:    fs.Float64("buffrac", def.BufferFraction, "fraction of memory for 2WRS buffers"),

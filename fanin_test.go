@@ -101,3 +101,43 @@ func TestConfigFanInUnderShards(t *testing.T) {
 		}
 	}
 }
+
+// TestDerivedFanInMergesTheBandInOnePass sorts more runs than the base width
+// of 15 and no more than 2^14 Records (256 KiB) give a page each: rs over a
+// million alternating records leaves 26 single-piece runs, which a derived
+// fan-in merges in one pass, writing each run's encoded bytes once and
+// nothing more. The same sort at an explicit 15 — the width Config reports —
+// keeps to it and pays a second pass.
+func TestDerivedFanInMergesTheBandInOnePass(t *testing.T) {
+	recs := Dataset(DatasetAlternating, 1_000_000, 42)
+	sortAt := func(opts ...Option) Stats {
+		t.Helper()
+		s, err := New(Record.Less, append([]Option{WithMemoryRecords(1 << 14), WithPolicy("rs")}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Config().FanIn; got != 15 {
+			t.Fatalf("Config().FanIn = %d, want the base width 15", got)
+		}
+		out, st, err := s.SortSlice(context.Background(), recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) != len(recs) || !slices.IsSortedFunc(out, func(a, b Record) int { return cmp.Compare(a.Key, b.Key) }) {
+			t.Fatal("output not the sorted input")
+		}
+		return st
+	}
+	st := sortAt()
+	// rs writes forward files only, which carry no header.
+	encoded := int64(len(recs)) * 16
+	if st.Runs != 26 || st.MergePasses != 1 || st.IO.RawBytesWritten != encoded {
+		t.Errorf("derived fan-in: %d runs, %d passes and %d bytes written, want 26 runs, 1 pass and %d bytes",
+			st.Runs, st.MergePasses, st.IO.RawBytesWritten, encoded)
+	}
+	st15 := sortAt(WithFanIn(15))
+	if st15.Runs != st.Runs || st15.MergePasses != 2 || st15.IO.RawBytesWritten <= encoded {
+		t.Errorf("fan-in 15: %d runs, %d passes and %d bytes written, want %d runs, 2 passes and more than %d",
+			st15.Runs, st15.MergePasses, st15.IO.RawBytesWritten, st.Runs, encoded)
+	}
+}

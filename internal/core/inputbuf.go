@@ -66,7 +66,10 @@ func (b *inputBuffer[T]) fill() error {
 			b.eof = true
 			return nil
 		}
-		pos := (b.head + b.n) % len(b.ring)
+		pos := b.head + b.n
+		if pos >= len(b.ring) {
+			pos -= len(b.ring)
+		}
 		b.ring[pos] = rec
 		b.n++
 		if b.key != nil {

@@ -222,10 +222,11 @@ func shardedSort[T any](entry time.Time, sample []T, src stream.BatchReader[T], 
 	return st, nil
 }
 
-// MergeFanIn returns the fan-in each shard of a sort under c merges at, of
-// elements stored in elementBytes each: the template's rule
+// MergeFanIn returns the base fan-in each shard of a sort under c merges
+// at, of elements stored in elementBytes each: the template's rule
 // (extsort.Config.MergeFanIn) read on one shard's share of the memory
-// budget, which is all that shard's merge buffers have.
+// budget, which is all that shard's merge buffers have. A shard's merge
+// derives a zero fan-in on that share too, against its own runs.
 func (c Config) MergeFanIn(elementBytes int) int {
 	shards := c.Shards
 	if shards <= 0 {

@@ -202,20 +202,23 @@ func TestShardedStatsAndPhases(t *testing.T) {
 
 // TestShardsDeriveFanInFromTheirShare pins where a sharded sort's derived
 // fan-in comes from: a shard's share of the budget, which is all its merge
-// buffers have. 2^15 Records (512 KiB) feed 31 inputs; a shard's half, 15.
-// Each shard's quick runs number 17 or 18, one pass at 31 and two at 15.
+// buffers have. 2^15 Records (512 KiB) feed 31 inputs at the base width; a
+// shard's half, 15. The one-pass band is read on the share too: at 2^12
+// Records (64 KiB) a shard's half gives a page each to at most 7 runs, so
+// each shard's 12 or so quick runs merge in two passes at the base width of
+// 10, where the whole budget would feed them a page each in one.
 func TestShardsDeriveFanInFromTheirShare(t *testing.T) {
-	cfg := shardedCfg(2, 1<<15)
-	cfg.Extsort.Policy = policy.Quick
-	if got := cfg.MergeFanIn(16); got != 15 {
+	if got := shardedCfg(2, 1<<15).MergeFanIn(16); got != 15 {
 		t.Fatalf("shard fan-in = %d, want 15", got)
 	}
-	out, st := runSharded(t, recordDataset(gen.Random, 35<<14), cfg, recOps())
+	cfg := shardedCfg(2, 1<<12)
+	cfg.Extsort.Policy = policy.Quick
+	out, st := runSharded(t, recordDataset(gen.Random, 24<<11), cfg, recOps())
 	if !slices.IsSortedFunc(out, record.Compare) {
 		t.Fatal("output not sorted")
 	}
-	if st.Runs <= 32 || st.Runs > 2*31 || st.MergePasses != 2 {
-		t.Fatalf("%d runs in %d passes, want about 35 in 2", st.Runs, st.MergePasses)
+	if st.Runs <= 2*10 || st.Runs > 2*15 || st.MergePasses != 2 {
+		t.Fatalf("%d runs in %d passes, want about 24 in 2", st.Runs, st.MergePasses)
 	}
 }
 

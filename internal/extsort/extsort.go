@@ -117,13 +117,24 @@ var ErrRecordCount = errors.New("extsort: the runs do not hold the records run g
 // differently from the comparator.
 var errKeyOrder = errors.New("the key codec disagrees with the comparator past the sampled prefix of the input; sort with WithoutKeys")
 
-// ExplainOrder wraps an order failure of a keyed sort — a run writer's, in
-// generation or an intermediate merge, or the final merge's — in
-// errKeyOrder, and returns every other error as it is. A caller draining
-// OpenMerged's stream passes the stream's errors through it.
+// errAdoptedOrder explains a misordered sort that holds runs a durable Resume
+// adopted: checked once against the manifest, they are read unchecked after.
+var errAdoptedOrder = errors.New("a spill file the resume adopted may be corrupted: adopted runs are read without block checks")
+
+// ExplainOrder names the causes of an order failure — a run writer's, in
+// generation or an intermediate merge, or the final merge's: a keyed sort's
+// key codec (errKeyOrder) and adopted runs' corruption (errAdoptedOrder). It
+// returns every other error as it is. A caller draining OpenMerged's stream
+// passes the stream's errors through it.
 func (r *RunSet[T]) ExplainOrder(err error) error {
-	if r.em.KeyCodec != nil && errors.Is(err, runio.ErrOutOfOrder) && !errors.Is(err, errKeyOrder) {
-		return fmt.Errorf("%w: %w", err, errKeyOrder)
+	if !errors.Is(err, runio.ErrOutOfOrder) || errors.Is(err, errKeyOrder) || errors.Is(err, errAdoptedOrder) {
+		return err
+	}
+	if r.em.KeyCodec != nil {
+		err = fmt.Errorf("%w: %w", err, errKeyOrder)
+	}
+	if r.stats.RunsRecovered > 0 {
+		err = fmt.Errorf("%w; %w", err, errAdoptedOrder)
 	}
 	return err
 }
@@ -159,8 +170,8 @@ type Config struct {
 	// generation data structures, and (converted to bytes) the merge
 	// buffers.
 	Memory int
-	// FanIn is the merge fan-in; zero means the width MergeFanIn derives
-	// from the memory budget.
+	// FanIn is the merge fan-in; zero lets each merge derive it from the
+	// budget and its runs (merge.Config.FanIn; MergeFanIn is the base).
 	FanIn int
 	// TWRS carries the 2WRS-specific knobs; its Memory field is ignored in
 	// favour of Config.Memory. Zero value means the recommended §5.3
@@ -228,30 +239,21 @@ type Config struct {
 	Progress *obs.Progress
 }
 
-// DefaultFanIn is the merge fan-in the thesis finds optimal (Fig 6.1). With
-// core.Recommended's §5.3 parameters it is the one place the paper's
-// recommended configuration is written down; every default, public
-// (repro.DefaultConfig, cmd/extsort's flags) or internal, reads the two.
-// Recommended and every simulated sort merge at it; a real sort that sets no
-// fan-in merges at least this wide (MergeFanIn).
-const DefaultFanIn = 10
+// DefaultFanIn is the paper's merge fan-in (merge.DefaultFanIn): with
+// core.Recommended's §5.3 parameters, the paper's recommended configuration,
+// which Recommended and every simulated sort merge at.
+const DefaultFanIn = merge.DefaultFanIn
 
-// mergeBlockFloor is the smallest block the derived fan-in leaves each merge
-// input: four file system pages, so an overlap run's share still gives each
-// of its at most four pieces a page (DESIGN.md §4 has the sweep behind it).
-const mergeBlockFloor = 16 << 10
-
-// MergeFanIn returns the fan-in of a sort under c whose elements are stored
-// in elementBytes each: c.FanIn when set, and otherwise the widest merge the
-// budget feeds at one mergeBlockFloor block per input beside the output's —
-// never narrower than DefaultFanIn. Simulated sorts keep the paper's width
-// by starting from Recommended. MergeFanIn does not read Parallelism, so the
-// merge tree is the same at every setting.
+// MergeFanIn returns the base fan-in of a sort under c whose elements are
+// stored in elementBytes each: c.FanIn when set, which no merge widens, and
+// otherwise merge.BaseFanIn of the budget in bytes, the width a zero FanIn
+// merges at when the runs are too many for one pass. It does not read
+// Parallelism.
 func (c Config) MergeFanIn(elementBytes int) int {
 	if c.FanIn != 0 {
 		return c.FanIn
 	}
-	return max(DefaultFanIn, c.Memory*elementBytes/mergeBlockFloor-1)
+	return merge.BaseFanIn(c.Memory * elementBytes)
 }
 
 // Recommended returns the paper's recommended end-to-end configuration:
@@ -269,9 +271,9 @@ func Recommended(memory int) Config {
 // default. It is the one place those defaults are written — the driver
 // applies it to every sort, and the layers around it (the sharded sort's
 // template and shard count, the public API's in-memory selection
-// parallelism) call it instead of repeating a rule. A zero FanIn stays zero
-// until the element width is known: the driver resolves it by MergeFanIn.
-// Resolving twice changes nothing.
+// parallelism) call it instead of repeating a rule. A zero FanIn stays zero:
+// the merge resolves it against the runs it merges. Resolving twice changes
+// nothing.
 func (c Config) Resolved() Config {
 	if c.Prefix == "" {
 		c.Prefix = "sort"
@@ -446,7 +448,6 @@ func newRunSet[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
 	// keeps between files, what run generation sizes its blocks from and
 	// what the merge divides among its buffers.
 	budget := cfg.Memory * ops.ElementBytes()
-	cfg.FanIn = cfg.MergeFanIn(ops.ElementBytes())
 	// Run generation's streams hand storage blocks of BlockBytes of one
 	// lane's share of the budget. Spill files live in one arena file, in
 	// extents of that block, so a forward block is one write into one

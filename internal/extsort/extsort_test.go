@@ -1,6 +1,7 @@
 package extsort
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -92,25 +93,43 @@ func TestMergeFanInRule(t *testing.T) {
 	}
 }
 
-// TestDerivedFanInPlanIndependentOfParallelism sorts more runs than the
-// derived width at Parallelism 1 and 2: both merge by the same plan — the
-// derived 15-way one, not the paper's 10-way — and write the same bytes.
+// TestDerivedFanInPlanIndependentOfParallelism sorts with a derived fan-in
+// at Parallelism 1, 2 and 8 on both sides of the one-pass band. 20 runs at
+// 2^14 Records (256 KiB, a page each for up to 63 runs) merge in one pass,
+// where the base width of 15 would take two. 40 runs at 2^13 (128 KiB, a
+// page each for up to 31) merge at the base width of 10, in two passes whose
+// intermediate operations two workers run side by side. Each row merges by
+// the same plan, writes the same bytes and delivers the same output at
+// every setting.
 func TestDerivedFanInPlanIndependentOfParallelism(t *testing.T) {
-	recs := gen.Generate(gen.Config{Kind: gen.Random, N: 20 << 14, Seed: 8})
-	var want Stats
-	for _, par := range []int{1, 2} {
-		cfg := Config{Policy: policy.Quick, Memory: 1 << 14, Parallelism: par}
-		st := sortAndCheck(t, recs, cfg)
-		// 20 runs: 15-way merges take one intermediate operation before
-		// the final one, 10-way merges two.
-		if st.Runs != 20 || st.MergePasses != 2 || st.MergeOps != 2 {
-			t.Fatalf("parallelism %d: %d runs, %d passes, %d operations; want 20, 2 and 2", par, st.Runs, st.MergePasses, st.MergeOps)
-		}
-		if par == 1 {
-			want = st
-		} else if st.MergeOps != want.MergeOps || st.IO.RawBytesWritten != want.IO.RawBytesWritten {
-			t.Errorf("parallelism %d: %d operations and %d bytes written, parallelism 1 %d and %d",
-				par, st.MergeOps, st.IO.RawBytesWritten, want.MergeOps, want.IO.RawBytesWritten)
+	for _, row := range []struct{ memory, runs, passes, ops int }{
+		{1 << 14, 20, 1, 1},
+		{1 << 13, 40, 2, 5},
+	} {
+		recs := gen.Generate(gen.Config{Kind: gen.Random, N: row.runs * row.memory, Seed: 8})
+		var (
+			want    Stats
+			wantOut []record.Record
+		)
+		for _, par := range []int{1, 2, 8} {
+			cfg := Config{Policy: policy.Quick, Memory: row.memory, Parallelism: par}
+			out, st, err := SortSlice(recs, cfg, RecordOps())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Runs != row.runs || st.MergePasses != row.passes || st.MergeOps != row.ops {
+				t.Fatalf("memory %d, parallelism %d: %d runs, %d passes, %d operations; want %d, %d and %d",
+					row.memory, par, st.Runs, st.MergePasses, st.MergeOps, row.runs, row.passes, row.ops)
+			}
+			if par == 1 {
+				want, wantOut = st, out
+				if !record.IsSorted(out) || !record.NewMultiset(out).Equal(record.NewMultiset(recs)) {
+					t.Fatalf("memory %d: output is not the sorted input", row.memory)
+				}
+			} else if st.IO.RawBytesWritten != want.IO.RawBytesWritten || !slices.Equal(out, wantOut) {
+				t.Errorf("memory %d, parallelism %d: %d bytes written and output equal %v; parallelism 1 wrote %d",
+					row.memory, par, st.IO.RawBytesWritten, slices.Equal(out, wantOut), want.IO.RawBytesWritten)
+			}
 		}
 	}
 }

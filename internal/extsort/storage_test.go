@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/manifest"
 	"repro/internal/policy"
 	"repro/internal/record"
 	"repro/internal/runio"
@@ -187,6 +188,76 @@ func TestBitFlipFailsSort(t *testing.T) {
 			}
 			if names, _ := fs.Names(); len(names) != 0 {
 				t.Fatalf("files left behind: %v", names)
+			}
+		})
+	}
+}
+
+// TestAdoptedRunCorruptionNamesTheSpill flips a key bit of a run a durable
+// Resume adopted, in what the merge reads of it: an adopted run's files were
+// summed against the manifest at the resume and are read without block
+// checks, so the merge finds the record out of order, and the error names
+// spill corruption as a cause — beside the key codec when the resumed sort
+// runs keyed, as one that regenerates part of its input does. The resume
+// itself reads the file unflipped, as its content sums require.
+func TestAdoptedRunCorruptionNamesTheSpill(t *testing.T) {
+	recs := testRecords(20000, 9)
+	for _, tc := range []struct {
+		name   string
+		killAt int64 // input position the first pass dies at; 0: it commits
+		keyed  bool  // the error must name the key codec too
+	}{
+		{"committed", 0, false},
+		{"partial", 15000, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := durableCfg(500)
+			fs := vfs.NewMemFS()
+			var src stream.Reader[record.Record] = stream.NewSliceReader(recs)
+			if tc.killAt > 0 {
+				src = &killedReader[record.Record]{vals: recs, failAt: tc.killAt}
+			}
+			// A first pass that ends before any merge: its manifest and arena
+			// stay for Resume.
+			if _, err := GenerateRuns(src, fs, cfg, RecordOps()); err != nil && !errors.Is(err, errSrcKilled) {
+				t.Fatal(err)
+			}
+			st, err := manifest.Load(fs, manifest.Name(cfg.Resolved().Prefix))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The largest forward file the manifest commits.
+			var victim runio.Segment
+			for _, run := range st.Runs {
+				for _, seg := range run.Segments {
+					if !seg.Backward && seg.Records > victim.Records {
+						victim = seg
+					}
+				}
+			}
+			if victim.Records < 2 {
+				t.Fatal("no forward run file of several records")
+			}
+			var armed atomic.Bool
+			defer func(v func(vfs.FS) vfs.FS) { spillView = v }(spillView)
+			spillView = func(fs vfs.FS) vfs.FS {
+				return faultfs.New(fs, faultfs.Options{FlipBit: 5*8 + 2 + 1, Match: func(name string, _ int64) bool {
+					return armed.Load() && name == victim.Name
+				}})
+			}
+			cfg.Resume = true
+			rset, err := GenerateRuns(stream.NewSliceReader(recs), fs, cfg, RecordOps())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rset.Stats().RunsRecovered != len(st.Runs) {
+				t.Fatalf("resume adopted %d of %d committed runs", rset.Stats().RunsRecovered, len(st.Runs))
+			}
+			armed.Store(true)
+			var out stream.SliceWriter[record.Record]
+			_, err = rset.Merge(&out)
+			if !errors.Is(err, runio.ErrOutOfOrder) || !errors.Is(err, errAdoptedOrder) || tc.keyed && !errors.Is(err, errKeyOrder) {
+				t.Fatalf("merge over a flipped adopted run: %v; want an order error naming the adopted spill files (and the key codec: %v)", err, tc.keyed)
 			}
 		})
 	}

@@ -15,7 +15,8 @@ import (
 // Config parameterises the merge phase.
 type Config struct {
 	// FanIn is the number of inputs merged simultaneously (thesis optimum:
-	// 10, §6.1.1).
+	// 10, §6.1.1). Zero derives it from MemoryBytes and the runs merged
+	// (fanIn).
 	FanIn int
 	// MemoryBytes is the buffer memory available to the merge phase; it is
 	// divided evenly among the blocks the concurrent merge operations hold:
@@ -61,6 +62,34 @@ func (c *Config) resolveMetrics() {
 	c.mOps = c.Metrics.Counter(obs.MMergeOps, "Individual k-way merge operations (intermediate and final).")
 	c.mFanIn = c.Metrics.Histogram(obs.MMergeFanIn, "Merge operation fan-in distribution.", obs.FanInBuckets)
 	c.mMoved = c.Metrics.Counter(obs.MMergeRecordsMoved, "Records moved through intermediate merge runs.")
+}
+
+// DefaultFanIn is the merge fan-in the thesis finds optimal (Fig 6.1), and
+// the narrowest a derived fan-in merges at.
+const DefaultFanIn = 10
+
+// BaseFanIn is the width a zero FanIn merges at on a budget of memoryBytes
+// when the runs are too many for one pass: the widest merge the budget feeds
+// at a 16 KiB block per input beside the output's — four pages, so an
+// overlap run's share still gives each of its at most four pieces one
+// (DESIGN.md §4 has the sweep behind it) — and never below DefaultFanIn.
+func BaseFanIn(memoryBytes int) int {
+	return max(DefaultFanIn, memoryBytes/(16<<10)-1)
+}
+
+// fanIn returns the width the merge of inputs plans at: FanIn when set, and
+// for a zero FanIn all of the inputs when the budget feeds every piece of
+// them a page at that width (fedWorkers), BaseFanIn otherwise — never a
+// function of Workers, nor of anything a resume could change.
+func (c Config) fanIn(inputs []runio.Run) int {
+	if c.FanIn != 0 {
+		return c.FanIn
+	}
+	base := BaseFanIn(c.MemoryBytes)
+	if c.FanIn = len(inputs); c.FanIn > base && c.fedWorkers(inputs) > 0 {
+		return c.FanIn
+	}
+	return base
 }
 
 // bufBytes returns the per-block buffer budget of a merge of the given width

@@ -590,8 +590,8 @@ func TestMergeStopsPassOnFailure(t *testing.T) {
 // four times the leaves cost no more buffer — as long as a piece's share is
 // still a page, the floor no reader goes under, which the second row's budget
 // allows for.
-// The derived rows merge at the width a budget of 2^14 Records feeds
-// (extsort.Config.MergeFanIn: 256 KiB at a 16 KiB block per input, 15),
+// The base rows merge at the base width of a budget of 2^14 Records
+// (BaseFanIn: 256 KiB at a 16 KiB block per input, 15), given explicitly,
 // where a lone operation gives each input one 16 KiB block and an overlap
 // run's four pieces a page each, and more runs than that width, so
 // intermediate operations run beside each other (200 for eight workers, so
@@ -599,23 +599,32 @@ func TestMergeStopsPassOnFailure(t *testing.T) {
 // split the blocks, so no more run at once than keep every piece at a page
 // (fedWorkers): four of eight workers over single-segment runs, and one of
 // two over overlap runs, where two would hold 1.9x the budget.
+// The derived rows leave the fan-in zero at the page limit of the same
+// budget: 63 single-piece runs merge in one pass, a page each beside the
+// output's, and so do 15 runs of which one opens as four pieces; one run
+// more than the single-piece limit falls back to two passes at the base
+// width.
 func TestMergeHoldsToMemoryBudget(t *testing.T) {
 	for _, row := range []struct {
 		name                 string
-		pieces               int // per run
+		overlap              int // runs that open as four pieces; the others open as one
 		memory               int
 		fanIn, workers, runs int
+		passes               int
 	}{
-		{"single", 1, 64 << 10, 4, 2, 50},
-		{"overlap", 4, 256 << 10, 4, 2, 50},
-		{"derived/single/1", 1, 256 << 10, 15, 1, 50},
-		{"derived/single/2", 1, 256 << 10, 15, 2, 50},
-		{"derived/single/8", 1, 256 << 10, 15, 8, 200},
-		{"derived/overlap/1", 4, 256 << 10, 15, 1, 50},
-		{"derived/overlap/2", 4, 256 << 10, 15, 2, 50},
+		{"single", 0, 64 << 10, 4, 2, 50, 3},
+		{"overlap", 50, 256 << 10, 4, 2, 50, 3},
+		{"base/single/1", 0, 256 << 10, 15, 1, 50, 2},
+		{"base/single/2", 0, 256 << 10, 15, 2, 50, 2},
+		{"base/single/8", 0, 256 << 10, 15, 8, 200, 2},
+		{"base/overlap/1", 50, 256 << 10, 15, 1, 50, 2},
+		{"base/overlap/2", 50, 256 << 10, 15, 2, 50, 2},
+		{"derived/one_pass/single", 0, 256 << 10, 0, 2, 63, 1},
+		{"derived/one_pass/overlap", 1, 256 << 10, 0, 2, 15, 1},
+		{"derived/past_limit/single", 0, 256 << 10, 0, 2, 64, 2},
 		// Runs written in blocks of the merge's share of an input: a
 		// reader still holds only the buffer it asks for.
-		{"generation_blocks/single/1", 1, 256 << 10, 15, 1, 50},
+		{"generation_blocks/single/1", 0, 256 << 10, 15, 1, 50, 2},
 	} {
 		name, fanIn, workers := row.name, row.fanIn, row.workers
 		fs := vfs.NewMemFS()
@@ -624,17 +633,17 @@ func TestMergeHoldsToMemoryBudget(t *testing.T) {
 		if strings.HasPrefix(row.name, "generation_blocks/") {
 			em.Block = Config{FanIn: fanIn, MemoryBytes: row.memory}.bufBytes(1, fanIn)
 		}
-		var runs []runio.Run
-		var all []record.Record
-		if row.pieces == 1 {
-			runs, all = makeRuns(t, fs, em, row.runs, 2000, 6)
-		} else {
-			runs, all = makeOverlapRuns(t, em, row.runs, 2000/row.pieces, 6)
-		}
+		runs, all := makeOverlapRuns(t, em, row.overlap, 2000/4, 6)
+		single, singleRecs := makeRuns(t, fs, em, row.runs-row.overlap, 2000, 6)
+		runs, all = append(runs, single...), append(all, singleRecs...)
 		written := storage.PoolOf(st).Peak()
 		var out stream.SliceWriter[record.Record]
-		if _, err := Merge(em, runs, &out, Config{FanIn: fanIn, MemoryBytes: row.memory, Workers: workers}); err != nil {
+		ms, err := Merge(em, runs, &out, Config{FanIn: fanIn, MemoryBytes: row.memory, Workers: workers})
+		if err != nil {
 			t.Fatal(err)
+		}
+		if ms.Passes != row.passes {
+			t.Fatalf("%s: %d passes, want %d", name, ms.Passes, row.passes)
 		}
 		if !record.IsSorted(out.Vals) || !record.NewMultiset(out.Vals).Equal(record.NewMultiset(all)) {
 			t.Fatalf("%s: merge output wrong", name)

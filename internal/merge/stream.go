@@ -50,20 +50,21 @@ type Stream[T any] struct {
 	onClose func()
 }
 
-// NewStream plans the merge (planMerge), executes the plan's intermediate
-// operations — reducing the inputs to at most FanIn runs, on up to Workers
-// workers, as many as the budget feeds — and returns the final merge as a
-// Stream for the caller to drain. Merge is equivalent to NewStream followed
-// by a copy into dst and Close.
+// NewStream plans the merge (planMerge) at the fan-in Config.fanIn resolves,
+// executes the plan's intermediate operations — reducing the inputs to at
+// most that many runs, on up to Workers workers, as many as the budget feeds
+// — and returns the final merge as a Stream for the caller to drain. Merge
+// is equivalent to NewStream followed by a copy into dst and Close.
 //
 // The returned Stream owns the remaining run files: they are deleted on
 // Close whether or not the stream was fully drained. On error the files of
 // the runs not yet consumed are left to the caller's file system cleanup,
 // matching Merge's behaviour.
 func NewStream[T any](em *runio.Emitter[T], inputs []runio.Run, cfg Config) (*Stream[T], error) {
-	if cfg.FanIn < 2 {
-		return nil, fmt.Errorf("merge: fan-in must be at least 2, got %d", cfg.FanIn)
+	if cfg.FanIn < 0 || cfg.FanIn == 1 {
+		return nil, fmt.Errorf("merge: fan-in must be 0 (derived) or at least 2, got %d", cfg.FanIn)
 	}
+	cfg.FanIn = cfg.fanIn(inputs)
 	cfg.resolveMetrics()
 	sizes := make([]int64, len(inputs))
 	for i, r := range inputs {

@@ -58,8 +58,8 @@ var (
 	// RunLengthBuckets covers run lengths from cache-sized batches to
 	// tens of millions of records.
 	RunLengthBuckets = []float64{256, 1024, 4096, 16384, 65536, 262144, 1 << 20, 1 << 22, 1 << 24}
-	// FanInBuckets covers merge fan-in up to the widest a derived FanIn
-	// reaches in practice (1,023 at a 2^20-record budget).
+	// FanInBuckets covers merge fan-in up to the derived base width at a
+	// 2^20-record budget (1,023); a wider one-pass merge counts in +Inf.
 	FanInBuckets = []float64{2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 	// PhaseSecondsBuckets covers per-phase wall time from milliseconds
 	// to minutes.

@@ -201,9 +201,9 @@ const (
 
 // Config controls a sort. The zero value is not valid — it has no memory
 // budget; start from DefaultConfig or build a Sorter through New with
-// options. New reads a zero BufferFraction as the paper's default and
-// resolves a zero FanIn to the width the memory budget feeds; Validate
-// itself takes the values as they stand.
+// options. New reads a zero BufferFraction as the paper's default, and every
+// merge resolves a zero FanIn against the runs it merges; Validate itself
+// takes the values as they stand.
 type Config struct {
 	// Policy names the run generator. Valid names are listed by
 	// Policies(): "2wrs" (the paper's two-way replacement selection), "rs",
@@ -217,11 +217,13 @@ type Config struct {
 	Policy string
 	// MemoryRecords is the memory budget in records for both phases.
 	MemoryRecords int
-	// FanIn is the merge fan-in. Zero, what DefaultConfig sets, means the
-	// widest merge the memory budget feeds at a 16 KiB block per input, and
-	// never narrower than the paper's optimum of 10; New resolves it, so a
-	// Sorter's Config reports the width its sorts merge at. Under Shards
-	// that is each shard's, fed by its share of the budget.
+	// FanIn is the merge fan-in. Zero, what DefaultConfig sets, merges
+	// every run in one pass when the memory budget gives each piece of them
+	// a 4 KiB page, and otherwise at the base width: the widest merge the
+	// budget feeds at a 16 KiB block per input, never narrower than the
+	// paper's optimum of 10. A Sorter's Config reports the base width; under
+	// Shards, each shard's, fed by its share of the budget. A nonzero FanIn
+	// is never widened.
 	FanIn int
 	// Setup selects which auxiliary 2WRS buffers exist. Setup,
 	// BufferFraction, Input and Output tune 2WRS and are ignored by the

@@ -192,9 +192,10 @@ func WithMemoryRecords(n int) Option {
 	return func(s *sorterConfig) error { s.cfg.MemoryRecords = n; return nil }
 }
 
-// WithFanIn sets the merge fan-in. Without it a sort merges as wide as its
-// memory budget feeds at a 16 KiB block per input, and never narrower than
-// the paper's optimum of 10.
+// WithFanIn sets the merge fan-in, which every merge then keeps. Without it
+// a sort merges all its runs in one pass when its memory budget gives each
+// piece of them a 4 KiB page, and otherwise as wide as the budget feeds at a
+// 16 KiB block per input, never narrower than the paper's optimum of 10.
 func WithFanIn(n int) Option {
 	return func(s *sorterConfig) error { s.cfg.FanIn = n; return nil }
 }
@@ -448,12 +449,6 @@ func New[T any](less func(a, b T) bool, opts ...Option) (*Sorter[T], error) {
 	if err == nil && !sc.noKeys {
 		s.ops.KeyCodec, err = resolve[codec.KeyCodec[T], T](sc.keyCodec, def.keyCodec, "WithKeyCodec", "key")
 	}
-	if err == nil {
-		// The driver's rule for a zero fan-in, resolved once the element
-		// width is known, so Config reports the width the sorts merge at:
-		// under Shards, each shard's, on its share of the budget.
-		s.cfg.FanIn = distsort.Config{Shards: max(s.cfg.Shards, 1), Extsort: s.cfg.toInternal()}.MergeFanIn(s.ops.ElementBytes())
-	}
 	if err == nil && (s.cfg.Manifest || s.cfg.Resume) {
 		// Durable sorts need a file system that outlives one Sort call, or
 		// there would be nothing for Resume to pick up.
@@ -465,8 +460,16 @@ func New[T any](less func(a, b T) bool, opts ...Option) (*Sorter[T], error) {
 	return s, nil
 }
 
-// Config returns the sorter's frozen configuration.
-func (s *Sorter[T]) Config() Config { return s.cfg }
+// Config returns the sorter's frozen configuration, a zero FanIn — which each
+// merge resolves against its runs — read as the base width (under Shards,
+// each shard's). Passing that back explicitly pins every merge to it.
+func (s *Sorter[T]) Config() Config {
+	c := s.cfg
+	if c.FanIn == 0 {
+		c.FanIn = distsort.Config{Shards: max(c.Shards, 1), Extsort: c.toInternal()}.MergeFanIn(s.ops.ElementBytes())
+	}
+	return c
+}
 
 // ctxReader is a call's source below the public boundary: the caller's
 // Source adapted to the batch protocol once (source), the context checked at
