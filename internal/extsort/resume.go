@@ -227,7 +227,12 @@ func (r *RunSet[T]) adoptCommitted(st *manifest.State, entry time.Time) {
 	}
 	r.stats.RunsRecovered = len(r.runs)
 	r.stats.Policy = r.cfg.Policy.String()
-	r.stats.Keyed = st.Header.KeyCodec != ""
+	// The header names the key codec the runs were generated with, and it
+	// was checked against this invocation's: the merge runs keyed as the
+	// committed sort did.
+	if r.stats.Keyed = st.Header.KeyCodec != ""; r.stats.Keyed {
+		r.em.KeyCodec = r.ops.KeyCodec
+	}
 	sp.End()
 	r.o.observeRecovered(len(r.runs))
 	r.finishGenerate("resume", time.Since(entry), entry)

@@ -197,17 +197,18 @@ func TestBitFlipFailsSort(t *testing.T) {
 // Resume adopted, in what the merge reads of it: an adopted run's files were
 // summed against the manifest at the resume and are read without block
 // checks, so the merge finds the record out of order, and the error names
-// spill corruption as a cause — beside the key codec when the resumed sort
-// runs keyed, as one that regenerates part of its input does. The resume
-// itself reads the file unflipped, as its content sums require.
+// spill corruption as a cause — beside the key codec, since the resumed sort
+// runs keyed, whether it regenerates part of its input or adopts the whole
+// committed run set (whose manifest names the key codec). The resume itself
+// reads the file unflipped, as its content sums require.
 func TestAdoptedRunCorruptionNamesTheSpill(t *testing.T) {
 	recs := testRecords(20000, 9)
 	for _, tc := range []struct {
 		name   string
 		killAt int64 // input position the first pass dies at; 0: it commits
-		keyed  bool  // the error must name the key codec too
+		keyed  bool  // the sort runs keyed: the error must name the key codec too
 	}{
-		{"committed", 0, false},
+		{"committed", 0, true},
 		{"partial", 15000, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -156,11 +156,79 @@ func (t *Tree[T]) Replace(it Item[T]) {
 
 // Vacate removes the highest-priority item and leaves its leaf empty.
 func (t *Tree[T]) Vacate() {
+	var zero T
+	t.Park(zero)
+}
+
+// Park removes the highest-priority item like Vacate but keeps rec in the
+// emptied leaf, whose index it returns. The leaf stays empty to the tree,
+// which never reads its element: a caller may hold an element there,
+// through Parked, until it Puts an item there or Restores it.
+func (t *Tree[T]) Park(rec T) int {
 	t.check()
 	w := int(t.node[0])
 	t.leaf[w] = empty[T](w)
+	t.leaf[w].Rec = rec
 	t.n--
 	t.replay(w)
+	return w
+}
+
+// Parked returns the element slot of empty leaf i (see Park).
+func (t *Tree[T]) Parked(i int) *T { return &t.leaf[i].Rec }
+
+// Last returns an item that orders at or after every other the tree holds,
+// in O(M); ok is false on an empty tree.
+func (t *Tree[T]) Last() (it Item[T], ok bool) {
+	w := -1
+	for i := range t.leaf {
+		if t.n > 0 && t.leaf[i].Run != vacant && (w < 0 || t.before(&t.leaf[w], &t.leaf[i])) {
+			w = i
+		}
+	}
+	if w < 0 {
+		return it, false
+	}
+	it = t.leaf[w]
+	it.Key ^= t.flip
+	return it, true
+}
+
+// Put puts an item in empty leaf i and plays it in: O(log M), as Replace.
+func (t *Tree[T]) Put(i int, it Item[T]) {
+	if !t.played || t.leaf[i].Run != vacant || it.Run < 0 {
+		panic("heap: put into a live leaf or an unplayed tree, or a negative run tag")
+	}
+	t.raise(i)
+	it.Key ^= t.flip
+	t.leaf[i] = it
+	t.n++
+	t.replay(i)
+}
+
+// Restore makes the parked leaves listed in leaves live again, item mapping
+// each one's element to its item, and plays them in: one O(M) Build, or a
+// Put each when so few come back that their replays cost less.
+func (t *Tree[T]) Restore(item func(T) Item[T], leaves ...[]int32) {
+	k := 0
+	for _, l := range leaves {
+		k += len(l)
+	}
+	few := 2*k*bits.Len(uint(len(t.leaf))) < len(t.leaf)
+	for _, l := range leaves {
+		for _, i := range l {
+			if it := item(t.leaf[i].Rec); few {
+				t.Put(int(i), it)
+			} else {
+				it.Key ^= t.flip
+				t.leaf[i] = it
+				t.n++
+			}
+		}
+	}
+	if !few {
+		t.Build()
+	}
 }
 
 // check panics unless the tree has been played and holds an item.
@@ -183,6 +251,24 @@ func (t *Tree[T]) tie(a, b *Item[T]) bool {
 		a, b = b, a
 	}
 	return t.less(a.Rec, b.Rec)
+}
+
+// raise makes empty leaf i the winner along its path without a match, so
+// that replay can play an item in from there. Down the path from the root,
+// the two subtree winners that met at node j are the loser stored there and
+// the winner that left j upward: the one from off the path is stored at j
+// and the other goes on down, which at the bottom is leaf i itself.
+func (t *Tree[T]) raise(i int) {
+	m, node := len(t.leaf), t.node
+	p := m + i
+	out := node[0]
+	for s := bits.Len(uint(p)) - 1; s >= 1; s-- {
+		a := p >> (s - 1) // node j's child on the path
+		j, l := p>>s, node[p>>s]
+		if q := m + int(l); q>>(bits.Len(uint(q))-bits.Len(uint(a))) == a {
+			node[j], out = out, l
+		}
+	}
 }
 
 // replay plays leaf w's path from its parent to the root. At each node the

@@ -11,9 +11,11 @@ import (
 // treeChecker drives a Tree and an oracle through the same operations and
 // checks the tree's size and winner after every one.
 type treeChecker struct {
-	t testing.TB
-	r *Tree[record.Record]
-	o oracle
+	t      testing.TB
+	r      *Tree[record.Record]
+	o      oracle
+	parked []int32                        // the leaves park emptied, in order
+	held   map[uint64]Item[record.Record] // each parked element's item, by Aux
 }
 
 func newTreeChecker(t testing.TB, size int, desc bool) *treeChecker {
@@ -40,6 +42,45 @@ func (c *treeChecker) replace(it Item[record.Record]) {
 func (c *treeChecker) vacate() {
 	c.o.pop(c.r.Top())
 	c.r.Vacate()
+	c.check()
+}
+
+// park takes the winner out as vacate does and keeps it parked in its leaf.
+func (c *treeChecker) park() {
+	top := c.r.Top()
+	c.o.pop(top)
+	if c.held == nil {
+		c.held = map[uint64]Item[record.Record]{}
+	}
+	c.held[top.Rec.Aux] = top
+	c.parked = append(c.parked, int32(c.r.Park(top.Rec)))
+	c.check()
+}
+
+// put plays it in at a parked leaf picked by pick, which must still hold
+// what was parked there.
+func (c *treeChecker) put(pick int, it Item[record.Record]) {
+	c.t.Helper()
+	pick %= len(c.parked)
+	leaf := int(c.parked[pick])
+	c.parked = append(c.parked[:pick], c.parked[pick+1:]...)
+	if got := *c.r.Parked(leaf); c.held[got.Aux].Rec != got {
+		c.t.Fatalf("leaf %d holds %+v, not what was parked there", leaf, got)
+	}
+	c.r.Put(leaf, it)
+	c.o.push(it)
+	c.check()
+}
+
+// restore brings every parked element back as the item it left as, the
+// parked leaves passed in two pieces as a ring's would be.
+func (c *treeChecker) restore(cut int) {
+	cut %= len(c.parked) + 1
+	c.r.Restore(func(rec record.Record) Item[record.Record] { return c.held[rec.Aux] }, c.parked[cut:], c.parked[:cut])
+	for _, leaf := range c.parked {
+		c.o.push(c.held[c.r.leaf[leaf].Rec.Aux])
+	}
+	c.parked = c.parked[:0]
 	c.check()
 }
 
@@ -87,11 +128,30 @@ func TestTreeMatchesOracle(t *testing.T) {
 				switch k := src.rng.Intn(64); {
 				case k == 0:
 					c.flip()
-				case k < 16:
+				case k < 8:
 					c.vacate()
+				case k < 16:
+					c.park()
+				case k < 24 && len(c.parked) > 0:
+					c.put(src.rng.Int(), src.item())
+				case k == 24:
+					c.restore(src.rng.Int())
 				default:
 					c.replace(src.item())
 				}
+			}
+			// Park all but one of what is left — enough that Restore
+			// rebuilds rather than puts — and bring it back; then put items
+			// into an emptied tree's parked leaves, the tail's hand-back.
+			for c.r.Len() > 1 {
+				c.park()
+			}
+			c.restore(src.rng.Int())
+			for c.r.Len() > 0 {
+				c.park()
+			}
+			for len(c.parked) > 0 {
+				c.put(src.rng.Int(), src.item())
 			}
 			for c.r.Len() > 0 {
 				c.vacate()
@@ -157,6 +217,9 @@ func TestTreePanics(t *testing.T) {
 	full.Load(item(1, 0))
 	played := NewTree(2, false, record.Less)
 	played.Build()
+	live := NewTree(1, false, record.Less)
+	live.Load(item(1, 0))
+	live.Build()
 	for name, fn := range map[string]func(){
 		"zero capacity":   func() { NewTree(0, false, record.Less) },
 		"nil comparator":  func() { NewTree[record.Record](1, false, nil) },
@@ -166,6 +229,9 @@ func TestTreePanics(t *testing.T) {
 		"top empty":       func() { played.Top() },
 		"replace empty":   func() { played.Replace(item(2, 0)) },
 		"vacate empty":    func() { played.Vacate() },
+		"park empty":      func() { played.Park(record.Record{}) },
+		"put unplayed":    func() { full.Put(0, item(2, 0)) },
+		"put live":        func() { live.Put(0, item(2, 0)) },
 		"negative run":    func() { NewTree(1, false, record.Less).Load(item(1, -1)) },
 	} {
 		func() {
@@ -205,6 +271,13 @@ func TestTreeSteadyStateAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, r.Flip); allocs != 0 {
 		t.Fatalf("flip allocates %v per call, want 0", allocs)
+	}
+	cycle := func() {
+		r.Put(r.Park(items[next%len(items)].Rec), items[next%len(items)])
+		next++
+	}
+	if allocs := testing.AllocsPerRun(2000, cycle); allocs != 0 {
+		t.Fatalf("park and put allocate %v per step, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(size-1, r.Vacate); allocs != 0 || r.Len() != 0 {
 		t.Fatalf("vacate allocates %v per step and leaves %d items, want 0 and 0", allocs, r.Len())

@@ -20,8 +20,10 @@ type Config struct {
 	FanIn int
 	// MemoryBytes is the buffer memory available to the merge phase; it is
 	// divided evenly among the blocks the concurrent merge operations hold:
-	// one per input run — which a run with overlapping ranges splits again
-	// among its pieces — and its output writer (see bufBytes).
+	// under a derived fan-in one per piece of every input run (an overlap
+	// run opens as up to four), under a set one one per input run, which
+	// the run's pieces split again — and one for the output writer (see
+	// bufBytes).
 	MemoryBytes int
 	// Workers bounds how many intermediate merges run at once. It decides
 	// when an operation of the merge plan runs, never which runs it merges:
@@ -48,6 +50,10 @@ type Config struct {
 	// OnClose, when non-nil, runs once, when the merge Stream closes:
 	// extsort ends its merge phase there and removes a durable manifest.
 	OnClose func()
+
+	// perPiece records that the fan-in was derived: blocks are then sized
+	// per piece, not per run (bufBytes).
+	perPiece bool
 
 	// Collectors resolved once by NewStream so merge operations (possibly
 	// on worker goroutines) never touch the registry.
@@ -86,41 +92,63 @@ func (c Config) fanIn(inputs []runio.Run) int {
 		return c.FanIn
 	}
 	base := BaseFanIn(c.MemoryBytes)
+	c.perPiece = true
 	if c.FanIn = len(inputs); c.FanIn > base && c.fedWorkers(inputs) > 0 {
 		return c.FanIn
 	}
 	return base
 }
 
-// bufBytes returns the per-block buffer budget of a merge of the given width
-// when workers of them run at once. MemoryBytes is a budget for the whole
+// units is how many blocks run r reads through: one per piece under a
+// derived fan-in, so an overlap run (up to four pieces) costs its own pieces
+// and no more; one under a set fan-in, which the run's pieces split.
+func (c Config) units(r runio.Run) int {
+	if c.perPiece {
+		return r.Pieces()
+	}
+	return 1
+}
+
+// widest returns the most blocks a merge of width inputs reads through:
+// the width largest units among them (intermediate outputs have one).
+func (c Config) widest(inputs []runio.Run, width int) int {
+	n := make([]int, len(inputs))
+	for i, r := range inputs {
+		n[i] = c.units(r)
+	}
+	slices.Sort(n)
+	total := 0
+	for _, u := range n[max(0, len(n)-width):] {
+		total += u
+	}
+	return total
+}
+
+// bufBytes returns the block size when workers operations run at once,
+// each reading through units blocks. MemoryBytes is a budget for the whole
 // phase: the workers share it, and each one's part is split evenly across
-// the blocks its operation holds at once — one per input and the one its
+// the blocks its operation holds at once — its inputs' and the one its
 // writer is filling — floored at one file system page: no real device
 // transfers less than a page per request. Concurrent operations all get the
-// blocks of a full-width one, the narrow first one too, so no operation's
-// blocks depend on which others share the workers with it. The final merge
-// has no writer of its own, and its spare share is what the output batch
-// costs.
-func (c Config) bufBytes(workers, width int) int {
-	if workers > 1 {
-		width = c.FanIn
-	}
-	return max(c.MemoryBytes/workers/(width+1), runio.DefaultPageSize)
+// blocks of the widest full-width one, the narrow first one too, so no
+// operation's blocks depend on which others share the workers with it. The
+// final merge has no writer of its own, and its spare share is what the
+// output batch costs.
+func (c Config) bufBytes(workers, units int) int {
+	return max(c.MemoryBytes/workers/(units+1), runio.DefaultPageSize)
 }
 
 // fedWorkers returns how many full-width operations MemoryBytes feeds at
-// once without a block going under its floor: each holds FanIn+1 blocks of
-// bufBytes, and an input's block is split among the pieces of the run it
-// reads, a page each at the least. Any operation may read the inputs' most
-// divided run, so that run decides; intermediate outputs are one piece. At
-// 0 one operation still runs, its blocks on the page floor.
+// once without a block going under its floor: each holds its inputs'
+// blocks and its output's, and a set fan-in's block may be split among as
+// many pieces as the most divided input has. At 0 one operation still
+// runs, its blocks on the page floor.
 func (c Config) fedWorkers(inputs []runio.Run) int {
-	pieces := 1
+	split := 1
 	for _, r := range inputs {
-		pieces = max(pieces, r.Pieces())
+		split = max(split, r.Pieces()/c.units(r))
 	}
-	return c.MemoryBytes / ((c.FanIn + 1) * pieces * runio.DefaultPageSize)
+	return c.MemoryBytes / ((c.widest(inputs, c.FanIn) + 1) * split * runio.DefaultPageSize)
 }
 
 // Stats reports what the merge phase did.
@@ -138,18 +166,18 @@ type Stats struct {
 	Inputs int
 }
 
-// openMerged opens the runs, each within the per-run buffer budget, as one
-// sorted source. A run opens as its sorted pieces (runio.OpenRun) — one, or
-// one per segment when its stream ranges overlap, the run's budget split
-// among them — and every piece of every run is a leaf of one loser tree,
+// openMerged opens the runs as one sorted source, each within its blocks
+// of block bytes (Config.units). A run opens as its sorted pieces
+// (runio.OpenRun) — one, or one per segment when its stream ranges
+// overlap — and every piece of every run is a leaf of one loser tree,
 // laid out in the arena and shaped by the emitter's KeyCodec (tree.go), so an
 // overlap run is merged by the operation's own tree, on keys like any other
 // leaf. A single piece is its own source. A run that cannot be opened, or a
 // piece that fails while the tree primes it, closes every piece opened.
-func openMerged[T any](em *runio.Emitter[T], a *leafArena[T], runs []runio.Run, bufBytes int) (Source[T], error) {
+func openMerged[T any](em *runio.Emitter[T], a *leafArena[T], runs []runio.Run, block int, cfg Config) (Source[T], error) {
 	srcs := make([]Source[T], 0, len(runs))
 	for _, r := range runs {
-		pieces, err := em.Open(r, bufBytes)
+		pieces, err := em.Open(r, block*cfg.units(r))
 		if err != nil {
 			for _, s := range srcs {
 				s.Close()
@@ -287,6 +315,8 @@ func execute[T any](em *runio.Emitter[T], p plan, runs []runio.Run, arenas []lea
 	for i := range names {
 		names[i] = em.Namer.Next("merge")
 	}
+	// Beside other operations each gets the blocks of the widest.
+	wide := cfg.widest(runs[:n], cfg.FanIn)
 	const unclaimed, running, complete = 0, 1, 2
 	var (
 		mu       sync.Mutex // guards what follows, and the outputs in runs
@@ -326,7 +356,11 @@ func execute[T any](em *runio.Emitter[T], p plan, runs []runio.Run, arenas []lea
 				group[j] = runs[in]
 			}
 			mu.Unlock()
-			out, err := mergeOp(em, a, group, names[i], p.ops[i], cfg.bufBytes(len(arenas), len(group)), cfg)
+			units := wide
+			if len(arenas) == 1 {
+				units = cfg.widest(group, len(group))
+			}
+			out, err := mergeOp(em, a, group, names[i], p.ops[i], cfg.bufBytes(len(arenas), units), cfg)
 			mu.Lock()
 			if err == nil {
 				runs[n+i], state[i] = out, complete
@@ -375,7 +409,7 @@ func mergeOp[T any](em *runio.Emitter[T], a *leafArena[T], group []runio.Run, na
 		cfg.mFanIn.Observe(float64(len(group)))
 		cfg.mMoved.Add(out.Records)
 	}()
-	eng, err := openMerged(em, a, group, bufBytes)
+	eng, err := openMerged(em, a, group, bufBytes, cfg)
 	if err != nil {
 		return runio.Run{}, err
 	}

@@ -603,7 +603,8 @@ func TestMergeStopsPassOnFailure(t *testing.T) {
 // budget: 63 single-piece runs merge in one pass, a page each beside the
 // output's, and so do 15 runs of which one opens as four pieces; one run
 // more than the single-piece limit falls back to two passes at the base
-// width.
+// width. At 1 MiB one overlap run among 64 single-piece ones still merges
+// in one pass: blocks are sized per piece.
 func TestMergeHoldsToMemoryBudget(t *testing.T) {
 	for _, row := range []struct {
 		name                 string
@@ -622,6 +623,12 @@ func TestMergeHoldsToMemoryBudget(t *testing.T) {
 		{"derived/one_pass/single", 0, 256 << 10, 0, 2, 63, 1},
 		{"derived/one_pass/overlap", 1, 256 << 10, 0, 2, 15, 1},
 		{"derived/past_limit/single", 0, 256 << 10, 0, 2, 64, 2},
+		// Blocks are sized per piece, so one overlap run costs its own
+		// pieces and no more: 64 single-piece runs and a four-piece one
+		// are 68 pieces, a page each beside the output's well within
+		// 1 MiB, where sizing every run as the most divided one would
+		// need 66 × 4 pages and fall back to two passes.
+		{"derived/one_pass/one_overlap", 1, 1 << 20, 0, 2, 65, 1},
 		// Runs written in blocks of the merge's share of an input: a
 		// reader still holds only the buffer it asks for.
 		{"generation_blocks/single/1", 0, 256 << 10, 15, 1, 50, 2},

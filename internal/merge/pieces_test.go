@@ -150,7 +150,7 @@ func checkSegments(t *testing.T, what string, runs [][]record.Record, want []rec
 	}
 	what = fmt.Sprintf("%s, %d segments on disk, damaged=%v (segment %d, longest batch %d)", what, len(runs), damaged, failing, maxBatch)
 	var got []record.Record
-	eng, err := openMerged(em, new(leafArena[record.Record]), []runio.Run{run}, 0)
+	eng, err := openMerged(em, new(leafArena[record.Record]), []runio.Run{run}, 0, Config{})
 	if err == nil {
 		dst := make([]record.Record, 2*leafBatch+3)
 		for calls := 1; err == nil; calls++ {

@@ -64,6 +64,7 @@ func NewStream[T any](em *runio.Emitter[T], inputs []runio.Run, cfg Config) (*St
 	if cfg.FanIn < 0 || cfg.FanIn == 1 {
 		return nil, fmt.Errorf("merge: fan-in must be 0 (derived) or at least 2, got %d", cfg.FanIn)
 	}
+	cfg.perPiece = cfg.FanIn == 0
 	cfg.FanIn = cfg.fanIn(inputs)
 	cfg.resolveMetrics()
 	sizes := make([]int64, len(inputs))
@@ -93,7 +94,7 @@ func NewStream[T any](em *runio.Emitter[T], inputs []runio.Run, cfg Config) (*St
 		st.want += runs[id].Records
 	}
 	var err error
-	st.eng, err = openMerged(em, &arenas[0], st.finals, cfg.bufBytes(1, len(st.finals)))
+	st.eng, err = openMerged(em, &arenas[0], st.finals, cfg.bufBytes(1, cfg.widest(st.finals, len(st.finals))), cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -121,16 +122,24 @@ func (s *heapStepper[T]) NextRun() (runio.Run, bool, error) {
 	return runio.SingleRun(w.Segment()), true, nil
 }
 
-// TestStepperMatchesHeapStepper holds the tree stepper to the heap loop it
-// replaced, over every dataset with spread and with densely packed keys
-// (most compares tie on the key), for rs and alternating runs, keyed and
-// comparator-only: the same number of runs, each the same manifest — its
-// length, direction, files, content checksum and Concatenable flag —
-// holding the same keys.
-// The two may release comparator-equal records in different orders, so a
-// run's records are compared as a multiset.
-func TestStepperMatchesHeapStepper(t *testing.T) {
-	const n, memory = 20000, 300
+// oracleInput is one input of the oracle tests.
+type oracleInput struct {
+	name   string
+	recs   []record.Record
+	random bool // gen.Random, on which the tail must never start
+}
+
+// oracleInputs are the inputs the tree stepper is held to the heap loop on:
+// every dataset with spread and with densely packed keys (most compares
+// tie on the key), and the presorted stretches the tail streams, each also
+// mirrored (keys negated), so every trend is met travelling up and down:
+// sorted and reverse input with every key four times, a noisy trend whose
+// noise exceeds its step — by a little (the tail restarts and falls back
+// every few records) and by more than the memory spans (several runs) —
+// and a descending staircase of ascending teeth, some shorter and some
+// longer than the memory, neighbouring teeth overlapping.
+func oracleInputs(n int) []oracleInput {
+	var ins []oracleInput
 	for _, kind := range gen.Kinds {
 		for _, shape := range []struct {
 			name string
@@ -139,43 +148,118 @@ func TestStepperMatchesHeapStepper(t *testing.T) {
 			{"spread", gen.Config{Kind: kind, N: n, Seed: 5, Noise: 1000}},
 			{"dense", gen.Config{Kind: kind, N: n, Seed: 5, Step: 1, Noise: 4, Sections: 200}},
 		} {
-			recs := gen.Generate(shape.cfg)
-			for _, alternating := range []bool{false, true} {
-				for _, keyed := range []bool{false, true} {
-					name := fmt.Sprintf("%v/%s/alternating=%v/keyed=%v", kind, shape.name, alternating, keyed)
-					t.Run(name, func(t *testing.T) {
-						treeFS, heapFS := vfs.NewMemFS(), vfs.NewMemFS()
-						treeEm, heapEm := recordEmitter(treeFS, keyed), recordEmitter(heapFS, keyed)
-						treeEm.Checksums, heapEm.Checksums = true, true
-						tree, err := NewStepper(stream.NewSliceReader(recs), treeEm, memory, alternating, false)
-						if err != nil {
-							t.Fatal(err)
+			ins = append(ins, oracleInput{kind.String() + "/" + shape.name, gen.Generate(shape.cfg), kind == gen.Random})
+		}
+	}
+	keyed := func(name string, key func(i int) int64) {
+		up, down := make([]record.Record, n), make([]record.Record, n)
+		for i := range up {
+			up[i] = record.Record{Key: key(i), Aux: uint64(i)}
+			down[i] = record.Record{Key: -key(i), Aux: uint64(i)}
+		}
+		ins = append(ins, oracleInput{name: name, recs: up}, oracleInput{name: name + "/mirrored", recs: down})
+	}
+	keyed("sorted-dup", func(i int) int64 { return int64(i / 4) })
+	keyed("reverse-dup", func(i int) int64 { return int64((n - i) / 4) })
+	for _, noise := range []int64{8, 5000} {
+		recs := gen.Generate(gen.Config{Kind: gen.Sorted, N: n, Seed: 9, Step: 1, Noise: noise})
+		keyed(fmt.Sprintf("trend-noise%d", noise), func(i int) int64 { return recs[i].Key })
+	}
+	teeth := make([]int64, 0, n)
+	for tooth := 0; len(teeth) < n; tooth++ {
+		for j := range []int{150, 450, 900, 60}[tooth%4] {
+			teeth = append(teeth, int64(-600*tooth+2*j))
+		}
+	}
+	keyed("staircase", func(i int) int64 { return teeth[i] })
+	return ins
+}
+
+// stepperModes are the generators the oracle tests drive: classic RS, and
+// alternating starting with an up-run and with a down-run.
+var stepperModes = []struct {
+	name              string
+	alternating, down bool
+}{{"alternating=false", false, false}, {"alternating=true", true, false}, {"alternating=down", true, true}}
+
+// TestStepperMatchesHeapStepper holds the tree stepper to the heap loop it
+// replaced, over every oracle input, for rs and alternating runs (starting
+// up and down), keyed and comparator-only: the same number of runs, each
+// the same manifest — its length, direction, files, content checksum and
+// Concatenable flag — holding the same keys.
+// The two may release comparator-equal records in different orders, so a
+// run's records are compared as a multiset.
+func TestStepperMatchesHeapStepper(t *testing.T) {
+	const n, memory = 20000, 300
+	for _, in := range oracleInputs(n) {
+		recs := in.recs
+		for _, mode := range stepperModes {
+			for _, keyed := range []bool{false, true} {
+				name := fmt.Sprintf("%s/%s/keyed=%v", in.name, mode.name, keyed)
+				t.Run(name, func(t *testing.T) {
+					treeFS, heapFS := vfs.NewMemFS(), vfs.NewMemFS()
+					treeEm, heapEm := recordEmitter(treeFS, keyed), recordEmitter(heapFS, keyed)
+					treeEm.Checksums, heapEm.Checksums = true, true
+					tree, err := NewStepper(stream.NewSliceReader(recs), treeEm, memory, mode.alternating, mode.down)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := drain(tree.NextRun)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := drain(newHeapStepper(stream.NewSliceReader(recs), heapEm, memory, mode.alternating, mode.down).NextRun)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(got.Runs) != len(want.Runs) || got.Records != want.Records {
+						t.Fatalf("tree wrote %d runs of %d records, heap %d of %d", len(got.Runs), got.Records, len(want.Runs), want.Records)
+					}
+					for i := range got.Runs {
+						if !reflect.DeepEqual(got.Runs[i], want.Runs[i]) {
+							t.Fatalf("run %d: tree manifest %+v, heap %+v", i, got.Runs[i], want.Runs[i])
 						}
-						got, err := drain(tree.NextRun)
-						if err != nil {
-							t.Fatal(err)
+						if !slices.Equal(runKeys(t, treeFS, got.Runs[i]), runKeys(t, heapFS, want.Runs[i])) {
+							t.Fatalf("run %d: the tree's keys differ from the heap's", i)
 						}
-						want, err := drain(newHeapStepper(stream.NewSliceReader(recs), heapEm, memory, alternating, false).NextRun)
-						if err != nil {
-							t.Fatal(err)
+						a, errA := readRun(treeFS, got.Runs[i], 1024)
+						b, errB := readRun(heapFS, want.Runs[i], 1024)
+						if errA != nil || errB != nil || !record.NewMultiset(a).Equal(record.NewMultiset(b)) {
+							t.Fatalf("run %d: the tree's records differ from the heap's (%v, %v)", i, errA, errB)
 						}
-						if len(got.Runs) != len(want.Runs) || got.Records != want.Records {
-							t.Fatalf("tree wrote %d runs of %d records, heap %d of %d", len(got.Runs), got.Records, len(want.Runs), want.Records)
-						}
-						for i := range got.Runs {
-							if !reflect.DeepEqual(got.Runs[i], want.Runs[i]) {
-								t.Fatalf("run %d: tree manifest %+v, heap %+v", i, got.Runs[i], want.Runs[i])
-							}
-							if !slices.Equal(runKeys(t, treeFS, got.Runs[i]), runKeys(t, heapFS, want.Runs[i])) {
-								t.Fatalf("run %d: the tree's keys differ from the heap's", i)
-							}
-							a, errA := readRun(treeFS, got.Runs[i], 1024)
-							b, errB := readRun(heapFS, want.Runs[i], 1024)
-							if errA != nil || errB != nil || !record.NewMultiset(a).Equal(record.NewMultiset(b)) {
-								t.Fatalf("run %d: the tree's records differ from the heap's (%v, %v)", i, errA, errB)
-							}
-						}
-					})
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestTailRestoresAreAmortised counts the times the tail goes back into the
+// tree over every oracle input and mode: after each the tail stays off for
+// M records, so there are at most ⌈N/M⌉ + 1 (flips are not restores). On
+// random input the tail never starts — its ring is never allocated — and
+// on the sorted inputs classic RS streams through it.
+func TestTailRestoresAreAmortised(t *testing.T) {
+	const n, memory = 20000, 300
+	for _, in := range oracleInputs(n) {
+		for _, mode := range stepperModes {
+			for _, keyed := range []bool{false, true} {
+				s, err := NewStepper(stream.NewSliceReader(in.recs), recordEmitter(vfs.NewMemFS(), keyed), memory, mode.alternating, mode.down)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := drain(s.NextRun); err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("%s/%s/keyed=%v", in.name, mode.name, keyed)
+				if limit := (n+memory-1)/memory + 1; s.restores > limit {
+					t.Errorf("%s: %d restores, want at most %d", name, s.restores, limit)
+				}
+				if in.random && s.ring != nil {
+					t.Errorf("%s: the tail was used on random input", name)
+				}
+				if sorted := strings.HasPrefix(in.name, "sorted") && !strings.HasSuffix(in.name, "/mirrored"); sorted && !mode.alternating && s.ring == nil {
+					t.Errorf("%s: the tail was never used on sorted input", name)
 				}
 			}
 		}

@@ -51,6 +51,12 @@ import (
 // alternating holds no more memory than classic RS (DESIGN.md §9's cost
 // model).
 //
+// Presorted stretches skip the tree: a FIFO tail of current-run records,
+// each at or after every current-run record in the tree and parked in a
+// leaf the tree vacated, streams them in O(1) a record (DESIGN.md §7,
+// "Presorted stretches"). Only comparator-equal records may leave in
+// another order than the tree's.
+//
 // Between calls the tree holds the records already tagged for the next run,
 // so a caller may stop after any run and continue later.
 type Stepper[T any] struct {
@@ -61,11 +67,31 @@ type Stepper[T any] struct {
 	// carries a KeyCodec; nil on the comparator-only path, where every cached
 	// key is zero.
 	pfx         func(T) uint64
-	alternating bool // flip direction at every run boundary
-	down        bool // direction of the run the next NextRun emits
-	loaded      bool // the tree holds its first memory-load
+	less        func(a, b T) bool // em.Less
+	alternating bool              // flip direction at every run boundary
+	down        bool              // direction of the run the next NextRun emits
+	loaded      bool              // the tree holds its first memory-load
 	currentRun  int
+
+	// The tail's leaves, oldest first, are ring[head:head+size] (mod
+	// len(ring)), allocated on first use; last is its newest record. While
+	// the tail is empty, prev is the last record that could have started it,
+	// streak how many such records in a row were in order, and hi, once a
+	// scan has found it (Run −1 until then), bounds the tree's current-run
+	// records. nextHeld: a next-run record is in the tree. off counts the
+	// records to pass before the tail may start again, window what off was
+	// set to at the last hand-back (0 once the tail streams), and restores
+	// the hand-backs (tests hold them to ⌈N/M⌉ + 1).
+	ring                          []int32
+	head, size                    int
+	last, prev, hi                heap.Item[T]
+	nextHeld                      bool
+	streak, off, window, restores int
 }
+
+// inOrder is how many records in a row must be in order before the tail
+// looks for its bound: one stretch in 40,320 on random input.
+const inOrder = 8
 
 // NewStepper returns a Stepper over src with a tree of `memory` elements,
 // writing through em and ordering by em.Less. alternating selects the
@@ -85,8 +111,10 @@ func NewStepper[T any](src stream.BatchReader[T], em *runio.Emitter[T], memory i
 		in:          stream.NewFetcher(src, stream.FetchLen(memory)),
 		t:           heap.NewTree(memory, down, em.Less),
 		pfx:         em.PrefixFunc(),
+		less:        em.Less,
 		alternating: alternating,
 		down:        down,
+		hi:          heap.Item[T]{Run: -1},
 	}, nil
 }
 
@@ -130,7 +158,17 @@ func (s *Stepper[T]) before(a, b heap.Item[T]) bool {
 	if a.Key != b.Key {
 		return a.Key < b.Key
 	}
-	return s.em.Less(a.Rec, b.Rec)
+	return s.less(a.Rec, b.Rec)
+}
+
+// precedes reports whether a leaves before b in a run of the given
+// direction. The run loop spells it out where it runs per record, so that
+// before inlines there.
+func (s *Stepper[T]) precedes(a, b heap.Item[T], down bool) bool {
+	if down {
+		return s.before(b, a)
+	}
+	return s.before(a, b)
 }
 
 // NextRun writes the next run — ascending or descending per the stepper's
@@ -146,7 +184,7 @@ func (s *Stepper[T]) NextRun() (runio.Run, bool, error) {
 	}
 	// The tree orders by (run, element), so every record of the current run
 	// leaves before the first record of the next: a run ends exactly when
-	// the winner's tag advances (§3.3).
+	// the winner's tag advances (§3.3) and the tail is empty.
 	s.currentRun = t.Top().Run
 	role := "rs"
 	if s.alternating {
@@ -156,31 +194,88 @@ func (s *Stepper[T]) NextRun() (runio.Run, bool, error) {
 	if err != nil {
 		return runio.Run{}, false, err
 	}
-	for t.Len() > 0 {
-		out := t.Top()
-		if out.Run != s.currentRun {
-			break
+	for {
+		// Write the tree's winner while it belongs to the current run,
+		// then the tail's head. leaf is the tail leaf the write frees, or
+		// -1 when the write frees the winner's.
+		var out heap.Item[T]
+		leaf := -1
+		if t.Len() > 0 {
+			out = t.Top()
+		}
+		if t.Len() == 0 || out.Run != s.currentRun {
+			if s.size == 0 {
+				break
+			}
+			if k, err := s.stream(w); k > 0 || err != nil {
+				if err != nil {
+					return runio.Run{}, false, err
+				}
+				continue
+			}
+			leaf = s.pop()
+			out = s.item(*t.Parked(leaf))
 		}
 		if err := w.Write(out.Rec); err != nil {
 			return runio.Run{}, false, err
 		}
-		// Read the next input record and put it in the written record's
-		// place, tagged with the run it can still join: the current one,
-		// unless it falls on the wrong side of the record just written —
-		// below it in an up-run, above it in a down-run.
 		rec, ok, err := s.in.Next()
 		if err != nil {
 			return runio.Run{}, false, err
 		}
 		if !ok {
-			t.Vacate()
+			if leaf < 0 {
+				t.Vacate()
+			}
 			continue
 		}
+		// The record goes to the tail's end or into the tree — in the
+		// winner's leaf, or in the tail leaf the write freed — tagged with
+		// the run it can still join: the current one, unless it falls on
+		// the wrong side of out, below it in an up-run, above it in a
+		// down-run. The common cases call nothing but the tree.
 		in := s.item(rec)
-		if s.down && s.before(out, in) || !s.down && s.before(in, out) {
+		tree, back := true, false
+		switch behind := s.down && s.before(out, in) || !s.down && s.before(in, out); {
+		case s.size > 0 && !(s.down && s.before(s.last, in) || !s.down && s.before(in, s.last)):
+			s.append(&in, leaf)
+			tree = false
+		case behind:
 			in.Run++
+			s.nextHeld = true
+		case s.size > 0:
+			// Inside the tail's range, the tail goes back to the tree.
+			head := s.item(*t.Parked(int(s.ring[s.head])))
+			back = !s.precedes(in, head, s.down)
+		case s.nextHeld:
+		case s.off > 0:
+			s.off--
+		default:
+			// The tail starts with a record at or past hi, which one scan
+			// of the tree finds once inOrder records in a row are in order.
+			if s.streak > 0 && s.precedes(in, s.prev, s.down) {
+				s.streak = 0
+			}
+			s.prev, s.streak = in, s.streak+1
+			if s.hi.Run < 0 && s.streak >= inOrder {
+				var ok bool
+				if s.hi, ok = t.Last(); !ok {
+					s.hi = in
+				}
+			}
+			if s.hi.Run >= 0 && !s.precedes(in, s.hi, s.down) {
+				s.append(&in, leaf)
+				tree = false
+			}
 		}
-		t.Replace(in)
+		if tree && leaf < 0 {
+			t.Replace(in)
+		} else if tree {
+			t.Put(leaf, in)
+		}
+		if back {
+			s.restore()
+		}
 	}
 	if err := w.Close(); err != nil {
 		return runio.Run{}, false, err
@@ -191,5 +286,73 @@ func (s *Stepper[T]) NextRun() (runio.Run, bool, error) {
 		s.down = !s.down
 		t.Flip()
 	}
+	s.hi.Run, s.streak, s.nextHeld = -1, 0, false
 	return runio.SingleRun(w.Segment()), true, nil
+}
+
+// append parks in at the tail's end, in the winner's leaf or in tail leaf
+// leaf.
+func (s *Stepper[T]) append(in *heap.Item[T], leaf int) {
+	if leaf < 0 {
+		leaf = s.t.Park(in.Rec)
+	} else {
+		*s.t.Parked(leaf) = in.Rec
+	}
+	if s.ring == nil {
+		s.ring = make([]int32, s.t.Cap())
+	}
+	i := s.head + s.size
+	if i >= len(s.ring) {
+		i -= len(s.ring)
+	}
+	s.ring[i] = int32(leaf)
+	s.size++
+	s.last = *in
+}
+
+// pop takes the tail's oldest leaf off the ring.
+func (s *Stepper[T]) pop() int {
+	leaf := int(s.ring[s.head])
+	if s.head++; s.head == len(s.ring) {
+		s.head = 0
+	}
+	s.size--
+	return leaf
+}
+
+// restore hands the tail back to the tree and keeps it off for the next
+// window records that could start it: M, doubled at each hand-back until
+// the tail streams a batch again.
+func (s *Stepper[T]) restore() {
+	a := s.ring[s.head:min(s.head+s.size, len(s.ring))]
+	s.t.Restore(s.item, a, s.ring[:s.size-len(a)])
+	s.head, s.size, s.hi.Run, s.streak = 0, 0, -1, 0
+	s.window = max(2*s.window, s.t.Cap())
+	s.off = s.window
+	s.restores++
+}
+
+// stream is the batch path, taken while the tree holds no current-run
+// record: the longest prefix of the fetch batch that continues the tail in
+// order, at most the tail's length, trades places with the tail's oldest
+// records, which go out in one WriteBatch. It returns how many, zero when
+// the batch's first record does not continue the tail.
+func (s *Stepper[T]) stream(w runio.StreamWriter[T]) (int, error) {
+	batch, err := s.in.Peek()
+	k := 0
+	for ; k < len(batch) && k < s.size; k++ {
+		it := s.item(batch[k])
+		if s.down && s.before(s.last, it) || !s.down && s.before(it, s.last) {
+			break
+		}
+		leaf := s.pop()
+		batch[k] = *s.t.Parked(leaf)
+		s.append(&it, leaf)
+	}
+	if k == 0 {
+		return 0, err
+	}
+	s.window = 0
+	s.in.Skip(k)
+	return k, w.WriteBatch(batch[:k])
 }

@@ -192,6 +192,22 @@ func (f *Fetcher[T]) Next() (T, bool, error) {
 	return f.refill()
 }
 
+// Peek returns the elements of the current batch not yet taken, reading
+// the next batch when none are left, or none at the end of the source (err
+// carries a failure). The caller may overwrite them; Skip takes them.
+func (f *Fetcher[T]) Peek() ([]T, error) {
+	if f.pos == f.n {
+		if _, ok, err := f.refill(); !ok {
+			return nil, err
+		}
+		f.pos = 0
+	}
+	return f.buf[f.pos:f.n], nil
+}
+
+// Skip takes the next k elements Peek returned, as k calls of Next would.
+func (f *Fetcher[T]) Skip(k int) { f.pos += k }
+
 func (f *Fetcher[T]) refill() (T, bool, error) {
 	var zero T
 	if f.done {

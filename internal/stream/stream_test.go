@@ -3,6 +3,7 @@ package stream
 import (
 	"errors"
 	"io"
+	"slices"
 	"testing"
 )
 
@@ -267,6 +268,37 @@ func TestFetcherError(t *testing.T) {
 	// The failure is sticky too.
 	if _, ok, err := f.Next(); ok || err != boom {
 		t.Fatalf("sticky Next = %v, %v, want false, boom", ok, err)
+	}
+}
+
+// TestFetcherPeekSkip mixes Next with Peek and Skip: Peek shows the rest of
+// the current batch, reading the next one when it is used up, and Skip
+// takes a prefix of it, so the three together hand out every element once.
+func TestFetcherPeekSkip(t *testing.T) {
+	boom := errors.New("boom")
+	f := NewFetcher(AsBatchReader[int](&errReader[int]{vals: []int{1, 2, 3, 4, 5, 6, 7}, err: boom}), 3)
+	var got []int
+	if v, _, _ := f.Next(); v != 1 {
+		t.Fatalf("Next = %d, want 1", v)
+	}
+	got = append(got, 1)
+	for step := 0; ; step++ {
+		p, err := f.Peek()
+		if len(p) == 0 {
+			if err != boom {
+				t.Fatalf("Peek at the end = %v, %v, want empty and boom", p, err)
+			}
+			break
+		}
+		k := 1 + step%len(p)
+		got = append(got, p[:k]...)
+		f.Skip(k)
+	}
+	if !slices.Equal(got, []int{1, 2, 3, 4, 5, 6, 7}) {
+		t.Fatalf("Next, Peek and Skip handed out %v", got)
+	}
+	if _, ok, err := f.Next(); ok || err != boom {
+		t.Fatalf("Next after the end = %v, %v, want false, boom", ok, err)
 	}
 }
 
