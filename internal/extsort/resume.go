@@ -227,10 +227,11 @@ func (r *RunSet[T]) adoptCommitted(st *manifest.State, entry time.Time) {
 	}
 	r.stats.RunsRecovered = len(r.runs)
 	r.stats.Policy = r.cfg.Policy.String()
-	// The header names the key codec the runs were generated with, and it
-	// was checked against this invocation's: the merge runs keyed as the
-	// committed sort did.
-	if r.stats.Keyed = st.Header.KeyCodec != ""; r.stats.Keyed {
+	// The header names the key codec the runs were generated with
+	// (checkHeader does not compare it): the merge runs keyed only when this
+	// invocation carries a codec of that type, the one that passed the
+	// committed sort's sample check.
+	if r.stats.Keyed = r.ops.KeyCodec != nil && st.Header.KeyCodec == fmt.Sprintf("%T", r.ops.KeyCodec); r.stats.Keyed {
 		r.em.KeyCodec = r.ops.KeyCodec
 	}
 	sp.End()

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/gen"
 	"repro/internal/manifest"
 	"repro/internal/policy"
@@ -205,11 +206,15 @@ func TestAdoptedRunCorruptionNamesTheSpill(t *testing.T) {
 	recs := testRecords(20000, 9)
 	for _, tc := range []struct {
 		name   string
-		killAt int64 // input position the first pass dies at; 0: it commits
-		keyed  bool  // the sort runs keyed: the error must name the key codec too
+		killAt int64                         // input position the first pass dies at; 0: it commits
+		key    codec.KeyCodec[record.Record] // the resume's key codec
+		keyed  bool                          // the merge runs keyed: the error must name the key codec too
 	}{
-		{"committed", 0, true},
-		{"partial", 15000, true},
+		{"committed", 0, codec.KeyRecord16{}, true},
+		// A codec of another type than the header names is not armed: the
+		// committed runs merge on the comparator.
+		{"committed_other_key_codec", 0, otherKeyRecord16{}, false},
+		{"partial", 15000, codec.KeyRecord16{}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := durableCfg(500)
@@ -247,22 +252,27 @@ func TestAdoptedRunCorruptionNamesTheSpill(t *testing.T) {
 				}})
 			}
 			cfg.Resume = true
-			rset, err := GenerateRuns(stream.NewSliceReader(recs), fs, cfg, RecordOps())
+			ops := RecordOps()
+			ops.KeyCodec = tc.key
+			rset, err := GenerateRuns(stream.NewSliceReader(recs), fs, cfg, ops)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rset.Stats().RunsRecovered != len(st.Runs) {
-				t.Fatalf("resume adopted %d of %d committed runs", rset.Stats().RunsRecovered, len(st.Runs))
+			if rset.Stats().RunsRecovered != len(st.Runs) || rset.Stats().Keyed != tc.keyed {
+				t.Fatalf("resume adopted %d of %d committed runs, keyed %v; want keyed %v", rset.Stats().RunsRecovered, len(st.Runs), rset.Stats().Keyed, tc.keyed)
 			}
 			armed.Store(true)
 			var out stream.SliceWriter[record.Record]
 			_, err = rset.Merge(&out)
-			if !errors.Is(err, runio.ErrOutOfOrder) || !errors.Is(err, errAdoptedOrder) || tc.keyed && !errors.Is(err, errKeyOrder) {
+			if !errors.Is(err, runio.ErrOutOfOrder) || !errors.Is(err, errAdoptedOrder) || tc.keyed != errors.Is(err, errKeyOrder) {
 				t.Fatalf("merge over a flipped adopted run: %v; want an order error naming the adopted spill files (and the key codec: %v)", err, tc.keyed)
 			}
 		})
 	}
 }
+
+// otherKeyRecord16 orders as codec.KeyRecord16 under another type name.
+type otherKeyRecord16 struct{ codec.KeyRecord16 }
 
 // failAfterReader yields records until its budget runs out, then fails,
 // simulating a source error (or cancellation) mid-generation.

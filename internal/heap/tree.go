@@ -180,14 +180,14 @@ func (t *Tree[T]) Parked(i int) *T { return &t.leaf[i].Rec }
 // Last returns an item that orders at or after every other the tree holds,
 // in O(M); ok is false on an empty tree.
 func (t *Tree[T]) Last() (it Item[T], ok bool) {
+	if t.n == 0 {
+		return it, false
+	}
 	w := -1
 	for i := range t.leaf {
-		if t.n > 0 && t.leaf[i].Run != vacant && (w < 0 || t.before(&t.leaf[w], &t.leaf[i])) {
+		if t.leaf[i].Run != vacant && (w < 0 || t.before(&t.leaf[w], &t.leaf[i])) {
 			w = i
 		}
-	}
-	if w < 0 {
-		return it, false
 	}
 	it = t.leaf[w]
 	it.Key ^= t.flip
@@ -207,28 +207,17 @@ func (t *Tree[T]) Put(i int, it Item[T]) {
 }
 
 // Restore makes the parked leaves listed in leaves live again, item mapping
-// each one's element to its item, and plays them in: one O(M) Build, or a
-// Put each when so few come back that their replays cost less.
+// each one's element to its item, and plays them in with one O(M) Build.
 func (t *Tree[T]) Restore(item func(T) Item[T], leaves ...[]int32) {
-	k := 0
-	for _, l := range leaves {
-		k += len(l)
-	}
-	few := 2*k*bits.Len(uint(len(t.leaf))) < len(t.leaf)
 	for _, l := range leaves {
 		for _, i := range l {
-			if it := item(t.leaf[i].Rec); few {
-				t.Put(int(i), it)
-			} else {
-				it.Key ^= t.flip
-				t.leaf[i] = it
-				t.n++
-			}
+			it := item(t.leaf[i].Rec)
+			it.Key ^= t.flip
+			t.leaf[i] = it
+			t.n++
 		}
 	}
-	if !few {
-		t.Build()
-	}
+	t.Build()
 }
 
 // check panics unless the tree has been played and holds an item.

@@ -52,7 +52,9 @@ type Config struct {
 	OnClose func()
 
 	// perPiece records that the fan-in was derived: blocks are then sized
-	// per piece, not per run (bufBytes).
+	// per piece, not per run (units). A set fan-in keeps a block per run:
+	// sized per piece, the simulated sorts' overlap runs would read in
+	// other request sizes and EXPERIMENTS.md would move (DESIGN.md §4).
 	perPiece bool
 
 	// Collectors resolved once by NewStream so merge operations (possibly
@@ -92,7 +94,6 @@ func (c Config) fanIn(inputs []runio.Run) int {
 		return c.FanIn
 	}
 	base := BaseFanIn(c.MemoryBytes)
-	c.perPiece = true
 	if c.FanIn = len(inputs); c.FanIn > base && c.fedWorkers(inputs) > 0 {
 		return c.FanIn
 	}
@@ -358,7 +359,10 @@ func execute[T any](em *runio.Emitter[T], p plan, runs []runio.Run, arenas []lea
 			mu.Unlock()
 			units := wide
 			if len(arenas) == 1 {
-				units = cfg.widest(group, len(group))
+				units = 0
+				for _, r := range group {
+					units += cfg.units(r)
+				}
 			}
 			out, err := mergeOp(em, a, group, names[i], p.ops[i], cfg.bufBytes(len(arenas), units), cfg)
 			mu.Lock()

@@ -66,11 +66,13 @@ type Stepper[T any] struct {
 	// pfx caches normalized-key prefixes into tree items when the emitter
 	// carries a KeyCodec; nil on the comparator-only path, where every cached
 	// key is zero.
-	pfx         func(T) uint64
-	less        func(a, b T) bool // em.Less
-	alternating bool              // flip direction at every run boundary
-	down        bool              // direction of the run the next NextRun emits
-	loaded      bool              // the tree holds its first memory-load
+	pfx func(T) uint64
+	// less is em.Less in the direction of the run the next NextRun emits,
+	// its arguments swapped on a down-run; rev is the other way round.
+	less, rev   func(a, b T) bool
+	alternating bool // flip direction at every run boundary
+	down        bool // direction of the run the next NextRun emits
+	loaded      bool // the tree holds its first memory-load
 	currentRun  int
 
 	// The tail's leaves, oldest first, are ring[head:head+size] (mod
@@ -80,13 +82,12 @@ type Stepper[T any] struct {
 	// scan has found it (Run −1 until then), bounds the tree's current-run
 	// records. nextHeld: a next-run record is in the tree. off counts the
 	// records to pass before the tail may start again, window what off was
-	// set to at the last hand-back (0 once the tail streams), and restores
-	// the hand-backs (tests hold them to ⌈N/M⌉ + 1).
-	ring                          []int32
-	head, size                    int
-	last, prev, hi                heap.Item[T]
-	nextHeld                      bool
-	streak, off, window, restores int
+	// set to at the last hand-back (0 once the tail streams).
+	ring                []int32
+	head, size          int
+	last, prev, hi      heap.Item[T]
+	nextHeld            bool
+	streak, off, window int
 }
 
 // inOrder is how many records in a row must be in order before the tail
@@ -103,19 +104,28 @@ func NewStepper[T any](src stream.BatchReader[T], em *runio.Emitter[T], memory i
 	if memory <= 0 {
 		return nil, fmt.Errorf("rs: memory must be positive, got %d", memory)
 	}
-	down = alternating && down
-	return &Stepper[T]{
+	s := &Stepper[T]{
 		em: em,
 		// All input flows through a batched fetch buffer: one ReadBatch per
 		// FetchLen elements instead of an interface call per record.
 		in:          stream.NewFetcher(src, stream.FetchLen(memory)),
-		t:           heap.NewTree(memory, down, em.Less),
+		t:           heap.NewTree(memory, alternating && down, em.Less),
 		pfx:         em.PrefixFunc(),
 		less:        em.Less,
+		rev:         func(a, b T) bool { return em.Less(b, a) },
 		alternating: alternating,
-		down:        down,
 		hi:          heap.Item[T]{Run: -1},
-	}, nil
+	}
+	if alternating && down {
+		s.turn()
+	}
+	return s, nil
+}
+
+// turn reverses the direction of the runs to come.
+func (s *Stepper[T]) turn() {
+	s.down = !s.down
+	s.less, s.rev = s.rev, s.less
 }
 
 // item tags an input record for the current run, with its cached key
@@ -150,25 +160,19 @@ func (s *Stepper[T]) fill() error {
 	return nil
 }
 
-// before reports whether a orders strictly before b. The decision rides the
-// cached prefixes: the integer compare decides strictly ordered pairs and
-// only prefix ties — all pairs, on the comparator-only path — consult the
-// comparator: the same decision either way.
+// before reports whether a leaves strictly before b in a run of the
+// stepper's direction: a orders below b in an up-run, above it in a
+// down-run. The decision rides the cached prefixes: the integer compare
+// decides strictly ordered pairs and only prefix ties — all pairs, on the
+// comparator-only path — consult the comparator: the same decision either
+// way. The direction is an XOR of the key compare and the comparator
+// field, not a swap of a and b, which keeps before within the inliner's
+// budget: it inlines into the run loop.
 func (s *Stepper[T]) before(a, b heap.Item[T]) bool {
 	if a.Key != b.Key {
-		return a.Key < b.Key
+		return (a.Key < b.Key) != s.down
 	}
 	return s.less(a.Rec, b.Rec)
-}
-
-// precedes reports whether a leaves before b in a run of the given
-// direction. The run loop spells it out where it runs per record, so that
-// before inlines there.
-func (s *Stepper[T]) precedes(a, b heap.Item[T], down bool) bool {
-	if down {
-		return s.before(b, a)
-	}
-	return s.before(a, b)
 }
 
 // NextRun writes the next run — ascending or descending per the stepper's
@@ -229,52 +233,26 @@ func (s *Stepper[T]) NextRun() (runio.Run, bool, error) {
 			}
 			continue
 		}
-		// The record goes to the tail's end or into the tree — in the
-		// winner's leaf, or in the tail leaf the write freed — tagged with
-		// the run it can still join: the current one, unless it falls on
-		// the wrong side of out, below it in an up-run, above it in a
-		// down-run. The common cases call nothing but the tree.
+		// The record is tagged with the run it can still join: the current
+		// one, unless it falls on the wrong side of out, below it in an
+		// up-run, above it in a down-run. It goes into the tree — in the
+		// winner's leaf, or in the tail leaf the write freed — unless place
+		// puts it in the tail. The common cases call nothing but the tree.
 		in := s.item(rec)
-		tree, back := true, false
-		switch behind := s.down && s.before(out, in) || !s.down && s.before(in, out); {
-		case s.size > 0 && !(s.down && s.before(s.last, in) || !s.down && s.before(in, s.last)):
-			s.append(&in, leaf)
-			tree = false
-		case behind:
+		switch {
+		case s.before(in, out):
 			in.Run++
 			s.nextHeld = true
-		case s.size > 0:
-			// Inside the tail's range, the tail goes back to the tree.
-			head := s.item(*t.Parked(int(s.ring[s.head])))
-			back = !s.precedes(in, head, s.down)
-		case s.nextHeld:
-		case s.off > 0:
+		case s.size == 0 && s.nextHeld:
+		case s.size == 0 && s.off > 0:
 			s.off--
-		default:
-			// The tail starts with a record at or past hi, which one scan
-			// of the tree finds once inOrder records in a row are in order.
-			if s.streak > 0 && s.precedes(in, s.prev, s.down) {
-				s.streak = 0
-			}
-			s.prev, s.streak = in, s.streak+1
-			if s.hi.Run < 0 && s.streak >= inOrder {
-				var ok bool
-				if s.hi, ok = t.Last(); !ok {
-					s.hi = in
-				}
-			}
-			if s.hi.Run >= 0 && !s.precedes(in, s.hi, s.down) {
-				s.append(&in, leaf)
-				tree = false
-			}
+		case s.place(in, leaf):
+			continue
 		}
-		if tree && leaf < 0 {
+		if leaf < 0 {
 			t.Replace(in)
-		} else if tree {
+		} else {
 			t.Put(leaf, in)
-		}
-		if back {
-			s.restore()
 		}
 	}
 	if err := w.Close(); err != nil {
@@ -283,7 +261,7 @@ func (s *Stepper[T]) NextRun() (runio.Run, bool, error) {
 	if s.alternating {
 		// Flip: at a run boundary every record held carries the next run's
 		// tag, so the tree goes on in the opposite order after a re-key.
-		s.down = !s.down
+		s.turn()
 		t.Flip()
 	}
 	s.hi.Run, s.streak, s.nextHeld = -1, 0, false
@@ -292,7 +270,7 @@ func (s *Stepper[T]) NextRun() (runio.Run, bool, error) {
 
 // append parks in at the tail's end, in the winner's leaf or in tail leaf
 // leaf.
-func (s *Stepper[T]) append(in *heap.Item[T], leaf int) {
+func (s *Stepper[T]) append(in heap.Item[T], leaf int) {
 	if leaf < 0 {
 		leaf = s.t.Park(in.Rec)
 	} else {
@@ -307,7 +285,7 @@ func (s *Stepper[T]) append(in *heap.Item[T], leaf int) {
 	}
 	s.ring[i] = int32(leaf)
 	s.size++
-	s.last = *in
+	s.last = in
 }
 
 // pop takes the tail's oldest leaf off the ring.
@@ -320,16 +298,46 @@ func (s *Stepper[T]) pop() int {
 	return leaf
 }
 
-// restore hands the tail back to the tree and keeps it off for the next
+// place puts current-run record in at the tail's end, in the winner's leaf
+// or in tail leaf leaf, when it is at or past the tail's newest record, and
+// reports whether it did. A record inside the tail's range joins it and the
+// whole tail goes back to the tree, which then stays off for the next
 // window records that could start it: M, doubled at each hand-back until
-// the tail streams a batch again.
-func (s *Stepper[T]) restore() {
-	a := s.ring[s.head:min(s.head+s.size, len(s.ring))]
-	s.t.Restore(s.item, a, s.ring[:s.size-len(a)])
-	s.head, s.size, s.hi.Run, s.streak = 0, 0, -1, 0
-	s.window = max(2*s.window, s.t.Cap())
-	s.off = s.window
-	s.restores++
+// the tail streams a batch again. An empty tail starts with a record at or
+// past hi, which one scan of the tree finds once inOrder records in a row
+// are in order.
+func (s *Stepper[T]) place(in heap.Item[T], leaf int) bool {
+	if s.size > 0 {
+		if !s.before(in, s.last) {
+			s.append(in, leaf)
+			return true
+		}
+		if s.before(in, s.item(*s.t.Parked(int(s.ring[s.head])))) {
+			return false
+		}
+		s.append(in, leaf)
+		a := s.ring[s.head:min(s.head+s.size, len(s.ring))]
+		s.t.Restore(s.item, a, s.ring[:s.size-len(a)])
+		s.head, s.size, s.hi.Run, s.streak = 0, 0, -1, 0
+		s.window = max(2*s.window, s.t.Cap())
+		s.off = s.window
+		return true
+	}
+	if s.streak > 0 && s.before(in, s.prev) {
+		s.streak = 0
+	}
+	s.prev, s.streak = in, s.streak+1
+	if s.hi.Run < 0 && s.streak >= inOrder {
+		var ok bool
+		if s.hi, ok = s.t.Last(); !ok {
+			s.hi = in
+		}
+	}
+	if s.hi.Run < 0 || s.before(in, s.hi) {
+		return false
+	}
+	s.append(in, leaf)
+	return true
 }
 
 // stream is the batch path, taken while the tree holds no current-run
@@ -342,12 +350,12 @@ func (s *Stepper[T]) stream(w runio.StreamWriter[T]) (int, error) {
 	k := 0
 	for ; k < len(batch) && k < s.size; k++ {
 		it := s.item(batch[k])
-		if s.down && s.before(s.last, it) || !s.down && s.before(it, s.last) {
+		if s.before(it, s.last) {
 			break
 		}
 		leaf := s.pop()
 		batch[k] = *s.t.Parked(leaf)
-		s.append(&it, leaf)
+		s.append(it, leaf)
 	}
 	if k == 0 {
 		return 0, err
