@@ -127,8 +127,8 @@ func newSortFlags(fs *flag.FlagSet) *sortFlags {
 			"and concatenate in key order, skipping the final cross-shard merge (0 or 1: ordinary single-stream sort)"),
 		traceOut: fs.String("trace-out", "", "write a trace of the run here: Chrome trace_event JSON "+
 			"(open in chrome://tracing or Perfetto), or span JSONL when the path ends in .jsonl"),
-		metricsAddr: fs.String("metrics-addr", "", "serve the live Prometheus metrics endpoint on this "+
-			"address (e.g. :9090) at /metrics while the command runs"),
+		metricsAddr: fs.String("metrics-addr", "", "serve the Prometheus metrics endpoint on this "+
+			"address (e.g. :9090) at /metrics while the command runs; series advance at phase ends"),
 		metricsOut: fs.String("metrics-out", "", "write the final Prometheus text exposition here ('-' for stdout)"),
 		progress:   fs.Bool("progress", false, "report live progress (phase, rate, ETA) to stderr every second"),
 	}

@@ -318,7 +318,7 @@ func TestRankQueriesMatchSortThenIndex(t *testing.T) {
 // protocol from growing back. Read() (T, error) is the shape of a caller's
 // source, adapted once by stream.AsBatchReader where it enters the library;
 // under internal/ the only non-test types that declare it are the sources a
-// caller holds — a slice, a closure, a byte stream of records, the synthetic
+// caller holds — a slice, a byte stream of records, the synthetic
 // generator — and everything else reads batches. The reference HeapMerger,
 // which nothing but tests and benchmarks ever merged through, is declared
 // beside them and nowhere else.
@@ -374,7 +374,7 @@ func TestOneReadProtocolBelowTheBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	slices.Sort(readers)
-	if want := []string{"gen.Generator", "record.ByteReader", "stream.Func", "stream.SliceReader"}; !slices.Equal(readers, want) {
+	if want := []string{"gen.Generator", "record.ByteReader", "stream.SliceReader"}; !slices.Equal(readers, want) {
 		t.Errorf("non-test types under internal/ declaring Read() (T, error): %v, want exactly the caller-shaped sources %v — read batches (stream.BatchReader) below the boundary", readers, want)
 	}
 	if len(heapMergers) != 0 {

@@ -212,13 +212,8 @@ func shardedSort[T any](entry time.Time, sample []T, src stream.BatchReader[T], 
 		{Name: "merge", Wall: drainWall},
 	}
 	st.Elapsed = time.Since(entry)
-	if m := cfg.Extsort.Metrics; m != nil {
-		m.Counter(obs.MShards, "Range shards executed by distribution sorts.").Add(int64(shards))
-		h := m.Histogram(obs.MShardRecords, "Records routed to each range shard.", obs.RunLengthBuckets)
-		for _, c := range counts {
-			h.Observe(float64(c))
-		}
-	}
+	// Each shard has published its own sort; what is left is the partition.
+	extsort.Publish(cfg.Extsort.Metrics, extsort.Stats{}, extsort.Stats{Shards: shards, ShardRecords: counts}, nil, nil)
 	return st, nil
 }
 

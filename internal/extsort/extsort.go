@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/codec"
@@ -230,9 +231,11 @@ type Config struct {
 	// merge operations and spill files; export them with the tracer's
 	// WriteChromeTrace/WriteSpansJSONL. Nil disables tracing at zero cost.
 	Trace *obs.Tracer
-	// Metrics, when non-nil, receives live counters and histograms
-	// under the extsort_* names (internal/obs names.go), kept consistent
-	// with the final Stats/Stats.IO. Nil disables metrics at zero cost.
+	// Metrics, when non-nil, receives counters and histograms under the
+	// extsort_* names (internal/obs names.go), read off Stats when a phase
+	// ends (Publish): they advance at the end of generation and when the
+	// merge stream closes, and a finished sort's equal its Stats. Nil
+	// disables metrics at zero cost.
 	Metrics *obs.Registry
 	// Progress, when non-nil, emits periodic progress lines (phase,
 	// records/sec, ETA) to its writer for the duration of the sort.
@@ -382,6 +385,9 @@ type RunSet[T any] struct {
 	ops   Ops[T]
 	stats Stats    // run-generation half; OpenMerged adds the plan, Merge the phase
 	o     *sortObs // nil when observability is off
+	// mergeWall is the merge phase's wall, from OpenMerged to the stream's
+	// Close: the one clock of the phase.
+	mergeWall time.Duration
 
 	// fs is the base file system; a durable sort's manifest lives on it
 	// under manifestName, which is empty for non-durable sorts.
@@ -534,17 +540,15 @@ func (r *RunSet[T]) generate(src stream.BatchReader[T], recovered []manifest.Run
 	if err != nil {
 		return fail(err)
 	}
-	// The meter counts every record the lanes are dealt — a single lane's
-	// input position — and leaves the replayed prefix out of the input
-	// metric.
-	var skip int64
+	// The meter counts every record the lanes are dealt: a single lane's
+	// input position. The replayed prefix is not input of this pass.
+	var replayed int64
 	if n := len(recovered); n > 0 {
-		skip = replayedInput(lanes)
-		rsp = gsp.Start("resume", obs.Int("runs_recovered", int64(n)), obs.Int("input_pos", skip))
+		replayed = replayedInput(lanes)
+		rsp = gsp.Start("resume", obs.Int("runs_recovered", int64(n)), obs.Int("input_pos", replayed))
 		r.stats.RunsRecovered = n
-		o.observeRecovered(n)
 	}
-	in := meterSource(o, src, skip)
+	in := meterSource(o, src)
 	var seq *sequencer
 	if durable {
 		seq = newSequencer(lanes, func(mr manifest.Run) error { return r.commitBoundary(man, gsp, mr) })
@@ -584,21 +588,21 @@ func (r *RunSet[T]) generate(src stream.BatchReader[T], recovered []manifest.Run
 	}
 
 	r.stats.Policy = cfg.Policy.String()
-	r.finishGenerate("generate", time.Since(wallStart), entry)
+	r.finishGenerate("generate", time.Since(wallStart), entry, in.n-replayed)
 	gsp.End(obs.Int("runs", int64(r.stats.Runs)), obs.Int("records", r.stats.Records))
 	return r, nil
 }
 
 // finishGenerate fills in the statistics every way of arriving at a run set
 // shares — a generation pass, or the adoption of a committed manifest — and
-// reports the runs to the metrics. The runs hold every record consumed.
-func (r *RunSet[T]) finishGenerate(phase string, wall time.Duration, entry time.Time) {
+// publishes them. The runs hold every record consumed, of which the pass
+// read in from its input.
+func (r *RunSet[T]) finishGenerate(phase string, wall time.Duration, entry time.Time, in int64) {
 	for _, run := range r.runs {
 		r.stats.Records += run.Records
 		if !run.Concatenable {
 			r.stats.OverlapRuns++
 		}
-		r.o.observeRun(run.Records)
 	}
 	r.stats.Runs = len(r.runs)
 	r.stats.Lanes = r.cfg.Lanes()
@@ -609,7 +613,7 @@ func (r *RunSet[T]) finishGenerate(phase string, wall time.Duration, entry time.
 	r.stats.IO = r.store.Stats()
 	r.stats.Elapsed = time.Since(entry)
 	r.stats.Phases = []PhaseStat{{Name: phase, Wall: wall}}
-	r.o.finishGenerate(r.stats, wall)
+	Publish(r.cfg.Metrics, Stats{Records: r.stats.Records - in}, r.stats, r.runs, nil)
 }
 
 // Runs returns the run manifests of the set; callers must not mutate them.
@@ -630,52 +634,6 @@ func (r *RunSet[T]) Stats() Stats {
 // its accounting directly (tests, benchmarks).
 func (r *RunSet[T]) Store() storage.Backend { return r.store }
 
-// mergeConfig assembles the merge-phase configuration from the sort's, and
-// returns beside it the hook that ends the phase's observability: the
-// "merge" span, the phase-time histogram, the I/O metric sync and the
-// progress reporter. It runs once: when the stream closes, or when
-// OpenMerged fails and no stream ever exists.
-//
-// The stream's OnClose is where the run files are consumed — Close deletes
-// whatever is left of them, drained (Merge) or abandoned early (a TopK or
-// Select that has what it came for) — so that is where a durable sort's
-// manifest goes too: it no longer describes anything recoverable, and left
-// behind it would only make a later Resume re-validate, fail and regenerate
-// from scratch. A merge that fails before its stream exists leaves by
-// Abandon, which keeps the manifest, with whatever runs survive, for Resume.
-func (r *RunSet[T]) mergeConfig() (merge.Config, func()) {
-	mc := merge.Config{
-		FanIn:       r.cfg.FanIn,
-		MemoryBytes: r.cfg.Memory * r.ops.ElementBytes(),
-		Workers:     r.cfg.Parallelism,
-		Cancel:      r.cfg.Cancel,
-	}
-	end := func() {}
-	if o := r.o; o != nil {
-		sp := o.tracer().Start("merge", obs.Int("inputs", int64(len(r.runs))))
-		o.reporter().SetPhase("merge", r.stats.Records)
-		start := time.Now()
-		mc.Span = sp
-		mc.Metrics = r.cfg.Metrics
-		mc.Progress = o.reporter()
-		end = func() {
-			sp.End()
-			o.observeMergePhase(time.Since(start))
-			o.syncIO(r.store.Stats())
-			o.reporter().Stop()
-		}
-	}
-	mc.OnClose = func() {
-		if r.manifestName != "" {
-			r.fs.Remove(r.manifestName) // best-effort: a stale manifest only fails a later Resume's validation
-			r.spill.Release()
-			r.manifestName = ""
-		}
-		end()
-	}
-	return mc, end
-}
-
 // OpenMerged runs the intermediate merge passes and returns the final merge
 // as a pull stream in globally sorted order. The returned Stream owns the
 // remaining run files — and the manifest of a durable sort — and must be
@@ -683,13 +641,48 @@ func (r *RunSet[T]) mergeConfig() (merge.Config, func()) {
 // plan's MergeInputs, MergePasses and MergeOps; the phases stay
 // generation's. The simulated disk (Config.Disk) charges the final merge's
 // reads as the caller drains the stream. A failure has left by Abandon.
+//
+// The merge phase ends when the stream closes: its wall (mergeWall), the
+// "merge" span, the published metrics and the progress reporter all end
+// there. Close is where the run files are consumed — drained (Merge) or
+// abandoned early (a TopK or Select that has what it came for) — so that is
+// where a durable sort's manifest goes too: it no longer describes anything
+// recoverable, and left behind it would only make a later Resume
+// re-validate, fail and regenerate from scratch. A merge that fails before
+// its stream exists leaves by Abandon, which keeps the manifest, with
+// whatever runs survive, for Resume.
 func (r *RunSet[T]) OpenMerged() (*merge.Stream[T], error) {
+	start := time.Now()
+	sp := r.o.tracer().Start("merge", obs.Int("inputs", int64(len(r.runs))))
+	r.o.reporter().SetPhase("merge", r.stats.Records)
+	var st *merge.Stream[T] // OnClose reads it: the stream has been returned by then
 	// Every run — concatenable or not — is one merge input: one with
 	// overlapping streams opens as several leaves of the operation reading it.
-	mc, end := r.mergeConfig()
-	st, err := merge.NewStream(r.em, r.runs, mc)
+	st, err := merge.NewStream(r.em, r.runs, merge.Config{
+		FanIn:       r.cfg.FanIn,
+		MemoryBytes: r.cfg.Memory * r.ops.ElementBytes(),
+		Workers:     r.cfg.Parallelism,
+		Cancel:      r.cfg.Cancel,
+		Span:        sp,
+		Progress:    r.o.reporter(),
+		OnClose: func() {
+			r.mergeWall = time.Since(start)
+			if r.manifestName != "" {
+				r.fs.Remove(r.manifestName) // best-effort: a stale manifest only fails a later Resume's validation
+				r.spill.Release()
+				r.manifestName = ""
+			}
+			sp.End()
+			if r.cfg.Metrics != nil {
+				now, ms := r.Stats(), st.Stats()
+				now.Phases = append(slices.Clip(now.Phases), PhaseStat{Name: "merge", Wall: r.mergeWall})
+				Publish(r.cfg.Metrics, r.stats, now, nil, &ms)
+			}
+			r.o.reporter().Stop()
+		},
+	})
 	if err != nil {
-		end()
+		sp.End()
 		return nil, r.Abandon(err)
 	}
 	ms := st.Stats()
@@ -700,7 +693,6 @@ func (r *RunSet[T]) OpenMerged() (*merge.Stream[T], error) {
 // Merge completes the sort: it opens the merged stream, copies it into dst
 // and closes it, and returns the full two-phase statistics.
 func (r *RunSet[T]) Merge(dst stream.Writer[T]) (Stats, error) {
-	wallStart := time.Now()
 	st, err := r.OpenMerged()
 	if err != nil {
 		return r.Stats(), err
@@ -713,9 +705,8 @@ func (r *RunSet[T]) Merge(dst stream.Writer[T]) (Stats, error) {
 	if err != nil {
 		return r.stats, r.Abandon(err)
 	}
-	wall := time.Since(wallStart)
-	r.stats.Elapsed += wall
-	r.stats.Phases = append(r.stats.Phases, PhaseStat{Name: "merge", Wall: wall})
+	r.stats.Elapsed += r.mergeWall
+	r.stats.Phases = append(r.stats.Phases, PhaseStat{Name: "merge", Wall: r.mergeWall})
 	return r.stats, nil
 }
 

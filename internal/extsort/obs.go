@@ -1,11 +1,11 @@
 package extsort
 
 import (
-	"sync"
 	"time"
 
+	"repro/internal/merge"
 	"repro/internal/obs"
-	"repro/internal/storage"
+	"repro/internal/runio"
 	"repro/internal/stream"
 	"repro/internal/vfs"
 )
@@ -18,32 +18,13 @@ type PhaseStat struct {
 	Wall time.Duration
 }
 
-// sortObs bundles one sort's observability state: the tracer, the
-// progress reporter and every registry collector resolved once up front so
-// the phases never touch the registry. A nil *sortObs disables everything;
-// all methods are nil-safe.
+// sortObs bundles one sort's tracer, its progress reporter and the
+// checkpoint histogram, the one series of the sort's that no field of Stats
+// holds. A nil *sortObs disables all three; all methods are nil-safe.
 type sortObs struct {
-	tr  *obs.Tracer
-	rep *obs.Reporter
-
-	recordsIn *obs.Counter
-	runs      *obs.Counter
-	runLen    *obs.Histogram
-	recovered *obs.Counter
-	ckptTime  *obs.Histogram
-	phaseGen  *obs.Histogram
-	phaseMrg  *obs.Histogram
-
-	ioMu   sync.Mutex
-	ioLast storage.IOStats
-	io     ioMetrics
-}
-
-// ioMetrics mirrors storage.IOStats onto registry collectors.
-type ioMetrics struct {
-	blocksW, blocksR *obs.Counter
-	rawW, rawR       *obs.Counter
-	verify           *obs.Counter
+	tr       *obs.Tracer
+	rep      *obs.Reporter
+	ckptTime *obs.Histogram
 }
 
 // newSortObs builds the bundle for one sort, or returns nil when the
@@ -52,26 +33,62 @@ func newSortObs(cfg Config) *sortObs {
 	if cfg.Trace == nil && cfg.Metrics == nil && cfg.Progress == nil {
 		return nil
 	}
-	o := &sortObs{tr: cfg.Trace}
-	o.rep = cfg.Progress.Start(cfg.Prefix)
-	m := cfg.Metrics
-	o.recordsIn = m.Counter(obs.MRecordsIn, "Records read from the sort input.")
-	o.runs = m.Counter(obs.MRuns, "Sorted runs emitted by generation.")
-	o.runLen = m.Histogram(obs.MRunLength, "Run length distribution in records.", obs.RunLengthBuckets)
-	o.recovered = m.Counter(obs.MRunsRecovered, "Runs recovered from a durable manifest by a resumed sort.")
-	o.ckptTime = m.Histogram(obs.MCheckpointSeconds, "Per-boundary checkpoint wall seconds.", obs.PhaseSecondsBuckets)
-	o.phaseGen = m.Histogram(obs.MPhaseSeconds, "Per-phase wall seconds.", obs.PhaseSecondsBuckets,
-		obs.Label{Name: "phase", Value: "generate"})
-	o.phaseMrg = m.Histogram(obs.MPhaseSeconds, "Per-phase wall seconds.", obs.PhaseSecondsBuckets,
-		obs.Label{Name: "phase", Value: "merge"})
-	o.io = ioMetrics{
-		blocksW: m.Counter(obs.MSpillBlocksWritten, "Spill blocks written."),
-		blocksR: m.Counter(obs.MSpillBlocksRead, "Spill blocks read."),
-		rawW:    m.Counter(obs.MSpillRawBytes, "Bytes written to spill storage."),
-		rawR:    m.Counter(obs.MReadRawBytes, "Bytes read back from spill storage."),
-		verify:  m.Counter(obs.MSpillVerifyFailures, "Checksum verification failures on spill reads."),
+	return &sortObs{
+		tr:       cfg.Trace,
+		rep:      cfg.Progress.Start(cfg.Prefix),
+		ckptTime: cfg.Metrics.Histogram(obs.MCheckpointSeconds, "Per-boundary checkpoint wall seconds.", obs.PhaseSecondsBuckets),
 	}
-	return o
+}
+
+// Publish adds to m what a sort's ledger gained from was to now, so the
+// registry keeps no count of its own: every series but the checkpoint
+// histogram and the selection swap counter is read off Stats, the runs and
+// the merge statistics behind it. A sort publishes where it settles its
+// ledger: at the end of generation, or of a committed adoption, with the
+// runs it holds; when its merge stream closes, with the stream's statistics
+// (ms), whose records delivered are the records out; and a sharded sort
+// adds its shards at its end. Series so advance at phase ends, and a
+// finished sort's exposition equals its ledger. was.Records counts the
+// records of now.Records no input of this pass served: a resume's replayed
+// prefix, or every run a committed adoption recovered. A nil m publishes
+// nothing.
+func Publish(m *obs.Registry, was, now Stats, runs []runio.Run, ms *merge.Stats) {
+	if m == nil {
+		return
+	}
+	add := func(name, help string, n int64) { m.Counter(name, help).Add(n) }
+	add(obs.MRecordsIn, "Records read from the sort input.", now.Records-was.Records)
+	add(obs.MRuns, "Sorted runs emitted by generation.", int64(len(runs)))
+	lengths := m.Histogram(obs.MRunLength, "Run length distribution in records.", obs.RunLengthBuckets)
+	for _, r := range runs {
+		lengths.Observe(float64(r.Records))
+	}
+	add(obs.MRunsRecovered, "Runs recovered from a durable manifest by a resumed sort.", int64(now.RunsRecovered-was.RunsRecovered))
+	for _, ph := range now.Phases[len(was.Phases):] {
+		m.Histogram(obs.MPhaseSeconds, "Per-phase wall seconds.", obs.PhaseSecondsBuckets,
+			obs.Label{Name: "phase", Value: ph.Name}).Observe(ph.Wall.Seconds())
+	}
+	add(obs.MSpillBlocksWritten, "Spill blocks written.", now.IO.BlocksWritten-was.IO.BlocksWritten)
+	add(obs.MSpillBlocksRead, "Spill blocks read.", now.IO.BlocksRead-was.IO.BlocksRead)
+	add(obs.MSpillRawBytes, "Bytes written to spill storage.", now.IO.RawBytesWritten-was.IO.RawBytesWritten)
+	add(obs.MReadRawBytes, "Bytes read back from spill storage.", now.IO.RawBytesRead-was.IO.RawBytesRead)
+	add(obs.MSpillVerifyFailures, "Checksum verification failures on spill reads.", now.IO.VerifyFailures-was.IO.VerifyFailures)
+	if ms != nil {
+		add(obs.MMergeOps, "Individual k-way merge operations (intermediate and final).", int64(ms.Merges))
+		fanIn := m.Histogram(obs.MMergeFanIn, "Merge operation fan-in distribution.", obs.FanInBuckets)
+		for _, w := range ms.Widths {
+			fanIn.Observe(float64(w))
+		}
+		add(obs.MMergeRecordsMoved, "Records moved through intermediate merge runs.", ms.RecordsMoved)
+		add(obs.MRecordsOut, "Records delivered by the final merge.", ms.Delivered)
+	}
+	if now.Shards > was.Shards {
+		add(obs.MShards, "Range shards executed by distribution sorts.", int64(now.Shards-was.Shards))
+		shards := m.Histogram(obs.MShardRecords, "Records routed to each range shard.", obs.RunLengthBuckets)
+		for _, n := range now.ShardRecords[len(was.ShardRecords):] {
+			shards.Observe(float64(n))
+		}
+	}
 }
 
 // tracer returns the bundle's tracer (nil when disabled).
@@ -85,9 +102,9 @@ func (o *sortObs) tracer() *obs.Tracer {
 // traceFiles returns fs with one span per file on the "spill" track:
 // "spill_write" from Create, "spill_read" from Open, each ended by the
 // file's Close with its name and the bytes moved through it. Those are the
-// bytes the backend stores and reads back, so a sort's spans sum to its
-// Stats.IO stored bytes. A nil tracer returns
-// fs unchanged.
+// bytes the backend writes and reads back, so a sort's spans sum to its
+// Stats.IO.RawBytesWritten and RawBytesRead. A nil tracer returns fs
+// unchanged.
 func traceFiles(fs vfs.FS, tr *obs.Tracer) vfs.FS {
 	if tr == nil {
 		return fs
@@ -145,34 +162,6 @@ func (o *sortObs) reporter() *obs.Reporter {
 	return o.rep
 }
 
-// finishGenerate records the generation phase time and an I/O sync after
-// the run-generation loop completes.
-func (o *sortObs) finishGenerate(st Stats, wall time.Duration) {
-	if o == nil {
-		return
-	}
-	o.phaseGen.Observe(wall.Seconds())
-	o.syncIO(st.IO)
-}
-
-// observeRun records one emitted run.
-func (o *sortObs) observeRun(records int64) {
-	if o == nil {
-		return
-	}
-	o.runs.Add(1)
-	o.runLen.Observe(float64(records))
-}
-
-// observeRecovered records runs a resumed sort recovered from a manifest
-// instead of regenerating.
-func (o *sortObs) observeRecovered(n int) {
-	if o == nil || n == 0 {
-		return
-	}
-	o.recovered.Add(int64(n))
-}
-
 // observeCheckpoint records the wall time one durable run boundary took.
 func (o *sortObs) observeCheckpoint(d time.Duration) {
 	if o == nil {
@@ -181,66 +170,28 @@ func (o *sortObs) observeCheckpoint(d time.Duration) {
 	o.ckptTime.Observe(d.Seconds())
 }
 
-// observeMergePhase records the merge phase's wall time.
-func (o *sortObs) observeMergePhase(d time.Duration) {
-	if o == nil {
-		return
-	}
-	o.phaseMrg.Observe(d.Seconds())
-}
-
-// syncIO folds a fresh backend snapshot into the registry: counters
-// advance by the delta since the last sync. Synced at generation end and
-// once more when the merge stream closes, which keeps the final exposition
-// exactly equal to Stats.IO.
-func (o *sortObs) syncIO(st storage.IOStats) {
-	if o == nil {
-		return
-	}
-	o.ioMu.Lock()
-	last := o.ioLast
-	o.ioLast = st
-	o.ioMu.Unlock()
-	o.io.blocksW.Add(st.BlocksWritten - last.BlocksWritten)
-	o.io.blocksR.Add(st.BlocksRead - last.BlocksRead)
-	o.io.rawW.Add(st.RawBytesWritten - last.RawBytesWritten)
-	o.io.rawR.Add(st.RawBytesRead - last.RawBytesRead)
-	o.io.verify.Add(st.VerifyFailures - last.VerifyFailures)
-}
-
 // meterReader counts the records flowing out of a source — the input
-// position a durable boundary records — into the progress reporter, and
-// those past the first skip into the input counter, a batch at a time. It
-// forwards the source's Remaining hint.
+// position a durable boundary records — and into the progress reporter, a
+// batch at a time. It forwards the source's Remaining hint.
 type meterReader[T any] struct {
-	br   stream.BatchReader[T]
-	c    *obs.Counter
-	rep  *obs.Reporter
-	n    int64 // records read so far
-	skip int64 // the prefix a resumed pass replays: input of an earlier pass
+	br  stream.BatchReader[T]
+	rep *obs.Reporter
+	n   int64 // records read so far
 }
 
 func (m *meterReader[T]) ReadBatch(dst []T) (int, error) {
 	k, err := m.br.ReadBatch(dst)
 	m.n += int64(k)
 	m.rep.Add(int64(k))
-	if fresh := min(int64(k), m.n-m.skip); fresh > 0 {
-		m.c.Add(fresh)
-	}
 	return k, err
 }
 
 // Remaining forwards Sized; -1 when the source does not know.
 func (m *meterReader[T]) Remaining() int { return stream.RemainingOf(m.br) }
 
-// meterSource wraps src with a meterReader that skips the first skip
-// records, and moves the progress reporter into the "generate" phase, sized
-// from the source when known.
-func meterSource[T any](o *sortObs, src stream.BatchReader[T], skip int64) *meterReader[T] {
-	m := &meterReader[T]{br: src, skip: skip}
-	if o != nil {
-		o.rep.SetPhase("generate", int64(stream.RemainingOf(src)))
-		m.c, m.rep = o.recordsIn, o.rep
-	}
-	return m
+// meterSource wraps src with a meterReader and moves the progress reporter
+// into the "generate" phase, sized from the source when known.
+func meterSource[T any](o *sortObs, src stream.BatchReader[T]) *meterReader[T] {
+	o.reporter().SetPhase("generate", int64(stream.RemainingOf(src)))
+	return &meterReader[T]{br: src, rep: o.reporter()}
 }

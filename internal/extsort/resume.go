@@ -235,8 +235,7 @@ func (r *RunSet[T]) adoptCommitted(st *manifest.State, entry time.Time) {
 		r.em.KeyCodec = r.ops.KeyCodec
 	}
 	sp.End()
-	r.o.observeRecovered(len(r.runs))
-	r.finishGenerate("resume", time.Since(entry), entry)
+	r.finishGenerate("resume", time.Since(entry), entry, 0)
 }
 
 // Resume reconstructs a durable sort from the manifest a previous

@@ -41,9 +41,6 @@ type Config struct {
 	// "merge_final" child that ends when the Stream closes. Workers > 1 is
 	// safe — spans may end from any goroutine.
 	Span *obs.Span
-	// Metrics, when non-nil, receives the merge-operation counters and the
-	// fan-in histogram (see obs/names.go).
-	Metrics *obs.Registry
 	// Progress, when non-nil, is advanced by every output batch of the
 	// final merge.
 	Progress *obs.Reporter
@@ -56,20 +53,6 @@ type Config struct {
 	// sized per piece, the simulated sorts' overlap runs would read in
 	// other request sizes and EXPERIMENTS.md would move (DESIGN.md §4).
 	perPiece bool
-
-	// Collectors resolved once by NewStream so merge operations (possibly
-	// on worker goroutines) never touch the registry.
-	mOps   *obs.Counter
-	mFanIn *obs.Histogram
-	mMoved *obs.Counter
-}
-
-// resolveMetrics caches the registry lookups on the Config; a nil registry
-// leaves every collector nil (disabled).
-func (c *Config) resolveMetrics() {
-	c.mOps = c.Metrics.Counter(obs.MMergeOps, "Individual k-way merge operations (intermediate and final).")
-	c.mFanIn = c.Metrics.Histogram(obs.MMergeFanIn, "Merge operation fan-in distribution.", obs.FanInBuckets)
-	c.mMoved = c.Metrics.Counter(obs.MMergeRecordsMoved, "Records moved through intermediate merge runs.")
 }
 
 // DefaultFanIn is the merge fan-in the thesis finds optimal (Fig 6.1), and
@@ -165,6 +148,12 @@ type Stats struct {
 	RecordsMoved int64
 	// Inputs is the initial number of merge inputs.
 	Inputs int
+	// Widths is the width of every operation in plan order, the final
+	// merge's last.
+	Widths []int
+	// Delivered counts the records the final merge has delivered so far:
+	// all of them once a Stream is drained, fewer when it was abandoned.
+	Delivered int64
 }
 
 // openMerged opens the runs as one sorted source, each within its blocks
@@ -253,6 +242,7 @@ func planMerge(sizes []int64, fanIn int) plan {
 		}
 		p.ops = append(p.ops, op{inputs: inputs, records: out.records, depth: out.depth})
 		p.stats.RecordsMoved += out.records
+		p.stats.Widths = append(p.stats.Widths, width)
 		// The queue is sorted; the output goes after the runs of its own size,
 		// where re-sorting the queue stably would leave it.
 		queue = queue[width:]
@@ -267,6 +257,7 @@ func planMerge(sizes []int64, fanIn int) plan {
 	if len(p.finals) > 1 {
 		p.stats.Merges++
 		p.stats.Passes++
+		p.stats.Widths = append(p.stats.Widths, len(p.finals))
 	}
 	return p
 }
@@ -392,10 +383,10 @@ func execute[T any](em *runio.Emitter[T], p plan, runs []runio.Run, arenas []lea
 
 // mergeOp performs one operation: it merges the group into a fresh run under
 // the given pre-allocated name and deletes the consumed inputs, recording one
-// "merge_op" span and the per-operation metrics. a is the calling worker's
-// arena; the output is closed, and so whole, when mergeOp returns, error or
-// not. An output that does not hold exactly the records of its inputs
-// (o.records) is an error matching storage.ErrCorrupt.
+// "merge_op" span. a is the calling worker's arena; the output is closed, and
+// so whole, when mergeOp returns, error or not. An output that does not hold
+// exactly the records of its inputs (o.records) is an error matching
+// storage.ErrCorrupt.
 func mergeOp[T any](em *runio.Emitter[T], a *leafArena[T], group []runio.Run, name string, o op, bufBytes int, cfg Config) (out runio.Run, err error) {
 	if cfg.Cancel != nil {
 		if err := cfg.Cancel(); err != nil {
@@ -409,9 +400,6 @@ func mergeOp[T any](em *runio.Emitter[T], a *leafArena[T], group []runio.Run, na
 			return
 		}
 		sp.End(obs.Int("records", out.Records))
-		cfg.mOps.Add(1)
-		cfg.mFanIn.Observe(float64(len(group)))
-		cfg.mMoved.Add(out.Records)
 	}()
 	eng, err := openMerged(em, a, group, bufBytes, cfg)
 	if err != nil {

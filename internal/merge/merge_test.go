@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -416,7 +417,7 @@ func TestMergeParallelWorkers(t *testing.T) {
 		raw := em.Store.Stats().RawBytesWritten - written
 		if workers == 1 {
 			one, oneRaw = stats, raw
-		} else if stats != one || raw != oneRaw {
+		} else if !reflect.DeepEqual(stats, one) || raw != oneRaw {
 			t.Fatalf("workers %d: %+v and %d raw bytes written, one worker %+v and %d", workers, stats, raw, one, oneRaw)
 		}
 		names, _ := fs.Names()

@@ -30,22 +30,19 @@ type Stream[T any] struct {
 	store  storage.Backend
 	eng    Source[T]
 	finals []runio.Run
-	stats  Stats
+	stats  Stats // the plan's; Delivered counts what ReadBatch delivered
 	cancel func() error
-	// want is the record count of the final runs, out what was delivered.
-	want, out int64
-	closed    bool
+	want   int64 // the record count of the final runs
+	closed bool
 	// less holds each element against last, the one delivered before; err
 	// is the check's failure, returned ever after.
 	less func(a, b T) bool
 	last T
 	err  error
 
-	// Observability: the final-merge span (ended at Close), the output
-	// record counter, the progress reporter and the driver's close hook.
-	// All nil when disabled.
+	// Observability: the final-merge span (ended at Close), the progress
+	// reporter and the sort's close hook. All nil when disabled.
 	fspan   *obs.Span
-	outc    *obs.Counter
 	rep     *obs.Reporter
 	onClose func()
 }
@@ -66,7 +63,6 @@ func NewStream[T any](em *runio.Emitter[T], inputs []runio.Run, cfg Config) (*St
 	}
 	cfg.perPiece = cfg.FanIn == 0
 	cfg.FanIn = cfg.fanIn(inputs)
-	cfg.resolveMetrics()
 	sizes := make([]int64, len(inputs))
 	for i, r := range inputs {
 		sizes[i] = r.Records
@@ -74,7 +70,6 @@ func NewStream[T any](em *runio.Emitter[T], inputs []runio.Run, cfg Config) (*St
 	p := planMerge(sizes, cfg.FanIn)
 	st := &Stream[T]{
 		store: em.Store, cancel: cfg.Cancel, stats: p.stats, rep: cfg.Progress, onClose: cfg.OnClose,
-		outc: cfg.Metrics.Counter(obs.MRecordsOut, "Records delivered by the final merge."),
 		less: em.Less,
 	}
 	if len(inputs) == 0 {
@@ -98,17 +93,13 @@ func NewStream[T any](em *runio.Emitter[T], inputs []runio.Run, cfg Config) (*St
 	if err != nil {
 		return nil, err
 	}
-	if len(st.finals) > 1 {
-		cfg.mOps.Add(1)
-		cfg.mFanIn.Observe(float64(len(st.finals)))
-	}
 	st.fspan = cfg.Span.Start("merge_final", obs.Int("width", int64(len(st.finals))))
 	return st, nil
 }
 
-// Stats reports the merge statistics, read off the plan: the intermediate
+// Stats reports the merge statistics, read off the plan — the intermediate
 // operations are complete by the time NewStream returns, and the final merge
-// they count streams lazily.
+// they count streams lazily — and the records delivered so far.
 func (s *Stream[T]) Stats() Stats { return s.stats }
 
 // ReadBatch fills dst per the stream.BatchReader contract, polling the
@@ -133,12 +124,11 @@ func (s *Stream[T]) ReadBatch(dst []T) (int, error) {
 		if s.err = s.checkOrder(dst[:n]); s.err != nil {
 			return 0, s.err
 		}
-		s.out += int64(n)
-		s.outc.Add(int64(n))
+		s.stats.Delivered += int64(n)
 		s.rep.Add(int64(n))
 	}
-	if err == io.EOF && s.out != s.want {
-		err = miscount(fmt.Sprintf("the final merge of %d runs", len(s.finals)), s.out, s.want)
+	if err == io.EOF && s.stats.Delivered != s.want {
+		err = miscount(fmt.Sprintf("the final merge of %d runs", len(s.finals)), s.stats.Delivered, s.want)
 	}
 	return n, err
 }
@@ -148,7 +138,7 @@ func (s *Stream[T]) ReadBatch(dst []T) (int, error) {
 // delivered.
 func (s *Stream[T]) checkOrder(batch []T) error {
 	prev := s.last
-	if s.out == 0 {
+	if s.stats.Delivered == 0 {
 		prev = batch[0]
 	}
 	for _, v := range batch {

@@ -31,7 +31,8 @@ const (
 	// partitioning.
 	MHeapSwaps = "extsort_heap_swaps_total"
 	// MPhaseSeconds is the per-phase wall time distribution, labelled
-	// phase="generate"|"merge".
+	// with the phase's name in Stats.Phases: "generate" (or "resume", a
+	// committed adoption's) and "merge".
 	MPhaseSeconds = "extsort_phase_seconds"
 
 	// MSpillRawBytes counts bytes written to spill storage.

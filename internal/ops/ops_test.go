@@ -236,7 +236,7 @@ func TestMergeJoinDisjointAndEmpty(t *testing.T) {
 func TestMergeJoinCancellation(t *testing.T) {
 	sentinel := errors.New("stop")
 	n := 0
-	endless := stream.Func[int64](func() (int64, error) { n++; return int64(n) * 1000, nil })
+	endless := readFunc[int64](func() (int64, error) { n++; return int64(n) * 1000, nil })
 	var out stream.SliceWriter[int64]
 	_, err := MergeJoin[int64, int64, int64](
 		stream.AsBatchReader[int64](endless), stream.AsBatchReader[int64](endless), cmpIntPair, func(l, r int64) int64 { return 0 }, &out,
@@ -248,3 +248,8 @@ func TestMergeJoinCancellation(t *testing.T) {
 		t.Fatalf("consumed %d elements after cancellation", n)
 	}
 }
+
+// readFunc adapts a closure to the element-at-a-time stream.Reader.
+type readFunc[T any] func() (T, error)
+
+func (f readFunc[T]) Read() (T, error) { return f() }

@@ -22,9 +22,9 @@ type Generator interface {
 	NextRun() (run runio.Run, ok bool, err error)
 }
 
-// Driven is a Generator as NewGenerator builds it, which can also say what
-// Drive records about every run. The steppers cannot — they sit below this
-// package and know no Kind — so NewGenerator names them.
+// Driven is a Generator as Build builds it, which can also say what Drive
+// records about every run. The steppers cannot — they sit below this
+// package and know no Kind — so Build names them.
 type Driven interface {
 	Generator
 	// Kind names the fixed policy whose stepper writes the runs: under
@@ -94,21 +94,6 @@ func Decide[T any](kind Kind, src stream.BatchReader[T], memory int, less func(a
 	return c, stream.Prepend(prefix, src), nil
 }
 
-// NewGenerator is the one constructor of run generators: Decide, then Build
-// over what Decide hands back. key optionally projects elements onto the
-// real line for the 2WRS numeric heuristics; nil selects the comparator-only
-// fallbacks. Step the result with Drive.
-func NewGenerator[T any](kind Kind, src stream.BatchReader[T], em *runio.Emitter[T], cfg Config, key func(T) float64) (Driven, error) {
-	if cfg.Memory <= 0 {
-		return nil, fmt.Errorf("policy: memory must be positive, got %d", cfg.Memory)
-	}
-	c, src, err := Decide(kind, src, cfg.Memory, em.Less)
-	if err != nil {
-		return nil, err
-	}
-	return Build(c, src, em, cfg, key)
-}
-
 // Build returns the stepper of a decided policy, fresh over src: what every
 // generator of a sort runs once Decide has spoken for all of them.
 func Build[T any](c Choice, src stream.BatchReader[T], em *runio.Emitter[T], cfg Config, key func(T) float64) (Driven, error) {
@@ -134,10 +119,19 @@ func Build[T any](c Choice, src stream.BatchReader[T], em *runio.Emitter[T], cfg
 }
 
 // Generate runs the given policy over src from start to end, writing runs
-// through em: NewGenerator, then Drive. The runs are whole on the store when
-// it returns.
+// through em: Decide, Build over what Decide hands back, then Drive. key
+// optionally projects elements onto the real line for the 2WRS numeric
+// heuristics; nil selects the comparator-only fallbacks. The runs are whole
+// on the store when it returns.
 func Generate[T any](kind Kind, src stream.BatchReader[T], em *runio.Emitter[T], cfg Config, key func(T) float64) (Result, error) {
-	gen, err := NewGenerator(kind, src, em, cfg, key)
+	if cfg.Memory <= 0 {
+		return Result{}, fmt.Errorf("policy: memory must be positive, got %d", cfg.Memory)
+	}
+	c, src, err := Decide(kind, src, cfg.Memory, em.Less)
+	if err != nil {
+		return Result{}, err
+	}
+	gen, err := Build(c, src, em, cfg, key)
 	if err != nil {
 		return Result{}, err
 	}

@@ -190,13 +190,17 @@ func TestAutoDecidesOnce(t *testing.T) {
 			var err error
 			switch {
 			case auto:
-				g, err = NewGenerator(Auto, src, em, Config{Memory: m}, record.Key)
+				var c Choice
+				var in stream.BatchReader[record.Record]
+				if c, in, err = Decide(Auto, src, m, em.Less); err == nil {
+					g, err = Build(c, in, em, Config{Memory: m}, record.Key)
+				}
 			case kind == Alternating:
 				var st *rs.Stepper[record.Record]
 				st, err = rs.NewStepper(src, em, m, true, down)
 				g = fixed{st, kind}
 			default:
-				g, err = NewGenerator(kind, src, em, Config{Memory: m}, record.Key)
+				g, err = Build(Choice{Kind: kind}, src, em, Config{Memory: m}, record.Key)
 			}
 			if err != nil {
 				t.Fatal(err)

@@ -233,7 +233,7 @@ func TestStreamValidatesK(t *testing.T) {
 func TestStreamCancellation(t *testing.T) {
 	sentinel := errors.New("stop")
 	n := 0
-	endless := stream.Func[int](func() (int, error) { n++; return n, nil })
+	endless := readFunc[int](func() (int, error) { n++; return n, nil })
 	fired := 0
 	cancel := func() error {
 		// Let the first poll pass so selection genuinely starts, then fire.
@@ -284,3 +284,8 @@ func TestPartitionRandomisedProperty(t *testing.T) {
 		}
 	}
 }
+
+// readFunc adapts a closure to the element-at-a-time stream.Reader.
+type readFunc[T any] func() (T, error)
+
+func (f readFunc[T]) Read() (T, error) { return f() }

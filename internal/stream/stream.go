@@ -172,16 +172,3 @@ func copyN[T any](w Writer[T], br BatchReader[T], n int64, buf []T, cancel func(
 	}
 	return done, nil
 }
-
-// Func adapts a function to the Reader interface: a caller's source in one
-// closure.
-type Func[T any] func() (T, error)
-
-// Read calls the function.
-func (f Func[T]) Read() (T, error) { return f() }
-
-// WriterFunc adapts a function to the Writer interface.
-type WriterFunc[T any] func(T) error
-
-// Write calls the function.
-func (f WriterFunc[T]) Write(v T) error { return f(v) }

@@ -374,28 +374,16 @@ func TestCopyPropagatesErrors(t *testing.T) {
 	}
 }
 
-func TestFuncAdapters(t *testing.T) {
-	i := 0
-	r := Func[int](func() (int, error) {
-		if i == 2 {
-			return 0, io.EOF
-		}
-		i++
-		return i, nil
-	})
-	out, err := ReadAll[int](r)
-	if err != nil || len(out) != 2 {
-		t.Fatalf("ReadAll = %v, %v", out, err)
-	}
-	var got []int
-	w := WriterFunc[int](func(v int) error { got = append(got, v); return nil })
-	if err := WriteAll[int](w, []int{4, 5}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[1] != 5 {
-		t.Fatalf("got %v", got)
-	}
-}
+// readFunc and writeFunc adapt closures to the element-at-a-time Reader
+// and Writer: a caller's source and sink, neither of which speaks the batch
+// protocol.
+type readFunc[T any] func() (T, error)
+
+func (f readFunc[T]) Read() (T, error) { return f() }
+
+type writeFunc[T any] func(T) error
+
+func (f writeFunc[T]) Write(v T) error { return f(v) }
 
 // TestCopyCancelElementPathCadence is the regression test for the
 // cancellation audit: CopyCancel over two adapted element-at-a-time endpoints
@@ -407,9 +395,9 @@ func TestFuncAdapters(t *testing.T) {
 func TestCopyCancelElementPathCadence(t *testing.T) {
 	sentinel := errors.New("cancelled")
 	reads := 0
-	endless := Func[int](func() (int, error) { reads++; return reads, nil })
+	endless := readFunc[int](func() (int, error) { reads++; return reads, nil })
 	writes := 0
-	w := WriterFunc[int](func(int) error { writes++; return nil })
+	w := writeFunc[int](func(int) error { writes++; return nil })
 	// Let exactly one batch through, then fire: the copy must stop at the
 	// next batch boundary.
 	polls := 0
@@ -437,7 +425,7 @@ func TestCopyCancelElementPathCadence(t *testing.T) {
 func TestReadAllCancelElementPathCadence(t *testing.T) {
 	sentinel := errors.New("cancelled")
 	reads := 0
-	endless := Func[int](func() (int, error) { reads++; return reads, nil })
+	endless := readFunc[int](func() (int, error) { reads++; return reads, nil })
 	polls := 0
 	out, err := ReadAllCancel(AsBatchReader[int](endless), func() error {
 		polls++

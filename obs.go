@@ -35,10 +35,10 @@ type Span = obs.Span
 // Tracer.Spans.
 type SpanData = obs.SpanData
 
-// Metrics is a registry of live counters and histograms that the sorts it
-// is attached to keep current: records in/out, runs emitted and their
-// length distribution, merge operations and fan-in, spill I/O in raw and
-// stored bytes, per-phase wall seconds. Expose it with
+// Metrics is a registry of counters and histograms that the sorts it is
+// attached to fill from their statistics as each phase ends: records
+// in/out, runs emitted and their length distribution, merge operations and
+// fan-in, spill I/O, per-phase wall seconds. Expose it with
 // WritePrometheus or serve it over HTTP with Handler. A Metrics registry
 // is safe for concurrent use and may aggregate several sorts; a nil
 // registry is a valid no-op.
@@ -67,8 +67,10 @@ func WithTracer(t *Tracer) Option {
 }
 
 // WithMetrics attaches a metrics registry to the sorter: every subsequent
-// Sort, operator or selection call keeps the registry's counters and
-// histograms current. Nil detaches metrics (the default).
+// Sort, operator or selection call adds its counters and histograms to it,
+// read off the call's statistics as each phase ends — at the end of run
+// generation and when the merge ends, not per batch (WithProgress is the
+// live view). Nil detaches metrics (the default).
 func WithMetrics(m *Metrics) Option {
 	return func(s *sorterConfig) error { s.cfg.Metrics = m; return nil }
 }

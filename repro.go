@@ -272,10 +272,12 @@ type Config struct {
 	// export with Tracer.WriteChromeTrace or Tracer.WriteSpansJSONL. Nil
 	// (the default) disables tracing at zero cost. See WithTracer.
 	Trace *Tracer
-	// Metrics, when non-nil, keeps the registry's counters and histograms
-	// current across every sort run under this configuration;
-	// expose with Metrics.WritePrometheus or Metrics.Handler. Nil (the
-	// default) disables metrics at zero cost. See WithMetrics.
+	// Metrics, when non-nil, receives the counters and histograms of every
+	// sort run under this configuration, read off its Stats as each phase
+	// ends: they advance at the end of run generation and when the merge
+	// ends, not per batch. Expose with Metrics.WritePrometheus or
+	// Metrics.Handler. Nil (the default) disables metrics at zero cost. See
+	// WithMetrics.
 	Metrics *Metrics
 	// Progress, when non-nil, emits periodic progress lines (phase,
 	// records processed, rate, ETA when the input size is known) to
