@@ -212,8 +212,11 @@ func shardedSort[T any](entry time.Time, sample []T, src stream.BatchReader[T], 
 		{Name: "merge", Wall: drainWall},
 	}
 	st.Elapsed = time.Since(entry)
-	// Each shard has published its own sort; what is left is the partition.
-	extsort.Publish(cfg.Extsort.Metrics, extsort.Stats{}, extsort.Stats{Shards: shards, ShardRecords: counts}, nil, nil)
+	// Each shard has published its own sort, so all the ledger has not
+	// published yet is its shards.
+	published := st
+	published.Shards, published.ShardRecords = 0, nil
+	extsort.Publish(cfg.Extsort.Metrics, 0, published, st, nil, nil)
 	return st, nil
 }
 

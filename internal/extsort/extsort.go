@@ -613,7 +613,7 @@ func (r *RunSet[T]) finishGenerate(phase string, wall time.Duration, entry time.
 	r.stats.IO = r.store.Stats()
 	r.stats.Elapsed = time.Since(entry)
 	r.stats.Phases = []PhaseStat{{Name: phase, Wall: wall}}
-	Publish(r.cfg.Metrics, Stats{Records: r.stats.Records - in}, r.stats, r.runs, nil)
+	Publish(r.cfg.Metrics, in, Stats{}, r.stats, r.runs, nil)
 }
 
 // Runs returns the run manifests of the set; callers must not mutate them.
@@ -676,7 +676,7 @@ func (r *RunSet[T]) OpenMerged() (*merge.Stream[T], error) {
 			if r.cfg.Metrics != nil {
 				now, ms := r.Stats(), st.Stats()
 				now.Phases = append(slices.Clip(now.Phases), PhaseStat{Name: "merge", Wall: r.mergeWall})
-				Publish(r.cfg.Metrics, r.stats, now, nil, &ms)
+				Publish(r.cfg.Metrics, 0, r.stats, now, nil, &ms)
 			}
 			r.o.reporter().Stop()
 		},

@@ -40,24 +40,24 @@ func newSortObs(cfg Config) *sortObs {
 	}
 }
 
-// Publish adds to m what a sort's ledger gained from was to now, so the
-// registry keeps no count of its own: every series but the checkpoint
-// histogram and the selection swap counter is read off Stats, the runs and
-// the merge statistics behind it. A sort publishes where it settles its
-// ledger: at the end of generation, or of a committed adoption, with the
-// runs it holds; when its merge stream closes, with the stream's statistics
-// (ms), whose records delivered are the records out; and a sharded sort
-// adds its shards at its end. Series so advance at phase ends, and a
-// finished sort's exposition equals its ledger. was.Records counts the
-// records of now.Records no input of this pass served: a resume's replayed
-// prefix, or every run a committed adoption recovered. A nil m publishes
+// Publish adds to m what a sort's ledger gained since was, the ledger as
+// last published, so the registry keeps no count of its own: every series
+// but the checkpoint histogram and the selection swap counter is read off
+// Stats, the runs and the merge statistics behind it. A sort publishes
+// where it settles its ledger: at the end of generation, or of a committed
+// adoption, with the records it read in from its input (in: a resume's
+// replayed prefix and adopted runs were read by an earlier invocation) and
+// the runs it holds; when its merge stream closes, with the stream's
+// statistics (ms), whose records delivered are the records out; and a
+// sharded sort adds its shards at its end. Series so advance at phase ends,
+// and a finished sort's exposition equals its ledger. A nil m publishes
 // nothing.
-func Publish(m *obs.Registry, was, now Stats, runs []runio.Run, ms *merge.Stats) {
+func Publish(m *obs.Registry, in int64, was, now Stats, runs []runio.Run, ms *merge.Stats) {
 	if m == nil {
 		return
 	}
 	add := func(name, help string, n int64) { m.Counter(name, help).Add(n) }
-	add(obs.MRecordsIn, "Records read from the sort input.", now.Records-was.Records)
+	add(obs.MRecordsIn, "Records read from the sort input.", in)
 	add(obs.MRuns, "Sorted runs emitted by generation.", int64(len(runs)))
 	lengths := m.Histogram(obs.MRunLength, "Run length distribution in records.", obs.RunLengthBuckets)
 	for _, r := range runs {
@@ -76,8 +76,8 @@ func Publish(m *obs.Registry, was, now Stats, runs []runio.Run, ms *merge.Stats)
 	if ms != nil {
 		add(obs.MMergeOps, "Individual k-way merge operations (intermediate and final).", int64(ms.Merges))
 		fanIn := m.Histogram(obs.MMergeFanIn, "Merge operation fan-in distribution.", obs.FanInBuckets)
-		for _, w := range ms.Widths {
-			fanIn.Observe(float64(w))
+		for i := range ms.Merges {
+			fanIn.Observe(float64(ms.Width(i)))
 		}
 		add(obs.MMergeRecordsMoved, "Records moved through intermediate merge runs.", ms.RecordsMoved)
 		add(obs.MRecordsOut, "Records delivered by the final merge.", ms.Delivered)

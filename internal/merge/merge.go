@@ -148,12 +148,23 @@ type Stats struct {
 	RecordsMoved int64
 	// Inputs is the initial number of merge inputs.
 	Inputs int
-	// Widths is the width of every operation in plan order, the final
-	// merge's last.
-	Widths []int
+	// FanIn is the width the plan was made at: every operation's, except
+	// the first one's (Width).
+	FanIn int
 	// Delivered counts the records the final merge has delivered so far:
 	// all of them once a Stream is drained, fewer when it was abandoned.
 	Delivered int64
+}
+
+// Width returns the width of operation i of the Merges in plan order, the
+// final merge's last: FanIn, except the first, which takes the runs that
+// leave every later one full (planMerge) — all of them when they number no
+// more than FanIn.
+func (s Stats) Width(i int) int {
+	if i == 0 {
+		return (s.Inputs-2)%(s.FanIn-1) + 2
+	}
+	return s.FanIn
 }
 
 // openMerged opens the runs as one sorted source, each within its blocks
@@ -231,8 +242,8 @@ func planMerge(sizes []int64, fanIn int) plan {
 		queue[i] = node{id: i, records: s}
 	}
 	sort.SliceStable(queue, func(i, j int) bool { return queue[i].records < queue[j].records })
-	p := plan{stats: Stats{Inputs: n}}
-	for width := (n-2)%(fanIn-1) + 2; len(queue) > fanIn; width = fanIn {
+	p := plan{stats: Stats{Inputs: n, FanIn: fanIn}}
+	for width := p.stats.Width(0); len(queue) > fanIn; width = fanIn {
 		out := node{id: n + len(p.ops), depth: 1}
 		inputs := make([]int, width)
 		for i, in := range queue[:width] {
@@ -242,7 +253,6 @@ func planMerge(sizes []int64, fanIn int) plan {
 		}
 		p.ops = append(p.ops, op{inputs: inputs, records: out.records, depth: out.depth})
 		p.stats.RecordsMoved += out.records
-		p.stats.Widths = append(p.stats.Widths, width)
 		// The queue is sorted; the output goes after the runs of its own size,
 		// where re-sorting the queue stably would leave it.
 		queue = queue[width:]
@@ -257,7 +267,6 @@ func planMerge(sizes []int64, fanIn int) plan {
 	if len(p.finals) > 1 {
 		p.stats.Merges++
 		p.stats.Passes++
-		p.stats.Widths = append(p.stats.Widths, len(p.finals))
 	}
 	return p
 }

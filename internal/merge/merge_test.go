@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -417,7 +416,7 @@ func TestMergeParallelWorkers(t *testing.T) {
 		raw := em.Store.Stats().RawBytesWritten - written
 		if workers == 1 {
 			one, oneRaw = stats, raw
-		} else if !reflect.DeepEqual(stats, one) || raw != oneRaw {
+		} else if stats != one || raw != oneRaw {
 			t.Fatalf("workers %d: %+v and %d raw bytes written, one worker %+v and %d", workers, stats, raw, one, oneRaw)
 		}
 		names, _ := fs.Names()

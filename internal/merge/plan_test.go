@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"slices"
 	"sort"
@@ -111,15 +110,13 @@ func planCase(t *testing.T, data []byte) {
 	depth := make([]int, n)
 	consumed := make([]int, n+len(p.ops))
 	var moved int64
-	var widths []int
 	for i, o := range p.ops {
-		widths = append(widths, len(o.inputs))
 		want := fanIn
 		if first := (n-1)%(fanIn-1) + 1; i == 0 && first > 1 {
 			want = first
 		}
-		if len(o.inputs) != want {
-			t.Fatalf("fan-in %d, %d runs: operation %d is %d wide, want %d", fanIn, n, i, len(o.inputs), want)
+		if len(o.inputs) != want || p.stats.Width(i) != want {
+			t.Fatalf("fan-in %d, %d runs: operation %d is %d wide, Stats.Width says %d, want %d", fanIn, n, i, len(o.inputs), p.stats.Width(i), want)
 		}
 		var sum int64
 		deepest := 0
@@ -150,12 +147,14 @@ func planCase(t *testing.T, data []byte) {
 	merges := len(p.ops)
 	if len(p.finals) > 1 {
 		merges, passes = merges+1, passes+1
-		widths = append(widths, len(p.finals))
+		if w := p.stats.Width(len(p.ops)); w != len(p.finals) {
+			t.Fatalf("fan-in %d, %d runs: the final merge is %d wide, Stats.Width says %d", fanIn, n, len(p.finals), w)
+		}
 	}
 	if len(p.finals) > fanIn || (n > 0 && len(p.finals) == 0) {
 		t.Fatalf("fan-in %d, %d runs: %d final runs", fanIn, n, len(p.finals))
 	}
-	if want := (Stats{Passes: passes, Merges: merges, RecordsMoved: moved, Inputs: n, Widths: widths}); !reflect.DeepEqual(p.stats, want) {
+	if want := (Stats{Passes: passes, Merges: merges, RecordsMoved: moved, Inputs: n, FanIn: fanIn}); p.stats != want {
 		t.Fatalf("stats %+v, the operations make %+v", p.stats, want)
 	}
 	if pass := passRuleVolume(sizes, fanIn); moved > pass {
@@ -261,7 +260,7 @@ func TestScheduleIndependentOfWorkers(t *testing.T) {
 		if !slices.Equal(got.steps, want.steps) {
 			t.Errorf("workers %d: %d operations that are not one worker's %d", workers, len(got.steps), len(want.steps))
 		}
-		if !reflect.DeepEqual(got.stats, want.stats) || got.raw != want.raw {
+		if got.stats != want.stats || got.raw != want.raw {
 			t.Errorf("workers %d: stats %+v and %d raw bytes written, one worker %+v and %d", workers, got.stats, got.raw, want.stats, want.raw)
 		}
 		if !slices.Equal(got.out, want.out) {
