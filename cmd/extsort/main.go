@@ -1,8 +1,10 @@
 // Command extsort sorts and queries binary record files externally with a
-// bounded memory budget. -policy names the run generator: 2wrs (the
-// default), rs, alternating (or alt), quick (or lss: the paper's
-// Load-Sort-Store) or "auto", which probes a memory-sized prefix of the
-// input and runs the generator the probe names over all of it.
+// bounded memory budget. -policy names the run generator: 2wrs, rs,
+// alternating (or alt), quick (or lss: the paper's Load-Sort-Store) or
+// "auto" (the default), which probes a memory-sized prefix of the input and
+// runs over all of it the generator its cost table prices cheapest for the
+// input's shape and length (the file's size); the "generator:" line names
+// it.
 //
 // Subcommands:
 //
@@ -104,13 +106,12 @@ type sortFlags struct {
 }
 
 func newSortFlags(fs *flag.FlagSet) *sortFlags {
-	// The defaults are the paper's recommended configuration, read from
-	// where the library writes it down.
-	def := repro.DefaultConfig(100_000)
+	// The defaults are the library's, read from where it writes them down.
+	def := repro.DefaultConfig(1 << 20)
 	return &sortFlags{
 		policy: fs.String("policy", def.Policy, "run generation policy: "+strings.Join(repro.Policies(), ", ")+
 			" (alt and lss are accepted for alternating and quick); 'auto' probes the first memory-load of the input "+
-			"and runs the one generator the probe names over all of it"),
+			"and runs, over all of it, the one generator a cost table prices cheapest for its shape and length"),
 		memory:  fs.Int("memory", def.MemoryRecords, "memory budget in records"),
 		fanIn:   fs.Int("fanin", def.FanIn, "merge fan-in; 0 merges in one pass when the memory budget gives every piece of every run a 4 KiB page, else as wide as it feeds at a 16 KiB block per input, and at least 10"),
 		tempDir: fs.String("tmp", "", "directory for temporary runs (default: system temp)"),
@@ -266,7 +267,7 @@ func parse(fs *flag.FlagSet, args []string, required ...*string) {
 // its opened inputs and, when it writes a record file, its output.
 type job struct {
 	s   *repro.Sorter[repro.Record]
-	in  []*record.ByteReader
+	in  []*inFile
 	out *outFile
 }
 
@@ -330,13 +331,36 @@ func (j *job) commit(err error) {
 }
 
 // openIn opens a binary record file as a streaming source.
-func openIn(path string) (*record.ByteReader, func(), error) {
+func openIn(path string) (*inFile, func(), error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	return record.NewByteReader(bufio.NewReaderSize(f, 1<<20)), func() { f.Close() }, nil
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, nil, err
+	}
+	in := &inFile{record.NewByteReader(bufio.NewReaderSize(f, 1<<20)), int(fi.Size() / record.Size)}
+	return in, func() { f.Close() }, nil
 }
+
+// inFile is a record file's reader that reports the records it has left,
+// from the file's size: the input length the auto policy prices a sort by,
+// as it does a library caller's sized source. The library reads it in
+// batches.
+type inFile struct {
+	*record.ByteReader
+	left int
+}
+
+func (i *inFile) ReadBatch(dst []record.Record) (int, error) {
+	n, err := i.ByteReader.ReadBatch(dst)
+	i.left -= n
+	return n, err
+}
+
+func (i *inFile) Remaining() int { return i.left }
 
 // outFile wraps a buffered record file destination.
 type outFile struct {
@@ -364,6 +388,7 @@ func (o *outFile) close() error {
 
 func printSortStats(memory int, stats repro.Stats) {
 	fmt.Printf("policy:           %v\n", stats.Policy)
+	fmt.Printf("generator:        %v\n", stats.Generator)
 	fmt.Printf("records:          %d\n", stats.Records)
 	if stats.Shards > 0 {
 		fmt.Printf("shards:           %d (records per shard: %v)\n", stats.Shards, stats.ShardRecords)

@@ -231,9 +231,12 @@ func TestEntryPointContract(t *testing.T) {
 				if _, _, err := ep.call(ctx, s, newSliceSource(input), contractN/2, cancellingSink{cancel}); err != context.Canceled {
 					t.Errorf("err = %v, want context.Canceled itself", err)
 				}
-				// The merged stream was open: closing it consumed the run
-				// files, and with them a durable sort's manifest.
-				requireEmptyDir(t, dir)
+				// The merged stream was open: closing it after the failed
+				// copy consumed a plain sort's run files; a durable sort
+				// keeps its manifest and runs for Resume.
+				if !ep.durable {
+					requireEmptyDir(t, dir)
+				}
 			})
 		}
 

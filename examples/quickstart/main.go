@@ -20,6 +20,7 @@ func main() {
 	const n, memory = 1_000_000, 10_000
 	recs := repro.Dataset(repro.DatasetMixedBalanced, n, 42)
 	cfg := repro.DefaultConfig(memory)
+	cfg.Policy = "2wrs" // the paper's generator; the default, auto, picks by cost
 	stats := sortRecords(recs, cfg)
 
 	fmt.Printf("sorted %d records with memory for %d (%.1f%% of input)\n",

@@ -369,13 +369,17 @@ func PrefixAllFunc[T any](kc KeyCodec[T]) func(dst []uint64, src []T) {
 // and structurally wrong codecs on real data, while the contract itself
 // remains the caller's obligation.
 func KeyOrderConsistent[T any](kc KeyCodec[T], less func(a, b T) bool, sample []T) bool {
-	keys := make([][]byte, len(sample))
+	// Every key goes into one buffer; ends[i] is where key i stops.
+	buf := make([]byte, 0, 16*len(sample))
+	ends := make([]int, len(sample)+1)
 	for i, v := range sample {
-		keys[i] = kc.AppendKey(nil, v)
+		buf = kc.AppendKey(buf, v)
+		ends[i+1] = len(buf)
 	}
+	key := func(i int) []byte { return buf[ends[i]:ends[i+1]] }
 	for i := range sample {
 		for j := i + 1; j < len(sample); j++ {
-			c := bytes.Compare(keys[i], keys[j])
+			c := bytes.Compare(key(i), key(j))
 			if (c < 0) != less(sample[i], sample[j]) || (c > 0) != less(sample[j], sample[i]) {
 				return false
 			}

@@ -326,3 +326,20 @@ func checkPair[T any](t *testing.T, kc KeyCodec[T], less func(a, b T) bool, a, b
 		}
 	}
 }
+
+// TestKeyOrderConsistentAllocates pins the sampled order check to a few
+// allocations whatever the sample's size: its keys share one buffer.
+func TestKeyOrderConsistentAllocates(t *testing.T) {
+	sample := make([]record.Record, 64)
+	for i := range sample {
+		sample[i] = record.Record{Key: int64(i * 7919 % 64)}
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if !KeyOrderConsistent[record.Record](KeyRecord16{}, record.Less, sample) {
+			t.Fatal("KeyRecord16 disagrees with record.Less")
+		}
+	})
+	if allocs > 3 {
+		t.Fatalf("KeyOrderConsistent made %.0f allocations over 64 keys, want at most 3", allocs)
+	}
+}

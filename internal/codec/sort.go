@@ -1,6 +1,10 @@
 package codec
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+	"sync"
+)
 
 // KeySorter sorts batches of elements stably under the comparator: elements
 // it ties keep their input order, so the result is the one permutation a
@@ -22,8 +26,9 @@ type KeySorter[T any] struct {
 	pfxAll   func(dst []uint64, src []T) // nil: the comparator alone
 	exact    bool                        // equal prefixes are equal elements
 	// The buffers are reused across batches: pairs and scratch by the keyed
-	// sort, elems by the comparator's, keys and count across chunks and
-	// buckets.
+	// sort — borrowed for each batch from from, when set (Scratch.Sorter) —
+	// elems by the comparator's, keys and count across chunks and buckets.
+	from           *Scratch[T]
 	pairs, scratch []keyed[T]
 	elems          []T
 	keys           [pfxChunk]uint64
@@ -42,6 +47,64 @@ func NewKeySorter[T any](kc KeyCodec[T], less func(a, b T) bool) *KeySorter[T] {
 	return s
 }
 
+// Scratch recycles batch-sort memory from one sort to the next: the pair
+// buffers of keyed batch sorts and the batches they sort. A Sorter keeps
+// one, so the quick generator's memory is paid once per Sorter. It is safe
+// for concurrent use; a nil *Scratch recycles nothing.
+type Scratch[T any] struct {
+	mu    sync.Mutex
+	pairs [][]keyed[T]
+	bufs  [][]T
+}
+
+// Sorter returns NewKeySorter(kc, less) borrowing its pair buffers from s
+// for each batch, so that generators side by side hold them only while
+// they sort.
+func (s *Scratch[T]) Sorter(kc KeyCodec[T], less func(a, b T) bool) *KeySorter[T] {
+	ks := NewKeySorter(kc, less)
+	ks.from = s
+	return ks
+}
+
+// Buffer returns an empty buffer of capacity n or more: a recycled one when
+// one is large enough.
+func (s *Scratch[T]) Buffer(n int) []T {
+	if s != nil {
+		if b := take(s, &s.bufs, n); b != nil {
+			return b[:0]
+		}
+	}
+	return make([]T, 0, n)
+}
+
+// Put recycles a buffer; the caller uses it no more.
+func (s *Scratch[T]) Put(buf []T) {
+	if s != nil {
+		give(s, &s.bufs, buf)
+	}
+}
+
+// take removes from free, under s's lock, a buffer of capacity n or more
+// and returns it, or nil when there is none.
+func take[T, E any](s *Scratch[T], free *[][]E, n int) []E {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	i := slices.IndexFunc(*free, func(b []E) bool { return cap(b) >= n })
+	if i < 0 {
+		return nil
+	}
+	b := (*free)[i]
+	*free = slices.Delete(*free, i, i+1)
+	return b
+}
+
+// give returns buffers to free under s's lock.
+func give[T, E any](s *Scratch[T], free *[][]E, bufs ...[]E) {
+	s.mu.Lock()
+	*free = append(*free, bufs...)
+	s.mu.Unlock()
+}
+
 // Sort sorts vs ascending in place, stably.
 func (s *KeySorter[T]) Sort(vs []T) {
 	if s.pfxAll == nil {
@@ -51,8 +114,17 @@ func (s *KeySorter[T]) Sort(vs []T) {
 		mergeSort(vs, s.elems[:len(vs)], s.less)
 		return
 	}
+	if s.from != nil {
+		s.pairs, s.scratch = take(s.from, &s.from.pairs, len(vs)), take(s.from, &s.from.pairs, len(vs))
+		defer func() {
+			give(s.from, &s.from.pairs, s.pairs, s.scratch)
+			s.pairs, s.scratch = nil, nil
+		}()
+	}
 	if cap(s.pairs) < len(vs) {
 		s.pairs = make([]keyed[T], len(vs))
+	}
+	if cap(s.scratch) < len(vs) {
 		s.scratch = make([]keyed[T], len(vs))
 	}
 	pairs, diff := s.pair(vs)

@@ -188,7 +188,7 @@ func shardedSort[T any](entry time.Time, sample []T, src stream.BatchReader[T], 
 			continue
 		}
 		if i == 0 {
-			st.Keyed, st.Policy, st.Storage = s.Keyed, s.Policy, s.Storage
+			st.Keyed, st.Policy, st.Generator, st.Storage = s.Keyed, s.Policy, s.Generator, s.Storage
 			st.Lanes, st.LaneMemory = s.Lanes, s.LaneMemory
 		}
 		st.Records += s.Records
@@ -295,9 +295,7 @@ func (sh *shard[T]) finish(dst stream.Writer[T], feed *stream.Feed[T], cancel fu
 		_, err = stream.CopyCancel[T](dst, cat, cancel)
 	}
 	if sh.st != nil {
-		if cerr := sh.st.Close(); err == nil {
-			err = cerr
-		}
+		err = sh.rset.CloseMerged(sh.st, err)
 	}
 	if err != nil {
 		sh.sp.Drop()

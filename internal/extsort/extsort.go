@@ -47,6 +47,9 @@ type Ops[T any] struct {
 	// a sampled order disagreement between KeyCodec and Less then fails the
 	// sort instead of silently falling back to the comparator (Ops.keyed).
 	KeyedExplicit bool
+	// Scratch, when set, recycles the generators' batch-sort memory across
+	// the sorts these Ops run: a Sorter passes its own (codec.Scratch).
+	Scratch *codec.Scratch[T]
 }
 
 func (o Ops[T]) validate() error {
@@ -227,6 +230,10 @@ type Config struct {
 	// Storage is the spill backend's configuration, of which there is none:
 	// every sort stores the raw layout, checked block by block.
 	Storage storage.Config
+	// Pool, when set, is the block pool the sort's spill path draws from
+	// and returns to: a Sorter passes its own, so its sorts reuse one set of
+	// blocks. Nil gives the sort a pool of its own.
+	Pool *storage.Pool
 	// Trace, when non-nil, records spans for the sort's phases, runs,
 	// merge operations and spill files; export them with the tracer's
 	// WriteChromeTrace/WriteSpansJSONL. Nil disables tracing at zero cost.
@@ -306,6 +313,10 @@ type Stats struct {
 	// Policy names the run-generation policy that ran ("2wrs", "rs",
 	// "alternating", "quick", "auto").
 	Policy string
+	// Generator names the fixed policy whose generator wrote the runs:
+	// Policy itself, or the one auto chose. In a sharded sort, the first
+	// shard's (each shard decides on its own share).
+	Generator string
 	// Lanes is how many run generators ran side by side (Config.Lanes): 1
 	// unless the budget exceeds 2^15 elements. In a sharded sort, a shard's.
 	Lanes int
@@ -475,14 +486,15 @@ func newRunSet[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
 		// internal/exp's TestTimeSweepsShapes fails, so this fork stays.
 		spill, pages = iosim.NewFS(arena, cfg.Disk), 0
 	}
-	store, err := storage.New(traceFiles(spillView(spill), cfg.Trace), cfg.Storage)
-	if err != nil {
-		return nil, err
+	pool := cfg.Pool
+	if pool == nil {
+		pool = &storage.Pool{}
 	}
+	store := storage.NewPooled(traceFiles(spillView(spill), cfg.Trace), pool)
 	o := newSortObs(cfg)
 	em := runio.NewEmitterOn(store, cfg.Prefix, ops.Codec, ops.Less)
-	em.PagesPerFile, em.Block = pages, block
-	storage.PoolOf(store).Reserve(budget)
+	em.PagesPerFile, em.Block, em.Scratch = pages, block, ops.Scratch
+	pool.Reserve(budget)
 	rset := &RunSet[T]{store: store, em: em, cfg: cfg, ops: ops, o: o, fs: fs, spill: arena}
 	if cfg.Manifest {
 		rset.manifestName = manifest.Name(cfg.Prefix)
@@ -665,9 +677,9 @@ func (r *RunSet[T]) OpenMerged() (*merge.Stream[T], error) {
 		Cancel:      r.cfg.Cancel,
 		Span:        sp,
 		Progress:    r.o.reporter(),
-		OnClose: func() {
+		OnClose: func(failed bool) {
 			r.mergeWall = time.Since(start)
-			if r.manifestName != "" {
+			if r.manifestName != "" && !failed {
 				r.fs.Remove(r.manifestName) // best-effort: a stale manifest only fails a later Resume's validation
 				r.spill.Release()
 				r.manifestName = ""
@@ -698,16 +710,32 @@ func (r *RunSet[T]) Merge(dst stream.Writer[T]) (Stats, error) {
 		return r.Stats(), err
 	}
 	_, err = stream.CopyCancel[T](dst, st, r.cfg.Cancel)
-	if cerr := st.Close(); err == nil {
-		err = cerr
-	}
+	err = r.CloseMerged(st, err)
 	r.stats.IO = r.store.Stats()
 	if err != nil {
-		return r.stats, r.Abandon(err)
+		return r.stats, err
 	}
 	r.stats.Elapsed += r.mergeWall
 	r.stats.Phases = append(r.stats.Phases, PhaseStat{Name: "merge", Wall: r.mergeWall})
 	return r.stats, nil
+}
+
+// CloseMerged closes the stream OpenMerged returned once its consumer is
+// done with it, err being how the consumer ended. After a success the stream
+// deletes the runs, and with them a durable manifest. After a failure it
+// keeps them, and the set leaves by Abandon: a durable sort keeps what
+// Resume adopts, a plain one nothing.
+func (r *RunSet[T]) CloseMerged(st *merge.Stream[T], err error) error {
+	if err != nil {
+		st.Fail()
+	}
+	if cerr := st.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return r.Abandon(err)
+	}
+	return nil
 }
 
 // Abandon is the one way out of a failed sort's run set, and decides what

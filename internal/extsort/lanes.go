@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/manifest"
+	"repro/internal/merge"
 	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/runio"
@@ -143,10 +144,23 @@ func (r *RunSet[T]) boundary(l *lane[T], seq *sequencer, handover func()) func(p
 // returned, and their streams are closed, when runLanes does.
 func (r *RunSet[T]) runLanes(lanes []*lane[T], in *meterReader[T], seq *sequencer, gsp, rsp *obs.Span) ([]runio.Run, error) {
 	cfg := r.cfg
-	choice, src, err := policy.Decide(cfg.Policy, in, cfg.Memory, r.ops.Less)
+	choice, src, err := policy.Decide(cfg.Policy, in, r.em, policy.Sizing{Memory: cfg.Memory, Lanes: len(lanes),
+		Merge: merge.Config{FanIn: cfg.FanIn, MemoryBytes: cfg.Memory * r.ops.ElementBytes()}})
 	if err != nil {
 		return nil, err
 	}
+	// A resumed auto sort replays the generator its manifest names: the
+	// decision read the input's length from the source, and the resuming
+	// source need not report it.
+	for _, l := range lanes {
+		if len(l.recovered) > 0 {
+			if choice.Kind, err = policy.Parse(l.recovered[0].Policy); err != nil {
+				return nil, fmt.Errorf("%w: %w", manifest.ErrCorrupt, err)
+			}
+			break
+		}
+	}
+	r.stats.Generator = choice.Kind.String()
 	pcfg := policy.Config{Memory: cfg.Memory / len(lanes), TWRS: cfg.TWRS}
 	replaying := atomic.Int32{}
 	for _, l := range lanes {

@@ -227,6 +227,9 @@ func (r *RunSet[T]) adoptCommitted(st *manifest.State, entry time.Time) {
 	}
 	r.stats.RunsRecovered = len(r.runs)
 	r.stats.Policy = r.cfg.Policy.String()
+	if len(st.Runs) > 0 {
+		r.stats.Generator = st.Runs[0].Policy
+	}
 	// The header names the key codec the runs were generated with
 	// (checkHeader does not compare it): the merge runs keyed only when this
 	// invocation carries a codec of that type, the one that passed the

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"hash/crc64"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"slices"
@@ -720,8 +721,12 @@ func TestResumeSwitchingAutoManifest(t *testing.T) {
 			t.Fatalf("the pass left %v runs: %v", st, err)
 		}
 		runs := slices.Clone(st.Runs)
+		other := policy.Quick
+		if runs[0].Policy == other.String() {
+			other = policy.RS
+		}
 		for i := len(runs) / 2; i < len(runs); i++ {
-			runs[i].Policy = policy.Quick.String()
+			runs[i].Policy = other.String()
 		}
 		w, err := manifest.Rewrite(fs, name, st.Header, runs)
 		if err != nil {
@@ -934,5 +939,71 @@ func assertDiscardClean[T any](t *testing.T, rset *RunSet[T], fs vfs.FS) {
 	}
 	if err := rset.Discard(); err != nil {
 		t.Errorf("second Discard: %v", err)
+	}
+}
+
+// sizedKilledReader is a killedReader that reports its remaining length.
+type sizedKilledReader[T any] struct{ killedReader[T] }
+
+func (k *sizedKilledReader[T]) Remaining() int { return len(k.vals) - k.pos }
+
+// TestResumeAutoFromSizedAndUnsized kills a durable auto sort after it has
+// committed runs and resumes it from a source that reports its length and
+// from one that does not, each way round. auto prices a sized source at its
+// length and an unsized one at 256 memory-loads, and on these 40 loads of
+// mixed input the two prices pick different generators (quick and 2wrs), so
+// the resume must replay the generator the manifest names: it adopts the
+// committed runs and writes the uninterrupted sort's output, and never
+// regenerates other runs than the manifest's (manifest.ErrChecksum).
+func TestResumeAutoFromSizedAndUnsized(t *testing.T) {
+	const m = 1 << 14
+	// Two mixed datasets back to back: 2wrs writes each as one run.
+	recs := gen.Generate(gen.Config{Kind: gen.MixedBalanced, N: 20 * m, Seed: 3, Noise: 1000})
+	recs = append(recs, gen.Generate(gen.Config{Kind: gen.MixedBalanced, N: 20 * m, Seed: 4, Noise: 1000})...)
+	cfg := Config{Policy: policy.Auto, Memory: m, Manifest: true}
+	rcfg := cfg
+	rcfg.Resume = true
+	source := func(sized bool, failAt int64) stream.Reader[record.Record] {
+		k := killedReader[record.Record]{vals: recs, failAt: failAt}
+		if sized {
+			return &sizedKilledReader[record.Record]{k}
+		}
+		return &k
+	}
+	want := slices.Clone(recs)
+	slices.SortStableFunc(want, func(a, b record.Record) int { return cmp.Compare(a.Key, b.Key) })
+	gens := map[bool]string{} // the generator each kill committed runs of
+	for _, killed := range []bool{true, false} {
+		for _, resumed := range []bool{true, false} {
+			t.Run(fmt.Sprintf("killed_sized=%v/resumed_sized=%v", killed, resumed), func(t *testing.T) {
+				fs := vfs.NewMemFS()
+				if _, err := GenerateRuns(source(killed, 30*m), fs, cfg, RecordOps()); !errors.Is(err, errSrcKilled) {
+					t.Fatalf("killed pass: %v, want errSrcKilled", err)
+				}
+				st, err := manifest.Load(fs, manifest.Name("sort"))
+				if err != nil || len(st.Runs) == 0 {
+					t.Fatalf("the killed pass committed %v: %v", st, err)
+				}
+				gens[killed] = st.Runs[0].Policy
+				var out stream.SliceWriter[record.Record]
+				stats, err := Sort(source(resumed, math.MaxInt64), &out, fs, rcfg, RecordOps())
+				if err != nil {
+					var mm *manifest.MismatchError
+					if !errors.As(err, &mm) {
+						t.Fatalf("resume: %v, want success or a manifest.MismatchError", err)
+					}
+					return
+				}
+				if stats.RunsRecovered == 0 || stats.Generator != st.Runs[0].Policy {
+					t.Errorf("resume recovered %d runs under %s, want the manifest's %s", stats.RunsRecovered, stats.Generator, st.Runs[0].Policy)
+				}
+				if !slices.EqualFunc(out.Vals, want, func(a, b record.Record) bool { return a.Key == b.Key }) {
+					t.Fatal("the resumed output is not the sorted input")
+				}
+			})
+		}
+	}
+	if gens[true] == gens[false] {
+		t.Fatalf("sized and unsized sources both ran %s: the input does not tell the two prices apart", gens[true])
 	}
 }

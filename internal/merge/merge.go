@@ -44,9 +44,10 @@ type Config struct {
 	// Progress, when non-nil, is advanced by every output batch of the
 	// final merge.
 	Progress *obs.Reporter
-	// OnClose, when non-nil, runs once, when the merge Stream closes:
-	// extsort ends its merge phase there and removes a durable manifest.
-	OnClose func()
+	// OnClose, when non-nil, runs once, when the merge Stream closes, and
+	// is told whether its consumer failed (Stream.Fail): extsort ends its
+	// merge phase there and, after a success, removes a durable manifest.
+	OnClose func(failed bool)
 
 	// perPiece records that the fan-in was derived: blocks are then sized
 	// per piece, not per run (units). A set fan-in keeps a block per run:
@@ -81,6 +82,30 @@ func (c Config) fanIn(inputs []runio.Run) int {
 		return c.FanIn
 	}
 	return base
+}
+
+// plan resolves the fan-in the merge of inputs runs at and plans it there:
+// what NewStream executes, and what Passes predicts from.
+func (c Config) plan(inputs []runio.Run) (Config, plan) {
+	c.perPiece = c.FanIn == 0
+	c.FanIn = c.fanIn(inputs)
+	sizes := make([]int64, len(inputs))
+	for i, r := range inputs {
+		sizes[i] = r.Records
+	}
+	return c, planMerge(sizes, c.FanIn)
+}
+
+// Passes predicts how many passes NewStream under c takes to merge runs
+// equal runs of one piece each: the plan it would make for them. It is how
+// run generation prices the merge its runs will need (internal/policy).
+func (c Config) Passes(runs int) int {
+	inputs := make([]runio.Run, runs)
+	for i := range inputs {
+		inputs[i] = runio.Run{Records: 1, Concatenable: true}
+	}
+	_, p := c.plan(inputs)
+	return p.stats.Passes
 }
 
 // units is how many blocks run r reads through: one per piece under a

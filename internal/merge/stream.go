@@ -44,7 +44,10 @@ type Stream[T any] struct {
 	// reporter and the sort's close hook. All nil when disabled.
 	fspan   *obs.Span
 	rep     *obs.Reporter
-	onClose func()
+	onClose func(failed bool)
+	// failed records that the consumer failed (Fail): Close then keeps the
+	// final runs.
+	failed bool
 }
 
 // NewStream plans the merge (planMerge) at the fan-in Config.fanIn resolves,
@@ -61,13 +64,7 @@ func NewStream[T any](em *runio.Emitter[T], inputs []runio.Run, cfg Config) (*St
 	if cfg.FanIn < 0 || cfg.FanIn == 1 {
 		return nil, fmt.Errorf("merge: fan-in must be 0 (derived) or at least 2, got %d", cfg.FanIn)
 	}
-	cfg.perPiece = cfg.FanIn == 0
-	cfg.FanIn = cfg.fanIn(inputs)
-	sizes := make([]int64, len(inputs))
-	for i, r := range inputs {
-		sizes[i] = r.Records
-	}
-	p := planMerge(sizes, cfg.FanIn)
+	cfg, p := cfg.plan(inputs)
 	st := &Stream[T]{
 		store: em.Store, cancel: cfg.Cancel, stats: p.stats, rep: cfg.Progress, onClose: cfg.OnClose,
 		less: em.Less,
@@ -151,8 +148,15 @@ func (s *Stream[T]) checkOrder(batch []T) error {
 	return nil
 }
 
+// Fail records that the consumer of the stream failed — its sink refused a
+// batch, its context ended, the stream itself returned an error — so that
+// Close keeps the final run files for the owner of the runs to decide about
+// (a durable sort resumes from them) and tells OnClose so.
+func (s *Stream[T]) Fail() { s.failed = true }
+
 // Close releases the merge engine's sources and deletes the final run
-// files. It must be called exactly once, drained or not.
+// files, unless the consumer failed (Fail). It must be called exactly once,
+// drained or not.
 func (s *Stream[T]) Close() error {
 	if s.closed {
 		return stream.ErrClosed
@@ -165,13 +169,16 @@ func (s *Stream[T]) Close() error {
 		}
 	}
 	for _, r := range s.finals {
+		if s.failed {
+			break
+		}
 		if err := r.Remove(s.store); err != nil && first == nil {
 			first = err
 		}
 	}
 	s.fspan.End()
 	if s.onClose != nil {
-		s.onClose()
+		s.onClose(s.failed)
 	}
 	return first
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/merge"
 	"repro/internal/obs"
 	"repro/internal/rs"
 	"repro/internal/runio"
@@ -77,20 +78,24 @@ type Choice struct {
 
 // Decide resolves kind before any generator is built, once per sort. A fixed
 // policy is its own choice. Auto is not a generator but a choice made once:
-// it reads a memory-sized prefix of src, measures it and names the fixed
-// policy the probe favours (Alternating opening in the probe's direction).
-// The returned reader serves src from its first record, the probed prefix
-// included.
-func Decide[T any](kind Kind, src stream.BatchReader[T], memory int, less func(a, b T) bool) (Choice, stream.BatchReader[T], error) {
+// it reads a memory-sized prefix of src, classifies its order structure and
+// names the fixed policy z prices cheapest for the input (cost.go), with
+// Alternating opening in the probe's direction. The input's length is src's
+// stream.Sized hint. The returned reader serves src from its first record,
+// the probed prefix included.
+func Decide[T any](kind Kind, src stream.BatchReader[T], em *runio.Emitter[T], z Sizing) (Choice, stream.BatchReader[T], error) {
 	if kind != Auto {
 		return Choice{Kind: kind}, src, nil
 	}
-	prefix, _, err := stream.ReadPrefix(src, make([]T, 0, memory), memory, nil)
+	n := int64(stream.RemainingOf(src))
+	prefix, _, err := stream.ReadPrefix(src, em.Scratch.Buffer(z.Memory), z.Memory, nil)
 	if err != nil {
 		return Choice{}, nil, err
 	}
 	var c Choice
-	c.Kind, c.down = choose(Measure(prefix, less))
+	sh, down := classify(Measure(prefix, em.Less))
+	c.Kind = z.cheapest(sh, n, em.Codec.FixedSize() == 0)
+	c.down = down && c.Kind == Alternating
 	return c, stream.Prepend(prefix, src), nil
 }
 
@@ -127,7 +132,11 @@ func Generate[T any](kind Kind, src stream.BatchReader[T], em *runio.Emitter[T],
 	if cfg.Memory <= 0 {
 		return Result{}, fmt.Errorf("policy: memory must be positive, got %d", cfg.Memory)
 	}
-	c, src, err := Decide(kind, src, cfg.Memory, em.Less)
+	eb := em.Codec.FixedSize() // the budget's bytes per element, as extsort.Ops counts them
+	if eb == 0 {
+		eb = 32
+	}
+	c, src, err := Decide(kind, src, em, Sizing{Memory: cfg.Memory, Merge: merge.Config{MemoryBytes: cfg.Memory * eb}})
 	if err != nil {
 		return Result{}, err
 	}

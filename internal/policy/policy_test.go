@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"fmt"
 	"io"
 	"reflect"
 	"testing"
@@ -179,7 +180,12 @@ func TestAutoDecidesOnce(t *testing.T) {
 		inputs = append(inputs, input{dist.String(), gen.Generate(gen.Config{Kind: dist, N: n, Seed: 17, Noise: 1000})})
 	}
 	for _, in := range inputs {
-		kind, down := choose(Measure(in.recs[:m], record.Less))
+		z := Sizing{Memory: m, Merge: merge.Config{MemoryBytes: m * 16}}
+		c, _, err := Decide(Auto, stream.NewSliceReader(in.recs), runio.RecordEmitter(vfs.Discard{}, "pol"), z)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kind, down := c.Kind, c.down
 		if in.name == "ascending_then_descending" && kind != RS {
 			t.Fatalf("%s: the probe chose %v for the ascending prefix, want rs", in.name, kind)
 		}
@@ -192,7 +198,7 @@ func TestAutoDecidesOnce(t *testing.T) {
 			case auto:
 				var c Choice
 				var in stream.BatchReader[record.Record]
-				if c, in, err = Decide(Auto, src, m, em.Less); err == nil {
+				if c, in, err = Decide(Auto, src, em, z); err == nil {
 					g, err = Build(c, in, em, Config{Memory: m}, record.Key)
 				}
 			case kind == Alternating:
@@ -275,26 +281,6 @@ func TestMeasureShapes(t *testing.T) {
 	}
 }
 
-func TestChoosePerDistribution(t *testing.T) {
-	cases := []struct {
-		name string
-		st   Stats
-		want Kind
-	}{
-		{"sorted", Stats{N: 8192, AscFrac: 1, InvRatio: 0}, RS},
-		{"reverse", Stats{N: 8192, DescFrac: 1, InvRatio: 1}, Alternating},
-		{"sawtooth", Stats{N: 8192, AscFrac: 0.95, DescFrac: 0.05, InvRatio: 0.9}, Alternating},
-		{"mixed", Stats{N: 8192, AscFrac: 0.5, DescFrac: 0.5, Zigzag: 0.99, InvRatio: 0.5, AvgMono: 2}, TwoWayRS},
-		{"random", Stats{N: 8192, AscFrac: 0.5, DescFrac: 0.5, Zigzag: 0.66, InvRatio: 0.5, AvgMono: 2}, TwoWayRS},
-		{"sections", Stats{N: 8192, AscFrac: 0.5, DescFrac: 0.5, Zigzag: 0.01, InvRatio: 0.5, AvgMono: 160}, TwoWayRS},
-	}
-	for _, c := range cases {
-		if got, _ := choose(c.st); got != c.want {
-			t.Fatalf("%s: choose = %v, want %v", c.name, got, c.want)
-		}
-	}
-}
-
 func TestParseAndNames(t *testing.T) {
 	for _, k := range Kinds {
 		got, err := Parse(k.String())
@@ -316,5 +302,51 @@ func TestParseAndNames(t *testing.T) {
 	var zero Kind
 	if zero != TwoWayRS || zero.String() != "2wrs" {
 		t.Fatalf("the zero Kind is %v, want 2wrs", zero)
+	}
+}
+
+// TestChoosePerDistribution is Auto's rule table: the policy the cost table
+// picks for each of the paper's datasets at N/M of 16, 61, 256 and 4096,
+// with one generator (M = 2^14) and with 32 lanes (M = 2^20, extsort's
+// Lanes), probing the dataset's real first memory-load and pricing the
+// merge at the derived fan-in. At M = 2^14 and N ≈ 10^6 (61 loads) mixed,
+// imbalanced and random input goes to quick, reverse to alternating opening
+// down and sorted to rs; at 256 loads quick's two extra passes outprice
+// 2wrs's generation on mixed input. The alternating dataset's first load is
+// one ascending section from 61 loads on.
+func TestChoosePerDistribution(t *testing.T) {
+	want := map[string][4]string{
+		"sorted/16384":        {"rs", "rs", "rs", "rs"},
+		"reverse/16384":       {"alternating/down", "alternating/down", "alternating/down", "alternating/down"},
+		"alternating/16384":   {"quick", "rs", "rs", "rs"},
+		"random/16384":        {"quick", "quick", "quick", "quick"},
+		"mixed/16384":         {"quick", "quick", "2wrs", "quick"},
+		"imbalanced/16384":    {"quick", "quick", "quick", "quick"},
+		"sorted/1048576":      {"rs", "rs", "rs", "rs"},
+		"reverse/1048576":     {"alternating/down", "alternating/down", "alternating/down", "alternating/down"},
+		"alternating/1048576": {"quick", "rs", "rs", "rs"},
+		"random/1048576":      {"quick", "quick", "quick", "quick"},
+		"mixed/1048576":       {"quick", "quick", "quick", "quick"},
+		"imbalanced/1048576":  {"quick", "quick", "quick", "quick"},
+	}
+	for _, m := range []int{1 << 14, 1 << 20} {
+		for _, dist := range gen.Kinds {
+			row := fmt.Sprintf("%v/%d", dist, m)
+			for i, loads := range []int{16, 61, 256, 4096} {
+				src := stream.AsBatchReader[record.Record](gen.New(gen.Config{Kind: dist, N: loads * m, Seed: 7, Noise: 1000}))
+				z := Sizing{Memory: m, Lanes: (m + 1<<15 - 1) >> 15, Merge: merge.Config{MemoryBytes: m * 16}}
+				c, _, err := Decide(Auto, src, runio.RecordEmitter(vfs.Discard{}, "pol"), z)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := c.Kind.String()
+				if c.down {
+					got += "/down"
+				}
+				if got != want[row][i] {
+					t.Errorf("%s at N/M = %d: auto picks %s, want %s", row, loads, got, want[row][i])
+				}
+			}
+		}
 	}
 }

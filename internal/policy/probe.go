@@ -1,10 +1,9 @@
 package policy
 
 // The probe reduces a sample of the input to a handful of comparator-only
-// order statistics, and the decision rules map those statistics to the
-// generator expected to produce the fewest (or cheapest) runs. Everything
-// here needs only the sorter's `less`: no key projection, no numeric
-// assumptions.
+// order statistics, which classify maps to a row of Auto's cost table.
+// Everything here needs only the sorter's `less`: no key projection, no
+// numeric assumptions.
 
 // Stats summarises the order structure of a sample of consecutive input
 // elements.
@@ -90,43 +89,4 @@ func Measure[T any](vals []T, less func(a, b T) bool) Stats {
 		st.InvRatio = float64(inv) / float64(tot)
 	}
 	return st
-}
-
-// choose maps order statistics to the fixed policy expected to generate
-// the longest runs, per the cost model of DESIGN.md §9. down reports the
-// preferred first direction for the Alternating policy. When no rule
-// fires, TwoWayRS is the safe generalist.
-func choose(st Stats) (kind Kind, down bool) {
-	switch {
-	case st.N < 2:
-		// Nothing to learn; 2WRS is never catastrophic.
-		return TwoWayRS, false
-	case st.InvRatio <= 0.05 && st.AscFrac >= 0.5:
-		// Globally (nearly) sorted: RS emits one near-total run with the
-		// smallest constant factor.
-		return RS, false
-	case st.InvRatio >= 0.95 || st.DescFrac >= 0.90:
-		// Globally (nearly) reverse sorted: a down-run swallows the trend
-		// whole; classic RS would fragment it into memory-sized runs.
-		return Alternating, true
-	case st.AscFrac >= 0.90 && st.InvRatio >= 0.30:
-		// Locally ascending but globally drifting down — a descending
-		// staircase of ascending teeth, the classic RS killer. Down-runs
-		// ride the macro trend.
-		return Alternating, true
-	case st.AscFrac >= 0.90:
-		return RS, false
-	case st.Zigzag >= 0.90:
-		// Two interleaved monotone trends (the mixed datasets): exactly
-		// what the double heap separates.
-		return TwoWayRS, false
-	case st.AvgMono >= 16 && st.AscFrac >= 0.15 && st.DescFrac >= 0.15:
-		// Long monotone sections in both directions (the alternating
-		// dataset): the double heap extends runs across section
-		// boundaries in either direction.
-		return TwoWayRS, false
-	default:
-		// Random or unrecognised: the paper's §5.3 recommendation.
-		return TwoWayRS, false
-	}
 }

@@ -24,27 +24,38 @@ type QuickStepper[T any] struct {
 	em     *runio.Emitter[T]
 	br     stream.BatchReader[T]
 	buf    []T
+	fill   int // elements of buf loaded before the first run: a probe's prefix
 	memory int
 	eof    bool
 	sort   *codec.KeySorter[T]
 }
 
 // NewQuickStepper returns a QuickStepper over src with a load buffer of
-// `memory` elements, writing through em and ordering by em.Less.
+// `memory` elements, writing through em and ordering by em.Less. When src is
+// a stream.Prepended whose head is at most one load in a buffer of at least
+// one — Auto's probe prefix — the head is loaded already: that buffer becomes
+// the load buffer, and the first run sorts the head in place.
 func NewQuickStepper[T any](src stream.BatchReader[T], em *runio.Emitter[T], memory int) (*QuickStepper[T], error) {
 	if memory <= 0 {
 		return nil, fmt.Errorf("rs: memory must be positive, got %d", memory)
 	}
-	return &QuickStepper[T]{em: em, br: src, memory: memory, sort: codec.NewKeySorter(em.KeyCodec, em.Less)}, nil
+	s := &QuickStepper[T]{em: em, br: src, memory: memory, sort: em.Scratch.Sorter(em.KeyCodec, em.Less)}
+	if p, ok := src.(*stream.Prepended[T]); ok {
+		if head, tail := p.Split(); len(head) <= memory && cap(head) >= memory {
+			s.buf, s.fill, s.br = head[:memory], len(head), tail
+		}
+	}
+	return s, nil
 }
 
 // NextRun loads, sorts and stores one memory-sized run; ok is false at end
 // of input.
 func (s *QuickStepper[T]) NextRun() (runio.Run, bool, error) {
 	if s.buf == nil {
-		s.buf = make([]T, s.memory)
+		s.buf = s.em.Scratch.Buffer(s.memory)[:s.memory]
 	}
-	fill := 0
+	fill := s.fill
+	s.fill = 0
 	for fill < s.memory && !s.eof {
 		n, err := s.br.ReadBatch(s.buf[fill:s.memory])
 		if err == io.EOF {
@@ -57,6 +68,9 @@ func (s *QuickStepper[T]) NextRun() (runio.Run, bool, error) {
 		fill += n
 	}
 	if fill == 0 {
+		// The input is spent: the load buffer goes back for the next sort.
+		s.em.Scratch.Put(s.buf)
+		s.buf = nil
 		return runio.Run{}, false, nil
 	}
 	buf := s.buf[:fill]

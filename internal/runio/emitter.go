@@ -41,6 +41,9 @@ type Emitter[T any] struct {
 	// sums of each run in the manifest at its boundary; off (the default)
 	// no per-element CRC is ever computed.
 	Checksums bool
+	// Scratch, when set, recycles the generators' batch-sort memory across
+	// the sorts that share it: a Sorter's (codec.Scratch).
+	Scratch *codec.Scratch[T]
 
 	// Block is the size of the blocks the streams Stream opens hand to
 	// storage, forward blocks and chain writes alike, and what Open tells

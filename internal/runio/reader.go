@@ -80,6 +80,10 @@ type Reader[T any] struct {
 	pos    int                 // consumed bytes of buf
 	err    error               // met after the last element decoded; the next call returns it
 	closed bool
+	// inline holds files for a run of one file, and self is the one-piece
+	// list OpenRun returns for a concatenable run (OpenRun).
+	inline [1]spillFile
+	self   [1]*Reader[T]
 }
 
 func newReader[T any](st storage.Backend, files []spillFile, bufBytes int, c codec.Codec[T]) *Reader[T] {

@@ -150,11 +150,19 @@ func OpenRun[T any](st storage.Backend, r Run, bufBytes int, c codec.Codec[T]) (
 		for _, s := range live {
 			n += max(s.Files, 1)
 		}
-		files := make([]spillFile, 0, n)
-		for _, s := range live {
-			files = s.appendFiles(files, true)
+		rd := newReader[T](st, nil, bufBytes, c)
+		// A run of one file, every forward run, lists it in the reader, and
+		// the one piece is the reader's own slot: no allocation but the
+		// reader's.
+		rd.files = rd.inline[:0]
+		if n > len(rd.inline) {
+			rd.files = make([]spillFile, 0, n)
 		}
-		return []*Reader[T]{newReader(st, files, bufBytes, c)}, nil
+		for _, s := range live {
+			rd.files = s.appendFiles(rd.files, true)
+		}
+		rd.self[0] = rd
+		return rd.self[:], nil
 	}
 	per := max(bufBytes/len(live), DefaultPageSize)
 	pieces := make([]*Reader[T], 0, len(live))

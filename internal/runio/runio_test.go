@@ -1115,7 +1115,7 @@ func TestSiblingCarriesEverySetting(t *testing.T) {
 	less := func(a, b int64) bool { return a < b }
 	em := NewEmitter[int64](vfs.NewMemFS(), "sort", codec.Int64{}, less)
 	em.PageSize, em.PagesPerFile, em.Block = 128, 5, 4096
-	em.KeyCodec, em.Checksums = codec.KeyInt64{}, true
+	em.KeyCodec, em.Checksums, em.Scratch = codec.KeyInt64{}, true, new(codec.Scratch[int64])
 	v := reflect.ValueOf(em).Elem()
 	for i := range v.NumField() {
 		if f := v.Type().Field(i); f.IsExported() && v.Field(i).IsZero() {

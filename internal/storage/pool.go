@@ -5,12 +5,13 @@ import (
 	"sync"
 )
 
-// Pool recycles the byte blocks of one sort's spill path: the blocks run
-// writers fill and hand to the backend, the buffers run readers decode
-// from, and the windows block readers verify frames in. A block returns
-// when its file closes and goes out again to the next run, merge operation
-// or pass that asks for its size — within a phase they all ask for the same
-// — so a sort allocates its working set of blocks once, not once per file.
+// Pool recycles the byte blocks of a spill path: the blocks run writers
+// fill and hand to the backend, the buffers run readers decode from, and
+// the windows block readers verify frames in. A block returns when its file
+// closes and goes out again to the next run, merge operation, pass or sort
+// that asks for its size — within a phase they all ask for the same — so a
+// Sorter, whose sorts share one pool, allocates its working set of blocks
+// once, not once per file or per sort.
 //
 // The pool never refuses or delays a Get — the memory budget is kept by how
 // its callers size their requests (merge.Config divides it among the blocks

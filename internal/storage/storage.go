@@ -190,9 +190,15 @@ func New(fs vfs.FS, cfg Config) (Backend, error) {
 
 // NewRaw returns the backend over fs: the historical on-disk layout, byte
 // for byte, checked block by block in memory. Over vfs.Discard, which keeps
-// nothing to read back, it records no checks.
-func NewRaw(fs vfs.FS) Backend {
-	b := &rawBackend{fs: fs, c: &counters{}, pool: &Pool{}}
+// nothing to read back, it records no checks. Its blocks come from a pool
+// of its own.
+func NewRaw(fs vfs.FS) Backend { return NewPooled(fs, &Pool{}) }
+
+// NewPooled is NewRaw drawing its blocks from pool, which other backends
+// may share: a Sorter's sorts, one after another or side by side, reuse one
+// pool's blocks. A nil pool pools nothing.
+func NewPooled(fs vfs.FS, pool *Pool) Backend {
+	b := &rawBackend{fs: fs, c: &counters{}, pool: pool}
 	if _, discard := fs.(vfs.Discard); !discard {
 		b.sums = map[string][]check{}
 	}

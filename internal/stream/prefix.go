@@ -72,6 +72,11 @@ func Prepend[T any](head []T, tail BatchReader[T]) *Prepended[T] {
 	return &Prepended[T]{head: head, tail: tail}
 }
 
+// Split returns the unread head and the tail, for a consumer that would
+// otherwise copy the head into a buffer of its own: it reads the head in
+// place and the tail after it, and no longer reads p.
+func (p *Prepended[T]) Split() ([]T, BatchReader[T]) { return p.head, p.tail }
+
 // ReadBatch serves the buffer first — a batch never spans the seam — then
 // the tail.
 func (p *Prepended[T]) ReadBatch(dst []T) (int, error) {

@@ -63,10 +63,12 @@ type arenaFile struct {
 	ext  []int64
 	held bool // removing it parks its extents until Release
 	gone bool // removed: its handles fail
-	// inline holds ext for a file of up to eight extents, and created is
-	// the handle Create returns, so neither costs an allocation of its own.
+	// inline holds ext for a file of up to eight extents, created is the
+	// handle Create returns and opened the one the file's first Open does
+	// (a run is read once), so none costs an allocation of its own.
 	inline  [8]int64
 	created arenaHandle
+	opened  arenaHandle
 }
 
 // ArenaFile is where one file lies in an arena. A durable record of it lets
@@ -153,6 +155,10 @@ func (a *Arena) Open(name string) (File, error) {
 	}
 	if _, err := a.physical(false); err != nil {
 		return nil, err
+	}
+	if n.opened.a == nil {
+		n.opened = arenaHandle{a: a, n: n}
+		return &n.opened, nil
 	}
 	return &arenaHandle{a: a, n: n}, nil
 }

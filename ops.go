@@ -69,10 +69,7 @@ func (s *Sorter[T]) streamed(o *op, src stream.BatchReader[T], prefix, phase str
 		return Stats{}, err
 	}
 	o.phase(phase)
-	err = rset.ExplainOrder(drain(st, rset.Stats().Records))
-	if cerr := st.Close(); err == nil {
-		err = cerr
-	}
+	err = rset.CloseMerged(st, drain(st, rset.Stats().Records))
 	return rset.Stats(), err
 }
 

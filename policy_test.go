@@ -74,8 +74,9 @@ func TestPolicyNames(t *testing.T) {
 	}
 }
 
-// TestNewDefaultsToAuto: the generic constructor adapts by default, while
-// WithPolicy pins a generator and WithConfig brings the config's own.
+// TestNewDefaultsToAuto: the generic constructor and DefaultConfig adapt by
+// default, while WithPolicy pins a generator and WithConfig brings the
+// config's own.
 func TestNewDefaultsToAuto(t *testing.T) {
 	less := func(a, b int64) bool { return a < b }
 	s, err := New(less)
@@ -94,6 +95,14 @@ func TestNewDefaultsToAuto(t *testing.T) {
 	}
 	s, err = New(less, WithConfig(DefaultConfig(1000)))
 	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Config().Policy; got != "auto" {
+		t.Fatalf("WithConfig(DefaultConfig) left policy %q, want auto", got)
+	}
+	cfg := DefaultConfig(1000)
+	cfg.Policy = "2wrs"
+	if s, err = New(less, WithConfig(cfg)); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Config().Policy; got != "2wrs" {

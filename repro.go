@@ -209,11 +209,11 @@ type Config struct {
 	// Policies(): "2wrs" (the paper's two-way replacement selection), "rs",
 	// "alternating" (also spelled "alt"), "quick" (the paper's
 	// Load-Sort-Store, also spelled "lss") and "auto", which probes the
-	// order structure of a memory-sized input prefix and runs the generator
-	// it names over the whole input. Unknown names are rejected by Validate,
-	// never silently defaulted. The generic constructor New defaults to
-	// "auto"; DefaultConfig says "2wrs", which is also what the empty name
-	// of a hand-built config means.
+	// order structure of a memory-sized input prefix and runs over the whole
+	// input the generator its cost table prices cheapest (Stats.Generator
+	// names it). Unknown names are rejected by Validate, never silently
+	// defaulted. New and DefaultConfig say "auto"; the empty name of a
+	// hand-built config means "2wrs".
 	Policy string
 	// MemoryRecords is the memory budget in records for both phases.
 	MemoryRecords int
@@ -306,12 +306,14 @@ type Config struct {
 	Resume bool
 }
 
-// DefaultConfig returns the paper's recommended configuration with the
-// given memory budget in records.
+// DefaultConfig returns the default configuration with the given memory
+// budget in records: the "auto" policy, which runs the generator its cost
+// table prices cheapest for the input, and the paper's recommended 2WRS
+// heuristics (§5.3) for when that generator is 2wrs.
 func DefaultConfig(memoryRecords int) Config {
 	twrs := core.Recommended(memoryRecords)
 	return Config{
-		Policy:         "2wrs",
+		Policy:         "auto",
 		MemoryRecords:  memoryRecords,
 		Setup:          twrs.Setup,
 		BufferFraction: twrs.BufferFrac,

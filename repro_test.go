@@ -96,8 +96,10 @@ func TestDatasetReaderStreams(t *testing.T) {
 
 func TestDefaultConfigIsRecommended(t *testing.T) {
 	cfg := DefaultConfig(1000)
-	// FanIn 0 is "derived from the budget": the paper's 10 at least.
-	if cfg.Policy != "2wrs" || cfg.FanIn != 0 || cfg.Setup != BothBuffers ||
+	// FanIn 0 is "derived from the budget": the paper's 10 at least. The
+	// policy is auto; the 2WRS heuristics are the paper's for when it
+	// picks 2wrs.
+	if cfg.Policy != "auto" || cfg.FanIn != 0 || cfg.Setup != BothBuffers ||
 		cfg.BufferFraction != 0.02 || cfg.Input != InputMean || cfg.Output != OutputRandom {
 		t.Fatalf("DefaultConfig = %+v, not the paper's §5.3 recommendation", cfg)
 	}
@@ -108,7 +110,7 @@ func TestHeuristicConfigurations(t *testing.T) {
 	for _, in := range []InputHeuristic{InputRandom, InputAlternate, InputMean, InputMedian, InputUseful, InputBalancing} {
 		for _, out := range []OutputHeuristic{OutputRandom, OutputAlternate, OutputUseful, OutputBalancing, OutputMinDistance} {
 			cfg := DefaultConfig(100)
-			cfg.Input, cfg.Output = in, out
+			cfg.Policy, cfg.Input, cfg.Output = "2wrs", in, out
 			sorted, _, err := sortRecords(recs, cfg)
 			if err != nil {
 				t.Fatalf("in=%v out=%v: %v", in, out, err)

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/manifest"
 	"repro/internal/vfs"
 	"repro/internal/vfs/faultfs"
 )
@@ -425,5 +426,58 @@ func TestFailedMergeLeavesResumableState(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// brokenSink takes ok elements, then fails every write.
+type brokenSink struct{ ok int }
+
+var errSinkBroke = errors.New("repro_test: sink broke")
+
+func (b *brokenSink) Write(Record) error {
+	if b.ok == 0 {
+		return errSinkBroke
+	}
+	b.ok--
+	return nil
+}
+
+// TestFailedSinkLeavesResumableState: a durable sort whose sink fails during
+// the final merge — after its manifest committed every run — keeps that
+// manifest and its runs, so Resume adopts every committed run, regenerating
+// none, and writes the sorted input; the state goes once that merge
+// succeeds.
+func TestFailedSinkLeavesResumableState(t *testing.T) {
+	recs := shuffledRecords(20000, 9)
+	less := func(a, b Record) bool { return a.Key < b.Key || a.Key == b.Key && a.Aux < b.Aux }
+	fs := vfs.NewMemFS()
+	s, err := New(less, WithMemoryRecords(256), WithPolicy("2wrs"), WithManifest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.fs = fs
+	ctx := context.Background()
+	if _, err := s.Sort(ctx, &dyingSource{recs: recs, dieAt: len(recs) + 1}, &brokenSink{ok: 5000}); !errors.Is(err, errSinkBroke) {
+		t.Fatalf("Sort: %v, want the sink's error", err)
+	}
+	st, err := manifest.Load(fs, manifest.Name("sort"))
+	if err != nil || !st.Committed {
+		t.Fatalf("the failed merge left %+v: %v, want the committed manifest", st, err)
+	}
+	var out sliceSink[Record]
+	stats, err := s.Resume(ctx, &dyingSource{recs: recs, dieAt: len(recs) + 1}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.RunsRecovered != len(st.Runs) || stats.Runs != len(st.Runs) {
+		t.Errorf("Resume recovered %d of %d runs, want all %d committed", stats.RunsRecovered, stats.Runs, len(st.Runs))
+	}
+	want := slices.Clone(recs)
+	slices.SortFunc(want, func(a, b Record) int { return cmp.Or(cmp.Compare(a.Key, b.Key), cmp.Compare(a.Aux, b.Aux)) })
+	if !slices.Equal(out.vals, want) {
+		t.Fatal("Resume did not write the sorted input")
+	}
+	if names, _ := fs.Names(); len(names) != 0 {
+		t.Fatalf("the resumed sort left %v", names)
 	}
 }

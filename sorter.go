@@ -9,6 +9,7 @@ import (
 	"repro/internal/distsort"
 	"repro/internal/extsort"
 	"repro/internal/record"
+	"repro/internal/storage"
 	"repro/internal/stream"
 	"repro/internal/vfs"
 )
@@ -177,9 +178,10 @@ func WithConfig(cfg Config) Option {
 }
 
 // WithPolicy selects the run generator by name: "2wrs", "rs",
-// "alternating" (also "alt"), "quick" (also "lss"), or "auto" (the default
-// for New), which probes the order structure of a memory-sized input
-// prefix and runs the generator it names over the whole input. Unknown
+// "alternating" (also "alt"), "quick" (also "lss"), or "auto" (the
+// default), which probes the order structure of a memory-sized input prefix
+// and runs over the whole input the generator its cost table prices
+// cheapest. Unknown
 // names fail at New with an error listing the valid policies (see
 // Policies).
 func WithPolicy(name string) Option {
@@ -402,13 +404,16 @@ type Sorter[T any] struct {
 	// keyed, or refuse a mismatched explicit key codec, alike.
 	ops extsort.Ops[T]
 	fs  vfs.FS // stable spill FS for durable sorters; nil otherwise
+	// pool recycles the spill path's blocks across the sorter's sorts, so
+	// each sort after the first finds its blocks idle.
+	pool *storage.Pool
 }
 
 // New builds a Sorter ordering elements with less. Options supply the
 // memory budget, run-generation policy, heuristics, codec and numeric key
-// projection; the defaults are a budget of 2^20 elements and the "auto"
-// policy, which picks, once, the run generator matching the order
-// structure of a memory-sized input prefix; WithPolicy pins one generator, and
+// projection; the defaults are DefaultConfig(2^20): the "auto" policy,
+// which picks, once, the run generator its cost table prices cheapest for
+// the input; WithPolicy pins one generator, and
 // a WithConfig configuration carries its own Policy. New validates the
 // resulting configuration and reports descriptive errors for nonsense
 // values.
@@ -418,7 +423,6 @@ func New[T any](less func(a, b T) bool, opts ...Option) (*Sorter[T], error) {
 	}
 	defaults := DefaultConfig(1 << 20)
 	sc := sorterConfig{cfg: defaults}
-	sc.cfg.Policy = "auto"
 	for _, opt := range opts {
 		if opt == nil {
 			continue
@@ -435,8 +439,8 @@ func New[T any](less func(a, b T) bool, opts ...Option) (*Sorter[T], error) {
 	if err := sc.cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Sorter[T]{cfg: sc.cfg}
-	s.ops = extsort.Ops[T]{Less: less, KeyedExplicit: sc.keyCodec != nil}
+	s := &Sorter[T]{cfg: sc.cfg, pool: &storage.Pool{}}
+	s.ops = extsort.Ops[T]{Less: less, KeyedExplicit: sc.keyCodec != nil, Scratch: new(codec.Scratch[T])}
 	def := builtinFor[T]()
 	var err error
 	if s.ops.Codec, err = resolve[codec.Codec[T], T](sc.codec, def.codec, "WithCodec", "encode"); err == nil && s.ops.Codec == nil {
@@ -590,6 +594,7 @@ func (s *Sorter[T]) generate(o *op, src stream.BatchReader[T], dst Sink[T], pref
 	icfg.Cancel = o.ctx.Err
 	icfg.Prefix = prefix
 	icfg.Resume = icfg.Resume || resume
+	icfg.Pool = s.pool
 	if dst != nil && s.cfg.Shards > 1 {
 		stats, err := distsort.SortBatch[T](src, &ctxWriter[T]{ctx: o.ctx, dst: dst}, fs,
 			distsort.Config{Shards: s.cfg.Shards, Extsort: icfg}, s.ops)

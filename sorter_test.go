@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -8,10 +9,14 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
+
+	"repro/internal/stream"
 )
 
 // small memory budgets so every property test spills multiple runs to the
@@ -571,4 +576,65 @@ func TestSorterStorageOptions(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSorterReusesGenerationMemory: the memory the cheap generator needs —
+// auto's probe, which quick keeps as its first load, quick's load buffer
+// and batch sorter, the spill blocks — is the Sorter's, paid by its first
+// sort: a later sort of ten memory-loads allocates less than one load (the
+// spill files in a temp dir, whose page cache is not the heap).
+func TestSorterReusesGenerationMemory(t *testing.T) {
+	const m = 1 << 14
+	recs := Dataset(DatasetRandom, 10*m, 5)
+	s, err := New(Record.Less, WithMemoryRecords(m), WithTempDir(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort := func() Stats {
+		st, err := s.Sort(context.Background(), stream.NewSliceReader(recs), &discardSink[Record]{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	if st := sort(); st.Generator != "quick" {
+		t.Fatalf("auto ran %s, want quick", st.Generator)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	sort()
+	runtime.ReadMemStats(&m1)
+	if got, load := m1.TotalAlloc-m0.TotalAlloc, uint64(m*16); got >= load {
+		t.Fatalf("the second sort allocated %d bytes, want less than one memory-load (%d)", got, load)
+	}
+}
+
+// TestSorterConcurrentSorts runs sorts of one Sorter side by side: they
+// share its spill block pool and its generation scratch, and each must still
+// write its own input sorted (run it under -race).
+func TestSorterConcurrentSorts(t *testing.T) {
+	const m = 1 << 10
+	s, err := New(Record.Less, WithMemoryRecords(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i, kind := range []DatasetKind{DatasetRandom, DatasetMixedBalanced, DatasetReverseSorted, DatasetRandom} {
+		recs := Dataset(kind, 20*m, int64(i))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out := stream.SliceWriter[Record]{}
+			if _, err := s.Sort(context.Background(), stream.NewSliceReader(recs), &out); err != nil {
+				t.Error(err)
+				return
+			}
+			want := slices.Clone(recs)
+			slices.SortStableFunc(want, func(a, b Record) int { return cmp.Compare(a.Key, b.Key) })
+			if !slices.EqualFunc(out.Vals, want, func(a, b Record) bool { return a.Key == b.Key }) {
+				t.Errorf("sort %d (%v) did not write its input sorted", i, kind)
+			}
+		}()
+	}
+	wg.Wait()
 }
