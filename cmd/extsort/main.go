@@ -96,7 +96,6 @@ type sortFlags struct {
 	seed     *int64
 	manifest *bool
 	resume   *bool
-	shards   *int
 
 	// Observability flags, shared by every subcommand.
 	traceOut    *string
@@ -124,8 +123,6 @@ func newSortFlags(fs *flag.FlagSet) *sortFlags {
 			"command can be finished with -resume instead of starting over (works under every -policy)"),
 		resume: fs.Bool("resume", false, "resume the durable sort a previous -manifest run left in -tmp: completed runs "+
 			"are validated and reused, the input re-read from the start; implies -manifest and requires -tmp"),
-		shards: fs.Int("shards", 0, "split the sort into this many range-partitioned shards that sort concurrently "+
-			"and concatenate in key order, skipping the final cross-shard merge (0 or 1: ordinary single-stream sort)"),
 		traceOut: fs.String("trace-out", "", "write a trace of the run here: Chrome trace_event JSON "+
 			"(open in chrome://tracing or Perfetto), or span JSONL when the path ends in .jsonl"),
 		metricsAddr: fs.String("metrics-addr", "", "serve the Prometheus metrics endpoint on this "+
@@ -235,7 +232,6 @@ func (f *sortFlags) config() (repro.Config, func(), error) {
 		Seed:           *f.seed,
 		Manifest:       *f.manifest || *f.resume,
 		Resume:         *f.resume,
-		Shards:         *f.shards,
 	}
 	cleanup := func() {}
 	cfg.TempDir = *f.tempDir
@@ -390,9 +386,6 @@ func printSortStats(memory int, stats repro.Stats) {
 	fmt.Printf("policy:           %v\n", stats.Policy)
 	fmt.Printf("generator:        %v\n", stats.Generator)
 	fmt.Printf("records:          %d\n", stats.Records)
-	if stats.Shards > 0 {
-		fmt.Printf("shards:           %d (records per shard: %v)\n", stats.Shards, stats.ShardRecords)
-	}
 	fmt.Printf("runs:             %d\n", stats.Runs)
 	if stats.Runs > 0 {
 		fmt.Printf("avg run length:   %s\n", runLength(memory, stats))

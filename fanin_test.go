@@ -87,21 +87,6 @@ func TestResumeAcrossFanIns(t *testing.T) {
 	}
 }
 
-// TestConfigFanInUnderShards pins what Config reports under Shards: the
-// width each shard merges at, derived from its share of the budget. 2^15
-// Records (512 KiB) feed 31 inputs unsharded, and a half of them 15.
-func TestConfigFanInUnderShards(t *testing.T) {
-	for _, tc := range []struct{ shards, want int }{{0, 31}, {1, 31}, {2, 15}} {
-		s, err := New(Record.Less, WithMemoryRecords(1<<15), WithShards(tc.shards))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := s.Config().FanIn; got != tc.want {
-			t.Errorf("shards %d: fan-in %d, want %d", tc.shards, got, tc.want)
-		}
-	}
-}
-
 // TestDerivedFanInMergesTheBandInOnePass sorts more runs than the base width
 // of 15 and no more than 2^14 Records (256 KiB) give a page each: rs over a
 // million alternating records leaves 26 single-piece runs, which a derived

@@ -43,7 +43,7 @@ import (
 //
 // and less never orders a pair against its key bytes. Equal key bytes imply
 // a tie under less only for a total key (TotalKey); for any other, every
-// keyed comparison — heap sift, batch sort, merge match, shard routing —
+// keyed comparison — heap sift, batch sort, merge match —
 // asks less on a key tie. Any keyed comparison is then pointwise equal to
 // the comparator, which is what guarantees byte-identical sorted output
 // between the keyed and comparator paths.

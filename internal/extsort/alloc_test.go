@@ -23,7 +23,7 @@ func TestAllocationsPerRun(t *testing.T) {
 		out := stream.SliceWriter[record.Record]{Vals: make([]record.Record, 0, len(recs))}
 		return testing.AllocsPerRun(3, func() {
 			out.Vals = out.Vals[:0]
-			if _, err := SortBatch[record.Record](stream.NewSliceReader(recs), &out, vfs.NewMemFS(), Config{Policy: policy.Quick, Memory: m}, RecordOps()); err != nil {
+			if _, err := Sort[record.Record](stream.NewSliceReader(recs), &out, vfs.NewMemFS(), Config{Policy: policy.Quick, Memory: m}, RecordOps()); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -125,12 +125,12 @@ var errKeyOrder = errors.New("the key codec disagrees with the comparator past t
 // adopted: checked once against the manifest, they are read unchecked after.
 var errAdoptedOrder = errors.New("a spill file the resume adopted may be corrupted: adopted runs are read without block checks")
 
-// ExplainOrder names the causes of an order failure — a run writer's, in
+// explainOrder names the causes of an order failure — a run writer's, in
 // generation or an intermediate merge, or the final merge's: a keyed sort's
 // key codec (errKeyOrder) and adopted runs' corruption (errAdoptedOrder). It
-// returns every other error as it is. A caller draining OpenMerged's stream
-// passes the stream's errors through it.
-func (r *RunSet[T]) ExplainOrder(err error) error {
+// returns every other error as it is. abandon, where every failure ends,
+// applies it.
+func (r *RunSet[T]) explainOrder(err error) error {
 	if !errors.Is(err, runio.ErrOutOfOrder) || errors.Is(err, errKeyOrder) || errors.Is(err, errAdoptedOrder) {
 		return err
 	}
@@ -203,8 +203,8 @@ type Config struct {
 	// non-nil return aborts the sort with that error. (Run generation is
 	// cancelled through the source: the public API wraps src in a reader
 	// whose batch boundaries check the context.) It must be safe for
-	// concurrent use: parallel intermediate merges — and the shards of a
-	// sharded sort (internal/distsort) — poll it from their own goroutines.
+	// concurrent use: parallel intermediate merges poll it from their own
+	// goroutines.
 	Cancel func() error
 	// Manifest makes run generation durable: a CRC-guarded manifest file
 	// ("<Prefix>.manifest", written directly on fs beside the spill files)
@@ -240,7 +240,7 @@ type Config struct {
 	Trace *obs.Tracer
 	// Metrics, when non-nil, receives counters and histograms under the
 	// extsort_* names (internal/obs names.go), read off Stats when a phase
-	// ends (Publish): they advance at the end of generation and when the
+	// ends (publish): they advance at the end of generation and when the
 	// merge stream closes, and a finished sort's equal its Stats. Nil
 	// disables metrics at zero cost.
 	Metrics *obs.Registry
@@ -279,11 +279,10 @@ func Recommended(memory int) Config {
 
 // Resolved returns c with every unset field but FanIn replaced by its
 // default. It is the one place those defaults are written — the driver
-// applies it to every sort, and the layers around it (the sharded sort's
-// template and shard count, the public API's in-memory selection
-// parallelism) call it instead of repeating a rule. A zero FanIn stays zero:
-// the merge resolves it against the runs it merges. Resolving twice changes
-// nothing.
+// applies it to every sort, and the public API's in-memory selection calls
+// it for its parallelism instead of repeating the rule. A zero FanIn stays
+// zero: the merge resolves it against the runs it merges. Resolving twice
+// changes nothing.
 func (c Config) Resolved() Config {
 	if c.Prefix == "" {
 		c.Prefix = "sort"
@@ -314,11 +313,10 @@ type Stats struct {
 	// "alternating", "quick", "auto").
 	Policy string
 	// Generator names the fixed policy whose generator wrote the runs:
-	// Policy itself, or the one auto chose. In a sharded sort, the first
-	// shard's (each shard decides on its own share).
+	// Policy itself, or the one auto chose.
 	Generator string
 	// Lanes is how many run generators ran side by side (Config.Lanes): 1
-	// unless the budget exceeds 2^15 elements. In a sharded sort, a shard's.
+	// unless the budget exceeds 2^15 elements.
 	Lanes int
 	// LaneMemory is each lane's budget in elements, Memory / Lanes: the
 	// memory of the generator that wrote a run (RunLenOverLaneMemory).
@@ -326,12 +324,9 @@ type Stats struct {
 	// RunsRecovered is the number of runs a resumed sort recovered intact
 	// from a durable manifest instead of regenerating (0 for fresh sorts).
 	RunsRecovered int
-	// Shards is the number of range shards a sharded distribution sort
-	// (internal/distsort) partitioned the input into; zero for plain
-	// single-stream sorts.
-	Shards int
-	// ShardRecords is a sharded sort's per-shard record count in shard
-	// (= splitter) order; nil for plain sorts.
+	// ShardRecords is always nil: there is no sharded sort.
+	//
+	// Deprecated: nothing sets it.
 	ShardRecords []int64
 	// Keyed reports whether the sort ran on normalized keys (Ops.KeyCodec
 	// accepted by the sampled order check); false means every comparison
@@ -387,7 +382,7 @@ type IOStats = storage.IOStats
 // a stream, filtering or abandoning it without materialising an output file.
 //
 // A RunSet owns its run files until exactly one of Merge, OpenMerged (whose
-// Stream then owns them), Discard or, on failure, Abandon is called.
+// Stream then owns them), Discard or, on failure, abandon is called.
 type RunSet[T any] struct {
 	store storage.Backend
 	em    *runio.Emitter[T]
@@ -421,7 +416,7 @@ func GenerateRuns[T any](src stream.Reader[T], fs vfs.FS, cfg Config, ops Ops[T]
 // runs to temporary files on fs, returning the RunSet to merge, stream or
 // discard. Configuration defaulting and validation match Sort exactly. It is
 // the door the library's own batch sources come through — the public API's
-// context-checked reader, a shard's feed.
+// context-checked reader.
 func GenerateRunsBatch[T any](src stream.BatchReader[T], fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
 	entry := time.Now()
 	if cfg.Resume {
@@ -511,7 +506,7 @@ func newRunSet[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
 // boundaries Resume adopted: each lane replays its own first, regenerating
 // their runs into a store that keeps nothing and checking each against its
 // record, and switches to the sort's store at the last of them. On error
-// the pass leaves by Abandon.
+// the pass leaves by abandon.
 func (r *RunSet[T]) generate(src stream.BatchReader[T], recovered []manifest.Run, entry time.Time) (*RunSet[T], error) {
 	cfg, ops, em, o := r.cfg, r.ops, r.em, r.o
 	durable := r.manifestName != ""
@@ -521,7 +516,7 @@ func (r *RunSet[T]) generate(src stream.BatchReader[T], recovered []manifest.Run
 	// sampled order check against the comparator.
 	src, keyed, err := applyKeyCodec(src, em, ops)
 	if err != nil {
-		return nil, r.Abandon(err)
+		return nil, r.abandon(err)
 	}
 	r.stats.Keyed = keyed
 
@@ -531,7 +526,7 @@ func (r *RunSet[T]) generate(src stream.BatchReader[T], recovered []manifest.Run
 		// torn tail; with nothing recovered it is a fresh manifest.
 		man, err = manifest.Rewrite(r.fs, r.manifestName, durableHeader(cfg, ops, em, keyed), recovered)
 		if err != nil {
-			return nil, r.Abandon(err)
+			return nil, r.abandon(err)
 		}
 	}
 
@@ -542,7 +537,7 @@ func (r *RunSet[T]) generate(src stream.BatchReader[T], recovered []manifest.Run
 		if man != nil {
 			man.Close()
 		}
-		err = r.Abandon(err)
+		err = r.abandon(err)
 		rsp.End(obs.Str("error", err.Error()))
 		gsp.End(obs.Str("error", err.Error()))
 		return nil, err
@@ -625,7 +620,7 @@ func (r *RunSet[T]) finishGenerate(phase string, wall time.Duration, entry time.
 	r.stats.IO = r.store.Stats()
 	r.stats.Elapsed = time.Since(entry)
 	r.stats.Phases = []PhaseStat{{Name: phase, Wall: wall}}
-	Publish(r.cfg.Metrics, in, Stats{}, r.stats, r.runs, nil)
+	publish(r.cfg.Metrics, in, Stats{}, r.stats, r.runs, nil)
 }
 
 // Runs returns the run manifests of the set; callers must not mutate them.
@@ -652,7 +647,7 @@ func (r *RunSet[T]) Store() storage.Backend { return r.store }
 // Closed, fully drained or not. From then on the RunSet's Stats carry the
 // plan's MergeInputs, MergePasses and MergeOps; the phases stay
 // generation's. The simulated disk (Config.Disk) charges the final merge's
-// reads as the caller drains the stream. A failure has left by Abandon.
+// reads as the caller drains the stream. A failure has left by abandon.
 //
 // The merge phase ends when the stream closes: its wall (mergeWall), the
 // "merge" span, the published metrics and the progress reporter all end
@@ -661,7 +656,7 @@ func (r *RunSet[T]) Store() storage.Backend { return r.store }
 // where a durable sort's manifest goes too: it no longer describes anything
 // recoverable, and left behind it would only make a later Resume
 // re-validate, fail and regenerate from scratch. A merge that fails before
-// its stream exists leaves by Abandon, which keeps the manifest, with
+// its stream exists leaves by abandon, which keeps the manifest, with
 // whatever runs survive, for Resume.
 func (r *RunSet[T]) OpenMerged() (*merge.Stream[T], error) {
 	start := time.Now()
@@ -688,14 +683,14 @@ func (r *RunSet[T]) OpenMerged() (*merge.Stream[T], error) {
 			if r.cfg.Metrics != nil {
 				now, ms := r.Stats(), st.Stats()
 				now.Phases = append(slices.Clip(now.Phases), PhaseStat{Name: "merge", Wall: r.mergeWall})
-				Publish(r.cfg.Metrics, 0, r.stats, now, nil, &ms)
+				publish(r.cfg.Metrics, 0, r.stats, now, nil, &ms)
 			}
 			r.o.reporter().Stop()
 		},
 	})
 	if err != nil {
 		sp.End()
-		return nil, r.Abandon(err)
+		return nil, r.abandon(err)
 	}
 	ms := st.Stats()
 	r.stats.MergeInputs, r.stats.MergePasses, r.stats.MergeOps = ms.Inputs, ms.Passes, ms.Merges
@@ -723,7 +718,7 @@ func (r *RunSet[T]) Merge(dst stream.Writer[T]) (Stats, error) {
 // CloseMerged closes the stream OpenMerged returned once its consumer is
 // done with it, err being how the consumer ended. After a success the stream
 // deletes the runs, and with them a durable manifest. After a failure it
-// keeps them, and the set leaves by Abandon: a durable sort keeps what
+// keeps them, and the set leaves by abandon: a durable sort keeps what
 // Resume adopts, a plain one nothing.
 func (r *RunSet[T]) CloseMerged(st *merge.Stream[T], err error) error {
 	if err != nil {
@@ -733,25 +728,25 @@ func (r *RunSet[T]) CloseMerged(st *merge.Stream[T], err error) error {
 		err = cerr
 	}
 	if err != nil {
-		return r.Abandon(err)
+		return r.abandon(err)
 	}
 	return nil
 }
 
-// Abandon is the one way out of a failed sort's run set, and decides what
+// abandon is the one way out of a failed sort's run set, and decides what
 // the failure leaves on disk: exactly what Resume needs — a durable sort's
 // manifest and arena, closed, and nothing of a plain sort's (Discard). It
 // stops the progress reporter, closes the run writers a failed pass left
-// open and returns err explained (ExplainOrder). Every failure inside this
-// package ends here; a caller calls it only for a set it does not open.
-func (r *RunSet[T]) Abandon(err error) error {
+// open and returns err explained (explainOrder). Every failure of a run
+// set ends here.
+func (r *RunSet[T]) abandon(err error) error {
 	r.o.reporter().Stop()
 	r.em.AbortOpen()
 	if r.manifestName == "" {
 		r.Discard()
 	}
 	r.spill.Close()
-	return r.ExplainOrder(err)
+	return r.explainOrder(err)
 }
 
 // Discard deletes every spill file of this sort without merging: the
@@ -761,7 +756,7 @@ func (r *RunSet[T]) Abandon(err error) error {
 // half-written run from an aborted generation, intermediate outputs of a
 // failed reduce). Every removal but the last is bookkeeping, and the last
 // unlinks the arena. A second Discard of the same set is a no-op. A failed
-// sort does not call it: Abandon decides what a failure leaves.
+// sort does not call it: abandon decides what a failure leaves.
 func (r *RunSet[T]) Discard() error {
 	r.o.reporter().Stop()
 	var first error
@@ -781,18 +776,12 @@ func (r *RunSet[T]) Discard() error {
 	return first
 }
 
-// Sort is SortBatch over a caller's source, adapted once here.
-func Sort[T any](src stream.Reader[T], dst stream.Writer[T], fs vfs.FS, cfg Config, ops Ops[T]) (Stats, error) {
-	return SortBatch(stream.AsBatchReader(src), dst, fs, cfg, ops)
-}
-
-// SortBatch reads all elements from src, sorts them externally using temporary
+// Sort reads all elements from src, sorts them externally using temporary
 // files on fs, and writes the sorted stream to dst. Ordering, storage and
-// heuristics come from ops. It is GenerateRunsBatch followed by RunSet.Merge;
-// either leaves a failure by RunSet.Abandon, so only a durable sort's
-// resumable state outlives the error.
-func SortBatch[T any](src stream.BatchReader[T], dst stream.Writer[T], fs vfs.FS, cfg Config, ops Ops[T]) (Stats, error) {
-	rset, err := GenerateRunsBatch(src, fs, cfg, ops)
+// heuristics come from ops. It is GenerateRuns followed by RunSet.Merge; a
+// failure in either leaves only a durable sort's resumable state behind.
+func Sort[T any](src stream.Reader[T], dst stream.Writer[T], fs vfs.FS, cfg Config, ops Ops[T]) (Stats, error) {
+	rset, err := GenerateRuns(src, fs, cfg, ops)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -803,6 +792,6 @@ func SortBatch[T any](src stream.BatchReader[T], dst stream.Writer[T], fs vfs.FS
 // returns a new sorted slice; a convenience for tests and examples.
 func SortSlice[T any](vals []T, cfg Config, ops Ops[T]) ([]T, Stats, error) {
 	out := stream.SliceWriter[T]{Vals: make([]T, 0, len(vals))}
-	stats, err := SortBatch[T](stream.NewSliceReader(vals), &out, vfs.NewMemFS(), cfg, ops)
+	stats, err := Sort[T](stream.NewSliceReader(vals), &out, vfs.NewMemFS(), cfg, ops)
 	return out.Vals, stats, err
 }

@@ -40,19 +40,18 @@ func newSortObs(cfg Config) *sortObs {
 	}
 }
 
-// Publish adds to m what a sort's ledger gained since was, the ledger as
+// publish adds to m what a sort's ledger gained since was, the ledger as
 // last published, so the registry keeps no count of its own: every series
 // but the checkpoint histogram and the selection swap counter is read off
 // Stats, the runs and the merge statistics behind it. A sort publishes
 // where it settles its ledger: at the end of generation, or of a committed
 // adoption, with the records it read in from its input (in: a resume's
 // replayed prefix and adopted runs were read by an earlier invocation) and
-// the runs it holds; when its merge stream closes, with the stream's
-// statistics (ms), whose records delivered are the records out; and a
-// sharded sort adds its shards at its end. Series so advance at phase ends,
-// and a finished sort's exposition equals its ledger. A nil m publishes
-// nothing.
-func Publish(m *obs.Registry, in int64, was, now Stats, runs []runio.Run, ms *merge.Stats) {
+// the runs it holds; and when its merge stream closes, with the stream's
+// statistics (ms), whose records delivered are the records out. Series so
+// advance at phase ends, and a finished sort's exposition equals its
+// ledger. A nil m publishes nothing.
+func publish(m *obs.Registry, in int64, was, now Stats, runs []runio.Run, ms *merge.Stats) {
 	if m == nil {
 		return
 	}
@@ -81,13 +80,6 @@ func Publish(m *obs.Registry, in int64, was, now Stats, runs []runio.Run, ms *me
 		}
 		add(obs.MMergeRecordsMoved, "Records moved through intermediate merge runs.", ms.RecordsMoved)
 		add(obs.MRecordsOut, "Records delivered by the final merge.", ms.Delivered)
-	}
-	if now.Shards > was.Shards {
-		add(obs.MShards, "Range shards executed by distribution sorts.", int64(now.Shards-was.Shards))
-		shards := m.Histogram(obs.MShardRecords, "Records routed to each range shard.", obs.RunLengthBuckets)
-		for _, n := range now.ShardRecords[len(was.ShardRecords):] {
-			shards.Observe(float64(n))
-		}
 	}
 }
 

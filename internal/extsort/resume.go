@@ -274,7 +274,7 @@ func Resume[T any](src stream.BatchReader[T], fs vfs.FS, cfg Config, ops Ops[T])
 		err = rset.spill.Adopt(placed(st.Runs))
 	}
 	if err != nil {
-		return nil, rset.Abandon(err)
+		return nil, rset.abandon(err)
 	}
 
 	// The longest contiguous prefix of runs whose files validate.
@@ -288,7 +288,7 @@ func Resume[T any](src stream.BatchReader[T], fs vfs.FS, cfg Config, ops Ops[T])
 		if errors.Is(err, os.ErrNotExist) {
 			break
 		}
-		return nil, rset.Abandon(err)
+		return nil, rset.abandon(err)
 	}
 	if st.Committed && valid == len(st.Runs) {
 		// Generation had finished and every run survived: adopt the whole
@@ -302,7 +302,7 @@ func Resume[T any](src stream.BatchReader[T], fs vfs.FS, cfg Config, ops Ops[T])
 	// not place — runs past the prefix and half-written files of the crashed
 	// pass, to be regenerated under the same names.
 	if err := rset.spill.Adopt(placed(st.Runs[:valid])); err != nil {
-		return nil, rset.Abandon(err)
+		return nil, rset.abandon(err)
 	}
 	return rset.generate(src, st.Runs[:valid], entry)
 }

@@ -291,9 +291,10 @@ func (r *failAfterReader) Read() (record.Record, error) {
 	return r.recs[r.n-1], nil
 }
 
-// TestNoSpillLeaksOnErrors drives both failure classes — a source error
-// mid-generation and a cancellation mid-merge — and requires that no spill
-// file survives the failed sort.
+// TestNoSpillLeaksOnErrors drives the failure classes — a source error
+// mid-generation, a cancellation mid-merge and a destination that fails
+// while the final merge writes to it — and requires that the sort returns
+// the failure and that no spill file survives it.
 func TestNoSpillLeaksOnErrors(t *testing.T) {
 	recs := dupHeavy(20000)
 	t.Run("midgen/raw", func(t *testing.T) {
@@ -328,6 +329,29 @@ func TestNoSpillLeaksOnErrors(t *testing.T) {
 			t.Fatalf("spill files left after mid-merge cancellation: %v", names)
 		}
 	})
+	t.Run("sink/raw", func(t *testing.T) {
+		fs := vfs.NewMemFS()
+		cfg := Recommended(300)
+		cfg.FanIn = 2 // intermediate merges before the one that writes
+		_, err := Sort(stream.NewSliceReader(recs), &failAfterWriter{ok: 5000}, fs, cfg, RecordOps())
+		if !errors.Is(err, errMidStream) {
+			t.Fatalf("error = %v, want the destination's failure", err)
+		}
+		if names, _ := fs.Names(); len(names) != 0 {
+			t.Fatalf("spill files left after a destination failure: %v", names)
+		}
+	})
+}
+
+// failAfterWriter accepts ok elements, then fails every write.
+type failAfterWriter struct{ ok int }
+
+func (w *failAfterWriter) Write(record.Record) error {
+	if w.ok == 0 {
+		return errMidStream
+	}
+	w.ok--
+	return nil
 }
 
 // TestDiscardSweepsAllBackends generates runs (2WRS: forward files plus

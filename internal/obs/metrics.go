@@ -142,7 +142,7 @@ func labelsKey(labels []Label) string {
 
 // lookup returns the series for name+labels, creating family, series and
 // collector as needed — all under the registry lock, so concurrent sorts
-// (e.g. the shards of a sharded sort) can resolve the same series safely.
+// sharing a registry can resolve the same series safely.
 // It panics if the name is reused with a different kind. buckets is used
 // only when a histogram series is created.
 func (r *Registry) lookup(name, help string, kind metricKind, buckets []float64, labels []Label) *series {

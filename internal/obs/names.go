@@ -46,12 +46,6 @@ const (
 	// MSpillVerifyFailures counts checksum verification failures on
 	// spill reads.
 	MSpillVerifyFailures = "extsort_spill_verify_failures_total"
-	// MShards counts range shards executed by sharded distribution
-	// sorts (internal/distsort).
-	MShards = "distsort_shards_total"
-	// MShardRecords is the distribution of records routed to each range
-	// shard by the partition pass.
-	MShardRecords = "distsort_shard_records"
 )
 
 // Default bucket bounds for the registry's histograms.

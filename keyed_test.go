@@ -19,8 +19,8 @@ import (
 // WithoutKeys — under the given comparator, policy and options, asserts the
 // outputs are element-for-element identical, Aux included, and returns
 // them. Byte-identical output at every setting is the keyed path's core
-// guarantee. wantKeyed is whether the inferred codec must engage.
-func sortBothWays(t *testing.T, less func(a, b record.Record) bool, data []record.Record, policy string, wantKeyed bool, opts ...Option) []record.Record {
+// guarantee; the inferred codec must engage.
+func sortBothWays(t *testing.T, less func(a, b record.Record) bool, data []record.Record, policy string, opts ...Option) []record.Record {
 	t.Helper()
 	cfg := DefaultConfig(1 << 10)
 	run := func(more ...Option) ([]record.Record, Stats) {
@@ -37,7 +37,7 @@ func sortBothWays(t *testing.T, less func(a, b record.Record) bool, data []recor
 	}
 	keyed, kst := run()
 	comp, cst := run(WithoutKeys())
-	if wantKeyed && !kst.Keyed {
+	if !kst.Keyed {
 		t.Fatalf("policy %s: inferred record codec did not engage (Stats.Keyed=false)", policy)
 	}
 	if cst.Keyed {
@@ -60,10 +60,9 @@ func sortBothWays(t *testing.T, less func(a, b record.Record) bool, data []recor
 // sampled order check against totalRecLess (Key, then Aux), and the rest
 // share 5 keys, so nearly every merge match is a key tie only the
 // comparator can order. Aux is the input position, except that every third
-// record is one exact value in the middle of its key — enough copies that
-// several shard splitters collapse onto it, whose round-robin tie band must
-// not take the key's other records. Equal records are identical, so the
-// sorted output is unique.
+// record is one exact value in the middle of its key, so exact ties sit among
+// the key's other records. Equal records are identical, so the sorted output
+// is unique.
 func refiningRecords(n int) []record.Record {
 	rng := rand.New(rand.NewSource(17))
 	data := make([]record.Record, n)
@@ -86,8 +85,8 @@ func refiningRecords(n int) []record.Record {
 // and multi-source merges (and, under quick, the radix batch sort). The
 // refining rows hold a comparator that orders within key ties — the Key
 // codec coarsens it, and ties must go back to it in the heaps, the quick
-// batches, the merge (an intermediate pass at memory 256, a lone final one
-// at 4096) and the shard router alike.
+// batches and the merge (an intermediate pass at memory 256, a lone final
+// one at 4096) alike.
 func TestKeyedMatchesComparatorEverywhere(t *testing.T) {
 	dists := map[string]DatasetKind{
 		"sorted": DatasetSorted, "reverse": DatasetReverseSorted,
@@ -104,8 +103,8 @@ func TestKeyedMatchesComparatorEverywhere(t *testing.T) {
 		}
 		for _, policy := range Policies() {
 			t.Run(fmt.Sprintf("%s/%s", name, policy), func(t *testing.T) {
-				sortBothWays(t, record.Less, data, policy, true)
-				sortBothWays(t, record.Less, dup, policy, true)
+				sortBothWays(t, record.Less, data, policy)
+				sortBothWays(t, record.Less, dup, policy)
 			})
 		}
 	}
@@ -115,20 +114,14 @@ func TestKeyedMatchesComparatorEverywhere(t *testing.T) {
 	sort.Slice(want, func(i, j int) bool { return totalRecLess(want[i], want[j]) })
 	for _, policy := range Policies() {
 		for _, memory := range []int{256, 4096} {
-			for _, shards := range []int{1, 2, 8} {
-				t.Run(fmt.Sprintf("refining/%s/memory=%d/shards=%d", policy, memory, shards), func(t *testing.T) {
-					// A shard validates the codec on its own first elements,
-					// which are not the input's: only the unsharded sort is
-					// certain to run keyed.
-					got := sortBothWays(t, totalRecLess, refining, policy, shards == 1,
-						WithMemoryRecords(memory), WithShards(shards))
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("element %d = %+v, want %+v: not the comparator's order", i, got[i], want[i])
-						}
+			t.Run(fmt.Sprintf("refining/%s/memory=%d", policy, memory), func(t *testing.T) {
+				got := sortBothWays(t, totalRecLess, refining, policy, WithMemoryRecords(memory))
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("element %d = %+v, want %+v: not the comparator's order", i, got[i], want[i])
 					}
-				})
-			}
+				}
+			})
 		}
 	}
 }
@@ -278,8 +271,8 @@ func TestInferredCodecSilentFallback(t *testing.T) {
 // disagreement; with the cases interleaved, a run writer sees it first.
 // The same codec supplied through WithKeyCodec is held to the same check,
 // over the halves under every policy. Every error wraps
-// runio.ErrOutOfOrder and names WithoutKeys, whether SortSlice, Distinct or
-// a sharded sort drains the final merge.
+// runio.ErrOutOfOrder and names WithoutKeys, whether SortSlice or Distinct
+// drains the final merge.
 func TestInferredCodecMisorderFails(t *testing.T) {
 	fold := func(a, b string) bool { return strings.ToLower(a) < strings.ToLower(b) }
 	halves := make([]string, 0, 2560)
@@ -309,18 +302,11 @@ func TestInferredCodecMisorderFails(t *testing.T) {
 		if !errors.Is(err, runio.ErrOutOfOrder) || !strings.Contains(err.Error(), "WithoutKeys") {
 			t.Fatalf("%s, policy %s: error %q does not wrap runio.ErrOutOfOrder and name WithoutKeys", name, policy, err)
 		}
-		// An operator and a sharded sort drain the merged streams
-		// themselves: the same check, the same explanation.
+		// An operator drains the merged stream itself: the same check, the
+		// same explanation.
 		_, err = s.Distinct(context.Background(), newSliceSource(data), &sliceSink[string]{})
 		if !errors.Is(err, runio.ErrOutOfOrder) || !strings.Contains(err.Error(), "WithoutKeys") {
 			t.Fatalf("%s, policy %s: Distinct's error %q does not wrap runio.ErrOutOfOrder and name WithoutKeys", name, policy, err)
-		}
-		sharded, err := New(fold, append([]Option{WithMemoryRecords(256), WithPolicy(policy), WithShards(2)}, opts...)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err = sharded.SortSlice(context.Background(), data); !errors.Is(err, runio.ErrOutOfOrder) || !strings.Contains(err.Error(), "WithoutKeys") {
-			t.Fatalf("%s, policy %s: sharded sort's error %q does not wrap runio.ErrOutOfOrder and name WithoutKeys", name, policy, err)
 		}
 		s, err = New(fold, append([]Option{WithMemoryRecords(256), WithPolicy(policy)}, append(opts, WithoutKeys())...)...)
 		if err != nil {

@@ -96,15 +96,6 @@ func TestMetricsEqualTheLedger(t *testing.T) {
 			}
 			return ledger{st, 0, n, map[string]float64{"resume": 1, "merge": 1}}, err
 		}},
-		{"Sort/2 shards", func(t *testing.T, reg *Metrics) (ledger, error) {
-			var out sliceSink[Record]
-			st, err := build(t, vfs.NewMemFS(), WithShards(2), WithMetrics(reg)).Sort(ctx, src(), &out)
-			if err == nil && st.Shards != 2 {
-				t.Fatalf("%d shards, want 2", st.Shards)
-			}
-			// Every shard publishes its own phases.
-			return ledger{st, n, n, map[string]float64{"generate": 2, "merge": 2}}, err
-		}},
 		{"Distinct", func(t *testing.T, reg *Metrics) (ledger, error) {
 			var out sliceSink[Record]
 			st, err := build(t, vfs.NewMemFS(), WithMetrics(reg)).Distinct(ctx, src(), &out)
@@ -149,17 +140,12 @@ func TestMetricsEqualTheLedger(t *testing.T) {
 				"extsort_spill_blocks_read_total":     float64(st.IO.BlocksRead),
 				"extsort_spill_verify_failures_total": float64(st.IO.VerifyFailures),
 			}
-			if st.Shards == 0 && st.MergeOps > 0 {
+			if st.MergeOps > 0 {
 				// Every run but the final merge's output is read by one operation.
 				want["extsort_merge_fan_in_sum"] = float64(st.MergeInputs + st.MergeOps - 1)
 			}
 			for phase, count := range l.phases {
 				want[fmt.Sprintf("extsort_phase_seconds_count{phase=%q}", phase)] = count
-			}
-			if st.Shards > 0 {
-				want["distsort_shards_total"] = float64(st.Shards)
-				want["distsort_shard_records_count"] = float64(len(st.ShardRecords))
-				want["distsort_shard_records_sum"] = float64(st.Records)
 			}
 			var prom strings.Builder
 			if err := reg.WritePrometheus(&prom); err != nil {

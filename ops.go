@@ -56,11 +56,11 @@ func (s *Sorter[T]) eq() func(a, b T) bool {
 // whatever drain did. Closing is what deletes the remaining run files and a
 // durable sorter's manifest, so an operator that abandons the stream early
 // leaves as little behind as one that drains it; a sort that fails before
-// its stream opens leaves what RunSet.Abandon decides. It returns the
-// two-phase statistics of the underlying sort.
+// its stream opens leaves a durable sorter's resumable state, or nothing. It
+// returns the two-phase statistics of the underlying sort.
 func (s *Sorter[T]) streamed(o *op, src stream.BatchReader[T], prefix, phase string, drain func(st *merge.Stream[T], n int64) error) (Stats, error) {
 	o.phase("generate")
-	rset, _, err := s.generate(o, src, nil, prefix, false)
+	rset, err := s.generate(o, src, prefix, false)
 	if err != nil {
 		return Stats{}, err
 	}

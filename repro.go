@@ -221,9 +221,8 @@ type Config struct {
 	// every run in one pass when the memory budget gives each piece of them
 	// a 4 KiB page, and otherwise at the base width: the widest merge the
 	// budget feeds at a 16 KiB block per input, never narrower than the
-	// paper's optimum of 10. A Sorter's Config reports the base width; under
-	// Shards, each shard's, fed by its share of the budget. A nonzero FanIn
-	// is never widened.
+	// paper's optimum of 10. A Sorter's Config reports the base width. A
+	// nonzero FanIn is never widened.
 	FanIn int
 	// Setup selects which auxiliary 2WRS buffers exist. Setup,
 	// BufferFraction, Input and Output tune 2WRS and are ignored by the
@@ -250,17 +249,11 @@ type Config struct {
 	// paper's cost model); 0, the default, uses GOMAXPROCS. The run files,
 	// merge tree and sorted output are identical at every setting.
 	Parallelism int
-	// Shards, when above 1, turns the sort into a range-partitioned
-	// distribution sort: a memory-sized prefix of the input is sampled for
-	// Shards-1 quantile splitters, the input is partitioned into that many
-	// non-overlapping key ranges, each range sorts concurrently on its own
-	// goroutine with its own run files and share of the memory budget, and
-	// the shard outputs are concatenated in splitter order — no final
-	// cross-shard merge. The sorted output is byte-identical to the
-	// single-stream sort whenever comparator-equal elements are bitwise
-	// identical. 0 and 1 run the ordinary single-stream sort. Durable
-	// sharded sorts (Manifest/Resume) keep one manifest per shard and
-	// resume only the unfinished shards. See DESIGN.md §15.
+	// Shards is ignored. It once split the sort into range-partitioned
+	// shards; run generation puts the cores to work through lanes instead
+	// (Parallelism). See DESIGN.md §15.
+	//
+	// Deprecated: leave it unset.
 	Shards int
 	// Storage has no fields: spill files have one layout, raw and checked
 	// block by block.
@@ -354,9 +347,6 @@ func (c Config) Validate() error {
 	}
 	if c.Parallelism < 0 {
 		return fmt.Errorf("repro: parallelism must be non-negative, got %d", c.Parallelism)
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("repro: shards must be non-negative, got %d", c.Shards)
 	}
 	return nil
 }

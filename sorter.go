@@ -6,7 +6,6 @@ import (
 	"os"
 
 	"repro/internal/codec"
-	"repro/internal/distsort"
 	"repro/internal/extsort"
 	"repro/internal/record"
 	"repro/internal/storage"
@@ -78,7 +77,7 @@ func Float64Codec() Codec[float64] { return codec.Float64{} }
 // bytes imply a tie under the comparator when TotalKey reports true, and
 // only then is the comparator never called; under any other codec it
 // decides between elements whose keys are equal — in the heaps, the quick
-// batches, the merge and the shard router alike — so a comparator may
+// batches and the merge alike — so a comparator may
 // refine the key's order (a Record's Key, then its Aux) and the output is
 // still the comparator's. Every keyed decision is pointwise equal to the
 // comparator's and the sorted output is byte-identical between the keyed
@@ -237,12 +236,13 @@ func WithParallelism(n int) Option {
 	return func(s *sorterConfig) error { s.cfg.Parallelism = n; return nil }
 }
 
-// WithShards splits the sort into n range-partitioned shards that sort
-// concurrently and concatenate in key order, skipping the final cross-shard
-// merge (see Config.Shards for the full semantics and the byte-identity
-// caveat). 0 and 1 keep the ordinary single-stream sort.
-func WithShards(n int) Option {
-	return func(s *sorterConfig) error { s.cfg.Shards = n; return nil }
+// WithShards does nothing: it ignores its argument. It once split the sort
+// into range-partitioned shards; run generation now puts the cores to work
+// through lanes (WithParallelism), which sorted faster.
+//
+// Deprecated: drop the option.
+func WithShards(int) Option {
+	return func(*sorterConfig) error { return nil }
 }
 
 // WithSeed seeds the randomised heuristics, making a sort deterministic.
@@ -465,12 +465,12 @@ func New[T any](less func(a, b T) bool, opts ...Option) (*Sorter[T], error) {
 }
 
 // Config returns the sorter's frozen configuration, a zero FanIn — which each
-// merge resolves against its runs — read as the base width (under Shards,
-// each shard's). Passing that back explicitly pins every merge to it.
+// merge resolves against its runs — read as the base width. Passing that back
+// explicitly pins every merge to it.
 func (s *Sorter[T]) Config() Config {
 	c := s.cfg
 	if c.FanIn == 0 {
-		c.FanIn = distsort.Config{Shards: max(c.Shards, 1), Extsort: c.toInternal()}.MergeFanIn(s.ops.ElementBytes())
+		c.FanIn = c.toInternal().MergeFanIn(s.ops.ElementBytes())
 	}
 	return c
 }
@@ -578,16 +578,12 @@ func (s *Sorter[T]) Resume(ctx context.Context, src Source[T], dst Sink[T]) (Sta
 // TempDir — cannot collide. The caller owns the returned run set: Merge it,
 // or OpenMerged and Close the stream; either consumes the run files and,
 // with them, a durable sort's manifest.
-//
-// A sharded sort (Shards > 1, dst given) is the exception the signature
-// shows: it partitions, sorts and concatenates into dst in one pass and
-// returns its statistics with no run set.
-func (s *Sorter[T]) generate(o *op, src stream.BatchReader[T], dst Sink[T], prefix string, resume bool) (*extsort.RunSet[T], Stats, error) {
+func (s *Sorter[T]) generate(o *op, src stream.BatchReader[T], prefix string, resume bool) (*extsort.RunSet[T], error) {
 	fs := s.fs
 	if fs == nil {
 		var err error
 		if fs, err = s.cfg.filesystem(); err != nil {
-			return nil, Stats{}, err
+			return nil, err
 		}
 	}
 	icfg := s.cfg.toInternal()
@@ -595,24 +591,18 @@ func (s *Sorter[T]) generate(o *op, src stream.BatchReader[T], dst Sink[T], pref
 	icfg.Prefix = prefix
 	icfg.Resume = icfg.Resume || resume
 	icfg.Pool = s.pool
-	if dst != nil && s.cfg.Shards > 1 {
-		stats, err := distsort.SortBatch[T](src, &ctxWriter[T]{ctx: o.ctx, dst: dst}, fs,
-			distsort.Config{Shards: s.cfg.Shards, Extsort: icfg}, s.ops)
-		return nil, stats, err
-	}
-	rset, err := extsort.GenerateRunsBatch[T](src, fs, icfg, s.ops)
-	return rset, Stats{}, err
+	return extsort.GenerateRunsBatch[T](src, fs, icfg, s.ops)
 }
 
 // sort is the materialising caller of generate: the run set merged into
-// dst. What a failure leaves on the store is RunSet.Abandon's to decide:
-// under WithManifest the state Resume continues from, otherwise nothing.
+// dst. A failure leaves under WithManifest the state Resume continues from,
+// otherwise nothing.
 func (s *Sorter[T]) sort(ctx context.Context, src Source[T], dst Sink[T], resume bool) (stats Stats, err error) {
 	o := startOp(ctx, nil, "") // no root span: the driver traces and times a sort itself
 	defer o.finish(nil, nil, &err)
-	rset, stats, err := s.generate(o, source(o, src), dst, "", resume)
-	if rset == nil {
-		return stats, err
+	rset, err := s.generate(o, source(o, src), "", resume)
+	if err != nil {
+		return Stats{}, err
 	}
 	return rset.Merge(&ctxWriter[T]{ctx: o.ctx, dst: dst})
 }

@@ -534,24 +534,40 @@ func TestSorterCancelledBeforeMerge(t *testing.T) {
 	}
 }
 
-// TestSorterStorageOptions drives the deprecated storage option end to end:
-// whatever it names — the one layout, a retired framing or a name that never
-// was one — a variable-width sort over a real temp dir runs the one checked
-// raw layout, produces the same output, accounts its I/O and leaves the
-// directory empty.
+// TestSorterStorageOptions drives the deprecated options end to end: whatever
+// WithCompression names — the one layout, a retired framing or a name that
+// never was one — and whatever shard count WithShards asks for, a
+// variable-width sort over a real temp dir runs the one checked raw layout
+// as the sort with no option does: the same output, runs, merge passes and
+// reported fan-in, its I/O accounted, no shard counts, and the directory
+// left empty.
 func TestSorterStorageOptions(t *testing.T) {
 	in := make([]string, 6000)
 	for i := range in {
 		in[i] = fmt.Sprintf("key-%05d", (i*7919)%6000)
 	}
-	var want []string
-	for _, comp := range []string{"raw", "none", "flate", "gzip"} {
-		t.Run(comp, func(t *testing.T) {
+	less := func(a, b string) bool { return a < b }
+	plain, err := New(less, WithMemoryRecords(256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantStats, err := plain.SortSlice(context.Background(), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []struct {
+		name string
+		opt  Option
+	}{
+		{"raw", WithCompression("raw")},
+		{"none", WithCompression("none")},
+		{"flate", WithCompression("flate")},
+		{"gzip", WithCompression("gzip")},
+		{"shards=2", WithShards(2)},
+	} {
+		t.Run(row.name, func(t *testing.T) {
 			dir := t.TempDir()
-			s, err := New(func(a, b string) bool { return a < b },
-				WithMemoryRecords(256),
-				WithTempDir(dir),
-				WithCompression(comp))
+			s, err := New(less, WithMemoryRecords(256), WithTempDir(dir), row.opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -559,20 +575,25 @@ func TestSorterStorageOptions(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want == nil {
-				want = got
-			} else if !slices.Equal(got, want) {
-				t.Fatalf("%s: output differs from the first sort's", comp)
+			if !slices.Equal(got, want) {
+				t.Fatal("output differs from the sort with no option")
+			}
+			if stats.Runs != wantStats.Runs || stats.MergePasses != wantStats.MergePasses || s.Config().FanIn != plain.Config().FanIn {
+				t.Fatalf("%d runs, %d merge passes, fan-in %d; with no option %d, %d, %d",
+					stats.Runs, stats.MergePasses, s.Config().FanIn, wantStats.Runs, wantStats.MergePasses, plain.Config().FanIn)
+			}
+			if stats.ShardRecords != nil {
+				t.Fatalf("ShardRecords = %v, want nil", stats.ShardRecords)
 			}
 			if stats.Storage != "raw" || stats.IO.RawBytesWritten == 0 || stats.IO.VerifyFailures != 0 {
-				t.Fatalf("%s: backend %q, IO accounting %+v", comp, stats.Storage, stats.IO)
+				t.Fatalf("backend %q, IO accounting %+v", stats.Storage, stats.IO)
 			}
 			ents, err := os.ReadDir(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(ents) != 0 {
-				t.Fatalf("%s: temp files left behind: %d entries", comp, len(ents))
+				t.Fatalf("temp files left behind: %d entries", len(ents))
 			}
 		})
 	}
