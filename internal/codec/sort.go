@@ -84,12 +84,18 @@ func (s *Scratch[T]) Put(buf []T) {
 	}
 }
 
-// take removes from free, under s's lock, a buffer of capacity n or more
-// and returns it, or nil when there is none.
+// take removes from free, under s's lock, the smallest buffer of capacity
+// n or more and returns it, or nil when there is none: a small request
+// leaves the large buffers to the requests that need them.
 func take[T, E any](s *Scratch[T], free *[][]E, n int) []E {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	i := slices.IndexFunc(*free, func(b []E) bool { return cap(b) >= n })
+	i := -1
+	for j, b := range *free {
+		if cap(b) >= n && (i < 0 || cap(b) < cap((*free)[i])) {
+			i = j
+		}
+	}
 	if i < 0 {
 		return nil
 	}

@@ -25,12 +25,14 @@ type Config struct {
 	// the run's pieces split again — and one for the output writer (see
 	// bufBytes).
 	MemoryBytes int
-	// Workers bounds how many intermediate merges run at once. It decides
-	// when an operation of the merge plan runs, never which runs it merges:
-	// ≤1 executes the plan in order on the caller's goroutine; above 1,
+	// Workers bounds how many goroutines merge at once. It decides when an
+	// operation of the merge plan runs, never which runs it merges: ≤1
+	// executes the plan in order on the caller's goroutine; above 1,
 	// operations whose inputs are complete overlap, each worker creating,
-	// writing and closing its output on its own goroutine. No more run at
-	// once than MemoryBytes feeds (fedWorkers).
+	// writing and closing its output on its own goroutine, no more at once
+	// than MemoryBytes feeds (fedWorkers). Above 1 the final merge, too,
+	// runs on Workers goroutines, in rounds over the leaves' windows
+	// (rounds.go); at 1 it is one streaming tree.
 	Workers int
 	// Cancel, when set, is polled between batches of every merge operation;
 	// a non-nil return aborts the merge with that error. The driver wires
@@ -74,14 +76,25 @@ func BaseFanIn(memoryBytes int) int {
 // them a page at that width (fedWorkers), BaseFanIn otherwise — never a
 // function of Workers, nor of anything a resume could change.
 func (c Config) fanIn(inputs []runio.Run) int {
+	pieces := 0
+	for _, r := range inputs {
+		pieces += r.Pieces()
+	}
+	return c.width(len(inputs), pieces)
+}
+
+// width is fanIn on counts: the width a merge of runs runs of pieces pieces
+// in all plans at. All of them when the budget feeds each piece a page
+// beside the output's — what fedWorkers grants one operation of that width
+// under a derived fan-in — and the base width otherwise.
+func (c Config) width(runs, pieces int) int {
 	if c.FanIn != 0 {
 		return c.FanIn
 	}
-	base := BaseFanIn(c.MemoryBytes)
-	if c.FanIn = len(inputs); c.FanIn > base && c.fedWorkers(inputs) > 0 {
-		return c.FanIn
+	if base := BaseFanIn(c.MemoryBytes); runs <= base || c.MemoryBytes < (pieces+1)*runio.DefaultPageSize {
+		return base
 	}
-	return base
+	return runs
 }
 
 // plan resolves the fan-in the merge of inputs runs at and plans it there:
@@ -97,15 +110,17 @@ func (c Config) plan(inputs []runio.Run) (Config, plan) {
 }
 
 // Passes predicts how many passes NewStream under c takes to merge runs
-// equal runs of one piece each: the plan it would make for them. It is how
-// run generation prices the merge its runs will need (internal/policy).
+// equal runs of one piece each: the depth of the plan it would make for
+// them, from the counts alone. Smallest-first merging of equal runs at
+// width F builds the shallowest F-ary tree over them, ⌈log_F runs⌉ deep.
+// It is how run generation prices the merge its runs will need
+// (internal/policy).
 func (c Config) Passes(runs int) int {
-	inputs := make([]runio.Run, runs)
-	for i := range inputs {
-		inputs[i] = runio.Run{Records: 1, Concatenable: true}
+	f, passes := c.width(runs, runs), 0
+	for reach := 1; reach < runs; reach *= f {
+		passes++
 	}
-	_, p := c.plan(inputs)
-	return p.stats.Passes
+	return passes
 }
 
 // units is how many blocks run r reads through: one per piece under a
@@ -198,9 +213,11 @@ func (s Stats) Width(i int) int {
 // overlap — and every piece of every run is a leaf of one loser tree,
 // laid out in the arena and shaped by the emitter's KeyCodec (tree.go), so an
 // overlap run is merged by the operation's own tree, on keys like any other
-// leaf. A single piece is its own source. A run that cannot be opened, or a
-// piece that fails while the tree primes it, closes every piece opened.
-func openMerged[T any](em *runio.Emitter[T], a *leafArena[T], runs []runio.Run, block int, cfg Config) (Source[T], error) {
+// leaf. A single piece is its own source. Above one worker the pieces are
+// merged in rounds on that many (rounds.go): how the final merge runs when
+// Workers ≥ 2. A run that cannot be opened, or a piece that fails while the
+// tree primes it, closes every piece opened.
+func openMerged[T any](em *runio.Emitter[T], a *leafArena[T], runs []runio.Run, block, workers int, cfg Config) (Source[T], error) {
 	srcs := make([]Source[T], 0, len(runs))
 	for _, r := range runs {
 		pieces, err := em.Open(r, block*cfg.units(r))
@@ -216,6 +233,9 @@ func openMerged[T any](em *runio.Emitter[T], a *leafArena[T], runs []runio.Run, 
 	}
 	if len(srcs) == 1 {
 		return srcs[0], nil
+	}
+	if workers > 1 {
+		return newRounds(a, srcs, em.Less, em.KeyCodec, workers, em.Scratch)
 	}
 	return newTreeIn(a, srcs, em.Less, em.KeyCodec)
 }
@@ -435,7 +455,7 @@ func mergeOp[T any](em *runio.Emitter[T], a *leafArena[T], group []runio.Run, na
 		}
 		sp.End(obs.Int("records", out.Records))
 	}()
-	eng, err := openMerged(em, a, group, bufBytes, cfg)
+	eng, err := openMerged(em, a, group, bufBytes, 1, cfg)
 	if err != nil {
 		return runio.Run{}, err
 	}

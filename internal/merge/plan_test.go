@@ -228,7 +228,10 @@ func unevenRuns(t *testing.T, em *runio.Emitter[record.Record], n int, seed int6
 // Workers setting: the same operations — output name ← input names, in
 // group order — whatever order they ran in, the same statistics and the
 // same bytes written as one worker's, which
-// TestSequentialScheduleUnchanged holds to the rule.
+// TestSequentialScheduleUnchanged holds to the rule. The output is one
+// worker's up to the placement of key ties — record.Less orders on the key
+// alone, and the final merge on several workers places ties by run — and the
+// same at every setting above one.
 func TestScheduleIndependentOfWorkers(t *testing.T) {
 	const fanIn, n = 4, 500
 	type outcome struct {
@@ -255,6 +258,7 @@ func TestScheduleIndependentOfWorkers(t *testing.T) {
 	if len(want.steps) < 100 || want.stats.Passes < 4 {
 		t.Fatalf("one worker: %d operations, %+v; want a deep plan", len(want.steps), want.stats)
 	}
+	var parallel []record.Record
 	for _, workers := range []int{2, 4, 8} {
 		got := run(workers)
 		if !slices.Equal(got.steps, want.steps) {
@@ -263,8 +267,15 @@ func TestScheduleIndependentOfWorkers(t *testing.T) {
 		if got.stats != want.stats || got.raw != want.raw {
 			t.Errorf("workers %d: stats %+v and %d raw bytes written, one worker %+v and %d", workers, got.stats, got.raw, want.stats, want.raw)
 		}
-		if !slices.Equal(got.out, want.out) {
+		if !slices.EqualFunc(got.out, want.out, func(a, b record.Record) bool { return a.Key == b.Key }) ||
+			!record.NewMultiset(got.out).Equal(record.NewMultiset(want.out)) {
 			t.Errorf("workers %d: output differs from one worker's", workers)
+		}
+		if parallel == nil {
+			parallel = got.out
+		}
+		if !slices.Equal(got.out, parallel) {
+			t.Errorf("workers %d: output differs from two workers'", workers)
 		}
 	}
 }
@@ -309,5 +320,38 @@ func TestFailedOperationStrandsNothing(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestPassesPlansOnCounts holds Passes, which plans on counts, to the plan
+// NewStream makes: for 1 to 4096 equal runs of one piece, at budgets of
+// 2^10 to 2^20 bytes under a derived fan-in and at a set fan-in of 4, its
+// depth is planMerge's — and it allocates nothing.
+func TestPassesPlansOnCounts(t *testing.T) {
+	inputs := make([]runio.Run, 4096)
+	sizes := make([]int64, len(inputs))
+	for i := range inputs {
+		inputs[i], sizes[i] = runio.Run{Records: 1, Concatenable: true}, 1
+	}
+	depth := map[[2]int]int{} // planMerge's depth by runs and width
+	for b := 10; b <= 20; b++ {
+		for _, fanIn := range []int{0, 4} {
+			c := Config{FanIn: fanIn, MemoryBytes: 1 << b}
+			for runs := 1; runs <= len(inputs); runs++ {
+				at := [2]int{runs, c.fanIn(inputs[:runs])}
+				want, ok := depth[at]
+				if !ok {
+					want = planMerge(sizes[:runs], at[1]).stats.Passes
+					depth[at] = want
+				}
+				if got := c.Passes(runs); got != want {
+					t.Fatalf("budget 2^%d, fan-in %d, %d runs: Passes = %d, the plan takes %d", b, fanIn, runs, got, want)
+				}
+			}
+		}
+	}
+	c := Config{MemoryBytes: 1 << 18}
+	if allocs := testing.AllocsPerRun(100, func() { c.Passes(4000) }); allocs != 0 {
+		t.Fatalf("Passes allocates %v times", allocs)
 	}
 }

@@ -86,7 +86,7 @@ func NewStream[T any](em *runio.Emitter[T], inputs []runio.Run, cfg Config) (*St
 		st.want += runs[id].Records
 	}
 	var err error
-	st.eng, err = openMerged(em, &arenas[0], st.finals, cfg.bufBytes(1, cfg.widest(st.finals, len(st.finals))), cfg)
+	st.eng, err = openMerged(em, &arenas[0], st.finals, cfg.bufBytes(1, cfg.widest(st.finals, len(st.finals))), cfg.Workers, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -176,7 +176,11 @@ func (s *Stream[T]) Close() error {
 			first = err
 		}
 	}
-	s.fspan.End()
+	attrs := []obs.Attr{obs.Int("workers", 1)}
+	if r, ok := s.eng.(*rounds[T]); ok {
+		attrs = r.attrs()
+	}
+	s.fspan.End(attrs...)
 	if s.onClose != nil {
 		s.onClose(s.failed)
 	}

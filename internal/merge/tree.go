@@ -47,13 +47,13 @@ type leafArena[T any] struct {
 	batch []T
 }
 
-// batches returns the arena slab cut to k leaf batches, first replacing it
-// with a wider one when it is narrower.
-func batches[E any](slab *[]E, k int) []E {
-	if len(*slab) < k*leafBatch {
-		*slab = make([]E, k*leafBatch)
+// slab returns the arena slab s cut to n elements, first replacing it with
+// a longer one when it is shorter.
+func slab[E any](s *[]E, n int) []E {
+	if len(*s) < n {
+		*s = make([]E, n)
 	}
-	return (*slab)[:k*leafBatch]
+	return (*s)[:n]
 }
 
 // leaves holds the decoded batches of k sources in one slab: source i's
@@ -74,7 +74,7 @@ func newLeaves[T any](a *leafArena[T], srcs []Source[T]) leaves[T] {
 	k := len(srcs)
 	l := leaves[T]{
 		srcs: srcs,
-		buf:  batches(&a.buf, k),
+		buf:  slab(&a.buf, k*leafBatch),
 		pos:  make([]int, k),
 		end:  make([]int, k),
 	}
@@ -142,6 +142,12 @@ func (l *leaves[T]) closeAll() error {
 // a word that is a whole total key stands in for it on ties, so the merged
 // order is the comparator's for every shape — also under a comparator that
 // refines key ties, as Key-then-Aux does over a Record's Key codec.
+// Elements the comparator ties come out in an order the tree's history
+// decides: a winner keeps winning its ties. A stable tree instead breaks
+// them by source, the lower-numbered source's first, with still at most
+// one comparator call a match: its order is a function of the sources
+// alone, which is what lets the final merge on several workers cut it
+// anywhere and reproduce it (rounds.go).
 type LoserTree[T any] struct {
 	leaves[T]
 	// key[i] is the cached key of source i's head.
@@ -152,12 +158,18 @@ type LoserTree[T any] struct {
 	// unkeyed tree, which leaves every live key zero.
 	keys []uint64
 	pfx  func(dst []uint64, src []T)
-	// cmp is the tie rule; nil when the word is a whole total key.
+	// cmp is the comparator of the tie rule; nil when the word is a whole
+	// total key.
 	cmp func(a, b T) bool
 	// tree[j] holds the loser of the match at internal node j; tree[0]
-	// holds the overall winner.
-	tree    []int
-	k       int
+	// holds the overall winner. win is build's scratch.
+	tree []int
+	win  []int
+	k    int
+	// below is a key under which the winner's next head needs no replay:
+	// the least key among the losers on its path, or 0 when unknown.
+	below   uint64
+	stable  bool // ties go by source (rounds.go's trees)
 	closed  bool
 	pendErr error // error deferred by ReadBatch after a partial batch
 }
@@ -186,7 +198,7 @@ func newTreeIn[T any](a *leafArena[T], srcs []Source[T], less func(a, b T) bool,
 		k:      k,
 	}
 	if kc != nil {
-		t.keys, t.pfx = batches(&a.keys, k), codec.PrefixAllFunc(kc)
+		t.keys, t.pfx = slab(&a.keys, k*leafBatch), codec.PrefixAllFunc(kc)
 		if codec.PrefixIsKey(kc) && kc.TotalKey() {
 			t.cmp = nil
 		}
@@ -204,8 +216,13 @@ func newTreeIn[T any](a *leafArena[T], srcs []Source[T], less func(a, b T) bool,
 // refill is the slow path of an advance, once per leafBatch elements: it
 // reads source i's next batch, computes the cached key of every element of
 // it in one pass, and loads the new head's key. A source at its end gets the
-// sentinel.
+// sentinel, and so does a leaf of a tree without sources, which merges the
+// stretches of windows it is given (rounds.go) and no more.
 func (t *LoserTree[T]) refill(i int) error {
+	if t.srcs == nil {
+		t.key[i] = ^uint64(0)
+		return nil
+	}
 	batch, err := t.leaves.refill(i)
 	if err != nil {
 		return err
@@ -227,12 +244,30 @@ func (t *LoserTree[T]) refill(i int) error {
 // can tie with another exhausted source or with a live maximal key — and
 // exhausted sources order last. Between live heads the comparator decides,
 // unless the word is a whole total key (cmp is nil: equal words are
-// identical elements).
+// identical elements), and in a stable tree the lower-numbered source wins
+// what it ties.
 func (t *LoserTree[T]) tie(a, b int) bool {
 	if t.key[a] == ^uint64(0) && (t.done(a) || t.done(b)) {
 		return !t.done(a)
 	}
+	if t.stable {
+		return stableLess(t.cmp, t.head(a), t.head(b), a < b)
+	}
 	return t.cmp != nil && t.cmp(t.head(a), t.head(b))
+}
+
+// stableLess orders x, from the lower-numbered source when first, before y
+// where their words are equal: under cmp, ties broken by source, with one
+// call of cmp; by source alone when cmp is nil.
+func stableLess[T any](cmp func(a, b T) bool, x, y T, first bool) bool {
+	switch {
+	case cmp == nil:
+		return first
+	case first:
+		return !cmp(y, x)
+	default:
+		return cmp(x, y)
+	}
 }
 
 // beats reports whether source a's head orders strictly before source b's.
@@ -248,7 +283,10 @@ func (t *LoserTree[T]) build() {
 	}
 	// Play the tournament bottom-up: winner[j] for internal node j over
 	// leaves k..2k-1 (leaf j represents source j-k).
-	winner := make([]int, 2*t.k)
+	if len(t.win) < 2*t.k {
+		t.win = make([]int, 2*t.k)
+	}
+	winner := t.win
 	for j := t.k; j < 2*t.k; j++ {
 		winner[j] = j - t.k
 	}
@@ -263,6 +301,7 @@ func (t *LoserTree[T]) build() {
 		}
 	}
 	t.tree[0] = winner[1]
+	t.below = 0
 }
 
 // ReadBatch fills dst with the next elements in global sorted order per the
@@ -283,7 +322,7 @@ func (t *LoserTree[T]) ReadBatch(dst []T) (int, error) {
 		return 0, io.EOF
 	}
 	key, tree, pos, end, buf, keys := t.key, t.tree, t.pos, t.end, t.buf, t.keys
-	w := tree[0]
+	w, below := tree[0], t.below
 	n := 0
 	for n < len(dst) {
 		h := pos[w]
@@ -307,6 +346,14 @@ func (t *LoserTree[T]) ReadBatch(dst []T) (int, error) {
 		} else if keys != nil {
 			key[w] = keys[h]
 		}
+		// A head keyed below every loser on the winner's path wins every
+		// match of the replay, which would change nothing: the tree stands.
+		// On input whose runs take turns in long stretches — the paper's
+		// structured inputs — that skips almost every replay.
+		kw := key[w]
+		if kw < below {
+			continue
+		}
 		// Replay the winner's path to the root: at each internal node the
 		// contender either stays winner or swaps with the stored loser. Equal
 		// keys branch to the tie rule. Which of two unequal keys is smaller is
@@ -316,7 +363,7 @@ func (t *LoserTree[T]) ReadBatch(dst []T) (int, error) {
 		// stays a branch (the compiler makes no conditional move of a value
 		// that indexes later loads) and costs the prefix shape 14 → 20 ns a
 		// record at fan-in 4 (BenchmarkKeyedVsComparatorMerge).
-		kw := key[w]
+		adv := w
 		for j := (w + t.k) >> 1; j >= 1; j >>= 1 {
 			c := tree[j]
 			kc := key[c]
@@ -333,8 +380,18 @@ func (t *LoserTree[T]) ReadBatch(dst []T) (int, error) {
 			w ^= x
 			kw ^= (kc ^ kw) & m
 		}
+		// A winner that kept its place may keep it for a stretch: below is
+		// then the least key among the losers on its path, and 0 — below no
+		// key — after a change of winner.
+		below = 0
+		if w == adv {
+			below = ^uint64(0)
+			for j := (w + t.k) >> 1; j >= 1; j >>= 1 {
+				below = min(below, key[tree[j]])
+			}
+		}
 	}
-	tree[0] = w
+	tree[0], t.below = w, below
 	return n, nil
 }
 

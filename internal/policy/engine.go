@@ -82,7 +82,8 @@ type Choice struct {
 // names the fixed policy z prices cheapest for the input (cost.go), with
 // Alternating opening in the probe's direction. The input's length is src's
 // stream.Sized hint. The returned reader serves src from its first record,
-// the probed prefix included.
+// the probed prefix included, and gives the prefix's buffer back to the
+// emitter's scratch once it has served it.
 func Decide[T any](kind Kind, src stream.BatchReader[T], em *runio.Emitter[T], z Sizing) (Choice, stream.BatchReader[T], error) {
 	if kind != Auto {
 		return Choice{Kind: kind}, src, nil
@@ -96,7 +97,7 @@ func Decide[T any](kind Kind, src stream.BatchReader[T], em *runio.Emitter[T], z
 	sh, down := classify(Measure(prefix, em.Less))
 	c.Kind = z.cheapest(sh, n, em.Codec.FixedSize() == 0)
 	c.down = down && c.Kind == Alternating
-	return c, stream.Prepend(prefix, src), nil
+	return c, stream.PrependOwned(prefix, src, em.Scratch.Put), nil
 }
 
 // Build returns the stepper of a decided policy, fresh over src: what every

@@ -65,6 +65,10 @@ func (nowhere[T]) WriteBatch([]T) error { return nil }
 type Prepended[T any] struct {
 	head []T
 	tail BatchReader[T]
+	// buf is the head's whole buffer, handed to put once the head has been
+	// served, when the reader owns it (PrependOwned).
+	buf []T
+	put func([]T)
 }
 
 // Prepend returns a reader serving head, then tail. head is not copied.
@@ -72,17 +76,32 @@ func Prepend[T any](head []T, tail BatchReader[T]) *Prepended[T] {
 	return &Prepended[T]{head: head, tail: tail}
 }
 
+// PrependOwned is Prepend of a head whose buffer nothing else uses: once
+// the head has been served the reader hands the buffer, emptied, to put —
+// a probe's prefix goes back to the scratch it was borrowed from as soon as
+// it has been dealt.
+func PrependOwned[T any](head []T, tail BatchReader[T], put func([]T)) *Prepended[T] {
+	return &Prepended[T]{head: head, tail: tail, buf: head[:0], put: put}
+}
+
 // Split returns the unread head and the tail, for a consumer that would
 // otherwise copy the head into a buffer of its own: it reads the head in
-// place and the tail after it, and no longer reads p.
-func (p *Prepended[T]) Split() ([]T, BatchReader[T]) { return p.head, p.tail }
+// place and the tail after it, and no longer reads p. The head's buffer is
+// the consumer's from then on.
+func (p *Prepended[T]) Split() ([]T, BatchReader[T]) {
+	p.put = nil
+	return p.head, p.tail
+}
 
 // ReadBatch serves the buffer first — a batch never spans the seam — then
 // the tail.
 func (p *Prepended[T]) ReadBatch(dst []T) (int, error) {
 	if len(p.head) > 0 {
 		n := copy(dst, p.head)
-		p.head = p.head[n:]
+		if p.head = p.head[n:]; len(p.head) == 0 && p.put != nil {
+			p.put(p.buf)
+			p.put = nil
+		}
 		return n, nil
 	}
 	return p.tail.ReadBatch(dst)

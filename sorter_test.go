@@ -630,6 +630,33 @@ func TestSorterReusesGenerationMemory(t *testing.T) {
 	}
 }
 
+// TestSorterRecyclesProbePrefix: auto's probe borrows a memory-load from the
+// Sorter's scratch, and with lanes — a default budget runs 32 — no generator
+// adopts it; its records are dealt to the lanes' blocks, and the buffer goes
+// back to the scratch then. So a warm Sorter's second default sort of 2M
+// random records allocates no new probe: at most 4 MB, against the 16 MB of
+// the probe alone.
+func TestSorterRecyclesProbePrefix(t *testing.T) {
+	recs := Dataset(DatasetRandom, 2_000_000, 7)
+	s, err := New(Record.Less, WithTempDir(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort := func() {
+		if _, err := s.Sort(context.Background(), stream.NewSliceReader(recs), &discardSink[Record]{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sort()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	sort()
+	runtime.ReadMemStats(&m1)
+	if got := m1.TotalAlloc - m0.TotalAlloc; got > 4<<20 {
+		t.Fatalf("the second sort allocated %d bytes, want at most 4 MiB", got)
+	}
+}
+
 // TestSorterConcurrentSorts runs sorts of one Sorter side by side: they
 // share its spill block pool and its generation scratch, and each must still
 // write its own input sorted (run it under -race).
