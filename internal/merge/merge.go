@@ -214,9 +214,11 @@ func (s Stats) Width(i int) int {
 // laid out in the arena and shaped by the emitter's KeyCodec (tree.go), so an
 // overlap run is merged by the operation's own tree, on keys like any other
 // leaf. A single piece is its own source. Above one worker the pieces are
-// merged in rounds on that many (rounds.go): how the final merge runs when
-// Workers ≥ 2. A run that cannot be opened, or a piece that fails while the
-// tree primes it, closes every piece opened.
+// merged in rounds on that many (rounds.go) — how the final merge runs when
+// Workers ≥ 2 — unless they are too few for any round to split: their
+// windows hold fewer than roundMin elements. A run that cannot be opened,
+// or a piece that fails while the tree primes it, closes every piece
+// opened.
 func openMerged[T any](em *runio.Emitter[T], a *leafArena[T], runs []runio.Run, block, workers int, cfg Config) (Source[T], error) {
 	srcs := make([]Source[T], 0, len(runs))
 	for _, r := range runs {
@@ -234,7 +236,7 @@ func openMerged[T any](em *runio.Emitter[T], a *leafArena[T], runs []runio.Run, 
 	if len(srcs) == 1 {
 		return srcs[0], nil
 	}
-	if workers > 1 {
+	if workers > 1 && len(srcs)*leafBatch >= roundMin {
 		return newRounds(a, srcs, em.Less, em.KeyCodec, workers, em.Scratch)
 	}
 	return newTreeIn(a, srcs, em.Less, em.KeyCodec)

@@ -36,7 +36,6 @@ type rounds[T any] struct {
 	srcs     []Source[T]
 	buf      []T
 	keys     []uint64
-	pfx      func(dst []uint64, src []T)
 	cmp      func(a, b T) bool // the trees' tie rule: nil when a word is a whole total key
 	pos, end []int
 	eof      []bool
@@ -81,6 +80,9 @@ type part[T any] struct {
 	t          LoserTree[T]
 	from, to   []int // the part is buf[from[i]:to[i]] of window i
 	lo, hi, at []int
+	// pfx caches key words for the windows this worker tops up: a key
+	// codec's bulk function keeps scratch, one per goroutine.
+	pfx func(dst []uint64, src []T)
 }
 
 // newRounds merges srcs — at least two — on workers goroutines through
@@ -96,28 +98,32 @@ func newRounds[T any](a *leafArena[T], srcs []Source[T], less func(a, b T) bool,
 		ready: make(chan delivery), stop: make(chan struct{}), done: make(chan error, workers),
 	}
 	if kc != nil {
-		r.keys, r.pfx = slab(&a.keys, k*leafBatch), codec.PrefixAllFunc(kc)
+		r.keys = slab(&a.keys, k*leafBatch)
 		if codec.PrefixIsKey(kc) && kc.TotalKey() {
 			r.cmp = nil
 		}
 	}
+	tree := func(l leaves[T], pfx func(dst []uint64, src []T)) LoserTree[T] {
+		return LoserTree[T]{leaves: l, key: make([]uint64, k), keys: r.keys, pfx: pfx, cmp: r.cmp,
+			tree: make([]int, k), win: make([]int, 2*k), k: k, stable: true}
+	}
+	for i := range r.parts {
+		p := &r.parts[i]
+		if kc != nil {
+			p.pfx = codec.PrefixAllFunc(kc)
+		}
+		p.t = tree(leaves[T]{buf: r.buf, pos: make([]int, k), end: make([]int, k)}, nil)
+		p.from, p.to = make([]int, k), make([]int, k)
+		p.lo, p.hi, p.at = make([]int, k), make([]int, k), make([]int, k)
+	}
+	// The master tree streams on the producer, worker 0.
+	r.master = tree(leaves[T]{srcs: srcs, buf: r.buf, pos: r.pos, end: r.end}, r.parts[0].pfx)
 	for i := range srcs {
 		r.pos[i], r.end[i] = i*leafBatch, i*leafBatch
-		if err := r.fill(i); err != nil {
+		if err := r.fill(i, r.parts[0].pfx); err != nil {
 			r.closeSources()
 			return nil, err
 		}
-	}
-	tree := func(l leaves[T]) LoserTree[T] {
-		return LoserTree[T]{leaves: l, key: make([]uint64, k), keys: r.keys, pfx: r.pfx, cmp: r.cmp,
-			tree: make([]int, k), win: make([]int, 2*k), k: k, stable: true}
-	}
-	r.master = tree(leaves[T]{srcs: srcs, buf: r.buf, pos: r.pos, end: r.end})
-	for i := range r.parts {
-		p := &r.parts[i]
-		p.t = tree(leaves[T]{buf: r.buf, pos: make([]int, k), end: make([]int, k)})
-		p.from, p.to = make([]int, k), make([]int, k)
-		p.lo, p.hi, p.at = make([]int, k), make([]int, k), make([]int, k)
 	}
 	for c := range r.chunks {
 		r.chunks[c] = sc.Buffer(k * leafBatch)[:k*leafBatch]
@@ -196,7 +202,7 @@ func (r *rounds[T]) topUp(wk int) error {
 		if r.pos[i] == i*leafBatch && r.end[i] == (i+1)*leafBatch {
 			continue
 		}
-		if err := r.fill(i); err != nil {
+		if err := r.fill(i, r.parts[wk].pfx); err != nil {
 			return err
 		}
 	}
@@ -205,8 +211,8 @@ func (r *rounds[T]) topUp(wk int) error {
 
 // fill moves window i's unmerged elements to its front and reads behind
 // them until the window is full or its source has ended, caching the new
-// elements' key words.
-func (r *rounds[T]) fill(i int) error {
+// elements' key words by pfx.
+func (r *rounds[T]) fill(i int, pfx func(dst []uint64, src []T)) error {
 	lo, hi := i*leafBatch, (i+1)*leafBatch
 	n := copy(r.buf[lo:hi], r.buf[r.pos[i]:r.end[i]])
 	if r.keys != nil {
@@ -217,7 +223,7 @@ func (r *rounds[T]) fill(i int) error {
 		e := r.end[i]
 		got, err := r.srcs[i].ReadBatch(r.buf[e:hi])
 		if r.keys != nil && got > 0 {
-			r.pfx(r.keys[e:e+got], r.buf[e:e+got])
+			pfx(r.keys[e:e+got], r.buf[e:e+got])
 		}
 		r.end[i] += got
 		if err == io.EOF || (err == nil && got == 0) {

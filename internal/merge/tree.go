@@ -163,12 +163,9 @@ type LoserTree[T any] struct {
 	cmp func(a, b T) bool
 	// tree[j] holds the loser of the match at internal node j; tree[0]
 	// holds the overall winner. win is build's scratch.
-	tree []int
-	win  []int
-	k    int
-	// below is a key under which the winner's next head needs no replay:
-	// the least key among the losers on its path, or 0 when unknown.
-	below   uint64
+	tree    []int
+	win     []int
+	k       int
 	stable  bool // ties go by source (rounds.go's trees)
 	closed  bool
 	pendErr error // error deferred by ReadBatch after a partial batch
@@ -301,7 +298,6 @@ func (t *LoserTree[T]) build() {
 		}
 	}
 	t.tree[0] = winner[1]
-	t.below = 0
 }
 
 // ReadBatch fills dst with the next elements in global sorted order per the
@@ -322,7 +318,7 @@ func (t *LoserTree[T]) ReadBatch(dst []T) (int, error) {
 		return 0, io.EOF
 	}
 	key, tree, pos, end, buf, keys := t.key, t.tree, t.pos, t.end, t.buf, t.keys
-	w, below := tree[0], t.below
+	w := tree[0]
 	n := 0
 	for n < len(dst) {
 		h := pos[w]
@@ -339,21 +335,20 @@ func (t *LoserTree[T]) ReadBatch(dst []T) (int, error) {
 		h++
 		pos[w] = h
 		if h == end[w] {
-			if err := t.refill(w); err != nil {
+			err := t.refill(w)
+			if err == nil {
+				var c int
+				c, err = t.stretch(w, dst[n:])
+				n += c
+			}
+			if err != nil {
 				t.pendErr = err
 				break
 			}
 		} else if keys != nil {
 			key[w] = keys[h]
 		}
-		// A head keyed below every loser on the winner's path wins every
-		// match of the replay, which would change nothing: the tree stands.
-		// On input whose runs take turns in long stretches — the paper's
-		// structured inputs — that skips almost every replay.
 		kw := key[w]
-		if kw < below {
-			continue
-		}
 		// Replay the winner's path to the root: at each internal node the
 		// contender either stays winner or swaps with the stored loser. Equal
 		// keys branch to the tie rule. Which of two unequal keys is smaller is
@@ -363,7 +358,6 @@ func (t *LoserTree[T]) ReadBatch(dst []T) (int, error) {
 		// stays a branch (the compiler makes no conditional move of a value
 		// that indexes later loads) and costs the prefix shape 14 → 20 ns a
 		// record at fan-in 4 (BenchmarkKeyedVsComparatorMerge).
-		adv := w
 		for j := (w + t.k) >> 1; j >= 1; j >>= 1 {
 			c := tree[j]
 			kc := key[c]
@@ -380,18 +374,42 @@ func (t *LoserTree[T]) ReadBatch(dst []T) (int, error) {
 			w ^= x
 			kw ^= (kc ^ kw) & m
 		}
-		// A winner that kept its place may keep it for a stretch: below is
-		// then the least key among the losers on its path, and 0 — below no
-		// key — after a change of winner.
-		below = 0
-		if w == adv {
-			below = ^uint64(0)
-			for j := (w + t.k) >> 1; j >= 1; j >>= 1 {
-				below = min(below, key[tree[j]])
+	}
+	tree[0] = w
+	return n, nil
+}
+
+// stretch copies into dst, batch by batch, the batches of the winner w —
+// just refilled — that order wholly below every loser on its path: keyed
+// below the least of their keys, they would win every match of every
+// replay, which would change nothing. On input whose runs take turns in
+// long stretches — the paper's structured inputs — most batches go so. It
+// returns what it copied; w keeps its place, its head the next element.
+// Checked once per refill, it costs random input a walk up one path per
+// leafBatch elements.
+func (t *LoserTree[T]) stretch(w int, dst []T) (int, error) {
+	below := ^uint64(0)
+	for j := (w + t.k) >> 1; j >= 1; j >>= 1 {
+		below = min(below, t.key[t.tree[j]])
+	}
+	n := 0
+	for n < len(dst) {
+		h, e := t.pos[w], t.end[w]
+		if h == e || t.key[w] >= below || t.keys != nil && t.keys[e-1] >= below {
+			break
+		}
+		c := copy(dst[n:], t.buf[h:e])
+		n += c
+		if t.pos[w] = h + c; h+c < e {
+			if t.keys != nil {
+				t.key[w] = t.keys[h+c]
 			}
+			break
+		}
+		if err := t.refill(w); err != nil {
+			return n, err
 		}
 	}
-	tree[0], t.below = w, below
 	return n, nil
 }
 

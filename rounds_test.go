@@ -3,7 +3,9 @@ package repro
 import (
 	"cmp"
 	"context"
+	"encoding/binary"
 	"errors"
+	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
@@ -99,6 +101,40 @@ func TestFinalMergeEarlyExitsLeaveNoGoroutine(t *testing.T) {
 			if err != nil || stats.RunsRecovered != len(st.Runs) || !slices.Equal(out.vals, want) {
 				t.Fatalf("parallelism %d, %s: Resume recovered %d of %d runs, sorted %v: %v", par, exit, stats.RunsRecovered, len(st.Runs), slices.Equal(out.vals, want), err)
 			}
+		}
+	}
+}
+
+// TestFinalMergeCompositeKeyEveryParallelism sorts under a composite key
+// codec, whose bulk prefix function keeps scratch of its own, at
+// Parallelism 1, 2 and 4: the final merge's workers each cache the words of
+// the windows they top up with a function of their own, so the output is
+// the same sorted order at every setting (run it under -race).
+func TestFinalMergeCompositeKeyEveryParallelism(t *testing.T) {
+	less := func(a, b opaquePair) bool { return a.Hi < b.Hi || a.Hi == b.Hi && a.Lo < b.Lo }
+	kc, err := CompositeKeyCodec[opaquePair](8, true,
+		func(buf []byte, v opaquePair) []byte { return binary.BigEndian.AppendUint32(buf, v.Hi) },
+		func(buf []byte, v opaquePair) []byte { return binary.BigEndian.AppendUint32(buf, v.Lo) },
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(6))
+	data := make([]opaquePair, 40_000)
+	for i := range data {
+		data[i] = opaquePair{Hi: rng.Uint32() % 64, Lo: rng.Uint32()}
+	}
+	want := slices.Clone(data)
+	slices.SortFunc(want, func(a, b opaquePair) int { return cmp.Or(cmp.Compare(a.Hi, b.Hi), cmp.Compare(a.Lo, b.Lo)) })
+	for _, par := range []int{1, 2, 4} {
+		s, err := New(less, WithConfig(DefaultConfig(1<<11)), WithParallelism(par), WithPolicy("quick"),
+			WithCodec[opaquePair](opaquePairCodec{}), WithKeyCodec(kc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, st, err := s.SortSlice(context.Background(), data)
+		if err != nil || !st.Keyed || !slices.Equal(out, want) {
+			t.Fatalf("parallelism %d: keyed %v, sorted %v: %v", par, st.Keyed, slices.Equal(out, want), err)
 		}
 	}
 }
