@@ -36,19 +36,21 @@ func keyThenAux(a, b record.Record) bool { return a.Key < b.Key || a.Key == b.Ke
 func TestFinalMergeIdenticalAtEveryParallelism(t *testing.T) {
 	kinds := []gen.Kind{gen.Sorted, gen.ReverseSorted, gen.Alternating, gen.Random, gen.MixedBalanced, gen.MixedImbalanced}
 	policies := []policy.Kind{policy.TwoWayRS, policy.RS, policy.Alternating, policy.Quick, policy.Auto}
-	n := 16_000
-	if testing.Short() { // CI repeats it under the race detector
-		n, policies = 8_000, []policy.Kind{policy.TwoWayRS, policy.Quick, policy.Auto}
-	}
-	shapes := []struct {
+	type shape struct {
 		name  string
 		total bool
 		ops   Ops[record.Record]
-	}{
+	}
+	shapes := []shape{
 		{"keyed", false, RecordOps()},
 		{"without-keys", false, Ops[record.Record]{Less: record.Less, Codec: codec.Record16{}, Key: record.Key}},
 		{"total-keyed", true, Ops[record.Record]{Less: keyThenAux, Codec: codec.Record16{}, Key: record.Key, KeyCodec: codec.KeyRecord16{}}},
 		{"total-without-keys", true, Ops[record.Record]{Less: keyThenAux, Codec: codec.Record16{}, Key: record.Key}},
+	}
+	n := 16_000
+	if testing.Short() { // CI repeats it under the race detector
+		n, policies = 8_000, []policy.Kind{policy.TwoWayRS, policy.Quick, policy.Auto}
+		shapes = []shape{shapes[0], shapes[3]}
 	}
 	var overlap int64
 	for _, kind := range kinds {
