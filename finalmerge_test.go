@@ -42,9 +42,9 @@ func (c *cancelSink) Write(Record) error {
 	return nil
 }
 
-// TestFinalMergeEarlyExitsLeaveNoGoroutine leaves the final merge on several
-// workers part way through its rounds: a context cancelled mid-round, a
-// sink that fails and a TopK that has what it came for. None leaves a
+// TestFinalMergeEarlyExitsLeaveNoGoroutine leaves the final merge, its tree
+// on a producer goroutine, part way through: a context cancelled mid-merge,
+// a sink that fails and a TopK that has what it came for. None leaves a
 // goroutine of the merge behind, and a durable sort that failed keeps its
 // committed manifest: Resume adopts every run and writes the sorted input.
 func TestFinalMergeEarlyExitsLeaveNoGoroutine(t *testing.T) {
@@ -107,9 +107,9 @@ func TestFinalMergeEarlyExitsLeaveNoGoroutine(t *testing.T) {
 
 // TestFinalMergeCompositeKeyEveryParallelism sorts under a composite key
 // codec, whose bulk prefix function keeps scratch of its own, at
-// Parallelism 1, 2 and 4: the final merge's workers each cache the words of
-// the windows they top up with a function of their own, so the output is
-// the same sorted order at every setting (run it under -race).
+// Parallelism 1, 2 and 4: the final merge's producer goroutine caches the
+// words of every batch with the tree's own function, so the output is the
+// same sorted order at every setting (run it under -race).
 func TestFinalMergeCompositeKeyEveryParallelism(t *testing.T) {
 	less := func(a, b opaquePair) bool { return a.Hi < b.Hi || a.Hi == b.Hi && a.Lo < b.Lo }
 	kc, err := CompositeKeyCodec[opaquePair](8, true,

@@ -1,6 +1,7 @@
 package extsort
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -99,8 +100,7 @@ func TestMergeFanInRule(t *testing.T) {
 // page each for up to 31) merge at the base width of 10, in two passes whose
 // intermediate operations two workers run side by side. Each row merges by
 // the same plan, writes the same bytes and delivers the same output at
-// every setting, up to the placement of key ties (sameUpToTies) against
-// Parallelism 1's one-worker final merge.
+// every setting.
 func TestDerivedFanInPlanIndependentOfParallelism(t *testing.T) {
 	for _, row := range []struct{ memory, runs, passes, ops int }{
 		{1 << 14, 20, 1, 1},
@@ -126,9 +126,9 @@ func TestDerivedFanInPlanIndependentOfParallelism(t *testing.T) {
 				if !record.IsSorted(out) || !record.NewMultiset(out).Equal(record.NewMultiset(recs)) {
 					t.Fatalf("memory %d: output is not the sorted input", row.memory)
 				}
-			} else if st.IO.RawBytesWritten != want.IO.RawBytesWritten || !sameUpToTies(out, wantOut) {
+			} else if st.IO.RawBytesWritten != want.IO.RawBytesWritten || !slices.Equal(out, wantOut) {
 				t.Errorf("memory %d, parallelism %d: %d bytes written and output equal %v; parallelism 1 wrote %d",
-					row.memory, par, st.IO.RawBytesWritten, sameUpToTies(out, wantOut), want.IO.RawBytesWritten)
+					row.memory, par, st.IO.RawBytesWritten, slices.Equal(out, wantOut), want.IO.RawBytesWritten)
 			}
 		}
 	}

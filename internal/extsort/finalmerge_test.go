@@ -26,26 +26,24 @@ func keyThenAux(a, b record.Record) bool { return a.Key < b.Key || a.Key == b.Ke
 
 // TestFinalMergeIdenticalAtEveryParallelism sorts the six gen datasets under
 // every policy, keyed and without keys, at Parallelism 1, 2, 4 and 8: the
-// final merge runs on one worker's streaming tree at 1 and in rounds above.
-// Under a total comparator the output is byte for byte the same at every
-// setting. Under record.Less, which orders on the key alone, it is the same
-// at every setting above 1, and Parallelism 1's up to the placement of key
-// ties (DESIGN.md §4): the rounds keep ties in run order, one worker's tree
-// in the order its history leaves them. The budget makes 2WRS write
-// backward runs and, on alternating input, overlap runs.
+// final merge's tree streams on the consumer's goroutine at 1 and on a
+// producer of its own above. The output is byte for byte the same at every
+// setting, under record.Less, which orders on the key alone and so leaves
+// where equal-key records land to the tree, and under a total comparator.
+// The budget makes 2WRS write backward runs and, on alternating input,
+// overlap runs.
 func TestFinalMergeIdenticalAtEveryParallelism(t *testing.T) {
 	kinds := []gen.Kind{gen.Sorted, gen.ReverseSorted, gen.Alternating, gen.Random, gen.MixedBalanced, gen.MixedImbalanced}
 	policies := []policy.Kind{policy.TwoWayRS, policy.RS, policy.Alternating, policy.Quick, policy.Auto}
 	type shape struct {
-		name  string
-		total bool
-		ops   Ops[record.Record]
+		name string
+		ops  Ops[record.Record]
 	}
 	shapes := []shape{
-		{"keyed", false, RecordOps()},
-		{"without-keys", false, Ops[record.Record]{Less: record.Less, Codec: codec.Record16{}, Key: record.Key}},
-		{"total-keyed", true, Ops[record.Record]{Less: keyThenAux, Codec: codec.Record16{}, Key: record.Key, KeyCodec: codec.KeyRecord16{}}},
-		{"total-without-keys", true, Ops[record.Record]{Less: keyThenAux, Codec: codec.Record16{}, Key: record.Key}},
+		{"keyed", RecordOps()},
+		{"without-keys", Ops[record.Record]{Less: record.Less, Codec: codec.Record16{}, Key: record.Key}},
+		{"total-keyed", Ops[record.Record]{Less: keyThenAux, Codec: codec.Record16{}, Key: record.Key, KeyCodec: codec.KeyRecord16{}}},
+		{"total-without-keys", Ops[record.Record]{Less: keyThenAux, Codec: codec.Record16{}, Key: record.Key}},
 	}
 	n := 16_000
 	if testing.Short() { // CI repeats it under the race detector
@@ -57,7 +55,7 @@ func TestFinalMergeIdenticalAtEveryParallelism(t *testing.T) {
 		recs := gen.Generate(gen.Config{Kind: kind, N: n, Seed: 6, Noise: 50})
 		for _, pol := range policies {
 			for _, sh := range shapes {
-				var one, parallel []record.Record
+				var one []record.Record
 				for _, par := range []int{1, 2, 4, 8} {
 					name := fmt.Sprintf("%v/%v/%s/parallelism=%d", kind, pol, sh.name, par)
 					cfg := Config{Policy: pol, Memory: 600, Parallelism: par}
@@ -66,21 +64,16 @@ func TestFinalMergeIdenticalAtEveryParallelism(t *testing.T) {
 						t.Fatalf("%s: %v", name, err)
 					}
 					overlap += st.OverlapRuns
-					switch {
-					case par == 1:
-						one = out
-						if !slices.IsSortedFunc(out, func(a, b record.Record) int { return compareBy(sh.ops.Less, a, b) }) ||
-							!record.NewMultiset(out).Equal(record.NewMultiset(recs)) {
-							t.Fatalf("%s: the output is not the sorted input", name)
+					if par > 1 {
+						if !slices.Equal(out, one) {
+							t.Fatalf("%s: output differs from Parallelism 1's", name)
 						}
-					case sh.total && !slices.Equal(out, one):
-						t.Fatalf("%s: output differs from Parallelism 1's", name)
-					case !sameUpToTies(out, one):
-						t.Fatalf("%s: output differs from Parallelism 1's beyond the placement of ties", name)
-					case parallel == nil:
-						parallel = out
-					case !slices.Equal(out, parallel):
-						t.Fatalf("%s: output differs from Parallelism 2's", name)
+						continue
+					}
+					one = out
+					if !slices.IsSortedFunc(out, func(a, b record.Record) int { return compareBy(sh.ops.Less, a, b) }) ||
+						!record.NewMultiset(out).Equal(record.NewMultiset(recs)) {
+						t.Fatalf("%s: the output is not the sorted input", name)
 					}
 				}
 			}
@@ -128,11 +121,11 @@ func TestFinalMergeStringsIdenticalAtEveryParallelism(t *testing.T) {
 	}
 }
 
-// TestFinalMergeBitFlipFailsLateRound flips one bit of what a read of the
-// last block of the largest run returns — read in one of the final merge's
-// last rounds — at Parallelism 2 and 4: the sort fails with a typed error
-// and no goroutine of the merge is left.
-func TestFinalMergeBitFlipFailsLateRound(t *testing.T) {
+// TestFinalMergeBitFlipFailsLateBlock flips one bit of what a read of the
+// last block of the largest run returns — read late in the final merge, by
+// its producer goroutine — at Parallelism 2 and 4: the sort fails with a
+// typed error and no goroutine of the merge is left.
+func TestFinalMergeBitFlipFailsLateBlock(t *testing.T) {
 	recs := testRecords(60000, 3)
 	defer func(v func(vfs.FS) vfs.FS) { spillView = v }(spillView)
 	for _, par := range []int{2, 4} {
@@ -172,11 +165,11 @@ func TestFinalMergeBitFlipFailsLateRound(t *testing.T) {
 	}
 }
 
-// TestFinalMergeSkewedWindows merges one dense run among sparse ones: the
-// dense run's window spans few keys, so the region each round takes is
-// small and most rounds are serial. The merge must still finish, sorted,
-// on every worker count.
-func TestFinalMergeSkewedWindows(t *testing.T) {
+// TestFinalMergeSkewedRuns merges one dense run among sparse ones: the
+// dense run's batches span few keys, so the tree copies them out whole
+// (the winner's stretch) between single elements of the others. The merge
+// must still finish, sorted and the same, at every worker count.
+func TestFinalMergeSkewedRuns(t *testing.T) {
 	var recs []record.Record
 	for i := range 40_000 { // dense: keys 0..39999 in one sorted stretch
 		recs = append(recs, record.Record{Key: int64(i), Aux: 0})
@@ -184,6 +177,7 @@ func TestFinalMergeSkewedWindows(t *testing.T) {
 	for i := range 40_000 { // sparse: spread over a range 1,000 times wider
 		recs = append(recs, record.Record{Key: int64(i*7919%40_000) * 1000, Aux: 1})
 	}
+	var one []record.Record
 	for _, par := range []int{1, 2, 4} {
 		out, st, err := SortSlice(recs, Config{Policy: policy.Quick, Memory: 4000, Parallelism: par}, RecordOps())
 		if err != nil {
@@ -191,6 +185,11 @@ func TestFinalMergeSkewedWindows(t *testing.T) {
 		}
 		if st.Runs < 10 || !record.IsSorted(out) || !record.NewMultiset(out).Equal(record.NewMultiset(recs)) {
 			t.Fatalf("parallelism %d: %d runs; the output is not the sorted input", par, st.Runs)
+		}
+		if one == nil {
+			one = out
+		} else if !slices.Equal(out, one) {
+			t.Fatalf("parallelism %d: output differs from Parallelism 1's", par)
 		}
 	}
 }

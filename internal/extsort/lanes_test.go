@@ -72,9 +72,7 @@ func (c laneCase) config() (Config, int) {
 // source serving ragged batches: the run files, their order and the output
 // are the same every time, since Parallelism decides only how many lanes
 // compute at once and the blocks dealt to them are sized from the
-// configuration alone. The output is held to Parallelism 1's up to the
-// placement of key ties (sameUpToTies) — the final merge on several workers
-// places them by run — and byte for byte among the settings above 1.
+// configuration alone.
 func TestLanesIdenticalAtEveryParallelism(t *testing.T) {
 	for _, c := range laneCases {
 		cfg, n := c.config()
@@ -83,7 +81,7 @@ func TestLanesIdenticalAtEveryParallelism(t *testing.T) {
 			t.Fatalf("memory %d runs %d lanes, want %d", cfg.Memory, got, c.lanes)
 		}
 		var wantFiles []string
-		var want, wantParallel []record.Record
+		var want []record.Record
 		for _, ragged := range []bool{false, true} {
 			for _, par := range []int{1, 2, 8} {
 				name := fmt.Sprintf("%v/lanes=%d/ragged=%v/parallelism=%d", c.policy, c.lanes, ragged, par)
@@ -115,14 +113,8 @@ func TestLanesIdenticalAtEveryParallelism(t *testing.T) {
 				if !slices.Equal(files, wantFiles) {
 					t.Fatalf("%s: run files differ from Parallelism 1's:\n got %v\nwant %v", name, files, wantFiles)
 				}
-				if !sameUpToTies(got, want) {
+				if !slices.Equal(got, want) {
 					t.Fatalf("%s: output differs from Parallelism 1's", name)
-				}
-				if wantParallel == nil && par > 1 {
-					wantParallel = got
-				}
-				if par > 1 && !slices.Equal(got, wantParallel) {
-					t.Fatalf("%s: output differs from the first parallel setting's", name)
 				}
 			}
 		}

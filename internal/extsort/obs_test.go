@@ -43,3 +43,37 @@ func TestSpillSpansSumToStats(t *testing.T) {
 		}
 	}
 }
+
+// TestMergeFinalSpanAttrs: the merge_final span says whether the final
+// merge's tree ran on a producer goroutine — at Parallelism 2, not at 1 —
+// and, when it did, how many chunks the consumer took — ⌈N / (leaves ×
+// 256)⌉, the last one short and carrying the end — and how long it waited.
+func TestMergeFinalSpanAttrs(t *testing.T) {
+	recs := gen.Generate(gen.Config{Kind: gen.Random, N: 20000, Seed: 5})
+	for _, par := range []int{1, 2} {
+		tr := obs.New()
+		cfg := Config{Policy: policy.Quick, Memory: 2000, Parallelism: par, Trace: tr}
+		if _, err := Sort(stream.NewSliceReader(recs), &stream.SliceWriter[record.Record]{}, vfs.NewMemFS(), cfg, RecordOps()); err != nil {
+			t.Fatalf("parallelism %d: %v", par, err)
+		}
+		attrs := map[string]any{}
+		for _, sp := range tr.Spans() {
+			if sp.Name == "merge_final" {
+				for _, a := range sp.Attrs {
+					attrs[a.Key] = a.Value()
+				}
+			}
+		}
+		want := map[string]any{"width": int64(10), "pipelined": false}
+		if par == 2 {
+			want["pipelined"], want["chunks"] = true, int64((20000+10*256-1)/(10*256))
+			if _, ok := attrs["wait_us"].(int64); !ok {
+				t.Errorf("parallelism 2: merge_final carries no wait_us: %v", attrs)
+			}
+			delete(attrs, "wait_us")
+		}
+		if fmt.Sprint(attrs) != fmt.Sprint(want) {
+			t.Errorf("parallelism %d: merge_final carries %v, want %v", par, attrs, want)
+		}
+	}
+}

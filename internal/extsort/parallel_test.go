@@ -31,12 +31,9 @@ func readFile(t *testing.T, fs vfs.FS, name string) []byte {
 }
 
 // TestSortParallelismEquivalence runs the same sort at Parallelism 1 and 4
-// (and the default) and requires the same sorted output, identical
+// (and the default) and requires identical sorted output, identical
 // run-generation statistics and an identical merge — the same operations,
 // tree depth and bytes written: concurrency must change only the schedule.
-// record.Less orders on the key alone, and the final merge on several
-// workers places the records it ties by run (DESIGN.md §4), so the output
-// is held to Parallelism 1's up to ties (sameUpToTies).
 func TestSortParallelismEquivalence(t *testing.T) {
 	recs := gen.Generate(gen.Config{Kind: gen.Random, N: 300_000, Seed: 9})
 
@@ -62,8 +59,10 @@ func TestSortParallelismEquivalence(t *testing.T) {
 		if len(out) != len(base) {
 			t.Fatalf("parallelism %d: output length %d, want %d", par, len(out), len(base))
 		}
-		if i := divergesUpToTies(out, base); i >= 0 {
-			t.Fatalf("parallelism %d: output diverges at %d", par, i)
+		for i := range out {
+			if out[i] != base[i] {
+				t.Fatalf("parallelism %d: output diverges at %d", par, i)
+			}
 		}
 		if stats.Runs != baseStats.Runs || stats.Records != baseStats.Records {
 			t.Fatalf("parallelism %d: run generation stats diverged: %+v vs %+v", par, stats, baseStats)
@@ -93,21 +92,3 @@ func TestSortParallelWriteFailure(t *testing.T) {
 		}
 	}
 }
-
-// divergesUpToTies returns the first index at which got is not want with the
-// records of equal keys — ties under record.Less — possibly rearranged, or
-// -1 when it is: the same key at every position, and the same records.
-func divergesUpToTies(got, want []record.Record) int {
-	for i := range min(len(got), len(want)) {
-		if got[i].Key != want[i].Key {
-			return i
-		}
-	}
-	if len(got) != len(want) || !record.NewMultiset(got).Equal(record.NewMultiset(want)) {
-		return min(len(got), len(want))
-	}
-	return -1
-}
-
-// sameUpToTies reports whether got is want up to ties (divergesUpToTies).
-func sameUpToTies(got, want []record.Record) bool { return divergesUpToTies(got, want) < 0 }

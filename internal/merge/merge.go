@@ -25,14 +25,15 @@ type Config struct {
 	// the run's pieces split again — and one for the output writer (see
 	// bufBytes).
 	MemoryBytes int
-	// Workers bounds how many goroutines merge at once. It decides when an
-	// operation of the merge plan runs, never which runs it merges: ≤1
-	// executes the plan in order on the caller's goroutine; above 1,
+	// Workers bounds how many intermediate merges run at once. It decides
+	// when an operation of the merge plan runs, never which runs it merges:
+	// ≤1 executes the plan in order on the caller's goroutine; above 1,
 	// operations whose inputs are complete overlap, each worker creating,
-	// writing and closing its output on its own goroutine, no more at once
-	// than MemoryBytes feeds (fedWorkers). Above 1 the final merge, too,
-	// runs on Workers goroutines, in rounds over the leaves' windows
-	// (rounds.go); at 1 it is one streaming tree.
+	// writing and closing its output on its own goroutine. No more run at
+	// once than MemoryBytes feeds (fedWorkers). Above 1 the final merge's tree,
+	// too, runs on a goroutine of its own, beside the Stream's consumer
+	// (pipe.go); at 1 it streams on the consumer's. The merged order is the
+	// same at every setting.
 	Workers int
 	// Cancel, when set, is polled between batches of every merge operation;
 	// a non-nil return aborts the merge with that error. The driver wires
@@ -213,13 +214,9 @@ func (s Stats) Width(i int) int {
 // overlap — and every piece of every run is a leaf of one loser tree,
 // laid out in the arena and shaped by the emitter's KeyCodec (tree.go), so an
 // overlap run is merged by the operation's own tree, on keys like any other
-// leaf. A single piece is its own source. Above one worker the pieces are
-// merged in rounds on that many (rounds.go) — how the final merge runs when
-// Workers ≥ 2 — unless they are too few for any round to split: their
-// windows hold fewer than roundMin elements. A run that cannot be opened,
-// or a piece that fails while the tree primes it, closes every piece
-// opened.
-func openMerged[T any](em *runio.Emitter[T], a *leafArena[T], runs []runio.Run, block, workers int, cfg Config) (Source[T], error) {
+// leaf. A single piece is its own source. A run that cannot be opened, or a
+// piece that fails while the tree primes it, closes every piece opened.
+func openMerged[T any](em *runio.Emitter[T], a *leafArena[T], runs []runio.Run, block int, cfg Config) (Source[T], error) {
 	srcs := make([]Source[T], 0, len(runs))
 	for _, r := range runs {
 		pieces, err := em.Open(r, block*cfg.units(r))
@@ -235,9 +232,6 @@ func openMerged[T any](em *runio.Emitter[T], a *leafArena[T], runs []runio.Run, 
 	}
 	if len(srcs) == 1 {
 		return srcs[0], nil
-	}
-	if workers > 1 && len(srcs)*leafBatch >= roundMin {
-		return newRounds(a, srcs, em.Less, em.KeyCodec, workers, em.Scratch)
 	}
 	return newTreeIn(a, srcs, em.Less, em.KeyCodec)
 }
@@ -457,7 +451,7 @@ func mergeOp[T any](em *runio.Emitter[T], a *leafArena[T], group []runio.Run, na
 		}
 		sp.End(obs.Int("records", out.Records))
 	}()
-	eng, err := openMerged(em, a, group, bufBytes, 1, cfg)
+	eng, err := openMerged(em, a, group, bufBytes, cfg)
 	if err != nil {
 		return runio.Run{}, err
 	}

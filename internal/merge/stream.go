@@ -86,9 +86,12 @@ func NewStream[T any](em *runio.Emitter[T], inputs []runio.Run, cfg Config) (*St
 		st.want += runs[id].Records
 	}
 	var err error
-	st.eng, err = openMerged(em, &arenas[0], st.finals, cfg.bufBytes(1, cfg.widest(st.finals, len(st.finals))), cfg.Workers, cfg)
+	st.eng, err = openMerged(em, &arenas[0], st.finals, cfg.bufBytes(1, cfg.widest(st.finals, len(st.finals))), cfg)
 	if err != nil {
 		return nil, err
+	}
+	if t, ok := st.eng.(*LoserTree[T]); ok && cfg.Workers > 1 {
+		st.eng = newPipe(t, t.k*leafBatch, em.Scratch)
 	}
 	st.fspan = cfg.Span.Start("merge_final", obs.Int("width", int64(len(st.finals))))
 	return st, nil
@@ -176,9 +179,9 @@ func (s *Stream[T]) Close() error {
 			first = err
 		}
 	}
-	attrs := []obs.Attr{obs.Int("workers", 1)}
-	if r, ok := s.eng.(*rounds[T]); ok {
-		attrs = r.attrs()
+	attrs := []obs.Attr{obs.Bool("pipelined", false)}
+	if p, ok := s.eng.(*pipe[T]); ok {
+		attrs = p.attrs()
 	}
 	s.fspan.End(attrs...)
 	if s.onClose != nil {

@@ -47,13 +47,13 @@ type leafArena[T any] struct {
 	batch []T
 }
 
-// slab returns the arena slab s cut to n elements, first replacing it with
-// a longer one when it is shorter.
-func slab[E any](s *[]E, n int) []E {
-	if len(*s) < n {
-		*s = make([]E, n)
+// batches returns the arena slab cut to k leaf batches, first replacing it
+// with a wider one when it is narrower.
+func batches[E any](slab *[]E, k int) []E {
+	if len(*slab) < k*leafBatch {
+		*slab = make([]E, k*leafBatch)
 	}
-	return (*s)[:n]
+	return (*slab)[:k*leafBatch]
 }
 
 // leaves holds the decoded batches of k sources in one slab: source i's
@@ -74,7 +74,7 @@ func newLeaves[T any](a *leafArena[T], srcs []Source[T]) leaves[T] {
 	k := len(srcs)
 	l := leaves[T]{
 		srcs: srcs,
-		buf:  slab(&a.buf, k*leafBatch),
+		buf:  batches(&a.buf, k),
 		pos:  make([]int, k),
 		end:  make([]int, k),
 	}
@@ -142,12 +142,6 @@ func (l *leaves[T]) closeAll() error {
 // a word that is a whole total key stands in for it on ties, so the merged
 // order is the comparator's for every shape — also under a comparator that
 // refines key ties, as Key-then-Aux does over a Record's Key codec.
-// Elements the comparator ties come out in an order the tree's history
-// decides: a winner keeps winning its ties. A stable tree instead breaks
-// them by source, the lower-numbered source's first, with still at most
-// one comparator call a match: its order is a function of the sources
-// alone, which is what lets the final merge on several workers cut it
-// anywhere and reproduce it (rounds.go).
 type LoserTree[T any] struct {
 	leaves[T]
 	// key[i] is the cached key of source i's head.
@@ -158,15 +152,12 @@ type LoserTree[T any] struct {
 	// unkeyed tree, which leaves every live key zero.
 	keys []uint64
 	pfx  func(dst []uint64, src []T)
-	// cmp is the comparator of the tie rule; nil when the word is a whole
-	// total key.
+	// cmp is the tie rule; nil when the word is a whole total key.
 	cmp func(a, b T) bool
 	// tree[j] holds the loser of the match at internal node j; tree[0]
-	// holds the overall winner. win is build's scratch.
+	// holds the overall winner.
 	tree    []int
-	win     []int
 	k       int
-	stable  bool // ties go by source (rounds.go's trees)
 	closed  bool
 	pendErr error // error deferred by ReadBatch after a partial batch
 }
@@ -195,7 +186,7 @@ func newTreeIn[T any](a *leafArena[T], srcs []Source[T], less func(a, b T) bool,
 		k:      k,
 	}
 	if kc != nil {
-		t.keys, t.pfx = slab(&a.keys, k*leafBatch), codec.PrefixAllFunc(kc)
+		t.keys, t.pfx = batches(&a.keys, k), codec.PrefixAllFunc(kc)
 		if codec.PrefixIsKey(kc) && kc.TotalKey() {
 			t.cmp = nil
 		}
@@ -213,13 +204,8 @@ func newTreeIn[T any](a *leafArena[T], srcs []Source[T], less func(a, b T) bool,
 // refill is the slow path of an advance, once per leafBatch elements: it
 // reads source i's next batch, computes the cached key of every element of
 // it in one pass, and loads the new head's key. A source at its end gets the
-// sentinel, and so does a leaf of a tree without sources, which merges the
-// stretches of windows it is given (rounds.go) and no more.
+// sentinel.
 func (t *LoserTree[T]) refill(i int) error {
-	if t.srcs == nil {
-		t.key[i] = ^uint64(0)
-		return nil
-	}
 	batch, err := t.leaves.refill(i)
 	if err != nil {
 		return err
@@ -241,30 +227,12 @@ func (t *LoserTree[T]) refill(i int) error {
 // can tie with another exhausted source or with a live maximal key — and
 // exhausted sources order last. Between live heads the comparator decides,
 // unless the word is a whole total key (cmp is nil: equal words are
-// identical elements), and in a stable tree the lower-numbered source wins
-// what it ties.
+// identical elements).
 func (t *LoserTree[T]) tie(a, b int) bool {
 	if t.key[a] == ^uint64(0) && (t.done(a) || t.done(b)) {
 		return !t.done(a)
 	}
-	if t.stable {
-		return stableLess(t.cmp, t.head(a), t.head(b), a < b)
-	}
 	return t.cmp != nil && t.cmp(t.head(a), t.head(b))
-}
-
-// stableLess orders x, from the lower-numbered source when first, before y
-// where their words are equal: under cmp, ties broken by source, with one
-// call of cmp; by source alone when cmp is nil.
-func stableLess[T any](cmp func(a, b T) bool, x, y T, first bool) bool {
-	switch {
-	case cmp == nil:
-		return first
-	case first:
-		return !cmp(y, x)
-	default:
-		return cmp(x, y)
-	}
 }
 
 // beats reports whether source a's head orders strictly before source b's.
@@ -280,10 +248,7 @@ func (t *LoserTree[T]) build() {
 	}
 	// Play the tournament bottom-up: winner[j] for internal node j over
 	// leaves k..2k-1 (leaf j represents source j-k).
-	if len(t.win) < 2*t.k {
-		t.win = make([]int, 2*t.k)
-	}
-	winner := t.win
+	winner := make([]int, 2*t.k)
 	for j := t.k; j < 2*t.k; j++ {
 		winner[j] = j - t.k
 	}

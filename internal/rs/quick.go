@@ -41,7 +41,7 @@ func NewQuickStepper[T any](src stream.BatchReader[T], em *runio.Emitter[T], mem
 	}
 	s := &QuickStepper[T]{em: em, br: src, memory: memory, sort: em.Scratch.Sorter(em.KeyCodec, em.Less)}
 	if p, ok := src.(*stream.Prepended[T]); ok {
-		if head, tail := p.Split(); len(head) <= memory && cap(head) >= memory {
+		if head, tail, ok := p.Adopt(memory); ok {
 			s.buf, s.fill, s.br = head[:memory], len(head), tail
 		}
 	}

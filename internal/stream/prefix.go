@@ -84,13 +84,17 @@ func PrependOwned[T any](head []T, tail BatchReader[T], put func([]T)) *Prepende
 	return &Prepended[T]{head: head, tail: tail, buf: head[:0], put: put}
 }
 
-// Split returns the unread head and the tail, for a consumer that would
-// otherwise copy the head into a buffer of its own: it reads the head in
-// place and the tail after it, and no longer reads p. The head's buffer is
-// the consumer's from then on.
-func (p *Prepended[T]) Split() ([]T, BatchReader[T]) {
+// Adopt hands the unread head and the tail to a consumer that would
+// otherwise copy the head into a load buffer of n elements, when the head
+// is at most n elements in a buffer of at least n: the consumer reads the
+// head in place and the tail after it, no longer reads p, and owns the
+// head's buffer from then on. Otherwise ok is false and p is as it was.
+func (p *Prepended[T]) Adopt(n int) (head []T, tail BatchReader[T], ok bool) {
+	if len(p.head) > n || cap(p.head) < n {
+		return nil, nil, false
+	}
 	p.put = nil
-	return p.head, p.tail
+	return p.head, p.tail, true
 }
 
 // ReadBatch serves the buffer first — a batch never spans the seam — then

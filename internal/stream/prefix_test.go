@@ -81,3 +81,36 @@ func TestReadPrefixDiscardErrors(t *testing.T) {
 		t.Fatalf("cancelled Discard = %d, %v", dropped, err)
 	}
 }
+
+// TestPrependOwnedHandsBackItsBuffer: an owned head's buffer goes to put
+// once the head has been served, also after a consumer declined to adopt
+// it, and never once a consumer has adopted it.
+func TestPrependOwnedHandsBackItsBuffer(t *testing.T) {
+	for _, adopt := range []int{4, 16} { // 4: the head does not fit; 16 adopts it
+		var back [][]int
+		buf := make([]int, 8, 16)
+		copy(buf, seq(8))
+		p := PrependOwned(buf, NewSliceReader(seq(3)), func(b []int) { back = append(back, b) })
+		head, tail, ok := p.Adopt(adopt)
+		if ok != (adopt == 16) {
+			t.Fatalf("Adopt(%d) = %v", adopt, ok)
+		}
+		r := BatchReader[int](p)
+		if ok {
+			if len(head) != 8 || tail == nil {
+				t.Fatalf("Adopt(%d) = %d head elements, tail %v", adopt, len(head), tail)
+			}
+			r = tail
+		}
+		got, _, err := ReadPrefix(r, nil, 100, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case ok && (len(got) != 3 || len(back) != 0):
+			t.Fatalf("adopted: read %d from the tail, %d buffers handed back", len(got), len(back))
+		case !ok && (len(got) != 11 || len(back) != 1 || cap(back[0]) != 16 || len(back[0]) != 0):
+			t.Fatalf("declined: read %d, handed back %d buffers", len(got), len(back))
+		}
+	}
+}
