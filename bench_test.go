@@ -139,8 +139,12 @@ func BenchmarkAblationBackwardFormat(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for i := n; i > 0; i-- {
-			w.Write(record.Record{Key: int64(i)})
+		desc := make([]record.Record, n)
+		for i := range desc {
+			desc[i] = record.Record{Key: int64(n - i)}
+		}
+		if err := w.WriteBatch(desc); err != nil {
+			b.Fatal(err)
 		}
 		w.Close()
 		files := w.Files()

@@ -326,30 +326,80 @@ func TestRankQueriesMatchSortThenIndex(t *testing.T) {
 // which nothing but tests and benchmarks ever merged through, is declared
 // beside them and nowhere else.
 func TestOneReadProtocolBelowTheBoundary(t *testing.T) {
-	var readers, heapMergers []string
-	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
-			return err
-		}
-		file, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		isTest := strings.HasSuffix(path, "_test.go")
+	readers := methods(t, "Read", func(ft *ast.FuncType) bool {
+		return len(ft.Params.List) == 0 && ft.Results != nil && len(ft.Results.List) == 2 && isError(ft.Results.List[1].Type)
+	}, "internal")
+	if want := []string{"gen.Generator", "record.ByteReader", "stream.SliceReader"}; !slices.Equal(readers, want) {
+		t.Errorf("non-test types under internal/ declaring Read() (T, error): %v, want exactly the caller-shaped sources %v — read batches (stream.BatchReader) below the boundary", readers, want)
+	}
+	var heapMergers []string
+	eachGoFile(t, "internal", func(path string, file *ast.File) {
 		for _, decl := range file.Decls {
-			switch d := decl.(type) {
-			case *ast.GenDecl:
+			if d, ok := decl.(*ast.GenDecl); ok {
 				for _, spec := range d.Specs {
-					if ts, ok := spec.(*ast.TypeSpec); ok && ts.Name.Name == "HeapMerger" && !isTest {
+					if ts, ok := spec.(*ast.TypeSpec); ok && ts.Name.Name == "HeapMerger" {
 						heapMergers = append(heapMergers, path)
 					}
 				}
-			case *ast.FuncDecl:
-				ft := d.Type
-				if isTest || d.Recv == nil || d.Name.Name != "Read" || len(ft.Params.List) != 0 || ft.Results == nil || len(ft.Results.List) != 2 {
-					continue
-				}
-				if id, ok := ft.Results.List[1].Type.(*ast.Ident); !ok || id.Name != "error" {
+			}
+		}
+	})
+	if len(heapMergers) != 0 {
+		t.Errorf("HeapMerger is declared outside _test.go files, in %v: it is the tests' reference merger, not an engine", heapMergers)
+	}
+}
+
+// TestOneWriteProtocolBelowTheBoundary is its write-side twin. Write(T)
+// error is the shape of a caller's sink, adapted once by
+// stream.AsBatchWriter where it enters the library; under internal/ the only
+// non-test types that declare it are the sinks a caller holds — a slice, a
+// byte stream of records, the paper's discarding sink — and
+// stream.ElementWriter, the staging through which an element-at-a-time
+// producer writes batches. Run writers and everything else take batches.
+func TestOneWriteProtocolBelowTheBoundary(t *testing.T) {
+	writers := methods(t, "Write", func(ft *ast.FuncType) bool {
+		return ft.Params.NumFields() == 1 && ft.Results != nil && len(ft.Results.List) == 1 && isError(ft.Results.List[0].Type)
+	}, "internal")
+	if want := []string{"exp.discardWriter", "record.ByteWriter", "stream.ElementWriter", "stream.SliceWriter"}; !slices.Equal(writers, want) {
+		t.Errorf("non-test types under internal/ declaring Write(T) error: %v, want exactly the caller-shaped sinks and the staging writer %v — write batches (stream.BatchWriter) below the boundary", writers, want)
+	}
+}
+
+// eachGoFile parses every non-test Go file under dir — under ".", only the
+// root package's own — and hands it to fn.
+func eachGoFile(t *testing.T, dir string, fn func(path string, file *ast.File)) {
+	t.Helper()
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			if err == nil && dir == "." && path != "." {
+				return filepath.SkipDir
+			}
+			return err
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err == nil {
+			fn(path, file)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// methods lists, sorted, the non-test types under dirs that declare a
+// method called name whose signature fits, each as package.Type.
+func methods(t *testing.T, name string, fits func(*ast.FuncType) bool, dirs ...string) []string {
+	t.Helper()
+	var types []string
+	for _, dir := range dirs {
+		eachGoFile(t, dir, func(_ string, file *ast.File) {
+			for _, decl := range file.Decls {
+				d, ok := decl.(*ast.FuncDecl)
+				if !ok || d.Recv == nil || d.Name.Name != name || !fits(d.Type) {
 					continue
 				}
 				// The receiver's type name, through a pointer and type parameters.
@@ -368,19 +418,15 @@ func TestOneReadProtocolBelowTheBoundary(t *testing.T) {
 					}
 					break
 				}
-				readers = append(readers, file.Name.Name+"."+recv.(*ast.Ident).Name)
+				types = append(types, file.Name.Name+"."+recv.(*ast.Ident).Name)
 			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		})
 	}
-	slices.Sort(readers)
-	if want := []string{"gen.Generator", "record.ByteReader", "stream.SliceReader"}; !slices.Equal(readers, want) {
-		t.Errorf("non-test types under internal/ declaring Read() (T, error): %v, want exactly the caller-shaped sources %v — read batches (stream.BatchReader) below the boundary", readers, want)
-	}
-	if len(heapMergers) != 0 {
-		t.Errorf("HeapMerger is declared outside _test.go files, in %v: it is the tests' reference merger, not an engine", heapMergers)
-	}
+	slices.Sort(types)
+	return types
+}
+
+func isError(e ast.Expr) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && id.Name == "error"
 }

@@ -47,14 +47,16 @@ func NewKeySorter[T any](kc KeyCodec[T], less func(a, b T) bool) *KeySorter[T] {
 	return s
 }
 
-// Scratch recycles batch-sort memory from one sort to the next: the pair
-// buffers of keyed batch sorts and the batches they sort. A Sorter keeps
-// one, so the quick generator's memory is paid once per Sorter. It is safe
-// for concurrent use; a nil *Scratch recycles nothing.
+// Scratch recycles batch-sort and merge memory from one sort to the next:
+// the pair buffers of keyed batch sorts, the batches they sort, and the
+// merge's leaf batches and their key words. A Sorter keeps one, so the
+// quick generator's and the merge's memory is paid once per Sorter. It is
+// safe for concurrent use; a nil *Scratch recycles nothing.
 type Scratch[T any] struct {
 	mu    sync.Mutex
 	pairs [][]keyed[T]
 	bufs  [][]T
+	words [][]uint64
 }
 
 // Sorter returns NewKeySorter(kc, less) borrowing its pair buffers from s
@@ -79,8 +81,25 @@ func (s *Scratch[T]) Buffer(n int) []T {
 
 // Put recycles a buffer; the caller uses it no more.
 func (s *Scratch[T]) Put(buf []T) {
-	if s != nil {
+	if s != nil && cap(buf) > 0 {
 		give(s, &s.bufs, buf)
+	}
+}
+
+// Words is Buffer for key words.
+func (s *Scratch[T]) Words(n int) []uint64 {
+	if s != nil {
+		if b := take(s, &s.words, n); b != nil {
+			return b[:0]
+		}
+	}
+	return make([]uint64, 0, n)
+}
+
+// PutWords is Put for key words.
+func (s *Scratch[T]) PutWords(words []uint64) {
+	if s != nil && cap(words) > 0 {
+		give(s, &s.words, words)
 	}
 }
 

@@ -13,13 +13,15 @@ import (
 
 // outStream is one of the four output streams of a run (Figure 4.1): what
 // it is called in file names, its direction, its writer — opened by the
-// stream's first record, so a stream the run never feeds has no file — and
-// the first and last element written to it, which decide at run end
-// whether the run is concatenable.
+// stream's first record, so a stream the run never feeds has no file — the
+// staging its records pass through to the writer, kept across runs, and the
+// first and last element written to it, which decide at run end whether the
+// run is concatenable.
 type outStream[T any] struct {
 	role        string
 	descending  bool
 	w           runio.StreamWriter[T]
+	out         *stream.ElementWriter[T]
 	first, last T
 }
 
@@ -133,6 +135,9 @@ func NewStepper[T any](src stream.BatchReader[T], em *runio.Emitter[T], cfg Conf
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		victimCap: victimCap,
 		streams:   [4]outStream[T]{{role: "s4", descending: true}, {role: "s3"}, {role: "s2", descending: true}, {role: "s1"}},
+	}
+	for i := range g.streams {
+		g.streams[i].out = stream.NewElementWriter[T](nil, em.StageLen())
 	}
 	if victimCap > 0 {
 		g.victim = make([]T, 0, victimCap)
@@ -493,13 +498,14 @@ func (g *generator[T]) write(i int, v T) error {
 			return err
 		}
 		s.w, s.first = w, v
+		s.out.Reset(w)
 	}
 	s.last = v
-	return s.w.Write(v)
+	return s.out.Write(v)
 }
 
-// writeBatch appends vs, in the stream's direction, to stream i: the first
-// through write, which opens the stream with it.
+// writeBatch appends vs, in the stream's direction, to stream i after what
+// is staged: the first through write, which opens the stream with it.
 func (g *generator[T]) writeBatch(i int, vs []T) error {
 	if len(vs) == 0 {
 		return nil
@@ -508,7 +514,7 @@ func (g *generator[T]) writeBatch(i int, vs []T) error {
 		return err
 	}
 	g.streams[i].last = vs[len(vs)-1]
-	return g.streams[i].w.WriteBatch(vs[1:])
+	return g.streams[i].out.WriteBatch(vs[1:])
 }
 
 // concatenable reports whether the four stream ranges are pairwise disjoint
@@ -562,6 +568,9 @@ func (g *generator[T]) endRun() (runio.Run, error) {
 	run := runio.Run{Segments: make([]runio.Segment, 0, len(g.streams))}
 	for i := range g.streams {
 		if w := g.streams[i].w; w != nil {
+			if err := g.streams[i].out.Flush(); err != nil {
+				return runio.Run{}, err
+			}
 			if err := w.Close(); err != nil {
 				return runio.Run{}, err
 			}

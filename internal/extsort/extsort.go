@@ -47,8 +47,9 @@ type Ops[T any] struct {
 	// a sampled order disagreement between KeyCodec and Less then fails the
 	// sort instead of silently falling back to the comparator (Ops.keyed).
 	KeyedExplicit bool
-	// Scratch, when set, recycles the generators' batch-sort memory across
-	// the sorts these Ops run: a Sorter passes its own (codec.Scratch).
+	// Scratch, when set, recycles the generators' batch-sort memory and the
+	// merge's leaves across the sorts these Ops run: a Sorter passes its own
+	// (codec.Scratch).
 	Scratch *codec.Scratch[T]
 }
 
@@ -567,15 +568,15 @@ func (r *RunSet[T]) generate(src stream.BatchReader[T], recovered []manifest.Run
 	runs, err := r.runLanes(lanes, in, seq, gsp, rsp)
 	for _, l := range lanes {
 		if err == nil && l.replayed < len(l.recovered) {
-			err = fmt.Errorf("%w: the input ended after %d records, before the %d runs the manifest committed were regenerated; the source must re-serve the original input", manifest.ErrChecksum, in.n, len(recovered))
+			err = fmt.Errorf("%w: the input ended after %d records, before the %d runs the manifest committed were regenerated; the source must re-serve the original input", manifest.ErrChecksum, in.N, len(recovered))
 		}
 	}
 	var records int64
 	for _, run := range runs {
 		records += run.Records
 	}
-	if err == nil && records != in.n {
-		err = fmt.Errorf("%w: %d read, %d in the runs", ErrRecordCount, in.n, records)
+	if err == nil && records != in.N {
+		err = fmt.Errorf("%w: %d read, %d in the runs", ErrRecordCount, in.N, records)
 	}
 	if err != nil {
 		return fail(err)
@@ -595,7 +596,7 @@ func (r *RunSet[T]) generate(src stream.BatchReader[T], recovered []manifest.Run
 	}
 
 	r.stats.Policy = cfg.Policy.String()
-	r.finishGenerate("generate", time.Since(wallStart), entry, in.n-replayed)
+	r.finishGenerate("generate", time.Since(wallStart), entry, in.N-replayed)
 	gsp.End(obs.Int("runs", int64(r.stats.Runs)), obs.Int("records", r.stats.Records))
 	return r, nil
 }
@@ -704,7 +705,7 @@ func (r *RunSet[T]) Merge(dst stream.Writer[T]) (Stats, error) {
 	if err != nil {
 		return r.Stats(), err
 	}
-	_, err = stream.CopyCancel[T](dst, st, r.cfg.Cancel)
+	_, err = stream.CopyCancel(stream.AsBatchWriter(dst), st, r.cfg.Cancel)
 	err = r.CloseMerged(st, err)
 	r.stats.IO = r.store.Stats()
 	if err != nil {
@@ -786,12 +787,4 @@ func Sort[T any](src stream.Reader[T], dst stream.Writer[T], fs vfs.FS, cfg Conf
 		return Stats{}, err
 	}
 	return rset.Merge(dst)
-}
-
-// SortSlice sorts elements in memory-bounded fashion through a MemFS and
-// returns a new sorted slice; a convenience for tests and examples.
-func SortSlice[T any](vals []T, cfg Config, ops Ops[T]) ([]T, Stats, error) {
-	out := stream.SliceWriter[T]{Vals: make([]T, 0, len(vals))}
-	stats, err := Sort[T](stream.NewSliceReader(vals), &out, vfs.NewMemFS(), cfg, ops)
-	return out.Vals, stats, err
 }

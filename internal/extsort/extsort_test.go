@@ -15,9 +15,16 @@ import (
 	"repro/internal/vfs"
 )
 
+// sortSlice sorts vals through a MemFS and returns them sorted.
+func sortSlice[T any](vals []T, cfg Config, ops Ops[T]) ([]T, Stats, error) {
+	out := stream.SliceWriter[T]{Vals: make([]T, 0, len(vals))}
+	stats, err := Sort[T](stream.NewSliceReader(vals), &out, vfs.NewMemFS(), cfg, ops)
+	return out.Vals, stats, err
+}
+
 func sortAndCheck(t *testing.T, recs []record.Record, cfg Config) Stats {
 	t.Helper()
-	out, stats, err := SortSlice(recs, cfg, RecordOps())
+	out, stats, err := sortSlice(recs, cfg, RecordOps())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +120,7 @@ func TestDerivedFanInPlanIndependentOfParallelism(t *testing.T) {
 		)
 		for _, par := range []int{1, 2, 8} {
 			cfg := Config{Policy: policy.Quick, Memory: row.memory, Parallelism: par}
-			out, st, err := SortSlice(recs, cfg, RecordOps())
+			out, st, err := sortSlice(recs, cfg, RecordOps())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -193,10 +200,10 @@ func TestSortSingleRecord(t *testing.T) {
 }
 
 func TestSortRejectsBadConfig(t *testing.T) {
-	if _, _, err := SortSlice[record.Record](nil, Config{Memory: 0}, RecordOps()); err == nil {
+	if _, _, err := sortSlice[record.Record](nil, Config{Memory: 0}, RecordOps()); err == nil {
 		t.Fatal("memory 0 should fail")
 	}
-	_, _, err := SortSlice[record.Record](nil, Config{Memory: 100, Policy: policy.Kind(42)}, RecordOps())
+	_, _, err := sortSlice[record.Record](nil, Config{Memory: 100, Policy: policy.Kind(42)}, RecordOps())
 	if err == nil || !strings.Contains(err.Error(), strings.Join(policy.Names(), ", ")) {
 		t.Fatalf("unknown policy: err = %v, want one listing the valid names", err)
 	}
@@ -352,7 +359,7 @@ func TestSortEqualsGenerateRunsPlusMerge(t *testing.T) {
 	cfg := Recommended(256)
 	cfg.Parallelism = 1
 
-	direct, dstats, err := SortSlice(recs, cfg, RecordOps())
+	direct, dstats, err := sortSlice(recs, cfg, RecordOps())
 	if err != nil {
 		t.Fatal(err)
 	}

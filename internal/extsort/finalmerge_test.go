@@ -59,7 +59,7 @@ func TestFinalMergeIdenticalAtEveryParallelism(t *testing.T) {
 				for _, par := range []int{1, 2, 4, 8} {
 					name := fmt.Sprintf("%v/%v/%s/parallelism=%d", kind, pol, sh.name, par)
 					cfg := Config{Policy: pol, Memory: 600, Parallelism: par}
-					out, st, err := SortSlice(recs, cfg, sh.ops)
+					out, st, err := sortSlice(recs, cfg, sh.ops)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
@@ -106,7 +106,7 @@ func TestFinalMergeStringsIdenticalAtEveryParallelism(t *testing.T) {
 	var one []string
 	for _, par := range []int{1, 2, 4, 8} {
 		ops := Ops[string]{Less: func(a, b string) bool { return a < b }, Codec: codec.String{}, KeyCodec: codec.KeyString{}}
-		out, _, err := SortSlice(vals, Config{Policy: policy.RS, Memory: 1000, Parallelism: par}, ops)
+		out, _, err := sortSlice(vals, Config{Policy: policy.RS, Memory: 1000, Parallelism: par}, ops)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}
@@ -179,7 +179,7 @@ func TestFinalMergeSkewedRuns(t *testing.T) {
 	}
 	var one []record.Record
 	for _, par := range []int{1, 2, 4} {
-		out, st, err := SortSlice(recs, Config{Policy: policy.Quick, Memory: 4000, Parallelism: par}, RecordOps())
+		out, st, err := sortSlice(recs, Config{Policy: policy.Quick, Memory: 4000, Parallelism: par}, RecordOps())
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}

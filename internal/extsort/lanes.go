@@ -142,7 +142,7 @@ func (r *RunSet[T]) boundary(l *lane[T], seq *sequencer, handover func()) func(p
 // records, sized from the configuration alone, block i to lane i mod Lanes.
 // The first failure, in a lane or in the source, stops every lane; all have
 // returned, and their streams are closed, when runLanes does.
-func (r *RunSet[T]) runLanes(lanes []*lane[T], in *meterReader[T], seq *sequencer, gsp, rsp *obs.Span) ([]runio.Run, error) {
+func (r *RunSet[T]) runLanes(lanes []*lane[T], in *stream.Meter[T], seq *sequencer, gsp, rsp *obs.Span) ([]runio.Run, error) {
 	cfg := r.cfg
 	choice, src, err := policy.Decide(cfg.Policy, in, r.em, policy.Sizing{Memory: cfg.Memory, Lanes: len(lanes),
 		Merge: merge.Config{FanIn: cfg.FanIn, MemoryBytes: cfg.Memory * r.ops.ElementBytes()}})
@@ -192,7 +192,7 @@ func (r *RunSet[T]) runLanes(lanes []*lane[T], in *meterReader[T], seq *sequence
 
 	if len(lanes) == 1 {
 		l := lanes[0]
-		l.in, l.pos = src, func() int64 { return in.n }
+		l.in, l.pos = src, func() int64 { return in.N }
 		if err := drive(l, gsp); err != nil {
 			return nil, err
 		}

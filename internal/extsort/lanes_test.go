@@ -316,7 +316,7 @@ func TestLanesSortShortInputs(t *testing.T) {
 	cfg := Config{Policy: policy.TwoWayRS, Memory: 3*laneMax + 1}
 	for _, n := range []int{0, 1, cfg.dealLen() + 1, 5 * cfg.dealLen()} {
 		recs := testRecords(max(n, 2), 4)[:n]
-		got, st, err := SortSlice(recs, cfg, RecordOps())
+		got, st, err := sortSlice(recs, cfg, RecordOps())
 		if err != nil {
 			t.Fatalf("%d records: %v", n, err)
 		}

@@ -162,28 +162,9 @@ func (o *sortObs) observeCheckpoint(d time.Duration) {
 	o.ckptTime.Observe(d.Seconds())
 }
 
-// meterReader counts the records flowing out of a source — the input
-// position a durable boundary records — and into the progress reporter, a
-// batch at a time. It forwards the source's Remaining hint.
-type meterReader[T any] struct {
-	br  stream.BatchReader[T]
-	rep *obs.Reporter
-	n   int64 // records read so far
-}
-
-func (m *meterReader[T]) ReadBatch(dst []T) (int, error) {
-	k, err := m.br.ReadBatch(dst)
-	m.n += int64(k)
-	m.rep.Add(int64(k))
-	return k, err
-}
-
-// Remaining forwards Sized; -1 when the source does not know.
-func (m *meterReader[T]) Remaining() int { return stream.RemainingOf(m.br) }
-
-// meterSource wraps src with a meterReader and moves the progress reporter
-// into the "generate" phase, sized from the source when known.
-func meterSource[T any](o *sortObs, src stream.BatchReader[T]) *meterReader[T] {
+// meterSource meters src — its count is the input position a durable
+// boundary records — into the progress reporter's "generate" phase.
+func meterSource[T any](o *sortObs, src stream.BatchReader[T]) *stream.Meter[T] {
 	o.reporter().SetPhase("generate", int64(stream.RemainingOf(src)))
-	return &meterReader[T]{br: src, rep: o.reporter()}
+	return &stream.Meter[T]{R: src, Add: o.reporter().Add}
 }

@@ -43,7 +43,7 @@ func TestSortParallelismEquivalence(t *testing.T) {
 		// workers merge; a dozen runs take several intermediate passes.
 		cfg := Recommended(12 << 10)
 		cfg.FanIn, cfg.Parallelism = 2, par
-		out, stats, err := SortSlice(recs, cfg, RecordOps())
+		out, stats, err := sortSlice(recs, cfg, RecordOps())
 		if err != nil {
 			t.Fatal(err)
 		}

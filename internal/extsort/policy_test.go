@@ -13,7 +13,7 @@ import (
 func TestAutoPolicyEndToEnd(t *testing.T) {
 	const n, m = 30000, 500
 	recs := gen.Generate(gen.Config{Kind: gen.MixedBalanced, N: n, Seed: 23, Noise: 1000})
-	out, stats, err := SortSlice(recs, Config{Policy: policy.Auto, Memory: m}, RecordOps())
+	out, stats, err := sortSlice(recs, Config{Policy: policy.Auto, Memory: m}, RecordOps())
 	if err != nil {
 		t.Fatal(err)
 	}

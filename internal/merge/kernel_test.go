@@ -323,7 +323,7 @@ func TestSequentialScheduleUnchanged(t *testing.T) {
 			t.Fatal(err)
 		}
 		for j := int64(0); j < size; j++ {
-			if err := w.Write(record.Record{Key: j, Aux: uint64(i)}); err != nil {
+			if err := w.WriteBatch([]record.Record{{Key: j, Aux: uint64(i)}}); err != nil {
 				t.Fatal(err)
 			}
 		}

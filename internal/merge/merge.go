@@ -334,7 +334,7 @@ func Merge[T any](em *runio.Emitter[T], inputs []runio.Run, dst stream.Writer[T]
 	if err != nil {
 		return Stats{Inputs: len(inputs)}, err
 	}
-	if _, err := stream.CopyCancel[T](dst, st, cfg.Cancel); err != nil {
+	if _, err := stream.CopyCancel(stream.AsBatchWriter(dst), st, cfg.Cancel); err != nil {
 		st.Close()
 		return st.Stats(), err
 	}
@@ -460,10 +460,8 @@ func mergeOp[T any](em *runio.Emitter[T], a *leafArena[T], group []runio.Run, na
 		eng.Close()
 		return runio.Run{}, err
 	}
-	if a.batch == nil {
-		a.batch = make([]T, stream.DefaultBatchLen)
-	}
-	moved, err := stream.CopyBuffer[T](wr, eng, a.batch, cfg.Cancel)
+	batch := borrow(&a.batch, stream.DefaultBatchLen, a.sc.Buffer, a.sc.Put)
+	moved, err := stream.CopyBuffer[T](wr, eng, batch, cfg.Cancel)
 	if err == nil && moved != o.records {
 		err = miscount(name, moved, o.records)
 	}

@@ -195,7 +195,7 @@ func makeRuns(t *testing.T, fs vfs.FS, em *runio.Emitter[record.Record], n, leng
 		for j, k := range keys {
 			rec := record.Record{Key: k, Aux: uint64(i*length + j)}
 			all = append(all, rec)
-			if err := w.Write(rec); err != nil {
+			if err := w.WriteBatch([]record.Record{rec}); err != nil {
 				t.Fatal(err)
 			}
 		}

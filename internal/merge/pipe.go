@@ -82,7 +82,7 @@ func (p *pipe[T]) ReadBatch(dst []T) (int, error) {
 	if p.closed {
 		return 0, stream.ErrClosed
 	}
-	for len(p.cur) == 0 {
+	for len(p.cur) == 0 && len(dst) > 0 {
 		if p.err != nil {
 			return 0, p.err
 		}

@@ -212,7 +212,7 @@ func unevenRuns(t *testing.T, em *runio.Emitter[record.Record], n int, seed int6
 			t.Fatal(err)
 		}
 		for j, size := 0, 1+rng.Intn(3)*rng.Intn(40); j < size; j++ {
-			if err := w.Write(record.Record{Key: int64(j), Aux: uint64(i)}); err != nil {
+			if err := w.WriteBatch([]record.Record{{Key: int64(j), Aux: uint64(i)}}); err != nil {
 				t.Fatal(err)
 			}
 		}

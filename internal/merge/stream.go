@@ -29,6 +29,7 @@ import (
 type Stream[T any] struct {
 	store  storage.Backend
 	eng    Source[T]
+	arena  *leafArena[T] // the final merge's leaves, borrowed until Close
 	finals []runio.Run
 	stats  Stats // the plan's; Delivered counts what ReadBatch delivered
 	cancel func() error
@@ -78,16 +79,24 @@ func NewStream[T any](em *runio.Emitter[T], inputs []runio.Run, cfg Config) (*St
 	runs := make([]runio.Run, len(inputs)+len(p.ops))
 	copy(runs, inputs)
 	arenas := make([]leafArena[T], max(1, min(cfg.Workers, len(p.ops), cfg.fedWorkers(inputs))))
-	if err := execute(em, p, runs, arenas, cfg); err != nil {
-		return nil, err
+	for i := range arenas {
+		arenas[i].sc = em.Scratch
 	}
-	for _, id := range p.finals {
-		st.finals = append(st.finals, runs[id])
-		st.want += runs[id].Records
+	// The final merge keeps the first arena until Close; the others go back.
+	err := execute(em, p, runs, arenas, cfg)
+	for i := 1; i < len(arenas); i++ {
+		arenas[i].release()
 	}
-	var err error
-	st.eng, err = openMerged(em, &arenas[0], st.finals, cfg.bufBytes(1, cfg.widest(st.finals, len(st.finals))), cfg)
+	st.arena = &arenas[0]
+	if err == nil {
+		for _, id := range p.finals {
+			st.finals = append(st.finals, runs[id])
+			st.want += runs[id].Records
+		}
+		st.eng, err = openMerged(em, st.arena, st.finals, cfg.bufBytes(1, cfg.widest(st.finals, len(st.finals))), cfg)
+	}
 	if err != nil {
+		st.arena.release()
 		return nil, err
 	}
 	if t, ok := st.eng.(*LoserTree[T]); ok && cfg.Workers > 1 {
@@ -108,7 +117,7 @@ func (s *Stream[T]) ReadBatch(dst []T) (int, error) {
 	if s.closed {
 		return 0, stream.ErrClosed
 	}
-	if s.err != nil {
+	if s.err != nil || len(dst) == 0 {
 		return 0, s.err
 	}
 	if s.eng == nil {
@@ -170,6 +179,7 @@ func (s *Stream[T]) Close() error {
 		if err := s.eng.Close(); err != nil {
 			first = err
 		}
+		s.arena.release()
 	}
 	for _, r := range s.finals {
 		if s.failed {

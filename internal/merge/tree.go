@@ -37,23 +37,34 @@ const leafBatch = 256
 
 // leafArena is the memory one merging goroutine reuses from operation to
 // operation: leafBatch decoded elements per source, for a keyed tree their
-// cached words, and the batch its copy loop moves the output through. It
-// outlives the engines built in it — a merge worker builds one per merge
-// operation, one after the other, and the final merge takes over the first
-// worker's — and its zero value is ready to use.
+// cached words, and the batch its copy loop moves the output through, all
+// borrowed from sc (nil: allocated) and given back by release. It outlives
+// the engines built in it — a merge worker builds one per merge operation,
+// one after the other, and the final merge takes over the first worker's —
+// and holds no memory between merges.
 type leafArena[T any] struct {
+	sc    *codec.Scratch[T]
 	buf   []T
 	keys  []uint64
 	batch []T
 }
 
-// batches returns the arena slab cut to k leaf batches, first replacing it
-// with a wider one when it is narrower.
-func batches[E any](slab *[]E, k int) []E {
-	if len(*slab) < k*leafBatch {
-		*slab = make([]E, k*leafBatch)
+// borrow returns the arena slab cut to n elements, first giving it back
+// with put for a wider one from get when it is narrower.
+func borrow[E any](slab *[]E, n int, get func(int) []E, put func([]E)) []E {
+	if len(*slab) < n {
+		put(*slab)
+		*slab = get(n)[:n]
 	}
-	return (*slab)[:k*leafBatch]
+	return (*slab)[:n]
+}
+
+// release gives the arena's memory back to the scratch.
+func (a *leafArena[T]) release() {
+	a.sc.Put(a.buf)
+	a.sc.PutWords(a.keys)
+	a.sc.Put(a.batch)
+	a.buf, a.keys, a.batch = nil, nil, nil
 }
 
 // leaves holds the decoded batches of k sources in one slab: source i's
@@ -74,7 +85,7 @@ func newLeaves[T any](a *leafArena[T], srcs []Source[T]) leaves[T] {
 	k := len(srcs)
 	l := leaves[T]{
 		srcs: srcs,
-		buf:  batches(&a.buf, k),
+		buf:  borrow(&a.buf, k*leafBatch, a.sc.Buffer, a.sc.Put),
 		pos:  make([]int, k),
 		end:  make([]int, k),
 	}
@@ -156,10 +167,10 @@ type LoserTree[T any] struct {
 	cmp func(a, b T) bool
 	// tree[j] holds the loser of the match at internal node j; tree[0]
 	// holds the overall winner.
-	tree    []int
-	k       int
-	closed  bool
-	pendErr error // error deferred by ReadBatch after a partial batch
+	tree   []int
+	k      int
+	closed bool
+	err    error // a source's failure: every read after the batch that met it returns it
 }
 
 // NewLoserTree builds the unkeyed tree over the given sources, priming each
@@ -186,7 +197,7 @@ func newTreeIn[T any](a *leafArena[T], srcs []Source[T], less func(a, b T) bool,
 		k:      k,
 	}
 	if kc != nil {
-		t.keys, t.pfx = batches(&a.keys, k), codec.PrefixAllFunc(kc)
+		t.keys, t.pfx = borrow(&a.keys, k*leafBatch, a.sc.Words, a.sc.PutWords), codec.PrefixAllFunc(kc)
 		if codec.PrefixIsKey(kc) && kc.TotalKey() {
 			t.cmp = nil
 		}
@@ -269,15 +280,13 @@ func (t *LoserTree[T]) build() {
 // stream.BatchReader contract, replaying the winner path once per element
 // but paying the interface dispatch to the caller only once per batch. A
 // source error after a partial batch is held back: the batch is returned
-// first and the error by the next call.
+// first and the error by every call after it.
 func (t *LoserTree[T]) ReadBatch(dst []T) (int, error) {
 	if t.closed {
 		return 0, stream.ErrClosed
 	}
-	if t.pendErr != nil {
-		err := t.pendErr
-		t.pendErr = nil
-		return 0, err
+	if t.err != nil || len(dst) == 0 {
+		return 0, t.err
 	}
 	if t.k == 0 {
 		return 0, io.EOF
@@ -307,7 +316,7 @@ func (t *LoserTree[T]) ReadBatch(dst []T) (int, error) {
 				n += c
 			}
 			if err != nil {
-				t.pendErr = err
+				t.err = err
 				break
 			}
 		} else if keys != nil {

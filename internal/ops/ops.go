@@ -192,8 +192,8 @@ func (c *countWriter[T]) WriteBatch(src []T) error {
 // group is buffered, so memory is bounded by the largest set of equal-key
 // right elements, not the input size. cancel (nil means never) is polled
 // every cancelOps consumed or emitted elements.
-func MergeJoin[L, R, O any](left stream.BatchReader[L], right stream.BatchReader[R], cmp func(L, R) int, join func(L, R) O, dst stream.Writer[O], cancel func() error) (JoinStats, error) {
-	cw := &countWriter[O]{w: stream.AsBatchWriter(dst)}
+func MergeJoin[L, R, O any](left stream.BatchReader[L], right stream.BatchReader[R], cmp func(L, R) int, join func(L, R) O, dst stream.BatchWriter[O], cancel func() error) (JoinStats, error) {
+	cw := &countWriter[O]{w: dst}
 	out := stream.NewElementWriter[O](cw, 0)
 	st, err := mergeJoin(left, right, cmp, join, out, cancel)
 	if err == nil {

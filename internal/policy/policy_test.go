@@ -350,3 +350,26 @@ func TestChoosePerDistribution(t *testing.T) {
 		}
 	}
 }
+
+// TestElementPathDoesNotAllocate pins the cost of the generators' element
+// path: an rs step and a 2WRS step stage each record they write in the
+// stream's stream.ElementWriter, kept across runs, which hands a page of
+// them at a time to the run writer and allocates nothing per record. What
+// a pass allocates is the runs' own — files, writers, segments — and the
+// generator's, a small fraction of an allocation per record.
+func TestElementPathDoesNotAllocate(t *testing.T) {
+	const m = 1 << 10
+	recs := gen.Generate(gen.Config{Kind: gen.Random, N: 64 * m, Seed: 3})
+	for _, kind := range []Kind{RS, TwoWayRS} {
+		allocs := testing.AllocsPerRun(2, func() {
+			em := runio.RecordEmitter(vfs.NewMemFS(), "el")
+			if _, err := Generate(kind, stream.NewSliceReader(recs), em, Config{Memory: m}, record.Key); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%v: %.4f allocations a record", kind, allocs/float64(len(recs)))
+		if perRec := allocs / float64(len(recs)); perRec > 0.05 {
+			t.Errorf("%v allocates %.3f times per record written, want at most 0.05", kind, perRec)
+		}
+	}
+}

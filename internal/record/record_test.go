@@ -115,7 +115,7 @@ func TestSliceReaderWriter(t *testing.T) {
 func TestReadAllWriteAll(t *testing.T) {
 	recs := FromKeys(9, 8, 7, 6)
 	var w stream.SliceWriter[Record]
-	if err := stream.WriteAll(&w, recs); err != nil {
+	if err := w.WriteBatch(recs); err != nil {
 		t.Fatal(err)
 	}
 	got, err := stream.ReadAll[Record](stream.NewSliceReader(w.Vals))
@@ -131,7 +131,7 @@ func TestByteReaderWriter(t *testing.T) {
 	recs := FromKeys(1, -5, 1000)
 	var buf bytes.Buffer
 	bw := NewByteWriter(&buf)
-	if err := stream.WriteAll(bw, recs); err != nil {
+	if err := bw.WriteBatch(recs); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() != len(recs)*Size {

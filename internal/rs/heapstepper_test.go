@@ -94,7 +94,7 @@ func (s *heapStepper[T]) NextRun() (runio.Run, bool, error) {
 	}
 	for h.Len() > 0 && h.Peek().Run == s.currentRun {
 		out := h.Pop()
-		if err := w.Write(out.Rec); err != nil {
+		if err := w.WriteBatch([]T{out.Rec}); err != nil {
 			return runio.Run{}, false, err
 		}
 		rec, ok, err := s.in.Next()

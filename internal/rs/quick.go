@@ -79,7 +79,7 @@ func (s *QuickStepper[T]) NextRun() (runio.Run, bool, error) {
 	if err != nil {
 		return runio.Run{}, false, err
 	}
-	if err := stream.WriteAll[T](w, buf); err != nil {
+	if err := w.WriteBatch(buf); err != nil {
 		return runio.Run{}, false, err
 	}
 	if err := w.Close(); err != nil {

@@ -60,9 +60,10 @@ import (
 // Between calls the tree holds the records already tagged for the next run,
 // so a caller may stop after any run and continue later.
 type Stepper[T any] struct {
-	em *runio.Emitter[T]
-	in *stream.Fetcher[T]
-	t  *heap.Tree[T] // a min-tree on up-runs, a max-tree on down-runs
+	em  *runio.Emitter[T]
+	in  *stream.Fetcher[T]
+	out *stream.ElementWriter[T] // stages the run's records: in's mirror, kept across runs
+	t   *heap.Tree[T]            // a min-tree on up-runs, a max-tree on down-runs
 	// pfx caches normalized-key prefixes into tree items when the emitter
 	// carries a KeyCodec; nil on the comparator-only path, where every cached
 	// key is zero.
@@ -109,6 +110,7 @@ func NewStepper[T any](src stream.BatchReader[T], em *runio.Emitter[T], memory i
 		// All input flows through a batched fetch buffer: one ReadBatch per
 		// FetchLen elements instead of an interface call per record.
 		in:          stream.NewFetcher(src, stream.FetchLen(memory)),
+		out:         stream.NewElementWriter[T](nil, em.StageLen()),
 		t:           heap.NewTree(memory, alternating && down, em.Less),
 		pfx:         em.PrefixFunc(),
 		less:        em.Less,
@@ -198,6 +200,7 @@ func (s *Stepper[T]) NextRun() (runio.Run, bool, error) {
 	if err != nil {
 		return runio.Run{}, false, err
 	}
+	s.out.Reset(w)
 	for {
 		// Write the tree's winner while it belongs to the current run,
 		// then the tail's head. leaf is the tail leaf the write frees, or
@@ -211,7 +214,7 @@ func (s *Stepper[T]) NextRun() (runio.Run, bool, error) {
 			if s.size == 0 {
 				break
 			}
-			if k, err := s.stream(w); k > 0 || err != nil {
+			if k, err := s.stream(); k > 0 || err != nil {
 				if err != nil {
 					return runio.Run{}, false, err
 				}
@@ -220,7 +223,7 @@ func (s *Stepper[T]) NextRun() (runio.Run, bool, error) {
 			leaf = s.pop()
 			out = s.item(*t.Parked(leaf))
 		}
-		if err := w.Write(out.Rec); err != nil {
+		if err := s.out.Write(out.Rec); err != nil {
 			return runio.Run{}, false, err
 		}
 		rec, ok, err := s.in.Next()
@@ -254,6 +257,9 @@ func (s *Stepper[T]) NextRun() (runio.Run, bool, error) {
 		} else {
 			t.Put(leaf, in)
 		}
+	}
+	if err := s.out.Flush(); err != nil {
+		return runio.Run{}, false, err
 	}
 	if err := w.Close(); err != nil {
 		return runio.Run{}, false, err
@@ -343,9 +349,9 @@ func (s *Stepper[T]) place(in heap.Item[T], leaf int) bool {
 // stream is the batch path, taken while the tree holds no current-run
 // record: the longest prefix of the fetch batch that continues the tail in
 // order, at most the tail's length, trades places with the tail's oldest
-// records, which go out in one WriteBatch. It returns how many, zero when
-// the batch's first record does not continue the tail.
-func (s *Stepper[T]) stream(w runio.StreamWriter[T]) (int, error) {
+// records, which go out in one WriteBatch after those staged. It returns
+// how many, zero when the batch's first record does not continue the tail.
+func (s *Stepper[T]) stream() (int, error) {
 	batch, err := s.in.Peek()
 	k := 0
 	for ; k < len(batch) && k < s.size; k++ {
@@ -362,5 +368,5 @@ func (s *Stepper[T]) stream(w runio.StreamWriter[T]) (int, error) {
 	}
 	s.window = 0
 	s.in.Skip(k)
-	return k, w.WriteBatch(batch[:k])
+	return k, s.out.WriteBatch(batch[:k])
 }

@@ -122,8 +122,8 @@ type BackwardWriter[T any] struct {
 	// err is a failure to store a full block: the writer cannot go on.
 	err error
 
-	scratch []byte // a variable-width element's encoding
-	rev     []T    // a page of a batch, ascending, for the bulk kernel
+	scratch []byte // the encoding of an element placed without a bulk codec
+	rev     []T    // a quarter page of a batch, ascending, for the bulk kernel (one per run's chain)
 }
 
 // NewBackwardWriter returns a writer for a descending stream stored under
@@ -154,35 +154,10 @@ func NewBackwardWriter[T any](st storage.Backend, base string, pageSize, pagesPe
 	return w, nil
 }
 
-// Write appends r, which must not exceed the previous element.
-func (w *BackwardWriter[T]) Write(r T) error {
-	if err := w.admit(r); err != nil {
-		return err
-	}
-	if w.f == nil || w.err != nil {
-		if err := w.ready(); err != nil {
-			return err
-		}
-	}
-	w.f.hdr.records++
-	if w.fixed == 0 {
-		return w.place(r)
-	}
-	// A page holds whole elements, so the block has room for this one.
-	w.pos -= w.fixed
-	w.c.Append(w.blk[w.pos:w.pos], r)
-	if w.summed {
-		w.sum = ContentSum(w.sum, w.blk[w.pos:w.pos+w.fixed])
-	}
-	if w.pos == 0 {
-		return w.full()
-	}
-	return nil
-}
-
-// place lays a variable-width encoding down back-to-front: its tail bytes
-// go just below the current position, continuing into lower pages (and, on
-// rollover, the next chain file) until the whole element is placed.
+// place lays an element's encoding down back-to-front: its tail bytes go
+// just below the current position, continuing into lower pages (and, on
+// rollover, the next chain file) until the whole element is placed. A
+// fixed-width element fits the block whole, as a page holds whole elements.
 func (w *BackwardWriter[T]) place(r T) error {
 	pending := w.c.Append(w.scratch[:0], r)
 	if w.summed {
@@ -208,30 +183,34 @@ func (w *BackwardWriter[T]) place(r T) error {
 
 // WriteBatch appends every element of src in order (descending). With a
 // bulk codec each turn of its loop takes the elements that still fit the
-// block, at most a page of them, and encodes them ascending in one call just
-// below what the block holds; other codecs write element by element. The
-// bytes stored are those of element writes.
+// block, at most a quarter page of them, and encodes them ascending in one
+// call just below what the block holds; other codecs place one element a
+// turn. The bytes stored do not depend on how src was cut into batches.
 func (w *BackwardWriter[T]) WriteBatch(src []T) error {
 	if w.closed {
 		return stream.ErrClosed
 	}
 	for len(src) > 0 {
+		if err := w.ready(); err != nil {
+			return err
+		}
+		n := 1
+		if w.bulk != nil {
+			if w.rev == nil {
+				w.rev = make([]T, max(int(w.file.pageSize)/w.fixed/4, 1))
+			}
+			n = min(len(src), w.pos/w.fixed, len(w.rev))
+		}
+		if err := w.admitAll(src[:n]); err != nil {
+			return err
+		}
+		w.f.hdr.records += uint64(n)
 		if w.bulk == nil {
-			if err := w.Write(src[0]); err != nil {
+			if err := w.place(src[0]); err != nil {
 				return err
 			}
 			src = src[1:]
 			continue
-		}
-		if err := w.ready(); err != nil {
-			return err
-		}
-		if w.rev == nil {
-			w.rev = make([]T, int(w.file.pageSize)/w.fixed)
-		}
-		n := min(len(src), w.pos/w.fixed, len(w.rev))
-		if err := w.admitAll(src[:n]); err != nil {
-			return err
 		}
 		for i, r := range src[:n] {
 			w.rev[n-1-i] = r
@@ -242,7 +221,6 @@ func (w *BackwardWriter[T]) WriteBatch(src []T) error {
 			w.sum = ContentSum(w.sum, w.blk[at:at+w.fixed])
 		}
 		w.pos -= n * w.fixed
-		w.f.hdr.records += uint64(n)
 		if src = src[n:]; w.pos == 0 {
 			if err := w.full(); err != nil {
 				return err

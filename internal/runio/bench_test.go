@@ -43,12 +43,12 @@ func benchInput() []record.Record {
 	return recs
 }
 
-// BenchmarkWriterBatch times a forward run written through WriteBatch (the
-// bulk encode kernel, a page per call) beside the same run written element
-// by element, and the same records written descending to a backward chain
-// both ways: its WriteBatch, which encodes a page of them per bulk call
-// tail-first into the block, and its Write, which encodes each in place.
-// Every iteration is held to the bytes of its layout's element path.
+// BenchmarkWriterBatch times a forward run written through WriteBatch a
+// batch per call (the bulk encode kernel, a page per call) beside the same
+// run written one element per call, and the same records written descending
+// to a backward chain both ways: batches, which it encodes a page per bulk
+// call tail-first into the block, and one element per call. Every iteration
+// is held to the bytes of its layout's one-element writes.
 func BenchmarkWriterBatch(b *testing.B) {
 	recs := benchInput()
 	descending := slices.Clone(recs)
@@ -75,7 +75,7 @@ func BenchmarkWriterBatch(b *testing.B) {
 			}
 		} else {
 			for i := 0; i < len(src) && err == nil; i++ {
-				err = w.Write(src[i])
+				err = w.WriteBatch(src[i : i+1])
 			}
 		}
 		if err == nil {
@@ -88,7 +88,7 @@ func BenchmarkWriterBatch(b *testing.B) {
 	for _, mode := range []struct {
 		name         string
 		chain, batch bool
-	}{{"batch", false, true}, {"element", false, false}, {"chain", true, true}, {"chain-element", true, false}} {
+	}{{"batch", false, true}, {"one", false, false}, {"chain", true, true}, {"chain-one", true, false}} {
 		write(mode.chain, false)
 		want := bytes.Clone(st.got)
 		b.Run(mode.name, func(b *testing.B) {
@@ -97,7 +97,7 @@ func BenchmarkWriterBatch(b *testing.B) {
 				write(mode.chain, mode.batch)
 				b.StopTimer()
 				if !bytes.Equal(st.got, want) {
-					b.Fatalf("%s writes stored %d bytes that differ from the element path's %d", mode.name, len(st.got), len(want))
+					b.Fatalf("%s writes stored %d bytes that differ from one-element batches' %d", mode.name, len(st.got), len(want))
 				}
 				b.StartTimer()
 			}

@@ -106,6 +106,12 @@ func BlockBytes(budget int) int {
 	return max(pages, 1) * DefaultPageSize
 }
 
+// StageLen is how many elements a run generator stages per stream it writes
+// (stream.ElementWriter): a page of them, of 16 bytes when variable-width.
+func (e *Emitter[T]) StageLen() int {
+	return DefaultPageSize / max(e.Codec.FixedSize(), 16)
+}
+
 // Stream opens a fresh output stream of the run being generated: an
 // ascending one stored as a forward file, or a descending one stored as an
 // Appendix A backward chain, so the merge reads both forward. role

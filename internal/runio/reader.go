@@ -78,7 +78,7 @@ type Reader[T any] struct {
 	own    []byte              // the reader's buffer, from the pool, once it needs one
 	buf    []byte              // the bytes being decoded: a prefix of own
 	pos    int                 // consumed bytes of buf
-	err    error               // met after the last element decoded; the next call returns it
+	err    error               // met after the last element decoded; every later call returns it
 	closed bool
 	// inline holds files for a run of one file, and self is the one-piece
 	// list OpenRun returns for a concatenable run (OpenRun).
@@ -131,12 +131,12 @@ func (r *Reader[T]) decode() (v T, ok bool) {
 
 // ReadBatch decodes up to len(dst) elements per the stream.BatchReader
 // contract — a buffer's worth per call of the codec's bulk kernel, where it
-// has one — and an error met after some elements were decoded waits for the
-// next call. A trailing partial element means corruption upstream and reads
-// as the end of its segment; a piece of a run, which knows the record count of
-// each segment, turns an end on any other count into an error matching
-// storage.ErrCorrupt (refill) — a run file cut short must fail the merge, not
-// shorten its output.
+// has one. An error, the end included, met after some elements were decoded
+// waits for the next call, and every call after returns it. A trailing
+// partial element means corruption upstream and reads as the end of its
+// segment; a piece of a run, which knows the record count of each segment,
+// turns an end on any other count into an error matching storage.ErrCorrupt
+// (refill) — a run file cut short must fail the merge, not shorten its output.
 func (r *Reader[T]) ReadBatch(dst []T) (int, error) {
 	if r.closed {
 		return 0, stream.ErrClosed
@@ -159,9 +159,7 @@ func (r *Reader[T]) ReadBatch(dst []T) (int, error) {
 	if n > 0 || len(dst) == 0 {
 		return n, nil
 	}
-	err := r.err
-	r.err = nil
-	return 0, err
+	return 0, r.err
 }
 
 // refill replaces the drained buffer with the stream's next bytes — moving
@@ -214,7 +212,7 @@ func (r *Reader[T]) refill() error {
 }
 
 // openNext opens the next file of the list, or returns io.EOF when none is
-// left. The list advances only on success, so a failed open is met again.
+// left.
 func (r *Reader[T]) openNext() error {
 	if len(r.files) == 0 {
 		return io.EOF

@@ -25,8 +25,9 @@
 //
 // Writing is one contract over two fill loops. A run generator opens each
 // output stream with Emitter.Stream(role, descending) and holds a
-// StreamWriter — Write, WriteBatch, Close, and Segment, the finished
-// stream's own description — without knowing the layout behind it. Writer
+// StreamWriter — WriteBatch, Close, and Segment, the finished stream's own
+// description — without knowing the layout behind it, in batches only (a
+// generator stages its records in a stream.ElementWriter per stream). Writer
 // (forward files) and BackwardWriter (chains) are the two layouts; what
 // they share is written once, in the streamBase both embed: the run-order
 // check in the stream's direction, the element count and chain-file count
@@ -69,7 +70,8 @@
 // Both write paths and the read path move blocks, not records. WriteBatch
 // and ReadBatch encode and decode a page of elements per call through the
 // codec's bulk kernels (codec.Bulk; other codecs keep the element loop
-// inside the same page loop). Writers' blocks and a reader's buffer come
+// inside the same page loop), storing the same bytes however the elements
+// were cut into batches. Writers' blocks and a reader's buffer come
 // from the backend's pool (storage.PoolOf) and return to it when the file
 // closes, so they are reused across runs, merge operations and passes; a
 // forward block is one Append and a chain block one write of its pages
@@ -170,24 +172,6 @@ func NewWriter[T any](st storage.Backend, name string, bufBytes int, c codec.Cod
 	w.target = bufSize(bufBytes, w.fixed)
 	w.buf = w.pool.Get(w.target)[:0]
 	return w, nil
-}
-
-// Write appends r to the run. Elements must arrive in non-decreasing order.
-// It is WriteBatch for one element, kept apart so that the element does not
-// have to live in a slice.
-func (w *Writer[T]) Write(r T) error {
-	if err := w.admit(r); err != nil {
-		return err
-	}
-	prev := len(w.buf)
-	w.buf = w.c.Append(w.buf, r)
-	if w.summed {
-		w.sum = ContentSum(w.sum, w.buf[prev:])
-	}
-	if len(w.buf) >= w.target {
-		return w.flush()
-	}
-	return nil
 }
 
 // WriteBatch appends every element of src in order, a page at a time:

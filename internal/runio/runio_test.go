@@ -28,7 +28,7 @@ func writeForward(t *testing.T, fs vfs.FS, name string, keys []int64) {
 		t.Fatal(err)
 	}
 	for i, k := range keys {
-		if err := w.Write(record.Record{Key: k, Aux: uint64(i)}); err != nil {
+		if err := w.WriteBatch([]record.Record{{Key: k, Aux: uint64(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -89,8 +89,8 @@ func TestForwardWriterRejectsOutOfOrder(t *testing.T) {
 	fs := vfs.NewMemFS()
 	w, _ := NewWriter(storage.NewRaw(fs), "r", 0, codec.Record16{}, record.Less)
 	defer w.Close()
-	w.Write(record.Record{Key: 5})
-	err := w.Write(record.Record{Key: 4})
+	w.WriteBatch([]record.Record{{Key: 5}})
+	err := w.WriteBatch([]record.Record{{Key: 4}})
 	if !errors.Is(err, ErrOutOfOrder) {
 		t.Fatalf("out-of-order write = %v, want ErrOutOfOrder", err)
 	}
@@ -100,10 +100,10 @@ func TestForwardWriterCount(t *testing.T) {
 	fs := vfs.NewMemFS()
 	w, _ := NewWriter(storage.NewRaw(fs), "r", 0, codec.Record16{}, record.Less)
 	for i := 0; i < 7; i++ {
-		w.Write(record.Record{Key: int64(i)})
+		w.WriteBatch([]record.Record{{Key: int64(i)}})
 	}
-	if w.Count() != 7 {
-		t.Fatalf("Count = %d, want 7", w.Count())
+	if n := w.Segment().Records; n != 7 {
+		t.Fatalf("Segment().Records = %d, want 7", n)
 	}
 	w.Close()
 	if err := w.Close(); err != stream.ErrClosed {
@@ -132,7 +132,7 @@ func TestForwardTinyBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := w.Write(record.Record{Key: int64(i)}); err != nil {
+		if err := w.WriteBatch([]record.Record{{Key: int64(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -155,7 +155,7 @@ func TestBackwardRoundTripSingleFile(t *testing.T) {
 	}
 	// Descending input 9..0 fits in 10 records < 12 capacity.
 	for i := 9; i >= 0; i-- {
-		if err := w.Write(record.Record{Key: int64(i), Aux: uint64(i)}); err != nil {
+		if err := w.WriteBatch([]record.Record{{Key: int64(i), Aux: uint64(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -188,7 +188,7 @@ func TestBackwardRoundTripMultiFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 29; i >= 0; i-- {
-		if err := w.Write(record.Record{Key: int64(i)}); err != nil {
+		if err := w.WriteBatch([]record.Record{{Key: int64(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -216,7 +216,7 @@ func TestBackwardExactlyFullFile(t *testing.T) {
 	// Exactly one full file: 2 data pages x 4 records.
 	w, _ := NewBackwardWriter(storage.NewRaw(fs), "b", 64, 3, codec.Record16{}, record.Less)
 	for i := 7; i >= 0; i-- {
-		w.Write(record.Record{Key: int64(i)})
+		w.WriteBatch([]record.Record{{Key: int64(i)}})
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -250,8 +250,8 @@ func TestBackwardEmptyStream(t *testing.T) {
 func TestBackwardWriterRejectsAscending(t *testing.T) {
 	fs := vfs.NewMemFS()
 	w, _ := NewBackwardWriter(storage.NewRaw(fs), "b", 64, 3, codec.Record16{}, record.Less)
-	w.Write(record.Record{Key: 5})
-	if err := w.Write(record.Record{Key: 6}); !errors.Is(err, ErrOutOfOrder) {
+	w.WriteBatch([]record.Record{{Key: 5}})
+	if err := w.WriteBatch([]record.Record{{Key: 6}}); !errors.Is(err, ErrOutOfOrder) {
 		t.Fatalf("ascending write = %v, want ErrOutOfOrder", err)
 	}
 }
@@ -270,7 +270,7 @@ func TestBackwardHeaderCorruptionDetected(t *testing.T) {
 	fs := vfs.NewMemFS()
 	w, _ := NewBackwardWriter(storage.NewRaw(fs), "b", 64, 3, codec.Record16{}, record.Less)
 	for i := 5; i >= 0; i-- {
-		w.Write(record.Record{Key: int64(i)})
+		w.WriteBatch([]record.Record{{Key: int64(i)}})
 	}
 	w.Close()
 	// Smash the magic number.
@@ -298,7 +298,7 @@ func TestBackwardLargeRandomDescending(t *testing.T) {
 	sort.Slice(keys, func(i, j int) bool { return keys[i] > keys[j] })
 	w, _ := NewBackwardWriter(storage.NewRaw(fs), "b", 256, 5, codec.Record16{}, record.Less)
 	for _, k := range keys {
-		if err := w.Write(record.Record{Key: k}); err != nil {
+		if err := w.WriteBatch([]record.Record{{Key: k}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -333,7 +333,7 @@ func TestRemoveBackward(t *testing.T) {
 	fs := vfs.NewMemFS()
 	w, _ := NewBackwardWriter(storage.NewRaw(fs), "b", 64, 3, codec.Record16{}, record.Less)
 	for i := 20; i >= 0; i-- {
-		w.Write(record.Record{Key: int64(i)})
+		w.WriteBatch([]record.Record{{Key: int64(i)}})
 	}
 	w.Close()
 	if err := w.Segment().Remove(storage.NewRaw(fs)); err != nil {
@@ -352,13 +352,13 @@ func TestRunConcatenatesSegments(t *testing.T) {
 	// stream1 asc {52,53,54}.
 	w4, _ := NewBackwardWriter(storage.NewRaw(fs), "s4", 64, 3, codec.Record16{}, record.Less)
 	for _, k := range []int64{38, 37, 36} {
-		w4.Write(record.Record{Key: k})
+		w4.WriteBatch([]record.Record{{Key: k}})
 	}
 	w4.Close()
 	writeForward(t, fs, "s3", []int64{39, 40})
 	w2, _ := NewBackwardWriter(storage.NewRaw(fs), "s2", 64, 3, codec.Record16{}, record.Less)
 	for _, k := range []int64{51, 50} {
-		w2.Write(record.Record{Key: k})
+		w2.WriteBatch([]record.Record{{Key: k}})
 	}
 	w2.Close()
 	writeForward(t, fs, "s1", []int64{52, 53, 54})
@@ -406,7 +406,7 @@ func TestRunRemove(t *testing.T) {
 	fs := vfs.NewMemFS()
 	writeForward(t, fs, "s1", []int64{1})
 	w, _ := NewBackwardWriter(storage.NewRaw(fs), "s4", 64, 3, codec.Record16{}, record.Less)
-	w.Write(record.Record{Key: 0})
+	w.WriteBatch([]record.Record{{Key: 0}})
 	w.Close()
 	run := Run{Segments: []Segment{
 		{Name: "s4", Records: 1, Backward: true, Files: 1},
@@ -571,7 +571,7 @@ func TestReadBatchAtEveryLength(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 500; i > 0; i-- {
-		if err := wb.Write(record.Record{Key: int64(i)}); err != nil {
+		if err := wb.WriteBatch([]record.Record{{Key: int64(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -720,9 +720,8 @@ func fileBytes(t *testing.T, fs vfs.FS, name string) []byte {
 }
 
 // writeChain stores vals, descending, as one chain stream of 64-byte pages
-// through an emitter with Checksums on — element by element when split is
-// 0, in batches of split otherwise — and returns every file stored and the
-// stream's content sum.
+// through an emitter with Checksums on, in batches of split elements, and
+// returns every file stored and the stream's content sum.
 func writeChain[T any](t *testing.T, pagesPerFile, split int, c codec.Codec[T], less func(a, b T) bool, vals []T) (map[string][]byte, uint64) {
 	t.Helper()
 	fs := vfs.NewMemFS()
@@ -730,12 +729,8 @@ func writeChain[T any](t *testing.T, pagesPerFile, split int, c codec.Codec[T], 
 	em.PageSize, em.PagesPerFile, em.Checksums = 64, pagesPerFile, true
 	w, err := em.Stream("s", true)
 	for rest := vals; len(rest) > 0 && err == nil; {
-		if split == 0 {
-			err, rest = w.Write(rest[0]), rest[1:]
-		} else {
-			n := min(split, len(rest))
-			err, rest = w.WriteBatch(rest[:n]), rest[n:]
-		}
+		n := min(split, len(rest))
+		err, rest = w.WriteBatch(rest[:n]), rest[n:]
 	}
 	if err == nil {
 		err = w.Close()
@@ -753,11 +748,11 @@ func writeChain[T any](t *testing.T, pagesPerFile, split int, c codec.Codec[T], 
 }
 
 // TestWriteBatchMatchesWrite checks that batched writes produce
-// byte-identical files to element writes, including page-flush boundaries:
-// a forward run, and backward chains of fixed-width records and of strings
-// that span pages and files — every batch length from one element to a
-// page and one more, files of one and two data pages, with equal content
-// sums.
+// byte-identical files to element writes — batches of one — including
+// page-flush boundaries: a forward run, and backward chains of fixed-width
+// records and of strings that span pages and files — every batch length
+// from two elements to a page and one more, files of one and two data
+// pages, with equal content sums.
 func TestWriteBatchMatchesWrite(t *testing.T) {
 	recs := make([]record.Record, 777)
 	for i := range recs {
@@ -810,9 +805,9 @@ func TestWriteBatchMatchesWrite(t *testing.T) {
 	}
 	const perPage = 64 / record.Size
 	for _, pagesPerFile := range []int{2, 3} {
-		wantRecs, recSum := writeChain(t, pagesPerFile, 0, codec.Record16{}, record.Less, recs)
-		wantStrs, strSum := writeChain(t, pagesPerFile, 0, codec.String{}, func(a, b string) bool { return a < b }, strs)
-		for split := 1; split <= perPage+1; split++ {
+		wantRecs, recSum := writeChain(t, pagesPerFile, 1, codec.Record16{}, record.Less, recs)
+		wantStrs, strSum := writeChain(t, pagesPerFile, 1, codec.String{}, func(a, b string) bool { return a < b }, strs)
+		for split := 2; split <= perPage+1; split++ {
 			gotRecs, sum := writeChain(t, pagesPerFile, split, codec.Record16{}, record.Less, recs)
 			if !maps.EqualFunc(gotRecs, wantRecs, bytes.Equal) || sum != recSum {
 				t.Fatalf("%d pages a file, batches of %d records: %d files and sum %#x, element writes %d and %#x", pagesPerFile, split, len(gotRecs), sum, len(wantRecs), recSum)
@@ -837,30 +832,6 @@ func TestWriteBatchRejectsOutOfOrder(t *testing.T) {
 		t.Fatalf("err = %v, want ErrOutOfOrder", err)
 	}
 	w.Close()
-}
-
-// TestElementPathDoesNotAllocate pins the cost of the one-element call that
-// is left beside the bulk kernels — run generators write an element at a
-// time: Write's argument never passes through the codec's bulk interface,
-// where it would have to be a slice and escape to the heap once per element.
-func TestElementPathDoesNotAllocate(t *testing.T) {
-	st := storage.NewRaw(vfs.NewMemFS())
-	w, err := NewWriter[record.Record](st, "run", 0, codec.Record16{}, record.Less)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := int64(0)
-	if n := testing.AllocsPerRun(5000, func() {
-		key++
-		if err := w.Write(record.Record{Key: key}); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Fatalf("Write allocates %v times per element", n)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 var errInjected = errors.New("injected fault")
@@ -996,7 +967,7 @@ func TestChainWriterClosesFileItCouldNotFinish(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := tc.records; i > 0 && err == nil; i-- {
-			err = w.Write(record.Record{Key: int64(i)})
+			err = w.WriteBatch([]record.Record{{Key: int64(i)}})
 		}
 		if st.open != tc.held || tc.abandon && errors.Is(err, errInjected) != (tc.n > 0) {
 			t.Fatalf("%+v: the writes returned %v with %d handles open", tc, err, st.open)
@@ -1023,7 +994,7 @@ func TestRemoveCarriesOnPastAFailure(t *testing.T) {
 	st := storage.NewRaw(fs)
 	w, _ := NewBackwardWriter(st, "b", 64, 3, codec.Record16{}, record.Less)
 	for i := 30; i > 0; i-- {
-		w.Write(record.Record{Key: int64(i)})
+		w.WriteBatch([]record.Record{{Key: int64(i)}})
 	}
 	if err := w.Close(); err != nil || w.Files() != 4 {
 		t.Fatalf("chain of %d files, err %v; want 4", w.Files(), err)
@@ -1088,7 +1059,7 @@ func TestWriterSurfacesFileFault(t *testing.T) {
 						if chain {
 							key = int64(records - i)
 						}
-						failed = met(w.Write(record.Record{Key: key}))
+						failed = met(w.WriteBatch([]record.Record{{Key: key}}))
 					}
 					if failed {
 						w.Close()
@@ -1145,7 +1116,7 @@ func TestSiblingCarriesEverySetting(t *testing.T) {
 		t.Errorf("the emitter names its second file %q after the sibling named one, want sort-0002-run", got)
 	}
 	sib.AbortOpen()
-	if err := w.Write(1); err != nil {
+	if err := w.WriteBatch([]int64{1}); err != nil {
 		t.Fatalf("the sibling aborted the emitter's stream: %v", err)
 	}
 	if len(em.open) != 1 || len(sib.open) != 0 {

@@ -13,7 +13,6 @@ import (
 // get one; the direction they ask for picks the layout behind it (Writer or
 // BackwardWriter), and nothing else about the stream depends on it.
 type StreamWriter[T any] interface {
-	stream.Writer[T]
 	stream.BatchWriter[T]
 	// Close stores what is still buffered and closes the stream's files.
 	Close() error
@@ -72,9 +71,6 @@ func newStreamBase[T any](seg Segment, c codec.Codec[T], less func(a, b T) bool,
 // Segment describes the stream as written so far.
 func (s *streamBase[T]) Segment() Segment { return s.seg }
 
-// Count returns the number of elements written so far.
-func (s *streamBase[T]) Count() int64 { return s.seg.Records }
-
 // outOfOrder reports r arriving after prev against the stream's direction.
 func (s *streamBase[T]) outOfOrder(r, prev T) error {
 	dir := "forward"
@@ -84,30 +80,11 @@ func (s *streamBase[T]) outOfOrder(r, prev T) error {
 	return fmt.Errorf("%w: %s run got %v after %v", ErrOutOfOrder, dir, r, prev)
 }
 
-// admit takes one element into the stream: it must not be closed, and r
-// must continue it in its direction — not below the last element of an
-// ascending stream, not above it in a descending one.
-func (s *streamBase[T]) admit(r T) error {
-	if s.closed {
-		return stream.ErrClosed
-	}
-	if s.seg.Records > 0 {
-		lo, hi := s.last, r
-		if s.seg.Backward {
-			lo, hi = r, s.last
-		}
-		if s.less(hi, lo) {
-			return s.outOfOrder(r, s.last)
-		}
-	}
-	s.last = r
-	s.seg.Records++
-	return nil
-}
-
-// admitAll is admit for every element of page, in order, with the direction
-// test made once per page rather than per element, where it is measurable
-// on the merge's output path.
+// admitAll takes the elements of page into the stream, in order: each must
+// continue it in its direction — not below the element before it in an
+// ascending stream, not above it in a descending one. The direction test is
+// made once per page rather than per element, where it is measurable on the
+// merge's output path.
 func (s *streamBase[T]) admitAll(page []T) error {
 	prev, i := s.last, 0
 	if s.seg.Records == 0 {

@@ -61,7 +61,7 @@ func FuzzVarWidthRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 		for _, v := range vals {
-			if err := w.Write(v); err != nil {
+			if err := w.WriteBatch([][]byte{v}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -86,7 +86,7 @@ func FuzzVarWidthRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 		for i := len(vals) - 1; i >= 0; i-- {
-			if err := bw.Write(vals[i]); err != nil {
+			if err := bw.WriteBatch([][]byte{vals[i]}); err != nil {
 				t.Fatal(err)
 			}
 		}

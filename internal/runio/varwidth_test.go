@@ -42,7 +42,7 @@ func TestForwardVarWidthRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range vals {
-		if err := w.Write(v); err != nil {
+		if err := w.WriteBatch([]string{v}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -81,7 +81,7 @@ func TestBackwardVarWidthSpanningPagesAndFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range vals {
-		if err := w.Write(v); err != nil {
+		if err := w.WriteBatch([]string{v}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -127,7 +127,7 @@ func TestBackwardVarWidthElementLargerThanBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range vals {
-		if err := w.Write(v); err != nil {
+		if err := w.WriteBatch([]string{v}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -152,12 +152,12 @@ func TestVarWidthRunConcatenation(t *testing.T) {
 	fs := vfs.NewMemFS()
 	w4, _ := NewBackwardWriter(storage.NewRaw(fs), "s4", 64, 3, codec.String{}, lessStr)
 	for _, v := range []string{"cc", "bb", "aa"} {
-		w4.Write(v)
+		w4.WriteBatch([]string{v})
 	}
 	w4.Close()
 	wf, _ := NewWriter(storage.NewRaw(fs), "s1", 64, codec.String{}, lessStr)
 	for _, v := range []string{"dd", "ee"} {
-		wf.Write(v)
+		wf.WriteBatch([]string{v})
 	}
 	wf.Close()
 	run := Run{

@@ -14,7 +14,11 @@ const DefaultBatchLen = 1024
 // The contract mirrors a strict io.Reader: when n > 0 the error is always
 // nil — an error (including io.EOF) discovered after some elements were
 // already read is held back and returned by the next call with n == 0.
-// ReadBatch with an empty dst returns (0, nil). Callers therefore loop:
+// After io.EOF every read returns (0, io.EOF); after a failure it fails
+// again, never reporting the end. An empty dst reads nothing and returns
+// (0, nil), though a failed reader may answer it with its failure; a closed
+// one returns ErrClosed (TestReaderContract holds every reader to this).
+// Callers therefore loop:
 //
 //	n, err := br.ReadBatch(buf)
 //	// process buf[:n]
@@ -57,7 +61,7 @@ type readerBatcher[T any] struct {
 }
 
 func (b *readerBatcher[T]) ReadBatch(dst []T) (int, error) {
-	if b.err != nil {
+	if b.err != nil && len(dst) > 0 {
 		err := b.err
 		b.err = nil
 		return 0, err
@@ -91,8 +95,9 @@ func RemainingOf(src any) int {
 	return -1
 }
 
-// AsBatchWriter returns w itself when it already implements BatchWriter,
-// otherwise an adapter that writes the batch element by element.
+// AsBatchWriter is where a caller's sink crosses into the library, once: it
+// returns w itself when it already implements BatchWriter, otherwise an
+// adapter that writes each batch element by element.
 func AsBatchWriter[T any](w Writer[T]) BatchWriter[T] {
 	if bw, ok := w.(BatchWriter[T]); ok {
 		return bw
@@ -113,9 +118,10 @@ func (b writerBatcher[T]) WriteBatch(src []T) error {
 	return nil
 }
 
-// ElementWriter adapts a batch writer back to the element-at-a-time Writer
-// interface, accumulating writes into batches. The caller must Flush when
-// done; Write errors reflect the most recent batch handed downstream.
+// ElementWriter stages element-at-a-time writes into batches for a batch
+// writer, the write-side mirror of Fetcher: a producer that emits an element
+// at a time (a run generator, a join) pays a WriteBatch per batch. The caller
+// must Flush when done; Write errors reflect the last batch handed on.
 type ElementWriter[T any] struct {
 	bw  BatchWriter[T]
 	buf []T
@@ -130,7 +136,11 @@ func NewElementWriter[T any](bw BatchWriter[T], batchLen int) *ElementWriter[T] 
 	return &ElementWriter[T]{bw: bw, buf: make([]T, 0, batchLen)}
 }
 
-// Write buffers v, forwarding a full batch downstream.
+// Reset points the writer at bw, dropping what is staged: a generator keeps
+// one per stream across the runs it writes.
+func (w *ElementWriter[T]) Reset(bw BatchWriter[T]) { w.bw, w.buf = bw, w.buf[:0] }
+
+// Write stages v, forwarding a full batch downstream.
 func (w *ElementWriter[T]) Write(v T) error {
 	w.buf = append(w.buf, v)
 	if len(w.buf) == cap(w.buf) {
@@ -139,8 +149,17 @@ func (w *ElementWriter[T]) Write(v T) error {
 	return nil
 }
 
-// Flush forwards any buffered elements downstream. On failure the buffer
-// is retained, so a later Flush retries the same batch.
+// WriteBatch forwards what is staged, then src, so that writes of either
+// shape arrive downstream in the order they were made.
+func (w *ElementWriter[T]) WriteBatch(src []T) error {
+	if err := w.Flush(); err != nil {
+		return err
+	}
+	return w.bw.WriteBatch(src)
+}
+
+// Flush forwards any staged elements downstream. On failure they stay
+// staged, so a later Flush retries the same batch.
 func (w *ElementWriter[T]) Flush() error {
 	if len(w.buf) == 0 {
 		return nil

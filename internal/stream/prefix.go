@@ -55,7 +55,6 @@ func Discard[T any](r BatchReader[T], n int64, cancel func() error) (int64, erro
 // nowhere is the writer that keeps nothing.
 type nowhere[T any] struct{}
 
-func (nowhere[T]) Write(T) error        { return nil }
 func (nowhere[T]) WriteBatch([]T) error { return nil }
 
 // Prepended replays a buffer, then continues with the reader it was taken

@@ -9,9 +9,11 @@
 // Reader, the element-at-a-time shape, is what a caller's source looks like
 // (repro.Source, a generator, a byte stream of records): the entry points
 // that accept one adapt it once with AsBatchReader, and nothing inside the
-// library implements or calls Read. The write side keeps both shapes,
-// Writer and BatchWriter, because both are used: run generators write an
-// element at a time, the merge and the copy helpers a batch at a time.
+// library implements or calls Read. Writes mirror it: BatchWriter is the one
+// write protocol, and Writer, the shape of a caller's sink, is adapted once
+// by AsBatchWriter where it enters. A producer that emits an element at a
+// time (a run generator) stages them in an ElementWriter, the write-side
+// Fetcher.
 package stream
 
 import (
@@ -30,7 +32,8 @@ type Reader[T any] interface {
 	Read() (T, error)
 }
 
-// Writer consumes elements one at a time.
+// Writer is the shape of a caller's sink: it consumes elements one at a
+// time. The library writes to one only through AsBatchWriter.
 type Writer[T any] interface {
 	Write(T) error
 }
@@ -92,6 +95,25 @@ func (s *SliceWriter[T]) WriteBatch(src []T) error {
 	return nil
 }
 
+// Meter reads R, counting the elements read, N so far, and handing each
+// batch's count to Add: a sort's input position and progress.
+type Meter[T any] struct {
+	R   BatchReader[T]
+	Add func(int64)
+	N   int64
+}
+
+// ReadBatch reads from R and counts what it read.
+func (m *Meter[T]) ReadBatch(dst []T) (int, error) {
+	k, err := m.R.ReadBatch(dst)
+	m.N += int64(k)
+	m.Add(int64(k))
+	return k, err
+}
+
+// Remaining forwards Sized; -1 when R does not know.
+func (m *Meter[T]) Remaining() int { return RemainingOf(m.R) }
+
 // ReadAll drains a caller's source into a slice. It is intended for tests
 // and examples where the stream is known to fit in memory. Sources that
 // report their Remaining length get a pre-sized output slice instead of
@@ -112,16 +134,11 @@ func ReadAllCancel[T any](r BatchReader[T], cancel func() error) ([]T, error) {
 	return out, err
 }
 
-// WriteAll writes every element of vals to w, stopping at the first error.
-func WriteAll[T any](w Writer[T], vals []T) error {
-	return AsBatchWriter(w).WriteBatch(vals)
-}
-
-// Copy streams a caller's source into w until EOF, returning the number of
-// elements copied, in whole batches: each side is adapted to the batch
-// protocol unless it speaks it already.
+// Copy streams a caller's source into a caller's sink until EOF, returning
+// the number of elements copied, in whole batches: each side is adapted to
+// the batch protocol unless it speaks it already.
 func Copy[T any](w Writer[T], r Reader[T]) (int64, error) {
-	return CopyCancel(w, AsBatchReader(r), nil)
+	return CopyCancel(AsBatchWriter(w), AsBatchReader(r), nil)
 }
 
 // CopyCancel streams r into w until EOF with a cancellation hook: cancel (nil
@@ -129,26 +146,25 @@ func Copy[T any](w Writer[T], r Reader[T]) (int64, error) {
 // cancellation to one DefaultBatchLen batch — the 1024-op cadence DESIGN.md
 // documents. The merge phase and the operator layer use it to honour context
 // cancellation mid-stream.
-func CopyCancel[T any](w Writer[T], r BatchReader[T], cancel func() error) (int64, error) {
+func CopyCancel[T any](w BatchWriter[T], r BatchReader[T], cancel func() error) (int64, error) {
 	return CopyN(w, r, math.MaxInt64, cancel)
 }
 
 // CopyN is CopyCancel stopping after n elements: it streams at most n from r
 // to w and returns the number copied, fewer than n with a nil error when r
 // ended first. It is the one capped batch loop: Discard is CopyN to nowhere.
-func CopyN[T any](w Writer[T], r BatchReader[T], n int64, cancel func() error) (int64, error) {
+func CopyN[T any](w BatchWriter[T], r BatchReader[T], n int64, cancel func() error) (int64, error) {
 	return copyN(w, r, n, make([]T, max(0, min(n, DefaultBatchLen))), cancel)
 }
 
 // CopyBuffer is CopyCancel moving its batches through buf instead of a
 // buffer of its own, for a caller that copies stream after stream (a merge
 // worker, once per merge operation).
-func CopyBuffer[T any](w Writer[T], r BatchReader[T], buf []T, cancel func() error) (int64, error) {
+func CopyBuffer[T any](w BatchWriter[T], r BatchReader[T], buf []T, cancel func() error) (int64, error) {
 	return copyN(w, r, math.MaxInt64, buf, cancel)
 }
 
-func copyN[T any](w Writer[T], br BatchReader[T], n int64, buf []T, cancel func() error) (int64, error) {
-	bw := AsBatchWriter(w)
+func copyN[T any](w BatchWriter[T], br BatchReader[T], n int64, buf []T, cancel func() error) (int64, error) {
 	var done int64
 	for done < n {
 		if cancel != nil {
@@ -158,7 +174,7 @@ func copyN[T any](w Writer[T], br BatchReader[T], n int64, buf []T, cancel func(
 		}
 		k, err := br.ReadBatch(buf[:min(n-done, int64(len(buf)))])
 		if k > 0 {
-			if werr := bw.WriteBatch(buf[:k]); werr != nil {
+			if werr := w.WriteBatch(buf[:k]); werr != nil {
 				return done, werr
 			}
 			done += int64(k)

@@ -232,6 +232,27 @@ func TestElementWriterFlush(t *testing.T) {
 	if err := ew.Flush(); err != nil { // idempotent on empty buffer
 		t.Fatal(err)
 	}
+	// A batch goes downstream after what was staged before it, whole.
+	if err := ew.Write(6); err != nil {
+		t.Fatal(err)
+	}
+	if err := ew.WriteBatch([]int{7, 8, 9}); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(sw.Vals, []int{1, 2, 3, 4, 5, 6, 7, 8, 9}) {
+		t.Fatalf("after WriteBatch Vals = %v", sw.Vals)
+	}
+	// Reset drops what is staged and points the writer elsewhere.
+	var other SliceWriter[int]
+	ew.Write(10)
+	ew.Reset(&other)
+	ew.Write(11)
+	if err := ew.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if len(sw.Vals) != 9 || !slices.Equal(other.Vals, []int{11}) {
+		t.Fatalf("after Reset Vals = %v and %v", sw.Vals, other.Vals)
+	}
 }
 
 func TestFetcher(t *testing.T) {
@@ -330,20 +351,6 @@ func TestReadAllError(t *testing.T) {
 	}
 }
 
-func TestWriteAll(t *testing.T) {
-	var sw SliceWriter[int]
-	if err := WriteAll[int](&sw, []int{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	if len(sw.Vals) != 3 {
-		t.Fatalf("Vals = %v", sw.Vals)
-	}
-	boom := errors.New("boom")
-	if err := WriteAll[int](&errWriter[int]{accept: 1, err: boom}, []int{1, 2}); err != boom {
-		t.Fatalf("err = %v, want boom", err)
-	}
-}
-
 func TestCopy(t *testing.T) {
 	vals := make([]int, 2500) // spans multiple internal batches
 	for i := range vals {
@@ -408,7 +415,7 @@ func TestCopyCancelElementPathCadence(t *testing.T) {
 		}
 		return nil
 	}
-	n, err := CopyCancel(w, AsBatchReader[int](endless), cancel)
+	n, err := CopyCancel(AsBatchWriter[int](w), AsBatchReader[int](endless), cancel)
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want the cancel sentinel", err)
 	}

@@ -78,7 +78,7 @@ func (s *Sorter[T]) streamed(o *op, src stream.BatchReader[T], prefix, phase str
 func (s *Sorter[T]) piped(o *op, src Source[T], name string, dst Sink[T], through func(stream.BatchReader[T]) stream.BatchReader[T]) (stats OpStats, err error) {
 	stats.Sort, err = s.streamed(o, source(o, src), name, name, func(st *merge.Stream[T], n int64) (err error) {
 		stats.In, stats.Sorted = n, true
-		stats.Out, err = stream.CopyCancel[T](&ctxWriter[T]{ctx: o.ctx, dst: dst}, through(st), o.ctx.Err)
+		stats.Out, err = stream.CopyCancel[T](sink(o, dst), through(st), o.ctx.Err)
 		return err
 	})
 	return stats, err
@@ -183,7 +183,7 @@ func MergeJoin[L, R, O any](ctx context.Context, left *Sorter[L], lsrc Source[L]
 	// both merged orders are.
 	stats.Left, err = left.streamed(o, source(o, lsrc), "joinl", "generate", func(lst *merge.Stream[L], _ int64) (err error) {
 		stats.Right, err = right.streamed(o, source(o, rsrc), "joinr", "join", func(rst *merge.Stream[R], _ int64) error {
-			js, err := ops.MergeJoin[L, R, O](lst, rst, cmp, join, &ctxWriter[O]{ctx: o.ctx, dst: dst}, o.ctx.Err)
+			js, err := ops.MergeJoin[L, R, O](lst, rst, cmp, join, sink(o, dst), o.ctx.Err)
 			stats.LeftIn, stats.RightIn, stats.Out, stats.MaxGroup = js.LeftIn, js.RightIn, js.Out, js.MaxGroup
 			return err
 		})

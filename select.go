@@ -69,7 +69,7 @@ type rankRange struct{ lo, hi int64 }
 // walk skips to each, copies it into w — a pick is a range of one — and
 // abandons the merge after the last, so the tail past it is never read.
 // The result is an OpStats less its timing, which is the skeleton's.
-func (s *Sorter[T]) rankQuery(o *op, name string, w stream.Writer[T],
+func (s *Sorter[T]) rankQuery(o *op, name string, w stream.BatchWriter[T],
 	memory func(r *OpStats) (stream.BatchReader[T], error), ranges func(n int64) ([]rankRange, error)) (r OpStats, err error) {
 	rest, err := memory(&r)
 	if rest == nil || err != nil {
@@ -242,8 +242,7 @@ func (s *Sorter[T]) kOf(ctx context.Context, src Source[T], k int, dir sel.Dir, 
 	}
 	o := startOp(ctx, s.cfg.Trace, name, obs.Int("k", int64(k)))
 	defer o.finish(&stats.Elapsed, &stats.Phases, &err)
-	w := &ctxWriter[T]{ctx: o.ctx, dst: dst}
-	in := source(o, src)
+	w, in := sink(o, dst), source(o, src)
 	return s.rankQuery(o, name, w,
 		func(r *OpStats) (stream.BatchReader[T], error) {
 			if k > s.cfg.MemoryRecords {
@@ -253,7 +252,7 @@ func (s *Sorter[T]) kOf(ctx context.Context, src Source[T], k int, dir sel.Dir, 
 			vals, read, err := sel.Stream(in, k, dir, s.ops.Less, o.ctx.Err)
 			r.In = read
 			if err == nil {
-				err = stream.WriteAll[T](w, vals)
+				err = w.WriteBatch(vals)
 			}
 			if err == nil {
 				r.Out = int64(len(vals))

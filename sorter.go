@@ -501,31 +501,28 @@ func (r *ctxReader[T]) ReadBatch(dst []T) (int, error) {
 // Remaining forwards the wrapped source's length hint; -1 means unknown.
 func (r *ctxReader[T]) Remaining() int { return stream.RemainingOf(r.br) }
 
-// ctxWriter checks the context at batch boundaries. Every copy into a sink
-// moves batches, so its Write — what makes it a stream.Writer — is never on a
-// hot path and simply checks on every call.
+// ctxWriter is a call's sink below the public boundary: the caller's Sink
+// adapted to the batch protocol once (sink) and the context checked at every
+// batch.
 type ctxWriter[T any] struct {
 	ctx context.Context
-	dst Sink[T]
 	bw  stream.BatchWriter[T]
 }
 
-func (w *ctxWriter[T]) Write(v T) error {
-	if err := w.ctx.Err(); err != nil {
-		return err
-	}
-	return w.dst.Write(v)
+// sink is where a caller's Sink crosses the public boundary; everything a
+// call writes to it afterwards goes in batches.
+func sink[T any](o *op, dst Sink[T]) *ctxWriter[T] {
+	return &ctxWriter[T]{ctx: o.ctx, bw: stream.AsBatchWriter[T](dst)}
 }
 
-// WriteBatch checks the context once per batch, then delegates: directly
-// to the sink when it speaks the batch protocol itself, otherwise through
-// the element-loop adapter.
+// Write is WriteBatch of one element. It makes the writer a stream.Writer
+// for RunSet.Merge, which finds WriteBatch and never calls it.
+func (w *ctxWriter[T]) Write(v T) error { return w.WriteBatch([]T{v}) }
+
+// WriteBatch checks the context once per batch, then delegates.
 func (w *ctxWriter[T]) WriteBatch(src []T) error {
 	if err := w.ctx.Err(); err != nil {
 		return err
-	}
-	if w.bw == nil {
-		w.bw = stream.AsBatchWriter[T](w.dst)
 	}
 	return w.bw.WriteBatch(src)
 }
@@ -604,7 +601,7 @@ func (s *Sorter[T]) sort(ctx context.Context, src Source[T], dst Sink[T], resume
 	if err != nil {
 		return Stats{}, err
 	}
-	return rset.Merge(&ctxWriter[T]{ctx: o.ctx, dst: dst})
+	return rset.Merge(sink(o, dst))
 }
 
 // SortSlice sorts a slice through the external-sort machinery and returns a
