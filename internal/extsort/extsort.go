@@ -699,13 +699,16 @@ func (r *RunSet[T]) OpenMerged() (*merge.Stream[T], error) {
 }
 
 // Merge completes the sort: it opens the merged stream, copies it into dst
-// and closes it, and returns the full two-phase statistics.
+// through a batch borrowed from the scratch and closes it, and returns the
+// full two-phase statistics.
 func (r *RunSet[T]) Merge(dst stream.Writer[T]) (Stats, error) {
 	st, err := r.OpenMerged()
 	if err != nil {
 		return r.Stats(), err
 	}
-	_, err = stream.CopyCancel(stream.AsBatchWriter(dst), st, r.cfg.Cancel)
+	batch := r.ops.Scratch.Buffer(stream.DefaultBatchLen)
+	_, err = stream.CopyBuffer(stream.AsBatchWriter(dst), st, batch[:stream.DefaultBatchLen], r.cfg.Cancel)
+	r.ops.Scratch.Put(batch)
 	err = r.CloseMerged(st, err)
 	r.stats.IO = r.store.Stats()
 	if err != nil {

@@ -1,7 +1,6 @@
 package extsort
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -46,11 +45,6 @@ const laneBlocks = 2
 // fetch batch of its generator (stream.FetchLen). The blocks in flight hold
 // a sixteenth of the budget beside it.
 func (c Config) dealLen() int { return max(c.Memory/c.Lanes()/32, 1) }
-
-// errLaneStopped is what a lane's input reports once another lane, or the
-// dealer, has failed: the lane stops at its next block instead of finishing
-// its runs over an input that ended early.
-var errLaneStopped = errors.New("extsort: run generation stopped by a failure in another lane")
 
 // lane is one run generator of a sort and what it has produced.
 type lane[T any] struct {
@@ -199,7 +193,7 @@ func (r *RunSet[T]) runLanes(lanes []*lane[T], in *stream.Meter[T], seq *sequenc
 		return l.res.Runs, nil
 	}
 
-	feed := stream.NewFeed[T](len(lanes), laneBlocks, cfg.dealLen(), errLaneStopped)
+	feed := stream.NewFeed[T](len(lanes), laneBlocks, cfg.dealLen(), nil)
 	sem := make(chan struct{}, cfg.Parallelism)
 	var wg sync.WaitGroup
 	for i, l := range lanes {
@@ -212,24 +206,13 @@ func (r *RunSet[T]) runLanes(lanes []*lane[T], in *stream.Meter[T], seq *sequenc
 			defer func() { <-sem }()
 			lsp := gsp.Start("lane", obs.Int("lane", int64(l.idx)))
 			err := drive(l, lsp)
-			lsp.End()
+			lsp.End(obs.Int("blocks", int64(lr.Blocks)), obs.Int("wait_us", lr.Waited.Microseconds()))
 			if err != nil {
 				feed.Stop(err)
 			}
 		}()
 	}
-	for i, ended := 0, false; !ended; i = (i + 1) % len(lanes) {
-		blk, err := feed.Block(i)
-		if err == nil {
-			blk, ended, err = stream.ReadPrefix(src, blk, cfg.dealLen(), nil)
-		}
-		if err != nil {
-			feed.Stop(err)
-			break
-		}
-		feed.Deal(i, blk)
-	}
-	feed.Close()
+	feed.DealFrom(src)
 	wg.Wait()
 	if err := feed.Err(); err != nil {
 		for _, l := range lanes {

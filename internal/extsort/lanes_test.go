@@ -154,7 +154,8 @@ func TestLaneStatsReportLaneMemory(t *testing.T) {
 
 // TestLaneFailureStopsEveryLane fails one lane's spill write, or the source
 // the lanes are dealt from, in a sort of four lanes at Parallelism 1, 2 and
-// 8, plain and durable: the sort returns that error, no goroutine of it
+// 8, plain and durable: the sort returns that error, whichever lane reads
+// the feed's failure first and not wrapped with any, no goroutine of it
 // outlives it, every spill file is closed, and a plain sort leaves no file
 // while a durable one leaves its manifest and arena for a resume.
 func TestLaneFailureStopsEveryLane(t *testing.T) {
@@ -191,8 +192,12 @@ func TestLaneFailureStopsEveryLane(t *testing.T) {
 				if !errors.Is(err, want) {
 					t.Fatalf("%s: error = %v, want %v", name, err, want)
 				}
-				if errors.Is(err, errLaneStopped) {
-					t.Fatalf("%s: the error names a stopped lane, not the failure: %v", name, err)
+				root := err
+				for u := errors.Unwrap(root); u != nil; u = errors.Unwrap(u) {
+					root = u
+				}
+				if root != want {
+					t.Fatalf("%s: the error wraps %v, not the failure alone: %v", name, root, err)
 				}
 				if got := settledGoroutines(before); got > before {
 					t.Fatalf("%s: %d goroutines after the failed sort, %d before", name, got, before)

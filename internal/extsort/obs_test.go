@@ -77,3 +77,41 @@ func TestMergeFinalSpanAttrs(t *testing.T) {
 		}
 	}
 }
+
+// TestLaneSpanAttrs: each lane span of a two-lane sort says how many blocks
+// its lane read from the feed — its share of ⌈N / dealLen⌉ dealt in turn —
+// and how long it waited for them.
+func TestLaneSpanAttrs(t *testing.T) {
+	const n = 100_000
+	recs := gen.Generate(gen.Config{Kind: gen.Random, N: n, Seed: 5})
+	tr := obs.New()
+	cfg := Config{Policy: policy.Quick, Memory: 2 * laneMax, Parallelism: 2, Trace: tr}
+	if cfg.Lanes() != 2 {
+		t.Fatalf("the sort runs %d lanes, want 2", cfg.Lanes())
+	}
+	if _, err := Sort(stream.NewSliceReader(recs), &stream.SliceWriter[record.Record]{}, vfs.NewMemFS(), cfg, RecordOps()); err != nil {
+		t.Fatal(err)
+	}
+	blocks := (n + cfg.dealLen() - 1) / cfg.dealLen()
+	lanes := 0
+	for _, sp := range tr.Spans() {
+		if sp.Name != "lane" {
+			continue
+		}
+		attrs := map[string]any{}
+		for _, a := range sp.Attrs {
+			attrs[a.Key] = a.Value()
+		}
+		lane, _ := attrs["lane"].(int64)
+		if want := int64((blocks + 1 - int(lane)) / 2); attrs["blocks"] != want {
+			t.Errorf("lane %d read %v blocks, want %d", lane, attrs["blocks"], want)
+		}
+		if _, ok := attrs["wait_us"].(int64); !ok {
+			t.Errorf("lane %d carries no wait_us: %v", lane, attrs)
+		}
+		lanes++
+	}
+	if lanes != 2 {
+		t.Fatalf("the trace holds %d lane spans, want 2", lanes)
+	}
+}

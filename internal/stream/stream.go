@@ -13,7 +13,8 @@
 // write protocol, and Writer, the shape of a caller's sink, is adapted once
 // by AsBatchWriter where it enters. A producer that emits an element at a
 // time (a run generator) stages them in an ElementWriter, the write-side
-// Fetcher.
+// Fetcher. Elements cross between goroutines only through a Feed
+// (feed.go): the lanes' dealt input and the final merge's output.
 package stream
 
 import (
